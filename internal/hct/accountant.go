@@ -3,7 +3,6 @@ package hct
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 )
 
@@ -14,82 +13,30 @@ import (
 // of the communication topology and the merge decisions — so the full
 // Fidge/Mattern computation can be skipped entirely. The experiment sweeps
 // (49 values of maxCS × 4 strategies × the whole corpus) run through this
-// path; Timestamper and Accountant are property-tested to agree.
+// path. It drives the same cluster-receive core as the pipeline planner, and
+// the two are property-tested to agree.
 //
 // Accountant is not safe for concurrent use.
 type Accountant struct {
-	cfg  Config
-	part *cluster.Partition
-
-	events    int
-	crEvents  int
-	mergedCRs int
+	core *clusterer
 }
 
 // NewAccountant returns an accountant over numProcs processes.
 func NewAccountant(numProcs int, cfg Config) (*Accountant, error) {
-	if numProcs <= 0 {
-		return nil, fmt.Errorf("%w: numProcs=%d", ErrBadConfig, numProcs)
+	core, err := newClusterer(numProcs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MaxClusterSize < 1 {
-		return nil, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
-	}
-	part := cfg.Partition
-	if part == nil {
-		part = cluster.NewSingletons(numProcs)
-	}
-	if part.NumProcs() != numProcs {
-		return nil, fmt.Errorf("%w: partition covers %d processes, want %d", ErrBadConfig, part.NumProcs(), numProcs)
-	}
-	if cfg.Decider == nil {
-		cfg.Decider = &neverDecider{}
-	}
-	return &Accountant{cfg: cfg, part: part}, nil
+	return &Accountant{core: core}, nil
 }
-
-// neverDecider avoids importing strategy in the accountant's default path;
-// it matches strategy.Never.
-type neverDecider struct{}
-
-func (*neverDecider) Name() string { return "static" }
-func (*neverDecider) OnClusterReceive(_, _ cluster.ID, _, _ int, _ bool) bool {
-	return false
-}
-func (*neverDecider) OnMerge(_, _, _ cluster.ID) {}
 
 // Observe processes one event, classifying it as a noted cluster receive, a
 // merged cluster receive, or an ordinary event.
-func (a *Accountant) Observe(e model.Event) {
-	if !e.Kind.IsReceive() {
-		a.events++
-		return
-	}
-	a.ObservePair(int32(e.ID.Process), int32(e.Partner.Process))
-}
+func (a *Accountant) Observe(e model.Event) { a.core.decide(e) }
 
 // ObservePair processes one receive-kind event in compact form: receiver
-// process p, sending partner process q. Live clusters are unique per
-// Partition, so the intra-cluster test is a pointer comparison — no
-// member-set lookup and no branch on event kind.
-func (a *Accountant) ObservePair(p, q int32) {
-	a.events++
-	own := a.part.ClusterOf(p)
-	other := a.part.ClusterOf(q)
-	if own == other {
-		return
-	}
-	sizeOK := own.Size()+other.Size() <= a.cfg.MaxClusterSize
-	if a.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-		if !sizeOK {
-			panic(fmt.Sprintf("hct: decider %s merged past the size bound", a.cfg.Decider.Name()))
-		}
-		merged := a.part.Merge(own.ID, other.ID)
-		a.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-		a.mergedCRs++
-		return
-	}
-	a.crEvents++
-}
+// process p, sending partner process q — no branch on event kind.
+func (a *Accountant) ObservePair(p, q int32) { a.core.receive(p, q) }
 
 // ObserveAll replays the whole trace.
 func (a *Accountant) ObserveAll(tr *model.Trace) {
@@ -108,9 +55,9 @@ func (a *Accountant) ObserveStream(stream []model.ReceivePair, totalEvents int) 
 	if totalEvents < len(stream) {
 		panic(fmt.Sprintf("hct: ObserveStream with totalEvents=%d < %d stream entries", totalEvents, len(stream)))
 	}
-	a.events += totalEvents - len(stream)
+	a.core.events += totalEvents - len(stream)
 	for _, rp := range stream {
-		a.ObservePair(rp.P, rp.Q)
+		a.core.receive(rp.P, rp.Q)
 	}
 }
 
@@ -127,14 +74,15 @@ type Result struct {
 
 // Result returns the accumulated statistics.
 func (a *Accountant) Result() Result {
+	c := a.core
 	return Result{
-		Events:          a.events,
-		ClusterReceives: a.crEvents,
-		MergedReceives:  a.mergedCRs,
-		Merges:          a.part.Merges(),
-		LiveClusters:    a.part.NumLive(),
-		MaxLiveCluster:  a.part.MaxLiveSize(),
-		MaxClusterSize:  a.cfg.MaxClusterSize,
+		Events:          c.events,
+		ClusterReceives: c.crEvents,
+		MergedReceives:  c.mergedCRs,
+		Merges:          c.part.Merges(),
+		LiveClusters:    c.part.NumLive(),
+		MaxLiveCluster:  c.part.MaxLiveSize(),
+		MaxClusterSize:  c.maxCS,
 	}
 }
 
@@ -145,13 +93,7 @@ func (a *Accountant) Result() Result {
 // of MaxClusterSize elements. A Fidge/Mattern-only tool therefore scores
 // exactly 1.0.
 func (r Result) AverageRatio(fixedVector int) float64 {
-	if r.Events == 0 {
-		return 0
-	}
-	cr := int64(r.ClusterReceives)
-	rest := int64(r.Events) - cr
-	total := cr*int64(fixedVector) + rest*int64(r.MaxClusterSize)
-	return float64(total) / (float64(r.Events) * float64(fixedVector))
+	return r.AverageRatioWithVector(fixedVector, r.MaxClusterSize)
 }
 
 // AverageRatioWithVector is AverageRatio with an explicit cluster-vector
@@ -163,9 +105,7 @@ func (r Result) AverageRatioWithVector(fixedVector, clusterVector int) float64 {
 	if r.Events == 0 {
 		return 0
 	}
-	cr := int64(r.ClusterReceives)
-	rest := int64(r.Events) - cr
-	total := cr*int64(fixedVector) + rest*int64(clusterVector)
+	total := StorageInts(r.Events, r.ClusterReceives, fixedVector, clusterVector)
 	return float64(total) / (float64(r.Events) * float64(fixedVector))
 }
 

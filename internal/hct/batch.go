@@ -31,12 +31,9 @@ type BatchTimestamper struct {
 	fmts     *fm.Timestamper
 	graph    *commgraph.Graph
 
-	part     *cluster.Partition // nil until the batch closes
-	stamps   map[model.EventID]*Timestamp
-	events   int
-	prefix   int
-	crEvents int
-	merged   int
+	core   clusterer // its partition is nil until the batch closes
+	stamps map[model.EventID]*Timestamp
+	prefix int
 }
 
 // BatchConfig parameterizes a BatchTimestamper.
@@ -53,21 +50,17 @@ type BatchConfig struct {
 
 // NewBatchTimestamper returns a batch timestamper over numProcs processes.
 func NewBatchTimestamper(numProcs int, cfg BatchConfig) (*BatchTimestamper, error) {
-	if numProcs <= 0 {
-		return nil, fmt.Errorf("%w: numProcs=%d", ErrBadConfig, numProcs)
-	}
-	if cfg.MaxClusterSize < 1 {
-		return nil, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
+	rc, _, err := resolveConfig(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.BatchSize < 1 {
 		return nil, fmt.Errorf("%w: BatchSize=%d", ErrBadConfig, cfg.BatchSize)
 	}
-	if cfg.Decider == nil {
-		cfg.Decider = strategy.NewNever()
-	}
 	return &BatchTimestamper{
 		numProcs: numProcs,
 		cfg:      cfg,
+		core:     clusterer{decider: rc.Decider, maxCS: cfg.MaxClusterSize},
 		fmts:     fm.NewTimestamper(numProcs),
 		graph:    commgraph.New(numProcs),
 		stamps:   make(map[model.EventID]*Timestamp),
@@ -76,13 +69,13 @@ func NewBatchTimestamper(numProcs int, cfg BatchConfig) (*BatchTimestamper, erro
 
 // Clustered reports whether the batch has closed and the static clustering
 // is installed.
-func (bt *BatchTimestamper) Clustered() bool { return bt.part != nil }
+func (bt *BatchTimestamper) Clustered() bool { return bt.core.part != nil }
 
 // Partition returns the installed partition, or nil during the batch.
-func (bt *BatchTimestamper) Partition() *cluster.Partition { return bt.part }
+func (bt *BatchTimestamper) Partition() *cluster.Partition { return bt.core.part }
 
 // Events returns the number of events stamped.
-func (bt *BatchTimestamper) Events() int { return bt.events }
+func (bt *BatchTimestamper) Events() int { return bt.prefix + bt.core.events }
 
 // PrefixEvents returns how many events were stamped with full vectors
 // before the clustering ran.
@@ -91,7 +84,7 @@ func (bt *BatchTimestamper) PrefixEvents() int { return bt.prefix }
 // ClusterReceives returns the number of noted cluster receives after the
 // batch closed (prefix events are not counted: they keep full vectors by
 // design, not because clustering failed).
-func (bt *BatchTimestamper) ClusterReceives() int { return bt.crEvents }
+func (bt *BatchTimestamper) ClusterReceives() int { return bt.core.crEvents }
 
 // Observe ingests the next event in delivery order.
 func (bt *BatchTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
@@ -101,43 +94,20 @@ func (bt *BatchTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
 	}
 	out := make([]*Timestamp, 0, len(stamped))
 	for _, st := range stamped {
-		bt.events++
-		if e2 := st.Event; e2.Kind.IsReceive() && e2.HasPartner() {
-			bt.graph.Add(int32(e2.ID.Process), int32(e2.Partner.Process), 1)
+		ev := st.Event
+		if ev.Kind.IsReceive() && ev.HasPartner() {
+			bt.graph.Add(int32(ev.ID.Process), int32(ev.Partner.Process), 1)
 		}
-		t := &Timestamp{ID: st.Event.ID, Kind: st.Event.Kind, Partner: st.Event.Partner}
-		if bt.part == nil {
+		t := &Timestamp{ID: ev.ID, Kind: ev.Kind, Partner: ev.Partner}
+		if bt.core.part == nil {
 			// Batch phase: full Fidge/Mattern timestamp.
 			t.Full = st.Clock
 			bt.prefix++
-			bt.stamps[t.ID] = t
-			out = append(out, t)
 			if bt.prefix >= bt.cfg.BatchSize {
 				bt.install()
 			}
-			continue
-		}
-		// Clustered phase: standard cluster-receive handling.
-		p := int32(st.Event.ID.Process)
-		own := bt.part.ClusterOf(p)
-		isCR := st.Event.Kind.IsReceive() && !own.Contains(int32(st.Event.Partner.Process))
-		if isCR {
-			other := bt.part.ClusterOf(int32(st.Event.Partner.Process))
-			sizeOK := own.Size()+other.Size() <= bt.cfg.MaxClusterSize
-			if bt.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-				if !sizeOK {
-					panic(fmt.Sprintf("hct: decider %s merged past the size bound", bt.cfg.Decider.Name()))
-				}
-				merged := bt.part.Merge(own.ID, other.ID)
-				bt.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-				own = merged
-				bt.merged++
-				isCR = false
-			}
-		}
-		if isCR {
+		} else if own := bt.core.decide(ev); own == nil {
 			t.Full = st.Clock
-			bt.crEvents++
 		} else {
 			t.Cluster = own
 			t.Proj = st.Clock.Project(own.Members)
@@ -157,7 +127,7 @@ func (bt *BatchTimestamper) install() {
 		// StaticGreedy returns a complete partition by construction.
 		panic(fmt.Sprintf("hct: batch clustering produced invalid partition: %v", err))
 	}
-	bt.part = part
+	bt.core.part = part
 }
 
 // ObserveAll stamps an entire trace.

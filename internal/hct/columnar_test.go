@@ -20,10 +20,14 @@ import (
 // ingest path produced — the map-store semantics of earlier revisions,
 // rebuilt in-test as an EventID-keyed reference map;
 // (b) report a closed-form StorageInts equal to the per-timestamp walk the
-// map store used to perform; and
+// map store used to perform;
 // (c) answer precedence queries identically to the Fidge/Mattern oracle —
 // the full event-pair matrix on small computations, dense samples on big
-// ones.
+// ones; and
+// (d) hold, for every event, exactly the oracle's vector: Full == FM(e) for
+// noted cluster receives, Proj == FM(e) projected on Cluster.Members
+// otherwise. The timestamper is the one-lane pipeline, which computes its own
+// clocks, so this is what ties the stamping core to package fm.
 func TestColumnarDifferentialCorpus(t *testing.T) {
 	specs := workload.Corpus()
 	maxCSs := []int{2, 3, 5, 8, 13, 21, 34, 50}
@@ -101,6 +105,15 @@ func TestColumnarDifferentialCorpus(t *testing.T) {
 						t.Fatalf("maxCS=%d: Timestamp(%v) = %v, ingest returned %v", maxCS, id, got, want)
 					}
 					walked += int64(want.StorageInts(fixedVector, maxCS))
+
+					// (d): vector equality with the oracle.
+					if got.Full != nil {
+						if !got.Full.Equal(clock[id]) {
+							t.Fatalf("maxCS=%d: %v Full = %v, Fidge/Mattern %v", maxCS, id, got.Full, clock[id])
+						}
+					} else if proj := clock[id].Project(got.Cluster.Members); !vclock.Clock(got.Proj).Equal(vclock.Clock(proj)) {
+						t.Fatalf("maxCS=%d: %v Proj = %v over %v, Fidge/Mattern projects to %v", maxCS, id, got.Proj, got.Cluster, proj)
+					}
 				}
 				if got := ts.StorageInts(fixedVector); got != walked {
 					t.Fatalf("maxCS=%d: StorageInts closed form %d, walk %d", maxCS, got, walked)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
@@ -43,40 +42,26 @@ type crNote struct {
 // Timestamper computes hierarchical cluster timestamps for an event stream
 // and answers precedence queries over the stamped events.
 //
-// Internally it runs the central Fidge/Mattern computation (whose transient
-// state is bounded: per-process frontiers plus in-flight sends) and converts
-// each finalized Fidge/Mattern vector into a cluster timestamp, merging
-// clusters as directed by the strategy. Full Fidge/Mattern vectors are
-// retained only for noted cluster receives — the algorithm "deletes
-// Fidge/Mattern timestamps that are no longer needed".
+// It is a façade over the inline one-lane Pipeline — the planner validates
+// each event and makes the cluster decision, the single lane turns the
+// Fidge/Mattern clock into a published timestamp on the caller's goroutine —
+// so replay, the CLIs and the examples drive exactly the core the daemon
+// runs. Full Fidge/Mattern vectors are retained only for noted cluster
+// receives — the algorithm "deletes Fidge/Mattern timestamps that are no
+// longer needed". The embedded Pipeline supplies the accounting (Events,
+// ClusterReceives, StorageInts, ...) and the lock-free query surface.
 //
-// Timestamps live in dense per-process columns indexed by event index, with
-// projection vectors carved from a shared arena (see store.go); a lookup is
-// two array indexes and the steady-state ingest path does not allocate.
-//
-// Concurrency: a single writer (Observe/Ingest/ObserveAll, externally
-// serialized) may run concurrently with any number of readers — Timestamp,
-// Precedes, Concurrent, their *At variants and CaptureWatermark take no
-// lock and read only the prefix of the store published by the per-process
-// watermarks. Accounting readers (Events, ClusterReceives, StorageInts, the
-// partition) are NOT synchronized with the writer and still require
-// external serialization against it.
+// Concurrency: writers and the accounting methods serialize on the planner
+// mutex; Timestamp, Precedes, Concurrent, their *At variants and
+// CaptureWatermark take no lock and read only the prefix of the store
+// published by the per-process watermarks. Only Partition hands out
+// unsynchronized state.
 type Timestamper struct {
-	plane // the lock-free read plane: columns, notes, query methods
-
-	cfg  Config
-	fmts *fm.Timestamper
-	part *cluster.Partition
-
-	ar arena // backing store for projection vectors
-
-	events    int
-	crEvents  int
-	mergedCRs int
+	*Pipeline
 }
 
-// plane is the lock-free read plane shared by the single-writer Timestamper
-// and the sharded Pipeline: the per-process timestamp columns, the noted
+// plane is the lock-free read plane of the Pipeline (and so of the
+// Timestamper façade): the per-process timestamp columns, the noted
 // cluster-receive columns, and every precedence-query method. Writers (one
 // per column) publish through the column watermarks; the query methods take
 // no lock and read only published prefixes (see store.go for the protocol).
@@ -102,68 +87,18 @@ func newPlane(numProcs int) plane {
 	}
 }
 
-// resolveConfig validates cfg against numProcs and fills in the defaults
-// (singleton partition, never-merge decider). Shared by NewTimestamper and
-// NewPipeline so both entry points accept exactly the same configurations.
-func resolveConfig(numProcs int, cfg Config) (Config, *cluster.Partition, error) {
-	if numProcs <= 0 {
-		return cfg, nil, fmt.Errorf("%w: numProcs=%d", ErrBadConfig, numProcs)
-	}
-	if cfg.MaxClusterSize < 1 {
-		return cfg, nil, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
-	}
-	part := cfg.Partition
-	if part == nil {
-		part = cluster.NewSingletons(numProcs)
-	}
-	if part.NumProcs() != numProcs {
-		return cfg, nil, fmt.Errorf("%w: partition covers %d processes, want %d", ErrBadConfig, part.NumProcs(), numProcs)
-	}
-	if cfg.Decider == nil {
-		cfg.Decider = strategy.NewNever()
-	}
-	return cfg, part, nil
-}
-
 // NewTimestamper returns a timestamper over numProcs processes.
 func NewTimestamper(numProcs int, cfg Config) (*Timestamper, error) {
-	cfg, part, err := resolveConfig(numProcs, cfg)
+	p, err := NewPipeline(numProcs, cfg, PipelineOptions{Shards: 1, PlanQueue: -1})
 	if err != nil {
 		return nil, err
 	}
-	return &Timestamper{
-		plane: newPlane(numProcs),
-		cfg:   cfg,
-		fmts:  fm.NewTimestamper(numProcs),
-		part:  part,
-	}, nil
+	return &Timestamper{p}, nil
 }
 
-// Events returns the number of events stamped so far.
-func (ts *Timestamper) Events() int { return ts.events }
-
-// ClusterReceives returns the number of noted (non-merged) cluster receives.
-func (ts *Timestamper) ClusterReceives() int { return ts.crEvents }
-
-// MergedClusterReceives returns the number of cluster receives that
-// triggered a merge and were therefore stamped with a projection.
-func (ts *Timestamper) MergedClusterReceives() int { return ts.mergedCRs }
-
-// Partition exposes the live partition (read-only use only).
-func (ts *Timestamper) Partition() *cluster.Partition { return ts.part }
-
-// MaxClusterSize returns the configured cluster-size bound (the paper's
-// maxCS), which is also the projection-vector size of every non-CR
-// timestamp under the fixed-size encoding.
-func (ts *Timestamper) MaxClusterSize() int { return ts.cfg.MaxClusterSize }
-
-// Merges returns the number of cluster merges performed so far.
-func (ts *Timestamper) Merges() int { return ts.part.Merges() }
-
-// PendingSends returns the number of delivered sends whose receive has not
-// been delivered yet — the transient Fidge/Mattern state retained by the
-// central computation.
-func (ts *Timestamper) PendingSends() int { return ts.fmts.PendingSends() }
+// Partition exposes the live partition (read-only use only, serialized
+// against the writer by the caller).
+func (ts *Timestamper) Partition() *cluster.Partition { return ts.core.part }
 
 // NumProcs returns the number of processes.
 func (ts *plane) NumProcs() int { return ts.numProcs }
@@ -177,86 +112,45 @@ func (ts *plane) QueryPathCounts() (direct, routed int64) {
 }
 
 // Observe ingests the next event in delivery order and returns the
-// timestamps finalized by it (two for the completion of a synchronous pair,
-// zero for its first half, one otherwise). The returned pointers stay valid
-// and immutable for the life of the timestamper. Ingest is the variant for
-// callers that discard the results.
+// timestamps finalized by it (two for the completion of a synchronous pair —
+// first half, then second — zero for its first half, one otherwise). The
+// returned pointers stay valid and immutable for the life of the
+// timestamper. Ingest is the variant for callers that discard the results.
 func (ts *Timestamper) Observe(e model.Event) ([]*Timestamp, error) {
-	// The borrowed observe path hands out the live Fidge/Mattern frontier
-	// without defensive copies; assign projects or clones as needed before
-	// the next call invalidates it.
-	stamped, err := ts.fmts.ObserveBorrowed(e)
-	if err != nil {
+	if err := ts.DispatchOne(e); err != nil {
 		return nil, err
 	}
-	out := make([]*Timestamp, 0, len(stamped))
-	for _, st := range stamped {
-		out = append(out, ts.assign(st.Event, st.Clock))
+	t, ok := ts.Timestamp(e.ID)
+	if !ok {
+		return nil, nil // first sync half: held until its partner arrives
 	}
-	return out, nil
+	if e.Kind == model.Sync {
+		first, _ := ts.Timestamp(e.Partner)
+		return []*Timestamp{first, t}, nil
+	}
+	return []*Timestamp{t}, nil
 }
 
-// Ingest is Observe without materializing the result slice: the batched
-// network ingest path, where that per-event allocation would dominate the
-// profile now that stamping itself is allocation-free in the steady state.
-func (ts *Timestamper) Ingest(e model.Event) error {
-	stamped, err := ts.fmts.ObserveBorrowed(e)
-	if err != nil {
-		return err
+// Ingest is Observe without materializing the result slice. On error no
+// state changes.
+func (ts *Timestamper) Ingest(e model.Event) error { return ts.DispatchOne(e) }
+
+// ObserveAll stamps an entire trace and reports an error if the stream ended
+// incomplete: an unpaired synchronous event or sends that were never
+// received.
+func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
+	if err := ts.Dispatch(tr.Events); err != nil {
+		return fmt.Errorf("hct: %w", err)
 	}
-	for _, st := range stamped {
-		ts.assign(st.Event, st.Clock)
+	ts.planMu.Lock()
+	defer ts.planMu.Unlock()
+	if ts.syncHold != nil {
+		return fmt.Errorf("hct: stream ended with unpaired sync %v", ts.syncHold.ID)
+	}
+	for id := range ts.pendSend {
+		return fmt.Errorf("hct: stream ended with %d unreceived sends (e.g. %v)", len(ts.pendSend), id)
 	}
 	return nil
-}
-
-// assign converts a finalized Fidge/Mattern timestamp into a cluster
-// timestamp, performing the cluster-receive handling of Section 2.3, and
-// publishes it to the lock-free read plane.
-func (ts *Timestamper) assign(e model.Event, clk vclock.Clock) *Timestamp {
-	ts.events++
-	p := int32(e.ID.Process)
-	t := Timestamp{ID: e.ID, Kind: e.Kind, Partner: e.Partner}
-
-	own := ts.part.ClusterOf(p)
-	isCR := e.Kind.IsReceive() && !own.Contains(int32(e.Partner.Process))
-	if isCR {
-		other := ts.part.ClusterOf(int32(e.Partner.Process))
-		sizeOK := own.Size()+other.Size() <= ts.cfg.MaxClusterSize
-		if ts.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-			if !sizeOK {
-				panic(fmt.Sprintf("hct: decider %s merged past the size bound", ts.cfg.Decider.Name()))
-			}
-			merged := ts.part.Merge(own.ID, other.ID)
-			ts.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-			own = merged
-			ts.mergedCRs++
-			isCR = false
-		}
-	}
-
-	if isCR {
-		t.Full = clk.Clone() // clk is borrowed from fm; copy to retain
-		ts.crs[p].append(crNote{index: int32(e.ID.Index), clock: t.Full})
-		ts.crs[p].publish() // before the cell: see store.go
-		ts.crEvents++
-	} else {
-		t.Cluster = own
-		t.Proj = clk.ProjectInto(ts.ar.carve(len(own.Members)), own.Members)
-	}
-	out := ts.cols[p].append(t)
-	ts.cols[p].publish()
-	return out
-}
-
-// ObserveAll stamps an entire trace.
-func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
-	for _, e := range tr.Events {
-		if err := ts.Ingest(e); err != nil {
-			return fmt.Errorf("hct: at event %v: %w", e.ID, err)
-		}
-	}
-	return ts.fmts.Flush()
 }
 
 // Timestamp returns the stored timestamp of an event. Safe to call
@@ -395,16 +289,4 @@ func (ts *plane) concurrentAt(e, f model.EventID, w Watermark) (bool, error) {
 		return false, err
 	}
 	return !fe, nil
-}
-
-// StorageInts returns the total vector elements occupied by all stored
-// timestamps under the fixed-size-vector encoding (see
-// Timestamp.StorageInts). Every stored timestamp is either a noted cluster
-// receive (fixedVector ints) or a projection (maxCS ints), so the total
-// follows in O(1) from the event and cluster-receive counts — no walk over
-// the store.
-func (ts *Timestamper) StorageInts(fixedVector int) int64 {
-	cr := int64(ts.crEvents)
-	rest := int64(ts.events) - cr
-	return cr*int64(fixedVector) + rest*int64(ts.cfg.MaxClusterSize)
 }

@@ -3,6 +3,7 @@ package hct
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -284,6 +285,42 @@ func TestObserveAllPropagatesFMErrors(t *testing.T) {
 	ts := mustTimestamper(t, 2, Config{MaxClusterSize: 2})
 	if err := ts.ObserveAll(tr); err == nil {
 		t.Fatalf("invalid stream accepted")
+	}
+}
+
+// TestFacadeSyncPairAndStreamEnd pins the two places the façade adds
+// behaviour over DispatchOne/Dispatch: Observe reports what an event
+// finalized (nothing for a held first sync half, then both halves in arrival
+// order), and ObserveAll rejects a stream that ends incomplete.
+func TestFacadeSyncPairAndStreamEnd(t *testing.T) {
+	half := func(p, q model.ProcessID) model.Event {
+		return model.Event{ID: model.EventID{Process: p, Index: 1}, Kind: model.Sync, Partner: model.EventID{Process: q, Index: 1}}
+	}
+	ts := mustTimestamper(t, 2, Config{MaxClusterSize: 2})
+	out, err := ts.Observe(half(0, 1))
+	if err != nil || len(out) != 0 {
+		t.Fatalf("first sync half: %v, %v; want no timestamps", out, err)
+	}
+	out, err = ts.Observe(half(1, 0))
+	if err != nil || len(out) != 2 {
+		t.Fatalf("second sync half: %v, %v; want two timestamps", out, err)
+	}
+	if out[0].ID != half(0, 1).ID || out[1].ID != half(1, 0).ID {
+		t.Fatalf("sync pair order = %v, %v; want first half then second", out[0].ID, out[1].ID)
+	}
+	if !out[0].Full.Equal(out[1].Full) || out[0].Full[0] != 1 || out[0].Full[1] != 1 {
+		t.Fatalf("sync halves must share the joint vector: %v, %v", out[0], out[1])
+	}
+
+	unpaired := &model.Trace{NumProcs: 2, Events: []model.Event{half(0, 1)}}
+	if err := mustTimestamper(t, 2, Config{MaxClusterSize: 2}).ObserveAll(unpaired); err == nil || !strings.Contains(err.Error(), "unpaired sync") {
+		t.Fatalf("unpaired sync at end of stream: err = %v", err)
+	}
+	unreceived := &model.Trace{NumProcs: 2, Events: []model.Event{
+		{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Send, Partner: model.EventID{Process: 1, Index: 1}},
+	}}
+	if err := mustTimestamper(t, 2, Config{MaxClusterSize: 2}).ObserveAll(unreceived); err == nil || !strings.Contains(err.Error(), "unreceived sends") {
+		t.Fatalf("unreceived send at end of stream: err = %v", err)
 	}
 }
 

@@ -27,7 +27,7 @@ type MigratingTimestamper struct {
 	numProcs int
 	cfg      MigrateConfig
 	fmts     *fm.Timestamper
-	part     *cluster.Partition
+	core     *clusterer
 
 	stamps map[model.EventID]*Timestamp
 	// crTowards counts, per process, noted cluster receives whose sender
@@ -35,9 +35,6 @@ type MigratingTimestamper struct {
 	// cleared on migration.
 	crTowards []map[cluster.ID]int
 
-	events     int
-	crEvents   int
-	merged     int
 	migrations int
 }
 
@@ -55,43 +52,52 @@ type MigrateConfig struct {
 
 // NewMigratingTimestamper returns a migrating timestamper.
 func NewMigratingTimestamper(numProcs int, cfg MigrateConfig) (*MigratingTimestamper, error) {
-	if numProcs <= 0 {
-		return nil, fmt.Errorf("%w: numProcs=%d", ErrBadConfig, numProcs)
-	}
-	if cfg.MaxClusterSize < 1 {
-		return nil, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
+	core, err := newClusterer(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MigrateAfter < 1 {
 		return nil, fmt.Errorf("%w: MigrateAfter=%d", ErrBadConfig, cfg.MigrateAfter)
-	}
-	if cfg.Decider == nil {
-		cfg.Decider = strategy.NewNever()
 	}
 	crTowards := make([]map[cluster.ID]int, numProcs)
 	for i := range crTowards {
 		crTowards[i] = make(map[cluster.ID]int)
 	}
-	return &MigratingTimestamper{
+	mt := &MigratingTimestamper{
 		numProcs:  numProcs,
 		cfg:       cfg,
 		fmts:      fm.NewTimestamper(numProcs),
-		part:      cluster.NewSingletons(numProcs),
+		core:      core,
 		stamps:    make(map[model.EventID]*Timestamp),
 		crTowards: crTowards,
-	}, nil
+	}
+	core.decider = rekeyOnMerge{core.decider, mt}
+	return mt, nil
+}
+
+// rekeyOnMerge wraps the configured Decider so every merge the core performs
+// also folds the per-process migration evidence onto the merged cluster.
+type rekeyOnMerge struct {
+	strategy.Decider
+	mt *MigratingTimestamper
+}
+
+func (d rekeyOnMerge) OnMerge(a, b, c cluster.ID) {
+	d.Decider.OnMerge(a, b, c)
+	d.mt.rekeyCounts(a, b, c)
 }
 
 // Events returns the number of events stamped.
-func (mt *MigratingTimestamper) Events() int { return mt.events }
+func (mt *MigratingTimestamper) Events() int { return mt.core.events }
 
 // ClusterReceives returns the number of noted cluster receives.
-func (mt *MigratingTimestamper) ClusterReceives() int { return mt.crEvents }
+func (mt *MigratingTimestamper) ClusterReceives() int { return mt.core.crEvents }
 
 // Migrations returns the number of process migrations performed.
 func (mt *MigratingTimestamper) Migrations() int { return mt.migrations }
 
 // Partition exposes the live partition (read-only use).
-func (mt *MigratingTimestamper) Partition() *cluster.Partition { return mt.part }
+func (mt *MigratingTimestamper) Partition() *cluster.Partition { return mt.core.part }
 
 // Observe ingests the next event in delivery order.
 func (mt *MigratingTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
@@ -107,33 +113,11 @@ func (mt *MigratingTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
 }
 
 func (mt *MigratingTimestamper) assign(st fm.Stamped) *Timestamp {
-	mt.events++
 	ev := st.Event
-	p := int32(ev.ID.Process)
 	t := &Timestamp{ID: ev.ID, Kind: ev.Kind, Partner: ev.Partner}
-
-	own := mt.part.ClusterOf(p)
-	isCR := ev.Kind.IsReceive() && !own.Contains(int32(ev.Partner.Process))
-	if isCR {
-		other := mt.part.ClusterOf(int32(ev.Partner.Process))
-		sizeOK := own.Size()+other.Size() <= mt.cfg.MaxClusterSize
-		if mt.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-			if !sizeOK {
-				panic(fmt.Sprintf("hct: decider %s merged past the size bound", mt.cfg.Decider.Name()))
-			}
-			merged := mt.part.Merge(own.ID, other.ID)
-			mt.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-			mt.rekeyCounts(own.ID, other.ID, merged.ID)
-			own = merged
-			mt.merged++
-			isCR = false
-		}
-	}
-
-	if isCR {
+	if own := mt.core.decide(ev); own == nil {
 		t.Full = st.Clock
-		mt.crEvents++
-		mt.noteCRTowards(p, int32(ev.Partner.Process))
+		mt.noteCRTowards(int32(ev.ID.Process), int32(ev.Partner.Process))
 	} else {
 		t.Cluster = own
 		t.Proj = st.Clock.Project(own.Members)
@@ -145,7 +129,7 @@ func (mt *MigratingTimestamper) assign(st fm.Stamped) *Timestamp {
 // noteCRTowards records a cluster receive on process p whose sender lives in
 // the sender's live cluster, migrating p if the evidence threshold is met.
 func (mt *MigratingTimestamper) noteCRTowards(p, sender int32) {
-	target := mt.part.ClusterOf(sender)
+	target := mt.core.part.ClusterOf(sender)
 	counts := mt.crTowards[p]
 	counts[target.ID]++
 	if counts[target.ID] < mt.cfg.MigrateAfter {
@@ -154,7 +138,7 @@ func (mt *MigratingTimestamper) noteCRTowards(p, sender int32) {
 	if target.Size()+1 > mt.cfg.MaxClusterSize {
 		return // no room; keep counting in case the target shrinks
 	}
-	mt.part.Migrate(p, target.ID)
+	mt.core.part.Migrate(p, target.ID)
 	mt.migrations++
 	// The process starts fresh in its new home; stale counts toward the
 	// retired cluster IDs would never match live clusters anyway.

@@ -1,8 +1,10 @@
 package hct
 
-// This file is the sharded ingest pipeline: the concurrent counterpart of
-// the single-writer Timestamper in engine.go, producing bit-identical
-// timestamps over the same lock-free read plane.
+// This file is the ingest pipeline, the package's one stamping engine: a
+// sequential planner feeding N stamping lanes, producing bit-identical
+// timestamps at every lane count over one lock-free read plane. With one lane
+// and inline planning it runs entirely on the caller's goroutine; that shape
+// is the Timestamper façade of engine.go.
 //
 // # Why delivery can be sharded at all
 //
@@ -16,9 +18,10 @@ package hct
 // delivery into
 //
 //   - a sequential planner (plan stage, under planMu) that validates each
-//     event, replicates the store/fm error contract of the single-writer
-//     path, and makes every cluster decision in delivery order, pinning the
-//     immutable *cluster.Info epoch each event must be stamped with; and
+//     event against the delivery contract (check) and makes every cluster
+//     decision in delivery order through the cluster-receive core (core.go),
+//     pinning the immutable *cluster.Info epoch each event must be stamped
+//     with; and
 //   - N parallel lanes (stamp stage), each owning a disjoint set of
 //     processes (and so a disjoint set of columns), that compute the FM
 //     vectors, project or retain them, and publish cells and cluster-receive
@@ -41,15 +44,11 @@ package hct
 // the error contract is unchanged in either mode.
 //
 // Planning is split into two passes per batch (planBatch). Pass 1
-// (validateBatch) replays the store/fm validation state machine —
-// next/pendSend/syncHold — which reads no cluster state at all, and collects
-// the finalized events. Pass 2 (clusterPlanBatch) pins each event's cluster
-// epoch. Merge decisions are inherently sequential: each one can repartition
-// the processes the next decision consults. But a batch that provably cannot
-// merge — it contains no receive or sync events, or the decider is the
-// never-merging static strategy — cannot change the partition while it
-// plans, so pass 2 degenerates to pure epoch lookups against a frozen
-// partition.
+// (validateBatch) runs the validation state machine — next/pendSend/syncHold
+// — which reads no cluster state at all, and collects the finalized events.
+// Pass 2 asks the core for each event's cluster epoch. Merge decisions are
+// inherently sequential: each one can repartition the processes the next
+// decision consults.
 //
 // # Cross-shard rendezvous
 //
@@ -104,8 +103,8 @@ package hct
 // Dispatch is asynchronous; Barrier blocks until every item dispatched
 // before the call has been stamped and published. The planner counts issued
 // items per shard; lanes count completed items per drained chunk. A held
-// first sync half is not "issued" (the single-writer path, too, returns from
-// DeliverBatch with the pair unstamped until the partner arrives).
+// first sync half is not "issued": the pair stays unstamped until the partner
+// arrives.
 //
 // With the pipelined planner the issued counts lag the accepted batches, so
 // Barrier must count planned items, not just issued ones: it pushes a marker
@@ -127,8 +126,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fm"
 	"repro/internal/model"
-	"repro/internal/poset"
-	"repro/internal/strategy"
 	"repro/internal/vclock"
 )
 
@@ -183,36 +180,28 @@ type item struct {
 	bt BatchTracer
 }
 
-// Pipeline is the sharded ingest engine. It embeds the same lock-free read
-// plane as Timestamper, so the entire query surface (Precedes, Concurrent,
-// Timestamp, CaptureWatermark, ...) is shared and concurrent with stamping.
+// Pipeline is the ingest engine. It embeds the lock-free read plane, so the
+// entire query surface (Precedes, Concurrent, Timestamp, CaptureWatermark,
+// ...) is concurrent with stamping.
 //
 // Dispatch and the accounting methods are safe for concurrent use; queries
-// are lock-free as on Timestamper.
+// take no lock.
 type Pipeline struct {
 	plane
 
-	cfg     Config
-	part    *cluster.Partition
 	nshards int
 	smap    []int32 // process -> shard
 
-	// planMu guards the planner state below and the partition.
-	planMu    sync.Mutex
-	next      []model.EventIndex              // per process, next expected index
-	pendSend  map[model.EventID]model.EventID // in-flight send -> its receive
-	syncHold  *model.Event                    // first half of an in-flight sync pair
-	events    int
-	crEvents  int
-	mergedCRs int
-	issued    []uint64      // items dispatched per shard
-	curBufs   [][]item      // per-shard staging buffers, capacity retained across batches
-	planBuf   []model.Event // validateBatch's finalized-event buffer, reused per batch
-	closed    bool
-
-	// neverMerge marks a decider that can never merge (the static strategy);
-	// it licenses clusterPlanBatch's read-only fast path for every batch.
-	neverMerge bool
+	// planMu guards the planner state below, core included.
+	planMu   sync.Mutex
+	core     *clusterer                      // the cluster-receive rule, its partition and accounting
+	next     []model.EventIndex              // per process, next expected index
+	pendSend map[model.EventID]model.EventID // in-flight send -> its receive
+	syncHold *model.Event                    // first half of an in-flight sync pair
+	issued   []uint64                        // items dispatched per shard
+	curBufs  [][]item                        // per-shard staging buffers, capacity retained across batches
+	planBuf  []model.Event                   // validateBatch's finalized-event buffer, reused per batch
+	closed   bool
 
 	// Tracing state for the Dispatch in progress (guarded by planMu).
 	// curBT tags staged items; stampStart/stampDur accumulate inline
@@ -251,11 +240,11 @@ type Pipeline struct {
 }
 
 // NewPipeline returns a sharded pipeline over numProcs processes. With one
-// shard (or one process) it degenerates to the single-writer path: Dispatch
-// stamps inline and no goroutines are started. Close releases the lanes.
+// shard (or one process) and an inline planner, Dispatch stamps on the
+// calling goroutine and no goroutines are started. Close releases the lanes.
 func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, error) {
 	clusterAligned := cfg.Partition != nil
-	cfg, part, err := resolveConfig(numProcs, cfg)
+	core, err := newClusterer(numProcs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,8 +257,7 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 	}
 	p := &Pipeline{
 		plane:    newPlane(numProcs),
-		cfg:      cfg,
-		part:     part,
+		core:     core,
 		nshards:  nshards,
 		next:     make([]model.EventIndex, numProcs),
 		pendSend: make(map[model.EventID]model.EventID, numProcs),
@@ -277,13 +265,11 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		done:     make([]uint64, nshards),
 		start:    time.Now(),
 	}
-	_, p.neverMerge = cfg.Decider.(*strategy.Never)
 	for i := range p.next {
 		p.next[i] = 1
 	}
 	p.doneCond = sync.NewCond(&p.doneMu)
-	p.smap = buildShardMap(numProcs, nshards, part, clusterAligned)
-	p.rv.init()
+	p.smap = buildShardMap(numProcs, nshards, core.part, clusterAligned)
 	p.lanes = make([]*lane, nshards)
 	for i := range p.lanes {
 		ln := &lane{
@@ -297,6 +283,7 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		p.lanes[i] = ln
 	}
 	if nshards > 1 {
+		p.rv.init() // a lone lane never meets another
 		p.curBufs = make([][]item, nshards)
 		for i := range p.curBufs {
 			p.curBufs[i] = make([]item, 0, 256)
@@ -393,10 +380,10 @@ func (p *Pipeline) Close() {
 }
 
 // Dispatch plans and enqueues a run of events in delivery order. It returns
-// on the first invalid event with the same error (and the same side
-// effects: prior events stay delivered) as the single-writer path, wrapped
-// as "at <id>: ...". Stamping is asynchronous — use Barrier to wait for
-// visibility. With one shard, Dispatch stamps inline and is synchronous.
+// on the first invalid event — prior events stay delivered, the rejected one
+// changes no state — with its error wrapped as "at <id>: ...". Stamping is
+// asynchronous — use Barrier to wait for visibility. With one shard, Dispatch
+// stamps inline and is synchronous.
 func (p *Pipeline) Dispatch(events []model.Event) error {
 	return p.DispatchTraced(events, nil)
 }
@@ -449,10 +436,10 @@ func (p *Pipeline) DispatchTraced(events []model.Event, bt BatchTracer) error {
 // DispatchOne plans and enqueues a single event, returning the raw
 // (unwrapped) validation error, mirroring Monitor.Deliver.
 func (p *Pipeline) DispatchOne(e model.Event) error {
-	events := [1]model.Event{e}
 	if p.async {
-		return p.dispatchQueued(events[:], nil, false)
+		return p.dispatchQueued([]model.Event{e}, nil, false)
 	}
+	events := [1]model.Event{e} // stays on the stack: the inline planner retains no slice
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
 	if p.closed {
@@ -467,109 +454,81 @@ func (p *Pipeline) DispatchOne(e model.Event) error {
 // first error with the offending event's ID (the caller applies batch or
 // single-event wrapping). Called with planMu held.
 func (p *Pipeline) planBatch(events []model.Event) (model.EventID, error) {
-	final, hasRecv, failID, err := p.validateBatch(events)
-	p.clusterPlanBatch(final, hasRecv)
+	final, failID, err := p.validateBatch(events)
+	for i := range final {
+		p.stageItem(final[i], p.core.decide(final[i]))
+	}
 	return failID, err
 }
 
-// validateBatch is planning pass 1: the store/fm validation state machine
-// over next/pendSend/syncHold, replicated from the single-writer path with
-// the identical check order, error values, and partial mutations — an event
-// can consume its frontier slot yet fail the fm checks, just as
-// poset.Store.Append succeeds before Timestamper.Ingest rejects. It touches
-// no cluster state; finalized events (sync pairs adjacently, completed pairs
-// only) land in the reused planBuf for pass 2. hasRecv reports whether any
-// finalized event is a receive or sync — the only kinds that can be cluster
-// receives, and so the only ones that can merge.
-func (p *Pipeline) validateBatch(events []model.Event) (final []model.Event, hasRecv bool, failID model.EventID, err error) {
+// check is the delivery contract for one event against the planner's
+// next/pendSend/syncHold state: the poset store's checks (process range,
+// duplicate, index gap, unknown send) and then the Fidge/Mattern layer's
+// (sync interleaving, sync partner), sentinel for sentinel and in that order.
+// It mutates nothing, so a rejected event leaves the planner exactly as it
+// found it.
+func (p *Pipeline) check(e model.Event) error {
+	pr := int(e.ID.Process)
+	if pr < 0 || pr >= p.numProcs {
+		return fmt.Errorf("%w: %v", model.ErrDeliverProcOutOfRange, e.ID)
+	}
+	if want := p.next[pr]; e.ID.Index < want {
+		return fmt.Errorf("%w: %v", model.ErrDeliverDuplicate, e.ID)
+	} else if e.ID.Index != want {
+		return fmt.Errorf("%w: %v, want index %d", model.ErrDeliverBadIndex, e.ID, want)
+	}
+	if e.Kind == model.Receive {
+		if _, ok := p.pendSend[e.Partner]; !ok {
+			return fmt.Errorf("%w: %v <- %v", model.ErrDeliverUnknownSend, e.ID, e.Partner)
+		}
+	}
+	if first := p.syncHold; first != nil {
+		if e.Kind != model.Sync {
+			return fmt.Errorf("%w: %v arrived while sync %v pending", fm.ErrSyncInterleaved, e.ID, first.ID)
+		}
+		if first.Partner != e.ID || e.Partner != first.ID {
+			return fmt.Errorf("%w: %v after %v", fm.ErrSyncPartner, e.ID, first.ID)
+		}
+	}
+	if e.Kind > model.Sync {
+		return fmt.Errorf("fm: unknown event kind %v for %v", e.Kind, e.ID)
+	}
+	return nil
+}
+
+// validateBatch is planning pass 1: it admits events through check, stopping
+// at the first rejection, and advances the validation state machine for each
+// admitted one. It touches no cluster state; finalized events (sync pairs
+// adjacently, completed pairs only) land in the reused planBuf for pass 2,
+// where the merge decisions — inherently sequential, each one can repartition
+// the processes the next consults — are made in delivery order.
+func (p *Pipeline) validateBatch(events []model.Event) (final []model.Event, failID model.EventID, err error) {
 	final = p.planBuf[:0]
 	for i := range events {
 		e := events[i]
-		pr := int(e.ID.Process)
-		if pr < 0 || pr >= p.numProcs {
-			failID, err = e.ID, fmt.Errorf("%w: %v", poset.ErrProcOutOfRange, e.ID)
+		if err = p.check(e); err != nil {
+			failID = e.ID
 			break
 		}
-		want := p.next[pr]
-		if e.ID.Index < want {
-			failID, err = e.ID, fmt.Errorf("%w: %v", poset.ErrDuplicate, e.ID)
-			break
-		}
-		if e.ID.Index != want {
-			failID, err = e.ID, fmt.Errorf("%w: %v, want index %d", poset.ErrBadIndex, e.ID, want)
-			break
-		}
-		if e.Kind == model.Receive {
-			if _, ok := p.pendSend[e.Partner]; !ok {
-				failID, err = e.ID, fmt.Errorf("%w: %v <- %v", poset.ErrUnknownSend, e.ID, e.Partner)
-				break
-			}
-			delete(p.pendSend, e.Partner)
-		}
-		if e.Kind == model.Send {
-			p.pendSend[e.ID] = e.Partner
-		}
-		p.next[pr] = want + 1
-
-		// Fidge/Mattern layer.
-		if p.syncHold != nil && e.Kind != model.Sync {
-			failID, err = e.ID, fmt.Errorf("%w: %v arrived while sync %v pending", fm.ErrSyncInterleaved, e.ID, p.syncHold.ID)
-			break
-		}
+		p.next[e.ID.Process]++
 		switch e.Kind {
-		case model.Unary, model.Send:
-			final = append(final, e)
+		case model.Send:
+			p.pendSend[e.ID] = e.Partner
 		case model.Receive:
-			final = append(final, e)
-			hasRecv = true
+			delete(p.pendSend, e.Partner)
 		case model.Sync:
 			if p.syncHold == nil {
 				held := e
 				p.syncHold = &held
 				continue
 			}
-			first := *p.syncHold
-			if first.Partner != e.ID || e.Partner != first.ID {
-				failID, err = e.ID, fmt.Errorf("%w: %v after %v", fm.ErrSyncPartner, e.ID, first.ID)
-				break
-			}
+			final = append(final, *p.syncHold)
 			p.syncHold = nil
-			final = append(final, first, e)
-			hasRecv = true
-		default:
-			failID, err = e.ID, fmt.Errorf("fm: unknown event kind %v for %v", e.Kind, e.ID)
 		}
-		if err != nil {
-			break
-		}
+		final = append(final, e)
 	}
 	p.planBuf = final // retain growth for the next batch
-	return final, hasRecv, failID, err
-}
-
-// clusterPlanBatch is planning pass 2: pin each finalized event's cluster
-// epoch and stage the item. Merge decisions stay sequential in delivery
-// order — each one can repartition the processes the next decision consults
-// — but a batch that provably cannot merge (no receive/sync events, or a
-// never-merging decider) reads a frozen partition, so its dispositions
-// reduce to pure epoch lookups with no decider round-trips.
-func (p *Pipeline) clusterPlanBatch(final []model.Event, hasRecv bool) {
-	if !hasRecv || p.neverMerge {
-		for i := range final {
-			e := final[i]
-			p.events++
-			cl := p.part.ClusterOf(int32(e.ID.Process))
-			if e.Kind.IsReceive() && !cl.Contains(int32(e.Partner.Process)) {
-				p.crEvents++
-				cl = nil
-			}
-			p.stageItem(e, cl)
-		}
-		return
-	}
-	for i := range final {
-		p.stageItem(final[i], p.clusterPlan(final[i]))
-	}
+	return final, failID, err
 }
 
 // stageItem hands one planned item to its lane (inline with one shard).
@@ -594,36 +553,6 @@ func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
 	s := p.smap[e.ID.Process]
 	p.curBufs[s] = append(p.curBufs[s], it)
 	p.issued[s]++
-}
-
-// clusterPlan makes the delivery-order-dependent cluster decision for one
-// finalized event: the same code path as Timestamper.assign up to the
-// stamping itself. It returns the cluster epoch to stamp with, or nil for a
-// noted cluster receive.
-func (p *Pipeline) clusterPlan(e model.Event) *cluster.Info {
-	p.events++
-	pr := int32(e.ID.Process)
-	own := p.part.ClusterOf(pr)
-	isCR := e.Kind.IsReceive() && !own.Contains(int32(e.Partner.Process))
-	if isCR {
-		other := p.part.ClusterOf(int32(e.Partner.Process))
-		sizeOK := own.Size()+other.Size() <= p.cfg.MaxClusterSize
-		if p.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-			if !sizeOK {
-				panic(fmt.Sprintf("hct: decider %s merged past the size bound", p.cfg.Decider.Name()))
-			}
-			merged := p.part.Merge(own.ID, other.ID)
-			p.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-			own = merged
-			p.mergedCRs++
-			isCR = false
-		}
-	}
-	if isCR {
-		p.crEvents++
-		return nil
-	}
-	return own
 }
 
 // flushLocked appends the staged items to their lanes, preserving planner
@@ -731,14 +660,14 @@ func (p *Pipeline) CrossShardWaits() int64 {
 func (p *Pipeline) Events() int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.events
+	return p.core.events
 }
 
 // ClusterReceives returns the number of noted (non-merged) cluster receives.
 func (p *Pipeline) ClusterReceives() int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.crEvents
+	return p.core.crEvents
 }
 
 // MergedClusterReceives returns the number of merge-triggering cluster
@@ -746,48 +675,48 @@ func (p *Pipeline) ClusterReceives() int {
 func (p *Pipeline) MergedClusterReceives() int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.mergedCRs
+	return p.core.mergedCRs
 }
 
 // Merges returns the number of cluster merges performed.
 func (p *Pipeline) Merges() int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.part.Merges()
+	return p.core.part.Merges()
 }
 
 // NumLive returns the number of live clusters.
 func (p *Pipeline) NumLive() int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.part.NumLive()
+	return p.core.part.NumLive()
 }
 
 // MaxLiveSize returns the size of the largest live cluster.
 func (p *Pipeline) MaxLiveSize() int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.part.MaxLiveSize()
+	return p.core.part.MaxLiveSize()
 }
 
 // LiveSizesInto appends the live cluster sizes to buf.
 func (p *Pipeline) LiveSizesInto(buf []int) []int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.part.LiveSizesInto(buf)
+	return p.core.part.LiveSizesInto(buf)
 }
 
-// MaxClusterSize returns the configured cluster-size bound.
-func (p *Pipeline) MaxClusterSize() int { return p.cfg.MaxClusterSize }
+// MaxClusterSize returns the configured cluster-size bound (the paper's
+// maxCS), which is also the projection-vector size of every non-CR timestamp
+// under the fixed-size encoding.
+func (p *Pipeline) MaxClusterSize() int { return p.core.maxCS }
 
 // StorageInts returns the vector elements occupied by all stored timestamps
-// under the fixed-size encoding (see Timestamper.StorageInts).
+// under the fixed-size encoding (see StorageInts).
 func (p *Pipeline) StorageInts(fixedVector int) int64 {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	cr := int64(p.crEvents)
-	rest := int64(p.events) - cr
-	return cr*int64(fixedVector) + rest*int64(p.cfg.MaxClusterSize)
+	return p.core.storageInts(fixedVector)
 }
 
 // PendingSends returns the number of delivered sends awaiting their receive.
@@ -975,9 +904,9 @@ func (ln *lane) flushPuts() {
 	ln.pendN = 0
 }
 
-// process stamps one planned item, mirroring fm.ObserveBorrowed's clock
-// computation and Timestamper.assign's stamping, restricted to this lane's
-// processes.
+// process stamps one planned item: the Fidge/Mattern clock step (the same
+// computation as fm.ObserveBorrowed, restricted to this lane's processes)
+// followed by stamp.
 func (ln *lane) process(it *item) {
 	e := it.ev
 	if e.Kind == model.Sync {
@@ -1131,8 +1060,8 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 }
 
 // stamp converts a finalized clock into the event's timestamp and publishes
-// it, exactly as Timestamper.assign: note before cell, cell write before
-// watermark store.
+// it — the only writer of column cells and cluster-receive notes: note before
+// cell, cell write before watermark store.
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, cl *cluster.Info) {
 	p := e.ID.Process
 	t := Timestamp{ID: e.ID, Kind: e.Kind, Partner: e.Partner}

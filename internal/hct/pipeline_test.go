@@ -1,11 +1,13 @@
 package hct
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/commgraph"
+	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
@@ -46,18 +48,20 @@ func sameTimestamp(a, b *Timestamp) bool {
 		a.Full.Equal(b.Full)
 }
 
-// TestShardedPipelineDifferentialCorpus is the tentpole correctness bar:
-// for every corpus computation and every shard count in {1, 2, 4, 8}, the
-// sharded pipeline must produce timestamps identical to single-writer
-// delivery — same cluster epochs, same projections, same retained full
-// vectors — and answer the precedence matrix identically (full matrix on
-// small computations, dense samples on large ones).
+// TestShardedPipelineDifferentialCorpus is the sharding correctness bar: for
+// every corpus computation and every shard count in {2, 4, 8}, the sharded
+// pipeline must produce timestamps identical to the inline one-lane pipeline
+// (the Timestamper façade, itself held to the Fidge/Mattern oracle vector
+// for vector by TestColumnarDifferentialCorpus) — same cluster epochs, same
+// projections, same retained full vectors — and answer the precedence matrix
+// identically (full matrix on small computations, dense samples on large
+// ones).
 func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 	specs := workload.Corpus()
-	shardCounts := []int{1, 2, 4, 8}
+	shardCounts := []int{2, 4, 8}
 	maxCSs := []int{2, 13, 50}
 	if testing.Short() {
-		shardCounts = []int{1, 4}
+		shardCounts = []int{4}
 		maxCSs = []int{13}
 	}
 	for i, spec := range specs {
@@ -70,7 +74,7 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 			tr := spec.Generate()
 			r := rand.New(rand.NewSource(0x5AD + int64(i)))
 			for _, maxCS := range maxCSs {
-				// Single-writer reference.
+				// One-lane reference.
 				ref, err := NewTimestamper(tr.NumProcs, pipelineConfig(t, tr, i, maxCS))
 				if err != nil {
 					t.Fatal(err)
@@ -112,7 +116,7 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 						}
 						if !sameTimestamp(got, want) {
 							pipe.Close()
-							t.Fatalf("maxCS=%d shards=%d: Timestamp(%v) = %v, single-writer %v",
+							t.Fatalf("maxCS=%d shards=%d: Timestamp(%v) = %v, one-lane %v",
 								maxCS, shards, e.ID, got, want)
 						}
 					}
@@ -129,7 +133,7 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 						}
 						if got != want {
 							pipe.Close()
-							t.Fatalf("maxCS=%d shards=%d: Precedes(%v,%v) = %v, single-writer %v",
+							t.Fatalf("maxCS=%d shards=%d: Precedes(%v,%v) = %v, one-lane %v",
 								maxCS, shards, e, f, got, want)
 						}
 					}
@@ -155,10 +159,11 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestPipelineErrorContract pins the sharded planner to the single-writer
-// error behavior: same sentinel errors, same messages, same side effects
-// (events before the failure stay delivered; the frontier advances even
-// when the fm layer rejects, exactly like store-append-then-stamp).
+// TestPipelineErrorContract pins the planner's error behavior at every shard
+// count: the delivery sentinels, and fm.ObserveBorrowed's "on error no state
+// changes" — events before a failure stay delivered, and a rejected event
+// leaves the frontier, the in-flight sends and the held sync half untouched,
+// so the very same event is accepted once the stream allows it.
 func TestPipelineErrorContract(t *testing.T) {
 	mk := func(shards int) *Pipeline {
 		p, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
@@ -177,46 +182,60 @@ func TestPipelineErrorContract(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		pipe := mk(shards)
+		reject := func(what string, e model.Event, want error) {
+			t.Helper()
+			if err := pipe.DispatchOne(e); !errors.Is(err, want) {
+				t.Fatalf("shards=%d: %s: err = %v, want %v", shards, what, err, want)
+			}
+		}
+		accept := func(what string, e model.Event) {
+			t.Helper()
+			if err := pipe.DispatchOne(e); err != nil {
+				t.Fatalf("shards=%d: %s rejected: %v", shards, what, err)
+			}
+		}
 
-		if err := pipe.DispatchOne(ev(9, 1, model.Unary, -1, 0)); err == nil {
-			t.Fatalf("shards=%d: out-of-range process accepted", shards)
+		reject("out-of-range process", ev(9, 1, model.Unary, -1, 0), model.ErrDeliverProcOutOfRange)
+		reject("index gap", ev(0, 2, model.Unary, -1, 0), model.ErrDeliverBadIndex)
+		reject("receive of unknown send", ev(0, 1, model.Receive, 1, 1), model.ErrDeliverUnknownSend)
+		accept("valid event", ev(0, 1, model.Unary, -1, 0))
+		reject("duplicate", ev(0, 1, model.Unary, -1, 0), model.ErrDeliverDuplicate)
+
+		// A send, then the first half of a sync pair. The receive
+		// interleaved into the pair is rejected without consuming its send
+		// or its frontier slot; a mismatched second half is rejected without
+		// releasing the held one.
+		accept("send", ev(3, 1, model.Send, 0, 2))
+		accept("first sync half", ev(1, 1, model.Sync, 2, 1))
+		for attempt := 0; attempt < 2; attempt++ {
+			reject("receive inside sync pair", ev(0, 2, model.Receive, 3, 1), fm.ErrSyncInterleaved)
+			if n := pipe.PendingSends(); n != 1 {
+				t.Fatalf("shards=%d: rejected receive consumed its send: PendingSends = %d", shards, n)
+			}
 		}
-		if err := pipe.DispatchOne(ev(0, 2, model.Unary, -1, 0)); err == nil {
-			t.Fatalf("shards=%d: index gap accepted", shards)
+		reject("mismatched sync half", ev(2, 1, model.Sync, 3, 2), fm.ErrSyncPartner)
+		if next := pipe.FrontierNext(); next[0] != 2 || next[2] != 1 {
+			t.Fatalf("shards=%d: rejected events advanced the frontier: %v", shards, next)
 		}
-		if err := pipe.DispatchOne(ev(0, 1, model.Receive, 1, 1)); err == nil {
-			t.Fatalf("shards=%d: receive of unknown send accepted", shards)
+		accept("partner sync half", ev(2, 1, model.Sync, 1, 1))
+		if n := pipe.PendingSends(); n != 1 {
+			t.Fatalf("shards=%d: PendingSends = %d before the receive, want 1", shards, n)
 		}
-		if err := pipe.DispatchOne(ev(0, 1, model.Unary, -1, 0)); err != nil {
-			t.Fatalf("shards=%d: valid event rejected: %v", shards, err)
-		}
-		if err := pipe.DispatchOne(ev(0, 1, model.Unary, -1, 0)); err == nil {
-			t.Fatalf("shards=%d: duplicate accepted", shards)
-		}
-		// First sync half is held; an interleaved non-sync event must be
-		// rejected, yet — matching the single-writer store-then-stamp order
-		// — its frontier slot is consumed.
-		if err := pipe.DispatchOne(ev(1, 1, model.Sync, 2, 1)); err != nil {
-			t.Fatalf("shards=%d: first sync half rejected: %v", shards, err)
-		}
-		if err := pipe.DispatchOne(ev(3, 1, model.Unary, -1, 0)); err == nil {
-			t.Fatalf("shards=%d: interleaved event inside sync pair accepted", shards)
-		}
-		if err := pipe.DispatchOne(ev(3, 1, model.Unary, -1, 0)); err == nil {
-			t.Fatalf("shards=%d: frontier must have advanced for the interleaved event", shards)
-		}
-		if err := pipe.DispatchOne(ev(2, 1, model.Sync, 1, 1)); err != nil {
-			t.Fatalf("shards=%d: completing sync half rejected: %v", shards, err)
+		accept("the once-rejected receive", ev(0, 2, model.Receive, 3, 1))
+		if n := pipe.PendingSends(); n != 0 {
+			t.Fatalf("shards=%d: PendingSends = %d after the receive, want 0", shards, n)
 		}
 		pipe.Barrier()
-		if _, ok := pipe.Timestamp(model.EventID{Process: 1, Index: 1}); !ok {
-			t.Fatalf("shards=%d: completed sync pair not published", shards)
+		for _, id := range []model.EventID{{Process: 1, Index: 1}, {Process: 2, Index: 1}, {Process: 0, Index: 2}} {
+			if _, ok := pipe.Timestamp(id); !ok {
+				t.Fatalf("shards=%d: accepted event %v not published", shards, id)
+			}
 		}
-		if _, ok := pipe.Timestamp(model.EventID{Process: 3, Index: 1}); ok {
-			t.Fatalf("shards=%d: rejected event has a timestamp", shards)
+		if got := pipe.Events(); got != 5 {
+			t.Fatalf("shards=%d: Events() = %d, want 5", shards, got)
 		}
 		pipe.Close()
-		if err := pipe.DispatchOne(ev(0, 2, model.Unary, -1, 0)); err != ErrPipelineClosed {
+		if err := pipe.DispatchOne(ev(0, 3, model.Unary, -1, 0)); err != ErrPipelineClosed {
 			t.Fatalf("shards=%d: Dispatch after Close = %v", shards, err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/commgraph"
 	"repro/internal/model"
+	"repro/internal/strategy"
 )
 
 // staticTestTrace mixes async messages, a sync pair and unary events across
@@ -82,7 +83,7 @@ func TestStaticResultRejectsBadConfig(t *testing.T) {
 	if _, err := StaticResult(g, -1, Config{MaxClusterSize: 4}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative totalEvents: got %v, want ErrBadConfig", err)
 	}
-	if _, err := StaticResult(g, tr.NumEvents(), Config{MaxClusterSize: 4, Decider: &neverDecider{}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := StaticResult(g, tr.NumEvents(), Config{MaxClusterSize: 4, Decider: strategy.NewNever()}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("non-nil decider: got %v, want ErrBadConfig", err)
 	}
 	small := cluster.NewSingletons(2)

@@ -22,10 +22,10 @@ import (
 // shared chunked arena instead of one make per event, so the steady-state
 // ingest path performs no per-event allocation.
 //
-// # Publication protocol (single writer, many readers)
+// # Publication protocol (one writer per column, many readers)
 //
-// Observe/Ingest must be externally serialized (the Monitor's write lock
-// does this); queries may run concurrently with the writer. Each column
+// Each column is written only by the lane that owns its process (lane.stamp
+// in pipeline.go); queries may run concurrently with the writer. Each column
 // publishes with two atomics:
 //
 //   - hdr is the backing array, stored with len == cap. The writer
@@ -47,8 +47,9 @@ import (
 // the routed precedence path needs one extra observation: the notes
 // consulted for a query about timestamp f are those of some process q with
 // index ≤ FM(f)[q]. Those q-events are causal predecessors of f, so any
-// valid delivery order finalized (and the single writer published) them
-// before f — loading f's watermark therefore acquires every note the query
+// valid delivery order finalized them before f, and their lanes published
+// them before f's lane could learn of them (put-after-publish, pipeline.go)
+// — loading f's watermark therefore acquires every note the query
 // can touch. Notes published after f's cell have indexes above the bound
 // and are skipped by the binary search, so late reads are harmless.
 
@@ -124,7 +125,7 @@ func (c *crColumn) published() []crNote {
 }
 
 // arena bulk-allocates the projection vectors of non-CR timestamps.
-// Chunks are written once by the single ingest goroutine and referenced
+// Chunks are written once by the owning lane and referenced
 // forever by the cells whose Proj fields alias into them; carve hands out
 // full-capacity subslices so no two projections can ever overlap through
 // append. Chunk capacity grows geometrically so small stores stay small

@@ -195,6 +195,18 @@ var (
 	ErrDanglingPartner  = errors.New("model: partner event does not exist")
 )
 
+// Delivery errors: the contract of every online consumer of a delivery-order
+// event stream (the poset store, the cluster-timestamp planner). Unlike
+// Validate they judge one event against the stream so far. The texts keep the
+// "poset:" prefix of the package that first defined them, which re-exports
+// the same values, because clients match on them over the wire.
+var (
+	ErrDeliverProcOutOfRange = errors.New("poset: process id out of range")
+	ErrDeliverBadIndex       = errors.New("poset: event index does not extend process history")
+	ErrDeliverUnknownSend    = errors.New("poset: receive refers to unknown send")
+	ErrDeliverDuplicate      = errors.New("poset: duplicate event")
+)
+
 // Validate checks structural well-formedness of the trace:
 //
 //   - every process ID lies in [0, NumProcs);

@@ -6,15 +6,15 @@
 //
 // Since the sharded-ingest rework the store is off the monitor's hot
 // delivery path: the pipeline planner (internal/hct) performs the same
-// frontier/duplicate/pending-send validation inline, replicating this
-// package's error sentinels and messages exactly — the contract tests in
-// internal/hct/pipeline_test.go pin that equivalence. The store remains the
-// reference implementation of that contract, the reachability oracle for
-// differential tests, and the backing structure for offline analysis tools.
+// frontier/duplicate/pending-send validation inline and reports it with the
+// same sentinels (they live in internal/model; this package re-exports them)
+// and messages — the contract tests in internal/hct/pipeline_test.go pin
+// that. The store remains the reference implementation of that contract, the
+// reachability oracle for differential tests, and the backing structure for
+// offline analysis tools.
 package poset
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/model"
@@ -55,12 +55,13 @@ type Store struct {
 	pendingSends map[Key]int
 }
 
-// Errors returned by Store.Append.
+// Errors returned by Store.Append: the delivery-contract sentinels of package
+// model, re-exported (the same values, so errors.Is matches across packages).
 var (
-	ErrProcOutOfRange = errors.New("poset: process id out of range")
-	ErrBadIndex       = errors.New("poset: event index does not extend process history")
-	ErrUnknownSend    = errors.New("poset: receive refers to unknown send")
-	ErrDuplicate      = errors.New("poset: duplicate event")
+	ErrProcOutOfRange = model.ErrDeliverProcOutOfRange
+	ErrBadIndex       = model.ErrDeliverBadIndex
+	ErrUnknownSend    = model.ErrDeliverUnknownSend
+	ErrDuplicate      = model.ErrDeliverDuplicate
 )
 
 // NewStore returns an empty store for numProcs processes.

@@ -84,17 +84,15 @@ type Counts struct {
 }
 
 // Stats converts the snapshot to the monitor's Stats shape for the given
-// fixed-vector width (see hct.Timestamper.StorageInts for the encoding).
+// fixed-vector width (see hct.StorageInts for the encoding).
 func (c Counts) Stats(fixedVector int) monitor.Stats {
-	cr := int64(c.ClusterReceives)
-	rest := int64(c.Events) - cr
 	return monitor.Stats{
 		Events:          c.Events,
 		ClusterReceives: c.ClusterReceives,
 		MergedReceives:  c.MergedReceives,
 		LiveClusters:    c.LiveClusters,
 		MaxLiveCluster:  c.MaxLiveCluster,
-		StorageInts:     cr*int64(fixedVector) + rest*int64(c.MaxClusterSize),
+		StorageInts:     hct.StorageInts(c.Events, c.ClusterReceives, fixedVector, c.MaxClusterSize),
 		PendingSends:    c.PendingSends,
 	}
 }
@@ -359,20 +357,16 @@ func (s *Store) materializeLocked(cutoff uint64) (*View, error) {
 		}
 		ts, from = fresh, 0
 	}
-	fed := from
-	err := s.chain.ReplayRange(from, cutoff, func(batch []model.Event) error {
-		for _, e := range batch {
-			if err := ts.Ingest(e); err != nil {
-				return err
-			}
-			fed++
-		}
-		return nil
-	})
+	err := s.chain.ReplayRange(from, cutoff, ts.Dispatch)
 	if shared {
 		// Even on error the successfully-ingested prefix is valid history;
-		// keep the shared engine consistent with what it absorbed.
-		s.delivered = fed
+		// keep the shared engine consistent with what it absorbed. A
+		// rejected event leaves the frontier untouched, so the frontier
+		// counts exactly the accepted events (a held sync half included).
+		s.delivered = 0
+		for _, next := range ts.FrontierNext() {
+			s.delivered += uint64(next - 1)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("replay: materialize cutoff %d: %w", cutoff, err)

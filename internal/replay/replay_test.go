@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -360,5 +361,55 @@ func TestReplayCutoffBeyondHistory(t *testing.T) {
 	}
 	if _, ok := v0.Timestamp(tr.Events[0].ID); ok {
 		t.Fatal("empty view exposes an event")
+	}
+}
+
+// TestReplayRejectedRunKeepsPrefix pins the shared engine's bookkeeping when
+// a recorded run is rejected part-way (a journal no valid daemon would have
+// written): the accepted prefix of the run stays materialized and counted
+// exactly, so views at or below it are served and the next attempt resumes at
+// the offending event rather than re-feeding the prefix.
+func TestReplayRejectedRunKeepsPrefix(t *testing.T) {
+	unary := func(p, i int) model.Event {
+		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
+	}
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{NumProcs: 2, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range [][]model.Event{
+		{unary(0, 1), unary(1, 1)},
+		{unary(0, 2), unary(0, 2), unary(1, 2)}, // duplicate at global position 3
+	} {
+		if err := l.Append(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := replay.Open(dir, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for attempt := 0; attempt < 2; attempt++ {
+		if _, err := st.ViewAt(5); !errors.Is(err, model.ErrDeliverDuplicate) {
+			t.Fatalf("attempt %d: ViewAt(5) = %v, want the duplicate rejection", attempt, err)
+		}
+	}
+	v, err := st.ViewAt(3)
+	if err != nil {
+		t.Fatalf("ViewAt(3) over the accepted prefix: %v", err)
+	}
+	if got := v.Counts().Events; got != 3 {
+		t.Fatalf("prefix view holds %d events, want 3", got)
+	}
+	if _, ok := v.Timestamp(unary(0, 2).ID); !ok {
+		t.Fatal("accepted prefix of the rejected run is not queryable")
+	}
+	if _, ok := v.Timestamp(unary(1, 2).ID); ok {
+		t.Fatal("event after the rejected one was materialized")
 	}
 }
