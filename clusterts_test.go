@@ -38,7 +38,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil || !conc {
 		t.Fatalf("Concurrent = %v, %v", conc, err)
 	}
-	if ts, ok := m.Timestamp(r); !ok || ts == nil {
+	if ts, ok := m.Timestamp(r); !ok || ts.ID != r {
 		t.Fatal("missing timestamp")
 	}
 }

@@ -141,9 +141,12 @@ func (bt *BatchTimestamper) ObserveAll(tr *model.Trace) error {
 }
 
 // Timestamp returns the stored timestamp of an event.
-func (bt *BatchTimestamper) Timestamp(id model.EventID) (*Timestamp, bool) {
+func (bt *BatchTimestamper) Timestamp(id model.EventID) (Timestamp, bool) {
 	t, ok := bt.stamps[id]
-	return t, ok
+	if !ok {
+		return Timestamp{}, false
+	}
+	return *t, true
 }
 
 // Precedes answers a happened-before query; exact across the batch

@@ -3,6 +3,7 @@ package hct
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/commgraph"
@@ -165,40 +166,76 @@ func TestColumnarDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestColumnPublishedCellsStableAcrossGrowth pins the reallocation
-// invariant of the publication protocol: pointers and headers obtained
-// before a column grows must keep reading correct, immutable cells after
-// arbitrarily many reallocations.
+// TestColumnPublishedCellsStableAcrossGrowth pins the paging invariant of
+// the publication protocol: cell addresses and a directory header obtained
+// early must keep reading correct, immutable cells while the column adds
+// pages — a column never moves a published cell, and a stale directory still
+// reaches every slot below the watermark it was loaded under.
 func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
+	const total = 17*pageCells + 5 // 17 page additions after the first
+	tag := func(i int) model.EventID { return model.EventID{Process: 7, Index: model.EventIndex(i)} }
 	var c tsColumn
-	var early []*Timestamp
-	for i := 1; i <= 4096; i++ {
-		id := model.EventID{Process: 0, Index: model.EventIndex(i)}
-		c.append(Timestamp{ID: id})
+	var early []*cell
+	var earlyDir []*[pageCells]cell
+	const earlyWM = pageCells + 3 // captured on the second page
+	for i := 1; i <= total; i++ {
+		c.append(cell{partner: tag(i), kind: model.Send})
 		c.publish()
-		if i <= 8 {
+		if i <= 8 || i == pageCells || i == pageCells+1 {
 			early = append(early, c.get(model.EventIndex(i)))
 		}
-	}
-	for i, p := range early {
-		if want := model.EventIndex(i + 1); p.ID.Index != want {
-			t.Fatalf("early pointer %d mutated: %v", i, p.ID)
+		if i == earlyWM {
+			earlyDir = *c.dir.Load()
 		}
 	}
-	for i := 1; i <= 4096; i++ {
+	if got, want := len(*c.dir.Load()), total/pageCells+1; got != want || want < 17 {
+		t.Fatalf("directory lists %d pages, want %d", got, want)
+	}
+	for _, p := range early {
+		if got := c.get(p.partner.Index); got != p || p.partner.Process != 7 {
+			t.Fatalf("early cell %v moved or mutated: %p, now %p", p.partner, p, got)
+		}
+	}
+	// The stale directory reaches every slot below its watermark, at the
+	// same addresses the current directory resolves them to.
+	if len(earlyDir) != 2 {
+		t.Fatalf("early directory lists %d pages, want 2", len(earlyDir))
+	}
+	for i := int32(0); i < earlyWM; i++ {
+		via := &earlyDir[i>>pageShift][i&pageMask]
+		if via != c.at(i) || via.partner != tag(int(i)+1) {
+			t.Fatalf("stale directory slot %d = %v at %p, current %p", i, via.partner, via, c.at(i))
+		}
+	}
+	for i := 1; i <= total; i++ {
 		got := c.get(model.EventIndex(i))
-		if got == nil || got.ID.Index != model.EventIndex(i) {
-			t.Fatalf("get(%d) = %v", i, got)
+		if got == nil || got.partner != tag(i) || got.kind != model.Send {
+			t.Fatalf("get(%d) = %+v", i, got)
 		}
 	}
-	if c.get(0) != nil || c.get(4097) != nil {
+	if c.get(0) != nil || c.get(total+1) != nil {
 		t.Fatal("out-of-range lookups must miss")
 	}
-	if c.getAt(3, 2) != nil {
+	if c.getAt(earlyWM+1, earlyWM) != nil {
 		t.Fatal("lookup above a captured watermark must miss")
 	}
-	if got := c.getAt(2, 2); got == nil || got.ID.Index != 2 {
-		t.Fatalf("getAt(2, 2) = %v", got)
+	if got := c.getAt(earlyWM, earlyWM); got == nil || got.partner != tag(earlyWM) {
+		t.Fatalf("getAt(wm, wm) = %+v", got)
+	}
+	var empty tsColumn
+	if empty.get(1) != nil || empty.pages != nil {
+		t.Fatal("an untouched column must hold no page and miss every lookup")
+	}
+}
+
+// TestStoredFormSizes pins the two numbers the B/event budget (DESIGN §10)
+// is built on: a cell is 32 bytes and a cluster-receive note 16.
+func TestStoredFormSizes(t *testing.T) {
+	if got := unsafe.Sizeof(cell{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(cell{}) = %d, want 32", got)
+	}
+	if got := unsafe.Sizeof(crNote{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(crNote{}) = %d, want 16", got)
 	}
 }
 

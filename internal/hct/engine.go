@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/strategy"
-	"repro/internal/vclock"
 )
 
 // Config parameterizes a cluster-timestamp run.
@@ -30,14 +29,6 @@ var (
 	ErrUnknownEvent = errors.New("hct: event has no timestamp")
 	ErrBadConfig    = errors.New("hct: invalid configuration")
 )
-
-// crNote records a noted (non-merged) cluster receive of one process: the
-// paper's "greatest cluster receive within this process at this point".
-// Notes are appended in event-index order, so the column is sorted.
-type crNote struct {
-	index int32
-	clock vclock.Clock
-}
 
 // Timestamper computes hierarchical cluster timestamps for an event stream
 // and answers precedence queries over the stamped events.
@@ -67,8 +58,8 @@ type Timestamper struct {
 // no lock and read only published prefixes (see store.go for the protocol).
 type plane struct {
 	numProcs int
-	cols     []tsColumn // per process, slot Index-1
-	crs      []crColumn // per process, sorted by event index
+	cols     []tsColumn // per process, cell of event Index in slot Index-1
+	crs      []crColumn // per process, notes sorted by event index
 
 	// Query-path accounting. Precedence queries run concurrently with each
 	// other and with ingest, so these are atomic: qDirect counts queries
@@ -113,9 +104,11 @@ func (ts *plane) QueryPathCounts() (direct, routed int64) {
 
 // Observe ingests the next event in delivery order and returns the
 // timestamps finalized by it (two for the completion of a synchronous pair —
-// first half, then second — zero for its first half, one otherwise). The
-// returned pointers stay valid and immutable for the life of the
-// timestamper. Ingest is the variant for callers that discard the results.
+// first half, then second — zero for its first half, one otherwise). Each
+// result is a fresh view of the stored cell, allocated by this call: the
+// pointers are not into the store, and the vectors they carry alias the
+// store's arena and must be treated as immutable. Ingest is the variant for
+// callers that discard the results.
 func (ts *Timestamper) Observe(e model.Event) ([]*Timestamp, error) {
 	if err := ts.DispatchOne(e); err != nil {
 		return nil, err
@@ -126,9 +119,9 @@ func (ts *Timestamper) Observe(e model.Event) ([]*Timestamp, error) {
 	}
 	if e.Kind == model.Sync {
 		first, _ := ts.Timestamp(e.Partner)
-		return []*Timestamp{first, t}, nil
+		return []*Timestamp{&first, &t}, nil
 	}
-	return []*Timestamp{t}, nil
+	return []*Timestamp{&t}, nil
 }
 
 // Ingest is Observe without materializing the result slice. On error no
@@ -153,23 +146,46 @@ func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
 	return nil
 }
 
-// Timestamp returns the stored timestamp of an event. Safe to call
-// concurrently with ingestion.
-func (ts *plane) Timestamp(id model.EventID) (*Timestamp, bool) {
-	t := ts.lookup(id, nil)
-	return t, t != nil
+// Timestamp returns the timestamp of an event: a view of its stored cell,
+// built by value with no allocation. Its vectors alias the store and are
+// immutable. Safe to call concurrently with ingestion.
+func (ts *plane) Timestamp(id model.EventID) (Timestamp, bool) {
+	return ts.TimestampAt(id, nil)
 }
 
 // TimestampAt is Timestamp evaluated against a captured watermark: events
-// published after the cut are reported absent.
-func (ts *plane) TimestampAt(id model.EventID, w Watermark) (*Timestamp, bool) {
-	t := ts.lookup(id, w)
-	return t, t != nil
+// published after the cut are reported absent. A nil watermark means the
+// live one.
+func (ts *plane) TimestampAt(id model.EventID, w Watermark) (Timestamp, bool) {
+	c := ts.lookup(id, w)
+	if c == nil {
+		return Timestamp{}, false
+	}
+	t := Timestamp{ID: id, Kind: c.kind, Partner: c.partner}
+	if v := c.vector(ts.numProcs); c.cluster == nil {
+		t.Full = v
+	} else {
+		t.Cluster, t.Proj = c.cluster, v
+	}
+	return t, true
+}
+
+// Event reconstructs a delivered event from its cell — kind and partner are
+// stored, the ID is the position — without building a timestamp view.
+func (ts *plane) Event(id model.EventID) (model.Event, bool) { return ts.EventAt(id, nil) }
+
+// EventAt is Event evaluated against a captured watermark.
+func (ts *plane) EventAt(id model.EventID, w Watermark) (model.Event, bool) {
+	c := ts.lookup(id, w)
+	if c == nil {
+		return model.Event{}, false
+	}
+	return model.Event{ID: id, Kind: c.kind, Partner: c.partner}, true
 }
 
 // lookup resolves id against the published store: below the live
 // watermarks when w is nil, below the captured cut otherwise.
-func (ts *plane) lookup(id model.EventID, w Watermark) *Timestamp {
+func (ts *plane) lookup(id model.EventID, w Watermark) *cell {
 	p := int(id.Process)
 	if p < 0 || p >= ts.numProcs {
 		return nil
@@ -183,12 +199,17 @@ func (ts *plane) lookup(id model.EventID, w Watermark) *Timestamp {
 // latestCRAtOrBelow returns the greatest published noted cluster receive of
 // process p with event index <= bound, or nil.
 func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
-	notes := ts.crs[p].published()
+	col := &ts.crs[p]
+	hi := col.wm.Load()
+	if hi == 0 {
+		return nil
+	}
+	pages := *col.dir.Load() // after wm: lists every page below it
 	// Binary search for the first note with index > bound.
-	lo, hi := 0, len(notes)
+	lo := int32(0)
 	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if notes[mid].index <= bound {
+		mid := int32(uint32(lo+hi) >> 1)
+		if pages[mid>>pageShift][mid&pageMask].index <= bound {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -197,7 +218,8 @@ func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
 	if lo == 0 {
 		return nil
 	}
-	return &notes[lo-1]
+	lo--
+	return &pages[lo>>pageShift][lo&pageMask]
 }
 
 // Precedes reports whether event e happened before event f, using only
@@ -227,35 +249,41 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	if e == f {
 		return false, nil
 	}
-	te := ts.lookup(e, w)
-	if te == nil {
+	ce := ts.lookup(e, w)
+	if ce == nil {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, e)
 	}
-	tf := ts.lookup(f, w)
-	if tf == nil {
+	cf := ts.lookup(f, w)
+	if cf == nil {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, f)
 	}
 	// The two halves of a synchronous pair carry identical vectors but
 	// are mutually concurrent.
-	if te.Kind == model.Sync && te.Partner == f {
+	if ce.kind == model.Sync && ce.partner == f {
 		return false, nil
 	}
 	eIdx := int32(e.Index)
 
-	if v, ok := tf.Component(e.Process); ok {
+	// Read the cells directly: no view is built on this path.
+	vf := cf.vector(ts.numProcs)
+	c := cf.cluster
+	if c == nil {
 		ts.qDirect.Add(1)
-		return v >= eIdx, nil
+		return vf[e.Process] >= eIdx, nil // lookup bounded e.Process
+	}
+	if pos, ok := c.PosOf(int32(e.Process)); ok {
+		ts.qDirect.Add(1)
+		return vf[pos] >= eIdx, nil
 	}
 
 	// pe outside f's cluster epoch: route through noted cluster receives.
 	// Every note this can touch has index <= FM(f)[q] for a member q, and
-	// is therefore published whenever tf is visible (see store.go), so the
-	// watermark does not bound this search.
+	// is therefore published whenever f's cell is visible (see store.go), so
+	// the watermark does not bound this search.
 	ts.qRouted.Add(1)
-	c := tf.Cluster
 	for k, q := range c.Members {
-		g := ts.latestCRAtOrBelow(q, tf.Proj[k])
-		if g != nil && g.clock[e.Process] >= eIdx {
+		g := ts.latestCRAtOrBelow(q, vf[k])
+		if g != nil && g.full(ts.numProcs)[e.Process] >= eIdx {
 			return true, nil
 		}
 	}

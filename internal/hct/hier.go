@@ -337,15 +337,15 @@ func (ht *HierTimestamper) StorageInts(fixedVector int) int64 {
 // algorithm by presenting HierTimestamps through the Timestamp surface.
 type hierStampSource struct{ ht *HierTimestamper }
 
-func (s hierStampSource) Timestamp(id model.EventID) (*Timestamp, bool) {
+func (s hierStampSource) Timestamp(id model.EventID) (Timestamp, bool) {
 	t, ok := s.ht.stamps[id]
 	if !ok {
-		return nil, false
+		return Timestamp{}, false
 	}
 	// Adapt lazily: recursivePrecedes only uses Component, Kind, Partner
 	// and (via Component) the projection; build a shim Timestamp whose
 	// Cluster carries the domain.
-	return t.shim(), ok
+	return *t.shim(), true
 }
 
 // shim converts a HierTimestamp into the Timestamp shape the shared

@@ -168,9 +168,12 @@ func (mt *MigratingTimestamper) ObserveAll(tr *model.Trace) error {
 }
 
 // Timestamp returns the stored timestamp of an event.
-func (mt *MigratingTimestamper) Timestamp(id model.EventID) (*Timestamp, bool) {
+func (mt *MigratingTimestamper) Timestamp(id model.EventID) (Timestamp, bool) {
 	t, ok := mt.stamps[id]
-	return t, ok
+	if !ok {
+		return Timestamp{}, false
+	}
+	return *t, true
 }
 
 // Precedes answers a happened-before query; exact under migration.

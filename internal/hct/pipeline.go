@@ -86,6 +86,13 @@ package hct
 // their queues in dispatch order, so the blocked-on send is always ahead of
 // (or at) the other lane's cursor, never behind another blocked item.
 //
+// Lane queues are bounded (maxLaneBacklog, flushLocked): the planner holds a
+// planned batch back until every lane it feeds has room, and then hands it
+// over whole. The argument above only needs the blocked-on send to be in its
+// lane's queue, and it is: a held-back batch contains nothing that an already
+// flushed item waits for, because sends are dispatched before their receives
+// and the halves of a synchronous pair are staged into the same batch.
+//
 // Synchronous pairs are a joint event: both halves carry the identical join
 // of the two sides' base clocks. A same-lane pair completes locally (the
 // planner dispatches both halves adjacently). A cross-lane pair runs a
@@ -555,13 +562,39 @@ func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
 	p.issued[s]++
 }
 
+// maxLaneBacklog bounds a lane's queue: the planner flushes a batch only once
+// every lane holds fewer than this many flushed-but-unstamped items, so a lane
+// queue (and the capacity it keeps) never exceeds maxLaneBacklog plus one
+// batch however far the lanes fall behind. Eight 1024-event frames' worth on
+// two lanes: deep enough that a lane never idles while the planner plans the
+// next batch.
+const maxLaneBacklog = 4096
+
 // flushLocked appends the staged items to their lanes, preserving planner
 // order per lane. Called with planMu held, so cross-batch lane order equals
 // planner order.
+//
+// It first waits for room (maxLaneBacklog) and then flushes the batch whole,
+// never part of it: lanes only ever hold complete batches, and every item of
+// a flushed batch depends only on items flushed with or before it (a send is
+// dispatched before its receive; sync halves are staged adjacently), so the
+// lanes drain what they hold without the batch being held back here and the
+// wait always ends — the deadlock argument of the file comment is untouched.
 func (p *Pipeline) flushLocked() {
 	if p.nshards == 1 {
 		return
 	}
+	p.doneMu.Lock()
+	for s, buf := range p.curBufs {
+		if len(buf) == 0 {
+			continue
+		}
+		// issued already counts the staged items; the backlog does not.
+		for p.issued[s]-uint64(len(buf))-p.done[s] >= maxLaneBacklog {
+			p.doneCond.Wait()
+		}
+	}
+	p.doneMu.Unlock()
 	for s, buf := range p.curBufs {
 		if len(buf) == 0 {
 			continue
@@ -1059,21 +1092,23 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 	return clk
 }
 
-// stamp converts a finalized clock into the event's timestamp and publishes
-// it — the only writer of column cells and cluster-receive notes: note before
-// cell, cell write before watermark store.
+// stamp converts a finalized clock into the event's stored cell and
+// publishes it — the only writer of column cells and cluster-receive notes:
+// note before cell, cell write before watermark store. The vector, projection
+// or full, is carved from the lane arena: no allocation per event.
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, cl *cluster.Info) {
 	p := e.ID.Process
-	t := Timestamp{ID: e.ID, Kind: e.Kind, Partner: e.Partner}
+	c := cell{cluster: cl, partner: e.Partner, kind: e.Kind}
 	if cl == nil {
-		t.Full = clk.Clone()
-		ln.pl.crs[p].append(crNote{index: int32(e.ID.Index), clock: t.Full})
+		full := ln.ar.carve(len(clk))
+		copy(full, clk)
+		c.vec = &full[0]
+		ln.pl.crs[p].append(crNote{index: int32(e.ID.Index), vec: c.vec})
 		ln.pl.crs[p].publish() // before the cell: see store.go
 	} else {
-		t.Cluster = cl
-		t.Proj = clk.ProjectInto(ln.ar.carve(len(cl.Members)), cl.Members)
+		c.vec = &clk.ProjectInto(ln.ar.carve(len(cl.Members)), cl.Members)[0]
 	}
-	ln.pl.cols[p].append(t)
+	ln.pl.cols[p].append(c)
 	ln.pl.cols[p].publish()
 }
 

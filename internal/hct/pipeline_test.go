@@ -39,7 +39,7 @@ func pipelineConfig(t *testing.T, tr *model.Trace, variant, maxCS int) Config {
 
 // sameTimestamp reports whether two timestamps are identical down to the
 // cluster-epoch identity and every vector element.
-func sameTimestamp(a, b *Timestamp) bool {
+func sameTimestamp(a, b Timestamp) bool {
 	return a.ID == b.ID && a.Kind == b.Kind && a.Partner == b.Partner &&
 		((a.Cluster == nil) == (b.Cluster == nil)) &&
 		(a.Cluster == nil || (a.Cluster.ID == b.Cluster.ID &&

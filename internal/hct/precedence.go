@@ -7,9 +7,10 @@ import (
 )
 
 // stampSource abstracts access to stored timestamps for the precedence
-// algorithms.
+// algorithms. Timestamps come back by value: the column store keeps cells,
+// not Timestamps, and builds the view on request.
 type stampSource interface {
-	Timestamp(id model.EventID) (*Timestamp, bool)
+	Timestamp(id model.EventID) (Timestamp, bool)
 }
 
 // recursivePrecedes answers e -> f using only stored cluster timestamps, by

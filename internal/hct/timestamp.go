@@ -21,7 +21,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// Timestamp is one event's hierarchical cluster timestamp.
+// Timestamp is one event's hierarchical cluster timestamp. For the pipeline
+// (and so the Timestamper façade, the monitor and replay) it is the read-time
+// view of a stored cell (store.go), built by value on request: copying one is
+// cheap, and Proj and Full alias the store's arena and must not be modified.
 //
 // Exactly one of (Cluster, Proj) and Full is populated:
 //
@@ -44,12 +47,12 @@ type Timestamp struct {
 
 // IsClusterReceive reports whether the event retained a full Fidge/Mattern
 // timestamp (a non-merged cluster receive).
-func (t *Timestamp) IsClusterReceive() bool { return t.Full != nil }
+func (t Timestamp) IsClusterReceive() bool { return t.Full != nil }
 
 // Component returns FM(e)[p] if it is derivable from this timestamp alone:
 // always for cluster receives, and for projection timestamps only when p is
 // in the timestamp's cluster.
-func (t *Timestamp) Component(p model.ProcessID) (int32, bool) {
+func (t Timestamp) Component(p model.ProcessID) (int32, bool) {
 	if t.Full != nil {
 		if int(p) < 0 || int(p) >= len(t.Full) {
 			return 0, false
@@ -67,7 +70,7 @@ func (t *Timestamp) Component(p model.ProcessID) (int32, bool) {
 // under the fixed-size-vector encoding of existing observation tools
 // (Section 4): full timestamps occupy the fixed encoding vector, projection
 // timestamps occupy a vector of size maxCS.
-func (t *Timestamp) StorageInts(fixedVector, maxCS int) int {
+func (t Timestamp) StorageInts(fixedVector, maxCS int) int {
 	if t.Full != nil {
 		return fixedVector
 	}
@@ -75,7 +78,7 @@ func (t *Timestamp) StorageInts(fixedVector, maxCS int) int {
 }
 
 // String renders the timestamp for debugging.
-func (t *Timestamp) String() string {
+func (t Timestamp) String() string {
 	if t.Full != nil {
 		return fmt.Sprintf("%v CR %v", t.ID, t.Full)
 	}

@@ -121,8 +121,16 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame, enforcing the framing cap.
+// readFrame reads one frame into a payload slice of its own, enforcing the
+// framing cap.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto is readFrame with the payload read into buf's backing array
+// when the frame fits its capacity (a fresh slice otherwise), for a caller
+// that is done with one payload before it reads the next.
+func readFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -132,7 +140,11 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("monitor: frame payload %d exceeds cap %d", n, maxFramePayload)
 	}
 	if n > 0 {
-		payload = make([]byte, n)
+		if uint32(cap(buf)) >= n {
+			payload = buf[:n]
+		} else {
+			payload = make([]byte, n)
+		}
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return 0, nil, err
 		}

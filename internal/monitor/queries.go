@@ -35,8 +35,13 @@ type QueryEngine interface {
 	// reusing buf when it has capacity. Every query in a batch is answered
 	// against one captured watermark.
 	CaptureWatermark(buf hct.Watermark) hct.Watermark
-	Timestamp(id model.EventID) (*hct.Timestamp, bool)
-	TimestampAt(id model.EventID, w hct.Watermark) (*hct.Timestamp, bool)
+	// Timestamp returns a by-value view of the event's stored timestamp.
+	Timestamp(id model.EventID) (hct.Timestamp, bool)
+	// Event and EventAt reconstruct a delivered event (kind and partner)
+	// from its published cell without building a timestamp view; they double
+	// as the existence check.
+	Event(id model.EventID) (model.Event, bool)
+	EventAt(id model.EventID, w hct.Watermark) (model.Event, bool)
 	Precedes(e, f model.EventID) (bool, error)
 	PrecedesAt(e, f model.EventID, w hct.Watermark) (bool, error)
 	Concurrent(e, f model.EventID) (bool, error)
@@ -88,22 +93,19 @@ func (q *Queries) Concurrent(e, f model.EventID) (bool, error) {
 	return q.eng.Concurrent(e, f)
 }
 
-// Timestamp returns the stored timestamp of an event. Lock-free; the
-// returned timestamp is immutable.
-func (q *Queries) Timestamp(id model.EventID) (*hct.Timestamp, bool) {
+// Timestamp returns the timestamp of an event, by value: a view of the
+// stored cell, built without allocating. Lock-free; the vectors it carries
+// alias the store and are immutable.
+func (q *Queries) Timestamp(id model.EventID) (hct.Timestamp, bool) {
 	return q.eng.Timestamp(id)
 }
 
 // Lookup fetches a delivered event by ID, reconstructed from its published
-// timestamp. Lock-free: an event is visible once its stamp is published,
+// cell. Lock-free: an event is visible once its stamp is published,
 // so under DeliverBatchAsync a just-dispatched event may briefly report
 // absent (IngestBarrier closes the window).
 func (q *Queries) Lookup(id model.EventID) (model.Event, bool) {
-	t, ok := q.eng.Timestamp(id)
-	if !ok {
-		return model.Event{}, false
-	}
-	return model.Event{ID: t.ID, Kind: t.Kind, Partner: t.Partner}, true
+	return q.eng.Event(id)
 }
 
 // QueryBatch answers a batch of precedence queries. The whole batch is
@@ -175,7 +177,7 @@ func (q *Queries) GreatestPredecessors(e model.EventID) ([]CutEntry, error) {
 	wp := q.captureWatermark()
 	defer q.releaseWatermark(wp)
 	w := *wp
-	if _, ok := q.eng.TimestampAt(e, w); !ok {
+	if _, ok := q.eng.EventAt(e, w); !ok {
 		return nil, fmt.Errorf("monitor: GreatestPredecessors: unknown event %v", e)
 	}
 	out := make([]CutEntry, q.eng.NumProcs())
@@ -203,7 +205,7 @@ func (q *Queries) GreatestConcurrent(e model.EventID) ([]CutEntry, error) {
 	wp := q.captureWatermark()
 	defer q.releaseWatermark(wp)
 	w := *wp
-	if _, ok := q.eng.TimestampAt(e, w); !ok {
+	if _, ok := q.eng.EventAt(e, w); !ok {
 		return nil, fmt.Errorf("monitor: GreatestConcurrent: unknown event %v", e)
 	}
 	out := make([]CutEntry, q.eng.NumProcs())

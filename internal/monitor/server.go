@@ -561,6 +561,10 @@ type outItem struct {
 	n       int               // batch size acknowledged on success
 }
 
+// frameBufKeep is the largest payload buffer a connection keeps between
+// frames: sixty 1024-event frames' worth.
+const frameBufKeep = 1 << 20
+
 func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 	out := make(chan outItem, 64)
 	var wwg sync.WaitGroup
@@ -579,9 +583,19 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 	// one (the field is informational — batches are validated per event).
 	out <- outItem{typ: frameHello, payload: encodeHelloPayload(protocolV2Version, s.def.monitor.NumProcs(), s.cfg.MaxBatch)}
 	cur := s.def // the connection's tenant scope; TENANT frames reselect it
+	// fbuf is the connection's frame buffer: every case below decodes (or
+	// copies) the payload before the loop reads the next frame, so the
+	// payloads of successive frames can share one backing array. It grows to
+	// the largest frame seen up to frameBufKeep; a larger frame gets a slice
+	// of its own, so one outsized frame cannot pin the framing cap's 16 MiB
+	// to an idle connection.
+	var fbuf []byte
 	for {
 		s.setReadDeadline(conn)
-		typ, payload, err := readFrame(r)
+		typ, payload, err := readFrameInto(r, fbuf)
+		if cap(payload) > cap(fbuf) && cap(payload) <= frameBufKeep {
+			fbuf = payload
+		}
 		if err != nil {
 			// Framing errors (oversized length prefix) lose the stream
 			// offset: report and drop the connection. Read errors and EOF

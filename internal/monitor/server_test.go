@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"strings"
 	"sync"
@@ -382,6 +383,84 @@ func TestServerV2RejectsBadFramesAndSurvives(t *testing.T) {
 	}
 	if srv.Counters().ProtocolErrors.Load() < int64(len(bad)) {
 		t.Fatalf("protocol errors not counted: %d", srv.Counters().ProtocolErrors.Load())
+	}
+}
+
+// TestReadFrameIntoReusesBuffer pins the frame-buffer contract serveV2 relies
+// on: a payload that fits the buffer is read into it, a larger one gets a
+// slice of its own and leaves the buffer alone, an empty one is nil, and the
+// framing cap is enforced before anything is read or allocated.
+func TestReadFrameIntoReusesBuffer(t *testing.T) {
+	var wire bytes.Buffer
+	big, small := bytes.Repeat([]byte{0xAB}, 48), []byte{1, 2, 3}
+	for _, p := range [][]byte{small, big, small, nil} {
+		if err := writeFrame(&wire, frameEvents, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 16)
+	typ, p, err := readFrameInto(&wire, buf)
+	if err != nil || typ != frameEvents || !bytes.Equal(p, small) || &p[0] != &buf[:1][0] {
+		t.Fatalf("fitting frame: typ 0x%02x payload %v err %v, want it read into the buffer", typ, p, err)
+	}
+	_, p, err = readFrameInto(&wire, buf)
+	if err != nil || !bytes.Equal(p, big) || cap(p) < len(big) || !bytes.Equal(buf[:3], small) {
+		t.Fatalf("outsized frame: payload %v err %v, buffer %v", p, err, buf[:3])
+	}
+	buf = p // the connection adopts the larger buffer; the next, shorter frame must not see its tail
+	_, p, err = readFrameInto(&wire, buf)
+	if err != nil || !bytes.Equal(p, small) || &p[0] != &buf[0] {
+		t.Fatalf("shrinking frame: payload %v err %v", p, err)
+	}
+	if _, p, err = readFrameInto(&wire, buf); err != nil || p != nil {
+		t.Fatalf("empty frame: payload %v err %v", p, err)
+	}
+	wire.Write([]byte{frameEvents, 0xFF, 0xFF, 0xFF, 0xFF})
+	if _, _, err = readFrameInto(&wire, buf); err == nil || !strings.Contains(err.Error(), "exceeds cap") {
+		t.Fatalf("frame over the framing cap: err %v", err)
+	}
+}
+
+// TestServerV2FrameBufferAcrossFrameSizes drives one connection through
+// frames of shrinking and growing sizes and different kinds, so every one
+// after the first is decoded out of a reused buffer holding an older frame's
+// bytes: every batch is acknowledged in full and the answers are right.
+func TestServerV2FrameBufferAcrossFrameSizes(t *testing.T) {
+	tr := workload.Ring(8, 40, false)
+	srv, addr := startServer(t, tr.NumProcs, ServerConfig{})
+	defer srv.Close()
+	c, err := DialV2(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ref, err := New(tr.NumProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{200, 3, 57, 1, 400}
+	lo := 0
+	for i := 0; lo < len(tr.Events); i++ {
+		hi := min(lo+sizes[i%len(sizes)], len(tr.Events))
+		if err := c.ReportBatch(tr.Events[lo:hi]); err != nil {
+			t.Fatalf("ReportBatch[%d:%d]: %v", lo, hi, err)
+		}
+		if err := ref.DeliverBatch(tr.Events[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		// A QUERY frame between EVENTS frames reuses the same buffer.
+		first, last := tr.Events[0].ID, tr.Events[hi-1].ID
+		want, _ := ref.Precedes(first, last)
+		if got, err := c.Precedes(first, last); err != nil || got != want {
+			t.Fatalf("Precedes(%v,%v) after %d events = %v, %v; reference %v", first, last, hi, got, err, want)
+		}
+		lo = hi
+	}
+	if got := srv.Counters().EventsIngested.Load(); got != int64(len(tr.Events)) {
+		t.Fatalf("ingested %d of %d events", got, len(tr.Events))
+	}
+	if srv.Counters().ProtocolErrors.Load() != 0 {
+		t.Fatalf("%d protocol errors on well-formed frames", srv.Counters().ProtocolErrors.Load())
 	}
 }
 

@@ -138,12 +138,16 @@ func (f *frozenEngine) CaptureWatermark(buf hct.Watermark) hct.Watermark {
 	return append(buf[:0], f.wm...)
 }
 
-func (f *frozenEngine) Timestamp(id model.EventID) (*hct.Timestamp, bool) {
+func (f *frozenEngine) Timestamp(id model.EventID) (hct.Timestamp, bool) {
 	return f.ts.TimestampAt(id, f.wm)
 }
 
-func (f *frozenEngine) TimestampAt(id model.EventID, w hct.Watermark) (*hct.Timestamp, bool) {
-	return f.ts.TimestampAt(id, w)
+func (f *frozenEngine) Event(id model.EventID) (model.Event, bool) {
+	return f.ts.EventAt(id, f.wm)
+}
+
+func (f *frozenEngine) EventAt(id model.EventID, w hct.Watermark) (model.Event, bool) {
+	return f.ts.EventAt(id, w)
 }
 
 func (f *frozenEngine) Precedes(e, g model.EventID) (bool, error) {

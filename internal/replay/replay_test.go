@@ -46,7 +46,7 @@ func configFactory(t *testing.T, tr *model.Trace, variant, maxCS int) func() hct
 
 // sameTimestamp reports whether two timestamps are identical down to the
 // cluster-epoch identity and every vector element.
-func sameTimestamp(a, b *hct.Timestamp) bool {
+func sameTimestamp(a, b hct.Timestamp) bool {
 	return a.ID == b.ID && a.Kind == b.Kind && a.Partner == b.Partner &&
 		((a.Cluster == nil) == (b.Cluster == nil)) &&
 		(a.Cluster == nil || (a.Cluster.ID == b.Cluster.ID &&
