@@ -71,3 +71,4 @@ fuzz:
 	go test -fuzz=FuzzFrameRoundTrip -fuzztime=30s ./internal/monitor/
 	go test -fuzz=FuzzServerProtocol -fuzztime=30s ./internal/monitor/
 	go test -fuzz=FuzzWALChainOpen -fuzztime=30s ./internal/wal/
+	go test -run '^$$' -fuzz=FuzzCRNoteRoundTrip -fuzztime=30s ./internal/hct/

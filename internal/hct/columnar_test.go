@@ -229,13 +229,13 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 }
 
 // TestStoredFormSizes pins the two numbers the B/event budget (DESIGN §10)
-// is built on: a cell is 32 bytes and a cluster-receive note 16.
+// is built on: a cell is 32 bytes and a cluster-receive note 24.
 func TestStoredFormSizes(t *testing.T) {
 	if got := unsafe.Sizeof(cell{}); got != 32 {
 		t.Errorf("unsafe.Sizeof(cell{}) = %d, want 32", got)
 	}
-	if got := unsafe.Sizeof(crNote{}); got != 16 {
-		t.Errorf("unsafe.Sizeof(crNote{}) = %d, want 16", got)
+	if got := unsafe.Sizeof(crNote{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(crNote{}) = %d, want 24", got)
 	}
 }
 

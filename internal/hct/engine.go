@@ -147,8 +147,10 @@ func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
 }
 
 // Timestamp returns the timestamp of an event: a view of its stored cell,
-// built by value with no allocation. Its vectors alias the store and are
-// immutable. Safe to call concurrently with ingestion.
+// built by value. Proj, and Full of a cluster receive stored as a keyframe,
+// alias the store; Full of one stored as a delta frame is decoded into a
+// fresh slice, the view's one allocation. Either way the vectors are to be
+// treated as immutable. Safe to call concurrently with ingestion.
 func (ts *plane) Timestamp(id model.EventID) (Timestamp, bool) {
 	return ts.TimestampAt(id, nil)
 }
@@ -162,10 +164,10 @@ func (ts *plane) TimestampAt(id model.EventID, w Watermark) (Timestamp, bool) {
 		return Timestamp{}, false
 	}
 	t := Timestamp{ID: id, Kind: c.kind, Partner: c.partner}
-	if v := c.vector(ts.numProcs); c.cluster == nil {
-		t.Full = v
+	if c.cluster == nil {
+		t.Full = c.note().full(ts.numProcs)
 	} else {
-		t.Cluster, t.Proj = c.cluster, v
+		t.Cluster, t.Proj = c.cluster, c.proj()
 	}
 	return t, true
 }
@@ -264,13 +266,14 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	}
 	eIdx := int32(e.Index)
 
-	// Read the cells directly: no view is built on this path.
-	vf := cf.vector(ts.numProcs)
+	// Read the cells and notes directly: no view is built on this path.
+	// lookup bounded e.Process, which is all component asks.
 	c := cf.cluster
 	if c == nil {
 		ts.qDirect.Add(1)
-		return vf[e.Process] >= eIdx, nil // lookup bounded e.Process
+		return cf.note().component(e.Process) >= eIdx, nil
 	}
+	vf := cf.proj()
 	if pos, ok := c.PosOf(int32(e.Process)); ok {
 		ts.qDirect.Add(1)
 		return vf[pos] >= eIdx, nil
@@ -283,7 +286,7 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	ts.qRouted.Add(1)
 	for k, q := range c.Members {
 		g := ts.latestCRAtOrBelow(q, vf[k])
-		if g != nil && g.full(ts.numProcs)[e.Process] >= eIdx {
+		if g != nil && g.component(e.Process) >= eIdx {
 			return true, nil
 		}
 	}

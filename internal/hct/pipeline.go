@@ -222,10 +222,16 @@ type Pipeline struct {
 	rv    rendezvous
 	wg    sync.WaitGroup
 
-	// doneMu guards done, the per-shard completed-item counts.
-	doneMu   sync.Mutex
-	doneCond *sync.Cond
-	done     []uint64
+	// doneMu guards the per-shard lane progress: flushed counts the items
+	// handed to a lane's queue, done the items it has stamped, and laneStats
+	// is the lane's arena tallies as of its last drained chunk. The lanes
+	// already take doneMu once per chunk, so the tallies cost the per-event
+	// path nothing.
+	doneMu    sync.Mutex
+	doneCond  *sync.Cond
+	flushed   []uint64
+	done      []uint64
+	laneStats []StoreStats
 
 	snapPool sync.Pool // *[]uint64 barrier snapshots
 
@@ -263,14 +269,16 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		nshards = numProcs
 	}
 	p := &Pipeline{
-		plane:    newPlane(numProcs),
-		core:     core,
-		nshards:  nshards,
-		next:     make([]model.EventIndex, numProcs),
-		pendSend: make(map[model.EventID]model.EventID, numProcs),
-		issued:   make([]uint64, nshards),
-		done:     make([]uint64, nshards),
-		start:    time.Now(),
+		plane:     newPlane(numProcs),
+		core:      core,
+		nshards:   nshards,
+		next:      make([]model.EventIndex, numProcs),
+		pendSend:  make(map[model.EventID]model.EventID, numProcs),
+		issued:    make([]uint64, nshards),
+		flushed:   make([]uint64, nshards),
+		done:      make([]uint64, nshards),
+		laneStats: make([]StoreStats, nshards),
+		start:     time.Now(),
 	}
 	for i := range p.next {
 		p.next[i] = 1
@@ -589,10 +597,10 @@ func (p *Pipeline) flushLocked() {
 		if len(buf) == 0 {
 			continue
 		}
-		// issued already counts the staged items; the backlog does not.
-		for p.issued[s]-uint64(len(buf))-p.done[s] >= maxLaneBacklog {
+		for p.flushed[s]-p.done[s] >= maxLaneBacklog {
 			p.doneCond.Wait()
 		}
+		p.flushed[s] = p.issued[s] // issued already counts the staged items
 	}
 	p.doneMu.Unlock()
 	for s, buf := range p.curBufs {
@@ -683,6 +691,39 @@ func (p *Pipeline) CrossShardWaits() int64 {
 	var total int64
 	for _, ln := range p.lanes {
 		total += ln.waits.Load()
+	}
+	return total
+}
+
+// LaneQueueDepthsInto appends, per ingest lane, the number of items flushed
+// to the lane and not yet stamped — at most maxLaneBacklog plus one batch. A
+// depth that stays put while events arrive is a stalled lane. Always zero on
+// the inline lane, which stamps as it plans.
+func (p *Pipeline) LaneQueueDepthsInto(buf []uint64) []uint64 {
+	p.doneMu.Lock()
+	defer p.doneMu.Unlock()
+	for s := range p.done {
+		buf = append(buf, p.flushed[s]-p.done[s])
+	}
+	return buf
+}
+
+// StoreStats returns the column store's physical tallies, summed over the
+// lanes. Like the other accounting methods it can trail dispatched work; it
+// is exact after Barrier.
+func (p *Pipeline) StoreStats() StoreStats {
+	if p.nshards == 1 {
+		p.planMu.Lock() // the inline lane stamps under the planner mutex
+		defer p.planMu.Unlock()
+		return p.lanes[0].ar.stats
+	}
+	p.doneMu.Lock()
+	defer p.doneMu.Unlock()
+	var total StoreStats
+	for _, st := range p.laneStats {
+		total.VectorBytes += st.VectorBytes
+		total.Keyframes += st.Keyframes
+		total.DeltaFrames += st.DeltaFrames
 	}
 	return total
 }
@@ -864,6 +905,7 @@ func (ln *lane) run() {
 		ln.spare = chunk[:0]
 		ln.pl.doneMu.Lock()
 		ln.pl.done[ln.id] += uint64(len(chunk))
+		ln.pl.laneStats[ln.id] = ln.ar.stats
 		ln.pl.doneCond.Broadcast()
 		ln.pl.doneMu.Unlock()
 	}
@@ -1094,19 +1136,18 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 
 // stamp converts a finalized clock into the event's stored cell and
 // publishes it — the only writer of column cells and cluster-receive notes:
-// note before cell, cell write before watermark store. The vector, projection
-// or full, is carved from the lane arena: no allocation per event.
+// note before cell, cell write before watermark store. The vector — a
+// projection, or for a noted cluster receive a keyframe or a delta frame over
+// the process's current one (store.go) — is carved from the lane arena: no
+// allocation per event.
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, cl *cluster.Info) {
 	p := e.ID.Process
 	c := cell{cluster: cl, partner: e.Partner, kind: e.Kind}
 	if cl == nil {
-		full := ln.ar.carve(len(clk))
-		copy(full, clk)
-		c.vec = &full[0]
-		ln.pl.crs[p].append(crNote{index: int32(e.ID.Index), vec: c.vec})
-		ln.pl.crs[p].publish() // before the cell: see store.go
+		// The note is published before the cell: see store.go.
+		c.setNote(appendNote(&ln.pl.crs[p], &ln.ar, int32(e.ID.Index), clk))
 	} else {
-		c.vec = &clk.ProjectInto(ln.ar.carve(len(cl.Members)), cl.Members)[0]
+		c.setProj(clk.ProjectInto(ln.ar.carve(len(cl.Members)), cl.Members))
 	}
 	ln.pl.cols[p].append(c)
 	ln.pl.cols[p].publish()

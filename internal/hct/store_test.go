@@ -23,9 +23,11 @@ import (
 // newest cell of a column, compare their vectors with the Fidge/Mattern
 // oracle, require the slot above the cut to miss, and answer precedence
 // queries (direct and routed through the paged note columns) against the
-// oracle.
+// oracle. Every process's clock outgrows a byte of offset more than once
+// during the run, so the newest note a reader decodes is, again and again, one
+// its writer has just started a new keyframe for.
 func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
-	tr := workload.Ring(24, 140, false) // ≥560 events per process: three or more pages each
+	tr := workload.Ring(24, 140, false) // ≥560 events per process: three or more pages, two or more keyframes each
 	stamped, err := fm.StampAll(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +91,16 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 				}
 				if !checkCell(model.EventID{Process: p, Index: top}, w) {
 					return
+				}
+				// The newest note below the cut, keyframe or delta frame: both
+				// readers of the stored form against the oracle.
+				if g := pipe.latestCRAtOrBelow(int32(p), int32(top)); g != nil {
+					want := clock[model.EventID{Process: p, Index: model.EventIndex(g.index)}]
+					q := model.ProcessID(r.Intn(tr.NumProcs))
+					if full := g.full(tr.NumProcs); !vclock.Clock(full).Equal(want) || g.component(q) != want[q] {
+						t.Errorf("note p%d:%d decodes to %v (component %d = %d), Fidge/Mattern %v", p, g.index, full, q, g.component(q), want)
+						return
+					}
 				}
 				for b := model.EventIndex(pageCells); b <= top; b += pageCells {
 					// Last slot of one page, first slot of the next.
@@ -154,7 +166,24 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 	if notePages < 2 {
 		t.Fatalf("no note column crossed a page boundary (max %d pages)", notePages)
 	}
-	t.Logf("%d reader rounds against %d events; widest note column %d pages", checked.Load(), len(tr.Events), notePages)
+	rolled := 0 // processes whose notes span two or more keyframes
+	for p := range pipe.crs {
+		keys, prev := 0, (*int32)(nil)
+		for i, n := int32(0), pipe.crs[p].wm.Load(); i < n; i++ {
+			if k := pipe.crs[p].at(i).key; k != prev {
+				keys, prev = keys+1, k
+			}
+		}
+		if keys >= 2 {
+			rolled++
+		}
+	}
+	if rolled == 0 {
+		t.Fatal("no process rolled over to a second keyframe: the trace no longer outgrows a byte of offset")
+	}
+	st := pipe.StoreStats()
+	t.Logf("%d reader rounds against %d events; widest note column %d pages; %d keyframes and %d delta frames, %d processes rolled over",
+		checked.Load(), len(tr.Events), notePages, st.Keyframes, st.DeltaFrames, rolled)
 }
 
 // stallTracer is a BatchTracer whose Begin blocks on lane 0 until released:
@@ -275,58 +304,84 @@ func TestLaneQueueBounded(t *testing.T) {
 }
 
 // TestStoreBytesPerEvent asserts the store's steady-state cost (ROADMAP
-// 1(e)): on the benchmark's SPMD ring at maxCS 13 the live heap a one-lane
-// engine gains per ingested event stays under a stated budget, and stamping
-// allocates per page and per arena chunk, never per event. Trace and engine
-// are built before the measured region.
+// 1(e)) on two of the benchmark's computations at maxCS 13: the live heap a
+// one-lane engine gains per ingested event stays under a stated budget, and
+// stamping allocates per page and per arena chunk, never per event. Trace and
+// engine are built before the measured region.
 //
-// The budget: a 32-byte cell and a 13-element projection (84 B) for every
-// event, a 1200-byte full vector and a 16-byte note for the ≈4% that are
-// noted cluster receives (≈49 B/event), partial pages and the last arena
-// chunk — ≈138 B/event measured, 209 before cells and pages. 160 leaves
-// headroom for allocator rounding without hiding a returned 80-byte cell.
+// The ring (spmd-stream): a 32-byte cell and a 13-element projection (84 B)
+// for every event; for the ≈4% that are noted cluster receives a 24-byte note
+// and a 300-byte delta frame, with a 1200-byte keyframe once per ≈25 of them
+// (≈15 B/event, 49 when every one kept its full vector); partial pages and
+// the last arena chunk — ≈104 B/event measured. 120 leaves headroom for
+// allocator rounding without hiding a returned full vector per cluster
+// receive.
+//
+// RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
+// noted cluster receives and the frames are most of the store — 84 B for
+// every event plus ≈0.48 × (24 + 280 + a keyframe's share) ≈ 150 — 225
+// B/event measured against 619 with full vectors; budget 240. Its columns
+// hold a third of the ring's events each, so pages and directories come to
+// 0.025 allocations per event, not 0.014.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ingests 607k events")
+		t.Skip("ingests 900k events")
 	}
-	const (
-		budgetBytesPerEvent  = 160
-		budgetAllocsPerEvent = 0.02 // pages, chunks, directories: ≈1 per 100 events
-	)
-	tr := workload.Ring(300, 330, false)
-	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for lo := 0; lo < len(tr.Events); lo += 1024 { // the daemon's frame size
-		if err := ts.Dispatch(tr.Events[lo:min(lo+1024, len(tr.Events))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	for _, tc := range []struct {
+		name   string
+		tr     *model.Trace
+		budget float64 // heap bytes per event
+		allocs float64 // per event: pages, chunks, directories
+	}{
+		{"ring", workload.Ring(300, 330, false), 120, 0.02},
+		{"random-uniform", workload.RandomUniform(280, 150000, 1), 240, 0.04},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr
+			ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for lo := 0; lo < len(tr.Events); lo += 1024 { // the daemon's frame size
+				if err := ts.Dispatch(tr.Events[lo:min(lo+1024, len(tr.Events))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
 
-	n := float64(len(tr.Events))
-	bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
-	allocsPer := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("%d events: %.1f heap B/event, %.4f allocs/event, size ratio %.3f",
-		len(tr.Events), bytesPer, allocsPer, float64(ts.StorageInts(300))/(n*300))
-	if bytesPer > budgetBytesPerEvent {
-		t.Errorf("store holds %.1f heap B/event, budget %d", bytesPer, budgetBytesPerEvent)
+			n := float64(len(tr.Events))
+			bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+			allocsPer := float64(after.Mallocs-before.Mallocs) / n
+			st := ts.StoreStats()
+			t.Logf("%d events: %.1f heap B/event (%.1f carved for vectors: %d keyframes, %d delta frames), %.4f allocs/event, size ratio %.3f",
+				len(tr.Events), bytesPer, float64(st.VectorBytes)/n, st.Keyframes, st.DeltaFrames, allocsPer,
+				float64(ts.StorageInts(300))/(n*300))
+			if bytesPer > tc.budget {
+				t.Errorf("store holds %.1f heap B/event, budget %.0f", bytesPer, tc.budget)
+			}
+			if allocsPer > tc.allocs {
+				t.Errorf("ingest allocates %.4f times per event, budget %.2f: something allocates per event again", allocsPer, tc.allocs)
+			}
+			if got, want := st.Keyframes+st.DeltaFrames, int64(ts.ClusterReceives()); got != want {
+				t.Errorf("%d keyframes + delta frames for %d noted cluster receives", got, want)
+			}
+			runtime.KeepAlive(ts)
+			runtime.KeepAlive(tr)
+		})
 	}
-	if allocsPer > budgetAllocsPerEvent {
-		t.Errorf("ingest allocates %.4f times per event, budget %.2f: something allocates per event again", allocsPer, budgetAllocsPerEvent)
-	}
-	runtime.KeepAlive(ts)
-	runtime.KeepAlive(tr)
 }
 
-// TestViewsAllocateNothing pins the by-value read API: materialising a
-// timestamp view, reconstructing an event and answering a routed precedence
-// query read the cells in place and allocate nothing.
+// TestViewsAllocateNothing pins the by-value read API against the stored
+// form: projection views, reconstructed events and the views of cluster
+// receives stored as keyframes alias the store and allocate nothing; a
+// precedence query whose target is a delta-framed cluster receive — read
+// directly, or reached through the notes on the routed path — reads two
+// elements and allocates nothing; and the view of a delta-framed cluster
+// receive allocates exactly its decoded Full.
 func TestViewsAllocateNothing(t *testing.T) {
 	tr := workload.Ring(16, 8, false)
 	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()})
@@ -336,33 +391,166 @@ func TestViewsAllocateNothing(t *testing.T) {
 	if err := ts.ObserveAll(tr); err != nil {
 		t.Fatal(err)
 	}
-	// Find a pair whose test routes through the cluster-receive notes.
-	var e, f model.EventID
-	for i := len(tr.Events) - 1; i >= 0 && f == (model.EventID{}); i-- {
+	var projs, keyframes, deltas []model.EventID
+	for _, ev := range tr.Events {
+		switch c := ts.lookup(ev.ID, nil); {
+		case c.cluster != nil:
+			projs = append(projs, ev.ID)
+		case c.note().delta == nil:
+			keyframes = append(keyframes, ev.ID)
+		default:
+			deltas = append(deltas, ev.ID)
+		}
+	}
+	if len(projs) == 0 || len(keyframes) == 0 || len(deltas) == 0 {
+		t.Fatalf("trace stores %d projections, %d keyframes, %d delta frames: need all three", len(projs), len(keyframes), len(deltas))
+	}
+	// A pair whose test routes through the notes and finds a delta frame there.
+	routesThroughDelta := func(f model.EventID) bool {
+		cf := ts.lookup(f, nil)
+		if cf.cluster == nil {
+			return false
+		}
+		for k, q := range cf.cluster.Members {
+			if g := ts.latestCRAtOrBelow(q, cf.proj()[k]); g != nil && g.delta != nil {
+				return true
+			}
+		}
+		return false
+	}
+	e := tr.Events[0].ID
+	var routed model.EventID
+	for i := len(tr.Events) - 1; i >= 0 && routed == (model.EventID{}); i-- {
 		_, before := ts.QueryPathCounts()
-		if _, err := ts.Precedes(tr.Events[0].ID, tr.Events[i].ID); err != nil {
+		if _, err := ts.Precedes(e, tr.Events[i].ID); err != nil {
 			t.Fatal(err)
 		}
-		if _, after := ts.QueryPathCounts(); after > before {
-			e, f = tr.Events[0].ID, tr.Events[i].ID
+		if _, after := ts.QueryPathCounts(); after > before && routesThroughDelta(tr.Events[i].ID) {
+			routed = tr.Events[i].ID
 		}
 	}
-	if f == (model.EventID{}) {
-		t.Fatal("no routed precedence pair in the trace")
+	if routed == (model.EventID{}) {
+		t.Fatal("no precedence pair in the trace routes through a delta-framed note")
 	}
+
 	var sink int
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, ev := range tr.Events {
-			v, _ := ts.Timestamp(ev.ID)
-			got, _ := ts.Event(ev.ID)
-			sink += len(v.Proj) + len(v.Full) + int(got.Kind)
+	views := func(ids []model.EventID) func() {
+		return func() {
+			for _, id := range ids {
+				v, _ := ts.Timestamp(id)
+				sink += len(v.Proj) + len(v.Full)
+			}
 		}
-		if _, err := ts.Precedes(e, f); err != nil {
-			t.Error(err)
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"projection views", 0, views(projs)},
+		{"keyframe views", 0, views(keyframes)},
+		{"delta-frame views", float64(len(deltas)), views(deltas)},
+		{"events", 0, func() {
+			for _, ev := range tr.Events {
+				got, _ := ts.Event(ev.ID)
+				sink += int(got.Kind)
+			}
+		}},
+		{"direct precedes, delta-framed target", 0, func() {
+			for _, f := range deltas {
+				if _, err := ts.Precedes(e, f); err != nil {
+					t.Error(err)
+				}
+			}
+		}},
+		{"routed precedes through a delta-framed note", 0, func() {
+			if _, err := ts.Precedes(e, routed); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got != tc.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, got, tc.want)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("reading %d views and events and one routed query allocates %.0f times, want 0", len(tr.Events), allocs)
 	}
 	_ = sink
+}
+
+// FuzzCRNoteRoundTrip is the property test of the cluster-receive stored
+// form. Each input drives one process's monotone clock sequence through
+// appendNote: every two bytes step a run of components by 0, 1, 255, 256 or
+// 70000, over N in {1, 3, 4, 5, 300} (a delta frame is carved in whole
+// words, so N around a multiple of four matters). Every note, re-read after
+// all later ones were carved, must decode to exactly its input through both
+// readers; a note must be a keyframe exactly when some component exceeds the
+// process's current keyframe by more than 255, and a delta frame must share
+// that keyframe.
+func FuzzCRNoteRoundTrip(f *testing.F) {
+	sizes := [...]int{1, 3, 4, 5, 300}
+	steps := [...]int32{0, 1, 255, 256, 70000}
+	// (start component, run length<<3 | step): one seed per step kind, then mixes.
+	for sel := range sizes {
+		for st := range steps {
+			f.Add(uint8(sel), []byte{0, byte(st), 1, byte(st), 2, byte(31<<3 | st), 0, byte(st)})
+		}
+		f.Add(uint8(sel), []byte{0, 1, 0, 1, 0, 2, 0, 1, 0, 3, 7, 31<<3 | 1, 0, 0, 4, 4, 4, 2, 4, 1})
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		n := sizes[int(sel)%len(sizes)]
+		if len(data) > 512 {
+			data = data[:512] // 256 notes of at most +70000: far from int32 overflow
+		}
+		var (
+			ar      arena
+			notes   crColumn
+			clk     = make([]int32, n)
+			inputs  [][]int32
+			curKey  []int32 // the oracle's copy of the current keyframe
+			prevKey *int32
+		)
+		for i := 0; i+1 < len(data); i += 2 {
+			step := steps[int(data[i+1]&7)%len(steps)]
+			for k, run := 0, 1+int(data[i+1]>>3); k < run; k++ {
+				clk[(int(data[i])+k)%n] += step
+			}
+			wantKey := curKey == nil
+			for q := range clk {
+				wantKey = wantKey || clk[q]-curKey[q] > 255
+			}
+			note := appendNote(&notes, &ar, int32(len(inputs)+1), clk)
+			if (note.delta == nil) != wantKey {
+				t.Fatalf("note %d: keyframe = %v, want %v (clock %v over keyframe %v)", note.index, note.delta == nil, wantKey, clk, curKey)
+			}
+			if wantKey {
+				curKey = append(curKey[:0], clk...)
+			} else if note.key != prevKey {
+				t.Fatalf("note %d: delta frame over %p, current keyframe %p", note.index, note.key, prevKey)
+			}
+			prevKey = note.key
+			inputs = append(inputs, append([]int32(nil), clk...))
+		}
+		if got := notes.wm.Load(); int(got) != len(inputs) {
+			t.Fatalf("%d notes published, %d appended", got, len(inputs))
+		}
+		for i, want := range inputs {
+			note := notes.get(model.EventIndex(i + 1))
+			full := note.full(n)
+			for q := range want {
+				if c := note.component(model.ProcessID(q)); c != want[q] || full[q] != want[q] {
+					t.Fatalf("note %d component %d: component() = %d, full() = %d, input %d", note.index, q, c, full[q], want[q])
+				}
+			}
+		}
+		// A frame that did not fit gives its bytes back, zeroed: the tallies
+		// count only what notes hold, and the next carve is clean.
+		st := ar.stats
+		if st.Keyframes+st.DeltaFrames != int64(len(inputs)) || st.VectorBytes != 4*(st.Keyframes*int64(n)+st.DeltaFrames*int64((n+3)/4)) {
+			t.Fatalf("tallies %+v for %d notes of %d components", st, len(inputs), n)
+		}
+		for q, v := range ar.carve(n) {
+			if v != 0 {
+				t.Fatalf("carve after %d frames: element %d = %d, want zeroed", len(inputs), q, v)
+			}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,7 +181,7 @@ func TestShardedIngestQueryMetricsStress(t *testing.T) {
 	var shardBuf []uint64
 	reg.GaugeFunc("stress_shard_events_max", "busiest shard tally",
 		func() float64 {
-			shardBuf = m.Pipeline().ShardEventsInto(shardBuf)
+			shardBuf = m.Pipeline().ShardEventsInto(shardBuf[:0])
 			var max uint64
 			for _, n := range shardBuf {
 				if n > max {
@@ -188,6 +189,17 @@ func TestShardedIngestQueryMetricsStress(t *testing.T) {
 				}
 			}
 			return float64(max)
+		})
+
+	// The store's physical tallies and the lane depths are written by the
+	// lanes (per drained chunk, under the progress mutex) while this reads.
+	reg.GaugeFunc("stress_store_vector_bytes", "bytes carved for vectors",
+		func() float64 { return float64(m.Pipeline().StoreStats().VectorBytes) })
+	var depthBuf []uint64
+	reg.GaugeFunc("stress_lane_depth_max", "deepest lane queue",
+		func() float64 {
+			depthBuf = m.Pipeline().LaneQueueDepthsInto(depthBuf[:0])
+			return float64(slices.Max(depthBuf))
 		})
 
 	const chunk = 512
@@ -298,8 +310,16 @@ func TestShardedIngestQueryMetricsStress(t *testing.T) {
 	if answered.Load() == 0 {
 		t.Fatal("no queries answered during sharded ingest")
 	}
-	if st := m.Stats(300); st.Events != len(tr.Events) {
+	st := m.Stats(300)
+	if st.Events != len(tr.Events) {
 		t.Fatalf("sharded ingest incomplete: %d of %d events", st.Events, len(tr.Events))
+	}
+	// After the barrier the tallies are exact and the lanes idle.
+	if ss := m.Pipeline().StoreStats(); ss.Keyframes+ss.DeltaFrames != int64(st.ClusterReceives) {
+		t.Fatalf("store tallies %+v for %d noted cluster receives", ss, st.ClusterReceives)
+	}
+	if depths := m.Pipeline().LaneQueueDepthsInto(nil); len(depths) != 8 || slices.Max(depths) != 0 {
+		t.Fatalf("lane queue depths %v after the barrier, want eight zeros", depths)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("collector close: %v", err)

@@ -112,6 +112,10 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_cluster_size_count{size=",
 		"poetd_cluster_merges_total",
 		"poetd_greatest_cluster_first_hit_rate",
+		"poetd_store_vector_bytes",
+		"poetd_cr_keyframes_total",
+		"poetd_cr_delta_frames_total",
+		"poetd_lane_queue_depth{lane=",
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("registry exposition missing %q", series)
@@ -137,6 +141,28 @@ func TestServerTelemetry(t *testing.T) {
 	}
 	if st.Paper.PrecedesClusterHits+st.Paper.PrecedesClusterReceives == 0 {
 		t.Error("Status query-path counters are zero after queries")
+	}
+	// The physical side: every noted cluster receive is one frame, the store
+	// has carved at least a projection element per event, and a second scrape
+	// lists each lane once (the per-lane vectors reuse their buffers).
+	if got := st.Store.Keyframes + st.Store.DeltaFrames; got != int64(st.Paper.ClusterReceives) {
+		t.Errorf("Status store = %+v: keyframes + delta frames want the %d noted cluster receives", st.Store, st.Paper.ClusterReceives)
+	}
+	if st.Store.VectorBytes < 4*int64(len(tr.Events)) {
+		t.Errorf("Status store vector_bytes = %d for %d events", st.Store.VectorBytes, len(tr.Events))
+	}
+	sb.Reset()
+	if err := tel.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lanes := srv.def.monitor.IngestShards()
+	if len(st.Store.LaneQueueDepth) != lanes {
+		t.Errorf("Status lane_queue_depth lists %d lanes, want %d", len(st.Store.LaneQueueDepth), lanes)
+	}
+	for _, series := range []string{"poetd_lane_queue_depth{", "poetd_ingest_shard_events_total{"} {
+		if got := strings.Count(sb.String(), series); got != lanes {
+			t.Errorf("second scrape renders %d %s samples, want one per lane (%d)", got, series, lanes)
+		}
 	}
 	lat, present := st.Latency["ingest_batch"]
 	if !present || lat.Count == 0 {

@@ -118,11 +118,13 @@ func BenchmarkQueryParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestColumnar is the ingest-path companion: a fresh monitor
-// swallowing the whole reference trace through DeliverAll, reported with
-// allocations so the columnar store's collapse of per-event allocs is
-// tracked next to the throughput. Compare with BenchmarkLocalIngestPaths
-// in BENCH_sweep.json for the pre-columnar numbers.
+// BenchmarkIngestColumnar is the ingest-path companion: a monitor swallowing
+// the whole reference trace through DeliverAll. Construction sits outside the
+// timed region (ROADMAP 1(e)), so events/sec, B/op and allocs/op are the
+// steady-state ingest figures, and vector-B/event is what the store carved
+// for projections, keyframes and delta frames (StoreStats; every event adds
+// its 32-byte cell to that). Compare with BenchmarkLocalIngestPaths in
+// BENCH_sweep.json for the pre-columnar numbers.
 func BenchmarkIngestColumnar(b *testing.B) {
 	spec, ok := workload.Find("pvm/ring-300")
 	if !ok {
@@ -130,14 +132,19 @@ func BenchmarkIngestColumnar(b *testing.B) {
 	}
 	tr := spec.Generate()
 	b.ReportAllocs()
+	var vectorBytes int64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		m, err := New(tr.NumProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		if err := m.DeliverAll(tr); err != nil {
 			b.Fatal(err)
 		}
+		vectorBytes = m.Pipeline().StoreStats().VectorBytes
 	}
 	b.ReportMetric(float64(len(tr.Events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(vectorBytes)/float64(len(tr.Events)), "vector-B/event")
 }

@@ -1,11 +1,15 @@
 package monitor
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hct"
 	"repro/internal/model"
@@ -91,6 +95,48 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
+// crashImage reads the log directory as a crash at one instant would leave
+// it. With SnapshotEvery > 0 the log compacts on its own goroutine — writing
+// snap-*.tmp, renaming it, removing the files it covers — so a listing and the
+// reads that follow it can straddle a compaction and describe no instant at
+// all: a segment already removed, the snapshot covering it not yet listed.
+// The caller has stopped appending, so at most one compaction is in flight;
+// the copy is retaken until the directory listed the same before and after
+// it, with no .tmp in it and every file still there to read.
+func crashImage(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	list := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(entries))
+		for i, ent := range entries {
+			names[i] = ent.Name()
+		}
+		return names
+	}
+retake:
+	for {
+		names := list()
+		image := make(map[string][]byte, len(names))
+		for _, name := range names {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if errors.Is(err, fs.ErrNotExist) || strings.HasSuffix(name, ".tmp") {
+				time.Sleep(time.Millisecond) // the file system signals nothing to wait on
+				continue retake
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			image[name] = data
+		}
+		if slices.Equal(names, list()) {
+			return image
+		}
+	}
+}
+
 func runCrashTrial(t *testing.T, tr *model.Trace, cfg hct.Config, ref *Monitor, seed int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(0xC4A5 ^ (seed << 8) ^ int64(len(tr.Events))))
@@ -136,27 +182,20 @@ func runCrashTrial(t *testing.T, tr *model.Trace, cfg hct.Config, ref *Monitor, 
 	// would survive it, with the live (highest-base) segment torn at a
 	// random byte offset.
 	crashDir := t.TempDir()
-	entries, err := os.ReadDir(walDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	image := crashImage(t, walDir)
 	var lastSeg string
-	for _, ent := range entries {
-		if strings.HasPrefix(ent.Name(), "wal-") && (lastSeg == "" || ent.Name() > lastSeg) {
-			lastSeg = ent.Name()
+	for name := range image {
+		if strings.HasPrefix(name, "wal-") && name > lastSeg {
+			lastSeg = name
 		}
 	}
-	for _, ent := range entries {
-		data, err := os.ReadFile(filepath.Join(walDir, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ent.Name() == lastSeg && len(data) > 24 {
+	for name, data := range image {
+		if name == lastSeg && len(data) > 24 {
 			// Tear anywhere from just after the 24-byte header to one byte
 			// short of complete.
 			data = data[:24+r.Intn(len(data)-24)+1]
 		}
-		if err := os.WriteFile(filepath.Join(crashDir, ent.Name()), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(crashDir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

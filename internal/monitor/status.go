@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/hct"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -68,8 +69,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			return float64(t.walEvents())
 		})
 
-	// Ingest-shard instruments. The per-shard tally reuses its snapshot
-	// buffer and label strings across scrapes, like the cluster-size vector.
+	// Ingest-shard instruments.
 	pipe := s.def.monitor.Pipeline()
 	reg.GaugeFunc("poetd_ingest_shards", "Configured ingest shards (stamping lanes).",
 		func() float64 { return float64(pipe.IngestShards()) })
@@ -89,23 +89,38 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return pipe.PlannerBusy().Seconds() })
 	reg.GaugeFunc("poetd_plan_queue_batches", "Batches accepted onto the plan queue but not yet planned.",
 		func() float64 { return float64(pipe.PlanQueueDepth()) })
-	var shardBuf []uint64
-	shardVals := make(map[string]float64)
-	shardLabels := make(map[int]string)
-	reg.GaugeVecFunc("poetd_ingest_shard_events_total", "Events dispatched to each ingest shard.", "shard",
-		func() map[string]float64 {
-			shardBuf = pipe.ShardEventsInto(shardBuf)
-			clear(shardVals)
-			for i, n := range shardBuf {
-				lbl, ok := shardLabels[i]
-				if !ok {
-					lbl = strconv.Itoa(i)
-					shardLabels[i] = lbl
-				}
-				shardVals[lbl] = float64(n)
+	// The per-lane vectors reuse their snapshot buffer and value map across
+	// scrapes, like the cluster-size vector; the label strings are fixed with
+	// the lane count.
+	laneLabels := make([]string, pipe.IngestShards())
+	for i := range laneLabels {
+		laneLabels[i] = strconv.Itoa(i)
+	}
+	laneVec := func(name, help, label string, into func([]uint64) []uint64) {
+		var buf []uint64
+		vals := make(map[string]float64)
+		reg.GaugeVecFunc(name, help, label, func() map[string]float64 {
+			buf = into(buf[:0])
+			for i, n := range buf {
+				vals[laneLabels[i]] = float64(n)
 			}
-			return shardVals
+			return vals
 		})
+	}
+	laneVec("poetd_ingest_shard_events_total", "Events dispatched to each ingest shard.", "shard",
+		pipe.ShardEventsInto)
+	laneVec("poetd_lane_queue_depth", "Items flushed to each stamping lane and not yet stamped; a depth that stays put while events arrive is a stalled lane.", "lane",
+		pipe.LaneQueueDepthsInto)
+
+	// Physical store instruments, to read beside poetd_ts_size_ratio: that
+	// gauge is the paper's fixed-vector model, these are the bytes and frames
+	// the column store really holds (default tenant).
+	reg.GaugeFunc("poetd_store_vector_bytes", "Bytes carved from the lane arenas for projections, keyframes and delta frames.",
+		func() float64 { return float64(pipe.StoreStats().VectorBytes) })
+	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a keyframe (a full vector).",
+		func() int64 { return pipe.StoreStats().Keyframes })
+	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe.",
+		func() int64 { return pipe.StoreStats().DeltaFrames })
 
 	// The paper's Section 4 metrics as live instruments (default tenant —
 	// the per-tenant breakdown lives on /statusz).
@@ -188,6 +203,19 @@ type PaperStatus struct {
 	PrecedesClusterReceives int64       `json:"precedes_cr_routed"`
 }
 
+// StoreStatus is the /statusz block for what the column store physically
+// holds — the counterpart of PaperStatus's fixed-vector model — and how far
+// each stamping lane is behind the planner.
+type StoreStatus struct {
+	hct.StoreStats
+	LaneQueueDepth []uint64 `json:"lane_queue_depth"`
+}
+
+func storeStatus(m *Monitor) StoreStatus {
+	pipe := m.Pipeline()
+	return StoreStatus{StoreStats: pipe.StoreStats(), LaneQueueDepth: pipe.LaneQueueDepthsInto(nil)}
+}
+
 // TenantStatus is one namespace's block in the /statusz document: its
 // throughput accounting plus the paper's Section 4 gauges evaluated over
 // that tenant's store alone.
@@ -197,6 +225,7 @@ type TenantStatus struct {
 	Held      int         `json:"collector_held"`
 	WALEvents uint64      `json:"wal_events,omitempty"`
 	Paper     PaperStatus `json:"paper"`
+	Store     StoreStatus `json:"store"`
 }
 
 // ServerStatus is the JSON document behind /statusz.
@@ -205,6 +234,7 @@ type ServerStatus struct {
 	Events        int                            `json:"events"`
 	Held          int                            `json:"collector_held"`
 	Paper         PaperStatus                    `json:"paper"`
+	Store         StoreStatus                    `json:"store"`
 	Tenants       map[string]TenantStatus        `json:"tenants"`
 	Counters      metrics.CounterSnapshot        `json:"counters"`
 	Rates         metrics.ThroughputRates        `json:"rates_since_start"`
@@ -246,6 +276,7 @@ func (s *Server) Status() ServerStatus {
 		Events:        s.def.monitor.Accounting().Events,
 		Held:          s.def.collector.Held(),
 		Paper:         paperStatus(s.def.monitor, s.cfg.FixedVector),
+		Store:         storeStatus(s.def.monitor),
 		Tenants:       make(map[string]TenantStatus),
 		Counters:      snap,
 		Rates:         snap.Rates(time.Since(s.start)),
@@ -256,6 +287,7 @@ func (s *Server) Status() ServerStatus {
 			Queries: t.queries.Load(),
 			Held:    t.collector.Held(),
 			Paper:   paperStatus(t.monitor, s.cfg.FixedVector),
+			Store:   storeStatus(t.monitor),
 		}
 		if t.walEvents != nil {
 			ts.WALEvents = t.walEvents()
