@@ -14,10 +14,10 @@
 //
 //	poetd -procs 300 -wal /var/lib/poetd/wal -fsync batch -snapshot-every 1048576
 //
-// A durable daemon also serves time travel: the replay plane opens the same
-// WAL directory read-only and answers QUERY@ frames (poquery -at) against
-// the store as of any recorded event count, from sealed history, without
-// touching the ingest path (DESIGN.md §12).
+// A durable daemon also serves time travel: QUERY@ frames (poquery -at) are
+// answered as of any recorded event count from the daemon's one store,
+// clamped to the per-process watermark it held at that count — found by
+// counting the log, not by restamping it (DESIGN.md §12).
 //
 // Delivery is sharded: -ingest-shards stamping lanes (default GOMAXPROCS)
 // split the timestamp vector math across cores behind a sequential planner,
@@ -147,7 +147,7 @@ func main() {
 	}
 
 	// newCfg hands out a fresh Config per call (deciders are stateful): one
-	// for the live monitor, one per replay-plane engine.
+	// per tenant's monitor.
 	var newCfg func() hct.Config
 	switch *strat {
 	case "merge-1st":
@@ -191,8 +191,9 @@ func main() {
 
 	// newTenant builds one namespace's full serving stack: a sharded
 	// monitor, and — when durable — its WAL (recovered through the batched
-	// ingest path) plus a replay plane over the same directory. The server
-	// calls it once per namespace, on demand, and owns the returned Close.
+	// ingest path) plus a replay plane over the same directory and the
+	// monitor's own store. The server calls it once per namespace, on demand,
+	// and owns the returned Close.
 	newTenant := func(name string) (monitor.TenantResources, error) {
 		nprocs := *procs
 		if name != monitor.DefaultTenant && *tenantProcs > 0 {
@@ -245,14 +246,11 @@ func main() {
 				"duration", time.Since(start).Round(time.Millisecond),
 				"records", wlog.RecoveredRecords(), "torn_tail", wlog.TornTail())
 		}
-		// A durable tenant also serves its own history: the replay plane
-		// opens the same WAL directory read-only and answers QUERY@ frames
-		// from sealed segments, never touching the ingest path.
-		history, err := replay.Open(dir, replay.Options{
-			NumProcs:  nprocs,
-			NewConfig: newCfg,
-			Obs:       tel,
-		})
+		// A durable tenant also serves its own history: QUERY@ reads the
+		// monitor's store clamped to the watermark it held at the cutoff,
+		// which the replay plane finds by counting the same WAL directory,
+		// opened read-only.
+		history, err := replay.OpenLive(dir, m.Pipeline(), replay.Options{Obs: tel})
 		if err != nil {
 			wlog.Close()
 			m.Close()

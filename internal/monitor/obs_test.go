@@ -142,31 +142,143 @@ func TestServerTelemetry(t *testing.T) {
 	if st.Paper.PrecedesClusterHits+st.Paper.PrecedesClusterReceives == 0 {
 		t.Error("Status query-path counters are zero after queries")
 	}
-	// The physical side: every noted cluster receive is one frame, the store
-	// has carved at least a projection element per event, and a second scrape
-	// lists each lane once (the per-lane vectors reuse their buffers).
+	// The physical side: every noted cluster receive is one frame, and the
+	// store has carved at least a projection element per event.
 	if got := st.Store.Keyframes + st.Store.DeltaFrames; got != int64(st.Paper.ClusterReceives) {
 		t.Errorf("Status store = %+v: keyframes + delta frames want the %d noted cluster receives", st.Store, st.Paper.ClusterReceives)
 	}
 	if st.Store.VectorBytes < 4*int64(len(tr.Events)) {
 		t.Errorf("Status store vector_bytes = %d for %d events", st.Store.VectorBytes, len(tr.Events))
 	}
-	sb.Reset()
-	if err := tel.Registry.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lanes := srv.def.monitor.IngestShards()
-	if len(st.Store.LaneQueueDepth) != lanes {
+	if lanes := srv.def.monitor.IngestShards(); len(st.Store.LaneQueueDepth) != lanes {
 		t.Errorf("Status lane_queue_depth lists %d lanes, want %d", len(st.Store.LaneQueueDepth), lanes)
-	}
-	for _, series := range []string{"poetd_lane_queue_depth{", "poetd_ingest_shard_events_total{"} {
-		if got := strings.Count(sb.String(), series); got != lanes {
-			t.Errorf("second scrape renders %d %s samples, want one per lane (%d)", got, series, lanes)
-		}
 	}
 	lat, present := st.Latency["ingest_batch"]
 	if !present || lat.Count == 0 {
 		t.Errorf("Status latency[ingest_batch] = %+v, want observations", lat)
+	}
+}
+
+// TestScrapeSeriesCountsStable is the scrape-hygiene check over every family
+// (ROADMAP 6(e)): a 4-lane, two-tenant instrumented server is scraped three
+// times — twice while a client streams events, once after — and every sample
+// name must render the same number of series each time. A family that grows
+// per scrape (as poetd_ingest_shard_events_total once did, by one set of lane
+// series each) or with the store fails here whichever family it is. The
+// monitors never merge, so the one data-dependent label set, cluster sizes,
+// holds still too.
+func TestScrapeSeriesCountsStable(t *testing.T) {
+	tr := workload.RandomSparse(12, 3, 3000, 11)
+	const lanes = 4
+	tel := obs.NewTelemetry(obs.NewRegistry())
+	srv, err := NewTenantServer(ServerConfig{FixedVector: tr.NumProcs, Obs: tel, Tenants: &TenantsConfig{
+		New: func(string) (TenantResources, error) {
+			m, err := NewSharded(tr.NumProcs, hct.Config{MaxClusterSize: 13}, lanes)
+			if err != nil {
+				return TenantResources{}, err
+			}
+			return TenantResources{Monitor: m, Close: func() error { m.Close(); return nil }}, nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.Tenant("second"); err != nil {
+		t.Fatal(err)
+	}
+
+	scrape := func() map[string]int {
+		var sb strings.Builder
+		if err := tel.Registry.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		series := make(map[string]int)
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if line == "" || line[0] == '#' {
+				continue
+			}
+			series[line[:strings.IndexAny(line, "{ ")]]++
+		}
+		return series
+	}
+
+	// The client announces a quarter and three quarters of the stream and
+	// waits for the scrape that follows, so both land between ingested runs.
+	at := make(chan struct{})
+	quarter := len(tr.Events) / 4 / 32 * 32
+	ingestErr := make(chan error, 1)
+	go func() {
+		ingestErr <- func() error {
+			sess, err := DialV2(addr.String())
+			if err != nil {
+				return err
+			}
+			defer sess.Close()
+			for lo := 0; lo < len(tr.Events); lo += 32 {
+				hi := min(lo+32, len(tr.Events))
+				for _, tenant := range []string{DefaultTenant, "second"} {
+					if err := sess.SelectTenant(tenant); err != nil {
+						return err
+					}
+					if err := sess.ReportBatch(tr.Events[lo:hi]); err != nil {
+						return err
+					}
+				}
+				if lo == quarter || lo == 3*quarter {
+					at <- struct{}{}
+					at <- struct{}{}
+				}
+			}
+			return nil
+		}()
+	}()
+
+	var scrapes []map[string]int
+	for len(scrapes) < 2 {
+		select {
+		case <-at:
+			scrapes = append(scrapes, scrape())
+			<-at
+		case err := <-ingestErr:
+			t.Fatalf("ingest ended before the second scrape: %v", err)
+		}
+	}
+	if err := <-ingestErr; err != nil {
+		t.Fatal(err)
+	}
+	scrapes = append(scrapes, scrape())
+
+	first := scrapes[0]
+	for k, later := range scrapes[1:] {
+		for name, n := range first {
+			if later[name] != n {
+				t.Errorf("%s renders %d series on scrape 1 and %d on scrape %d", name, n, later[name], k+2)
+			}
+		}
+		for name, n := range later {
+			if _, ok := first[name]; !ok {
+				t.Errorf("%s appears on scrape %d (%d series) and not on scrape 1", name, k+2, n)
+			}
+		}
+	}
+	for name, want := range map[string]int{
+		"poetd_lane_queue_depth":               lanes,
+		"poetd_ingest_shard_events_total":      lanes,
+		"poetd_tenant_events_ingested_total":   2,
+		"poetd_cluster_size_count":             1,
+		"poetd_history_views_total":            1,
+		"poetd_history_counted_events_total":   1,
+		"poetd_history_cover_waits_total":      1,
+		"poetd_replay_materialize_seconds_sum": 1,
+	} {
+		if first[name] != want {
+			t.Errorf("%s renders %d series, want %d", name, first[name], want)
+		}
 	}
 }
 

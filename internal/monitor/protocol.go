@@ -44,7 +44,9 @@ import (
 //	               Answered from the replay plane's view of recorded history
 //	               as of the first `cutoff` events (cutoff 2^64-1 = latest
 //	               recorded); RESULTS come back as for QUERY. Rejected with
-//	               ERR when the server has no replay plane.
+//	               ERR when the server has no replay plane, when the cutoff
+//	               is past recorded history, and when it names events that
+//	               are recorded but not in the live store.
 //	STATS  c->s  empty
 //	STATSR s->c  the v1 STATS body as text ("tenant=... events=... crs=...")
 //	ERR    s->c  utf-8 message           (frame rejected; connection lives)

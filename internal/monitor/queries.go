@@ -12,8 +12,8 @@ import (
 // This file implements the read-only precedence-query surface. It is shared
 // between the live monitor (which evaluates queries against the ingest
 // pipeline's published watermarks) and the replay plane (which evaluates the
-// identical queries against a store materialized from the write-ahead log
-// and frozen at a cutoff). Section 1.1 of the paper uses "computing the
+// identical queries against a store frozen at a cutoff: one restamped from
+// the write-ahead log, or the live pipeline's own). Section 1.1 of the paper uses "computing the
 // greatest concurrent elements of an event" as its running example: under
 // stored Fidge/Mattern vectors that one operation read ~12000 virtual-memory
 // pages. Under cluster timestamps the per-pair precedence test is cheap, and
@@ -28,7 +28,7 @@ import (
 
 // QueryEngine is the store-side contract the query surface evaluates
 // against. *hct.Pipeline implements it for the live monitor; the replay
-// plane implements it with a frozen watermark over a materialized store.
+// plane implements it with a frozen watermark over a pipeline's store.
 type QueryEngine interface {
 	NumProcs() int
 	// CaptureWatermark snapshots the published per-process event counts,

@@ -101,10 +101,11 @@ type ServerConfig struct {
 	// TenantResources.Spans); only meaningful together with Journal and Obs.
 	Spans *obs.SpanScope
 	// History, when non-nil, serves QUERY@ frames: precedence queries
-	// answered against recorded history as of an event-count cutoff, from
-	// the replay plane rather than the live store. internal/replay.Store is
-	// the production implementation. Servers without a history provider
-	// reject QUERY@ with an ERR frame.
+	// answered against recorded history as of an event-count cutoff.
+	// internal/replay.Store is the production implementation: in the daemon
+	// it clamps this monitor's own store to the cutoff (replay.OpenLive),
+	// offline it restamps the log (replay.Open). Servers without a history
+	// provider reject QUERY@ with an ERR frame.
 	History HistoryProvider
 	// Obs, when non-nil, instruments the server: ingest/query/decode
 	// latency histograms, the op-trace ring, and — when Obs.Registry is
@@ -126,6 +127,14 @@ type ServerConfig struct {
 // so far. Implementations must be safe for concurrent use.
 type HistoryProvider interface {
 	HistoryAt(cutoff uint64) (*Queries, error)
+}
+
+// HistoryStatus is a history provider's block on /statusz, for providers
+// that have a HistoryStatus method.
+type HistoryStatus struct {
+	LastCutoff     uint64 `json:"last_cutoff"`     // cutoff of the newest view materialized
+	EnginePosition uint64 `json:"engine_position"` // recorded events the provider's engine has read up to
+	CachedViews    int    `json:"cached_views"`
 }
 
 // CutoffLatest is the QUERY@ cutoff sentinel selecting the newest recorded
@@ -685,8 +694,11 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 				out <- outItem{typ: frameErr, payload: []byte("monitor: no replay plane attached")}
 				continue
 			}
-			// No ingest barrier: QUERY@ answers from sealed history and
-			// must never stall (or be stalled by) the live ingest path.
+			// No ingest barrier here: the cutoff names durable history, not
+			// "everything acknowledged". The provider may itself wait for the
+			// lanes to publish events the log already holds (replay's
+			// coverLocked), which never waits for new input; nothing on this
+			// path stalls ingest.
 			var queryStart time.Time
 			if s.obs != nil {
 				queryStart = time.Now()

@@ -226,6 +226,8 @@ type TenantStatus struct {
 	WALEvents uint64      `json:"wal_events,omitempty"`
 	Paper     PaperStatus `json:"paper"`
 	Store     StoreStatus `json:"store"`
+	// History is present when the tenant's history provider reports one.
+	History *HistoryStatus `json:"history,omitempty"`
 }
 
 // ServerStatus is the JSON document behind /statusz.
@@ -291,6 +293,10 @@ func (s *Server) Status() ServerStatus {
 		}
 		if t.walEvents != nil {
 			ts.WALEvents = t.walEvents()
+		}
+		if h, ok := t.history.(interface{ HistoryStatus() HistoryStatus }); ok {
+			hs := h.HistoryStatus()
+			ts.History = &hs
 		}
 		st.Tenants[t.name] = ts
 	}

@@ -43,6 +43,10 @@ type Telemetry struct {
 	ReplayMaterialize *Histogram // materializing a replay view at a cutoff
 	ReplayQuery       *Histogram // answering one QUERY@ batch from a replay view
 
+	HistoryViews         *Counter // views materialized by the history plane (cache misses)
+	HistoryCountedEvents *Counter // recorded events the count walk decoded to find cutoff watermarks
+	HistoryCoverWaits    *Counter // views that waited for the lanes to publish what the log already held
+
 	Ops *TraceRing
 
 	// Traces retains sampled span traces per tenant; Sampler decides which
@@ -76,8 +80,12 @@ func NewTelemetry(reg *Registry) *Telemetry {
 		PlanQueueDepth: reg.NewSizeHistogram("poetd_plan_queue_depth", "Plan-queue depth in batches, observed as each asynchronous batch is accepted."),
 
 		ReplayOpen:        reg.NewHistogram("poetd_replay_open_seconds", "Latency of opening or refreshing the WAL chain behind the replay plane."),
-		ReplayMaterialize: reg.NewHistogram("poetd_replay_materialize_seconds", "Latency of materializing a replay view at a cutoff (chain scan + restamping)."),
+		ReplayMaterialize: reg.NewHistogram("poetd_replay_materialize_seconds", "Latency of materializing a history view at a cutoff (chain scan + counting, or restamping offline)."),
 		ReplayQuery:       reg.NewHistogram("poetd_replay_query_seconds", "Latency of one QUERY@ batch answered from sealed history."),
+
+		HistoryViews:         reg.NewCounter("poetd_history_views_total", "History views materialized at a cutoff (view-cache misses)."),
+		HistoryCountedEvents: reg.NewCounter("poetd_history_counted_events_total", "Recorded events decoded by the count walk that finds a cutoff's watermark."),
+		HistoryCoverWaits:    reg.NewCounter("poetd_history_cover_waits_total", "History views that waited for the stamping lanes to publish events the log already held."),
 
 		Ops: NewTraceRing(DefaultTraceCap),
 

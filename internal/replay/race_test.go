@@ -1,7 +1,9 @@
 package replay_test
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,6 +172,189 @@ func TestReplayWhileIngest(t *testing.T) {
 			t.Fatalf("final Timestamp(%v): replay (%v,%v) vs live (%v,%v)", e.ID, got, okR, want, okL)
 		}
 	}
+}
+
+// TestReplayWhileIngestLive is the same deployment with the daemon's own
+// history plane: the counting engine over the store the lanes are filling.
+// A 4-lane pipelined monitor ingests a ring whose every column crosses page
+// boundaries and whose processes roll over to new keyframes while readers
+// hold views frozen at early cutoffs — behind the live watermark on purpose —
+// and re-check them against the Fidge/Mattern oracle: precedence answers,
+// every vector a cell or note decodes to, and that the first event above each
+// view's watermark stays unknown however far the store has grown. The cache
+// holds two views, so most cutoffs are rewinds.
+func TestReplayWhileIngestLive(t *testing.T) {
+	tr := workload.Ring(24, 140, false) // ≥560 events per process: three pages, two or more keyframes each
+	stamped, err := fm.StampAll(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmClock := make(map[model.EventID]vclock.Clock, len(stamped))
+	for _, st := range stamped {
+		fmClock[st.Event.ID] = st.Clock
+	}
+
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncNever, SnapshotEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := monitor.NewSharded(tr.NumProcs, hct.Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	hist, err := replay.OpenLive(dir, live.Pipeline(), replay.Options{MaxCachedViews: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hist.Close()
+
+	var dispatched atomic.Int64 // events journaled, flushed and handed to the planner
+	var rounds atomic.Int64     // views materialized by the readers while the writer ran
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer dispatched.Store(-1)
+		r := rand.New(rand.NewSource(1))
+		for lo := 0; lo < len(tr.Events); {
+			hi := min(lo+1+r.Intn(61), len(tr.Events)) // odd sizes: pages are added mid-run
+			run := tr.Events[lo:hi]
+			if err := l.Append(run); err != nil {
+				t.Errorf("Append: %v", err)
+				return
+			}
+			if err := l.Sync(); err != nil { // SyncNever buffers: let the chain reader see the run
+				t.Errorf("Sync: %v", err)
+				return
+			}
+			if err := live.DeliverBatchAsync(run); err != nil {
+				t.Errorf("DeliverBatchAsync: %v", err)
+				return
+			}
+			dispatched.Store(int64(hi))
+			lo = hi
+		}
+	}()
+
+	verify := func(v *replay.View, r *rand.Rand) bool {
+		wm := v.Watermark()
+		for p, n := range wm {
+			above := model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(n + 1)}
+			if _, ok := v.Timestamp(above); ok {
+				t.Errorf("cutoff=%d: %v is above the view's watermark and visible", v.Cutoff(), above)
+				return false
+			}
+		}
+		for k := 0; k < 40; k++ {
+			p1, p2 := r.Intn(len(wm)), r.Intn(len(wm))
+			if wm[p1] == 0 || wm[p2] == 0 {
+				continue
+			}
+			e := model.EventID{Process: model.ProcessID(p1), Index: model.EventIndex(1 + r.Int31n(wm[p1]))}
+			f := model.EventID{Process: model.ProcessID(p2), Index: model.EventIndex(1 + r.Int31n(wm[p2]))}
+			got, err := v.Precedes(e, f)
+			if err != nil {
+				t.Errorf("cutoff=%d: Precedes(%v,%v): %v", v.Cutoff(), e, f, err)
+				return false
+			}
+			if want := fm.Precedes(e, fmClock[e], f, fmClock[f]); got != want {
+				t.Errorf("cutoff=%d: Precedes(%v,%v) = %v, Fidge/Mattern %v", v.Cutoff(), e, f, got, want)
+				return false
+			}
+			ts, ok := v.Timestamp(f)
+			if !ok {
+				t.Errorf("cutoff=%d: %v below the watermark has no timestamp", v.Cutoff(), f)
+				return false
+			}
+			if ts.Cluster == nil {
+				if !ts.Full.Equal(fmClock[f]) {
+					t.Errorf("cutoff=%d: %v decodes to %v, Fidge/Mattern %v", v.Cutoff(), f, ts.Full, fmClock[f])
+					return false
+				}
+				continue
+			}
+			for i, q := range ts.Cluster.Members {
+				if ts.Proj[i] != fmClock[f][q] {
+					t.Errorf("cutoff=%d: %v projection[%d] = %d, Fidge/Mattern %d", v.Cutoff(), f, q, ts.Proj[i], fmClock[f][q])
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			var pins []*replay.View
+			for {
+				d := dispatched.Load()
+				if d < 0 {
+					return
+				}
+				if d < 2 {
+					runtime.Gosched()
+					continue
+				}
+				// Early cutoffs: dispatched, so one barrier at most covers them.
+				v, err := hist.ViewAt(uint64(1 + r.Int63n(d/2)))
+				if err != nil {
+					t.Errorf("ViewAt: %v", err)
+					return
+				}
+				rounds.Add(1)
+				if len(pins) < 6 {
+					pins = append(pins, v)
+				} else {
+					pins[r.Intn(len(pins))] = v
+				}
+				for _, p := range pins {
+					if !verify(p, r) {
+						return
+					}
+				}
+				// The newest recorded run may not be dispatched yet; any other
+				// failure is one.
+				if v, err := hist.ViewAt(replay.CutoffLatest); err == nil {
+					if !verify(v, r) {
+						return
+					}
+				} else if !errors.Is(err, replay.ErrNotCovered) {
+					t.Errorf("ViewAt(latest): %v", err)
+					return
+				}
+			}
+		}(int64(2 + g))
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	v, err := hist.ViewAt(uint64(len(tr.Events)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, n := range v.Watermark() {
+		if n < 2*256 {
+			t.Fatalf("process %d holds %d events: its column no longer crosses two page boundaries", p, n)
+		}
+	}
+	st := live.Pipeline().StoreStats()
+	if st.Keyframes <= int64(tr.NumProcs) {
+		t.Fatalf("%d keyframes over %d processes: no process rolled over to a second one", st.Keyframes, tr.NumProcs)
+	}
+	if rounds.Load() == 0 {
+		t.Fatal("no reader materialized a view while the writer ran")
+	}
+	t.Logf("%d reader rounds beside %d events, %d keyframes and %d delta frames", rounds.Load(), len(tr.Events), st.Keyframes, st.DeltaFrames)
 }
 
 // TestReplayViewLifecycleRace is the regression test for the Store's view

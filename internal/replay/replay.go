@@ -43,7 +43,7 @@ const CutoffLatest = ^uint64(0)
 // Options configures a replay store.
 type Options struct {
 	// NumProcs is the expected process count; 0 adopts it from the chain
-	// headers.
+	// headers. OpenLive takes the live store's.
 	NumProcs int
 
 	// NewConfig builds the cluster-timestamp configuration used to restamp
@@ -52,11 +52,12 @@ type Options struct {
 	// same factory the daemon used; nil defaults to singleton clusters with
 	// MaxClusterSize 1, which answers every precedence query correctly (the
 	// clustering strategy affects timestamp size, never the order it
-	// encodes).
+	// encodes). OpenLive ignores it: nothing is restamped.
 	NewConfig func() hct.Config
 
 	// Obs, when non-nil, records replay latencies (chain open, view
-	// materialization) into the daemon's instrument set.
+	// materialization) and the history counters into the daemon's instrument
+	// set.
 	Obs *obs.Telemetry
 
 	// NoSidecar disables reading and writing .idx sidecars (see
@@ -108,12 +109,15 @@ type View struct {
 	cutoff uint64
 	counts Counts
 	wm     hct.Watermark
+	held   int32 // OpenLive only: see tally.held
 }
 
 // Cutoff returns the event-count cutoff this view is frozen at.
 func (v *View) Cutoff() uint64 { return v.cutoff }
 
-// Counts returns the accounting snapshot taken at materialization.
+// Counts returns the accounting snapshot taken at materialization. A view of
+// an OpenLive store carries none: the clusterer's counters as of a cutoff are
+// known only to an engine that restamped up to it.
 func (v *View) Counts() Counts { return v.counts }
 
 // Watermark returns the per-process event counts the view is frozen at.
@@ -123,65 +127,71 @@ func (v *View) Watermark() hct.Watermark { return v.wm }
 // Stats reports what the live monitor's Stats would have been at the cutoff.
 func (v *View) Stats(fixedVector int) monitor.Stats { return v.counts.Stats(fixedVector) }
 
-// frozenEngine adapts a (possibly still-growing) timestamper to the
-// monitor.QueryEngine contract with every read clamped to the watermark
-// captured at the view's cutoff. The timestamper's store only ever gains
+// frozenEngine adapts a (possibly still-growing) store — the restamping
+// engine's, or the daemon's live one — to the monitor.QueryEngine contract
+// with every read clamped to the view's watermark. A store only ever gains
 // cells above published watermarks, so clamped reads are stable forever.
 type frozenEngine struct {
-	ts *hct.Timestamper
-	wm hct.Watermark
+	store *hct.Pipeline
+	wm    hct.Watermark
 }
 
-func (f *frozenEngine) NumProcs() int { return f.ts.NumProcs() }
+func (f *frozenEngine) NumProcs() int { return f.store.NumProcs() }
 
 func (f *frozenEngine) CaptureWatermark(buf hct.Watermark) hct.Watermark {
 	return append(buf[:0], f.wm...)
 }
 
 func (f *frozenEngine) Timestamp(id model.EventID) (hct.Timestamp, bool) {
-	return f.ts.TimestampAt(id, f.wm)
+	return f.store.TimestampAt(id, f.wm)
 }
 
 func (f *frozenEngine) Event(id model.EventID) (model.Event, bool) {
-	return f.ts.EventAt(id, f.wm)
+	return f.store.EventAt(id, f.wm)
 }
 
 func (f *frozenEngine) EventAt(id model.EventID, w hct.Watermark) (model.Event, bool) {
-	return f.ts.EventAt(id, w)
+	return f.store.EventAt(id, w)
 }
 
 func (f *frozenEngine) Precedes(e, g model.EventID) (bool, error) {
-	return f.ts.PrecedesAt(e, g, f.wm)
+	return f.store.PrecedesAt(e, g, f.wm)
 }
 
 func (f *frozenEngine) PrecedesAt(e, g model.EventID, w hct.Watermark) (bool, error) {
-	return f.ts.PrecedesAt(e, g, w)
+	return f.store.PrecedesAt(e, g, w)
 }
 
 func (f *frozenEngine) Concurrent(e, g model.EventID) (bool, error) {
-	return f.ts.ConcurrentAt(e, g, f.wm)
+	return f.store.ConcurrentAt(e, g, f.wm)
 }
 
 func (f *frozenEngine) ConcurrentAt(e, g model.EventID, w hct.Watermark) (bool, error) {
-	return f.ts.ConcurrentAt(e, g, w)
+	return f.store.ConcurrentAt(e, g, w)
 }
 
 // Store materializes replay views over one WAL directory. All methods are
 // safe for concurrent use; materialization is serialized internally while
 // queries against existing views proceed lock-free.
 //
+// A store has one of two engines, fixed at construction. Open restamps: the
+// recorded events are fed through a timestamper of the store's own, which
+// also yields the accounting (Counts, Stats) at the cutoff. OpenLive counts:
+// the views clamp the store of the daemon that wrote the log (live.go).
+//
 // View lifecycle vs Refresh and cache eviction — the audited invariants:
 //
 //   - A View never reads the chain after materialization. Its frozenEngine
-//     holds only the heap-materialized timestamper and the watermark slice
-//     captured at the cutoff, so Refresh swapping (and closing) the mmap'd
-//     chain underneath — including after a compaction deleted the very
-//     segments the view was built from — cannot invalidate it.
-//   - Views built from the shared engine stay correct while later
-//     materializations extend that engine concurrently: the columnar store
-//     publishes cells monotonically above already-captured watermarks
-//     (internal/hct/store.go), the same argument that makes the live query
-//     plane lock-free. Rewind views get a throwaway engine nobody extends.
+//     holds only a heap-resident store and the watermark slice of the
+//     cutoff, so Refresh swapping (and closing) the mmap'd chain underneath —
+//     including after a compaction deleted the very segments the view was
+//     built from — cannot invalidate it.
+//   - Views stay correct while their store grows concurrently — by later
+//     materializations extending the shared restamping engine, or by the
+//     daemon's lanes: the columnar store publishes cells monotonically above
+//     already-captured watermarks (internal/hct/store.go), the same argument
+//     that makes the live query plane lock-free. Rewind views of the
+//     restamping engine get a throwaway engine nobody extends.
 //   - Eviction from the FIFO cache only drops the Store's reference; a
 //     caller-pinned *View keeps its engine alive through ordinary GC
 //     reachability and keeps answering at its frozen cutoff.
@@ -195,11 +205,13 @@ func (f *frozenEngine) ConcurrentAt(e, g model.EventID, w hct.Watermark) (bool, 
 type Store struct {
 	dir  string
 	opts Options
+	live *hct.Pipeline // OpenLive: the store the views clamp; nil = restamp
 
 	mu        sync.Mutex
 	chain     *wal.Chain
-	ts        *hct.Timestamper // shared engine, extended forward in cutoff order
+	ts        *hct.Timestamper // restamping engine, extended forward in cutoff order
 	delivered uint64           // events fed into ts so far
+	tally     tally            // counting engine (live.go)
 	views     []*View          // FIFO cache, newest last
 }
 
@@ -209,47 +221,36 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.NewConfig == nil {
 		opts.NewConfig = func() hct.Config { return hct.Config{MaxClusterSize: 1} }
 	}
+	s, err := open(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	if s.ts, err = hct.NewTimestamper(s.chain.NumProcs(), opts.NewConfig()); err != nil {
+		s.chain.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// open is the engine-independent part of Open and OpenLive.
+func open(dir string, opts Options) (*Store, error) {
 	if opts.MaxCachedViews <= 0 {
 		opts.MaxCachedViews = defaultMaxCachedViews
 	}
-	s := &Store{dir: dir, opts: opts}
+	if opts.Obs == nil {
+		opts.Obs = &obs.Telemetry{} // every instrument nil, and nil-safe
+	}
 	start := time.Now()
 	chain, err := wal.OpenChain(dir, wal.ChainOptions{NumProcs: opts.NumProcs, NoSidecar: opts.NoSidecar})
 	if err != nil {
 		return nil, err
 	}
-	s.observe(s.obsReplayOpen(), start)
-	numProcs := chain.NumProcs()
-	if numProcs <= 0 {
+	opts.Obs.ReplayOpen.Observe(time.Since(start))
+	if chain.NumProcs() <= 0 {
 		chain.Close()
 		return nil, errors.New("replay: chain holds no events and no process count was configured")
 	}
-	ts, err := hct.NewTimestamper(numProcs, opts.NewConfig())
-	if err != nil {
-		chain.Close()
-		return nil, err
-	}
-	s.chain = chain
-	s.ts = ts
-	return s, nil
-}
-
-func (s *Store) obsReplayOpen() *obs.Histogram {
-	if s.opts.Obs == nil {
-		return nil
-	}
-	return s.opts.Obs.ReplayOpen
-}
-
-func (s *Store) obsReplayMaterialize() *obs.Histogram {
-	if s.opts.Obs == nil {
-		return nil
-	}
-	return s.opts.Obs.ReplayMaterialize
-}
-
-func (s *Store) observe(h *obs.Histogram, start time.Time) {
-	h.Observe(time.Since(start))
+	return &Store{dir: dir, opts: opts, chain: chain}, nil
 }
 
 // NumProcs returns the process count of the recorded computation.
@@ -282,6 +283,25 @@ func (s *Store) RunBoundaries() []uint64 {
 	return s.chain.RunBoundaries()
 }
 
+// HistoryStatus reports the store's position for /statusz.
+func (s *Store) HistoryStatus() monitor.HistoryStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := monitor.HistoryStatus{EnginePosition: s.positionLocked(), CachedViews: len(s.views)}
+	if len(s.views) > 0 {
+		st.LastCutoff = s.views[len(s.views)-1].cutoff
+	}
+	return st
+}
+
+// positionLocked is how far into the log the store's engine has read.
+func (s *Store) positionLocked() uint64 {
+	if s.live != nil {
+		return s.tally.pos
+	}
+	return s.delivered
+}
+
 // Refresh re-opens the chain, picking up segments sealed (and compactions
 // performed) since the last open. Existing views remain valid.
 func (s *Store) Refresh() error {
@@ -296,13 +316,13 @@ func (s *Store) refreshLocked() error {
 	if err != nil {
 		return err
 	}
-	s.observe(s.obsReplayOpen(), start)
-	if chain.Events() < s.delivered {
-		// The directory shrank below what we already restamped — it is not
-		// the same computation anymore (e.g. the daemon was restarted on a
-		// fresh trace). Refuse rather than serve mixed history.
+	s.opts.Obs.ReplayOpen.Observe(time.Since(start))
+	if at := s.positionLocked(); chain.Events() < at {
+		// The directory shrank below what we already read — it is not the
+		// same computation anymore (e.g. the daemon was restarted on a fresh
+		// trace). Refuse rather than serve mixed history.
 		chain.Close()
-		return fmt.Errorf("replay: chain in %s rewound to %d events (already materialized %d)", s.dir, chain.Events(), s.delivered)
+		return fmt.Errorf("replay: chain in %s rewound to %d events (already materialized %d)", s.dir, chain.Events(), at)
 	}
 	s.chain.Close()
 	s.chain = chain
@@ -334,10 +354,17 @@ func (s *Store) ViewAt(cutoff uint64) (*View, error) {
 			return v, nil
 		}
 	}
-	v, err := s.materializeLocked(cutoff)
-	if err != nil {
-		return nil, err
+	start := time.Now()
+	materialize := s.restampLocked
+	if s.live != nil {
+		materialize = s.countLocked
 	}
+	v, err := materialize(cutoff)
+	if err != nil {
+		return nil, fmt.Errorf("replay: materialize cutoff %d: %w", cutoff, err)
+	}
+	s.opts.Obs.ReplayMaterialize.Observe(time.Since(start))
+	s.opts.Obs.HistoryViews.Inc()
 	s.views = append(s.views, v)
 	if len(s.views) > s.opts.MaxCachedViews {
 		s.views = append(s.views[:0], s.views[1:]...)
@@ -346,11 +373,20 @@ func (s *Store) ViewAt(cutoff uint64) (*View, error) {
 	return v, nil
 }
 
-// materializeLocked builds the view at cutoff. Ascending cutoffs extend the
-// shared engine by the delta; a rewind below the shared engine's position
-// restamps from the start of the chain into a throwaway engine.
-func (s *Store) materializeLocked(cutoff uint64) (*View, error) {
-	start := time.Now()
+// newView freezes store at wm as the view of cutoff.
+func newView(cutoff uint64, store *hct.Pipeline, wm hct.Watermark) *View {
+	return &View{
+		Queries: monitor.NewQueries(&frozenEngine{store: store, wm: wm}),
+		cutoff:  cutoff,
+		wm:      wm,
+		held:    -1,
+	}
+}
+
+// restampLocked builds the view at cutoff by restamping. Ascending cutoffs
+// extend the shared engine by the delta; a rewind below the shared engine's
+// position restamps from the start of the chain into a throwaway engine.
+func (s *Store) restampLocked(cutoff uint64) (*View, error) {
 	ts := s.ts
 	from := s.delivered
 	shared := cutoff >= s.delivered
@@ -373,24 +409,19 @@ func (s *Store) materializeLocked(cutoff uint64) (*View, error) {
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("replay: materialize cutoff %d: %w", cutoff, err)
+		return nil, err
 	}
-	v := &View{
-		cutoff: cutoff,
-		counts: Counts{
-			Events:          ts.Events(),
-			ClusterReceives: ts.ClusterReceives(),
-			MergedReceives:  ts.MergedClusterReceives(),
-			LiveClusters:    ts.Partition().NumLive(),
-			MaxLiveCluster:  ts.Partition().MaxLiveSize(),
-			Merges:          ts.Merges(),
-			MaxClusterSize:  ts.MaxClusterSize(),
-			PendingSends:    ts.PendingSends(),
-		},
+	v := newView(cutoff, ts.Pipeline, ts.CaptureWatermark(nil))
+	v.counts = Counts{
+		Events:          ts.Events(),
+		ClusterReceives: ts.ClusterReceives(),
+		MergedReceives:  ts.MergedClusterReceives(),
+		LiveClusters:    ts.Partition().NumLive(),
+		MaxLiveCluster:  ts.Partition().MaxLiveSize(),
+		Merges:          ts.Merges(),
+		MaxClusterSize:  ts.MaxClusterSize(),
+		PendingSends:    ts.PendingSends(),
 	}
-	v.wm = ts.CaptureWatermark(nil)
-	v.Queries = monitor.NewQueries(&frozenEngine{ts: ts, wm: v.wm})
-	s.observe(s.obsReplayMaterialize(), start)
 	return v, nil
 }
 
@@ -405,7 +436,7 @@ func (s *Store) HistoryAt(cutoff uint64) (*monitor.Queries, error) {
 }
 
 // Close releases the chain's mappings. Existing views keep answering —
-// their timestamps live in the materialized store, not the mapped files —
+// their timestamps live in a heap-resident store, not the mapped files —
 // but further ViewAt calls that need more history will fail.
 func (s *Store) Close() error {
 	s.mu.Lock()

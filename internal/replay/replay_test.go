@@ -116,13 +116,36 @@ func pickCutoffs(boundaries []uint64, total uint64, r *rand.Rand) []uint64 {
 	return cutoffs
 }
 
+// liveStore delivers the whole trace to a sharded monitor and opens the
+// counting engine over dir and that monitor's store — the daemon's shape,
+// with the log written by someone else in the same delivery order.
+func liveStore(t *testing.T, dir string, tr *model.Trace, cfg hct.Config, shards int, opts replay.Options) *replay.Store {
+	t.Helper()
+	live, err := monitor.NewSharded(tr.NumProcs, cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(live.Close)
+	if err := live.DeliverBatch(tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := replay.OpenLive(dir, live.Pipeline(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hist.Close() })
+	return hist
+}
+
 // TestReplayDifferentialCorpus is the tentpole correctness bar: for every
 // corpus computation, a WAL is written in random-size runs (compacted
 // mid-trace for every third computation), and for a sweep of cutoffs the
 // replayed view must agree with a live monitor that delivered exactly the
 // first c events — identical timestamps (cluster epochs, projections,
 // retained full vectors), identical precedence answers, identical
-// accounting — at ingest shard counts 1 and 4.
+// accounting — at ingest shard counts 1 and 4. The counting engine, over a
+// monitor that was fed the whole trace, must in turn be indistinguishable
+// from the restamped view at every one of those cutoffs.
 func TestReplayDifferentialCorpus(t *testing.T) {
 	specs := workload.Corpus()
 	for i, spec := range specs {
@@ -166,18 +189,26 @@ func TestReplayDifferentialCorpus(t *testing.T) {
 			}
 
 			cutoffs := pickCutoffs(boundaries, uint64(len(tr.Events)), r)
+			var hist *replay.Store
 			for _, shards := range []int{1, 4} {
+				hist = liveStore(t, dir, tr, factory(), shards, replay.Options{MaxCachedViews: 2})
 				for _, c := range cutoffs {
 					v, err := st.ViewAt(c)
 					if err != nil {
 						t.Fatalf("shards=%d ViewAt(%d): %v", shards, c, err)
 					}
 					compareViewToLive(t, tr, factory, shards, c, v, r)
+					lv, err := hist.ViewAt(c)
+					if err != nil {
+						t.Fatalf("shards=%d counting ViewAt(%d): %v", shards, c, err)
+					}
+					compareEngines(t, tr, shards, lv, v, r)
 				}
 			}
 
 			// Rewind: a mid-sweep cutoff is long evicted from the 2-entry
-			// cache, so this re-access rematerializes from the chain start.
+			// caches, so this re-access rematerializes from the chain start
+			// (restamping) or from the start of the log (counting).
 			if len(cutoffs) > 2 {
 				c := cutoffs[len(cutoffs)/2]
 				v, err := st.ViewAt(c)
@@ -185,6 +216,11 @@ func TestReplayDifferentialCorpus(t *testing.T) {
 					t.Fatalf("rewind ViewAt(%d): %v", c, err)
 				}
 				compareViewToLive(t, tr, factory, 1, c, v, r)
+				lv, err := hist.ViewAt(c)
+				if err != nil {
+					t.Fatalf("rewind counting ViewAt(%d): %v", c, err)
+				}
+				compareEngines(t, tr, 4, lv, v, r)
 			}
 		})
 	}
@@ -272,6 +308,103 @@ func compareViewToLive(t *testing.T, tr *model.Trace, factory func() hct.Config,
 		gotStats.MergedReceives != wantStats.MergedReceives || gotStats.LiveClusters != wantStats.LiveClusters ||
 		gotStats.StorageInts != wantStats.StorageInts || gotStats.PendingSends != wantStats.PendingSends {
 		t.Fatalf("shards=%d cutoff=%d: Stats = %+v, live %+v", shards, c, gotStats, wantStats)
+	}
+}
+
+// compareEngines asserts that got, a view of the counting engine over a
+// store holding the whole trace, is indistinguishable from want, the restamped
+// view at the same cutoff: the same watermark, and over events on both sides
+// of the cutoff the same timestamps, events, precedence and concurrency
+// answers (rejections included) and causal cuts. Accounting is not compared:
+// only a restamping engine knows it at a cutoff.
+func compareEngines(t *testing.T, tr *model.Trace, shards int, got, want *replay.View, r *rand.Rand) {
+	t.Helper()
+	c := want.Cutoff()
+	if got.Cutoff() != c {
+		t.Fatalf("shards=%d: counting view is at cutoff %d, restamped at %d", shards, got.Cutoff(), c)
+	}
+	gw, ww := got.Watermark(), want.Watermark()
+	for p := range ww {
+		if gw[p] != ww[p] {
+			t.Fatalf("shards=%d cutoff=%d: watermark[%d] = %d counted, %d restamped", shards, c, p, gw[p], ww[p])
+		}
+	}
+
+	all := tr.Events
+	sample := func(n int) []model.EventID {
+		ids := make([]model.EventID, 0, n)
+		if len(all) <= n {
+			for _, e := range all {
+				ids = append(ids, e.ID)
+			}
+			return ids
+		}
+		for k := 0; k < n; k++ {
+			ids = append(ids, all[r.Intn(len(all))].ID)
+		}
+		// The events either side of the cutoff are where a wrong watermark shows.
+		for k := int(c) - 2; k < int(c)+2; k++ {
+			if k >= 0 && k < len(all) {
+				ids = append(ids, all[k].ID)
+			}
+		}
+		return ids
+	}
+	for _, id := range sample(2000) {
+		gt, gok := got.Timestamp(id)
+		wt, wok := want.Timestamp(id)
+		if gok != wok || (gok && !sameTimestamp(gt, wt)) {
+			t.Fatalf("shards=%d cutoff=%d: Timestamp(%v) = (%v,%v) counted, (%v,%v) restamped", shards, c, id, gt, gok, wt, wok)
+		}
+		ge, gok := got.Lookup(id)
+		we, wok := want.Lookup(id)
+		if gok != wok || ge != we {
+			t.Fatalf("shards=%d cutoff=%d: Lookup(%v) = (%v,%v) counted, (%v,%v) restamped", shards, c, id, ge, gok, we, wok)
+		}
+	}
+
+	check := func(a, b model.EventID) {
+		gp, gerr := got.Precedes(a, b)
+		wp, werr := want.Precedes(a, b)
+		if gp != wp || (gerr != nil) != (werr != nil) {
+			t.Fatalf("shards=%d cutoff=%d: Precedes(%v,%v) = (%v,%v) counted, (%v,%v) restamped", shards, c, a, b, gp, gerr, wp, werr)
+		}
+		gc, gerr := got.Concurrent(a, b)
+		wc, werr := want.Concurrent(a, b)
+		if gc != wc || (gerr != nil) != (werr != nil) {
+			t.Fatalf("shards=%d cutoff=%d: Concurrent(%v,%v) = (%v,%v) counted, (%v,%v) restamped", shards, c, a, b, gc, gerr, wc, werr)
+		}
+	}
+	if len(all) <= 120 {
+		for _, e := range all {
+			for _, f := range all {
+				check(e.ID, f.ID)
+			}
+		}
+	} else {
+		ids := sample(2000)
+		for k := 0; k+1 < len(ids); k += 2 {
+			check(ids[k], ids[k+1])
+		}
+	}
+
+	sameCut := func(name string, id model.EventID, g, w []monitor.CutEntry, gerr, werr error) {
+		if (gerr != nil) != (werr != nil) || len(g) != len(w) {
+			t.Fatalf("shards=%d cutoff=%d: %s(%v): (%d entries, %v) counted, (%d entries, %v) restamped", shards, c, name, id, len(g), gerr, len(w), werr)
+		}
+		for q := range g {
+			if g[q] != w[q] {
+				t.Fatalf("shards=%d cutoff=%d: %s(%v)[%d] = %+v counted, %+v restamped", shards, c, name, id, q, g[q], w[q])
+			}
+		}
+	}
+	for _, id := range sample(3) {
+		g, gerr := got.GreatestPredecessors(id)
+		w, werr := want.GreatestPredecessors(id)
+		sameCut("GreatestPredecessors", id, g, w, gerr, werr)
+		g, gerr = got.GreatestConcurrent(id)
+		w, werr = want.GreatestConcurrent(id)
+		sameCut("GreatestConcurrent", id, g, w, gerr, werr)
 	}
 }
 
@@ -374,21 +507,9 @@ func TestReplayRejectedRunKeepsPrefix(t *testing.T) {
 		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
 	}
 	dir := t.TempDir()
-	l, err := wal.Open(dir, wal.Options{NumProcs: 2, Sync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range [][]model.Event{
-		{unary(0, 1), unary(1, 1)},
-		{unary(0, 2), unary(0, 2), unary(1, 2)}, // duplicate at global position 3
-	} {
-		if err := l.Append(run); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeWAL(t, dir, 2,
+		[]model.Event{unary(0, 1), unary(1, 1)},
+		[]model.Event{unary(0, 2), unary(0, 2), unary(1, 2)}) // duplicate at global position 3
 	st, err := replay.Open(dir, replay.Options{})
 	if err != nil {
 		t.Fatal(err)

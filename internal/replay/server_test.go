@@ -17,8 +17,15 @@ import (
 // does and exercises the QUERY@ frame end to end: answers at a historical
 // cutoff must match a local view at that cutoff, CutoffLatest must answer
 // over sealed history, and queries beyond the cutoff must come back as
-// per-query rejections, all while the server keeps ingesting.
+// per-query rejections, all while the server keeps ingesting. It runs once
+// with the restamping store as the server's history provider and once the
+// way poetd wires it: the counting engine over a 4-lane monitor's own store.
 func TestServerQueryAt(t *testing.T) {
+	t.Run("restamp", func(t *testing.T) { testServerQueryAt(t, false) })
+	t.Run("live", func(t *testing.T) { testServerQueryAt(t, true) })
+}
+
+func testServerQueryAt(t *testing.T, live bool) {
 	tr := workload.RandomSparse(6, 3, 600, 9)
 	factory := func() hct.Config {
 		return hct.Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()}
@@ -29,17 +36,33 @@ func TestServerQueryAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := monitor.New(tr.NumProcs, factory())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// hist restamps: it is the reference, and in the first cell also the
+	// server's provider.
 	hist, err := replay.Open(dir, replay.Options{NumProcs: tr.NumProcs, NewConfig: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hist.Close()
+	shards := 1
+	if live {
+		shards = 4
+	}
+	m, err := monitor.NewSharded(tr.NumProcs, factory(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var provider monitor.HistoryProvider = hist
+	if live {
+		counting, err := replay.OpenLive(dir, m.Pipeline(), replay.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer counting.Close()
+		provider = counting
+	}
 
-	srv := monitor.NewServer(m, monitor.ServerConfig{Journal: wlog, History: hist})
+	srv := monitor.NewServer(m, monitor.ServerConfig{Journal: wlog, History: provider})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +118,11 @@ func TestServerQueryAt(t *testing.T) {
 			t.Fatalf("QUERY@%d %v->%v = (%v,%v), local view (%v,%v)",
 				cutoff, q.A, q.B, res[i].True, res[i].Err, want, wantErr)
 		}
+	}
+
+	// /statusz shows where the tenant's history plane stands.
+	if hs := srv.Status().Tenants[monitor.DefaultTenant].History; hs == nil || hs.LastCutoff != cutoff || hs.EnginePosition != cutoff || hs.CachedViews != 1 {
+		t.Fatalf("status history block = %+v after one view at %d", hs, cutoff)
 	}
 
 	// An event past the cutoff is unknown to the view even though the live
