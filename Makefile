@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-json benchdiff experiments cover fuzz
+.PHONY: all build vet test race bench bench-json experiments cover fuzz
 
 all: build vet test
 
@@ -49,15 +49,6 @@ bench-json:
 		-benchtime=20000x -benchmem; } \
 		| go run ./cmd/benchjson > BENCH_query.json
 
-# Compare fresh ingest numbers against the committed baseline. Warns (does
-# not fail) on >10% events/sec regressions in the parallel-ingest series.
-benchdiff:
-	go test ./internal/monitor/ -run '^$$' \
-		-bench 'BenchmarkIngestParallel|BenchmarkPlannerScaling' \
-		-benchtime=100x -benchmem | go run ./cmd/benchjson > /tmp/benchdiff_new.json
-	go run ./cmd/benchdiff -old BENCH_query.json -new /tmp/benchdiff_new.json \
-		-metric events/sec -match 'BenchmarkIngestParallel/|BenchmarkPlannerScaling/' -warn-below 10
-
 # Re-run the paper's full Section 4 evaluation.
 experiments:
 	go run ./cmd/experiments
@@ -72,3 +63,5 @@ fuzz:
 	go test -fuzz=FuzzServerProtocol -fuzztime=30s ./internal/monitor/
 	go test -fuzz=FuzzWALChainOpen -fuzztime=30s ./internal/wal/
 	go test -run '^$$' -fuzz=FuzzCRNoteRoundTrip -fuzztime=30s ./internal/hct/
+	go test -run '^$$' -fuzz=FuzzJournaledImpliesPlannable -fuzztime=30s -fuzzminimizetime=1s ./internal/monitor/
+	go test -run '^$$' -fuzz=FuzzPipelineDifferential -fuzztime=30s -fuzzminimizetime=1s ./internal/hct/

@@ -30,11 +30,13 @@ type Stamped struct {
 	Clock vclock.Clock
 }
 
-// Errors returned by Timestamper.Observe.
+// Errors returned by Timestamper.Observe. The two sync sentinels are the
+// delivery-contract values of package model, re-exported (the same values, so
+// errors.Is matches across packages).
 var (
 	ErrUnknownSend     = errors.New("fm: receive for unknown or already-consumed send")
-	ErrSyncInterleaved = errors.New("fm: event interleaved inside a synchronous pair")
-	ErrSyncPartner     = errors.New("fm: sync event does not match pending sync partner")
+	ErrSyncInterleaved = model.ErrDeliverSyncInterleaved
+	ErrSyncPartner     = model.ErrDeliverSyncPartner
 	ErrProcOutOfRange  = errors.New("fm: process id out of range")
 	ErrBadIndex        = errors.New("fm: event index does not extend its process history")
 )

@@ -33,17 +33,17 @@ var (
 // Timestamper computes hierarchical cluster timestamps for an event stream
 // and answers precedence queries over the stamped events.
 //
-// It is a façade over the inline one-lane Pipeline — the planner validates
-// each event and makes the cluster decision, the single lane turns the
-// Fidge/Mattern clock into a published timestamp on the caller's goroutine —
-// so replay, the CLIs and the examples drive exactly the core the daemon
+// It is a façade over the inline one-lane Pipeline — the admission gate holds
+// each event to the delivery contract, the planner makes the cluster
+// decision, the single lane turns the Fidge/Mattern clock into a published
+// timestamp on the caller's goroutine — so replay, the CLIs and the examples drive exactly the core the daemon
 // runs. Full Fidge/Mattern vectors are retained only for noted cluster
 // receives — the algorithm "deletes Fidge/Mattern timestamps that are no
 // longer needed". The embedded Pipeline supplies the accounting (Events,
 // ClusterReceives, StorageInts, ...) and the lock-free query surface.
 //
-// Concurrency: writers and the accounting methods serialize on the planner
-// mutex; Timestamp, Precedes, Concurrent, their *At variants and
+// Concurrency: writers serialize on the admission lock and, with the
+// accounting methods, on the planner mutex; Timestamp, Precedes, Concurrent, their *At variants and
 // CaptureWatermark take no lock and read only the prefix of the store
 // published by the per-process watermarks. Only Partition hands out
 // unsynchronized state.
@@ -135,13 +135,14 @@ func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
 	if err := ts.Dispatch(tr.Events); err != nil {
 		return fmt.Errorf("hct: %w", err)
 	}
-	ts.planMu.Lock()
-	defer ts.planMu.Unlock()
-	if ts.syncHold != nil {
-		return fmt.Errorf("hct: stream ended with unpaired sync %v", ts.syncHold.ID)
+	a := &ts.adm
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.holding {
+		return fmt.Errorf("hct: stream ended with unpaired sync %v", a.syncHold.ID)
 	}
-	for id := range ts.pendSend {
-		return fmt.Errorf("hct: stream ended with %d unreceived sends (e.g. %v)", len(ts.pendSend), id)
+	for id := range a.pendSend {
+		return fmt.Errorf("hct: stream ended with %d unreceived sends (e.g. %v)", len(a.pendSend), id)
 	}
 	return nil
 }

@@ -17,11 +17,13 @@ package hct
 // decisions consult the live partition. The pipeline therefore splits
 // delivery into
 //
-//   - a sequential planner (plan stage, under planMu) that validates each
-//     event against the delivery contract (check) and makes every cluster
-//     decision in delivery order through the cluster-receive core (core.go),
-//     pinning the immutable *cluster.Info epoch each event must be stamped
-//     with; and
+//   - an admission gate (admit.go, under the admission lock) that holds each
+//     event to the delivery contract on the dispatching goroutine, before
+//     anything is journaled or planned;
+//   - a sequential planner (plan stage, under planMu) that makes every
+//     cluster decision in delivery order through the cluster-receive core
+//     (core.go), pinning the immutable *cluster.Info epoch each event must be
+//     stamped with; and
 //   - N parallel lanes (stamp stage), each owning a disjoint set of
 //     processes (and so a disjoint set of columns), that compute the FM
 //     vectors, project or retain them, and publish cells and cluster-receive
@@ -32,23 +34,33 @@ package hct
 // common case by construction, never crosses lanes); otherwise processes are
 // split into contiguous blocks.
 //
+// # One body, synchronous errors
+//
+// Dispatch, DispatchTraced, DispatchOne and DispatchAsync share one body
+// (dispatchLocked): lock admission, admit the batch — stopping at the first
+// rejection; the prefix stays admitted, the rejected event changes nothing —
+// hand the finalized events to the plan stage, unlock, return the error. The
+// error is returned by the call that submitted the offending event in every
+// plan mode, and planning itself cannot fail: what reaches the planner has
+// been admitted. Inline, each event is decided and staged as it is admitted,
+// with no buffer between; merge decisions are inherently sequential, each one
+// can repartition the processes the next consults.
+//
 // # Pipelined planner
 //
-// The plan stage itself can run off the submitter's goroutine: with the
-// pipelined planner (planner.go), DispatchAsync copies the batch onto a
-// bounded plan queue and returns, and a dedicated planner goroutine runs the
-// two planning passes and flushes to the lanes. The submitter — the server's
+// The plan stage can run off the submitter's goroutine: with the pipelined
+// planner (planner.go), a dispatch admits straight into a pooled buffer, puts
+// it on a bounded plan queue and returns, and a dedicated planner goroutine
+// makes the decisions and flushes to the lanes. The submitter — the server's
 // decode/WAL path — never touches planMu, so journaling batch N+1 overlaps
-// planning batch N, which overlaps stamping batch N-1. Synchronous Dispatch
-// calls route through the same queue and wait for the planner's verdict, so
-// the error contract is unchanged in either mode.
+// planning batch N, which overlaps stamping batch N-1.
 //
-// Planning is split into two passes per batch (planBatch). Pass 1
-// (validateBatch) runs the validation state machine — next/pendSend/syncHold
-// — which reads no cluster state at all, and collects the finalized events.
-// Pass 2 asks the core for each event's cluster epoch. Merge decisions are
-// inherently sequential: each one can repartition the processes the next
-// decision consults.
+// # Lock order
+//
+// collector mu (internal/monitor) → admission → plan queue / planMu → doneMu
+// → lane. A dispatcher holds the admission lock while it waits for room on
+// the plan queue; the planner goroutine and the lanes never take it, so that
+// wait always ends. planMu and the plan queue's lock are never held together.
 //
 // # Cross-shard rendezvous
 //
@@ -131,7 +143,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/vclock"
 )
@@ -199,21 +210,19 @@ type Pipeline struct {
 	nshards int
 	smap    []int32 // process -> shard
 
-	// planMu guards the planner state below, core included.
-	planMu   sync.Mutex
-	core     *clusterer                      // the cluster-receive rule, its partition and accounting
-	next     []model.EventIndex              // per process, next expected index
-	pendSend map[model.EventID]model.EventID // in-flight send -> its receive
-	syncHold *model.Event                    // first half of an in-flight sync pair
-	issued   []uint64                        // items dispatched per shard
-	curBufs  [][]item                        // per-shard staging buffers, capacity retained across batches
-	planBuf  []model.Event                   // validateBatch's finalized-event buffer, reused per batch
-	closed   bool
+	// adm is the delivery contract's one state machine (admit.go); its lock
+	// is taken before every other lock of the pipeline.
+	adm Admission
 
-	// Tracing state for the Dispatch in progress (guarded by planMu).
-	// curBT tags staged items; stampStart/stampDur accumulate inline
-	// single-shard stamping time, folded into one stamp span by
-	// DispatchTraced.
+	// planMu guards the planner state below, core included.
+	planMu  sync.Mutex
+	core    *clusterer // the cluster-receive rule, its partition and accounting
+	issued  []uint64   // items dispatched per shard
+	curBufs [][]item   // per-shard staging buffers, capacity retained across batches
+
+	// Tracing state for the run being planned (guarded by planMu). curBT
+	// tags staged items; stampStart/stampDur accumulate inline single-shard
+	// stamping time, folded into one stamp span by unlockPlan.
 	curBT      BatchTracer
 	stampStart time.Time
 	stampDur   time.Duration
@@ -245,8 +254,7 @@ type Pipeline struct {
 	busy      atomic.Int64 // cumulative planner busy nanoseconds
 	start     time.Time
 
-	batchPool sync.Pool // *[]model.Event: owned batch copies for DispatchAsync
-	replyPool sync.Pool // chan error (cap 1) for queued synchronous dispatch
+	batchPool sync.Pool // *[]model.Event: the admitted batches the plan queue carries
 	bwPool    sync.Pool // *barrierWait markers
 
 	pqo atomic.Pointer[SizeObserver]
@@ -272,17 +280,13 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		plane:     newPlane(numProcs),
 		core:      core,
 		nshards:   nshards,
-		next:      make([]model.EventIndex, numProcs),
-		pendSend:  make(map[model.EventID]model.EventID, numProcs),
 		issued:    make([]uint64, nshards),
 		flushed:   make([]uint64, nshards),
 		done:      make([]uint64, nshards),
 		laneStats: make([]StoreStats, nshards),
 		start:     time.Now(),
 	}
-	for i := range p.next {
-		p.next[i] = 1
-	}
+	p.adm.init(numProcs)
 	p.doneCond = sync.NewCond(&p.doneMu)
 	p.smap = buildShardMap(numProcs, nshards, core.part, clusterAligned)
 	p.lanes = make([]*lane, nshards)
@@ -365,13 +369,16 @@ func buildShardMap(numProcs, nshards int, part *cluster.Partition, clusterAligne
 // theirs). Further Dispatch calls fail with ErrPipelineClosed; the query
 // surface stays usable.
 func (p *Pipeline) Close() {
-	p.planMu.Lock()
-	if p.closed {
-		p.planMu.Unlock()
+	// Closing the gate first means no dispatcher is between admitting and
+	// enqueueing when the queue is told to stop: each holds the admission
+	// lock across both.
+	p.adm.mu.Lock()
+	if p.adm.closed {
+		p.adm.mu.Unlock()
 		return
 	}
-	p.closed = true
-	p.planMu.Unlock()
+	p.adm.closed = true
+	p.adm.mu.Unlock()
 	if p.async {
 		// The planner must fully drain before the lanes are told to stop:
 		// a lane exits once its queue is empty, so items flushed after that
@@ -394,45 +401,185 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// Dispatch plans and enqueues a run of events in delivery order. It returns
-// on the first invalid event — prior events stay delivered, the rejected one
-// changes no state — with its error wrapped as "at <id>: ...". Stamping is
-// asynchronous — use Barrier to wait for visibility. With one shard, Dispatch
-// stamps inline and is synchronous.
+// Dispatch admits a run of events in delivery order and hands what they
+// finalize to the plan stage. It returns on the first event the delivery
+// contract rejects — prior events stay delivered, the rejected one changes no
+// state — with its error wrapped as "at <id>: ...", synchronously in every
+// plan mode. Stamping is asynchronous — use Barrier to wait for visibility.
+// With one shard and inline planning, Dispatch stamps inline and is
+// synchronous.
 func (p *Pipeline) Dispatch(events []model.Event) error {
 	return p.DispatchTraced(events, nil)
 }
 
 // DispatchTraced is Dispatch with a span sink for a sampled run: bt receives
-// plan_wait (time blocked on the planner mutex or queued behind earlier
-// batches), plan (validation + cluster decisions), and — with one shard —
-// the inline stamp span. Multi-shard stamping records per-lane spans
-// asynchronously as the lanes drain. A nil bt makes this identical to
-// Dispatch. On a pipelined-planner pipeline the call routes through the plan
-// queue and waits for the planner's verdict.
+// plan_wait (time blocked on the planner mutex, or queued behind earlier
+// batches), plan (the cluster decisions; inline, fused with admission), and —
+// with one shard — the inline stamp span. Multi-shard stamping records
+// per-lane spans asynchronously as the lanes drain. A nil bt makes this
+// identical to Dispatch.
 func (p *Pipeline) DispatchTraced(events []model.Event, bt BatchTracer) error {
 	if len(events) == 0 {
 		return nil
 	}
-	if p.async {
-		return p.dispatchQueued(events, bt, true)
+	p.adm.mu.Lock()
+	defer p.adm.mu.Unlock()
+	return p.dispatchLocked(events, bt, true)
+}
+
+// DispatchAsync is DispatchTraced: with the pipelined planner every dispatch
+// returns once the admitted batch is on the plan queue (blocking only for
+// backpressure when the queue is at its depth bound), and the caller may
+// reuse events immediately. The name is kept for its callers.
+func (p *Pipeline) DispatchAsync(events []model.Event, bt BatchTracer) error {
+	return p.DispatchTraced(events, bt)
+}
+
+// DispatchOne admits and plans a single event, returning the raw (unwrapped)
+// contract error, mirroring Monitor.Deliver.
+func (p *Pipeline) DispatchOne(e model.Event) error {
+	events := [1]model.Event{e} // stays on the stack: no plan mode retains the slice
+	p.adm.mu.Lock()
+	defer p.adm.mu.Unlock()
+	return p.dispatchLocked(events[:], nil, false)
+}
+
+// DispatchAdmitted hands the plan stage a run its caller admitted event by
+// event (Admission.Admit) under the hold of the admission lock it still has.
+// Nothing is checked again and there is nothing to reject: the only error is
+// ErrPipelineClosed. The caller may reuse run on return.
+func (p *Pipeline) DispatchAdmitted(run []model.Event, bt BatchTracer) error {
+	if len(run) == 0 {
+		return nil
 	}
-	var lockStart time.Time
-	if bt != nil {
-		lockStart = time.Now()
-	}
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	if p.closed {
+	if p.adm.closed {
 		return ErrPipelineClosed
 	}
-	planSpan := -1
-	if bt != nil {
-		bt.Span("plan_wait", -1, -1, lockStart, time.Since(lockStart))
-		planSpan = bt.Begin("plan", -1, -1)
-		p.curBT = bt
+	if !p.async {
+		p.planRun(run, bt, time.Time{})
+		return nil
 	}
-	failID, err := p.planBatch(events)
+	bp := p.getBatch()
+	*bp = append(*bp, run...)
+	return p.handOff(bp, bt)
+}
+
+// Admission returns the pipeline's delivery-contract state, for a caller that
+// assembles admitted runs itself (the collector) or needs to fence against
+// one in flight (replay's coverage wait).
+func (p *Pipeline) Admission() *Admission { return &p.adm }
+
+// dispatchLocked is the one body of every Dispatch entry point, called with
+// the admission lock held: admit each event, stopping at the first rejection,
+// and hand what the admitted prefix finalizes to the plan stage before the
+// lock is released — inline, by deciding and staging each event as it is
+// admitted, with no buffer between; pipelined, by admitting straight into the
+// pooled buffer the plan queue carries. wrap selects the batch form of a
+// rejection, "at <id>: ...".
+func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap bool) (err error) {
+	a := &p.adm
+	if a.closed {
+		return ErrPipelineClosed
+	}
+	var bp *[]model.Event
+	if p.async {
+		bp = p.getBatch()
+	} else {
+		planSpan := p.lockPlan(bt, time.Time{})
+		defer p.unlockPlan(bt, planSpan)
+	}
+	for i := range events {
+		e := events[i]
+		if err = a.CheckRecord(e); err == nil {
+			err = a.checkStream(e)
+		}
+		if err != nil {
+			if wrap {
+				err = fmt.Errorf("at %v: %w", e.ID, err)
+			}
+			break
+		}
+		first, n := a.advance(e)
+		switch {
+		case n == 0: // first sync half: held until its partner arrives
+		case p.async:
+			if n == 2 {
+				*bp = append(*bp, first)
+			}
+			*bp = append(*bp, e)
+		default:
+			if n == 2 {
+				p.plan(first)
+			}
+			p.plan(e)
+		}
+	}
+	if p.async {
+		if qerr := p.handOff(bp, bt); qerr != nil {
+			return qerr
+		}
+	}
+	return err
+}
+
+// getBatch takes an empty batch buffer from the pool; handOff puts it, filled
+// with admitted events, on the plan queue (or straight back when the batch
+// finalized nothing).
+func (p *Pipeline) getBatch() *[]model.Event {
+	bp, _ := p.batchPool.Get().(*[]model.Event)
+	if bp == nil {
+		bp = new([]model.Event)
+	}
+	*bp = (*bp)[:0]
+	return bp
+}
+
+func (p *Pipeline) handOff(bp *[]model.Event, bt BatchTracer) error {
+	if len(*bp) == 0 {
+		p.batchPool.Put(bp)
+		return nil
+	}
+	req := planReq{events: *bp, owned: bp, bt: bt}
+	if bt != nil {
+		req.enq = time.Now()
+	}
+	if err := p.enqueue(req); err != nil {
+		p.batchPool.Put(bp)
+		return err
+	}
+	return nil
+}
+
+// planRun plans an admitted run: the cluster decisions, staging, and the flush
+// to the lanes.
+func (p *Pipeline) planRun(run []model.Event, bt BatchTracer, waitStart time.Time) {
+	planSpan := p.lockPlan(bt, waitStart)
+	for i := range run {
+		p.plan(run[i])
+	}
+	p.unlockPlan(bt, planSpan)
+}
+
+// lockPlan takes planMu and, for a traced run, opens its plan stage: the
+// plan_wait span since waitStart (zero: since this call, the time spent
+// blocked on the mutex), then the plan span, whose index it returns.
+func (p *Pipeline) lockPlan(bt BatchTracer, waitStart time.Time) (planSpan int) {
+	if bt != nil && waitStart.IsZero() {
+		waitStart = time.Now()
+	}
+	p.planMu.Lock()
+	if bt == nil {
+		return -1
+	}
+	bt.Span("plan_wait", -1, -1, waitStart, time.Since(waitStart))
+	p.curBT = bt
+	return bt.Begin("plan", -1, -1)
+}
+
+// unlockPlan flushes what was staged to the lanes, closes what lockPlan
+// opened — folding inline single-shard stamping into one stamp span under the
+// plan span — and releases planMu.
+func (p *Pipeline) unlockPlan(bt BatchTracer, planSpan int) {
 	p.flushLocked()
 	if bt != nil {
 		if p.stampDur > 0 {
@@ -442,108 +589,14 @@ func (p *Pipeline) DispatchTraced(events []model.Event, bt BatchTracer) error {
 		p.curBT = nil
 		bt.End(planSpan)
 	}
-	if err != nil {
-		return fmt.Errorf("at %v: %w", failID, err)
-	}
-	return nil
+	p.planMu.Unlock()
 }
 
-// DispatchOne plans and enqueues a single event, returning the raw
-// (unwrapped) validation error, mirroring Monitor.Deliver.
-func (p *Pipeline) DispatchOne(e model.Event) error {
-	if p.async {
-		return p.dispatchQueued([]model.Event{e}, nil, false)
-	}
-	events := [1]model.Event{e} // stays on the stack: the inline planner retains no slice
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	if p.closed {
-		return ErrPipelineClosed
-	}
-	_, err := p.planBatch(events[:])
-	p.flushLocked()
-	return err
-}
-
-// planBatch runs the two planner passes over one run and returns the raw
-// first error with the offending event's ID (the caller applies batch or
-// single-event wrapping). Called with planMu held.
-func (p *Pipeline) planBatch(events []model.Event) (model.EventID, error) {
-	final, failID, err := p.validateBatch(events)
-	for i := range final {
-		p.stageItem(final[i], p.core.decide(final[i]))
-	}
-	return failID, err
-}
-
-// check is the delivery contract for one event against the planner's
-// next/pendSend/syncHold state: the poset store's checks (process range,
-// duplicate, index gap, unknown send) and then the Fidge/Mattern layer's
-// (sync interleaving, sync partner), sentinel for sentinel and in that order.
-// It mutates nothing, so a rejected event leaves the planner exactly as it
-// found it.
-func (p *Pipeline) check(e model.Event) error {
-	pr := int(e.ID.Process)
-	if pr < 0 || pr >= p.numProcs {
-		return fmt.Errorf("%w: %v", model.ErrDeliverProcOutOfRange, e.ID)
-	}
-	if want := p.next[pr]; e.ID.Index < want {
-		return fmt.Errorf("%w: %v", model.ErrDeliverDuplicate, e.ID)
-	} else if e.ID.Index != want {
-		return fmt.Errorf("%w: %v, want index %d", model.ErrDeliverBadIndex, e.ID, want)
-	}
-	if e.Kind == model.Receive {
-		if _, ok := p.pendSend[e.Partner]; !ok {
-			return fmt.Errorf("%w: %v <- %v", model.ErrDeliverUnknownSend, e.ID, e.Partner)
-		}
-	}
-	if first := p.syncHold; first != nil {
-		if e.Kind != model.Sync {
-			return fmt.Errorf("%w: %v arrived while sync %v pending", fm.ErrSyncInterleaved, e.ID, first.ID)
-		}
-		if first.Partner != e.ID || e.Partner != first.ID {
-			return fmt.Errorf("%w: %v after %v", fm.ErrSyncPartner, e.ID, first.ID)
-		}
-	}
-	if e.Kind > model.Sync {
-		return fmt.Errorf("fm: unknown event kind %v for %v", e.Kind, e.ID)
-	}
-	return nil
-}
-
-// validateBatch is planning pass 1: it admits events through check, stopping
-// at the first rejection, and advances the validation state machine for each
-// admitted one. It touches no cluster state; finalized events (sync pairs
-// adjacently, completed pairs only) land in the reused planBuf for pass 2,
-// where the merge decisions — inherently sequential, each one can repartition
-// the processes the next consults — are made in delivery order.
-func (p *Pipeline) validateBatch(events []model.Event) (final []model.Event, failID model.EventID, err error) {
-	final = p.planBuf[:0]
-	for i := range events {
-		e := events[i]
-		if err = p.check(e); err != nil {
-			failID = e.ID
-			break
-		}
-		p.next[e.ID.Process]++
-		switch e.Kind {
-		case model.Send:
-			p.pendSend[e.ID] = e.Partner
-		case model.Receive:
-			delete(p.pendSend, e.Partner)
-		case model.Sync:
-			if p.syncHold == nil {
-				held := e
-				p.syncHold = &held
-				continue
-			}
-			final = append(final, *p.syncHold)
-			p.syncHold = nil
-		}
-		final = append(final, e)
-	}
-	p.planBuf = final // retain growth for the next batch
-	return final, failID, err
+// plan makes one admitted event's cluster decision — inherently sequential:
+// each merge can repartition the processes the next decision consults — and
+// stages it for its lane. It cannot fail. Called with planMu held.
+func (p *Pipeline) plan(e model.Event) {
+	p.stageItem(e, p.core.decide(e))
 }
 
 // stageItem hands one planned item to its lane (inline with one shard).
@@ -793,30 +846,19 @@ func (p *Pipeline) StorageInts(fixedVector int) int64 {
 	return p.core.storageInts(fixedVector)
 }
 
-// PendingSends returns the number of delivered sends awaiting their receive.
+// PendingSends returns the number of admitted sends awaiting their receive.
 func (p *Pipeline) PendingSends() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return len(p.pendSend)
+	p.adm.mu.Lock()
+	defer p.adm.mu.Unlock()
+	return len(p.adm.pendSend)
 }
 
-// PendingSendTargets returns, per in-flight send, the receive it targets.
-func (p *Pipeline) PendingSendTargets() map[model.EventID]model.EventID {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	out := make(map[model.EventID]model.EventID, len(p.pendSend))
-	for id, partner := range p.pendSend {
-		out[id] = partner
-	}
-	return out
-}
-
-// FrontierNext returns, per process, the index of the next undelivered
+// FrontierNext returns, per process, the index of the next unadmitted
 // event.
 func (p *Pipeline) FrontierNext() []model.EventIndex {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return append([]model.EventIndex(nil), p.next...)
+	p.adm.mu.Lock()
+	defer p.adm.mu.Unlock()
+	return append([]model.EventIndex(nil), p.adm.next...)
 }
 
 // heldSync is a lane's half-completed same-shard synchronous pair.

@@ -2,8 +2,12 @@ package hct
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/commgraph"
@@ -159,20 +163,13 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestPipelineErrorContract pins the planner's error behavior at every shard
-// count: the delivery sentinels, and fm.ObserveBorrowed's "on error no state
-// changes" — events before a failure stay delivered, and a rejected event
-// leaves the frontier, the in-flight sends and the held sync half untouched,
-// so the very same event is accepted once the stream allows it.
+// TestPipelineErrorContract pins the admission gate's behavior at every shard
+// count, plan mode and entry point: the delivery sentinels, returned by the
+// call that submitted the offending event, and fm.ObserveBorrowed's "on error
+// no state changes" — events before a failure stay delivered, and a rejected
+// event leaves the frontier, the in-flight sends and the held sync half
+// untouched, so the very same event is accepted once the stream allows it.
 func TestPipelineErrorContract(t *testing.T) {
-	mk := func(shards int) *Pipeline {
-		p, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
-			PipelineOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	ev := func(p, i int, k model.Kind, pp, pi int) model.Event {
 		e := model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: k}
 		if pp >= 0 {
@@ -180,63 +177,271 @@ func TestPipelineErrorContract(t *testing.T) {
 		}
 		return e
 	}
+	entries := []struct {
+		name     string
+		dispatch func(*Pipeline, model.Event) error
+	}{
+		{"DispatchOne", func(p *Pipeline, e model.Event) error { return p.DispatchOne(e) }},
+		{"Dispatch", func(p *Pipeline, e model.Event) error { return p.Dispatch([]model.Event{e}) }},
+		{"DispatchAsync", func(p *Pipeline, e model.Event) error { return p.DispatchAsync([]model.Event{e}, nil) }},
+	}
 	for _, shards := range []int{1, 2, 4} {
-		pipe := mk(shards)
-		reject := func(what string, e model.Event, want error) {
-			t.Helper()
-			if err := pipe.DispatchOne(e); !errors.Is(err, want) {
-				t.Fatalf("shards=%d: %s: err = %v, want %v", shards, what, err, want)
-			}
-		}
-		accept := func(what string, e model.Event) {
-			t.Helper()
-			if err := pipe.DispatchOne(e); err != nil {
-				t.Fatalf("shards=%d: %s rejected: %v", shards, what, err)
-			}
-		}
+		for _, pq := range []int{-1, 1, 8} {
+			for _, entry := range entries {
+				where := fmt.Sprintf("shards=%d plan=%d %s", shards, pq, entry.name)
+				pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
+					PipelineOptions{Shards: shards, PlanQueue: pq})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reject := func(what string, e model.Event, want error) {
+					t.Helper()
+					if err := entry.dispatch(pipe, e); !errors.Is(err, want) {
+						t.Fatalf("%s: %s: err = %v, want %v", where, what, err, want)
+					}
+				}
+				accept := func(what string, e model.Event) {
+					t.Helper()
+					if err := entry.dispatch(pipe, e); err != nil {
+						t.Fatalf("%s: %s rejected: %v", where, what, err)
+					}
+				}
+				state := func(what string, pending int, next ...model.EventIndex) {
+					t.Helper()
+					if n := pipe.PendingSends(); n != pending {
+						t.Fatalf("%s: %s: PendingSends = %d, want %d", where, what, n, pending)
+					}
+					if got := pipe.FrontierNext(); !slices.Equal(got, next) {
+						t.Fatalf("%s: %s: frontier = %v, want %v", where, what, got, next)
+					}
+				}
 
-		reject("out-of-range process", ev(9, 1, model.Unary, -1, 0), model.ErrDeliverProcOutOfRange)
-		reject("index gap", ev(0, 2, model.Unary, -1, 0), model.ErrDeliverBadIndex)
-		reject("receive of unknown send", ev(0, 1, model.Receive, 1, 1), model.ErrDeliverUnknownSend)
-		accept("valid event", ev(0, 1, model.Unary, -1, 0))
-		reject("duplicate", ev(0, 1, model.Unary, -1, 0), model.ErrDeliverDuplicate)
+				reject("out-of-range process", ev(9, 1, model.Unary, -1, 0), model.ErrDeliverProcOutOfRange)
+				reject("index gap", ev(0, 2, model.Unary, -1, 0), model.ErrDeliverBadIndex)
+				reject("receive of unknown send", ev(0, 1, model.Receive, 1, 1), model.ErrDeliverUnknownSend)
 
-		// A send, then the first half of a sync pair. The receive
-		// interleaved into the pair is rejected without consuming its send
-		// or its frontier slot; a mismatched second half is rejected without
-		// releasing the held one.
-		accept("send", ev(3, 1, model.Send, 0, 2))
-		accept("first sync half", ev(1, 1, model.Sync, 2, 1))
-		for attempt := 0; attempt < 2; attempt++ {
-			reject("receive inside sync pair", ev(0, 2, model.Receive, 3, 1), fm.ErrSyncInterleaved)
-			if n := pipe.PendingSends(); n != 1 {
-				t.Fatalf("shards=%d: rejected receive consumed its send: PendingSends = %d", shards, n)
+				// The record check: a communication event's partner is present,
+				// in range, in another process and not the event itself.
+				for _, k := range []model.Kind{model.Send, model.Receive, model.Sync} {
+					reject(k.String()+" without partner", ev(0, 1, k, -1, 0), model.ErrDeliverBadPartner)
+					reject(k.String()+" with out-of-range partner", ev(0, 1, k, 9, 1), model.ErrDeliverBadPartner)
+					reject(k.String()+" with same-process partner", ev(0, 1, k, 0, 2), model.ErrDeliverBadPartner)
+				}
+				reject("send to itself", ev(0, 1, model.Send, 0, 1), model.ErrDeliverBadPartner)
+				reject("self-sync", ev(0, 1, model.Sync, 0, 1), model.ErrDeliverSelfSync)
+				state("after the record rejections", 0, 1, 1, 1, 1)
+
+				accept("valid event", ev(0, 1, model.Unary, -1, 0))
+				reject("duplicate", ev(0, 1, model.Unary, -1, 0), model.ErrDeliverDuplicate)
+
+				// A send, and a receive that names it although the send targets
+				// another event: stamped, that receive would wait in its lane
+				// for a clock parked in another.
+				accept("send", ev(3, 1, model.Send, 0, 2))
+				reject("receive of a send that targets another event", ev(1, 1, model.Receive, 3, 1), model.ErrDeliverReceiveMismatch)
+				state("after the mismatched receive", 1, 2, 1, 1, 2)
+
+				// The first half of a sync pair. The receive interleaved into
+				// the pair is rejected without consuming its send or its
+				// frontier slot; a mismatched second half is rejected without
+				// releasing the held one.
+				accept("first sync half", ev(1, 1, model.Sync, 2, 1))
+				for attempt := 0; attempt < 2; attempt++ {
+					reject("receive inside sync pair", ev(0, 2, model.Receive, 3, 1), model.ErrDeliverSyncInterleaved)
+					state("after the interleaved receive", 1, 2, 2, 1, 2)
+				}
+				reject("mismatched sync half", ev(2, 1, model.Sync, 3, 2), model.ErrDeliverSyncPartner)
+				state("after the mismatched sync half", 1, 2, 2, 1, 2)
+				accept("partner sync half", ev(2, 1, model.Sync, 1, 1))
+				state("before the receive", 1, 2, 2, 2, 2)
+				accept("the once-rejected receive", ev(0, 2, model.Receive, 3, 1))
+				reject("receive of a send already claimed", ev(1, 2, model.Receive, 3, 1), model.ErrDeliverUnknownSend)
+				state("after the receive", 0, 3, 2, 2, 2)
+
+				// Everything accepted publishes; nothing admitted can strand a
+				// lane, so the barrier returns.
+				barriered := make(chan struct{})
+				go func() { pipe.Barrier(); close(barriered) }()
+				select {
+				case <-barriered:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s: Barrier did not return: an admitted event cannot be stamped", where)
+				}
+				for _, id := range []model.EventID{{Process: 1, Index: 1}, {Process: 2, Index: 1}, {Process: 0, Index: 2}} {
+					if _, ok := pipe.Timestamp(id); !ok {
+						t.Fatalf("%s: accepted event %v not published", where, id)
+					}
+				}
+				if got := pipe.Events(); got != 5 {
+					t.Fatalf("%s: Events() = %d, want 5", where, got)
+				}
+				pipe.Close()
+				if err := entry.dispatch(pipe, ev(0, 3, model.Unary, -1, 0)); err != ErrPipelineClosed {
+					t.Fatalf("%s: dispatch after Close = %v", where, err)
+				}
 			}
-		}
-		reject("mismatched sync half", ev(2, 1, model.Sync, 3, 2), fm.ErrSyncPartner)
-		if next := pipe.FrontierNext(); next[0] != 2 || next[2] != 1 {
-			t.Fatalf("shards=%d: rejected events advanced the frontier: %v", shards, next)
-		}
-		accept("partner sync half", ev(2, 1, model.Sync, 1, 1))
-		if n := pipe.PendingSends(); n != 1 {
-			t.Fatalf("shards=%d: PendingSends = %d before the receive, want 1", shards, n)
-		}
-		accept("the once-rejected receive", ev(0, 2, model.Receive, 3, 1))
-		if n := pipe.PendingSends(); n != 0 {
-			t.Fatalf("shards=%d: PendingSends = %d after the receive, want 0", shards, n)
-		}
-		pipe.Barrier()
-		for _, id := range []model.EventID{{Process: 1, Index: 1}, {Process: 2, Index: 1}, {Process: 0, Index: 2}} {
-			if _, ok := pipe.Timestamp(id); !ok {
-				t.Fatalf("shards=%d: accepted event %v not published", shards, id)
-			}
-		}
-		if got := pipe.Events(); got != 5 {
-			t.Fatalf("shards=%d: Events() = %d, want 5", shards, got)
-		}
-		pipe.Close()
-		if err := pipe.DispatchOne(ev(0, 3, model.Unary, -1, 0)); err != ErrPipelineClosed {
-			t.Fatalf("shards=%d: Dispatch after Close = %v", shards, err)
 		}
 	}
+}
+
+// TestPipelineBatchRejection pins what a batch entry point does with a
+// rejection, in every plan mode and in the call that submitted the batch: the
+// valid prefix stays applied with exact counts, the error names the failing
+// event, nothing after it is applied, and the pipeline stays usable — no
+// sticky poisoning.
+func TestPipelineBatchRejection(t *testing.T) {
+	ev := func(p, i int) model.Event {
+		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
+	}
+	for _, pq := range []int{-1, 1, 2} {
+		for _, async := range []bool{false, true} {
+			pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
+				PipelineOptions{Shards: 2, PlanQueue: pq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dispatch := pipe.Dispatch
+			if async {
+				dispatch = func(evs []model.Event) error { return pipe.DispatchAsync(evs, nil) }
+			}
+			// Valid prefix of two, then a duplicate, then one more valid event
+			// that must NOT be applied (the batch stops at the first failure).
+			err = dispatch([]model.Event{ev(0, 1), ev(1, 1), ev(0, 1), ev(2, 1)})
+			if !errors.Is(err, model.ErrDeliverDuplicate) || !strings.Contains(err.Error(), "at "+fmt.Sprint(ev(0, 1).ID)) {
+				t.Fatalf("plan=%d async=%v: err = %v, want the duplicate named at %v", pq, async, err, ev(0, 1).ID)
+			}
+			pipe.Barrier()
+			if pipe.Events() != 2 {
+				t.Fatalf("plan=%d async=%v: Events() = %d after failed batch, want prefix 2", pq, async, pipe.Events())
+			}
+			if _, ok := pipe.Timestamp(ev(2, 1).ID); ok {
+				t.Fatalf("plan=%d async=%v: event after the failing one was applied", pq, async)
+			}
+			if err := dispatch([]model.Event{ev(2, 1), ev(3, 1)}); err != nil {
+				t.Fatalf("plan=%d async=%v: pipeline unusable after a rejection: %v", pq, async, err)
+			}
+			pipe.Barrier()
+			if _, ok := pipe.Timestamp(ev(3, 1).ID); !ok || pipe.Events() != 4 {
+				t.Fatalf("plan=%d async=%v: post-error batch not ingested (Events() = %d)", pq, async, pipe.Events())
+			}
+			pipe.Close()
+		}
+	}
+}
+
+// FuzzPipelineDifferential holds the pipeline to the Fidge/Mattern oracle on
+// random valid computations — messages with arbitrary latency, sync pairs,
+// any process count up to 8 — not only the corpus: at every shard count and
+// plan mode, fed through the asynchronous entry point in ragged batches,
+// every timestamp is the oracle's vector (whole, or projected onto the
+// event's cluster), byte-identical to the one-lane engine's, and the
+// precedence matrix is the oracle's.
+func FuzzPipelineDifferential(f *testing.F) {
+	f.Add(uint8(0), []byte{0x00, 0, 0x09, 0, 0x12, 1, 0x0b, 0, 0x04, 1})
+	f.Add(uint8(9), []byte{0x01, 0, 0x09, 0, 0x11, 0, 0x02, 2, 0x02, 0, 0x03, 1, 0x02, 0, 0x1b, 2})
+	f.Add(uint8(23), []byte{0x03, 1, 0x03, 2, 0x0b, 0, 0x04, 3, 0x01, 0, 0x13, 0, 0x02, 1})
+	f.Add(uint8(40), []byte{0x01, 0, 0x01, 0, 0x01, 0, 0x0a, 1, 0x0a, 2, 0x0a, 0, 0x04, 5, 0x0c, 3})
+	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
+		if len(ops) > 600 {
+			ops = ops[:600]
+		}
+		procs := 2 + int(shape)%7
+		b := model.NewBuilder("fuzz", procs)
+		var inflight []model.EventID
+		other := func(p model.ProcessID, a byte) model.ProcessID {
+			return model.ProcessID((int(p) + 1 + int(a)%(procs-1)) % procs)
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			p, a := model.ProcessID(int(ops[i]>>3)%procs), ops[i+1]
+			switch ops[i] & 7 {
+			case 0:
+				b.Unary(p)
+			case 1:
+				inflight = append(inflight, b.Send(p))
+			case 2:
+				if len(inflight) > 0 {
+					k := int(a) % len(inflight)
+					b.Receive(other(inflight[k].Process, a>>3), inflight[k])
+					inflight = slices.Delete(inflight, k, k+1)
+				}
+			case 3:
+				b.Sync(p, other(p, a))
+			default:
+				b.Message(p, other(p, a))
+			}
+		}
+		for _, s := range inflight {
+			b.Receive(other(s.Process, 0), s)
+		}
+		tr := b.Trace()
+		if len(tr.Events) == 0 {
+			return
+		}
+		stamped, err := fm.StampAll(tr)
+		if err != nil {
+			t.Fatalf("the oracle rejects a built trace: %v", err)
+		}
+		oracle := make(map[model.EventID]vclock.Clock, len(stamped))
+		for _, s := range stamped {
+			oracle[s.Event.ID] = s.Clock
+		}
+		maxCS := 1 + int(shape>>3)%4
+		ref, err := NewTimestamper(procs, pipelineConfig(t, tr, int(shape), maxCS))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.ObserveAll(tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			for _, pq := range []int{-1, 1, 4} {
+				pipe, err := NewPipeline(procs, pipelineConfig(t, tr, int(shape), maxCS), PipelineOptions{Shards: shards, PlanQueue: pq})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lo, n := 0, 1; lo < len(tr.Events); n = n*3%17 + 1 {
+					hi := min(lo+n, len(tr.Events))
+					if err := pipe.DispatchAsync(tr.Events[lo:hi], nil); err != nil {
+						pipe.Close()
+						t.Fatalf("shards=%d plan=%d: a valid run rejected: %v", shards, pq, err)
+					}
+					lo = hi
+				}
+				pipe.Barrier()
+				for _, e := range tr.Events {
+					got, ok := pipe.Timestamp(e.ID)
+					want, _ := ref.Timestamp(e.ID)
+					if !ok || !sameTimestamp(got, want) {
+						pipe.Close()
+						t.Fatalf("shards=%d plan=%d: Timestamp(%v) = %v (%v), one-lane %v", shards, pq, e.ID, got, ok, want)
+					}
+					clk := oracle[e.ID]
+					if got.Cluster == nil {
+						if !got.Full.Equal(clk) {
+							pipe.Close()
+							t.Fatalf("shards=%d plan=%d: %v retains %v, Fidge/Mattern %v", shards, pq, e.ID, got.Full, clk)
+						}
+						continue
+					}
+					for i, q := range got.Cluster.Members {
+						if got.Proj[i] != clk[q] {
+							pipe.Close()
+							t.Fatalf("shards=%d plan=%d: %v projection[%d] = %d, Fidge/Mattern %d", shards, pq, e.ID, q, got.Proj[i], clk[q])
+						}
+					}
+				}
+				for i := range tr.Events {
+					for j := i % 3; j < len(tr.Events); j += 3 {
+						e, f := tr.Events[i].ID, tr.Events[j].ID
+						got, err := pipe.Precedes(e, f)
+						if want := fm.Precedes(e, oracle[e], f, oracle[f]); err != nil || got != want {
+							pipe.Close()
+							t.Fatalf("shards=%d plan=%d: Precedes(%v,%v) = %v, %v; Fidge/Mattern %v", shards, pq, e, f, got, err, want)
+						}
+					}
+				}
+				pipe.Close()
+			}
+		}
+	})
 }

@@ -1,9 +1,9 @@
 package hct
 
 // This file is the pipelined planner: an optional stage that takes the plan
-// work (validation + cluster decisions) off the dispatching goroutine. See
-// the "Pipelined planner" and "Barrier" sections of pipeline.go's file
-// comment for the protocol; PipelineOptions.PlanQueue selects the mode.
+// work (the cluster decisions) off the dispatching goroutine. See the
+// "Pipelined planner" and "Barrier" sections of pipeline.go's file comment for
+// the protocol; PipelineOptions.PlanQueue selects the mode.
 //
 // The queue is a mutex+cond bounded slice, drained by the planner goroutine
 // in chunks (double-buffered like the lanes' queues), not a channel: the
@@ -14,17 +14,11 @@ package hct
 // so "queued" includes the batch in flight and PlanQueueDepth is an honest
 // backlog gauge.
 //
-// Error contract. Synchronous dispatches (Dispatch, DispatchTraced,
-// DispatchOne) carry a reply channel and block for the planner's verdict, so
-// their errors are byte-identical to inline planning. DispatchAsync returns
-// before planning; its batch's first error is parked on the queue and
-// returned by the next DispatchAsync call, whose own batch is NOT enqueued —
-// mirroring where a synchronous submitter would have stopped. Errors are
-// per-batch, never sticky: the pipeline stays usable, exactly as after an
-// inline dispatch error.
+// What the queue carries is already admitted (admit.go), so planning has no
+// verdict to send back: the planner asks the core for each event's epoch and
+// stages it, and a batch, once enqueued, is planned.
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -45,14 +39,13 @@ type SizeObserver interface {
 	ObserveValue(v int64)
 }
 
-// planReq is one unit of planner work: a batch to plan, or a barrier marker.
+// planReq is one unit of planner work: an admitted batch to plan, or a barrier
+// marker.
 type planReq struct {
 	events []model.Event
-	owned  *[]model.Event // recycle into batchPool after planning (async copies)
+	owned  *[]model.Event // events' pooled buffer, recycled into batchPool after planning
 	bt     BatchTracer
-	enq    time.Time  // enqueue time, set when bt != nil (plan_wait span)
-	reply  chan error // non-nil: a synchronous dispatcher awaits the verdict
-	wrap   bool       // wrap the error "at <id>: ..." (batch semantics)
+	enq    time.Time // enqueue time, set when bt != nil (plan_wait span)
 
 	barrier *barrierWait // non-nil: marker; all other fields unused
 }
@@ -70,14 +63,13 @@ type barrierWait struct {
 type planQueue struct {
 	mu    sync.Mutex
 	ready sync.Cond // planner waits here for work
-	avail sync.Cond // enqueuers wait here for space (or an error to report)
+	avail sync.Cond // enqueuers wait here for space
 
 	reqs    []planReq
 	spare   []planReq // recycled chunk buffer (planner-private between claims)
 	limit   int
-	batches int   // batches enqueued or in planning (markers exempt)
-	stop    bool  // Close: reject new work, drain the rest
-	err     error // first unreported asynchronous plan error
+	batches int  // batches enqueued or in planning (markers exempt)
+	stop    bool // Close: reject new work, drain the rest
 }
 
 func (q *planQueue) init(limit int) {
@@ -86,62 +78,6 @@ func (q *planQueue) init(limit int) {
 	q.limit = limit
 	q.reqs = make([]planReq, 0, limit+2)
 	q.spare = make([]planReq, 0, limit+2)
-}
-
-// dispatchQueued routes a synchronous dispatch through the plan queue and
-// blocks for the planner's verdict, preserving the inline error contract
-// exactly. wrap selects batch ("at <id>: ...") versus raw single-event
-// error wrapping.
-func (p *Pipeline) dispatchQueued(events []model.Event, bt BatchTracer, wrap bool) error {
-	reply, _ := p.replyPool.Get().(chan error)
-	if reply == nil {
-		reply = make(chan error, 1)
-	}
-	req := planReq{events: events, bt: bt, reply: reply, wrap: wrap}
-	if bt != nil {
-		req.enq = time.Now()
-	}
-	if err := p.enqueue(req); err != nil {
-		p.replyPool.Put(reply)
-		return err
-	}
-	err := <-reply
-	p.replyPool.Put(reply)
-	return err
-}
-
-// DispatchAsync plans, stamps, and publishes a run entirely off the calling
-// goroutine: the batch is copied onto the plan queue (so the caller may
-// reuse events immediately — the collector does) and the call returns once
-// there is room, blocking only for backpressure when the queue is at its
-// depth bound. Use Barrier to wait for visibility.
-//
-// Validation errors surface on a later call: the first error from an
-// asynchronous batch is parked and returned by the next DispatchAsync,
-// whose own batch is NOT enqueued. On a pipeline without the pipelined
-// planner this is DispatchTraced (synchronous errors).
-func (p *Pipeline) DispatchAsync(events []model.Event, bt BatchTracer) error {
-	if !p.async {
-		return p.DispatchTraced(events, bt)
-	}
-	if len(events) == 0 {
-		return p.takeDeferred()
-	}
-	bp, _ := p.batchPool.Get().(*[]model.Event)
-	if bp == nil {
-		bp = new([]model.Event)
-	}
-	*bp = append((*bp)[:0], events...)
-	req := planReq{events: *bp, owned: bp}
-	req.bt = bt
-	if bt != nil {
-		req.enq = time.Now()
-	}
-	if err := p.enqueueAsync(req); err != nil {
-		p.batchPool.Put(bp)
-		return err
-	}
-	return nil
 }
 
 // enqueue pushes one request, waiting for space (barrier markers are exempt
@@ -172,56 +108,6 @@ func (p *Pipeline) enqueue(req planReq) error {
 	return nil
 }
 
-// enqueueAsync is enqueue for fire-and-forget batches: the deferred-error
-// check and the push happen under one lock acquisition, so an error parked
-// while this call waited for space is returned here (and the batch dropped)
-// rather than raced past.
-func (p *Pipeline) enqueueAsync(req planReq) error {
-	q := &p.pq
-	q.mu.Lock()
-	for !q.stop && q.err == nil && q.batches >= q.limit {
-		q.avail.Wait()
-	}
-	if err := q.err; err != nil {
-		q.err = nil
-		q.mu.Unlock()
-		return err
-	}
-	if q.stop {
-		q.mu.Unlock()
-		return ErrPipelineClosed
-	}
-	q.reqs = append(q.reqs, req)
-	q.batches++
-	depth := q.batches
-	q.ready.Signal()
-	q.mu.Unlock()
-	p.observeQueueDepth(depth)
-	return nil
-}
-
-// takeDeferred returns (and clears) the parked asynchronous plan error.
-func (p *Pipeline) takeDeferred() error {
-	q := &p.pq
-	q.mu.Lock()
-	err := q.err
-	q.err = nil
-	q.mu.Unlock()
-	return err
-}
-
-// parkDeferred parks the first unreported asynchronous plan error and wakes
-// any enqueuer waiting for space so it can report it.
-func (p *Pipeline) parkDeferred(err error) {
-	q := &p.pq
-	q.mu.Lock()
-	if q.err == nil {
-		q.err = err
-	}
-	q.avail.Broadcast()
-	q.mu.Unlock()
-}
-
 // finishBatch retires one batch from the depth bound and wakes one waiting
 // enqueuer.
 func (p *Pipeline) finishBatch() {
@@ -236,7 +122,7 @@ func (p *Pipeline) finishBatch() {
 // under one lock acquisition, plans each batch under planMu (flushing the
 // staged items to the lanes), and answers barrier markers with an
 // issued-count snapshot. It exits only when stopped AND drained, so every
-// accepted request is planned and every waiting dispatcher answered.
+// accepted request is planned and every waiting barrier answered.
 func (p *Pipeline) planner() {
 	defer p.plannerWG.Done()
 	q := &p.pq
@@ -274,43 +160,8 @@ func (p *Pipeline) planOne(req *planReq) {
 		bw.ch <- struct{}{}
 		return
 	}
-	bt := req.bt
-	planSpan := -1
-	if bt != nil {
-		bt.Span("plan_wait", -1, -1, req.enq, time.Since(req.enq))
-		planSpan = bt.Begin("plan", -1, -1)
-	}
-	p.planMu.Lock()
-	p.curBT = bt
-	failID, err := p.planBatch(req.events)
-	p.flushLocked()
-	stampStart, stampDur := p.stampStart, p.stampDur
-	p.stampDur = 0
-	p.curBT = nil
-	p.planMu.Unlock()
-	if bt != nil {
-		if stampDur > 0 {
-			// Single-shard pipelined planner: stamping ran inline here.
-			bt.Span("stamp", 0, planSpan, stampStart, stampDur)
-		}
-		bt.End(planSpan)
-	}
-	if req.owned != nil {
-		p.batchPool.Put(req.owned)
-	}
-	if err != nil && req.wrap {
-		err = fmt.Errorf("at %v: %w", failID, err)
-	}
-	if req.reply != nil {
-		req.reply <- err
-		return
-	}
-	if err != nil {
-		if !req.wrap {
-			err = fmt.Errorf("at %v: %w", failID, err)
-		}
-		p.parkDeferred(err)
-	}
+	p.planRun(req.events, req.bt, req.enq)
+	p.batchPool.Put(req.owned)
 }
 
 // asyncBarrier is Barrier for the pipelined planner. Fast path: with the

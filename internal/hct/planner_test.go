@@ -1,8 +1,6 @@
 package hct
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,10 +63,6 @@ func TestPlanModesDifferential(t *testing.T) {
 						events = events[n:]
 					}
 					pipe.Barrier()
-					if err := pipe.DispatchAsync(nil, nil); err != nil {
-						pipe.Close()
-						t.Fatalf("plan=%d shards=%d: deferred error after clean run: %v", pq, shards, err)
-					}
 					if pipe.Events() != ref.Events() || pipe.Merges() != ref.Merges() ||
 						pipe.ClusterReceives() != ref.ClusterReceives() {
 						pipe.Close()
@@ -188,116 +182,72 @@ func TestAsyncPlannerBarrierOrdering(t *testing.T) {
 	}
 }
 
-// TestAsyncPlannerDeferredErrors pins the fire-and-forget error contract:
-// the failing batch's valid prefix stays applied with exact counts, the
-// error surfaces on the NEXT DispatchAsync (whose batch is dropped), and
-// the pipeline remains usable afterwards — no sticky poisoning.
-func TestAsyncPlannerDeferredErrors(t *testing.T) {
-	pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
-		PipelineOptions{Shards: 2, PlanQueue: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-
-	ev := func(p, i int) model.Event {
-		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
-	}
-
-	// Valid prefix of two, then a duplicate, then one more valid event that
-	// must NOT be applied (batch stops at first failure).
-	bad := []model.Event{ev(0, 1), ev(1, 1), ev(0, 1), ev(2, 1)}
-	if err := pipe.DispatchAsync(bad, nil); err != nil {
-		t.Fatalf("DispatchAsync accepted the batch for planning, got %v", err)
-	}
-	pipe.Barrier()
-
-	// Exact applied prefix: the two valid events, nothing after the failure.
-	if pipe.Events() != 2 {
-		t.Fatalf("Events() = %d after failed batch, want prefix 2", pipe.Events())
-	}
-	if _, ok := pipe.Timestamp(ev(2, 1).ID); ok {
-		t.Fatal("event after the failing one was applied")
-	}
-
-	// The deferred error arrives on the next call, which drops its batch.
-	dropped := []model.Event{ev(3, 1)}
-	err = pipe.DispatchAsync(dropped, nil)
-	if err == nil {
-		t.Fatal("deferred validation error not surfaced")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprint(ev(0, 1).ID)) {
-		t.Fatalf("deferred error %q does not name the failing event", err)
-	}
-	pipe.Barrier()
-	if _, ok := pipe.Timestamp(ev(3, 1).ID); ok {
-		t.Fatal("batch submitted alongside the deferred error was ingested")
-	}
-
-	// Not sticky: the same batch goes through cleanly now.
-	if err := pipe.DispatchAsync(dropped, nil); err != nil {
-		t.Fatalf("pipeline unusable after deferred error: %v", err)
-	}
-	pipe.Barrier()
-	if _, ok := pipe.Timestamp(ev(3, 1).ID); !ok {
-		t.Fatal("post-error batch not ingested")
-	}
-	if err := pipe.DispatchAsync(nil, nil); err != nil {
-		t.Fatalf("stale deferred error: %v", err)
-	}
-}
-
-// TestPlanBufferCapacityRetention pins the stage()-regrowth fix: the
-// validation buffer, staging buffers, and lane queues must stop growing once
-// warm — steady-state dispatches reuse capacity instead of reallocating.
+// TestPlanBufferCapacityRetention pins the stage()-regrowth fix: the buffers
+// between admission and the lanes — the per-shard staging buffers, and with
+// the pipelined planner the pooled batch the plan queue carries — must stop
+// growing once warm: steady-state dispatches reuse capacity instead of
+// reallocating.
 func TestPlanBufferCapacityRetention(t *testing.T) {
 	const procs, rounds, perBatch = 16, 8, 64
-	pipe, err := NewPipeline(procs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()},
-		PipelineOptions{Shards: 4, PlanQueue: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-
-	batch := func(idx int) []model.Event {
-		evs := make([]model.Event, 0, procs*perBatch)
-		for k := 0; k < perBatch; k++ {
-			for p := 0; p < procs; p++ {
-				evs = append(evs, model.Event{
-					ID:   model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(idx*perBatch + k + 1)},
-					Kind: model.Unary,
-				})
-			}
+	for _, pq := range []int{-1, 1} {
+		pipe, err := NewPipeline(procs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()},
+			PipelineOptions{Shards: 4, PlanQueue: pq})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return evs
-	}
 
-	if err := pipe.Dispatch(batch(0)); err != nil {
-		t.Fatal(err)
-	}
-	pipe.Barrier()
-	warmPlan := cap(pipe.planBuf)
-	warmCur := make([]int, len(pipe.curBufs))
-	for i := range pipe.curBufs {
-		warmCur[i] = cap(pipe.curBufs[i])
-	}
-	if warmPlan < procs*perBatch {
-		t.Fatalf("planBuf capacity %d did not grow to batch size %d", warmPlan, procs*perBatch)
-	}
+		batch := func(idx int) []model.Event {
+			evs := make([]model.Event, 0, procs*perBatch)
+			for k := 0; k < perBatch; k++ {
+				for p := 0; p < procs; p++ {
+					evs = append(evs, model.Event{
+						ID:   model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(idx*perBatch + k + 1)},
+						Kind: model.Unary,
+					})
+				}
+			}
+			return evs
+		}
+		// pooled is the capacity of the one batch buffer in circulation: each
+		// dispatch is barriered, so the pool holds it between rounds. (A GC
+		// may empty a sync.Pool; zero then means "not observable this round".)
+		pooled := func() int {
+			bp, _ := pipe.batchPool.Get().(*[]model.Event)
+			if bp == nil {
+				return 0
+			}
+			defer pipe.batchPool.Put(bp)
+			return cap(*bp)
+		}
 
-	for r := 1; r < rounds; r++ {
-		if err := pipe.Dispatch(batch(r)); err != nil {
+		if err := pipe.Dispatch(batch(0)); err != nil {
 			t.Fatal(err)
 		}
 		pipe.Barrier()
-		if got := cap(pipe.planBuf); got != warmPlan {
-			t.Fatalf("round %d: planBuf regrown %d -> %d", r, warmPlan, got)
-		}
+		warmCur := make([]int, len(pipe.curBufs))
 		for i := range pipe.curBufs {
-			if got := cap(pipe.curBufs[i]); got != warmCur[i] {
-				t.Fatalf("round %d: curBufs[%d] regrown %d -> %d", r, i, warmCur[i], got)
+			warmCur[i] = cap(pipe.curBufs[i])
+		}
+		warmPool := pooled()
+		if pq < 0 && warmPool != 0 {
+			t.Fatalf("plan=%d: inline dispatch put a %d-event buffer between admission and the planner", pq, warmPool)
+		}
+
+		for r := 1; r < rounds; r++ {
+			if err := pipe.Dispatch(batch(r)); err != nil {
+				t.Fatal(err)
+			}
+			pipe.Barrier()
+			for i := range pipe.curBufs {
+				if got := cap(pipe.curBufs[i]); got != warmCur[i] {
+					t.Fatalf("plan=%d round %d: curBufs[%d] regrown %d -> %d", pq, r, i, warmCur[i], got)
+				}
+			}
+			if got := pooled(); got != 0 && warmPool != 0 && got != warmPool {
+				t.Fatalf("plan=%d round %d: pooled batch regrown %d -> %d", pq, r, warmPool, got)
 			}
 		}
+		pipe.Close()
 	}
 }
 

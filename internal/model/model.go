@@ -195,16 +195,37 @@ var (
 	ErrDanglingPartner  = errors.New("model: partner event does not exist")
 )
 
-// Delivery errors: the contract of every online consumer of a delivery-order
-// event stream (the poset store, the cluster-timestamp planner). Unlike
-// Validate they judge one event against the stream so far. The texts keep the
-// "poset:" prefix of the package that first defined them, which re-exports
-// the same values, because clients match on them over the wire.
+// Delivery errors: the one table of sentinels for the delivery contract, the
+// precondition of every online consumer of an event stream (the poset store,
+// the pipeline's admission gate, the collector in front of it). Unlike
+// Validate they judge one event against the stream so far. Each text keeps
+// the prefix of the package that first defined it ("poset:", "fm:",
+// "monitor:"), which re-exports the same value, because clients match on the
+// texts over the wire.
 var (
 	ErrDeliverProcOutOfRange = errors.New("poset: process id out of range")
 	ErrDeliverBadIndex       = errors.New("poset: event index does not extend process history")
 	ErrDeliverUnknownSend    = errors.New("poset: receive refers to unknown send")
 	ErrDeliverDuplicate      = errors.New("poset: duplicate event")
+
+	// A non-sync event arrived between the halves of a synchronous pair, or
+	// the second half is not the one the first names.
+	ErrDeliverSyncInterleaved = errors.New("fm: event interleaved inside a synchronous pair")
+	ErrDeliverSyncPartner     = errors.New("fm: sync event does not match pending sync partner")
+
+	// ErrDeliverBadPartner marks a communication event whose partner
+	// reference is structurally impossible: missing, out of range, or within
+	// the event's own process. ErrDeliverSelfSync is the synchronous event
+	// partnered with itself (once delivered twice, as itself and as its own
+	// partner half).
+	ErrDeliverBadPartner = errors.New("monitor: bad partner reference")
+	ErrDeliverSelfSync   = errors.New("monitor: sync event partnered with itself")
+	// ErrDeliverSyncMismatch marks two front events that claim to be sync
+	// partners but do not reference each other (or are not both syncs);
+	// ErrDeliverReceiveMismatch a receive whose named send was delivered but
+	// targets a different event (or was already claimed by another receive).
+	ErrDeliverSyncMismatch    = errors.New("monitor: sync halves do not reference each other")
+	ErrDeliverReceiveMismatch = errors.New("monitor: receive does not match its send's target")
 )
 
 // Validate checks structural well-formedness of the trace:

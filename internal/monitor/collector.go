@@ -1,36 +1,26 @@
 package monitor
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/hct"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
 
 // Validation errors returned by the collector when an instrumentation stream
-// is corrupt. They are named so callers (and tests) can classify rejections
-// with errors.Is; every rejection leaves the collector's bookkeeping exactly
-// as it was before the offending record.
+// is corrupt: the delivery-contract sentinels of package model, re-exported
+// (the same values, so errors.Is matches across packages). Every rejection
+// leaves the collector's bookkeeping, and the pipeline's admission state,
+// exactly as it was before the offending record.
 var (
-	// ErrBadPartner marks a communication event whose partner reference is
-	// structurally impossible: missing, out of range, or within the event's
-	// own process.
-	ErrBadPartner = errors.New("monitor: bad partner reference")
-	// ErrSelfSync marks a synchronous event partnered with itself. (Before
-	// this was rejected, such an event was delivered twice: once as itself
-	// and once as its own "partner half", driving the held count negative
-	// and advancing the process frontier by two.)
-	ErrSelfSync = errors.New("monitor: sync event partnered with itself")
-	// ErrSyncMismatch marks a pair of front events that claim to be sync
-	// partners but do not reference each other (or are not both syncs).
-	ErrSyncMismatch = errors.New("monitor: sync halves do not reference each other")
-	// ErrReceiveMismatch marks a receive whose named send was delivered but
-	// targets a different event (or was already claimed by another receive).
-	ErrReceiveMismatch = errors.New("monitor: receive does not match its send's target")
+	ErrBadPartner      = model.ErrDeliverBadPartner
+	ErrSelfSync        = model.ErrDeliverSelfSync
+	ErrSyncMismatch    = model.ErrDeliverSyncMismatch
+	ErrReceiveMismatch = model.ErrDeliverReceiveMismatch
 )
 
 // RunJournal persists each deliverable run before it is handed to the
@@ -56,33 +46,43 @@ type RunJournal interface {
 //   - a synchronous event is held until its partner is also at the front of
 //     its own process, whereupon both halves are delivered back to back.
 //
+// The collector keeps no delivery-contract state of its own. What is
+// deliverable is read from the pipeline's admission state (hct.Admission: the
+// per-process frontier, the in-flight sends and their targets), each event is
+// admitted there as it joins the run, and the admission lock is held for the
+// length of a SubmitBatch: admit → journal → enqueue happen under one lock,
+// so admission order is journal order is plan order, and the log holds
+// nothing the store will not plan. A collector over a recovered or hand-fed
+// monitor resumes where that state stands, because it is reading the one
+// state, not a copy of it.
+//
 // Submit and SubmitBatch may be called from many goroutines. Deliverable
-// events are handed to the monitor as one run per call — the monitor's
-// write lock is taken once per run, not once per event — which is what
+// events are handed to the monitor as one run per call — the planner's
+// lock is taken once per run, not once per event — which is what
 // makes batched network ingestion fast. When a journal is attached, each
 // run is appended to it before delivery, so the durable log is always a
 // run-atomic prefix of the monitor's state. Close drains the stream and
 // reports any stranded events (which indicate a corrupt or incomplete
 // computation).
 type Collector struct {
-	m *Monitor
+	m   *Monitor
+	adm *hct.Admission // m's admission state; its lock is taken after mu
 
 	mu      sync.Mutex
 	closed  bool
 	pending []map[model.EventIndex]model.Event // per process: arrived, undelivered
-	next    []model.EventIndex                 // next index to deliver per process
 	held    int
 	run     []model.Event // deliverable run being assembled (reused)
 	journal RunJournal    // optional write-ahead journal
 
-	// pipelined selects asynchronous delivery: flush dispatches the run to
-	// the monitor's ingest shards and returns without waiting for the
-	// stamps to publish, overlapping the next run's assembly (and journal
-	// append) with the current run's vector math. The journal ordering
-	// contract is unchanged — AppendRun still completes before the run is
-	// dispatched, so the durable log remains a run-atomic prefix of what
-	// the pipeline has accepted. Callers that need read-your-writes (the
-	// server's query surfaces) issue Monitor.IngestBarrier first.
+	// pipelined selects asynchronous delivery: SubmitBatch returns once the
+	// run is with the plan stage, without waiting for the stamps to
+	// publish, overlapping the next run's assembly (and journal append)
+	// with the current run's vector math. The journal ordering contract is
+	// unchanged — AppendRun still completes before the run is dispatched,
+	// so the durable log remains a run-atomic prefix of what the pipeline
+	// has accepted. Callers that need read-your-writes (the server's query
+	// surfaces) issue Monitor.IngestBarrier first.
 	pipelined bool
 
 	// Optional telemetry (set by the server when instrumented): latency of
@@ -96,12 +96,6 @@ type Collector struct {
 	// RunJournal. The collector's mutex serializes Set/Clear around the
 	// append.
 	spans *obs.SpanScope
-
-	// sentPartner maps each delivered send to the receive it targets, until
-	// that receive is delivered. It mirrors the partial-order store's
-	// in-flight message table and lets the collector reject a receive whose
-	// send references a different event before any state is corrupted.
-	sentPartner map[model.EventID]model.EventID
 
 	// syncWaiters maps a claimed sync-partner ID to the process whose front
 	// sync is blocked waiting for it. When the claimed event reaches the
@@ -118,11 +112,9 @@ type Collector struct {
 	inWork  []bool // per process: queued in work
 }
 
-// NewCollector wraps a monitor for out-of-order ingestion. The collector
-// resumes from the monitor's current state: its per-process frontiers and
-// in-flight send table are seeded from the partial-order store, so a
-// collector built over a monitor reconstructed from a write-ahead log
-// accepts the stream exactly where the recovered state left off.
+// NewCollector wraps a monitor for out-of-order ingestion. A collector built
+// over a monitor reconstructed from a write-ahead log accepts the stream
+// exactly where the recovered state left off.
 func NewCollector(m *Monitor) *Collector {
 	n := m.NumProcs()
 	pending := make([]map[model.EventIndex]model.Event, n)
@@ -131,9 +123,8 @@ func NewCollector(m *Monitor) *Collector {
 	}
 	return &Collector{
 		m:           m,
+		adm:         m.pipe.Admission(),
 		pending:     pending,
-		next:        m.frontierNext(),
-		sentPartner: m.pendingSendTargets(),
 		syncWaiters: make(map[model.EventID]int),
 		seen:        make([]bool, n),
 		inWork:      make([]bool, n),
@@ -161,14 +152,16 @@ func (c *Collector) SubmitBatch(events []model.Event) (accepted int, err error) 
 
 // SubmitBatchTraced is SubmitBatch carrying the batch's span trace (nil for
 // unsampled batches, which is the hot path and costs only nil checks). The
-// collector records the validate span (insert + enablement drain); flush
-// scopes the WAL append and threads the trace into the delivery pipeline.
+// collector records the validate span (insert, enablement drain, admission);
+// flush scopes the WAL append and threads the trace into the delivery
+// pipeline.
 func (c *Collector) SubmitBatchTraced(events []model.Event, tr *obs.Trace) (accepted int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, ErrClosed
 	}
+	c.adm.Lock()
 	vs := tr.Begin("validate", -1, -1)
 	var firstErr error
 	touched := c.touched[:0]
@@ -199,41 +192,30 @@ func (c *Collector) SubmitBatchTraced(events []model.Event, tr *obs.Trace) (acce
 	if err := c.flush(tr); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	c.adm.Unlock()
+	if !c.pipelined {
+		c.m.IngestBarrier()
+	}
 	return accepted, firstErr
 }
 
-// insert validates one record and buffers it as pending.
+// insert validates one record and buffers it as pending. The process range
+// is checked here first, in the text clients have always been sent, because
+// it guards the lookups that follow; the rest of the record check is the
+// admission gate's.
 func (c *Collector) insert(e model.Event) error {
 	p := int(e.ID.Process)
 	if p < 0 || p >= len(c.pending) {
 		return fmt.Errorf("monitor: event %v: process out of range", e.ID)
 	}
-	if e.ID.Index < c.next[p] {
+	if c.delivered(e.ID) {
 		return fmt.Errorf("monitor: event %v already delivered", e.ID)
 	}
 	if _, dup := c.pending[p][e.ID.Index]; dup {
 		return fmt.Errorf("monitor: duplicate submission of %v", e.ID)
 	}
-	switch e.Kind {
-	case model.Unary:
-		// Partner references on unary events are ignored downstream, but a
-		// present one signals a corrupt stream; tolerate it as before.
-	case model.Send, model.Receive, model.Sync:
-		q := int(e.Partner.Process)
-		if e.Partner.IsZero() || q < 0 || q >= len(c.pending) {
-			return fmt.Errorf("monitor: event %v partner %v: %w", e.ID, e.Partner, ErrBadPartner)
-		}
-		if e.Partner == e.ID {
-			if e.Kind == model.Sync {
-				return fmt.Errorf("monitor: event %v: %w", e.ID, ErrSelfSync)
-			}
-			return fmt.Errorf("monitor: event %v partner %v: %w", e.ID, e.Partner, ErrBadPartner)
-		}
-		if e.Partner.Process == e.ID.Process {
-			return fmt.Errorf("monitor: event %v partner %v: %w", e.ID, e.Partner, ErrBadPartner)
-		}
-	default:
-		return fmt.Errorf("monitor: unknown kind %v for %v", e.Kind, e.ID)
+	if err := c.adm.CheckRecord(e); err != nil {
+		return err
 	}
 	c.pending[p][e.ID.Index] = e
 	c.held++
@@ -242,12 +224,12 @@ func (c *Collector) insert(e model.Event) error {
 
 // delivered reports whether the event with the given ID has been delivered.
 func (c *Collector) delivered(id model.EventID) bool {
-	return id.Index < c.next[id.Process]
+	return id.Index < c.adm.Next(int(id.Process))
 }
 
 // front returns the front event of process p, if it has arrived.
 func (c *Collector) front(p int) (model.Event, bool) {
-	e, ok := c.pending[p][c.next[p]]
+	e, ok := c.pending[p][c.adm.Next(p)]
 	return e, ok
 }
 
@@ -290,10 +272,13 @@ scan:
 			}
 			switch e.Kind {
 			case model.Unary:
-				c.deliver(e)
+				if err = c.deliver(e); err != nil {
+					break scan
+				}
 			case model.Send:
-				c.sentPartner[e.ID] = e.Partner
-				c.deliver(e)
+				if err = c.deliver(e); err != nil {
+					break scan
+				}
 				// The matching receive's process may now be unblocked.
 				q := int(e.Partner.Process)
 				if !c.inWork[q] {
@@ -306,12 +291,13 @@ scan:
 				if !c.delivered(e.Partner) {
 					break inner
 				}
-				if target, ok := c.sentPartner[e.Partner]; !ok || target != e.ID {
+				if target, ok := c.adm.SendTarget(e.Partner); !ok || target != e.ID {
 					err = fmt.Errorf("monitor: receive %v claims send %v: %w", e.ID, e.Partner, ErrReceiveMismatch)
 					break scan
 				}
-				delete(c.sentPartner, e.Partner)
-				c.deliver(e)
+				if err = c.deliver(e); err != nil {
+					break scan
+				}
 			case model.Sync:
 				// Deliverable only when the partner half is also at the
 				// front of its process; both halves then go back to back.
@@ -331,8 +317,12 @@ scan:
 					err = fmt.Errorf("monitor: sync %v <> %v: %w", e.ID, partner, ErrSyncMismatch)
 					break scan
 				}
-				c.deliver(e)
-				c.deliver(partner)
+				if err = c.deliver(e); err == nil {
+					err = c.deliver(partner)
+				}
+				if err != nil {
+					break scan
+				}
 				delete(c.syncWaiters, partner.ID) // delivered as the partner half, never scanned as a front
 				if !c.inWork[q] {
 					c.inWork[q] = true
@@ -352,21 +342,27 @@ scan:
 	return err
 }
 
-// deliver moves one front event onto the current run and advances the
-// process frontier.
-func (c *Collector) deliver(e model.Event) {
-	p := int(e.ID.Process)
-	delete(c.pending[p], e.ID.Index)
+// deliver admits one front event — which advances the process frontier — and
+// moves it onto the current run. drain has established everything the gate
+// checks about the stream this collector assembled, so a refusal is about
+// what it did not: the pipeline was closed, or a direct dispatcher left a
+// sync half held. The event then stays pending.
+func (c *Collector) deliver(e model.Event) error {
+	if err := c.adm.Admit(e); err != nil {
+		return fmt.Errorf("monitor: %w", err)
+	}
+	delete(c.pending[e.ID.Process], e.ID.Index)
 	c.held--
-	c.next[p]++
 	c.run = append(c.run, e)
+	return nil
 }
 
-// flush hands the assembled run to the monitor under one lock acquisition,
-// appending it to the write-ahead journal first when one is attached. A
-// journal failure closes the collector: the in-memory frontier is already
-// ahead of the durable log, so no later submission could be recovered
-// consistently — fail-stop is the only honest behaviour.
+// flush hands the assembled, already admitted run to the plan stage, appending
+// it to the write-ahead journal first when one is attached; the caller holds
+// the admission lock across both. A journal failure closes the collector: the
+// admission frontier is already ahead of the durable log, so no later
+// submission could be recovered consistently — fail-stop is the only honest
+// behaviour.
 func (c *Collector) flush(tr *obs.Trace) error {
 	if len(c.run) == 0 {
 		return nil
@@ -393,17 +389,15 @@ func (c *Collector) flush(tr *obs.Trace) error {
 	if c.deliverHist != nil {
 		start = time.Now()
 	}
-	var err error
-	if c.pipelined {
-		err = c.m.DeliverBatchAsyncTraced(c.run, tr)
-	} else {
-		err = c.m.DeliverBatchTraced(c.run, tr)
-	}
+	err := c.m.pipe.DispatchAdmitted(c.run, batchTracer(tr))
 	if c.deliverHist != nil {
 		c.deliverHist.ObserveSince(start)
 	}
 	c.run = c.run[:0]
-	return err
+	if err != nil {
+		return fmt.Errorf("monitor: %w", err)
+	}
+	return nil
 }
 
 // Held returns the number of buffered, undelivered events.

@@ -20,9 +20,9 @@ import (
 // that requirement for concurrent producers.
 //
 // Since the sharded-ingest rework the monitor is a thin façade over
-// hct.Pipeline: a sequential planner validates each event and makes every
-// cluster decision in delivery order, then hands the vector-clock math and
-// column publication to per-shard stamping lanes (see internal/hct/pipeline.go
+// hct.Pipeline: an admission gate holds each event to the delivery contract,
+// a sequential planner makes every cluster decision in delivery order, and
+// per-shard stamping lanes do the vector-clock math and column publication (see internal/hct/pipeline.go
 // for the full protocol). New builds a single-shard monitor, which stamps
 // inline on the delivering goroutine — the exact single-writer path earlier
 // revisions implemented directly. NewSharded spreads the stamping work across
@@ -70,8 +70,8 @@ func NewSharded(numProcs int, cfg hct.Config, shards int) (*Monitor, error) {
 
 // NewWithOptions returns a monitor with full control over the ingest
 // pipeline shape — shard count and plan-queue depth (see
-// hct.PipelineOptions). Results are identical for every shape; only
-// throughput and the async error timing (see DeliverBatchAsync) differ.
+// hct.PipelineOptions). Results, errors included, are identical for every
+// shape; only throughput differs.
 func NewWithOptions(numProcs int, cfg hct.Config, opt hct.PipelineOptions) (*Monitor, error) {
 	pipe, err := hct.NewPipeline(numProcs, cfg, opt)
 	if err != nil {
@@ -101,7 +101,7 @@ func (m *Monitor) Deliver(e model.Event) error {
 
 // DeliverBatch ingests a run of events in delivery order and waits for the
 // whole run to be stamped and published. This is the fast path behind
-// batched network ingestion: the planner cost collapses to validation and
+// batched network ingestion: the sequential cost collapses to admission and
 // cluster bookkeeping, with the vector math spread across the ingest
 // shards (inline on this goroutine for a single-shard monitor). On error
 // the events before the failing one remain delivered.
@@ -134,19 +134,14 @@ func batchTracer(tr *obs.Trace) hct.BatchTracer {
 	return tr
 }
 
-// DeliverBatchAsync ingests a run without waiting for planning or stamping
-// to complete: on a monitor with the pipelined planner (the default for
-// more than one shard), the run is copied onto the plan queue and the call
-// returns as soon as there is room — the caller may reuse events
-// immediately and overlap decoding/journaling the next run with planning
-// and stamping the current one. Queries observe results as the per-process
+// DeliverBatchAsync ingests a run without waiting for stamping — or, on a
+// monitor with the pipelined planner (the default for more than one shard),
+// for planning — to complete: the admitted run is put on the plan queue and
+// the call returns as soon as there is room. The caller may reuse events
+// immediately and overlap decoding/journaling the next run with planning and
+// stamping the current one. Queries observe results as the per-process
 // watermarks advance; IngestBarrier waits for everything accepted so far.
-//
-// Error timing follows the pipeline: with the pipelined planner, a run's
-// validation error surfaces on the NEXT DeliverBatchAsync call (whose own
-// run is then not ingested); the failing run's valid prefix remains
-// delivered either way. Without it (single shard, or plan queue forced
-// inline) errors are synchronous as in DeliverBatch.
+// Errors are synchronous, as in DeliverBatch.
 func (m *Monitor) DeliverBatchAsync(events []model.Event) error {
 	return m.DeliverBatchAsyncTraced(events, nil)
 }
@@ -154,12 +149,6 @@ func (m *Monitor) DeliverBatchAsync(events []model.Event) error {
 // DeliverBatchAsyncTraced is DeliverBatchAsync with the run's span trace
 // (nil when the run is not sampled).
 func (m *Monitor) DeliverBatchAsyncTraced(events []model.Event, tr *obs.Trace) error {
-	if len(events) == 0 {
-		if err := m.pipe.DispatchAsync(nil, nil); err != nil {
-			return fmt.Errorf("monitor: %w", err)
-		}
-		return nil
-	}
 	if err := m.pipe.DispatchAsync(events, batchTracer(tr)); err != nil {
 		return fmt.Errorf("monitor: %w", err)
 	}
@@ -173,21 +162,6 @@ func (m *Monitor) IngestBarrier() { m.pipe.Barrier() }
 // DeliverAll ingests a whole trace.
 func (m *Monitor) DeliverAll(t *model.Trace) error {
 	return m.DeliverBatch(t.Events)
-}
-
-// frontierNext returns, per process, the index of the next undelivered
-// event. A fresh monitor yields all ones; a monitor reconstructed from a
-// write-ahead log yields the recovered frontier, letting a Collector resume
-// the stream exactly where the durable state left off.
-func (m *Monitor) frontierNext() []model.EventIndex {
-	return m.pipe.FrontierNext()
-}
-
-// pendingSendTargets returns, for each delivered send whose receive has not
-// yet been delivered, the receive it targets. It seeds a resuming
-// Collector's in-flight message table.
-func (m *Monitor) pendingSendTargets() map[model.EventID]model.EventID {
-	return m.pipe.PendingSendTargets()
 }
 
 // GreatestConcurrent... and richer query surfaces live with the callers;

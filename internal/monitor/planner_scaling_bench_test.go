@@ -11,8 +11,8 @@ import (
 
 // BenchmarkPlannerScaling isolates what the pipelined planner buys on a
 // communication-dense workload: the ring trace makes every other event a
-// receive, so the plan stage (validation + cluster bookkeeping) is as large
-// a fraction of delivery as it gets. Each shard count runs twice — plan
+// receive, so the plan stage (the cluster bookkeeping) is as large a
+// fraction of delivery as it gets. Each shard count runs twice — plan
 // mode inline (planning on the delivering goroutine under planMu, the PR 6
 // shape) versus pipelined (planning on the dedicated planner goroutine
 // behind the plan queue) — so the series' ratio is the planner-offload win

@@ -291,3 +291,110 @@ func runCrashTrial(t *testing.T, tr *model.Trace, cfg hct.Config, ref *Monitor, 
 		}
 	}
 }
+
+// TestCollectorJournalFailureIsFailStop pins what happens when AppendRun fails
+// after the run was admitted. The pipeline's admission frontier is then ahead
+// of the log and of the store, and nothing may let that show: the collector
+// is closed for good, the store publishes exactly the journaled runs, and a
+// recovery from the directory is the acknowledged prefix.
+func TestCollectorJournalFailureIsFailStop(t *testing.T) {
+	tr := mixedTrace(5, 120, 0xFA11)
+	cfg := hct.Config{MaxClusterSize: 3, Decider: strategy.NewMergeOnFirst()}
+	walDir := t.TempDir()
+	wlog, err := wal.Open(walDir, wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rj := &recordingJournal{l: wlog}
+	m, err := NewWithOptions(tr.NumProcs, cfg, hct.PipelineOptions{Shards: 2, PlanQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	c := NewCollector(m)
+	c.pipelined = true
+	diskFull := errors.New("no space left on device")
+	c.journal = failingJournal{RunJournal: rj, failAt: 6, runs: &rj.runEnds, err: diskFull}
+
+	var failed bool
+	for lo := 0; lo < len(tr.Events); lo += 8 {
+		batch := tr.Events[lo:min(lo+8, len(tr.Events))]
+		n, err := c.SubmitBatch(batch)
+		switch {
+		case failed:
+			if n != 0 || !errors.Is(err, ErrClosed) {
+				t.Fatalf("SubmitBatch after the journal failed = %d, %v; want 0, ErrClosed", n, err)
+			}
+		case err != nil:
+			if !errors.Is(err, diskFull) {
+				t.Fatalf("SubmitBatch: %v, want the journal's error", err)
+			}
+			failed = true
+		}
+	}
+	if !failed {
+		t.Fatal("the journal never failed: the test is not testing anything")
+	}
+	if err := c.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Close after the journal failed = %v, want ErrClosed", err)
+	}
+
+	// The run that was admitted and not journaled moved the admission
+	// frontier and nothing else.
+	m.IngestBarrier()
+	admitted := 0
+	for _, next := range m.Pipeline().FrontierNext() {
+		admitted += int(next - 1)
+	}
+	if admitted <= len(rj.delivered) {
+		t.Fatalf("admission frontier counts %d events, journal %d: the failed run was not admitted first", admitted, len(rj.delivered))
+	}
+	if got := m.Stats(tr.NumProcs).Events; got != len(rj.delivered) {
+		t.Fatalf("store holds %d events, journal %d", got, len(rj.delivered))
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := wal.Open(walDir, wal.Options{NumProcs: tr.NumProcs})
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	defer w2.Close()
+	m2, err := New(tr.NumProcs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed []model.Event
+	if err := w2.Replay(func(batch []model.Event) error {
+		replayed = append(replayed, batch...)
+		return m2.DeliverBatch(batch)
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !slices.Equal(replayed, rj.delivered) {
+		t.Fatalf("recovered %d events, acknowledged %d", len(replayed), len(rj.delivered))
+	}
+	for _, e := range replayed {
+		got, ok := m.Timestamp(e.ID)
+		want, _ := m2.Timestamp(e.ID)
+		if !ok || !sameTimestamp(got, want) {
+			t.Fatalf("acknowledged event %v: live %v (%v), recovered %v", e.ID, got, ok, want)
+		}
+	}
+}
+
+// failingJournal fails every AppendRun from the failAt-th on.
+type failingJournal struct {
+	RunJournal
+	failAt int
+	runs   *[]int // the wrapped journal's run tally
+	err    error
+}
+
+func (j failingJournal) AppendRun(events []model.Event) error {
+	if len(*j.runs) >= j.failAt {
+		return j.err
+	}
+	return j.RunJournal.AppendRun(events)
+}

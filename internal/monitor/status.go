@@ -76,7 +76,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	counter("poetd_cross_shard_waits_total",
 		"Cross-shard rendezvous waits that actually blocked a stamping lane.",
 		pipe.CrossShardWaits)
-	reg.GaugeFunc("poetd_planner_pipelined", "Whether the plan stage runs on its own goroutine (1) or inline on the submitter (0).",
+	reg.GaugeFunc("poetd_planner_pipelined", "Whether the plan stage (the cluster decisions; admission always runs on the submitter) runs on its own goroutine (1) or inline on the submitter (0).",
 		func() float64 {
 			if pipe.PlannerPipelined() {
 				return 1

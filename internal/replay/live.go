@@ -23,16 +23,20 @@ import (
 // tally of the first c recorded events per process, with one exception — the
 // first half of a synchronous pair is published together with the second
 // (the planner's syncHold), so a cutoff that falls between the halves leaves
-// that process one short. Halves are adjacent in delivery order
-// (Pipeline.check), so one field of state carries it.
+// that process one short. Halves are adjacent in delivery order (the
+// admission gate, hct/admit.go), so one field of state carries it.
 //
 // Coverage. The collector journals a run before dispatching it, so the log can
 // name events the lanes have not published yet. A view is handed out only
 // once the live published watermark covers the cutoff's; see coverLocked.
 
 // ErrNotCovered is returned (wrapped) for a cutoff whose events are recorded
-// but not in the live store: journaled and not yet dispatched, or journaled
-// and then rejected by the planner. The first heals itself; retry.
+// but will never be in the live store. A run is admitted before it is
+// journaled and enqueued under the same hold of the admission lock, so a
+// healthy daemon's log names nothing its store will not publish, and
+// coverLocked waits for it; what remains is a log ahead of a store that has
+// stopped taking runs — a collector fail-stopped after a journal error, or a
+// pipeline closed under it. Retrying does not help.
 var ErrNotCovered = errors.New("replay: cutoff not covered by the live store")
 
 // OpenLive opens the WAL chain in dir as the history plane of the daemon
@@ -136,9 +140,13 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 }
 
 // coverLocked returns once the live store has published every cell below
-// want. If it has not, the lanes are behind the journal: one Barrier waits for
-// whatever is already dispatched — never for new input, and ingest does not
-// wait for it — and what is still missing after that was never dispatched.
+// want. If it has not, the lanes are behind the journal. A journaled run is
+// either already with the plan stage or in the hands of a SubmitBatch that
+// still holds the admission lock (admit → journal → enqueue happen under it),
+// so taking and releasing that lock waits out at most that one call, and one
+// Barrier then waits for everything dispatched — never for new input, and
+// ingest does not wait for it. What is still missing after that will never be
+// dispatched.
 func (s *Store) coverLocked(want hct.Watermark) error {
 	var have hct.Watermark
 	short := func() int {
@@ -154,6 +162,9 @@ func (s *Store) coverLocked(want hct.Watermark) error {
 		return nil
 	}
 	s.opts.Obs.HistoryCoverWaits.Inc()
+	gate := s.live.Admission()
+	gate.Lock()
+	gate.Unlock() // the empty critical section is the fence
 	s.live.Barrier()
 	if p := short(); p >= 0 {
 		return fmt.Errorf("%w: process %d has not published event %d", ErrNotCovered, p, want[p])

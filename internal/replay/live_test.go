@@ -331,6 +331,114 @@ func TestLiveViewWaitsForStalledLane(t *testing.T) {
 	}
 }
 
+// planGate is a BatchTracer that holds the planner goroutine inside the plan
+// span of the run it traces until released.
+type planGate struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *planGate) Begin(name string, _, _ int) int {
+	if name == "plan" {
+		close(g.entered)
+		<-g.release
+	}
+	return 0
+}
+func (g *planGate) End(int)                                             {}
+func (g *planGate) Span(string, int, int, time.Time, time.Duration) int { return 0 }
+
+// TestLiveViewWaitsForCollectorInEnqueue is ErrNotCovered's old second home on
+// a healthy daemon: the collector has journaled a run and sits in enqueue,
+// behind a plan queue (depth 1) whose planner is stalled, so the log names
+// events no Barrier can see yet. The collector admits, journals and enqueues
+// under one hold of the admission lock, so a QUERY@latest issued then waits on
+// that lock and then on the barrier, and answers; it never reports
+// ErrNotCovered.
+func TestLiveViewWaitsForCollectorInEnqueue(t *testing.T) {
+	tr := workload.Ring(8, 6, false)
+	half := len(tr.Events) / 2
+	dir := t.TempDir()
+	wlog, err := wal.Open(dir, wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	live, err := monitor.NewWithOptions(tr.NumProcs, mergeOnFirst(2)(), hct.PipelineOptions{Shards: 2, PlanQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	tel := obs.NewTelemetry(obs.NewRegistry())
+	hist, err := replay.OpenLive(dir, live.Pipeline(), replay.Options{Obs: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hist.Close()
+	srv := monitor.NewServer(live, monitor.ServerConfig{Journal: wlog, History: hist})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() *monitor.ClientV2 {
+		c, err := monitor.DialV2(addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	producer, querier := dial(), dial()
+	defer producer.Close()
+	defer querier.Close()
+
+	// The first run, journaled and dispatched by hand so that it can carry
+	// the gate: the planner stalls inside it and the plan queue is full.
+	gate := &planGate{entered: make(chan struct{}), release: make(chan struct{})}
+	if err := wlog.Append(tr.Events[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Pipeline().DispatchTraced(tr.Events[:half], gate); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered
+
+	// The second run, through the collector: once the log holds it, the
+	// collector is in enqueue (or a step from it), admission lock in hand.
+	reported := make(chan error, 1)
+	go func() { reported <- producer.ReportBatch(tr.Events[half:]) }()
+	for wlog.Appended() < uint64(len(tr.Events)) {
+		runtime.Gosched()
+	}
+
+	first, last := tr.Events[0].ID, tr.Events[len(tr.Events)-1].ID
+	type answer struct {
+		res []monitor.QueryResult
+		err error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		res, err := querier.QueryBatchAt(replay.CutoffLatest, []monitor.Query{{Op: monitor.OpPrecedes, A: first, B: last}})
+		answered <- answer{res, err}
+	}()
+	for tel.HistoryCoverWaits.Value() == 0 {
+		runtime.Gosched()
+	}
+	select {
+	case a := <-answered:
+		t.Fatalf("QUERY@latest answered (%v, %v) while the journaled run was not enqueued", a.res, a.err)
+	case <-time.After(20 * time.Millisecond): // cannot fail a correct store
+	}
+	close(gate.release)
+	a := <-answered
+	if a.err != nil || len(a.res) != 1 || a.res[0].Err != nil || !a.res[0].True {
+		t.Fatalf("QUERY@latest Precedes(first, last) on a ring = (%+v, %v), want true", a.res, a.err)
+	}
+	if err := <-reported; err != nil {
+		t.Fatalf("ReportBatch: %v", err)
+	}
+}
+
 // TestHistoryBytesPerEvent is the history plane's standing budget, beside
 // hct's TestStoreBytesPerEvent and on the same ring (spmd-stream's, 607k
 // events): over a daemon's store, serving 64 ascending and 8 rewound cutoffs grows the live heap by at
