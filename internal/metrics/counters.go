@@ -135,6 +135,48 @@ func ParseSnapshot(body string) (snap CounterSnapshot, ok bool) {
 	return snap, ok
 }
 
+// TenantCounters is the per-namespace subset of a STATS body: the
+// tenant-labelled ingest and query totals. It feeds poquery -watch's
+// per-tenant rate lines the same way CounterSnapshot feeds the global ones.
+type TenantCounters struct {
+	Events  int64
+	Queries int64
+}
+
+// ParseTenantCounters extracts the tenant_events{tenant="name"}=N and
+// tenant_queries{tenant="name"}=N fields of a STATS body, keyed by tenant
+// name. Tenant names are [a-zA-Z0-9_-], so a field holds no space and no
+// escape and splits like any other. The map is empty (never nil) for bodies
+// from daemons that predate tenant-labelled STATS.
+func ParseTenantCounters(body string) map[string]TenantCounters {
+	out := make(map[string]TenantCounters)
+	for _, field := range strings.Fields(body) {
+		key, rest, ok := strings.Cut(field, `{tenant="`)
+		if !ok {
+			continue
+		}
+		tenant, num, ok := strings.Cut(rest, `"}=`)
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseInt(num, 10, 64)
+		if err != nil {
+			continue
+		}
+		tc := out[tenant]
+		switch key {
+		case "tenant_events":
+			tc.Events = v
+		case "tenant_queries":
+			tc.Queries = v
+		default:
+			continue
+		}
+		out[tenant] = tc
+	}
+	return out
+}
+
 // String renders the snapshot in the key=value style of the server's STATS
 // surface, so it can be appended verbatim to a STATS response.
 func (s CounterSnapshot) String() string {

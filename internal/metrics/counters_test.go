@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -87,5 +88,31 @@ func TestParseSnapshotRejectsForeign(t *testing.T) {
 		if _, ok := ParseSnapshot(body); ok {
 			t.Fatalf("ParseSnapshot(%q) claimed ok", body)
 		}
+	}
+}
+
+func TestParseTenantCounters(t *testing.T) {
+	body := `ingested=900 tenant_events{tenant="blue"}=500 tenant_queries{tenant="blue"}=12 ` +
+		`tenant_events{tenant="green"}=400 other{tenant="blue"}=9 unlabeled{shard="0"}=1`
+	got := ParseTenantCounters(body)
+	want := map[string]TenantCounters{
+		"blue":  {Events: 500, Queries: 12},
+		"green": {Events: 400},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseTenantCounters = %+v, want %+v", got, want)
+	}
+	if m := ParseTenantCounters("ingested=900 batches=30"); m == nil || len(m) != 0 {
+		t.Fatalf("pre-tenant body = %v, want empty non-nil map", m)
+	}
+}
+
+func TestParseSnapshotIgnoresLabeledFields(t *testing.T) {
+	// The plain-counter parser must pass over labeled fields without
+	// misreading them as counters.
+	body := `ingested=900 tenant_events{tenant="blue"}=500 batches=30`
+	got, ok := ParseSnapshot(body)
+	if !ok || got.EventsIngested != 900 || got.BatchesIngested != 30 {
+		t.Fatalf("ParseSnapshot = %+v ok=%v", got, ok)
 	}
 }

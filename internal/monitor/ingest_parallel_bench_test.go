@@ -22,9 +22,9 @@ import (
 //
 // The wal=... series replay the same stream through a pipelined Collector —
 // the production submit path — with and without a write-ahead journal at
-// the default group-commit (batch) fsync policy, so BENCH_query.json
-// records how much durability costs relative to the same collector path
-// without it.
+// the default group-commit (batch) fsync policy, so the pair shows how much
+// durability costs relative to the same collector path without it
+// (bench/poetbench's wal.* rungs measure it over repeated passes).
 func BenchmarkIngestParallel(b *testing.B) {
 	spec, ok := workload.Find("pvm/ring-300")
 	if !ok {

@@ -123,8 +123,8 @@ func BenchmarkQueryParallel(b *testing.B) {
 // timed region (ROADMAP 1(e)), so events/sec, B/op and allocs/op are the
 // steady-state ingest figures, and vector-B/event is what the store carved
 // for projections, keyframes and delta frames (StoreStats; every event adds
-// its 32-byte cell to that). Compare with BenchmarkLocalIngestPaths in
-// BENCH_sweep.json for the pre-columnar numbers.
+// its 32-byte cell to that). bench/poetbench's hct.engine.* and
+// runtime.*_per_event rungs are the repeated-pass form of these figures.
 func BenchmarkIngestColumnar(b *testing.B) {
 	spec, ok := workload.Find("pvm/ring-300")
 	if !ok {

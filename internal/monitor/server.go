@@ -546,8 +546,9 @@ func (s *Server) statsBody(t *Tenant) string {
 		body += fmt.Sprintf(" shard%d=%d", i, n)
 	}
 	// Per-tenant throughput in the labeled-field dialect, mirroring the
-	// tenant="..." series on /metrics. metrics.ParseSamples reads them;
-	// the label-less ParseSnapshot (and every pre-label reader) skips them.
+	// tenant="..." series on /metrics. metrics.ParseTenantCounters reads
+	// them; the label-less ParseSnapshot (and every pre-label reader) skips
+	// them.
 	for _, tt := range s.Tenants() {
 		body += fmt.Sprintf(" tenant_events{tenant=%q}=%d tenant_queries{tenant=%q}=%d",
 			tt.name, tt.accepted.Load(), tt.name, tt.queries.Load())

@@ -60,10 +60,6 @@ type Options struct {
 	// set.
 	Obs *obs.Telemetry
 
-	// NoSidecar disables reading and writing .idx sidecars (see
-	// wal.ChainOptions).
-	NoSidecar bool
-
 	// MaxCachedViews bounds the view cache (FIFO). 0 selects the default
 	// of 8; evicted views stay valid, they just rematerialize on re-access.
 	MaxCachedViews int
@@ -241,7 +237,7 @@ func open(dir string, opts Options) (*Store, error) {
 		opts.Obs = &obs.Telemetry{} // every instrument nil, and nil-safe
 	}
 	start := time.Now()
-	chain, err := wal.OpenChain(dir, wal.ChainOptions{NumProcs: opts.NumProcs, NoSidecar: opts.NoSidecar})
+	chain, err := wal.OpenChain(dir, wal.ChainOptions{NumProcs: opts.NumProcs})
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +308,7 @@ func (s *Store) Refresh() error {
 
 func (s *Store) refreshLocked() error {
 	start := time.Now()
-	chain, err := wal.OpenChain(s.dir, wal.ChainOptions{NumProcs: s.chain.NumProcs(), NoSidecar: s.opts.NoSidecar})
+	chain, err := wal.OpenChain(s.dir, wal.ChainOptions{NumProcs: s.chain.NumProcs()})
 	if err != nil {
 		return err
 	}

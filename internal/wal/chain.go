@@ -1,32 +1,38 @@
 package wal
 
-// Read-only access to a WAL directory: the replay plane's view of history.
+// The one reader of a WAL directory. Everything that looks at the log's
+// bytes — recovery (Open), Log.Replay, compaction's snapshot writer, and the
+// replay plane's read-only OpenChain — goes through this file: scanChain
+// lists the directory and applies its rules once, openChainPart maps and
+// validates one file, scanChainBody CRC-checks its records, ReplayRange
+// decodes them.
 //
-// Open performs *recovery* — it mutates the directory (removes crashed
-// compaction leftovers, truncates torn tails) and takes ownership for
-// appending. OpenChain is its read-only counterpart: it validates the same
-// snapshot + segment chain but never writes to any log or snapshot file, so
-// it can open the directory of a live daemon (or a cold copy) while appends,
-// rotations and compactions keep running:
+// scanChain never writes to a log or snapshot file, so it can read the
+// directory of a live daemon (or a cold copy) while appends, rotations and
+// compactions keep running:
 //
 //   - sealed files are memory-mapped and immutable; a mapping survives the
 //     unlink a concurrent compaction issues, so views outlive rotations;
 //   - the active segment's valid prefix is captured at open — a record the
 //     writer has half-flushed fails its CRC and simply bounds the prefix
-//     (nothing is truncated, and the chain never surfaces a torn record);
+//     (the chain never surfaces a torn record, and never reads past it);
 //   - files that vanish between the directory listing and the open lost a
-//     race with compaction; OpenChain rescans and retries;
-//   - an unsealed or corrupt newest snapshot is skipped in favour of an
-//     older sealed one (Open would delete it; we must not).
+//     race with compaction; OpenChain rescans and retries.
 //
-// The chain also maintains index sidecars (wal-<base>.idx / snap-<count>.idx):
+// What a crash can leave behind is classified, not acted on: the scan lists
+// the leftovers it skipped and the final segment's valid length, and Open
+// removes and truncates only after the whole chain has been accepted. A
+// directory the scan refuses is returned exactly as it was found.
+//
+// OpenChain also maintains index sidecars (wal-<base>.idx / snap-<count>.idx):
 // a cached record index mapping event-count cutoffs to byte offsets, written
 // once a part is known sealed. A sidecar lets a later OpenChain skip the
 // full CRC scan of a sealed multi-gigabyte part and lets ReplayRange seek to
 // an event cutoff in O(log records). Sidecars are a pure cache: they are
 // validated against the source file's identity (header CRC, size) and
 // rebuilt by scanning whenever anything mismatches, and the writer deletes
-// them alongside their source during compaction.
+// them alongside their source during compaction. Recovery and compaction
+// neither read nor write them: every record they keep is CRC-checked.
 
 import (
 	"encoding/binary"
@@ -54,6 +60,15 @@ type ChainOptions struct {
 	NoSidecar bool
 }
 
+// idxMode is how a part's record index may be obtained.
+type idxMode int
+
+const (
+	idxNone      idxMode = iota // CRC-check every record; touch no sidecar
+	idxRead                     // adopt a sidecar that matches, else scan
+	idxReadWrite                // as idxRead, and cache a clean scan's index
+)
+
 // recEntry locates one record of a chain part: the byte offset of its
 // record header and the number of events in the part before it.
 type recEntry struct {
@@ -68,7 +83,7 @@ type chainPart struct {
 	base     uint64 // global offset of the part's first event (snapshot: 0)
 	events   uint64 // events in the valid prefix
 	validLen int64  // bytes of the valid prefix, header included
-	data     []byte
+	data     []byte // the valid prefix; nothing past validLen is ever read
 	unmap    func() error
 	recs     []recEntry
 	torn     bool // scan stopped at a torn or corrupt tail record
@@ -78,12 +93,15 @@ type chainPart struct {
 // sealed snapshot (if any) plus the segment tail, validated and mapped.
 // A Chain is immutable after OpenChain; reopen to observe later appends.
 type Chain struct {
-	dir      string
 	numProcs int
 	parts    []*chainPart // snapshot first (if any), then segments by base
 	events   uint64
 	snapped  uint64 // events covered by the snapshot part
 	torn     bool
+
+	// leftovers are the files the scan classified as crash debris and kept
+	// out of the chain; Open removes them once the chain is accepted.
+	leftovers []string
 }
 
 // OpenChain opens dir read-only and validates its snapshot + segment chain.
@@ -91,9 +109,13 @@ type Chain struct {
 // the race). The returned chain is a consistent prefix of the delivered
 // sequence as of some instant during the call.
 func OpenChain(dir string, opts ChainOptions) (*Chain, error) {
+	sealed := idxReadWrite
+	if opts.NoSidecar {
+		sealed = idxRead
+	}
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
-		c, err := openChainOnce(dir, opts)
+		c, err := scanChain(dir, opts.NumProcs, sealed)
 		if err == nil {
 			return c, nil
 		}
@@ -105,27 +127,44 @@ func OpenChain(dir string, opts ChainOptions) (*Chain, error) {
 	return nil, fmt.Errorf("wal: chain kept changing during open: %w", lastErr)
 }
 
-func openChainOnce(dir string, opts ChainOptions) (c *Chain, err error) {
+// scanChain lists dir once and applies the directory's rules, mapping and
+// validating every part it keeps. numProcs is enforced when positive and
+// adopted from the headers when zero; sealed is the index mode for parts
+// that cannot grow (the final segment is always scanned). It removes and
+// truncates nothing.
+//
+// A file is a crash leftover — skipped, and listed for Open to remove — when
+// it is something an interrupted compaction, rotation or cache write leaves
+// behind while the events it held are still covered elsewhere:
+//
+//   - any .tmp file;
+//   - a snapshot whose header is short or fails its CRC, or whose body has
+//     a failed record CRC or no seal agreeing with header and content
+//     (compaction seals last and deletes its inputs after);
+//   - every snapshot older than the newest sealed one;
+//   - a segment the snapshot wholly covers (compaction's undeleted input);
+//   - a final segment whose header is short or fails its CRC (a rotation
+//     that never reached the disk: the husk holds no events);
+//   - an .idx sidecar whose source is not part of the chain.
+//
+// The final segment alone may end in a torn record (a crash mid-append, or
+// an append in flight): its valid prefix is kept and the chain reports Torn.
+//
+// Everything else that is wrong is a refusal, and the error is returned with
+// the directory untouched: a file that cannot be opened, mapped or is not a
+// regular file; an intact header with the wrong magic, the wrong process
+// count, or a count or base that disagrees with the file name (that file was
+// never this log's, or these options are not this log's); a damaged header
+// or a bad record in a segment rotation had sealed; a gap between the
+// snapshot and the first segment, or between segments; a segment that
+// overlaps the one before it. A damaged snapshot whose events the segments
+// no longer hold therefore ends the scan in a gap: it is refused, and kept.
+func scanChain(dir string, numProcs int, sealed idxMode) (c *Chain, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var snapCounts, segBases []uint64
-	for _, ent := range entries {
-		name := ent.Name()
-		if strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".idx") {
-			continue
-		}
-		if n, ok := parseHexName(name, "snap-", ".snap"); ok {
-			snapCounts = append(snapCounts, n)
-		} else if b, ok := parseHexName(name, "wal-", ".log"); ok {
-			segBases = append(segBases, b)
-		}
-	}
-	sort.Slice(snapCounts, func(i, j int) bool { return snapCounts[i] > snapCounts[j] })
-	sort.Slice(segBases, func(i, j int) bool { return segBases[i] < segBases[j] })
-
-	c = &Chain{dir: dir, numProcs: opts.NumProcs}
+	c = &Chain{numProcs: numProcs}
 	chain := c // the named return is nil on error paths; unmap via this ref
 	defer func() {
 		if err != nil {
@@ -133,106 +172,149 @@ func openChainOnce(dir string, opts ChainOptions) (c *Chain, err error) {
 		}
 	}()
 
-	// Newest sealed snapshot that validates end to end wins. A corrupt or
-	// unsealed one (crashed compaction, or damage) is skipped, not deleted:
-	// an older sealed snapshot plus the still-present segments covers the
-	// same history.
-	for _, n := range snapCounts {
-		part, perr := openChainPart(c, filepath.Join(dir, snapName(n)), true, true, n, !opts.NoSidecar)
-		if perr != nil {
-			if errors.Is(perr, fs.ErrNotExist) {
-				return nil, perr // compaction race: rescan
+	var snapCounts, segBases []uint64
+	var idxNames []string
+	for _, ent := range entries {
+		name := ent.Name()
+		switch {
+		case strings.HasSuffix(name, ".tmp"):
+			c.leftovers = append(c.leftovers, filepath.Join(dir, name))
+		case strings.HasSuffix(name, ".idx"):
+			idxNames = append(idxNames, name)
+		default:
+			if n, ok := parseHexName(name, "snap-", ".snap"); ok {
+				snapCounts = append(snapCounts, n)
+			} else if b, ok := parseHexName(name, "wal-", ".log"); ok {
+				segBases = append(segBases, b)
 			}
+		}
+	}
+	sort.Slice(snapCounts, func(i, j int) bool { return snapCounts[i] > snapCounts[j] })
+	sort.Slice(segBases, func(i, j int) bool { return segBases[i] < segBases[j] })
+
+	for _, n := range snapCounts {
+		path := filepath.Join(dir, snapName(n))
+		if len(c.parts) > 0 {
+			c.leftovers = append(c.leftovers, path) // older than the winner
 			continue
 		}
-		c.parts = append(c.parts, part)
-		c.snapped = n
-		break
+		part, perr := openChainPart(c, path, true, n, sealed)
+		if isDamage(perr) {
+			c.leftovers = append(c.leftovers, path)
+			continue
+		}
+		if perr != nil {
+			return nil, perr
+		}
+		c.keep(part)
 	}
 
-	// Validate the segment tail. Only the final segment may end torn (an
-	// in-flight append or a crash); damage anywhere else is a hard error —
-	// those segments were sealed by rotation.
-	c.events = c.snapped
 	for i, b := range segBases {
+		path := filepath.Join(dir, segName(b))
 		last := i == len(segBases)-1
-		part, perr := openChainPart(c, filepath.Join(dir, segName(b)), false, !last, b, !opts.NoSidecar)
+		mode := sealed
+		if last {
+			mode = idxNone
+		}
+		part, perr := openChainPart(c, path, false, b, mode)
+		if last && isDamage(perr) {
+			c.leftovers = append(c.leftovers, path)
+			c.torn = true
+			continue
+		}
 		if perr != nil {
-			if errors.Is(perr, fs.ErrNotExist) {
-				return nil, perr // compaction race: rescan
-			}
-			if last && isHeaderDamage(perr) {
-				// The active segment's header never finished reaching the
-				// disk (a crash inside rotation): the file holds no
-				// recoverable events. Contribute nothing; Open would
-				// remove it.
-				c.torn = true
-				continue
-			}
 			return nil, perr
 		}
 		if part.torn {
 			if !last {
 				part.close()
-				return nil, fmt.Errorf("wal: %s: corrupt record inside sealed segment", part.path)
+				return nil, fmt.Errorf("wal: %s: corrupt record at offset %d inside sealed segment", path, part.validLen)
 			}
 			c.torn = true
 		}
-		if part.base+part.events <= c.events {
-			// Fully covered by the snapshot (compaction finished but its
-			// input cleanup didn't, yet) or by an earlier segment. Skip it.
+		if part.base < c.snapped && part.base+part.events <= c.snapped {
 			part.close()
+			c.leftovers = append(c.leftovers, path)
 			continue
 		}
 		if part.base > c.events {
-			perr := fmt.Errorf("wal: gap: chain covers %d events but segment %s starts at %d",
-				c.events, part.path, part.base)
 			part.close()
-			return nil, perr
+			return nil, fmt.Errorf("wal: gap: chain covers %d events but segment %s starts at %d", c.events, path, part.base)
 		}
-		c.parts = append(c.parts, part)
-		c.events = part.base + part.events
+		if part.base < c.events && !c.parts[len(c.parts)-1].snapshot {
+			part.close()
+			return nil, fmt.Errorf("wal: overlap: segment %s starts at %d but the one before it ends at %d", path, part.base, c.events)
+		}
+		c.keep(part)
+	}
+
+	kept := make(map[string]bool, len(c.parts))
+	for _, p := range c.parts {
+		kept[sidecarPath(p.path)] = true
+	}
+	for _, name := range idxNames {
+		_, seg := parseHexName(name, "wal-", ".idx")
+		_, snap := parseHexName(name, "snap-", ".idx")
+		if path := filepath.Join(dir, name); (seg || snap) && !kept[path] {
+			c.leftovers = append(c.leftovers, path)
+		}
 	}
 	return c, nil
 }
 
-// errHeaderDamage wraps file-header validation failures so the final-segment
-// crash window (header never fully written) can be told apart from record
-// corruption.
-type headerDamageError struct{ err error }
-
-func (e *headerDamageError) Error() string { return e.err.Error() }
-func (e *headerDamageError) Unwrap() error { return e.err }
-
-func isHeaderDamage(err error) bool {
-	var hd *headerDamageError
-	return errors.As(err, &hd)
+// keep appends a validated part to the chain.
+func (c *Chain) keep(p *chainPart) {
+	c.parts = append(c.parts, p)
+	c.events = p.base + p.events
+	if p.snapshot {
+		c.snapped = p.events
+	}
 }
 
-// parseHeaderBytes validates a 24-byte file header held in data.
+// damageError marks a file as crash damage rather than a foreign or corrupt
+// one: a header that never fully reached the disk (short, or failing its
+// CRC), or a snapshot body without a valid seal. scanChain turns it into a
+// leftover where a crash can explain it and into a refusal where it cannot.
+type damageError struct{ err error }
+
+func (e *damageError) Error() string { return e.err.Error() }
+func (e *damageError) Unwrap() error { return e.err }
+
+func isDamage(err error) bool {
+	var d *damageError
+	return errors.As(err, &d)
+}
+
+// parseHeaderBytes validates a 24-byte file header held in data. A short or
+// CRC-failing header is damage; a well-formed one with the wrong magic is a
+// hard error — that file was never ours.
 func parseHeaderBytes(data []byte, magic string) (n uint64, procs int, err error) {
 	if len(data) < fileHeaderLen {
-		return 0, 0, &headerDamageError{fmt.Errorf("wal: short header (%d bytes)", len(data))}
+		return 0, 0, &damageError{fmt.Errorf("short header (%d bytes)", len(data))}
 	}
 	if crc32.Checksum(data[:20], crcTable) != binary.BigEndian.Uint32(data[20:]) {
-		return 0, 0, &headerDamageError{errors.New("wal: header checksum mismatch")}
+		return 0, 0, &damageError{errors.New("header checksum mismatch")}
 	}
 	if string(data[:8]) != magic {
-		return 0, 0, fmt.Errorf("wal: bad magic %q, want %q", data[:8], magic)
+		return 0, 0, fmt.Errorf("bad magic %q, want %q", data[:8], magic)
 	}
 	return binary.BigEndian.Uint64(data[8:]), int(binary.BigEndian.Uint32(data[16:])), nil
 }
 
-// openChainPart maps one file and validates it, via its sidecar when the
-// part is sealed and the sidecar matches, else by a full CRC scan. On a
-// clean scan of a sealed part it writes the sidecar back (best effort).
-// c.numProcs is enforced when set and adopted when zero.
-func openChainPart(c *Chain, path string, snapshot, sealed bool, wantN uint64, sidecar bool) (*chainPart, error) {
+// openChainPart maps one file and validates it: header identity against the
+// name and c.numProcs (enforced when set, adopted when zero), then the body,
+// via its sidecar when idx allows one and it matches, else by a full CRC
+// scan. A segment's bad tail is reported as part.torn, not as an error; a
+// snapshot must be sealed.
+func openChainPart(c *Chain, path string, snapshot bool, wantN uint64, idx idxMode) (*chainPart, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	st, err := f.Stat()
+	if err == nil && !st.Mode().IsRegular() {
+		err = fmt.Errorf("wal: %s: not a regular file", path)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -240,7 +322,7 @@ func openChainPart(c *Chain, path string, snapshot, sealed bool, wantN uint64, s
 	data, unmap, err := mapFile(f, st.Size())
 	f.Close() // the mapping keeps the pages
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: mapping %s: %w", path, err)
 	}
 	part := &chainPart{path: path, snapshot: snapshot, data: data, unmap: unmap}
 	magic := segMagic
@@ -248,39 +330,36 @@ func openChainPart(c *Chain, path string, snapshot, sealed bool, wantN uint64, s
 		magic = snapMagic
 	}
 	n, procs, err := parseHeaderBytes(data, magic)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("wal: %s: %w", path, err)
+	case n != wantN:
+		err = fmt.Errorf("wal: %s: header records %d, name says %d", path, n, wantN)
+	case c.numProcs > 0 && procs != c.numProcs:
+		err = fmt.Errorf("wal: %s: logged for %d processes, opened for %d", path, procs, c.numProcs)
+	}
 	if err != nil {
 		part.close()
-		return nil, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	if n != wantN {
-		part.close()
-		return nil, fmt.Errorf("wal: %s: header records %d, name says %d", path, n, wantN)
-	}
-	if c.numProcs > 0 && procs != c.numProcs {
-		part.close()
-		return nil, fmt.Errorf("wal: %s: logged for %d processes, chain has %d", path, procs, c.numProcs)
+		return nil, err
 	}
 	if !snapshot {
 		part.base = n
 	}
 
-	if sealed && loadSidecar(part, snapshot) {
-		c.numProcs = procs
-		return part, nil
-	}
-	recs, events, validLen, sealCount, isSealed, torn := scanChainBody(data, snapshot)
-	if snapshot {
-		if !isSealed || sealCount != n || events != n {
+	if idx == idxNone || !loadSidecar(part, snapshot) {
+		recs, events, validLen, sealCount, isSealed, torn := scanChainBody(data, snapshot)
+		if snapshot && (!isSealed || sealCount != n || events != n) {
 			part.close()
-			return nil, fmt.Errorf("wal: %s: unsealed or corrupt snapshot (sealed=%v seal=%d header=%d events=%d)",
-				path, isSealed, sealCount, n, events)
+			return nil, &damageError{fmt.Errorf("wal: %s: unsealed or corrupt snapshot (sealed=%v seal=%d header=%d events=%d)",
+				path, isSealed, sealCount, n, events)}
 		}
+		part.recs, part.events, part.validLen, part.torn = recs, events, validLen, torn
+		if idx == idxReadWrite && !torn {
+			writeSidecar(part, snapshot) // best effort: a cache miss next time
+		}
+		part.data = data[:validLen]
 	}
-	part.recs, part.events, part.validLen, part.torn = recs, events, validLen, torn
 	c.numProcs = procs
-	if sealed && !torn && sidecar {
-		writeSidecar(part, snapshot) // best effort: a cache miss next time
-	}
 	return part, nil
 }
 

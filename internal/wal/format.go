@@ -1,7 +1,10 @@
 package wal
 
-// On-disk format of the monitor's write-ahead log. All integers are
-// big-endian, matching the wire protocol.
+// On-disk format of the monitor's write-ahead log, and its encoders. All
+// integers are big-endian, matching the wire protocol. The bytes are read
+// back in one place, chain.go: recovery, replay, compaction and the
+// read-only chain share its scan, and decodeRun below is the one event
+// decoder it calls.
 //
 // A WAL directory holds segment files and snapshot files:
 //
@@ -36,16 +39,14 @@ package wal
 // below it), so a reader knows a snapshot is complete — a snapshot without
 // a valid seal is a crashed compaction and is ignored. Segments have no
 // seal: their end is wherever valid records stop, and a torn or corrupt
-// tail (a crash mid-write) is truncated at open.
+// tail of the final segment (a crash mid-write) is truncated at open, once
+// the whole chain has been accepted.
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"repro/internal/model"
 )
@@ -68,10 +69,6 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// errTorn marks a record that ends mid-write or fails its CRC: the expected
-// outcome of a crash during the final append.
-var errTorn = errors.New("wal: torn or corrupt record")
 
 func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -152,92 +149,6 @@ func writeFileHeader(w io.Writer, magic string, n uint64, numProcs int) error {
 	return err
 }
 
-// readFileHeader reads and validates a segment or snapshot header. A header
-// that is short or fails its CRC is classified as crash damage (a file
-// creation that never fully reached the disk) via headerDamageError; a
-// well-formed header with the wrong magic is a hard error — that file was
-// never ours.
-func readFileHeader(r io.Reader, magic string) (n uint64, numProcs int, err error) {
-	var buf [fileHeaderLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, 0, &headerDamageError{fmt.Errorf("wal: short header: %w", err)}
-	}
-	if crc32.Checksum(buf[:20], crcTable) != binary.BigEndian.Uint32(buf[20:]) {
-		return 0, 0, &headerDamageError{errors.New("wal: header checksum mismatch")}
-	}
-	if string(buf[:8]) != magic {
-		return 0, 0, fmt.Errorf("wal: bad magic %q, want %q", buf[:8], magic)
-	}
-	return binary.BigEndian.Uint64(buf[8:]), int(binary.BigEndian.Uint32(buf[16:])), nil
-}
-
-// recordScanner iterates the CRC-framed records of an open segment or
-// snapshot body, tracking the byte offset of the record being read so a
-// torn tail can be truncated exactly where valid data ends.
-type recordScanner struct {
-	r   *bufio.Reader
-	off int64 // offset of the next unread record's header
-	buf []byte
-}
-
-func newRecordScanner(r io.Reader, headerEnd int64) *recordScanner {
-	return &recordScanner{r: bufio.NewReaderSize(r, 256*1024), off: headerEnd}
-}
-
-// next returns the payload of the next record (valid until the following
-// call) and the count field it carries. At a clean end of input it returns
-// io.EOF; a snapshot seal yields errSeal with the sealed count; anything
-// malformed yields errTorn.
-var errSeal = errors.New("wal: snapshot seal")
-
-func (s *recordScanner) next() (payload []byte, count uint32, sealCount uint64, err error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(s.r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return nil, 0, 0, io.EOF
-		}
-		return nil, 0, 0, errTorn
-	}
-	if _, err := io.ReadFull(s.r, hdr[1:]); err != nil {
-		return nil, 0, 0, errTorn
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == sealMarker {
-		// Snapshot seal: count u64 + crc u32 over those bytes.
-		var rest [sealLen - 4]byte
-		if _, err := io.ReadFull(s.r, rest[:4]); err != nil { // hdr[4:8] already read
-			return nil, 0, 0, errTorn
-		}
-		// hdr[4:8] holds the first 4 bytes of the count; rest[0:4] the last 4.
-		var cb [8]byte
-		copy(cb[:4], hdr[4:])
-		copy(cb[4:], rest[:4])
-		var crcb [4]byte
-		if _, err := io.ReadFull(s.r, crcb[:]); err != nil {
-			return nil, 0, 0, errTorn
-		}
-		if crc32.Checksum(cb[:], crcTable) != binary.BigEndian.Uint32(crcb[:]) {
-			return nil, 0, 0, errTorn
-		}
-		return nil, 0, binary.BigEndian.Uint64(cb[:]), errSeal
-	}
-	if n < 4 || n > maxRecordPayload {
-		return nil, 0, 0, errTorn
-	}
-	if cap(s.buf) < int(n) {
-		s.buf = make([]byte, n)
-	}
-	s.buf = s.buf[:n]
-	if _, err := io.ReadFull(s.r, s.buf); err != nil {
-		return nil, 0, 0, errTorn
-	}
-	if crc32.Checksum(s.buf, crcTable) != binary.BigEndian.Uint32(hdr[4:]) {
-		return nil, 0, 0, errTorn
-	}
-	s.off += int64(recordHeaderLen) + int64(n)
-	return s.buf, binary.BigEndian.Uint32(s.buf), 0, nil
-}
-
 // writeSeal emits a snapshot seal for count events.
 func writeSeal(w io.Writer, count uint64) error {
 	buf := make([]byte, 0, sealLen)
@@ -246,79 +157,4 @@ func writeSeal(w io.Writer, count uint64) error {
 	buf = appendU32(buf, crc32.Checksum(buf[4:12], crcTable))
 	_, err := w.Write(buf)
 	return err
-}
-
-// scanSegment validates a segment file: header, then every record. It
-// returns the event and record counts of the valid prefix. When truncate is
-// true (the final segment, where a crash may have torn the last append) a
-// torn or corrupt tail is truncated in place and reported; when false it is
-// an error, since a mid-chain segment was sealed by rotation and should
-// never be damaged.
-func scanSegment(path string, numProcs int, wantBase uint64, truncate bool) (events, records uint64, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer f.Close()
-	base, procs, err := readFileHeader(f, segMagic)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	if base != wantBase {
-		return 0, 0, false, fmt.Errorf("wal: %s: header base %d does not match name %d", path, base, wantBase)
-	}
-	if procs != numProcs {
-		return 0, 0, false, fmt.Errorf("wal: %s: logged for %d processes, monitor has %d", path, procs, numProcs)
-	}
-	sc := newRecordScanner(f, fileHeaderLen)
-	for {
-		_, count, _, err := sc.next()
-		if err == io.EOF {
-			return events, records, false, nil
-		}
-		if err != nil {
-			if !truncate {
-				return 0, 0, false, fmt.Errorf("wal: %s: corrupt record at offset %d in sealed segment", path, sc.off)
-			}
-			if terr := os.Truncate(path, sc.off); terr != nil {
-				return 0, 0, false, fmt.Errorf("wal: truncating torn tail of %s: %w", path, terr)
-			}
-			return events, records, true, nil
-		}
-		events += uint64(count)
-		records++
-	}
-}
-
-// validateSnapshot checks a snapshot file end to end: header, every chunk's
-// CRC, and a seal whose count matches both the header and the events seen.
-// It returns the sealed event count.
-func validateSnapshot(path string, numProcs int) (count uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	want, procs, err := readFileHeader(f, snapMagic)
-	if err != nil {
-		return 0, err
-	}
-	if procs != numProcs {
-		return 0, fmt.Errorf("wal: %s: snapshot of %d processes, monitor has %d", path, procs, numProcs)
-	}
-	sc := newRecordScanner(f, fileHeaderLen)
-	var seen uint64
-	for {
-		_, n, sealCount, err := sc.next()
-		if err == errSeal {
-			if sealCount != want || seen != want {
-				return 0, fmt.Errorf("wal: %s: seal count %d, header %d, events %d", path, sealCount, want, seen)
-			}
-			return want, nil
-		}
-		if err != nil {
-			return 0, fmt.Errorf("wal: %s: unsealed or corrupt snapshot: %w", path, err)
-		}
-		seen += uint64(n)
-	}
 }

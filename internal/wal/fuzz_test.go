@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -62,33 +63,15 @@ func fuzzChainDir(t testing.TB) (dir string, events []model.Event, numProcs int)
 			s.err = err
 			return
 		}
-		s.files = map[string][]byte{segName(0): seg0}
-		ents, err := os.ReadDir(src)
-		if err != nil {
-			s.err = err
-			return
-		}
-		for _, ent := range ents {
-			b, err := os.ReadFile(filepath.Join(src, ent.Name()))
-			if err != nil {
-				s.err = err
-				return
-			}
-			s.files[ent.Name()] = b
-		}
+		s.files = readDirImage(t, src)
+		s.files[segName(0)] = seg0
 		s.events = flatten(runs)
 		s.numProcs = np
 	})
 	if s.err != nil {
 		t.Fatal(s.err)
 	}
-	dir = t.TempDir()
-	for name, b := range s.files {
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir, s.events, s.numProcs
+	return writeDirImage(t, s.files), s.events, s.numProcs
 }
 
 // FuzzWALChainOpen mutilates a valid WAL directory under fuzzer control —
@@ -98,6 +81,12 @@ func fuzzChainDir(t testing.TB) (dir string, events []model.Event, numProcs int)
 // the original delivery sequence. It must never panic and never misread: a
 // surviving chain's events at global position i are the events the writer
 // delivered at position i.
+//
+// Recovery is held to the read-only open on a byte copy of the same
+// directory: Open refuses exactly what OpenChain refuses and then leaves the
+// copy unchanged; what it accepts it recovers and replays run for run as the
+// chain does, and its repairs drop nothing — a second OpenChain over the
+// repaired copy yields the same chain, no longer torn.
 func FuzzWALChainOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0x00, 0x20})             // truncate first file
@@ -165,10 +154,22 @@ func FuzzWALChainOpen(f *testing.F) {
 		}
 
 		c, err := OpenChain(dir, ChainOptions{NumProcs: numProcs, NoSidecar: true})
+		damaged := readDirImage(t, dir)
+		rdir := writeDirImage(t, damaged)
+		l, lerr := Open(rdir, Options{NumProcs: numProcs, Sync: SyncNever})
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("OpenChain: %v, but Open: %v", err, lerr)
+		}
 		if err != nil {
-			return // a clean error is always acceptable under damage
+			// A clean error is always acceptable under damage, and a refused
+			// recovery has touched nothing.
+			if !reflect.DeepEqual(readDirImage(t, rdir), damaged) {
+				t.Fatalf("Open refused the directory (%v) after changing it", lerr)
+			}
+			return
 		}
 		defer c.Close()
+		defer l.Close()
 
 		// Whatever survived must be internally consistent...
 		if c.Events() > uint64(len(all)) {
@@ -199,6 +200,30 @@ func FuzzWALChainOpen(f *testing.F) {
 			if e != all[i] {
 				t.Fatalf("event %d misread: got %+v, delivered %+v", i, e, all[i])
 			}
+		}
+
+		if l.RecoveredEvents() != c.Events() {
+			t.Fatalf("Open recovered %d events, chain has %d", l.RecoveredEvents(), c.Events())
+		}
+		var recovered []model.Event
+		var recoveredBounds []uint64
+		if err := l.Replay(func(batch []model.Event) error {
+			recovered = append(recovered, batch...)
+			recoveredBounds = append(recoveredBounds, uint64(len(recovered)))
+			return nil
+		}); err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if !eventsEqual(recovered, got) || !reflect.DeepEqual(recoveredBounds, bounds) {
+			t.Fatalf("Replay yielded %d events in %d runs, chain %d in %d", len(recovered), len(recoveredBounds), len(got), len(bounds))
+		}
+		repaired, err := OpenChain(rdir, ChainOptions{NumProcs: numProcs, NoSidecar: true})
+		if err != nil {
+			t.Fatalf("OpenChain after Open's repairs: %v", err)
+		}
+		defer repaired.Close()
+		if repaired.Torn() || !reflect.DeepEqual(repaired.RunBoundaries(), bounds) || !eventsEqual(chainEvents(t, repaired), got) {
+			t.Fatalf("repaired chain: torn=%v, %d events, want the %d the scan accepted", repaired.Torn(), repaired.Events(), c.Events())
 		}
 	})
 }

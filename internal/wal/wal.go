@@ -10,7 +10,8 @@
 // snapshots. A snapshot is a compaction: the durable prefix rewritten as
 // one sealed file, after which the older segments and snapshot are deleted
 // and recovery replays snapshot + WAL tail only. See format.go for the
-// byte-level layout and crash-window analysis.
+// byte-level layout and chain.go — the one reader of those bytes — for the
+// directory's rules: what is a crash leftover, what is a refusal.
 //
 // Sharded ingest does not change the journal-ordering contract: the
 // collector appends each run here before dispatching it to the stamping
@@ -25,9 +26,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,11 +162,14 @@ type Log struct {
 	frozen     []segment     // sealed segments awaiting compaction
 	dirtyBytes int           // bytes written since the last fsync
 	lastSync   time.Time
-	appending  bool       // an Append has happened (Replay no longer allowed)
 	curTrace   *obs.Trace // span trace of the Append in progress (under mu)
 	curSpan    int        // its wal_append span, parent for wal_fsync
 	compacting bool
 	encBuf     []byte
+
+	// chain is the scan Open accepted, kept mapped for Replay; nil once
+	// replayed, appended to or closed.
+	chain *Chain
 
 	recovered     uint64 // events found durable at Open
 	recoveredRecs uint64
@@ -195,11 +199,14 @@ func parseHexName(name, prefix, suffix string) (uint64, bool) {
 	return v, err == nil
 }
 
-// Open opens (or creates) the write-ahead log in dir and performs recovery:
-// it selects the newest sealed snapshot, discards crashed compaction
-// leftovers, validates every segment record, truncates a torn tail, and
-// positions the log for appending. Call Replay before the first Append to
-// stream the recovered sequence into a fresh monitor.
+// Open opens (or creates) the write-ahead log in dir and performs recovery
+// in two steps. Classify: the chain scan (chain.go) reads the directory
+// without writing to it, CRC-checks every record of every part it keeps, and
+// either refuses — Open then returns the error with dir exactly as it was
+// found — or accepts the whole chain and names the crash leftovers it
+// skipped. Repair: only then are the leftovers removed, a torn tail
+// truncated, and the log positioned for appending. Call Replay before the
+// first Append to stream the recovered sequence into a fresh monitor.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.NumProcs <= 0 {
@@ -208,130 +215,18 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, counters: opts.Counters, lastSync: time.Now()}
-	if l.counters == nil {
-		l.counters = &metrics.WALCounters{}
-	}
-
-	entries, err := os.ReadDir(dir)
+	c, err := scanChain(dir, opts.NumProcs, idxNone)
 	if err != nil {
 		return nil, err
 	}
-	var snapCounts, segBases []uint64
-	var idxNames []string
-	for _, ent := range entries {
-		name := ent.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			// A compaction died mid-write; its seal is missing by
-			// construction, so the file is garbage.
-			os.Remove(filepath.Join(dir, name))
-		case strings.HasSuffix(name, ".idx"):
-			idxNames = append(idxNames, name)
-		default:
-			if n, ok := parseHexName(name, "snap-", ".snap"); ok {
-				snapCounts = append(snapCounts, n)
-			} else if b, ok := parseHexName(name, "wal-", ".log"); ok {
-				segBases = append(segBases, b)
-			}
-		}
+	l := &Log{dir: dir, opts: opts, counters: opts.Counters, lastSync: time.Now(), chain: c}
+	if l.counters == nil {
+		l.counters = &metrics.WALCounters{}
 	}
-	sort.Slice(snapCounts, func(i, j int) bool { return snapCounts[i] > snapCounts[j] })
-	sort.Slice(segBases, func(i, j int) bool { return segBases[i] < segBases[j] })
-
-	// Newest snapshot that validates end to end wins; an unsealed or
-	// corrupt one is a crashed compaction and is removed. Older sealed
-	// snapshots are fully covered by the winner and removed too.
-	for _, n := range snapCounts {
-		path := filepath.Join(dir, snapName(n))
-		if l.snapPath != "" {
-			removeWithSidecar(path)
-			continue
-		}
-		if count, err := validateSnapshot(path, opts.NumProcs); err == nil && count == n {
-			l.snapPath, l.snapCount = path, n
-		} else {
-			removeWithSidecar(path)
-		}
-	}
-
-	// Validate the segment chain. Only the final segment may have a torn
-	// tail (a crash mid-append); it is truncated to its valid prefix.
-	var segs []segment
-	for i, b := range segBases {
-		path := filepath.Join(dir, segName(b))
-		last := i == len(segBases)-1
-		events, records, torn, err := scanSegment(path, opts.NumProcs, b, last)
-		if err != nil {
-			if last && isHeaderDamage(err) {
-				// A crash inside segment rotation: the new file's header
-				// never fully reached the disk, so it holds no recoverable
-				// events. Remove the husk; a fresh segment is created at
-				// the recovered end below.
-				removeWithSidecar(path)
-				l.torn = true
-				l.counters.TornRecords.Add(1)
-				continue
-			}
-			return nil, err
-		}
-		if torn {
-			l.torn = true
-			l.counters.TornRecords.Add(1)
-		}
-		if b+events <= l.snapCount {
-			// Fully covered by the snapshot: a compaction finished but
-			// crashed before deleting its inputs.
-			removeWithSidecar(path)
-			continue
-		}
-		segs = append(segs, segment{path: path, base: b, events: events})
-		l.recoveredRecs += records
-	}
-	for i, seg := range segs {
-		if i == 0 {
-			if seg.base > l.snapCount {
-				return nil, fmt.Errorf("wal: gap: snapshot covers %d events but first segment starts at %d", l.snapCount, seg.base)
-			}
-		} else if seg.base != segs[i-1].base+segs[i-1].events {
-			return nil, fmt.Errorf("wal: gap: segment %s starts at %d, previous ends at %d",
-				seg.path, seg.base, segs[i-1].base+segs[i-1].events)
-		}
-	}
-
-	// Index sidecars are caches keyed by their source file; one whose source
-	// is gone (or was just removed above) must not survive to shadow a
-	// future segment reusing the same base.
-	for _, name := range idxNames {
-		var src string
-		if _, ok := parseHexName(name, "wal-", ".idx"); ok {
-			src = strings.TrimSuffix(name, ".idx") + ".log"
-		} else if _, ok := parseHexName(name, "snap-", ".idx"); ok {
-			src = strings.TrimSuffix(name, ".idx") + ".snap"
-		} else {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, src)); err != nil {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-
-	l.appended = l.snapCount
-	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		l.appended = last.base + last.events
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		l.f, l.w = f, bufio.NewWriterSize(f, 256*1024)
-		l.base, l.segEvents = last.base, last.events
-		l.frozen = segs[:len(segs)-1]
-	} else if err := l.newSegment(l.appended); err != nil {
+	if err := l.repair(); err != nil {
+		c.Close()
 		return nil, err
 	}
-
-	l.recovered = l.appended
 	l.counters.EventsRecovered.Store(int64(l.recovered))
 	l.counters.RecordsRecovered.Store(int64(l.recoveredRecs))
 
@@ -341,6 +236,49 @@ func Open(dir string, opts Options) (*Log, error) {
 		go l.tickLoop()
 	}
 	return l, nil
+}
+
+// repair applies what the accepted scan called for — removing the leftovers,
+// truncating the final segment's torn tail to its valid length — and
+// positions the appender at the chain's end.
+func (l *Log) repair() error {
+	c := l.chain
+	for _, path := range c.leftovers {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("wal: removing crash leftover: %w", err)
+		}
+	}
+	var segs []segment
+	for _, p := range c.parts {
+		if p.snapshot {
+			l.snapPath, l.snapCount = p.path, p.events
+			continue
+		}
+		if p.torn {
+			if err := os.Truncate(p.path, p.validLen); err != nil {
+				return fmt.Errorf("wal: truncating torn tail: %w", err)
+			}
+		}
+		segs = append(segs, segment{path: p.path, base: p.base, events: p.events})
+		l.recoveredRecs += uint64(len(p.recs))
+	}
+	if c.torn {
+		l.torn = true
+		l.counters.TornRecords.Add(1)
+	}
+	l.appended, l.recovered = c.events, c.events
+	if len(segs) == 0 {
+		return l.newSegment(l.appended)
+	}
+	last := segs[len(segs)-1]
+	f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	l.f, l.w = f, bufio.NewWriterSize(f, 256*1024)
+	l.base, l.segEvents = last.base, last.events
+	l.frozen = segs[:len(segs)-1]
+	return nil
 }
 
 // newSegment creates and activates a fresh segment starting at base.
@@ -434,131 +372,33 @@ func (l *Log) Stats() string { return l.counters.Snapshot().String() }
 func (l *Log) AppendRun(events []model.Event) error { return l.Append(events) }
 
 // Replay streams the recovered delivered-event sequence — sealed snapshot
-// first, then the segment tail — in its original run batching. The batch
-// slice is reused between calls. Replay must run before the first Append;
-// feeding the batches to Monitor.DeliverBatch reconstructs the monitor
-// exactly as the uninterrupted run built it.
+// first, then the segment tail — in its original run batching, from the
+// mapped parts Open validated. The batch slice is reused between calls.
+// Replay runs once, before the first Append; feeding the batches to
+// Monitor.DeliverBatch reconstructs the monitor exactly as the uninterrupted
+// run built it. The mappings are released when it returns.
 func (l *Log) Replay(fn func(batch []model.Event) error) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if l.appending {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: Replay after Append")
-	}
-	if err := l.w.Flush(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	snapPath, snapCount := l.snapPath, l.snapCount
-	segs := make([]segment, 0, len(l.frozen)+1)
-	segs = append(segs, l.frozen...)
-	segs = append(segs, segment{path: l.f.Name(), base: l.base, events: l.segEvents})
+	c := l.chain
+	l.chain = nil
 	l.mu.Unlock()
-
-	pos := uint64(0)
-	if snapPath != "" {
-		if err := replaySnapshot(snapPath, l.opts.NumProcs, fn); err != nil {
-			return err
-		}
-		pos = snapCount
+	if c == nil {
+		return fmt.Errorf("wal: Replay after Append or an earlier Replay")
 	}
-	for _, seg := range segs {
-		var err error
-		pos, err = replaySegment(seg, l.opts.NumProcs, pos, fn)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	defer c.Close()
+	return c.ReplayRange(0, c.Events(), fn)
 }
 
-// replaySnapshot streams every chunk of a sealed snapshot.
-func replaySnapshot(path string, numProcs int, fn func([]model.Event) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// releaseChain drops the recovery scan's mappings. Callers hold mu.
+func (l *Log) releaseChain() {
+	if l.chain != nil {
+		l.chain.Close()
+		l.chain = nil
 	}
-	defer f.Close()
-	want, _, err := readFileHeader(f, snapMagic)
-	if err != nil {
-		return err
-	}
-	sc := newRecordScanner(f, fileHeaderLen)
-	var batch []model.Event
-	var seen uint64
-	for {
-		payload, _, sealCount, err := sc.next()
-		if err == errSeal {
-			if sealCount != want || seen != want {
-				return fmt.Errorf("wal: %s: seal disagrees with content", path)
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("wal: %s: %w", path, err)
-		}
-		batch, err = decodeRun(batch[:0], payload)
-		if err != nil {
-			return fmt.Errorf("wal: %s: %w", path, err)
-		}
-		seen += uint64(len(batch))
-		if err := fn(batch); err != nil {
-			return err
-		}
-	}
-}
-
-// replaySegment streams a segment's records, clipping events before global
-// position pos (already covered by the snapshot or a previous segment),
-// and returns the position after the segment.
-func replaySegment(seg segment, numProcs int, pos uint64, fn func([]model.Event) error) (uint64, error) {
-	if seg.base > pos {
-		return 0, fmt.Errorf("wal: gap before segment %s", seg.path)
-	}
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	if _, _, err := readFileHeader(f, segMagic); err != nil {
-		return 0, fmt.Errorf("wal: %s: %w", seg.path, err)
-	}
-	sc := newRecordScanner(f, fileHeaderLen)
-	var batch []model.Event
-	cur := seg.base
-	end := seg.base + seg.events
-	for cur < end {
-		payload, _, _, err := sc.next()
-		if err != nil {
-			// The valid prefix was counted at Open; running out early means
-			// the file changed underneath us.
-			return 0, fmt.Errorf("wal: %s: segment shrank during replay: %w", seg.path, err)
-		}
-		batch, err = decodeRun(batch[:0], payload)
-		if err != nil {
-			return 0, fmt.Errorf("wal: %s: %w", seg.path, err)
-		}
-		k := uint64(len(batch))
-		switch {
-		case cur+k <= pos: // fully replayed already
-		case cur < pos: // straddles the resume point
-			if err := fn(batch[pos-cur:]); err != nil {
-				return 0, err
-			}
-		default:
-			if err := fn(batch); err != nil {
-				return 0, err
-			}
-		}
-		cur += k
-	}
-	if cur > pos {
-		pos = cur
-	}
-	return pos, nil
 }
 
 // Append logs one delivered run. It returns once the run is durable to the
@@ -582,7 +422,7 @@ func (l *Log) Append(events []model.Event) error {
 	}
 	l.curTrace, l.curSpan = tr, sp
 	defer func() { l.curTrace = nil }()
-	l.appending = true
+	l.releaseChain()
 	for start := 0; start < len(events); {
 		end := start + maxEventsPerRecord
 		if end >= len(events) {
@@ -807,17 +647,29 @@ func (l *Log) writeSnapshot(cutoff uint64, oldSnapPath string, oldSnapCount uint
 		written += uint64(len(batch))
 		return nil
 	}
-	pos := uint64(0)
+	// The inputs are read as chain parts, the way recovery reads them: every
+	// record CRC-checked, no sidecar trusted.
+	src := &Chain{numProcs: l.opts.NumProcs}
+	defer src.Close()
 	if oldSnapPath != "" {
-		if err := replaySnapshot(oldSnapPath, l.opts.NumProcs, emit); err != nil {
+		p, err := openChainPart(src, oldSnapPath, true, oldSnapCount, idxNone)
+		if err != nil {
 			return "", err
 		}
-		pos = oldSnapCount
+		src.keep(p)
 	}
 	for _, seg := range segs {
-		if pos, err = replaySegment(seg, l.opts.NumProcs, pos, emit); err != nil {
+		p, err := openChainPart(src, seg.path, false, seg.base, idxNone)
+		if err != nil {
 			return "", err
 		}
+		src.keep(p)
+		if p.events != seg.events {
+			return "", fmt.Errorf("wal: %s: frozen segment holds %d valid events, %d were appended", seg.path, p.events, seg.events)
+		}
+	}
+	if err := src.ReplayRange(0, cutoff, emit); err != nil {
+		return "", err
 	}
 	if written != cutoff {
 		return "", fmt.Errorf("wal: snapshot covers %d events, expected %d", written, cutoff)
@@ -869,6 +721,7 @@ func (l *Log) Close() error {
 	if l.closed {
 		return ErrClosed
 	}
+	l.releaseChain()
 	err := l.syncLocked()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

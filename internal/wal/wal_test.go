@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -415,6 +418,190 @@ func TestNumProcsMismatchRejected(t *testing.T) {
 		t.Fatal("Open with a different process count succeeded")
 	} else if !strings.Contains(err.Error(), "processes") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// readDirImage returns every entry of dir by name with its bytes; a
+// subdirectory is recorded as "<name>/" with no bytes.
+func readDirImage(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make(map[string][]byte, len(ents))
+	for _, ent := range ents {
+		if ent.IsDir() {
+			img[ent.Name()+"/"] = nil
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[ent.Name()] = b
+	}
+	return img
+}
+
+// writeDirImage materializes the files of img in a fresh directory.
+func writeDirImage(t testing.TB, img map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, b := range img {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestOpenRefusalLeavesDirectoryUntouched holds Open to classify-then-repair:
+// whatever makes the scan refuse a directory — the wrong process count, a
+// file that is not this log's, an unreadable file, a gap, damage inside a
+// sealed segment, alone or next to a crash shape Open would otherwise repair
+// — Open returns an error having removed and truncated nothing, so undoing
+// the damage (or passing the right options) recovers every event. The
+// directory is a compacted one whose second compaction crashed after
+// rotating: snapshot, sealed segment, active segment.
+func TestOpenRefusalLeavesDirectoryUntouched(t *testing.T) {
+	runs, numProcs := testRuns(t, 14, 360)
+	opts := Options{NumProcs: numProcs, Sync: SyncNever}
+	a, b := len(runs)/3, 2*len(runs)/3
+	nA := uint64(len(flatten(runs[:a])))
+	nB := uint64(len(flatten(runs[:b])))
+	all := flatten(runs)
+
+	src := t.TempDir()
+	l, err := Open(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRuns := func(rs [][]model.Event) {
+		t.Helper()
+		for _, run := range rs {
+			if err := l.AppendRun(run); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRuns(runs[:a])
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	appendRuns(runs[a:b])
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	firstCompaction := readDirImage(t, src) // snap-A + wal-A holding runs[a:b]
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	appendRuns(runs[b:])
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pristine := readDirImage(t, src)
+	delete(pristine, snapName(nB))
+	for name, bytes := range firstCompaction {
+		pristine[name] = bytes
+	}
+	snap, sealedSeg, activeSeg := snapName(nA), segName(nA), segName(nB)
+	for _, name := range []string{snap, sealedSeg, activeSeg} {
+		if _, ok := pristine[name]; !ok || len(pristine) != 3 {
+			t.Fatalf("layout is %d files without %s, want snapshot + sealed + active segment", len(pristine), name)
+		}
+	}
+	lastRun := len(runs[len(runs)-1])
+
+	cases := []struct {
+		name   string
+		opts   Options
+		damage func(t *testing.T, dir string) // nil: the options are what is wrong
+		want   int                            // events recoverable once the damage is undone
+	}{
+		{name: "wrong-process-count", opts: Options{NumProcs: numProcs + 1, Sync: SyncNever}, want: len(all)},
+		{name: "foreign-snapshot-magic", opts: opts, want: len(all), damage: func(t *testing.T, dir string) {
+			b := append([]byte(nil), pristine[snap]...)
+			copy(b, segMagic)
+			binary.BigEndian.PutUint32(b[20:], crc32.Checksum(b[:20], crcTable))
+			if err := os.WriteFile(filepath.Join(dir, snap), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "snapshot-name-disagrees-with-header", opts: opts, want: len(all), damage: func(t *testing.T, dir string) {
+			if err := os.Rename(filepath.Join(dir, snap), filepath.Join(dir, snapName(nA+1))); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "snapshot-unreadable", opts: opts, want: len(all), damage: func(t *testing.T, dir string) {
+			// A directory opens and stats but cannot be read or mapped.
+			if err := os.Remove(filepath.Join(dir, snap)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(filepath.Join(dir, snap), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "gap", opts: opts, want: len(all), damage: func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, sealedSeg)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "flipped-byte-in-sealed-segment", opts: opts, want: len(all), damage: func(t *testing.T, dir string) {
+			b := append([]byte(nil), pristine[sealedSeg]...)
+			b[fileHeaderLen+recordHeaderLen+2] ^= 0x40
+			if err := os.WriteFile(filepath.Join(dir, sealedSeg), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "torn-tail-and-gap", opts: opts, want: len(all) - lastRun, damage: func(t *testing.T, dir string) {
+			if err := os.Truncate(filepath.Join(dir, activeSeg), int64(len(pristine[activeSeg])-3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(filepath.Join(dir, sealedSeg)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeDirImage(t, pristine)
+			if tc.damage != nil {
+				tc.damage(t, dir)
+			}
+			before := readDirImage(t, dir)
+			if l, err := Open(dir, tc.opts); err == nil {
+				l.Close()
+				t.Fatal("Open accepted the directory")
+			}
+			if after := readDirImage(t, dir); !reflect.DeepEqual(after, before) {
+				for name := range before {
+					if _, ok := after[name]; !ok {
+						t.Errorf("refused Open removed %s", name)
+					} else if len(after[name]) != len(before[name]) {
+						t.Errorf("refused Open resized %s: %d -> %d bytes", name, len(before[name]), len(after[name]))
+					}
+				}
+				t.Fatal("refused Open changed the directory")
+			}
+			// Undo the refusal's cause, and only that: a torn tail stays torn.
+			os.Remove(filepath.Join(dir, snap)) // the directory standing in for it
+			os.Remove(filepath.Join(dir, snapName(nA+1)))
+			for _, name := range []string{snap, sealedSeg} {
+				if err := os.WriteFile(filepath.Join(dir, name), pristine[name], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("Open after undoing the damage: %v", err)
+			}
+			defer l.Close()
+			if got, _ := replayAll(t, l); !eventsEqual(got, all[:tc.want]) {
+				t.Fatalf("recovered %d events after the refusal, want the first %d", len(got), tc.want)
+			}
+		})
 	}
 }
 
