@@ -44,8 +44,11 @@
 // Each connection speaks one of two protocols, auto-detected from its first
 // byte. Protocol v2 is the production path: length-prefixed binary frames
 // carrying batches of events and queries (see internal/monitor/protocol.go
-// for the framing spec); internal/monitor.DialV2 and DialAuto implement the
-// client side. Protocol v1 is line-oriented text for nc-style debugging:
+// for the framing spec); internal/monitor.DialV2 implements the client
+// side. Protocol v1 is line-oriented text for nc-style debugging; both run
+// the same request path in the daemon (DESIGN.md §7, which also lists the
+// event-record grammar and its range rules — an ID that does not fit
+// 0..2147483647 : 1..2147483647 is refused, never wrapped):
 //
 //	EVENT s 0:1 -> 1:1
 //	EVENT r 1:1 <- 0:1

@@ -2,7 +2,7 @@
 // loading the trace into an in-process monitoring entity and cross-checking
 // the cluster-timestamp answer against the Fidge/Mattern answer and
 // ground-truth graph reachability — or remotely, against a running poetd
-// daemon (protocol v2, falling back to v1 automatically).
+// daemon (protocol v2).
 //
 // Usage:
 //
@@ -45,8 +45,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -69,149 +71,235 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "poquery: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// mode is what one of the three answering modes — a local monitor, a WAL
+// directory, a running daemon — contributes to the shared driver.
+type mode struct {
+	label    string                                   // names the mode, and its answer beside the references'
+	precedes func(e, f model.EventID) (bool, error)   // the mode's query primitive
+	draw     func(r *rand.Rand) (model.EventID, bool) // one event for -sample; nil: nothing to draw from
+	cuts     *monitor.Queries                         // the store -cut reads; nil: the mode has none
+	cutNote  string                                   // completes the -cut heading
+	close    func()
+}
+
+// reference is an independent implementation the mode's answers are held to.
+type reference struct {
+	name     string
+	precedes func(e, f model.EventID) bool
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("poquery", flag.ContinueOnError)
 	var (
-		in        = flag.String("in", "", "binary trace file")
-		traceName = flag.String("trace", "", "corpus computation to generate")
-		addr      = flag.String("addr", "", "query a running poetd at this address instead of a local monitor")
-		walDir    = flag.String("wal", "", "answer from this WAL directory's recorded history (replay plane, no daemon needed)")
-		tenant    = flag.String("tenant", "", "tenant namespace: scopes -addr sessions and selects the WAL subdirectory under -wal (empty = default)")
-		atArg     = flag.String("at", "", "time-travel cutoff: an event count, or 'latest' (with -wal or -addr)")
-		load      = flag.Bool("load", false, "with -addr: stream the trace to the daemon before querying")
-		eArg      = flag.String("e", "", "first event as proc:index")
-		fArg      = flag.String("f", "", "second event as proc:index")
-		maxCS     = flag.Int("maxcs", 13, "maximum cluster size")
-		strat     = flag.String("strategy", "merge-1st", "merge-1st | merge-nth")
-		threshold = flag.Float64("threshold", 10, "normalized CR threshold for merge-nth")
-		sample    = flag.Int("sample", 0, "answer this many random queries instead of -e/-f")
-		seed      = flag.Int64("seed", 1, "seed for -sample")
-		cut       = flag.Bool("cut", false, "with -e: print the greatest-predecessor and greatest-concurrent cuts of the event")
-		watch     = flag.Duration("watch", 0, "with -addr: poll STATS at this interval and print throughput deltas (0 = off)")
-		watchN    = flag.Int("watch-count", 0, "with -watch: stop after this many intervals (0 = until interrupted)")
+		in        = fs.String("in", "", "binary trace file")
+		traceName = fs.String("trace", "", "corpus computation to generate")
+		addr      = fs.String("addr", "", "query a running poetd at this address instead of a local monitor")
+		walDir    = fs.String("wal", "", "answer from this WAL directory's recorded history (replay plane, no daemon needed)")
+		tenant    = fs.String("tenant", "", "tenant namespace: scopes -addr sessions and selects the WAL subdirectory under -wal (empty = default)")
+		atArg     = fs.String("at", "", "time-travel cutoff: an event count, or 'latest' (with -wal or -addr)")
+		load      = fs.Bool("load", false, "with -addr: stream the trace to the daemon before querying")
+		maxCS     = fs.Int("maxcs", 13, "maximum cluster size")
+		strat     = fs.String("strategy", "merge-1st", "merge-1st | merge-nth")
+		threshold = fs.Float64("threshold", 10, "normalized CR threshold for merge-nth")
+		watch     = fs.Duration("watch", 0, "with -addr: poll STATS at this interval and print throughput deltas (0 = off)")
+		watchN    = fs.Int("watch-count", 0, "with -watch: stop after this many intervals (0 = until interrupted)")
+		eArg      = fs.String("e", "", "first event as proc:index")
+		fArg      = fs.String("f", "", "second event as proc:index")
+		sample    = fs.Int("sample", 0, "answer this many random queries instead of -e/-f")
+		seed      = fs.Int64("seed", 1, "seed for -sample")
+		cut       = fs.Bool("cut", false, "with -e: print the greatest-predecessor and greatest-concurrent cuts of the event")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tr *model.Trace
 	if *in != "" || *traceName != "" {
 		var err error
 		if tr, err = loadTrace(*in, *traceName); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-
 	newCfg, err := configFactory(*maxCS, *strat, *threshold)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	if *walDir != "" {
-		runReplay(resolveWALDir(*walDir, *tenant), tr, newCfg, *atArg, *eArg, *fArg, *sample, *seed, *cut)
-		return
-	}
-	if *addr != "" {
-		runRemote(*addr, *tenant, tr, *load, *atArg, *eArg, *fArg, *sample, *seed, *cut, *watch, *watchN)
-		return
-	}
-	if *watch > 0 {
-		fatal(fmt.Errorf("-watch requires -addr"))
-	}
-	if *atArg != "" {
-		fatal(fmt.Errorf("-at requires -wal or -addr"))
-	}
-	if *tenant != "" {
-		fatal(fmt.Errorf("-tenant requires -wal or -addr"))
-	}
-	if tr == nil {
-		fatal(fmt.Errorf("need -in or -trace"))
-	}
-
-	m, err := monitor.New(tr.NumProcs, newCfg())
+	cutoff, err := parseCutoff(*atArg)
 	if err != nil {
-		fatal(err)
-	}
-	if err := m.DeliverAll(tr); err != nil {
-		fatal(err)
+		return err
 	}
 
-	// Reference implementations for cross-checking.
-	fmClock, err := stampClocks(tr)
-	if err != nil {
-		fatal(err)
+	var m mode
+	switch {
+	case *walDir != "":
+		m, err = openReplay(out, resolveWALDir(*walDir, *tenant), newCfg, cutoff)
+	case *addr != "":
+		if *cut {
+			return fmt.Errorf("-cut requires a local monitor or -wal (drop -addr)")
+		}
+		var sess *monitor.ClientV2
+		if sess, err = dialRemote(out, *addr, *tenant, tr, *load); err != nil {
+			return err
+		}
+		defer sess.Close()
+		if *watch > 0 {
+			return runWatch(out, sess, *watch, *watchN)
+		}
+		m = remoteMode(sess, tr, *atArg != "", cutoff)
+	case *watch > 0:
+		return fmt.Errorf("-watch requires -addr")
+	case *atArg != "":
+		return fmt.Errorf("-at requires -wal or -addr")
+	case *tenant != "":
+		return fmt.Errorf("-tenant requires -wal or -addr")
+	case tr == nil:
+		return fmt.Errorf("need -in or -trace")
+	default:
+		m, err = openLocal(tr, newCfg)
 	}
-	oracle, err := poset.NewOracleFromTrace(tr)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	if m.close != nil {
+		defer m.close()
 	}
 
-	query := func(e, f model.EventID) error {
-		got, err := m.Precedes(e, f)
+	// Reference implementations for cross-checking, whenever a trace is at
+	// hand. Valid in every mode and at any cutoff: an event's Fidge/Mattern
+	// clock and its reachability depend only on its causal past, which a
+	// replayed prefix holds in full.
+	var refs []reference
+	if tr != nil {
+		fmClock, err := stampClocks(tr)
 		if err != nil {
 			return err
 		}
-		wantFM := fm.Precedes(e, fmClock[e], f, fmClock[f])
-		wantGraph := oracle.HappenedBefore(e, f)
+		oracle, err := poset.NewOracleFromTrace(tr)
+		if err != nil {
+			return err
+		}
+		refs = []reference{
+			{"fidge-mattern", func(e, f model.EventID) bool { return fm.Precedes(e, fmClock[e], f, fmClock[f]) }},
+			{"reachability", oracle.HappenedBefore},
+		}
+	}
+	return answer(out, m, refs, *eArg, *fArg, *sample, *seed, *cut)
+}
+
+// answer is the tail every mode shares: -sample or one -e/-f pair, each
+// answer printed as a relation word beside the references' verdicts and
+// refused on disagreement, or -cut's two frontiers around -e.
+func answer(out io.Writer, m mode, refs []reference, eArg, fArg string, sample int, seed int64, cut bool) error {
+	ask := func(e, f model.EventID) error {
+		got, err := m.precedes(e, f)
+		if err != nil {
+			return err
+		}
 		rel := "concurrent with"
 		if got {
 			rel = "happened before"
-		} else if back, _ := m.Precedes(f, e); back {
+		} else if back, _ := m.precedes(f, e); back {
 			rel = "happened after"
 		}
-		fmt.Printf("%v %s %v   [cluster-ts=%v fidge-mattern=%v reachability=%v]\n",
-			e, rel, f, got, wantFM, wantGraph)
-		if got != wantFM || got != wantGraph {
+		verdicts, agree := "", true
+		for _, ref := range refs {
+			want := ref.precedes(e, f)
+			verdicts += fmt.Sprintf(" %s=%v", ref.name, want)
+			agree = agree && got == want
+		}
+		if verdicts != "" {
+			verdicts = fmt.Sprintf("   [%s=%v%s]", m.label, got, verdicts)
+		}
+		fmt.Fprintf(out, "%v %s %v%s\n", e, rel, f, verdicts)
+		if !agree {
 			return fmt.Errorf("DISAGREEMENT on (%v,%v)", e, f)
 		}
 		return nil
 	}
 
-	if *sample > 0 {
-		r := rand.New(rand.NewSource(*seed))
-		for i := 0; i < *sample; i++ {
-			e := tr.Events[r.Intn(len(tr.Events))].ID
-			f := tr.Events[r.Intn(len(tr.Events))].ID
-			if err := query(e, f); err != nil {
-				fatal(err)
+	if sample > 0 {
+		if m.draw == nil {
+			return fmt.Errorf("-sample needs -in or -trace to draw events from")
+		}
+		r := rand.New(rand.NewSource(seed))
+		answered := 0
+		for ; answered < sample; answered++ {
+			e, ok1 := m.draw(r)
+			f, ok2 := m.draw(r)
+			if !ok1 || !ok2 {
+				break
+			}
+			if err := ask(e, f); err != nil {
+				return err
 			}
 		}
-		fmt.Printf("%d sampled queries, all three implementations agree\n", *sample)
-		return
+		fmt.Fprintf(out, "%d sampled queries answered (%s), each in agreement with %d reference implementations\n", answered, m.label, len(refs))
+		return nil
 	}
 
-	e, err := parseID(*eArg)
+	e, err := trace.ParseEventID(eArg)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("-e: %w (want proc:index)", err)
 	}
-	if *cut {
+	if cut {
 		// The compound queries of Section 1.1: the event's causal-past
 		// frontier and its greatest concurrent events.
-		preds, err := m.GreatestPredecessors(e)
+		preds, err := m.cuts.GreatestPredecessors(e)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		conc, err := m.GreatestConcurrent(e)
+		conc, err := m.cuts.GreatestConcurrent(e)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("causal cuts around %v:\n", e)
-		fmt.Printf("%-8s %-22s %-22s\n", "process", "greatest predecessor", "greatest concurrent")
-		for q := range preds {
+		fmt.Fprintf(out, "causal cuts around %v%s:\n", e, m.cutNote)
+		fmt.Fprintf(out, "%-8s %-22s %-22s\n", "process", "greatest predecessor", "greatest concurrent")
+		for p := range preds {
 			pr, co := "-", "-"
-			if preds[q].Index > 0 {
-				pr = fmt.Sprintf("p%d:%d", q, preds[q].Index)
+			if preds[p].Index > 0 {
+				pr = fmt.Sprintf("p%d:%d", p, preds[p].Index)
 			}
-			if conc[q].Index > 0 {
-				co = fmt.Sprintf("p%d:%d", q, conc[q].Index)
+			if conc[p].Index > 0 {
+				co = fmt.Sprintf("p%d:%d", p, conc[p].Index)
 			}
-			fmt.Printf("%-8d %-22s %-22s\n", q, pr, co)
+			fmt.Fprintf(out, "%-8d %-22s %-22s\n", p, pr, co)
 		}
-		return
+		return nil
 	}
-	f, err := parseID(*fArg)
+	f, err := trace.ParseEventID(fArg)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("-f: %w (want proc:index)", err)
 	}
-	if err := query(e, f); err != nil {
-		fatal(err)
+	return ask(e, f)
+}
+
+// drawFromTrace draws -sample events uniformly from a trace.
+func drawFromTrace(tr *model.Trace) func(*rand.Rand) (model.EventID, bool) {
+	if tr == nil {
+		return nil
 	}
+	return func(r *rand.Rand) (model.EventID, bool) {
+		return tr.Events[r.Intn(len(tr.Events))].ID, true
+	}
+}
+
+// openLocal serves the default mode: the trace is delivered to an
+// in-process monitoring entity, which answers.
+func openLocal(tr *model.Trace, newCfg func() hct.Config) (mode, error) {
+	m, err := monitor.New(tr.NumProcs, newCfg())
+	if err != nil {
+		return mode{}, err
+	}
+	if err := m.DeliverAll(tr); err != nil {
+		return mode{}, err
+	}
+	return mode{label: "cluster-ts", precedes: m.Precedes, draw: drawFromTrace(tr), cuts: m.Queries}, nil
 }
 
 // configFactory builds the cluster-timestamp configuration factory for the
@@ -250,7 +338,7 @@ func resolveWALDir(root, tenant string) string {
 	return sub // let replay.Open report the missing namespace
 }
 
-// parseCutoff maps the -at flag onto a replay cutoff.
+// parseCutoff maps the -at flag onto a replay cutoff; unset means latest.
 func parseCutoff(s string) (uint64, error) {
 	if s == "" || s == "latest" {
 		return replay.CutoffLatest, nil
@@ -262,252 +350,83 @@ func parseCutoff(s string) (uint64, error) {
 	return c, nil
 }
 
-// runReplay serves the -wal mode: queries are answered from recorded history
+// openReplay serves the -wal mode: queries are answered from recorded history
 // with no daemon involved — the replay plane opens the WAL chain read-only
-// and materializes the store as of the cutoff. When a trace is available its
-// Fidge/Mattern clocks validate the replayed answers (valid at any cutoff:
-// an event's Fidge/Mattern clock depends only on its causal past, which the
-// replayed prefix contains in full).
-func runReplay(dir string, tr *model.Trace, newCfg func() hct.Config, atArg, eArg, fArg string, sample int, seed int64, cut bool) {
-	cutoff, err := parseCutoff(atArg)
-	if err != nil {
-		fatal(err)
-	}
+// and materializes the store as of the cutoff.
+func openReplay(out io.Writer, dir string, newCfg func() hct.Config, cutoff uint64) (mode, error) {
 	st, err := replay.Open(dir, replay.Options{NewConfig: newCfg})
 	if err != nil {
-		fatal(err)
+		return mode{}, err
 	}
-	defer st.Close()
 	v, err := st.ViewAt(cutoff)
 	if err != nil {
-		fatal(err)
+		st.Close()
+		return mode{}, err
 	}
 	stats := v.Stats(metrics.DefaultFixedVector)
-	fmt.Printf("replay view at cutoff %d of %d recorded events (procs=%d crs=%d clusters=%d storage=%d)\n",
+	fmt.Fprintf(out, "replay view at cutoff %d of %d recorded events (procs=%d crs=%d clusters=%d storage=%d)\n",
 		v.Cutoff(), st.Events(), v.NumProcs(), stats.ClusterReceives, stats.LiveClusters, stats.StorageInts)
-
-	var fmClock map[model.EventID]vclock.Clock
-	if tr != nil {
-		if fmClock, err = stampClocks(tr); err != nil {
-			fatal(err)
-		}
-	}
-	query := func(e, f model.EventID) error {
-		got, err := v.Precedes(e, f)
-		if err != nil {
-			return err
-		}
-		rel := "concurrent with"
-		if got {
-			rel = "happened before"
-		} else if back, _ := v.Precedes(f, e); back {
-			rel = "happened after"
-		}
-		if fmClock != nil {
-			wantFM := fm.Precedes(e, fmClock[e], f, fmClock[f])
-			fmt.Printf("%v %s %v   [replay=%v fidge-mattern=%v]\n", e, rel, f, got, wantFM)
-			if got != wantFM {
-				return fmt.Errorf("DISAGREEMENT on (%v,%v)", e, f)
-			}
-		} else {
-			fmt.Printf("%v %s %v\n", e, rel, f)
-		}
-		return nil
-	}
-
-	if sample > 0 {
-		wm := v.Watermark()
-		r := rand.New(rand.NewSource(seed))
-		draw := func() (model.EventID, bool) {
+	wm := v.Watermark()
+	return mode{
+		label:    "replay",
+		precedes: v.Precedes,
+		draw: func(r *rand.Rand) (model.EventID, bool) {
 			// Draw uniformly from the events the view actually holds.
 			for try := 0; try < 4*len(wm); try++ {
-				p := r.Intn(len(wm))
-				if wm[p] == 0 {
-					continue
+				if p := r.Intn(len(wm)); wm[p] > 0 {
+					return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(1 + r.Int31n(wm[p]))}, true
 				}
-				return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(1 + r.Int31n(wm[p]))}, true
 			}
 			return model.EventID{}, false
-		}
-		answered := 0
-		for i := 0; i < sample; i++ {
-			e, ok1 := draw()
-			f, ok2 := draw()
-			if !ok1 || !ok2 {
-				break
-			}
-			if err := query(e, f); err != nil {
-				fatal(err)
-			}
-			answered++
-		}
-		if fmClock != nil {
-			fmt.Printf("%d sampled queries answered from history, all agree with Fidge/Mattern\n", answered)
-		} else {
-			fmt.Printf("%d sampled queries answered from history\n", answered)
-		}
-		return
-	}
-
-	e, err := parseID(eArg)
-	if err != nil {
-		fatal(err)
-	}
-	if cut {
-		preds, err := v.GreatestPredecessors(e)
-		if err != nil {
-			fatal(err)
-		}
-		conc, err := v.GreatestConcurrent(e)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("causal cuts around %v as of event %d:\n", e, v.Cutoff())
-		fmt.Printf("%-8s %-22s %-22s\n", "process", "greatest predecessor", "greatest concurrent")
-		for q := range preds {
-			pr, co := "-", "-"
-			if preds[q].Index > 0 {
-				pr = fmt.Sprintf("p%d:%d", q, preds[q].Index)
-			}
-			if conc[q].Index > 0 {
-				co = fmt.Sprintf("p%d:%d", q, conc[q].Index)
-			}
-			fmt.Printf("%-8d %-22s %-22s\n", q, pr, co)
-		}
-		return
-	}
-	f, err := parseID(fArg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := query(e, f); err != nil {
-		fatal(err)
-	}
+		},
+		cuts:    v.Queries,
+		cutNote: fmt.Sprintf(" as of event %d", v.Cutoff()),
+		close:   func() { st.Close() },
+	}, nil
 }
 
-// runRemote serves the -addr mode: the daemon answers, and when a trace is
-// available locally its Fidge/Mattern clocks validate the remote answers.
-// With -at the queries are QUERY@ frames, answered by the daemon's replay
-// plane as of the cutoff instead of the live store.
-func runRemote(addr, tenant string, tr *model.Trace, load bool, atArg, eArg, fArg string, sample int, seed int64, cut bool, watch time.Duration, watchN int) {
-	if cut {
-		fatal(fmt.Errorf("-cut requires a local monitor (drop -addr)"))
+// dialRemote opens the -addr session: scoped to the tenant before any
+// traffic, and with -load the trace streamed in (the client splits it into
+// frames the server accepts) before anything is asked.
+func dialRemote(out io.Writer, addr, tenant string, tr *model.Trace, load bool) (*monitor.ClientV2, error) {
+	if load && tr == nil {
+		return nil, fmt.Errorf("-load needs -in or -trace")
 	}
-	sess, err := monitor.DialAuto(addr)
+	sess, err := monitor.DialV2(addr)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	defer sess.Close()
 	if tenant != "" {
-		// Rescope before any traffic: every subsequent report/query/stats
-		// exchange on this session routes to the tenant's store.
-		if err := sess.SelectTenant(tenant); err != nil {
-			fatal(err)
+		err = sess.SelectTenant(tenant)
+	}
+	if err == nil && load {
+		if err = sess.ReportBatch(tr.Events); err == nil {
+			var stats string
+			stats, err = sess.Stats()
+			fmt.Fprintf(out, "loaded %d events; %s\n", len(tr.Events), stats)
 		}
 	}
-
-	if load {
-		if tr == nil {
-			fatal(fmt.Errorf("-load needs -in or -trace"))
-		}
-		const chunk = 4096
-		for lo := 0; lo < len(tr.Events); lo += chunk {
-			hi := lo + chunk
-			if hi > len(tr.Events) {
-				hi = len(tr.Events)
-			}
-			if err := sess.ReportBatch(tr.Events[lo:hi]); err != nil {
-				fatal(fmt.Errorf("streaming events[%d:%d]: %w", lo, hi, err))
-			}
-		}
-		stats, err := sess.Stats()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("loaded %d events; %s\n", len(tr.Events), stats)
+	if err != nil {
+		sess.Close()
+		return nil, err
 	}
+	return sess, nil
+}
 
-	if watch > 0 {
-		runWatch(sess, watch, watchN)
-		return
-	}
-
-	// precedes is the remote query primitive: the live store by default, the
-	// replay plane (QUERY@) when a cutoff was requested.
-	precedes := sess.Precedes
-	if atArg != "" {
-		cutoff, err := parseCutoff(atArg)
-		if err != nil {
-			fatal(err)
-		}
-		c2, ok := sess.(*monitor.ClientV2)
-		if !ok {
-			fatal(fmt.Errorf("-at needs a protocol v2 server (QUERY@ frames)"))
-		}
-		precedes = func(e, f model.EventID) (bool, error) {
-			res, err := c2.QueryBatchAt(cutoff, []monitor.Query{{Op: monitor.OpPrecedes, A: e, B: f}})
+// remoteMode serves the -addr mode: the daemon answers — from its live
+// store, or with -at from its replay plane (QUERY@ frames) as of the cutoff.
+func remoteMode(sess *monitor.ClientV2, tr *model.Trace, at bool, cutoff uint64) mode {
+	m := mode{label: "remote", precedes: sess.Precedes, draw: drawFromTrace(tr)}
+	if at {
+		m.precedes = func(e, f model.EventID) (bool, error) {
+			res, err := sess.QueryBatchAt(cutoff, []monitor.Query{{Op: monitor.OpPrecedes, A: e, B: f}})
 			if err != nil {
 				return false, err
 			}
 			return res[0].True, res[0].Err
 		}
 	}
-
-	var fmClock map[model.EventID]vclock.Clock
-	if tr != nil {
-		if fmClock, err = stampClocks(tr); err != nil {
-			fatal(err)
-		}
-	}
-	query := func(e, f model.EventID) error {
-		got, err := precedes(e, f)
-		if err != nil {
-			return err
-		}
-		rel := "concurrent with"
-		if got {
-			rel = "happened before"
-		} else if back, _ := precedes(f, e); back {
-			rel = "happened after"
-		}
-		if fmClock != nil {
-			wantFM := fm.Precedes(e, fmClock[e], f, fmClock[f])
-			fmt.Printf("%v %s %v   [remote=%v fidge-mattern=%v]\n", e, rel, f, got, wantFM)
-			if got != wantFM {
-				return fmt.Errorf("DISAGREEMENT on (%v,%v)", e, f)
-			}
-		} else {
-			fmt.Printf("%v %s %v\n", e, rel, f)
-		}
-		return nil
-	}
-
-	if sample > 0 {
-		if tr == nil {
-			fatal(fmt.Errorf("-sample needs -in or -trace to draw events from"))
-		}
-		r := rand.New(rand.NewSource(seed))
-		for i := 0; i < sample; i++ {
-			e := tr.Events[r.Intn(len(tr.Events))].ID
-			f := tr.Events[r.Intn(len(tr.Events))].ID
-			if err := query(e, f); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("%d sampled queries answered remotely, all agree with Fidge/Mattern\n", sample)
-		return
-	}
-	e, err := parseID(eArg)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := parseID(fArg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := query(e, f); err != nil {
-		fatal(err)
-	}
+	return m
 }
 
 // runWatch polls the daemon's STATS surface and prints interval throughput —
@@ -515,49 +434,53 @@ func runRemote(addr, tenant string, tr *model.Trace, load bool, atArg, eArg, fAr
 // the daemon already speaks. Each line is the delta over one interval; the
 // trailing column breaks the event rate down by ingest shard (stamping
 // lane), so an unbalanced shard map is visible at a glance.
-func runWatch(sess monitor.Session, interval time.Duration, count int) {
-	stats, err := sess.Stats()
+func runWatch(out io.Writer, sess monitor.Session, interval time.Duration, count int) error {
+	type sample struct {
+		counters metrics.CounterSnapshot
+		shards   []int64
+		tenants  map[string]metrics.TenantCounters
+	}
+	read := func() (sample, error) {
+		stats, err := sess.Stats()
+		if err != nil {
+			return sample{}, err
+		}
+		counters, ok := metrics.ParseSnapshot(stats)
+		if !ok {
+			return sample{}, fmt.Errorf("STATS %q carries no counters to watch", stats)
+		}
+		return sample{counters, parseShardEvents(stats), metrics.ParseTenantCounters(stats)}, nil
+	}
+	prev, err := read()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	prev, ok := metrics.ParseSnapshot(stats)
-	if !ok {
-		fatal(fmt.Errorf("STATS %q carries no counters to watch", stats))
-	}
-	prevShards := parseShardEvents(stats)
-	prevTenants := metrics.ParseTenantCounters(stats)
-	fmt.Printf("%-10s %12s %12s %12s %12s %10s  %s\n",
+	fmt.Fprintf(out, "%-10s %12s %12s %12s %12s %10s  %s\n",
 		"interval", "events/s", "batches/s", "queries/s", "ingested", "errors", "shard events/s")
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for i := 0; count == 0 || i < count; i++ {
 		<-ticker.C
-		stats, err := sess.Stats()
+		cur, err := read()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		cur, ok := metrics.ParseSnapshot(stats)
-		if !ok {
-			fatal(fmt.Errorf("STATS %q carries no counters to watch", stats))
-		}
-		curShards := parseShardEvents(stats)
-		curTenants := metrics.ParseTenantCounters(stats)
-		delta := cur.Sub(prev)
-		rates := delta.Rates(interval)
-		fmt.Printf("%-10s %12.0f %12.0f %12.0f %12d %10d  %s\n",
+		rates := cur.counters.Sub(prev.counters).Rates(interval)
+		fmt.Fprintf(out, "%-10s %12.0f %12.0f %12.0f %12d %10d  %s\n",
 			interval, rates.EventsPerSec, rates.BatchesPerSec, rates.QueriesPerSec,
-			cur.EventsIngested, cur.ProtocolErrors,
-			shardRates(prevShards, curShards, interval))
-		printTenantRates(prevTenants, curTenants, interval)
-		prev, prevShards, prevTenants = cur, curShards, curTenants
+			cur.counters.EventsIngested, cur.counters.ProtocolErrors,
+			shardRates(prev.shards, cur.shards, interval))
+		printTenantRates(out, prev.tenants, cur.tenants, interval)
+		prev = cur
 	}
+	return nil
 }
 
 // printTenantRates breaks the interval down by namespace when the daemon's
 // STATS body carries tenant-labelled counters (tenant_events{tenant="..."}).
 // A single-tenant daemon reporting only the default namespace adds no lines —
 // the global row already tells the whole story.
-func printTenantRates(prev, cur map[string]metrics.TenantCounters, interval time.Duration) {
+func printTenantRates(out io.Writer, prev, cur map[string]metrics.TenantCounters, interval time.Duration) {
 	if len(cur) == 0 {
 		return
 	}
@@ -572,7 +495,7 @@ func printTenantRates(prev, cur map[string]metrics.TenantCounters, interval time
 	secs := interval.Seconds()
 	for _, name := range names {
 		c, p := cur[name], prev[name]
-		fmt.Printf("  %-24s %12.0f %12s %12.0f %12d\n",
+		fmt.Fprintf(out, "  %-24s %12.0f %12s %12.0f %12d\n",
 			"tenant "+name,
 			float64(c.Events-p.Events)/secs, "",
 			float64(c.Queries-p.Queries)/secs,
@@ -643,19 +566,6 @@ func stampClocks(tr *model.Trace) (map[model.EventID]vclock.Clock, error) {
 	return clocks, nil
 }
 
-func parseID(s string) (model.EventID, error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return model.EventID{}, fmt.Errorf("bad event %q, want proc:index", s)
-	}
-	p, err1 := strconv.Atoi(parts[0])
-	i, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return model.EventID{}, fmt.Errorf("bad event %q, want proc:index", s)
-	}
-	return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, nil
-}
-
 func loadTrace(in, traceName string) (*model.Trace, error) {
 	if traceName != "" {
 		spec, ok := workload.Find(traceName)
@@ -670,9 +580,4 @@ func loadTrace(in, traceName string) (*model.Trace, error) {
 	}
 	defer f.Close()
 	return trace.ReadBinary(f)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "poquery: %v\n", err)
-	os.Exit(1)
 }

@@ -8,11 +8,12 @@ import (
 	"strings"
 
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // Session is the protocol-independent client surface: both the v1 text
 // client and the v2 binary client implement it, so instrumentation shims
-// and tools can speak whichever protocol the server offers (see DialAuto).
+// and tools are written once against either protocol.
 type Session interface {
 	// Report streams one event record to the server.
 	Report(e model.Event) error
@@ -31,18 +32,6 @@ type Session interface {
 	SelectTenant(name string) error
 	// Close ends the session.
 	Close() error
-}
-
-// DialAuto connects with protocol v2 and falls back to v1 when the server
-// does not complete the binary handshake (an old server answers the magic
-// with a text error line, which fails the HELLO decode cleanly).
-func DialAuto(addr string) (Session, error) {
-	if c2, err := DialV2(addr); err == nil {
-		return c2, nil
-	}
-	// Handshake or dial failed; a v1 attempt either works or surfaces the
-	// underlying connection error.
-	return Dial(addr)
 }
 
 // --- protocol v1 client ---------------------------------------------------
@@ -75,35 +64,10 @@ func (c *Client) roundTrip(line string) (string, error) {
 	return strings.TrimSpace(resp), nil
 }
 
-// eventLine renders one event as its v1 EVENT command.
-func eventLine(e model.Event) (string, error) {
-	switch e.Kind {
-	case model.Unary:
-		return fmt.Sprintf("EVENT u %d:%d", e.ID.Process, e.ID.Index), nil
-	case model.Send:
-		return fmt.Sprintf("EVENT s %d:%d -> %d:%d", e.ID.Process, e.ID.Index, e.Partner.Process, e.Partner.Index), nil
-	case model.Receive:
-		return fmt.Sprintf("EVENT r %d:%d <- %d:%d", e.ID.Process, e.ID.Index, e.Partner.Process, e.Partner.Index), nil
-	case model.Sync:
-		return fmt.Sprintf("EVENT y %d:%d <> %d:%d", e.ID.Process, e.ID.Index, e.Partner.Process, e.Partner.Index), nil
-	}
-	return "", fmt.Errorf("monitor: unknown kind %v", e.Kind)
-}
-
 // Report streams one event to the server.
 func (c *Client) Report(e model.Event) error {
-	line, err := eventLine(e)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundTrip(line)
-	if err != nil {
-		return err
-	}
-	if resp != "OK" {
-		return fmt.Errorf("monitor: server: %s", resp)
-	}
-	return nil
+	batch := [1]model.Event{e}
+	return c.ReportBatch(batch[:])
 }
 
 // ReportBatch pipelines a batch of EVENT lines: all lines are written in
@@ -111,19 +75,15 @@ func (c *Client) Report(e model.Event) error {
 // round trip but still pays one line and one response per event — the
 // binary protocol's EVENTS frame is the fast path.
 func (c *Client) ReportBatch(events []model.Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	var sb strings.Builder
+	var lines []byte
 	for _, e := range events {
-		line, err := eventLine(e)
-		if err != nil {
+		var err error
+		if lines, err = trace.AppendRecord(append(lines, "EVENT "...), e); err != nil {
 			return err
 		}
-		sb.WriteString(line)
-		sb.WriteByte('\n')
+		lines = append(lines, '\n')
 	}
-	if _, err := io.WriteString(c.conn, sb.String()); err != nil {
+	if _, err := c.conn.Write(lines); err != nil {
 		return err
 	}
 	var firstErr error
@@ -206,8 +166,7 @@ type ClientV2 struct {
 }
 
 // DialV2 connects to a monitoring server with protocol v2 and performs the
-// handshake. It fails (without falling back) when the server does not
-// answer with a HELLO frame.
+// handshake. It fails when the server does not answer with a HELLO frame.
 func DialV2(addr string) (*ClientV2, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -305,39 +264,7 @@ func (c *ClientV2) Report(e model.Event) error {
 // returned slice parallels qs; a result with a non-nil Err was rejected by
 // the server (e.g. an event not yet delivered).
 func (c *ClientV2) QueryBatch(qs []Query) ([]QueryResult, error) {
-	out := make([]QueryResult, 0, len(qs))
-	for len(qs) > 0 {
-		n := len(qs)
-		if c.maxBatch > 0 && n > c.maxBatch {
-			n = c.maxBatch
-		}
-		typ, payload, err := c.exchange(frameQuery, encodeQueryPayload(qs[:n]))
-		if err != nil {
-			return nil, err
-		}
-		if typ != frameResults {
-			return nil, errFromFrame(frameResults, typ, payload)
-		}
-		codes, err := decodeResultsPayload(payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(codes) != n {
-			return nil, fmt.Errorf("monitor: server answered %d of %d queries", len(codes), n)
-		}
-		for _, code := range codes {
-			switch code {
-			case resultTrue:
-				out = append(out, QueryResult{True: true})
-			case resultFalse:
-				out = append(out, QueryResult{})
-			default:
-				out = append(out, QueryResult{Err: fmt.Errorf("monitor: server rejected query")})
-			}
-		}
-		qs = qs[n:]
-	}
-	return out, nil
+	return c.queryChunks(frameQuery, encodeQueryPayload, qs)
 }
 
 // QueryBatchAt answers a batch of precedence queries against recorded
@@ -346,18 +273,24 @@ func (c *ClientV2) QueryBatch(qs []Query) ([]QueryResult, error) {
 // than the server's limit are split; every sub-batch carries the same
 // cutoff, so the whole call reflects one point in time.
 func (c *ClientV2) QueryBatchAt(cutoff uint64, qs []Query) ([]QueryResult, error) {
+	return c.queryChunks(frameQueryAt, func(qs []Query) []byte { return encodeQueryAtPayload(cutoff, qs) }, qs)
+}
+
+// queryChunks sends qs in frames of typ no larger than the server's batch
+// limit, each payload built by encode, and collects the RESULTS.
+func (c *ClientV2) queryChunks(typ byte, encode func([]Query) []byte, qs []Query) ([]QueryResult, error) {
 	out := make([]QueryResult, 0, len(qs))
 	for len(qs) > 0 {
 		n := len(qs)
 		if c.maxBatch > 0 && n > c.maxBatch {
 			n = c.maxBatch
 		}
-		typ, payload, err := c.exchange(frameQueryAt, encodeQueryAtPayload(cutoff, qs[:n]))
+		rtyp, payload, err := c.exchange(typ, encode(qs[:n]))
 		if err != nil {
 			return nil, err
 		}
-		if typ != frameResults {
-			return nil, errFromFrame(frameResults, typ, payload)
+		if rtyp != frameResults {
+			return nil, errFromFrame(frameResults, rtyp, payload)
 		}
 		codes, err := decodeResultsPayload(payload)
 		if err != nil {
@@ -387,10 +320,7 @@ func (c *ClientV2) queryOne(q Query) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if res[0].Err != nil {
-		return false, res[0].Err
-	}
-	return res[0].True, nil
+	return res[0].True, res[0].Err
 }
 
 // Precedes asks a happened-before query.

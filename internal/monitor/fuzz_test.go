@@ -88,12 +88,14 @@ func fuzzServer(t *testing.T) (*Server, net.Conn) {
 
 // FuzzServerProtocol drives both protocol front-ends of a live server
 // connection with fuzzed input: no panics, every rejected input is answered
-// with an ERR line/frame rather than a dropped connection, and the
-// connection keeps serving afterwards (witnessed by a STATS exchange).
+// with an ERR line/frame rather than a dropped connection, the connection
+// keeps serving afterwards (witnessed by a STATS exchange), and on the text
+// side the store never holds more events than lines were acknowledged.
 func FuzzServerProtocol(f *testing.F) {
 	f.Add(false, byte(0), []byte("EVENT u 0:1"))
 	f.Add(false, byte(0), []byte("PRECEDES 0:1 1:1\nGIBBERISH"))
 	f.Add(false, byte(0), []byte("EVENT s 0:1 -> 1:1\nEVENT r 1:1 <- 0:1"))
+	f.Add(false, byte(0), []byte("EVENT u 4294967296:1\nEVENT s 4294967296:4294967298 banana 1:1"))
 	f.Add(true, frameEvents, encodeEventsPayload([]model.Event{{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary}}))
 	f.Add(true, frameQuery, encodeQueryPayload([]Query{{Op: OpPrecedes, A: model.EventID{Process: 0, Index: 1}, B: model.EventID{Process: 1, Index: 1}}}))
 	f.Add(true, frameEvents, []byte{0xff, 0xff, 0xff, 0xff})
@@ -132,17 +134,28 @@ func fuzzV1Conn(t *testing.T, client net.Conn, data []byte) {
 	}()
 	r := bufio.NewReader(client)
 	sawStats, sawBye := false, false
+	oks, stats := 0, ""
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
 			break
 		}
+		if line == "OK\n" {
+			oks++
+		}
 		if strings.HasPrefix(line, "STATS ") {
-			sawStats = true
+			sawStats, stats = true, line
 		}
 		if strings.HasPrefix(line, "BYE") {
 			sawBye = true
 			break
+		}
+	}
+	// The store holds nothing the server did not acknowledge: every event
+	// behind events= drew an OK of its own (TENANT draws OKs too, hence <=).
+	if sawStats {
+		if events := statsInt(t, strings.TrimPrefix(stats, "STATS "), "events"); events > oks {
+			t.Fatalf("STATS events=%d after %d OK lines for input %q", events, oks, data)
 		}
 	}
 	// The connection survived to the probe unless the fuzzed input itself

@@ -8,10 +8,11 @@ import (
 	"repro/internal/model"
 )
 
-// This file is the codec for protocol v2, the length-prefixed binary
-// protocol of the monitoring server. Protocol v1 (the line-oriented text
-// protocol) remains for nc-style debugging; the server auto-detects which
-// one a connection speaks from its first byte.
+// This file holds the framing and payload encodings of protocol v2, the
+// length-prefixed binary protocol of the monitoring server; server.go maps
+// frames to requests and replies to frames. Protocol v1 (the line-oriented
+// text protocol) remains for nc-style debugging; the server auto-detects
+// which one a connection speaks from its first byte.
 //
 // Handshake: a v2 client opens with the 7-byte magic
 //
@@ -19,9 +20,7 @@ import (
 //
 // The leading NUL can never start a v1 command line, so the server decides
 // the protocol from one byte without stalling text clients; the trailing
-// newline lets a line-oriented v1-only server scan the magic as a complete
-// garbage line and answer "ERR unknown command", which v2 clients use to
-// fall back (see DialAuto).
+// newline makes the magic a complete line to anything line-oriented.
 //
 // After the magic every message in both directions is a frame:
 //
@@ -66,8 +65,7 @@ import (
 // asserts this round-trip).
 
 // protocolV2Magic opens a v2 connection. The first byte is NUL so the text
-// protocol can never collide with it; the final newline terminates the
-// magic as a garbage line on servers that only speak the text protocol.
+// protocol can never collide with it.
 var protocolV2Magic = [7]byte{0x00, 'P', 'O', 'E', 'T', '2', '\n'}
 
 // protocolV2Version is the protocol revision announced in HELLO.

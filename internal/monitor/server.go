@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -14,15 +13,21 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Server exposes a Monitor over TCP, completing the Figure 1 architecture:
 // instrumented processes connect and stream their event records; query
 // clients (visualization engines, control entities) connect and ask
-// precedence questions. Two protocols serve both roles on one port, chosen
-// per connection by auto-detection on the first byte:
+// precedence questions. Two wire formats serve both roles on one port,
+// chosen per connection by auto-detection on the first byte, and both are
+// codecs over one request path (DESIGN.md §7): a line or a frame decodes to
+// a request, execute runs it against the connection's tenant scope, and the
+// reply is rendered back as a line or a frame.
 //
-// Protocol v1 — line-oriented text, for nc-style debugging:
+// Protocol v1 — line-oriented text, for nc-style debugging. The event record
+// after EVENT, and every <proc>:<idx>, is the text trace format's, parsed by
+// internal/trace (grammar and range rules: DESIGN.md §7):
 //
 //	EVENT u <proc>:<idx>              -> OK | ERR <msg>
 //	EVENT s <proc>:<idx> -> <p>:<i>   -> OK | ERR <msg>
@@ -35,22 +40,23 @@ import (
 //	QUIT                               -> BYE (closes the connection)
 //
 // Protocol v2 — length-prefixed binary frames carrying batches of events
-// and queries (see protocol.go for the framing spec). Event batches flow
+// and queries (see protocol.go for the framing spec).
+//
+// On either protocol an event batch (one record, for a v1 EVENT) flows
 // through a bounded submit queue into the collector, which takes the
 // monitor's write lock once per deliverable run; query batches are
-// lock-free — each frame is answered against a single captured watermark
-// of the published store (Monitor.QueryBatch), so queries from any number
-// of connections run fully in parallel and never stall ingestion.
+// lock-free — each is answered against a single captured watermark of the
+// published store (Monitor.QueryBatch), so queries from any number of
+// connections run fully in parallel and never stall ingestion.
 //
 // Events may arrive out of order across connections; the server feeds them
 // through a Collector. The server is safe for many concurrent connections
 // and enforces the configured connection, batch-size and deadline limits.
 //
 // The server is namespace-aware: every connection is scoped to one tenant
-// (the v1 `TENANT <name>` command / v2 TENANT frame selects it; absent
-// selection it is the "default" tenant) and all EVENTS/QUERY/QUERY@/STATS
-// traffic routes to that tenant's Collector, Monitor and replay plane. See
-// tenant.go for the registry and quota model.
+// (the TENANT verb selects it; absent selection it is the "default" tenant)
+// and all event, query and STATS traffic routes to that tenant's Collector,
+// Monitor and replay plane. See tenant.go for the registry and quota model.
 type Server struct {
 	cfg      ServerConfig
 	counters metrics.ServerCounters
@@ -162,22 +168,16 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // submitReq is one event batch queued for ingestion, with the tenant it
-// routes to and the channel the acknowledging writer waits on. tr is the
-// batch's span trace (nil when unsampled); qspan is its open queue span,
-// closed when the worker picks the batch up.
+// routes to and the channel its acknowledgement waits on (nil once the batch
+// is applied, else why it was not). tr is the batch's span trace (nil when
+// unsampled); qspan is its open queue span, closed when the worker picks the
+// batch up.
 type submitReq struct {
 	tenant *Tenant
 	events []model.Event
-	reply  chan submitResult
+	done   chan error
 	tr     *obs.Trace
 	qspan  int
-}
-
-// submitResult is the outcome of one queued batch: how many records the
-// collector accepted (the applied prefix) and the first error, if any.
-type submitResult struct {
-	accepted int
-	err      error
 }
 
 // NewServer wraps a monitor for network serving. The monitor (and the
@@ -250,17 +250,23 @@ func (s *Server) Default() *Tenant { return s.def }
 // benchmarks).
 func (s *Server) Counters() *metrics.ServerCounters { return &s.counters }
 
-// ingestLoop is the single ingestion worker: it applies queued event
-// batches to the collector in arrival order. One worker suffices — the
-// collector serializes on its own mutex — and decouples socket reading
-// from ingestion, so a connection can decode its next frame while its
-// previous batch is being timestamped.
+// ingestLoop is the single ingestion worker, the far end of execute's hop
+// through submitQ: it applies queued event batches to the collector in
+// arrival order. One worker suffices — the collector serializes on its own
+// mutex — and decouples socket reading from ingestion, so a connection can
+// decode its next frame while its previous batch is being timestamped.
 func (s *Server) ingestLoop() {
 	defer s.ingestWG.Done()
 	for req := range s.submitQ {
 		req.tr.End(req.qspan)
 		n, err := s.submitInstrumented(req.tenant, req.events, req.tr)
-		req.reply <- submitResult{accepted: n, err: err}
+		// The applied prefix counts even when the batch failed part-way: those
+		// events are in the collector and will be delivered.
+		s.counters.EventsIngested.Add(int64(n))
+		if err == nil {
+			s.counters.BatchesIngested.Add(1)
+		}
+		req.done <- err
 	}
 }
 
@@ -274,24 +280,18 @@ func (s *Server) ingestLoop() {
 // /tracez. tr, when non-nil, threads the batch's span trace through the
 // collector into the pipeline and is finished here.
 func (s *Server) submitInstrumented(t *Tenant, events []model.Event, tr *obs.Trace) (int, error) {
-	o := s.obs
 	if err := t.checkQuota(len(events)); err != nil {
-		if o != nil {
-			o.RecordOp(obs.OpIngest, t.name, len(events), time.Now(), 0, err, tr)
-		}
+		s.obs.RecordOp(obs.OpIngest, t.name, len(events), time.Now(), 0, err, tr)
 		return 0, err
 	}
-	if o == nil {
-		n, err := t.collector.SubmitBatch(events)
-		t.accepted.Add(int64(n))
-		return n, err
-	}
-	start := time.Now()
+	start := s.now()
 	n, err := t.collector.SubmitBatchTraced(events, tr)
 	t.accepted.Add(int64(n))
-	d := time.Since(start)
-	o.IngestBatch.ObserveExemplar(d, tr.ID())
-	o.RecordOp(obs.OpIngest, t.name, len(events), start, d, err, tr)
+	if o := s.obs; o != nil {
+		d := time.Since(start)
+		o.IngestBatch.ObserveExemplar(d, tr.ID())
+		o.RecordOp(obs.OpIngest, t.name, len(events), start, d, err, tr)
+	}
 	return n, err
 }
 
@@ -394,7 +394,146 @@ func (s *Server) setWriteDeadline(conn net.Conn) {
 	}
 }
 
-// --- protocol v1: line-oriented text ------------------------------------
+// --- the request path: one executor under both codecs --------------------
+
+// verb is what a request asks for, whichever wire format carried it.
+type verb uint8
+
+const (
+	verbEvents  verb = iota // EVENT line, EVENTS frame
+	verbQuery               // PRECEDES / CONCURRENT line, QUERY frame
+	verbQueryAt             // QUERY@ frame
+	verbTenant
+	verbStats
+	verbQuit
+	verbUnknown // no such command or frame type; err says which
+)
+
+// request is one decoded line or frame. err is the codec's refusal (bad
+// syntax, an oversized batch, an unknown command); execute still sees the
+// request, so refusals are counted and timed where everything else is.
+type request struct {
+	verb        verb
+	events      []model.Event
+	queries     []Query
+	cutoff      uint64 // verbQueryAt
+	tenant      string // verbTenant
+	err         error
+	decodeStart time.Time // zero on an uninstrumented server
+}
+
+// reply is what execute hands back for the codec to render.
+type reply struct {
+	acked   int        // events acknowledged (0 for TENANT) once pending yields nil
+	pending chan error // non-nil: the batch is queued; its outcome arrives here
+	results []QueryResult
+	stats   string
+	err     error
+	quit    bool
+}
+
+// now reads the clock on an instrumented server only.
+func (s *Server) now() time.Time {
+	if s.obs == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// refuse counts a protocol error and replies with it.
+func (s *Server) refuse(err error) reply {
+	s.counters.ProtocolErrors.Add(1)
+	return reply{err: err}
+}
+
+// execute runs one request against the connection's tenant scope cur and
+// returns the reply and the scope the connection continues in. Together
+// with the ingest goroutine it hands event batches to, it is the only code
+// that touches a tenant's collector, live query plane or history provider
+// on behalf of the network, and it owns every instrument and counter of the
+// exchange; the codecs around it only translate.
+func (s *Server) execute(cur *Tenant, req *request) (reply, *Tenant) {
+	o := s.obs
+	var decodeDur time.Duration
+	if o != nil && req.verb <= verbQueryAt {
+		decodeDur = time.Since(req.decodeStart)
+		o.DecodeFrame.Observe(decodeDur)
+	}
+	if req.err != nil {
+		return s.refuse(req.err), cur
+	}
+	switch req.verb {
+	case verbEvents:
+		// The trace (nil unless sampled, on which every call below is a
+		// no-op) roots at decode start, so its total covers
+		// decode → queue → submit (ack).
+		tr := o.StartTrace(obs.OpIngest, cur.name, len(req.events), req.decodeStart)
+		tr.Span("decode", -1, -1, req.decodeStart, decodeDur)
+		qspan := tr.Begin("queue", -1, -1)
+		done := make(chan error, 1)
+		s.submitQ <- submitReq{tenant: cur, events: req.events, done: done, tr: tr, qspan: qspan} // blocks when full: backpressure
+		return reply{acked: len(req.events), pending: done}, cur
+	case verbQuery, verbQueryAt:
+		return s.answer(cur, req), cur
+	case verbTenant:
+		t, err := s.Tenant(req.tenant)
+		if err != nil {
+			return s.refuse(err), cur
+		}
+		return reply{}, t
+	case verbStats:
+		return reply{stats: s.statsBody(cur)}, cur
+	default: // verbQuit: a verbUnknown request always carries its err
+		return reply{quit: true}, cur
+	}
+}
+
+// answer runs one query batch: against the live store, or (QUERY@) against
+// the history provider's view as of req.cutoff. The two differ only in
+// where the *Queries comes from and which histogram and op kind record it.
+func (s *Server) answer(t *Tenant, req *request) reply {
+	view, kind := t.monitor.Queries, obs.OpQuery
+	var err error
+	var start time.Time
+	if req.verb == verbQuery {
+		// An acknowledged event must be queryable: wait out any stamps still
+		// in flight in the ingest shards before answering.
+		t.monitor.IngestBarrier()
+		start = s.now()
+	} else if t.history == nil {
+		return s.refuse(errors.New("monitor: no replay plane attached"))
+	} else {
+		// No ingest barrier here: the cutoff names durable history, not
+		// "everything acknowledged". The provider may itself wait for the
+		// lanes to publish events the log already holds (replay's
+		// coverLocked), which never waits for new input; nothing on this
+		// path stalls ingest.
+		kind, start = obs.OpReplay, s.now()
+		view, err = t.history.HistoryAt(req.cutoff)
+	}
+	var res []QueryResult
+	if err == nil {
+		res = view.QueryBatch(req.queries)
+	}
+	if o := s.obs; o != nil {
+		hist := o.QueryBatch
+		if kind == obs.OpReplay {
+			hist = o.ReplayQuery
+		}
+		d := time.Since(start)
+		hist.Observe(d)
+		o.RecordOp(kind, t.name, len(req.queries), start, d, err, nil)
+	}
+	if err != nil {
+		return reply{err: err}
+	}
+	s.counters.QueryFrames.Add(1)
+	s.counters.QueriesAnswered.Add(int64(len(res)))
+	t.queries.Add(int64(len(res)))
+	return reply{results: res}
+}
+
+// --- protocol v1: the text codec ------------------------------------------
 
 func (s *Server) serveV1(conn net.Conn, r *bufio.Reader) {
 	sc := bufio.NewScanner(r)
@@ -406,122 +545,92 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader) {
 		if !sc.Scan() {
 			return
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 {
 			continue
 		}
 		s.counters.LinesRead.Add(1)
-		resp, quit, next := s.handle(cur, line)
-		if next != nil {
-			cur = next
+		req := s.decodeLine(fields)
+		var rep reply
+		rep, cur = s.execute(cur, &req)
+		if rep.pending != nil {
+			// One line, one reply: the text side waits for its batch inline
+			// where the binary side pipelines the wait through connWriter.
+			rep.err = <-rep.pending
 		}
-		fmt.Fprintln(w, resp)
+		fmt.Fprintln(w, replyLine(req.verb, rep))
 		s.setWriteDeadline(conn)
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if quit {
+		if err := w.Flush(); err != nil || rep.quit {
 			return
 		}
 	}
 }
 
-// handle executes one v1 protocol line against the connection's current
-// tenant scope. A non-nil next rescopes the connection (TENANT command).
-func (s *Server) handle(cur *Tenant, line string) (resp string, quit bool, next *Tenant) {
-	fields := strings.Fields(line)
-	switch strings.ToUpper(fields[0]) {
+// decodeLine turns one non-empty v1 line into a request: an EVENT is a
+// one-record batch, PRECEDES and CONCURRENT a one-query batch.
+func (s *Server) decodeLine(fields []string) request {
+	req := request{decodeStart: s.now()}
+	switch cmd := strings.ToUpper(fields[0]); cmd {
 	case "EVENT":
+		req.verb = verbEvents
 		if len(fields) < 3 {
-			s.counters.ProtocolErrors.Add(1)
-			return "ERR event syntax", false, nil
+			req.err = errors.New("event syntax")
+			break
 		}
-		var parseStart time.Time
-		if s.obs != nil {
-			parseStart = time.Now()
-		}
-		e, err := parseEventRecord(fields[1:])
-		var tr *obs.Trace
-		if s.obs != nil {
-			parseDur := time.Since(parseStart)
-			s.obs.DecodeFrame.Observe(parseDur)
-			if err == nil {
-				tr = s.obs.StartTrace(obs.OpIngest, cur.name, 1, parseStart)
-				tr.Span("decode", -1, -1, parseStart, parseDur)
-			}
-		}
-		if err != nil {
-			s.counters.ProtocolErrors.Add(1)
-			return "ERR " + err.Error(), false, nil
-		}
-		batch := [1]model.Event{e}
-		n, err := s.submitInstrumented(cur, batch[:], tr)
-		// The applied prefix counts even when a later stage (drain, journal)
-		// failed: the record is in the collector and will be delivered.
-		s.counters.EventsIngested.Add(int64(n))
-		if err != nil {
-			return "ERR " + err.Error(), false, nil
-		}
-		return "OK", false, nil
+		var e model.Event
+		e, req.err = trace.ParseRecord(fields[1:])
+		req.events = []model.Event{e}
 	case "PRECEDES", "CONCURRENT":
+		req.verb = verbQuery
 		if len(fields) != 3 {
-			s.counters.ProtocolErrors.Add(1)
-			return "ERR query syntax", false, nil
+			req.err = errors.New("query syntax")
+			break
 		}
-		a, err1 := parseServerID(fields[1])
-		b, err2 := parseServerID(fields[2])
-		if err1 != nil || err2 != nil {
-			s.counters.ProtocolErrors.Add(1)
-			return "ERR bad event id", false, nil
+		q := Query{Op: OpPrecedes}
+		if cmd == "CONCURRENT" {
+			q.Op = OpConcurrent
 		}
-		// An acknowledged event must be queryable: wait out any stamps
-		// still in flight in the ingest shards before answering.
-		cur.monitor.IngestBarrier()
-		var queryStart time.Time
-		if s.obs != nil {
-			queryStart = time.Now()
+		if q.A, req.err = trace.ParseEventID(fields[1]); req.err == nil {
+			q.B, req.err = trace.ParseEventID(fields[2])
 		}
-		var res bool
-		var err error
-		if strings.ToUpper(fields[0]) == "PRECEDES" {
-			res, err = cur.monitor.Precedes(a, b)
-		} else {
-			res, err = cur.monitor.Concurrent(a, b)
-		}
-		if o := s.obs; o != nil {
-			d := time.Since(queryStart)
-			o.QueryBatch.Observe(d)
-			o.RecordOp(obs.OpQuery, cur.name, 1, queryStart, d, err, nil)
-		}
-		s.counters.QueryFrames.Add(1)
-		if err != nil {
-			return "ERR " + err.Error(), false, nil
-		}
-		s.counters.QueriesAnswered.Add(1)
-		cur.queries.Add(1)
-		if res {
-			return "TRUE", false, nil
-		}
-		return "FALSE", false, nil
+		req.queries = []Query{q}
 	case "TENANT":
+		req.verb = verbTenant
 		if len(fields) != 2 {
-			s.counters.ProtocolErrors.Add(1)
-			return "ERR tenant syntax", false, nil
+			req.err = errors.New("tenant syntax")
+			break
 		}
-		t, err := s.Tenant(fields[1])
-		if err != nil {
-			s.counters.ProtocolErrors.Add(1)
-			return "ERR " + err.Error(), false, nil
-		}
-		return "OK", false, t
+		req.tenant = fields[1]
 	case "STATS":
-		return "STATS " + s.statsBody(cur), false, nil
+		req.verb = verbStats
 	case "QUIT":
-		return "BYE", true, nil
+		req.verb = verbQuit
 	default:
-		s.counters.ProtocolErrors.Add(1)
-		return "ERR unknown command", false, nil
+		req.verb, req.err = verbUnknown, errors.New("unknown command")
 	}
+	return req
+}
+
+// replyLine renders a reply as its v1 response line.
+func replyLine(v verb, rep reply) string {
+	if rep.err != nil {
+		return "ERR " + rep.err.Error()
+	}
+	switch v {
+	case verbQuery:
+		switch r := rep.results[0]; {
+		case r.Err != nil:
+			return "ERR " + r.Err.Error()
+		case r.True:
+			return "TRUE"
+		}
+		return "FALSE"
+	case verbStats:
+		return "STATS " + rep.stats
+	case verbQuit:
+		return "BYE"
+	}
+	return "OK"
 }
 
 // statsBody renders the shared STATS payload for one tenant scope: monitor
@@ -559,7 +668,7 @@ func (s *Server) statsBody(t *Tenant) string {
 	return body
 }
 
-// --- protocol v2: length-prefixed binary frames --------------------------
+// --- protocol v2: the frame codec (payload encodings in protocol.go) ------
 
 // outItem is one response in a connection's ordered output stream: either a
 // ready frame, or a pending ingest acknowledgement the writer resolves when
@@ -567,8 +676,8 @@ func (s *Server) statsBody(t *Tenant) string {
 type outItem struct {
 	typ     byte
 	payload []byte
-	wait    chan submitResult // non-nil: resolve to ACK(n) or ERR before writing
-	n       int               // batch size acknowledged on success
+	wait    chan error // non-nil: resolve to ACK(n) or ERR before writing
+	n       int        // batch size acknowledged on success
 }
 
 // frameBufKeep is the largest payload buffer a connection keeps between
@@ -593,12 +702,12 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 	// one (the field is informational — batches are validated per event).
 	out <- outItem{typ: frameHello, payload: encodeHelloPayload(protocolV2Version, s.def.monitor.NumProcs(), s.cfg.MaxBatch)}
 	cur := s.def // the connection's tenant scope; TENANT frames reselect it
-	// fbuf is the connection's frame buffer: every case below decodes (or
-	// copies) the payload before the loop reads the next frame, so the
-	// payloads of successive frames can share one backing array. It grows to
-	// the largest frame seen up to frameBufKeep; a larger frame gets a slice
-	// of its own, so one outsized frame cannot pin the framing cap's 16 MiB
-	// to an idle connection.
+	// fbuf is the connection's frame buffer: decodeFrame decodes (or copies)
+	// the payload before the loop reads the next frame, so the payloads of
+	// successive frames can share one backing array. It grows to the largest
+	// frame seen up to frameBufKeep; a larger frame gets a slice of its own,
+	// so one outsized frame cannot pin the framing cap's 16 MiB to an idle
+	// connection.
 	var fbuf []byte
 	for {
 		s.setReadDeadline(conn)
@@ -611,141 +720,64 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 			// offset: report and drop the connection. Read errors and EOF
 			// just end the session.
 			if err != io.EOF && !isNetError(err) {
-				s.counters.ProtocolErrors.Add(1)
-				out <- outItem{typ: frameErr, payload: []byte(err.Error())}
+				out <- replyFrame(verbUnknown, s.refuse(err))
 			}
 			return
 		}
 		s.counters.FramesRead.Add(1)
-		switch typ {
-		case frameEvents:
-			var decodeStart time.Time
-			if s.obs != nil {
-				decodeStart = time.Now()
-			}
-			events, err := decodeEventsPayload(payload, s.cfg.MaxBatch)
-			var tr *obs.Trace
-			qspan := -1
-			if s.obs != nil {
-				decodeDur := time.Since(decodeStart)
-				s.obs.DecodeFrame.Observe(decodeDur)
-				if err == nil {
-					// The trace roots at decode start, so its total covers
-					// decode → queue → submit (ack).
-					tr = s.obs.StartTrace(obs.OpIngest, cur.name, len(events), decodeStart)
-					tr.Span("decode", -1, -1, decodeStart, decodeDur)
-					qspan = tr.Begin("queue", -1, -1)
-				}
-			}
-			if err != nil {
-				s.counters.ProtocolErrors.Add(1)
-				out <- outItem{typ: frameErr, payload: []byte(err.Error())}
-				continue
-			}
-			reply := make(chan submitResult, 1)
-			s.submitQ <- submitReq{tenant: cur, events: events, reply: reply, tr: tr, qspan: qspan} // blocks when full: backpressure
-			out <- outItem{wait: reply, n: len(events)}
-		case frameQuery:
-			var decodeStart time.Time
-			if s.obs != nil {
-				decodeStart = time.Now()
-			}
-			qs, err := decodeQueryPayload(payload, s.cfg.MaxBatch)
-			if s.obs != nil {
-				s.obs.DecodeFrame.ObserveSince(decodeStart)
-			}
-			if err != nil {
-				s.counters.ProtocolErrors.Add(1)
-				out <- outItem{typ: frameErr, payload: []byte(err.Error())}
-				continue
-			}
-			// As on the v1 path: acknowledged events must be visible to
-			// this frame's queries, so drain the in-flight stamps first.
-			cur.monitor.IngestBarrier()
-			var queryStart time.Time
-			if s.obs != nil {
-				queryStart = time.Now()
-			}
-			res := cur.monitor.QueryBatch(qs)
-			if o := s.obs; o != nil {
-				d := time.Since(queryStart)
-				o.QueryBatch.Observe(d)
-				o.RecordOp(obs.OpQuery, cur.name, len(qs), queryStart, d, nil, nil)
-			}
-			s.counters.QueryFrames.Add(1)
-			s.counters.QueriesAnswered.Add(int64(len(res)))
-			cur.queries.Add(int64(len(res)))
-			out <- outItem{typ: frameResults, payload: encodeResultsPayload(res)}
-		case frameQueryAt:
-			var decodeStart time.Time
-			if s.obs != nil {
-				decodeStart = time.Now()
-			}
-			cutoff, qs, err := decodeQueryAtPayload(payload, s.cfg.MaxBatch)
-			if s.obs != nil {
-				s.obs.DecodeFrame.ObserveSince(decodeStart)
-			}
-			if err != nil {
-				s.counters.ProtocolErrors.Add(1)
-				out <- outItem{typ: frameErr, payload: []byte(err.Error())}
-				continue
-			}
-			if cur.history == nil {
-				s.counters.ProtocolErrors.Add(1)
-				out <- outItem{typ: frameErr, payload: []byte("monitor: no replay plane attached")}
-				continue
-			}
-			// No ingest barrier here: the cutoff names durable history, not
-			// "everything acknowledged". The provider may itself wait for the
-			// lanes to publish events the log already holds (replay's
-			// coverLocked), which never waits for new input; nothing on this
-			// path stalls ingest.
-			var queryStart time.Time
-			if s.obs != nil {
-				queryStart = time.Now()
-			}
-			view, err := cur.history.HistoryAt(cutoff)
-			if err != nil {
-				if o := s.obs; o != nil {
-					d := time.Since(queryStart)
-					o.ReplayQuery.Observe(d)
-					o.RecordOp(obs.OpReplay, cur.name, len(qs), queryStart, d, err, nil)
-				}
-				out <- outItem{typ: frameErr, payload: []byte(err.Error())}
-				continue
-			}
-			res := view.QueryBatch(qs)
-			if o := s.obs; o != nil {
-				d := time.Since(queryStart)
-				o.ReplayQuery.Observe(d)
-				o.RecordOp(obs.OpReplay, cur.name, len(qs), queryStart, d, nil, nil)
-			}
-			s.counters.QueryFrames.Add(1)
-			s.counters.QueriesAnswered.Add(int64(len(res)))
-			cur.queries.Add(int64(len(res)))
-			out <- outItem{typ: frameResults, payload: encodeResultsPayload(res)}
-		case frameTenant:
-			t, err := s.Tenant(string(payload))
-			if err != nil {
-				s.counters.ProtocolErrors.Add(1)
-				out <- outItem{typ: frameErr, payload: []byte(err.Error())}
-				continue
-			}
-			cur = t
-			// ACK(0): the selection frame carries no events; reusing the
-			// acknowledgement frame keeps the reply alphabet unchanged for
-			// pre-tenant clients and the fuzz harness.
-			out <- outItem{typ: frameAck, payload: encodeAckPayload(0)}
-		case frameStats:
-			out <- outItem{typ: frameStatsR, payload: []byte(s.statsBody(cur))}
-		case frameQuit:
-			out <- outItem{typ: frameBye}
+		req := s.decodeFrame(typ, payload)
+		var rep reply
+		rep, cur = s.execute(cur, &req)
+		out <- replyFrame(req.verb, rep)
+		if rep.quit {
 			return
-		default:
-			s.counters.ProtocolErrors.Add(1)
-			out <- outItem{typ: frameErr, payload: []byte(fmt.Sprintf("monitor: unknown frame type 0x%02x", typ))}
 		}
 	}
+}
+
+// decodeFrame turns one frame into a request.
+func (s *Server) decodeFrame(typ byte, payload []byte) request {
+	req := request{decodeStart: s.now()}
+	switch typ {
+	case frameEvents:
+		req.verb = verbEvents
+		req.events, req.err = decodeEventsPayload(payload, s.cfg.MaxBatch)
+	case frameQuery:
+		req.verb = verbQuery
+		req.queries, req.err = decodeQueryPayload(payload, s.cfg.MaxBatch)
+	case frameQueryAt:
+		req.verb = verbQueryAt
+		req.cutoff, req.queries, req.err = decodeQueryAtPayload(payload, s.cfg.MaxBatch)
+	case frameTenant:
+		req.verb, req.tenant = verbTenant, string(payload)
+	case frameStats:
+		req.verb = verbStats
+	case frameQuit:
+		req.verb = verbQuit
+	default:
+		req.verb, req.err = verbUnknown, fmt.Errorf("monitor: unknown frame type 0x%02x", typ)
+	}
+	return req
+}
+
+// replyFrame renders a reply as its place in the connection's output stream.
+func replyFrame(v verb, rep reply) outItem {
+	switch {
+	case rep.err != nil:
+		return outItem{typ: frameErr, payload: []byte(rep.err.Error())}
+	case rep.pending != nil:
+		return outItem{wait: rep.pending, n: rep.acked}
+	case v == verbQuery || v == verbQueryAt:
+		return outItem{typ: frameResults, payload: encodeResultsPayload(rep.results)}
+	case v == verbStats:
+		return outItem{typ: frameStatsR, payload: []byte(rep.stats)}
+	case v == verbQuit:
+		return outItem{typ: frameBye}
+	}
+	// TENANT: ACK(0). The selection carries no events; reusing the
+	// acknowledgement frame keeps the reply alphabet unchanged for pre-tenant
+	// clients and the fuzz harness.
+	return outItem{typ: frameAck, payload: encodeAckPayload(rep.acked)}
 }
 
 // connWriter drains a connection's output stream in order, resolving
@@ -759,15 +791,10 @@ func (s *Server) connWriter(conn net.Conn, out <-chan outItem) {
 	for item := range out {
 		typ, payload := item.typ, item.payload
 		if item.wait != nil {
-			res := <-item.wait
-			// The applied prefix counts even when the batch failed part-way:
-			// those events are in the collector and will be delivered.
-			s.counters.EventsIngested.Add(int64(res.accepted))
-			if res.err != nil {
-				typ, payload = frameErr, []byte(res.err.Error())
+			if err := <-item.wait; err != nil {
+				typ, payload = frameErr, []byte(err.Error())
 			} else {
 				typ, payload = frameAck, encodeAckPayload(item.n)
-				s.counters.BatchesIngested.Add(1)
 			}
 		}
 		if broken {
@@ -794,56 +821,6 @@ func (s *Server) connWriter(conn net.Conn, out <-chan outItem) {
 func isNetError(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// parseEventRecord parses the event portion of an EVENT line, reusing the
-// text trace format's record shapes.
-func parseEventRecord(fields []string) (model.Event, error) {
-	id, err := parseServerID(fields[1])
-	if err != nil {
-		return model.Event{}, err
-	}
-	e := model.Event{ID: id}
-	switch fields[0] {
-	case "u":
-		if len(fields) != 2 {
-			return model.Event{}, fmt.Errorf("unary takes no partner")
-		}
-		e.Kind = model.Unary
-		return e, nil
-	case "s", "r", "y":
-		if len(fields) != 4 {
-			return model.Event{}, fmt.Errorf("missing partner")
-		}
-		partner, err := parseServerID(fields[3])
-		if err != nil {
-			return model.Event{}, err
-		}
-		e.Partner = partner
-		switch fields[0] {
-		case "s":
-			e.Kind = model.Send
-		case "r":
-			e.Kind = model.Receive
-		default:
-			e.Kind = model.Sync
-		}
-		return e, nil
-	}
-	return model.Event{}, fmt.Errorf("unknown event kind %q", fields[0])
-}
-
-func parseServerID(s string) (model.EventID, error) {
-	i := strings.IndexByte(s, ':')
-	if i <= 0 || i == len(s)-1 {
-		return model.EventID{}, fmt.Errorf("bad event id %q", s)
-	}
-	p, err1 := strconv.Atoi(s[:i])
-	idx, err2 := strconv.Atoi(s[i+1:])
-	if err1 != nil || err2 != nil || p < 0 || idx <= 0 {
-		return model.EventID{}, fmt.Errorf("bad event id %q", s)
-	}
-	return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(idx)}, nil
 }
 
 // Shutdown drains gracefully: it stops accepting, then waits up to grace
@@ -910,18 +887,7 @@ func (s *Server) Close() error {
 	s.ingestWG.Wait()
 	var errs []error
 	for _, t := range s.Tenants() {
-		t.monitor.IngestBarrier() // publish everything the collector dispatched
-		if err := t.collector.Close(); err != nil {
-			if t.name != DefaultTenant {
-				err = fmt.Errorf("tenant %q: %w", t.name, err)
-			}
-			errs = append(errs, err)
-		}
-		if t.closeRes != nil {
-			if err := t.closeRes(); err != nil {
-				errs = append(errs, fmt.Errorf("tenant %q: closing resources: %w", t.name, err))
-			}
-		}
+		errs = append(errs, t.close()...)
 	}
 	if len(errs) == 1 {
 		return errs[0]

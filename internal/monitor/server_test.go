@@ -213,79 +213,6 @@ type errStr string
 
 func (e errStr) Error() string { return string(e) }
 
-func TestServerDialAutoFallsBackToV1(t *testing.T) {
-	// A listener that answers the v2 magic like an old v1-only server:
-	// a text error line. DialAuto must fall back to protocol v1.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				for {
-					line, err := r.ReadString('\n')
-					if err != nil {
-						return
-					}
-					if strings.HasPrefix(strings.TrimSpace(line), "STATS") {
-						conn.Write([]byte("STATS events=0\n"))
-					} else if strings.HasPrefix(strings.TrimSpace(line), "QUIT") {
-						conn.Write([]byte("BYE\n"))
-						return
-					} else {
-						conn.Write([]byte("ERR unknown command\n"))
-					}
-				}
-			}(conn)
-		}
-	}()
-	sess, err := DialAuto(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("DialAuto: %v", err)
-	}
-	defer sess.Close()
-	if _, ok := sess.(*Client); !ok {
-		t.Fatalf("expected v1 fallback, got %T", sess)
-	}
-	if _, err := sess.Stats(); err != nil {
-		t.Fatalf("fallback Stats: %v", err)
-	}
-}
-
-func TestServerDialAutoPrefersV2(t *testing.T) {
-	srv, addr := startServer(t, 2, ServerConfig{})
-	defer srv.Close()
-	sess, err := DialAuto(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, ok := sess.(*ClientV2); !ok {
-		t.Fatalf("expected v2 session, got %T", sess)
-	}
-	if err := sess.ReportBatch([]model.Event{
-		{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary},
-		{ID: model.EventID{Process: 1, Index: 1}, Kind: model.Unary},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	conc, err := sess.Concurrent(model.EventID{Process: 0, Index: 1}, model.EventID{Process: 1, Index: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !conc {
-		t.Fatal("independent unary events not concurrent")
-	}
-}
-
 func TestServerProtocolErrorsV1(t *testing.T) {
 	srv, addr := startServer(t, 2, ServerConfig{})
 	defer srv.Close()
@@ -305,6 +232,15 @@ func TestServerProtocolErrorsV1(t *testing.T) {
 		{"EVENT", "ERR event syntax"},
 		{"EVENT z 0:1", "ERR unknown event kind \"z\""},
 		{"EVENT u zero:1", "ERR bad event id \"zero:1\""},
+		// A number that does not fit the model's int32 is refused, not
+		// wrapped: 4294967296:1 must not be acknowledged (and journaled) as 0:1.
+		{"EVENT u 4294967296:1", "ERR bad event id \"4294967296:1\""},
+		{"EVENT u 0:4294967297", "ERR bad event id \"0:4294967297\""},
+		{"EVENT u 0:2147483648", "ERR bad event id \"0:2147483648\""},
+		{"PRECEDES 0:1 4294967297:1", "ERR bad event id \"4294967297:1\""},
+		// The arrow is part of the record, and must be the kind's own.
+		{"EVENT s 0:1 banana 1:1", "ERR expected \"->\""},
+		{"EVENT r 1:1 -> 0:1", "ERR expected \"<-\""},
 		{"EVENT u 0:1 -> 1:1", "ERR unary takes no partner"},
 		{"EVENT s 0:1", "ERR missing partner"},
 		{"EVENT s 0:1 -> bad", "ERR bad event id \"bad\""},
@@ -315,6 +251,7 @@ func TestServerProtocolErrorsV1(t *testing.T) {
 		{"EVENT u 9:1", "ERR"}, // process out of range
 		{"QUIT", "BYE"},
 	}
+	oks := 0
 	for _, tc := range cases {
 		resp, err := c.roundTrip(tc.send)
 		if err != nil {
@@ -323,6 +260,47 @@ func TestServerProtocolErrorsV1(t *testing.T) {
 		if !strings.HasPrefix(resp, tc.want) {
 			t.Fatalf("%q -> %q, want prefix %q", tc.send, resp, tc.want)
 		}
+		if resp == "OK" {
+			oks++
+		}
+	}
+	// The store holds exactly what was acknowledged: no refused line left an
+	// event behind under some other name.
+	probe, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	stats, err := probe.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := statsInt(t, stats, "events"); got != oks {
+		t.Fatalf("STATS events=%d after %d OK replies: %s", got, oks, stats)
+	}
+}
+
+// TestServerV1EventsRideTheSubmitQueue pins that a v1 EVENT is a one-record
+// batch through the same queue and counters as an EVENTS frame.
+func TestServerV1EventsRideTheSubmitQueue(t *testing.T) {
+	srv, addr := startServer(t, 2, ServerConfig{})
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, line := range []string{"EVENT u 0:1", "EVENT s 0:2 -> 1:1", "EVENT r 1:1 <- 0:2"} {
+		if resp, err := c.roundTrip(line); err != nil || resp != "OK" {
+			t.Fatalf("%q -> %q, %v", line, resp, err)
+		}
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stats, " ingested=3 batches=3 ") {
+		t.Fatalf("three v1 EVENTs, STATS %q, want ingested=3 batches=3", stats)
 	}
 }
 

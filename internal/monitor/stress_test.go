@@ -124,7 +124,7 @@ func TestServerStressProducersAndQueriers(t *testing.T) {
 
 	// Everything delivered, nothing stranded, and answers agree with an
 	// in-order reference.
-	qc, err := DialAuto(addr)
+	qc, err := DialV2(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

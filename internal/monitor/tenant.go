@@ -263,6 +263,26 @@ func (s *Server) NumTenants() int {
 	return len(s.tenants)
 }
 
+// close publishes everything the tenant's collector dispatched, closes the
+// collector (buffered events stranded in it are an error) and, for a
+// factory-created tenant, releases its resources.
+func (t *Tenant) close() []error {
+	var errs []error
+	t.monitor.IngestBarrier()
+	if err := t.collector.Close(); err != nil {
+		if t.name != DefaultTenant {
+			err = fmt.Errorf("tenant %q: %w", t.name, err)
+		}
+		errs = append(errs, err)
+	}
+	if t.closeRes != nil {
+		if err := t.closeRes(); err != nil {
+			errs = append(errs, fmt.Errorf("tenant %q: closing resources: %w", t.name, err))
+		}
+	}
+	return errs
+}
+
 // checkQuota rejects a batch that would push the tenant past its event
 // quota. Called from the single ingest path, so the read-then-accept is not
 // racy; the atomic only serves concurrent metric scrapes.

@@ -4,7 +4,8 @@
 //     records, used by the command-line tools to store generated corpora;
 //   - a line-oriented text format for human inspection and interchange,
 //     mirroring the event records a monitoring entity receives (process,
-//     event number, type, partner identification).
+//     event number, type, partner identification); DESIGN.md §7 has its
+//     record grammar, shared with the monitoring server's text protocol.
 //
 // Both formats round-trip exactly and are validated on read.
 package trace
@@ -166,34 +167,109 @@ func ReadBinary(r io.Reader) (*model.Trace, error) {
 	return t, nil
 }
 
-// WriteText writes the trace in the line-oriented text format:
+// The text format's records — also the event portion of the monitoring
+// server's v1 EVENT line — are parsed and rendered only by ParseEventID,
+// ParseRecord and AppendRecord:
 //
-//	# trace <name>
-//	procs <N>
 //	u <proc>:<idx>
 //	s <proc>:<idx> -> <proc>:<idx>
 //	r <proc>:<idx> <- <proc>:<idx>
 //	y <proc>:<idx> <> <proc>:<idx>
+//
+// proc is 0..2147483647 and idx 1..2147483647, ASCII digits only: "+1:1" and
+// "-0:1" are rejected, "01:1" is 1:1, and "4294967296:1" is refused, not
+// wrapped to 0:1 (full grammar: DESIGN.md §7). A text trace wraps the records
+// in "# trace <name>" and "procs <N>"; blank and other "#" lines are skipped.
+
+// recordForms maps each event kind to its record letter and partner arrow.
+var recordForms = [...]struct{ letter, arrow string }{
+	model.Unary:   {"u", ""},
+	model.Send:    {"s", "->"},
+	model.Receive: {"r", "<-"},
+	model.Sync:    {"y", "<>"},
+}
+
+// ParseEventID parses "<process>:<index>", range-checking both halves into
+// the model's int32 fields.
+func ParseEventID(s string) (model.EventID, error) {
+	ps, is, _ := strings.Cut(s, ":") // no colon: is is empty and fails to parse
+	p, err1 := strconv.ParseUint(ps, 10, 31)
+	i, err2 := strconv.ParseUint(is, 10, 31)
+	if err1 != nil || err2 != nil || i == 0 {
+		return model.EventID{}, fmt.Errorf("bad event id %q", s)
+	}
+	return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, nil
+}
+
+// ParseRecord parses one event record from its blank-separated fields,
+// checking kind, arity and arrow.
+func ParseRecord(fields []string) (model.Event, error) {
+	if len(fields) < 2 {
+		return model.Event{}, errors.New("missing event id")
+	}
+	kind := model.Unary
+	for kind <= model.Sync && recordForms[kind].letter != fields[0] {
+		kind++
+	}
+	if kind > model.Sync {
+		return model.Event{}, fmt.Errorf("unknown event kind %q", fields[0])
+	}
+	id, err := ParseEventID(fields[1])
+	if err != nil {
+		return model.Event{}, err
+	}
+	e, arrow := model.Event{ID: id, Kind: kind}, recordForms[kind].arrow
+	switch {
+	case kind == model.Unary && len(fields) > 2:
+		return model.Event{}, errors.New("unary takes no partner")
+	case kind == model.Unary:
+		return e, nil
+	case len(fields) < 4:
+		return model.Event{}, errors.New("missing partner")
+	case len(fields) > 4:
+		return model.Event{}, fmt.Errorf("unexpected field %q after partner", fields[4])
+	case fields[2] != arrow:
+		return model.Event{}, fmt.Errorf("expected %q, not %q", arrow, fields[2])
+	}
+	if e.Partner, err = ParseEventID(fields[3]); err != nil {
+		return model.Event{}, err
+	}
+	return e, nil
+}
+
+// AppendRecord appends e's record to buf.
+func AppendRecord(buf []byte, e model.Event) ([]byte, error) {
+	if e.Kind > model.Sync {
+		return buf, fmt.Errorf("trace: unknown kind %v", e.Kind)
+	}
+	form := recordForms[e.Kind]
+	buf = append(buf, form.letter...)
+	buf = appendEventID(append(buf, ' '), e.ID)
+	if e.Kind != model.Unary {
+		buf = append(append(append(buf, ' '), form.arrow...), ' ')
+		buf = appendEventID(buf, e.Partner)
+	}
+	return buf, nil
+}
+
+func appendEventID(buf []byte, id model.EventID) []byte {
+	buf = strconv.AppendInt(buf, int64(id.Process), 10)
+	return strconv.AppendInt(append(buf, ':'), int64(id.Index), 10)
+}
+
+// WriteText writes the trace in the line-oriented text format.
 func WriteText(w io.Writer, t *model.Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# trace %s\nprocs %d\n", t.Name, t.NumProcs); err != nil {
 		return err
 	}
+	var line []byte
 	for _, e := range t.Events {
 		var err error
-		switch e.Kind {
-		case model.Unary:
-			_, err = fmt.Fprintf(bw, "u %d:%d\n", e.ID.Process, e.ID.Index)
-		case model.Send:
-			_, err = fmt.Fprintf(bw, "s %d:%d -> %d:%d\n", e.ID.Process, e.ID.Index, e.Partner.Process, e.Partner.Index)
-		case model.Receive:
-			_, err = fmt.Fprintf(bw, "r %d:%d <- %d:%d\n", e.ID.Process, e.ID.Index, e.Partner.Process, e.Partner.Index)
-		case model.Sync:
-			_, err = fmt.Fprintf(bw, "y %d:%d <> %d:%d\n", e.ID.Process, e.ID.Index, e.Partner.Process, e.Partner.Index)
-		default:
-			err = fmt.Errorf("trace: unknown kind %v", e.Kind)
+		if line, err = AppendRecord(line[:0], e); err != nil {
+			return err
 		}
-		if err != nil {
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -220,51 +296,16 @@ func ReadText(r io.Reader) (*model.Trace, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "procs ") {
-			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "procs ")))
+			n, err := strconv.ParseInt(strings.TrimSpace(strings.TrimPrefix(line, "procs ")), 10, 32)
 			if err != nil || n <= 0 || n > maxProcs {
 				return nil, fmt.Errorf("%w: line %d: bad procs", ErrCorrupt, lineNo)
 			}
-			t.NumProcs = n
+			t.NumProcs = int(n)
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 && len(fields) != 4 {
-			return nil, fmt.Errorf("%w: line %d: %q", ErrCorrupt, lineNo, line)
-		}
-		id, err := parseEventID(fields[1])
+		e, err := ParseRecord(strings.Fields(line))
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
-		}
-		e := model.Event{ID: id}
-		switch fields[0] {
-		case "u":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("%w: line %d: unary with partner", ErrCorrupt, lineNo)
-			}
-			e.Kind = model.Unary
-		case "s", "r", "y":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("%w: line %d: missing partner", ErrCorrupt, lineNo)
-			}
-			wantArrow := map[string]string{"s": "->", "r": "<-", "y": "<>"}[fields[0]]
-			if fields[2] != wantArrow {
-				return nil, fmt.Errorf("%w: line %d: expected %q", ErrCorrupt, lineNo, wantArrow)
-			}
-			partner, err := parseEventID(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
-			}
-			e.Partner = partner
-			switch fields[0] {
-			case "s":
-				e.Kind = model.Send
-			case "r":
-				e.Kind = model.Receive
-			case "y":
-				e.Kind = model.Sync
-			}
-		default:
-			return nil, fmt.Errorf("%w: line %d: unknown record %q", ErrCorrupt, lineNo, fields[0])
 		}
 		t.Events = append(t.Events, e)
 	}
@@ -278,17 +319,4 @@ func ReadText(r io.Reader) (*model.Trace, error) {
 		return nil, fmt.Errorf("trace: invalid trace: %w", err)
 	}
 	return t, nil
-}
-
-func parseEventID(s string) (model.EventID, error) {
-	i := strings.IndexByte(s, ':')
-	if i <= 0 || i == len(s)-1 {
-		return model.EventID{}, fmt.Errorf("bad event id %q", s)
-	}
-	p, err1 := strconv.Atoi(s[:i])
-	idx, err2 := strconv.Atoi(s[i+1:])
-	if err1 != nil || err2 != nil || p < 0 || idx <= 0 {
-		return model.EventID{}, fmt.Errorf("bad event id %q", s)
-	}
-	return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(idx)}, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -169,5 +170,88 @@ func TestWriteTextUnknownKind(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteText(&buf, bad); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestReadTextRejectsWhatTheRecordParserRejects holds ReadText to the one
+// record parser on the inputs the monitoring server's text protocol refuses
+// (internal/monitor's v1 error table): each must fail as corrupt input
+// rather than yield a trace holding some other event.
+func TestReadTextRejectsWhatTheRecordParserRejects(t *testing.T) {
+	for _, in := range []string{
+		"procs 2\nu 4294967296:1\n", // used to read as 0:1
+		"procs 2\nu 0:4294967297\n",
+		"procs 2\nu 0:2147483648\n",
+		"procs 2\ns 4294967296:4294967298 -> 1:1\nr 1:1 <- 0:2\n",
+		"procs 2\ns 0:1 banana 1:1\nr 1:1 <- 0:1\n",
+		"procs 2\ns 0:1 -> 1:1\nr 1:1 -> 0:1\n",
+		"procs 2\ns 0:1 -> 1:1 extra\nr 1:1 <- 0:1\n",
+		"procs 2\nu\n",
+		"procs 4294967298\nu 0:1\n",
+	} {
+		if tr, err := ReadText(strings.NewReader(in)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("ReadText(%q) = %v, %v; want ErrCorrupt", in, tr, err)
+		}
+	}
+}
+
+func TestParseEventID(t *testing.T) {
+	for in, want := range map[string]model.EventID{
+		"0:1":                   {Process: 0, Index: 1},
+		"2147483647:2147483647": {Process: 2147483647, Index: 2147483647},
+		"007:010":               {Process: 7, Index: 10}, // leading zeros are digits
+	} {
+		if got, err := ParseEventID(in); err != nil || got != want {
+			t.Errorf("ParseEventID(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{
+		"-1:1", "0:0", ":1", "1:", "1", "", ":", "1:2:3", "a:1", "1:b", " 1:1", "1 :1",
+		"2147483648:1", "1:2147483648", "4294967296:1", "1:4294967297",
+		"+1:1", "1:+1", "-0:1", // a sign is not a digit
+	} {
+		got, err := ParseEventID(in)
+		if err == nil {
+			t.Errorf("ParseEventID(%q) = %v, want an error", in, got)
+		} else if want := fmt.Sprintf("bad event id %q", in); err.Error() != want {
+			t.Errorf("ParseEventID(%q): error %q, want %q", in, err, want)
+		}
+	}
+}
+
+// TestRecordRoundTrip pins ParseRecord as AppendRecord's inverse on each
+// record shape, and the error texts the text protocol's clients see.
+func TestRecordRoundTrip(t *testing.T) {
+	a, b := model.EventID{Process: 3, Index: 17}, model.EventID{Process: 0, Index: 2147483647}
+	for want, e := range map[string]model.Event{
+		"u 3:17":                 {ID: a, Kind: model.Unary},
+		"s 3:17 -> 0:2147483647": {ID: a, Kind: model.Send, Partner: b},
+		"r 3:17 <- 0:2147483647": {ID: a, Kind: model.Receive, Partner: b},
+		"y 3:17 <> 0:2147483647": {ID: a, Kind: model.Sync, Partner: b},
+	} {
+		line, err := AppendRecord(nil, e)
+		if err != nil || string(line) != want {
+			t.Errorf("AppendRecord(%v) = %q, %v; want %q", e, line, err, want)
+		}
+		if got, err := ParseRecord(strings.Fields(want)); err != nil || got != e {
+			t.Errorf("ParseRecord(%q) = %v, %v; want %v", want, got, err, e)
+		}
+	}
+	for in, want := range map[string]string{
+		"z 0:1":          `unknown event kind "z"`,
+		"u zero:1":       `bad event id "zero:1"`,
+		"u 0:1 -> 1:1":   "unary takes no partner",
+		"s 0:1":          "missing partner",
+		"s 0:1 ->":       "missing partner",
+		"s 0:1 -> bad":   `bad event id "bad"`,
+		"s 0:1 <- 1:1":   `expected "->", not "<-"`,
+		"y 0:1 -> 1:1":   `expected "<>", not "->"`,
+		"s 0:1 -> 1:1 x": `unexpected field "x" after partner`,
+		"u":              "missing event id",
+		"":               "missing event id",
+	} {
+		if got, err := ParseRecord(strings.Fields(in)); err == nil || err.Error() != want {
+			t.Errorf("ParseRecord(%q) = %v, %v; want error %q", in, got, err, want)
+		}
 	}
 }
