@@ -7,6 +7,7 @@ package clusterts_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -223,5 +224,61 @@ func TestVariantsThroughFacade(t *testing.T) {
 		if got != want {
 			t.Fatalf("migrating Precedes(%v,%v) = %v, want %v", e, f, got, want)
 		}
+	}
+}
+
+// TestFutureWorkNumbersPinned holds the integers behind examples/futurework
+// and EXPERIMENTS.md V1/V2 (java/warmsession-97, maxCS 13, the default fixed
+// vector): the engine under the variants may change, these may not.
+func TestFutureWorkNumbersPinned(t *testing.T) {
+	spec, ok := clusterts.FindWorkload("java/warmsession-97")
+	if !ok {
+		t.Fatal("missing corpus spec")
+	}
+	tr := spec.Generate()
+	const maxCS = 13
+	fixed := clusterts.DefaultFixedVector
+	ratio := func(ints int64) string {
+		return fmt.Sprintf("%.4f", float64(ints)/float64(int64(tr.NumEvents())*int64(fixed)))
+	}
+
+	plain, err := clusterts.NewTimestamper(tr.NumProcs, clusterts.Config{MaxClusterSize: maxCS, Decider: clusterts.MergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := plain.ClusterReceives(); got != 6332 {
+		t.Errorf("merge-on-1st: %d noted cluster receives, want 6332", got)
+	}
+
+	bt, err := clusterts.NewBatchTimestamper(tr.NumProcs, clusterts.BatchConfig{
+		MaxClusterSize: maxCS, BatchSize: 3000, Decider: clusterts.MergeOnFirst(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	if cr, prefix, r := bt.ClusterReceives(), bt.PrefixEvents(), ratio(bt.StorageInts(fixed)); cr != 5902 || prefix != 3000 || r != "0.4376" {
+		t.Errorf("batch(3000, merge-1st): %d noted after the batch, %d prefix events, ratio %s; want 5902, 3000, 0.4376", cr, prefix, r)
+	}
+	if got := bt.Events(); got != tr.NumEvents() {
+		t.Errorf("batch: %d events, want %d", got, tr.NumEvents())
+	}
+
+	mt, err := clusterts.NewMigratingTimestamper(tr.NumProcs, clusterts.MigrateConfig{
+		MaxClusterSize: maxCS, MigrateAfter: 8, Decider: clusterts.MergeOnFirst(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mt.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	if cr, mig, r := mt.ClusterReceives(), mt.Migrations(), ratio(mt.StorageInts(fixed)); cr != 3450 || mig != 55 || r != "0.1961" {
+		t.Errorf("migrating(after 8, merge-1st): %d noted, %d migrations, ratio %s; want 3450, 55, 0.1961", cr, mig, r)
 	}
 }

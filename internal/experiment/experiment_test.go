@@ -297,4 +297,29 @@ func TestCompareHierarchy(t *testing.T) {
 	if s := FormatHierarchy(r); s == "" {
 		t.Fatal("empty format")
 	}
+
+	// The EXPERIMENTS.md H1 rows, sizes {13} vs {13, 60}: full vectors under
+	// one explicit level, then full / mid-level under two.
+	for _, row := range []struct {
+		name               string
+		twoFull, full, mid int
+	}{
+		{"pvm/ring-300", 975, 240, 735},
+		{"pvm/stencil2d-300", 2780, 780, 2000},
+		{"java/webtier-300", 2296, 1832, 464},
+		{"dce/rpc-288", 484, 260, 224},
+	} {
+		spec, ok := workload.Find(row.name)
+		if !ok {
+			t.Fatalf("%s: spec missing", row.name)
+		}
+		r, err := CompareHierarchy(NewTraceContext(spec.Generate()), 13, 60, metrics.DefaultFixedVector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.TwoLevelFull != row.twoFull || r.ThreeLevelFull != row.full || r.MidLevelEvents != row.mid {
+			t.Errorf("%s: %d -> %d full / %d mid, want %d -> %d / %d", row.name,
+				r.TwoLevelFull, r.ThreeLevelFull, r.MidLevelEvents, row.twoFull, row.full, row.mid)
+		}
+	}
 }
