@@ -222,8 +222,6 @@ type (
 	// HierTimestamper assigns multi-level hierarchical cluster
 	// timestamps under a static Hierarchy.
 	HierTimestamper = hct.HierTimestamper
-	// HierTimestamp is one event's multi-level timestamp.
-	HierTimestamp = hct.HierTimestamp
 )
 
 // NewHierarchy builds a static multi-level clustering over the trace's

@@ -31,7 +31,7 @@ func main() {
 	lastMerges := 0
 	checkpoints := map[int]bool{}
 	for i, e := range tr.Events {
-		if _, err := ts.Observe(e); err != nil {
+		if err := ts.Ingest(e); err != nil {
 			log.Fatalf("at %v: %v", e.ID, err)
 		}
 		if m := ts.Partition().Merges(); m != lastMerges {

@@ -47,14 +47,6 @@ func (c *Info) PosOf(p int32) (int, bool) {
 // String renders the cluster compactly.
 func (c *Info) String() string { return fmt.Sprintf("c%d%v", c.ID, c.Members) }
 
-// NewDomain returns a standalone immutable Info over the given sorted
-// member set, not managed by any Partition. It serves timestamps whose
-// projection domain comes from elsewhere (e.g. a static multi-level
-// hierarchy). The ID is -1.
-func NewDomain(members []int32) *Info {
-	return newInfo(-1, members)
-}
-
 func newInfo(id ID, members []int32) *Info {
 	inf := &Info{ID: id, Members: members, memberPos: make(map[int32]int, len(members))}
 	for i, p := range members {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/commgraph"
-	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/strategy"
 )
@@ -26,14 +25,10 @@ import (
 // Precedence uses the epoch-agnostic recursive test, which remains exact
 // across the batch boundary.
 type BatchTimestamper struct {
-	numProcs int
-	cfg      BatchConfig
-	fmts     *fm.Timestamper
-	graph    *commgraph.Graph
-
-	core   clusterer // its partition is nil until the batch closes
-	stamps map[model.EventID]*Timestamp
-	prefix int
+	variant
+	cfg    BatchConfig
+	graph  *commgraph.Graph // the batch's communication; released when it closes
+	prefix int              // events stamped with full vectors
 }
 
 // BatchConfig parameterizes a BatchTimestamper.
@@ -50,32 +45,64 @@ type BatchConfig struct {
 
 // NewBatchTimestamper returns a batch timestamper over numProcs processes.
 func NewBatchTimestamper(numProcs int, cfg BatchConfig) (*BatchTimestamper, error) {
-	rc, _, err := resolveConfig(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider})
-	if err != nil {
-		return nil, err
-	}
 	if cfg.BatchSize < 1 {
 		return nil, fmt.Errorf("%w: BatchSize=%d", ErrBadConfig, cfg.BatchSize)
 	}
-	return &BatchTimestamper{
-		numProcs: numProcs,
-		cfg:      cfg,
-		core:     clusterer{decider: rc.Decider, maxCS: cfg.MaxClusterSize},
-		fmts:     fm.NewTimestamper(numProcs),
-		graph:    commgraph.New(numProcs),
-		stamps:   make(map[model.EventID]*Timestamp),
-	}, nil
+	bt := &BatchTimestamper{cfg: cfg}
+	if err := bt.init(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider}, bt.decide); err != nil {
+		return nil, err
+	}
+	bt.graph = commgraph.New(numProcs)
+	return bt, nil
+}
+
+// decide is the batch policy on the engine's plan stage: the first BatchSize
+// finalized events keep their full vector (a nil epoch) and feed the
+// communication graph; the event that fills the batch installs the static
+// clustering, and from then on the core's rule decides. The two halves of a
+// synchronous pair are decided one after the other, so a batch boundary
+// between them leaves the first half full and the second under the new
+// partition.
+func (bt *BatchTimestamper) decide(e model.Event) *cluster.Info {
+	if bt.Clustered() {
+		return bt.ts.core.decide(e)
+	}
+	if e.Kind.IsReceive() {
+		bt.graph.Add(int32(e.ID.Process), int32(e.Partner.Process), 1)
+	}
+	if bt.prefix++; bt.Clustered() {
+		bt.install()
+	}
+	return nil
+}
+
+// install closes the batch: the static greedy clustering over the observed
+// communication becomes the core's partition.
+func (bt *BatchTimestamper) install() {
+	groups := strategy.StaticGreedy(bt.graph, bt.cfg.MaxClusterSize)
+	part, err := cluster.NewFromGroups(bt.ts.NumProcs(), groups)
+	if err != nil {
+		// StaticGreedy returns a complete partition by construction.
+		panic(fmt.Sprintf("hct: batch clustering produced invalid partition: %v", err))
+	}
+	bt.ts.core.part = part
+	bt.graph = nil
 }
 
 // Clustered reports whether the batch has closed and the static clustering
 // is installed.
-func (bt *BatchTimestamper) Clustered() bool { return bt.core.part != nil }
+func (bt *BatchTimestamper) Clustered() bool { return bt.prefix == bt.cfg.BatchSize }
 
 // Partition returns the installed partition, or nil during the batch.
-func (bt *BatchTimestamper) Partition() *cluster.Partition { return bt.core.part }
+func (bt *BatchTimestamper) Partition() *cluster.Partition {
+	if !bt.Clustered() {
+		return nil
+	}
+	return bt.ts.Partition()
+}
 
 // Events returns the number of events stamped.
-func (bt *BatchTimestamper) Events() int { return bt.prefix + bt.core.events }
+func (bt *BatchTimestamper) Events() int { return bt.prefix + bt.ts.Events() }
 
 // PrefixEvents returns how many events were stamped with full vectors
 // before the clustering ran.
@@ -84,83 +111,11 @@ func (bt *BatchTimestamper) PrefixEvents() int { return bt.prefix }
 // ClusterReceives returns the number of noted cluster receives after the
 // batch closed (prefix events are not counted: they keep full vectors by
 // design, not because clustering failed).
-func (bt *BatchTimestamper) ClusterReceives() int { return bt.core.crEvents }
-
-// Observe ingests the next event in delivery order.
-func (bt *BatchTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
-	stamped, err := bt.fmts.Observe(e)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Timestamp, 0, len(stamped))
-	for _, st := range stamped {
-		ev := st.Event
-		if ev.Kind.IsReceive() && ev.HasPartner() {
-			bt.graph.Add(int32(ev.ID.Process), int32(ev.Partner.Process), 1)
-		}
-		t := &Timestamp{ID: ev.ID, Kind: ev.Kind, Partner: ev.Partner}
-		if bt.core.part == nil {
-			// Batch phase: full Fidge/Mattern timestamp.
-			t.Full = st.Clock
-			bt.prefix++
-			if bt.prefix >= bt.cfg.BatchSize {
-				bt.install()
-			}
-		} else if own := bt.core.decide(ev); own == nil {
-			t.Full = st.Clock
-		} else {
-			t.Cluster = own
-			t.Proj = st.Clock.Project(own.Members)
-		}
-		bt.stamps[t.ID] = t
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// install closes the batch: the static greedy clustering over the observed
-// communication becomes the partition.
-func (bt *BatchTimestamper) install() {
-	groups := strategy.StaticGreedy(bt.graph, bt.cfg.MaxClusterSize)
-	part, err := cluster.NewFromGroups(bt.numProcs, groups)
-	if err != nil {
-		// StaticGreedy returns a complete partition by construction.
-		panic(fmt.Sprintf("hct: batch clustering produced invalid partition: %v", err))
-	}
-	bt.core.part = part
-}
-
-// ObserveAll stamps an entire trace.
-func (bt *BatchTimestamper) ObserveAll(tr *model.Trace) error {
-	for _, e := range tr.Events {
-		if _, err := bt.Observe(e); err != nil {
-			return fmt.Errorf("hct: at event %v: %w", e.ID, err)
-		}
-	}
-	return bt.fmts.Flush()
-}
-
-// Timestamp returns the stored timestamp of an event.
-func (bt *BatchTimestamper) Timestamp(id model.EventID) (Timestamp, bool) {
-	t, ok := bt.stamps[id]
-	if !ok {
-		return Timestamp{}, false
-	}
-	return *t, true
-}
-
-// Precedes answers a happened-before query; exact across the batch
-// boundary.
-func (bt *BatchTimestamper) Precedes(e, f model.EventID) (bool, error) {
-	return recursivePrecedes(bt, e, f)
-}
+func (bt *BatchTimestamper) ClusterReceives() int { return bt.ts.ClusterReceives() }
 
 // StorageInts totals the stored timestamp sizes under the fixed-vector
-// encoding.
+// encoding: the prefix and the noted cluster receives at the fixed vector,
+// everything else at maxCS.
 func (bt *BatchTimestamper) StorageInts(fixedVector int) int64 {
-	var total int64
-	for _, t := range bt.stamps {
-		total += int64(t.StorageInts(fixedVector, bt.cfg.MaxClusterSize))
-	}
-	return total
+	return StorageInts(bt.Events(), bt.prefix+bt.ClusterReceives(), fixedVector, bt.cfg.MaxClusterSize)
 }

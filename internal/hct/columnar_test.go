@@ -74,16 +74,22 @@ func TestColumnarDifferentialCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Ingest through Observe, mirroring every finalized
-				// timestamp into the reference map.
-				ref := make(map[model.EventID]*Timestamp, len(tr.Events))
+				// Ingest event by event, mirroring every timestamp into the
+				// reference map as it is finalized (a sync pair with its
+				// second half).
+				ref := make(map[model.EventID]Timestamp, len(tr.Events))
 				for _, e := range tr.Events {
-					out, err := ts.Observe(e)
-					if err != nil {
-						t.Fatalf("maxCS=%d: Observe(%v): %v", maxCS, e.ID, err)
+					if err := ts.Ingest(e); err != nil {
+						t.Fatalf("maxCS=%d: Ingest(%v): %v", maxCS, e.ID, err)
 					}
-					for _, st := range out {
-						ref[st.ID] = st
+					ids := []model.EventID{e.ID}
+					if e.Kind == model.Sync {
+						ids = append(ids, e.Partner)
+					}
+					for _, id := range ids {
+						if st, ok := ts.Timestamp(id); ok {
+							ref[id] = st
+						}
 					}
 				}
 				if len(ref) != len(tr.Events) {

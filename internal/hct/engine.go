@@ -102,30 +102,10 @@ func (ts *plane) QueryPathCounts() (direct, routed int64) {
 	return ts.qDirect.Load(), ts.qRouted.Load()
 }
 
-// Observe ingests the next event in delivery order and returns the
-// timestamps finalized by it (two for the completion of a synchronous pair —
-// first half, then second — zero for its first half, one otherwise). Each
-// result is a fresh view of the stored cell, allocated by this call: the
-// pointers are not into the store, and the vectors they carry alias the
-// store's arena and must be treated as immutable. Ingest is the variant for
-// callers that discard the results.
-func (ts *Timestamper) Observe(e model.Event) ([]*Timestamp, error) {
-	if err := ts.DispatchOne(e); err != nil {
-		return nil, err
-	}
-	t, ok := ts.Timestamp(e.ID)
-	if !ok {
-		return nil, nil // first sync half: held until its partner arrives
-	}
-	if e.Kind == model.Sync {
-		first, _ := ts.Timestamp(e.Partner)
-		return []*Timestamp{&first, &t}, nil
-	}
-	return []*Timestamp{&t}, nil
-}
-
-// Ingest is Observe without materializing the result slice. On error no
-// state changes.
+// Ingest delivers the next event in delivery order. What it finalizes — the
+// event itself, nothing for the first half of a synchronous pair, both halves
+// for the second — is readable through Timestamp on return. On error no state
+// changes.
 func (ts *Timestamper) Ingest(e model.Event) error { return ts.DispatchOne(e) }
 
 // ObserveAll stamps an entire trace and reports an error if the stream ended
@@ -145,6 +125,46 @@ func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
 		return fmt.Errorf("hct: stream ended with %d unreceived sends (e.g. %v)", len(a.pendSend), id)
 	}
 	return nil
+}
+
+// variant is what the research timestampers — batch.go, migrate.go, hier.go —
+// are made of: the one-lane inline Pipeline in Timestamper shape, with a
+// decide policy of their own installed on its plan stage. The engine sits in
+// an unexported field so that only the methods below are promoted, not the
+// pipeline's Precedes and Concurrent: the fast noted-cluster-receive test is
+// proved for clusters that only ever grow (a process's epochs then form a
+// chain, so a causal path into f's epoch crosses a noted receive). Migration
+// and nested static domains break that, and for a full-vector prefix it is
+// only argued (DESIGN.md §16), so all three answer with the epoch-agnostic
+// recursive test over the same store instead.
+type variant struct{ ts *Timestamper }
+
+// init builds the engine and installs policy as its decision hook.
+func (v *variant) init(numProcs int, cfg Config, policy func(model.Event) *cluster.Info) error {
+	ts, err := NewTimestamper(numProcs, cfg)
+	if err != nil {
+		return err
+	}
+	ts.decide = policy
+	v.ts = ts
+	return nil
+}
+
+// Observe delivers the next event in delivery order. On error no state
+// changes.
+func (v *variant) Observe(e model.Event) error { return v.ts.Ingest(e) }
+
+// ObserveAll stamps an entire trace and reports an error if the stream ended
+// incomplete.
+func (v *variant) ObserveAll(tr *model.Trace) error { return v.ts.ObserveAll(tr) }
+
+// Timestamp returns the stored timestamp of an event.
+func (v *variant) Timestamp(id model.EventID) (Timestamp, bool) { return v.ts.Timestamp(id) }
+
+// Precedes answers a happened-before query with the recursive test, exact
+// however the clustering evolved.
+func (v *variant) Precedes(e, f model.EventID) (bool, error) {
+	return recursivePrecedes(v.ts, e, f)
 }
 
 // Timestamp returns the timestamp of an event: a view of its stored cell,

@@ -289,27 +289,30 @@ func TestObserveAllPropagatesFMErrors(t *testing.T) {
 }
 
 // TestFacadeSyncPairAndStreamEnd pins the two places the façade adds
-// behaviour over DispatchOne/Dispatch: Observe reports what an event
-// finalized (nothing for a held first sync half, then both halves in arrival
-// order), and ObserveAll rejects a stream that ends incomplete.
+// behaviour over DispatchOne/Dispatch: after Ingest what the event finalized
+// is readable (nothing for a held first sync half, then both halves), and
+// ObserveAll rejects a stream that ends incomplete.
 func TestFacadeSyncPairAndStreamEnd(t *testing.T) {
 	half := func(p, q model.ProcessID) model.Event {
 		return model.Event{ID: model.EventID{Process: p, Index: 1}, Kind: model.Sync, Partner: model.EventID{Process: q, Index: 1}}
 	}
 	ts := mustTimestamper(t, 2, Config{MaxClusterSize: 2})
-	out, err := ts.Observe(half(0, 1))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("first sync half: %v, %v; want no timestamps", out, err)
+	if err := ts.Ingest(half(0, 1)); err != nil {
+		t.Fatal(err)
 	}
-	out, err = ts.Observe(half(1, 0))
-	if err != nil || len(out) != 2 {
-		t.Fatalf("second sync half: %v, %v; want two timestamps", out, err)
+	if got, ok := ts.Timestamp(half(0, 1).ID); ok {
+		t.Fatalf("first sync half stamped before its partner arrived: %v", got)
 	}
-	if out[0].ID != half(0, 1).ID || out[1].ID != half(1, 0).ID {
-		t.Fatalf("sync pair order = %v, %v; want first half then second", out[0].ID, out[1].ID)
+	if err := ts.Ingest(half(1, 0)); err != nil {
+		t.Fatal(err)
 	}
-	if !out[0].Full.Equal(out[1].Full) || out[0].Full[0] != 1 || out[0].Full[1] != 1 {
-		t.Fatalf("sync halves must share the joint vector: %v, %v", out[0], out[1])
+	first, ok1 := ts.Timestamp(half(0, 1).ID)
+	second, ok2 := ts.Timestamp(half(1, 0).ID)
+	if !ok1 || !ok2 {
+		t.Fatalf("second sync half finalized %v, %v; want both halves", ok1, ok2)
+	}
+	if !first.Full.Equal(second.Full) || first.Full[0] != 1 || first.Full[1] != 1 {
+		t.Fatalf("sync halves must share the joint vector: %v, %v", first, second)
 	}
 
 	unpaired := &model.Trace{NumProcs: 2, Events: []model.Event{half(0, 1)}}

@@ -2,6 +2,7 @@ package hct
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -156,6 +157,7 @@ func TestHierPrecedenceMatchesOracle(t *testing.T) {
 			if err := ht.ObserveAll(tr); err != nil {
 				t.Fatal(err)
 			}
+			checkStampsAgainstFM(t, fmt.Sprint("levels ", sizes), tr, ht)
 			for i := range tr.Events {
 				for j := range tr.Events {
 					e, f := tr.Events[i].ID, tr.Events[j].ID

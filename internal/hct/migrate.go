@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/strategy"
 )
@@ -24,12 +23,9 @@ import (
 // receive precedence test relies on, so precedence uses the epoch-agnostic
 // recursive test, which remains exact under arbitrary cluster evolution.
 type MigratingTimestamper struct {
-	numProcs int
-	cfg      MigrateConfig
-	fmts     *fm.Timestamper
-	core     *clusterer
+	variant
+	cfg MigrateConfig
 
-	stamps map[model.EventID]*Timestamp
 	// crTowards counts, per process, noted cluster receives whose sender
 	// lay in a given live cluster. Entries are re-keyed on merge and
 	// cleared on migration.
@@ -52,26 +48,19 @@ type MigrateConfig struct {
 
 // NewMigratingTimestamper returns a migrating timestamper.
 func NewMigratingTimestamper(numProcs int, cfg MigrateConfig) (*MigratingTimestamper, error) {
-	core, err := newClusterer(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider})
-	if err != nil {
-		return nil, err
-	}
 	if cfg.MigrateAfter < 1 {
 		return nil, fmt.Errorf("%w: MigrateAfter=%d", ErrBadConfig, cfg.MigrateAfter)
 	}
-	crTowards := make([]map[cluster.ID]int, numProcs)
-	for i := range crTowards {
-		crTowards[i] = make(map[cluster.ID]int)
+	mt := &MigratingTimestamper{cfg: cfg}
+	if err := mt.init(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider}, mt.decide); err != nil {
+		return nil, err
 	}
-	mt := &MigratingTimestamper{
-		numProcs:  numProcs,
-		cfg:       cfg,
-		fmts:      fm.NewTimestamper(numProcs),
-		core:      core,
-		stamps:    make(map[model.EventID]*Timestamp),
-		crTowards: crTowards,
-	}
+	core := mt.ts.core
 	core.decider = rekeyOnMerge{core.decider, mt}
+	mt.crTowards = make([]map[cluster.ID]int, numProcs)
+	for i := range mt.crTowards {
+		mt.crTowards[i] = make(map[cluster.ID]int)
+	}
 	return mt, nil
 }
 
@@ -88,48 +77,46 @@ func (d rekeyOnMerge) OnMerge(a, b, c cluster.ID) {
 }
 
 // Events returns the number of events stamped.
-func (mt *MigratingTimestamper) Events() int { return mt.core.events }
+func (mt *MigratingTimestamper) Events() int { return mt.ts.Events() }
 
 // ClusterReceives returns the number of noted cluster receives.
-func (mt *MigratingTimestamper) ClusterReceives() int { return mt.core.crEvents }
+func (mt *MigratingTimestamper) ClusterReceives() int { return mt.ts.ClusterReceives() }
 
 // Migrations returns the number of process migrations performed.
 func (mt *MigratingTimestamper) Migrations() int { return mt.migrations }
 
 // Partition exposes the live partition (read-only use).
-func (mt *MigratingTimestamper) Partition() *cluster.Partition { return mt.core.part }
+func (mt *MigratingTimestamper) Partition() *cluster.Partition { return mt.ts.Partition() }
 
-// Observe ingests the next event in delivery order.
-func (mt *MigratingTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
-	stamped, err := mt.fmts.Observe(e)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Timestamp, 0, len(stamped))
-	for _, st := range stamped {
-		out = append(out, mt.assign(st))
-	}
-	return out, nil
+// StorageInts totals the stored timestamp sizes under the fixed-vector
+// encoding.
+func (mt *MigratingTimestamper) StorageInts(fixedVector int) int64 {
+	return mt.ts.StorageInts(fixedVector)
 }
 
-func (mt *MigratingTimestamper) assign(st fm.Stamped) *Timestamp {
-	ev := st.Event
-	t := &Timestamp{ID: ev.ID, Kind: ev.Kind, Partner: ev.Partner}
-	if own := mt.core.decide(ev); own == nil {
-		t.Full = st.Clock
-		mt.noteCRTowards(int32(ev.ID.Process), int32(ev.Partner.Process))
-	} else {
-		t.Cluster = own
-		t.Proj = st.Clock.Project(own.Members)
+// decide is the migration policy on the engine's plan stage: the core's rule
+// decides, and a receive it notes is evidence toward the sender's cluster.
+//
+// A property of that evidence, pinned with the V2 numbers and left as it is:
+// Partition.Migrate retires both clusters it touches and gives what remains of
+// the source, and the grown destination, fresh IDs — but only merges re-key
+// crTowards (rekeyOnMerge). The migrating process's own counts are cleared;
+// what every other process had counted toward either retired ID is orphaned,
+// never matched again and never folded onto the successor, so those processes
+// start from zero toward a cluster that merely gained or lost one member.
+// Re-keying on migrate moves the V2 numbers and is its own change.
+func (mt *MigratingTimestamper) decide(e model.Event) *cluster.Info {
+	own := mt.ts.core.decide(e)
+	if own == nil {
+		mt.noteCRTowards(int32(e.ID.Process), int32(e.Partner.Process))
 	}
-	mt.stamps[t.ID] = t
-	return t
+	return own
 }
 
 // noteCRTowards records a cluster receive on process p whose sender lives in
 // the sender's live cluster, migrating p if the evidence threshold is met.
 func (mt *MigratingTimestamper) noteCRTowards(p, sender int32) {
-	target := mt.core.part.ClusterOf(sender)
+	target := mt.ts.core.part.ClusterOf(sender)
 	counts := mt.crTowards[p]
 	counts[target.ID]++
 	if counts[target.ID] < mt.cfg.MigrateAfter {
@@ -138,7 +125,7 @@ func (mt *MigratingTimestamper) noteCRTowards(p, sender int32) {
 	if target.Size()+1 > mt.cfg.MaxClusterSize {
 		return // no room; keep counting in case the target shrinks
 	}
-	mt.core.part.Migrate(p, target.ID)
+	mt.ts.core.part.Migrate(p, target.ID)
 	mt.migrations++
 	// The process starts fresh in its new home; stale counts toward the
 	// retired cluster IDs would never match live clusters anyway.
@@ -155,38 +142,4 @@ func (mt *MigratingTimestamper) rekeyCounts(a, b, c cluster.ID) {
 			counts[c] += n
 		}
 	}
-}
-
-// ObserveAll stamps an entire trace.
-func (mt *MigratingTimestamper) ObserveAll(tr *model.Trace) error {
-	for _, e := range tr.Events {
-		if _, err := mt.Observe(e); err != nil {
-			return fmt.Errorf("hct: at event %v: %w", e.ID, err)
-		}
-	}
-	return mt.fmts.Flush()
-}
-
-// Timestamp returns the stored timestamp of an event.
-func (mt *MigratingTimestamper) Timestamp(id model.EventID) (Timestamp, bool) {
-	t, ok := mt.stamps[id]
-	if !ok {
-		return Timestamp{}, false
-	}
-	return *t, true
-}
-
-// Precedes answers a happened-before query; exact under migration.
-func (mt *MigratingTimestamper) Precedes(e, f model.EventID) (bool, error) {
-	return recursivePrecedes(mt, e, f)
-}
-
-// StorageInts totals the stored timestamp sizes under the fixed-vector
-// encoding.
-func (mt *MigratingTimestamper) StorageInts(fixedVector int) int64 {
-	var total int64
-	for _, t := range mt.stamps {
-		total += int64(t.StorageInts(fixedVector, mt.cfg.MaxClusterSize))
-	}
-	return total
 }

@@ -220,6 +220,11 @@ type Pipeline struct {
 	issued  []uint64   // items dispatched per shard
 	curBufs [][]item   // per-shard staging buffers, capacity retained across batches
 
+	// decide is the plan stage's one decision hook, called with planMu held:
+	// core.decide for every public constructor. The research variants
+	// (batch.go, migrate.go, hier.go) install their policy over it.
+	decide func(model.Event) *cluster.Info
+
 	// Tracing state for the run being planned (guarded by planMu). curBT
 	// tags staged items; stampStart/stampDur accumulate inline single-shard
 	// stamping time, folded into one stamp span by unlockPlan.
@@ -279,6 +284,7 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 	p := &Pipeline{
 		plane:     newPlane(numProcs),
 		core:      core,
+		decide:    core.decide,
 		nshards:   nshards,
 		issued:    make([]uint64, nshards),
 		flushed:   make([]uint64, nshards),
@@ -596,7 +602,7 @@ func (p *Pipeline) unlockPlan(bt BatchTracer, planSpan int) {
 // each merge can repartition the processes the next decision consults — and
 // stages it for its lane. It cannot fail. Called with planMu held.
 func (p *Pipeline) plan(e model.Event) {
-	p.stageItem(e, p.core.decide(e))
+	p.stageItem(e, p.decide(e))
 }
 
 // stageItem hands one planned item to its lane (inline with one shard).
@@ -1022,8 +1028,8 @@ func (ln *lane) flushPuts() {
 }
 
 // process stamps one planned item: the Fidge/Mattern clock step (the same
-// computation as fm.ObserveBorrowed, restricted to this lane's processes)
-// followed by stamp.
+// computation as package fm's ObserveBorrowed, restricted to this lane's
+// processes) followed by stamp.
 func (ln *lane) process(it *item) {
 	e := it.ev
 	if e.Kind == model.Sync {

@@ -5,10 +5,40 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/poset"
 	"repro/internal/strategy"
+	"repro/internal/vclock"
 )
+
+// checkStampsAgainstFM holds every stamp a variant stored for tr to the
+// Fidge/Mattern clock of its event: whole for a full vector, projected over
+// Cluster.Members otherwise.
+func checkStampsAgainstFM(t *testing.T, label string, tr *model.Trace, src stampSource) {
+	t.Helper()
+	stamped, err := fm.StampAll(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stamped {
+		id := st.Event.ID
+		got, ok := src.Timestamp(id)
+		if !ok {
+			t.Fatalf("%s: Timestamp(%v) missing", label, id)
+		}
+		if got.Kind != st.Event.Kind || got.Partner != st.Event.Partner {
+			t.Fatalf("%s: %v stored as %v partner %v", label, id, got.Kind, got.Partner)
+		}
+		if got.Full != nil {
+			if got.Cluster != nil || !got.Full.Equal(st.Clock) {
+				t.Fatalf("%s: %v Full = %v, Fidge/Mattern %v", label, id, got.Full, st.Clock)
+			}
+		} else if proj := st.Clock.Project(got.Cluster.Members); !vclock.Clock(got.Proj).Equal(vclock.Clock(proj)) {
+			t.Fatalf("%s: %v Proj = %v over %v, Fidge/Mattern projects to %v", label, id, got.Proj, got.Cluster, proj)
+		}
+	}
+}
 
 func TestBatchConfigErrors(t *testing.T) {
 	if _, err := NewBatchTimestamper(0, BatchConfig{MaxClusterSize: 2, BatchSize: 10}); !errors.Is(err, ErrBadConfig) {
@@ -233,6 +263,9 @@ func TestVariantPrecedenceMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		checkStampsAgainstFM(t, "batch", tr, bt)
+		checkStampsAgainstFM(t, "migrate", tr, mt)
+
 		for i := range tr.Events {
 			for j := range tr.Events {
 				e, f := tr.Events[i].ID, tr.Events[j].ID
@@ -269,6 +302,45 @@ func TestVariantPrecedenceMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBatchBoundaryInsideSyncPair closes the batch between the two halves of
+// a synchronous pair: the halves are decided one after the other, so the
+// first keeps its full vector and the second is stamped under the partition
+// the first one's arrival installed — both with the pair's joint clock.
+func TestBatchBoundaryInsideSyncPair(t *testing.T) {
+	b := model.NewBuilder("sync-boundary", 3)
+	b.Message(0, 1)
+	b.Message(1, 0)
+	b.Sync(0, 1) // events 5 and 6: the batch of 5 closes on the first half
+	b.Message(1, 2)
+	tr := b.Trace()
+	first, second := tr.Events[4].ID, tr.Events[5].ID
+
+	bt, err := NewBatchTimestamper(3, BatchConfig{MaxClusterSize: 2, BatchSize: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	if bt.PrefixEvents() != 5 || bt.Events() != tr.NumEvents() {
+		t.Fatalf("prefix %d of %d events, want 5 of %d", bt.PrefixEvents(), bt.Events(), tr.NumEvents())
+	}
+	t1, _ := bt.Timestamp(first)
+	t2, _ := bt.Timestamp(second)
+	if t1.Kind != model.Sync || t1.Full == nil {
+		t.Fatalf("first sync half %v: want a full vector", t1)
+	}
+	if t2.Kind != model.Sync || t2.Cluster == nil || t2.Cluster != bt.Partition().ClusterOf(int32(second.Process)) {
+		t.Fatalf("second sync half %v: want a projection over the installed cluster %v", t2, bt.Partition().ClusterOf(int32(second.Process)))
+	}
+	// After the batch: the second half and the send project over {0,1}; the
+	// receive on process 2 is a noted cluster receive.
+	if got := bt.StorageInts(300); bt.ClusterReceives() != 1 || got != 6*300+2*2 {
+		t.Fatalf("StorageInts = %d with %d noted, want 6 full vectors (1 noted) and 2 projections", got, bt.ClusterReceives())
+	}
+	checkStampsAgainstFM(t, "batch", tr, bt)
+}
+
 func TestRecursivePrecedesErrors(t *testing.T) {
 	bt, err := NewBatchTimestamper(2, BatchConfig{MaxClusterSize: 2, BatchSize: 5})
 	if err != nil {
@@ -278,7 +350,7 @@ func TestRecursivePrecedesErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// One known, one unknown.
-	if _, err := bt.Observe(model.Event{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary}); err != nil {
+	if err := bt.Observe(model.Event{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bt.Precedes(model.EventID{Process: 0, Index: 1}, model.EventID{Process: 1, Index: 1}); !errors.Is(err, ErrUnknownEvent) {

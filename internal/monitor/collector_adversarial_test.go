@@ -179,10 +179,11 @@ func TestSubmitBatchPartialAccept(t *testing.T) {
 }
 
 // TestSubmitBatchPartialAcceptAsyncPlanner re-runs the applied-prefix
-// contract with the pipelined planner on: the collector pre-validates and
-// counts the prefix before dispatch, so deferred pipeline error timing must
-// not change the returned counts — and the prefix is queryable once the
-// ingest barrier closes the async window. (Tenant event quotas are checked
+// contract with the pipelined planner on: the collector admits, and counts,
+// the prefix before anything reaches the plan queue, so the rejection comes
+// back from the same SubmitBatch call with the same count as inline — only
+// stamping is asynchronous, and the prefix is queryable once the ingest
+// barrier closes that window. (Tenant event quotas are checked
 // before submission and stay batch-atomic regardless of planner mode; see
 // TestTenantQuotaLimits.)
 func TestSubmitBatchPartialAcceptAsyncPlanner(t *testing.T) {

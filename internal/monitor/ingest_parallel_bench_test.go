@@ -40,10 +40,14 @@ func BenchmarkIngestParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
+					// Building and tearing down the monitor (lanes, planner
+					// goroutine) is not delivery; keep both off the clock.
+					b.StopTimer()
 					m, err := NewSharded(tr.NumProcs, cfg(), shards)
 					if err != nil {
 						b.Fatal(err)
 					}
+					b.StartTimer()
 					for lo := 0; lo < len(tr.Events); lo += batch {
 						hi := lo + batch
 						if hi > len(tr.Events) {
@@ -54,7 +58,9 @@ func BenchmarkIngestParallel(b *testing.B) {
 						}
 					}
 					m.IngestBarrier()
+					b.StopTimer()
 					m.Close()
+					b.StartTimer()
 				}
 				b.ReportMetric(float64(len(tr.Events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 			})
@@ -70,6 +76,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
+					b.StopTimer()
 					m, err := NewSharded(tr.NumProcs, cfg(), shards)
 					if err != nil {
 						b.Fatal(err)
@@ -78,14 +85,13 @@ func BenchmarkIngestParallel(b *testing.B) {
 					c.pipelined = true
 					var wlog *wal.Log
 					if withWAL {
-						b.StopTimer()
 						wlog, err = wal.Open(b.TempDir(), wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncBatch})
 						if err != nil {
 							b.Fatal(err)
 						}
 						c.journal = wlog
-						b.StartTimer()
 					}
+					b.StartTimer()
 					for lo := 0; lo < len(tr.Events); lo += walBatch {
 						hi := lo + walBatch
 						if hi > len(tr.Events) {
@@ -99,14 +105,14 @@ func BenchmarkIngestParallel(b *testing.B) {
 					if err := c.Close(); err != nil {
 						b.Fatal(err)
 					}
+					b.StopTimer()
 					m.Close()
 					if wlog != nil {
-						b.StopTimer()
 						if err := wlog.Close(); err != nil {
 							b.Fatal(err)
 						}
-						b.StartTimer()
 					}
+					b.StartTimer()
 				}
 				b.ReportMetric(float64(len(tr.Events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 			})

@@ -33,10 +33,26 @@ import (
 // probed entry) with a cache-friendly linear pass, and is property-tested to
 // reproduce the reference merge sequence exactly.
 func StaticGreedy(g *commgraph.Graph, maxCS int) [][]int32 {
+	singletons := make([][]int32, g.NumProcs())
+	for p := range singletons {
+		singletons[p] = []int32{int32(p)}
+	}
+	return StaticGreedyFrom(g, singletons, maxCS)
+}
+
+// StaticGreedyFrom is StaticGreedy started from the given clusters instead
+// of singletons: the step that builds clusters of clusters (Section 2.3). g
+// is the communication graph over them — node i is groups[i], as
+// commgraph.Graph.Quotient builds it — while sizes, the maxCS bound and the
+// tie-break minima still count and name processes.
+func StaticGreedyFrom(g *commgraph.Graph, groups [][]int32, maxCS int) [][]int32 {
 	if maxCS < 1 {
 		panic(fmt.Sprintf("strategy: StaticGreedy with maxCS=%d", maxCS))
 	}
 	n := g.NumProcs()
+	if len(groups) != n {
+		panic(fmt.Sprintf("strategy: StaticGreedyFrom with %d groups over a %d-node graph", len(groups), n))
+	}
 
 	// Live clusters, indexed by a dense id. Merging retires two ids and
 	// allocates a new one. A cluster's member set, minimum and size are
@@ -47,8 +63,8 @@ func StaticGreedy(g *commgraph.Graph, maxCS int) [][]int32 {
 		alive   bool
 	}
 	clusters := make([]cl, 0, 2*n)
-	for p := 0; p < n; p++ {
-		clusters = append(clusters, cl{members: []int32{int32(p)}, min: int32(p), alive: true})
+	for _, members := range groups {
+		clusters = append(clusters, cl{members: members, min: slices.Min(members), alive: true})
 	}
 
 	// Sparse adjacency: per cluster id, the (neighbor id, occurrence count)
@@ -155,18 +171,18 @@ func StaticGreedy(g *commgraph.Graph, maxCS int) [][]int32 {
 		}
 	}
 
-	var groups [][]int32
+	var out [][]int32
 	for _, c := range clusters {
 		if !c.alive {
 			continue
 		}
 		members := append([]int32(nil), c.members...)
 		slices.Sort(members)
-		groups = append(groups, members)
+		out = append(out, members)
 	}
 	// Deterministic group order by smallest member.
-	slices.SortFunc(groups, func(x, y []int32) int { return int(x[0] - y[0]) })
-	return groups
+	slices.SortFunc(out, func(x, y []int32) int { return int(x[0] - y[0]) })
+	return out
 }
 
 // pairEntry is one candidate merge. norm, lo and hi are immutable once
