@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -24,12 +21,7 @@ func TestPoetdHTTPPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real daemon; skipped with -short")
 	}
-	bin := filepath.Join(t.TempDir(), "poetd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building poetd: %v", err)
-	}
+	bin := buildPoetd(t)
 
 	tr := workload.RandomSparse(10, 3, 400, 7)
 	p := startPoetd(t, bin,

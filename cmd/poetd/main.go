@@ -123,7 +123,7 @@ func main() {
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")
 		grace     = flag.Duration("grace", 5*time.Second, "graceful shutdown drain window")
 		shards    = flag.Int("ingest-shards", 0, "ingest shards (stamping lanes); 0 = GOMAXPROCS, 1 = single-writer")
-		planQueue = flag.Int("plan-queue", 0, "plan-queue depth (batches) for the pipelined planner; 0 = default (async when sharded), <0 = plan inline on the submitter")
+		planQueue = flag.Int("plan-queue", 0, "plan-queue depth in batches above one lane (≤0 = default 4)")
 		walDir    = flag.String("wal", "", "write-ahead log root directory (empty = no durability); tenants use <root>/<tenant>/")
 		fsync     = flag.String("fsync", "batch", "WAL fsync policy: always | batch | never")
 		snapEvery = flag.Int64("snapshot-every", 1<<20, "cut a WAL snapshot every N events (0 = never)")
@@ -237,7 +237,12 @@ func main() {
 		}
 		if n := wlog.RecoveredEvents(); n > 0 {
 			start := time.Now()
-			if err := wlog.Replay(m.DeliverBatch); err != nil {
+			// Every logged run was admitted before it was journaled and
+			// nothing reads yet: dispatch record by record (a rejection is
+			// still synchronous, and names its event) and barrier once.
+			err := wlog.Replay(m.DeliverBatchAsync)
+			m.IngestBarrier()
+			if err != nil {
 				wlog.Close()
 				m.Close()
 				return monitor.TenantResources{}, fmt.Errorf("wal replay: %w", err)
@@ -321,7 +326,6 @@ func main() {
 	logger.Info("monitoring",
 		"procs", *procs, "addr", bound, "strategy", *strat,
 		"maxcs", *maxCS, "maxbatch", *maxBatch, "ingest_shards", m.IngestShards(),
-		"planner_pipelined", m.Pipeline().PlannerPipelined(),
 		"tenants", srv.NumTenants(), "max_tenants", *maxTenants)
 	if *walDir != "" {
 		logger.Info("wal enabled", "dir", *walDir, "fsync", *fsync, "snapshot_every", *snapEvery, "legacy_layout", legacyRoot)
@@ -356,7 +360,6 @@ func main() {
 	<-sig
 	ready.Store(false)
 	logger.Info("draining", "grace", *grace, "tenants", srv.NumTenants())
-	tenants := srv.Tenants() // capture before Close empties nothing but keeps order stable
 	if err := srv.Shutdown(*grace); err != nil {
 		fatal("shutdown failed", err)
 	}
@@ -365,7 +368,7 @@ func main() {
 		admin.Shutdown(ctx)
 		cancel()
 	}
-	for _, t := range tenants {
+	for _, t := range srv.Tenants() { // Shutdown closes tenants, it does not unlist them
 		st := t.Monitor().Stats(*fixed)
 		logger.Info("final accounting",
 			"tenant", t.Name(), "events", st.Events,

@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/monitor"
 	"repro/internal/strategy"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -23,6 +26,18 @@ import (
 type poetdProc struct {
 	cmd   *exec.Cmd
 	lines chan string
+}
+
+// buildPoetd builds the daemon into the test's temporary directory.
+func buildPoetd(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "poetd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building poetd: %v", err)
+	}
+	return bin
 }
 
 func startPoetd(t *testing.T, bin string, args ...string) *poetdProc {
@@ -95,12 +110,7 @@ func TestPoetdKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills the real daemon; skipped with -short")
 	}
-	bin := filepath.Join(t.TempDir(), "poetd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building poetd: %v", err)
-	}
+	bin := buildPoetd(t)
 
 	tr := workload.RandomSparse(10, 3, 400, 7)
 	walDir := t.TempDir()
@@ -230,12 +240,7 @@ func TestPoetdMultiTenantKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills the real daemon; skipped with -short")
 	}
-	bin := filepath.Join(t.TempDir(), "poetd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building poetd: %v", err)
-	}
+	bin := buildPoetd(t)
 
 	// Three different computations over the same process IDs: every event ID
 	// exists in every namespace with a different causal past.
@@ -375,5 +380,89 @@ func TestPoetdMultiTenantKillRecovery(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("poetd did not shut down after SIGTERM")
+	}
+}
+
+// TestPoetdRecoveryNamesFailingRecord pins what recovery does with a log it
+// cannot replay: it feeds the records through the batch entry without a
+// barrier between them, the rejection is still synchronous, and the daemon
+// refuses to start naming the event. (A wrong -procs is refused earlier, at
+// wal.Open, so the log is built by hand: its second record repeats an event
+// the first delivered.)
+func TestPoetdRecoveryNamesFailingRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real daemon; skipped with -short")
+	}
+	bin := buildPoetd(t)
+	walDir := t.TempDir()
+	wlog, err := wal.Open(filepath.Join(walDir, "default"), wal.Options{NumProcs: 4, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unary := func(p, i int) model.Event {
+		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
+	}
+	for _, run := range [][]model.Event{{unary(0, 1), unary(1, 1)}, {unary(2, 1), unary(1, 1), unary(3, 1)}} {
+		if err := wlog.Append(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []string{"1", "2"} {
+		p := startPoetd(t, bin, "-procs", "4", "-addr", "127.0.0.1:0", "-wal", walDir, "-ingest-shards", shards)
+		line := p.waitLine(t, "wal replay")
+		if !strings.Contains(line, "at p1:1") || !strings.Contains(line, "duplicate event") {
+			t.Fatalf("-ingest-shards %s: recovery error %q does not name the repeated event p1:1", shards, line)
+		}
+		if err := p.cmd.Wait(); err == nil {
+			t.Fatalf("-ingest-shards %s: poetd started on a log it could not replay", shards)
+		}
+	}
+}
+
+// TestPoetdFrozenSingleWriterSpelling starts the daemon the way the frozen
+// spmd-stream-1lane workload does. -plan-queue is a depth and one lane reads
+// none, so the spelling must keep starting, serve, and report one shard.
+func TestPoetdFrozenSingleWriterSpelling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real daemon; skipped with -short")
+	}
+	p := startPoetd(t, buildPoetd(t), "-procs", "4", "-addr", "127.0.0.1:0", "-http", "127.0.0.1:0",
+		"-ingest-shards", "1", "-plan-queue", "-1")
+	defer func() {
+		p.cmd.Process.Kill()
+		p.cmd.Wait()
+	}()
+	addr := boundAddr(t, p.waitLine(t, "monitoring"))
+	httpAddr := boundAddr(t, p.waitLine(t, "admin http listening"))
+	sess, err := monitor.DialV2(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	send := model.EventID{Process: 0, Index: 1}
+	recv := model.EventID{Process: 1, Index: 1}
+	if err := sess.ReportBatch([]model.Event{
+		{ID: send, Kind: model.Send, Partner: recv},
+		{ID: recv, Kind: model.Receive, Partner: send},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := sess.Precedes(send, recv); err != nil || !ok {
+		t.Fatalf("Precedes(send, receive) = %v, %v", ok, err)
+	}
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Get("http://" + httpAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\npoetd_ingest_shards 1\n") {
+		t.Fatal("/metrics does not report poetd_ingest_shards 1")
 	}
 }

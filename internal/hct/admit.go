@@ -3,7 +3,7 @@ package hct
 // This file is admission: the delivery contract Fig. 3 presumes of its input
 // — a linear extension with every send before its receive and the halves of a
 // synchronous pair together — enforced once per pipeline, on the dispatching
-// goroutine, before anything is journaled or planned. Every Dispatch* entry
+// goroutine, before anything is journaled or planned. Every dispatch entry
 // point admits through the pipeline's one Admission, and the collector
 // (internal/monitor) assembles its runs against the same state instead of a
 // copy of it, so what crosses the plan queue, and what reaches the write-ahead
@@ -146,8 +146,8 @@ func (a *Admission) advance(e model.Event) (first model.Event, n int) {
 
 // Admit is the gate for a caller that held the record to CheckRecord when it
 // arrived and assembles a run event by event — the collector: the stream
-// check, then advance. (The Dispatch entry points run all three steps
-// themselves, in dispatchLocked.) The caller holds the lock from its first
+// check, then advance. (DispatchAsync and DispatchOne run all three
+// steps themselves, in dispatchLocked.) The caller holds the lock from its first
 // Admit until Pipeline.DispatchAdmitted has taken the run, and must admit the
 // halves of a synchronous pair back to back, so that the run is its own
 // finalized form. On error no state changes.

@@ -80,7 +80,7 @@ func newPlane(numProcs int) plane {
 
 // NewTimestamper returns a timestamper over numProcs processes.
 func NewTimestamper(numProcs int, cfg Config) (*Timestamper, error) {
-	p, err := NewPipeline(numProcs, cfg, PipelineOptions{Shards: 1, PlanQueue: -1})
+	p, err := NewPipeline(numProcs, cfg, PipelineOptions{Shards: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +112,7 @@ func (ts *Timestamper) Ingest(e model.Event) error { return ts.DispatchOne(e) }
 // incomplete: an unpaired synchronous event or sends that were never
 // received.
 func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
-	if err := ts.Dispatch(tr.Events); err != nil {
+	if err := ts.DispatchAsync(tr.Events, nil); err != nil {
 		return fmt.Errorf("hct: %w", err)
 	}
 	a := &ts.adm

@@ -3,8 +3,8 @@ package hct
 // This file is the ingest pipeline, the package's one stamping engine: a
 // sequential planner feeding N stamping lanes, producing bit-identical
 // timestamps at every lane count over one lock-free read plane. With one lane
-// and inline planning it runs entirely on the caller's goroutine; that shape
-// is the Timestamper façade of engine.go.
+// it runs entirely on the caller's goroutine; that shape is the Timestamper
+// façade of engine.go.
 //
 // # Why delivery can be sharded at all
 //
@@ -36,24 +36,26 @@ package hct
 //
 // # One body, synchronous errors
 //
-// Dispatch, DispatchTraced, DispatchOne and DispatchAsync share one body
-// (dispatchLocked): lock admission, admit the batch — stopping at the first
-// rejection; the prefix stays admitted, the rejected event changes nothing —
-// hand the finalized events to the plan stage, unlock, return the error. The
-// error is returned by the call that submitted the offending event in every
-// plan mode, and planning itself cannot fail: what reaches the planner has
-// been admitted. Inline, each event is decided and staged as it is admitted,
-// with no buffer between; merge decisions are inherently sequential, each one
-// can repartition the processes the next consults.
+// DispatchAsync and DispatchOne share one body (dispatchLocked): lock
+// admission, admit the batch — stopping at the first rejection; the prefix
+// stays admitted, the rejected event changes nothing — hand the finalized
+// events to the plan stage, unlock, return the error. The error is returned by
+// the call that submitted the offending event at every lane count, and
+// planning itself cannot fail: what reaches the planner has been admitted.
+// Merge decisions are inherently sequential — each one can repartition the
+// processes the next consults — so there is one plan stage.
 //
-// # Pipelined planner
+// # Two shapes, chosen by the lane count
 //
-// The plan stage can run off the submitter's goroutine: with the pipelined
-// planner (planner.go), a dispatch admits straight into a pooled buffer, puts
-// it on a bounded plan queue and returns, and a dedicated planner goroutine
-// makes the decisions and flushes to the lanes. The submitter — the server's
-// decode/WAL path — never touches planMu, so journaling batch N+1 overlaps
-// planning batch N, which overlaps stamping batch N-1.
+// Where the plan stage runs is a function of the lane count, fixed in
+// NewPipeline. With one lane everything happens on the dispatching goroutine:
+// each event is decided, clock-stepped and published as it is admitted, with
+// no buffer between, no goroutine started, and Barrier a no-op. With more than
+// one lane a dispatch admits straight into a pooled buffer, puts it on a
+// bounded plan queue and returns, and a dedicated planner goroutine
+// (planner.go) makes the decisions and flushes to the lanes. The submitter —
+// the server's decode/WAL path — never touches planMu there, so journaling
+// batch N+1 overlaps planning batch N, which overlaps stamping batch N-1.
 //
 // # Lock order
 //
@@ -119,20 +121,19 @@ package hct
 //
 // # Barrier
 //
-// Dispatch is asynchronous; Barrier blocks until every item dispatched
-// before the call has been stamped and published. The planner counts issued
-// items per shard; lanes count completed items per drained chunk. A held
-// first sync half is not "issued": the pair stays unstamped until the partner
-// arrives.
+// Above one lane a dispatch is asynchronous; Barrier blocks until every item
+// dispatched before the call has been stamped and published. The planner
+// counts issued items per shard; lanes count completed items per drained
+// chunk. A held first sync half is not "issued": the pair stays unstamped
+// until the partner arrives.
 //
-// With the pipelined planner the issued counts lag the accepted batches, so
-// Barrier must count planned items, not just issued ones: it pushes a marker
-// through the plan queue (FIFO with the batches, exempt from the depth
-// bound), the planner answers it with an issued-count snapshot taken after
-// planning everything that preceded it, and Barrier then waits for the lanes
-// to cover that snapshot. When the queue is empty and the planner idle,
-// Barrier skips the round-trip and snapshots directly — the common case on
-// query paths, which barrier per query frame.
+// The issued counts lag the accepted batches, so Barrier must count planned
+// items, not just issued ones: it pushes a marker through the plan queue (FIFO
+// with the batches, exempt from the depth bound), the planner answers it with
+// an issued-count snapshot taken after planning everything that preceded it,
+// and Barrier then waits for the lanes to cover that snapshot. When the queue
+// is empty and the planner idle, Barrier skips the round-trip and snapshots
+// directly — the common case on query paths, which barrier per query frame.
 
 import (
 	"errors"
@@ -147,7 +148,7 @@ import (
 	"repro/internal/vclock"
 )
 
-// ErrPipelineClosed is returned by Dispatch after Close.
+// ErrPipelineClosed is returned by every dispatch after Close.
 var ErrPipelineClosed = errors.New("hct: pipeline closed")
 
 // WaitObserver receives the duration of each blocking cross-shard
@@ -166,7 +167,7 @@ type WaitObserver interface {
 // Begin opens a span (lane -1 = not lane-bound, parent -1 = child of the
 // trace root) and returns its index; End closes it; Span records an
 // already-measured interval. Implementations must be safe for concurrent
-// use: lanes run in parallel and record spans after Dispatch returns.
+// use: lanes run in parallel and record spans after the dispatch returns.
 type BatchTracer interface {
 	Begin(name string, lane, parent int) int
 	End(idx int)
@@ -179,12 +180,9 @@ type PipelineOptions struct {
 	// GOMAXPROCS. The value is clamped to the number of processes.
 	Shards int
 
-	// PlanQueue selects where planning runs. Zero (the default) pipelines
-	// the planner onto its own goroutine behind a DefaultPlanQueue-deep
-	// batch queue whenever Shards > 1, and plans inline on the dispatching
-	// goroutine otherwise. A positive value forces the pipelined planner at
-	// that queue depth even with one shard (the planner goroutine then also
-	// stamps). A negative value forces inline planning at any shard count.
+	// PlanQueue is the plan-queue depth in batches above one lane; zero or
+	// negative means DefaultPlanQueue. It selects no code path — the lane
+	// count does — and at one lane, where nothing is queued, it is not read.
 	PlanQueue int
 }
 
@@ -202,7 +200,7 @@ type item struct {
 // entire query surface (Precedes, Concurrent, Timestamp, CaptureWatermark,
 // ...) is concurrent with stamping.
 //
-// Dispatch and the accounting methods are safe for concurrent use; queries
+// The dispatch and accounting methods are safe for concurrent use; queries
 // take no lock.
 type Pipeline struct {
 	plane
@@ -226,8 +224,8 @@ type Pipeline struct {
 	decide func(model.Event) *cluster.Info
 
 	// Tracing state for the run being planned (guarded by planMu). curBT
-	// tags staged items; stampStart/stampDur accumulate inline single-shard
-	// stamping time, folded into one stamp span by unlockPlan.
+	// tags staged items; stampStart/stampDur accumulate one-lane stamping
+	// time, folded into one stamp span by unlockPlan.
 	curBT      BatchTracer
 	stampStart time.Time
 	stampDur   time.Duration
@@ -247,13 +245,10 @@ type Pipeline struct {
 	done      []uint64
 	laneStats []StoreStats
 
-	snapPool sync.Pool // *[]uint64 barrier snapshots
-
 	wo atomic.Pointer[WaitObserver]
 
-	// Pipelined-planner state (planner.go). pq is the bounded plan queue;
-	// async is true when a planner goroutine owns the plan stage.
-	async     bool
+	// Planner-goroutine state (planner.go), idle at one lane. pq is the
+	// bounded plan queue.
 	pq        planQueue
 	plannerWG sync.WaitGroup
 	busy      atomic.Int64 // cumulative planner busy nanoseconds
@@ -265,9 +260,11 @@ type Pipeline struct {
 	pqo atomic.Pointer[SizeObserver]
 }
 
-// NewPipeline returns a sharded pipeline over numProcs processes. With one
-// shard (or one process) and an inline planner, Dispatch stamps on the
-// calling goroutine and no goroutines are started. Close releases the lanes.
+// NewPipeline returns a sharded pipeline over numProcs processes. The lane
+// count picks its shape, here and nowhere else: with one shard (or one
+// process) every dispatch stamps on the calling goroutine and no goroutine is
+// started; with more, the lanes and the planner goroutine behind the plan
+// queue are. Close releases them.
 func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, error) {
 	clusterAligned := cfg.Partition != nil
 	core, err := newClusterer(numProcs, cfg)
@@ -317,13 +314,10 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 			p.wg.Add(1)
 			go p.lanes[i].run()
 		}
-	}
-	depth := opt.PlanQueue
-	if depth == 0 && nshards > 1 {
-		depth = DefaultPlanQueue
-	}
-	if depth > 0 {
-		p.async = true
+		depth := opt.PlanQueue
+		if depth <= 0 {
+			depth = DefaultPlanQueue
+		}
 		p.pq.init(depth)
 		p.plannerWG.Add(1)
 		go p.planner()
@@ -372,8 +366,8 @@ func buildShardMap(numProcs, nshards int, part *cluster.Partition, clusterAligne
 }
 
 // Close stops the planner (draining its queue) and then the lanes (draining
-// theirs). Further Dispatch calls fail with ErrPipelineClosed; the query
-// surface stays usable.
+// theirs). Further dispatches fail with ErrPipelineClosed; the query surface
+// stays usable.
 func (p *Pipeline) Close() {
 	// Closing the gate first means no dispatcher is between admitting and
 	// enqueueing when the queue is told to stop: each holds the admission
@@ -385,7 +379,7 @@ func (p *Pipeline) Close() {
 	}
 	p.adm.closed = true
 	p.adm.mu.Unlock()
-	if p.async {
+	if p.nshards > 1 {
 		// The planner must fully drain before the lanes are told to stop:
 		// a lane exits once its queue is empty, so items flushed after that
 		// would never be stamped.
@@ -395,8 +389,6 @@ func (p *Pipeline) Close() {
 		p.pq.avail.Broadcast()
 		p.pq.mu.Unlock()
 		p.plannerWG.Wait()
-	}
-	if p.nshards > 1 {
 		for _, ln := range p.lanes {
 			ln.mu.Lock()
 			ln.stop = true
@@ -407,24 +399,22 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// Dispatch admits a run of events in delivery order and hands what they
-// finalize to the plan stage. It returns on the first event the delivery
-// contract rejects — prior events stay delivered, the rejected one changes no
-// state — with its error wrapped as "at <id>: ...", synchronously in every
-// plan mode. Stamping is asynchronous — use Barrier to wait for visibility.
-// With one shard and inline planning, Dispatch stamps inline and is
-// synchronous.
-func (p *Pipeline) Dispatch(events []model.Event) error {
-	return p.DispatchTraced(events, nil)
-}
-
-// DispatchTraced is Dispatch with a span sink for a sampled run: bt receives
+// DispatchAsync is the batch entry point: it admits a run of events in
+// delivery order and hands what they finalize to the plan stage. It returns on
+// the first event the delivery contract rejects — prior events stay delivered,
+// the rejected one changes no state — with its error wrapped as "at <id>:
+// ...", synchronously at every lane count. With one lane the run is stamped
+// and published on return. Above one lane the call returns once the admitted
+// batch is on the plan queue (blocking only for backpressure when the queue is
+// at its depth bound); use Barrier to wait for visibility. The caller may
+// reuse events immediately either way.
+//
+// bt, nil for an unsampled run, is the span sink of a sampled one: it receives
 // plan_wait (time blocked on the planner mutex, or queued behind earlier
-// batches), plan (the cluster decisions; inline, fused with admission), and —
-// with one shard — the inline stamp span. Multi-shard stamping records
-// per-lane spans asynchronously as the lanes drain. A nil bt makes this
-// identical to Dispatch.
-func (p *Pipeline) DispatchTraced(events []model.Event, bt BatchTracer) error {
+// batches), plan (the cluster decisions; at one lane, fused with admission),
+// and — at one lane — the inline stamp span. Above one lane stamping records
+// per-lane spans asynchronously as the lanes drain.
+func (p *Pipeline) DispatchAsync(events []model.Event, bt BatchTracer) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -433,18 +423,10 @@ func (p *Pipeline) DispatchTraced(events []model.Event, bt BatchTracer) error {
 	return p.dispatchLocked(events, bt, true)
 }
 
-// DispatchAsync is DispatchTraced: with the pipelined planner every dispatch
-// returns once the admitted batch is on the plan queue (blocking only for
-// backpressure when the queue is at its depth bound), and the caller may
-// reuse events immediately. The name is kept for its callers.
-func (p *Pipeline) DispatchAsync(events []model.Event, bt BatchTracer) error {
-	return p.DispatchTraced(events, bt)
-}
-
 // DispatchOne admits and plans a single event, returning the raw (unwrapped)
-// contract error, mirroring Monitor.Deliver.
+// contract error.
 func (p *Pipeline) DispatchOne(e model.Event) error {
-	events := [1]model.Event{e} // stays on the stack: no plan mode retains the slice
+	events := [1]model.Event{e} // stays on the stack: neither shape retains the slice
 	p.adm.mu.Lock()
 	defer p.adm.mu.Unlock()
 	return p.dispatchLocked(events[:], nil, false)
@@ -461,7 +443,7 @@ func (p *Pipeline) DispatchAdmitted(run []model.Event, bt BatchTracer) error {
 	if p.adm.closed {
 		return ErrPipelineClosed
 	}
-	if !p.async {
+	if p.nshards == 1 {
 		p.planRun(run, bt, time.Time{})
 		return nil
 	}
@@ -475,20 +457,21 @@ func (p *Pipeline) DispatchAdmitted(run []model.Event, bt BatchTracer) error {
 // one in flight (replay's coverage wait).
 func (p *Pipeline) Admission() *Admission { return &p.adm }
 
-// dispatchLocked is the one body of every Dispatch entry point, called with
+// dispatchLocked is the one body of DispatchAsync and DispatchOne, called with
 // the admission lock held: admit each event, stopping at the first rejection,
 // and hand what the admitted prefix finalizes to the plan stage before the
-// lock is released — inline, by deciding and staging each event as it is
-// admitted, with no buffer between; pipelined, by admitting straight into the
-// pooled buffer the plan queue carries. wrap selects the batch form of a
+// lock is released — at one lane, by deciding and stamping each event as it is
+// admitted, with no buffer between; above one lane, by admitting straight into
+// the pooled buffer the plan queue carries. wrap selects the batch form of a
 // rejection, "at <id>: ...".
 func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap bool) (err error) {
 	a := &p.adm
 	if a.closed {
 		return ErrPipelineClosed
 	}
+	queued := p.nshards > 1
 	var bp *[]model.Event
-	if p.async {
+	if queued {
 		bp = p.getBatch()
 	} else {
 		planSpan := p.lockPlan(bt, time.Time{})
@@ -508,7 +491,7 @@ func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap boo
 		first, n := a.advance(e)
 		switch {
 		case n == 0: // first sync half: held until its partner arrives
-		case p.async:
+		case queued:
 			if n == 2 {
 				*bp = append(*bp, first)
 			}
@@ -520,7 +503,7 @@ func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap boo
 			p.plan(e)
 		}
 	}
-	if p.async {
+	if queued {
 		if qerr := p.handOff(bp, bt); qerr != nil {
 			return qerr
 		}
@@ -583,8 +566,8 @@ func (p *Pipeline) lockPlan(bt BatchTracer, waitStart time.Time) (planSpan int) 
 }
 
 // unlockPlan flushes what was staged to the lanes, closes what lockPlan
-// opened — folding inline single-shard stamping into one stamp span under the
-// plan span — and releases planMu.
+// opened — folding one-lane stamping into one stamp span under the plan span —
+// and releases planMu.
 func (p *Pipeline) unlockPlan(bt BatchTracer, planSpan int) {
 	p.flushLocked()
 	if bt != nil {
@@ -675,42 +658,6 @@ func (p *Pipeline) flushLocked() {
 	}
 }
 
-// Barrier blocks until every item dispatched before the call has been
-// stamped and published. With an inline planner and one shard it is a no-op
-// (Dispatch is synchronous there); with the pipelined planner it also covers
-// every batch accepted by DispatchAsync before the call. Safe for concurrent
-// callers.
-func (p *Pipeline) Barrier() {
-	if p.async {
-		p.asyncBarrier()
-		return
-	}
-	p.snapshotBarrier()
-}
-
-// snapshotBarrier waits for the lanes to cover the current issued counts.
-// Correct only when every accepted batch has already been planned (inline
-// mode, or the async fast path with an idle planner).
-func (p *Pipeline) snapshotBarrier() {
-	if p.nshards == 1 {
-		return
-	}
-	bp, _ := p.snapPool.Get().(*[]uint64)
-	if bp == nil {
-		bp = new([]uint64)
-	}
-	p.planMu.Lock()
-	*bp = append((*bp)[:0], p.issued...)
-	p.planMu.Unlock()
-	snap := *bp
-	p.doneMu.Lock()
-	for !covered(p.done, snap) {
-		p.doneCond.Wait()
-	}
-	p.doneMu.Unlock()
-	p.snapPool.Put(bp)
-}
-
 func covered(done, snap []uint64) bool {
 	for i, want := range snap {
 		if done[i] < want {
@@ -757,7 +704,7 @@ func (p *Pipeline) CrossShardWaits() int64 {
 // LaneQueueDepthsInto appends, per ingest lane, the number of items flushed
 // to the lane and not yet stamped — at most maxLaneBacklog plus one batch. A
 // depth that stays put while events arrive is a stalled lane. Always zero on
-// the inline lane, which stamps as it plans.
+// the lone lane, which stamps as it plans.
 func (p *Pipeline) LaneQueueDepthsInto(buf []uint64) []uint64 {
 	p.doneMu.Lock()
 	defer p.doneMu.Unlock()
@@ -772,7 +719,7 @@ func (p *Pipeline) LaneQueueDepthsInto(buf []uint64) []uint64 {
 // is exact after Barrier.
 func (p *Pipeline) StoreStats() StoreStats {
 	if p.nshards == 1 {
-		p.planMu.Lock() // the inline lane stamps under the planner mutex
+		p.planMu.Lock() // the lone lane stamps under the planner mutex
 		defer p.planMu.Unlock()
 		return p.lanes[0].ar.stats
 	}

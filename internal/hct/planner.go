@@ -1,9 +1,10 @@
 package hct
 
-// This file is the pipelined planner: an optional stage that takes the plan
-// work (the cluster decisions) off the dispatching goroutine. See the
-// "Pipelined planner" and "Barrier" sections of pipeline.go's file comment for
-// the protocol; PipelineOptions.PlanQueue selects the mode.
+// This file is the planner goroutine: above one lane it takes the plan work
+// (the cluster decisions) off the dispatching goroutine; at one lane none of it
+// runs. See the "Two shapes" and "Barrier" sections of pipeline.go's file
+// comment for the protocol; PipelineOptions.PlanQueue is the queue's depth in
+// batches (zero or negative: DefaultPlanQueue) and selects nothing else.
 //
 // The queue is a mutex+cond bounded slice, drained by the planner goroutine
 // in chunks (double-buffered like the lanes' queues), not a channel: the
@@ -25,15 +26,15 @@ import (
 	"repro/internal/model"
 )
 
-// DefaultPlanQueue is the plan-queue depth (in batches) selected when
-// PipelineOptions.PlanQueue is zero and the pipeline has more than one
-// shard. Small on purpose: each queued batch is copied and held alive, and
-// the queue only needs to be deep enough to keep the planner busy while the
-// submitter decodes and journals the next batch.
+// DefaultPlanQueue is the plan-queue depth (in batches) when
+// PipelineOptions.PlanQueue is zero or negative. Small on purpose: each
+// queued batch is copied and held alive, and the queue only needs to be deep
+// enough to keep the planner busy while the submitter decodes and journals the
+// next batch.
 const DefaultPlanQueue = 4
 
 // SizeObserver receives instantaneous plan-queue depths (in batches), one
-// observation per accepted asynchronous batch. The telemetry plane installs
+// observation per batch accepted onto the queue. The telemetry plane installs
 // a size histogram here; obs.Histogram implements it.
 type SizeObserver interface {
 	ObserveValue(v int64)
@@ -50,12 +51,21 @@ type planReq struct {
 	barrier *barrierWait // non-nil: marker; all other fields unused
 }
 
-// barrierWait is a barrier marker's rendezvous with the planner: the planner
-// fills snap with the issued counts after planning everything queued before
-// the marker, then signals ch.
+// barrierWait is one Barrier call's horizon: snap is the issued counts the
+// lanes must cover. As a marker on the plan queue it is also the rendezvous
+// with the planner, which fills snap after planning everything queued before
+// the marker and then signals ch.
 type barrierWait struct {
 	snap []uint64
 	ch   chan struct{}
+}
+
+// snapshot fills snap with the current issued counts: final for everything
+// accepted so far only when the planner has planned it all.
+func (bw *barrierWait) snapshot(p *Pipeline) {
+	p.planMu.Lock()
+	bw.snap = append(bw.snap[:0], p.issued...)
+	p.planMu.Unlock()
 }
 
 // planQueue is the bounded feed between dispatchers and the planner
@@ -154,9 +164,7 @@ func (p *Pipeline) planner() {
 // planOne executes one queued request on the planner goroutine.
 func (p *Pipeline) planOne(req *planReq) {
 	if bw := req.barrier; bw != nil {
-		p.planMu.Lock()
-		bw.snap = append(bw.snap[:0], p.issued...)
-		p.planMu.Unlock()
+		bw.snapshot(p)
 		bw.ch <- struct{}{}
 		return
 	}
@@ -164,59 +172,56 @@ func (p *Pipeline) planOne(req *planReq) {
 	p.batchPool.Put(req.owned)
 }
 
-// asyncBarrier is Barrier for the pipelined planner. Fast path: with the
-// queue empty and the planner idle, everything accepted is already planned,
-// so the issued counts are final and the snapshot barrier suffices (the
-// common case on query paths, which barrier per frame). Otherwise a marker
-// rides the queue FIFO behind the outstanding batches; the planner's
-// snapshot then counts exactly the items planned before this call's
-// horizon, and the lanes are waited on to cover it.
-func (p *Pipeline) asyncBarrier() {
+// Barrier blocks until every item dispatched before the call — every batch
+// DispatchAsync or DispatchAdmitted accepted — has been stamped and published.
+// At one lane it is a no-op: a dispatch is synchronous there. Safe for
+// concurrent callers.
+//
+// Fast path: with the queue empty and the planner idle, everything accepted is
+// already planned, so the issued counts are final (the common case on query
+// paths, which barrier per frame). Otherwise a marker rides the queue FIFO
+// behind the outstanding batches and the planner's snapshot counts exactly the
+// items planned before this call's horizon. Either way the lanes are then
+// waited on to cover it.
+func (p *Pipeline) Barrier() {
+	if p.nshards == 1 {
+		return
+	}
 	q := &p.pq
 	q.mu.Lock()
 	busy := q.batches > 0
 	q.mu.Unlock()
-	if !busy {
-		p.snapshotBarrier()
-		return
-	}
 	bw, _ := p.bwPool.Get().(*barrierWait)
 	if bw == nil {
 		bw = &barrierWait{ch: make(chan struct{}, 1)}
 	}
-	if err := p.enqueue(planReq{barrier: bw}); err != nil {
+	switch {
+	case !busy:
+		bw.snapshot(p)
+	case p.enqueue(planReq{barrier: bw}) == nil:
+		<-bw.ch // the planner took the snapshot when it reached the marker
+	default:
 		// Closed. The planner drains before exiting; wait it out, then the
 		// snapshot is exact.
-		p.bwPool.Put(bw)
 		p.plannerWG.Wait()
-		p.snapshotBarrier()
-		return
+		bw.snapshot(p)
 	}
-	<-bw.ch
-	if p.nshards > 1 {
-		p.doneMu.Lock()
-		for !covered(p.done, bw.snap) {
-			p.doneCond.Wait()
-		}
-		p.doneMu.Unlock()
+	p.doneMu.Lock()
+	for !covered(p.done, bw.snap) {
+		p.doneCond.Wait()
 	}
+	p.doneMu.Unlock()
 	p.bwPool.Put(bw)
 }
 
-// PlannerPipelined reports whether planning runs on a dedicated goroutine.
-func (p *Pipeline) PlannerPipelined() bool { return p.async }
-
 // PlannerBusy returns the cumulative time the planner goroutine has spent
-// planning (zero on an inline-planning pipeline).
+// planning (zero at one lane, which has none).
 func (p *Pipeline) PlannerBusy() time.Duration { return time.Duration(p.busy.Load()) }
 
 // PlannerOccupancy returns the fraction of wall time since construction the
 // planner goroutine spent planning — the saturation gauge for the plan
-// stage. Zero on an inline-planning pipeline.
+// stage. Zero at one lane.
 func (p *Pipeline) PlannerOccupancy() float64 {
-	if !p.async {
-		return 0
-	}
 	wall := time.Since(p.start)
 	if wall <= 0 {
 		return 0
@@ -229,11 +234,8 @@ func (p *Pipeline) PlannerOccupancy() float64 {
 }
 
 // PlanQueueDepth returns the number of batches accepted but not yet planned
-// (the one in planning included). Zero on an inline-planning pipeline.
+// (the one in planning included). Zero at one lane, where nothing is queued.
 func (p *Pipeline) PlanQueueDepth() int {
-	if !p.async {
-		return 0
-	}
 	p.pq.mu.Lock()
 	defer p.pq.mu.Unlock()
 	return p.pq.batches

@@ -1,6 +1,8 @@
 package hct
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,15 +12,89 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPlanModesDifferential pins the plan-stage placement as a pure
-// performance knob: for every plan mode (inline, pipelined at several queue
-// depths) and shard count, DispatchAsync + Barrier must produce timestamps
-// byte-identical to the inline one-lane pipeline (the Timestamper façade),
-// including the accounting.
+// feedAgainst builds a pipeline of the given options, feeds it tr through
+// DispatchAsync in batches of the given size, barriers, and holds its
+// accounting and every timestamp — cluster epoch, projection, retained vector
+// — to the one-lane reference. It returns the closed pipeline: its query
+// surface and planner gauges stay readable.
+func feedAgainst(t *testing.T, tr *model.Trace, ref *Timestamper, cfg Config, opt PipelineOptions, batch int) *Pipeline {
+	t.Helper()
+	where := fmt.Sprintf("maxCS=%d lanes=%d depth=%d", cfg.MaxClusterSize, opt.Shards, opt.PlanQueue)
+	pipe, err := NewPipeline(tr.NumProcs, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	for lo := 0; lo < len(tr.Events); lo += batch {
+		if err := pipe.DispatchAsync(tr.Events[lo:min(lo+batch, len(tr.Events))], nil); err != nil {
+			t.Fatalf("%s: DispatchAsync: %v", where, err)
+		}
+	}
+	pipe.Barrier()
+	if pipe.Events() != ref.Events() || pipe.ClusterReceives() != ref.ClusterReceives() ||
+		pipe.MergedClusterReceives() != ref.MergedClusterReceives() || pipe.Merges() != ref.Merges() {
+		t.Fatalf("%s: accounting (%d,%d,%d,%d) != reference (%d,%d,%d,%d)", where,
+			pipe.Events(), pipe.ClusterReceives(), pipe.MergedClusterReceives(), pipe.Merges(),
+			ref.Events(), ref.ClusterReceives(), ref.MergedClusterReceives(), ref.Merges())
+	}
+	for _, e := range tr.Events {
+		want, _ := ref.Timestamp(e.ID)
+		got, ok := pipe.Timestamp(e.ID)
+		if !ok || !sameTimestamp(got, want) {
+			t.Fatalf("%s: Timestamp(%v) = %v, one-lane %v", where, e.ID, got, want)
+		}
+	}
+	return pipe
+}
+
+// TestPlanModesDifferential pins the two shapes to one answer: at every lane
+// count and plan-queue depth, DispatchAsync + Barrier must produce timestamps
+// byte-identical to the one-lane pipeline (the Timestamper façade), including
+// the accounting. PlanQueue is a depth and nothing else: the first cell crosses
+// it with the lane count the way the old plan modes did and finds the shape of
+// the lane count.
 func TestPlanModesDifferential(t *testing.T) {
 	specs := workload.Corpus()
-	planModes := []int{-1, 1, 8}
-	shardCounts := []int{1, 4}
+	reference := func(t *testing.T, tr *model.Trace, i int) *Timestamper {
+		ref, err := NewTimestamper(tr.NumProcs, pipelineConfig(t, tr, i, 13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.ObserveAll(tr); err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	t.Run("crossed-options", func(t *testing.T) {
+		tr := specs[0].Generate()
+		ref := reference(t, tr, 0)
+
+		before := runtime.NumGoroutine()
+		one := feedAgainst(t, tr, ref, pipelineConfig(t, tr, 0, 13), PipelineOptions{Shards: 1, PlanQueue: 4}, 97)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("one lane with PlanQueue 4 started %d goroutines", n-before)
+		}
+		if one.PlannerBusy() != 0 || one.PlanQueueDepth() != 0 {
+			t.Fatalf("one lane with PlanQueue 4: a planner worked (busy %v, depth %d)", one.PlannerBusy(), one.PlanQueueDepth())
+		}
+		if bp := one.batchPool.Get(); bp != nil {
+			t.Fatal("one lane put a buffer between admission and the plan stage")
+		}
+
+		before = runtime.NumGoroutine()
+		two, err := NewPipeline(tr.NumProcs, pipelineConfig(t, tr, 0, 13), PipelineOptions{Shards: 2, PlanQueue: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != before+3 {
+			t.Fatalf("two lanes with PlanQueue -1 started %d goroutines, want two lanes and the planner", n-before)
+		}
+		two.Close()
+		two = feedAgainst(t, tr, ref, pipelineConfig(t, tr, 0, 13), PipelineOptions{Shards: 2, PlanQueue: -1}, 97)
+		if two.PlannerBusy() <= 0 {
+			t.Fatal("two lanes with PlanQueue -1: no planner goroutine planned")
+		}
+	})
 	for i, spec := range specs {
 		if i%4 != 0 { // the full corpus runs in TestShardedPipelineDifferentialCorpus
 			continue
@@ -27,59 +103,14 @@ func TestPlanModesDifferential(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			tr := spec.Generate()
-			ref, err := NewTimestamper(tr.NumProcs, pipelineConfig(t, tr, i, 13))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.ObserveAll(tr); err != nil {
-				t.Fatal(err)
-			}
-			for _, pq := range planModes {
-				for _, shards := range shardCounts {
-					if pq < 0 && shards == 1 {
-						continue // the reference's own shape
+			ref := reference(t, tr, i)
+			for _, lanes := range []int{1, 2, 4} {
+				for _, depth := range []int{1, 0, 8} {
+					if lanes == 1 && depth == 0 {
+						continue // the reference's own options
 					}
-					pipe, err := NewPipeline(tr.NumProcs, pipelineConfig(t, tr, i, 13),
-						PipelineOptions{Shards: shards, PlanQueue: pq})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := pipe.PlannerPipelined(), pq > 0; got != want {
-						pipe.Close()
-						t.Fatalf("plan=%d shards=%d: PlannerPipelined() = %v, want %v", pq, shards, got, want)
-					}
-					// Feed through the async entry point in modest batches so
-					// the plan queue actually cycles.
-					events := tr.Events
-					for len(events) > 0 {
-						n := 97
-						if n > len(events) {
-							n = len(events)
-						}
-						if err := pipe.DispatchAsync(events[:n], nil); err != nil {
-							pipe.Close()
-							t.Fatalf("plan=%d shards=%d: DispatchAsync: %v", pq, shards, err)
-						}
-						events = events[n:]
-					}
-					pipe.Barrier()
-					if pipe.Events() != ref.Events() || pipe.Merges() != ref.Merges() ||
-						pipe.ClusterReceives() != ref.ClusterReceives() {
-						pipe.Close()
-						t.Fatalf("plan=%d shards=%d: accounting (%d,%d,%d) != reference (%d,%d,%d)",
-							pq, shards, pipe.Events(), pipe.ClusterReceives(), pipe.Merges(),
-							ref.Events(), ref.ClusterReceives(), ref.Merges())
-					}
-					for _, e := range tr.Events {
-						want, _ := ref.Timestamp(e.ID)
-						got, ok := pipe.Timestamp(e.ID)
-						if !ok || !sameTimestamp(got, want) {
-							pipe.Close()
-							t.Fatalf("plan=%d shards=%d: Timestamp(%v) = %v, one-lane %v",
-								pq, shards, e.ID, got, want)
-						}
-					}
-					pipe.Close()
+					// Modest batches, so that the plan queue actually cycles.
+					feedAgainst(t, tr, ref, pipelineConfig(t, tr, i, 13), PipelineOptions{Shards: lanes, PlanQueue: depth}, 97)
 				}
 			}
 		})
@@ -104,8 +135,8 @@ func (g *gateTracer) Begin(name string, lane, parent int) int {
 func (g *gateTracer) End(int)                                             {}
 func (g *gateTracer) Span(string, int, int, time.Time, time.Duration) int { return 0 }
 
-// TestAsyncPlannerBarrierOrdering is the acknowledged⇒queryable bar for the
-// pipelined planner: once Barrier returns for a batch, its timestamps stay
+// TestAsyncPlannerBarrierOrdering is the acknowledged⇒queryable bar above one
+// lane: once Barrier returns for a batch, its timestamps stay
 // queryable no matter how much later work sits unplanned on the queue — and
 // the queued batches become visible only after the planner drains them.
 func TestAsyncPlannerBarrierOrdering(t *testing.T) {
@@ -183,71 +214,65 @@ func TestAsyncPlannerBarrierOrdering(t *testing.T) {
 }
 
 // TestPlanBufferCapacityRetention pins the stage()-regrowth fix: the buffers
-// between admission and the lanes — the per-shard staging buffers, and with
-// the pipelined planner the pooled batch the plan queue carries — must stop
-// growing once warm: steady-state dispatches reuse capacity instead of
-// reallocating.
+// between admission and the lanes — the per-shard staging buffers and the
+// pooled batch the plan queue carries — must stop growing once warm:
+// steady-state dispatches reuse capacity instead of reallocating.
 func TestPlanBufferCapacityRetention(t *testing.T) {
 	const procs, rounds, perBatch = 16, 8, 64
-	for _, pq := range []int{-1, 1} {
-		pipe, err := NewPipeline(procs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()},
-			PipelineOptions{Shards: 4, PlanQueue: pq})
-		if err != nil {
-			t.Fatal(err)
-		}
+	pipe, err := NewPipeline(procs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()},
+		PipelineOptions{Shards: 4, PlanQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
 
-		batch := func(idx int) []model.Event {
-			evs := make([]model.Event, 0, procs*perBatch)
-			for k := 0; k < perBatch; k++ {
-				for p := 0; p < procs; p++ {
-					evs = append(evs, model.Event{
-						ID:   model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(idx*perBatch + k + 1)},
-						Kind: model.Unary,
-					})
-				}
+	batch := func(idx int) []model.Event {
+		evs := make([]model.Event, 0, procs*perBatch)
+		for k := 0; k < perBatch; k++ {
+			for p := 0; p < procs; p++ {
+				evs = append(evs, model.Event{
+					ID:   model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(idx*perBatch + k + 1)},
+					Kind: model.Unary,
+				})
 			}
-			return evs
 		}
-		// pooled is the capacity of the one batch buffer in circulation: each
-		// dispatch is barriered, so the pool holds it between rounds. (A GC
-		// may empty a sync.Pool; zero then means "not observable this round".)
-		pooled := func() int {
-			bp, _ := pipe.batchPool.Get().(*[]model.Event)
-			if bp == nil {
-				return 0
-			}
-			defer pipe.batchPool.Put(bp)
-			return cap(*bp)
+		return evs
+	}
+	// pooled is the capacity of the one batch buffer in circulation: each
+	// dispatch is barriered, so the pool holds it between rounds. (A GC
+	// may empty a sync.Pool; zero then means "not observable this round".)
+	pooled := func() int {
+		bp, _ := pipe.batchPool.Get().(*[]model.Event)
+		if bp == nil {
+			return 0
 		}
+		defer pipe.batchPool.Put(bp)
+		return cap(*bp)
+	}
 
-		if err := pipe.Dispatch(batch(0)); err != nil {
+	if err := pipe.DispatchAsync(batch(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	pipe.Barrier()
+	warmCur := make([]int, len(pipe.curBufs))
+	for i := range pipe.curBufs {
+		warmCur[i] = cap(pipe.curBufs[i])
+	}
+	warmPool := pooled()
+
+	for r := 1; r < rounds; r++ {
+		if err := pipe.DispatchAsync(batch(r), nil); err != nil {
 			t.Fatal(err)
 		}
 		pipe.Barrier()
-		warmCur := make([]int, len(pipe.curBufs))
 		for i := range pipe.curBufs {
-			warmCur[i] = cap(pipe.curBufs[i])
-		}
-		warmPool := pooled()
-		if pq < 0 && warmPool != 0 {
-			t.Fatalf("plan=%d: inline dispatch put a %d-event buffer between admission and the planner", pq, warmPool)
-		}
-
-		for r := 1; r < rounds; r++ {
-			if err := pipe.Dispatch(batch(r)); err != nil {
-				t.Fatal(err)
-			}
-			pipe.Barrier()
-			for i := range pipe.curBufs {
-				if got := cap(pipe.curBufs[i]); got != warmCur[i] {
-					t.Fatalf("plan=%d round %d: curBufs[%d] regrown %d -> %d", pq, r, i, warmCur[i], got)
-				}
-			}
-			if got := pooled(); got != 0 && warmPool != 0 && got != warmPool {
-				t.Fatalf("plan=%d round %d: pooled batch regrown %d -> %d", pq, r, warmPool, got)
+			if got := cap(pipe.curBufs[i]); got != warmCur[i] {
+				t.Fatalf("round %d: curBufs[%d] regrown %d -> %d", r, i, warmCur[i], got)
 			}
 		}
-		pipe.Close()
+		if got := pooled(); got != 0 && warmPool != 0 && got != warmPool {
+			t.Fatalf("round %d: pooled batch regrown %d -> %d", r, warmPool, got)
+		}
 	}
 }
 

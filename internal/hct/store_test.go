@@ -209,16 +209,18 @@ func (s *stallTracer) Span(string, int, int, time.Time, time.Duration) int {
 // TestLaneQueueBounded covers the lane-queue bound: with one lane stalled the
 // planner must stop flushing once that lane's backlog reaches maxLaneBacklog
 // (whole batches only, so at most maxLaneBacklog plus one batch is ever
-// queued), every batch must still be stamped after the lane resumes — the
-// other lane meanwhile blocks on cross-lane sends the stalled lane holds, the
-// shape the deadlock argument is about — and the queues must not keep more
-// capacity than the bound allows.
+// queued) and the dispatcher once the plan queue behind it is full (PlanQueue
+// batches, the one the planner holds included), every batch must still be
+// stamped after the lane resumes — the other lane meanwhile blocks on
+// cross-lane sends the stalled lane holds, the shape the deadlock argument is
+// about — and the queues must not keep more capacity than the bound allows.
 func TestLaneQueueBounded(t *testing.T) {
 	const (
 		procs      = 8 // block map: 0-3 on lane 0, 4-7 on lane 1
 		perLane    = 512
 		batches    = 3 * maxLaneBacklog / perLane
-		fitBatches = maxLaneBacklog / perLane // flushed before the planner must wait
+		planQueue  = 1
+		fitBatches = maxLaneBacklog/perLane + planQueue // flushed before the planner must wait, and queued behind it
 	)
 	b := model.NewBuilder("", procs)
 	for i := 0; i < batches; i++ {
@@ -238,7 +240,7 @@ func TestLaneQueueBounded(t *testing.T) {
 	}
 
 	pipe, err := NewPipeline(procs, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
-		PipelineOptions{Shards: 2, PlanQueue: -1})
+		PipelineOptions{Shards: 2, PlanQueue: planQueue})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestLaneQueueBounded(t *testing.T) {
 			if i == 0 {
 				bt = st // lane 0 stalls on the very first item
 			}
-			if err := pipe.DispatchTraced(tr.Events[i*2*perLane:(i+1)*2*perLane], bt); err != nil {
+			if err := pipe.DispatchAsync(tr.Events[i*2*perLane:(i+1)*2*perLane], bt); err != nil {
 				dispErr <- err
 				return
 			}
@@ -266,12 +268,13 @@ func TestLaneQueueBounded(t *testing.T) {
 	for dispatched.Load() < fitBatches {
 		runtime.Gosched()
 	}
-	// The next Dispatch must now be waiting for room. A sleep cannot prove a
-	// negative, but it cannot fail a correct planner either; the capacity
-	// check at the end catches what it misses.
+	// The planner must now be waiting for room in the lane with the plan
+	// queue full behind it, and the next dispatch for room in the queue. A
+	// sleep cannot prove a negative, but it cannot fail a correct planner
+	// either; the capacity check at the end catches what it misses.
 	time.Sleep(20 * time.Millisecond)
 	if got := dispatched.Load(); got != fitBatches {
-		t.Errorf("%d batches dispatched past a stalled lane, want the planner waiting after %d", got, fitBatches)
+		t.Errorf("%d batches dispatched past a stalled lane, want the dispatcher waiting after %d", got, fitBatches)
 	}
 	ln := pipe.lanes[0]
 	ln.mu.Lock()
@@ -346,7 +349,7 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			for lo := 0; lo < len(tr.Events); lo += 1024 { // the daemon's frame size
-				if err := ts.Dispatch(tr.Events[lo:min(lo+1024, len(tr.Events))]); err != nil {
+				if err := ts.DispatchAsync(tr.Events[lo:min(lo+1024, len(tr.Events))], nil); err != nil {
 					t.Fatal(err)
 				}
 			}

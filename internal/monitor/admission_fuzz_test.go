@@ -253,7 +253,7 @@ func FuzzJournaledImpliesPlannable(f *testing.F) {
 	f.Add(int64(5), uint8(26), []byte{5, 2, 0, 0, 4, 1, 30, 0, 1, 6, 1, 1, 3, 2, 0x30, 2})
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, muts []byte) {
 		shards := []int{1, 2, 4}[shape%3]
-		depth := []int{-1, 1, 4}[shape/3%3]
+		depth := []int{0, 1, 8}[shape/3%3] // plan-queue depth above one lane, 0 = default
 		procs := 3 + int(shape/9)%4
 		cfg := func() hct.Config {
 			return hct.Config{MaxClusterSize: 3, Decider: strategy.NewMergeOnFirst()}

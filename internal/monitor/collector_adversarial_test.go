@@ -179,12 +179,12 @@ func TestSubmitBatchPartialAccept(t *testing.T) {
 }
 
 // TestSubmitBatchPartialAcceptAsyncPlanner re-runs the applied-prefix
-// contract with the pipelined planner on: the collector admits, and counts,
-// the prefix before anything reaches the plan queue, so the rejection comes
-// back from the same SubmitBatch call with the same count as inline — only
-// stamping is asynchronous, and the prefix is queryable once the ingest
-// barrier closes that window. (Tenant event quotas are checked
-// before submission and stay batch-atomic regardless of planner mode; see
+// contract above one lane, behind the planner goroutine: the collector admits,
+// and counts, the prefix before anything reaches the plan queue, so the
+// rejection comes back from the same SubmitBatch call with the same count as
+// at one lane — only stamping is asynchronous, and the prefix is queryable
+// once the ingest barrier closes that window. (Tenant event quotas are checked
+// before submission and stay batch-atomic at every lane count; see
 // TestTenantQuotaLimits.)
 func TestSubmitBatchPartialAcceptAsyncPlanner(t *testing.T) {
 	m, err := NewWithOptions(3, hct.Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()},
@@ -193,9 +193,6 @@ func TestSubmitBatchPartialAcceptAsyncPlanner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if !m.Pipeline().PlannerPipelined() {
-		t.Fatal("pipelined planner not enabled")
-	}
 	c := NewCollector(m)
 	c.pipelined = true
 	batch := []model.Event{

@@ -15,7 +15,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Monitor is the monitoring entity. Deliver ingests events in a valid
+// Monitor is the monitoring entity. DeliverBatch ingests events in a valid
 // delivery order (a linear extension of the computation); Collector relaxes
 // that requirement for concurrent producers.
 //
@@ -26,8 +26,9 @@ import (
 // for the full protocol). New builds a single-shard monitor, which stamps
 // inline on the delivering goroutine — the exact single-writer path earlier
 // revisions implemented directly. NewSharded spreads the stamping work across
-// N lanes; DeliverBatchAsync plus IngestBarrier expose the pipelined form the
-// server's collector uses.
+// N lanes behind a planner goroutine; DeliverBatchAsync plus IngestBarrier are
+// the form that does not wait per run (recovery feeds the log through it; the
+// server's collector calls Pipeline.DispatchAdmitted directly).
 //
 // Precedence queries (Precedes, Concurrent, Timestamp, QueryBatch, and the
 // compound queries in queries.go) take no lock at all: each stamping lane
@@ -69,9 +70,10 @@ func NewSharded(numProcs int, cfg hct.Config, shards int) (*Monitor, error) {
 }
 
 // NewWithOptions returns a monitor with full control over the ingest
-// pipeline shape — shard count and plan-queue depth (see
-// hct.PipelineOptions). Results, errors included, are identical for every
-// shape; only throughput differs.
+// pipeline — shard count and plan-queue depth (see hct.PipelineOptions). There
+// are two shapes, chosen by Shards: one lane stamps on the delivering
+// goroutine, more than one runs lanes behind a planner goroutine. Results,
+// errors included, are identical in both.
 func NewWithOptions(numProcs int, cfg hct.Config, opt hct.PipelineOptions) (*Monitor, error) {
 	pipe, err := hct.NewPipeline(numProcs, cfg, opt)
 	if err != nil {
@@ -91,14 +93,6 @@ func (m *Monitor) Pipeline() *hct.Pipeline { return m.pipe }
 // IngestShards returns the number of ingest shards.
 func (m *Monitor) IngestShards() int { return m.pipe.IngestShards() }
 
-// Deliver ingests the next event in delivery order and waits until it is
-// stamped and published (or rejected).
-func (m *Monitor) Deliver(e model.Event) error {
-	err := m.pipe.DispatchOne(e)
-	m.pipe.Barrier()
-	return err
-}
-
 // DeliverBatch ingests a run of events in delivery order and waits for the
 // whole run to be stamped and published. This is the fast path behind
 // batched network ingestion: the sequential cost collapses to admission and
@@ -106,22 +100,9 @@ func (m *Monitor) Deliver(e model.Event) error {
 // shards (inline on this goroutine for a single-shard monitor). On error
 // the events before the failing one remain delivered.
 func (m *Monitor) DeliverBatch(events []model.Event) error {
-	return m.DeliverBatchTraced(events, nil)
-}
-
-// DeliverBatchTraced is DeliverBatch with the run's span trace (nil when the
-// run is not sampled); the pipeline records plan/stamp/rendezvous spans on
-// it.
-func (m *Monitor) DeliverBatchTraced(events []model.Event, tr *obs.Trace) error {
-	if len(events) == 0 {
-		return nil
-	}
-	err := m.pipe.DispatchTraced(events, batchTracer(tr))
+	err := m.DeliverBatchAsync(events)
 	m.pipe.Barrier()
-	if err != nil {
-		return fmt.Errorf("monitor: %w", err)
-	}
-	return nil
+	return err
 }
 
 // batchTracer adapts a possibly-nil *obs.Trace to the pipeline's span sink.
@@ -134,22 +115,15 @@ func batchTracer(tr *obs.Trace) hct.BatchTracer {
 	return tr
 }
 
-// DeliverBatchAsync ingests a run without waiting for stamping — or, on a
-// monitor with the pipelined planner (the default for more than one shard),
-// for planning — to complete: the admitted run is put on the plan queue and
-// the call returns as soon as there is room. The caller may reuse events
-// immediately and overlap decoding/journaling the next run with planning and
-// stamping the current one. Queries observe results as the per-process
-// watermarks advance; IngestBarrier waits for everything accepted so far.
-// Errors are synchronous, as in DeliverBatch.
+// DeliverBatchAsync ingests a run without waiting, on a monitor with more than
+// one shard, for planning or stamping to complete: the admitted run is put on
+// the plan queue and the call returns as soon as there is room. The caller may
+// reuse events immediately and overlap decoding/journaling the next run with
+// planning and stamping the current one. Queries observe results as the
+// per-process watermarks advance; IngestBarrier waits for everything accepted
+// so far. Errors are synchronous, as in DeliverBatch.
 func (m *Monitor) DeliverBatchAsync(events []model.Event) error {
-	return m.DeliverBatchAsyncTraced(events, nil)
-}
-
-// DeliverBatchAsyncTraced is DeliverBatchAsync with the run's span trace
-// (nil when the run is not sampled).
-func (m *Monitor) DeliverBatchAsyncTraced(events []model.Event, tr *obs.Trace) error {
-	if err := m.pipe.DispatchAsync(events, batchTracer(tr)); err != nil {
+	if err := m.pipe.DispatchAsync(events, nil); err != nil {
 		return fmt.Errorf("monitor: %w", err)
 	}
 	return nil

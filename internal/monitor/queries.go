@@ -101,9 +101,9 @@ func (q *Queries) Timestamp(id model.EventID) (hct.Timestamp, bool) {
 }
 
 // Lookup fetches a delivered event by ID, reconstructed from its published
-// cell. Lock-free: an event is visible once its stamp is published,
-// so under DeliverBatchAsync a just-dispatched event may briefly report
-// absent (IngestBarrier closes the window).
+// cell. Lock-free: an event is visible once its stamp is published, so with
+// more than one ingest shard an acknowledged event may briefly report absent
+// (a barrier — the server takes one per query frame — closes the window).
 func (q *Queries) Lookup(id model.EventID) (model.Event, bool) {
 	return q.eng.Event(id)
 }

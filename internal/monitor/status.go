@@ -71,19 +71,12 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 
 	// Ingest-shard instruments.
 	pipe := s.def.monitor.Pipeline()
-	reg.GaugeFunc("poetd_ingest_shards", "Configured ingest shards (stamping lanes).",
+	reg.GaugeFunc("poetd_ingest_shards", "Configured ingest shards (stamping lanes). Above one, the plan stage (the cluster decisions; admission always runs on the submitter) runs on its own goroutine; at one, inline on the submitter.",
 		func() float64 { return float64(pipe.IngestShards()) })
 	counter("poetd_cross_shard_waits_total",
 		"Cross-shard rendezvous waits that actually blocked a stamping lane.",
 		pipe.CrossShardWaits)
-	reg.GaugeFunc("poetd_planner_pipelined", "Whether the plan stage (the cluster decisions; admission always runs on the submitter) runs on its own goroutine (1) or inline on the submitter (0).",
-		func() float64 {
-			if pipe.PlannerPipelined() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("poetd_planner_occupancy", "Fraction of wall time the planner goroutine spent planning (0 when planning is inline).",
+	reg.GaugeFunc("poetd_planner_occupancy", "Fraction of wall time the planner goroutine spent planning (0 at one ingest shard).",
 		pipe.PlannerOccupancy)
 	reg.CounterFunc("poetd_planner_busy_seconds_total", "Cumulative seconds the planner goroutine spent planning.",
 		func() float64 { return pipe.PlannerBusy().Seconds() })

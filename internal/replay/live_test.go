@@ -292,7 +292,7 @@ func TestLiveViewWaitsForStalledLane(t *testing.T) {
 	defer hist.Close()
 
 	st := &stallTracer{entered: make(chan struct{}), release: make(chan struct{})}
-	if err := live.Pipeline().DispatchTraced(tr.Events[half:], st); err != nil {
+	if err := live.Pipeline().DispatchAsync(tr.Events[half:], st); err != nil {
 		t.Fatal(err)
 	}
 	<-st.entered
@@ -398,7 +398,7 @@ func TestLiveViewWaitsForCollectorInEnqueue(t *testing.T) {
 	if err := wlog.Append(tr.Events[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Pipeline().DispatchTraced(tr.Events[:half], gate); err != nil {
+	if err := live.Pipeline().DispatchAsync(tr.Events[:half], gate); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.entered

@@ -393,7 +393,9 @@ func (s *Store) restampLocked(cutoff uint64) (*View, error) {
 		}
 		ts, from = fresh, 0
 	}
-	err := s.chain.ReplayRange(from, cutoff, ts.Dispatch)
+	err := s.chain.ReplayRange(from, cutoff, func(run []model.Event) error {
+		return ts.DispatchAsync(run, nil)
+	})
 	if shared {
 		// Even on error the successfully-ingested prefix is valid history;
 		// keep the shared engine consistent with what it absorbed. A
