@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hct"
 	"repro/internal/monitor"
@@ -134,5 +136,150 @@ func TestModesAgree(t *testing.T) {
 	}
 	if _, err := poquery("-addr", addr.String(), "-e", "3:4", "-cut"); err == nil {
 		t.Error("-addr -cut was accepted")
+	}
+}
+
+// statsStub is a session that answers STATS from a script, the last body
+// repeating.
+type statsStub struct {
+	monitor.Session
+	bodies []string
+}
+
+func (s *statsStub) Stats() (string, error) {
+	body := s.bodies[0]
+	if len(s.bodies) > 1 {
+		s.bodies = s.bodies[1:]
+	}
+	return body, nil
+}
+
+// TestWatch drives -watch end to end against a two-tenant, two-lane server
+// under a paced load, and then against scripted STATS bodies: what it reads
+// out of a body, what it refuses to watch, and the interval arithmetic it
+// prints.
+func TestWatch(t *testing.T) {
+	tr := workload.RandomSparse(12, 3, 3000, 11)
+	srv, err := monitor.NewTenantServer(monitor.ServerConfig{Tenants: &monitor.TenantsConfig{
+		New: func(string) (monitor.TenantResources, error) {
+			m, err := monitor.NewSharded(tr.NumProcs, hct.Config{MaxClusterSize: 13}, 2)
+			if err != nil {
+				return monitor.TenantResources{}, err
+			}
+			return monitor.TenantResources{Monitor: m, Close: func() error { m.Close(); return nil }}, nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Tenant("blue"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The load: both tenants get the stream, 50 events every 5 ms each, until
+	// the watch is over or the stream is.
+	stop, loaded := make(chan struct{}), make(chan error, 1)
+	go func() {
+		loaded <- func() error {
+			sess, err := monitor.DialV2(addr.String())
+			if err != nil {
+				return err
+			}
+			defer sess.Close()
+			for lo := 0; lo < len(tr.Events); lo += 50 {
+				for _, tenant := range []string{monitor.DefaultTenant, "blue"} {
+					if err := sess.SelectTenant(tenant); err != nil {
+						return err
+					}
+					if err := sess.ReportBatch(tr.Events[lo:min(lo+50, len(tr.Events))]); err != nil {
+						return err
+					}
+				}
+				select {
+				case <-stop:
+					return nil
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			return nil
+		}()
+	}()
+	var out bytes.Buffer
+	err = run([]string{"-addr", addr.String(), "-watch", "50ms", "-watch-count", "3"}, &out)
+	close(stop)
+	if lerr := <-loaded; lerr != nil {
+		t.Fatalf("load: %v", lerr)
+	}
+	if err != nil {
+		t.Fatalf("-watch: %v\n%s", err, &out)
+	}
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	if got := strings.Fields(lines[0]); strings.Join(got, " ") != "interval events/s batches/s queries/s ingested errors shard events/s" {
+		t.Fatalf("header %q", lines[0])
+	}
+	var rows, blue int
+	last := int64(0)
+	for _, line := range lines[1:] {
+		f := strings.Fields(line)
+		switch {
+		case f[0] == "50ms":
+			rows++
+			if len(f) != 8 || !strings.HasPrefix(f[6], "[") || !strings.HasSuffix(f[7], "]") {
+				t.Errorf("row %q: want six columns and a two-lane [a b] shard column", line)
+				continue
+			}
+			ingested, err := strconv.ParseInt(f[4], 10, 64)
+			if err != nil || ingested < last || ingested > 2*int64(len(tr.Events)) {
+				t.Errorf("row %q: ingested %q after %d, with %d events sent at most", line, f[4], last, 2*len(tr.Events))
+			}
+			last = ingested
+		case f[0] == "tenant" && f[1] == "blue":
+			blue++
+		case f[0] == "tenant" && f[1] == monitor.DefaultTenant:
+		default:
+			t.Errorf("unexpected line %q", line)
+		}
+	}
+	if rows != 3 || blue != 3 {
+		t.Errorf("%d interval rows and %d tenant blue rows, want 3 and 3:\n%s", rows, blue, &out)
+	}
+	if last == 0 {
+		t.Errorf("nothing ingested by the last row:\n%s", &out)
+	}
+
+	// A body with none of the daemon's counters is not watched.
+	for _, body := range []string{"hello world", "wal_records=5 storage=9"} {
+		out.Reset()
+		err := runWatch(&out, &statsStub{bodies: []string{body}}, time.Millisecond, 1)
+		if err == nil || !strings.Contains(err.Error(), "carries no counters to watch") {
+			t.Errorf("STATS %q: err %v, output %q", body, err, &out)
+		}
+	}
+
+	// Labelled and plain fields in one body: each is read under its own key,
+	// a label on an unknown key is nobody's tenant, and the row is the
+	// difference of two bodies over the interval.
+	out.Reset()
+	err = runWatch(&out, &statsStub{bodies: []string{
+		`ingested=900 tenant_events{tenant="blue"}=500 batches=30 other{tenant="blue"}=9`,
+		`ingested=1000 tenant_events{tenant="blue"}=550 batches=32 other{tenant="green"}=19 proto_errors=1`,
+	}}, 50*time.Millisecond, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("scripted watch printed %d lines, want header, row, tenant blue:\n%s", len(lines), &out)
+	}
+	if got, want := strings.Join(strings.Fields(lines[1]), " "), "50ms 2000 40 0 1000 1"; got != want {
+		t.Errorf("scripted row %q, want %q", got, want)
+	}
+	if got, want := strings.Join(strings.Fields(lines[2]), " "), "tenant blue 1000 0 550"; got != want {
+		t.Errorf("scripted tenant row %q, want %q", got, want)
 	}
 }

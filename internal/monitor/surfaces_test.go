@@ -1,0 +1,337 @@
+package monitor
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/hct"
+	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/wal"
+	"repro/internal/workload"
+)
+
+// surfaceNumbers are the seventeen numbers the daemon reports on more than
+// one surface: the STATS key, the /metrics family and — where /statusz
+// carries it — the key under "counters".
+var surfaceNumbers = []struct{ stats, family, status string }{
+	{"ingested", "poetd_events_ingested_total", "EventsIngested"},
+	{"batches", "poetd_batches_ingested_total", "BatchesIngested"},
+	{"queries", "poetd_queries_answered_total", "QueriesAnswered"},
+	{"qframes", "poetd_query_frames_total", "QueryFrames"},
+	{"frames", "poetd_frames_read_total", "FramesRead"},
+	{"lines", "poetd_lines_read_total", "LinesRead"},
+	{"proto_errors", "poetd_protocol_errors_total", "ProtocolErrors"},
+	{"conns", "poetd_conns_accepted_total", "ConnsAccepted"},
+	{"rejected", "poetd_conns_rejected_total", "ConnsRejected"},
+	{"wal_records", "poetd_wal_records_total", ""},
+	{"wal_events", "poetd_wal_events_total", ""},
+	{"wal_bytes", "poetd_wal_bytes_total", ""},
+	{"wal_fsyncs", "poetd_wal_fsyncs_total", ""},
+	{"wal_snapshots", "poetd_wal_snapshots_total", ""},
+	{"wal_recovered", "poetd_wal_recovered_events", ""},
+	{"wal_recovered_records", "poetd_wal_recovered_records", ""},
+	{"wal_torn", "poetd_wal_torn_records_total", ""},
+}
+
+// TestSurfacesAgree pins the three wire surfaces to one another and to their
+// shape. A WAL-backed two-tenant, two-lane server with telemetry — its default
+// tenant recovered from a log with a torn tail — takes a v2 batch stream, a
+// query batch, a refused connection, a malformed frame, a v1 EVENT, a malformed
+// line and a v1 query; then the STATS body, a classic /metrics scrape and the
+// /statusz document must report the same value for each of the seventeen
+// numbers, the STATS body must be the known key sequence with integers as %d
+// and the two rates as %.0f, and /statusz must carry its counter and rate
+// keys in their order.
+func TestSurfacesAgree(t *testing.T) {
+	tr := workload.RandomSparse(12, 3, 600, 11)
+	const recovered = 100
+	root := t.TempDir()
+
+	// The default tenant's previous life: one record, then a crash mid-write.
+	pre, err := wal.Open(filepath.Join(root, DefaultTenant), wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.Append(tr.Events[:recovered]); err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(root, DefaultTenant, "wal-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("segments before the crash: %v", segs)
+	}
+	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0, 0, 0, 9, 1, 2, 3})
+	f.Close()
+
+	tel := obs.NewTelemetry(obs.NewRegistry())
+	var defLog *wal.Log
+	srv, err := NewTenantServer(ServerConfig{FixedVector: tr.NumProcs, MaxConns: 1, Obs: tel, Tenants: &TenantsConfig{
+		New: func(name string) (TenantResources, error) {
+			m, err := NewSharded(tr.NumProcs, hct.Config{MaxClusterSize: 13}, 2)
+			if err != nil {
+				return TenantResources{}, err
+			}
+			wlog, err := wal.Open(filepath.Join(root, name), wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncAlways})
+			if err != nil {
+				return TenantResources{}, err
+			}
+			if name == DefaultTenant {
+				defLog = wlog
+				wlog.RegisterMetrics(tel.Registry)
+				err := wlog.Replay(m.DeliverBatchAsync)
+				m.IngestBarrier()
+				if err != nil {
+					return TenantResources{}, err
+				}
+			}
+			return TenantResources{Monitor: m, Journal: wlog, WALEvents: wlog.Appended,
+				Close: func() error { m.Close(); return wlog.Close() }}, nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := func() {
+		t.Helper()
+		waitFor(t, func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			return len(srv.conns) == 0
+		})
+	}
+
+	// v2: the rest of the default tenant's stream, all of blue's, a query
+	// batch — and, while this connection holds the one slot, a refused dial.
+	sess, err := DialV2(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{DefaultTenant, "blue"} {
+		if err := sess.SelectTenant(tenant); err != nil {
+			t.Fatal(err)
+		}
+		lo := 0
+		if tenant == DefaultTenant {
+			lo = recovered
+		}
+		for ; lo < len(tr.Events)-1; lo += 64 {
+			if err := sess.ReportBatch(tr.Events[lo:min(lo+64, len(tr.Events)-1)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	qs := make([]Query, 10)
+	for k := range qs {
+		qs[k] = Query{Op: OpPrecedes, A: tr.Events[k*13].ID, B: tr.Events[k*37].ID}
+	}
+	if _, err := sess.QueryBatch(qs); err != nil {
+		t.Fatal(err)
+	}
+	full, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if line, err := bufio.NewReader(full).ReadString('\n'); err != nil || !strings.HasPrefix(line, "ERR server full") {
+		t.Fatalf("second connection at MaxConns 1 got %q, %v", line, err)
+	}
+	full.Close()
+	sess.Close()
+	idle()
+	if err := defLog.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	// v2 by hand: one frame of an unknown type.
+	raw, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.SetDeadline(time.Now().Add(5 * time.Second))
+	rr := bufio.NewReader(raw)
+	if _, err := raw.Write(protocolV2Magic[:]); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(rr); err != nil || typ != frameHello {
+		t.Fatalf("hello: frame 0x%02x, %v", typ, err)
+	}
+	if err := writeFrame(raw, 0x7f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(rr); err != nil || typ != frameErr {
+		t.Fatalf("malformed frame answered with 0x%02x, %v", typ, err)
+	}
+	raw.Close()
+	idle()
+
+	// v1 by hand: the stream's last event, a malformed line, then STATS. The
+	// connection stays open while the other two surfaces are read, so nothing
+	// moves between the three readings.
+	text, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer text.Close()
+	text.SetDeadline(time.Now().Add(5 * time.Second))
+	tr1 := bufio.NewReader(text)
+	ask := func(line string) string {
+		t.Helper()
+		fmt.Fprintf(text, "%s\n", line)
+		reply, err := tr1.ReadString('\n')
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		return strings.TrimSpace(reply)
+	}
+	record, err := trace.AppendRecord([]byte("EVENT "), tr.Events[len(tr.Events)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ask(string(record)); got != "OK" {
+		t.Fatalf("%s answered %q", record, got)
+	}
+	if got := ask("EVENT u zero:1"); !strings.HasPrefix(got, "ERR") {
+		t.Fatalf("malformed line answered %q", got)
+	}
+	// STATS is not barriered, a query is: events= must not trail ingested=.
+	if got := ask("PRECEDES 0:1 1:1"); got != "TRUE" && got != "FALSE" {
+		t.Fatalf("PRECEDES answered %q", got)
+	}
+	body, ok := strings.CutPrefix(ask("STATS"), "STATS ")
+	if !ok {
+		t.Fatalf("STATS answered %q", body)
+	}
+
+	// The golden shape.
+	wantKeys := strings.Fields("events crs clusters held storage ingested batches queries qframes frames lines proto_errors conns rejected events_per_sec queries_per_sec tenant tenants shards xwaits shard0 shard1")
+	for _, tenant := range []string{"blue", DefaultTenant} {
+		wantKeys = append(wantKeys, fmt.Sprintf("tenant_events{tenant=%q}", tenant), fmt.Sprintf("tenant_queries{tenant=%q}", tenant))
+	}
+	wantKeys = append(wantKeys, strings.Fields("wal_records wal_events wal_bytes wal_fsyncs wal_snapshots wal_recovered wal_recovered_records wal_torn")...)
+	stats := make(map[string]string)
+	var gotKeys []string
+	digits := regexp.MustCompile(`^[0-9]+$`)
+	for _, field := range strings.Fields(body) {
+		i := strings.LastIndexByte(field, '=')
+		if i <= 0 {
+			t.Fatalf("STATS field %q is not key=value", field)
+		}
+		k, v := field[:i], field[i+1:]
+		gotKeys = append(gotKeys, k)
+		stats[k] = v
+		if k == "tenant" {
+			if v != DefaultTenant {
+				t.Errorf("STATS tenant=%s on an unscoped connection", v)
+			}
+		} else if !digits.MatchString(v) {
+			t.Errorf("STATS %s=%q is not a plain integer (%%d, or %%.0f for the rates)", k, v)
+		}
+	}
+	if got, want := strings.Join(gotKeys, " "), strings.Join(wantKeys, " "); got != want {
+		t.Errorf("STATS keys:\n got %s\nwant %s", got, want)
+	}
+
+	// /metrics, classic dialect: unlabelled samples by family name.
+	var sb strings.Builder
+	if err := tel.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	scraped := make(map[string]string)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && line[0] != '#' {
+			scraped[name] = v
+		}
+	}
+
+	// /statusz as served: the JSON document.
+	doc, err := json.Marshal(srv.Status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status struct {
+		Counters json.RawMessage `json:"counters"`
+		Rates    json.RawMessage `json:"rates_since_start"`
+	}
+	if err := json.Unmarshal(doc, &status); err != nil {
+		t.Fatal(err)
+	}
+	counters := make(map[string]int64)
+	if err := json.Unmarshal(status.Counters, &counters); err != nil {
+		t.Fatalf("counters %s: %v", status.Counters, err)
+	}
+	inOrder := func(what string, raw json.RawMessage, keys ...string) {
+		t.Helper()
+		var any map[string]json.Number
+		if err := json.Unmarshal(raw, &any); err != nil || len(any) != len(keys) {
+			t.Errorf("/statusz %s = %s (%v), want exactly the keys %v", what, raw, err, keys)
+			return
+		}
+		at := -1
+		for _, k := range keys {
+			i := strings.Index(string(raw), strconv.Quote(k)+":")
+			if i <= at {
+				t.Errorf("/statusz %s = %s: key %s missing or out of order (want %v)", what, raw, k, keys)
+			}
+			at = i
+		}
+	}
+	inOrder("counters", status.Counters, "EventsIngested", "BatchesIngested", "QueriesAnswered", "QueryFrames",
+		"FramesRead", "LinesRead", "ProtocolErrors", "ConnsAccepted", "ConnsRejected")
+	inOrder("rates_since_start", status.Rates, "EventsPerSec", "BatchesPerSec", "QueriesPerSec")
+
+	for _, n := range surfaceNumbers {
+		want, ok := stats[n.stats]
+		if !ok {
+			continue // already reported by the key sequence
+		}
+		if got, ok := scraped[n.family]; !ok || got != want {
+			t.Errorf("STATS %s=%s, /metrics %s %s (present %v)", n.stats, want, n.family, got, ok)
+		}
+		if n.status == "" {
+			continue
+		}
+		if got, ok := counters[n.status]; !ok || strconv.FormatInt(got, 10) != want {
+			t.Errorf("STATS %s=%s, /statusz counters.%s = %d (present %v)", n.stats, want, n.status, got, ok)
+		}
+	}
+
+	// And the numbers are the traffic's, not seventeen agreeing zeros.
+	events := len(tr.Events)
+	for key, want := range map[string]int{
+		"ingested": 2*events - 1 - recovered, "events": events, "queries": len(qs) + 1, "qframes": 2,
+		"lines": 4, "proto_errors": 2, "conns": 3, "rejected": 1,
+		"wal_events": events - recovered, "wal_snapshots": 1,
+		"wal_recovered": recovered, "wal_recovered_records": 1, "wal_torn": 1,
+		`tenant_events{tenant="blue"}`: events - 1, `tenant_events{tenant="default"}`: events,
+	} {
+		if got := stats[key]; got != strconv.Itoa(want) {
+			t.Errorf("STATS %s=%s, want %d", key, got, want)
+		}
+	}
+	for _, key := range []string{"batches", "frames", "wal_records", "wal_bytes", "wal_fsyncs"} {
+		if n, _ := strconv.Atoi(stats[key]); n <= 0 {
+			t.Errorf("STATS %s=%s after the load", key, stats[key])
+		}
+	}
+}
