@@ -374,7 +374,7 @@ func main() {
 			"tenant", t.Name(), "events", st.Events,
 			"cluster_receives", st.ClusterReceives, "storage_ints", st.StorageInts)
 	}
-	logger.Info("final counters", "counters", srv.Counters().Snapshot().String())
+	logger.Info("final counters", "counters", srv.Counters())
 }
 
 // parseLevel maps the -log-level flag onto a slog level.

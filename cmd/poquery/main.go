@@ -433,23 +433,19 @@ func remoteMode(sess *monitor.ClientV2, tr *model.Trace, at bool, cutoff uint64)
 // a top(1)-style view of a running poetd, built entirely from the protocol
 // the daemon already speaks. Each line is the delta over one interval; the
 // trailing column breaks the event rate down by ingest shard (stamping
-// lane), so an unbalanced shard map is visible at a glance.
+// lane), so an unbalanced shard map is visible at a glance, and under it one
+// row per namespace when the daemon serves more than the default one.
 func runWatch(out io.Writer, sess monitor.Session, interval time.Duration, count int) error {
-	type sample struct {
-		counters metrics.CounterSnapshot
-		shards   []int64
-		tenants  map[string]metrics.TenantCounters
-	}
-	read := func() (sample, error) {
-		stats, err := sess.Stats()
+	read := func() (map[string]int64, error) {
+		body, err := sess.Stats()
 		if err != nil {
-			return sample{}, err
+			return nil, err
 		}
-		counters, ok := metrics.ParseSnapshot(stats)
-		if !ok {
-			return sample{}, fmt.Errorf("STATS %q carries no counters to watch", stats)
+		stats := parseStats(body)
+		if _, ok := stats["ingested"]; !ok {
+			return nil, fmt.Errorf("STATS %q carries no counters to watch", body)
 		}
-		return sample{counters, parseShardEvents(stats), metrics.ParseTenantCounters(stats)}, nil
+		return stats, nil
 	}
 	prev, err := read()
 	if err != nil {
@@ -465,92 +461,62 @@ func runWatch(out io.Writer, sess monitor.Session, interval time.Duration, count
 		if err != nil {
 			return err
 		}
-		rates := cur.counters.Sub(prev.counters).Rates(interval)
+		rate := func(key string) float64 { return float64(cur[key]-prev[key]) / interval.Seconds() }
+
+		// shard0, shard1, ... as "[31250 30890]"; empty without sharded ingest.
+		var shards []string
+		for {
+			key := "shard" + strconv.Itoa(len(shards))
+			if _, ok := cur[key]; !ok {
+				break
+			}
+			shards = append(shards, fmt.Sprintf("%.0f", rate(key)))
+		}
+		shardCol := ""
+		if len(shards) > 0 {
+			shardCol = "[" + strings.Join(shards, " ") + "]"
+		}
 		fmt.Fprintf(out, "%-10s %12.0f %12.0f %12.0f %12d %10d  %s\n",
-			interval, rates.EventsPerSec, rates.BatchesPerSec, rates.QueriesPerSec,
-			cur.counters.EventsIngested, cur.counters.ProtocolErrors,
-			shardRates(prev.shards, cur.shards, interval))
-		printTenantRates(out, prev.tenants, cur.tenants, interval)
+			interval, rate("ingested"), rate("batches"), rate("queries"),
+			cur["ingested"], cur["proto_errors"], shardCol)
+
+		// tenant_events{tenant="name"}: a daemon reporting only the default
+		// namespace adds no rows — the global row already tells the whole story.
+		var tenants []string
+		for key := range cur {
+			if name, ok := strings.CutPrefix(key, `tenant_events{tenant="`); ok {
+				tenants = append(tenants, strings.TrimSuffix(name, `"}`))
+			}
+		}
+		sort.Strings(tenants)
+		if len(tenants) > 1 || (len(tenants) == 1 && tenants[0] != monitor.DefaultTenant) {
+			for _, name := range tenants {
+				events := fmt.Sprintf("tenant_events{tenant=%q}", name)
+				fmt.Fprintf(out, "  %-24s %12.0f %12s %12.0f %12d\n", "tenant "+name,
+					rate(events), "", rate(fmt.Sprintf("tenant_queries{tenant=%q}", name)), cur[events])
+			}
+		}
 		prev = cur
 	}
 	return nil
 }
 
-// printTenantRates breaks the interval down by namespace when the daemon's
-// STATS body carries tenant-labelled counters (tenant_events{tenant="..."}).
-// A single-tenant daemon reporting only the default namespace adds no lines —
-// the global row already tells the whole story.
-func printTenantRates(out io.Writer, prev, cur map[string]metrics.TenantCounters, interval time.Duration) {
-	if len(cur) == 0 {
-		return
-	}
-	if _, onlyDefault := cur[monitor.DefaultTenant]; onlyDefault && len(cur) == 1 {
-		return
-	}
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	secs := interval.Seconds()
-	for _, name := range names {
-		c, p := cur[name], prev[name]
-		fmt.Fprintf(out, "  %-24s %12.0f %12s %12.0f %12d\n",
-			"tenant "+name,
-			float64(c.Events-p.Events)/secs, "",
-			float64(c.Queries-p.Queries)/secs,
-			c.Events)
-	}
-}
-
-// parseShardEvents extracts the per-shard event tallies (shard0=..., shard1=...)
-// from a STATS body. Returns nil against a daemon without sharded ingest.
-func parseShardEvents(stats string) []int64 {
-	var out []int64
-	for _, f := range strings.Fields(stats) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok || !strings.HasPrefix(k, "shard") {
+// parseStats reads a STATS body into its integer fields, keyed by the field
+// names as sent: ingested, shard0, tenant_events{tenant="blue"}. Tenant names
+// are [a-zA-Z0-9_-], so a labelled field holds no space and splits like any
+// other; fields whose value is not an integer (tenant=blue) are skipped.
+func parseStats(body string) map[string]int64 {
+	stats := make(map[string]int64)
+	for _, field := range strings.Fields(body) {
+		eq := strings.LastIndexByte(field, '=')
+		if eq <= 0 {
 			continue
 		}
-		idx, err := strconv.Atoi(k[len("shard"):])
-		if err != nil || idx < 0 {
-			continue
+		if v, err := strconv.ParseInt(field[eq+1:], 10, 64); err == nil {
+			stats[field[:eq]] = v
 		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			continue
-		}
-		for len(out) <= idx {
-			out = append(out, 0)
-		}
-		out[idx] = n
 	}
-	return out
-}
-
-// shardRates renders the per-shard event rate over one interval, e.g.
-// "[31250 30890 30120 29800]". Empty when the daemon reports no shards.
-func shardRates(prev, cur []int64, interval time.Duration) string {
-	if len(cur) == 0 {
-		return ""
-	}
-	secs := interval.Seconds()
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, n := range cur {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		var d int64
-		if i < len(prev) {
-			d = n - prev[i]
-		} else {
-			d = n
-		}
-		fmt.Fprintf(&b, "%.0f", float64(d)/secs)
-	}
-	b.WriteByte(']')
-	return b.String()
+	return stats
 }
 
 // stampClocks computes the trace's Fidge/Mattern clocks keyed by event.

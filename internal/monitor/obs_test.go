@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -278,6 +279,69 @@ func TestScrapeSeriesCountsStable(t *testing.T) {
 	} {
 		if first[name] != want {
 			t.Errorf("%s renders %d series, want %d", name, first[name], want)
+		}
+	}
+}
+
+// TestTotalFamiliesAreCounters holds the exposition to its own naming: in
+// both dialects a sample whose name ends in _total belongs to a family typed
+// counter, and no family typed gauge has one — the per-tenant and per-shard
+// totals are vectors, and a vector can be a counter too.
+func TestTotalFamiliesAreCounters(t *testing.T) {
+	tr := workload.RandomSparse(12, 3, 300, 11)
+	tel := obs.NewTelemetry(obs.NewRegistry())
+	srv, err := NewTenantServer(ServerConfig{FixedVector: tr.NumProcs, Obs: tel, Tenants: &TenantsConfig{
+		New: func(string) (TenantResources, error) {
+			m, err := NewSharded(tr.NumProcs, hct.Config{MaxClusterSize: 13}, 2)
+			if err != nil {
+				return TenantResources{}, err
+			}
+			return TenantResources{Monitor: m, Close: func() error { m.Close(); return nil }}, nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	second, err := srv.Tenant("second")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []*Tenant{srv.Default(), second} {
+		if _, err := srv.submitInstrumented(tenant, tr.Events, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for dialect, write := range map[string]func(io.Writer) error{
+		"classic":     tel.Registry.WritePrometheus,
+		"openmetrics": tel.Registry.WriteOpenMetrics,
+	} {
+		var sb strings.Builder
+		if err := write(&sb); err != nil {
+			t.Fatal(err)
+		}
+		family, typ, totals := "", "", 0
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				family, typ, _ = strings.Cut(rest, " ")
+				if typ == "gauge" && strings.HasSuffix(family, "_total") {
+					t.Errorf("%s: family %s is typed gauge", dialect, family)
+				}
+				continue
+			}
+			if line == "" || line[0] == '#' {
+				continue
+			}
+			if sample := line[:strings.IndexAny(line, "{ ")]; strings.HasSuffix(sample, "_total") {
+				totals++
+				if typ != "counter" {
+					t.Errorf("%s: sample %s belongs to family %s, typed %s", dialect, sample, family, typ)
+				}
+			}
+		}
+		if totals < 30 {
+			t.Errorf("%s: only %d _total samples rendered", dialect, totals)
 		}
 	}
 }

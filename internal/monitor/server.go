@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -59,7 +58,7 @@ import (
 // Monitor and replay plane. See tenant.go for the registry and quota model.
 type Server struct {
 	cfg      ServerConfig
-	counters metrics.ServerCounters
+	counters serverCounters
 	obs      *obs.Telemetry // nil: uninstrumented
 	start    time.Time
 	submitQ  chan submitReq
@@ -219,11 +218,37 @@ func NewTenantServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// newServerShell builds the tenant-independent part of a server.
+// serverCounters are the server-wide throughput instruments: events and
+// batches ingested, precedence queries answered, and the protocol traffic
+// seen. The instrument is the only storage a number has — the connection
+// goroutines bump it, and STATS, /metrics and /statusz read it.
+type serverCounters struct {
+	EventsIngested, BatchesIngested, QueriesAnswered, QueryFrames       *obs.Counter
+	FramesRead, LinesRead, ProtocolErrors, ConnsAccepted, ConnsRejected *obs.Counter
+}
+
+// newServerShell builds the tenant-independent part of a server. Its
+// counters live on the telemetry's registry; without one they come from the
+// nil registry, which hands out instruments that count and are not exposed.
 func newServerShell(cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
+	var reg *obs.Registry
+	if cfg.Obs != nil {
+		reg = cfg.Obs.Registry
+	}
 	return &Server{
-		cfg:     cfg,
+		cfg: cfg,
+		counters: serverCounters{
+			EventsIngested:  reg.NewCounter("poetd_events_ingested_total", "Events accepted into the collector."),
+			BatchesIngested: reg.NewCounter("poetd_batches_ingested_total", "Event batches acknowledged."),
+			QueriesAnswered: reg.NewCounter("poetd_queries_answered_total", "Individual precedence queries answered."),
+			QueryFrames:     reg.NewCounter("poetd_query_frames_total", "QUERY frames / query lines served."),
+			FramesRead:      reg.NewCounter("poetd_frames_read_total", "Protocol v2 frames decoded."),
+			LinesRead:       reg.NewCounter("poetd_lines_read_total", "Protocol v1 text lines handled."),
+			ProtocolErrors:  reg.NewCounter("poetd_protocol_errors_total", "Malformed or rejected frames and lines."),
+			ConnsAccepted:   reg.NewCounter("poetd_conns_accepted_total", "Connections admitted."),
+			ConnsRejected:   reg.NewCounter("poetd_conns_rejected_total", "Connections refused at the MaxConns limit."),
+		},
 		obs:     cfg.Obs,
 		start:   time.Now(),
 		submitQ: make(chan submitReq, cfg.SubmitQueue),
@@ -246,9 +271,23 @@ func (s *Server) install(def *Tenant) {
 // Default returns the "default" tenant.
 func (s *Server) Default() *Tenant { return s.def }
 
-// Counters exposes the server's throughput counters (for dashboards and
-// benchmarks).
-func (s *Server) Counters() *metrics.ServerCounters { return &s.counters }
+// Counters renders the server-wide throughput counters as they appear in a
+// STATS body.
+func (s *Server) Counters() string {
+	c := &s.counters
+	return fmt.Sprintf("ingested=%d batches=%d queries=%d qframes=%d frames=%d lines=%d proto_errors=%d conns=%d rejected=%d",
+		c.EventsIngested.Value(), c.BatchesIngested.Value(), c.QueriesAnswered.Value(), c.QueryFrames.Value(),
+		c.FramesRead.Value(), c.LinesRead.Value(), c.ProtocolErrors.Value(), c.ConnsAccepted.Value(), c.ConnsRejected.Value())
+}
+
+// perSec is c's mean rate since the server started.
+func (s *Server) perSec(c *obs.Counter) float64 {
+	secs := time.Since(s.start).Seconds()
+	if secs <= 0 {
+		return 0
+	}
+	return float64(c.Value()) / secs
+}
 
 // ingestLoop is the single ingestion worker, the far end of execute's hop
 // through submitQ: it applies queued event batches to the collector in
@@ -264,7 +303,7 @@ func (s *Server) ingestLoop() {
 		// events are in the collector and will be delivered.
 		s.counters.EventsIngested.Add(int64(n))
 		if err == nil {
-			s.counters.BatchesIngested.Add(1)
+			s.counters.BatchesIngested.Inc()
 		}
 		req.done <- err
 	}
@@ -332,14 +371,14 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		if len(s.conns) >= s.cfg.MaxConns {
 			s.mu.Unlock()
-			s.counters.ConnsRejected.Add(1)
+			s.counters.ConnsRejected.Inc()
 			conn.Write([]byte("ERR server full\n"))
 			conn.Close()
 			continue
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		s.counters.ConnsAccepted.Add(1)
+		s.counters.ConnsAccepted.Inc()
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -442,7 +481,7 @@ func (s *Server) now() time.Time {
 
 // refuse counts a protocol error and replies with it.
 func (s *Server) refuse(err error) reply {
-	s.counters.ProtocolErrors.Add(1)
+	s.counters.ProtocolErrors.Inc()
 	return reply{err: err}
 }
 
@@ -527,7 +566,7 @@ func (s *Server) answer(t *Tenant, req *request) reply {
 	if err != nil {
 		return reply{err: err}
 	}
-	s.counters.QueryFrames.Add(1)
+	s.counters.QueryFrames.Inc()
 	s.counters.QueriesAnswered.Add(int64(len(res)))
 	t.queries.Add(int64(len(res)))
 	return reply{results: res}
@@ -549,7 +588,7 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader) {
 		if len(fields) == 0 {
 			continue
 		}
-		s.counters.LinesRead.Add(1)
+		s.counters.LinesRead.Inc()
 		req := s.decodeLine(fields)
 		var rep reply
 		rep, cur = s.execute(cur, &req)
@@ -639,25 +678,20 @@ func replyLine(v verb, rep reply) string {
 // when a write-ahead journal is attached — the journal's durability
 // counters. The monitor accounting, backlog, shard tallies and journal
 // counters are the scoped tenant's; the throughput counters and rates are
-// server-wide. The tenant=<name> field is new in the tenant-aware dialect;
-// metrics.ParseSnapshot skips non-numeric values, so older remote readers
-// parse the body unchanged.
+// server-wide. Every field is key=value; tenant=<name> is the one value
+// that is not a number, and the per-tenant fields carry a label in the key.
 func (s *Server) statsBody(t *Tenant) string {
 	st := t.monitor.Stats(s.cfg.FixedVector)
-	snap := s.counters.Snapshot()
-	rates := snap.Rates(time.Since(s.start))
 	body := fmt.Sprintf("events=%d crs=%d clusters=%d held=%d storage=%d %s events_per_sec=%.0f queries_per_sec=%.0f tenant=%s tenants=%d",
 		st.Events, st.ClusterReceives, st.LiveClusters, t.collector.Held(), st.StorageInts,
-		snap, rates.EventsPerSec, rates.QueriesPerSec, t.name, s.NumTenants())
+		s.Counters(), s.perSec(s.counters.EventsIngested), s.perSec(s.counters.QueriesAnswered), t.name, s.NumTenants())
 	pipe := t.monitor.Pipeline()
 	body += fmt.Sprintf(" shards=%d xwaits=%d", pipe.IngestShards(), pipe.CrossShardWaits())
 	for i, n := range pipe.ShardEventsInto(nil) {
 		body += fmt.Sprintf(" shard%d=%d", i, n)
 	}
 	// Per-tenant throughput in the labeled-field dialect, mirroring the
-	// tenant="..." series on /metrics. metrics.ParseTenantCounters reads
-	// them; the label-less ParseSnapshot (and every pre-label reader) skips
-	// them.
+	// tenant="..." series on /metrics.
 	for _, tt := range s.Tenants() {
 		body += fmt.Sprintf(" tenant_events{tenant=%q}=%d tenant_queries{tenant=%q}=%d",
 			tt.name, tt.accepted.Load(), tt.name, tt.queries.Load())
@@ -724,7 +758,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 			}
 			return
 		}
-		s.counters.FramesRead.Add(1)
+		s.counters.FramesRead.Inc()
 		req := s.decodeFrame(typ, payload)
 		var rep reply
 		rep, cur = s.execute(cur, &req)

@@ -359,8 +359,8 @@ func TestServerV2RejectsBadFramesAndSurvives(t *testing.T) {
 	if n, err := decodeAckPayload(payload); err != nil || n != 1 {
 		t.Fatalf("ack payload: %d, %v", n, err)
 	}
-	if srv.Counters().ProtocolErrors.Load() < int64(len(bad)) {
-		t.Fatalf("protocol errors not counted: %d", srv.Counters().ProtocolErrors.Load())
+	if srv.counters.ProtocolErrors.Value() < int64(len(bad)) {
+		t.Fatalf("protocol errors not counted: %d", srv.counters.ProtocolErrors.Value())
 	}
 }
 
@@ -434,11 +434,11 @@ func TestServerV2FrameBufferAcrossFrameSizes(t *testing.T) {
 		}
 		lo = hi
 	}
-	if got := srv.Counters().EventsIngested.Load(); got != int64(len(tr.Events)) {
+	if got := srv.counters.EventsIngested.Value(); got != int64(len(tr.Events)) {
 		t.Fatalf("ingested %d of %d events", got, len(tr.Events))
 	}
-	if srv.Counters().ProtocolErrors.Load() != 0 {
-		t.Fatalf("%d protocol errors on well-formed frames", srv.Counters().ProtocolErrors.Load())
+	if srv.counters.ProtocolErrors.Value() != 0 {
+		t.Fatalf("%d protocol errors on well-formed frames", srv.counters.ProtocolErrors.Value())
 	}
 }
 
@@ -468,8 +468,8 @@ func TestServerMaxConns(t *testing.T) {
 	if err != nil || !strings.HasPrefix(line, "ERR server full") {
 		t.Fatalf("over-limit conn got %q, %v", line, err)
 	}
-	if srv.Counters().ConnsRejected.Load() != 1 {
-		t.Fatalf("rejected counter = %d", srv.Counters().ConnsRejected.Load())
+	if srv.counters.ConnsRejected.Value() != 1 {
+		t.Fatalf("rejected counter = %d", srv.counters.ConnsRejected.Value())
 	}
 
 	// Dropping a connection frees a slot.

@@ -5,35 +5,25 @@ import (
 	"time"
 
 	"repro/internal/hct"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
-// This file is the server's live observability surface: the gauges and
-// counter bridges registered on the obs.Registry (served at /metrics) and
-// the JSON document served at /statusz. Both read from the same sources of
-// truth as the STATS protocol verb — the atomic ServerCounters, the
-// monitor's O(1) accounting, and the journal's counters — so every plane
+// This file is the server's live observability surface: the derived series
+// registered on the obs.Registry (served at /metrics) beside the server's
+// own counters, and the JSON document served at /statusz. Both read what
+// the STATS protocol verb reads — the server's throughput instruments, the
+// monitor's O(1) accounting, and the journal's instruments — so every plane
 // reports the same numbers.
 
-// registerMetrics exposes the server's counters and the paper's Section 4
-// metrics as live instruments on reg. Called once from NewServer when the
-// config carries an instrumented telemetry.
+// registerMetrics exposes what the server derives at scrape time — the
+// pipeline's tallies, the per-tenant and per-lane vectors and the paper's
+// Section 4 metrics — on reg; the throughput counters registered themselves
+// when the server made them. Called once, when the config carries a
+// telemetry with a registry.
 func (s *Server) registerMetrics(reg *obs.Registry) {
-	c := &s.counters
 	counter := func(name, help string, v func() int64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(v()) })
 	}
-	counter("poetd_events_ingested_total", "Events accepted into the collector.", c.EventsIngested.Load)
-	counter("poetd_batches_ingested_total", "Event batches acknowledged.", c.BatchesIngested.Load)
-	counter("poetd_queries_answered_total", "Individual precedence queries answered.", c.QueriesAnswered.Load)
-	counter("poetd_query_frames_total", "QUERY frames / query lines served.", c.QueryFrames.Load)
-	counter("poetd_frames_read_total", "Protocol v2 frames decoded.", c.FramesRead.Load)
-	counter("poetd_lines_read_total", "Protocol v1 text lines handled.", c.LinesRead.Load)
-	counter("poetd_protocol_errors_total", "Malformed or rejected frames and lines.", c.ProtocolErrors.Load)
-	counter("poetd_conns_accepted_total", "Connections admitted.", c.ConnsAccepted.Load)
-	counter("poetd_conns_rejected_total", "Connections refused at the MaxConns limit.", c.ConnsRejected.Load)
-
 	reg.GaugeFunc("poetd_collector_held", "Events buffered in the default tenant's collector awaiting deliverability.",
 		func() float64 { return float64(s.def.collector.Held()) })
 	reg.GaugeFunc("poetd_uptime_seconds", "Seconds since the server started.",
@@ -45,9 +35,10 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	// names are already interned strings, so no per-scrape label churn.
 	reg.GaugeFunc("poet_tenants", "Live tenant namespaces served.",
 		func() float64 { return float64(s.NumTenants()) })
-	tenantVec := func(name, help string, v func(t *Tenant) float64) {
+	type vecFunc = func(name, help, label string, fn func() map[string]float64)
+	tenantVec := func(register vecFunc, name, help string, v func(t *Tenant) float64) {
 		vals := make(map[string]float64)
-		reg.GaugeVecFunc(name, help, "tenant", func() map[string]float64 {
+		register(name, help, "tenant", func() map[string]float64 {
 			clear(vals)
 			for _, t := range s.Tenants() {
 				vals[t.name] = v(t)
@@ -55,13 +46,13 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			return vals
 		})
 	}
-	tenantVec("poetd_tenant_events_ingested_total", "Events accepted into each tenant's collector (recovered events included).",
+	tenantVec(reg.CounterVecFunc, "poetd_tenant_events_ingested_total", "Events accepted into each tenant's collector (recovered events included).",
 		func(t *Tenant) float64 { return float64(t.accepted.Load()) })
-	tenantVec("poetd_tenant_queries_answered_total", "Individual precedence queries answered per tenant (live and replay).",
+	tenantVec(reg.CounterVecFunc, "poetd_tenant_queries_answered_total", "Individual precedence queries answered per tenant (live and replay).",
 		func(t *Tenant) float64 { return float64(t.queries.Load()) })
-	tenantVec("poetd_tenant_collector_held", "Events buffered in each tenant's collector awaiting deliverability.",
+	tenantVec(reg.GaugeVecFunc, "poetd_tenant_collector_held", "Events buffered in each tenant's collector awaiting deliverability.",
 		func(t *Tenant) float64 { return float64(t.collector.Held()) })
-	tenantVec("poetd_tenant_wal_events_total", "Events appended to each tenant's write-ahead log (0 when not durable).",
+	tenantVec(reg.CounterVecFunc, "poetd_tenant_wal_events_total", "Events appended to each tenant's write-ahead log (0 when not durable).",
 		func(t *Tenant) float64 {
 			if t.walEvents == nil {
 				return 0
@@ -89,10 +80,10 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	for i := range laneLabels {
 		laneLabels[i] = strconv.Itoa(i)
 	}
-	laneVec := func(name, help, label string, into func([]uint64) []uint64) {
+	laneVec := func(register vecFunc, name, help, label string, into func([]uint64) []uint64) {
 		var buf []uint64
 		vals := make(map[string]float64)
-		reg.GaugeVecFunc(name, help, label, func() map[string]float64 {
+		register(name, help, label, func() map[string]float64 {
 			buf = into(buf[:0])
 			for i, n := range buf {
 				vals[laneLabels[i]] = float64(n)
@@ -100,9 +91,9 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			return vals
 		})
 	}
-	laneVec("poetd_ingest_shard_events_total", "Events dispatched to each ingest shard.", "shard",
+	laneVec(reg.CounterVecFunc, "poetd_ingest_shard_events_total", "Events dispatched to each ingest shard.", "shard",
 		pipe.ShardEventsInto)
-	laneVec("poetd_lane_queue_depth", "Items flushed to each stamping lane and not yet stamped; a depth that stays put while events arrive is a stalled lane.", "lane",
+	laneVec(reg.GaugeVecFunc, "poetd_lane_queue_depth", "Items flushed to each stamping lane and not yet stamped; a depth that stays put while events arrive is a stalled lane.", "lane",
 		pipe.LaneQueueDepthsInto)
 
 	// Physical store instruments, to read beside poetd_ts_size_ratio: that
@@ -225,15 +216,20 @@ type TenantStatus struct {
 
 // ServerStatus is the JSON document behind /statusz.
 type ServerStatus struct {
-	UptimeSeconds float64                        `json:"uptime_seconds"`
-	Events        int                            `json:"events"`
-	Held          int                            `json:"collector_held"`
-	Paper         PaperStatus                    `json:"paper"`
-	Store         StoreStatus                    `json:"store"`
-	Tenants       map[string]TenantStatus        `json:"tenants"`
-	Counters      metrics.CounterSnapshot        `json:"counters"`
-	Rates         metrics.ThroughputRates        `json:"rates_since_start"`
-	Latency       map[string]obs.DurationSummary `json:"latency,omitempty"`
+	UptimeSeconds float64                 `json:"uptime_seconds"`
+	Events        int                     `json:"events"`
+	Held          int                     `json:"collector_held"`
+	Paper         PaperStatus             `json:"paper"`
+	Store         StoreStatus             `json:"store"`
+	Tenants       map[string]TenantStatus `json:"tenants"`
+	Counters      struct {
+		EventsIngested, BatchesIngested, QueriesAnswered, QueryFrames       int64
+		FramesRead, LinesRead, ProtocolErrors, ConnsAccepted, ConnsRejected int64
+	} `json:"counters"`
+	Rates struct {
+		EventsPerSec, BatchesPerSec, QueriesPerSec float64
+	} `json:"rates_since_start"`
+	Latency map[string]obs.DurationSummary `json:"latency,omitempty"`
 }
 
 // paperStatus evaluates the paper's Section 4 gauges over one monitor.
@@ -265,7 +261,6 @@ func paperStatus(m *Monitor, fixed int) PaperStatus {
 // the per-namespace breakdown. Latency summaries are present only when the
 // server is instrumented.
 func (s *Server) Status() ServerStatus {
-	snap := s.counters.Snapshot()
 	st := ServerStatus{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Events:        s.def.monitor.Accounting().Events,
@@ -273,9 +268,20 @@ func (s *Server) Status() ServerStatus {
 		Paper:         paperStatus(s.def.monitor, s.cfg.FixedVector),
 		Store:         storeStatus(s.def.monitor),
 		Tenants:       make(map[string]TenantStatus),
-		Counters:      snap,
-		Rates:         snap.Rates(time.Since(s.start)),
 	}
+	c := &s.counters
+	st.Counters.EventsIngested = c.EventsIngested.Value()
+	st.Counters.BatchesIngested = c.BatchesIngested.Value()
+	st.Counters.QueriesAnswered = c.QueriesAnswered.Value()
+	st.Counters.QueryFrames = c.QueryFrames.Value()
+	st.Counters.FramesRead = c.FramesRead.Value()
+	st.Counters.LinesRead = c.LinesRead.Value()
+	st.Counters.ProtocolErrors = c.ProtocolErrors.Value()
+	st.Counters.ConnsAccepted = c.ConnsAccepted.Value()
+	st.Counters.ConnsRejected = c.ConnsRejected.Value()
+	st.Rates.EventsPerSec = s.perSec(c.EventsIngested)
+	st.Rates.BatchesPerSec = s.perSec(c.BatchesIngested)
+	st.Rates.QueriesPerSec = s.perSec(c.QueriesAnswered)
 	for _, t := range s.Tenants() {
 		ts := TenantStatus{
 			Events:  t.accepted.Load(),

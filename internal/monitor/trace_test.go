@@ -413,7 +413,7 @@ func TestTracingRaceStress(t *testing.T) {
 			// Submitters finish on their own; queriers/scrapers need the stop.
 			go func() {
 				// Wait for submitters by polling ingestion progress.
-				for srv.Counters().EventsIngested.Load() < int64(submitters*per) {
+				for srv.counters.EventsIngested.Value() < int64(submitters*per) {
 					time.Sleep(time.Millisecond)
 				}
 				close(stop)

@@ -13,7 +13,9 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing counter.
+// Counter is a monotonically increasing counter. The instrument is the
+// storage: its owner bumps it, and every surface that reports the number —
+// a /metrics scrape, a STATS body, /statusz — reads Value.
 type Counter struct {
 	name, help string
 	v          atomic.Int64
@@ -74,6 +76,12 @@ type entry struct {
 // updating a registered instrument is lock-free. Metric names must be unique
 // and match [a-zA-Z_:][a-zA-Z0-9_:]* — violations panic, as they are
 // programming errors on the daemon's fixed instrument set.
+//
+// A nil *Registry is the unexposed one: its New* constructors hand out live
+// instruments that count and read back like any other and appear on no
+// scrape (RegisterCounter / RegisterGauge expose them later, if ever), and
+// every other registration is a no-op. An uninstrumented server and a bare
+// write-ahead log count on such instruments.
 type Registry struct {
 	mu      sync.Mutex
 	entries []entry
@@ -101,6 +109,9 @@ func validName(s string) bool {
 func (r *Registry) register(e entry) {
 	if !validName(e.name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", e.name))
+	}
+	if r == nil {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,25 +147,35 @@ func counterSample(name string, om bool) string {
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{name: name, help: help}
-	r.register(entry{name: name, help: help, typ: "counter", write: func(w *bufio.Writer, om bool) {
-		fmt.Fprintf(w, "%s %s\n", counterSample(name, om), fmtVal(float64(c.Value())))
-	}})
+	r.RegisterCounter(c)
 	return c
+}
+
+// RegisterCounter exposes counters a nil Registry handed out.
+func (r *Registry) RegisterCounter(cs ...*Counter) {
+	for _, c := range cs {
+		r.CounterFunc(c.name, c.help, func() float64 { return float64(c.Value()) })
+	}
 }
 
 // NewGauge registers and returns a gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{name: name, help: help}
-	r.register(entry{name: name, help: help, typ: "gauge", write: func(w *bufio.Writer, _ bool) {
-		fmt.Fprintf(w, "%s %s\n", name, fmtVal(g.Value()))
-	}})
+	r.RegisterGauge(g)
 	return g
 }
 
-// CounterFunc registers a counter whose value is read from fn at render
-// time. It is the bridge to counters that already live elsewhere (e.g. the
-// server's atomic ServerCounters): the existing counter stays the single
-// source of truth and the registry only exposes it.
+// RegisterGauge exposes gauges a nil Registry handed out.
+func (r *Registry) RegisterGauge(gs ...*Gauge) {
+	for _, g := range gs {
+		r.GaugeFunc(g.name, g.help, g.Value)
+	}
+}
+
+// CounterFunc registers a counter whose value is derived at render time —
+// a tally another component keeps in its own form (the pipeline's
+// cross-shard waits, the monitor's Section 4 accounting). A number this
+// package can hold is a Counter instead, bumped where it happens.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(entry{name: name, help: help, typ: "counter", write: func(w *bufio.Writer, om bool) {
 		fmt.Fprintf(w, "%s %s\n", counterSample(name, om), fmtVal(fn()))
@@ -177,12 +198,23 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // therefore return a map it reuses across calls, making steady-state
 // scrapes allocation-free.
 func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.vecFunc("gauge", name, help, label, fn)
+}
+
+// CounterVecFunc is GaugeVecFunc for a family of monotone totals: the same
+// serialization and reused-map contract, typed counter (in OpenMetrics the
+// family line drops _total and the samples keep it, as for a Counter).
+func (r *Registry) CounterVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.vecFunc("counter", name, help, label, fn)
+}
+
+func (r *Registry) vecFunc(typ, name, help, label string, fn func() map[string]float64) {
 	if !validName(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
 	var mu sync.Mutex
 	var keys []string
-	r.register(entry{name: name, help: help, typ: "gauge", write: func(w *bufio.Writer, _ bool) {
+	r.register(entry{name: name, help: help, typ: typ, write: func(w *bufio.Writer, om bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		vals := fn()
@@ -191,8 +223,12 @@ func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]f
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		sample := name
+		if typ == "counter" {
+			sample = counterSample(name, om)
+		}
 		for _, k := range keys {
-			fmt.Fprintf(w, "%s{%s=%q} %s\n", name, label, k, fmtVal(vals[k]))
+			fmt.Fprintf(w, "%s{%s=%q} %s\n", sample, label, k, fmtVal(vals[k]))
 		}
 	}})
 }

@@ -20,10 +20,13 @@ func buildTestRegistry(t *testing.T) *Registry {
 	c.Inc()
 	g := reg.NewGauge("test_depth", "Current queue depth.")
 	g.Set(3.5)
-	reg.CounterFunc("test_bridged_total", "Bridged external counter.", func() float64 { return 7 })
+	reg.CounterFunc("test_bridged_total", "A derived counter.", func() float64 { return 7 })
 	reg.GaugeFunc("test_ratio", "A live ratio.", func() float64 { return 0.25 })
 	reg.GaugeVecFunc("test_sizes", "Things by size.", "size", func() map[string]float64 {
 		return map[string]float64{"1": 2, "3": 1, "10": 4}
+	})
+	reg.CounterVecFunc("test_lane_events_total", "Events by lane.", "lane", func() map[string]float64 {
+		return map[string]float64{"0": 30, "1": 12}
 	})
 	h := reg.NewHistogram("test_latency_seconds", "Op latency.")
 	for _, d := range []time.Duration{time.Microsecond, 50 * time.Microsecond, time.Millisecond, 20 * time.Millisecond} {
@@ -100,6 +103,7 @@ func TestWritePrometheusParses(t *testing.T) {
 		"test_bridged_total 7\n",
 		"test_ratio 0.25\n",
 		`test_sizes{size="1"} 2` + "\n",
+		"# TYPE test_lane_events_total counter\n" + `test_lane_events_total{lane="0"} 30` + "\n",
 		"test_latency_seconds_count 4\n",
 		"test_batch_events_count 2\n",
 	} {
@@ -194,6 +198,66 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 	}()
 }
 
+// TestNilRegistryInstruments pins what an uninstrumented server and a bare
+// write-ahead log count on: a nil registry hands out live instruments —
+// counted on from several goroutines, read back exactly — that appear on no
+// scrape until RegisterCounter / RegisterGauge exposes them, under the name
+// and help they were made with; its other registrations do nothing, and a
+// bad name is still a programming error.
+func TestNilRegistryInstruments(t *testing.T) {
+	var none *Registry
+	c := none.NewCounter("test_unexposed_total", "Counted before it was exposed.")
+	g := none.NewGauge("test_unexposed_depth", "Set before it was exposed.")
+	const workers, per = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.Add(3)
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	g.Set(2.5)
+	if c.Value() != 4*workers*per || g.Value() != 2.5 {
+		t.Fatalf("counter %d gauge %v, want %d and 2.5", c.Value(), g.Value(), 4*workers*per)
+	}
+	none.CounterFunc("test_nowhere_total", "Registered on nothing.", func() float64 { return 1 })
+	none.GaugeVecFunc("test_nowhere", "Registered on nothing.", "k", func() map[string]float64 { return nil })
+	none.RegisterCounter(c)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a bad name on the nil registry did not panic")
+			}
+		}()
+		none.NewCounter("has space", "bad")
+	}()
+
+	reg := NewRegistry()
+	scrape := func() string {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if out := scrape(); out != "" {
+		t.Fatalf("unregistered instruments were scraped:\n%s", out)
+	}
+	reg.RegisterCounter(c)
+	reg.RegisterGauge(g)
+	c.Inc()
+	want := "# HELP test_unexposed_depth Set before it was exposed.\n# TYPE test_unexposed_depth gauge\ntest_unexposed_depth 2.5\n" +
+		"# HELP test_unexposed_total Counted before it was exposed.\n# TYPE test_unexposed_total counter\ntest_unexposed_total 32001\n"
+	if out := scrape(); out != want {
+		t.Fatalf("scrape after registration:\n%s\nwant:\n%s", out, want)
+	}
+}
+
 func TestRegistryHandler(t *testing.T) {
 	rec := httptest.NewRecorder()
 	buildTestRegistry(t).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -235,6 +299,11 @@ func TestRegistryHandlerNegotiatesOpenMetrics(t *testing.T) {
 	// Counter family drops the _total suffix, the sample keeps it.
 	if !strings.Contains(om, "# TYPE test_ops counter") || !strings.Contains(om, "test_ops_total 42") {
 		t.Fatalf("counter not rendered as family+_total sample:\n%s", om)
+	}
+
+	// So does a counter vector's.
+	if !strings.Contains(om, "# TYPE test_lane_events counter\n"+`test_lane_events_total{lane="0"} 30`) {
+		t.Fatalf("counter vector not rendered as family+_total samples:\n%s", om)
 	}
 
 	// The classic scrape of the same registry must carry no exemplar and

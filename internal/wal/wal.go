@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -99,9 +98,6 @@ type Options struct {
 	// events accumulate past the previous snapshot. Zero disables
 	// automatic snapshots; Compact remains available.
 	SnapshotEvery int64
-	// Counters, when non-nil, receives the log's durability accounting
-	// (appends, fsyncs, snapshots, recovery results).
-	Counters *metrics.WALCounters
 	// AppendTimer, FsyncTimer and SnapshotTimer, when non-nil, observe the
 	// latency of each append (to the configured durability), each fsync
 	// syscall, and each snapshot compaction. obs.Telemetry supplies the
@@ -148,7 +144,7 @@ type segment struct {
 type Log struct {
 	dir      string
 	opts     Options
-	counters *metrics.WALCounters
+	counters *Counters
 
 	mu         sync.Mutex
 	closed     bool
@@ -170,10 +166,6 @@ type Log struct {
 	// chain is the scan Open accepted, kept mapped for Replay; nil once
 	// replayed, appended to or closed.
 	chain *Chain
-
-	recovered     uint64 // events found durable at Open
-	recoveredRecs uint64
-	torn          bool // a torn tail was truncated at Open
 
 	stopTick  chan struct{}
 	tickWG    sync.WaitGroup
@@ -219,16 +211,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, counters: opts.Counters, lastSync: time.Now(), chain: c}
-	if l.counters == nil {
-		l.counters = &metrics.WALCounters{}
-	}
+	l := &Log{dir: dir, opts: opts, counters: newCounters(), lastSync: time.Now(), chain: c}
 	if err := l.repair(); err != nil {
 		c.Close()
 		return nil, err
 	}
-	l.counters.EventsRecovered.Store(int64(l.recovered))
-	l.counters.RecordsRecovered.Store(int64(l.recoveredRecs))
 
 	if opts.Sync == SyncBatch {
 		l.stopTick = make(chan struct{})
@@ -249,6 +236,7 @@ func (l *Log) repair() error {
 		}
 	}
 	var segs []segment
+	recs := 0
 	for _, p := range c.parts {
 		if p.snapshot {
 			l.snapPath, l.snapCount = p.path, p.events
@@ -260,13 +248,14 @@ func (l *Log) repair() error {
 			}
 		}
 		segs = append(segs, segment{path: p.path, base: p.base, events: p.events})
-		l.recoveredRecs += uint64(len(p.recs))
+		recs += len(p.recs)
 	}
 	if c.torn {
-		l.torn = true
-		l.counters.TornRecords.Add(1)
+		l.counters.TornRecords.Inc()
 	}
-	l.appended, l.recovered = c.events, c.events
+	l.appended = c.events
+	l.counters.EventsRecovered.Set(float64(c.events))
+	l.counters.RecordsRecovered.Set(float64(recs))
 	if len(segs) == 0 {
 		return l.newSegment(l.appended)
 	}
@@ -311,15 +300,15 @@ func (l *Log) newSegment(base uint64) error {
 }
 
 // RecoveredEvents returns the number of durable events found at Open.
-func (l *Log) RecoveredEvents() uint64 { return l.recovered }
+func (l *Log) RecoveredEvents() uint64 { return uint64(l.counters.EventsRecovered.Value()) }
 
 // RecoveredRecords returns the number of log records (snapshot chunks
 // excluded) found at Open.
-func (l *Log) RecoveredRecords() uint64 { return l.recoveredRecs }
+func (l *Log) RecoveredRecords() uint64 { return uint64(l.counters.RecordsRecovered.Value()) }
 
 // TornTail reports whether Open truncated a torn or corrupt final record —
 // the signature of a crash mid-append.
-func (l *Log) TornTail() bool { return l.torn }
+func (l *Log) TornTail() bool { return l.counters.TornRecords.Value() > 0 }
 
 // Appended returns the global count of events appended (durable or
 // buffered, per the sync policy).
@@ -340,32 +329,74 @@ func (l *Log) SnapshotCount() uint64 {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Counters exposes the log's durability counters.
-func (l *Log) Counters() *metrics.WALCounters { return l.counters }
-
-// RegisterMetrics bridges the log's durability counters onto an exposition
-// registry. The atomic WALCounters remain the single source of truth; the
-// registry reads them at scrape time.
-func (l *Log) RegisterMetrics(reg *obs.Registry) {
-	c := l.counters
-	counter := func(name, help string, v func() int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v()) })
-	}
-	counter("poetd_wal_records_total", "CRC-framed run records appended.", c.RecordsAppended.Load)
-	counter("poetd_wal_events_total", "Events inside appended records.", c.EventsAppended.Load)
-	counter("poetd_wal_bytes_total", "Bytes appended (framing plus payload).", c.BytesAppended.Load)
-	counter("poetd_wal_fsyncs_total", "Explicit fsync calls issued.", c.Fsyncs.Load)
-	counter("poetd_wal_snapshots_total", "Snapshot compactions sealed.", c.Snapshots.Load)
-	counter("poetd_wal_torn_records_total", "Torn or corrupt tail records truncated at open.", c.TornRecords.Load)
-	reg.GaugeFunc("poetd_wal_recovered_events", "Events replayed at the last open.",
-		func() float64 { return float64(c.EventsRecovered.Load()) })
-	reg.GaugeFunc("poetd_wal_recovered_records", "Records replayed at the last open.",
-		func() float64 { return float64(c.RecordsRecovered.Load()) })
+// Counters is the log's durability accounting — how much it appended, how
+// often it reached the disk, how many snapshots it cut, what recovery found
+// at open — held in obs instruments. The instrument is the only storage:
+// the append path bumps it, and Stats, a /metrics scrape and Snapshot read
+// it.
+type Counters struct {
+	RecordsAppended, EventsAppended, BytesAppended, Fsyncs, Snapshots, TornRecords *obs.Counter
+	EventsRecovered, RecordsRecovered                                              *obs.Gauge
 }
 
-// Stats renders the durability counters for the server's STATS surface
+// newCounters makes a log's instruments. Every log counts, so they come
+// from the nil registry; RegisterMetrics exposes one log's set.
+func newCounters() *Counters {
+	var none *obs.Registry
+	return &Counters{
+		RecordsAppended:  none.NewCounter("poetd_wal_records_total", "CRC-framed run records appended."),
+		EventsAppended:   none.NewCounter("poetd_wal_events_total", "Events inside appended records."),
+		BytesAppended:    none.NewCounter("poetd_wal_bytes_total", "Bytes appended (framing plus payload)."),
+		Fsyncs:           none.NewCounter("poetd_wal_fsyncs_total", "Explicit fsync calls issued."),
+		Snapshots:        none.NewCounter("poetd_wal_snapshots_total", "Snapshot compactions sealed."),
+		TornRecords:      none.NewCounter("poetd_wal_torn_records_total", "Torn or corrupt tail records truncated at open."),
+		EventsRecovered:  none.NewGauge("poetd_wal_recovered_events", "Events replayed at the last open."),
+		RecordsRecovered: none.NewGauge("poetd_wal_recovered_records", "Records replayed at the last open."),
+	}
+}
+
+// Counts is a plain-integer reading of Counters (each instrument read
+// atomically; the set is not one atomic snapshot, which is fine for monotone
+// accounting).
+type Counts struct {
+	RecordsAppended, EventsAppended, BytesAppended, Fsyncs, Snapshots int64
+	EventsRecovered, RecordsRecovered, TornRecords                    int64
+}
+
+// Snapshot reads the instruments.
+func (c *Counters) Snapshot() Counts {
+	return Counts{
+		RecordsAppended:  c.RecordsAppended.Value(),
+		EventsAppended:   c.EventsAppended.Value(),
+		BytesAppended:    c.BytesAppended.Value(),
+		Fsyncs:           c.Fsyncs.Value(),
+		Snapshots:        c.Snapshots.Value(),
+		EventsRecovered:  int64(c.EventsRecovered.Value()),
+		RecordsRecovered: int64(c.RecordsRecovered.Value()),
+		TornRecords:      c.TornRecords.Value(),
+	}
+}
+
+// Counters exposes the log's durability instruments.
+func (l *Log) Counters() *Counters { return l.counters }
+
+// RegisterMetrics exposes the log's durability instruments on an exposition
+// registry. Their names are fixed, so one log per registry.
+func (l *Log) RegisterMetrics(reg *obs.Registry) {
+	c := l.counters
+	reg.RegisterCounter(c.RecordsAppended, c.EventsAppended, c.BytesAppended, c.Fsyncs, c.Snapshots, c.TornRecords)
+	reg.RegisterGauge(c.EventsRecovered, c.RecordsRecovered)
+}
+
+// Stats renders the durability instruments for the server's STATS surface
 // (together with AppendRun this implements monitor.RunJournal).
-func (l *Log) Stats() string { return l.counters.Snapshot().String() }
+func (l *Log) Stats() string {
+	s := l.counters.Snapshot()
+	return fmt.Sprintf(
+		"wal_records=%d wal_events=%d wal_bytes=%d wal_fsyncs=%d wal_snapshots=%d wal_recovered=%d wal_recovered_records=%d wal_torn=%d",
+		s.RecordsAppended, s.EventsAppended, s.BytesAppended, s.Fsyncs,
+		s.Snapshots, s.EventsRecovered, s.RecordsRecovered, s.TornRecords)
+}
 
 // AppendRun appends one delivered run; it is Append under the name the
 // monitor's RunJournal interface expects.

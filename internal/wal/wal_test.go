@@ -281,7 +281,7 @@ func TestCompaction(t *testing.T) {
 	if got := l.SnapshotCount(); got != wantSnap {
 		t.Fatalf("snapshot covers %d events, want %d", got, wantSnap)
 	}
-	if n := l.Counters().Snapshots.Load(); n != 1 {
+	if n := l.Counters().Snapshots.Value(); n != 1 {
 		t.Fatalf("Snapshots counter = %d, want 1", n)
 	}
 	// The superseded segment must be gone; exactly one snapshot and the new
@@ -339,7 +339,7 @@ func TestAutoSnapshot(t *testing.T) {
 	if err := l.Close(); err != nil { // waits for the async compaction
 		t.Fatal(err)
 	}
-	if l.Counters().Snapshots.Load() == 0 {
+	if l.Counters().Snapshots.Value() == 0 {
 		t.Fatal("no automatic snapshot was cut")
 	}
 	l, err = Open(dir, Options{NumProcs: numProcs, Sync: SyncNever})
@@ -630,7 +630,7 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := l.Counters().Fsyncs.Load(); got < int64(len(runs)) {
+	if got := l.Counters().Fsyncs.Value(); got < int64(len(runs)) {
 		t.Fatalf("SyncAlways issued %d fsyncs for %d appends", got, len(runs))
 	}
 
@@ -645,7 +645,7 @@ func TestSyncPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for lb.Counters().Fsyncs.Load() == 0 {
+	for lb.Counters().Fsyncs.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("group-commit timer never fsynced")
 		}
