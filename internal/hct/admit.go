@@ -10,6 +10,7 @@ package hct
 // log, is a stream the planner cannot refuse.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -33,14 +34,41 @@ type Admission struct {
 	syncHold model.Event                     // first half of the in-flight sync pair, when holding
 	holding  bool
 	closed   bool // the pipeline was closed: nothing more is admitted
+
+	// room is how many more events may be admitted before the store has to
+	// be asked again how far it is from its limits; storeRoom asks it
+	// (Pipeline.storeRoom).
+	room      int64
+	storeRoom func() int64
 }
 
-func (a *Admission) init(numProcs int) {
+// ErrStoreFull marks a refusal by the store's own limits: a lane's arena is
+// addressed by 32-bit element offsets and the epoch table by 30-bit indexes
+// (store.go), and the gate refuses what could carry either past its width
+// while everything already admitted can still be stamped. Nothing of a
+// refused batch is applied.
+var ErrStoreFull = errors.New("hct: store full")
+
+func (a *Admission) init(numProcs int, storeRoom func() int64) {
 	a.next = make([]model.EventIndex, numProcs)
 	for i := range a.next {
 		a.next[i] = 1
 	}
 	a.pendSend = make(map[model.EventID]model.EventID, numProcs)
+	a.storeRoom = storeRoom
+}
+
+// reserve claims store room for n more events, or refuses all n. Room claimed
+// for an event the contract then rejects is not given back; the next reading
+// of storeRoom finds it again.
+func (a *Admission) reserve(n int) error {
+	if int64(n) > a.room {
+		if a.room = a.storeRoom(); int64(n) > a.room {
+			return fmt.Errorf("hct: no room for %d more events below the arena offset and epoch index limits: %w", n, ErrStoreFull)
+		}
+	}
+	a.room -= int64(n)
+	return nil
 }
 
 // Lock takes the admission lock; see the type comment for what it orders.
@@ -156,6 +184,9 @@ func (a *Admission) Admit(e model.Event) error {
 		return ErrPipelineClosed
 	}
 	if err := a.checkStream(e); err != nil {
+		return err
+	}
+	if err := a.reserve(1); err != nil {
 		return err
 	}
 	a.advance(e)

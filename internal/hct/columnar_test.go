@@ -2,8 +2,9 @@ package hct
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/commgraph"
@@ -185,7 +186,7 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	var earlyDir []*[pageCells]cell
 	const earlyWM = pageCells + 3 // captured on the second page
 	for i := 1; i <= total; i++ {
-		c.append(cell{partner: tag(i), kind: model.Send})
+		c.append(cell{partner: tag(i), ek: uint32(model.Send)})
 		c.publish()
 		if i <= 8 || i == pageCells || i == pageCells+1 {
 			early = append(early, c.get(model.EventIndex(i)))
@@ -215,7 +216,7 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	}
 	for i := 1; i <= total; i++ {
 		got := c.get(model.EventIndex(i))
-		if got == nil || got.partner != tag(i) || got.kind != model.Send {
+		if got == nil || got.partner != tag(i) || got.kind() != model.Send {
 			t.Fatalf("get(%d) = %+v", i, got)
 		}
 	}
@@ -234,15 +235,125 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	}
 }
 
+// TestOffsetsResolveThroughStaleDirectories pins the two publication edges a
+// cell's offsets resolve through, the way the test above pins the page
+// directory: a reader that loaded the arena's chunk list and the epoch table
+// right after a watermark, and kept them while the lane moved on through 17
+// and more chunks and the planner appended 17 and more epochs, still resolves
+// every cell below that watermark — projections, keyframes and delta frames —
+// to what the store held when the watermark was taken. Neither directory ever
+// rewrites an entry a published cell names.
+func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
+	tr := workload.Ring(64, 800, false)
+	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		w          Watermark
+		chunks     chunkDir        // the lone lane's chunk list, as published when w was captured
+		epochs     []*cluster.Info // the epoch table, likewise
+		mergesThen int
+		early      []Timestamp // deep copies of every view below w
+	)
+	for _, e := range tr.Events {
+		if err := ts.Ingest(e); err != nil {
+			t.Fatal(err)
+		}
+		if w != nil || ts.Merges() < 30 || ts.ClusterReceives() < 2 {
+			continue
+		}
+		w = ts.CaptureWatermark(nil)
+		chunks, epochs, mergesThen = ts.vectors(0), *ts.epochs.Load(), ts.Merges()
+		for p, n := range w {
+			for i := model.EventIndex(1); i <= model.EventIndex(n); i++ {
+				v, ok := ts.TimestampAt(model.EventID{Process: model.ProcessID(p), Index: i}, w)
+				if !ok {
+					t.Fatalf("p%d:%d misses below its watermark %d", p, i, n)
+				}
+				v.Proj, v.Full = slices.Clone(v.Proj), slices.Clone(v.Full)
+				early = append(early, v)
+			}
+		}
+	}
+	if w == nil {
+		t.Fatal("the trace never reached 30 merges and 2 noted cluster receives")
+	}
+	if added := len(ts.vectors(0)) - len(chunks); added < 17 {
+		t.Fatalf("%d chunks added after the capture, want 17 or more", added)
+	}
+	if merged, added := ts.Merges()-mergesThen, len(*ts.epochs.Load())-len(epochs); merged < 17 || added < 17 {
+		t.Fatalf("%d merges and %d epochs after the capture, want 17 or more of each", merged, added)
+	}
+	var projs, keyframes, deltas int
+	for _, want := range early {
+		p := want.ID.Process
+		c := ts.lookup(want.ID, w)
+		if ep := c.epoch(); ep != 0 {
+			projs++
+			if cl := epochs[ep]; cl != want.Cluster || !slices.Equal(chunks.slice(c.vec, len(cl.Members)), want.Proj) {
+				t.Fatalf("%v through the stale directories: %v over %v, was %v", want.ID, chunks.slice(c.vec, len(cl.Members)), cl, want)
+			}
+			continue
+		}
+		note := ts.crs[p].at(int32(c.vec))
+		if note.delta == noDelta {
+			keyframes++
+		} else {
+			deltas++
+		}
+		if full := chunks.full(note, tr.NumProcs); !slices.Equal(full, want.Full) || chunks.component(note, p) != want.Full[p] {
+			t.Fatalf("%v through the stale chunk list: %v, was %v", want.ID, full, want)
+		}
+	}
+	if projs == 0 || keyframes == 0 || deltas == 0 {
+		t.Fatalf("%d projections, %d keyframes and %d delta frames below the capture: need all three", projs, keyframes, deltas)
+	}
+	t.Logf("%d projections, %d keyframes, %d delta frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
+		projs, keyframes, deltas, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
+}
+
 // TestStoredFormSizes pins the two numbers the B/event budget (DESIGN §10)
-// is built on: a cell is 32 bytes and a cluster-receive note 24.
+// is built on, and StoreStats reports by: a cell is 16 bytes and a
+// cluster-receive note 12.
 func TestStoredFormSizes(t *testing.T) {
-	if got := unsafe.Sizeof(cell{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(cell{}) = %d, want 32", got)
+	for _, tc := range []struct {
+		name     string
+		size     uintptr
+		reported int64 // what StoreStats multiplies by
+		want     uintptr
+	}{
+		{"cell", reflect.TypeOf(cell{}).Size(), cellBytes, 16},
+		{"crNote", reflect.TypeOf(crNote{}).Size(), noteBytes, 12},
+	} {
+		if tc.size != tc.want || uintptr(tc.reported) != tc.want {
+			t.Errorf("%s is %d bytes and reported as %d, want %d", tc.name, tc.size, tc.reported, tc.want)
+		}
 	}
-	if got := unsafe.Sizeof(crNote{}); got != 24 {
-		t.Errorf("unsafe.Sizeof(crNote{}) = %d, want 24", got)
+}
+
+// TestStoredFormPointerFree walks the stored form and fails on anything the
+// garbage collector would have to trace: a [pageCells]cell or [pageCells]crNote
+// with no pointer-bearing field anywhere inside is allocated as a no-scan
+// span, and holds nothing that stops a sealed page from being read at another
+// address.
+func TestStoredFormPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Ptr, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %v (%v): the stored form must hold no pointer", path, typ.Kind(), typ)
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
 	}
+	walk("cell", reflect.TypeOf(cell{}))
+	walk("crNote", reflect.TypeOf(crNote{}))
 }
 
 // TestArenaCarveDisjoint verifies that carved projection vectors can never
@@ -256,9 +367,12 @@ func TestArenaCarveDisjoint(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		n := 1 + r.Intn(40)
 		if i%97 == 0 {
-			n = arenaMinChunk + 50 // force an oversized request early on
+			n = 1<<arenaMinShift + 50 // force an oversized request early on
 		}
-		s := a.carve(n)
+		if i == 1500 {
+			n = 1<<arenaMaxShift + 50 // and one no single chunk holds
+		}
+		_, s := a.carve(n)
 		if len(s) != n || cap(s) != n {
 			t.Fatalf("carve(%d): len=%d cap=%d", n, len(s), cap(s))
 		}
@@ -277,7 +391,7 @@ func TestArenaCarveDisjoint(t *testing.T) {
 			next++
 		}
 	}
-	if a.carve(0) != nil {
+	if _, s := a.carve(0); s != nil {
 		t.Fatal("carve(0) must be nil")
 	}
 }

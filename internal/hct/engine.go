@@ -61,6 +61,15 @@ type plane struct {
 	cols     []tsColumn // per process, cell of event Index in slot Index-1
 	crs      []crColumn // per process, notes sorted by event index
 
+	// epochs is the published epoch table cells name their cluster epoch by
+	// index in; entry 0 is nil, the noted cluster receive. The planner appends
+	// (Pipeline.stageItem); see store.go for the protocol. It sits with cols
+	// and crs, which the lanes read per event; what follows only queries
+	// touch, and the counters they write.
+	epochs atomic.Pointer[[]*cluster.Info]
+
+	arenas []*arena // per process, the owning lane's arena: what the process's offsets are offsets into
+
 	// Query-path accounting. Precedence queries run concurrently with each
 	// other and with ingest, so these are atomic: qDirect counts queries
 	// answered from the target timestamp's own cluster epoch (the
@@ -75,8 +84,17 @@ func newPlane(numProcs int) plane {
 		numProcs: numProcs,
 		cols:     make([]tsColumn, numProcs),
 		crs:      make([]crColumn, numProcs),
+		arenas:   make([]*arena, numProcs),
 	}
 }
+
+// vectors returns the chunk list that resolves process p's offsets. Called
+// after the watermark load (or capture) the offsets were found under.
+func (ts *plane) vectors(p model.ProcessID) chunkDir { return *ts.arenas[p].dir.Load() }
+
+// epoch returns the cluster epoch a cell found under a loaded (or captured)
+// watermark names; i is not 0.
+func (ts *plane) epoch(i uint32) *cluster.Info { return (*ts.epochs.Load())[i] }
 
 // NewTimestamper returns a timestamper over numProcs processes.
 func NewTimestamper(numProcs int, cfg Config) (*Timestamper, error) {
@@ -184,11 +202,13 @@ func (ts *plane) TimestampAt(id model.EventID, w Watermark) (Timestamp, bool) {
 	if c == nil {
 		return Timestamp{}, false
 	}
-	t := Timestamp{ID: id, Kind: c.kind, Partner: c.partner}
-	if c.cluster == nil {
-		t.Full = c.note().full(ts.numProcs)
+	t := Timestamp{ID: id, Kind: c.kind(), Partner: c.partner}
+	vecs := ts.vectors(id.Process)
+	if ep := c.epoch(); ep == 0 {
+		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec)), ts.numProcs)
 	} else {
-		t.Cluster, t.Proj = c.cluster, c.proj()
+		t.Cluster = ts.epoch(ep)
+		t.Proj = vecs.slice(c.vec, len(t.Cluster.Members))
 	}
 	return t, true
 }
@@ -203,7 +223,7 @@ func (ts *plane) EventAt(id model.EventID, w Watermark) (model.Event, bool) {
 	if c == nil {
 		return model.Event{}, false
 	}
-	return model.Event{ID: id, Kind: c.kind, Partner: c.partner}, true
+	return model.Event{ID: id, Kind: c.kind(), Partner: c.partner}, true
 }
 
 // lookup resolves id against the published store: below the live
@@ -282,22 +302,23 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	}
 	// The two halves of a synchronous pair carry identical vectors but
 	// are mutually concurrent.
-	if ce.kind == model.Sync && ce.partner == f {
+	if ce.kind() == model.Sync && ce.partner == f {
 		return false, nil
 	}
 	eIdx := int32(e.Index)
 
 	// Read the cells and notes directly: no view is built on this path.
 	// lookup bounded e.Process, which is all component asks.
-	c := cf.cluster
-	if c == nil {
+	ep := cf.epoch()
+	if ep == 0 {
 		ts.qDirect.Add(1)
-		return cf.note().component(e.Process) >= eIdx, nil
+		g := ts.crs[f.Process].at(int32(cf.vec))
+		return ts.vectors(f.Process).component(g, e.Process) >= eIdx, nil
 	}
-	vf := cf.proj()
+	c := ts.epoch(ep)
 	if pos, ok := c.PosOf(int32(e.Process)); ok {
 		ts.qDirect.Add(1)
-		return vf[pos] >= eIdx, nil
+		return ts.vectors(f.Process).at(cf.vec+uint32(pos)) >= eIdx, nil
 	}
 
 	// pe outside f's cluster epoch: route through noted cluster receives.
@@ -305,9 +326,10 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	// is therefore published whenever f's cell is visible (see store.go), so
 	// the watermark does not bound this search.
 	ts.qRouted.Add(1)
+	vf := ts.vectors(f.Process).slice(cf.vec, len(c.Members))
 	for k, q := range c.Members {
 		g := ts.latestCRAtOrBelow(q, vf[k])
-		if g != nil && g.component(e.Process) >= eIdx {
+		if g != nil && ts.vectors(model.ProcessID(q)).component(g, e.Process) >= eIdx {
 			return true, nil
 		}
 	}

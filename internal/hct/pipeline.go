@@ -23,7 +23,8 @@ package hct
 //   - a sequential planner (plan stage, under planMu) that makes every
 //     cluster decision in delivery order through the cluster-receive core
 //     (core.go), pinning the immutable *cluster.Info epoch each event must be
-//     stamped with; and
+//     stamped with — by its index in the epoch table the planner keeps and
+//     publishes (stageItem; store.go has the protocol); and
 //   - N parallel lanes (stamp stage), each owning a disjoint set of
 //     processes (and so a disjoint set of columns), that compute the FM
 //     vectors, project or retain them, and publish cells and cluster-receive
@@ -187,13 +188,21 @@ type PipelineOptions struct {
 }
 
 // item is one planned unit of lane work: the event plus the cluster epoch
-// the planner pinned for it. A nil cluster marks a noted cluster receive
-// (the lane retains the full vector and publishes a note). bt is the traced
-// run's span sink, nil for the (overwhelmingly common) unsampled runs.
+// the planner pinned for it, as its index in the epoch table. Epoch 0 marks a
+// noted cluster receive (the lane retains the full vector and publishes a
+// note). bt is the traced run's span sink, nil for the (overwhelmingly
+// common) unsampled runs.
 type item struct {
 	ev model.Event
-	cl *cluster.Info
+	ep uint32
 	bt BatchTracer
+}
+
+// stagedEpoch is the planner's memory of the epoch it last staged an item of
+// one process under.
+type stagedEpoch struct {
+	cl *cluster.Info
+	ep uint32
 }
 
 // Pipeline is the ingest engine. It embeds the lock-free read plane, so the
@@ -218,6 +227,16 @@ type Pipeline struct {
 	issued  []uint64   // items dispatched per shard
 	curBufs [][]item   // per-shard staging buffers, capacity retained across batches
 
+	// The epoch table's writer side (guarded by planMu; plane.epochs is what
+	// is published): the epochs in index order, entry 0 nil; their indexes by
+	// pointer — not by cluster.ID, because the hierarchy policy hands out
+	// Infos of several Partitions whose IDs collide; and per process the last
+	// epoch staged, which answers all but the first item after a merge with
+	// one pointer comparison.
+	epochList  []*cluster.Info
+	epochIndex map[*cluster.Info]uint32
+	lastEpoch  []stagedEpoch
+
 	// decide is the plan stage's one decision hook, called with planMu held:
 	// core.decide for every public constructor. The research variants
 	// (batch.go, migrate.go, hier.go) install their policy over it.
@@ -236,14 +255,15 @@ type Pipeline struct {
 
 	// doneMu guards the per-shard lane progress: flushed counts the items
 	// handed to a lane's queue, done the items it has stamped, and laneStats
-	// is the lane's arena tallies as of its last drained chunk. The lanes
-	// already take doneMu once per chunk, so the tallies cost the per-event
-	// path nothing.
+	// and laneEnds are the lane's arena tallies and the offset its arena has
+	// reached as of its last drained chunk. The lanes already take doneMu
+	// once per chunk, so the tallies cost the per-event path nothing.
 	doneMu    sync.Mutex
 	doneCond  *sync.Cond
 	flushed   []uint64
 	done      []uint64
 	laneStats []StoreStats
+	laneEnds  []uint32
 
 	wo atomic.Pointer[WaitObserver]
 
@@ -279,17 +299,23 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		nshards = numProcs
 	}
 	p := &Pipeline{
-		plane:     newPlane(numProcs),
-		core:      core,
-		decide:    core.decide,
-		nshards:   nshards,
-		issued:    make([]uint64, nshards),
-		flushed:   make([]uint64, nshards),
-		done:      make([]uint64, nshards),
-		laneStats: make([]StoreStats, nshards),
-		start:     time.Now(),
+		plane:      newPlane(numProcs),
+		core:       core,
+		decide:     core.decide,
+		nshards:    nshards,
+		issued:     make([]uint64, nshards),
+		epochList:  []*cluster.Info{nil},
+		epochIndex: make(map[*cluster.Info]uint32),
+		lastEpoch:  make([]stagedEpoch, numProcs),
+		flushed:    make([]uint64, nshards),
+		done:       make([]uint64, nshards),
+		laneStats:  make([]StoreStats, nshards),
+		laneEnds:   make([]uint32, nshards),
+		start:      time.Now(),
 	}
-	p.adm.init(numProcs)
+	initial := p.epochList // a header of its own: the field is reassigned by every append
+	p.epochs.Store(&initial)
+	p.adm.init(numProcs, p.storeRoom)
 	p.doneCond = sync.NewCond(&p.doneMu)
 	p.smap = buildShardMap(numProcs, nshards, core.part, clusterAligned)
 	p.lanes = make([]*lane, nshards)
@@ -297,12 +323,16 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		ln := &lane{
 			pl:         p,
 			id:         int32(i),
+			ar:         new(arena), // apart from the lane, whose fields are write-hot: readers load its chunk list
 			frontier:   make([]vclock.Clock, numProcs),
 			localSend:  make(map[model.EventID]vclock.Clock),
 			prefetched: make(map[model.EventID]vclock.Clock),
 		}
 		ln.cond = sync.NewCond(&ln.mu)
 		p.lanes[i] = ln
+	}
+	for proc, s := range p.smap {
+		p.arenas[proc] = p.lanes[s].ar
 	}
 	if nshards > 1 {
 		p.rv.init() // a lone lane never meets another
@@ -469,6 +499,9 @@ func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap boo
 	if a.closed {
 		return ErrPipelineClosed
 	}
+	if err := a.reserve(len(events)); err != nil {
+		return err
+	}
 	queued := p.nshards > 1
 	var bp *[]model.Event
 	if queued {
@@ -588,9 +621,26 @@ func (p *Pipeline) plan(e model.Event) {
 	p.stageItem(e, p.decide(e))
 }
 
-// stageItem hands one planned item to its lane (inline with one shard).
+// stageItem hands one planned item to its lane (inline with one shard),
+// naming its epoch by index: the one place an epoch enters the epoch table,
+// published here, before the item that names it can reach a lane.
 func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
-	it := item{ev: e, cl: cl, bt: p.curBT}
+	it := item{ev: e, bt: p.curBT}
+	if cl != nil {
+		last := &p.lastEpoch[e.ID.Process]
+		if last.cl != cl {
+			ep, known := p.epochIndex[cl]
+			if !known {
+				ep = uint32(len(p.epochList))
+				p.epochList = append(p.epochList, cl)
+				p.epochIndex[cl] = ep
+				d := p.epochList
+				p.epochs.Store(&d)
+			}
+			*last = stagedEpoch{cl, ep}
+		}
+		it.ep = last.ep
+	}
 	if p.nshards == 1 {
 		if p.curBT != nil {
 			// Inline stamping: accumulate into one stamp span (emitted by
@@ -718,20 +768,69 @@ func (p *Pipeline) LaneQueueDepthsInto(buf []uint64) []uint64 {
 // lanes. Like the other accounting methods it can trail dispatched work; it
 // is exact after Barrier.
 func (p *Pipeline) StoreStats() StoreStats {
+	var total StoreStats
+	var cells uint64
 	if p.nshards == 1 {
 		p.planMu.Lock() // the lone lane stamps under the planner mutex
-		defer p.planMu.Unlock()
-		return p.lanes[0].ar.stats
+		total, cells = p.lanes[0].ar.stats, p.issued[0]
+		p.planMu.Unlock()
+	} else {
+		p.doneMu.Lock()
+		for s, st := range p.laneStats {
+			total.VectorBytes += st.VectorBytes
+			total.Keyframes += st.Keyframes
+			total.DeltaFrames += st.DeltaFrames
+			cells += p.done[s]
+		}
+		p.doneMu.Unlock()
 	}
-	p.doneMu.Lock()
-	defer p.doneMu.Unlock()
-	var total StoreStats
-	for _, st := range p.laneStats {
-		total.VectorBytes += st.VectorBytes
-		total.Keyframes += st.Keyframes
-		total.DeltaFrames += st.DeltaFrames
-	}
+	total.CellBytes = cellBytes * int64(cells)
+	total.NoteBytes = noteBytes * (total.Keyframes + total.DeltaFrames)
+	total.Epochs = int64(len(*p.epochs.Load()) - 1)
 	return total
+}
+
+// storeRoom is the admission gate's slow path (Admission.reserve), called
+// with the admission lock held: how many more events may be admitted before
+// the gate has to ask again, from the offset every lane's arena has published
+// and the size of the epoch table.
+func (p *Pipeline) storeRoom() int64 {
+	ends := make([]uint32, p.nshards)
+	var stamped uint64
+	if p.nshards == 1 {
+		p.planMu.Lock()
+		ends[0], stamped = p.lanes[0].ar.end(), p.issued[0]
+		p.planMu.Unlock()
+	} else {
+		p.doneMu.Lock()
+		copy(ends, p.laneEnds)
+		for _, n := range p.done {
+			stamped += n
+		}
+		p.doneMu.Unlock()
+	}
+	var admitted uint64
+	for _, next := range p.adm.next {
+		admitted += uint64(next - 1)
+	}
+	return roomFor(ends, len(*p.epochs.Load()), int64(admitted-stamped), p.numProcs)
+}
+
+// roomFor is the store-limit rule. ends are the offsets the lane arenas had
+// reached, and epochs the size of the epoch table, when unstamped admitted
+// events were not yet counted in either. One event moves its lane's offset by
+// less than twice what it carves — the unused remainder of a chunk is
+// shorter than the carve that did not fit in it — and carves at most a delta
+// frame, taken back, and then a keyframe; it appends at most one epoch. Any
+// of the unstamped events, and of those admitted from here on, may land on
+// the fullest lane.
+func roomFor(ends []uint32, epochs int, unstamped int64, numProcs int) int64 {
+	perEvent := 2 * int64(numProcs+(numProcs+3)/4)
+	room := int64(epochLimit - epochs)
+	for _, end := range ends {
+		room = min(room, (arenaLimit-int64(end))/perEvent)
+	}
+	return room - unstamped
 }
 
 // Events returns the number of events finalized by the planner. Like the
@@ -834,7 +933,7 @@ type lane struct {
 
 	frontier  []vclock.Clock // per process; only this lane's entries are used
 	free      []vclock.Clock // retired clocks, reused for retained copies
-	ar        arena
+	ar        *arena
 	localSend map[model.EventID]vclock.Clock // same-lane in-flight sends
 	held      *heldSync
 
@@ -900,7 +999,7 @@ func (ln *lane) run() {
 		ln.spare = chunk[:0]
 		ln.pl.doneMu.Lock()
 		ln.pl.done[ln.id] += uint64(len(chunk))
-		ln.pl.laneStats[ln.id] = ln.ar.stats
+		ln.pl.laneStats[ln.id], ln.pl.laneEnds[ln.id] = ln.ar.stats, ln.ar.end()
 		ln.pl.doneCond.Broadcast()
 		ln.pl.doneMu.Unlock()
 	}
@@ -989,7 +1088,7 @@ func (ln *lane) process(it *item) {
 		clk.MaxInto(sclk)
 		ln.free = append(ln.free, sclk)
 	}
-	ln.stamp(e, clk, it.cl)
+	ln.stamp(e, clk, it.ep)
 	if e.Kind == model.Send {
 		// Forward only after publishing the cell and note: a clock visible
 		// to another lane must count only published events (see the file
@@ -1021,8 +1120,8 @@ func (ln *lane) processSync(it *item) {
 			ln.frontier[p1] = f1
 		}
 		f1.CopyFrom(clk)
-		ln.stamp(first.it.ev, f1, first.it.cl)
-		ln.stamp(e, clk, it.cl)
+		ln.stamp(first.it.ev, f1, first.it.ep)
+		ln.stamp(e, clk, it.ep)
 		return
 	}
 
@@ -1039,7 +1138,7 @@ func (ln *lane) processSync(it *item) {
 	joint := ln.bump(e) // frontier now equals base
 	joint.MaxInto(pclk)
 	ln.free = append(ln.free, pclk)
-	ln.stamp(e, joint, it.cl)
+	ln.stamp(e, joint, it.ep)
 
 	// Round 2: our joint clock counts the partner's own event, so later
 	// items of this lane must not forward it until the partner's cell and
@@ -1134,15 +1233,20 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 // note before cell, cell write before watermark store. The vector — a
 // projection, or for a noted cluster receive a keyframe or a delta frame over
 // the process's current one (store.go) — is carved from the lane arena: no
-// allocation per event.
-func (ln *lane) stamp(e model.Event, clk vclock.Clock, cl *cluster.Info) {
+// allocation per event. It cannot fail: the admission gate let the event in
+// only with room for it (storeRoom), and the planner published epoch ep
+// before the item reached this lane.
+func (ln *lane) stamp(e model.Event, clk vclock.Clock, ep uint32) {
 	p := e.ID.Process
-	c := cell{cluster: cl, partner: e.Partner, kind: e.Kind}
-	if cl == nil {
+	c := cell{ek: ep<<2 | uint32(e.Kind), partner: e.Partner}
+	if ep == 0 {
 		// The note is published before the cell: see store.go.
-		c.setNote(appendNote(&ln.pl.crs[p], &ln.ar, int32(e.ID.Index), clk))
+		c.vec = uint32(appendNote(&ln.pl.crs[p], ln.ar, int32(e.ID.Index), clk))
 	} else {
-		c.setProj(clk.ProjectInto(ln.ar.carve(len(cl.Members)), cl.Members))
+		members := ln.pl.epoch(ep).Members
+		at, proj := ln.ar.carve(len(members))
+		clk.ProjectInto(proj, members)
+		c.vec = at
 	}
 	ln.pl.cols[p].append(c)
 	ln.pl.cols[p].publish()

@@ -283,6 +283,128 @@ func TestPipelineBatchRejection(t *testing.T) {
 	}
 }
 
+// TestStoreRoom holds the store-limit rule to synthetic tallies — nobody can
+// carve 16 GiB in a test: whatever the lanes have published and however many
+// admitted events are still on their way to them, the fullest lane can stamp
+// all of those and the room the rule grants without reaching arenaLimit, and
+// the epoch table can take an epoch from each.
+func TestStoreRoom(t *testing.T) {
+	const numProcs = 300
+	const perEvent = 2 * (numProcs + (numProcs+3)/4) // what one event moves its lane's offset by, at most
+	const backlog = maxLaneBacklog + 1024            // a full lane queue and the batch let in behind it
+	for _, tc := range []struct {
+		name      string
+		ends      []uint32
+		epochs    int
+		unstamped int64
+		want      int64
+	}{
+		{"empty store", []uint32{0, 0}, 1, 0, arenaLimit / perEvent},
+		{"empty store, backlog in flight", []uint32{0, 0}, 1, backlog, arenaLimit/perEvent - backlog},
+		{"one lane ten events short of its limit", []uint32{1 << 20, arenaLimit - 10*perEvent}, 1, 0, 10},
+		{"one lane less than an event short", []uint32{0, arenaLimit - perEvent + 1}, 1, 0, 0},
+		{"the backlog could carry a lane past its limit", []uint32{0, arenaLimit - backlog*perEvent}, 1, backlog, 0},
+		{"the backlog alone is too much", []uint32{0, arenaLimit - 100*perEvent}, 1, backlog, 100 - backlog},
+		{"five epochs left", []uint32{0, 0}, epochLimit - 5, 0, 5},
+		{"five epochs left, three events in flight", []uint32{0, 0}, epochLimit - 5, 3, 2},
+		{"epoch table full", []uint32{0, 0}, epochLimit, 0, 0},
+	} {
+		got := roomFor(tc.ends, tc.epochs, tc.unstamped, numProcs)
+		if got != tc.want {
+			t.Errorf("%s: room for %d more events, want %d", tc.name, got, tc.want)
+		}
+		if got <= 0 {
+			continue
+		}
+		for _, end := range tc.ends {
+			if reach := int64(end) + (tc.unstamped+got)*perEvent; reach > arenaLimit {
+				t.Errorf("%s: a lane at %d could reach %d, past the limit %d", tc.name, end, reach, int64(arenaLimit))
+			}
+		}
+		if reach := int64(tc.epochs) + tc.unstamped + got; reach > epochLimit {
+			t.Errorf("%s: the epoch table could reach %d entries, past the limit %d", tc.name, reach, epochLimit)
+		}
+	}
+}
+
+// TestStoreFullRefusal drives the admission gate against a lane whose
+// published arena offset is — synthetically — at its limit: every entry point
+// refuses with ErrStoreFull, the refusal is batch-atomic (no frontier moves,
+// nothing is planned or stamped, a batch larger than the room left is refused
+// whole), and the same events are accepted once the tally says there is room.
+func TestStoreFullRefusal(t *testing.T) {
+	ev := func(p, i int) model.Event {
+		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
+	}
+	const perEvent = 2 * (4 + 1) // numProcs 4
+	for _, shards := range []int{1, 2} {
+		pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
+			PipelineOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// publish sets the offset the last lane's arena is seen at by the gate.
+		publish := func(end uint32) {
+			if shards == 1 {
+				pipe.planMu.Lock()
+				pipe.lanes[0].ar.base = end // nothing carved yet: end() is base
+				pipe.planMu.Unlock()
+				return
+			}
+			pipe.doneMu.Lock()
+			pipe.laneEnds[shards-1] = end
+			pipe.doneMu.Unlock()
+		}
+		untouched := func(what string) {
+			t.Helper()
+			if got := pipe.FrontierNext(); !slices.Equal(got, []model.EventIndex{1, 1, 1, 1}) || pipe.Events() != 0 {
+				t.Fatalf("shards=%d: %s: frontier %v, %d events planned: a refused batch was partly applied", shards, what, got, pipe.Events())
+			}
+		}
+
+		publish(arenaLimit - perEvent + 1)
+		if err := pipe.DispatchAsync([]model.Event{ev(0, 1), ev(1, 1)}, nil); !errors.Is(err, ErrStoreFull) {
+			t.Fatalf("shards=%d: DispatchAsync against a full lane: %v, want ErrStoreFull", shards, err)
+		}
+		untouched("DispatchAsync")
+		if err := pipe.DispatchOne(ev(0, 1)); !errors.Is(err, ErrStoreFull) {
+			t.Fatalf("shards=%d: DispatchOne against a full lane: %v, want ErrStoreFull", shards, err)
+		}
+		untouched("DispatchOne")
+		adm := pipe.Admission()
+		adm.Lock()
+		err = adm.Admit(ev(0, 1))
+		adm.Unlock()
+		if !errors.Is(err, ErrStoreFull) {
+			t.Fatalf("shards=%d: Admit against a full lane: %v, want ErrStoreFull", shards, err)
+		}
+		untouched("Admit")
+
+		if shards > 1 {
+			// Room for one event: a batch of two is refused whole, one is let in.
+			publish(arenaLimit - perEvent)
+			if err := pipe.DispatchAsync([]model.Event{ev(0, 1), ev(1, 1)}, nil); !errors.Is(err, ErrStoreFull) {
+				t.Fatalf("shards=%d: batch of two with room for one: %v, want ErrStoreFull", shards, err)
+			}
+			untouched("batch of two with room for one")
+			if err := pipe.DispatchOne(ev(0, 1)); err != nil {
+				t.Fatalf("shards=%d: one event with room for one: %v", shards, err)
+			}
+			pipe.Barrier()
+		}
+
+		publish(0)
+		if err := pipe.DispatchAsync([]model.Event{ev(2, 1), ev(3, 1)}, nil); err != nil {
+			t.Fatalf("shards=%d: pipeline unusable after a store-full refusal: %v", shards, err)
+		}
+		pipe.Barrier()
+		if _, ok := pipe.Timestamp(ev(3, 1).ID); !ok {
+			t.Fatalf("shards=%d: event admitted after the refusals not published", shards)
+		}
+		pipe.Close()
+	}
+}
+
 // FuzzPipelineDifferential holds the pipeline to the Fidge/Mattern oracle on
 // random valid computations — messages with arbitrary latency, sync pairs,
 // any process count up to 8 — not only the corpus: at every shard count and

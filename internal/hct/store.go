@@ -1,10 +1,9 @@
 package hct
 
 import (
+	"math/bits"
 	"sync/atomic"
-	"unsafe"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 )
 
@@ -18,31 +17,61 @@ import (
 // Events of process p live in column p at slot Index-1 — the event model
 // guarantees per-process indexes are dense and 1-based, and the lanes
 // finalize each process's events strictly in index order. What is stored per
-// event is a 32-byte cell: a pointer to its vector, the cluster epoch, the
-// partner and the kind. Everything else is implied by position: the event ID
-// is (column, slot+1); for a projection the pointer is the first of
-// len(cluster.Members) elements; when cluster is nil the event is a noted
-// cluster receive and the pointer is its note. hct.Timestamp is the read-time
-// view of a cell, built by value on request (plane.Timestamp); the precedence
-// path reads cells and notes directly and builds none.
+// event is a 16-byte cell that holds no address: where its vector is, the
+// cluster epoch and the kind, and the partner. Everything else is implied by
+// position: the event ID is (column, slot+1); the epoch is an index into the
+// pipeline's append-only epoch table (plane.epochs), whose entry is the
+// immutable *cluster.Info the projection is over; the vector is
+// len(Members) elements at an element offset into the arena of the lane that
+// owns the process. Epoch 0 is no epoch: the event is a noted cluster receive
+// and vec is the slot of its note in the process's note column. hct.Timestamp
+// is the read-time view of a cell, built by value on request
+// (plane.Timestamp); the precedence path reads cells and notes directly and
+// builds none.
 //
 // A noted cluster receive keeps its whole Fidge/Mattern vector, but not as
 // numProcs int32s: consecutive cluster receives of one process differ by
-// little per component, so a note (24 bytes: event index, keyframe, delta)
-// stores the vector as a keyframe — numProcs int32s, an earlier cluster
-// receive's vector of the same process — plus numProcs bytes of offsets above
-// it. A note whose delta is nil is a keyframe itself. A process keeps its
+// little per component, so a note (12 bytes: event index, keyframe offset,
+// delta offset) stores the vector as a keyframe — numProcs int32s, an earlier
+// cluster receive's vector of the same process — plus numProcs bytes of
+// offsets above it, packed four to an arena element, lowest byte first. A
+// note whose delta is noDelta is a keyframe itself. A process keeps its
 // keyframe for as long as every component of the new clock is within 255 of
 // it and starts a new one otherwise (arena.frame), so the form adapts to the
-// traffic with nothing to tune. Component q of a note is key[q] + delta[q]:
-// two loads, no chain to walk.
+// traffic with nothing to tune. Component q of a note is key[q] plus byte q of
+// the delta: two elements read, no chain to walk.
 //
 // A column is a directory of pages of pageCells cells each. Pages are
 // allocated when the column reaches them (none at construction), are never
 // moved or freed, and a column therefore never copies a published cell and
 // wastes at most one partial page. Vectors — projections, keyframes and delta
-// frames alike — are carved from the owning lane's chunked arena, so the
-// steady-state ingest path performs no per-event allocation.
+// frames alike — are carved from the owning lane's arena, so the steady-state
+// ingest path performs no per-event allocation. Neither a page of cells, a
+// page of notes nor an arena chunk contains a pointer: the garbage collector
+// allocates them as no-scan spans and never looks inside.
+//
+// # Offsets
+//
+// An arena numbers its elements from 0 in one sequence that is cut into
+// chunks at fixed places — 256 elements, 256, 512, … doubling to 65536 and
+// 65536 from there on — so the chunk an offset falls in follows from the
+// offset by a shift and a bit length (chunkOf), never a search. A chunk is
+// allocated when a carve first reaches it and never moves. A vector is
+// contiguous: a carve that does not fit in what is left of the current
+// allocation leaves the remainder unused and starts at the next chunk
+// boundary, and one larger than that chunk takes as many consecutive chunks
+// as it needs in a single allocation, each listed as the tail of that
+// allocation from its own first element on, which is what lets a reader slice
+// a vector out of the chunk its offset names whatever the vector's length.
+//
+// The widths are the store's limits. An element offset has 32 bits and the
+// last chunk is never started (which keeps noDelta out of the offset space),
+// so a lane's arena holds arenaLimit elements, one chunk short of 16 GiB of
+// vectors. An epoch shares its word with the two-bit kind and has 30, so a
+// pipeline names at most epochLimit epochs. Neither can wrap: the admission
+// gate (Admission.reserve, Pipeline.storeRoom) refuses a batch with
+// ErrStoreFull while every lane is still far enough from its limit to stamp
+// everything already admitted.
 //
 // # Publication protocol (one writer per column, many readers)
 //
@@ -56,114 +85,94 @@ import (
 //     pages were added — still reaches every page it lists, and those pages
 //     hold correct data for every published slot.
 //   - wm is the watermark: the count of published slots. The writer's order
-//     per finalized event is CR-note publication → cell write → (directory
-//     store if a page was added) → wm store. The wm store is the release
-//     edge: a reader that loads wm ≥ i observes slot i-1's contents, a
-//     directory that lists its page, and every cluster-receive note
-//     published before it. Readers load wm (or take a captured one) BEFORE
-//     loading dir, so the directory they get is never older than the one
-//     stored before that watermark.
+//     per finalized event is vector carve and fill → CR-note publication →
+//     cell write → (directory store if a page was added) → wm store. The wm
+//     store is the release edge: a reader that loads wm ≥ i observes slot
+//     i-1's contents, a directory that lists its page, and every
+//     cluster-receive note published before it. Readers load wm (or take a
+//     captured one) BEFORE loading dir, so the directory they get is never
+//     older than the one stored before that watermark.
 //
 // Readers never see a torn cell: slots at or above the loaded watermark
 // are simply not theirs to read, and slots below it were fully written
 // before the watermark advanced.
 //
+// Two more directories make a cell's offsets resolvable, each published the
+// same way — an atomic pointer to an immutable slice header over entries that
+// are never rewritten, stored before the watermark that first needs it:
+//
+//   - arena.dir is a lane arena's chunk list. The lane stores a new header
+//     when a carve allocates (arena.grow), which is before it fills the
+//     vector, before the cell that names the offset and so before that cell's
+//     watermark store. A reader that found the cell below a watermark loads
+//     the list afterwards and gets one that lists the chunk; a stale list
+//     still resolves every offset carved before it was replaced.
+//   - plane.epochs is the epoch table. The planner appends an epoch the first
+//     time it stages an item under it (Pipeline.stageItem) and stores the new
+//     header before the item can reach a lane: planner publishes epoch → lane
+//     queue hand-off (the lane's mutex) → lane stamps the cell → watermark
+//     store → reader's watermark load → reader's table load. The lane itself
+//     reads the table on the same edge to learn the members to project over.
+//
 // Cluster-receive notes are a column of the same kind, and a cluster
-// receive's cell points at its note, which like every slot of a page never
+// receive's cell names its note's slot, which like every slot of a page never
 // moves. A delta frame only ever references a keyframe the same writer filled
 // before it appended the note, so whatever publishes the note — its own
 // column's watermark on the routed path, the cell's on the direct path — has
-// published the keyframe and the delta bytes with it.
+// published the keyframe, the delta bytes and the chunks both lie in with it.
 //
 // Soundness of the routed precedence path needs one extra observation: the
 // notes consulted for a query about event f are those of some process q with
 // index ≤ FM(f)[q]. Those q-events are causal predecessors of f, so any valid
 // delivery order finalized them before f, and their lanes published them
 // before f's lane could learn of them (put-after-publish, pipeline.go) —
-// loading f's watermark therefore acquires every note the query can touch. Notes published after f's cell
-// have indexes above the bound and are skipped by the binary search, so late
-// reads are harmless.
-//
-// # Unsafe
-//
-// A cell stores its vector as one pointer rather than a []int32: the length
-// is implied, and the 16 bytes of len and cap per event were a fifth of the
-// store. That pointer is an unsafe.Pointer because it has two shapes — *int32
-// for a projection, *crNote for a noted cluster receive (cluster == nil) —
-// and a note holds its keyframe as *int32 and its delta as *uint8, the latter
-// carved out of the same []int32 chunks (arena.frame). All of them are
-// ordinary pointers the garbage collector traces: interior pointers into an
-// arena chunk or a note page, which keep that allocation alive; no pointer is
-// ever stored inside a chunk. The unsafe code is the accessors that give
-// these pointers their shape back — cell.proj, cell.note and the two setters,
-// crNote.component and crNote.full — and the encoder arena.frame with its
-// byte view of carved elements; nothing outside this file imports unsafe.
-// Under -race (checkptr) every rebuilt slice is checked to lie within one
-// allocation.
+// loading f's watermark therefore acquires every note the query can touch,
+// and with it the chunk list of q's lane that resolves the note's offsets.
+// Notes published after f's cell have indexes above the bound and are skipped
+// by the binary search, so late reads are harmless.
 
-// Page geometry: one constant. 256 cells are 8 KiB, so a 300-process store
-// idles at most 2.4 MB of partial pages.
+// Page geometry: one constant. 256 cells are 4 KiB, so a 300-process store
+// idles at most 1.2 MB of partial pages.
 const (
 	pageShift = 8
 	pageCells = 1 << pageShift
 	pageMask  = pageCells - 1
 )
 
+// The stored sizes, which StoreStats reports and TestStoredFormSizes pins.
+const (
+	cellBytes = 16
+	noteBytes = 12
+)
+
+// epochLimit bounds the epoch table: an epoch index has the 30 bits of
+// cell.ek the kind leaves it.
+const epochLimit = 1 << 30
+
 // cell is the stored form of one event's timestamp (see the file comment).
 type cell struct {
-	vec     unsafe.Pointer // *int32, first element of the projection; *crNote when cluster is nil
-	cluster *cluster.Info  // epoch the projection is over; nil = noted cluster receive
+	vec     uint32 // projection: element offset in the owning lane's arena; epoch 0: slot in the process's note column
+	ek      uint32 // epoch index << 2 | kind; epoch 0 = noted cluster receive
 	partner model.EventID
-	kind    model.Kind
 }
 
-// setProj points the cell at its carved projection over c.cluster.Members.
-func (c *cell) setProj(v []int32) { c.vec = unsafe.Pointer(&v[0]) }
+func (c *cell) epoch() uint32    { return c.ek >> 2 }
+func (c *cell) kind() model.Kind { return model.Kind(c.ek & 3) }
 
-// setNote points a cluster-receive cell (cluster == nil) at its note.
-func (c *cell) setNote(n *crNote) { c.vec = unsafe.Pointer(n) }
-
-// proj returns the projection of a cell whose cluster is not nil.
-func (c *cell) proj() []int32 {
-	return unsafe.Slice((*int32)(c.vec), len(c.cluster.Members))
-}
-
-// note returns the note of a cell whose cluster is nil.
-func (c *cell) note() *crNote { return (*crNote)(c.vec) }
+// noDelta in crNote.delta marks a keyframe. No delta frame lies there: the
+// arena's last chunk is never started (arenaLimit).
+const noDelta = ^uint32(0)
 
 // crNote records a noted (non-merged) cluster receive of one process: the
 // paper's "greatest cluster receive within this process at this point".
 // Notes are appended in event-index order, so the column is sorted. The
-// Fidge/Mattern vector is key[q] + delta[q] per component; delta is nil for a
-// keyframe, whose vector is key itself.
+// Fidge/Mattern vector is the keyframe at key plus, per component, a byte of
+// the frame at delta; a keyframe's vector is key itself. Both are element
+// offsets into the arena of the lane that owns the process.
 type crNote struct {
 	index int32
-	key   *int32 // numProcs elements, shared by the delta frames that follow
-	delta *uint8 // numProcs offsets above key, or nil
-}
-
-// component returns element q of the note's vector; the caller bounds q to
-// [0, numProcs).
-func (n *crNote) component(q model.ProcessID) int32 {
-	v := *(*int32)(unsafe.Add(unsafe.Pointer(n.key), 4*uintptr(q)))
-	if n.delta != nil {
-		v += int32(*(*uint8)(unsafe.Add(unsafe.Pointer(n.delta), uintptr(q))))
-	}
-	return v
-}
-
-// full returns the note's Fidge/Mattern vector: the keyframe itself, aliasing
-// the arena, or for a delta frame a freshly decoded slice.
-func (n *crNote) full(numProcs int) []int32 {
-	key := unsafe.Slice(n.key, numProcs)
-	if n.delta == nil {
-		return key
-	}
-	v := make([]int32, numProcs)
-	for q, d := range unsafe.Slice(n.delta, numProcs) {
-		v[q] = key[q] + int32(d)
-	}
-	return v
+	key   uint32 // numProcs elements, shared by the delta frames that follow
+	delta uint32 // (numProcs+3)/4 elements of packed offsets above key, or noDelta
 }
 
 // column is one process's paged append-only column of cells or notes.
@@ -187,22 +196,20 @@ type (
 )
 
 // append places v in the next slot, adding a page when the column reaches
-// one, and returns the slot, which never moves. Writer only. The new slot is
-// invisible to readers until publish.
-func (c *column[T]) append(v T) *T {
+// one. Writer only. The new slot, which never moves, is invisible to readers
+// until publish.
+func (c *column[T]) append(v T) {
 	k := int(c.n >> pageShift)
 	grew := k == len(c.pages)
 	if grew {
 		c.pages = append(c.pages, new([pageCells]T))
 	}
-	slot := &c.pages[k][c.n&pageMask]
-	*slot = v
+	c.pages[k][c.n&pageMask] = v
 	if grew {
 		d := c.pages
 		c.dir.Store(&d)
 	}
 	c.n++
-	return slot
 }
 
 // last returns the most recently appended slot, or nil. Writer only.
@@ -236,110 +243,217 @@ func (c *column[T]) getAt(idx model.EventIndex, wm int32) *T {
 	return c.at(int32(idx) - 1)
 }
 
+// Arena geometry (see "Offsets" in the file comment): the first chunk and the
+// steady-state chunk as shifts, and the element count a lane's arena stops
+// short of.
+const (
+	arenaMinShift = 8
+	arenaMaxShift = 16
+	arenaLimit    = 1<<32 - 1<<arenaMaxShift
+)
+
+// chunkOf returns the index of the chunk element offset off falls in and the
+// offset of that chunk's first element.
+func chunkOf(off uint32) (k int, base uint32) {
+	if off < 1<<(arenaMaxShift+1) { // the doubling chunks
+		if k = bits.Len32(off >> arenaMinShift); k == 0 {
+			return 0, 0
+		}
+		return k, 1 << (arenaMinShift - 1 + k)
+	}
+	hi := off >> arenaMaxShift
+	return int(hi) + arenaMaxShift - arenaMinShift, hi << arenaMaxShift
+}
+
+// chunkCap returns the number of elements chunk k covers.
+func chunkCap(k int) int {
+	return 1 << min(arenaMinShift+max(k-1, 0), arenaMaxShift)
+}
+
+// chunkDir is an arena's chunk list, published or the writer's own: entry k
+// starts at chunk k's first element and runs to the end of the allocation the
+// chunk is part of. Its methods are the readers of the stored vectors; every
+// offset handed to them must come from a cell or note found below a watermark
+// loaded before the list was.
+type chunkDir [][]int32
+
+// at returns the element at offset off.
+func (d chunkDir) at(off uint32) int32 {
+	k, base := chunkOf(off)
+	return d[k][off-base]
+}
+
+// slice returns the n-element vector carved at off, aliasing the arena.
+func (d chunkDir) slice(off uint32, n int) []int32 {
+	k, base := chunkOf(off)
+	lo := int(off - base)
+	return d[k][lo : lo+n : lo+n]
+}
+
+// deltaByte extracts component q's offset from the packed word holding it.
+func deltaByte(word int32, q int) int32 {
+	return int32(uint32(word) >> (8 * (q & 3)) & 0xff)
+}
+
+// component returns element q of note n's vector; the caller bounds q to
+// [0, numProcs).
+func (d chunkDir) component(n *crNote, q model.ProcessID) int32 {
+	v := d.at(n.key + uint32(q))
+	if n.delta != noDelta {
+		v += deltaByte(d.at(n.delta+uint32(q)>>2), int(q))
+	}
+	return v
+}
+
+// full returns note n's Fidge/Mattern vector: the keyframe itself, aliasing
+// the arena, or for a delta frame a freshly decoded slice.
+func (d chunkDir) full(n *crNote, numProcs int) []int32 {
+	key := d.slice(n.key, numProcs)
+	if n.delta == noDelta {
+		return key
+	}
+	words := d.slice(n.delta, (numProcs+3)/4)
+	v := make([]int32, numProcs)
+	for q := range v {
+		v[q] = key[q] + deltaByte(words[q>>2], q)
+	}
+	return v
+}
+
 // arena bulk-allocates the vectors of one lane's cells: projections and the
 // keyframes and delta frames of noted cluster receives. Chunks are written
-// once by the owning lane and referenced forever by the cells and notes
-// pointing into them; carve hands out full-capacity subslices so no two
+// once by the owning lane and named forever, by offset, by the cells and notes
+// whose vectors lie in them; carve hands out full-capacity subslices so no two
 // vectors can ever overlap through append. Chunk capacity grows geometrically
 // so small stores stay small while big stores amortize to one allocation per
-// ~64 Ki elements.
+// 64 Ki elements.
 type arena struct {
-	chunk []int32 // current chunk; len = carved prefix
-	next  int     // capacity of the next chunk
-	stats StoreStats
+	// dir is the published chunk list, the one field readers touch. The pads
+	// keep it off every cache line a lane writes per event — this arena's
+	// carve cursor and tallies after it, the tallies of the arena allocated
+	// just before it — so a query beside ingest does not take a miss per
+	// lookup.
+	_   [64]byte
+	dir atomic.Pointer[chunkDir]
+	_   [64]byte
+
+	chunks chunkDir // writer-private chunk list
+	cur    []int32  // current allocation; len = carved prefix
+	base   uint32   // offset of cur[0]
+	stats  StoreStats
 }
 
 // StoreStats are the store's physical tallies — what the paper's
 // fixed-vector accounting (StorageInts) deliberately does not model.
 type StoreStats struct {
 	VectorBytes int64 `json:"vector_bytes"`    // carved from the lane arenas: projections, keyframes, delta frames
+	CellBytes   int64 `json:"cell_bytes"`      // 16 per stamped event
+	NoteBytes   int64 `json:"note_bytes"`      // 12 per noted cluster receive
+	Epochs      int64 `json:"epochs"`          // cluster epochs in the epoch table
 	Keyframes   int64 `json:"cr_keyframes"`    // noted cluster receives stored as a keyframe
 	DeltaFrames int64 `json:"cr_delta_frames"` // noted cluster receives stored as offsets above an earlier keyframe
 }
 
-const (
-	arenaMinChunk = 1 << 8
-	arenaMaxChunk = 1 << 16
-)
+// end returns the offset the next carve starts at unless it has to move on to
+// a fresh chunk: everything below it is carved or skipped.
+func (a *arena) end() uint32 { return a.base + uint32(len(a.cur)) }
 
-// carve returns a zeroed slice of n elements with capacity exactly n.
-func (a *arena) carve(n int) []int32 {
+// carve returns a zeroed slice of n elements with capacity exactly n, and the
+// offset it lies at.
+func (a *arena) carve(n int) (uint32, []int32) {
 	if n == 0 {
-		return nil
+		return a.end(), nil
 	}
-	if len(a.chunk)+n > cap(a.chunk) {
-		sz := a.next
-		if sz < arenaMinChunk {
-			sz = arenaMinChunk
-		}
-		if sz < n {
-			sz = n
-		}
-		a.chunk = make([]int32, 0, sz)
-		if sz < arenaMaxChunk {
-			a.next = sz * 2
-		} else {
-			a.next = arenaMaxChunk
-		}
+	if len(a.cur)+n > cap(a.cur) {
+		a.grow(n)
 	}
-	off := len(a.chunk)
-	a.chunk = a.chunk[: off+n : cap(a.chunk)]
+	lo := len(a.cur)
+	a.cur = a.cur[:lo+n]
 	a.stats.VectorBytes += 4 * int64(n)
-	return a.chunk[off : off+n : off+n]
+	return a.base + uint32(lo), a.cur[lo : lo+n : lo+n]
+}
+
+// grow leaves what remains of the current allocation unused and allocates the
+// next chunk — or as many consecutive chunks as n elements take — listing and
+// publishing them. The admission gate keeps every lane short of arenaLimit;
+// an allocation past it is a bug there, and the offsets it would wrap are not
+// handed out.
+func (a *arena) grow(n int) {
+	base := uint64(a.base) + uint64(cap(a.cur)) // every chunk so far is part of some allocation
+	size := 0
+	for k := len(a.chunks); size < n; k++ {
+		size += chunkCap(k)
+	}
+	if base+uint64(size) > arenaLimit {
+		panic("hct: arena carved past its offset limit: the admission gate should have refused the batch")
+	}
+	buf := make([]int32, size)
+	for lo := 0; lo < size; lo += chunkCap(len(a.chunks) - 1) {
+		a.chunks = append(a.chunks, buf[lo:])
+	}
+	a.cur, a.base = buf[:0], uint32(base)
+	d := a.chunks
+	a.dir.Store(&d)
 }
 
 // uncarve takes back w, the most recent carve, zeroed again.
 func (a *arena) uncarve(w []int32) {
 	clear(w)
-	a.chunk = a.chunk[:len(a.chunk)-len(w)]
+	a.cur = a.cur[:len(a.cur)-len(w)]
 	a.stats.VectorBytes -= 4 * int64(len(w))
 }
 
 // frame stores clk, the clock of the noted cluster receive with event index
-// index, and returns its note. key is the process's current keyframe, nil
-// before its first cluster receive. The note is a delta frame over key while
-// every component of clk is within 255 of it, and a new keyframe otherwise.
+// index, and returns its note. prev is the process's previous note, nil
+// before its first cluster receive; its key is the process's current
+// keyframe. The note is a delta frame over that keyframe while every
+// component of clk is within 255 of it, and a new keyframe otherwise.
 //
-// The offsets are written in one pass that also ORs them together — nearly
+// The offsets are packed in one pass that also ORs them together — nearly
 // every frame fits, so filling first and testing once beats a test per
-// component — and the bytes, carved as whole elements of the chunk, are taken
-// back when the OR says one did not fit. A process's clocks only grow, so an
-// offset is never negative; as a uint32 it would fail the test all the same.
-func (a *arena) frame(index int32, key *int32, clk []int32) crNote {
-	if key != nil {
-		base := unsafe.Slice(key, len(clk))
-		words := a.carve((len(clk) + 3) / 4)
-		d := unsafe.Slice((*uint8)(unsafe.Pointer(&words[0])), len(clk))
+// component — and the elements they were packed into are taken back when the
+// OR says one did not fit. A process's clocks only grow, so an offset is
+// never negative; as a uint32 it would fail the test all the same.
+func (a *arena) frame(index int32, prev *crNote, clk []int32) crNote {
+	if prev != nil {
+		key := a.chunks.slice(prev.key, len(clk))
+		at, words := a.carve((len(clk) + 3) / 4)
+		// An offset above 255 spills into its neighbours' bytes, but then the
+		// frame is not kept.
 		var over uint32
-		for q, v := range clk {
-			off := uint32(v - base[q])
+		full := len(clk) / 4
+		for i := 0; i < full; i++ {
+			c, k := clk[4*i:4*i+4:4*i+4], key[4*i:4*i+4:4*i+4]
+			o0, o1, o2, o3 := uint32(c[0]-k[0]), uint32(c[1]-k[1]), uint32(c[2]-k[2]), uint32(c[3]-k[3])
+			over |= o0 | o1 | o2 | o3
+			words[i] = int32(o0 | o1<<8 | o2<<16 | o3<<24)
+		}
+		for q := 4 * full; q < len(clk); q++ {
+			off := uint32(clk[q] - key[q])
 			over |= off
-			d[q] = uint8(off)
+			words[full] |= int32(off << (8 * (q & 3)))
 		}
 		if over <= 255 {
 			a.stats.DeltaFrames++
-			return crNote{index: index, key: key, delta: &d[0]}
+			return crNote{index: index, key: prev.key, delta: at}
 		}
 		a.uncarve(words)
 	}
-	k := a.carve(len(clk))
+	at, k := a.carve(len(clk))
 	copy(k, clk)
 	a.stats.Keyframes++
-	return crNote{index: index, key: &k[0]}
+	return crNote{index: index, key: at, delta: noDelta}
 }
 
 // appendNote stores clk as the next noted cluster receive of the process
 // notes belongs to — a delta frame over the process's current keyframe, the
-// key of its previous note, or a new keyframe — and publishes the note.
-// Writer only; the returned slot never moves.
-func appendNote(notes *crColumn, a *arena, index int32, clk []int32) *crNote {
-	var key *int32
-	if prev := notes.last(); prev != nil {
-		key = prev.key
-	}
-	n := notes.append(a.frame(index, key, clk))
+// key of its previous note, or a new keyframe — publishes the note and
+// returns its slot, which never moves. Writer only.
+func appendNote(notes *crColumn, a *arena, index int32, clk []int32) int32 {
+	slot := notes.n
+	notes.append(a.frame(index, notes.last(), clk))
 	notes.publish()
-	return n
+	return slot
 }
 
 // Watermark is a per-process snapshot of published event counts: a cut of

@@ -25,7 +25,11 @@ import (
 // queries (direct and routed through the paged note columns) against the
 // oracle. Every process's clock outgrows a byte of offset more than once
 // during the run, so the newest note a reader decodes is, again and again, one
-// its writer has just started a new keyframe for.
+// its writer has just started a new keyframe for. Every round also takes the
+// live Timestamp of each process's newest cell — resolved through whatever
+// epoch table and chunk lists are published at that instant, while merges
+// append epochs and the lanes move on to fresh chunks — and holds it to its
+// shape: a projection as long as its cluster, counting its own event.
 func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 	tr := workload.Ring(24, 140, false) // ≥560 events per process: three or more pages, two or more keyframes each
 	stamped, err := fm.StampAll(tr)
@@ -92,13 +96,30 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 				if !checkCell(model.EventID{Process: p, Index: top}, w) {
 					return
 				}
+				for q := range pipe.cols {
+					newest := model.EventID{Process: model.ProcessID(q), Index: model.EventIndex(pipe.cols[q].wm.Load())}
+					if newest.Index == 0 {
+						continue
+					}
+					ts, ok := pipe.Timestamp(newest)
+					if !ok {
+						t.Errorf("Timestamp(%v) misses at the live watermark", newest)
+						return
+					}
+					if own, _ := ts.Component(newest.Process); own != int32(newest.Index) ||
+						(ts.Full == nil && len(ts.Proj) != len(ts.Cluster.Members)) {
+						t.Errorf("Timestamp(%v) = %v: own component %d, %d elements over %v", newest, ts, own, len(ts.Proj), ts.Cluster)
+						return
+					}
+				}
 				// The newest note below the cut, keyframe or delta frame: both
 				// readers of the stored form against the oracle.
 				if g := pipe.latestCRAtOrBelow(int32(p), int32(top)); g != nil {
 					want := clock[model.EventID{Process: p, Index: model.EventIndex(g.index)}]
 					q := model.ProcessID(r.Intn(tr.NumProcs))
-					if full := g.full(tr.NumProcs); !vclock.Clock(full).Equal(want) || g.component(q) != want[q] {
-						t.Errorf("note p%d:%d decodes to %v (component %d = %d), Fidge/Mattern %v", p, g.index, full, q, g.component(q), want)
+					vecs := pipe.vectors(p)
+					if full := vecs.full(g, tr.NumProcs); !vclock.Clock(full).Equal(want) || vecs.component(g, q) != want[q] {
+						t.Errorf("note p%d:%d decodes to %v (component %d = %d), Fidge/Mattern %v", p, g.index, full, q, vecs.component(g, q), want)
 						return
 					}
 				}
@@ -168,7 +189,7 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 	}
 	rolled := 0 // processes whose notes span two or more keyframes
 	for p := range pipe.crs {
-		keys, prev := 0, (*int32)(nil)
+		keys, prev := 0, noDelta // no keyframe lies at noDelta
 		for i, n := int32(0), pipe.crs[p].wm.Load(); i < n; i++ {
 			if k := pipe.crs[p].at(i).key; k != prev {
 				keys, prev = keys+1, k
@@ -182,8 +203,16 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 		t.Fatal("no process rolled over to a second keyframe: the trace no longer outgrows a byte of offset")
 	}
 	st := pipe.StoreStats()
-	t.Logf("%d reader rounds against %d events; widest note column %d pages; %d keyframes and %d delta frames, %d processes rolled over",
-		checked.Load(), len(tr.Events), notePages, st.Keyframes, st.DeltaFrames, rolled)
+	for _, ln := range pipe.lanes {
+		if n := len(*ln.ar.dir.Load()); n < 3 {
+			t.Fatalf("lane %d lists %d chunks: the readers no longer race a growing chunk list", ln.id, n)
+		}
+	}
+	if merges := int64(pipe.Merges()); merges == 0 || st.Epochs <= merges {
+		t.Fatalf("%d epochs after %d merges: the readers no longer race a growing epoch table", st.Epochs, merges)
+	}
+	t.Logf("%d reader rounds against %d events; widest note column %d pages; %d keyframes and %d delta frames, %d processes rolled over; %d epochs",
+		checked.Load(), len(tr.Events), notePages, st.Keyframes, st.DeltaFrames, rolled, st.Epochs)
 }
 
 // stallTracer is a BatchTracer whose Begin blocks on lane 0 until released:
@@ -312,20 +341,22 @@ func TestLaneQueueBounded(t *testing.T) {
 // stamping allocates per page and per arena chunk, never per event. Trace and
 // engine are built before the measured region.
 //
-// The ring (spmd-stream): a 32-byte cell and a 13-element projection (84 B)
-// for every event; for the ≈4% that are noted cluster receives a 24-byte note
-// and a 300-byte delta frame, with a 1200-byte keyframe once per ≈25 of them
-// (≈15 B/event, 49 when every one kept its full vector); partial pages and
-// the last arena chunk — ≈104 B/event measured. 120 leaves headroom for
-// allocator rounding without hiding a returned full vector per cluster
-// receive.
+// The ring (spmd-stream): a 16-byte cell and a projection over a cluster of
+// up to 13 (≈50 B) for every event; for the ≈4% that are noted cluster
+// receives a 12-byte note and a 300-byte delta frame, with a 1200-byte
+// keyframe once per ≈90 of them (≈13 B/event, 49 when every one kept its full
+// vector); partial pages and the last arena chunk — ≈81 B/event measured. The
+// budget of 100 is below the 104 the store measured with two pointers in every
+// cell, so going back to them fails it, as does a returned full vector per
+// cluster receive.
 //
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
-// noted cluster receives and the frames are most of the store — 84 B for
-// every event plus ≈0.48 × (24 + 280 + a keyframe's share) ≈ 150 — 225
-// B/event measured against 619 with full vectors; budget 240. Its columns
-// hold a third of the ring's events each, so pages and directories come to
-// 0.025 allocations per event, not 0.014.
+// noted cluster receives and the frames are most of the store — 16 B for
+// every event, ≈27 of projection over the other half, plus ≈0.48 × (12 + 280
+// + a keyframe's share) ≈ 146 — ≈192 B/event measured against 225 with
+// pointers and 619 with full vectors; budget 220. Its columns hold a third of
+// the ring's events each, so pages and directories come to 0.027 allocations
+// per event, not 0.015.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -336,8 +367,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 		budget float64 // heap bytes per event
 		allocs float64 // per event: pages, chunks, directories
 	}{
-		{"ring", workload.Ring(300, 330, false), 120, 0.02},
-		{"random-uniform", workload.RandomUniform(280, 150000, 1), 240, 0.04},
+		{"ring", workload.Ring(300, 330, false), 100, 0.02},
+		{"random-uniform", workload.RandomUniform(280, 150000, 1), 220, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -360,9 +391,12 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 			allocsPer := float64(after.Mallocs-before.Mallocs) / n
 			st := ts.StoreStats()
-			t.Logf("%d events: %.1f heap B/event (%.1f carved for vectors: %d keyframes, %d delta frames), %.4f allocs/event, size ratio %.3f",
-				len(tr.Events), bytesPer, float64(st.VectorBytes)/n, st.Keyframes, st.DeltaFrames, allocsPer,
+			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d keyframes, %d delta frames; %d epochs), %.4f allocs/event, size ratio %.3f",
+				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.Keyframes, st.DeltaFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
+			if st.CellBytes != 16*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
+				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
+			}
 			if bytesPer > tc.budget {
 				t.Errorf("store holds %.1f heap B/event, budget %.0f", bytesPer, tc.budget)
 			}
@@ -397,9 +431,9 @@ func TestViewsAllocateNothing(t *testing.T) {
 	var projs, keyframes, deltas []model.EventID
 	for _, ev := range tr.Events {
 		switch c := ts.lookup(ev.ID, nil); {
-		case c.cluster != nil:
+		case c.epoch() != 0:
 			projs = append(projs, ev.ID)
-		case c.note().delta == nil:
+		case ts.crs[ev.ID.Process].at(int32(c.vec)).delta == noDelta:
 			keyframes = append(keyframes, ev.ID)
 		default:
 			deltas = append(deltas, ev.ID)
@@ -410,12 +444,12 @@ func TestViewsAllocateNothing(t *testing.T) {
 	}
 	// A pair whose test routes through the notes and finds a delta frame there.
 	routesThroughDelta := func(f model.EventID) bool {
-		cf := ts.lookup(f, nil)
-		if cf.cluster == nil {
+		tf, _ := ts.Timestamp(f)
+		if tf.Cluster == nil {
 			return false
 		}
-		for k, q := range cf.cluster.Members {
-			if g := ts.latestCRAtOrBelow(q, cf.proj()[k]); g != nil && g.delta != nil {
+		for k, q := range tf.Cluster.Members {
+			if g := ts.latestCRAtOrBelow(q, tf.Proj[k]); g != nil && g.delta != noDelta {
 				return true
 			}
 		}
@@ -482,14 +516,14 @@ func TestViewsAllocateNothing(t *testing.T) {
 // FuzzCRNoteRoundTrip is the property test of the cluster-receive stored
 // form. Each input drives one process's monotone clock sequence through
 // appendNote: every two bytes step a run of components by 0, 1, 255, 256 or
-// 70000, over N in {1, 3, 4, 5, 300} (a delta frame is carved in whole
-// words, so N around a multiple of four matters). Every note, re-read after
-// all later ones were carved, must decode to exactly its input through both
-// readers; a note must be a keyframe exactly when some component exceeds the
-// process's current keyframe by more than 255, and a delta frame must share
-// that keyframe.
+// 70000, over N in {1, 3, 4, 5, 7, 300} (a delta frame packs four offsets to
+// an element, so N around a multiple of four matters). Every note, re-read
+// after all later ones were carved — through the chunk list published then —
+// must decode to exactly its input through both readers; a note must be a
+// keyframe exactly when some component exceeds the process's current keyframe
+// by more than 255, and a delta frame must share that keyframe.
 func FuzzCRNoteRoundTrip(f *testing.F) {
-	sizes := [...]int{1, 3, 4, 5, 300}
+	sizes := [...]int{1, 3, 4, 5, 7, 300}
 	steps := [...]int32{0, 1, 255, 256, 70000}
 	// (start component, run length<<3 | step): one seed per step kind, then mixes.
 	for sel := range sizes {
@@ -498,6 +532,22 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 		}
 		f.Add(uint8(sel), []byte{0, 1, 0, 1, 0, 2, 0, 1, 0, 3, 7, 31<<3 | 1, 0, 0, 4, 4, 4, 2, 4, 1})
 	}
+	// N = 4: a keyframe and 252 one-element delta frames fill the first chunk
+	// to its last element, so the 253rd frame's carve lands exactly on the
+	// boundary, at the first element of a chunk allocated for it.
+	boundary := make([]byte, 0, 512)
+	for i := 0; i < 256; i++ {
+		boundary = append(boundary, byte(i%4), 1)
+	}
+	f.Add(uint8(2), boundary)
+	// N = 300: the keyframe's allocation has room for two 75-element delta
+	// frames; the third starts a fresh chunk, and the step of 256 makes it the
+	// frame that does not fit, so the un-carve empties that chunk again and
+	// the new keyframe is the first thing in it.
+	f.Add(uint8(5), []byte{0, 1, 0, 1, 0, 1, 0, 3})
+	// N = 7, not a multiple of 4: the second packed element holds three
+	// offsets. Its top one goes to 255 and then one past.
+	f.Add(uint8(4), []byte{6, 2, 6, 0, 4, 1, 6, 1, 6, 0})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		n := sizes[int(sel)%len(sizes)]
 		if len(data) > 512 {
@@ -509,7 +559,7 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 			clk     = make([]int32, n)
 			inputs  [][]int32
 			curKey  []int32 // the oracle's copy of the current keyframe
-			prevKey *int32
+			prevKey = noDelta
 		)
 		for i := 0; i+1 < len(data); i += 2 {
 			step := steps[int(data[i+1]&7)%len(steps)]
@@ -520,14 +570,14 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 			for q := range clk {
 				wantKey = wantKey || clk[q]-curKey[q] > 255
 			}
-			note := appendNote(&notes, &ar, int32(len(inputs)+1), clk)
-			if (note.delta == nil) != wantKey {
-				t.Fatalf("note %d: keyframe = %v, want %v (clock %v over keyframe %v)", note.index, note.delta == nil, wantKey, clk, curKey)
+			note := notes.at(appendNote(&notes, &ar, int32(len(inputs)+1), clk))
+			if (note.delta == noDelta) != wantKey {
+				t.Fatalf("note %d: keyframe = %v, want %v (clock %v over keyframe %v)", note.index, note.delta == noDelta, wantKey, clk, curKey)
 			}
 			if wantKey {
 				curKey = append(curKey[:0], clk...)
 			} else if note.key != prevKey {
-				t.Fatalf("note %d: delta frame over %p, current keyframe %p", note.index, note.key, prevKey)
+				t.Fatalf("note %d: delta frame over the keyframe at %d, current keyframe at %d", note.index, note.key, prevKey)
 			}
 			prevKey = note.key
 			inputs = append(inputs, append([]int32(nil), clk...))
@@ -535,11 +585,15 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 		if got := notes.wm.Load(); int(got) != len(inputs) {
 			t.Fatalf("%d notes published, %d appended", got, len(inputs))
 		}
+		var vecs chunkDir
+		if len(inputs) > 0 {
+			vecs = *ar.dir.Load()
+		}
 		for i, want := range inputs {
 			note := notes.get(model.EventIndex(i + 1))
-			full := note.full(n)
+			full := vecs.full(note, n)
 			for q := range want {
-				if c := note.component(model.ProcessID(q)); c != want[q] || full[q] != want[q] {
+				if c := vecs.component(note, model.ProcessID(q)); c != want[q] || full[q] != want[q] {
 					t.Fatalf("note %d component %d: component() = %d, full() = %d, input %d", note.index, q, c, full[q], want[q])
 				}
 			}
@@ -550,7 +604,8 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 		if st.Keyframes+st.DeltaFrames != int64(len(inputs)) || st.VectorBytes != 4*(st.Keyframes*int64(n)+st.DeltaFrames*int64((n+3)/4)) {
 			t.Fatalf("tallies %+v for %d notes of %d components", st, len(inputs), n)
 		}
-		for q, v := range ar.carve(n) {
+		_, fresh := ar.carve(n)
+		for q, v := range fresh {
 			if v != 0 {
 				t.Fatalf("carve after %d frames: element %d = %d, want zeroed", len(inputs), q, v)
 			}

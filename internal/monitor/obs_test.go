@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -114,6 +115,9 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_cluster_merges_total",
 		"poetd_greatest_cluster_first_hit_rate",
 		"poetd_store_vector_bytes",
+		"poetd_store_cell_bytes",
+		"poetd_store_note_bytes",
+		"poetd_store_epochs",
 		"poetd_cr_keyframes_total",
 		"poetd_cr_delta_frames_total",
 		"poetd_lane_queue_depth{lane=",
@@ -150,6 +154,13 @@ func TestServerTelemetry(t *testing.T) {
 	}
 	if st.Store.VectorBytes < 4*int64(len(tr.Events)) {
 		t.Errorf("Status store vector_bytes = %d for %d events", st.Store.VectorBytes, len(tr.Events))
+	}
+	if want := 16 * int64(len(tr.Events)); st.Store.CellBytes != want || !strings.Contains(out, fmt.Sprintf("poetd_store_cell_bytes %d\n", want)) {
+		t.Errorf("Status store cell_bytes = %d, want 16 x %d events = %d on /statusz and /metrics", st.Store.CellBytes, len(tr.Events), want)
+	}
+	if st.Store.NoteBytes != 12*int64(st.Paper.ClusterReceives) || st.Store.Epochs < int64(st.Paper.ClusterMerges) {
+		t.Errorf("Status store = %+v: want 12 note bytes for each of the %d noted cluster receives and an epoch for each of the %d merges",
+			st.Store, st.Paper.ClusterReceives, st.Paper.ClusterMerges)
 	}
 	if lanes := srv.def.monitor.IngestShards(); len(st.Store.LaneQueueDepth) != lanes {
 		t.Errorf("Status lane_queue_depth lists %d lanes, want %d", len(st.Store.LaneQueueDepth), lanes)

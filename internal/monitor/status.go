@@ -101,6 +101,12 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	// the column store really holds (default tenant).
 	reg.GaugeFunc("poetd_store_vector_bytes", "Bytes carved from the lane arenas for projections, keyframes and delta frames.",
 		func() float64 { return float64(pipe.StoreStats().VectorBytes) })
+	reg.GaugeFunc("poetd_store_cell_bytes", "Bytes of stored cells: 16 per stamped event.",
+		func() float64 { return float64(pipe.StoreStats().CellBytes) })
+	reg.GaugeFunc("poetd_store_note_bytes", "Bytes of cluster-receive notes: 12 per noted cluster receive.",
+		func() float64 { return float64(pipe.StoreStats().NoteBytes) })
+	reg.GaugeFunc("poetd_store_epochs", "Cluster epochs in the table the stored cells index.",
+		func() float64 { return float64(pipe.StoreStats().Epochs) })
 	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a keyframe (a full vector).",
 		func() int64 { return pipe.StoreStats().Keyframes })
 	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe.",
