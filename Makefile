@@ -33,5 +33,6 @@ fuzz:
 	go test -fuzz=FuzzServerProtocol -fuzztime=30s ./internal/monitor/
 	go test -run '^$$' -fuzz=FuzzWALChainOpen -fuzztime=30s ./internal/wal/
 	go test -run '^$$' -fuzz=FuzzCRNoteRoundTrip -fuzztime=30s ./internal/hct/
+	go test -run '^$$' -fuzz=FuzzProjFrameRoundTrip -fuzztime=30s ./internal/hct/
 	go test -run '^$$' -fuzz=FuzzJournaledImpliesPlannable -fuzztime=30s -fuzzminimizetime=1s ./internal/monitor/
 	go test -run '^$$' -fuzz=FuzzPipelineDifferential -fuzztime=30s -fuzzminimizetime=1s ./internal/hct/

@@ -84,7 +84,7 @@ type (
 	// size, an optional precomputed partition, and a merge decider.
 	Config = hct.Config
 	// Timestamp is one event's hierarchical cluster timestamp, handed out
-	// by value: a view whose vectors alias the store and are immutable.
+	// by value: a view whose vectors may alias the store and are immutable.
 	Timestamp = hct.Timestamp
 	// Timestamper computes cluster timestamps and answers precedence
 	// queries; most callers use Monitor instead.

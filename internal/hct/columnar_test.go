@@ -240,9 +240,11 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 // directory: a reader that loaded the arena's chunk list and the epoch table
 // right after a watermark, and kept them while the lane moved on through 17
 // and more chunks and the planner appended 17 and more epochs, still resolves
-// every cell below that watermark — projections, keyframes and delta frames —
-// to what the store held when the watermark was taken. Neither directory ever
-// rewrites an entry a published cell names.
+// every cell below that watermark — projections that started a keyframe and
+// projections framed over an earlier one, cluster receives as keyframes and as
+// delta frames — to what the store held when the watermark was taken, through
+// both readers of each form. Neither directory ever rewrites an entry a
+// published cell names.
 func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	tr := workload.Ring(64, 800, false)
 	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()})
@@ -285,14 +287,22 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	if merged, added := ts.Merges()-mergesThen, len(*ts.epochs.Load())-len(epochs); merged < 17 || added < 17 {
 		t.Fatalf("%d merges and %d epochs after the capture, want 17 or more of each", merged, added)
 	}
-	var projs, keyframes, deltas int
+	var projKeys, projFrames, keyframes, deltas int
 	for _, want := range early {
 		p := want.ID.Process
 		c := ts.lookup(want.ID, w)
 		if ep := c.epoch(); ep != 0 {
-			projs++
-			if cl := epochs[ep]; cl != want.Cluster || !slices.Equal(chunks.slice(c.vec, len(cl.Members)), want.Proj) {
-				t.Fatalf("%v through the stale directories: %v over %v, was %v", want.ID, chunks.slice(c.vec, len(cl.Members)), cl, want)
+			cl := epochs[ep]
+			n := len(cl.Members)
+			// A keyframe's own frame lies right behind its elements.
+			if key := uint32(chunks.at(c.vec)); key+uint32(n) == c.vec {
+				projKeys++
+			} else {
+				projFrames++
+			}
+			own, _ := cl.PosOf(int32(p))
+			if got := chunks.proj(c.vec, n).decode(); cl != want.Cluster || !slices.Equal(got, want.Proj) || chunks.projAt(c.vec, own) != want.Proj[own] {
+				t.Fatalf("%v through the stale directories: %v (own component %d) over %v, was %v", want.ID, got, chunks.projAt(c.vec, own), cl, want)
 			}
 			continue
 		}
@@ -306,11 +316,12 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 			t.Fatalf("%v through the stale chunk list: %v, was %v", want.ID, full, want)
 		}
 	}
-	if projs == 0 || keyframes == 0 || deltas == 0 {
-		t.Fatalf("%d projections, %d keyframes and %d delta frames below the capture: need all three", projs, keyframes, deltas)
+	if projKeys == 0 || projFrames == 0 || keyframes == 0 || deltas == 0 {
+		t.Fatalf("%d projection keyframes and %d projection frames, %d cluster-receive keyframes and %d delta frames below the capture: need all four",
+			projKeys, projFrames, keyframes, deltas)
 	}
-	t.Logf("%d projections, %d keyframes, %d delta frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
-		projs, keyframes, deltas, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
+	t.Logf("%d + %d projection keyframes and frames, %d + %d cluster-receive keyframes and delta frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
+		projKeys, projFrames, keyframes, deltas, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
 }
 
 // TestStoredFormSizes pins the two numbers the B/event budget (DESIGN §10)

@@ -186,8 +186,8 @@ func (v *variant) Precedes(e, f model.EventID) (bool, error) {
 }
 
 // Timestamp returns the timestamp of an event: a view of its stored cell,
-// built by value. Proj, and Full of a cluster receive stored as a keyframe,
-// alias the store; Full of one stored as a delta frame is decoded into a
+// built by value. Full of a cluster receive stored as a keyframe aliases the
+// store; Proj, and Full of one stored as a delta frame, are decoded into a
 // fresh slice, the view's one allocation. Either way the vectors are to be
 // treated as immutable. Safe to call concurrently with ingestion.
 func (ts *plane) Timestamp(id model.EventID) (Timestamp, bool) {
@@ -208,7 +208,7 @@ func (ts *plane) TimestampAt(id model.EventID, w Watermark) (Timestamp, bool) {
 		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec)), ts.numProcs)
 	} else {
 		t.Cluster = ts.epoch(ep)
-		t.Proj = vecs.slice(c.vec, len(t.Cluster.Members))
+		t.Proj = vecs.proj(c.vec, len(t.Cluster.Members)).decode()
 	}
 	return t, true
 }
@@ -307,29 +307,47 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	}
 	eIdx := int32(e.Index)
 
-	// Read the cells and notes directly: no view is built on this path.
-	// lookup bounded e.Process, which is all component asks.
+	// Read the cells, frames and notes directly: no view is built on this
+	// path. lookup bounded e.Process, which is all component asks. f's chunk
+	// list is loaded once, after the watermark its cell was found under.
+	ar := ts.arenas[f.Process] // the arena vecs resolves: f's, until the routed loop moves on
+	vecs := *ar.dir.Load()
 	ep := cf.epoch()
 	if ep == 0 {
 		ts.qDirect.Add(1)
 		g := ts.crs[f.Process].at(int32(cf.vec))
-		return ts.vectors(f.Process).component(g, e.Process) >= eIdx, nil
+		return vecs.component(g, e.Process) >= eIdx, nil
 	}
 	c := ts.epoch(ep)
 	if pos, ok := c.PosOf(int32(e.Process)); ok {
 		ts.qDirect.Add(1)
-		return ts.vectors(f.Process).at(cf.vec+uint32(pos)) >= eIdx, nil
+		return vecs.projAt(cf.vec, pos) >= eIdx, nil
 	}
 
 	// pe outside f's cluster epoch: route through noted cluster receives.
 	// Every note this can touch has index <= FM(f)[q] for a member q, and
 	// is therefore published whenever f's cell is visible (see store.go), so
-	// the watermark does not bound this search.
+	// the watermark does not bound this search — and for the same reason any
+	// chunk list loaded after f's watermark resolves them. f's frame is
+	// resolved once, f's own list serves every member on f's lane, and since
+	// the members of a cluster mostly share a lane another list is loaded
+	// only where the arena changes.
 	ts.qRouted.Add(1)
-	vf := ts.vectors(f.Process).slice(cf.vec, len(c.Members))
+	vf := vecs.proj(cf.vec, len(c.Members))
+	var word uint32 // the packed offsets of members k to k|3, member k's lowest
 	for k, q := range c.Members {
-		g := ts.latestCRAtOrBelow(q, vf[k])
-		if g != nil && ts.vectors(model.ProcessID(q)).component(g, e.Process) >= eIdx {
+		if k&3 == 0 {
+			word = uint32(vf.words[k>>2])
+		}
+		g := ts.latestCRAtOrBelow(q, vf.key[k]+int32(word&0xff))
+		word >>= 8
+		if g == nil {
+			continue
+		}
+		if qa := ts.arenas[q]; qa != ar {
+			ar, vecs = qa, *qa.dir.Load() // vf keeps aliasing f's chunks
+		}
+		if vecs.component(g, e.Process) >= eIdx {
 			return true, nil
 		}
 	}

@@ -325,6 +325,7 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 			id:         int32(i),
 			ar:         new(arena), // apart from the lane, whose fields are write-hot: readers load its chunk list
 			frontier:   make([]vclock.Clock, numProcs),
+			keys:       make([]projKey, numProcs),
 			localSend:  make(map[model.EventID]vclock.Clock),
 			prefetched: make(map[model.EventID]vclock.Clock),
 		}
@@ -780,6 +781,8 @@ func (p *Pipeline) StoreStats() StoreStats {
 			total.VectorBytes += st.VectorBytes
 			total.Keyframes += st.Keyframes
 			total.DeltaFrames += st.DeltaFrames
+			total.ProjKeyframes += st.ProjKeyframes
+			total.ProjFrames += st.ProjFrames
 			cells += p.done[s]
 		}
 		p.doneMu.Unlock()
@@ -818,14 +821,16 @@ func (p *Pipeline) storeRoom() int64 {
 
 // roomFor is the store-limit rule. ends are the offsets the lane arenas had
 // reached, and epochs the size of the epoch table, when unstamped admitted
-// events were not yet counted in either. One event moves its lane's offset by
-// less than twice what it carves — the unused remainder of a chunk is
-// shorter than the carve that did not fit in it — and carves at most a delta
-// frame, taken back, and then a keyframe; it appends at most one epoch. Any
-// of the unstamped events, and of those admitted from here on, may land on
-// the fullest lane.
+// events were not yet counted in either. A carve moves its lane's offset by
+// less than twice its size — the unused remainder of a chunk is shorter than
+// the carve that did not fit in it — and one event carves at most twice: a
+// frame, taken back (the remainder it skipped is not), and then a keyframe,
+// which for a projection over every process brings its own frame along. It
+// appends at most one epoch. Any of the unstamped events, and of those
+// admitted from here on, may land on the fullest lane.
 func roomFor(ends []uint32, epochs int, unstamped int64, numProcs int) int64 {
-	perEvent := 2 * int64(numProcs+(numProcs+3)/4)
+	frame := int64(1 + packedWords(numProcs)) // a cluster receive's has no header: one less
+	perEvent := 2 * (frame + int64(numProcs) + frame)
 	room := int64(epochLimit - epochs)
 	for _, end := range ends {
 		room = min(room, (arenaLimit-int64(end))/perEvent)
@@ -932,6 +937,7 @@ type lane struct {
 	stop  bool
 
 	frontier  []vclock.Clock // per process; only this lane's entries are used
+	keys      []projKey      // per process, likewise: its current projection keyframe
 	free      []vclock.Clock // retired clocks, reused for retained copies
 	ar        *arena
 	localSend map[model.EventID]vclock.Clock // same-lane in-flight sends
@@ -1230,9 +1236,9 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 
 // stamp converts a finalized clock into the event's stored cell and
 // publishes it — the only writer of column cells and cluster-receive notes:
-// note before cell, cell write before watermark store. The vector — a
-// projection, or for a noted cluster receive a keyframe or a delta frame over
-// the process's current one (store.go) — is carved from the lane arena: no
+// note before cell, cell write before watermark store. The vector — a frame
+// over the process's current keyframe of its kind, projection or cluster
+// receive, or a new keyframe (store.go) — is carved from the lane arena: no
 // allocation per event. It cannot fail: the admission gate let the event in
 // only with room for it (storeRoom), and the planner published epoch ep
 // before the item reached this lane.
@@ -1243,10 +1249,7 @@ func (ln *lane) stamp(e model.Event, clk vclock.Clock, ep uint32) {
 		// The note is published before the cell: see store.go.
 		c.vec = uint32(appendNote(&ln.pl.crs[p], ln.ar, int32(e.ID.Index), clk))
 	} else {
-		members := ln.pl.epoch(ep).Members
-		at, proj := ln.ar.carve(len(members))
-		clk.ProjectInto(proj, members)
-		c.vec = at
+		c.vec = ln.ar.project(&ln.keys[p], ep, clk, ln.pl.epoch(ep).Members)
 	}
 	ln.pl.cols[p].append(c)
 	ln.pl.cols[p].publish()

@@ -287,11 +287,17 @@ func TestPipelineBatchRejection(t *testing.T) {
 // carve 16 GiB in a test: whatever the lanes have published and however many
 // admitted events are still on their way to them, the fullest lane can stamp
 // all of those and the room the rule grants without reaching arenaLimit, and
-// the epoch table can take an epoch from each.
+// the epoch table can take an epoch from each. The per-event figure the rule
+// multiplies by is then held to the arena itself: from every position around
+// the first chunk boundaries, no event — a projection over a singleton
+// cluster, over a cluster of every process, or a noted cluster receive, each
+// first as a fresh keyframe and then as a frame that does not fit, is taken
+// back and becomes a keyframe again — moves the offset by more.
 func TestStoreRoom(t *testing.T) {
 	const numProcs = 300
-	const perEvent = 2 * (numProcs + (numProcs+3)/4) // what one event moves its lane's offset by, at most
-	const backlog = maxLaneBacklog + 1024            // a full lane queue and the batch let in behind it
+	const frame = 1 + (numProcs+3)/4
+	const perEvent = 2 * (frame + numProcs + frame) // what one event moves its lane's offset by, at most
+	const backlog = maxLaneBacklog + 1024           // a full lane queue and the batch let in behind it
 	for _, tc := range []struct {
 		name      string
 		ends      []uint32
@@ -325,6 +331,47 @@ func TestStoreRoom(t *testing.T) {
 			t.Errorf("%s: the epoch table could reach %d entries, past the limit %d", tc.name, reach, epochLimit)
 		}
 	}
+
+	all := make([]int32, numProcs)
+	for q := range all {
+		all[q] = int32(q)
+	}
+	for _, tc := range []struct {
+		name    string
+		members []int32 // nil: a noted cluster receive
+	}{
+		{"singleton cluster", all[:1]},
+		{"maxCS = numProcs", all},
+		{"noted cluster receive", nil},
+	} {
+		worst := uint32(0)
+		for fill := 0; fill < 2048+2*perEvent; fill++ {
+			var (
+				ar    arena
+				key   projKey
+				notes crColumn
+				clk   = make([]int32, numProcs)
+			)
+			ar.carve(fill)
+			for i := int32(1); i <= 2; i++ {
+				clk[0] += 256 // the second event's frame does not fit
+				before := ar.end()
+				if tc.members != nil {
+					ar.project(&key, 1, clk, tc.members)
+				} else {
+					appendNote(&notes, &ar, i, clk)
+				}
+				worst = max(worst, ar.end()-before)
+			}
+			if st := ar.stats; st.ProjKeyframes+st.Keyframes != 2 || st.ProjFrames+st.DeltaFrames != 0 {
+				t.Fatalf("%s from offset %d: tallies %+v, want two keyframes", tc.name, fill, st)
+			}
+		}
+		if worst > perEvent {
+			t.Errorf("%s: one event moved the arena's offset by %d elements, the rule allows for %d", tc.name, worst, perEvent)
+		}
+		t.Logf("%s: one event moves the offset by at most %d of the %d elements the rule allows for", tc.name, worst, perEvent)
+	}
 }
 
 // TestStoreFullRefusal drives the admission gate against a lane whose
@@ -336,7 +383,7 @@ func TestStoreFullRefusal(t *testing.T) {
 	ev := func(p, i int) model.Event {
 		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
 	}
-	const perEvent = 2 * (4 + 1) // numProcs 4
+	const perEvent = 2 * (2 + 4 + 2) // numProcs 4: a frame, taken back, then a keyframe and its frame
 	for _, shards := range []int{1, 2} {
 		pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
 			PipelineOptions{Shards: shards})

@@ -21,31 +21,46 @@ import (
 // cluster epoch and the kind, and the partner. Everything else is implied by
 // position: the event ID is (column, slot+1); the epoch is an index into the
 // pipeline's append-only epoch table (plane.epochs), whose entry is the
-// immutable *cluster.Info the projection is over; the vector is
-// len(Members) elements at an element offset into the arena of the lane that
-// owns the process. Epoch 0 is no epoch: the event is a noted cluster receive
-// and vec is the slot of its note in the process's note column. hct.Timestamp
-// is the read-time view of a cell, built by value on request
-// (plane.Timestamp); the precedence path reads cells and notes directly and
-// builds none.
+// immutable *cluster.Info the projection is over; the vector is a frame at an
+// element offset into the arena of the lane that owns the process. Epoch 0 is
+// no epoch: the event is a noted cluster receive and vec is the slot of its
+// note in the process's note column. hct.Timestamp is the read-time view of a
+// cell, built by value on request (plane.Timestamp); the precedence path reads
+// cells, frames and notes directly and builds none.
 //
-// A noted cluster receive keeps its whole Fidge/Mattern vector, but not as
-// numProcs int32s: consecutive cluster receives of one process differ by
-// little per component, so a note (12 bytes: event index, keyframe offset,
-// delta offset) stores the vector as a keyframe — numProcs int32s, an earlier
-// cluster receive's vector of the same process — plus numProcs bytes of
-// offsets above it, packed four to an arena element, lowest byte first. A
-// note whose delta is noDelta is a keyframe itself. A process keeps its
-// keyframe for as long as every component of the new clock is within 255 of
-// it and starts a new one otherwise (arena.frame), so the form adapts to the
-// traffic with nothing to tune. Component q of a note is key[q] plus byte q of
-// the delta: two elements read, no chain to walk.
+// No vector is stored as the ints it stands for. Consecutive events of one
+// process differ by little per component — the observation behind the
+// Singhal/Kshemkalyani differential scheme the paper sets aside (§2.4) because
+// a timestamp there is a chain of differences to walk — so a vector is a
+// keyframe, the raw int32s of an earlier vector of the same process, plus one
+// byte per component of offsets above it, packed four to an arena element,
+// lowest byte first. Component k is key[k] plus byte k: two elements read
+// wherever the event lies, no chain. A process keeps its keyframe for as long
+// as every component is within 255 of it and starts a new one otherwise, so
+// the form adapts to the traffic with nothing to tune.
+//
+// A projection over a cluster of n is a frame of 1 + ⌈n/4⌉ elements: the
+// offset of the process's current projection keyframe, then the packed bytes
+// (arena.project). The keyframe is the n raw elements of the projection that
+// started it, followed at once by that event's own frame, all zero bytes; a
+// process starts one when its epoch changes — the members differ — or an
+// offset outgrows its byte, and a noted cluster receive in between does not
+// end it. Every cell of a projection names a frame: there is one form, so a
+// singleton cluster pays 8 bytes per event where its raw element was 4. At a
+// cluster of 13 a frame is 20 bytes where the raw projection was 52.
+//
+// A noted cluster receive keeps its whole Fidge/Mattern vector the same way,
+// over all numProcs components: its note (12 bytes: event index, keyframe
+// offset, delta offset) names a keyframe of numProcs int32s — an earlier
+// cluster receive's vector of the same process — and (numProcs+3)/4 elements
+// of offsets above it (arena.frame). A note whose delta is noDelta is a
+// keyframe itself.
 //
 // A column is a directory of pages of pageCells cells each. Pages are
 // allocated when the column reaches them (none at construction), are never
 // moved or freed, and a column therefore never copies a published cell and
-// wastes at most one partial page. Vectors — projections, keyframes and delta
-// frames alike — are carved from the owning lane's arena, so the steady-state
+// wastes at most one partial page. Vectors — keyframes and frames of either
+// kind — are carved from the owning lane's arena, so the steady-state
 // ingest path performs no per-event allocation. Neither a page of cells, a
 // page of notes nor an arena chunk contains a pointer: the garbage collector
 // allocates them as no-scan spans and never looks inside.
@@ -116,10 +131,11 @@ import (
 //
 // Cluster-receive notes are a column of the same kind, and a cluster
 // receive's cell names its note's slot, which like every slot of a page never
-// moves. A delta frame only ever references a keyframe the same writer filled
-// before it appended the note, so whatever publishes the note — its own
-// column's watermark on the routed path, the cell's on the direct path — has
-// published the keyframe, the delta bytes and the chunks both lie in with it.
+// moves. A frame of either kind only ever references a keyframe the same
+// writer filled before it wrote the cell or appended the note, so whatever
+// publishes that — the cell's watermark for a projection; for a note its own
+// column's on the routed path, the cell's on the direct path — has published
+// the keyframe, the bytes above it and the chunks both lie in with it.
 //
 // Soundness of the routed precedence path needs one extra observation: the
 // notes consulted for a query about event f are those of some process q with
@@ -151,7 +167,7 @@ const epochLimit = 1 << 30
 
 // cell is the stored form of one event's timestamp (see the file comment).
 type cell struct {
-	vec     uint32 // projection: element offset in the owning lane's arena; epoch 0: slot in the process's note column
+	vec     uint32 // projection: element offset of its frame in the owning lane's arena; epoch 0: slot in the process's note column
 	ek      uint32 // epoch index << 2 | kind; epoch 0 = noted cluster receive
 	partner model.EventID
 }
@@ -295,6 +311,44 @@ func deltaByte(word int32, q int) int32 {
 	return int32(uint32(word) >> (8 * (q & 3)) & 0xff)
 }
 
+// packedWords is the number of arena elements n byte offsets pack into.
+func packedWords(n int) int { return (n + 3) / 4 }
+
+// projection is a stored projection resolved against one chunk list: the
+// keyframe's elements and the packed offsets above them, both aliasing the
+// arena. Component k is key[k] plus byte k of words; a reader that wants them
+// all takes a word per four (decode, and the routed precedence path).
+type projection struct{ key, words []int32 }
+
+// proj resolves the frame at off, of a projection over a cluster of n.
+func (d chunkDir) proj(off uint32, n int) projection {
+	f := d.slice(off, 1+packedWords(n))
+	return projection{key: d.slice(uint32(f[0]), n), words: f[1:]}
+}
+
+// decode returns the projection as a fresh slice.
+func (p projection) decode() []int32 {
+	v := make([]int32, len(p.key))
+	var word uint32
+	for k, base := range p.key {
+		if k&3 == 0 {
+			word = uint32(p.words[k>>2])
+		}
+		v[k] = base + int32(word&0xff)
+		word >>= 8
+	}
+	return v
+}
+
+// projAt returns component k of the projection whose frame lies at off
+// without resolving the rest: the header and the packed word share a chunk,
+// the key element is the second lookup.
+func (d chunkDir) projAt(off uint32, k int) int32 {
+	c, base := chunkOf(off)
+	f := d[c][off-base:]
+	return d.at(uint32(f[0])+uint32(k)) + deltaByte(f[1+k>>2], k)
+}
+
 // component returns element q of note n's vector; the caller bounds q to
 // [0, numProcs).
 func (d chunkDir) component(n *crNote, q model.ProcessID) int32 {
@@ -312,7 +366,7 @@ func (d chunkDir) full(n *crNote, numProcs int) []int32 {
 	if n.delta == noDelta {
 		return key
 	}
-	words := d.slice(n.delta, (numProcs+3)/4)
+	words := d.slice(n.delta, packedWords(numProcs))
 	v := make([]int32, numProcs)
 	for q := range v {
 		v[q] = key[q] + deltaByte(words[q>>2], q)
@@ -320,8 +374,8 @@ func (d chunkDir) full(n *crNote, numProcs int) []int32 {
 	return v
 }
 
-// arena bulk-allocates the vectors of one lane's cells: projections and the
-// keyframes and delta frames of noted cluster receives. Chunks are written
+// arena bulk-allocates the vectors of one lane's cells: the keyframes and
+// frames of projections and of noted cluster receives. Chunks are written
 // once by the owning lane and named forever, by offset, by the cells and notes
 // whose vectors lie in them; carve hands out full-capacity subslices so no two
 // vectors can ever overlap through append. Chunk capacity grows geometrically
@@ -346,12 +400,14 @@ type arena struct {
 // StoreStats are the store's physical tallies — what the paper's
 // fixed-vector accounting (StorageInts) deliberately does not model.
 type StoreStats struct {
-	VectorBytes int64 `json:"vector_bytes"`    // carved from the lane arenas: projections, keyframes, delta frames
-	CellBytes   int64 `json:"cell_bytes"`      // 16 per stamped event
-	NoteBytes   int64 `json:"note_bytes"`      // 12 per noted cluster receive
-	Epochs      int64 `json:"epochs"`          // cluster epochs in the epoch table
-	Keyframes   int64 `json:"cr_keyframes"`    // noted cluster receives stored as a keyframe
-	DeltaFrames int64 `json:"cr_delta_frames"` // noted cluster receives stored as offsets above an earlier keyframe
+	VectorBytes   int64 `json:"vector_bytes"`    // carved from the lane arenas: keyframes and frames
+	CellBytes     int64 `json:"cell_bytes"`      // 16 per stamped event
+	NoteBytes     int64 `json:"note_bytes"`      // 12 per noted cluster receive
+	Epochs        int64 `json:"epochs"`          // cluster epochs in the epoch table
+	Keyframes     int64 `json:"cr_keyframes"`    // noted cluster receives stored as a keyframe
+	DeltaFrames   int64 `json:"cr_delta_frames"` // noted cluster receives stored as offsets above an earlier keyframe
+	ProjKeyframes int64 `json:"proj_keyframes"`  // projections that started a keyframe (and carry a zero frame over it)
+	ProjFrames    int64 `json:"proj_frames"`     // projections stored as a frame over an earlier keyframe
 }
 
 // end returns the offset the next carve starts at unless it has to move on to
@@ -417,7 +473,7 @@ func (a *arena) uncarve(w []int32) {
 func (a *arena) frame(index int32, prev *crNote, clk []int32) crNote {
 	if prev != nil {
 		key := a.chunks.slice(prev.key, len(clk))
-		at, words := a.carve((len(clk) + 3) / 4)
+		at, words := a.carve(packedWords(len(clk)))
 		// An offset above 255 spills into its neighbours' bytes, but then the
 		// frame is not kept.
 		var over uint32
@@ -443,6 +499,52 @@ func (a *arena) frame(index int32, prev *crNote, clk []int32) crNote {
 	copy(k, clk)
 	a.stats.Keyframes++
 	return crNote{index: index, key: at, delta: noDelta}
+}
+
+// projKey is a process's current projection keyframe: where it lies and the
+// epoch it is over. Writer-private, 8 bytes per process; the zero value is no
+// keyframe yet, epoch 0 being no projection's.
+type projKey struct{ at, ep uint32 }
+
+// project stores the projection of clk over members, the cluster of epoch ep,
+// for the process whose current keyframe is cur, and returns the offset of its
+// frame. The frame is over that keyframe while the epoch is the same and every
+// component is within 255 of it; otherwise the projection becomes the
+// process's keyframe, carved together with its own all-zero frame. Like
+// arena.frame it packs first and tests once, and takes the elements back when
+// an offset did not fit.
+func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) uint32 {
+	n, w := len(members), packedWords(len(members))
+	if cur.ep == ep {
+		key := a.chunks.slice(cur.at, n)
+		at, f := a.carve(1 + w)
+		var over, word uint32
+		for k, q := range members {
+			off := uint32(clk[q] - key[k])
+			over |= off
+			word |= off << (8 * (k & 3))
+			if k&3 == 3 {
+				f[1+k>>2], word = int32(word), 0
+			}
+		}
+		if n&3 != 0 {
+			f[w] = int32(word)
+		}
+		if over <= 255 {
+			f[0] = int32(cur.at)
+			a.stats.ProjFrames++
+			return at
+		}
+		a.uncarve(f)
+	}
+	at, key := a.carve(n + 1 + w)
+	for k, q := range members {
+		key[k] = clk[q]
+	}
+	key[n] = int32(at)
+	*cur = projKey{at: at, ep: ep}
+	a.stats.ProjKeyframes++
+	return at + uint32(n)
 }
 
 // appendNote stores clk as the next noted cluster receive of the process

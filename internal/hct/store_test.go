@@ -341,22 +341,26 @@ func TestLaneQueueBounded(t *testing.T) {
 // stamping allocates per page and per arena chunk, never per event. Trace and
 // engine are built before the measured region.
 //
-// The ring (spmd-stream): a 16-byte cell and a projection over a cluster of
-// up to 13 (≈50 B) for every event; for the ≈4% that are noted cluster
-// receives a 12-byte note and a 300-byte delta frame, with a 1200-byte
-// keyframe once per ≈90 of them (≈13 B/event, 49 when every one kept its full
-// vector); partial pages and the last arena chunk — ≈81 B/event measured. The
-// budget of 100 is below the 104 the store measured with two pointers in every
-// cell, so going back to them fails it, as does a returned full vector per
-// cluster receive.
+// The ring (spmd-stream): a 16-byte cell for every event; for the 96% that
+// carry a projection, over a cluster of up to 13, a 20-byte frame (the keyframe
+// offset and four elements of packed bytes), with a 72-byte keyframe — 13 raw
+// elements and its own frame — once per ≈160 of them, where an own component
+// outgrows its byte or a merge changes the members (≈19.5 B/event, 50 when
+// every one kept its 13 ints); for the ≈4% that are noted cluster receives a
+// 12-byte note and a 300-byte delta frame, with a 1200-byte keyframe once per
+// ≈90 of them (≈13 B/event, 49 when every one kept its full vector); partial
+// pages and the last arena chunk — ≈50.5 B/event measured. The budget of 65 is
+// below the 81 the store measured with raw projections, so going back to them
+// fails it, as does a pointer in the cell or a returned full vector per cluster
+// receive.
 //
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
-// noted cluster receives and the frames are most of the store — 16 B for
-// every event, ≈27 of projection over the other half, plus ≈0.48 × (12 + 280
-// + a keyframe's share) ≈ 146 — ≈192 B/event measured against 225 with
-// pointers and 619 with full vectors; budget 220. Its columns hold a third of
-// the ring's events each, so pages and directories come to 0.027 allocations
-// per event, not 0.015.
+// noted cluster receives and their frames are most of the store — 16 B for
+// every event, ≈11 of projection frames over the other half, plus ≈0.48 × (12
+// + 280 + a keyframe's share) ≈ 144 — ≈177 B/event measured against 192 with
+// raw projections, 225 with pointers too and 619 with full vectors; budget 190.
+// Its columns hold a third of the ring's events each, so pages and directories
+// come to 0.027 allocations per event, not 0.015.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -367,8 +371,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 		budget float64 // heap bytes per event
 		allocs float64 // per event: pages, chunks, directories
 	}{
-		{"ring", workload.Ring(300, 330, false), 100, 0.02},
-		{"random-uniform", workload.RandomUniform(280, 150000, 1), 220, 0.04},
+		{"ring", workload.Ring(300, 330, false), 65, 0.02},
+		{"random-uniform", workload.RandomUniform(280, 150000, 1), 190, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -391,8 +395,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 			allocsPer := float64(after.Mallocs-before.Mallocs) / n
 			st := ts.StoreStats()
-			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d keyframes, %d delta frames; %d epochs), %.4f allocs/event, size ratio %.3f",
-				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.Keyframes, st.DeltaFrames, st.Epochs, allocsPer,
+			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames, %d + %d cluster-receive keyframes and delta frames; %d epochs), %.4f allocs/event, size ratio %.3f",
+				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.Keyframes, st.DeltaFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
 			if st.CellBytes != 16*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
 				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
@@ -406,6 +410,9 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			if got, want := st.Keyframes+st.DeltaFrames, int64(ts.ClusterReceives()); got != want {
 				t.Errorf("%d keyframes + delta frames for %d noted cluster receives", got, want)
 			}
+			if got, want := st.ProjKeyframes+st.ProjFrames, int64(len(tr.Events)-ts.ClusterReceives()); got != want {
+				t.Errorf("%d projection keyframes + frames for the %d events that are not noted cluster receives", got, want)
+			}
 			runtime.KeepAlive(ts)
 			runtime.KeepAlive(tr)
 		})
@@ -413,12 +420,13 @@ func TestStoreBytesPerEvent(t *testing.T) {
 }
 
 // TestViewsAllocateNothing pins the by-value read API against the stored
-// form: projection views, reconstructed events and the views of cluster
-// receives stored as keyframes alias the store and allocate nothing; a
-// precedence query whose target is a delta-framed cluster receive — read
-// directly, or reached through the notes on the routed path — reads two
-// elements and allocates nothing; and the view of a delta-framed cluster
-// receive allocates exactly its decoded Full.
+// form: reconstructed events and the views of cluster receives stored as
+// keyframes allocate nothing, the latter aliasing the store; a precedence
+// query allocates nothing whatever it reads — a projection frame on the direct
+// path, one resolved once and indexed per member on the routed path, a
+// delta-framed cluster receive read directly or reached through the notes;
+// and the view of a projection or of a delta-framed cluster receive allocates
+// exactly its decoded vector.
 func TestViewsAllocateNothing(t *testing.T) {
 	tr := workload.Ring(16, 8, false)
 	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()})
@@ -470,6 +478,18 @@ func TestViewsAllocateNothing(t *testing.T) {
 		t.Fatal("no precedence pair in the trace routes through a delta-framed note")
 	}
 
+	// Both precedence paths over projection frames: every projection as the
+	// target of a query from the trace's first event.
+	direct0, routed0 := ts.QueryPathCounts()
+	for _, f := range projs {
+		if _, err := ts.Precedes(e, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if direct, routed := ts.QueryPathCounts(); direct == direct0 || routed == routed0 {
+		t.Fatalf("queries into the %d projections took the direct path %d times and the routed path %d times: need both", len(projs), direct-direct0, routed-routed0)
+	}
+
 	var sink int
 	views := func(ids []model.EventID) func() {
 		return func() {
@@ -484,13 +504,20 @@ func TestViewsAllocateNothing(t *testing.T) {
 		want float64
 		run  func()
 	}{
-		{"projection views", 0, views(projs)},
+		{"projection views", float64(len(projs)), views(projs)},
 		{"keyframe views", 0, views(keyframes)},
 		{"delta-frame views", float64(len(deltas)), views(deltas)},
 		{"events", 0, func() {
 			for _, ev := range tr.Events {
 				got, _ := ts.Event(ev.ID)
 				sink += int(got.Kind)
+			}
+		}},
+		{"precedes, projection targets, direct and routed", 0, func() {
+			for _, f := range projs {
+				if _, err := ts.Precedes(e, f); err != nil {
+					t.Error(err)
+				}
 			}
 		}},
 		{"direct precedes, delta-framed target", 0, func() {
@@ -608,6 +635,126 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 		for q, v := range fresh {
 			if v != 0 {
 				t.Fatalf("carve after %d frames: element %d = %d, want zeroed", len(inputs), q, v)
+			}
+		}
+	})
+}
+
+// FuzzProjFrameRoundTrip is the property test of the projection stored form,
+// as FuzzCRNoteRoundTrip is of the cluster receives'. Each input drives one
+// process's monotone clock through arena.project over a cluster of N members —
+// every other component of the clock, so the member list is not the identity —
+// with N in {1, 2, 3, 4, 5, 13, 255, 300}: every two bytes either step a run of
+// member components by 0, 1, 255, 256 or 70000, or move the process to a new
+// epoch over the same members with the clock untouched. A projection must
+// start a keyframe exactly when it is the process's first, its epoch changed —
+// every offset being small does not excuse it, the members could differ — or
+// some component exceeds the current keyframe by more than 255; a keyframe's
+// own frame lies right behind its elements, and a frame must name the current
+// keyframe. Every projection, re-read after all later ones were carved, through
+// the chunk list published then and through both readers, must equal
+// ProjectInto of the clock it was made from.
+func FuzzProjFrameRoundTrip(f *testing.F) {
+	sizes := [...]int{1, 2, 3, 4, 5, 13, 255, 300}
+	steps := [...]int32{0, 1, 255, 256, 70000}
+	const newEpoch = 5 // op codes from here on
+	// (start member, run length<<3 | op): one seed per op, then mixes.
+	for sel := range sizes {
+		for op := 0; op <= newEpoch; op++ {
+			f.Add(uint8(sel), []byte{0, byte(op), 1, byte(op), 2, byte(31<<3 | op), 0, byte(op)})
+		}
+		// An offset of exactly 255, then of 256; an epoch change among small steps.
+		f.Add(uint8(sel), []byte{0, 0, 0, 2, 0, 1, 0, 1, 0, newEpoch, 0, 1, 7, 31<<3 | 1, 0, 0, 4, 4, 4, 2, 4, 1})
+	}
+	// N = 4: a 6-element keyframe and 125 two-element frames fill the first
+	// chunk to its last element, so the 126th frame is the first thing in a
+	// chunk allocated for it.
+	boundary := make([]byte, 0, 512)
+	for i := 0; i < 256; i++ {
+		boundary = append(boundary, byte(i%4), 1)
+	}
+	f.Add(uint8(3), boundary)
+	// N = 255: the first keyframe is 255 elements and a 65-element frame, more
+	// than the first chunk, so it takes the first two chunks in one allocation
+	// and its frame's header is the last element of the first chunk, its packed
+	// bytes the first of the second.
+	f.Add(uint8(6), []byte{0, 1, 0, 1, 3, 2})
+	// N = 300: the first keyframe's allocation has room for one more frame; the
+	// next starts a fresh chunk, and the step of 256 makes it the frame that
+	// does not fit, so the un-carve empties that chunk again and the new
+	// keyframe is the first thing in it.
+	f.Add(uint8(7), []byte{0, 1, 0, 1, 0, 3})
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		n := sizes[int(sel)%len(sizes)]
+		if len(data) > 512 {
+			data = data[:512] // 256 projections of at most +70000: far from int32 overflow
+		}
+		members := make([]int32, n)
+		for k := range members {
+			members[k] = int32(2*k + 1)
+		}
+		var (
+			ar     arena
+			cur    projKey
+			ep     = uint32(1)
+			clk    = make(vclock.Clock, 2*n+1)
+			at     []uint32  // where each projection's frame lies
+			inputs [][]int32 // and what it was made from
+			curKey []int32   // the oracle's copy of the current keyframe
+			keyEp  uint32
+		)
+		for i := 0; i+1 < len(data); i += 2 {
+			if op := int(data[i+1]&7) % (newEpoch + 1); op == newEpoch {
+				ep++
+			} else {
+				for k, run := 0, 1+int(data[i+1]>>3); k < run; k++ {
+					clk[members[(int(data[i])+k)%n]] += steps[op]
+				}
+			}
+			want := clk.ProjectInto(make([]int32, n), members)
+			wantKey := curKey == nil || keyEp != ep
+			for k := range want {
+				wantKey = wantKey || want[k]-curKey[k] > 255
+			}
+			prevKey := cur.at
+			off := ar.project(&cur, ep, clk, members)
+			header := uint32(ar.chunks.at(off))
+			if isKey := header+uint32(n) == off; isKey != wantKey {
+				t.Fatalf("projection %d: keyframe = %v, want %v (epoch %d, projection %v over the keyframe %v of epoch %d)", len(inputs)+1, isKey, wantKey, ep, want, curKey, keyEp)
+			}
+			if wantKey {
+				curKey, keyEp = want, ep
+			} else if header != prevKey {
+				t.Fatalf("projection %d: frame over the keyframe at %d, current keyframe at %d", len(inputs)+1, header, prevKey)
+			}
+			if cur != (projKey{at: header, ep: ep}) {
+				t.Fatalf("projection %d: the process's keyframe is %+v, the frame names %d under epoch %d", len(inputs)+1, cur, header, ep)
+			}
+			at, inputs = append(at, off), append(inputs, want)
+		}
+		var vecs chunkDir
+		if len(inputs) > 0 {
+			vecs = *ar.dir.Load()
+		}
+		for i, want := range inputs {
+			got := vecs.proj(at[i], n).decode()
+			for k := range want {
+				if c := vecs.projAt(at[i], k); c != want[k] || got[k] != want[k] {
+					t.Fatalf("projection %d component %d: projAt() = %d, decode() = %d, input %d", i+1, k, c, got[k], want[k])
+				}
+			}
+		}
+		// A frame that did not fit gives its elements back, zeroed: the tallies
+		// count only what cells name, and the next carve is clean.
+		st := ar.stats
+		w := int64(packedWords(n))
+		if st.ProjKeyframes+st.ProjFrames != int64(len(inputs)) || st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+1+w)+st.ProjFrames*(1+w)) {
+			t.Fatalf("tallies %+v for %d projections over %d members", st, len(inputs), n)
+		}
+		_, fresh := ar.carve(n)
+		for k, v := range fresh {
+			if v != 0 {
+				t.Fatalf("carve after %d projections: element %d = %d, want zeroed", len(inputs), k, v)
 			}
 		}
 	})

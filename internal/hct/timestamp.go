@@ -24,7 +24,7 @@ import (
 // Timestamp is one event's hierarchical cluster timestamp. For the pipeline
 // (and so the Timestamper façade, the monitor and replay) it is the read-time
 // view of a stored cell (store.go), built by value on request: copying one is
-// cheap, and Proj and Full alias the store's arena and must not be modified.
+// cheap, and Proj and Full may alias the store's arena and must not be modified.
 //
 // Exactly one of (Cluster, Proj) and Full is populated:
 //

@@ -118,6 +118,8 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_store_cell_bytes",
 		"poetd_store_note_bytes",
 		"poetd_store_epochs",
+		"poetd_store_proj_keyframes",
+		"poetd_store_proj_frames",
 		"poetd_cr_keyframes_total",
 		"poetd_cr_delta_frames_total",
 		"poetd_lane_queue_depth{lane=",
@@ -147,12 +149,21 @@ func TestServerTelemetry(t *testing.T) {
 	if st.Paper.PrecedesClusterHits+st.Paper.PrecedesClusterReceives == 0 {
 		t.Error("Status query-path counters are zero after queries")
 	}
-	// The physical side: every noted cluster receive is one frame, and the
-	// store has carved at least a projection element per event.
+	// The physical side: every noted cluster receive is one frame or
+	// keyframe, every other event one of a projection's — on /statusz and on
+	// /metrics — and the store has carved at least two elements per event.
 	if got := st.Store.Keyframes + st.Store.DeltaFrames; got != int64(st.Paper.ClusterReceives) {
 		t.Errorf("Status store = %+v: keyframes + delta frames want the %d noted cluster receives", st.Store, st.Paper.ClusterReceives)
 	}
-	if st.Store.VectorBytes < 4*int64(len(tr.Events)) {
+	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.Keyframes + st.Store.DeltaFrames; got != int64(len(tr.Events)) || st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 {
+		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + cr_keyframes + cr_delta_frames = %d, want the %d events, with projections of both kinds", st.Store, got, len(tr.Events))
+	}
+	for series, want := range map[string]int64{"poetd_store_proj_keyframes": st.Store.ProjKeyframes, "poetd_store_proj_frames": st.Store.ProjFrames} {
+		if !strings.Contains(out, fmt.Sprintf("%s %d\n", series, want)) {
+			t.Errorf("/metrics %s does not read %d as /statusz does", series, want)
+		}
+	}
+	if st.Store.VectorBytes < 8*int64(len(tr.Events)) {
 		t.Errorf("Status store vector_bytes = %d for %d events", st.Store.VectorBytes, len(tr.Events))
 	}
 	if want := 16 * int64(len(tr.Events)); st.Store.CellBytes != want || !strings.Contains(out, fmt.Sprintf("poetd_store_cell_bytes %d\n", want)) {
@@ -287,6 +298,8 @@ func TestScrapeSeriesCountsStable(t *testing.T) {
 		"poetd_history_counted_events_total":   1,
 		"poetd_history_cover_waits_total":      1,
 		"poetd_replay_materialize_seconds_sum": 1,
+		"poetd_store_proj_keyframes":           1,
+		"poetd_store_proj_frames":              1,
 	} {
 		if first[name] != want {
 			t.Errorf("%s renders %d series, want %d", name, first[name], want)

@@ -94,8 +94,9 @@ func (q *Queries) Concurrent(e, f model.EventID) (bool, error) {
 }
 
 // Timestamp returns the timestamp of an event, by value: a view of the
-// stored cell, built without allocating. Lock-free; the vectors it carries
-// alias the store and are immutable.
+// stored cell, at most one allocation (a vector the store holds as offsets
+// over a keyframe is decoded). Lock-free; the vectors it carries may alias the
+// store and are immutable.
 func (q *Queries) Timestamp(id model.EventID) (hct.Timestamp, bool) {
 	return q.eng.Timestamp(id)
 }

@@ -107,6 +107,10 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(pipe.StoreStats().NoteBytes) })
 	reg.GaugeFunc("poetd_store_epochs", "Cluster epochs in the table the stored cells index.",
 		func() float64 { return float64(pipe.StoreStats().Epochs) })
+	reg.GaugeFunc("poetd_store_proj_keyframes", "Projections stored as a keyframe (raw elements and a zero frame over them).",
+		func() float64 { return float64(pipe.StoreStats().ProjKeyframes) })
+	reg.GaugeFunc("poetd_store_proj_frames", "Projections stored as byte offsets above an earlier keyframe of the same process and epoch.",
+		func() float64 { return float64(pipe.StoreStats().ProjFrames) })
 	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a keyframe (a full vector).",
 		func() int64 { return pipe.StoreStats().Keyframes })
 	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe.",

@@ -270,8 +270,9 @@ func TestSurfacesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var status struct {
-		Counters json.RawMessage `json:"counters"`
-		Rates    json.RawMessage `json:"rates_since_start"`
+		Counters json.RawMessage            `json:"counters"`
+		Rates    json.RawMessage            `json:"rates_since_start"`
+		Store    map[string]json.RawMessage `json:"store"`
 	}
 	if err := json.Unmarshal(doc, &status); err != nil {
 		t.Fatal(err)
@@ -314,6 +315,31 @@ func TestSurfacesAgree(t *testing.T) {
 		if got, ok := counters[n.status]; !ok || strconv.FormatInt(got, 10) != want {
 			t.Errorf("STATS %s=%s, /statusz counters.%s = %d (present %v)", n.stats, want, n.status, got, ok)
 		}
+	}
+
+	// The store block is /statusz's and /metrics' alone (STATS carries the
+	// paper's accounting, not the physical one): key by key the same number,
+	// and the four kinds of stored vector add up to the default tenant's events.
+	stored := 0
+	for key, family := range map[string]string{
+		"vector_bytes": "poetd_store_vector_bytes", "cell_bytes": "poetd_store_cell_bytes",
+		"note_bytes": "poetd_store_note_bytes", "epochs": "poetd_store_epochs",
+		"proj_keyframes": "poetd_store_proj_keyframes", "proj_frames": "poetd_store_proj_frames",
+		"cr_keyframes": "poetd_cr_keyframes_total", "cr_delta_frames": "poetd_cr_delta_frames_total",
+	} {
+		if got, want := scraped[family], string(status.Store[key]); got != want || want == "" {
+			t.Errorf("/statusz store.%s = %q, /metrics %s %q", key, want, family, got)
+		}
+		if strings.HasSuffix(key, "frames") {
+			n, _ := strconv.Atoi(scraped[family])
+			stored += n
+		}
+	}
+	if stored != len(tr.Events) {
+		t.Errorf("proj_keyframes + proj_frames + cr_keyframes + cr_delta_frames = %d, want the %d events", stored, len(tr.Events))
+	}
+	if len(status.Store) != 9 { // the eight above and lane_queue_depth
+		t.Errorf("/statusz store = %v: want the eight tallies and lane_queue_depth", status.Store)
 	}
 
 	// And the numbers are the traffic's, not seventeen agreeing zeros.
