@@ -240,11 +240,12 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 // directory: a reader that loaded the arena's chunk list and the epoch table
 // right after a watermark, and kept them while the lane moved on through 17
 // and more chunks and the planner appended 17 and more epochs, still resolves
-// every cell below that watermark — projections that started a keyframe and
-// projections framed over an earlier one, cluster receives as keyframes and as
-// delta frames — to what the store held when the watermark was taken, through
-// both readers of each form. Neither directory ever rewrites an entry a
-// published cell names.
+// every cell below that watermark — projections that started a keyframe,
+// projections framed over an earlier one and cells that name their
+// predecessor's frame, cluster receives as keyframes and as delta frames — to
+// what the store held when the watermark was taken, through both readers of
+// each form, a projection's own component coming from the slot. Neither
+// directory ever rewrites an entry a published cell names.
 func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	tr := workload.Ring(64, 800, false)
 	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()})
@@ -287,22 +288,28 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	if merged, added := ts.Merges()-mergesThen, len(*ts.epochs.Load())-len(epochs); merged < 17 || added < 17 {
 		t.Fatalf("%d merges and %d epochs after the capture, want 17 or more of each", merged, added)
 	}
-	var projKeys, projFrames, keyframes, deltas int
+	var projKeys, projFrames, projShared, keyframes, deltas int
 	for _, want := range early {
 		p := want.ID.Process
 		c := ts.lookup(want.ID, w)
 		if ep := c.epoch(); ep != 0 {
 			cl := epochs[ep]
 			n := len(cl.Members)
-			// A keyframe's own frame lies right behind its elements.
-			if key := uint32(chunks.at(c.vec)); key+uint32(n) == c.vec {
+			// A shared cell names what the projection before it names; a
+			// keyframe's own frame lies right behind its elements.
+			if prev := ts.lookup(model.EventID{Process: p, Index: want.ID.Index - 1}, w); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
+				projShared++
+			} else if key := uint32(chunks.at(c.vec)); key+uint32(n) == c.vec {
 				projKeys++
 			} else {
 				projFrames++
 			}
 			own, _ := cl.PosOf(int32(p))
-			if got := chunks.proj(c.vec, n).decode(); cl != want.Cluster || !slices.Equal(got, want.Proj) || chunks.projAt(c.vec, own) != want.Proj[own] {
-				t.Fatalf("%v through the stale directories: %v (own component %d) over %v, was %v", want.ID, got, chunks.projAt(c.vec, own), cl, want)
+			other := (own + 1) % n
+			got := chunks.proj(c.vec, n).decode()
+			got[own] = int32(want.ID.Index)
+			if cl != want.Cluster || !slices.Equal(got, want.Proj) || n > 1 && chunks.projAt(c.vec, other) != want.Proj[other] {
+				t.Fatalf("%v through the stale directories: %v (component %d: %d) over %v, was %v", want.ID, got, other, chunks.projAt(c.vec, other), cl, want)
 			}
 			continue
 		}
@@ -316,12 +323,132 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 			t.Fatalf("%v through the stale chunk list: %v, was %v", want.ID, full, want)
 		}
 	}
-	if projKeys == 0 || projFrames == 0 || keyframes == 0 || deltas == 0 {
-		t.Fatalf("%d projection keyframes and %d projection frames, %d cluster-receive keyframes and %d delta frames below the capture: need all four",
-			projKeys, projFrames, keyframes, deltas)
+	if projKeys == 0 || projFrames == 0 || projShared == 0 || keyframes == 0 || deltas == 0 {
+		t.Fatalf("%d projection keyframes, %d projection frames and %d shared cells, %d cluster-receive keyframes and %d delta frames below the capture: need all five",
+			projKeys, projFrames, projShared, keyframes, deltas)
 	}
-	t.Logf("%d + %d projection keyframes and frames, %d + %d cluster-receive keyframes and delta frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
-		projKeys, projFrames, keyframes, deltas, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
+	t.Logf("%d + %d + %d projection keyframes, frames and shared cells, %d + %d cluster-receive keyframes and delta frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
+		projKeys, projFrames, projShared, keyframes, deltas, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
+}
+
+// TestOwnComponentFromSlot pins the readers' one trap. A send or a unary event
+// carves nothing — its cell names the frame of the projection before it — and no
+// frame stores its process's own component, so a frame read as it lies is stale
+// in exactly that position. Over a ring, an RPC trace with synchronous pairs and
+// a web tier, at 1, 2 and 4 lanes: every event's view is the Fidge/Mattern
+// vector, projected, with the own position the event's index; precedence within
+// a process, and from outside the cluster into a shared cell — the routed path,
+// which bounds the search over f's own notes by that component — agrees with
+// the oracle; and which cells share, a function of the delivery order and the
+// cluster decisions alone, is the same at every lane count.
+func TestOwnComponentFromSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *model.Trace
+	}{
+		{"ring", workload.Ring(64, 30, false)},
+		{"rpc", workload.RPCBusiness(30, 3, 3, 800, 0.05, 301)},
+		{"webtier", workload.WebTier(55, 5, 5, 2, 1200, 201)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr
+			stamped, err := fm.StampAll(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := make(map[model.EventID]vclock.Clock, len(stamped))
+			for _, st := range stamped {
+				clock[st.Event.ID] = st.Clock
+			}
+			if syncs := slices.ContainsFunc(tr.Events, func(e model.Event) bool { return e.Kind == model.Sync }); syncs != (tc.name == "rpc") {
+				t.Fatalf("trace has synchronous pairs: %v", syncs)
+			}
+			r := rand.New(rand.NewSource(0x0517))
+			var sharedAtOne []model.EventID
+			for _, lanes := range []int{1, 2, 4} {
+				pipe, err := NewPipeline(tr.NumProcs, Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()}, PipelineOptions{Shards: lanes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pipe.Close()
+				for lo := 0; lo < len(tr.Events); lo += 256 {
+					if err := pipe.DispatchAsync(tr.Events[lo:min(lo+256, len(tr.Events))], nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				pipe.Barrier()
+
+				var shared []model.EventID
+				for _, e := range tr.Events {
+					got, ok := pipe.Timestamp(e.ID)
+					if !ok {
+						t.Fatalf("lanes=%d: %v not stamped", lanes, e.ID)
+					}
+					if got.Full != nil {
+						if !got.Full.Equal(clock[e.ID]) {
+							t.Fatalf("lanes=%d: %v Full = %v, Fidge/Mattern %v", lanes, e.ID, got.Full, clock[e.ID])
+						}
+						continue
+					}
+					own, _ := got.Cluster.PosOf(int32(e.ID.Process))
+					if want := clock[e.ID].Project(got.Cluster.Members); !slices.Equal(got.Proj, want) || got.Proj[own] != int32(e.ID.Index) {
+						t.Fatalf("lanes=%d: %v Proj = %v over %v (own position %d), Fidge/Mattern projects to %v", lanes, e.ID, got.Proj, got.Cluster, own, want)
+					}
+					c := pipe.lookup(e.ID, nil)
+					if prev := pipe.lookup(model.EventID{Process: e.ID.Process, Index: e.ID.Index - 1}, nil); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
+						if c.epoch() != prev.epoch() || e.Kind != model.Unary && e.Kind != model.Send {
+							t.Fatalf("lanes=%d: %v (%v, epoch %d) shares the frame of its predecessor under epoch %d", lanes, e.ID, e.Kind, c.epoch(), prev.epoch())
+						}
+						shared = append(shared, e.ID)
+					}
+				}
+				if st := pipe.StoreStats(); len(shared) == 0 || st.ProjShared != int64(len(shared)) ||
+					st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames != int64(len(tr.Events)) {
+					t.Fatalf("lanes=%d: %d cells name their predecessor's frame, tallies %+v for %d events", lanes, len(shared), st, len(tr.Events))
+				}
+				if lanes == 1 {
+					sharedAtOne = shared
+				} else if !slices.Equal(shared, sharedAtOne) {
+					t.Fatalf("lanes=%d: %d shared cells, %d at one lane, or not the same ones", lanes, len(shared), len(sharedAtOne))
+				}
+
+				check := func(e, f model.EventID) {
+					t.Helper()
+					got, err := pipe.Precedes(e, f)
+					if want := fm.Precedes(e, clock[e], f, clock[f]); err != nil || got != want {
+						t.Fatalf("lanes=%d: Precedes(%v,%v) = %v, %v; Fidge/Mattern %v", lanes, e, f, got, err, want)
+					}
+				}
+				// Within a process: neighbours, and random pairs either way round.
+				for _, e := range tr.Events {
+					next := model.EventID{Process: e.ID.Process, Index: e.ID.Index + 1}
+					if _, ok := clock[next]; ok {
+						check(e.ID, next)
+						check(next, e.ID)
+					}
+					other := model.EventID{Process: e.ID.Process, Index: 1 + model.EventIndex(r.Intn(int(e.ID.Index)+3))}
+					if _, ok := clock[other]; ok {
+						check(e.ID, other)
+					}
+				}
+				// Into shared cells from every process: those outside f's cluster
+				// route through the notes.
+				_, routed0 := pipe.QueryPathCounts()
+				for k := 0; k < 400; k++ {
+					f := shared[r.Intn(len(shared))]
+					for p := 0; p < tr.NumProcs; p++ {
+						e := model.EventID{Process: model.ProcessID(p), Index: 1 + model.EventIndex(r.Intn(int(f.Index)+3))}
+						if _, ok := clock[e]; ok {
+							check(e, f)
+						}
+					}
+				}
+				if _, routed := pipe.QueryPathCounts(); routed == routed0 {
+					t.Fatalf("lanes=%d: no query into a shared cell took the routed path", lanes)
+				}
+			}
+		})
+	}
 }
 
 // TestStoredFormSizes pins the two numbers the B/event budget (DESIGN §10)

@@ -209,6 +209,8 @@ func (ts *plane) TimestampAt(id model.EventID, w Watermark) (Timestamp, bool) {
 	} else {
 		t.Cluster = ts.epoch(ep)
 		t.Proj = vecs.proj(c.vec, len(t.Cluster.Members)).decode()
+		own, _ := t.Cluster.PosOf(int32(id.Process))
+		t.Proj[own] = int32(id.Index) // the frame may be a predecessor's, and holds no own component
 	}
 	return t, true
 }
@@ -305,6 +307,12 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	if ce.kind() == model.Sync && ce.partner == f {
 		return false, nil
 	}
+	// Within a process the order is the index order: a clock's own component
+	// is its event's index, which no frame stores.
+	if e.Process == f.Process {
+		ts.qDirect.Add(1)
+		return e.Index < f.Index, nil
+	}
 	eIdx := int32(e.Index)
 
 	// Read the cells, frames and notes directly: no view is built on this
@@ -334,13 +342,12 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	// only where the arena changes.
 	ts.qRouted.Add(1)
 	vf := vecs.proj(cf.vec, len(c.Members))
-	var word uint32 // the packed offsets of members k to k|3, member k's lowest
 	for k, q := range c.Members {
-		if k&3 == 0 {
-			word = uint32(vf.words[k>>2])
+		bound := vf.next(k)
+		if q == int32(f.Process) {
+			bound = int32(f.Index) // f's own component
 		}
-		g := ts.latestCRAtOrBelow(q, vf.key[k]+int32(word&0xff))
-		word >>= 8
+		g := ts.latestCRAtOrBelow(q, bound)
 		if g == nil {
 			continue
 		}

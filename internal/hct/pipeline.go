@@ -783,6 +783,7 @@ func (p *Pipeline) StoreStats() StoreStats {
 			total.DeltaFrames += st.DeltaFrames
 			total.ProjKeyframes += st.ProjKeyframes
 			total.ProjFrames += st.ProjFrames
+			total.ProjShared += st.ProjShared
 			cells += p.done[s]
 		}
 		p.doneMu.Unlock()
@@ -937,7 +938,7 @@ type lane struct {
 	stop  bool
 
 	frontier  []vclock.Clock // per process; only this lane's entries are used
-	keys      []projKey      // per process, likewise: its current projection keyframe
+	keys      []projKey      // per process, likewise: its current projection keyframe and last frame
 	free      []vclock.Clock // retired clocks, reused for retained copies
 	ar        *arena
 	localSend map[model.EventID]vclock.Clock // same-lane in-flight sends
@@ -1239,17 +1240,27 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 // note before cell, cell write before watermark store. The vector — a frame
 // over the process's current keyframe of its kind, projection or cluster
 // receive, or a new keyframe (store.go) — is carved from the lane arena: no
-// allocation per event. It cannot fail: the admission gate let the event in
-// only with room for it (storeRoom), and the planner published epoch ep
-// before the item reached this lane.
+// allocation per event. A send or a unary event changes no component but its
+// own, which is its index, so under the epoch of the projection just before it
+// in its process it carves nothing and its cell names that projection's frame.
+// It cannot fail: the admission gate let the event in only with room for it
+// (storeRoom), and the planner published epoch ep before the item reached this
+// lane.
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, ep uint32) {
 	p := e.ID.Process
 	c := cell{ek: ep<<2 | uint32(e.Kind), partner: e.Partner}
+	k := &ln.keys[p]
 	if ep == 0 {
 		// The note is published before the cell: see store.go.
 		c.vec = uint32(appendNote(&ln.pl.crs[p], ln.ar, int32(e.ID.Index), clk))
+		k.live = false
+	} else if k.live && k.ep == ep && (e.Kind == model.Unary || e.Kind == model.Send) {
+		c.vec = k.last
+		ln.ar.stats.ProjShared++
 	} else {
-		c.vec = ln.ar.project(&ln.keys[p], ep, clk, ln.pl.epoch(ep).Members)
+		clk[p] = 0 // not stored: readers take the own component from the slot
+		c.vec = ln.ar.project(k, ep, clk, ln.pl.epoch(ep).Members)
+		clk[p] = int32(e.ID.Index)
 	}
 	ln.pl.cols[p].append(c)
 	ln.pl.cols[p].publish()

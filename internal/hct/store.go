@@ -49,6 +49,20 @@ import (
 // singleton cluster pays 8 bytes per event where its raw element was 4. At a
 // cluster of 13 a frame is 20 bytes where the raw projection was 52.
 //
+// A frame is carved when the clock changed, not per event. A process's own
+// component is its event's index (paper §2.2), which the cell's slot already
+// says, so no frame holds it: the own element of a keyframe and the own byte
+// of every frame are zero, the own component never outgrows a byte, and the
+// readers take it from the slot (plane.precedesAt, plane.TimestampAt). A send
+// or a unary event changes no other component, so while the epoch stays and no
+// noted cluster receive came in between — that one did change the clock — its
+// cell's vec names the frame of the projection before it in its process
+// (lane.stamp): the difference is empty and nothing is carved. What a
+// projection cell's vec names is therefore a frame carved for its own event or
+// for an earlier one of the same process and epoch, never anything else; a
+// receive, a synchronous half and the first projection after a noted cluster
+// receive or an epoch change always carve.
+//
 // A noted cluster receive keeps its whole Fidge/Mattern vector the same way,
 // over all numProcs components: its note (12 bytes: event index, keyframe
 // offset, delta offset) names a keyframe of numProcs int32s — an earlier
@@ -316,9 +330,13 @@ func packedWords(n int) int { return (n + 3) / 4 }
 
 // projection is a stored projection resolved against one chunk list: the
 // keyframe's elements and the packed offsets above them, both aliasing the
-// arena. Component k is key[k] plus byte k of words; a reader that wants them
-// all takes a word per four (decode, and the routed precedence path).
-type projection struct{ key, words []int32 }
+// arena. Component k is key[k] plus byte k of words, except the process's own,
+// which the frame does not hold (see "Layout"): its reader takes it from the
+// slot. word is next's state.
+type projection struct {
+	key, words []int32
+	word       uint32 // the packed offsets of the members from next's k to k|3, member k's lowest
+}
 
 // proj resolves the frame at off, of a projection over a cluster of n.
 func (d chunkDir) proj(off uint32, n int) projection {
@@ -326,23 +344,29 @@ func (d chunkDir) proj(off uint32, n int) projection {
 	return projection{key: d.slice(uint32(f[0]), n), words: f[1:]}
 }
 
-// decode returns the projection as a fresh slice.
+// next returns component k for a reader that asks for k = 0, 1, 2, … in turn,
+// which takes a packed word per four members.
+func (p *projection) next(k int) int32 {
+	if k&3 == 0 {
+		p.word = uint32(p.words[k>>2])
+	}
+	v := p.key[k] + int32(p.word&0xff)
+	p.word >>= 8
+	return v
+}
+
+// decode returns the stored components as a fresh slice.
 func (p projection) decode() []int32 {
 	v := make([]int32, len(p.key))
-	var word uint32
-	for k, base := range p.key {
-		if k&3 == 0 {
-			word = uint32(p.words[k>>2])
-		}
-		v[k] = base + int32(word&0xff)
-		word >>= 8
+	for k := range v {
+		v[k] = p.next(k)
 	}
 	return v
 }
 
-// projAt returns component k of the projection whose frame lies at off
-// without resolving the rest: the header and the packed word share a chunk,
-// the key element is the second lookup.
+// projAt returns component k — not the process's own — of the projection
+// whose frame lies at off without resolving the rest: the header and the
+// packed word share a chunk, the key element is the second lookup.
 func (d chunkDir) projAt(off uint32, k int) int32 {
 	c, base := chunkOf(off)
 	f := d[c][off-base:]
@@ -408,6 +432,7 @@ type StoreStats struct {
 	DeltaFrames   int64 `json:"cr_delta_frames"` // noted cluster receives stored as offsets above an earlier keyframe
 	ProjKeyframes int64 `json:"proj_keyframes"`  // projections that started a keyframe (and carry a zero frame over it)
 	ProjFrames    int64 `json:"proj_frames"`     // projections stored as a frame over an earlier keyframe
+	ProjShared    int64 `json:"proj_shared"`     // sends and unary events whose cell names their predecessor's frame
 }
 
 // end returns the offset the next carve starts at unless it has to move on to
@@ -501,18 +526,26 @@ func (a *arena) frame(index int32, prev *crNote, clk []int32) crNote {
 	return crNote{index: index, key: at, delta: noDelta}
 }
 
-// projKey is a process's current projection keyframe: where it lies and the
-// epoch it is over. Writer-private, 8 bytes per process; the zero value is no
-// keyframe yet, epoch 0 being no projection's.
-type projKey struct{ at, ep uint32 }
+// projKey is a process's projection state: where its current keyframe lies
+// and the epoch it is over, and last, the frame of its latest projection, which
+// is what the cell of an event that changed no component but the own names
+// again while live — no noted cluster receive came since. Writer-private, 16
+// bytes per process; the zero value is no keyframe yet, epoch 0 being no
+// projection's.
+type projKey struct {
+	at, ep, last uint32
+	live         bool
+}
 
 // project stores the projection of clk over members, the cluster of epoch ep,
 // for the process whose current keyframe is cur, and returns the offset of its
-// frame. The frame is over that keyframe while the epoch is the same and every
-// component is within 255 of it; otherwise the projection becomes the
-// process's keyframe, carved together with its own all-zero frame. Like
-// arena.frame it packs first and tests once, and takes the elements back when
-// an offset did not fit.
+// frame, now the process's last. The frame is over that keyframe while the
+// epoch is the same and every component is within 255 of it; otherwise the
+// projection becomes the process's keyframe, carved together with its own
+// all-zero frame. Like arena.frame it packs first and tests once, and takes
+// the elements back when an offset did not fit. The caller passes the process's
+// own component as zero (lane.stamp): it is the event's index, which the cell's
+// slot already says, so it neither is stored nor can outgrow its byte.
 func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) uint32 {
 	n, w := len(members), packedWords(len(members))
 	if cur.ep == ep {
@@ -532,6 +565,7 @@ func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) u
 		}
 		if over <= 255 {
 			f[0] = int32(cur.at)
+			cur.last, cur.live = at, true
 			a.stats.ProjFrames++
 			return at
 		}
@@ -542,9 +576,9 @@ func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) u
 		key[k] = clk[q]
 	}
 	key[n] = int32(at)
-	*cur = projKey{at: at, ep: ep}
+	*cur = projKey{at: at, ep: ep, last: at + uint32(n), live: true}
 	a.stats.ProjKeyframes++
-	return at + uint32(n)
+	return cur.last
 }
 
 // appendNote stores clk as the next noted cluster receive of the process

@@ -3,11 +3,13 @@ package hct
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/strategy"
@@ -341,26 +343,29 @@ func TestLaneQueueBounded(t *testing.T) {
 // stamping allocates per page and per arena chunk, never per event. Trace and
 // engine are built before the measured region.
 //
-// The ring (spmd-stream): a 16-byte cell for every event; for the 96% that
-// carry a projection, over a cluster of up to 13, a 20-byte frame (the keyframe
-// offset and four elements of packed bytes), with a 72-byte keyframe — 13 raw
-// elements and its own frame — once per ≈160 of them, where an own component
-// outgrows its byte or a merge changes the members (≈19.5 B/event, 50 when
+// The ring (spmd-stream): a 16-byte cell for every event; of the 96% that
+// carry a projection, over a cluster of up to 13, half are sends whose cell
+// names the frame of the receive before them, and the other half carve a
+// 20-byte frame (the keyframe offset and four elements of packed bytes), with a
+// 72-byte keyframe — 13 raw elements and its own frame — once per ≈80 of them,
+// where a neighbour's component outgrows its byte or a merge changes the
+// members (≈10 B/event; 19.5 when every projection carved its frame, 50 when
 // every one kept its 13 ints); for the ≈4% that are noted cluster receives a
 // 12-byte note and a 300-byte delta frame, with a 1200-byte keyframe once per
 // ≈90 of them (≈13 B/event, 49 when every one kept its full vector); partial
-// pages and the last arena chunk — ≈50.5 B/event measured. The budget of 65 is
-// below the 81 the store measured with raw projections, so going back to them
-// fails it, as does a pointer in the cell or a returned full vector per cluster
-// receive.
+// pages and the last arena chunk — ≈41.0 B/event measured. The budget of 50 is
+// below the 50.5 the store measured with a frame per projection, so going back
+// to that fails it, as does a pointer in the cell or a returned full vector per
+// cluster receive.
 //
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
 // noted cluster receives and their frames are most of the store — 16 B for
-// every event, ≈11 of projection frames over the other half, plus ≈0.48 × (12
-// + 280 + a keyframe's share) ≈ 144 — ≈177 B/event measured against 192 with
-// raw projections, 225 with pointers too and 619 with full vectors; budget 190.
-// Its columns hold a third of the ring's events each, so pages and directories
-// come to 0.027 allocations per event, not 0.015.
+// every event, ≈5.5 of projection frames (half of the other half share one),
+// plus ≈0.48 × (12 + 280 + a keyframe's share) ≈ 144 — ≈171 B/event measured
+// against 177 with a frame per projection, 192 with raw projections, 225 with
+// pointers too and 619 with full vectors; budget 185. Its columns hold a third
+// of the ring's events each, so pages and directories come to 0.027
+// allocations per event, not 0.015.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -371,8 +376,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 		budget float64 // heap bytes per event
 		allocs float64 // per event: pages, chunks, directories
 	}{
-		{"ring", workload.Ring(300, 330, false), 65, 0.02},
-		{"random-uniform", workload.RandomUniform(280, 150000, 1), 190, 0.04},
+		{"ring", workload.Ring(300, 330, false), 50, 0.02},
+		{"random-uniform", workload.RandomUniform(280, 150000, 1), 185, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -395,8 +400,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 			allocsPer := float64(after.Mallocs-before.Mallocs) / n
 			st := ts.StoreStats()
-			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames, %d + %d cluster-receive keyframes and delta frames; %d epochs), %.4f allocs/event, size ratio %.3f",
-				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.Keyframes, st.DeltaFrames, st.Epochs, allocsPer,
+			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames under %d cells that share one, %d + %d cluster-receive keyframes and delta frames; %d epochs), %.4f allocs/event, size ratio %.3f",
+				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
 			if st.CellBytes != 16*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
 				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
@@ -410,8 +415,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			if got, want := st.Keyframes+st.DeltaFrames, int64(ts.ClusterReceives()); got != want {
 				t.Errorf("%d keyframes + delta frames for %d noted cluster receives", got, want)
 			}
-			if got, want := st.ProjKeyframes+st.ProjFrames, int64(len(tr.Events)-ts.ClusterReceives()); got != want {
-				t.Errorf("%d projection keyframes + frames for the %d events that are not noted cluster receives", got, want)
+			if got, want := st.ProjKeyframes+st.ProjFrames+st.ProjShared, int64(len(tr.Events)-ts.ClusterReceives()); got != want {
+				t.Errorf("%d projection keyframes + frames + shared cells for the %d events that are not noted cluster receives", got, want)
 			}
 			runtime.KeepAlive(ts)
 			runtime.KeepAlive(tr)
@@ -641,30 +646,46 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 }
 
 // FuzzProjFrameRoundTrip is the property test of the projection stored form,
-// as FuzzCRNoteRoundTrip is of the cluster receives'. Each input drives one
-// process's monotone clock through arena.project over a cluster of N members —
-// every other component of the clock, so the member list is not the identity —
-// with N in {1, 2, 3, 4, 5, 13, 255, 300}: every two bytes either step a run of
-// member components by 0, 1, 255, 256 or 70000, or move the process to a new
-// epoch over the same members with the clock untouched. A projection must
-// start a keyframe exactly when it is the process's first, its epoch changed —
-// every offset being small does not excuse it, the members could differ — or
-// some component exceeds the current keyframe by more than 255; a keyframe's
-// own frame lies right behind its elements, and a frame must name the current
-// keyframe. Every projection, re-read after all later ones were carved, through
-// the chunk list published then and through both readers, must equal
-// ProjectInto of the clock it was made from.
+// as FuzzCRNoteRoundTrip is of the cluster receives', driven through the one
+// writer, lane.stamp, and read back through the views. Each input is the event
+// sequence of one process of a cluster of N members — every other component of
+// the clock, so the member list is not the identity, and the process not the
+// first of them — with N in {1, 2, 3, 4, 5, 13, 255, 300}. Every two bytes are
+// one op: a receive that first steps a run of the other members' components by
+// 0, 1, 255, 256 or 70000; a unary event under a new epoch over the same
+// members; a run of sends and unary events ("share"); or a noted cluster
+// receive.
+//
+// A cell must name its predecessor's frame, and carve nothing, exactly when
+// its event is a send or unary, the process's previous event was a projection
+// and the epoch is that projection's. Any other projection must start a
+// keyframe exactly when it is the process's first, its epoch changed — every
+// offset being small does not excuse it, the members could differ — or some
+// component other than the own exceeds the current keyframe by more than 255:
+// the own component is the event's index, is not stored, and never re-keys. A
+// keyframe's own frame lies right behind its elements, and a frame must name
+// the current keyframe. Every event, re-read after all later ones were carved,
+// must show the clock it was stamped with — the own component included, which
+// for a shared cell only the slot can say.
 func FuzzProjFrameRoundTrip(f *testing.F) {
 	sizes := [...]int{1, 2, 3, 4, 5, 13, 255, 300}
 	steps := [...]int32{0, 1, 255, 256, 70000}
-	const newEpoch = 5 // op codes from here on
+	const (
+		newEpoch = 5 + iota // op codes above the steps
+		share
+		noted
+	)
 	// (start member, run length<<3 | op): one seed per op, then mixes.
 	for sel := range sizes {
-		for op := 0; op <= newEpoch; op++ {
+		for op := 0; op <= noted; op++ {
 			f.Add(uint8(sel), []byte{0, byte(op), 1, byte(op), 2, byte(31<<3 | op), 0, byte(op)})
 		}
 		// An offset of exactly 255, then of 256; an epoch change among small steps.
 		f.Add(uint8(sel), []byte{0, 0, 0, 2, 0, 1, 0, 1, 0, newEpoch, 0, 1, 7, 31<<3 | 1, 0, 0, 4, 4, 4, 2, 4, 1})
+		// A share after a keyframe and after a frame; none after a noted cluster
+		// receive (a frame) nor across an epoch change (a keyframe), and shares
+		// again behind each.
+		f.Add(uint8(sel), []byte{0, 1, 0, share, 1, 1, 0, 2<<3 | share, 0, noted, 0, share, 0, share, 0, newEpoch, 0, share})
 	}
 	// N = 4: a 6-element keyframe and 125 two-element frames fill the first
 	// chunk to its last element, so the 126th frame is the first thing in a
@@ -677,84 +698,145 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 	// N = 255: the first keyframe is 255 elements and a 65-element frame, more
 	// than the first chunk, so it takes the first two chunks in one allocation
 	// and its frame's header is the last element of the first chunk, its packed
-	// bytes the first of the second.
+	// bytes the first of the second. The second seed shares that frame.
 	f.Add(uint8(6), []byte{0, 1, 0, 1, 3, 2})
+	f.Add(uint8(6), []byte{0, 1, 0, 3<<3 | share, 3, 1, 0, share})
 	// N = 300: the first keyframe's allocation has room for one more frame; the
 	// next starts a fresh chunk, and the step of 256 makes it the frame that
 	// does not fit, so the un-carve empties that chunk again and the new
 	// keyframe is the first thing in it.
 	f.Add(uint8(7), []byte{0, 1, 0, 1, 0, 3})
+	// N = 13: 320 shared cells carry the own component 321 past the keyframe's,
+	// and the receive behind them is a frame all the same.
+	f.Add(uint8(5), []byte{0, 1, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share,
+		0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 1, 1, 0, share})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		n := sizes[int(sel)%len(sizes)]
 		if len(data) > 512 {
-			data = data[:512] // 256 projections of at most +70000: far from int32 overflow
+			data = data[:512] // 256 ops of at most +70000: far from int32 overflow
 		}
+		numProcs, ownPos := 2*n+1, (n-1)/2
 		members := make([]int32, n)
 		for k := range members {
 			members[k] = int32(2*k + 1)
 		}
+		own := model.ProcessID(members[ownPos])
+		pipe, err := NewPipeline(numProcs, Config{MaxClusterSize: n}, PipelineOptions{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An epoch for every op, all over the same members: the table is the
+		// planner's to fill, and no planner runs here.
+		table := make([]*cluster.Info, 2+len(data)/2)
+		for i := 1; i < len(table); i++ {
+			table[i] = &cluster.Info{ID: cluster.ID(i), Members: members}
+		}
+		pipe.epochs.Store(&table)
 		var (
-			ar     arena
-			cur    projKey
+			ln, ar = pipe.lanes[0], pipe.lanes[0].ar
+			key    = &pipe.lanes[0].keys[own]
 			ep     = uint32(1)
-			clk    = make(vclock.Clock, 2*n+1)
-			at     []uint32  // where each projection's frame lies
-			inputs [][]int32 // and what it was made from
-			curKey []int32   // the oracle's copy of the current keyframe
-			keyEp  uint32
+			clk    = make(vclock.Clock, numProcs)
+			inputs []Timestamp // what each event was stamped with: Cluster and Proj, or Full
+			curKey []int32     // the oracle's copy of the current keyframe
+			live   bool        // the oracle's: the previous event was a projection
+			lastEp uint32      // and under this epoch
 		)
-		for i := 0; i+1 < len(data); i += 2 {
-			if op := int(data[i+1]&7) % (newEpoch + 1); op == newEpoch {
-				ep++
-			} else {
-				for k, run := 0, 1+int(data[i+1]>>3); k < run; k++ {
-					clk[members[(int(data[i])+k)%n]] += steps[op]
+		// stamp drives one event through the lane and holds what it stored to
+		// the rules above.
+		stamp := func(kind model.Kind, ep uint32) {
+			clk[own]++
+			e := model.Event{ID: model.EventID{Process: own, Index: model.EventIndex(clk[own])}, Kind: kind}
+			before, prev := ar.end(), *key
+			ln.stamp(e, clk, ep)
+			c := pipe.cols[own].get(e.ID.Index)
+			if c == nil || c.epoch() != ep || c.kind() != kind || clk[own] != int32(e.ID.Index) {
+				t.Fatalf("%v: cell %+v under epoch %d, the clock's own component left at %d", e.ID, c, ep, clk[own])
+			}
+			if ep == 0 {
+				if key.live || key.last != prev.last {
+					t.Fatalf("%v: a noted cluster receive left the process's projection state at %+v, was %+v", e.ID, *key, prev)
 				}
+				live = false
+				inputs = append(inputs, Timestamp{ID: e.ID, Full: slices.Clone(clk)})
+				return
 			}
 			want := clk.ProjectInto(make([]int32, n), members)
-			wantKey := curKey == nil || keyEp != ep
-			for k := range want {
-				wantKey = wantKey || want[k]-curKey[k] > 255
+			inputs = append(inputs, Timestamp{ID: e.ID, Cluster: table[ep], Proj: want})
+			wantShare := live && lastEp == ep && (kind == model.Unary || kind == model.Send)
+			if shared := ar.end() == before; shared != wantShare || shared && (c.vec != prev.last || *key != prev) {
+				t.Fatalf("%v (kind %v, epoch %d): shared = %v, want %v: cell names %d, projection state %+v, was %+v", e.ID, kind, ep, shared, wantShare, c.vec, *key, prev)
 			}
-			prevKey := cur.at
-			off := ar.project(&cur, ep, clk, members)
-			header := uint32(ar.chunks.at(off))
-			if isKey := header+uint32(n) == off; isKey != wantKey {
-				t.Fatalf("projection %d: keyframe = %v, want %v (epoch %d, projection %v over the keyframe %v of epoch %d)", len(inputs)+1, isKey, wantKey, ep, want, curKey, keyEp)
+			live, lastEp = true, ep
+			if wantShare {
+				return
+			}
+			wantKey := curKey == nil || prev.ep != ep
+			for k := range want {
+				wantKey = wantKey || k != ownPos && want[k]-curKey[k] > 255
+			}
+			header := uint32(ar.chunks.at(c.vec))
+			if isKey := header+uint32(n) == c.vec; isKey != wantKey {
+				t.Fatalf("%v: keyframe = %v, want %v (epoch %d, projection %v over the keyframe %v of epoch %d)", e.ID, isKey, wantKey, ep, want, curKey, prev.ep)
 			}
 			if wantKey {
-				curKey, keyEp = want, ep
-			} else if header != prevKey {
-				t.Fatalf("projection %d: frame over the keyframe at %d, current keyframe at %d", len(inputs)+1, header, prevKey)
+				curKey = want
+			} else if header != prev.at {
+				t.Fatalf("%v: frame over the keyframe at %d, current keyframe at %d", e.ID, header, prev.at)
 			}
-			if cur != (projKey{at: header, ep: ep}) {
-				t.Fatalf("projection %d: the process's keyframe is %+v, the frame names %d under epoch %d", len(inputs)+1, cur, header, ep)
+			if *key != (projKey{at: header, ep: ep, last: c.vec, live: true}) {
+				t.Fatalf("%v: the process's projection state is %+v, the frame at %d names %d under epoch %d", e.ID, *key, c.vec, header, ep)
 			}
-			at, inputs = append(at, off), append(inputs, want)
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			run := 1 + int(data[i+1]>>3)
+			switch op := int(data[i+1] & 7); op {
+			case newEpoch:
+				ep++
+				stamp(model.Unary, ep)
+			case share:
+				for k := 0; k < run; k++ {
+					stamp([...]model.Kind{model.Unary, model.Send}[k&1], ep)
+				}
+			case noted:
+				stamp(model.Receive, 0)
+			default:
+				for k := 0; k < run; k++ {
+					if q := members[(int(data[i])+k)%n]; q != int32(own) {
+						clk[q] += steps[op]
+					}
+				}
+				stamp(model.Receive, ep)
+			}
 		}
 		var vecs chunkDir
 		if len(inputs) > 0 {
-			vecs = *ar.dir.Load()
+			vecs = pipe.vectors(own)
 		}
-		for i, want := range inputs {
-			got := vecs.proj(at[i], n).decode()
-			for k := range want {
-				if c := vecs.projAt(at[i], k); c != want[k] || got[k] != want[k] {
-					t.Fatalf("projection %d component %d: projAt() = %d, decode() = %d, input %d", i+1, k, c, got[k], want[k])
+		for _, want := range inputs {
+			got, ok := pipe.Timestamp(want.ID)
+			if !ok || got.Cluster != want.Cluster || !slices.Equal(got.Proj, want.Proj) || !slices.Equal(got.Full, want.Full) {
+				t.Fatalf("%v reads back as %v (found = %v), stamped %v", want.ID, got, ok, want)
+			}
+			off := pipe.cols[own].get(want.ID.Index).vec
+			for k := range want.Proj {
+				if c := vecs.projAt(off, k); k != ownPos && c != want.Proj[k] {
+					t.Fatalf("%v component %d: projAt() = %d, stamped %d", want.ID, k, c, want.Proj[k])
 				}
 			}
 		}
 		// A frame that did not fit gives its elements back, zeroed: the tallies
-		// count only what cells name, and the next carve is clean.
+		// count only what cells and notes name, and the next carve is clean.
 		st := ar.stats
-		w := int64(packedWords(n))
-		if st.ProjKeyframes+st.ProjFrames != int64(len(inputs)) || st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+1+w)+st.ProjFrames*(1+w)) {
-			t.Fatalf("tallies %+v for %d projections over %d members", st, len(inputs), n)
+		w, all := int64(packedWords(n)), int64(numProcs)
+		if st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames != int64(len(inputs)) ||
+			st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+1+w)+st.ProjFrames*(1+w)+st.Keyframes*all+st.DeltaFrames*int64(packedWords(numProcs))) {
+			t.Fatalf("tallies %+v for %d events over %d members of %d processes", st, len(inputs), n, numProcs)
 		}
 		_, fresh := ar.carve(n)
 		for k, v := range fresh {
 			if v != 0 {
-				t.Fatalf("carve after %d projections: element %d = %d, want zeroed", len(inputs), k, v)
+				t.Fatalf("carve after %d events: element %d = %d, want zeroed", len(inputs), k, v)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,6 +101,7 @@ func TestServerTelemetry(t *testing.T) {
 		t.Errorf("trace kinds %v missing ingest or query", kinds)
 	}
 
+	runtime.GC() // heap-live is what the last collection marked: there has to have been one
 	var sb strings.Builder
 	if err := tel.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -120,12 +122,24 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_store_epochs",
 		"poetd_store_proj_keyframes",
 		"poetd_store_proj_frames",
+		"poetd_store_proj_shared",
 		"poetd_cr_keyframes_total",
 		"poetd_cr_delta_frames_total",
 		"poetd_lane_queue_depth{lane=",
+		"poetd_runtime_heap_live_bytes",
+		"poetd_runtime_heap_objects_bytes",
+		"poetd_runtime_heap_released_bytes",
+		"poetd_runtime_gc_metadata_bytes",
+		"poetd_runtime_stack_bytes",
+		"poetd_runtime_goroutines",
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("registry exposition missing %q", series)
+		}
+		// The runtime's are read at the scrape, and a running server has a
+		// heap, stacks and goroutines; only what was released may be nothing.
+		if strings.HasPrefix(series, "poetd_runtime_") && series != "poetd_runtime_heap_released_bytes" && strings.Contains(out, series+" 0\n") {
+			t.Errorf("%s reads 0 on a serving daemon", series)
 		}
 	}
 	if strings.Contains(out, "poetd_events_ingested_total 0\n") {
@@ -151,20 +165,21 @@ func TestServerTelemetry(t *testing.T) {
 	}
 	// The physical side: every noted cluster receive is one frame or
 	// keyframe, every other event one of a projection's — on /statusz and on
-	// /metrics — and the store has carved at least two elements per event.
+	// /metrics — and the store has carved at least two elements for every event
+	// that does not share its predecessor's frame.
 	if got := st.Store.Keyframes + st.Store.DeltaFrames; got != int64(st.Paper.ClusterReceives) {
 		t.Errorf("Status store = %+v: keyframes + delta frames want the %d noted cluster receives", st.Store, st.Paper.ClusterReceives)
 	}
-	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.Keyframes + st.Store.DeltaFrames; got != int64(len(tr.Events)) || st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 {
-		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + cr_keyframes + cr_delta_frames = %d, want the %d events, with projections of both kinds", st.Store, got, len(tr.Events))
+	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.ProjShared + st.Store.Keyframes + st.Store.DeltaFrames; got != int64(len(tr.Events)) || st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 || st.Store.ProjShared == 0 {
+		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames = %d, want the %d events, with projections of all three kinds", st.Store, got, len(tr.Events))
 	}
-	for series, want := range map[string]int64{"poetd_store_proj_keyframes": st.Store.ProjKeyframes, "poetd_store_proj_frames": st.Store.ProjFrames} {
+	for series, want := range map[string]int64{"poetd_store_proj_keyframes": st.Store.ProjKeyframes, "poetd_store_proj_frames": st.Store.ProjFrames, "poetd_store_proj_shared": st.Store.ProjShared} {
 		if !strings.Contains(out, fmt.Sprintf("%s %d\n", series, want)) {
 			t.Errorf("/metrics %s does not read %d as /statusz does", series, want)
 		}
 	}
-	if st.Store.VectorBytes < 8*int64(len(tr.Events)) {
-		t.Errorf("Status store vector_bytes = %d for %d events", st.Store.VectorBytes, len(tr.Events))
+	if carved := int64(len(tr.Events)) - st.Store.ProjShared; st.Store.VectorBytes < 8*carved {
+		t.Errorf("Status store vector_bytes = %d for the %d events that carved a vector", st.Store.VectorBytes, carved)
 	}
 	if want := 16 * int64(len(tr.Events)); st.Store.CellBytes != want || !strings.Contains(out, fmt.Sprintf("poetd_store_cell_bytes %d\n", want)) {
 		t.Errorf("Status store cell_bytes = %d, want 16 x %d events = %d on /statusz and /metrics", st.Store.CellBytes, len(tr.Events), want)
@@ -172,6 +187,11 @@ func TestServerTelemetry(t *testing.T) {
 	if st.Store.NoteBytes != 12*int64(st.Paper.ClusterReceives) || st.Store.Epochs < int64(st.Paper.ClusterMerges) {
 		t.Errorf("Status store = %+v: want 12 note bytes for each of the %d noted cluster receives and an epoch for each of the %d merges",
 			st.Store, st.Paper.ClusterReceives, st.Paper.ClusterMerges)
+	}
+	// The memory block: the runtime's six beside the one tenant's store bytes.
+	if mem := st.Memory; len(mem.Runtime) != 6 || mem.Runtime["heap_live_bytes"] == 0 || mem.Runtime["goroutines"] == 0 ||
+		mem.StoreVectorBytes != st.Store.VectorBytes || mem.StoreCellBytes != st.Store.CellBytes || mem.StoreNoteBytes != st.Store.NoteBytes || mem.Events != int64(len(tr.Events)) {
+		t.Errorf("Status memory = %+v beside store %+v and %d events", mem, st.Store, len(tr.Events))
 	}
 	if lanes := srv.def.monitor.IngestShards(); len(st.Store.LaneQueueDepth) != lanes {
 		t.Errorf("Status lane_queue_depth lists %d lanes, want %d", len(st.Store.LaneQueueDepth), lanes)
@@ -300,6 +320,7 @@ func TestScrapeSeriesCountsStable(t *testing.T) {
 		"poetd_replay_materialize_seconds_sum": 1,
 		"poetd_store_proj_keyframes":           1,
 		"poetd_store_proj_frames":              1,
+		"poetd_store_proj_shared":              1,
 	} {
 		if first[name] != want {
 			t.Errorf("%s renders %d series, want %d", name, first[name], want)

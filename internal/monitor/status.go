@@ -111,10 +111,16 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(pipe.StoreStats().ProjKeyframes) })
 	reg.GaugeFunc("poetd_store_proj_frames", "Projections stored as byte offsets above an earlier keyframe of the same process and epoch.",
 		func() float64 { return float64(pipe.StoreStats().ProjFrames) })
+	reg.GaugeFunc("poetd_store_proj_shared", "Sends and unary events whose cell names the frame of the projection before it: stored without a vector.",
+		func() float64 { return float64(pipe.StoreStats().ProjShared) })
 	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a keyframe (a full vector).",
 		func() int64 { return pipe.StoreStats().Keyframes })
 	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe.",
 		func() int64 { return pipe.StoreStats().DeltaFrames })
+
+	// What the Go runtime holds, to read beside the poetd_store_*_bytes above:
+	// the resident set's share that is not the store.
+	obs.RegisterRuntime(reg)
 
 	// The paper's Section 4 metrics as live instruments (default tenant —
 	// the per-tenant breakdown lives on /statusz).
@@ -210,6 +216,19 @@ func storeStatus(m *Monitor) StoreStatus {
 	return StoreStatus{StoreStats: pipe.StoreStats(), LaneQueueDepth: pipe.LaneQueueDepthsInto(nil)}
 }
 
+// MemoryStatus is the /statusz block that sets the Go runtime's memory classes
+// (obs.RuntimeMemory, read when the document is asked for) beside the bytes and
+// events the stores of all tenants account for, so the share of the process's
+// memory that is not store — runtime metadata, stacks, garbage, the live heap
+// of everything else — can be read off a running daemon per event.
+type MemoryStatus struct {
+	Runtime          map[string]uint64 `json:"runtime"`
+	StoreVectorBytes int64             `json:"store_vector_bytes"`
+	StoreCellBytes   int64             `json:"store_cell_bytes"`
+	StoreNoteBytes   int64             `json:"store_note_bytes"`
+	Events           int64             `json:"events"`
+}
+
 // TenantStatus is one namespace's block in the /statusz document: its
 // throughput accounting plus the paper's Section 4 gauges evaluated over
 // that tenant's store alone.
@@ -231,6 +250,7 @@ type ServerStatus struct {
 	Held          int                     `json:"collector_held"`
 	Paper         PaperStatus             `json:"paper"`
 	Store         StoreStatus             `json:"store"`
+	Memory        MemoryStatus            `json:"memory"`
 	Tenants       map[string]TenantStatus `json:"tenants"`
 	Counters      struct {
 		EventsIngested, BatchesIngested, QueriesAnswered, QueryFrames       int64
@@ -277,6 +297,7 @@ func (s *Server) Status() ServerStatus {
 		Held:          s.def.collector.Held(),
 		Paper:         paperStatus(s.def.monitor, s.cfg.FixedVector),
 		Store:         storeStatus(s.def.monitor),
+		Memory:        MemoryStatus{Runtime: obs.RuntimeMemory()},
 		Tenants:       make(map[string]TenantStatus),
 	}
 	c := &s.counters
@@ -308,6 +329,10 @@ func (s *Server) Status() ServerStatus {
 			ts.History = &hs
 		}
 		st.Tenants[t.name] = ts
+		st.Memory.StoreVectorBytes += ts.Store.VectorBytes
+		st.Memory.StoreCellBytes += ts.Store.CellBytes
+		st.Memory.StoreNoteBytes += ts.Store.NoteBytes
+		st.Memory.Events += int64(t.monitor.Accounting().Events)
 	}
 	if o := s.obs; o != nil {
 		st.Latency = map[string]obs.DurationSummary{

@@ -319,27 +319,29 @@ func TestSurfacesAgree(t *testing.T) {
 
 	// The store block is /statusz's and /metrics' alone (STATS carries the
 	// paper's accounting, not the physical one): key by key the same number,
-	// and the four kinds of stored vector add up to the default tenant's events.
+	// and the five ways an event's vector is stored — a projection keyframe, a
+	// frame, a cell that shares its predecessor's, a cluster-receive keyframe,
+	// a delta frame — add up to the default tenant's events.
 	stored := 0
 	for key, family := range map[string]string{
 		"vector_bytes": "poetd_store_vector_bytes", "cell_bytes": "poetd_store_cell_bytes",
 		"note_bytes": "poetd_store_note_bytes", "epochs": "poetd_store_epochs",
-		"proj_keyframes": "poetd_store_proj_keyframes", "proj_frames": "poetd_store_proj_frames",
+		"proj_keyframes": "poetd_store_proj_keyframes", "proj_frames": "poetd_store_proj_frames", "proj_shared": "poetd_store_proj_shared",
 		"cr_keyframes": "poetd_cr_keyframes_total", "cr_delta_frames": "poetd_cr_delta_frames_total",
 	} {
 		if got, want := scraped[family], string(status.Store[key]); got != want || want == "" {
 			t.Errorf("/statusz store.%s = %q, /metrics %s %q", key, want, family, got)
 		}
-		if strings.HasSuffix(key, "frames") {
+		if strings.HasPrefix(key, "proj_") || strings.HasPrefix(key, "cr_") {
 			n, _ := strconv.Atoi(scraped[family])
 			stored += n
 		}
 	}
 	if stored != len(tr.Events) {
-		t.Errorf("proj_keyframes + proj_frames + cr_keyframes + cr_delta_frames = %d, want the %d events", stored, len(tr.Events))
+		t.Errorf("proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames = %d, want the %d events", stored, len(tr.Events))
 	}
-	if len(status.Store) != 9 { // the eight above and lane_queue_depth
-		t.Errorf("/statusz store = %v: want the eight tallies and lane_queue_depth", status.Store)
+	if len(status.Store) != 10 { // the nine above and lane_queue_depth
+		t.Errorf("/statusz store = %v: want the nine tallies and lane_queue_depth", status.Store)
 	}
 
 	// And the numbers are the traffic's, not seventeen agreeing zeros.
