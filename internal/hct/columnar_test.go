@@ -270,7 +270,7 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 		chunks, epochs, mergesThen = ts.vectors(0), *ts.epochs.Load(), ts.Merges()
 		for p, n := range w {
 			for i := model.EventIndex(1); i <= model.EventIndex(n); i++ {
-				v, ok := ts.TimestampAt(model.EventID{Process: model.ProcessID(p), Index: i}, w)
+				v, ok := ts.At(w).Timestamp(model.EventID{Process: model.ProcessID(p), Index: i})
 				if !ok {
 					t.Fatalf("p%d:%d misses below its watermark %d", p, i, n)
 				}
@@ -291,13 +291,13 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	var projKeys, projFrames, projShared, keyframes, deltas int
 	for _, want := range early {
 		p := want.ID.Process
-		c := ts.lookup(want.ID, w)
+		c := ts.At(w).cell(want.ID)
 		if ep := c.epoch(); ep != 0 {
 			cl := epochs[ep]
 			n := len(cl.Members)
 			// A shared cell names what the projection before it names; a
 			// keyframe's own frame lies right behind its elements.
-			if prev := ts.lookup(model.EventID{Process: p, Index: want.ID.Index - 1}, w); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
+			if prev := ts.At(w).cell(model.EventID{Process: p, Index: want.ID.Index - 1}); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
 				projShared++
 			} else if key := uint32(chunks.at(c.vec)); key+uint32(n) == c.vec {
 				projKeys++
@@ -394,8 +394,8 @@ func TestOwnComponentFromSlot(t *testing.T) {
 					if want := clock[e.ID].Project(got.Cluster.Members); !slices.Equal(got.Proj, want) || got.Proj[own] != int32(e.ID.Index) {
 						t.Fatalf("lanes=%d: %v Proj = %v over %v (own position %d), Fidge/Mattern projects to %v", lanes, e.ID, got.Proj, got.Cluster, own, want)
 					}
-					c := pipe.lookup(e.ID, nil)
-					if prev := pipe.lookup(model.EventID{Process: e.ID.Process, Index: e.ID.Index - 1}, nil); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
+					c := pipe.Live().cell(e.ID)
+					if prev := pipe.Live().cell(model.EventID{Process: e.ID.Process, Index: e.ID.Index - 1}); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
 						if c.epoch() != prev.epoch() || e.Kind != model.Unary && e.Kind != model.Send {
 							t.Fatalf("lanes=%d: %v (%v, epoch %d) shares the frame of its predecessor under epoch %d", lanes, e.ID, e.Kind, c.epoch(), prev.epoch())
 						}

@@ -43,19 +43,19 @@ var (
 // ClusterReceives, StorageInts, ...) and the lock-free query surface.
 //
 // Concurrency: writers serialize on the admission lock and, with the
-// accounting methods, on the planner mutex; Timestamp, Precedes, Concurrent, their *At variants and
-// CaptureWatermark take no lock and read only the prefix of the store
-// published by the per-process watermarks. Only Partition hands out
-// unsynchronized state.
+// accounting methods, on the planner mutex; Timestamp, Event, Precedes and
+// Concurrent — the live View's reads — and CaptureWatermark take no lock and
+// read only the prefix of the store published by the per-process watermarks.
+// Only Partition hands out unsynchronized state.
 type Timestamper struct {
 	*Pipeline
 }
 
 // plane is the lock-free read plane of the Pipeline (and so of the
 // Timestamper façade): the per-process timestamp columns, the noted
-// cluster-receive columns, and every precedence-query method. Writers (one
-// per column) publish through the column watermarks; the query methods take
-// no lock and read only published prefixes (see store.go for the protocol).
+// cluster-receive columns, and the query-path tallies. Writers (one per
+// column) publish through the column watermarks; a View answers from it with
+// no lock, reading only published prefixes (see store.go for the protocol).
 type plane struct {
 	numProcs int
 	cols     []tsColumn // per process, cell of event Index in slot Index-1
@@ -185,23 +185,79 @@ func (v *variant) Precedes(e, f model.EventID) (bool, error) {
 	return recursivePrecedes(v.ts, e, f)
 }
 
+// View is the one reader of the store: Timestamp, Event, Precedes and
+// Concurrent below are the only implementations of those reads, and cell is
+// the only place a watermark bounds a lookup. It is a plane and a cut, held
+// by value; it takes no lock and is safe to use concurrently with ingestion
+// and with other views.
+//
+// What callers must know is the one difference the cut makes. A view at a cut
+// (At, or Capture) bounds every lookup by that watermark, so all its answers
+// describe one store state, however long ingestion keeps running: events
+// published since are unknown to it. The live view (Live) has no cut: each
+// lookup is bounded by its process's watermark as published at that moment,
+// so each answer describes a store state at or after the one before it. A
+// one-shot read wants the live view — two watermark loads, where a cut costs
+// one per process (BenchmarkOneShotPrecedes); a batch that must be consistent
+// captures once and asks the cut view.
+//
+// A view holds nothing else of the store. The page, chunk and epoch
+// directories are loaded by the read that needs them, after the bound it found
+// its cell under, which is the order the publication protocol asks for
+// (store.go); captured early they would only be staler, never wrong.
+type View struct {
+	ts *plane
+	w  Watermark // nil: no cut
+}
+
+// Live returns the view with no cut.
+func (ts *plane) Live() View { return View{ts: ts} }
+
+// At returns the view at cut w, one count per process; the view aliases w,
+// which must not change under it.
+func (ts *plane) At(w Watermark) View { return View{ts: ts, w: w} }
+
+// Capture returns the view cut at the counts published now, written into buf
+// (reallocated if too small). A view that already has a cut is that view:
+// it is returned unchanged and buf is not written.
+func (v View) Capture(buf Watermark) View {
+	if v.w == nil {
+		v.w = v.ts.CaptureWatermark(buf)
+	}
+	return v
+}
+
+// Watermark returns the view's cut, nil for the live view. The slice is
+// shared and must not be modified.
+func (v View) Watermark() Watermark { return v.w }
+
+// NumProcs returns the number of processes.
+func (v View) NumProcs() int { return v.ts.numProcs }
+
+// cell resolves id against the published store: below the live watermark of
+// its process, loaded here, when the view has no cut, below the cut otherwise.
+func (v View) cell(id model.EventID) *cell {
+	p := int(id.Process)
+	if p < 0 || p >= v.ts.numProcs {
+		return nil
+	}
+	if v.w == nil {
+		return v.ts.cols[p].get(id.Index)
+	}
+	return v.ts.cols[p].getAt(id.Index, v.w[p])
+}
+
 // Timestamp returns the timestamp of an event: a view of its stored cell,
 // built by value. Full of a cluster receive stored as a keyframe aliases the
 // store; Proj, and Full of one stored as a delta frame, are decoded into a
-// fresh slice, the view's one allocation. Either way the vectors are to be
-// treated as immutable. Safe to call concurrently with ingestion.
-func (ts *plane) Timestamp(id model.EventID) (Timestamp, bool) {
-	return ts.TimestampAt(id, nil)
-}
-
-// TimestampAt is Timestamp evaluated against a captured watermark: events
-// published after the cut are reported absent. A nil watermark means the
-// live one.
-func (ts *plane) TimestampAt(id model.EventID, w Watermark) (Timestamp, bool) {
-	c := ts.lookup(id, w)
+// fresh slice, the read's one allocation. Either way the vectors are to be
+// treated as immutable.
+func (v View) Timestamp(id model.EventID) (Timestamp, bool) {
+	c := v.cell(id)
 	if c == nil {
 		return Timestamp{}, false
 	}
+	ts := v.ts
 	t := Timestamp{ID: id, Kind: c.kind(), Partner: c.partner}
 	vecs := ts.vectors(id.Process)
 	if ep := c.epoch(); ep == 0 {
@@ -216,30 +272,21 @@ func (ts *plane) TimestampAt(id model.EventID, w Watermark) (Timestamp, bool) {
 }
 
 // Event reconstructs a delivered event from its cell — kind and partner are
-// stored, the ID is the position — without building a timestamp view.
-func (ts *plane) Event(id model.EventID) (model.Event, bool) { return ts.EventAt(id, nil) }
-
-// EventAt is Event evaluated against a captured watermark.
-func (ts *plane) EventAt(id model.EventID, w Watermark) (model.Event, bool) {
-	c := ts.lookup(id, w)
+// stored, the ID is the position — without building a timestamp.
+func (v View) Event(id model.EventID) (model.Event, bool) {
+	c := v.cell(id)
 	if c == nil {
 		return model.Event{}, false
 	}
 	return model.Event{ID: id, Kind: c.kind(), Partner: c.partner}, true
 }
 
-// lookup resolves id against the published store: below the live
-// watermarks when w is nil, below the captured cut otherwise.
-func (ts *plane) lookup(id model.EventID, w Watermark) *cell {
-	p := int(id.Process)
-	if p < 0 || p >= ts.numProcs {
-		return nil
-	}
-	if w != nil {
-		return ts.cols[p].getAt(id.Index, w[p])
-	}
-	return ts.cols[p].get(id.Index)
-}
+// Timestamp, Event, Precedes and Concurrent on the plane are the live view's:
+// the spelling the Timestamper façade, the variants and the examples use.
+func (ts *plane) Timestamp(id model.EventID) (Timestamp, bool) { return ts.Live().Timestamp(id) }
+func (ts *plane) Event(id model.EventID) (model.Event, bool)   { return ts.Live().Event(id) }
+func (ts *plane) Precedes(e, f model.EventID) (bool, error)    { return ts.Live().Precedes(e, f) }
+func (ts *plane) Concurrent(e, f model.EventID) (bool, error)  { return ts.Live().Concurrent(e, f) }
 
 // latestCRAtOrBelow returns the greatest published noted cluster receive of
 // process p with event index <= bound, or nil.
@@ -268,9 +315,8 @@ func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
 }
 
 // Precedes reports whether event e happened before event f, using only
-// cluster timestamps and the per-process cluster-receive notes. It takes no
-// lock and is safe to call concurrently with ingestion: only the published
-// prefix of the store is consulted.
+// cluster timestamps and the per-process cluster-receive notes. An event at or
+// above the view's bound is unknown.
 //
 // The test needs just FM(e)[pe] — which is e's own event index — and
 // FM(f)[pe]. If f holds a full vector, or pe lies inside f's cluster epoch,
@@ -279,26 +325,15 @@ func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
 // processes, so the test consults, for each member process q, the greatest
 // noted cluster receive g of q with g's index <= FM(f)[q]: e precedes f iff
 // some such g knows at least e.Index events of pe.
-func (ts *plane) Precedes(e, f model.EventID) (bool, error) {
-	return ts.precedesAt(e, f, nil)
-}
-
-// PrecedesAt is Precedes evaluated against a captured watermark: events at
-// or above the cut are reported unknown even if published since, so every
-// query of a batch answered under one watermark sees one store state.
-func (ts *plane) PrecedesAt(e, f model.EventID, w Watermark) (bool, error) {
-	return ts.precedesAt(e, f, w)
-}
-
-func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
+func (v View) Precedes(e, f model.EventID) (bool, error) {
 	if e == f {
 		return false, nil
 	}
-	ce := ts.lookup(e, w)
+	ce := v.cell(e)
 	if ce == nil {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, e)
 	}
-	cf := ts.lookup(f, w)
+	cf := v.cell(f)
 	if cf == nil {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, f)
 	}
@@ -309,15 +344,16 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	}
 	// Within a process the order is the index order: a clock's own component
 	// is its event's index, which no frame stores.
+	ts := v.ts
 	if e.Process == f.Process {
 		ts.qDirect.Add(1)
 		return e.Index < f.Index, nil
 	}
 	eIdx := int32(e.Index)
 
-	// Read the cells, frames and notes directly: no view is built on this
-	// path. lookup bounded e.Process, which is all component asks. f's chunk
-	// list is loaded once, after the watermark its cell was found under.
+	// Read the cells, frames and notes directly: no timestamp is built on this
+	// path. cell bounded e.Process, which is all component asks. f's chunk
+	// list is loaded once, after the bound its cell was found under.
 	ar := ts.arenas[f.Process] // the arena vecs resolves: f's, until the routed loop moves on
 	vecs := *ar.dir.Load()
 	ep := cf.epoch()
@@ -335,8 +371,8 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	// pe outside f's cluster epoch: route through noted cluster receives.
 	// Every note this can touch has index <= FM(f)[q] for a member q, and
 	// is therefore published whenever f's cell is visible (see store.go), so
-	// the watermark does not bound this search — and for the same reason any
-	// chunk list loaded after f's watermark resolves them. f's frame is
+	// the view's bound does not bound this search — and for the same reason any
+	// chunk list loaded after f's bound resolves them. f's frame is
 	// resolved once, f's own list serves every member on f's lane, and since
 	// the members of a cluster mostly share a lane another list is loaded
 	// only where the arena changes.
@@ -361,29 +397,19 @@ func (ts *plane) precedesAt(e, f model.EventID, w Watermark) (bool, error) {
 	return false, nil
 }
 
-// Concurrent reports whether neither event precedes the other. Like
-// Precedes it takes no lock.
-func (ts *plane) Concurrent(e, f model.EventID) (bool, error) {
-	return ts.concurrentAt(e, f, nil)
-}
-
-// ConcurrentAt is Concurrent evaluated against a captured watermark.
-func (ts *plane) ConcurrentAt(e, f model.EventID, w Watermark) (bool, error) {
-	return ts.concurrentAt(e, f, w)
-}
-
-func (ts *plane) concurrentAt(e, f model.EventID, w Watermark) (bool, error) {
+// Concurrent reports whether neither event precedes the other.
+func (v View) Concurrent(e, f model.EventID) (bool, error) {
 	if e == f {
 		return false, nil
 	}
-	ef, err := ts.precedesAt(e, f, w)
+	ef, err := v.Precedes(e, f)
 	if err != nil {
 		return false, err
 	}
 	if ef {
 		return false, nil
 	}
-	fe, err := ts.precedesAt(f, e, w)
+	fe, err := v.Precedes(f, e)
 	if err != nil {
 		return false, err
 	}

@@ -206,8 +206,9 @@ type stagedEpoch struct {
 }
 
 // Pipeline is the ingest engine. It embeds the lock-free read plane, so the
-// entire query surface (Precedes, Concurrent, Timestamp, CaptureWatermark,
-// ...) is concurrent with stamping.
+// entire query surface — the Views Live and At return, the live view's
+// Timestamp, Event, Precedes and Concurrent spelled on the pipeline itself,
+// and CaptureWatermark — is concurrent with stamping.
 //
 // The dispatch and accounting methods are safe for concurrent use; queries
 // take no lock.

@@ -24,8 +24,8 @@ import (
 // immutable *cluster.Info the projection is over; the vector is a frame at an
 // element offset into the arena of the lane that owns the process. Epoch 0 is
 // no epoch: the event is a noted cluster receive and vec is the slot of its
-// note in the process's note column. hct.Timestamp is the read-time view of a
-// cell, built by value on request (plane.Timestamp); the precedence path reads
+// note in the process's note column. hct.Timestamp is the read-time form of a
+// cell, built by value on request (View.Timestamp); the precedence path reads
 // cells, frames and notes directly and builds none.
 //
 // No vector is stored as the ints it stands for. Consecutive events of one
@@ -53,7 +53,7 @@ import (
 // component is its event's index (paper §2.2), which the cell's slot already
 // says, so no frame holds it: the own element of a keyframe and the own byte
 // of every frame are zero, the own component never outgrows a byte, and the
-// readers take it from the slot (plane.precedesAt, plane.TimestampAt). A send
+// readers take it from the slot (View.Precedes, View.Timestamp). A send
 // or a unary event changes no other component, so while the epoch stays and no
 // noted cluster receive came in between — that one did change the clock — its
 // cell's vec names the frame of the projection before it in its process
@@ -211,8 +211,8 @@ type crNote struct {
 // block-contiguous (or cluster-packed, which keeps hot neighbours together),
 // so cross-lane line sharing is confined to shard boundaries — while padding
 // every column to 64 B was measured to cost ~25% of single-thread query
-// throughput by spreading the watermarks CaptureWatermark and precedesAt
-// sweep over.
+// throughput by spreading the watermarks CaptureWatermark sweeps and
+// View.cell loads.
 type column[T any] struct {
 	pages []*[pageCells]T                 // writer-private directory
 	n     int32                           // writer-private appended count
@@ -594,9 +594,9 @@ func appendNote(notes *crColumn, a *arena, index int32, clk []int32) int32 {
 
 // Watermark is a per-process snapshot of published event counts: a cut of
 // the store against which a whole batch of queries can be answered
-// consistently while ingestion keeps running. Captured watermarks are
-// plain data; reusing the backing slice across captures is the caller's
-// prerogative (see Monitor.QueryBatch).
+// consistently while ingestion keeps running (plane.At, View.Capture).
+// Captured watermarks are plain data; reusing the backing slice across
+// captures is the caller's prerogative (see monitor.Queries.QueryBatch).
 type Watermark []int32
 
 // CaptureWatermark snapshots the published event count of every process

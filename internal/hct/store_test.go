@@ -56,14 +56,14 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 	)
 	// checkCell holds one materialised view to the oracle.
 	checkCell := func(id model.EventID, w Watermark) bool {
-		ts, ok := pipe.TimestampAt(id, w)
+		ts, ok := pipe.At(w).Timestamp(id)
 		if !ok {
-			t.Errorf("TimestampAt(%v) misses below its watermark %d", id, w[id.Process])
+			t.Errorf("At(w).Timestamp(%v) misses below its watermark %d", id, w[id.Process])
 			return false
 		}
 		want := clock[id]
 		if ts.ID != id || (ts.Full == nil) == (ts.Cluster == nil) {
-			t.Errorf("TimestampAt(%v) = %v: malformed view", id, ts)
+			t.Errorf("At(w).Timestamp(%v) = %v: malformed view", id, ts)
 			return false
 		}
 		if ts.Full != nil {
@@ -91,8 +91,8 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 					runtime.Gosched()
 					continue
 				}
-				if _, ok := pipe.TimestampAt(model.EventID{Process: p, Index: top + 1}, w); ok {
-					t.Errorf("TimestampAt(p%d:%d) answers above its watermark %d", p, top+1, top)
+				if _, ok := pipe.At(w).Timestamp(model.EventID{Process: p, Index: top + 1}); ok {
+					t.Errorf("At(w).Timestamp(p%d:%d) answers above its watermark %d", p, top+1, top)
 					return
 				}
 				if !checkCell(model.EventID{Process: p, Index: top}, w) {
@@ -140,13 +140,13 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 				}
 				e := model.EventID{Process: p, Index: 1 + model.EventIndex(r.Intn(int(top)))}
 				f := model.EventID{Process: q, Index: 1 + model.EventIndex(r.Intn(int(w[q])))}
-				got, err := pipe.PrecedesAt(e, f, w)
+				got, err := pipe.At(w).Precedes(e, f)
 				if err != nil {
-					t.Errorf("PrecedesAt(%v,%v) below the watermark: %v", e, f, err)
+					t.Errorf("At(w).Precedes(%v,%v) below the watermark: %v", e, f, err)
 					return
 				}
 				if want := fm.Precedes(e, clock[e], f, clock[f]); got != want {
-					t.Errorf("PrecedesAt(%v,%v) = %v, Fidge/Mattern %v", e, f, got, want)
+					t.Errorf("At(w).Precedes(%v,%v) = %v, Fidge/Mattern %v", e, f, got, want)
 					return
 				}
 				checked.Add(1)
@@ -430,8 +430,9 @@ func TestStoreBytesPerEvent(t *testing.T) {
 // query allocates nothing whatever it reads — a projection frame on the direct
 // path, one resolved once and indexed per member on the routed path, a
 // delta-framed cluster receive read directly or reached through the notes;
-// and the view of a projection or of a delta-framed cluster receive allocates
-// exactly its decoded vector.
+// the view of a projection or of a delta-framed cluster receive allocates
+// exactly its decoded vector; and a hct.View asks the same with no allocation
+// of its own, live or at a cut, capturing a cut view being the identity.
 func TestViewsAllocateNothing(t *testing.T) {
 	tr := workload.Ring(16, 8, false)
 	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()})
@@ -443,7 +444,7 @@ func TestViewsAllocateNothing(t *testing.T) {
 	}
 	var projs, keyframes, deltas []model.EventID
 	for _, ev := range tr.Events {
-		switch c := ts.lookup(ev.ID, nil); {
+		switch c := ts.Live().cell(ev.ID); {
 		case c.epoch() != 0:
 			projs = append(projs, ev.ID)
 		case ts.crs[ev.ID.Process].at(int32(c.vec)).delta == noDelta:
@@ -495,6 +496,20 @@ func TestViewsAllocateNothing(t *testing.T) {
 		t.Fatalf("queries into the %d projections took the direct path %d times and the routed path %d times: need both", len(projs), direct-direct0, routed-routed0)
 	}
 
+	// The same queries through a view held by value: the live one, one at a
+	// cut, and that one captured again, which is itself and leaves buf alone.
+	precedes := func(v View) func() {
+		return func() {
+			for _, f := range projs {
+				if _, err := v.Precedes(e, f); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	w := ts.CaptureWatermark(nil)
+	buf := make(Watermark, tr.NumProcs)
+
 	var sink int
 	views := func(ids []model.EventID) func() {
 		return func() {
@@ -535,6 +550,16 @@ func TestViewsAllocateNothing(t *testing.T) {
 		{"routed precedes through a delta-framed note", 0, func() {
 			if _, err := ts.Precedes(e, routed); err != nil {
 				t.Error(err)
+			}
+		}},
+		{"precedes, live view", 0, precedes(ts.Live())},
+		{"precedes, view at a cut", 0, precedes(ts.At(w))},
+		{"capture of a view at a cut", 0, func() {
+			if got := ts.At(w).Capture(buf).Watermark(); &got[0] != &w[0] || len(got) != len(w) {
+				t.Errorf("Capture of a view at a cut returned another cut")
+			}
+			if slices.Max(buf) != 0 {
+				t.Errorf("Capture of a view at a cut wrote its buffer: %v", buf)
 			}
 		}},
 	} {

@@ -79,7 +79,7 @@ func NewWithOptions(numProcs int, cfg hct.Config, opt hct.PipelineOptions) (*Mon
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{Queries: NewQueries(pipe), pipe: pipe}, nil
+	return &Monitor{Queries: NewQueries(pipe.Live()), pipe: pipe}, nil
 }
 
 // Close shuts down the ingest shards. Queries against already-delivered

@@ -132,6 +132,10 @@ func runScript(t *testing.T, numProcs, nconns int, script []step, dial func(addr
 	for i := range conns {
 		conns[i] = dial(addr)
 	}
+	// A dial returns when the kernel has the connection, which is before the
+	// accept loop counts it; STATS reports that count and the codecs must agree
+	// on it, so no step runs until every connection is in it.
+	waitFor(t, func() bool { return srv.counters.ConnsAccepted.Value() == int64(nconns) })
 	replies := make([]string, len(script))
 	for i, st := range script {
 		resp, err := conns[st.conn].do(st)

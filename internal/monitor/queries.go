@@ -20,85 +20,44 @@ import (
 // the compound queries below reduce to a logarithmic number of such tests
 // per process.
 //
-// The queries are shard-safe without locks: each call captures the published
-// per-process watermarks once and evaluates every probe against that cut, so
-// the answer reflects a single consistent store state even while the ingest
-// shards keep publishing. A frozen replay engine returns the same watermark
-// on every capture, which degenerates to exactly the live semantics.
+// The queries are shard-safe without locks. A one-shot read (Precedes,
+// Concurrent, Timestamp, Lookup) asks the surface's view as it is. A compound
+// one (QueryBatch, GreatestPredecessors, GreatestConcurrent) captures the view
+// once and evaluates every probe against that cut, so the answer reflects a
+// single consistent store state even while the ingest shards keep publishing.
+// A replay view already has its cut, and capturing it is the identity.
 
-// QueryEngine is the store-side contract the query surface evaluates
-// against. *hct.Pipeline implements it for the live monitor; the replay
-// plane implements it with a frozen watermark over a pipeline's store.
-type QueryEngine interface {
-	NumProcs() int
-	// CaptureWatermark snapshots the published per-process event counts,
-	// reusing buf when it has capacity. Every query in a batch is answered
-	// against one captured watermark.
-	CaptureWatermark(buf hct.Watermark) hct.Watermark
-	// Timestamp returns a by-value view of the event's stored timestamp.
-	Timestamp(id model.EventID) (hct.Timestamp, bool)
-	// Event and EventAt reconstruct a delivered event (kind and partner)
-	// from its published cell without building a timestamp view; they double
-	// as the existence check.
-	Event(id model.EventID) (model.Event, bool)
-	EventAt(id model.EventID, w hct.Watermark) (model.Event, bool)
-	Precedes(e, f model.EventID) (bool, error)
-	PrecedesAt(e, f model.EventID, w hct.Watermark) (bool, error)
-	Concurrent(e, f model.EventID) (bool, error)
-	ConcurrentAt(e, f model.EventID, w hct.Watermark) (bool, error)
-}
-
-// Queries answers precedence queries against a QueryEngine. Monitor embeds
-// one over the live pipeline; replay views embed one over sealed history.
+// Queries answers precedence queries against one view of a store. Monitor
+// embeds one over the live view of its pipeline; replay views embed one over
+// the same kind of store cut at a cutoff. The one-shot reads — Precedes,
+// Concurrent, Timestamp — are the embedded view's own, lock-free and never
+// blocking (or blocked by) ingestion; Watermark is its cut, nil when live.
 // All methods are safe for concurrent use.
 type Queries struct {
-	eng QueryEngine
+	hct.View
 
-	// wmPool recycles watermark buffers across query calls so the steady
-	// state allocates nothing per query.
+	// wmPool recycles the buffers live captures are cut into, so the steady
+	// state allocates nothing per query. A buffer is made NumProcs long and a
+	// capture never reallocates it; a view with a cut of its own leaves it
+	// unwritten, so the pool never holds that cut.
 	wmPool sync.Pool
 }
 
-// NewQueries returns a query surface over eng.
-func NewQueries(eng QueryEngine) *Queries {
-	return &Queries{eng: eng}
+// NewQueries returns a query surface over view.
+func NewQueries(view hct.View) *Queries {
+	return &Queries{View: view}
 }
 
-// NumProcs returns the number of monitored processes.
-func (q *Queries) NumProcs() int { return q.eng.NumProcs() }
-
-// captureWatermark grabs a pooled watermark buffer and snapshots the
-// published per-process event counts into it. releaseWatermark returns it.
-func (q *Queries) captureWatermark() *hct.Watermark {
+// cut returns the surface's view at one cut — the counts published now,
+// written into a pooled buffer, or the view's own — and the buffer, which the
+// caller puts back in wmPool once it has stopped asking.
+func (q *Queries) cut() (hct.View, *hct.Watermark) {
 	wp, _ := q.wmPool.Get().(*hct.Watermark)
 	if wp == nil {
-		wp = new(hct.Watermark)
+		w := make(hct.Watermark, q.NumProcs())
+		wp = &w
 	}
-	*wp = q.eng.CaptureWatermark(*wp)
-	return wp
-}
-
-func (q *Queries) releaseWatermark(wp *hct.Watermark) { q.wmPool.Put(wp) }
-
-// Precedes answers a happened-before query from the stored cluster
-// timestamps. It takes no lock and never blocks (or is blocked by)
-// ingestion.
-func (q *Queries) Precedes(e, f model.EventID) (bool, error) {
-	return q.eng.Precedes(e, f)
-}
-
-// Concurrent reports whether two events are concurrent. Lock-free, like
-// Precedes.
-func (q *Queries) Concurrent(e, f model.EventID) (bool, error) {
-	return q.eng.Concurrent(e, f)
-}
-
-// Timestamp returns the timestamp of an event, by value: a view of the
-// stored cell, at most one allocation (a vector the store holds as offsets
-// over a keyframe is decoded). Lock-free; the vectors it carries may alias the
-// store and are immutable.
-func (q *Queries) Timestamp(id model.EventID) (hct.Timestamp, bool) {
-	return q.eng.Timestamp(id)
+	return q.Capture(*wp), wp
 }
 
 // Lookup fetches a delivered event by ID, reconstructed from its published
@@ -106,23 +65,20 @@ func (q *Queries) Timestamp(id model.EventID) (hct.Timestamp, bool) {
 // more than one ingest shard an acknowledged event may briefly report absent
 // (a barrier — the server takes one per query frame — closes the window).
 func (q *Queries) Lookup(id model.EventID) (model.Event, bool) {
-	return q.eng.Event(id)
+	return q.Event(id)
 }
 
 // QueryBatch answers a batch of precedence queries. The whole batch is
-// evaluated against a single watermark captured up front, so every answer
-// reflects one store state even while ingestion runs — earlier revisions
-// re-acquired the read lock per shard and could straddle a delivery
-// mid-batch. No lock is taken at any point: large batches shard across
-// goroutines that scale linearly with cores instead of serializing behind
-// RLock acquisitions, and concurrent DeliverBatch calls proceed untouched.
+// evaluated against a single view captured up front, so every answer
+// reflects one store state even while ingestion runs. No lock is taken at any
+// point: large batches shard across goroutines that scale with cores, and
+// concurrent deliveries proceed untouched.
 func (q *Queries) QueryBatch(qs []Query) []QueryResult {
 	out := make([]QueryResult, len(qs))
-	wp := q.captureWatermark()
-	w := *wp
+	v, wp := q.cut()
+	defer q.wmPool.Put(wp)
 	if len(qs) < queryBatchParallelMin {
-		q.queryRange(qs, out, w)
-		q.releaseWatermark(wp)
+		queryRange(v, qs, out)
 		return out
 	}
 	shards := runtime.GOMAXPROCS(0)
@@ -139,23 +95,21 @@ func (q *Queries) QueryBatch(qs []Query) []QueryResult {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			q.queryRange(qs[lo:hi], out[lo:hi], w)
+			queryRange(v, qs[lo:hi], out[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
-	q.releaseWatermark(wp)
 	return out
 }
 
-// queryRange answers qs into res (same length) against the captured
-// watermark w.
-func (q *Queries) queryRange(qs []Query, res []QueryResult, w hct.Watermark) {
+// queryRange answers qs into res (same length) against the captured view v.
+func queryRange(v hct.View, qs []Query, res []QueryResult) {
 	for i, qu := range qs {
 		switch qu.Op {
 		case OpPrecedes:
-			res[i].True, res[i].Err = q.eng.PrecedesAt(qu.A, qu.B, w)
+			res[i].True, res[i].Err = v.Precedes(qu.A, qu.B)
 		case OpConcurrent:
-			res[i].True, res[i].Err = q.eng.ConcurrentAt(qu.A, qu.B, w)
+			res[i].True, res[i].Err = v.Concurrent(qu.A, qu.B)
 		default:
 			res[i].Err = fmt.Errorf("monitor: unknown query op %d", qu.Op)
 		}
@@ -175,13 +129,12 @@ type CutEntry struct {
 // in-process predecessor. This is the causal past's frontier — the cut a
 // visualization tool draws when the user selects an event.
 func (q *Queries) GreatestPredecessors(e model.EventID) ([]CutEntry, error) {
-	wp := q.captureWatermark()
-	defer q.releaseWatermark(wp)
-	w := *wp
-	if _, ok := q.eng.EventAt(e, w); !ok {
+	v, wp := q.cut()
+	defer q.wmPool.Put(wp)
+	if _, ok := v.Event(e); !ok {
 		return nil, fmt.Errorf("monitor: GreatestPredecessors: unknown event %v", e)
 	}
-	out := make([]CutEntry, q.eng.NumProcs())
+	out := make([]CutEntry, v.NumProcs())
 	for p := range out {
 		qp := model.ProcessID(p)
 		out[p].Process = qp
@@ -189,8 +142,8 @@ func (q *Queries) GreatestPredecessors(e model.EventID) ([]CutEntry, error) {
 			out[p].Index = e.Index - 1
 			continue
 		}
-		idx, err := q.latestSatisfying(qp, w, func(g model.EventID) (bool, error) {
-			return q.eng.PrecedesAt(g, e, w)
+		idx, err := latestSatisfying(v, qp, func(g model.EventID) (bool, error) {
+			return v.Precedes(g, e)
 		})
 		if err != nil {
 			return nil, err
@@ -203,13 +156,12 @@ func (q *Queries) GreatestPredecessors(e model.EventID) ([]CutEntry, error) {
 // GreatestConcurrent returns, for each process, the latest event concurrent
 // with e (index 0 when none) — the paper's motivating query.
 func (q *Queries) GreatestConcurrent(e model.EventID) ([]CutEntry, error) {
-	wp := q.captureWatermark()
-	defer q.releaseWatermark(wp)
-	w := *wp
-	if _, ok := q.eng.EventAt(e, w); !ok {
+	v, wp := q.cut()
+	defer q.wmPool.Put(wp)
+	if _, ok := v.Event(e); !ok {
 		return nil, fmt.Errorf("monitor: GreatestConcurrent: unknown event %v", e)
 	}
-	out := make([]CutEntry, q.eng.NumProcs())
+	out := make([]CutEntry, v.NumProcs())
 	for p := range out {
 		qp := model.ProcessID(p)
 		out[p].Process = qp
@@ -219,8 +171,8 @@ func (q *Queries) GreatestConcurrent(e model.EventID) ([]CutEntry, error) {
 		}
 		// Last event of q that e does NOT precede. Events beyond it are
 		// all causal successors of e.
-		lastNotAfter, err := q.latestSatisfying(qp, w, func(g model.EventID) (bool, error) {
-			after, err := q.eng.PrecedesAt(e, g, w)
+		lastNotAfter, err := latestSatisfying(v, qp, func(g model.EventID) (bool, error) {
+			after, err := v.Precedes(e, g)
 			return !after, err
 		})
 		if err != nil {
@@ -231,7 +183,7 @@ func (q *Queries) GreatestConcurrent(e model.EventID) ([]CutEntry, error) {
 		}
 		// That event is concurrent iff it is not a predecessor of e.
 		g := model.EventID{Process: qp, Index: lastNotAfter}
-		before, err := q.eng.PrecedesAt(g, e, w)
+		before, err := v.Precedes(g, e)
 		if err != nil {
 			return nil, err
 		}
@@ -245,10 +197,10 @@ func (q *Queries) GreatestConcurrent(e model.EventID) ([]CutEntry, error) {
 // latestSatisfying binary-searches process p's published events for the
 // largest index whose event satisfies pred, assuming pred is downward-closed
 // on the process order (if event k satisfies it, so do all earlier events).
-// The search range is bounded by the captured watermark, so every probe hits
-// a published timestamp. It returns 0 when no event qualifies.
-func (q *Queries) latestSatisfying(p model.ProcessID, w hct.Watermark, pred func(model.EventID) (bool, error)) (model.EventIndex, error) {
-	lo, hi := model.EventIndex(0), model.EventIndex(w[p]) // invariant: lo satisfies (or 0), hi+1 does not
+// The search range is bounded by the captured view v's cut, so every probe
+// hits a published timestamp. It returns 0 when no event qualifies.
+func latestSatisfying(v hct.View, p model.ProcessID, pred func(model.EventID) (bool, error)) (model.EventIndex, error) {
+	lo, hi := model.EventIndex(0), model.EventIndex(v.Watermark()[p]) // invariant: lo satisfies (or 0), hi+1 does not
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		ok, err := pred(model.EventID{Process: p, Index: mid})

@@ -159,3 +159,35 @@ func TestQueriesOnEmptyProcesses(t *testing.T) {
 		t.Fatalf("empty process has concurrent %d", conc[2].Index)
 	}
 }
+
+// TestQueriesAllocate pins what the one read path costs its callers. A batch
+// over a view that already has a cut allocates its result slice and nothing
+// else — capturing that view copies nothing, and the buffer the batch borrows
+// from the pool is never the view's own cut. The one-shot Precedes asks the
+// live view as it is: no allocation, and no buffer left in the pool.
+func TestQueriesAllocate(t *testing.T) {
+	tr := randomQueryTrace(rand.New(rand.NewSource(7)), 6, 400)
+	m := newTestMonitor(t, tr.NumProcs)
+	if err := m.DeliverAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	w := m.Pipeline().CaptureWatermark(nil)
+	cut := NewQueries(m.Pipeline().At(w))
+	qs := make([]Query, 8) // below queryBatchParallelMin: no goroutines
+	for i := range qs {
+		qs[i] = Query{Op: OpPrecedes + QueryOp(i%2), A: tr.Events[i].ID, B: tr.Events[len(tr.Events)-1-i].ID}
+	}
+	if got := testing.AllocsPerRun(100, func() { cut.QueryBatch(qs) }); got != 1 {
+		t.Errorf("QueryBatch over a view at a cut: %.0f allocations, want 1 (the results)", got)
+	}
+	if wp, _ := cut.wmPool.Get().(*hct.Watermark); wp != nil && &(*wp)[0] == &w[0] {
+		t.Error("the pool holds the view's own cut")
+	}
+	e, f := tr.Events[0].ID, tr.Events[len(tr.Events)-1].ID
+	if got := testing.AllocsPerRun(100, func() { m.Precedes(e, f) }); got != 0 {
+		t.Errorf("one-shot Precedes: %.0f allocations, want 0", got)
+	}
+	if m.wmPool.Get() != nil {
+		t.Error("one-shot Precedes left a capture buffer in the pool")
+	}
+}

@@ -70,7 +70,7 @@ func (t *tally) reset(v *View) {
 		t.pos, t.held = 0, -1
 		return
 	}
-	copy(t.n, v.wm)
+	copy(t.n, v.Watermark())
 	t.pos, t.held = v.cutoff, v.held
 	if t.held >= 0 {
 		t.n[t.held]++

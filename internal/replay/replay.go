@@ -97,14 +97,14 @@ func (c Counts) Stats(fixedVector int) monitor.Stats {
 // View is the store as of one cutoff. It embeds the same query surface the
 // live monitor promotes — Precedes, Concurrent, Timestamp, Lookup,
 // QueryBatch, GreatestPredecessors, GreatestConcurrent — evaluated against
-// the frozen watermark, and is safe for concurrent use alongside further
-// ViewAt calls on the owning store.
+// the frozen watermark (Watermark: the per-process event counts, shared, not
+// to be modified), and is safe for concurrent use alongside further ViewAt
+// calls on the owning store.
 type View struct {
 	*monitor.Queries
 
 	cutoff uint64
 	counts Counts
-	wm     hct.Watermark
 	held   int32 // OpenLive only: see tally.held
 }
 
@@ -116,55 +116,8 @@ func (v *View) Cutoff() uint64 { return v.cutoff }
 // known only to an engine that restamped up to it.
 func (v *View) Counts() Counts { return v.counts }
 
-// Watermark returns the per-process event counts the view is frozen at.
-// The returned slice is shared and must not be modified.
-func (v *View) Watermark() hct.Watermark { return v.wm }
-
 // Stats reports what the live monitor's Stats would have been at the cutoff.
 func (v *View) Stats(fixedVector int) monitor.Stats { return v.counts.Stats(fixedVector) }
-
-// frozenEngine adapts a (possibly still-growing) store — the restamping
-// engine's, or the daemon's live one — to the monitor.QueryEngine contract
-// with every read clamped to the view's watermark. A store only ever gains
-// cells above published watermarks, so clamped reads are stable forever.
-type frozenEngine struct {
-	store *hct.Pipeline
-	wm    hct.Watermark
-}
-
-func (f *frozenEngine) NumProcs() int { return f.store.NumProcs() }
-
-func (f *frozenEngine) CaptureWatermark(buf hct.Watermark) hct.Watermark {
-	return append(buf[:0], f.wm...)
-}
-
-func (f *frozenEngine) Timestamp(id model.EventID) (hct.Timestamp, bool) {
-	return f.store.TimestampAt(id, f.wm)
-}
-
-func (f *frozenEngine) Event(id model.EventID) (model.Event, bool) {
-	return f.store.EventAt(id, f.wm)
-}
-
-func (f *frozenEngine) EventAt(id model.EventID, w hct.Watermark) (model.Event, bool) {
-	return f.store.EventAt(id, w)
-}
-
-func (f *frozenEngine) Precedes(e, g model.EventID) (bool, error) {
-	return f.store.PrecedesAt(e, g, f.wm)
-}
-
-func (f *frozenEngine) PrecedesAt(e, g model.EventID, w hct.Watermark) (bool, error) {
-	return f.store.PrecedesAt(e, g, w)
-}
-
-func (f *frozenEngine) Concurrent(e, g model.EventID) (bool, error) {
-	return f.store.ConcurrentAt(e, g, f.wm)
-}
-
-func (f *frozenEngine) ConcurrentAt(e, g model.EventID, w hct.Watermark) (bool, error) {
-	return f.store.ConcurrentAt(e, g, w)
-}
 
 // Store materializes replay views over one WAL directory. All methods are
 // safe for concurrent use; materialization is serialized internally while
@@ -177,7 +130,7 @@ func (f *frozenEngine) ConcurrentAt(e, g model.EventID, w hct.Watermark) (bool, 
 //
 // View lifecycle vs Refresh and cache eviction — the audited invariants:
 //
-//   - A View never reads the chain after materialization. Its frozenEngine
+//   - A View never reads the chain after materialization. Its hct.View
 //     holds only a heap-resident store and the watermark slice of the
 //     cutoff, so Refresh swapping (and closing) the mmap'd chain underneath —
 //     including after a compaction deleted the very segments the view was
@@ -369,12 +322,12 @@ func (s *Store) ViewAt(cutoff uint64) (*View, error) {
 	return v, nil
 }
 
-// newView freezes store at wm as the view of cutoff.
+// newView freezes store at wm as the view of cutoff. A store only ever gains
+// cells above published watermarks, so reads cut at wm are stable forever.
 func newView(cutoff uint64, store *hct.Pipeline, wm hct.Watermark) *View {
 	return &View{
-		Queries: monitor.NewQueries(&frozenEngine{store: store, wm: wm}),
+		Queries: monitor.NewQueries(store.At(wm)),
 		cutoff:  cutoff,
-		wm:      wm,
 		held:    -1,
 	}
 }
