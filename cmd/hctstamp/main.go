@@ -76,19 +76,18 @@ func main() {
 		fatal(err)
 	}
 
-	st := tr.Stats()
+	st, r := tr.Stats(), ts.Result()
 	fmt.Printf("trace          %s\n", tr.Name)
 	fmt.Printf("processes      %d\n", st.NumProcs)
 	fmt.Printf("events         %d (%d messages, %d sync pairs, %d unary)\n",
 		st.NumEvents, st.Messages, st.SyncPairs, st.Unary)
 	fmt.Printf("strategy       %s, maxCS %d\n", *strat, *maxCS)
-	fmt.Printf("cluster recvs  %d noted, %d merged\n", ts.ClusterReceives(), ts.MergedClusterReceives())
-	fmt.Printf("merges         %d (%d live clusters, largest %d)\n",
-		ts.Partition().Merges(), ts.Partition().NumLive(), ts.Partition().MaxLiveSize())
-	total := ts.StorageInts(*fixed)
-	fmRef := int64(st.NumEvents) * int64(*fixed)
+	fmt.Printf("cluster recvs  %d noted, %d merged\n", r.ClusterReceives, r.MergedReceives)
+	fmt.Printf("merges         %d (%d live clusters, largest %d)\n", r.Merges, r.LiveClusters, r.MaxLiveCluster)
+	total := hct.StorageInts(r.Events, r.ClusterReceives, *fixed, r.MaxClusterSize)
+	fmRef := hct.StorageInts(r.Events, r.Events, *fixed, r.MaxClusterSize) // every event keeps its vector
 	fmt.Printf("storage        %d ints vs %d Fidge/Mattern ints\n", total, fmRef)
-	fmt.Printf("average ratio  %.4f\n", float64(total)/float64(fmRef))
+	fmt.Printf("average ratio  %.4f\n", r.AverageRatio(*fixed))
 
 	if *verbose {
 		for _, inf := range ts.Partition().Live() {

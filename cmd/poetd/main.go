@@ -165,6 +165,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "poetd: unknown strategy %q\n", *strat)
 		os.Exit(2)
 	}
+	if *fixed < 1 {
+		fmt.Fprintf(os.Stderr, "poetd: -fixed %d: the fixed encoding vector needs at least one element\n", *fixed)
+		os.Exit(2)
+	}
 	var policy wal.SyncPolicy
 	if *walDir != "" {
 		p, err := wal.ParseSyncPolicy(*fsync)

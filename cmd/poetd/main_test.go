@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -419,6 +420,22 @@ func TestPoetdRecoveryNamesFailingRecord(t *testing.T) {
 		if err := p.cmd.Wait(); err == nil {
 			t.Fatalf("-ingest-shards %s: poetd started on a log it could not replay", shards)
 		}
+	}
+}
+
+// TestPoetdRefusesFixedBelowOne pins -fixed's range: like an unknown
+// -strategy, a fixed encoding vector of no elements is a usage error (exit 2),
+// not a daemon whose STATS accounts noted cluster receives at 0 ints.
+func TestPoetdRefusesFixedBelowOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real daemon; skipped with -short")
+	}
+	bin := buildPoetd(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second) // a daemon that starts is killed
+	defer cancel()
+	err := exec.CommandContext(ctx, bin, "-procs", "4", "-addr", "127.0.0.1:0", "-fixed", "0").Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+		t.Fatalf("poetd -fixed 0: %v, want exit status 2", err)
 	}
 }
 

@@ -61,53 +61,8 @@ func (a *Accountant) ObserveStream(stream []model.ReceivePair, totalEvents int) 
 	}
 }
 
-// Result summarizes a run's space accounting.
-type Result struct {
-	Events          int
-	ClusterReceives int // noted (full-vector) cluster receives
-	MergedReceives  int // cluster receives that triggered a merge
-	Merges          int
-	LiveClusters    int
-	MaxLiveCluster  int
-	MaxClusterSize  int // the configured bound
-}
-
 // Result returns the accumulated statistics.
-func (a *Accountant) Result() Result {
-	c := a.core
-	return Result{
-		Events:          c.events,
-		ClusterReceives: c.crEvents,
-		MergedReceives:  c.mergedCRs,
-		Merges:          c.part.Merges(),
-		LiveClusters:    c.part.NumLive(),
-		MaxLiveCluster:  c.part.MaxLiveSize(),
-		MaxClusterSize:  c.maxCS,
-	}
-}
-
-// AverageRatio returns the ratio of the average cluster-timestamp size to
-// the Fidge/Mattern timestamp size under the fixed-size-vector encoding of
-// Section 4: Fidge/Mattern timestamps (and noted cluster receives, which
-// retain them) occupy fixedVector elements; all other events occupy a vector
-// of MaxClusterSize elements. A Fidge/Mattern-only tool therefore scores
-// exactly 1.0.
-func (r Result) AverageRatio(fixedVector int) float64 {
-	return r.AverageRatioWithVector(fixedVector, r.MaxClusterSize)
-}
-
-// AverageRatioWithVector is AverageRatio with an explicit cluster-vector
-// size. It supports the k-means/k-medoid ablations, whose clusters are not
-// size-bounded: an implementation would have to allocate cluster vectors of
-// the *largest* cluster produced, so their accounting must use that size
-// rather than the nominal maxCS.
-func (r Result) AverageRatioWithVector(fixedVector, clusterVector int) float64 {
-	if r.Events == 0 {
-		return 0
-	}
-	total := StorageInts(r.Events, r.ClusterReceives, fixedVector, clusterVector)
-	return float64(total) / (float64(r.Events) * float64(fixedVector))
-}
+func (a *Accountant) Result() Result { return a.core.result() }
 
 // ResultOf runs an accountant over the trace with the given configuration
 // and returns the summary. The Config's Partition and Decider must be fresh

@@ -93,10 +93,58 @@ func (c *clusterer) receive(p, q int32) *cluster.Info {
 	return nil
 }
 
-// storageInts returns the vector elements occupied by everything decided so
-// far under the fixed-size-vector encoding (see StorageInts).
-func (c *clusterer) storageInts(fixedVector int) int64 {
-	return StorageInts(c.events, c.crEvents, fixedVector, c.maxCS)
+// Result is the one accounting snapshot: the clusterer's counters and the
+// partition's shape, read together by clusterer.result so that every field
+// describes the same moment. The experiments, the pipeline (Pipeline.Result),
+// the monitor's STATS, /metrics and /statusz and a replay view all report
+// it; the paper's Section 4 numbers follow from it through StorageInts.
+type Result struct {
+	Events          int
+	ClusterReceives int // noted (full-vector) cluster receives
+	MergedReceives  int // cluster receives that triggered a merge
+	Merges          int
+	LiveClusters    int
+	MaxLiveCluster  int
+	MaxClusterSize  int // the configured bound
+}
+
+// result returns the counters as one snapshot. Its callers serialize it with
+// decide: the pipeline under planMu (Pipeline.Result), the Accountant by not
+// being shared.
+func (c *clusterer) result() Result {
+	return Result{
+		Events:          c.events,
+		ClusterReceives: c.crEvents,
+		MergedReceives:  c.mergedCRs,
+		Merges:          c.part.Merges(),
+		LiveClusters:    c.part.NumLive(),
+		MaxLiveCluster:  c.part.MaxLiveSize(),
+		MaxClusterSize:  c.maxCS,
+	}
+}
+
+// AverageRatio returns the ratio of the average cluster-timestamp size to
+// the Fidge/Mattern timestamp size under the fixed-size-vector encoding of
+// Section 4: Fidge/Mattern timestamps (and noted cluster receives, which
+// retain them) occupy fixedVector elements; all other events occupy a vector
+// of MaxClusterSize elements. A Fidge/Mattern-only tool therefore scores
+// exactly 1.0; below 1.0 the clustering is paying off. It is 0 when there is
+// nothing to measure: no events, or fixedVector ≤ 0.
+func (r Result) AverageRatio(fixedVector int) float64 {
+	return r.AverageRatioWithVector(fixedVector, r.MaxClusterSize)
+}
+
+// AverageRatioWithVector is AverageRatio with an explicit cluster-vector
+// size. It supports the k-means/k-medoid ablations, whose clusters are not
+// size-bounded: an implementation would have to allocate cluster vectors of
+// the *largest* cluster produced, so their accounting must use that size
+// rather than the nominal maxCS.
+func (r Result) AverageRatioWithVector(fixedVector, clusterVector int) float64 {
+	if r.Events == 0 || fixedVector <= 0 {
+		return 0
+	}
+	total := StorageInts(r.Events, r.ClusterReceives, fixedVector, clusterVector)
+	return float64(total) / (float64(r.Events) * float64(fixedVector))
 }
 
 // StorageInts is the closed form of the fixed-size-vector encoding of

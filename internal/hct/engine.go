@@ -39,13 +39,13 @@ var (
 // timestamp on the caller's goroutine — so replay, the CLIs and the examples drive exactly the core the daemon
 // runs. Full Fidge/Mattern vectors are retained only for noted cluster
 // receives — the algorithm "deletes Fidge/Mattern timestamps that are no
-// longer needed". The embedded Pipeline supplies the accounting (Events,
-// ClusterReceives, StorageInts, ...) and the lock-free query surface.
+// longer needed". The embedded Pipeline supplies the accounting (Result, one
+// snapshot; StorageInts derives from it) and the lock-free query surface.
 //
-// Concurrency: writers serialize on the admission lock and, with the
-// accounting methods, on the planner mutex; Timestamp, Event, Precedes and
-// Concurrent — the live View's reads — and CaptureWatermark take no lock and
-// read only the prefix of the store published by the per-process watermarks.
+// Concurrency: writers serialize on the admission lock and, with Result, on
+// the planner mutex; Timestamp, Event, Precedes and Concurrent — the live
+// View's reads — and CaptureWatermark take no lock and read only the prefix
+// of the store published by the per-process watermarks.
 // Only Partition hands out unsynchronized state.
 type Timestamper struct {
 	*Pipeline

@@ -58,8 +58,8 @@ func TestStaticClustersProjectionAndCR(t *testing.T) {
 	if ts.ClusterReceives() != 1 {
 		t.Fatalf("ClusterReceives = %d, want 1", ts.ClusterReceives())
 	}
-	if ts.MergedClusterReceives() != 0 {
-		t.Fatalf("MergedClusterReceives = %d, want 0", ts.MergedClusterReceives())
+	if got := ts.Result().MergedReceives; got != 0 {
+		t.Fatalf("MergedReceives = %d, want 0", got)
 	}
 
 	// The cross-cluster receive is p2:2 (after its intra send p2:1).
@@ -119,11 +119,11 @@ func TestMergeOnFirstMergesInsteadOfNoting(t *testing.T) {
 	if ts.ClusterReceives() != 0 {
 		t.Fatalf("ClusterReceives = %d, want 0", ts.ClusterReceives())
 	}
-	if ts.MergedClusterReceives() != 3 {
-		t.Fatalf("MergedClusterReceives = %d, want 3", ts.MergedClusterReceives())
+	if got := ts.Result().MergedReceives; got != 3 {
+		t.Fatalf("MergedReceives = %d, want 3", got)
 	}
-	if ts.Partition().NumLive() != 1 {
-		t.Fatalf("expected single merged cluster, live=%d", ts.Partition().NumLive())
+	if got := ts.Result().LiveClusters; got != 1 {
+		t.Fatalf("expected single merged cluster, live=%d", got)
 	}
 	// Merged cluster receive is stamped with a projection over the merged
 	// cluster (the event "is no longer a cluster receive").
@@ -179,8 +179,8 @@ func TestSyncCrossClusterMergeMakesSecondHalfIntra(t *testing.T) {
 	if ts.ClusterReceives() != 0 {
 		t.Fatalf("ClusterReceives = %d, want 0", ts.ClusterReceives())
 	}
-	if ts.MergedClusterReceives() != 1 {
-		t.Fatalf("MergedClusterReceives = %d, want 1", ts.MergedClusterReceives())
+	if got := ts.Result().MergedReceives; got != 1 {
+		t.Fatalf("MergedReceives = %d, want 1", got)
 	}
 }
 
@@ -386,13 +386,8 @@ func TestAccountantAgreesWithTimestamper(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Events != ts.Events() ||
-				res.ClusterReceives != ts.ClusterReceives() ||
-				res.MergedReceives != ts.MergedClusterReceives() ||
-				res.Merges != ts.Partition().Merges() ||
-				res.LiveClusters != ts.Partition().NumLive() {
-				t.Fatalf("trial %d (maxCS=%d): accountant %+v disagrees with timestamper (ev=%d cr=%d merged=%d merges=%d live=%d)",
-					trial, maxCS, res, ts.Events(), ts.ClusterReceives(), ts.MergedClusterReceives(), ts.Partition().Merges(), ts.Partition().NumLive())
+			if got := ts.Result(); got != res {
+				t.Fatalf("trial %d (maxCS=%d): accountant %+v disagrees with timestamper %+v", trial, maxCS, res, got)
 			}
 			// Storage identity: engine-side accounting equals the
 			// accountant's ratio formula.

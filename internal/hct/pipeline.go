@@ -767,8 +767,7 @@ func (p *Pipeline) LaneQueueDepthsInto(buf []uint64) []uint64 {
 }
 
 // StoreStats returns the column store's physical tallies, summed over the
-// lanes. Like the other accounting methods it can trail dispatched work; it
-// is exact after Barrier.
+// lanes. Like Result it can trail dispatched work; it is exact after Barrier.
 func (p *Pipeline) StoreStats() StoreStats {
 	var total StoreStats
 	var cells uint64
@@ -840,69 +839,40 @@ func roomFor(ends []uint32, epochs int, unstamped int64, numProcs int) int64 {
 	return room - unstamped
 }
 
-// Events returns the number of events finalized by the planner. Like the
-// other accounting methods it reflects dispatched work, which may be ahead
-// of what is published; call Barrier first for an exact snapshot.
-func (p *Pipeline) Events() int {
+// Result returns the clusterer's accounting as one snapshot, read under one
+// hold of the planner mutex: above one lane the planner goroutine can plan a
+// whole batch between two separate acquisitions, so this is the only read of
+// the counters. It reflects planned work, which may be ahead of what is
+// published; call Barrier first for an exact snapshot.
+func (p *Pipeline) Result() Result {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	return p.core.events
+	return p.core.result()
 }
 
-// ClusterReceives returns the number of noted (non-merged) cluster receives.
-func (p *Pipeline) ClusterReceives() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.core.crEvents
+// Events returns Result().Events, the events finalized by the planner.
+func (p *Pipeline) Events() int { return p.Result().Events }
+
+// ClusterReceives returns Result().ClusterReceives, the noted (non-merged)
+// cluster receives.
+func (p *Pipeline) ClusterReceives() int { return p.Result().ClusterReceives }
+
+// Merges returns Result().Merges, the cluster merges performed.
+func (p *Pipeline) Merges() int { return p.Result().Merges }
+
+// StorageInts returns the vector elements occupied by all stored timestamps
+// under the fixed-size encoding: StorageInts over one Result.
+func (p *Pipeline) StorageInts(fixedVector int) int64 {
+	r := p.Result()
+	return StorageInts(r.Events, r.ClusterReceives, fixedVector, r.MaxClusterSize)
 }
 
-// MergedClusterReceives returns the number of merge-triggering cluster
-// receives.
-func (p *Pipeline) MergedClusterReceives() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.core.mergedCRs
-}
-
-// Merges returns the number of cluster merges performed.
-func (p *Pipeline) Merges() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.core.part.Merges()
-}
-
-// NumLive returns the number of live clusters.
-func (p *Pipeline) NumLive() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.core.part.NumLive()
-}
-
-// MaxLiveSize returns the size of the largest live cluster.
-func (p *Pipeline) MaxLiveSize() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.core.part.MaxLiveSize()
-}
-
-// LiveSizesInto appends the live cluster sizes to buf.
+// LiveSizesInto appends the live cluster sizes to buf: the partition's shape,
+// which no counter of Result carries.
 func (p *Pipeline) LiveSizesInto(buf []int) []int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
 	return p.core.part.LiveSizesInto(buf)
-}
-
-// MaxClusterSize returns the configured cluster-size bound (the paper's
-// maxCS), which is also the projection-vector size of every non-CR timestamp
-// under the fixed-size encoding.
-func (p *Pipeline) MaxClusterSize() int { return p.core.maxCS }
-
-// StorageInts returns the vector elements occupied by all stored timestamps
-// under the fixed-size encoding (see StorageInts).
-func (p *Pipeline) StorageInts(fixedVector int) int64 {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.core.storageInts(fixedVector)
 }
 
 // PendingSends returns the number of admitted sends awaiting their receive.

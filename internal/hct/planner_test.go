@@ -31,11 +31,8 @@ func feedAgainst(t *testing.T, tr *model.Trace, ref *Timestamper, cfg Config, op
 		}
 	}
 	pipe.Barrier()
-	if pipe.Events() != ref.Events() || pipe.ClusterReceives() != ref.ClusterReceives() ||
-		pipe.MergedClusterReceives() != ref.MergedClusterReceives() || pipe.Merges() != ref.Merges() {
-		t.Fatalf("%s: accounting (%d,%d,%d,%d) != reference (%d,%d,%d,%d)", where,
-			pipe.Events(), pipe.ClusterReceives(), pipe.MergedClusterReceives(), pipe.Merges(),
-			ref.Events(), ref.ClusterReceives(), ref.MergedClusterReceives(), ref.Merges())
+	if got, want := pipe.Result(), ref.Result(); got != want {
+		t.Fatalf("%s: accounting %+v != reference %+v", where, got, want)
 	}
 	for _, e := range tr.Events {
 		want, _ := ref.Timestamp(e.ID)

@@ -19,16 +19,16 @@ import (
 // delivery order (a linear extension of the computation); Collector relaxes
 // that requirement for concurrent producers.
 //
-// Since the sharded-ingest rework the monitor is a thin façade over
-// hct.Pipeline: an admission gate holds each event to the delivery contract,
-// a sequential planner makes every cluster decision in delivery order, and
-// per-shard stamping lanes do the vector-clock math and column publication (see internal/hct/pipeline.go
-// for the full protocol). New builds a single-shard monitor, which stamps
-// inline on the delivering goroutine — the exact single-writer path earlier
-// revisions implemented directly. NewSharded spreads the stamping work across
-// N lanes behind a planner goroutine; DeliverBatchAsync plus IngestBarrier are
+// The monitor is a thin façade over hct.Pipeline: an admission gate holds
+// each event to the delivery contract, a sequential planner makes every
+// cluster decision in delivery order, and per-shard stamping lanes do the
+// vector-clock math and column publication (see internal/hct/pipeline.go for
+// the full protocol). New builds a single-shard monitor, which stamps inline
+// on the delivering goroutine. NewSharded spreads the stamping work across N
+// lanes behind a planner goroutine; DeliverBatchAsync plus IngestBarrier are
 // the form that does not wait per run (recovery feeds the log through it; the
-// server's collector calls Pipeline.DispatchAdmitted directly).
+// server's collector calls Pipeline.DispatchAdmitted directly). Accounting
+// and Stats read the planner's counters as one snapshot (hct.Result).
 //
 // Precedence queries (Precedes, Concurrent, Timestamp, QueryBatch, and the
 // compound queries in queries.go) take no lock at all: each stamping lane
@@ -138,74 +138,38 @@ func (m *Monitor) DeliverAll(t *model.Trace) error {
 	return m.DeliverBatch(t.Events)
 }
 
-// GreatestConcurrent... and richer query surfaces live with the callers;
-// Stats summarizes the monitor state for dashboards and tests.
+// Stats is what STATS reports of a monitor: one accounting snapshot, its
+// storage under the fixed-size encoding at one vector width, and the
+// admitted sends awaiting their receive.
 type Stats struct {
-	Events          int
-	ClusterReceives int
-	MergedReceives  int
-	LiveClusters    int
-	MaxLiveCluster  int
-	StorageInts     int64
-	PendingSends    int
+	hct.Result
+	StorageInts  int64
+	PendingSends int
 }
 
-// Stats returns a snapshot of the monitor's accounting. Every field is O(1)
-// to read from the planner's bookkeeping, so the cost is constant
-// regardless of store size.
-func (m *Monitor) Stats(fixedVector int) Stats {
+// StatsOf builds Stats from one accounting snapshot; Monitor.Stats and a
+// replay view's Stats both go through it, so the storage is hct.StorageInts
+// of r's own fields.
+func StatsOf(r hct.Result, pendingSends, fixedVector int) Stats {
 	return Stats{
-		Events:          m.pipe.Events(),
-		ClusterReceives: m.pipe.ClusterReceives(),
-		MergedReceives:  m.pipe.MergedClusterReceives(),
-		LiveClusters:    m.pipe.NumLive(),
-		MaxLiveCluster:  m.pipe.MaxLiveSize(),
-		StorageInts:     m.pipe.StorageInts(fixedVector),
-		PendingSends:    m.pipe.PendingSends(),
+		Result:       r,
+		StorageInts:  hct.StorageInts(r.Events, r.ClusterReceives, fixedVector, r.MaxClusterSize),
+		PendingSends: pendingSends,
 	}
 }
 
-// Accounting is the cheap subset of Stats: every field is O(1) to read (no
-// walk over the stored timestamps), so live gauges can sample it on every
-// scrape without stalling ingestion for long.
-type Accounting struct {
-	Events          int
-	ClusterReceives int
-	MergedReceives  int
-	LiveClusters    int
-	MaxLiveCluster  int
-	Merges          int
-	MaxClusterSize  int
+// Stats returns the monitor's accounting at fixedVector. It is O(1): one
+// planner-mutex hold for the snapshot, one admission-lock hold for the
+// pending sends.
+func (m *Monitor) Stats(fixedVector int) Stats {
+	return StatsOf(m.pipe.Result(), m.pipe.PendingSends(), fixedVector)
 }
 
-// Accounting returns the O(1) accounting snapshot.
-func (m *Monitor) Accounting() Accounting {
-	return Accounting{
-		Events:          m.pipe.Events(),
-		ClusterReceives: m.pipe.ClusterReceives(),
-		MergedReceives:  m.pipe.MergedClusterReceives(),
-		LiveClusters:    m.pipe.NumLive(),
-		MaxLiveCluster:  m.pipe.MaxLiveSize(),
-		Merges:          m.pipe.Merges(),
-		MaxClusterSize:  m.pipe.MaxClusterSize(),
-	}
-}
-
-// TimestampSizeRatio returns the live value of the paper's Section 4
-// headline metric for this accounting state: the mean timestamp size
-// relative to a fixed Fidge/Mattern vector of fixedVector elements. Noted
-// cluster receives retain a full vector (fixedVector ints); every other
-// event carries a projection of MaxClusterSize ints. A Fidge/Mattern-only
-// tool scores exactly 1.0; below 1.0 the clustering is paying off.
-func (a Accounting) TimestampSizeRatio(fixedVector int) float64 {
-	if a.Events == 0 || fixedVector <= 0 {
-		return 0
-	}
-	cr := int64(a.ClusterReceives)
-	rest := int64(a.Events) - cr
-	total := cr*int64(fixedVector) + rest*int64(a.MaxClusterSize)
-	return float64(total) / (float64(a.Events) * float64(fixedVector))
-}
+// Accounting returns the clusterer's counters as one snapshot; its
+// AverageRatio is the paper's Section 4 headline metric. It takes the planner
+// mutex once and no admission lock, so a scrape never waits behind a journal
+// append.
+func (m *Monitor) Accounting() hct.Result { return m.pipe.Result() }
 
 // ClusterSizes returns the live cluster-size distribution as size -> number
 // of live clusters of that size.

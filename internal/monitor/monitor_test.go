@@ -265,3 +265,62 @@ func TestNewPropagatesConfigErrors(t *testing.T) {
 		t.Fatal("bad config accepted")
 	}
 }
+
+// TestAccountingIsOneSnapshot reads the accounting in a loop while two lanes
+// ingest. Above one lane the planner goroutine plans whole batches between
+// two lock holds, so counters read under separate holds can describe several
+// moments at once (the probe behind this test: 14 torn Stats in ≈283k reads).
+// Every read must agree with itself: the storage is the closed form of its own
+// counters, its partition accounts for every process, and the ratio is its
+// own storage over its own events.
+func TestAccountingIsOneSnapshot(t *testing.T) {
+	const procs, fixed, frame = 64, 300, 1024
+	tr := workload.RandomUniform(procs, 200000, 1)
+	m, err := NewSharded(procs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnNth(2)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for lo := 0; lo < len(tr.Events) && err == nil; lo += frame {
+			err = m.DeliverBatchAsync(tr.Events[lo:min(lo+frame, len(tr.Events))])
+		}
+		m.IngestBarrier()
+		done <- err
+	}()
+	reads := 0
+	for ingesting := true; ingesting; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingesting = false // and one read at quiescence
+		default:
+		}
+		st := m.Stats(fixed)
+		if want := hct.StorageInts(st.Events, st.ClusterReceives, fixed, st.MaxClusterSize); st.StorageInts != want {
+			t.Fatalf("read %d: %+v: StorageInts %d, its own counters give %d", reads, st, st.StorageInts, want)
+		}
+		if st.ClusterReceives+st.MergedReceives > st.Events {
+			t.Fatalf("read %d: %+v: more cluster receives than events", reads, st)
+		}
+		if st.LiveClusters+st.Merges != procs {
+			t.Fatalf("read %d: %+v: %d live clusters after %d merges of %d processes", reads, st, st.LiveClusters, st.Merges, procs)
+		}
+		a := m.Accounting()
+		want := 0.0
+		if a.Events > 0 {
+			want = float64(hct.StorageInts(a.Events, a.ClusterReceives, fixed, a.MaxClusterSize)) / (float64(a.Events) * fixed)
+		}
+		if got := a.AverageRatio(fixed); got != want {
+			t.Fatalf("read %d: %+v: AverageRatio %v, its own storage over its own events %v", reads, a, got, want)
+		}
+	}
+	if got := m.Stats(fixed).Events; got != len(tr.Events) {
+		t.Fatalf("ingested %d of %d events", got, len(tr.Events))
+	}
+	t.Logf("%d reads of each during ingest", reads)
+}

@@ -403,7 +403,7 @@ func TestMonitorAccountingRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	const fixed = 16
-	got := m.Accounting().TimestampSizeRatio(fixed)
+	got := m.Accounting().AverageRatio(fixed)
 	st := m.Stats(fixed)
 	want := float64(st.StorageInts) / (float64(st.Events) * fixed)
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -79,8 +80,9 @@ type Server struct {
 // ServerConfig bounds the server's resource use. The zero value selects the
 // defaults below.
 type ServerConfig struct {
-	// FixedVector is the fixed timestamp-encoding vector size reported by
-	// STATS (storage accounting).
+	// FixedVector is the fixed timestamp-encoding vector size STATS,
+	// /metrics and /statusz account storage at. Default
+	// metrics.DefaultFixedVector (300).
 	FixedVector int
 	// MaxConns caps simultaneously served connections; further dials are
 	// answered with "ERR server full" and closed. Default 1024.
@@ -154,6 +156,9 @@ const (
 )
 
 func (c ServerConfig) withDefaults() ServerConfig {
+	if c.FixedVector <= 0 {
+		c.FixedVector = metrics.DefaultFixedVector
+	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = DefaultMaxConns
 	}

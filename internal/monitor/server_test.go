@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +21,6 @@ func startServer(t *testing.T, numProcs int, cfg ServerConfig) (*Server, string)
 	m, err := New(numProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.FixedVector == 0 {
-		cfg.FixedVector = 300
 	}
 	srv := NewServer(m, cfg)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -81,6 +79,10 @@ func TestServerEndToEndV1(t *testing.T) {
 	}
 	if !strings.Contains(stats, "held=0") {
 		t.Fatalf("events stranded: %s", stats)
+	}
+	// The zero ServerConfig accounts storage at the default fixed vector.
+	if want := " storage=" + strconv.FormatInt(srv.Default().Monitor().Stats(300).StorageInts, 10) + " "; !strings.Contains(stats, want) {
+		t.Fatalf("zero-config STATS %q does not carry%q", stats, want)
 	}
 	e := tr.Events[0].ID
 	f := tr.Events[len(tr.Events)-1].ID

@@ -123,12 +123,13 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	obs.RegisterRuntime(reg)
 
 	// The paper's Section 4 metrics as live instruments (default tenant —
-	// the per-tenant breakdown lives on /statusz).
+	// the per-tenant breakdown lives on /statusz). Each reads one accounting
+	// snapshot per evaluation.
 	m := s.def.monitor
 	fixed := s.cfg.FixedVector
 	reg.GaugeFunc("poetd_ts_size_ratio",
 		"Mean timestamp size relative to a fixed Fidge/Mattern vector (Section 4; 1.0 = no clustering benefit).",
-		func() float64 { return m.Accounting().TimestampSizeRatio(fixed) })
+		func() float64 { return m.Accounting().AverageRatio(fixed) })
 	reg.GaugeFunc("poetd_clusters_live", "Live clusters in the process partition.",
 		func() float64 { return float64(m.Accounting().LiveClusters) })
 	reg.GaugeFunc("poetd_cluster_size_max", "Size of the largest live cluster.",
@@ -262,16 +263,16 @@ type ServerStatus struct {
 	Latency map[string]obs.DurationSummary `json:"latency,omitempty"`
 }
 
-// paperStatus evaluates the paper's Section 4 gauges over one monitor.
-func paperStatus(m *Monitor, fixed int) PaperStatus {
-	a := m.Accounting()
+// paperStatus evaluates the paper's Section 4 gauges over one monitor and
+// its accounting snapshot a.
+func paperStatus(m *Monitor, a hct.Result, fixed int) PaperStatus {
 	direct, routed := m.QueryPathCounts()
 	hitRate := 0.0
 	if direct+routed > 0 {
 		hitRate = float64(direct) / float64(direct+routed)
 	}
 	return PaperStatus{
-		TimestampSizeRatio:      a.TimestampSizeRatio(fixed),
+		TimestampSizeRatio:      a.AverageRatio(fixed),
 		FixedVector:             fixed,
 		MaxClusterSize:          a.MaxClusterSize,
 		ClustersLive:            a.LiveClusters,
@@ -289,13 +290,15 @@ func paperStatus(m *Monitor, fixed int) PaperStatus {
 // Status assembles the live status document. The top-level Events/Held/Paper
 // block reports the default tenant (backward compatible); Tenants carries
 // the per-namespace breakdown. Latency summaries are present only when the
-// server is instrumented.
+// server is instrumented. Each tenant's accounting is read once, as one
+// snapshot, for its block and the default's for the top level.
 func (s *Server) Status() ServerStatus {
+	def := s.def.monitor.Accounting()
 	st := ServerStatus{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Events:        s.def.monitor.Accounting().Events,
+		Events:        def.Events,
 		Held:          s.def.collector.Held(),
-		Paper:         paperStatus(s.def.monitor, s.cfg.FixedVector),
+		Paper:         paperStatus(s.def.monitor, def, s.cfg.FixedVector),
 		Store:         storeStatus(s.def.monitor),
 		Memory:        MemoryStatus{Runtime: obs.RuntimeMemory()},
 		Tenants:       make(map[string]TenantStatus),
@@ -314,11 +317,12 @@ func (s *Server) Status() ServerStatus {
 	st.Rates.BatchesPerSec = s.perSec(c.BatchesIngested)
 	st.Rates.QueriesPerSec = s.perSec(c.QueriesAnswered)
 	for _, t := range s.Tenants() {
+		a := t.monitor.Accounting()
 		ts := TenantStatus{
 			Events:  t.accepted.Load(),
 			Queries: t.queries.Load(),
 			Held:    t.collector.Held(),
-			Paper:   paperStatus(t.monitor, s.cfg.FixedVector),
+			Paper:   paperStatus(t.monitor, a, s.cfg.FixedVector),
 			Store:   storeStatus(t.monitor),
 		}
 		if t.walEvents != nil {
@@ -332,7 +336,7 @@ func (s *Server) Status() ServerStatus {
 		st.Memory.StoreVectorBytes += ts.Store.VectorBytes
 		st.Memory.StoreCellBytes += ts.Store.CellBytes
 		st.Memory.StoreNoteBytes += ts.Store.NoteBytes
-		st.Memory.Events += int64(t.monitor.Accounting().Events)
+		st.Memory.Events += int64(a.Events)
 	}
 	if o := s.obs; o != nil {
 		st.Latency = map[string]obs.DurationSummary{

@@ -143,17 +143,21 @@ func (t *Tenant) QueriesAnswered() int64 { return t.queries.Load() }
 // Held returns the events buffered in the tenant's collector.
 func (t *Tenant) Held() int { return t.collector.Held() }
 
-// newTenant wires one namespace's serving stack the way NewServer always
-// wired the single-tenant path: a pipelined collector over the monitor, the
-// journal attached write-ahead, and the shared telemetry instruments.
+// newTenant wires one namespace's serving stack: a pipelined collector over
+// the monitor, the journal attached write-ahead, and the shared telemetry
+// instruments.
 func (s *Server) newTenant(name string, res TenantResources, serverOwned bool) *Tenant {
 	collector := NewCollector(res.Monitor)
 	collector.journal = res.Journal
 	collector.spans = res.Spans
-	// Pipelined mode: flush dispatches each run to the monitor's ingest
-	// shards without waiting for the stamps to publish. Query surfaces
-	// issue IngestBarrier first, preserving the v1/v2 guarantee that an
-	// acknowledged event is queryable. (See NewServer.)
+	// Pipelined, SubmitBatch returns once the run is with the plan stage, so
+	// the ingest goroutine decodes and journals the next run while the lanes
+	// stamp this one. The server still keeps "an acknowledged event is
+	// queryable" on both protocols because Server.answer calls IngestBarrier
+	// before every live query. A bare NewCollector's caller has no such
+	// barrier (the frozen benchmark's collector rungs query right after
+	// SubmitBatch returns), so there SubmitBatch waits for its run to publish:
+	// read-your-writes is the default.
 	collector.pipelined = true
 	t := &Tenant{
 		name:      name,

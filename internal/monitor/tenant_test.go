@@ -28,9 +28,6 @@ func testTenantFactory(numProcs int) func(string) (TenantResources, error) {
 
 func startTenantServer(t *testing.T, numProcs int, cfg ServerConfig) (*Server, string) {
 	t.Helper()
-	if cfg.FixedVector == 0 {
-		cfg.FixedVector = 300
-	}
 	if cfg.Tenants == nil {
 		cfg.Tenants = &TenantsConfig{}
 	}

@@ -43,7 +43,7 @@ var ErrNotCovered = errors.New("replay: cutoff not covered by the live store")
 // whose pipeline journals into it. Views clamp live's own columns to the
 // watermark it held at the cutoff, found by counting the log, so the store
 // holds no timestamps of its own; opts.NumProcs and opts.NewConfig are not
-// consulted (the process count is live's). A view's Counts are zero.
+// consulted (the process count is live's). A view's Stats are zero.
 func OpenLive(dir string, live *hct.Pipeline, opts Options) (*Store, error) {
 	opts.NumProcs = live.NumProcs() // the chain holds every file header to it
 	s, err := open(dir, opts)

@@ -67,57 +67,30 @@ type Options struct {
 
 const defaultMaxCachedViews = 8
 
-// Counts is the accounting snapshot frozen into a View at materialization:
-// what Monitor.Stats would have reported after delivering the view's prefix.
-type Counts struct {
-	Events          int
-	ClusterReceives int
-	MergedReceives  int
-	LiveClusters    int
-	MaxLiveCluster  int
-	Merges          int
-	MaxClusterSize  int
-	PendingSends    int
-}
-
-// Stats converts the snapshot to the monitor's Stats shape for the given
-// fixed-vector width (see hct.StorageInts for the encoding).
-func (c Counts) Stats(fixedVector int) monitor.Stats {
-	return monitor.Stats{
-		Events:          c.Events,
-		ClusterReceives: c.ClusterReceives,
-		MergedReceives:  c.MergedReceives,
-		LiveClusters:    c.LiveClusters,
-		MaxLiveCluster:  c.MaxLiveCluster,
-		StorageInts:     hct.StorageInts(c.Events, c.ClusterReceives, fixedVector, c.MaxClusterSize),
-		PendingSends:    c.PendingSends,
-	}
-}
-
-// View is the store as of one cutoff. It embeds the same query surface the
-// live monitor promotes — Precedes, Concurrent, Timestamp, Lookup,
-// QueryBatch, GreatestPredecessors, GreatestConcurrent — evaluated against
-// the frozen watermark (Watermark: the per-process event counts, shared, not
-// to be modified), and is safe for concurrent use alongside further ViewAt
-// calls on the owning store.
+// View is the store as of one cutoff: the live monitor's query surface —
+// Precedes, Concurrent, Timestamp, Lookup, QueryBatch, GreatestPredecessors,
+// GreatestConcurrent, Watermark — promoted from a store view cut at the
+// cutoff's watermark (shared, not to be modified), and, for a restamped view,
+// the accounting the restamping engine held there. Safe for concurrent use
+// alongside further ViewAt calls on the owning store.
 type View struct {
 	*monitor.Queries
 
-	cutoff uint64
-	counts Counts
-	held   int32 // OpenLive only: see tally.held
+	cutoff  uint64
+	result  hct.Result // restamped views only; zero under OpenLive
+	pending int        // admitted sends awaiting their receive, with result
+	held    int32      // OpenLive only: see tally.held
 }
 
 // Cutoff returns the event-count cutoff this view is frozen at.
 func (v *View) Cutoff() uint64 { return v.cutoff }
 
-// Counts returns the accounting snapshot taken at materialization. A view of
-// an OpenLive store carries none: the clusterer's counters as of a cutoff are
-// known only to an engine that restamped up to it.
-func (v *View) Counts() Counts { return v.counts }
-
 // Stats reports what the live monitor's Stats would have been at the cutoff.
-func (v *View) Stats(fixedVector int) monitor.Stats { return v.counts.Stats(fixedVector) }
+// A view of an OpenLive store reports zeros: the clusterer's counters as of a
+// cutoff are known only to an engine that restamped up to it.
+func (v *View) Stats(fixedVector int) monitor.Stats {
+	return monitor.StatsOf(v.result, v.pending, fixedVector)
+}
 
 // Store materializes replay views over one WAL directory. All methods are
 // safe for concurrent use; materialization is serialized internally while
@@ -125,7 +98,7 @@ func (v *View) Stats(fixedVector int) monitor.Stats { return v.counts.Stats(fixe
 //
 // A store has one of two engines, fixed at construction. Open restamps: the
 // recorded events are fed through a timestamper of the store's own, which
-// also yields the accounting (Counts, Stats) at the cutoff. OpenLive counts:
+// also yields the accounting (View.Stats) at the cutoff. OpenLive counts:
 // the views clamp the store of the daemon that wrote the log (live.go).
 //
 // View lifecycle vs Refresh and cache eviction — the audited invariants:
@@ -363,16 +336,7 @@ func (s *Store) restampLocked(cutoff uint64) (*View, error) {
 		return nil, err
 	}
 	v := newView(cutoff, ts.Pipeline, ts.CaptureWatermark(nil))
-	v.counts = Counts{
-		Events:          ts.Events(),
-		ClusterReceives: ts.ClusterReceives(),
-		MergedReceives:  ts.MergedClusterReceives(),
-		LiveClusters:    ts.Partition().NumLive(),
-		MaxLiveCluster:  ts.Partition().MaxLiveSize(),
-		Merges:          ts.Merges(),
-		MaxClusterSize:  ts.MaxClusterSize(),
-		PendingSends:    ts.PendingSends(),
-	}
+	v.result, v.pending = ts.Result(), ts.PendingSends()
 	return v, nil
 }
 

@@ -524,7 +524,7 @@ func TestReplayRejectedRunKeepsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ViewAt(3) over the accepted prefix: %v", err)
 	}
-	if got := v.Counts().Events; got != 3 {
+	if got := v.Stats(300).Events; got != 3 {
 		t.Fatalf("prefix view holds %d events, want 3", got)
 	}
 	if _, ok := v.Timestamp(unary(0, 2).ID); !ok {
