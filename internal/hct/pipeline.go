@@ -890,7 +890,8 @@ func (p *Pipeline) FrontierNext() []model.EventIndex {
 	return append([]model.EventIndex(nil), p.adm.next...)
 }
 
-// heldSync is a lane's half-completed same-shard synchronous pair.
+// heldSync is a lane's half-completed same-shard synchronous pair, held by
+// value in the lane: a half is held while base is non-nil.
 type heldSync struct {
 	it   item
 	base vclock.Clock // first half's own base clock, not yet joined
@@ -913,7 +914,7 @@ type lane struct {
 	free      []vclock.Clock // retired clocks, reused for retained copies
 	ar        *arena
 	localSend map[model.EventID]vclock.Clock // same-lane in-flight sends
-	held      *heldSync
+	held      heldSync
 
 	// Batched rendezvous state (see the file comment). pendPuts buffers
 	// outbound cross-lane send clocks per stripe; pendN counts them so the
@@ -1082,12 +1083,12 @@ func (ln *lane) process(it *item) {
 func (ln *lane) processSync(it *item) {
 	e := it.ev
 	if ln.pl.smap[e.Partner.Process] == ln.id {
-		if ln.held == nil {
-			ln.held = &heldSync{it: *it, base: ln.ownClock(e)}
+		if ln.held.base == nil {
+			ln.held = heldSync{it: *it, base: ln.ownClock(e)}
 			return
 		}
 		first := ln.held
-		ln.held = nil
+		ln.held = heldSync{}
 		clk := ln.bump(e)
 		clk.MaxInto(first.base)
 		ln.free = append(ln.free, first.base)

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/hct"
@@ -249,5 +250,72 @@ func TestSubmitBatchScratchReuse(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitBatchDoesNotRetainEvents pins the invariant the server's pooled
+// event batches rely on: SubmitBatch is done with the caller's slice when it
+// returns, records it holds included. A lagged batch — every receive and sync
+// of a mixed trace, all of them held — is submitted, then its slice is
+// overwritten; the rest of the trace follows in 32-record batches through the
+// same slice, overwritten after each call. At one lane and at four behind the
+// planner (pipelined, as the server runs it) the timestamps must equal those of
+// a one-lane collector fed the same batches in slices of their own.
+func TestSubmitBatchDoesNotRetainEvents(t *testing.T) {
+	tr := randomQueryTrace(rand.New(rand.NewSource(31)), 6, 600)
+	var lagged, rest []model.Event
+	for _, e := range tr.Events {
+		if e.Kind == model.Receive || e.Kind == model.Sync {
+			lagged = append(lagged, e)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	batches := [][]model.Event{lagged}
+	for lo := 0; lo < len(rest); lo += 32 {
+		batches = append(batches, rest[lo:min(lo+32, len(rest))])
+	}
+	cfg := hct.Config{MaxClusterSize: 3, Decider: strategy.NewMergeOnFirst()}
+	feed := func(shards int, reuse bool) *Monitor {
+		m, err := NewSharded(tr.NumProcs, cfg, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCollector(m)
+		c.pipelined = shards > 1
+		var buf []model.Event
+		for i, b := range batches {
+			if !reuse {
+				buf = nil
+			}
+			buf = append(buf[:0], b...)
+			if _, err := c.SubmitBatch(buf); err != nil {
+				t.Fatalf("%d lanes, batch %d: %v", shards, i, err)
+			}
+			if i == 0 && c.Held() == 0 {
+				t.Fatal("the lagged batch was delivered whole: nothing was held")
+			}
+			for k := range buf {
+				buf[k] = ev(model.Sync, id(0, 1), id(1, 1))
+			}
+		}
+		m.IngestBarrier()
+		if err := c.Close(); err != nil {
+			t.Fatalf("%d lanes: %v", shards, err)
+		}
+		return m
+	}
+	ref := feed(1, false)
+	defer ref.Close()
+	for _, shards := range []int{1, 4} {
+		m := feed(shards, true)
+		for _, e := range tr.Events {
+			got, ok := m.Timestamp(e.ID)
+			want, _ := ref.Timestamp(e.ID)
+			if !ok || !sameTimestamp(got, want) {
+				t.Fatalf("%d lanes, event %v: %v (%v), reference %v", shards, e.ID, got, ok, want)
+			}
+		}
+		m.Close()
 	}
 }

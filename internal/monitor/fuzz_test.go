@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,10 @@ import (
 
 // FuzzFrameRoundTrip asserts the v2 payload decoders never panic and are
 // strictly canonical: every accepted payload re-encodes to identical bytes.
+// It also holds the reuse contract the server's buffers rely on: decoding into
+// a dirty buffer an earlier batch left behind gives what decoding into nil
+// gives, a refusal returns nothing, and whatever a payload — refused or not —
+// left in a buffer is invisible to the next decode into it.
 func FuzzFrameRoundTrip(f *testing.F) {
 	events := []model.Event{
 		{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary},
@@ -26,27 +31,62 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		{Op: OpPrecedes, A: events[0].ID, B: events[2].ID},
 		{Op: OpConcurrent, A: events[1].ID, B: events[3].ID},
 	}
-	f.Add(byte(0), encodeEventsPayload(events))
-	f.Add(byte(1), encodeQueryPayload(qs))
-	f.Add(byte(2), encodeResultsPayload([]QueryResult{{True: true}, {}, {Err: ErrClosed}}))
+	eventsPayload, queryPayload := encodeEventsPayload(events), encodeQueryPayload(qs)
+	f.Add(byte(0), eventsPayload)
+	f.Add(byte(1), queryPayload)
+	f.Add(byte(2), encodeResultsPayload(nil, []QueryResult{{True: true}, {}, {Err: ErrClosed}}))
+	f.Add(byte(3), encodeQueryAtPayload(7, qs))
 	f.Add(byte(0), []byte{})
 	f.Add(byte(1), []byte{0, 0, 0, 0})
+	f.Add(byte(0), eventsPayload[:len(eventsPayload)-3]) // refused after three records were written
+	// dirtyEvents and dirtyQueries return buffers an earlier batch left three
+	// records in, with room for more.
+	junkEvent := model.Event{ID: model.EventID{Process: 9, Index: 9}, Kind: model.Sync, Partner: model.EventID{Process: 8, Index: 8}}
+	junkQuery := Query{Op: OpConcurrent, A: junkEvent.ID, B: junkEvent.Partner}
+	dirtyEvents := func() []model.Event { return append(make([]model.Event, 0, 8), junkEvent, junkEvent, junkEvent) }
+	dirtyQueries := func() []Query { return append(make([]Query, 0, 8), junkQuery, junkQuery, junkQuery) }
 	f.Fuzz(func(t *testing.T, mode byte, data []byte) {
-		switch mode % 3 {
+		switch mode % 4 {
 		case 0:
-			events, err := decodeEventsPayload(data, 0)
+			got, err := decodeEventsPayload(nil, data, 0)
+			reused, rerr := decodeEventsPayload(dirtyEvents(), data, 0)
+			if (err == nil) != (rerr == nil) || !slices.Equal(reused, got) || (rerr != nil && len(reused) != 0) {
+				t.Fatalf("EVENTS into a dirty buffer: %v, %v; into nil: %v, %v", reused, rerr, got, err)
+			}
+			if next, _ := decodeEventsPayload(reused, eventsPayload, 0); !slices.Equal(next, events) {
+				t.Fatalf("EVENTS after %x: the next decode into its buffer read %v", data, next)
+			}
 			if err != nil {
 				return
 			}
-			if re := encodeEventsPayload(events); !bytes.Equal(re, data) {
+			if re := encodeEventsPayload(got); !bytes.Equal(re, data) {
 				t.Fatalf("EVENTS round-trip mismatch:\n in  %x\n out %x", data, re)
 			}
-		case 1:
-			qs, err := decodeQueryPayload(data, 0)
+		case 1, 3:
+			var cutoff uint64
+			decode := func(dst []Query, p []byte) ([]Query, error) { return decodeQueryPayload(dst, p, 0) }
+			if mode%4 == 3 {
+				decode = func(dst []Query, p []byte) (got []Query, err error) {
+					cutoff, got, err = decodeQueryAtPayload(dst, p, 0)
+					return got, err
+				}
+			}
+			got, err := decode(nil, data)
+			reused, rerr := decode(dirtyQueries(), data)
+			if (err == nil) != (rerr == nil) || !slices.Equal(reused, got) || (rerr != nil && len(reused) != 0) {
+				t.Fatalf("QUERY into a dirty buffer: %v, %v; into nil: %v, %v", reused, rerr, got, err)
+			}
+			if next, _ := decodeQueryPayload(reused, queryPayload, 0); !slices.Equal(next, qs) {
+				t.Fatalf("QUERY after %x: the next decode into its buffer read %v", data, next)
+			}
 			if err != nil {
 				return
 			}
-			if re := encodeQueryPayload(qs); !bytes.Equal(re, data) {
+			re := encodeQueryPayload(got)
+			if mode%4 == 3 {
+				re = encodeQueryAtPayload(cutoff, got)
+			}
+			if !bytes.Equal(re, data) {
 				t.Fatalf("QUERY round-trip mismatch:\n in  %x\n out %x", data, re)
 			}
 		case 2:
@@ -63,8 +103,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 					res[i].Err = ErrClosed
 				}
 			}
-			if re := encodeResultsPayload(res); !bytes.Equal(re, data) {
+			if re := encodeResultsPayload(nil, res); !bytes.Equal(re, data) {
 				t.Fatalf("RESULTS round-trip mismatch:\n in  %x\n out %x", data, re)
+			}
+			if re := encodeResultsPayload(bytes.Repeat([]byte{0xEE}, 9)[:0], res); !bytes.Equal(re, data) {
+				t.Fatalf("RESULTS into a dirty buffer:\n in  %x\n out %x", data, re)
 			}
 		}
 	})

@@ -132,12 +132,16 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_runtime_gc_metadata_bytes",
 		"poetd_runtime_stack_bytes",
 		"poetd_runtime_goroutines",
+		"poetd_runtime_heap_allocs_bytes",
+		"poetd_runtime_gc_cycles",
+		"poetd_runtime_heap_goal_bytes",
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("registry exposition missing %q", series)
 		}
 		// The runtime's are read at the scrape, and a running server has a
-		// heap, stacks and goroutines; only what was released may be nothing.
+		// heap, stacks and goroutines, has allocated and has collected (the
+		// runtime.GC above); only what was released may be nothing.
 		if strings.HasPrefix(series, "poetd_runtime_") && series != "poetd_runtime_heap_released_bytes" && strings.Contains(out, series+" 0\n") {
 			t.Errorf("%s reads 0 on a serving daemon", series)
 		}
@@ -188,8 +192,8 @@ func TestServerTelemetry(t *testing.T) {
 		t.Errorf("Status store = %+v: want 12 note bytes for each of the %d noted cluster receives and an epoch for each of the %d merges",
 			st.Store, st.Paper.ClusterReceives, st.Paper.ClusterMerges)
 	}
-	// The memory block: the runtime's six beside the one tenant's store bytes.
-	if mem := st.Memory; len(mem.Runtime) != 6 || mem.Runtime["heap_live_bytes"] == 0 || mem.Runtime["goroutines"] == 0 ||
+	// The memory block: the runtime's nine beside the one tenant's store bytes.
+	if mem := st.Memory; len(mem.Runtime) != 9 || mem.Runtime["heap_live_bytes"] == 0 || mem.Runtime["goroutines"] == 0 ||
 		mem.StoreVectorBytes != st.Store.VectorBytes || mem.StoreCellBytes != st.Store.CellBytes || mem.StoreNoteBytes != st.Store.NoteBytes || mem.Events != int64(len(tr.Events)) {
 		t.Errorf("Status memory = %+v beside store %+v and %d events", mem, st.Store, len(tr.Events))
 	}

@@ -1,9 +1,11 @@
 package monitor
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -63,6 +65,13 @@ import (
 // Decoding is strict and canonical: a payload must be consumed exactly, so
 // every accepted payload re-encodes to identical bytes (the fuzz harness
 // asserts this round-trip).
+//
+// A batch decoder writes into a destination its caller owns and returns it
+// regrown if the batch needed more room; every record is written whole, so
+// what the buffer held before — a refused payload's records included — is
+// never part of a later result. The server decodes every batch frame into
+// such a buffer, and encodes RESULTS and ACK payloads by appending to one
+// (DESIGN.md §7).
 
 // protocolV2Magic opens a v2 connection. The first byte is NUL so the text
 // protocol can never collide with it.
@@ -105,37 +114,46 @@ const (
 	queryRec     = 1 + 4*4           // op, a, b
 )
 
-// writeFrame emits one frame. The payload may be nil for empty frames.
+// writeFrame emits one frame. The payload may be nil for empty frames. The
+// header goes into a *bufio.Writer a byte at a time, so no part of the frame
+// passes through an interface and the server's and the client's writers
+// allocate nothing per frame; any other writer is wrapped in one for the call.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bw, buffered := w.(*bufio.Writer)
+	if !buffered {
+		bw = bufio.NewWriterSize(w, 16)
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+	n := len(payload)
+	for _, b := range [5]byte{typ, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)} {
+		bw.WriteByte(b)
 	}
-	return nil
+	_, err := bw.Write(payload) // a bufio.Writer's error is sticky: this reports the header's too
+	if err == nil && !buffered {
+		err = bw.Flush()
+	}
+	return err
 }
 
 // readFrame reads one frame into a payload slice of its own, enforcing the
 // framing cap.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
+func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 	return readFrameInto(r, nil)
 }
 
 // readFrameInto is readFrame with the payload read into buf's backing array
 // when the frame fits its capacity (a fresh slice otherwise), for a caller
-// that is done with one payload before it reads the next.
-func readFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// that is done with one payload before it reads the next. The header is read
+// in place in r's buffer.
+func readFrameInto(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error) {
+	hdr, err := r.Peek(5)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	typ, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
+	r.Discard(5)
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("monitor: frame payload %d exceeds cap %d", n, maxFramePayload)
 	}
@@ -149,7 +167,7 @@ func readFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, err error
 			return 0, nil, err
 		}
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
 }
 
 // appendU32 appends v big-endian.
@@ -173,28 +191,31 @@ func encodeEventsPayload(events []model.Event) []byte {
 	return b
 }
 
-// decodeEventsPayload parses an EVENTS payload. maxBatch <= 0 means
-// unlimited. The payload must be consumed exactly.
-func decodeEventsPayload(p []byte, maxBatch int) ([]model.Event, error) {
+// decodeEventsPayload parses an EVENTS payload into dst's backing array,
+// growing it if the batch needs more room, and returns the batch; on an error
+// it returns dst emptied. maxBatch <= 0 means unlimited. The payload must be
+// consumed exactly.
+func decodeEventsPayload(dst []model.Event, p []byte, maxBatch int) ([]model.Event, error) {
+	events := dst[:0]
 	if len(p) < 4 {
-		return nil, fmt.Errorf("monitor: EVENTS payload truncated")
+		return events, fmt.Errorf("monitor: EVENTS payload truncated")
 	}
 	count := binary.BigEndian.Uint32(p)
 	p = p[4:]
 	if maxBatch > 0 && count > uint32(maxBatch) {
-		return nil, fmt.Errorf("monitor: EVENTS batch of %d exceeds limit %d", count, maxBatch)
+		return events, fmt.Errorf("monitor: EVENTS batch of %d exceeds limit %d", count, maxBatch)
 	}
 	if uint64(count)*eventRecMin > uint64(len(p)) {
-		return nil, fmt.Errorf("monitor: EVENTS count %d larger than payload", count)
+		return events, fmt.Errorf("monitor: EVENTS count %d larger than payload", count)
 	}
-	events := make([]model.Event, 0, count)
+	events = slices.Grow(events, int(count))
 	for i := uint32(0); i < count; i++ {
 		if len(p) < eventRecMin {
-			return nil, fmt.Errorf("monitor: EVENTS record %d truncated", i)
+			return events[:0], fmt.Errorf("monitor: EVENTS record %d truncated", i)
 		}
 		kind := model.Kind(p[0])
 		if kind > model.Sync {
-			return nil, fmt.Errorf("monitor: EVENTS record %d: unknown kind %d", i, p[0])
+			return events[:0], fmt.Errorf("monitor: EVENTS record %d: unknown kind %d", i, p[0])
 		}
 		e := model.Event{Kind: kind}
 		e.ID.Process = model.ProcessID(binary.BigEndian.Uint32(p[1:]))
@@ -202,7 +223,7 @@ func decodeEventsPayload(p []byte, maxBatch int) ([]model.Event, error) {
 		p = p[eventRecMin:]
 		if kind != model.Unary {
 			if len(p) < 8 {
-				return nil, fmt.Errorf("monitor: EVENTS record %d: partner truncated", i)
+				return events[:0], fmt.Errorf("monitor: EVENTS record %d: partner truncated", i)
 			}
 			e.Partner.Process = model.ProcessID(binary.BigEndian.Uint32(p))
 			e.Partner.Index = model.EventIndex(binary.BigEndian.Uint32(p[4:]))
@@ -211,7 +232,7 @@ func decodeEventsPayload(p []byte, maxBatch int) ([]model.Event, error) {
 		events = append(events, e)
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("monitor: EVENTS payload has %d trailing bytes", len(p))
+		return events[:0], fmt.Errorf("monitor: EVENTS payload has %d trailing bytes", len(p))
 	}
 	return events, nil
 }
@@ -230,24 +251,26 @@ func encodeQueryPayload(qs []Query) []byte {
 	return b
 }
 
-// decodeQueryPayload parses a QUERY payload. maxBatch <= 0 means unlimited.
-func decodeQueryPayload(p []byte, maxBatch int) ([]Query, error) {
+// decodeQueryPayload parses a QUERY payload into dst's backing array, as
+// decodeEventsPayload does an EVENTS payload. maxBatch <= 0 means unlimited.
+func decodeQueryPayload(dst []Query, p []byte, maxBatch int) ([]Query, error) {
+	qs := dst[:0]
 	if len(p) < 4 {
-		return nil, fmt.Errorf("monitor: QUERY payload truncated")
+		return qs, fmt.Errorf("monitor: QUERY payload truncated")
 	}
 	count := binary.BigEndian.Uint32(p)
 	p = p[4:]
 	if maxBatch > 0 && count > uint32(maxBatch) {
-		return nil, fmt.Errorf("monitor: QUERY batch of %d exceeds limit %d", count, maxBatch)
+		return qs, fmt.Errorf("monitor: QUERY batch of %d exceeds limit %d", count, maxBatch)
 	}
 	if uint64(count)*queryRec != uint64(len(p)) {
-		return nil, fmt.Errorf("monitor: QUERY count %d does not match payload size %d", count, len(p))
+		return qs, fmt.Errorf("monitor: QUERY count %d does not match payload size %d", count, len(p))
 	}
-	qs := make([]Query, 0, count)
+	qs = slices.Grow(qs, int(count))
 	for i := uint32(0); i < count; i++ {
 		op := QueryOp(p[0])
 		if op > OpConcurrent {
-			return nil, fmt.Errorf("monitor: QUERY record %d: unknown op %d", i, p[0])
+			return qs[:0], fmt.Errorf("monitor: QUERY record %d: unknown op %d", i, p[0])
 		}
 		q := Query{Op: op}
 		q.A.Process = model.ProcessID(binary.BigEndian.Uint32(p[1:]))
@@ -268,19 +291,20 @@ func encodeQueryAtPayload(cutoff uint64, qs []Query) []byte {
 	return append(b, encodeQueryPayload(qs)...)
 }
 
-// decodeQueryAtPayload parses a QUERY@ payload.
-func decodeQueryAtPayload(p []byte, maxBatch int) (cutoff uint64, qs []Query, err error) {
+// decodeQueryAtPayload parses a QUERY@ payload, its batch into dst's backing
+// array.
+func decodeQueryAtPayload(dst []Query, p []byte, maxBatch int) (cutoff uint64, qs []Query, err error) {
 	if len(p) < 8 {
-		return 0, nil, fmt.Errorf("monitor: QUERY@ payload truncated")
+		return 0, dst[:0], fmt.Errorf("monitor: QUERY@ payload truncated")
 	}
 	cutoff = binary.BigEndian.Uint64(p)
-	qs, err = decodeQueryPayload(p[8:], maxBatch)
+	qs, err = decodeQueryPayload(dst, p[8:], maxBatch)
 	return cutoff, qs, err
 }
 
-// encodeResultsPayload serializes query answers as one code byte each.
-func encodeResultsPayload(res []QueryResult) []byte {
-	b := make([]byte, 0, 4+len(res))
+// encodeResultsPayload appends query answers to b, one code byte each.
+func encodeResultsPayload(b []byte, res []QueryResult) []byte {
+	b = slices.Grow(b, 4+len(res))
 	b = appendU32(b, uint32(len(res)))
 	for _, r := range res {
 		switch {
@@ -313,9 +337,8 @@ func decodeResultsPayload(p []byte) ([]byte, error) {
 	return p, nil
 }
 
-// encodeHelloPayload serializes the server's HELLO announcement.
-func encodeHelloPayload(version byte, numProcs, maxBatch int) []byte {
-	b := make([]byte, 0, 9)
+// encodeHelloPayload appends the server's HELLO announcement to b.
+func encodeHelloPayload(b []byte, version byte, numProcs, maxBatch int) []byte {
 	b = append(b, version)
 	b = appendU32(b, uint32(numProcs))
 	b = appendU32(b, uint32(maxBatch))
@@ -330,9 +353,9 @@ func decodeHelloPayload(p []byte) (version byte, numProcs, maxBatch int, err err
 	return p[0], int(binary.BigEndian.Uint32(p[1:])), int(binary.BigEndian.Uint32(p[5:])), nil
 }
 
-// encodeAckPayload serializes an EVENTS acknowledgement.
-func encodeAckPayload(accepted int) []byte {
-	return appendU32(make([]byte, 0, 4), uint32(accepted))
+// encodeAckPayload appends an EVENTS acknowledgement to b.
+func encodeAckPayload(b []byte, accepted int) []byte {
+	return appendU32(b, uint32(accepted))
 }
 
 // decodeAckPayload parses an ACK payload.

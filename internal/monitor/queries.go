@@ -36,8 +36,11 @@ import (
 type Queries struct {
 	hct.View
 
-	// wmPool recycles the buffers live captures are cut into, so the steady
-	// state allocates nothing per query. A buffer is made NumProcs long and a
+	// wmPool recycles the buffers live captures are cut into, so a batch
+	// answered into a buffer of its caller's — QueryBatchInto, which the
+	// server calls with its connection's for every QUERY and QUERY@ frame —
+	// allocates nothing in the steady state (TestQueriesAllocate,
+	// TestRequestPathAllocatesNothing). A buffer is made NumProcs long and a
 	// capture never reallocates it; a view with a cut of its own leaves it
 	// unwritten, so the pool never holds that cut.
 	wmPool sync.Pool
@@ -68,19 +71,38 @@ func (q *Queries) Lookup(id model.EventID) (model.Event, bool) {
 	return q.Event(id)
 }
 
-// QueryBatch answers a batch of precedence queries. The whole batch is
-// evaluated against a single view captured up front, so every answer
-// reflects one store state even while ingestion runs. No lock is taken at any
-// point: large batches shard across goroutines that scale with cores, and
-// concurrent deliveries proceed untouched.
-func (q *Queries) QueryBatch(qs []Query) []QueryResult {
-	out := make([]QueryResult, len(qs))
+// QueryBatch answers a batch of precedence queries into a slice of its own;
+// see QueryBatchInto.
+func (q *Queries) QueryBatch(qs []Query) []QueryResult { return q.QueryBatchInto(qs, nil) }
+
+// QueryBatchInto answers a batch of precedence queries into out's backing
+// array when it has room for len(qs) answers (a fresh slice otherwise) and
+// returns the answers. The whole batch is evaluated against a single view
+// captured up front, so every answer reflects one store state even while
+// ingestion runs. No lock is taken at any point: large batches shard across
+// goroutines that scale with cores, and concurrent deliveries proceed
+// untouched.
+func (q *Queries) QueryBatchInto(qs []Query, out []QueryResult) []QueryResult {
+	if cap(out) < len(qs) {
+		out = make([]QueryResult, len(qs))
+	}
+	out = out[:len(qs)]
 	v, wp := q.cut()
 	defer q.wmPool.Put(wp)
 	if len(qs) < queryBatchParallelMin {
 		queryRange(v, qs, out)
-		return out
+	} else {
+		queryShards(v, qs, out)
 	}
+	return out
+}
+
+// queryShards answers qs into res (same length) against the captured view v,
+// in slices spread over goroutines. It is QueryBatchInto's arm for large
+// batches, kept apart because the goroutines capture res: in the caller, which
+// reslices its buffer, that would put the slice header on the heap for every
+// batch.
+func queryShards(v hct.View, qs []Query, res []QueryResult) {
 	shards := runtime.GOMAXPROCS(0)
 	if shards > len(qs)/queryBatchParallelMin+1 {
 		shards = len(qs)/queryBatchParallelMin + 1
@@ -95,14 +117,14 @@ func (q *Queries) QueryBatch(qs []Query) []QueryResult {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			queryRange(v, qs[lo:hi], out[lo:hi])
+			queryRange(v, qs[lo:hi], res[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
-	return out
 }
 
-// queryRange answers qs into res (same length) against the captured view v.
+// queryRange answers qs into res (same length) against the captured view v,
+// writing every result whole: res may hold an earlier batch's answers.
 func queryRange(v hct.View, qs []Query, res []QueryResult) {
 	for i, qu := range qs {
 		switch qu.Op {
@@ -111,7 +133,7 @@ func queryRange(v hct.View, qs []Query, res []QueryResult) {
 		case OpConcurrent:
 			res[i].True, res[i].Err = v.Concurrent(qu.A, qu.B)
 		default:
-			res[i].Err = fmt.Errorf("monitor: unknown query op %d", qu.Op)
+			res[i] = QueryResult{Err: fmt.Errorf("monitor: unknown query op %d", qu.Op)}
 		}
 	}
 }

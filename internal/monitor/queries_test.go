@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fm"
@@ -163,8 +164,10 @@ func TestQueriesOnEmptyProcesses(t *testing.T) {
 // TestQueriesAllocate pins what the one read path costs its callers. A batch
 // over a view that already has a cut allocates its result slice and nothing
 // else — capturing that view copies nothing, and the buffer the batch borrows
-// from the pool is never the view's own cut. The one-shot Precedes asks the
-// live view as it is: no allocation, and no buffer left in the pool.
+// from the pool is never the view's own cut — and answered into a buffer of
+// the caller's with room for it, not even that, over a cut view or the live
+// one. The one-shot Precedes asks the live view as it is: no allocation, and no
+// buffer left in the pool.
 func TestQueriesAllocate(t *testing.T) {
 	tr := randomQueryTrace(rand.New(rand.NewSource(7)), 6, 400)
 	m := newTestMonitor(t, tr.NumProcs)
@@ -189,5 +192,14 @@ func TestQueriesAllocate(t *testing.T) {
 	}
 	if m.wmPool.Get() != nil {
 		t.Error("one-shot Precedes left a capture buffer in the pool")
+	}
+	out := make([]QueryResult, 0, len(qs))
+	for _, view := range []*Queries{cut, m.Queries} {
+		if got := testing.AllocsPerRun(100, func() { out = view.QueryBatchInto(qs, out) }); got != 0 {
+			t.Errorf("QueryBatchInto with room for the answers (cut %v): %.0f allocations, want 0", view.Watermark() != nil, got)
+		}
+		if want := view.QueryBatch(qs); !slices.Equal(out, want) {
+			t.Errorf("QueryBatchInto answered %v, QueryBatch %v", out, want)
+		}
 	}
 }

@@ -173,12 +173,14 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // submitReq is one event batch queued for ingestion, with the tenant it
 // routes to and the channel its acknowledgement waits on (nil once the batch
-// is applied, else why it was not). tr is the batch's span trace (nil when
+// is applied, else why it was not). batch is the pooled holder of events, nil
+// for a v1 line's one-event slice. tr is the batch's span trace (nil when
 // unsampled); qspan is its open queue span, closed when the worker picks the
 // batch up.
 type submitReq struct {
 	tenant *Tenant
 	events []model.Event
+	batch  *[]model.Event
 	done   chan error
 	tr     *obs.Trace
 	qspan  int
@@ -311,6 +313,12 @@ func (s *Server) ingestLoop() {
 			s.counters.BatchesIngested.Inc()
 		}
 		req.done <- err
+		// This loop is a decoded batch's last user: the collector copied every
+		// event it accepted into its pending set or its run, and the pipeline
+		// copies a run it is handed.
+		if req.batch != nil {
+			eventBatches.put(req.batch)
+		}
 	}
 }
 
@@ -459,9 +467,11 @@ const (
 type request struct {
 	verb        verb
 	events      []model.Event
+	batch       *[]model.Event // events' pooled holder (see submitReq)
 	queries     []Query
-	cutoff      uint64 // verbQueryAt
-	tenant      string // verbTenant
+	results     []QueryResult // where the answers go: the connection's buffer, nil for a fresh slice
+	cutoff      uint64        // verbQueryAt
+	tenant      string        // verbTenant
 	err         error
 	decodeStart time.Time // zero on an uninstrumented server
 }
@@ -514,8 +524,9 @@ func (s *Server) execute(cur *Tenant, req *request) (reply, *Tenant) {
 		tr := o.StartTrace(obs.OpIngest, cur.name, len(req.events), req.decodeStart)
 		tr.Span("decode", -1, -1, req.decodeStart, decodeDur)
 		qspan := tr.Begin("queue", -1, -1)
-		done := make(chan error, 1)
-		s.submitQ <- submitReq{tenant: cur, events: req.events, done: done, tr: tr, qspan: qspan} // blocks when full: backpressure
+		// The outcome channel goes back to ackWaits from whoever receives it.
+		done := ackWaits.Get().(chan error)
+		s.submitQ <- submitReq{tenant: cur, events: req.events, batch: req.batch, done: done, tr: tr, qspan: qspan} // blocks when full: backpressure
 		return reply{acked: len(req.events), pending: done}, cur
 	case verbQuery, verbQueryAt:
 		return s.answer(cur, req), cur
@@ -557,7 +568,7 @@ func (s *Server) answer(t *Tenant, req *request) reply {
 	}
 	var res []QueryResult
 	if err == nil {
-		res = view.QueryBatch(req.queries)
+		res = view.QueryBatchInto(req.queries, req.results)
 	}
 	if o := s.obs; o != nil {
 		hist := o.QueryBatch
@@ -601,6 +612,7 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader) {
 			// One line, one reply: the text side waits for its batch inline
 			// where the binary side pipelines the wait through connWriter.
 			rep.err = <-rep.pending
+			ackWaits.Put(rep.pending)
 		}
 		fmt.Fprintln(w, replyLine(req.verb, rep))
 		s.setWriteDeadline(conn)
@@ -714,7 +726,7 @@ func (s *Server) statsBody(t *Tenant) string {
 // the batch clears the submit queue.
 type outItem struct {
 	typ     byte
-	payload []byte
+	payload *[]byte    // from replyBufs; connWriter hands it back once written
 	wait    chan error // non-nil: resolve to ACK(n) or ERR before writing
 	n       int        // batch size acknowledged on success
 }
@@ -722,6 +734,73 @@ type outItem struct {
 // frameBufKeep is the largest payload buffer a connection keeps between
 // frames: sixty 1024-event frames' worth.
 const frameBufKeep = 1 << 20
+
+// batchKeep is the most records a kept batch buffer holds: as many full
+// records (17 bytes on the wire, 20 to 24 in memory) as fill frameBufKeep.
+const batchKeep = frameBufKeep / eventRecFull
+
+// The request path allocates nothing per frame in the steady state (DESIGN.md
+// §7): what one frame needs past its turn on the connection comes from these
+// pools and goes back when its last user is done with it.
+var (
+	// eventBatches holds the buffers EVENTS frames decode into. A batch rides
+	// the submit queue; the ingest goroutine hands it back once it has sent
+	// the batch's outcome. A refused frame's batch and a v1 line's one-event
+	// slice are not recycled.
+	eventBatches = slicePool[model.Event]{keep: batchKeep}
+	// replyBufs holds the payloads of the frames a connection writes; the
+	// connection's writer hands each back once it has written it.
+	replyBufs = slicePool[byte]{keep: frameBufKeep}
+	// ackWaits holds the channels a queued batch's outcome arrives on; the
+	// one who receives the outcome hands the channel back.
+	ackWaits = sync.Pool{New: func() any { return make(chan error, 1) }}
+)
+
+// slicePool recycles slices by pointer, so handing one back stores no new
+// interface value. A slice that grew past keep elements is dropped instead,
+// as a connection drops an outsized frame buffer.
+type slicePool[T any] struct {
+	pool sync.Pool
+	keep int
+}
+
+func (p *slicePool[T]) get() *[]T {
+	if b, ok := p.pool.Get().(*[]T); ok {
+		return b
+	}
+	return new([]T)
+}
+
+func (p *slicePool[T]) put(b *[]T) {
+	if cap(*b) <= p.keep {
+		*b = (*b)[:0]
+		p.pool.Put(b)
+	}
+}
+
+// frameConn is what one v2 connection owns between frames: the buffer a frame
+// is read into, and the query batch decoded from it with its answers. The
+// connection is done with all three before it reads the next frame — the
+// payload is decoded, the answers encoded into a RESULTS payload of their own
+// — so one set serves every frame. Each grows to the largest frame seen, up to
+// frameBufKeep bytes or batchKeep records; a buffer a larger frame needed is
+// dropped after it, so one outsized frame cannot pin the framing cap's 16 MiB
+// to an idle connection. An event batch outlives its frame on the submit
+// queue, so it comes from eventBatches instead.
+type frameConn struct {
+	fbuf    []byte
+	queries []Query
+	results []QueryResult
+}
+
+// adopt returns what a connection keeps after a frame: used when the frame
+// grew the buffer kept and not past limit, kept otherwise.
+func adopt[T any](kept, used []T, limit int) []T {
+	if cap(used) > cap(kept) && cap(used) <= limit {
+		return used
+	}
+	return kept
+}
 
 func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 	out := make(chan outItem, 64)
@@ -739,21 +818,15 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 	// HELLO announces the default tenant's process count; a later TENANT
 	// selection may scope the connection to a namespace with a different
 	// one (the field is informational — batches are validated per event).
-	out <- outItem{typ: frameHello, payload: encodeHelloPayload(protocolV2Version, s.def.monitor.NumProcs(), s.cfg.MaxBatch)}
+	hello := replyBufs.get()
+	*hello = encodeHelloPayload(*hello, protocolV2Version, s.def.monitor.NumProcs(), s.cfg.MaxBatch)
+	out <- outItem{typ: frameHello, payload: hello}
 	cur := s.def // the connection's tenant scope; TENANT frames reselect it
-	// fbuf is the connection's frame buffer: decodeFrame decodes (or copies)
-	// the payload before the loop reads the next frame, so the payloads of
-	// successive frames can share one backing array. It grows to the largest
-	// frame seen up to frameBufKeep; a larger frame gets a slice of its own,
-	// so one outsized frame cannot pin the framing cap's 16 MiB to an idle
-	// connection.
-	var fbuf []byte
+	var fc frameConn
 	for {
 		s.setReadDeadline(conn)
-		typ, payload, err := readFrameInto(r, fbuf)
-		if cap(payload) > cap(fbuf) && cap(payload) <= frameBufKeep {
-			fbuf = payload
-		}
+		typ, payload, err := readFrameInto(r, fc.fbuf)
+		fc.fbuf = adopt(fc.fbuf, payload, frameBufKeep)
 		if err != nil {
 			// Framing errors (oversized length prefix) lose the stream
 			// offset: report and drop the connection. Read errors and EOF
@@ -764,29 +837,43 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 			return
 		}
 		s.counters.FramesRead.Inc()
-		req := s.decodeFrame(typ, payload)
-		var rep reply
-		rep, cur = s.execute(cur, &req)
-		out <- replyFrame(req.verb, rep)
-		if rep.quit {
+		item, next, quit := s.serveFrame(&fc, cur, typ, payload)
+		out <- item
+		if quit {
 			return
 		}
+		cur = next
 	}
 }
 
-// decodeFrame turns one frame into a request.
-func (s *Server) decodeFrame(typ byte, payload []byte) request {
+// serveFrame runs one frame through the request path against the scope cur —
+// decode, execute, render — keeping what the query buffers grew to, and
+// returns the reply's place in the output stream, the scope the connection
+// continues in, and whether the frame ended the session.
+func (s *Server) serveFrame(fc *frameConn, cur *Tenant, typ byte, payload []byte) (outItem, *Tenant, bool) {
+	req := s.decodeFrame(fc, typ, payload)
+	rep, cur := s.execute(cur, &req)
+	item := replyFrame(req.verb, rep)
+	fc.queries = adopt(fc.queries, req.queries, batchKeep)
+	fc.results = adopt(fc.results, rep.results, batchKeep)
+	return item, cur, rep.quit
+}
+
+// decodeFrame turns one frame into a request: an EVENTS batch into a buffer
+// from eventBatches, a QUERY or QUERY@ batch into fc's, answered into fc's.
+func (s *Server) decodeFrame(fc *frameConn, typ byte, payload []byte) request {
 	req := request{decodeStart: s.now()}
 	switch typ {
 	case frameEvents:
-		req.verb = verbEvents
-		req.events, req.err = decodeEventsPayload(payload, s.cfg.MaxBatch)
+		req.verb, req.batch = verbEvents, eventBatches.get()
+		*req.batch, req.err = decodeEventsPayload(*req.batch, payload, s.cfg.MaxBatch)
+		req.events = *req.batch
 	case frameQuery:
-		req.verb = verbQuery
-		req.queries, req.err = decodeQueryPayload(payload, s.cfg.MaxBatch)
+		req.verb, req.results = verbQuery, fc.results
+		req.queries, req.err = decodeQueryPayload(fc.queries, payload, s.cfg.MaxBatch)
 	case frameQueryAt:
-		req.verb = verbQueryAt
-		req.cutoff, req.queries, req.err = decodeQueryAtPayload(payload, s.cfg.MaxBatch)
+		req.verb, req.results = verbQueryAt, fc.results
+		req.cutoff, req.queries, req.err = decodeQueryAtPayload(fc.queries, payload, s.cfg.MaxBatch)
 	case frameTenant:
 		req.verb, req.tenant = verbTenant, string(payload)
 	case frameStats:
@@ -799,58 +886,63 @@ func (s *Server) decodeFrame(typ byte, payload []byte) request {
 	return req
 }
 
-// replyFrame renders a reply as its place in the connection's output stream.
+// replyFrame renders a reply as its place in the connection's output stream,
+// its payload encoded into a buffer from replyBufs.
 func replyFrame(v verb, rep reply) outItem {
+	if rep.err == nil && rep.pending != nil {
+		return outItem{wait: rep.pending, n: rep.acked}
+	}
+	b := replyBufs.get()
+	item := outItem{typ: frameAck, payload: b}
 	switch {
 	case rep.err != nil:
-		return outItem{typ: frameErr, payload: []byte(rep.err.Error())}
-	case rep.pending != nil:
-		return outItem{wait: rep.pending, n: rep.acked}
+		item.typ, *b = frameErr, append(*b, rep.err.Error()...)
 	case v == verbQuery || v == verbQueryAt:
-		return outItem{typ: frameResults, payload: encodeResultsPayload(rep.results)}
+		item.typ, *b = frameResults, encodeResultsPayload(*b, rep.results)
 	case v == verbStats:
-		return outItem{typ: frameStatsR, payload: []byte(rep.stats)}
+		item.typ, *b = frameStatsR, append(*b, rep.stats...)
 	case v == verbQuit:
-		return outItem{typ: frameBye}
+		item.typ = frameBye
+	default:
+		// EVENTS, once resolved: ACK(n). TENANT: ACK(0) — the selection
+		// carries no events; reusing the acknowledgement frame keeps the reply
+		// alphabet unchanged for pre-tenant clients and the fuzz harness.
+		*b = encodeAckPayload(*b, rep.acked)
 	}
-	// TENANT: ACK(0). The selection carries no events; reusing the
-	// acknowledgement frame keeps the reply alphabet unchanged for pre-tenant
-	// clients and the fuzz harness.
-	return outItem{typ: frameAck, payload: encodeAckPayload(rep.acked)}
+	return item
+}
+
+// resolve waits out a pending acknowledgement and renders the batch's outcome
+// as its frame, ACK(n) or ERR, handing the channel back to ackWaits; any other
+// item is ready as it is.
+func resolve(item outItem) outItem {
+	if item.wait == nil {
+		return item
+	}
+	err := <-item.wait
+	ackWaits.Put(item.wait)
+	return replyFrame(verbEvents, reply{acked: item.n, err: err})
 }
 
 // connWriter drains a connection's output stream in order, resolving
 // pending ingest acknowledgements as their batches clear the queue. It
 // flushes when the stream momentarily empties, so back-to-back responses
 // share syscalls. After a write failure it keeps draining (acknowledgement
-// channels must still be consumed) without writing.
+// channels must still be consumed and buffers handed back) without writing.
 func (s *Server) connWriter(conn net.Conn, out <-chan outItem) {
 	w := bufio.NewWriterSize(conn, 64*1024)
-	broken := false
+	var err error // the first write failure
 	for item := range out {
-		typ, payload := item.typ, item.payload
-		if item.wait != nil {
-			if err := <-item.wait; err != nil {
-				typ, payload = frameErr, []byte(err.Error())
-			} else {
-				typ, payload = frameAck, encodeAckPayload(item.n)
+		item = resolve(item)
+		if err == nil {
+			s.setWriteDeadline(conn)
+			if err = writeFrame(w, item.typ, *item.payload); err == nil && len(out) == 0 {
+				err = w.Flush()
 			}
 		}
-		if broken {
-			continue
-		}
-		s.setWriteDeadline(conn)
-		if err := writeFrame(w, typ, payload); err != nil {
-			broken = true
-			continue
-		}
-		if len(out) == 0 {
-			if err := w.Flush(); err != nil {
-				broken = true
-			}
-		}
+		replyBufs.put(item.payload)
 	}
-	if !broken {
+	if err == nil {
 		w.Flush()
 	}
 }

@@ -371,32 +371,33 @@ func TestServerV2RejectsBadFramesAndSurvives(t *testing.T) {
 // slice of its own and leaves the buffer alone, an empty one is nil, and the
 // framing cap is enforced before anything is read or allocated.
 func TestReadFrameIntoReusesBuffer(t *testing.T) {
-	var wire bytes.Buffer
+	var raw bytes.Buffer
 	big, small := bytes.Repeat([]byte{0xAB}, 48), []byte{1, 2, 3}
 	for _, p := range [][]byte{small, big, small, nil} {
-		if err := writeFrame(&wire, frameEvents, p); err != nil {
+		if err := writeFrame(&raw, frameEvents, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	wire := bufio.NewReader(&raw)
 	buf := make([]byte, 0, 16)
-	typ, p, err := readFrameInto(&wire, buf)
+	typ, p, err := readFrameInto(wire, buf)
 	if err != nil || typ != frameEvents || !bytes.Equal(p, small) || &p[0] != &buf[:1][0] {
 		t.Fatalf("fitting frame: typ 0x%02x payload %v err %v, want it read into the buffer", typ, p, err)
 	}
-	_, p, err = readFrameInto(&wire, buf)
+	_, p, err = readFrameInto(wire, buf)
 	if err != nil || !bytes.Equal(p, big) || cap(p) < len(big) || !bytes.Equal(buf[:3], small) {
 		t.Fatalf("outsized frame: payload %v err %v, buffer %v", p, err, buf[:3])
 	}
 	buf = p // the connection adopts the larger buffer; the next, shorter frame must not see its tail
-	_, p, err = readFrameInto(&wire, buf)
+	_, p, err = readFrameInto(wire, buf)
 	if err != nil || !bytes.Equal(p, small) || &p[0] != &buf[0] {
 		t.Fatalf("shrinking frame: payload %v err %v", p, err)
 	}
-	if _, p, err = readFrameInto(&wire, buf); err != nil || p != nil {
+	if _, p, err = readFrameInto(wire, buf); err != nil || p != nil {
 		t.Fatalf("empty frame: payload %v err %v", p, err)
 	}
-	wire.Write([]byte{frameEvents, 0xFF, 0xFF, 0xFF, 0xFF})
-	if _, _, err = readFrameInto(&wire, buf); err == nil || !strings.Contains(err.Error(), "exceeds cap") {
+	raw.Write([]byte{frameEvents, 0xFF, 0xFF, 0xFF, 0xFF})
+	if _, _, err = readFrameInto(wire, buf); err == nil || !strings.Contains(err.Error(), "exceeds cap") {
 		t.Fatalf("frame over the framing cap: err %v", err)
 	}
 }

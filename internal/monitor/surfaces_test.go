@@ -273,6 +273,9 @@ func TestSurfacesAgree(t *testing.T) {
 		Counters json.RawMessage            `json:"counters"`
 		Rates    json.RawMessage            `json:"rates_since_start"`
 		Store    map[string]json.RawMessage `json:"store"`
+		Memory   struct {
+			Runtime map[string]float64 `json:"runtime"`
+		} `json:"memory"`
 	}
 	if err := json.Unmarshal(doc, &status); err != nil {
 		t.Fatal(err)
@@ -342,6 +345,30 @@ func TestSurfacesAgree(t *testing.T) {
 	}
 	if len(status.Store) != 10 { // the nine above and lane_queue_depth
 		t.Errorf("/statusz store = %v: want the nine tallies and lane_queue_depth", status.Store)
+	}
+
+	// The runtime's samples are /statusz's memory block and /metrics'
+	// poetd_runtime_* gauges, key by key. Each surface samples when asked, so
+	// most values may move between the two readings; the two counts only grow,
+	// and /metrics was read first.
+	runtimeKeys := 0
+	for name, v := range scraped {
+		key, ok := strings.CutPrefix(name, "poetd_runtime_")
+		if !ok {
+			continue
+		}
+		runtimeKeys++
+		got, _ := strconv.ParseFloat(v, 64)
+		want, ok := status.Memory.Runtime[key]
+		switch {
+		case !ok:
+			t.Errorf("/metrics %s has no memory.runtime.%s on /statusz", name, key)
+		case key == "heap_allocs_bytes" && got <= 0, (key == "heap_allocs_bytes" || key == "gc_cycles") && got > want:
+			t.Errorf("/metrics %s %v, then /statusz memory.runtime.%s %v: want a count that only grows", name, got, key, want)
+		}
+	}
+	if runtimeKeys != len(status.Memory.Runtime) || runtimeKeys != 9 {
+		t.Errorf("%d poetd_runtime_* families on /metrics, /statusz memory.runtime = %v: want the same nine", runtimeKeys, status.Memory.Runtime)
 	}
 
 	// And the numbers are the traffic's, not seventeen agreeing zeros.

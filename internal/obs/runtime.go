@@ -7,8 +7,9 @@ import (
 
 // This file gives the Go runtime's memory an owner on the scrape surface: the
 // part of the daemon's resident set that is not the timestamp store — the
-// collector's metadata, stacks, garbage not yet swept — read from
-// runtime/metrics when a surface is asked and at no other time.
+// collector's metadata, stacks, garbage not yet swept — and the pressure that
+// garbage puts on the collector (bytes allocated, cycles run, the heap goal),
+// read from runtime/metrics when a surface is asked and at no other time.
 
 // runtimeSeries are the runtime/metrics samples bridged into a registry, each
 // under the gauge it is served as.
@@ -19,6 +20,9 @@ var runtimeSeries = [...]struct{ name, help, sample string }{
 	{"poetd_runtime_gc_metadata_bytes", "Bytes of runtime metadata, the garbage collector's bitmaps and span tables above all.", "/memory/classes/metadata/other:bytes"},
 	{"poetd_runtime_stack_bytes", "Bytes of goroutine stacks.", "/memory/classes/heap/stacks:bytes"},
 	{"poetd_runtime_goroutines", "Live goroutines.", "/sched/goroutines:goroutines"},
+	{"poetd_runtime_heap_allocs_bytes", "Heap bytes allocated since the process started, freed or not: over events ingested, the garbage each event costs.", "/gc/heap/allocs:bytes"},
+	{"poetd_runtime_gc_cycles", "Garbage collections completed since the process started.", "/gc/cycles/total:gc-cycles"},
+	{"poetd_runtime_heap_goal_bytes", "Heap size the garbage collector aims to finish the current cycle under.", "/gc/heap/goal:bytes"},
 }
 
 // runtimeValue reads one runtime/metrics sample now; one this runtime does not
@@ -32,8 +36,8 @@ func runtimeValue(sample string) uint64 {
 	return s[0].Value.Uint64()
 }
 
-// RegisterRuntime exposes the runtime's memory classes and goroutine count on r
-// as gauges derived at scrape time.
+// RegisterRuntime exposes the runtime's memory classes, goroutine count and GC
+// pressure on r as gauges derived at scrape time.
 func RegisterRuntime(r *Registry) {
 	for _, s := range runtimeSeries {
 		r.GaugeFunc(s.name, s.help, func() float64 { return float64(runtimeValue(s.sample)) })
