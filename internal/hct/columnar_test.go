@@ -319,7 +319,7 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 		} else {
 			deltas++
 		}
-		if full := chunks.full(note, tr.NumProcs); !slices.Equal(full, want.Full) || chunks.component(note, p) != want.Full[p] {
+		if full := chunks.full(note, tr.NumProcs); !slices.Equal(full, want.Full) || chunks.component(note, p, tr.NumProcs) != want.Full[p] {
 			t.Fatalf("%v through the stale chunk list: %v, was %v", want.ID, full, want)
 		}
 	}

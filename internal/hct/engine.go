@@ -301,7 +301,7 @@ func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
 	lo := int32(0)
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
-		if pages[mid>>pageShift][mid&pageMask].index <= bound {
+		if pages[mid>>pageShift][mid&pageMask].index() <= bound {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -360,7 +360,7 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	if ep == 0 {
 		ts.qDirect.Add(1)
 		g := ts.crs[f.Process].at(int32(cf.vec))
-		return vecs.component(g, e.Process) >= eIdx, nil
+		return vecs.component(g, e.Process, ts.numProcs) >= eIdx, nil
 	}
 	c := ts.epoch(ep)
 	if pos, ok := c.PosOf(int32(e.Process)); ok {
@@ -390,7 +390,7 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 		if qa := ts.arenas[q]; qa != ar {
 			ar, vecs = qa, *qa.dir.Load() // vf keeps aliasing f's chunks
 		}
-		if vecs.component(g, e.Process) >= eIdx {
+		if vecs.component(g, e.Process, ts.numProcs) >= eIdx {
 			return true, nil
 		}
 	}

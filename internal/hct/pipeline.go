@@ -778,12 +778,7 @@ func (p *Pipeline) StoreStats() StoreStats {
 	} else {
 		p.doneMu.Lock()
 		for s, st := range p.laneStats {
-			total.VectorBytes += st.VectorBytes
-			total.Keyframes += st.Keyframes
-			total.DeltaFrames += st.DeltaFrames
-			total.ProjKeyframes += st.ProjKeyframes
-			total.ProjFrames += st.ProjFrames
-			total.ProjShared += st.ProjShared
+			total.add(st)
 			cells += p.done[s]
 		}
 		p.doneMu.Unlock()

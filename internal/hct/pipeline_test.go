@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -292,7 +293,10 @@ func TestPipelineBatchRejection(t *testing.T) {
 // the first chunk boundaries, no event — a projection over a singleton
 // cluster, over a cluster of every process, or a noted cluster receive, each
 // first as a fresh keyframe and then as a frame that does not fit, is taken
-// back and becomes a keyframe again — moves the offset by more.
+// back and becomes a keyframe again; or a noted cluster receive whose frame
+// fits and is stored sparse, which from some positions is carved at the first
+// element of the chunk its dense frame started and gave back — moves the
+// offset by more.
 func TestStoreRoom(t *testing.T) {
 	const numProcs = 300
 	const frame = 1 + (numProcs+3)/4
@@ -339,12 +343,14 @@ func TestStoreRoom(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		members []int32 // nil: a noted cluster receive
+		sparse  bool    // the second event moves one component by 1, not by 256
 	}{
-		{"singleton cluster", all[:1]},
-		{"maxCS = numProcs", all},
-		{"noted cluster receive", nil},
+		{"singleton cluster", all[:1], false},
+		{"maxCS = numProcs", all, false},
+		{"noted cluster receive", nil, false},
+		{"noted cluster receive, sparse frame", nil, true},
 	} {
-		worst := uint32(0)
+		worst, atBoundary := uint32(0), 0
 		for fill := 0; fill < 2048+2*perEvent; fill++ {
 			var (
 				ar    arena
@@ -354,7 +360,11 @@ func TestStoreRoom(t *testing.T) {
 			)
 			ar.carve(fill)
 			for i := int32(1); i <= 2; i++ {
-				clk[0] += 256 // the second event's frame does not fit
+				if tc.sparse && i == 2 {
+					clk[0]++
+				} else {
+					clk[0] += 256 // the second event's frame does not fit
+				}
 				before := ar.end()
 				if tc.members != nil {
 					ar.project(&key, 1, clk, tc.members)
@@ -363,14 +373,68 @@ func TestStoreRoom(t *testing.T) {
 				}
 				worst = max(worst, ar.end()-before)
 			}
-			if st := ar.stats; st.ProjKeyframes+st.Keyframes != 2 || st.ProjFrames+st.DeltaFrames != 0 {
-				t.Fatalf("%s from offset %d: tallies %+v, want two keyframes", tc.name, fill, st)
+			st := ar.stats
+			if !tc.sparse {
+				if st.ProjKeyframes+st.Keyframes != 2 || st.ProjFrames+st.DeltaFrames != 0 {
+					t.Fatalf("%s from offset %d: tallies %+v, want two keyframes", tc.name, fill, st)
+				}
+				continue
 			}
+			note := notes.last()
+			if st.Keyframes != 1 || st.DeltaFrames != 1 || st.SparseFrames != 1 || !note.sparse() {
+				t.Fatalf("%s from offset %d: tallies %+v, want a keyframe and a sparse frame", tc.name, fill, st)
+			}
+			if full := ar.chunks.full(note, numProcs); !slices.Equal(full, clk) || ar.chunks.component(note, 0, numProcs) != clk[0] {
+				t.Fatalf("%s from offset %d: the sparse frame at %d decodes to %v", tc.name, fill, note.delta, full)
+			}
+			if _, base := chunkOf(note.delta); base == note.delta {
+				atBoundary++
+			}
+		}
+		if tc.sparse && atBoundary == 0 {
+			t.Errorf("%s: no sparse frame was carved at the first element of a chunk", tc.name)
 		}
 		if worst > perEvent {
 			t.Errorf("%s: one event moved the arena's offset by %d elements, the rule allows for %d", tc.name, worst, perEvent)
 		}
 		t.Logf("%s: one event moves the offset by at most %d of the %d elements the rule allows for", tc.name, worst, perEvent)
+	}
+}
+
+// TestStoreStatsAgreeAcrossLanes holds the store tallies summed over two
+// lanes to the one lane's, field by field through reflection so that a field
+// added later is held too: which form a vector takes depends on its process's
+// own clocks alone, never on the lane, and the RPC trace stores every form,
+// so each tally is nonzero and a field the sum over lanes leaves out reads 0.
+func TestStoreStatsAgreeAcrossLanes(t *testing.T) {
+	tr := workload.RPCBusiness(240, 24, 24, 3000, 0.05, 1)
+	var one StoreStats
+	for _, lanes := range []int{1, 2} {
+		pipe, err := NewPipeline(tr.NumProcs, Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()}, PipelineOptions{Shards: lanes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(tr.Events); lo += 32 {
+			if err := pipe.DispatchAsync(tr.Events[lo:min(lo+32, len(tr.Events))], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pipe.Barrier()
+		st := pipe.StoreStats()
+		pipe.Close()
+		if lanes == 1 {
+			one = st
+		}
+		got, want := reflect.ValueOf(st), reflect.ValueOf(one)
+		for i := 0; i < got.NumField(); i++ {
+			name := got.Type().Field(i).Name
+			if want.Field(i).Int() == 0 {
+				t.Errorf("lanes=%d: %s is 0: the trace no longer stores that form", lanes, name)
+			}
+			if got.Field(i).Int() != want.Field(i).Int() {
+				t.Errorf("lanes=%d: %s = %d, %d at one lane", lanes, name, got.Field(i).Int(), want.Field(i).Int())
+			}
+		}
 	}
 }
 

@@ -66,9 +66,20 @@ import (
 // A noted cluster receive keeps its whole Fidge/Mattern vector the same way,
 // over all numProcs components: its note (12 bytes: event index, keyframe
 // offset, delta offset) names a keyframe of numProcs int32s — an earlier
-// cluster receive's vector of the same process — and (numProcs+3)/4 elements
-// of offsets above it (arena.frame). A note whose delta is noDelta is a
-// keyframe itself.
+// cluster receive's vector of the same process — and a delta frame of offsets
+// above it (arena.frame). A note whose delta is noDelta is a keyframe itself.
+// The delta frame has two forms, and the top bit of the note's index word says
+// which (crNote.sparse). Dense, it is a byte per component, (numProcs+3)/4
+// elements. Sparse, it is a bitmap of (numProcs+31)/32 elements, bit q of
+// element q/32 set when component q moved, followed by only the nonzero
+// bytes, packed four to an element in component order. Component q is key[q]
+// when its bit is clear and key[q] plus the byte whose rank is the count of set
+// bits below q otherwise: still two loads and no chain, the rank a popcount
+// over at most ⌈q/32⌉ bitmap elements. The writer takes the sparse form
+// exactly when it is strictly smaller, which it is while fewer than about
+// seven in eight components moved since the keyframe. Few do between one
+// process's cluster receives when its partners are few — an RPC client's
+// server, a server's clients — and nearly all do under uniform traffic.
 //
 // A column is a directory of pages of pageCells cells each. Pages are
 // allocated when the column reaches them (none at construction), are never
@@ -193,17 +204,28 @@ func (c *cell) kind() model.Kind { return model.Kind(c.ek & 3) }
 // arena's last chunk is never started (arenaLimit).
 const noDelta = ^uint32(0)
 
+// sparseBit in crNote.ix marks a sparse delta frame. An event index is a
+// positive int32, so it never reaches the bit.
+const sparseBit = 1 << 31
+
 // crNote records a noted (non-merged) cluster receive of one process: the
 // paper's "greatest cluster receive within this process at this point".
 // Notes are appended in event-index order, so the column is sorted. The
-// Fidge/Mattern vector is the keyframe at key plus, per component, a byte of
-// the frame at delta; a keyframe's vector is key itself. Both are element
-// offsets into the arena of the lane that owns the process.
+// Fidge/Mattern vector is the keyframe at key plus, per component, the offset
+// the frame at delta holds for it; a keyframe's vector is key itself. Both are
+// element offsets into the arena of the lane that owns the process. ix is read
+// through index and sparse only.
 type crNote struct {
-	index int32
+	ix    uint32 // event index, | sparseBit when the delta frame is sparse
 	key   uint32 // numProcs elements, shared by the delta frames that follow
-	delta uint32 // (numProcs+3)/4 elements of packed offsets above key, or noDelta
+	delta uint32 // a dense or a sparse delta frame over key (see "Layout"), or noDelta
 }
+
+// index returns the note's event index.
+func (n *crNote) index() int32 { return int32(n.ix &^ sparseBit) }
+
+// sparse reports whether the note's delta frame is the sparse form.
+func (n *crNote) sparse() bool { return n.ix&sparseBit != 0 }
 
 // column is one process's paged append-only column of cells or notes.
 // Deliberately NOT padded to a cache line: under sharded ingest adjacent
@@ -328,6 +350,17 @@ func deltaByte(word int32, q int) int32 {
 // packedWords is the number of arena elements n byte offsets pack into.
 func packedWords(n int) int { return (n + 3) / 4 }
 
+// bitmapWords is the number of arena elements a bit per component of n takes.
+func bitmapWords(n int) int { return (n + 31) / 32 }
+
+// nonzeroBytes counts the bytes of w that are not zero: bit 7 of a byte of
+// (w&lo7)+lo7 is set when its low seven bits are not all zero, and w's own
+// bit 7 covers the rest.
+func nonzeroBytes(w uint32) int {
+	const lo7 = 0x7f7f7f7f
+	return bits.OnesCount32(((w & lo7) + lo7 | w) &^ lo7)
+}
+
 // projection is a stored projection resolved against one chunk list: the
 // keyframe's elements and the packed offsets above them, both aliasing the
 // arena. Component k is key[k] plus byte k of words, except the process's own,
@@ -374,26 +407,55 @@ func (d chunkDir) projAt(off uint32, k int) int32 {
 }
 
 // component returns element q of note n's vector; the caller bounds q to
-// [0, numProcs).
-func (d chunkDir) component(n *crNote, q model.ProcessID) int32 {
+// [0, numProcs). A sparse frame takes the bitmap word for q and, when its bit
+// is set, the popcount of the ⌈q/32⌉ words up to it for the byte's rank.
+func (d chunkDir) component(n *crNote, q model.ProcessID, numProcs int) int32 {
 	v := d.at(n.key + uint32(q))
-	if n.delta != noDelta {
-		v += deltaByte(d.at(n.delta+uint32(q)>>2), int(q))
+	if n.delta == noDelta {
+		return v
 	}
-	return v
+	if !n.sparse() {
+		return v + deltaByte(d.at(n.delta+uint32(q)>>2), int(q))
+	}
+	c, base := chunkOf(n.delta)
+	f := d[c][n.delta-base:] // one carve: the bitmap and the bytes share a chunk
+	i, bit := int(q>>5), uint32(1)<<(q&31)
+	w := uint32(f[i])
+	if w&bit == 0 {
+		return v
+	}
+	r := bits.OnesCount32(w & (bit - 1))
+	for _, x := range f[:i] {
+		r += bits.OnesCount32(uint32(x))
+	}
+	return v + deltaByte(f[bitmapWords(numProcs)+r>>2], r)
 }
 
 // full returns note n's Fidge/Mattern vector: the keyframe itself, aliasing
-// the arena, or for a delta frame a freshly decoded slice.
+// the arena, or for a delta frame of either form a freshly decoded slice.
 func (d chunkDir) full(n *crNote, numProcs int) []int32 {
 	key := d.slice(n.key, numProcs)
 	if n.delta == noDelta {
 		return key
 	}
-	words := d.slice(n.delta, packedWords(numProcs))
 	v := make([]int32, numProcs)
-	for q := range v {
-		v[q] = key[q] + deltaByte(words[q>>2], q)
+	if !n.sparse() {
+		words := d.slice(n.delta, packedWords(numProcs))
+		for q := range v {
+			v[q] = key[q] + deltaByte(words[q>>2], q)
+		}
+		return v
+	}
+	copy(v, key)
+	c, base := chunkOf(n.delta)
+	bw := bitmapWords(numProcs)
+	f := d[c][n.delta-base:]
+	r := 0
+	for i, w := range f[:bw] {
+		for m := uint32(w); m != 0; m &= m - 1 {
+			v[32*i+bits.TrailingZeros32(m)] += deltaByte(f[bw+r>>2], r)
+			r++
+		}
 	}
 	return v
 }
@@ -418,21 +480,37 @@ type arena struct {
 	chunks chunkDir // writer-private chunk list
 	cur    []int32  // current allocation; len = carved prefix
 	base   uint32   // offset of cur[0]
+	spare  []int32  // writer-private: a delta frame's dense words while its sparse form is carved in their place
 	stats  StoreStats
 }
 
 // StoreStats are the store's physical tallies — what the paper's
 // fixed-vector accounting (StorageInts) deliberately does not model.
 type StoreStats struct {
-	VectorBytes   int64 `json:"vector_bytes"`    // carved from the lane arenas: keyframes and frames
-	CellBytes     int64 `json:"cell_bytes"`      // 16 per stamped event
-	NoteBytes     int64 `json:"note_bytes"`      // 12 per noted cluster receive
-	Epochs        int64 `json:"epochs"`          // cluster epochs in the epoch table
-	Keyframes     int64 `json:"cr_keyframes"`    // noted cluster receives stored as a keyframe
-	DeltaFrames   int64 `json:"cr_delta_frames"` // noted cluster receives stored as offsets above an earlier keyframe
-	ProjKeyframes int64 `json:"proj_keyframes"`  // projections that started a keyframe (and carry a zero frame over it)
-	ProjFrames    int64 `json:"proj_frames"`     // projections stored as a frame over an earlier keyframe
-	ProjShared    int64 `json:"proj_shared"`     // sends and unary events whose cell names their predecessor's frame
+	VectorBytes   int64 `json:"vector_bytes"`     // carved from the lane arenas: keyframes and frames
+	CellBytes     int64 `json:"cell_bytes"`       // 16 per stamped event
+	NoteBytes     int64 `json:"note_bytes"`       // 12 per noted cluster receive
+	Epochs        int64 `json:"epochs"`           // cluster epochs in the epoch table
+	Keyframes     int64 `json:"cr_keyframes"`     // noted cluster receives stored as a keyframe
+	DeltaFrames   int64 `json:"cr_delta_frames"`  // noted cluster receives stored as offsets above an earlier keyframe
+	SparseFrames  int64 `json:"cr_sparse_frames"` // of the delta frames, those stored sparse: a bitmap and the nonzero bytes
+	ProjKeyframes int64 `json:"proj_keyframes"`   // projections that started a keyframe (and carry a zero frame over it)
+	ProjFrames    int64 `json:"proj_frames"`      // projections stored as a frame over an earlier keyframe
+	ProjShared    int64 `json:"proj_shared"`      // sends and unary events whose cell names their predecessor's frame
+}
+
+// add adds o's tallies to s, field by field.
+func (s *StoreStats) add(o StoreStats) {
+	s.VectorBytes += o.VectorBytes
+	s.CellBytes += o.CellBytes
+	s.NoteBytes += o.NoteBytes
+	s.Epochs += o.Epochs
+	s.Keyframes += o.Keyframes
+	s.DeltaFrames += o.DeltaFrames
+	s.SparseFrames += o.SparseFrames
+	s.ProjKeyframes += o.ProjKeyframes
+	s.ProjFrames += o.ProjFrames
+	s.ProjShared += o.ProjShared
 }
 
 // end returns the offset the next carve starts at unless it has to move on to
@@ -495,35 +573,105 @@ func (a *arena) uncarve(w []int32) {
 // component — and the elements they were packed into are taken back when the
 // OR says one did not fit. A process's clocks only grow, so an offset is
 // never negative; as a uint32 it would fail the test all the same.
+//
+// A frame that fits is stored sparse when that is strictly smaller — a bitmap
+// word per 32 components and only the nonzero bytes, in component order —
+// carved where the dense words lay, so it never reaches past them (roomFor).
 func (a *arena) frame(index int32, prev *crNote, clk []int32) crNote {
 	if prev != nil {
-		key := a.chunks.slice(prev.key, len(clk))
-		at, words := a.carve(packedWords(len(clk)))
+		n := len(clk)
+		key := a.chunks.slice(prev.key, n)
+		at, words := a.carve(packedWords(n))
 		// An offset above 255 spills into its neighbours' bytes, but then the
 		// frame is not kept.
 		var over uint32
-		full := len(clk) / 4
+		full := n / 4
 		for i := 0; i < full; i++ {
 			c, k := clk[4*i:4*i+4:4*i+4], key[4*i:4*i+4:4*i+4]
 			o0, o1, o2, o3 := uint32(c[0]-k[0]), uint32(c[1]-k[1]), uint32(c[2]-k[2]), uint32(c[3]-k[3])
 			over |= o0 | o1 | o2 | o3
 			words[i] = int32(o0 | o1<<8 | o2<<16 | o3<<24)
 		}
-		for q := 4 * full; q < len(clk); q++ {
+		for q := 4 * full; q < n; q++ {
 			off := uint32(clk[q] - key[q])
 			over |= off
 			words[full] |= int32(off << (8 * (q & 3)))
 		}
 		if over <= 255 {
 			a.stats.DeltaFrames++
-			return crNote{index: index, key: prev.key, delta: at}
+			// What moved since the keyframe only grows with the clock, so
+			// after a dense frame over it every frame is dense: nothing to count.
+			if prev.delta == noDelta || prev.sparse() {
+				if off, ok := a.carveSparse(words, n); ok {
+					return crNote{ix: uint32(index) | sparseBit, key: prev.key, delta: off}
+				}
+			}
+			return crNote{ix: uint32(index), key: prev.key, delta: at}
 		}
 		a.uncarve(words)
 	}
 	at, k := a.carve(len(clk))
 	copy(k, clk)
 	a.stats.Keyframes++
-	return crNote{index: index, key: at, delta: noDelta}
+	return crNote{ix: uint32(index), key: at, delta: noDelta}
+}
+
+// carveSparse stores the dense frame words over n components, the most recent
+// carve, in the sparse form instead when that is strictly smaller, and returns
+// its offset: the dense words are taken back and the sparse frame carved where
+// they lay. Otherwise it leaves them be.
+func (a *arena) carveSparse(words []int32, n int) (uint32, bool) {
+	nz := 0
+	for _, w := range words {
+		nz += nonzeroBytes(uint32(w))
+	}
+	bw := bitmapWords(n)
+	if bw+packedWords(nz) >= len(words) {
+		return 0, false
+	}
+	a.spare = append(a.spare[:0], words...)
+	a.uncarve(words)
+	at, f := a.carve(bw + packedWords(nz))
+	sparsify(f, bw, a.spare)
+	a.stats.SparseFrames++
+	return at, true
+}
+
+// sparsify fills f, carved zeroed, with the sparse form of the dense frame
+// words: the bitmap in f[:bw], then the nonzero bytes in component order. It
+// does not branch on a byte, whose pattern is the traffic's: every byte is
+// added to a 64-bit accumulator at the position p past the nonzero ones before
+// it, so a zero adds nothing, and the accumulator hands the stream out four
+// bytes at a time. A shift count masked to its width is one instruction.
+func sparsify(f []int32, bw int, words []int32) {
+	out := f[bw:]
+	var acc uint64
+	p, pos := uint(0), 0
+	for i, w := range words {
+		u := uint32(w)
+		if u == 0 {
+			continue
+		}
+		b0, b1, b2, b3 := u&0xff, u>>8&0xff, u>>16&0xff, u>>24
+		z0, z1, z2, z3 := (b0+255)>>8, (b1+255)>>8, (b2+255)>>8, (b3+255)>>8 // 1 unless the byte is zero
+		f[i>>3] |= int32((z0 | z1<<1 | z2<<2 | z3<<3) << (4 * (i & 7)))
+		acc |= uint64(b0) << (8 * p & 63)
+		p += uint(z0)
+		acc |= uint64(b1) << (8 * p & 63)
+		p += uint(z1)
+		acc |= uint64(b2) << (8 * p & 63)
+		p += uint(z2)
+		acc |= uint64(b3) << (8 * p & 63)
+		p += uint(z3)
+		out[pos] = int32(uint32(acc)) // p > 0 bytes are pending, all of them counted in f: pos is in range
+		adv := p >> 2
+		pos += int(adv)
+		acc >>= 32 * adv & 63
+		p &= 3
+	}
+	if p > 0 {
+		out[pos] = int32(uint32(acc))
+	}
 }
 
 // projKey is a process's projection state: where its current keyframe lies

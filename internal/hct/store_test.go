@@ -117,11 +117,11 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 				// The newest note below the cut, keyframe or delta frame: both
 				// readers of the stored form against the oracle.
 				if g := pipe.latestCRAtOrBelow(int32(p), int32(top)); g != nil {
-					want := clock[model.EventID{Process: p, Index: model.EventIndex(g.index)}]
+					want := clock[model.EventID{Process: p, Index: model.EventIndex(g.index())}]
 					q := model.ProcessID(r.Intn(tr.NumProcs))
 					vecs := pipe.vectors(p)
-					if full := vecs.full(g, tr.NumProcs); !vclock.Clock(full).Equal(want) || vecs.component(g, q) != want[q] {
-						t.Errorf("note p%d:%d decodes to %v (component %d = %d), Fidge/Mattern %v", p, g.index, full, q, vecs.component(g, q), want)
+					if full := vecs.full(g, tr.NumProcs); !vclock.Clock(full).Equal(want) || vecs.component(g, q, tr.NumProcs) != want[q] {
+						t.Errorf("note p%d:%d decodes to %v (component %d = %d), Fidge/Mattern %v", p, g.index(), full, q, vecs.component(g, q, tr.NumProcs), want)
 						return
 					}
 				}
@@ -338,7 +338,7 @@ func TestLaneQueueBounded(t *testing.T) {
 }
 
 // TestStoreBytesPerEvent asserts the store's steady-state cost (ROADMAP
-// 1(e)) on two of the benchmark's computations at maxCS 13: the live heap a
+// 1(e)) on three of the benchmark's computations at maxCS 13: the live heap a
 // one-lane engine gains per ingested event stays under a stated budget, and
 // stamping allocates per page and per arena chunk, never per event. Trace and
 // engine are built before the measured region.
@@ -351,21 +351,29 @@ func TestLaneQueueBounded(t *testing.T) {
 // where a neighbour's component outgrows its byte or a merge changes the
 // members (≈10 B/event; 19.5 when every projection carved its frame, 50 when
 // every one kept its 13 ints); for the ≈4% that are noted cluster receives a
-// 12-byte note and a 300-byte delta frame, with a 1200-byte keyframe once per
-// ≈90 of them (≈13 B/event, 49 when every one kept its full vector); partial
-// pages and the last arena chunk — ≈41.0 B/event measured. The budget of 50 is
-// below the 50.5 the store measured with a frame per projection, so going back
-// to that fails it, as does a pointer in the cell or a returned full vector per
-// cluster receive.
+// 12-byte note and a 300-byte delta frame — 98% of them move every component,
+// so few are sparse — with a 1200-byte keyframe once per ≈90 of them (≈13
+// B/event, 49 when every one kept its full vector); partial pages and the last
+// arena chunk — ≈40.6 B/event measured. The budget of 50 is below the 50.5 the
+// store measured with a frame per projection, so going back to that fails it,
+// as does a pointer in the cell or a returned full vector per cluster receive.
 //
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
 // noted cluster receives and their frames are most of the store — 16 B for
 // every event, ≈5.5 of projection frames (half of the other half share one),
-// plus ≈0.48 × (12 + 280 + a keyframe's share) ≈ 144 — ≈171 B/event measured
-// against 177 with a frame per projection, 192 with raw projections, 225 with
+// plus ≈0.48 × (12 + 280 + a keyframe's share) ≈ 142, 91% of the frames moving
+// every component — ≈169.6 B/event measured against 171.3 with dense frames
+// only, 177 with a frame per projection, 192 with raw projections, 225 with
 // pointers too and 619 with full vectors; budget 185. Its columns hold a third
-// of the ring's events each, so pages and directories come to 0.027
-// allocations per event, not 0.015.
+// of the ring's events each, so pages and directories come to 0.025
+// allocations per event, not 0.013.
+//
+// RPCBusiness(240, 24, 24) (rpc-fanin, 288 processes): a cluster receive's
+// frame moves a median 2% of its components, so every delta frame is sparse —
+// a 36-byte bitmap and the few moved bytes where the dense frame was 288 bytes
+// — and the 2924 keyframes are as many as with dense frames only: vectors
+// ≈30.2 B/event against 40.1, ≈55.4 B/event measured against 66.2; budget 60,
+// which the dense form fails.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -378,6 +386,7 @@ func TestStoreBytesPerEvent(t *testing.T) {
 	}{
 		{"ring", workload.Ring(300, 330, false), 50, 0.02},
 		{"random-uniform", workload.RandomUniform(280, 150000, 1), 185, 0.04},
+		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 60, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -400,8 +409,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 			allocsPer := float64(after.Mallocs-before.Mallocs) / n
 			st := ts.StoreStats()
-			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames under %d cells that share one, %d + %d cluster-receive keyframes and delta frames; %d epochs), %.4f allocs/event, size ratio %.3f",
-				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.Epochs, allocsPer,
+			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames under %d cells that share one, %d + %d cluster-receive keyframes and delta frames, %d of them sparse; %d epochs), %.4f allocs/event, size ratio %.3f",
+				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.SparseFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
 			if st.CellBytes != 16*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
 				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
@@ -429,10 +438,11 @@ func TestStoreBytesPerEvent(t *testing.T) {
 // keyframes allocate nothing, the latter aliasing the store; a precedence
 // query allocates nothing whatever it reads — a projection frame on the direct
 // path, one resolved once and indexed per member on the routed path, a
-// delta-framed cluster receive read directly or reached through the notes;
-// the view of a projection or of a delta-framed cluster receive allocates
-// exactly its decoded vector; and a hct.View asks the same with no allocation
-// of its own, live or at a cut, capturing a cut view being the identity.
+// cluster receive stored as a dense or a sparse delta frame read directly or
+// reached through the notes; the view of a projection or of a delta-framed
+// cluster receive, either form, allocates exactly its decoded vector; and a
+// hct.View asks the same with no allocation of its own, live or at a cut,
+// capturing a cut view being the identity.
 func TestViewsAllocateNothing(t *testing.T) {
 	tr := workload.Ring(16, 8, false)
 	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()})
@@ -442,46 +452,58 @@ func TestViewsAllocateNothing(t *testing.T) {
 	if err := ts.ObserveAll(tr); err != nil {
 		t.Fatal(err)
 	}
-	var projs, keyframes, deltas []model.EventID
+	var projs, keyframes, deltas, sparses []model.EventID
 	for _, ev := range tr.Events {
-		switch c := ts.Live().cell(ev.ID); {
-		case c.epoch() != 0:
+		c := ts.Live().cell(ev.ID)
+		if c.epoch() != 0 {
 			projs = append(projs, ev.ID)
-		case ts.crs[ev.ID.Process].at(int32(c.vec)).delta == noDelta:
+			continue
+		}
+		switch note := ts.crs[ev.ID.Process].at(int32(c.vec)); {
+		case note.delta == noDelta:
 			keyframes = append(keyframes, ev.ID)
+		case note.sparse():
+			sparses = append(sparses, ev.ID)
 		default:
 			deltas = append(deltas, ev.ID)
 		}
 	}
-	if len(projs) == 0 || len(keyframes) == 0 || len(deltas) == 0 {
-		t.Fatalf("trace stores %d projections, %d keyframes, %d delta frames: need all three", len(projs), len(keyframes), len(deltas))
+	if len(projs) == 0 || len(keyframes) == 0 || len(deltas) == 0 || len(sparses) == 0 {
+		t.Fatalf("trace stores %d projections, %d keyframes, %d dense and %d sparse delta frames: need all four", len(projs), len(keyframes), len(deltas), len(sparses))
 	}
-	// A pair whose test routes through the notes and finds a delta frame there.
-	routesThroughDelta := func(f model.EventID) bool {
+	// A pair whose test routes through the notes and finds a delta frame of the
+	// given form there.
+	routesThrough := func(f model.EventID, sparse bool) bool {
 		tf, _ := ts.Timestamp(f)
 		if tf.Cluster == nil {
 			return false
 		}
 		for k, q := range tf.Cluster.Members {
-			if g := ts.latestCRAtOrBelow(q, tf.Proj[k]); g != nil && g.delta != noDelta {
+			if g := ts.latestCRAtOrBelow(q, tf.Proj[k]); g != nil && g.delta != noDelta && g.sparse() == sparse {
 				return true
 			}
 		}
 		return false
 	}
 	e := tr.Events[0].ID
-	var routed model.EventID
-	for i := len(tr.Events) - 1; i >= 0 && routed == (model.EventID{}); i-- {
+	var routed, routedSparse model.EventID
+	for i := len(tr.Events) - 1; i >= 0 && (routed == (model.EventID{}) || routedSparse == (model.EventID{})); i-- {
 		_, before := ts.QueryPathCounts()
-		if _, err := ts.Precedes(e, tr.Events[i].ID); err != nil {
+		f := tr.Events[i].ID
+		if _, err := ts.Precedes(e, f); err != nil {
 			t.Fatal(err)
 		}
-		if _, after := ts.QueryPathCounts(); after > before && routesThroughDelta(tr.Events[i].ID) {
-			routed = tr.Events[i].ID
+		if _, after := ts.QueryPathCounts(); after > before {
+			if routed == (model.EventID{}) && routesThrough(f, false) {
+				routed = f
+			}
+			if routedSparse == (model.EventID{}) && routesThrough(f, true) {
+				routedSparse = f
+			}
 		}
 	}
-	if routed == (model.EventID{}) {
-		t.Fatal("no precedence pair in the trace routes through a delta-framed note")
+	if routed == (model.EventID{}) || routedSparse == (model.EventID{}) {
+		t.Fatalf("no precedence pair in the trace routes through a dense (%v) or a sparse (%v) delta-framed note", routed, routedSparse)
 	}
 
 	// Both precedence paths over projection frames: every projection as the
@@ -527,6 +549,7 @@ func TestViewsAllocateNothing(t *testing.T) {
 		{"projection views", float64(len(projs)), views(projs)},
 		{"keyframe views", 0, views(keyframes)},
 		{"delta-frame views", float64(len(deltas)), views(deltas)},
+		{"sparse-frame views", float64(len(sparses)), views(sparses)},
 		{"events", 0, func() {
 			for _, ev := range tr.Events {
 				got, _ := ts.Event(ev.ID)
@@ -547,8 +570,20 @@ func TestViewsAllocateNothing(t *testing.T) {
 				}
 			}
 		}},
+		{"direct precedes, sparse-framed target", 0, func() {
+			for _, f := range sparses {
+				if _, err := ts.Precedes(e, f); err != nil {
+					t.Error(err)
+				}
+			}
+		}},
 		{"routed precedes through a delta-framed note", 0, func() {
 			if _, err := ts.Precedes(e, routed); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"routed precedes through a sparse-framed note", 0, func() {
+			if _, err := ts.Precedes(e, routedSparse); err != nil {
 				t.Error(err)
 			}
 		}},
@@ -570,17 +605,49 @@ func TestViewsAllocateNothing(t *testing.T) {
 	_ = sink
 }
 
+// crOracle is the tests' model of arena.frame for one process: a copy of its
+// current cluster-receive keyframe, nil before its first cluster receive.
+type crOracle struct{ key []int32 }
+
+// store returns how arena.frame must store clk — a keyframe when some
+// component exceeds the current one by more than 255, otherwise a delta frame
+// over it, sparse exactly when a bitmap word per 32 components and the nonzero
+// bytes are strictly fewer elements than a byte per component — and the arena
+// elements that takes, and moves the keyframe on.
+func (o *crOracle) store(clk []int32) (key, sparse bool, elems int64) {
+	n, nz := len(clk), 0
+	key = o.key == nil
+	for q := 0; !key && q < n; q++ {
+		key = clk[q]-o.key[q] > 255
+		if clk[q] != o.key[q] {
+			nz++
+		}
+	}
+	if key {
+		o.key = append(o.key[:0], clk...)
+		return true, false, int64(n)
+	}
+	dense, sparseElems := (n+3)/4, (n+31)/32+(nz+3)/4
+	if sparseElems < dense {
+		return false, true, int64(sparseElems)
+	}
+	return false, false, int64(dense)
+}
+
 // FuzzCRNoteRoundTrip is the property test of the cluster-receive stored
 // form. Each input drives one process's monotone clock sequence through
 // appendNote: every two bytes step a run of components by 0, 1, 255, 256 or
-// 70000, over N in {1, 3, 4, 5, 7, 300} (a delta frame packs four offsets to
-// an element, so N around a multiple of four matters). Every note, re-read
-// after all later ones were carved — through the chunk list published then —
-// must decode to exactly its input through both readers; a note must be a
-// keyframe exactly when some component exceeds the process's current keyframe
-// by more than 255, and a delta frame must share that keyframe.
+// 70000, over N in {1, 3, 4, 5, 7, 300, 64} (a dense delta frame packs four
+// offsets to an element, so N around a multiple of four matters; a sparse one
+// has a bitmap word per 32 components, and only at 64 can a run reach the last
+// one). Every note, re-read after all later ones were carved — through the
+// chunk list published then — must decode to exactly its input through both
+// readers; a note must be a keyframe exactly when some component exceeds the
+// process's current keyframe by more than 255, a delta frame must share that
+// keyframe and be sparse exactly when that form is strictly smaller (crOracle),
+// and the arena must hold exactly the elements the oracle counts for each.
 func FuzzCRNoteRoundTrip(f *testing.F) {
-	sizes := [...]int{1, 3, 4, 5, 7, 300}
+	sizes := [...]int{1, 3, 4, 5, 7, 300, 64}
 	steps := [...]int32{0, 1, 255, 256, 70000}
 	// (start component, run length<<3 | step): one seed per step kind, then mixes.
 	for sel := range sizes {
@@ -591,17 +658,39 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 	}
 	// N = 4: a keyframe and 252 one-element delta frames fill the first chunk
 	// to its last element, so the 253rd frame's carve lands exactly on the
-	// boundary, at the first element of a chunk allocated for it.
+	// boundary, at the first element of a chunk allocated for it. (A bitmap
+	// word is as large as the dense frame here, so no frame is sparse.)
 	boundary := make([]byte, 0, 512)
 	for i := 0; i < 256; i++ {
 		boundary = append(boundary, byte(i%4), 1)
 	}
 	f.Add(uint8(2), boundary)
-	// N = 300: the keyframe's allocation has room for two 75-element delta
-	// frames; the third starts a fresh chunk, and the step of 256 makes it the
-	// frame that does not fit, so the un-carve empties that chunk again and
-	// the new keyframe is the first thing in it.
-	f.Add(uint8(5), []byte{0, 1, 0, 1, 0, 1, 0, 3})
+	// N = 300: a keyframe over components 0-31, then sparse frames with 32, 64,
+	// 96, 128 and 160 components moved — 18, 26, 34, 42 and 50 elements — end
+	// at 470 of the keyframe's 512-element allocation. The next frame's dense
+	// carve starts a fresh chunk: with 192 moved it is stored sparse, the 58
+	// elements carved at that chunk's first element; with a step of 256 it does
+	// not fit, so the un-carve empties the chunk again and the new keyframe is
+	// the first thing in it.
+	fill := []byte{0, 31<<3 | 1, 0, 31<<3 | 1, 32, 31<<3 | 1, 64, 31<<3 | 1, 96, 31<<3 | 1, 128, 31<<3 | 1}
+	f.Add(uint8(5), append(slices.Clone(fill), 160, 31<<3|1))
+	f.Add(uint8(5), append(slices.Clone(fill), 0, 3))
+	// N = 300, the break-even: runs of 32 move components 0-255, then 255 on
+	// by 2, 5 or 6 components. 256 moved is 10 + 64 elements against 75, sparse;
+	// 257 is 10 + 65, no smaller, dense, as are 260 (the last that fits 65
+	// elements) and 261.
+	even := []byte{0, 0}
+	for c := 0; c < 256; c += 32 {
+		even = append(even, byte(c), 31<<3|1)
+	}
+	for _, run := range []byte{2, 5, 6} {
+		f.Add(uint8(5), append(slices.Clone(even), 255, (run-1)<<3|1))
+	}
+	// N = 300 and 64: components 31 and 32, either side of a bitmap word; the
+	// last component of 64, in its last bit; a frame with one component moved.
+	f.Add(uint8(5), []byte{0, 0, 31, 1<<3 | 1, 31, 1<<3 | 1})
+	f.Add(uint8(6), []byte{0, 0, 31, 1<<3 | 1, 63, 1, 0, 1})
+	f.Add(uint8(5), []byte{0, 0, 17, 1})
 	// N = 7, not a multiple of 4: the second packed element holds three
 	// offsets. Its top one goes to 255 and then one past.
 	f.Add(uint8(4), []byte{6, 2, 6, 0, 4, 1, 6, 1, 6, 0})
@@ -615,7 +704,9 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 			notes   crColumn
 			clk     = make([]int32, n)
 			inputs  [][]int32
-			curKey  []int32 // the oracle's copy of the current keyframe
+			oracle  crOracle
+			elems   int64 // what the oracle says the notes' vectors take
+			sparses int64
 			prevKey = noDelta
 		)
 		for i := 0; i+1 < len(data); i += 2 {
@@ -623,20 +714,23 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 			for k, run := 0, 1+int(data[i+1]>>3); k < run; k++ {
 				clk[(int(data[i])+k)%n] += step
 			}
-			wantKey := curKey == nil
-			for q := range clk {
-				wantKey = wantKey || clk[q]-curKey[q] > 255
-			}
+			curKey := oracle.key
+			wantKey, wantSparse, e := oracle.store(clk)
 			note := notes.at(appendNote(&notes, &ar, int32(len(inputs)+1), clk))
-			if (note.delta == noDelta) != wantKey {
-				t.Fatalf("note %d: keyframe = %v, want %v (clock %v over keyframe %v)", note.index, note.delta == noDelta, wantKey, clk, curKey)
+			if note.index() != int32(len(inputs)+1) {
+				t.Fatalf("note %d reads back as index %d", len(inputs)+1, note.index())
 			}
-			if wantKey {
-				curKey = append(curKey[:0], clk...)
-			} else if note.key != prevKey {
-				t.Fatalf("note %d: delta frame over the keyframe at %d, current keyframe at %d", note.index, note.key, prevKey)
+			if (note.delta == noDelta) != wantKey || note.sparse() != wantSparse {
+				t.Fatalf("note %d: keyframe = %v, sparse = %v, want %v, %v (clock %v over keyframe %v)", note.index(), note.delta == noDelta, note.sparse(), wantKey, wantSparse, clk, curKey)
+			}
+			if !wantKey && note.key != prevKey {
+				t.Fatalf("note %d: delta frame over the keyframe at %d, current keyframe at %d", note.index(), note.key, prevKey)
 			}
 			prevKey = note.key
+			elems += e
+			if wantSparse {
+				sparses++
+			}
 			inputs = append(inputs, append([]int32(nil), clk...))
 		}
 		if got := notes.wm.Load(); int(got) != len(inputs) {
@@ -650,16 +744,17 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 			note := notes.get(model.EventIndex(i + 1))
 			full := vecs.full(note, n)
 			for q := range want {
-				if c := vecs.component(note, model.ProcessID(q)); c != want[q] || full[q] != want[q] {
-					t.Fatalf("note %d component %d: component() = %d, full() = %d, input %d", note.index, q, c, full[q], want[q])
+				if c := vecs.component(note, model.ProcessID(q), n); c != want[q] || full[q] != want[q] {
+					t.Fatalf("note %d (sparse %v) component %d: component() = %d, full() = %d, input %d", note.index(), note.sparse(), q, c, full[q], want[q])
 				}
 			}
 		}
-		// A frame that did not fit gives its bytes back, zeroed: the tallies
-		// count only what notes hold, and the next carve is clean.
+		// A frame that did not fit, or was stored sparse, gives its bytes back,
+		// zeroed: the tallies count only what notes hold, both forms, and the
+		// next carve is clean.
 		st := ar.stats
-		if st.Keyframes+st.DeltaFrames != int64(len(inputs)) || st.VectorBytes != 4*(st.Keyframes*int64(n)+st.DeltaFrames*int64((n+3)/4)) {
-			t.Fatalf("tallies %+v for %d notes of %d components", st, len(inputs), n)
+		if st.Keyframes+st.DeltaFrames != int64(len(inputs)) || st.SparseFrames != sparses || st.VectorBytes != 4*elems {
+			t.Fatalf("tallies %+v for %d notes of %d components, %d of them sparse, %d elements", st, len(inputs), n, sparses, elems)
 		}
 		_, fresh := ar.carve(n)
 		for q, v := range fresh {
@@ -851,12 +946,26 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			}
 		}
 		// A frame that did not fit gives its elements back, zeroed: the tallies
-		// count only what cells and notes name, and the next carve is clean.
+		// count only what cells and notes name, the notes' in either form, and
+		// the next carve is clean.
+		var (
+			notes             crOracle
+			crElems, crSparse int64
+		)
+		for _, in := range inputs {
+			if in.Full != nil {
+				_, sparse, e := notes.store(in.Full)
+				crElems += e
+				if sparse {
+					crSparse++
+				}
+			}
+		}
 		st := ar.stats
-		w, all := int64(packedWords(n)), int64(numProcs)
-		if st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames != int64(len(inputs)) ||
-			st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+1+w)+st.ProjFrames*(1+w)+st.Keyframes*all+st.DeltaFrames*int64(packedWords(numProcs))) {
-			t.Fatalf("tallies %+v for %d events over %d members of %d processes", st, len(inputs), n, numProcs)
+		w := int64(packedWords(n))
+		if st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames != int64(len(inputs)) || st.SparseFrames != crSparse ||
+			st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+1+w)+st.ProjFrames*(1+w)+crElems) {
+			t.Fatalf("tallies %+v for %d events over %d members of %d processes, %d sparse notes", st, len(inputs), n, numProcs, crSparse)
 		}
 		_, fresh := ar.carve(n)
 		for k, v := range fresh {

@@ -125,6 +125,7 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_store_proj_shared",
 		"poetd_cr_keyframes_total",
 		"poetd_cr_delta_frames_total",
+		"poetd_cr_sparse_frames_total",
 		"poetd_lane_queue_depth{lane=",
 		"poetd_runtime_heap_live_bytes",
 		"poetd_runtime_heap_objects_bytes",
@@ -173,6 +174,9 @@ func TestServerTelemetry(t *testing.T) {
 	// that does not share its predecessor's frame.
 	if got := st.Store.Keyframes + st.Store.DeltaFrames; got != int64(st.Paper.ClusterReceives) {
 		t.Errorf("Status store = %+v: keyframes + delta frames want the %d noted cluster receives", st.Store, st.Paper.ClusterReceives)
+	}
+	if st.Store.SparseFrames > st.Store.DeltaFrames || !strings.Contains(out, fmt.Sprintf("poetd_cr_sparse_frames_total %d\n", st.Store.SparseFrames)) {
+		t.Errorf("Status store = %+v: sparse frames are a subset of the delta frames, and /metrics reads them as /statusz does", st.Store)
 	}
 	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.ProjShared + st.Store.Keyframes + st.Store.DeltaFrames; got != int64(len(tr.Events)) || st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 || st.Store.ProjShared == 0 {
 		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames = %d, want the %d events, with projections of all three kinds", st.Store, got, len(tr.Events))

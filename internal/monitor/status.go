@@ -117,6 +117,8 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() int64 { return pipe.StoreStats().Keyframes })
 	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe.",
 		func() int64 { return pipe.StoreStats().DeltaFrames })
+	counter("poetd_cr_sparse_frames_total", "Of the delta frames, those stored sparse: a bitmap of the components that moved and only their bytes.",
+		func() int64 { return pipe.StoreStats().SparseFrames })
 
 	// What the Go runtime holds, to read beside the poetd_store_*_bytes above:
 	// the resident set's share that is not the store.
