@@ -106,7 +106,7 @@ func TestColumnarDifferentialCorpus(t *testing.T) {
 					if !ok {
 						t.Fatalf("maxCS=%d: Timestamp(%v) missing", maxCS, id)
 					}
-					if got.ID != want.ID || got.Kind != want.Kind || got.Partner != want.Partner ||
+					if got.ID != want.ID || got.Kind != want.Kind ||
 						got.Cluster != want.Cluster ||
 						!vclock.Clock(got.Proj).Equal(vclock.Clock(want.Proj)) ||
 						!got.Full.Equal(want.Full) {
@@ -180,13 +180,13 @@ func TestColumnarDifferentialCorpus(t *testing.T) {
 // reaches every slot below the watermark it was loaded under.
 func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	const total = 17*pageCells + 5 // 17 page additions after the first
-	tag := func(i int) model.EventID { return model.EventID{Process: 7, Index: model.EventIndex(i)} }
+	tag := func(i int) uint32 { return uint32(i) }
 	var c tsColumn
 	var early []*cell
 	var earlyDir []*[pageCells]cell
 	const earlyWM = pageCells + 3 // captured on the second page
 	for i := 1; i <= total; i++ {
-		c.append(cell{partner: tag(i), ek: uint32(model.Send)})
+		c.append(cell{vec: tag(i), ek: uint32(model.Send)})
 		c.publish()
 		if i <= 8 || i == pageCells || i == pageCells+1 {
 			early = append(early, c.get(model.EventIndex(i)))
@@ -199,8 +199,8 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 		t.Fatalf("directory lists %d pages, want %d", got, want)
 	}
 	for _, p := range early {
-		if got := c.get(p.partner.Index); got != p || p.partner.Process != 7 {
-			t.Fatalf("early cell %v moved or mutated: %p, now %p", p.partner, p, got)
+		if got := c.get(model.EventIndex(p.vec)); got != p {
+			t.Fatalf("early cell %v moved or mutated: %p, now %p", p.vec, p, got)
 		}
 	}
 	// The stale directory reaches every slot below its watermark, at the
@@ -210,13 +210,13 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	}
 	for i := int32(0); i < earlyWM; i++ {
 		via := &earlyDir[i>>pageShift][i&pageMask]
-		if via != c.at(i) || via.partner != tag(int(i)+1) {
-			t.Fatalf("stale directory slot %d = %v at %p, current %p", i, via.partner, via, c.at(i))
+		if via != c.at(i) || via.vec != tag(int(i)+1) {
+			t.Fatalf("stale directory slot %d = %v at %p, current %p", i, via.vec, via, c.at(i))
 		}
 	}
 	for i := 1; i <= total; i++ {
 		got := c.get(model.EventIndex(i))
-		if got == nil || got.partner != tag(i) || got.kind() != model.Send {
+		if got == nil || got.vec != tag(i) || got.kind() != model.Send {
 			t.Fatalf("get(%d) = %+v", i, got)
 		}
 	}
@@ -226,7 +226,7 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	if c.getAt(earlyWM+1, earlyWM) != nil {
 		t.Fatal("lookup above a captured watermark must miss")
 	}
-	if got := c.getAt(earlyWM, earlyWM); got == nil || got.partner != tag(earlyWM) {
+	if got := c.getAt(earlyWM, earlyWM); got == nil || got.vec != tag(earlyWM) {
 		t.Fatalf("getAt(wm, wm) = %+v", got)
 	}
 	var empty tsColumn
@@ -452,7 +452,7 @@ func TestOwnComponentFromSlot(t *testing.T) {
 }
 
 // TestStoredFormSizes pins the two numbers the B/event budget (DESIGN §10)
-// is built on, and StoreStats reports by: a cell is 16 bytes and a
+// is built on, and StoreStats reports by: a cell is 8 bytes and a
 // cluster-receive note 12.
 func TestStoredFormSizes(t *testing.T) {
 	for _, tc := range []struct {
@@ -461,7 +461,7 @@ func TestStoredFormSizes(t *testing.T) {
 		reported int64 // what StoreStats multiplies by
 		want     uintptr
 	}{
-		{"cell", reflect.TypeOf(cell{}).Size(), cellBytes, 16},
+		{"cell", reflect.TypeOf(cell{}).Size(), cellBytes, 8},
 		{"crNote", reflect.TypeOf(crNote{}).Size(), noteBytes, 12},
 	} {
 		if tc.size != tc.want || uintptr(tc.reported) != tc.want {

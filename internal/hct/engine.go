@@ -43,8 +43,8 @@ var (
 // snapshot; StorageInts derives from it) and the lock-free query surface.
 //
 // Concurrency: writers serialize on the admission lock and, with Result, on
-// the planner mutex; Timestamp, Event, Precedes and Concurrent — the live
-// View's reads — and CaptureWatermark take no lock and read only the prefix
+// the planner mutex; Timestamp, Precedes and Concurrent — the live View's
+// reads — and CaptureWatermark take no lock and read only the prefix
 // of the store published by the per-process watermarks.
 // Only Partition hands out unsynchronized state.
 type Timestamper struct {
@@ -185,7 +185,7 @@ func (v *variant) Precedes(e, f model.EventID) (bool, error) {
 	return recursivePrecedes(v.ts, e, f)
 }
 
-// View is the one reader of the store: Timestamp, Event, Precedes and
+// View is the one reader of the store: Has, Timestamp, Precedes and
 // Concurrent below are the only implementations of those reads, and cell is
 // the only place a watermark bounds a lookup. It is a plane and a cut, held
 // by value; it takes no lock and is safe to use concurrently with ingestion
@@ -258,7 +258,7 @@ func (v View) Timestamp(id model.EventID) (Timestamp, bool) {
 		return Timestamp{}, false
 	}
 	ts := v.ts
-	t := Timestamp{ID: id, Kind: c.kind(), Partner: c.partner}
+	t := Timestamp{ID: id, Kind: c.kind()}
 	vecs := ts.vectors(id.Process)
 	if ep := c.epoch(); ep == 0 {
 		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec)), ts.numProcs)
@@ -271,20 +271,13 @@ func (v View) Timestamp(id model.EventID) (Timestamp, bool) {
 	return t, true
 }
 
-// Event reconstructs a delivered event from its cell — kind and partner are
-// stored, the ID is the position — without building a timestamp.
-func (v View) Event(id model.EventID) (model.Event, bool) {
-	c := v.cell(id)
-	if c == nil {
-		return model.Event{}, false
-	}
-	return model.Event{ID: id, Kind: c.kind(), Partner: c.partner}, true
-}
+// Has reports whether id is stored below the view's bound, without building a
+// timestamp.
+func (v View) Has(id model.EventID) bool { return v.cell(id) != nil }
 
-// Timestamp, Event, Precedes and Concurrent on the plane are the live view's:
-// the spelling the Timestamper façade, the variants and the examples use.
+// Timestamp, Precedes and Concurrent on the plane are the live view's: the
+// spelling the Timestamper façade, the variants and the examples use.
 func (ts *plane) Timestamp(id model.EventID) (Timestamp, bool) { return ts.Live().Timestamp(id) }
-func (ts *plane) Event(id model.EventID) (model.Event, bool)   { return ts.Live().Event(id) }
 func (ts *plane) Precedes(e, f model.EventID) (bool, error)    { return ts.Live().Precedes(e, f) }
 func (ts *plane) Concurrent(e, f model.EventID) (bool, error)  { return ts.Live().Concurrent(e, f) }
 
@@ -325,6 +318,16 @@ func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
 // processes, so the test consults, for each member process q, the greatest
 // noted cluster receive g of q with g's index <= FM(f)[q]: e precedes f iff
 // some such g knows at least e.Index events of pe.
+//
+// The two halves of a synchronous pair carry identical vectors but are
+// mutually concurrent, and the store keeps no partner to tell them by. It
+// needs none: a half is stamped in a cluster that holds its partner or keeps
+// its full vector (sync-partners-direct, DESIGN.md §10), so partners meet on
+// the direct path, each holding exactly the other's index. Only there, only
+// when FM(f)[pe] is exactly e's index and both are synchronous, is FM(e)[pf]
+// read too, directly: at least f's index, the two are partners. Two events
+// that are not cannot each know the other without a causal cycle, so a
+// component e does not hold directly says they are not.
 func (v View) Precedes(e, f model.EventID) (bool, error) {
 	if e == f {
 		return false, nil
@@ -336,11 +339,6 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	cf := v.cell(f)
 	if cf == nil {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, f)
-	}
-	// The two halves of a synchronous pair carry identical vectors but
-	// are mutually concurrent.
-	if ce.kind() == model.Sync && ce.partner == f {
-		return false, nil
 	}
 	// Within a process the order is the index order: a clock's own component
 	// is its event's index, which no frame stores.
@@ -356,16 +354,33 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	// list is loaded once, after the bound its cell was found under.
 	ar := ts.arenas[f.Process] // the arena vecs resolves: f's, until the routed loop moves on
 	vecs := *ar.dir.Load()
-	ep := cf.epoch()
-	if ep == 0 {
-		ts.qDirect.Add(1)
-		g := ts.crs[f.Process].at(int32(cf.vec))
-		return vecs.component(g, e.Process, ts.numProcs) >= eIdx, nil
+	var c *cluster.Info
+	fe, direct := int32(0), cf.epoch() == 0 // fe: FM(f)[pe], where f's stored form holds it
+	if direct {
+		fe = vecs.component(ts.crs[f.Process].at(int32(cf.vec)), e.Process, ts.numProcs)
+	} else {
+		c = ts.epoch(cf.epoch())
+		var pos int
+		if pos, direct = c.PosOf(int32(e.Process)); direct {
+			fe = vecs.projAt(cf.vec, pos)
+		}
 	}
-	c := ts.epoch(ep)
-	if pos, ok := c.PosOf(int32(e.Process)); ok {
+	if direct {
 		ts.qDirect.Add(1)
-		return vecs.projAt(cf.vec, pos) >= eIdx, nil
+		if fe != eIdx || ce.kind() != model.Sync || cf.kind() != model.Sync {
+			return fe >= eIdx, nil
+		}
+		// Partners? FM(e)[pf], read off e's stored form as FM(f)[pe] was.
+		var ef int32
+		vecs = ts.vectors(e.Process)
+		if ep := ce.epoch(); ep == 0 {
+			ef = vecs.component(ts.crs[e.Process].at(int32(ce.vec)), f.Process, ts.numProcs)
+		} else if pos, ok := ts.epoch(ep).PosOf(int32(f.Process)); ok {
+			ef = vecs.projAt(ce.vec, pos)
+		} else {
+			return true, nil
+		}
+		return ef < int32(f.Index), nil
 	}
 
 	// pe outside f's cluster epoch: route through noted cluster receives.

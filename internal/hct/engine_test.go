@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/strategy"
+	"repro/internal/workload"
 )
 
 func mustTimestamper(t *testing.T, n int, cfg Config) *Timestamper {
@@ -242,6 +243,107 @@ func TestPrecedesSyncPartnersConcurrent(t *testing.T) {
 	}
 	if got, _ := ts.Precedes(q, p); got {
 		t.Errorf("sync halves ordered q->p")
+	}
+}
+
+// TestSyncPartnersReadEachOtherDirectly pins the rule View.Precedes tells the
+// two halves of a synchronous pair apart by, the store keeping no partner
+// (sync-partners-direct, DESIGN.md §10). Over every pair of an RPC tier, at
+// one lane and two, live and at a cut: each half's stored form holds its
+// partner's component directly — it is a noted cluster receive, or the partner
+// is in its epoch — and that component is exactly the partner's index;
+// neither half precedes the other and the two are concurrent. And the case the
+// rule must not swallow: a synchronous event f that is not e's partner but
+// holds exactly e's index directly — the next call the partner's process
+// served — is e's successor, and not the other way round.
+func TestSyncPartnersReadEachOtherDirectly(t *testing.T) {
+	tr := workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1)
+	if testing.Short() {
+		tr = workload.RPCBusiness(240, 24, 24, 3000, 0.05, 1)
+	}
+	// Each pair once, and each process's events in index order: the trace is
+	// what says who is whose partner.
+	var pairs [][2]model.EventID
+	events := make([][]model.Event, tr.NumProcs)
+	for _, e := range tr.Events {
+		events[e.ID.Process] = append(events[e.ID.Process], e)
+		if e.Kind == model.Sync && e.ID.Process < e.Partner.Process {
+			pairs = append(pairs, [2]model.EventID{e.ID, e.Partner})
+		}
+	}
+	if len(pairs) == 0 {
+		t.Fatal("the trace has no synchronous pairs")
+	}
+	// direct returns FM(x)[q] when x's stored form holds it, from the cell's
+	// epoch and the view's timestamp.
+	direct := func(v View, x model.EventID, q model.ProcessID) (int32, bool) {
+		t.Helper()
+		c := v.cell(x)
+		if c == nil {
+			t.Fatalf("%v is not below the view's bound", x)
+		}
+		if ep := c.epoch(); ep != 0 {
+			if _, ok := v.ts.epoch(ep).PosOf(int32(q)); !ok {
+				return 0, false
+			}
+		}
+		ts, _ := v.Timestamp(x)
+		comp, ok := ts.Component(q)
+		if !ok {
+			t.Fatalf("%v: the view holds no component %d where the cell does", x, q)
+		}
+		return comp, true
+	}
+	precedes := func(v View, e, f model.EventID, want bool) {
+		t.Helper()
+		if got, err := v.Precedes(e, f); err != nil || got != want {
+			t.Fatalf("Precedes(%v, %v) = %v, %v; want %v", e, f, got, err, want)
+		}
+	}
+	for _, lanes := range []int{1, 2} {
+		pipe, err := NewPipeline(tr.NumProcs, Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()}, PipelineOptions{Shards: lanes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(tr.Events); lo += 1024 {
+			if err := pipe.DispatchAsync(tr.Events[lo:min(lo+1024, len(tr.Events))], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pipe.Barrier()
+		for _, v := range []View{pipe.Live(), pipe.At(pipe.CaptureWatermark(nil))} {
+			successors := 0
+			for _, pr := range pairs {
+				for _, h := range [][2]model.EventID{pr, {pr[1], pr[0]}} {
+					e, g := h[0], h[1] // e's partner g
+					if comp, ok := direct(v, g, e.Process); !ok || comp != int32(e.Index) {
+						t.Fatalf("lanes=%d cut=%v: %v holds its partner %v's component directly: %v, as %d", lanes, v.w != nil, g, e, ok, comp)
+					}
+					precedes(v, e, g, false)
+					// The next synchronous events of g's process that still hold
+					// exactly e's index: e's successors, by one comparison more.
+					for _, f := range events[g.Process][g.Index:min(int(g.Index)+8, len(events[g.Process]))] {
+						comp, ok := direct(v, f.ID, e.Process)
+						if ok && comp > int32(e.Index) {
+							break
+						}
+						if ok && f.Kind == model.Sync {
+							precedes(v, e, f.ID, true)
+							precedes(v, f.ID, e, false)
+							successors++
+						}
+					}
+				}
+				if conc, err := v.Concurrent(pr[0], pr[1]); err != nil || !conc {
+					t.Fatalf("lanes=%d cut=%v: Concurrent(%v, %v) = %v, %v", lanes, v.w != nil, pr[0], pr[1], conc, err)
+				}
+			}
+			if successors == 0 {
+				t.Fatalf("lanes=%d cut=%v: no synchronous non-partner holds a half's index exactly and directly", lanes, v.w != nil)
+			}
+			t.Logf("lanes=%d cut=%v: %d pairs, %d non-partners holding a half's index exactly", lanes, v.w != nil, len(pairs), successors)
+		}
+		pipe.Close()
 	}
 }
 

@@ -1215,7 +1215,7 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 // lane.
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, ep uint32) {
 	p := e.ID.Process
-	c := cell{ek: ep<<2 | uint32(e.Kind), partner: e.Partner}
+	c := cell{ek: ep<<2 | uint32(e.Kind)}
 	k := &ln.keys[p]
 	if ep == 0 {
 		// The note is published before the cell: see store.go.

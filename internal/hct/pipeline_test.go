@@ -45,7 +45,7 @@ func pipelineConfig(t *testing.T, tr *model.Trace, variant, maxCS int) Config {
 // sameTimestamp reports whether two timestamps are identical down to the
 // cluster-epoch identity and every vector element.
 func sameTimestamp(a, b Timestamp) bool {
-	return a.ID == b.ID && a.Kind == b.Kind && a.Partner == b.Partner &&
+	return a.ID == b.ID && a.Kind == b.Kind &&
 		((a.Cluster == nil) == (b.Cluster == nil)) &&
 		(a.Cluster == nil || (a.Cluster.ID == b.Cluster.ID &&
 			vclock.Clock(a.Cluster.Members).Equal(vclock.Clock(b.Cluster.Members)))) &&
@@ -528,6 +528,14 @@ func FuzzPipelineDifferential(f *testing.F) {
 	f.Add(uint8(9), []byte{0x01, 0, 0x09, 0, 0x11, 0, 0x02, 2, 0x02, 0, 0x03, 1, 0x02, 0, 0x1b, 2})
 	f.Add(uint8(23), []byte{0x03, 1, 0x03, 2, 0x0b, 0, 0x04, 3, 0x01, 0, 0x13, 0, 0x02, 1})
 	f.Add(uint8(40), []byte{0x01, 0, 0x01, 0, 0x01, 0, 0x0a, 1, 0x0a, 2, 0x0a, 0, 0x04, 5, 0x0c, 3})
+	// Mostly synchronous pairs (op 3), chained so that a half's successor holds
+	// exactly its index: partners must read each other directly and nothing
+	// else may pass for a partner, as full vectors (maxCS 1 and 2), under
+	// merge-on-first (maxCS 4) and under a static partition (maxCS 3).
+	f.Add(uint8(1), []byte{0x03, 0, 0x0b, 0, 0x13, 0, 0x03, 1, 0x0b, 1, 0x13, 1, 0x03, 0, 0x0b, 0})
+	f.Add(uint8(10), []byte{0x03, 0, 0x03, 1, 0x03, 2, 0x03, 3, 0x0b, 0, 0x1b, 1, 0x23, 2, 0x13, 3, 0x04, 1, 0x03, 0})
+	f.Add(uint8(24), []byte{0x03, 0, 0x0b, 0, 0x03, 1, 0x13, 0, 0x1b, 0, 0x23, 0, 0x03, 2, 0x0c, 1, 0x03, 3, 0x13, 1})
+	f.Add(uint8(20), []byte{0x03, 0, 0x0b, 1, 0x13, 2, 0x1b, 3, 0x23, 4, 0x2b, 5, 0x33, 6, 0x3b, 0, 0x03, 3, 0x1b, 5, 0x2b, 1, 0x3b, 2})
 	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
 		if len(ops) > 600 {
 			ops = ops[:600]

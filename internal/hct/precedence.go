@@ -37,15 +37,23 @@ func recursivePrecedes(src stampSource, e, f model.EventID) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, e)
 	}
-	if _, ok := src.Timestamp(f); !ok {
+	tf, ok := src.Timestamp(f)
+	if !ok {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, f)
 	}
-	// Sync partners carry identical vectors but are mutually concurrent.
-	if te.Kind == model.Sync && te.Partner == f {
-		return false, nil
+	before, err := searchBefore(src, e, f, make(map[model.EventID]bool))
+	if !before || err != nil || te.Kind != model.Sync || tf.Kind != model.Sync || e.Process == f.Process {
+		return before, err
 	}
-	visited := make(map[model.EventID]bool)
-	return searchBefore(src, e, f, visited)
+	// Sync partners carry identical vectors but are mutually concurrent, and
+	// the store keeps no partner. Two synchronous events on different
+	// processes that each know the other are partners — anything else is a
+	// causal cycle — so the question is asked the other way round, by the same
+	// search. Every policy stamps a half over a domain that holds its partner,
+	// or with its full vector (sync-partners-direct, DESIGN.md §10), so that
+	// search reads the partner's index off e's stamp directly.
+	after, err := searchBefore(src, f, e, make(map[model.EventID]bool))
+	return !after, err
 }
 
 // searchBefore reports whether e == g would have been counted; precisely it

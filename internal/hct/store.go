@@ -17,16 +17,20 @@ import (
 // Events of process p live in column p at slot Index-1 — the event model
 // guarantees per-process indexes are dense and 1-based, and the lanes
 // finalize each process's events strictly in index order. What is stored per
-// event is a 16-byte cell that holds no address: where its vector is, the
-// cluster epoch and the kind, and the partner. Everything else is implied by
-// position: the event ID is (column, slot+1); the epoch is an index into the
-// pipeline's append-only epoch table (plane.epochs), whose entry is the
-// immutable *cluster.Info the projection is over; the vector is a frame at an
-// element offset into the arena of the lane that owns the process. Epoch 0 is
-// no epoch: the event is a noted cluster receive and vec is the slot of its
-// note in the process's note column. hct.Timestamp is the read-time form of a
-// cell, built by value on request (View.Timestamp); the precedence path reads
-// cells, frames and notes directly and builds none.
+// event is an 8-byte cell that holds no address: where its vector is, the
+// cluster epoch and the kind. Everything else is implied by position or is
+// not the store's: the event ID is (column, slot+1); a communication event's
+// partner is part of the event's record, which the daemon's write-ahead log
+// keeps, and no read of the store needs it — View.Precedes tells the two
+// halves of a synchronous pair apart by their clocks (sync-partners-direct,
+// DESIGN.md §10); the epoch is an index into the pipeline's append-only epoch
+// table (plane.epochs), whose entry is the immutable *cluster.Info the
+// projection is over; the vector is a frame at an element offset into the
+// arena of the lane that owns the process. Epoch 0 is no epoch: the event is
+// a noted cluster receive and vec is the slot of its note in the process's
+// note column. hct.Timestamp is the read-time form of a cell, built by value
+// on request (View.Timestamp); the precedence path reads cells, frames and
+// notes directly and builds none.
 //
 // No vector is stored as the ints it stands for. Consecutive events of one
 // process differ by little per component — the observation behind the
@@ -172,8 +176,8 @@ import (
 // Notes published after f's cell have indexes above the bound and are skipped
 // by the binary search, so late reads are harmless.
 
-// Page geometry: one constant. 256 cells are 4 KiB, so a 300-process store
-// idles at most 1.2 MB of partial pages.
+// Page geometry: one constant. 256 cells are 2 KiB, so a 300-process store
+// idles at most 0.6 MB of partial pages of cells.
 const (
 	pageShift = 8
 	pageCells = 1 << pageShift
@@ -182,7 +186,7 @@ const (
 
 // The stored sizes, which StoreStats reports and TestStoredFormSizes pins.
 const (
-	cellBytes = 16
+	cellBytes = 8
 	noteBytes = 12
 )
 
@@ -192,9 +196,8 @@ const epochLimit = 1 << 30
 
 // cell is the stored form of one event's timestamp (see the file comment).
 type cell struct {
-	vec     uint32 // projection: element offset of its frame in the owning lane's arena; epoch 0: slot in the process's note column
-	ek      uint32 // epoch index << 2 | kind; epoch 0 = noted cluster receive
-	partner model.EventID
+	vec uint32 // projection: element offset of its frame in the owning lane's arena; epoch 0: slot in the process's note column
+	ek  uint32 // epoch index << 2 | kind; epoch 0 = noted cluster receive
 }
 
 func (c *cell) epoch() uint32    { return c.ek >> 2 }
@@ -488,7 +491,7 @@ type arena struct {
 // fixed-vector accounting (StorageInts) deliberately does not model.
 type StoreStats struct {
 	VectorBytes   int64 `json:"vector_bytes"`     // carved from the lane arenas: keyframes and frames
-	CellBytes     int64 `json:"cell_bytes"`       // 16 per stamped event
+	CellBytes     int64 `json:"cell_bytes"`       // 8 per stamped event
 	NoteBytes     int64 `json:"note_bytes"`       // 12 per noted cluster receive
 	Epochs        int64 `json:"epochs"`           // cluster epochs in the epoch table
 	Keyframes     int64 `json:"cr_keyframes"`     // noted cluster receives stored as a keyframe

@@ -321,7 +321,7 @@ func TestLaneQueueBounded(t *testing.T) {
 	}
 	pipe.Barrier()
 	for _, e := range tr.Events {
-		if _, ok := pipe.Event(e.ID); !ok {
+		if !pipe.Live().Has(e.ID) {
 			t.Fatalf("%v not stamped after the stalled lane resumed", e.ID)
 		}
 	}
@@ -343,7 +343,7 @@ func TestLaneQueueBounded(t *testing.T) {
 // stamping allocates per page and per arena chunk, never per event. Trace and
 // engine are built before the measured region.
 //
-// The ring (spmd-stream): a 16-byte cell for every event; of the 96% that
+// The ring (spmd-stream): an 8-byte cell for every event; of the 96% that
 // carry a projection, over a cluster of up to 13, half are sends whose cell
 // names the frame of the receive before them, and the other half carve a
 // 20-byte frame (the keyframe offset and four elements of packed bytes), with a
@@ -354,17 +354,19 @@ func TestLaneQueueBounded(t *testing.T) {
 // 12-byte note and a 300-byte delta frame — 98% of them move every component,
 // so few are sparse — with a 1200-byte keyframe once per ≈90 of them (≈13
 // B/event, 49 when every one kept its full vector); partial pages and the last
-// arena chunk — ≈40.6 B/event measured. The budget of 50 is below the 50.5 the
-// store measured with a frame per projection, so going back to that fails it,
-// as does a pointer in the cell or a returned full vector per cluster receive.
+// arena chunk — ≈31.9 B/event measured. The budget of 36 is below the 40.6 the
+// store measured with a 16-byte cell that kept the partner, so putting it back
+// fails it, as does a frame per projection (50.5), a pointer in the cell or a
+// returned full vector per cluster receive.
 //
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
-// noted cluster receives and their frames are most of the store — 16 B for
+// noted cluster receives and their frames are most of the store — 8 B for
 // every event, ≈5.5 of projection frames (half of the other half share one),
 // plus ≈0.48 × (12 + 280 + a keyframe's share) ≈ 142, 91% of the frames moving
-// every component — ≈169.6 B/event measured against 171.3 with dense frames
-// only, 177 with a frame per projection, 192 with raw projections, 225 with
-// pointers too and 619 with full vectors; budget 185. Its columns hold a third
+// every component — ≈160.1 B/event measured against 169.6 with the partner in
+// the cell, 171.3 with dense frames only too, 177 with a frame per projection,
+// 192 with raw projections, 225 with pointers too and 619 with full vectors;
+// budget 165, which the 16-byte cell fails. Its columns hold a third
 // of the ring's events each, so pages and directories come to 0.025
 // allocations per event, not 0.013.
 //
@@ -372,8 +374,9 @@ func TestLaneQueueBounded(t *testing.T) {
 // frame moves a median 2% of its components, so every delta frame is sparse —
 // a 36-byte bitmap and the few moved bytes where the dense frame was 288 bytes
 // — and the 2924 keyframes are as many as with dense frames only: vectors
-// ≈30.2 B/event against 40.1, ≈55.4 B/event measured against 66.2; budget 60,
-// which the dense form fails.
+// ≈30.2 B/event against 40.1, ≈45.9 B/event measured against 55.4 with the
+// partner in the cell and 66.2 with dense frames too; budget 50, which the
+// 16-byte cell fails.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -384,9 +387,9 @@ func TestStoreBytesPerEvent(t *testing.T) {
 		budget float64 // heap bytes per event
 		allocs float64 // per event: pages, chunks, directories
 	}{
-		{"ring", workload.Ring(300, 330, false), 50, 0.02},
-		{"random-uniform", workload.RandomUniform(280, 150000, 1), 185, 0.04},
-		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 60, 0.04},
+		{"ring", workload.Ring(300, 330, false), 36, 0.02},
+		{"random-uniform", workload.RandomUniform(280, 150000, 1), 165, 0.04},
+		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 50, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -412,7 +415,7 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames under %d cells that share one, %d + %d cluster-receive keyframes and delta frames, %d of them sparse; %d epochs), %.4f allocs/event, size ratio %.3f",
 				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.SparseFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
-			if st.CellBytes != 16*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
+			if st.CellBytes != 8*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
 				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
 			}
 			if bytesPer > tc.budget {
@@ -434,8 +437,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 }
 
 // TestViewsAllocateNothing pins the by-value read API against the stored
-// form: reconstructed events and the views of cluster receives stored as
-// keyframes allocate nothing, the latter aliasing the store; a precedence
+// form: the views of cluster receives stored as keyframes allocate nothing,
+// aliasing the store; a precedence
 // query allocates nothing whatever it reads — a projection frame on the direct
 // path, one resolved once and indexed per member on the routed path, a
 // cluster receive stored as a dense or a sparse delta frame read directly or
@@ -550,12 +553,6 @@ func TestViewsAllocateNothing(t *testing.T) {
 		{"keyframe views", 0, views(keyframes)},
 		{"delta-frame views", float64(len(deltas)), views(deltas)},
 		{"sparse-frame views", float64(len(sparses)), views(sparses)},
-		{"events", 0, func() {
-			for _, ev := range tr.Events {
-				got, _ := ts.Event(ev.ID)
-				sink += int(got.Kind)
-			}
-		}},
 		{"precedes, projection targets, direct and routed", 0, func() {
 			for _, f := range projs {
 				if _, err := ts.Precedes(e, f); err != nil {

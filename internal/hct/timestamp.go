@@ -35,9 +35,8 @@ import (
 //   - Cluster receives that were not merged carry Full, the complete
 //     Fidge/Mattern vector.
 type Timestamp struct {
-	ID      model.EventID
-	Kind    model.Kind
-	Partner model.EventID
+	ID   model.EventID
+	Kind model.Kind
 
 	Cluster *cluster.Info
 	Proj    []int32

@@ -27,8 +27,8 @@ func checkStampsAgainstFM(t *testing.T, label string, tr *model.Trace, src stamp
 		if !ok {
 			t.Fatalf("%s: Timestamp(%v) missing", label, id)
 		}
-		if got.Kind != st.Event.Kind || got.Partner != st.Event.Partner {
-			t.Fatalf("%s: %v stored as %v partner %v", label, id, got.Kind, got.Partner)
+		if got.Kind != st.Event.Kind {
+			t.Fatalf("%s: %v stored as %v, delivered as %v", label, id, got.Kind, st.Event.Kind)
 		}
 		if got.Full != nil {
 			if got.Cluster != nil || !got.Full.Equal(st.Clock) {

@@ -191,7 +191,7 @@ func (j *memJournal) Stats() string { return "" }
 // sameTimestamp reports whether two timestamps are identical down to the
 // cluster-epoch identity and every vector element.
 func sameTimestamp(a, b hct.Timestamp) bool {
-	return a.ID == b.ID && a.Kind == b.Kind && a.Partner == b.Partner &&
+	return a.ID == b.ID && a.Kind == b.Kind &&
 		((a.Cluster == nil) == (b.Cluster == nil)) &&
 		(a.Cluster == nil || (a.Cluster.ID == b.Cluster.ID &&
 			vclock.Clock(a.Cluster.Members).Equal(vclock.Clock(b.Cluster.Members)))) &&

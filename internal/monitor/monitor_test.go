@@ -44,11 +44,11 @@ func TestMonitorDeliverAndQuery(t *testing.T) {
 	if _, ok := m.Timestamp(r); !ok {
 		t.Fatal("missing timestamp")
 	}
-	if ev, ok := m.Lookup(s); !ok || ev.Kind != model.Send {
-		t.Fatalf("Lookup(s) = %v,%v", ev, ok)
+	if ts, ok := m.Timestamp(s); !ok || ts.Kind != model.Send {
+		t.Fatalf("Timestamp(s) = %v,%v", ts, ok)
 	}
-	if _, ok := m.Lookup(model.EventID{Process: 2, Index: 9}); ok {
-		t.Fatal("Lookup invented an event")
+	if _, ok := m.Timestamp(model.EventID{Process: 2, Index: 9}); ok || m.Has(model.EventID{Process: 2, Index: 9}) {
+		t.Fatal("the store invented an event")
 	}
 	st := m.Stats(300)
 	if st.Events != tr.NumEvents() || st.PendingSends != 0 {

@@ -189,8 +189,8 @@ func TestServerTelemetry(t *testing.T) {
 	if carved := int64(len(tr.Events)) - st.Store.ProjShared; st.Store.VectorBytes < 8*carved {
 		t.Errorf("Status store vector_bytes = %d for the %d events that carved a vector", st.Store.VectorBytes, carved)
 	}
-	if want := 16 * int64(len(tr.Events)); st.Store.CellBytes != want || !strings.Contains(out, fmt.Sprintf("poetd_store_cell_bytes %d\n", want)) {
-		t.Errorf("Status store cell_bytes = %d, want 16 x %d events = %d on /statusz and /metrics", st.Store.CellBytes, len(tr.Events), want)
+	if want := 8 * int64(len(tr.Events)); st.Store.CellBytes != want || !strings.Contains(out, fmt.Sprintf("poetd_store_cell_bytes %d\n", want)) {
+		t.Errorf("Status store cell_bytes = %d, want 8 x %d events = %d on /statusz and /metrics", st.Store.CellBytes, len(tr.Events), want)
 	}
 	if st.Store.NoteBytes != 12*int64(st.Paper.ClusterReceives) || st.Store.Epochs < int64(st.Paper.ClusterMerges) {
 		t.Errorf("Status store = %+v: want 12 note bytes for each of the %d noted cluster receives and an epoch for each of the %d merges",

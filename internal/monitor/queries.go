@@ -21,7 +21,7 @@ import (
 // per process.
 //
 // The queries are shard-safe without locks. A one-shot read (Precedes,
-// Concurrent, Timestamp, Lookup) asks the surface's view as it is. A compound
+// Concurrent, Timestamp) asks the surface's view as it is. A compound
 // one (QueryBatch, GreatestPredecessors, GreatestConcurrent) captures the view
 // once and evaluates every probe against that cut, so the answer reflects a
 // single consistent store state even while the ingest shards keep publishing.
@@ -61,14 +61,6 @@ func (q *Queries) cut() (hct.View, *hct.Watermark) {
 		wp = &w
 	}
 	return q.Capture(*wp), wp
-}
-
-// Lookup fetches a delivered event by ID, reconstructed from its published
-// cell. Lock-free: an event is visible once its stamp is published, so with
-// more than one ingest shard an acknowledged event may briefly report absent
-// (a barrier — the server takes one per query frame — closes the window).
-func (q *Queries) Lookup(id model.EventID) (model.Event, bool) {
-	return q.Event(id)
 }
 
 // QueryBatch answers a batch of precedence queries into a slice of its own;
@@ -153,7 +145,7 @@ type CutEntry struct {
 func (q *Queries) GreatestPredecessors(e model.EventID) ([]CutEntry, error) {
 	v, wp := q.cut()
 	defer q.wmPool.Put(wp)
-	if _, ok := v.Event(e); !ok {
+	if !v.Has(e) {
 		return nil, fmt.Errorf("monitor: GreatestPredecessors: unknown event %v", e)
 	}
 	out := make([]CutEntry, v.NumProcs())
@@ -180,7 +172,7 @@ func (q *Queries) GreatestPredecessors(e model.EventID) ([]CutEntry, error) {
 func (q *Queries) GreatestConcurrent(e model.EventID) ([]CutEntry, error) {
 	v, wp := q.cut()
 	defer q.wmPool.Put(wp)
-	if _, ok := v.Event(e); !ok {
+	if !v.Has(e) {
 		return nil, fmt.Errorf("monitor: GreatestConcurrent: unknown event %v", e)
 	}
 	out := make([]CutEntry, v.NumProcs())

@@ -101,7 +101,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	// the column store really holds (default tenant).
 	reg.GaugeFunc("poetd_store_vector_bytes", "Bytes carved from the lane arenas for projections, keyframes and delta frames.",
 		func() float64 { return float64(pipe.StoreStats().VectorBytes) })
-	reg.GaugeFunc("poetd_store_cell_bytes", "Bytes of stored cells: 16 per stamped event.",
+	reg.GaugeFunc("poetd_store_cell_bytes", "Bytes of stored cells: 8 per stamped event.",
 		func() float64 { return float64(pipe.StoreStats().CellBytes) })
 	reg.GaugeFunc("poetd_store_note_bytes", "Bytes of cluster-receive notes: 12 per noted cluster receive.",
 		func() float64 { return float64(pipe.StoreStats().NoteBytes) })
