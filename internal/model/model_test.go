@@ -222,6 +222,31 @@ func TestValidateRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// TestDeliverySentinelTexts pins the delivery sentinels' texts byte for
+// byte. Clients match them in ERR replies, so the prefixes stay those of the
+// packages that first defined them, whether or not those packages remain.
+func TestDeliverySentinelTexts(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{ErrDeliverProcOutOfRange, "poset: process id out of range"},
+		{ErrDeliverBadIndex, "poset: event index does not extend process history"},
+		{ErrDeliverUnknownSend, "poset: receive refers to unknown send"},
+		{ErrDeliverDuplicate, "poset: duplicate event"},
+		{ErrDeliverSyncInterleaved, "fm: event interleaved inside a synchronous pair"},
+		{ErrDeliverSyncPartner, "fm: sync event does not match pending sync partner"},
+		{ErrDeliverBadPartner, "monitor: bad partner reference"},
+		{ErrDeliverSelfSync, "monitor: sync event partnered with itself"},
+		{ErrDeliverSyncMismatch, "monitor: sync halves do not reference each other"},
+		{ErrDeliverReceiveMismatch, "monitor: receive does not match its send's target"},
+	} {
+		if got := tc.err.Error(); got != tc.want {
+			t.Errorf("sentinel text %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func TestSyncPairValidatesInEitherDeliveryOrder(t *testing.T) {
 	tr := &Trace{NumProcs: 2, Events: []Event{
 		{ID: EventID{1, 1}, Kind: Sync, Partner: EventID{0, 1}},
