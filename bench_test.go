@@ -27,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/monitor"
-	"repro/internal/poset"
 	"repro/internal/strategy"
 	"repro/internal/workload"
 )
@@ -283,25 +282,6 @@ func BenchmarkPrecedenceQueryFM(b *testing.B) {
 		p := pairs[i%len(pairs)]
 		e, f := stamped[p[0]], stamped[p[1]]
 		fm.Precedes(e.Event.ID, e.Clock, f.Event.ID, f.Clock)
-	}
-}
-
-func BenchmarkBTreeInsert(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := poset.NewStore(1)
-		_ = s
-	}
-	// Measure real insertion throughput on the store.
-	b.StopTimer()
-	tr := benchTrace(b, "pvm/ring-64")
-	b.SetBytes(int64(tr.NumEvents()))
-	b.StartTimer()
-	for i := 0; i < b.N; i++ {
-		s := poset.NewStore(tr.NumProcs)
-		if err := s.AppendAll(tr); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

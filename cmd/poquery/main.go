@@ -62,7 +62,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/monitor"
-	"repro/internal/poset"
 	"repro/internal/replay"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -180,7 +179,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		oracle, err := poset.NewOracleFromTrace(tr)
+		oracle, err := model.NewReachability(tr)
 		if err != nil {
 			return err
 		}

@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	clusterts "repro"
-	"repro/internal/poset"
+	"repro/internal/model"
 )
 
 // integrationWorkloads is a cross-environment subset kept small enough for
@@ -97,7 +97,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			}
 
 			// Verify sampled precedence queries against reachability.
-			oracle, err := poset.NewOracleFromTrace(loaded)
+			oracle, err := model.NewReachability(loaded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestAllStrategiesProduceExactPrecedence(t *testing.T) {
 		t.Fatal("missing corpus spec")
 	}
 	tr := spec.Generate()
-	oracle, err := poset.NewOracleFromTrace(tr)
+	oracle, err := model.NewReachability(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestVariantsThroughFacade(t *testing.T) {
 		t.Fatal("missing corpus spec")
 	}
 	tr := spec.Generate()
-	oracle, err := poset.NewOracleFromTrace(tr)
+	oracle, err := model.NewReachability(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

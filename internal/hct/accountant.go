@@ -34,10 +34,6 @@ func NewAccountant(numProcs int, cfg Config) (*Accountant, error) {
 // merged cluster receive, or an ordinary event.
 func (a *Accountant) Observe(e model.Event) { a.core.decide(e) }
 
-// ObservePair processes one receive-kind event in compact form: receiver
-// process p, sending partner process q — no branch on event kind.
-func (a *Accountant) ObservePair(p, q int32) { a.core.receive(p, q) }
-
 // ObserveAll replays the whole trace.
 func (a *Accountant) ObserveAll(tr *model.Trace) {
 	for _, e := range tr.Events {

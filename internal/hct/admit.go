@@ -118,11 +118,11 @@ func (a *Admission) CheckRecord(e model.Event) error {
 }
 
 // checkStream is the stateful half, for a record that passed CheckRecord: the
-// poset store's checks (duplicate, index gap, unknown send), that the send's
-// stored target is this receive, and then the Fidge/Mattern layer's (sync
-// interleaving, sync partner), sentinel for sentinel and in that order. It
-// mutates nothing, so a rejected event leaves the state exactly as it found
-// it.
+// delivery contract's checks (duplicate, index gap, unknown send), that the
+// send's stored target is this receive, and then the Fidge/Mattern layer's
+// (sync interleaving, sync partner), sentinel for sentinel and in that order.
+// It mutates nothing, so a rejected event leaves the state exactly as it
+// found it.
 func (a *Admission) checkStream(e model.Event) error {
 	if want := a.next[e.ID.Process]; e.ID.Index < want {
 		return fmt.Errorf("%w: %v", model.ErrDeliverDuplicate, e.ID)

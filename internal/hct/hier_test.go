@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/commgraph"
 	"repro/internal/model"
-	"repro/internal/poset"
 )
 
 func TestBuildHierarchyErrors(t *testing.T) {
@@ -140,7 +139,7 @@ func TestHierPrecedenceMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 6 + r.Intn(8)
 		tr := randomLocalTrace(r, n, 120)
-		oracle, err := poset.NewOracleFromTrace(tr)
+		oracle, err := model.NewReachability(tr)
 		if err != nil {
 			t.Fatal(err)
 		}

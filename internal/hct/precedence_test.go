@@ -8,7 +8,6 @@ import (
 	"repro/internal/commgraph"
 	"repro/internal/fm"
 	"repro/internal/model"
-	"repro/internal/poset"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
 )
@@ -26,7 +25,7 @@ func TestPrecedenceMatchesOracleAndFM(t *testing.T) {
 			t.Fatalf("trial %d: invalid trace: %v", trial, err)
 		}
 
-		oracle, err := poset.NewOracleFromTrace(tr)
+		oracle, err := model.NewReachability(tr)
 		if err != nil {
 			t.Fatal(err)
 		}

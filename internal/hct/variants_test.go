@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fm"
 	"repro/internal/model"
-	"repro/internal/poset"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
 )
@@ -225,7 +224,7 @@ func TestVariantPrecedenceMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 3 + r.Intn(7)
 		tr := randomLocalTrace(r, n, 110)
-		oracle, err := poset.NewOracleFromTrace(tr)
+		oracle, err := model.NewReachability(tr)
 		if err != nil {
 			t.Fatal(err)
 		}

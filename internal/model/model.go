@@ -137,17 +137,6 @@ func (t *Trace) EventMap() map[EventID]int {
 	return m
 }
 
-// Lookup returns the event with the given ID, scanning the trace. It is
-// intended for tests and small traces; use EventMap for bulk lookups.
-func (t *Trace) Lookup(id EventID) (Event, bool) {
-	for _, e := range t.Events {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
 // Stats summarizes a trace's composition.
 type Stats struct {
 	NumProcs  int
@@ -196,12 +185,13 @@ var (
 )
 
 // Delivery errors: the one table of sentinels for the delivery contract, the
-// precondition of every online consumer of an event stream (the poset store,
-// the pipeline's admission gate, the collector in front of it). Unlike
-// Validate they judge one event against the stream so far. Each text keeps
-// the prefix of the package that first defined it ("poset:", "fm:",
-// "monitor:"), which re-exports the same value, because clients match on the
-// texts over the wire.
+// precondition of every online consumer of an event stream (the
+// Fidge/Mattern timestamper, the pipeline's admission gate, the collector in
+// front of it). Unlike Validate they judge one event against the stream so
+// far. Each text keeps the prefix of the package that first defined it
+// ("poset:", "fm:", "monitor:"), even where that package no longer exists,
+// because clients match on the texts over the wire; fm and monitor re-export
+// the same values.
 var (
 	ErrDeliverProcOutOfRange = errors.New("poset: process id out of range")
 	ErrDeliverBadIndex       = errors.New("poset: event index does not extend process history")

@@ -103,23 +103,19 @@ func TestPerProcessCounts(t *testing.T) {
 	}
 }
 
-func TestEventMapAndLookup(t *testing.T) {
+func TestEventMap(t *testing.T) {
 	tr := buildValid(t)
 	m := tr.EventMap()
 	if len(m) != tr.NumEvents() {
 		t.Fatalf("EventMap size %d != %d", len(m), tr.NumEvents())
 	}
 	for i, e := range tr.Events {
-		if m[e.ID] != i {
-			t.Fatalf("EventMap[%v] = %d, want %d", e.ID, m[e.ID], i)
-		}
-		got, ok := tr.Lookup(e.ID)
-		if !ok || got.ID != e.ID {
-			t.Fatalf("Lookup(%v) failed", e.ID)
+		if j, ok := m[e.ID]; !ok || j != i {
+			t.Fatalf("EventMap[%v] = %d, %v, want %d", e.ID, j, ok, i)
 		}
 	}
-	if _, ok := tr.Lookup(EventID{9, 9}); ok {
-		t.Fatalf("Lookup of absent event succeeded")
+	if _, ok := m[EventID{9, 9}]; ok {
+		t.Fatalf("EventMap holds an absent event")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fm"
 	"repro/internal/hct"
 	"repro/internal/model"
-	"repro/internal/poset"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
 )
@@ -95,7 +94,7 @@ func TestGreatestConcurrentMatchesOracle(t *testing.T) {
 	if err := m.DeliverAll(tr); err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := poset.NewOracleFromTrace(tr)
+	oracle, err := model.NewReachability(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fm"
 	"repro/internal/model"
-	"repro/internal/poset"
 	"repro/internal/workload"
 )
 
@@ -40,7 +39,7 @@ func TestDirectDependencyMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 8; trial++ {
 		tr := randomTrace(r, 3+r.Intn(5), 80)
-		oracle, err := poset.NewOracleFromTrace(tr)
+		oracle, err := model.NewReachability(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +146,7 @@ func TestDifferentialReconstructMatchesFM(t *testing.T) {
 func TestDifferentialPrecedesMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	tr := randomTrace(r, 4, 70)
-	oracle, err := poset.NewOracleFromTrace(tr)
+	oracle, err := model.NewReachability(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestCachedFMReconstructMatchesFM(t *testing.T) {
 func TestCachedFMPrecedesMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	tr := randomTrace(r, 4, 80)
-	oracle, err := poset.NewOracleFromTrace(tr)
+	oracle, err := model.NewReachability(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
