@@ -278,7 +278,11 @@ func TestFutureWorkNumbersPinned(t *testing.T) {
 	if err := mt.ObserveAll(tr); err != nil {
 		t.Fatal(err)
 	}
-	if cr, mig, r := mt.ClusterReceives(), mt.Migrations(), ratio(mt.StorageInts(fixed)); cr != 3450 || mig != 55 || r != "0.1961" {
-		t.Errorf("migrating(after 8, merge-1st): %d noted, %d migrations, ratio %s; want 3450, 55, 0.1961", cr, mig, r)
+	// Migration folds other processes' evidence toward the two clusters it
+	// retires onto their successors, as a merge does: 3450 noted, 55
+	// migrations and 0.1961 while those counts were orphaned, so every number
+	// moved the better way.
+	if cr, mig, r := mt.ClusterReceives(), mt.Migrations(), ratio(mt.StorageInts(fixed)); cr != 3103 || mig != 64 || r != "0.1808" {
+		t.Errorf("migrating(after 8, merge-1st): %d noted, %d migrations, ratio %s; want 3103, 64, 0.1808", cr, mig, r)
 	}
 }

@@ -43,8 +43,8 @@ type Admission struct {
 }
 
 // ErrStoreFull marks a refusal by the store's own limits: a lane's arena is
-// addressed by 32-bit element offsets and the epoch table by 30-bit indexes
-// (store.go), and the gate refuses what could carry either past its width
+// addressed by the 29-bit element offsets of a cell and the epoch table holds
+// at most 2³⁰ entries (store.go), and the gate refuses what could carry either past its width
 // while everything already admitted can still be stamped. Nothing of a
 // refused batch is applied.
 var ErrStoreFull = errors.New("hct: store full")

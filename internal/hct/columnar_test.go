@@ -186,7 +186,7 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	var earlyDir []*[pageCells]cell
 	const earlyWM = pageCells + 3 // captured on the second page
 	for i := 1; i <= total; i++ {
-		c.append(cell{vec: tag(i), ek: uint32(model.Send)})
+		c.append(newCell(false, model.Send, tag(i)))
 		c.publish()
 		if i <= 8 || i == pageCells || i == pageCells+1 {
 			early = append(early, c.get(model.EventIndex(i)))
@@ -199,8 +199,8 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 		t.Fatalf("directory lists %d pages, want %d", got, want)
 	}
 	for _, p := range early {
-		if got := c.get(model.EventIndex(p.vec)); got != p {
-			t.Fatalf("early cell %v moved or mutated: %p, now %p", p.vec, p, got)
+		if got := c.get(model.EventIndex(p.vec())); got != p {
+			t.Fatalf("early cell %v moved or mutated: %p, now %p", p.vec(), p, got)
 		}
 	}
 	// The stale directory reaches every slot below its watermark, at the
@@ -210,13 +210,13 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	}
 	for i := int32(0); i < earlyWM; i++ {
 		via := &earlyDir[i>>pageShift][i&pageMask]
-		if via != c.at(i) || via.vec != tag(int(i)+1) {
-			t.Fatalf("stale directory slot %d = %v at %p, current %p", i, via.vec, via, c.at(i))
+		if via != c.at(i) || via.vec() != tag(int(i)+1) {
+			t.Fatalf("stale directory slot %d = %v at %p, current %p", i, via.vec(), via, c.at(i))
 		}
 	}
 	for i := 1; i <= total; i++ {
 		got := c.get(model.EventIndex(i))
-		if got == nil || got.vec != tag(i) || got.kind() != model.Send {
+		if got == nil || got.vec() != tag(i) || got.kind() != model.Send || got.noted() {
 			t.Fatalf("get(%d) = %+v", i, got)
 		}
 	}
@@ -226,7 +226,7 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 	if c.getAt(earlyWM+1, earlyWM) != nil {
 		t.Fatal("lookup above a captured watermark must miss")
 	}
-	if got := c.getAt(earlyWM, earlyWM); got == nil || got.vec != tag(earlyWM) {
+	if got := c.getAt(earlyWM, earlyWM); got == nil || got.vec() != tag(earlyWM) {
 		t.Fatalf("getAt(wm, wm) = %+v", got)
 	}
 	var empty tsColumn
@@ -244,7 +244,9 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 // projections framed over an earlier one and cells that name their
 // predecessor's frame, cluster receives as keyframes and as delta frames — to
 // what the store held when the watermark was taken, through both readers of
-// each form, a projection's own component coming from the slot. Neither
+// each form, a projection's own component coming from the slot. A
+// projection's epoch is resolved through the stale chunk list alone — the
+// element before its keyframe — and names an entry of the stale table. Neither
 // directory ever rewrites an entry a published cell names.
 func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	tr := workload.Ring(64, 800, false)
@@ -292,28 +294,32 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	for _, want := range early {
 		p := want.ID.Process
 		c := ts.At(w).cell(want.ID)
-		if ep := c.epoch(); ep != 0 {
+		if off := c.vec(); !c.noted() {
+			ep := chunks.epoch(off)
+			if ep == 0 || int(ep) >= len(epochs) {
+				t.Fatalf("%v: the stale chunk list reads epoch %d, the stale table holds %d", want.ID, ep, len(epochs))
+			}
 			cl := epochs[ep]
 			n := len(cl.Members)
 			// A shared cell names what the projection before it names; a
 			// keyframe's own frame lies right behind its elements.
-			if prev := ts.At(w).cell(model.EventID{Process: p, Index: want.ID.Index - 1}); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
+			if prev := ts.At(w).cell(model.EventID{Process: p, Index: want.ID.Index - 1}); prev != nil && !prev.noted() && prev.vec() == off {
 				projShared++
-			} else if key := uint32(chunks.at(c.vec)); key+uint32(n) == c.vec {
+			} else if key := uint32(chunks.at(off)); key+uint32(n) == off {
 				projKeys++
 			} else {
 				projFrames++
 			}
 			own, _ := cl.PosOf(int32(p))
 			other := (own + 1) % n
-			got := chunks.proj(c.vec, n).decode()
+			got := chunks.proj(off, n).decode()
 			got[own] = int32(want.ID.Index)
-			if cl != want.Cluster || !slices.Equal(got, want.Proj) || n > 1 && chunks.projAt(c.vec, other) != want.Proj[other] {
-				t.Fatalf("%v through the stale directories: %v (component %d: %d) over %v, was %v", want.ID, got, other, chunks.projAt(c.vec, other), cl, want)
+			if cl != want.Cluster || !slices.Equal(got, want.Proj) || n > 1 && chunks.projAt(off, other) != want.Proj[other] {
+				t.Fatalf("%v through the stale directories: %v (component %d: %d) over %v, was %v", want.ID, got, other, chunks.projAt(off, other), cl, want)
 			}
 			continue
 		}
-		note := ts.crs[p].at(int32(c.vec))
+		note := ts.crs[p].at(int32(c.vec()))
 		if note.delta == noDelta {
 			keyframes++
 		} else {
@@ -395,9 +401,9 @@ func TestOwnComponentFromSlot(t *testing.T) {
 						t.Fatalf("lanes=%d: %v Proj = %v over %v (own position %d), Fidge/Mattern projects to %v", lanes, e.ID, got.Proj, got.Cluster, own, want)
 					}
 					c := pipe.Live().cell(e.ID)
-					if prev := pipe.Live().cell(model.EventID{Process: e.ID.Process, Index: e.ID.Index - 1}); prev != nil && prev.epoch() != 0 && prev.vec == c.vec {
-						if c.epoch() != prev.epoch() || e.Kind != model.Unary && e.Kind != model.Send {
-							t.Fatalf("lanes=%d: %v (%v, epoch %d) shares the frame of its predecessor under epoch %d", lanes, e.ID, e.Kind, c.epoch(), prev.epoch())
+					if prev := pipe.Live().cell(model.EventID{Process: e.ID.Process, Index: e.ID.Index - 1}); prev != nil && !prev.noted() && prev.vec() == c.vec() {
+						if e.Kind != model.Unary && e.Kind != model.Send {
+							t.Fatalf("lanes=%d: %v (%v) shares the frame of its predecessor", lanes, e.ID, e.Kind)
 						}
 						shared = append(shared, e.ID)
 					}
@@ -452,7 +458,7 @@ func TestOwnComponentFromSlot(t *testing.T) {
 }
 
 // TestStoredFormSizes pins the two numbers the B/event budget (DESIGN §10)
-// is built on, and StoreStats reports by: a cell is 8 bytes and a
+// is built on, and StoreStats reports by: a cell is 4 bytes and a
 // cluster-receive note 12.
 func TestStoredFormSizes(t *testing.T) {
 	for _, tc := range []struct {
@@ -461,7 +467,7 @@ func TestStoredFormSizes(t *testing.T) {
 		reported int64 // what StoreStats multiplies by
 		want     uintptr
 	}{
-		{"cell", reflect.TypeOf(cell{}).Size(), cellBytes, 8},
+		{"cell", reflect.TypeOf(cell(0)).Size(), cellBytes, 4},
 		{"crNote", reflect.TypeOf(crNote{}).Size(), noteBytes, 12},
 	} {
 		if tc.size != tc.want || uintptr(tc.reported) != tc.want {
@@ -490,7 +496,7 @@ func TestStoredFormPointerFree(t *testing.T) {
 			walk(path+"[]", typ.Elem())
 		}
 	}
-	walk("cell", reflect.TypeOf(cell{}))
+	walk("cell", reflect.TypeOf(cell(0)))
 	walk("crNote", reflect.TypeOf(crNote{}))
 }
 

@@ -61,8 +61,8 @@ type plane struct {
 	cols     []tsColumn // per process, cell of event Index in slot Index-1
 	crs      []crColumn // per process, notes sorted by event index
 
-	// epochs is the published epoch table cells name their cluster epoch by
-	// index in; entry 0 is nil, the noted cluster receive. The planner appends
+	// epochs is the published epoch table projection keyframes name their
+	// cluster epoch by index in; entry 0 is nil, no projection's. The planner appends
 	// (Pipeline.stageItem); see store.go for the protocol. It sits with cols
 	// and crs, which the lanes read per event; what follows only queries
 	// touch, and the counters they write.
@@ -92,8 +92,9 @@ func newPlane(numProcs int) plane {
 // after the watermark load (or capture) the offsets were found under.
 func (ts *plane) vectors(p model.ProcessID) chunkDir { return *ts.arenas[p].dir.Load() }
 
-// epoch returns the cluster epoch a cell found under a loaded (or captured)
-// watermark names; i is not 0.
+// epoch returns cluster epoch i, read off the keyframe of a cell found under a
+// loaded (or captured) watermark (chunkDir.epoch), or handed to a lane by the
+// planner; i is not 0.
 func (ts *plane) epoch(i uint32) *cluster.Info { return (*ts.epochs.Load())[i] }
 
 // NewTimestamper returns a timestamper over numProcs processes.
@@ -260,11 +261,11 @@ func (v View) Timestamp(id model.EventID) (Timestamp, bool) {
 	ts := v.ts
 	t := Timestamp{ID: id, Kind: c.kind()}
 	vecs := ts.vectors(id.Process)
-	if ep := c.epoch(); ep == 0 {
-		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec)), ts.numProcs)
+	if c.noted() {
+		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec())), ts.numProcs)
 	} else {
-		t.Cluster = ts.epoch(ep)
-		t.Proj = vecs.proj(c.vec, len(t.Cluster.Members)).decode()
+		t.Cluster = ts.epoch(vecs.epoch(c.vec()))
+		t.Proj = vecs.proj(c.vec(), len(t.Cluster.Members)).decode()
 		own, _ := t.Cluster.PosOf(int32(id.Process))
 		t.Proj[own] = int32(id.Index) // the frame may be a predecessor's, and holds no own component
 	}
@@ -355,14 +356,14 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	ar := ts.arenas[f.Process] // the arena vecs resolves: f's, until the routed loop moves on
 	vecs := *ar.dir.Load()
 	var c *cluster.Info
-	fe, direct := int32(0), cf.epoch() == 0 // fe: FM(f)[pe], where f's stored form holds it
+	fe, direct := int32(0), cf.noted() // fe: FM(f)[pe], where f's stored form holds it
 	if direct {
-		fe = vecs.component(ts.crs[f.Process].at(int32(cf.vec)), e.Process, ts.numProcs)
+		fe = vecs.component(ts.crs[f.Process].at(int32(cf.vec())), e.Process, ts.numProcs)
 	} else {
-		c = ts.epoch(cf.epoch())
+		c = ts.epoch(vecs.epoch(cf.vec()))
 		var pos int
 		if pos, direct = c.PosOf(int32(e.Process)); direct {
-			fe = vecs.projAt(cf.vec, pos)
+			fe = vecs.projAt(cf.vec(), pos)
 		}
 	}
 	if direct {
@@ -373,10 +374,10 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 		// Partners? FM(e)[pf], read off e's stored form as FM(f)[pe] was.
 		var ef int32
 		vecs = ts.vectors(e.Process)
-		if ep := ce.epoch(); ep == 0 {
-			ef = vecs.component(ts.crs[e.Process].at(int32(ce.vec)), f.Process, ts.numProcs)
-		} else if pos, ok := ts.epoch(ep).PosOf(int32(f.Process)); ok {
-			ef = vecs.projAt(ce.vec, pos)
+		if ce.noted() {
+			ef = vecs.component(ts.crs[e.Process].at(int32(ce.vec())), f.Process, ts.numProcs)
+		} else if pos, ok := ts.epoch(vecs.epoch(ce.vec())).PosOf(int32(f.Process)); ok {
+			ef = vecs.projAt(ce.vec(), pos)
 		} else {
 			return true, nil
 		}
@@ -392,7 +393,7 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	// the members of a cluster mostly share a lane another list is loaded
 	// only where the arena changes.
 	ts.qRouted.Add(1)
-	vf := vecs.proj(cf.vec, len(c.Members))
+	vf := vecs.proj(cf.vec(), len(c.Members))
 	for k, q := range c.Members {
 		bound := vf.next(k)
 		if q == int32(f.Process) {

@@ -282,8 +282,8 @@ func TestSyncPartnersReadEachOtherDirectly(t *testing.T) {
 		if c == nil {
 			t.Fatalf("%v is not below the view's bound", x)
 		}
-		if ep := c.epoch(); ep != 0 {
-			if _, ok := v.ts.epoch(ep).PosOf(int32(q)); !ok {
+		if !c.noted() {
+			if _, ok := v.ts.epoch(v.ts.vectors(x.Process).epoch(c.vec())).PosOf(int32(q)); !ok {
 				return 0, false
 			}
 		}

@@ -27,8 +27,9 @@ type MigratingTimestamper struct {
 	cfg MigrateConfig
 
 	// crTowards counts, per process, noted cluster receives whose sender
-	// lay in a given live cluster. Entries are re-keyed on merge and
-	// cleared on migration.
+	// lay in a given live cluster. Entries toward a retired cluster are
+	// re-keyed onto its successor, on merge and on migration; a migrating
+	// process's own are cleared.
 	crTowards []map[cluster.ID]int
 
 	migrations int
@@ -73,7 +74,7 @@ type rekeyOnMerge struct {
 
 func (d rekeyOnMerge) OnMerge(a, b, c cluster.ID) {
 	d.Decider.OnMerge(a, b, c)
-	d.mt.rekeyCounts(a, b, c)
+	d.mt.rekeyCounts(c, a, b)
 }
 
 // Events returns the number of events stamped.
@@ -96,15 +97,6 @@ func (mt *MigratingTimestamper) StorageInts(fixedVector int) int64 {
 
 // decide is the migration policy on the engine's plan stage: the core's rule
 // decides, and a receive it notes is evidence toward the sender's cluster.
-//
-// A property of that evidence, pinned with the V2 numbers and left as it is:
-// Partition.Migrate retires both clusters it touches and gives what remains of
-// the source, and the grown destination, fresh IDs — but only merges re-key
-// crTowards (rekeyOnMerge). The migrating process's own counts are cleared;
-// what every other process had counted toward either retired ID is orphaned,
-// never matched again and never folded onto the successor, so those processes
-// start from zero toward a cluster that merely gained or lost one member.
-// Re-keying on migrate moves the V2 numbers and is its own change.
 func (mt *MigratingTimestamper) decide(e model.Event) *cluster.Info {
 	own := mt.ts.core.decide(e)
 	if own == nil {
@@ -125,20 +117,33 @@ func (mt *MigratingTimestamper) noteCRTowards(p, sender int32) {
 	if target.Size()+1 > mt.cfg.MaxClusterSize {
 		return // no room; keep counting in case the target shrinks
 	}
-	mt.ts.core.part.Migrate(p, target.ID)
+	src := mt.ts.core.part.ClusterOf(p).ID
+	newSrc, newDst := mt.ts.core.part.Migrate(p, target.ID)
 	mt.migrations++
-	// The process starts fresh in its new home; stale counts toward the
-	// retired cluster IDs would never match live clusters anyway.
+	// Migrate retires both clusters it touches. What every other process
+	// counted toward them is evidence toward their successors: the grown
+	// destination, and what is left of the source — or, when p was its last
+	// member, the destination, where that member now lives.
+	srcNow := newDst
+	if newSrc != nil {
+		srcNow = newSrc
+	}
+	mt.rekeyCounts(newDst.ID, target.ID)
+	mt.rekeyCounts(srcNow.ID, src)
+	// The process starts fresh in its new home.
 	mt.crTowards[p] = make(map[cluster.ID]int)
 }
 
-// rekeyCounts folds per-process counters after clusters a and b merge into c.
-func (mt *MigratingTimestamper) rekeyCounts(a, b, c cluster.ID) {
-	for p := range mt.crTowards {
-		counts := mt.crTowards[p]
-		if n := counts[a] + counts[b]; n > 0 {
-			delete(counts, a)
-			delete(counts, b)
+// rekeyCounts folds every process's counts toward the retired clusters olds
+// onto their successor c.
+func (mt *MigratingTimestamper) rekeyCounts(c cluster.ID, olds ...cluster.ID) {
+	for _, counts := range mt.crTowards {
+		n := 0
+		for _, id := range olds {
+			n += counts[id]
+			delete(counts, id)
+		}
+		if n > 0 {
 			counts[c] += n
 		}
 	}

@@ -821,12 +821,12 @@ func (p *Pipeline) storeRoom() int64 {
 // less than twice its size — the unused remainder of a chunk is shorter than
 // the carve that did not fit in it — and one event carves at most twice: a
 // frame, taken back (the remainder it skipped is not), and then a keyframe,
-// which for a projection over every process brings its own frame along. It
-// appends at most one epoch. Any of the unstamped events, and of those
-// admitted from here on, may land on the fullest lane.
+// which for a projection over every process brings its epoch element and its
+// own frame along. It appends at most one epoch. Any of the unstamped events,
+// and of those admitted from here on, may land on the fullest lane.
 func roomFor(ends []uint32, epochs int, unstamped int64, numProcs int) int64 {
 	frame := int64(1 + packedWords(numProcs)) // a cluster receive's has no header: one less
-	perEvent := 2 * (frame + int64(numProcs) + frame)
+	perEvent := 2 * (frame + 1 + int64(numProcs) + frame)
 	room := int64(epochLimit - epochs)
 	for _, end := range ends {
 		room = min(room, (arenaLimit-int64(end))/perEvent)
@@ -1210,26 +1210,27 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 // allocation per event. A send or a unary event changes no component but its
 // own, which is its index, so under the epoch of the projection just before it
 // in its process it carves nothing and its cell names that projection's frame.
-// It cannot fail: the admission gate let the event in only with room for it
-// (storeRoom), and the planner published epoch ep before the item reached this
-// lane.
+// The cell keeps no epoch: a projection's is its keyframe's, which is why a
+// frame is shared only under the same one. It cannot fail: the admission gate
+// let the event in only with room for it (storeRoom), and the planner
+// published epoch ep before the item reached this lane.
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, ep uint32) {
 	p := e.ID.Process
-	c := cell{ek: ep<<2 | uint32(e.Kind)}
 	k := &ln.keys[p]
+	var vec uint32
 	if ep == 0 {
 		// The note is published before the cell: see store.go.
-		c.vec = uint32(appendNote(&ln.pl.crs[p], ln.ar, int32(e.ID.Index), clk))
+		vec = uint32(appendNote(&ln.pl.crs[p], ln.ar, int32(e.ID.Index), clk))
 		k.live = false
 	} else if k.live && k.ep == ep && (e.Kind == model.Unary || e.Kind == model.Send) {
-		c.vec = k.last
+		vec = k.last
 		ln.ar.stats.ProjShared++
 	} else {
 		clk[p] = 0 // not stored: readers take the own component from the slot
-		c.vec = ln.ar.project(k, ep, clk, ln.pl.epoch(ep).Members)
+		vec = ln.ar.project(k, ep, clk, ln.pl.epoch(ep).Members)
 		clk[p] = int32(e.ID.Index)
 	}
-	ln.pl.cols[p].append(c)
+	ln.pl.cols[p].append(newCell(ep == 0, e.Kind, vec))
 	ln.pl.cols[p].publish()
 }
 

@@ -285,7 +285,7 @@ func TestPipelineBatchRejection(t *testing.T) {
 }
 
 // TestStoreRoom holds the store-limit rule to synthetic tallies — nobody can
-// carve 16 GiB in a test: whatever the lanes have published and however many
+// carve 2 GiB in a test: whatever the lanes have published and however many
 // admitted events are still on their way to them, the fullest lane can stamp
 // all of those and the room the rule grants without reaching arenaLimit, and
 // the epoch table can take an epoch from each. The per-event figure the rule
@@ -300,8 +300,8 @@ func TestPipelineBatchRejection(t *testing.T) {
 func TestStoreRoom(t *testing.T) {
 	const numProcs = 300
 	const frame = 1 + (numProcs+3)/4
-	const perEvent = 2 * (frame + numProcs + frame) // what one event moves its lane's offset by, at most
-	const backlog = maxLaneBacklog + 1024           // a full lane queue and the batch let in behind it
+	const perEvent = 2 * (frame + 1 + numProcs + frame) // what one event moves its lane's offset by, at most
+	const backlog = maxLaneBacklog + 1024               // a full lane queue and the batch let in behind it
 	for _, tc := range []struct {
 		name      string
 		ends      []uint32
@@ -447,7 +447,7 @@ func TestStoreFullRefusal(t *testing.T) {
 	ev := func(p, i int) model.Event {
 		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
 	}
-	const perEvent = 2 * (2 + 4 + 2) // numProcs 4: a frame, taken back, then a keyframe and its frame
+	const perEvent = 2 * (2 + 1 + 4 + 2) // numProcs 4: a frame, taken back, then a keyframe with its epoch element and its frame
 	for _, shards := range []int{1, 2} {
 		pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
 			PipelineOptions{Shards: shards})

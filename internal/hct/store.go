@@ -17,20 +17,20 @@ import (
 // Events of process p live in column p at slot Index-1 — the event model
 // guarantees per-process indexes are dense and 1-based, and the lanes
 // finalize each process's events strictly in index order. What is stored per
-// event is an 8-byte cell that holds no address: where its vector is, the
-// cluster epoch and the kind. Everything else is implied by position or is
+// event is a 4-byte cell that holds no address: a bit that says whether the
+// event is a noted cluster receive, the kind, and where its vector is.
+// Everything else is implied by position, is shared by a run of events, or is
 // not the store's: the event ID is (column, slot+1); a communication event's
 // partner is part of the event's record, which the daemon's write-ahead log
 // keeps, and no read of the store needs it — View.Precedes tells the two
 // halves of a synchronous pair apart by their clocks (sync-partners-direct,
-// DESIGN.md §10); the epoch is an index into the pipeline's append-only epoch
-// table (plane.epochs), whose entry is the immutable *cluster.Info the
-// projection is over; the vector is a frame at an element offset into the
-// arena of the lane that owns the process. Epoch 0 is no epoch: the event is
-// a noted cluster receive and vec is the slot of its note in the process's
-// note column. hct.Timestamp is the read-time form of a cell, built by value
-// on request (View.Timestamp); the precedence path reads cells, frames and
-// notes directly and builds none.
+// DESIGN.md §10); the vector of a projection is a frame at an element offset
+// into the arena of the lane that owns the process, and its cluster epoch is
+// stored once per keyframe, not per event (epoch-in-keyframe, below). A noted
+// cluster receive has no epoch: its cell's offset is the slot of its note in
+// the process's note column. hct.Timestamp is the read-time form of a cell,
+// built by value on request (View.Timestamp); the precedence path reads
+// cells, frames and notes directly and builds none.
 //
 // No vector is stored as the ints it stands for. Consecutive events of one
 // process differ by little per component — the observation behind the
@@ -45,13 +45,20 @@ import (
 //
 // A projection over a cluster of n is a frame of 1 + ⌈n/4⌉ elements: the
 // offset of the process's current projection keyframe, then the packed bytes
-// (arena.project). The keyframe is the n raw elements of the projection that
-// started it, followed at once by that event's own frame, all zero bytes; a
-// process starts one when its epoch changes — the members differ — or an
-// offset outgrows its byte, and a noted cluster receive in between does not
-// end it. Every cell of a projection names a frame: there is one form, so a
-// singleton cluster pays 8 bytes per event where its raw element was 4. At a
-// cluster of 13 a frame is 20 bytes where the raw projection was 52.
+// (arena.project). The keyframe is one carve of n + 2 + ⌈n/4⌉ elements: the
+// epoch element — the index of the cluster epoch in the pipeline's
+// append-only epoch table (plane.epochs), whose entry is the immutable
+// *cluster.Info the projection is over — then the n raw elements of the
+// projection that started it, then at once that event's own frame, all zero
+// bytes. A process starts one when its epoch changes — the members may differ
+// — or an offset outgrows its byte, and a noted cluster receive in between
+// does not end it. So every frame over a keyframe is of the keyframe's epoch,
+// and a reader finds a projection's epoch one element before the keyframe its
+// frame's header names (epoch-in-keyframe: written only by arena.project, read
+// only by chunkDir.epoch). Every cell of a projection names a frame: there is
+// one form, so a singleton cluster pays 8 bytes per carved frame where its raw
+// element was 4. At a cluster of 13 a frame is 20 bytes where the raw
+// projection was 52.
 //
 // A frame is carved when the clock changed, not per event. A process's own
 // component is its event's index (paper §2.2), which the cell's slot already
@@ -108,14 +115,16 @@ import (
 // allocation from its own first element on, which is what lets a reader slice
 // a vector out of the chunk its offset names whatever the vector's length.
 //
-// The widths are the store's limits. An element offset has 32 bits and the
-// last chunk is never started (which keeps noDelta out of the offset space),
-// so a lane's arena holds arenaLimit elements, one chunk short of 16 GiB of
-// vectors. An epoch shares its word with the two-bit kind and has 30, so a
-// pipeline names at most epochLimit epochs. Neither can wrap: the admission
-// gate (Admission.reserve, Pipeline.storeRoom) refuses a batch with
-// ErrStoreFull while every lane is still far enough from its limit to stamp
-// everything already admitted.
+// The widths are the store's limits. A cell's offset shares its word with the
+// noted bit and the two-bit kind and has 29 bits, and the last chunk below
+// 2²⁹ is never started, so a lane's arena holds arenaLimit elements, one chunk
+// short of 2 GiB of vectors (noDelta lies far outside). The same 29 bits name
+// a note's slot, and every note carves at least one element of its lane's
+// arena, so no process has as many notes. An epoch index is a keyframe's
+// element, and a pipeline names at most epochLimit epochs. Neither can wrap:
+// the admission gate (Admission.reserve, Pipeline.storeRoom) refuses a batch
+// with ErrStoreFull while every lane is still far enough from its limit to
+// stamp everything already admitted.
 //
 // # Publication protocol (one writer per column, many readers)
 //
@@ -164,7 +173,10 @@ import (
 // writer filled before it wrote the cell or appended the note, so whatever
 // publishes that — the cell's watermark for a projection; for a note its own
 // column's on the routed path, the cell's on the direct path — has published
-// the keyframe, the bytes above it and the chunks both lie in with it.
+// the keyframe, the bytes above it and the chunks both lie in with it. A
+// projection keyframe's epoch element is filled in the same carve, before the
+// first cell that names the keyframe, so the epoch index a reader finds there
+// is one the planner published before that cell's item reached the lane.
 //
 // Soundness of the routed precedence path needs one extra observation: the
 // notes consulted for a query about event f are those of some process q with
@@ -176,8 +188,8 @@ import (
 // Notes published after f's cell have indexes above the bound and are skipped
 // by the binary search, so late reads are harmless.
 
-// Page geometry: one constant. 256 cells are 2 KiB, so a 300-process store
-// idles at most 0.6 MB of partial pages of cells.
+// Page geometry: one constant. 256 cells are 1 KiB, so a 300-process store
+// idles at most 0.3 MB of partial pages of cells.
 const (
 	pageShift = 8
 	pageCells = 1 << pageShift
@@ -186,25 +198,42 @@ const (
 
 // The stored sizes, which StoreStats reports and TestStoredFormSizes pins.
 const (
-	cellBytes = 8
+	cellBytes = 4
 	noteBytes = 12
 )
 
-// epochLimit bounds the epoch table: an epoch index has the 30 bits of
-// cell.ek the kind leaves it.
+// epochLimit bounds the epoch table. An epoch index is stored as an int32
+// arena element (arena.project), so anything below 2³¹ would fit; at 2³⁰
+// entries the table is already 8 GiB of pointers.
 const epochLimit = 1 << 30
 
-// cell is the stored form of one event's timestamp (see the file comment).
-type cell struct {
-	vec uint32 // projection: element offset of its frame in the owning lane's arena; epoch 0: slot in the process's note column
-	ek  uint32 // epoch index << 2 | kind; epoch 0 = noted cluster receive
+// cell is the stored form of one event's timestamp (see the file comment):
+// one word, read through its methods. Bit 31 marks a noted cluster receive,
+// bits 29–30 hold the kind and the low vecBits bits the offset vec returns.
+type cell uint32
+
+const (
+	vecBits  = 29
+	notedBit = 1 << 31
+)
+
+// newCell returns the cell of an event of kind k: for a noted cluster
+// receive vec is the slot of its note in the process's note column,
+// otherwise the element offset of its frame in the owning lane's arena.
+func newCell(noted bool, k model.Kind, vec uint32) cell {
+	c := cell(uint32(k)<<vecBits | vec)
+	if noted {
+		c |= notedBit
+	}
+	return c
 }
 
-func (c *cell) epoch() uint32    { return c.ek >> 2 }
-func (c *cell) kind() model.Kind { return model.Kind(c.ek & 3) }
+func (c cell) noted() bool      { return c&notedBit != 0 }
+func (c cell) kind() model.Kind { return model.Kind(c >> vecBits & 3) }
+func (c cell) vec() uint32      { return uint32(c) & (1<<vecBits - 1) }
 
-// noDelta in crNote.delta marks a keyframe. No delta frame lies there: the
-// arena's last chunk is never started (arenaLimit).
+// noDelta in crNote.delta marks a keyframe. No delta frame lies there: it is
+// far above arenaLimit.
 const noDelta = ^uint32(0)
 
 // sparseBit in crNote.ix marks a sparse delta frame. An event index is a
@@ -300,11 +329,11 @@ func (c *column[T]) getAt(idx model.EventIndex, wm int32) *T {
 
 // Arena geometry (see "Offsets" in the file comment): the first chunk and the
 // steady-state chunk as shifts, and the element count a lane's arena stops
-// short of.
+// short of: every offset below it fits a cell's vecBits.
 const (
 	arenaMinShift = 8
 	arenaMaxShift = 16
-	arenaLimit    = 1<<32 - 1<<arenaMaxShift
+	arenaLimit    = 1<<vecBits - 1<<arenaMaxShift
 )
 
 // chunkOf returns the index of the chunk element offset off falls in and the
@@ -372,6 +401,17 @@ func nonzeroBytes(w uint32) int {
 type projection struct {
 	key, words []int32
 	word       uint32 // the packed offsets of the members from next's k to k|3, member k's lowest
+}
+
+// epochElem is how many elements before a projection keyframe's raw
+// components its epoch element lies (arena.project).
+const epochElem = 1
+
+// epoch returns the epoch index of the projection whose frame lies at off,
+// from the keyframe the frame's header names: the one reader of the epoch
+// element.
+func (d chunkDir) epoch(off uint32) uint32 {
+	return uint32(d.at(uint32(d.at(off)) - epochElem))
 }
 
 // proj resolves the frame at off, of a projection over a cluster of n.
@@ -491,7 +531,7 @@ type arena struct {
 // fixed-vector accounting (StorageInts) deliberately does not model.
 type StoreStats struct {
 	VectorBytes   int64 `json:"vector_bytes"`     // carved from the lane arenas: keyframes and frames
-	CellBytes     int64 `json:"cell_bytes"`       // 8 per stamped event
+	CellBytes     int64 `json:"cell_bytes"`       // 4 per stamped event
 	NoteBytes     int64 `json:"note_bytes"`       // 12 per noted cluster receive
 	Epochs        int64 `json:"epochs"`           // cluster epochs in the epoch table
 	Keyframes     int64 `json:"cr_keyframes"`     // noted cluster receives stored as a keyframe
@@ -677,12 +717,12 @@ func sparsify(f []int32, bw int, words []int32) {
 	}
 }
 
-// projKey is a process's projection state: where its current keyframe lies
-// and the epoch it is over, and last, the frame of its latest projection, which
-// is what the cell of an event that changed no component but the own names
-// again while live — no noted cluster receive came since. Writer-private, 16
-// bytes per process; the zero value is no keyframe yet, epoch 0 being no
-// projection's.
+// projKey is a process's projection state: where its current keyframe's raw
+// components lie and the epoch it is over — the writer's copy of the keyframe's
+// epoch element — and last, the frame of its latest projection, which is what
+// the cell of an event that changed no component but the own names again while
+// live — no noted cluster receive came since. Writer-private, 16 bytes per
+// process; the zero value is no keyframe yet, epoch 0 being no projection's.
 type projKey struct {
 	at, ep, last uint32
 	live         bool
@@ -692,8 +732,9 @@ type projKey struct {
 // for the process whose current keyframe is cur, and returns the offset of its
 // frame, now the process's last. The frame is over that keyframe while the
 // epoch is the same and every component is within 255 of it; otherwise the
-// projection becomes the process's keyframe, carved together with its own
-// all-zero frame. Like arena.frame it packs first and tests once, and takes
+// projection becomes the process's keyframe, carved in one piece behind its
+// epoch element and together with its own all-zero frame — the one writer of
+// an epoch element. Like arena.frame it packs first and tests once, and takes
 // the elements back when an offset did not fit. The caller passes the process's
 // own component as zero (lane.stamp): it is the event's index, which the cell's
 // slot already says, so it neither is stored nor can outgrow its byte.
@@ -722,7 +763,10 @@ func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) u
 		}
 		a.uncarve(f)
 	}
-	at, key := a.carve(n + 1 + w)
+	at, kf := a.carve(epochElem + n + 1 + w)
+	kf[0] = int32(ep)
+	at += epochElem
+	key := kf[epochElem:]
 	for k, q := range members {
 		key[k] = clk[q]
 	}

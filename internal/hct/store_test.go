@@ -343,30 +343,32 @@ func TestLaneQueueBounded(t *testing.T) {
 // stamping allocates per page and per arena chunk, never per event. Trace and
 // engine are built before the measured region.
 //
-// The ring (spmd-stream): an 8-byte cell for every event; of the 96% that
+// The ring (spmd-stream): a 4-byte cell for every event; of the 96% that
 // carry a projection, over a cluster of up to 13, half are sends whose cell
 // names the frame of the receive before them, and the other half carve a
 // 20-byte frame (the keyframe offset and four elements of packed bytes), with a
-// 72-byte keyframe — 13 raw elements and its own frame — once per ≈80 of them,
+// 76-byte keyframe — its epoch element, 13 raw elements and its own frame —
+// once per ≈80 of them,
 // where a neighbour's component outgrows its byte or a merge changes the
 // members (≈10 B/event; 19.5 when every projection carved its frame, 50 when
 // every one kept its 13 ints); for the ≈4% that are noted cluster receives a
 // 12-byte note and a 300-byte delta frame — 98% of them move every component,
 // so few are sparse — with a 1200-byte keyframe once per ≈90 of them (≈13
 // B/event, 49 when every one kept its full vector); partial pages and the last
-// arena chunk — ≈31.9 B/event measured. The budget of 36 is below the 40.6 the
-// store measured with a 16-byte cell that kept the partner, so putting it back
-// fails it, as does a frame per projection (50.5), a pointer in the cell or a
-// returned full vector per cluster receive.
+// arena chunk — ≈27.6 B/event measured. The budget of 30 is below the 31.9 the
+// store measured with an 8-byte cell that kept the epoch, so putting the epoch
+// back in the cell fails it, as does the partner (40.6 with a 16-byte cell), a
+// frame per projection (50.5), a pointer in the cell or a returned full vector
+// per cluster receive.
 //
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
-// noted cluster receives and their frames are most of the store — 8 B for
+// noted cluster receives and their frames are most of the store — 4 B for
 // every event, ≈5.5 of projection frames (half of the other half share one),
 // plus ≈0.48 × (12 + 280 + a keyframe's share) ≈ 142, 91% of the frames moving
-// every component — ≈160.1 B/event measured against 169.6 with the partner in
-// the cell, 171.3 with dense frames only too, 177 with a frame per projection,
-// 192 with raw projections, 225 with pointers too and 619 with full vectors;
-// budget 165, which the 16-byte cell fails. Its columns hold a third
+// every component — ≈155.4 B/event measured against 160.1 with the epoch in
+// the cell, 169.6 with the partner too, 171.3 with dense frames only too, 177
+// with a frame per projection, 192 with raw projections, 225 with pointers too
+// and 619 with full vectors; budget 158, which the 8-byte cell fails. Its columns hold a third
 // of the ring's events each, so pages and directories come to 0.025
 // allocations per event, not 0.013.
 //
@@ -374,9 +376,9 @@ func TestLaneQueueBounded(t *testing.T) {
 // frame moves a median 2% of its components, so every delta frame is sparse —
 // a 36-byte bitmap and the few moved bytes where the dense frame was 288 bytes
 // — and the 2924 keyframes are as many as with dense frames only: vectors
-// ≈30.2 B/event against 40.1, ≈45.9 B/event measured against 55.4 with the
-// partner in the cell and 66.2 with dense frames too; budget 50, which the
-// 16-byte cell fails.
+// ≈30.3 B/event against 40.1, ≈41.1 B/event measured against 45.9 with the
+// epoch in the cell, 55.4 with the partner too and 66.2 with dense frames too;
+// budget 44, which the 8-byte cell fails.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -387,9 +389,9 @@ func TestStoreBytesPerEvent(t *testing.T) {
 		budget float64 // heap bytes per event
 		allocs float64 // per event: pages, chunks, directories
 	}{
-		{"ring", workload.Ring(300, 330, false), 36, 0.02},
-		{"random-uniform", workload.RandomUniform(280, 150000, 1), 165, 0.04},
-		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 50, 0.04},
+		{"ring", workload.Ring(300, 330, false), 30, 0.02},
+		{"random-uniform", workload.RandomUniform(280, 150000, 1), 158, 0.04},
+		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 44, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -415,7 +417,7 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames under %d cells that share one, %d + %d cluster-receive keyframes and delta frames, %d of them sparse; %d epochs), %.4f allocs/event, size ratio %.3f",
 				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.SparseFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
-			if st.CellBytes != 8*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
+			if st.CellBytes != 4*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
 				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
 			}
 			if bytesPer > tc.budget {
@@ -458,11 +460,11 @@ func TestViewsAllocateNothing(t *testing.T) {
 	var projs, keyframes, deltas, sparses []model.EventID
 	for _, ev := range tr.Events {
 		c := ts.Live().cell(ev.ID)
-		if c.epoch() != 0 {
+		if !c.noted() {
 			projs = append(projs, ev.ID)
 			continue
 		}
-		switch note := ts.crs[ev.ID.Process].at(int32(c.vec)); {
+		switch note := ts.crs[ev.ID.Process].at(int32(c.vec())); {
 		case note.delta == noDelta:
 			keyframes = append(keyframes, ev.ID)
 		case note.sparse():
@@ -781,9 +783,13 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 // component other than the own exceeds the current keyframe by more than 255:
 // the own component is the event's index, is not stored, and never re-keys. A
 // keyframe's own frame lies right behind its elements, and a frame must name
-// the current keyframe. Every event, re-read after all later ones were carved,
-// must show the clock it was stamped with — the own component included, which
-// for a shared cell only the slot can say.
+// the current keyframe. The epoch is the keyframe's, not the cell's: every
+// projection, shared cells and a unary event under a new epoch over the same
+// members among them, must read the epoch it was stamped under through its
+// frame's keyframe, at once and after all later events were carved. Every
+// event, re-read after all later ones were carved, must show the clock it was
+// stamped with — the own component included, which for a shared cell only the
+// slot can say.
 func FuzzProjFrameRoundTrip(f *testing.F) {
 	sizes := [...]int{1, 2, 3, 4, 5, 13, 255, 300}
 	steps := [...]int32{0, 1, 255, 256, 70000}
@@ -804,14 +810,20 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 		// again behind each.
 		f.Add(uint8(sel), []byte{0, 1, 0, share, 1, 1, 0, 2<<3 | share, 0, noted, 0, share, 0, share, 0, newEpoch, 0, share})
 	}
-	// N = 4: a 6-element keyframe and 125 two-element frames fill the first
-	// chunk to its last element, so the 126th frame is the first thing in a
+	// N = 4: a 7-element keyframe and 124 two-element frames leave the first
+	// chunk's last element unused, so the 125th frame is the first thing in a
 	// chunk allocated for it.
 	boundary := make([]byte, 0, 512)
 	for i := 0; i < 256; i++ {
 		boundary = append(boundary, byte(i%4), 1)
 	}
 	f.Add(uint8(3), boundary)
+	// N = 4: a keyframe and 122 frames leave five elements of the first chunk,
+	// so the keyframe a unary event under a new epoch starts does not fit, and
+	// its epoch element is the first element of a fresh chunk; a shared cell
+	// and a frame follow over it.
+	fresh := append([]byte(nil), boundary[:2+2*122]...)
+	f.Add(uint8(3), append(fresh, 0, newEpoch, 0, share, 1, 1))
 	// N = 255: the first keyframe is 255 elements and a 65-element frame, more
 	// than the first chunk, so it takes the first two chunks in one allocation
 	// and its frame's header is the last element of the first chunk, its packed
@@ -867,7 +879,7 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			before, prev := ar.end(), *key
 			ln.stamp(e, clk, ep)
 			c := pipe.cols[own].get(e.ID.Index)
-			if c == nil || c.epoch() != ep || c.kind() != kind || clk[own] != int32(e.ID.Index) {
+			if c == nil || c.noted() != (ep == 0) || c.kind() != kind || clk[own] != int32(e.ID.Index) {
 				t.Fatalf("%v: cell %+v under epoch %d, the clock's own component left at %d", e.ID, c, ep, clk[own])
 			}
 			if ep == 0 {
@@ -880,9 +892,12 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			}
 			want := clk.ProjectInto(make([]int32, n), members)
 			inputs = append(inputs, Timestamp{ID: e.ID, Cluster: table[ep], Proj: want})
+			if got := ar.chunks.epoch(c.vec()); got != ep {
+				t.Fatalf("%v: stamped under epoch %d, its keyframe holds %d", e.ID, ep, got)
+			}
 			wantShare := live && lastEp == ep && (kind == model.Unary || kind == model.Send)
-			if shared := ar.end() == before; shared != wantShare || shared && (c.vec != prev.last || *key != prev) {
-				t.Fatalf("%v (kind %v, epoch %d): shared = %v, want %v: cell names %d, projection state %+v, was %+v", e.ID, kind, ep, shared, wantShare, c.vec, *key, prev)
+			if shared := ar.end() == before; shared != wantShare || shared && (c.vec() != prev.last || *key != prev) {
+				t.Fatalf("%v (kind %v, epoch %d): shared = %v, want %v: cell names %d, projection state %+v, was %+v", e.ID, kind, ep, shared, wantShare, c.vec(), *key, prev)
 			}
 			live, lastEp = true, ep
 			if wantShare {
@@ -892,8 +907,8 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			for k := range want {
 				wantKey = wantKey || k != ownPos && want[k]-curKey[k] > 255
 			}
-			header := uint32(ar.chunks.at(c.vec))
-			if isKey := header+uint32(n) == c.vec; isKey != wantKey {
+			header := uint32(ar.chunks.at(c.vec()))
+			if isKey := header+uint32(n) == c.vec(); isKey != wantKey {
 				t.Fatalf("%v: keyframe = %v, want %v (epoch %d, projection %v over the keyframe %v of epoch %d)", e.ID, isKey, wantKey, ep, want, curKey, prev.ep)
 			}
 			if wantKey {
@@ -901,8 +916,8 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			} else if header != prev.at {
 				t.Fatalf("%v: frame over the keyframe at %d, current keyframe at %d", e.ID, header, prev.at)
 			}
-			if *key != (projKey{at: header, ep: ep, last: c.vec, live: true}) {
-				t.Fatalf("%v: the process's projection state is %+v, the frame at %d names %d under epoch %d", e.ID, *key, c.vec, header, ep)
+			if *key != (projKey{at: header, ep: ep, last: c.vec(), live: true}) {
+				t.Fatalf("%v: the process's projection state is %+v, the frame at %d names %d under epoch %d", e.ID, *key, c.vec(), header, ep)
 			}
 		}
 		for i := 0; i+1 < len(data); i += 2 {
@@ -935,7 +950,10 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			if !ok || got.Cluster != want.Cluster || !slices.Equal(got.Proj, want.Proj) || !slices.Equal(got.Full, want.Full) {
 				t.Fatalf("%v reads back as %v (found = %v), stamped %v", want.ID, got, ok, want)
 			}
-			off := pipe.cols[own].get(want.ID.Index).vec
+			off := pipe.cols[own].get(want.ID.Index).vec()
+			if want.Cluster != nil && table[vecs.epoch(off)] != want.Cluster {
+				t.Fatalf("%v: its keyframe reads back epoch %d, stamped under %v", want.ID, vecs.epoch(off), want.Cluster)
+			}
 			for k := range want.Proj {
 				if c := vecs.projAt(off, k); k != ownPos && c != want.Proj[k] {
 					t.Fatalf("%v component %d: projAt() = %d, stamped %d", want.ID, k, c, want.Proj[k])
@@ -961,7 +979,7 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 		st := ar.stats
 		w := int64(packedWords(n))
 		if st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames != int64(len(inputs)) || st.SparseFrames != crSparse ||
-			st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+1+w)+st.ProjFrames*(1+w)+crElems) {
+			st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+2+w)+st.ProjFrames*(1+w)+crElems) {
 			t.Fatalf("tallies %+v for %d events over %d members of %d processes, %d sparse notes", st, len(inputs), n, numProcs, crSparse)
 		}
 		_, fresh := ar.carve(n)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // checkStampsAgainstFM holds every stamp a variant stored for tr to the
@@ -189,6 +190,69 @@ func TestMigrationHappensAndHelps(t *testing.T) {
 	if mt.StorageInts(300) <= 0 {
 		t.Fatal("no storage accounted")
 	}
+}
+
+// TestMigrationKeepsEvidenceAcrossMigrations holds the migration evidence to
+// live clusters: Partition.Migrate retires both clusters it touches, and what
+// other processes counted toward them carries over to the successors. Process
+// 2 hears twice from process 0; process 1 then hears three times and migrates
+// into 0's cluster, retiring it; 2's third receive from 0 is its third toward
+// the cluster 0 lives in, so 2 migrates too. With the two counts left on the
+// retired ID, 2 would count one and stay. Over a web tier under merge-on-first
+// every count, after every migration, names a live cluster, and every stamp is
+// the Fidge/Mattern vector's (a migrated process is stamped under a new epoch).
+func TestMigrationKeepsEvidenceAcrossMigrations(t *testing.T) {
+	liveKeys := func(t *testing.T, mt *MigratingTimestamper) {
+		t.Helper()
+		for p, counts := range mt.crTowards {
+			for id, n := range counts {
+				if _, ok := mt.Partition().Lookup(id); !ok {
+					t.Fatalf("process %d keeps %d receives of evidence toward retired cluster %d", p, n, id)
+				}
+			}
+		}
+	}
+	b := model.NewBuilder("mig-evidence", 4)
+	b.Message(0, 2)
+	b.Message(0, 2)
+	for i := 0; i < 3; i++ {
+		b.Message(0, 1)
+	}
+	b.Message(0, 2)
+	tr := b.Trace()
+	mt, err := NewMigratingTimestamper(4, MigrateConfig{MaxClusterSize: 3, MigrateAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mt.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	part := mt.Partition()
+	if mt.Migrations() != 2 || part.ClusterOf(1) != part.ClusterOf(0) || part.ClusterOf(2) != part.ClusterOf(0) {
+		t.Fatalf("%d migrations, clusters of 0, 1, 2: %v, %v, %v; want 2 migrations into one cluster",
+			mt.Migrations(), part.ClusterOf(0), part.ClusterOf(1), part.ClusterOf(2))
+	}
+	liveKeys(t, mt)
+	checkStampsAgainstFM(t, "migrating", tr, mt)
+
+	tr = workload.WebTier(40, 4, 4, 2, 1500, 7)
+	mt, err = NewMigratingTimestamper(tr.NumProcs, MigrateConfig{MaxClusterSize: 6, MigrateAfter: 3, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr.Events {
+		before := mt.Migrations()
+		if err := mt.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+		if mt.Migrations() != before {
+			liveKeys(t, mt)
+		}
+	}
+	if mt.Migrations() == 0 {
+		t.Fatal("the web tier made no migration")
+	}
+	checkStampsAgainstFM(t, "migrating web tier", tr, mt)
 }
 
 func TestMigrationRespectsSizeBound(t *testing.T) {
