@@ -88,6 +88,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -249,6 +250,11 @@ func main() {
 			err := wlog.Replay(m.DeliverBatchAsync)
 			m.IngestBarrier()
 			if err != nil {
+				if errors.Is(err, hct.ErrStoreFull) {
+					// A log the store's limits refuse: the per-lane arena bound
+					// is what it meets first, and more lanes share it out.
+					err = fmt.Errorf("%w (restart with more -ingest-shards than %d)", err, m.Pipeline().IngestShards())
+				}
 				wlog.Close()
 				m.Close()
 				return monitor.TenantResources{}, fmt.Errorf("wal replay: %w", err)

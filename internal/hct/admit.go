@@ -64,7 +64,8 @@ func (a *Admission) init(numProcs int, storeRoom func() int64) {
 func (a *Admission) reserve(n int) error {
 	if int64(n) > a.room {
 		if a.room = a.storeRoom(); int64(n) > a.room {
-			return fmt.Errorf("hct: no room for %d more events below the arena offset and epoch index limits: %w", n, ErrStoreFull)
+			return fmt.Errorf("hct: no room for %d more events: a lane's arena holds at most %d elements (%d MiB of vectors) and the epoch table %d entries; more lanes spread the processes' vectors over more arenas: %w",
+				n, arenaLimit, arenaLimit*4>>20, epochLimit, ErrStoreFull)
 		}
 	}
 	a.room -= int64(n)

@@ -1,6 +1,7 @@
 package hct
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -342,7 +343,9 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 // frame stores its process's own component, so a frame read as it lies is stale
 // in exactly that position. Over a ring, an RPC trace with synchronous pairs and
 // a web tier, at 1, 2 and 4 lanes: every event's view is the Fidge/Mattern
-// vector, projected, with the own position the event's index; precedence within
+// vector, projected, with the own position the event's index, over the cluster
+// the planner handed it — a shared cell's included, whose epoch the frame it
+// shares carries, so a frame shared across an epoch change shows; precedence within
 // a process, and from outside the cluster into a shared cell — the routed path,
 // which bounds the search over f's own notes by that component — agrees with
 // the oracle; and which cells share, a function of the delivery order and the
@@ -377,18 +380,33 @@ func TestOwnComponentFromSlot(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer pipe.Close()
+				// The epoch each event is stamped under, nil for a noted
+				// cluster receive: what the plan stage's one hook decides.
+				handed := make(map[model.EventID]*cluster.Info, len(tr.Events))
+				decide := pipe.decide
+				pipe.decide = func(e model.Event) *cluster.Info {
+					cl := decide(e)
+					handed[e.ID] = cl
+					return cl
+				}
 				for lo := 0; lo < len(tr.Events); lo += 256 {
 					if err := pipe.DispatchAsync(tr.Events[lo:min(lo+256, len(tr.Events))], nil); err != nil {
 						t.Fatal(err)
 					}
 				}
 				pipe.Barrier()
+				pipe.planMu.Lock() // the hook wrote handed under it
+				epochOf := maps.Clone(handed)
+				pipe.planMu.Unlock()
 
 				var shared []model.EventID
 				for _, e := range tr.Events {
 					got, ok := pipe.Timestamp(e.ID)
 					if !ok {
 						t.Fatalf("lanes=%d: %v not stamped", lanes, e.ID)
+					}
+					if got.Cluster != epochOf[e.ID] {
+						t.Fatalf("lanes=%d: %v (%v) reads back over %v, stamped over %v", lanes, e.ID, e.Kind, got.Cluster, epochOf[e.ID])
 					}
 					if got.Full != nil {
 						if !got.Full.Equal(clock[e.ID]) {

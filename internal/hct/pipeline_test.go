@@ -16,6 +16,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -513,6 +514,60 @@ func TestStoreFullRefusal(t *testing.T) {
 			t.Fatalf("shards=%d: event admitted after the refusals not published", shards)
 		}
 		pipe.Close()
+	}
+}
+
+// TestReplayPastTheStoreLimit replays a write-ahead log the way recovery does
+// (wal.Log.Replay, record by record, into DispatchAsync) into a pipeline whose room is lower than
+// the log is long: the second lane's published arena offset is set,
+// synthetically, two events short of arenaLimit. The first record is stamped,
+// the second is refused whole with ErrStoreFull, and the error names the
+// per-lane limit and that more lanes share it out — what an operator whose
+// log outgrew a lane needs to start again.
+func TestReplayPastTheStoreLimit(t *testing.T) {
+	const perEvent = 2 * (2 + 1 + 4 + 2) // numProcs 4, as in TestStoreFullRefusal
+	ev := func(p, i int) model.Event {
+		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
+	}
+	dir := t.TempDir()
+	wlog, err := wal.Open(dir, wal.Options{NumProcs: 4, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Processes 0 and 1 are the first lane's, so the second never publishes
+	// an offset over the synthetic one.
+	for _, run := range [][]model.Event{{ev(0, 1), ev(1, 1)}, {ev(0, 2), ev(1, 2), ev(0, 3)}} {
+		if err := wlog.Append(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if wlog, err = wal.Open(dir, wal.Options{NumProcs: 4, Sync: wal.SyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()}, PipelineOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	pipe.doneMu.Lock()
+	pipe.laneEnds[1] = arenaLimit - 2*perEvent
+	pipe.doneMu.Unlock()
+
+	err = wlog.Replay(func(batch []model.Event) error { return pipe.DispatchAsync(batch, nil) })
+	pipe.Barrier()
+	if !errors.Is(err, ErrStoreFull) || !strings.Contains(err.Error(), fmt.Sprintf("at most %d elements", arenaLimit)) ||
+		!strings.Contains(err.Error(), "more lanes") {
+		t.Fatalf("replay past the store's limit: %v, want ErrStoreFull naming the %d-element lane limit and more lanes", err, arenaLimit)
+	}
+	if got := pipe.FrontierNext(); !slices.Equal(got, []model.EventIndex{2, 2, 1, 1}) {
+		t.Fatalf("frontier after the refused record: %v, want the first record's alone", got)
+	}
+	if _, ok := pipe.Timestamp(ev(1, 1).ID); !ok {
+		t.Fatal("the record that fit was not stamped")
 	}
 }
 

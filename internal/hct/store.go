@@ -404,7 +404,8 @@ type projection struct {
 }
 
 // epochElem is how many elements before a projection keyframe's raw
-// components its epoch element lies (arena.project).
+// components its epoch element lies: the writer (arena.project) and the
+// reader (chunkDir.epoch) both place it by this name.
 const epochElem = 1
 
 // epoch returns the epoch index of the projection whose frame lies at off,
@@ -764,7 +765,7 @@ func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) u
 		a.uncarve(f)
 	}
 	at, kf := a.carve(epochElem + n + 1 + w)
-	kf[0] = int32(ep)
+	kf[epochElem-1] = int32(ep)
 	at += epochElem
 	key := kf[epochElem:]
 	for k, q := range members {

@@ -769,7 +769,7 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 // writer, lane.stamp, and read back through the views. Each input is the event
 // sequence of one process of a cluster of N members — every other component of
 // the clock, so the member list is not the identity, and the process not the
-// first of them — with N in {1, 2, 3, 4, 5, 13, 255, 300}. Every two bytes are
+// first of them — with N in {1, 2, 3, 4, 5, 13, 254, 255, 300}. Every two bytes are
 // one op: a receive that first steps a run of the other members' components by
 // 0, 1, 255, 256 or 70000; a unary event under a new epoch over the same
 // members; a run of sends and unary events ("share"); or a noted cluster
@@ -791,7 +791,7 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 // stamped with — the own component included, which for a shared cell only the
 // slot can say.
 func FuzzProjFrameRoundTrip(f *testing.F) {
-	sizes := [...]int{1, 2, 3, 4, 5, 13, 255, 300}
+	sizes := [...]int{1, 2, 3, 4, 5, 13, 254, 255, 300}
 	steps := [...]int32{0, 1, 255, 256, 70000}
 	const (
 		newEpoch = 5 + iota // op codes above the steps
@@ -824,17 +824,22 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 	// and a frame follow over it.
 	fresh := append([]byte(nil), boundary[:2+2*122]...)
 	f.Add(uint8(3), append(fresh, 0, newEpoch, 0, share, 1, 1))
-	// N = 255: the first keyframe is 255 elements and a 65-element frame, more
-	// than the first chunk, so it takes the first two chunks in one allocation
-	// and its frame's header is the last element of the first chunk, its packed
-	// bytes the first of the second. The second seed shares that frame.
+	// N = 4: two keyframes, the second under a new epoch, and 121 frames fill
+	// the first chunk exactly, 14 + 121·2 = 256 elements, so the 121st frame
+	// ends on its last element and the 122nd is the first thing in the next.
+	f.Add(uint8(3), append([]byte{0, 1, 0, newEpoch}, boundary[2:2+2*122]...))
+	// N = 254: the first keyframe is its epoch element, 254 elements and a
+	// 65-element frame, more than the first chunk, so it takes the first two
+	// chunks in one allocation and its frame's header is the last element of
+	// the first chunk, its packed bytes the first of the second. The second
+	// seed shares that frame.
 	f.Add(uint8(6), []byte{0, 1, 0, 1, 3, 2})
 	f.Add(uint8(6), []byte{0, 1, 0, 3<<3 | share, 3, 1, 0, share})
 	// N = 300: the first keyframe's allocation has room for one more frame; the
 	// next starts a fresh chunk, and the step of 256 makes it the frame that
 	// does not fit, so the un-carve empties that chunk again and the new
 	// keyframe is the first thing in it.
-	f.Add(uint8(7), []byte{0, 1, 0, 1, 0, 3})
+	f.Add(uint8(8), []byte{0, 1, 0, 1, 0, 3})
 	// N = 13: 320 shared cells carry the own component 321 past the keyframe's,
 	// and the receive behind them is a frame all the same.
 	f.Add(uint8(5), []byte{0, 1, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share,
