@@ -2,15 +2,22 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/hct"
+	"repro/internal/model"
 	"repro/internal/monitor"
+	"repro/internal/obs"
+	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -159,5 +166,98 @@ func TestPoetdHTTPPlane(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("poetd did not shut down after SIGTERM")
+	}
+}
+
+// flakyJournal is a RunJournal that fails its failAt-th AppendRun and accepts
+// every other one.
+type flakyJournal struct {
+	mu            sync.Mutex
+	calls, failAt int
+}
+
+var errDiskGone = errors.New("input/output error")
+
+func (j *flakyJournal) AppendRun([]model.Event) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.calls++
+	if j.calls == j.failAt {
+		return errDiskGone
+	}
+	return nil
+}
+
+func (j *flakyJournal) Stats() string { return "" }
+
+// TestReadinessFollowsTheJournal fails one journal append: the collector
+// fail-stops, and from then on /readyz answers 503 and the tenant's /statusz
+// block names the error, although the journal itself would accept the next
+// run.
+func TestReadinessFollowsTheJournal(t *testing.T) {
+	tr := workload.RandomSparse(6, 3, 200, 11)
+	m, err := monitor.New(tr.NumProcs, hct.Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	tel := obs.NewTelemetry(obs.NewRegistry())
+	srv := monitor.NewServer(m, monitor.ServerConfig{Journal: &flakyJournal{failAt: 3}, Obs: tel})
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := adminPlane(srv, tel, func() bool { return true }).Server()
+	go admin.Serve(ln)
+	defer admin.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := client.Get("http://" + ln.Addr().String() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, _ := get("/readyz"); code != http.StatusOK {
+		t.Fatalf("/readyz = %d before any failure, want 200", code)
+	}
+
+	sess, err := monitor.DialV2(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	failed := false
+	for lo := 0; lo < len(tr.Events) && !failed; lo += 16 {
+		failed = sess.ReportBatch(tr.Events[lo:min(lo+16, len(tr.Events))]) != nil
+	}
+	if !failed {
+		t.Fatal("no batch met the journal failure")
+	}
+	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz = %d after the journal failed, want 503", code)
+	}
+	_, body := get("/statusz")
+	var status struct {
+		Tenants map[string]struct {
+			JournalError string `json:"journal_error"`
+		} `json:"tenants"`
+	}
+	if err := json.Unmarshal([]byte(body), &status); err != nil {
+		t.Fatalf("/statusz is not JSON: %v", err)
+	}
+	if got := status.Tenants[monitor.DefaultTenant].JournalError; !strings.Contains(got, errDiskGone.Error()) {
+		t.Fatalf("/statusz journal_error = %q, want it to name %q", got, errDiskGone)
 	}
 }

@@ -350,13 +350,7 @@ func main() {
 		if err != nil {
 			fatal("admin http listen failed", err)
 		}
-		admin = obs.Admin{
-			Registry: reg,
-			Ready:    ready.Load,
-			Status:   func() any { return srv.Status() },
-			Ops:      tel.Ops,
-			Traces:   tel.Traces,
-		}.Server()
+		admin = adminPlane(srv, tel, ready.Load).Server()
 		go func() {
 			if err := admin.Serve(ln); err != nil {
 				logger.Error("admin http server failed", "err", err)
@@ -384,6 +378,20 @@ func main() {
 			"cluster_receives", st.ClusterReceives, "storage_ints", st.StorageInts)
 	}
 	logger.Info("final counters", "counters", srv.Counters())
+}
+
+// adminPlane is the admin HTTP surface over srv. /readyz answers 200 while
+// serving says so and no tenant's write-ahead journal has failed: a journal
+// failure fail-stops that tenant's ingest, and its /statusz block names the
+// error.
+func adminPlane(srv *monitor.Server, tel *obs.Telemetry, serving func() bool) obs.Admin {
+	return obs.Admin{
+		Registry: tel.Registry,
+		Ready:    func() bool { return serving() && srv.JournalErr() == nil },
+		Status:   func() any { return srv.Status() },
+		Ops:      tel.Ops,
+		Traces:   tel.Traces,
+	}
 }
 
 // parseLevel maps the -log-level flag onto a slog level.

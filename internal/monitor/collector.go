@@ -74,6 +74,9 @@ type Collector struct {
 	held    int
 	run     []model.Event // deliverable run being assembled (reused)
 	journal RunJournal    // optional write-ahead journal
+	// journalErr is the journal failure that closed the collector, if one
+	// did; the server's readiness and /statusz report it.
+	journalErr error
 
 	// pipelined selects asynchronous delivery: SubmitBatch returns once the
 	// run is with the plan stage, without waiting for the stamps to
@@ -380,6 +383,7 @@ func (c *Collector) flush(tr *obs.Trace) error {
 		}
 		if err != nil {
 			c.closed = true
+			c.journalErr = err
 			c.run = c.run[:0]
 			return fmt.Errorf("monitor: journal append failed, collector closed: %w", err)
 		}
@@ -398,6 +402,13 @@ func (c *Collector) flush(tr *obs.Trace) error {
 		return fmt.Errorf("monitor: %w", err)
 	}
 	return nil
+}
+
+// journalFailure returns the journal error that closed the collector, or nil.
+func (c *Collector) journalFailure() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.journalErr
 }
 
 // Held returns the number of buffered, undelivered events.

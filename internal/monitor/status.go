@@ -240,6 +240,9 @@ type TenantStatus struct {
 	Queries   int64       `json:"queries"`
 	Held      int         `json:"collector_held"`
 	WALEvents uint64      `json:"wal_events,omitempty"`
+	// JournalError names the write-ahead journal failure that fail-stopped
+	// the tenant's ingest; empty while the journal is healthy.
+	JournalError string `json:"journal_error,omitempty"`
 	Paper     PaperStatus `json:"paper"`
 	Store     StoreStatus `json:"store"`
 	// History is present when the tenant's history provider reports one.
@@ -329,6 +332,9 @@ func (s *Server) Status() ServerStatus {
 		}
 		if t.walEvents != nil {
 			ts.WALEvents = t.walEvents()
+		}
+		if err := t.collector.journalFailure(); err != nil {
+			ts.JournalError = err.Error()
 		}
 		if h, ok := t.history.(interface{ HistoryStatus() HistoryStatus }); ok {
 			hs := h.HistoryStatus()

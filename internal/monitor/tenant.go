@@ -267,6 +267,18 @@ func (s *Server) NumTenants() int {
 	return len(s.tenants)
 }
 
+// JournalErr returns the first write-ahead journal failure among the
+// tenants, naming its tenant, or nil while every journal is healthy. A
+// failed journal fail-stops its tenant's ingest.
+func (s *Server) JournalErr() error {
+	for _, t := range s.Tenants() {
+		if err := t.collector.journalFailure(); err != nil {
+			return fmt.Errorf("tenant %q: %w", t.name, err)
+		}
+	}
+	return nil
+}
+
 // close publishes everything the tenant's collector dispatched, closes the
 // collector (buffered events stranded in it are an error) and, for a
 // factory-created tenant, releases its resources.

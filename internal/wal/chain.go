@@ -31,16 +31,18 @@ package wal
 // an event cutoff in O(log records). Sidecars are a pure cache: they are
 // validated against the source file's identity (header CRC, size) and
 // rebuilt by scanning whenever anything mismatches, and the writer deletes
-// them alongside their source during compaction. Recovery and compaction
-// neither read nor write them: every record they keep is CRC-checked.
+// them alongside their source during compaction. They are written through
+// the same commit as a snapshot, without its fsyncs: a sidecar a crash loses
+// is a cache miss. Recovery and compaction neither read nor write them:
+// every record they keep is CRC-checked.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -53,21 +55,7 @@ type ChainOptions struct {
 	// NumProcs, when positive, is enforced against every file header.
 	// Zero adopts the process count recorded in the chain itself.
 	NumProcs int
-	// NoSidecar disables writing .idx index sidecars (reading existing
-	// ones is always attempted). The only writes OpenChain ever performs
-	// are these additive cache files; NoSidecar makes it strictly
-	// read-only.
-	NoSidecar bool
 }
-
-// idxMode is how a part's record index may be obtained.
-type idxMode int
-
-const (
-	idxNone      idxMode = iota // CRC-check every record; touch no sidecar
-	idxRead                     // adopt a sidecar that matches, else scan
-	idxReadWrite                // as idxRead, and cache a clean scan's index
-)
 
 // recEntry locates one record of a chain part: the byte offset of its
 // record header and the number of events in the part before it.
@@ -93,6 +81,7 @@ type chainPart struct {
 // sealed snapshot (if any) plus the segment tail, validated and mapped.
 // A Chain is immutable after OpenChain; reopen to observe later appends.
 type Chain struct {
+	fsys     fileSystem
 	numProcs int
 	parts    []*chainPart // snapshot first (if any), then segments by base
 	events   uint64
@@ -109,13 +98,9 @@ type Chain struct {
 // the race). The returned chain is a consistent prefix of the delivered
 // sequence as of some instant during the call.
 func OpenChain(dir string, opts ChainOptions) (*Chain, error) {
-	sealed := idxReadWrite
-	if opts.NoSidecar {
-		sealed = idxRead
-	}
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
-		c, err := scanChain(dir, opts.NumProcs, sealed)
+		c, err := scanChain(osFS{}, dir, opts.NumProcs, true)
 		if err == nil {
 			return c, nil
 		}
@@ -129,9 +114,9 @@ func OpenChain(dir string, opts ChainOptions) (*Chain, error) {
 
 // scanChain lists dir once and applies the directory's rules, mapping and
 // validating every part it keeps. numProcs is enforced when positive and
-// adopted from the headers when zero; sealed is the index mode for parts
-// that cannot grow (the final segment is always scanned). It removes and
-// truncates nothing.
+// adopted from the headers when zero; sidecars lets parts that cannot grow
+// use and cache an index sidecar (the final segment is always scanned). It
+// removes and truncates nothing.
 //
 // A file is a crash leftover — skipped, and listed for Open to remove — when
 // it is something an interrupted compaction, rotation or cache write leaves
@@ -159,12 +144,12 @@ func OpenChain(dir string, opts ChainOptions) (*Chain, error) {
 // snapshot and the first segment, or between segments; a segment that
 // overlaps the one before it. A damaged snapshot whose events the segments
 // no longer hold therefore ends the scan in a gap: it is refused, and kept.
-func scanChain(dir string, numProcs int, sealed idxMode) (c *Chain, err error) {
-	entries, err := os.ReadDir(dir)
+func scanChain(fsys fileSystem, dir string, numProcs int, sidecars bool) (c *Chain, err error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	c = &Chain{numProcs: numProcs}
+	c = &Chain{fsys: fsys, numProcs: numProcs}
 	chain := c // the named return is nil on error paths; unmap via this ref
 	defer func() {
 		if err != nil {
@@ -198,7 +183,7 @@ func scanChain(dir string, numProcs int, sealed idxMode) (c *Chain, err error) {
 			c.leftovers = append(c.leftovers, path) // older than the winner
 			continue
 		}
-		part, perr := openChainPart(c, path, true, n, sealed)
+		part, perr := openChainPart(c, path, true, n, sidecars)
 		if isDamage(perr) {
 			c.leftovers = append(c.leftovers, path)
 			continue
@@ -212,11 +197,7 @@ func scanChain(dir string, numProcs int, sealed idxMode) (c *Chain, err error) {
 	for i, b := range segBases {
 		path := filepath.Join(dir, segName(b))
 		last := i == len(segBases)-1
-		mode := sealed
-		if last {
-			mode = idxNone
-		}
-		part, perr := openChainPart(c, path, false, b, mode)
+		part, perr := openChainPart(c, path, false, b, sidecars && !last)
 		if last && isDamage(perr) {
 			c.leftovers = append(c.leftovers, path)
 			c.torn = true
@@ -303,26 +284,13 @@ func parseHeaderBytes(data []byte, magic string) (n uint64, procs int, err error
 
 // openChainPart maps one file and validates it: header identity against the
 // name and c.numProcs (enforced when set, adopted when zero), then the body,
-// via its sidecar when idx allows one and it matches, else by a full CRC
-// scan. A segment's bad tail is reported as part.torn, not as an error; a
-// snapshot must be sealed.
-func openChainPart(c *Chain, path string, snapshot bool, wantN uint64, idx idxMode) (*chainPart, error) {
-	f, err := os.Open(path)
+// via its sidecar when sidecars allows one and it matches, else by a full
+// CRC scan (whose index sidecars then caches). A segment's bad tail is
+// reported as part.torn, not as an error; a snapshot must be sealed.
+func openChainPart(c *Chain, path string, snapshot bool, wantN uint64, sidecars bool) (*chainPart, error) {
+	data, unmap, err := c.fsys.Map(path)
 	if err != nil {
 		return nil, err
-	}
-	st, err := f.Stat()
-	if err == nil && !st.Mode().IsRegular() {
-		err = fmt.Errorf("wal: %s: not a regular file", path)
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	data, unmap, err := mapFile(f, st.Size())
-	f.Close() // the mapping keeps the pages
-	if err != nil {
-		return nil, fmt.Errorf("wal: mapping %s: %w", path, err)
 	}
 	part := &chainPart{path: path, snapshot: snapshot, data: data, unmap: unmap}
 	magic := segMagic
@@ -346,7 +314,7 @@ func openChainPart(c *Chain, path string, snapshot bool, wantN uint64, idx idxMo
 		part.base = n
 	}
 
-	if idx == idxNone || !loadSidecar(part, snapshot) {
+	if !sidecars || !loadSidecar(c.fsys, part, snapshot) {
 		recs, events, validLen, sealCount, isSealed, torn := scanChainBody(data, snapshot)
 		if snapshot && (!isSealed || sealCount != n || events != n) {
 			part.close()
@@ -354,8 +322,8 @@ func openChainPart(c *Chain, path string, snapshot bool, wantN uint64, idx idxMo
 				path, isSealed, sealCount, n, events)}
 		}
 		part.recs, part.events, part.validLen, part.torn = recs, events, validLen, torn
-		if idx == idxReadWrite && !torn {
-			writeSidecar(part, snapshot) // best effort: a cache miss next time
+		if sidecars && !torn {
+			writeSidecar(c.fsys, part, snapshot) // best effort: a cache miss next time
 		}
 		part.data = data[:validLen]
 	}
@@ -541,18 +509,17 @@ func sidecarPath(path string) string {
 }
 
 // removeWithSidecar deletes a chain file together with its index sidecar.
-// Used by the writer (Open recovery, compaction cleanup) so sidecars never
-// outlive their source.
-func removeWithSidecar(path string) {
-	os.Remove(path)
-	os.Remove(sidecarPath(path))
+// Compaction's cleanup uses it so sidecars never outlive their source.
+func removeWithSidecar(fsys fileSystem, path string) {
+	fsys.Remove(path)
+	fsys.Remove(sidecarPath(path))
 }
 
 // loadSidecar adopts a cached record index if it matches the (sealed)
 // source part exactly: same header identity, same byte length. Any
 // mismatch means "cache miss" — the caller rescans.
-func loadSidecar(part *chainPart, snapshot bool) bool {
-	raw, err := os.ReadFile(sidecarPath(part.path))
+func loadSidecar(fsys fileSystem, part *chainPart, snapshot bool) bool {
+	raw, err := fsys.ReadFile(sidecarPath(part.path))
 	if err != nil || len(raw) < 8+1+1+4+8+4+8+8+4+4 {
 		return false
 	}
@@ -603,8 +570,8 @@ func loadSidecar(part *chainPart, snapshot bool) bool {
 }
 
 // writeSidecar persists a part's record index next to it, atomically
-// (tmp + rename). Failures are ignored: the sidecar is a cache.
-func writeSidecar(part *chainPart, snapshot bool) {
+// (tmp + rename, no fsync). Failures are ignored: the sidecar is a cache.
+func writeSidecar(fsys fileSystem, part *chainPart, snapshot bool) {
 	if int64(len(part.data)) != part.validLen {
 		// Only seal-exact parts are cacheable (the load path requires it).
 		return
@@ -629,12 +596,8 @@ func writeSidecar(part *chainPart, snapshot bool) {
 	buf = appendU32(buf, crc32.Checksum(buf, crcTable))
 
 	final := sidecarPath(part.path)
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-	}
+	commitFile(fsys, final+".tmp", final, false, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 }

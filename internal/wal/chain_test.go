@@ -249,8 +249,8 @@ func TestChainTornSeal(t *testing.T) {
 }
 
 // TestChainSidecar exercises the .idx cache: written for sealed parts,
-// reused on a second open, rejected (with a clean rescan) when stale or
-// corrupt, and suppressed entirely by NoSidecar.
+// reused on a second open, and rejected (with a clean rescan) when stale or
+// corrupt.
 func TestChainSidecar(t *testing.T) {
 	dir := t.TempDir()
 	runs, numProcs := testRuns(t, 13, 300)
@@ -334,15 +334,4 @@ func TestChainSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	open().Close()
-
-	// NoSidecar never writes the cache back.
-	os.Remove(idx)
-	c3, err := OpenChain(dir, ChainOptions{NumProcs: numProcs, NoSidecar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3.Close()
-	if _, err := os.Stat(idx); err == nil {
-		t.Fatal("NoSidecar open wrote a sidecar")
-	}
 }

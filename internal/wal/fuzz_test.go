@@ -153,9 +153,10 @@ func FuzzWALChainOpen(f *testing.F) {
 			}
 		}
 
-		c, err := OpenChain(dir, ChainOptions{NumProcs: numProcs, NoSidecar: true})
+		// The image is read before OpenChain, which may add index sidecars.
 		damaged := readDirImage(t, dir)
 		rdir := writeDirImage(t, damaged)
+		c, err := OpenChain(dir, ChainOptions{NumProcs: numProcs})
 		l, lerr := Open(rdir, Options{NumProcs: numProcs, Sync: SyncNever})
 		if (err == nil) != (lerr == nil) {
 			t.Fatalf("OpenChain: %v, but Open: %v", err, lerr)
@@ -217,7 +218,7 @@ func FuzzWALChainOpen(f *testing.F) {
 		if !eventsEqual(recovered, got) || !reflect.DeepEqual(recoveredBounds, bounds) {
 			t.Fatalf("Replay yielded %d events in %d runs, chain %d in %d", len(recovered), len(recoveredBounds), len(got), len(bounds))
 		}
-		repaired, err := OpenChain(rdir, ChainOptions{NumProcs: numProcs, NoSidecar: true})
+		repaired, err := OpenChain(rdir, ChainOptions{NumProcs: numProcs})
 		if err != nil {
 			t.Fatalf("OpenChain after Open's repairs: %v", err)
 		}

@@ -26,8 +26,8 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -141,14 +141,21 @@ type segment struct {
 // Log is an append-only write-ahead log of delivered runs. All methods are
 // safe for concurrent use; Append is designed to sit on the collector's
 // flush path.
+//
+// A log fails stop: the first failed write, fsync, directory fsync, rotation
+// or snapshot is latched and returned by every later Append, Sync, Compact
+// and Close. After a failed fsync the kernel may have dropped the pages, and
+// a later fsync that succeeds would vouch for data that is gone.
 type Log struct {
 	dir      string
+	fsys     fileSystem
 	opts     Options
 	counters *Counters
 
 	mu         sync.Mutex
 	closed     bool
-	f          *os.File      // active segment
+	err        error         // the latched failure; nil while healthy
+	f          file          // active segment
 	w          *bufio.Writer // buffers f
 	base       uint64        // event offset at the active segment's start
 	segEvents  uint64        // events appended to the active segment
@@ -170,9 +177,6 @@ type Log struct {
 	stopTick  chan struct{}
 	tickWG    sync.WaitGroup
 	compactWG sync.WaitGroup
-
-	compactMu  sync.Mutex
-	compactErr error // first asynchronous compaction failure
 }
 
 func segName(base uint64) string { return fmt.Sprintf("wal-%016x.log", base) }
@@ -199,19 +203,22 @@ func parseHexName(name, prefix, suffix string) (uint64, bool) {
 // skipped. Repair: only then are the leftovers removed, a torn tail
 // truncated, and the log positioned for appending. Call Replay before the
 // first Append to stream the recovered sequence into a fresh monitor.
-func Open(dir string, opts Options) (*Log, error) {
+func Open(dir string, opts Options) (*Log, error) { return openLog(osFS{}, dir, opts) }
+
+// openLog is Open over the file system fsys.
+func openLog(fsys fileSystem, dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.NumProcs <= 0 {
 		return nil, fmt.Errorf("wal: NumProcs must be positive, got %d", opts.NumProcs)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	c, err := scanChain(dir, opts.NumProcs, idxNone)
+	c, err := scanChain(fsys, dir, opts.NumProcs, false)
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, counters: newCounters(), lastSync: time.Now(), chain: c}
+	l := &Log{dir: dir, fsys: fsys, opts: opts, counters: newCounters(), lastSync: time.Now(), chain: c}
 	if err := l.repair(); err != nil {
 		c.Close()
 		return nil, err
@@ -231,7 +238,7 @@ func Open(dir string, opts Options) (*Log, error) {
 func (l *Log) repair() error {
 	c := l.chain
 	for _, path := range c.leftovers {
-		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := l.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("wal: removing crash leftover: %w", err)
 		}
 	}
@@ -243,7 +250,7 @@ func (l *Log) repair() error {
 			continue
 		}
 		if p.torn {
-			if err := os.Truncate(p.path, p.validLen); err != nil {
+			if err := l.fsys.Truncate(p.path, p.validLen); err != nil {
 				return fmt.Errorf("wal: truncating torn tail: %w", err)
 			}
 		}
@@ -260,7 +267,7 @@ func (l *Log) repair() error {
 		return l.newSegment(l.appended)
 	}
 	last := segs[len(segs)-1]
-	f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := l.fsys.Append(last.path)
 	if err != nil {
 		return err
 	}
@@ -270,28 +277,26 @@ func (l *Log) repair() error {
 	return nil
 }
 
-// newSegment creates and activates a fresh segment starting at base.
-// Callers hold mu (or have exclusive access during Open).
+// newSegment creates and activates a fresh segment starting at base; on
+// failure the active segment is unchanged. Callers hold mu (or have
+// exclusive access during Open).
 func (l *Log) newSegment(base uint64) error {
-	path := filepath.Join(l.dir, segName(base))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := l.fsys.Create(filepath.Join(l.dir, segName(base)))
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 256*1024)
-	if err := writeFileHeader(w, segMagic, base, l.opts.NumProcs); err != nil {
-		f.Close()
-		return err
+	err = writeFileHeader(w, segMagic, base, l.opts.NumProcs)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = l.fsys.SyncDir(l.dir)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -325,9 +330,6 @@ func (l *Log) SnapshotCount() uint64 {
 	defer l.mu.Unlock()
 	return l.snapCount
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Counters is the log's durability accounting — how much it appended, how
 // often it reached the disk, how many snapshots it cut, what recovery found
@@ -435,7 +437,8 @@ func (l *Log) releaseChain() {
 // Append logs one delivered run. It returns once the run is durable to the
 // configured policy: under SyncAlways the record has been fsynced; under
 // SyncBatch it is buffered and will be group-committed within SyncBytes /
-// SyncInterval; under SyncNever it is left to the page cache.
+// SyncInterval; under SyncNever it is left to the page cache. Once the log
+// has failed, Append writes nothing and returns the failure.
 func (l *Log) Append(events []model.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -450,6 +453,9 @@ func (l *Log) Append(events []model.Event) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if l.err != nil {
+		return l.err
 	}
 	l.curTrace, l.curSpan = tr, sp
 	defer func() { l.curTrace = nil }()
@@ -467,7 +473,7 @@ func (l *Log) Append(events []model.Event) error {
 		chunk := events[start:end]
 		l.encBuf = encodeRecord(l.encBuf[:0], chunk)
 		if _, err := l.w.Write(l.encBuf); err != nil {
-			return err
+			return l.fail(err)
 		}
 		l.appended += uint64(len(chunk))
 		l.segEvents += uint64(len(chunk))
@@ -497,19 +503,22 @@ func (l *Log) Append(events []model.Event) error {
 		l.compactWG.Add(1)
 		go func() {
 			defer l.compactWG.Done()
-			if err := l.compact(); err != nil {
-				l.compactMu.Lock()
-				if l.compactErr == nil {
-					l.compactErr = err
-				}
-				l.compactMu.Unlock()
-			}
+			l.compact() // a failure is latched; the next Append returns it
 		}()
 	}
 	return nil
 }
 
-// Sync forces buffered records to disk.
+// fail latches err as the log's failure, unless an earlier one is latched
+// already, and returns the latched failure. Callers hold mu.
+func (l *Log) fail(err error) error {
+	if l.err == nil {
+		l.err = err
+	}
+	return l.err
+}
+
+// Sync forces buffered records to disk, or returns the log's failure.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -520,8 +529,11 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
+	if l.err != nil {
+		return l.err
+	}
 	if err := l.w.Flush(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	if l.dirtyBytes == 0 {
 		return nil
@@ -531,7 +543,7 @@ func (l *Log) syncLocked() error {
 		start = time.Now()
 	}
 	if err := l.f.Sync(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	l.opts.FsyncTimer.ObserveSince(start)
 	if l.curTrace != nil {
@@ -553,7 +565,7 @@ func (l *Log) tickLoop() {
 		case <-t.C:
 			l.mu.Lock()
 			if !l.closed && l.dirtyBytes > 0 && time.Since(l.lastSync) >= l.opts.SyncInterval {
-				l.syncLocked() // best effort; Append surfaces persistent failures
+				l.syncLocked() // a failure is latched; the next Append returns it
 			}
 			l.mu.Unlock()
 		case <-l.stopTick:
@@ -566,7 +578,7 @@ func (l *Log) tickLoop() {
 // sealed snapshot file, the log rotates to a fresh segment, and the
 // superseded files are deleted. Appends continue concurrently into the new
 // segment. Compact returns once the snapshot is sealed (or found
-// unnecessary).
+// unnecessary), or the log's failure.
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	if l.closed {
@@ -576,9 +588,9 @@ func (l *Log) Compact() error {
 	if l.compacting {
 		l.mu.Unlock()
 		l.compactWG.Wait()
-		l.compactMu.Lock()
-		defer l.compactMu.Unlock()
-		return l.compactErr
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.err
 	}
 	l.compacting = true
 	l.mu.Unlock()
@@ -596,26 +608,23 @@ func (l *Log) compact() error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	cutoff := l.appended
-	if cutoff == l.snapCount {
-		l.compacting = false
-		l.mu.Unlock()
-		return nil
-	}
 	// Freeze the active segment (fully synced so the snapshot writer can
 	// read it) and rotate appends onto a fresh one.
-	if err := l.syncLocked(); err != nil {
+	err := l.syncLocked()
+	cutoff := l.appended
+	if err != nil || cutoff == l.snapCount {
 		l.compacting = false
 		l.mu.Unlock()
 		return err
 	}
 	oldSnapPath, oldSnapCount := l.snapPath, l.snapCount
 	frozen := append(append([]segment(nil), l.frozen...),
-		segment{path: l.f.Name(), base: l.base, events: l.segEvents})
+		segment{path: filepath.Join(l.dir, segName(l.base)), base: l.base, events: l.segEvents})
 	oldFile := l.f
 	if err := l.newSegment(cutoff); err != nil {
-		// Rotation failed; keep appending to the old segment.
-		l.f = oldFile
+		// The log stops at the cutoff, so a segment the failed rotation left
+		// behind starts where the old one ends and Open accepts the pair.
+		err = l.fail(err)
 		l.compacting = false
 		l.mu.Unlock()
 		return err
@@ -629,8 +638,7 @@ func (l *Log) compact() error {
 	l.mu.Lock()
 	l.compacting = false
 	if err != nil {
-		// The frozen segments stay listed; recovery and the next compaction
-		// both remain correct without the new snapshot.
+		err = l.fail(err)
 		l.mu.Unlock()
 		return err
 	}
@@ -642,55 +650,35 @@ func (l *Log) compact() error {
 	// The snapshot fully covers the old snapshot and the frozen segments;
 	// deleting them is safe in any crash order now that the seal is synced.
 	if oldSnapPath != "" {
-		removeWithSidecar(oldSnapPath)
+		removeWithSidecar(l.fsys, oldSnapPath)
 	}
 	for _, seg := range frozen {
-		removeWithSidecar(seg.path)
+		removeWithSidecar(l.fsys, seg.path)
 	}
-	return syncDir(l.dir)
+	if err := l.fsys.SyncDir(l.dir); err != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.fail(err)
+	}
+	return nil
 }
 
 // writeSnapshot streams old snapshot + frozen segments into a sealed
 // snapshot covering exactly cutoff events.
 func (l *Log) writeSnapshot(cutoff uint64, oldSnapPath string, oldSnapCount uint64, segs []segment) (string, error) {
-	tmp := filepath.Join(l.dir, fmt.Sprintf("snap-%016x.tmp", cutoff))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return "", err
-	}
-	defer func() {
-		if f != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := writeFileHeader(w, snapMagic, cutoff, l.opts.NumProcs); err != nil {
-		return "", err
-	}
-	var written uint64
-	var buf []byte
-	emit := func(batch []model.Event) error {
-		buf = encodeRecord(buf[:0], batch)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		written += uint64(len(batch))
-		return nil
-	}
 	// The inputs are read as chain parts, the way recovery reads them: every
 	// record CRC-checked, no sidecar trusted.
-	src := &Chain{numProcs: l.opts.NumProcs}
+	src := &Chain{fsys: l.fsys, numProcs: l.opts.NumProcs}
 	defer src.Close()
 	if oldSnapPath != "" {
-		p, err := openChainPart(src, oldSnapPath, true, oldSnapCount, idxNone)
+		p, err := openChainPart(src, oldSnapPath, true, oldSnapCount, false)
 		if err != nil {
 			return "", err
 		}
 		src.keep(p)
 	}
 	for _, seg := range segs {
-		p, err := openChainPart(src, seg.path, false, seg.base, idxNone)
+		p, err := openChainPart(src, seg.path, false, seg.base, false)
 		if err != nil {
 			return "", err
 		}
@@ -699,41 +687,40 @@ func (l *Log) writeSnapshot(cutoff uint64, oldSnapPath string, oldSnapCount uint
 			return "", fmt.Errorf("wal: %s: frozen segment holds %d valid events, %d were appended", seg.path, p.events, seg.events)
 		}
 	}
-	if err := src.ReplayRange(0, cutoff, emit); err != nil {
-		return "", err
-	}
-	if written != cutoff {
-		return "", fmt.Errorf("wal: snapshot covers %d events, expected %d", written, cutoff)
-	}
-	if err := writeSeal(w, cutoff); err != nil {
-		return "", err
-	}
-	if err := w.Flush(); err != nil {
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		f = nil
-		os.Remove(tmp)
-		return "", err
-	}
-	f = nil
+	tmp := filepath.Join(l.dir, fmt.Sprintf("snap-%016x.tmp", cutoff))
 	final := filepath.Join(l.dir, snapName(cutoff))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := syncDir(l.dir); err != nil {
+	err := commitFile(l.fsys, tmp, final, true, func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 1<<20)
+		if err := writeFileHeader(w, snapMagic, cutoff, l.opts.NumProcs); err != nil {
+			return err
+		}
+		var written uint64
+		var buf []byte
+		if err := src.ReplayRange(0, cutoff, func(batch []model.Event) error {
+			buf = encodeRecord(buf[:0], batch)
+			written += uint64(len(batch))
+			_, err := w.Write(buf)
+			return err
+		}); err != nil {
+			return err
+		}
+		if written != cutoff {
+			return fmt.Errorf("wal: snapshot covers %d events, expected %d", written, cutoff)
+		}
+		if err := writeSeal(w, cutoff); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
+	if err != nil {
 		return "", err
 	}
 	return final, nil
 }
 
 // Close flushes and fsyncs outstanding records, waits for any running
-// compaction, and releases the log. It returns the first asynchronous
-// compaction error, if one occurred.
+// compaction, and releases the log. It returns the log's failure, if one
+// was latched.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -758,23 +745,5 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	l.closed = true
-	l.compactMu.Lock()
-	if err == nil {
-		err = l.compactErr
-	}
-	l.compactMu.Unlock()
-	return err
-}
-
-// syncDir fsyncs a directory so renames and deletions are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }
