@@ -240,13 +240,13 @@ type TenantStatus struct {
 	Queries   int64       `json:"queries"`
 	Held      int         `json:"collector_held"`
 	WALEvents uint64      `json:"wal_events,omitempty"`
-	// JournalError names the write-ahead journal failure that fail-stopped
-	// the tenant's ingest; empty while the journal is healthy.
-	JournalError string `json:"journal_error,omitempty"`
 	Paper     PaperStatus `json:"paper"`
 	Store     StoreStatus `json:"store"`
 	// History is present when the tenant's history provider reports one.
 	History *HistoryStatus `json:"history,omitempty"`
+	// JournalError names the write-ahead journal failure that fail-stopped
+	// the tenant's ingest; empty while the journal is healthy.
+	JournalError string `json:"journal_error,omitempty"`
 }
 
 // ServerStatus is the JSON document behind /statusz.

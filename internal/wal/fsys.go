@@ -91,7 +91,7 @@ func (osFS) SyncDir(dir string) error {
 // commitFile writes final through tmp: create tmp, write its body, close it
 // and rename it over final. durable adds the fsyncs that make the result
 // survive a machine crash — of tmp before the rename, and of the directory
-// after it. tmp is removed if anything before the rename fails.
+// after it. tmp is removed if the rename or anything before it fails.
 func commitFile(fsys fileSystem, tmp, final string, durable bool, write func(io.Writer) error) error {
 	f, err := fsys.Create(tmp)
 	if err != nil {
