@@ -20,10 +20,7 @@ import (
 // its address.
 func serveAdmin(t *testing.T, s *AdminServer) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenLoopback(t)
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ln) }()
 	t.Cleanup(func() {
@@ -33,6 +30,16 @@ func serveAdmin(t *testing.T, s *AdminServer) string {
 		}
 	})
 	return ln.Addr().String()
+}
+
+// listenLoopback opens a listener on a free loopback port.
+func listenLoopback(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
 }
 
 // adminDo asks a's responder for path over a real connection, through
@@ -377,6 +384,25 @@ func TestAdminCloseBoundsStalledWrite(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("Serve after Close: %v", err)
+	}
+}
+
+// TestAdminServeEndsWhenListenerClosedElsewhere: a listener closed by
+// anyone but Close ends Serve with its error instead of a retry loop.
+func TestAdminServeEndsWhenListenerClosedElsewhere(t *testing.T) {
+	s := Admin{}.Server()
+	defer s.Close()
+	ln := listenLoopback(t)
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	ln.Close()
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("Serve returned nil for a listener closed under it")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve kept accepting on a closed listener")
 	}
 }
 
