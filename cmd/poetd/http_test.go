@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/strategy"
+	"repro/internal/tcp"
 	"repro/internal/workload"
 )
 
@@ -208,7 +208,7 @@ func TestReadinessFollowsTheJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -107,13 +106,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/strategy"
+	"repro/internal/tcp"
 	"repro/internal/wal"
 )
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7777", "listen address")
-		httpAddr  = flag.String("http", "", "admin HTTP listen address for /metrics, /statusz, /tracez, /debug/pprof (empty = disabled)")
+		addr      = flag.String("addr", "127.0.0.1:7777", "listen address: "+tcp.AddrRule)
+		httpAddr  = flag.String("http", "", "admin HTTP listen address for /metrics, /statusz, /tracez, /debug/pprof (empty = disabled), in -addr's form")
 		procs     = flag.Int("procs", 300, "number of monitored processes")
 		maxCS     = flag.Int("maxcs", 13, "maximum cluster size")
 		strat     = flag.String("strategy", "merge-1st", "merge-1st | merge-nth")
@@ -171,6 +171,15 @@ func main() {
 	if *fixed < 1 {
 		fmt.Fprintf(os.Stderr, "poetd: -fixed %d: the fixed encoding vector needs at least one element\n", *fixed)
 		os.Exit(2)
+	}
+	for _, a := range []struct{ flag, value string }{{"addr", *addr}, {"http", *httpAddr}} {
+		if a.value == "" && a.flag == "http" {
+			continue
+		}
+		if _, err := tcp.ParseAddr(a.value); err != nil {
+			fmt.Fprintf(os.Stderr, "poetd: -%s: %v\n", a.flag, err)
+			os.Exit(2)
+		}
 	}
 	var policy wal.SyncPolicy
 	if *walDir != "" {
@@ -346,7 +355,7 @@ func main() {
 	var ready atomic.Bool
 	var admin *obs.AdminServer
 	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
+		ln, err := tcp.Listen(*httpAddr)
 		if err != nil {
 			fatal("admin http listen failed", err)
 		}
@@ -356,7 +365,7 @@ func main() {
 				logger.Error("admin http server failed", "err", err)
 			}
 		}()
-		logger.Info("admin http listening", "addr", ln.Addr().String())
+		logger.Info("admin http listening", "addr", ln.Addr())
 	}
 	ready.Store(true)
 

@@ -439,6 +439,31 @@ func TestPoetdRefusesFixedBelowOne(t *testing.T) {
 	}
 }
 
+// TestPoetdRefusesHostNames: -addr and -http take numeric hosts, localhost
+// or an empty host; a host name is refused at start, before any recovery,
+// with the rule in the message.
+func TestPoetdRefusesHostNames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real daemon; skipped with -short")
+	}
+	bin := buildPoetd(t)
+	for _, args := range [][]string{
+		{"-addr", "example.com:1"},
+		{"-addr", "127.0.0.1:0", "-http", "example.com:1"},
+		{"-addr", "127.0.0.1:70000"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second) // a daemon that starts is killed
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-procs", "4"}, args...)...).CombinedOutput()
+		cancel()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+			t.Fatalf("poetd %v: %v, want exit status 2", args, err)
+		}
+		if !strings.Contains(string(out), "numeric IPv4") {
+			t.Fatalf("poetd %v said %q, want the address rule", args, out)
+		}
+	}
+}
+
 // TestPoetdFrozenSingleWriterSpelling starts the daemon the way the frozen
 // spmd-stream-1lane workload does. -plan-queue is a depth and one lane reads
 // none, so the spelling must keep starting, serve, and report one shard.

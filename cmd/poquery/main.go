@@ -64,6 +64,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/replay"
 	"repro/internal/strategy"
+	"repro/internal/tcp"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -98,7 +99,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		in        = fs.String("in", "", "binary trace file")
 		traceName = fs.String("trace", "", "corpus computation to generate")
-		addr      = fs.String("addr", "", "query a running poetd at this address instead of a local monitor")
+		addr      = fs.String("addr", "", "query a running poetd at this address instead of a local monitor; "+tcp.AddrRule)
 		walDir    = fs.String("wal", "", "answer from this WAL directory's recorded history (replay plane, no daemon needed)")
 		tenant    = fs.String("tenant", "", "tenant namespace: scopes -addr sessions and selects the WAL subdirectory under -wal (empty = default)")
 		atArg     = fs.String("at", "", "time-travel cutoff: an event count, or 'latest' (with -wal or -addr)")

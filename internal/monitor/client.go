@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 
 	"repro/internal/model"
+	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -39,13 +39,13 @@ type Session interface {
 // Client is a minimal client for the server's v1 text protocol, used by
 // instrumentation shims, tests and nc-style debugging.
 type Client struct {
-	conn net.Conn
+	conn tcp.Conn
 	r    *bufio.Reader
 }
 
 // Dial connects to a monitoring server with protocol v1.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := tcp.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func (c *Client) Close() error {
 // ClientV2 speaks the length-prefixed binary protocol: batched EVENTS
 // frames for ingestion, batched QUERY frames for precedence questions.
 type ClientV2 struct {
-	conn     net.Conn
+	conn     tcp.Conn
 	r        *bufio.Reader
 	w        *bufio.Writer
 	numProcs int
@@ -168,7 +168,7 @@ type ClientV2 struct {
 // DialV2 connects to a monitoring server with protocol v2 and performs the
 // handshake. It fails when the server does not answer with a HELLO frame.
 func DialV2(addr string) (*ClientV2, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := tcp.Dial(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -155,7 +155,7 @@ func readFrameInto(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err e
 	typ, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
 	r.Discard(5)
 	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("monitor: frame payload %d exceeds cap %d", n, maxFramePayload)
+		return 0, nil, frameTooLarge(n)
 	}
 	if n > 0 {
 		if uint32(cap(buf)) >= n {
@@ -168,6 +168,14 @@ func readFrameInto(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err e
 		}
 	}
 	return typ, payload, nil
+}
+
+// frameTooLarge is readFrameInto's one framing error: a length prefix past
+// maxFramePayload. Every other error it returns comes from the transport.
+type frameTooLarge uint32
+
+func (n frameTooLarge) Error() string {
+	return fmt.Sprintf("monitor: frame payload %d exceeds cap %d", uint32(n), maxFramePayload)
 }
 
 // appendU32 appends v big-endian.

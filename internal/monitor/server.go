@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"time"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -69,8 +70,8 @@ type Server struct {
 	tenants  map[string]*Tenant
 
 	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
+	listener tcp.Listener
+	conns    map[tcp.Conn]struct{}
 	drained  chan struct{}  // non-nil while Shutdown waits; closed by the last conn's teardown
 	wg       sync.WaitGroup // accept loop + connection goroutines
 	ingestWG sync.WaitGroup // ingest worker
@@ -259,7 +260,7 @@ func newServerShell(cfg ServerConfig) *Server {
 		obs:     cfg.Obs,
 		start:   time.Now(),
 		submitQ: make(chan submitReq, cfg.SubmitQueue),
-		conns:   make(map[net.Conn]struct{}),
+		conns:   make(map[tcp.Conn]struct{}),
 		tenants: make(map[string]*Tenant),
 	}
 }
@@ -347,19 +348,19 @@ func (s *Server) submitInstrumented(t *Tenant, events []model.Event, tr *obs.Tra
 	return n, err
 }
 
-// Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address. Serving happens on background goroutines until
-// Close.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
+// Listen starts accepting connections on addr (e.g. "127.0.0.1:0"; the
+// forms are tcp.ParseAddr's) and returns the bound address. Serving happens
+// on background goroutines until Close.
+func (s *Server) Listen(addr string) (netip.AddrPort, error) {
+	ln, err := tcp.Listen(addr)
 	if err != nil {
-		return nil, err
+		return netip.AddrPort{}, err
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return nil, ErrClosed
+		return netip.AddrPort{}, ErrClosed
 	}
 	s.listener = ln
 	s.mu.Unlock()
@@ -369,7 +370,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
+func (s *Server) acceptLoop(ln tcp.Listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -400,7 +401,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // serveConn detects the connection's protocol from its first byte and
 // dispatches: v2 connections open with a NUL-led magic, which no v1
 // command line can start with.
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn tcp.Conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -433,14 +434,14 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // setReadDeadline arms the idle timeout before a blocking read.
-func (s *Server) setReadDeadline(conn net.Conn) {
+func (s *Server) setReadDeadline(conn tcp.Conn) {
 	if s.cfg.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
 }
 
 // setWriteDeadline arms the write timeout before a response write.
-func (s *Server) setWriteDeadline(conn net.Conn) {
+func (s *Server) setWriteDeadline(conn tcp.Conn) {
 	if s.cfg.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
@@ -590,7 +591,7 @@ func (s *Server) answer(t *Tenant, req *request) reply {
 
 // --- protocol v1: the text codec ------------------------------------------
 
-func (s *Server) serveV1(conn net.Conn, r *bufio.Reader) {
+func (s *Server) serveV1(conn tcp.Conn, r *bufio.Reader) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	w := bufio.NewWriter(conn)
@@ -802,7 +803,7 @@ func adopt[T any](kept, used []T, limit int) []T {
 	return kept
 }
 
-func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
+func (s *Server) serveV2(conn tcp.Conn, r *bufio.Reader) {
 	out := make(chan outItem, 64)
 	var wwg sync.WaitGroup
 	wwg.Add(1)
@@ -828,10 +829,11 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 		typ, payload, err := readFrameInto(r, fc.fbuf)
 		fc.fbuf = adopt(fc.fbuf, payload, frameBufKeep)
 		if err != nil {
-			// Framing errors (oversized length prefix) lose the stream
-			// offset: report and drop the connection. Read errors and EOF
-			// just end the session.
-			if err != io.EOF && !isNetError(err) {
+			// A framing error (an oversized length prefix) loses the stream
+			// offset: report it and drop the connection. EOF, a reset, an
+			// expired deadline or a closed connection just ends the session.
+			var tooLarge frameTooLarge
+			if errors.As(err, &tooLarge) {
 				out <- replyFrame(verbUnknown, s.refuse(err))
 			}
 			return
@@ -927,9 +929,11 @@ func resolve(item outItem) outItem {
 // connWriter drains a connection's output stream in order, resolving
 // pending ingest acknowledgements as their batches clear the queue. It
 // flushes when the stream momentarily empties, so back-to-back responses
-// share syscalls. After a write failure it keeps draining (acknowledgement
-// channels must still be consumed and buffers handed back) without writing.
-func (s *Server) connWriter(conn net.Conn, out <-chan outItem) {
+// share syscalls. A write failure, a peer that stopped reading past
+// WriteTimeout among them, closes the connection, which ends the session's
+// reads too; the writer keeps draining (acknowledgement channels must still
+// be consumed and buffers handed back) without writing.
+func (s *Server) connWriter(conn tcp.Conn, out <-chan outItem) {
 	w := bufio.NewWriterSize(conn, 64*1024)
 	var err error // the first write failure
 	for item := range out {
@@ -939,19 +943,15 @@ func (s *Server) connWriter(conn net.Conn, out <-chan outItem) {
 			if err = writeFrame(w, item.typ, *item.payload); err == nil && len(out) == 0 {
 				err = w.Flush()
 			}
+			if err != nil {
+				conn.Close()
+			}
 		}
 		replyBufs.put(item.payload)
 	}
 	if err == nil {
 		w.Flush()
 	}
-}
-
-// isNetError reports whether err is a transport-level error (as opposed to
-// a protocol framing error we should answer before closing).
-func isNetError(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // Shutdown drains gracefully: it stops accepting, then waits up to grace

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/hct"
 	"repro/internal/model"
 	"repro/internal/strategy"
+	"repro/internal/tcp"
 	"repro/internal/workload"
 )
 
@@ -489,11 +491,15 @@ func TestServerMaxConns(t *testing.T) {
 	c3.Close()
 }
 
+// TestServerIdleTimeout: a client that connects and sends nothing is dropped
+// when IdleTimeout runs out, not before, and leaves the connection table.
 func TestServerIdleTimeout(t *testing.T) {
-	srv, addr := startServer(t, 2, ServerConfig{IdleTimeout: 50 * time.Millisecond})
+	const idle = 50 * time.Millisecond
+	srv, addr := startServer(t, 2, ServerConfig{IdleTimeout: idle})
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", addr)
+	start := time.Now()
+	conn, err := tcp.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,8 +507,59 @@ func TestServerIdleTimeout(t *testing.T) {
 	// Say nothing: the server must hang up on its own.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("expected the idle connection to be closed")
+	if n, err := conn.Read(buf); n != 0 || err != io.EOF {
+		t.Fatalf("idle connection read %d, %v; want EOF", n, err)
+	}
+	if d := time.Since(start); d < idle {
+		t.Fatalf("dropped after %v, before the %v idle timeout", d, idle)
+	}
+	waitFor(t, func() bool { return serverConns(srv) == 0 })
+}
+
+// serverConns is the number of connections srv is serving.
+func serverConns(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return len(srv.conns)
+}
+
+// TestServerCutsOffSlowReader: a v2 client that pipelines requests and never
+// reads a reply is cut off once a reply write has waited WriteTimeout. Its
+// output queue drains, the connection leaves the table, and Close returns
+// at once.
+func TestServerCutsOffSlowReader(t *testing.T) {
+	srv, addr := startServer(t, 2, ServerConfig{WriteTimeout: 200 * time.Millisecond})
+	defer srv.Close()
+	conn, err := tcp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(protocolV2Magic[:]); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(bufio.NewReader(conn)); err != nil || typ != frameHello {
+		t.Fatalf("handshake: frame 0x%02x, err %v", typ, err)
+	}
+	// STATS frames are 5 bytes and their replies hundreds: the replies fill
+	// both socket buffers long before the requests do. Write until the
+	// server hangs up.
+	conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	w := bufio.NewWriter(conn)
+	frames := 0
+	for ; ; frames++ {
+		if err = writeFrame(w, frameStats, nil); err != nil {
+			break
+		}
+	}
+	t.Logf("cut off after %d STATS frames: %v", frames, err)
+	waitFor(t, func() bool { return serverConns(srv) == 0 })
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v after cutting off a slow reader", d)
 	}
 }
 

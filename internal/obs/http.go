@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"os"
 	"runtime"
@@ -17,6 +16,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/tcp"
 )
 
 // Admin describes the daemon's admin HTTP surface. Any field may be left
@@ -75,8 +76,8 @@ type AdminServer struct {
 
 	mu     sync.Mutex
 	closed bool
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
+	ln     tcp.Listener
+	conns  map[tcp.Conn]struct{}
 	wg     sync.WaitGroup
 }
 
@@ -101,7 +102,7 @@ func (a Admin) Server() *AdminServer {
 		readTimeout: adminTimeout,
 		slots:       make(chan struct{}, AdminMaxConns),
 		done:        make(chan struct{}),
-		conns:       make(map[net.Conn]struct{}),
+		conns:       make(map[tcp.Conn]struct{}),
 	}
 }
 
@@ -109,7 +110,7 @@ func (a Admin) Server() *AdminServer {
 // and then returns nil. A failed accept is retried after a pause that
 // doubles up to a second (a full file table clears by itself); a listener
 // closed by anyone but Close ends Serve with its error.
-func (s *AdminServer) Serve(ln net.Listener) error {
+func (s *AdminServer) Serve(ln tcp.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -126,7 +127,7 @@ func (s *AdminServer) Serve(ln net.Listener) error {
 				return nil
 			default:
 			}
-			if errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, tcp.ErrClosed) {
 				return err
 			}
 			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
@@ -181,7 +182,7 @@ func (s *AdminServer) Close() error {
 
 // track lists a connection for Close to end and wait for, and arms its read
 // deadline for the request head, unless Close already ran.
-func (s *AdminServer) track(c net.Conn) bool {
+func (s *AdminServer) track(c tcp.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -193,7 +194,7 @@ func (s *AdminServer) track(c net.Conn) bool {
 	return true
 }
 
-func (s *AdminServer) untrack(c net.Conn) {
+func (s *AdminServer) untrack(c tcp.Conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
@@ -203,7 +204,7 @@ func (s *AdminServer) untrack(c net.Conn) {
 
 // armWrite gives c d to write its reply, unless Close ran. It holds the lock
 // Close takes, so it never pushes back the deadline Close set.
-func (s *AdminServer) armWrite(c net.Conn, d time.Duration) {
+func (s *AdminServer) armWrite(c tcp.Conn, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
@@ -213,7 +214,7 @@ func (s *AdminServer) armWrite(c net.Conn, d time.Duration) {
 
 // serveConn answers c's one request, or refuses it, unless the peer closes
 // or the read times out first.
-func (s *AdminServer) serveConn(c net.Conn) {
+func (s *AdminServer) serveConn(c tcp.Conn) {
 	req, err := readAdminRequest(bufio.NewReaderSize(c, adminMaxLine))
 	rep := adminReply{status: 200}
 	var refusal adminError
@@ -239,8 +240,8 @@ func (s *AdminServer) serveConn(c net.Conn) {
 // for up to a second before c is closed, because closing a socket with input
 // unread resets it, and the reset can overtake the reply: a body sent with a
 // refused request, or a request pipelined behind the one answered.
-func linger(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+func linger(c tcp.Conn) {
+	if hc, ok := c.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
 		c.SetReadDeadline(time.Now().Add(time.Second))
 		io.CopyN(io.Discard, c, adminLinger)
 	}

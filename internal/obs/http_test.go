@@ -9,11 +9,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/netip"
 	"runtime/pprof"
 	"runtime/trace"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tcp"
 )
 
 // serveAdmin serves s on a loopback listener until the test ends and returns
@@ -33,9 +36,9 @@ func serveAdmin(t *testing.T, s *AdminServer) string {
 }
 
 // listenLoopback opens a listener on a free loopback port.
-func listenLoopback(t *testing.T) net.Listener {
+func listenLoopback(t *testing.T) tcp.Listener {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +353,7 @@ type pipeListener struct {
 	closed chan struct{}
 }
 
-func (l pipeListener) Accept() (net.Conn, error) {
+func (l pipeListener) Accept() (tcp.Conn, error) {
 	select {
 	case c := <-l.conns:
 		return c, nil
@@ -359,8 +362,8 @@ func (l pipeListener) Accept() (net.Conn, error) {
 	}
 }
 
-func (l pipeListener) Close() error   { close(l.closed); return nil }
-func (l pipeListener) Addr() net.Addr { return &net.TCPAddr{} }
+func (l pipeListener) Close() error         { close(l.closed); return nil }
+func (l pipeListener) Addr() netip.AddrPort { return netip.AddrPort{} }
 
 // TestAdminCloseBoundsStalledWrite: a peer that sends a request and never
 // reads the reply holds Close for adminGrace, not for the write timeout.
