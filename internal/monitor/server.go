@@ -373,7 +373,7 @@ func (s *Server) Listen(addr string) (netip.AddrPort, error) {
 func (s *Server) acceptLoop(ln tcp.Listener) {
 	defer s.wg.Done()
 	for {
-		conn, err := ln.Accept()
+		conn, err := tcp.Accept(ln)
 		if err != nil {
 			return // listener closed
 		}

@@ -107,8 +107,7 @@ func (a Admin) Server() *AdminServer {
 }
 
 // Serve answers connections from ln, each on its own goroutine, until Close,
-// and then returns nil. A failed accept is retried after a pause that
-// doubles up to a second (a full file table clears by itself); a listener
+// and then returns nil. A failed accept is retried (tcp.Accept); a listener
 // closed by anyone but Close ends Serve with its error.
 func (s *AdminServer) Serve(ln tcp.Listener) error {
 	s.mu.Lock()
@@ -118,23 +117,16 @@ func (s *AdminServer) Serve(ln tcp.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
-	var pause time.Duration
 	for {
-		c, err := ln.Accept()
+		c, err := tcp.Accept(ln)
 		if err != nil {
 			select {
 			case <-s.done:
 				return nil
 			default:
-			}
-			if errors.Is(err, tcp.ErrClosed) {
 				return err
 			}
-			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
-			time.Sleep(pause)
-			continue
 		}
-		pause = 0
 		select {
 		case s.slots <- struct{}{}:
 		default:

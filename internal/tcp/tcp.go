@@ -13,6 +13,7 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"strconv"
@@ -38,6 +39,22 @@ type Listener interface {
 	Accept() (Conn, error)
 	Close() error
 	Addr() netip.AddrPort
+}
+
+// Accept returns ln's next connection. A failed accept other than ErrClosed
+// (EMFILE, ENFILE, ENOBUFS, ENOMEM: a full file table or short memory clears
+// by itself) is retried after a pause that doubles from 5 ms up to a second,
+// so a server keeps its port; ErrClosed is returned.
+func Accept(ln Listener) (Conn, error) {
+	var pause time.Duration
+	for {
+		c, err := ln.Accept()
+		if err == nil || errors.Is(err, ErrClosed) {
+			return c, err
+		}
+		pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+		time.Sleep(pause)
+	}
 }
 
 // AddrRule is the rule ParseAddr holds addresses to, for flag help texts and
