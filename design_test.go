@@ -130,9 +130,10 @@ var design = []gate{
 		{in: ". +tests -internal/hct/core.go", site: `\.(crEvents|mergedCRs)\b`},
 		{in: "internal/hct/*.go", site: `\bp\.core\.`, except: `\bp\.core\.part\.LiveSizesInto\b`, with: `\bplanMu\.Lock\($`, must: []string{"Pipeline.Result"}},
 	}},
-	{name: "One_owner_of_the_note_form", why: "crNote's methods own a note's form bit, arena.frame encodes it, chunkDir reads it (DESIGN.md §10).", rules: []rule{
-		{in: "internal/hct/*.go", site: `^sparseBit`, must: []string{"crNote.sparse"}, may: []string{"crNote.*", "arena.frame"}},
-		{in: "internal/hct/*.go", site: `\.ix\b`, may: []string{"crNote.*", "arena.frame"}},
+	{name: "One_owner_of_the_note_form", why: "arena.frame writes a note's form bits and a nibble frame's anchor header; chunkDir.component and chunkDir.full read them (DESIGN.md §10).", rules: []rule{
+		{in: "internal/hct/*.go", site: `^sparseBit\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
+		{in: "internal/hct/*.go", site: `^nibbleBit\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
+		{in: "internal/hct/*.go", site: `^anchorElem\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
 		{in: "internal/hct/*.go", site: `\bcrNote\{$`, must: []string{"arena.frame"}},
 		{in: "internal/hct/*.go", site: `\.delta\b`, except: `\.delta [!=]= noDelta$`, may: []string{"chunkDir.component", "chunkDir.full"}},
 	}},

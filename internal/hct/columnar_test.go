@@ -243,14 +243,14 @@ func TestColumnPublishedCellsStableAcrossGrowth(t *testing.T) {
 // and more chunks and the planner appended 17 and more epochs, still resolves
 // every cell below that watermark — projections that started a keyframe,
 // projections framed over an earlier one and cells that name their
-// predecessor's frame, cluster receives as keyframes and as delta frames — to
+// predecessor's frame, cluster receives as keyframes, delta and nibble frames — to
 // what the store held when the watermark was taken, through both readers of
 // each form, a projection's own component coming from the slot. A
 // projection's epoch is resolved through the stale chunk list alone — the
 // element before its keyframe — and names an entry of the stale table. Neither
 // directory ever rewrites an entry a published cell names.
 func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
-	tr := workload.Ring(64, 800, false)
+	tr := workload.BroadcastThenRing(64, 1400)
 	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 4, Decider: strategy.NewMergeOnFirst()})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 		if err := ts.Ingest(e); err != nil {
 			t.Fatal(err)
 		}
-		if w != nil || ts.Merges() < 30 || ts.ClusterReceives() < 2 {
+		if w != nil || ts.Merges() < 30 || ts.StoreStats().DeltaFrames == 0 {
 			continue
 		}
 		w = ts.CaptureWatermark(nil)
@@ -283,7 +283,7 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 		}
 	}
 	if w == nil {
-		t.Fatal("the trace never reached 30 merges and 2 noted cluster receives")
+		t.Fatal("the trace never reached 30 merges and a delta frame")
 	}
 	if added := len(ts.vectors(0)) - len(chunks); added < 17 {
 		t.Fatalf("%d chunks added after the capture, want 17 or more", added)
@@ -291,7 +291,7 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	if merged, added := ts.Merges()-mergesThen, len(*ts.epochs.Load())-len(epochs); merged < 17 || added < 17 {
 		t.Fatalf("%d merges and %d epochs after the capture, want 17 or more of each", merged, added)
 	}
-	var projKeys, projFrames, projShared, keyframes, deltas int
+	var projKeys, projFrames, projShared, keyframes, deltas, nibbles int
 	for _, want := range early {
 		p := want.ID.Process
 		c := ts.At(w).cell(want.ID)
@@ -321,21 +321,24 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 			continue
 		}
 		note := ts.crs[p].at(int32(c.vec()))
-		if note.delta == noDelta {
+		switch form := formOf(note); {
+		case form.key:
 			keyframes++
-		} else {
+		case form.nibble:
+			nibbles++
+		default:
 			deltas++
 		}
-		if full := chunks.full(note, tr.NumProcs); !slices.Equal(full, want.Full) || chunks.component(note, p, tr.NumProcs) != want.Full[p] {
+		if full := chunks.full(note, tr.NumProcs, nil); !slices.Equal(full, want.Full) || chunks.component(note, p, tr.NumProcs) != want.Full[p] {
 			t.Fatalf("%v through the stale chunk list: %v, was %v", want.ID, full, want)
 		}
 	}
-	if projKeys == 0 || projFrames == 0 || projShared == 0 || keyframes == 0 || deltas == 0 {
-		t.Fatalf("%d projection keyframes, %d projection frames and %d shared cells, %d cluster-receive keyframes and %d delta frames below the capture: need all five",
-			projKeys, projFrames, projShared, keyframes, deltas)
+	if projKeys == 0 || projFrames == 0 || projShared == 0 || keyframes == 0 || deltas == 0 || nibbles == 0 {
+		t.Fatalf("%d projection keyframes, %d projection frames and %d shared cells, %d cluster-receive keyframes, %d delta and %d nibble frames below the capture: need all six",
+			projKeys, projFrames, projShared, keyframes, deltas, nibbles)
 	}
-	t.Logf("%d + %d + %d projection keyframes, frames and shared cells, %d + %d cluster-receive keyframes and delta frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
-		projKeys, projFrames, projShared, keyframes, deltas, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
+	t.Logf("%d + %d + %d projection keyframes, frames and shared cells, %d + %d + %d cluster-receive keyframes, delta and nibble frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
+		projKeys, projFrames, projShared, keyframes, deltas, nibbles, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
 }
 
 // TestOwnComponentFromSlot pins the readers' one trap. A send or a unary event
@@ -427,7 +430,7 @@ func TestOwnComponentFromSlot(t *testing.T) {
 					}
 				}
 				if st := pipe.StoreStats(); len(shared) == 0 || st.ProjShared != int64(len(shared)) ||
-					st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames != int64(len(tr.Events)) {
+					st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(len(tr.Events)) {
 					t.Fatalf("lanes=%d: %d cells name their predecessor's frame, tallies %+v for %d events", lanes, len(shared), st, len(tr.Events))
 				}
 				if lanes == 1 {

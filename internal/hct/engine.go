@@ -262,7 +262,7 @@ func (v View) Timestamp(id model.EventID) (Timestamp, bool) {
 	t := Timestamp{ID: id, Kind: c.kind()}
 	vecs := ts.vectors(id.Process)
 	if c.noted() {
-		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec())), ts.numProcs)
+		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec())), ts.numProcs, nil)
 	} else {
 		t.Cluster = ts.epoch(vecs.epoch(c.vec()))
 		t.Proj = vecs.proj(c.vec(), len(t.Cluster.Members)).decode()
@@ -295,7 +295,7 @@ func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
 	lo := int32(0)
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
-		if pages[mid>>pageShift][mid&pageMask].index() <= bound {
+		if pages[mid>>pageShift][mid&pageMask].index <= bound {
 			lo = mid + 1
 		} else {
 			hi = mid

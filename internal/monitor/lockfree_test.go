@@ -315,7 +315,7 @@ func TestShardedIngestQueryMetricsStress(t *testing.T) {
 		t.Fatalf("sharded ingest incomplete: %d of %d events", st.Events, len(tr.Events))
 	}
 	// After the barrier the tallies are exact and the lanes idle.
-	if ss := m.Pipeline().StoreStats(); ss.Keyframes+ss.DeltaFrames != int64(st.ClusterReceives) {
+	if ss := m.Pipeline().StoreStats(); ss.Keyframes+ss.DeltaFrames+ss.NibbleFrames != int64(st.ClusterReceives) {
 		t.Fatalf("store tallies %+v for %d noted cluster receives", ss, st.ClusterReceives)
 	}
 	if depths := m.Pipeline().LaneQueueDepthsInto(nil); len(depths) != 8 || slices.Max(depths) != 0 {

@@ -125,6 +125,7 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_store_proj_shared",
 		"poetd_cr_keyframes_total",
 		"poetd_cr_delta_frames_total",
+		"poetd_cr_nibble_frames_total",
 		"poetd_cr_sparse_frames_total",
 		"poetd_lane_queue_depth{lane=",
 		"poetd_runtime_heap_live_bytes",
@@ -172,14 +173,15 @@ func TestServerTelemetry(t *testing.T) {
 	// keyframe, every other event one of a projection's — on /statusz and on
 	// /metrics — and the store has carved at least two elements for every event
 	// that does not share its predecessor's frame.
-	if got := st.Store.Keyframes + st.Store.DeltaFrames; got != int64(st.Paper.ClusterReceives) {
-		t.Errorf("Status store = %+v: keyframes + delta frames want the %d noted cluster receives", st.Store, st.Paper.ClusterReceives)
+	if got := st.Store.Keyframes + st.Store.DeltaFrames + st.Store.NibbleFrames; got != int64(st.Paper.ClusterReceives) {
+		t.Errorf("Status store = %+v: keyframes + delta frames + nibble frames want the %d noted cluster receives", st.Store, st.Paper.ClusterReceives)
 	}
-	if st.Store.SparseFrames > st.Store.DeltaFrames || !strings.Contains(out, fmt.Sprintf("poetd_cr_sparse_frames_total %d\n", st.Store.SparseFrames)) {
-		t.Errorf("Status store = %+v: sparse frames are a subset of the delta frames, and /metrics reads them as /statusz does", st.Store)
+	if st.Store.SparseFrames > st.Store.DeltaFrames+st.Store.NibbleFrames || !strings.Contains(out, fmt.Sprintf("poetd_cr_sparse_frames_total %d\n", st.Store.SparseFrames)) ||
+		!strings.Contains(out, fmt.Sprintf("poetd_cr_nibble_frames_total %d\n", st.Store.NibbleFrames)) {
+		t.Errorf("Status store = %+v: sparse frames are a subset of the delta and nibble frames, and /metrics reads them and the nibble frames as /statusz does", st.Store)
 	}
-	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.ProjShared + st.Store.Keyframes + st.Store.DeltaFrames; got != int64(len(tr.Events)) || st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 || st.Store.ProjShared == 0 {
-		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames = %d, want the %d events, with projections of all three kinds", st.Store, got, len(tr.Events))
+	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.ProjShared + st.Store.Keyframes + st.Store.DeltaFrames + st.Store.NibbleFrames; got != int64(len(tr.Events)) || st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 || st.Store.ProjShared == 0 {
+		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames + cr_nibble_frames = %d, want the %d events, with projections of all three kinds", st.Store, got, len(tr.Events))
 	}
 	for series, want := range map[string]int64{"poetd_store_proj_keyframes": st.Store.ProjKeyframes, "poetd_store_proj_frames": st.Store.ProjFrames, "poetd_store_proj_shared": st.Store.ProjShared} {
 		if !strings.Contains(out, fmt.Sprintf("%s %d\n", series, want)) {

@@ -99,7 +99,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	// Physical store instruments, to read beside poetd_ts_size_ratio: that
 	// gauge is the paper's fixed-vector model, these are the bytes and frames
 	// the column store really holds (default tenant).
-	reg.GaugeFunc("poetd_store_vector_bytes", "Bytes carved from the lane arenas for projections, keyframes and delta frames.",
+	reg.GaugeFunc("poetd_store_vector_bytes", "Bytes carved from the lane arenas for projections, keyframes, delta and nibble frames.",
 		func() float64 { return float64(pipe.StoreStats().VectorBytes) })
 	reg.GaugeFunc("poetd_store_cell_bytes", "Bytes of stored cells: 4 per stamped event.",
 		func() float64 { return float64(pipe.StoreStats().CellBytes) })
@@ -115,9 +115,11 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(pipe.StoreStats().ProjShared) })
 	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a keyframe (a full vector).",
 		func() int64 { return pipe.StoreStats().Keyframes })
-	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe.",
+	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe; each becomes its process's anchor.",
 		func() int64 { return pipe.StoreStats().DeltaFrames })
-	counter("poetd_cr_sparse_frames_total", "Of the delta frames, those stored sparse: a bitmap of the components that moved and only their bytes.",
+	counter("poetd_cr_nibble_frames_total", "Noted cluster receives stored as nibble offsets above their process's anchor: its latest delta frame or its keyframe.",
+		func() int64 { return pipe.StoreStats().NibbleFrames })
+	counter("poetd_cr_sparse_frames_total", "Of the delta and nibble frames, those stored sparse: a bitmap of the components that moved and only their offsets.",
 		func() int64 { return pipe.StoreStats().SparseFrames })
 
 	// What the Go runtime holds, to read beside the poetd_store_*_bytes above:

@@ -322,17 +322,18 @@ func TestSurfacesAgree(t *testing.T) {
 
 	// The store block is /statusz's and /metrics' alone (STATS carries the
 	// paper's accounting, not the physical one): key by key the same number,
-	// and the five ways an event's vector is stored — a projection keyframe, a
+	// and the six ways an event's vector is stored — a projection keyframe, a
 	// frame, a cell that shares its predecessor's, a cluster-receive keyframe,
-	// a delta frame — add up to the default tenant's events. The sparse frames
-	// are some of the delta frames, not a sixth way.
+	// a delta frame, a nibble frame — add up to the default tenant's events.
+	// The sparse frames are some of the delta and nibble frames, not a seventh
+	// way.
 	stored := 0
 	for key, family := range map[string]string{
 		"vector_bytes": "poetd_store_vector_bytes", "cell_bytes": "poetd_store_cell_bytes",
 		"note_bytes": "poetd_store_note_bytes", "epochs": "poetd_store_epochs",
 		"proj_keyframes": "poetd_store_proj_keyframes", "proj_frames": "poetd_store_proj_frames", "proj_shared": "poetd_store_proj_shared",
 		"cr_keyframes": "poetd_cr_keyframes_total", "cr_delta_frames": "poetd_cr_delta_frames_total",
-		"cr_sparse_frames": "poetd_cr_sparse_frames_total",
+		"cr_nibble_frames": "poetd_cr_nibble_frames_total", "cr_sparse_frames": "poetd_cr_sparse_frames_total",
 	} {
 		if got, want := scraped[family], string(status.Store[key]); got != want || want == "" {
 			t.Errorf("/statusz store.%s = %q, /metrics %s %q", key, want, family, got)
@@ -343,14 +344,15 @@ func TestSurfacesAgree(t *testing.T) {
 		}
 	}
 	if stored != len(tr.Events) {
-		t.Errorf("proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames = %d, want the %d events", stored, len(tr.Events))
+		t.Errorf("proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames + cr_nibble_frames = %d, want the %d events", stored, len(tr.Events))
 	}
 	sparse, _ := strconv.Atoi(string(status.Store["cr_sparse_frames"]))
-	if deltas, _ := strconv.Atoi(string(status.Store["cr_delta_frames"])); sparse > deltas {
-		t.Errorf("/statusz store: %d sparse frames of %d delta frames", sparse, deltas)
+	deltas, _ := strconv.Atoi(string(status.Store["cr_delta_frames"]))
+	if nibbles, _ := strconv.Atoi(string(status.Store["cr_nibble_frames"])); sparse > deltas+nibbles {
+		t.Errorf("/statusz store: %d sparse frames of %d delta and %d nibble frames", sparse, deltas, nibbles)
 	}
-	if len(status.Store) != 11 { // the ten above and lane_queue_depth
-		t.Errorf("/statusz store = %v: want the ten tallies and lane_queue_depth", status.Store)
+	if len(status.Store) != 12 { // the eleven above and lane_queue_depth
+		t.Errorf("/statusz store = %v: want the eleven tallies and lane_queue_depth", status.Store)
 	}
 
 	// The runtime's samples are /statusz's memory block and /metrics'
