@@ -25,8 +25,8 @@ func newInstrumentedServer(t testing.TB, numProcs int) (*Server, *obs.Telemetry)
 	return srv, tel
 }
 
-// TestServerTelemetry drives an instrumented server over loopback with both
-// protocols and checks that every hot-path instrument observed the traffic
+// TestServerTelemetry drives an instrumented server over loopback with
+// batched and one-event frames and checks that every hot-path instrument observed the traffic
 // and that the registry exposes the paper's gauges with live values.
 func TestServerTelemetry(t *testing.T) {
 	tr := workload.RandomSparse(12, 3, 600, 11)
@@ -37,7 +37,7 @@ func TestServerTelemetry(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// v2 traffic: batched events and queries.
+	// Batched events and queries.
 	sess, err := DialV2(addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -61,20 +61,20 @@ func TestServerTelemetry(t *testing.T) {
 	}
 	sess.Close()
 
-	// v1 traffic: the text protocol goes through the same instruments.
-	v1, err := Dial(addr.String())
+	// One-event frames on a second connection go through the same instruments.
+	single, err := DialV2(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range tr.Events[cut:] {
-		if err := v1.Report(e); err != nil {
+		if err := single.Report(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := v1.Precedes(tr.Events[cut].ID, tr.Events[cut+1].ID); err != nil {
+	if _, err := single.Precedes(tr.Events[cut].ID, tr.Events[cut+1].ID); err != nil {
 		t.Fatal(err)
 	}
-	v1.Close()
+	single.Close()
 
 	for name, h := range map[string]*obs.Histogram{
 		"IngestBatch":  tel.IngestBatch,

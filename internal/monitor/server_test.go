@@ -175,6 +175,14 @@ func TestServerEndToEndV2(t *testing.T) {
 			t.Fatalf("stats %q missing %q", stats, want)
 		}
 	}
+	// A ServerConfig without FixedVector accounts storage at the default one.
+	if want := " storage=" + strconv.FormatInt(srv.Default().Monitor().Stats(300).StorageInts, 10) + " "; !strings.Contains(stats, want) {
+		t.Fatalf("STATS %q without a FixedVector does not carry%q", stats, want)
+	}
+	e := tr.Events[0].ID
+	if conc, err := qc.Concurrent(e, e); err != nil || conc {
+		t.Fatalf("Concurrent(%v, %v) = %v, %v: an event concurrent with itself", e, e, conc, err)
+	}
 
 	// Batched queries agree with the reference monitor.
 	qs := make([]Query, 0, 2*len(tr.Events))
@@ -202,6 +210,9 @@ func TestServerEndToEndV2(t *testing.T) {
 
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if err := srv.Close(); err != ErrClosed {
+		t.Fatalf("double Close: %v", err)
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 )
 
 // TestServerStressProducersAndQueriers runs the production traffic shape
-// under the race detector: N producer connections (a mix of v1 and v2)
-// stream shards of one trace concurrently while M query connections
-// hammer the read path with batched precedence queries. The server must
-// stay consistent: every event ingested exactly once, zero held events,
+// under the race detector: N producer connections stream shards of one
+// trace concurrently while M query connections hammer the read path with
+// batched precedence queries. The server must stay consistent: every event ingested exactly once, zero held events,
 // and a post-hoc query sample agreeing with an in-order reference.
 func TestServerStressProducersAndQueriers(t *testing.T) {
 	name := "pvm/ring-64"
@@ -56,13 +55,7 @@ func TestServerStressProducersAndQueriers(t *testing.T) {
 		go func() {
 			defer prodWG.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			var sess Session
-			var err error
-			if w%2 == 0 {
-				sess, err = DialV2(addr)
-			} else {
-				sess, err = Dial(addr)
-			}
+			sess, err := DialV2(addr)
 			if err != nil {
 				errCh <- err
 				return

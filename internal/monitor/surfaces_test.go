@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/hct"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -46,8 +45,8 @@ var surfaceNumbers = []struct{ stats, family, status string }{
 // TestSurfacesAgree pins the three wire surfaces to one another and to their
 // shape. A WAL-backed two-tenant, two-lane server with telemetry — its default
 // tenant recovered from a log with a torn tail — takes a v2 batch stream, a
-// query batch, a refused connection, a malformed frame, a v1 EVENT, a malformed
-// line and a v1 query; then the STATS body, a classic /metrics scrape and the
+// query batch, a refused connection, a malformed frame, a one-event frame, a
+// malformed EVENTS frame and a one-query frame; then the STATS body, a classic /metrics scrape and the
 // /statusz document must report the same value for each of the seventeen
 // numbers, the STATS body must be the known key sequence with integers as %d
 // and the two rates as %.0f, and /statusz must carry its counter and rate
@@ -185,42 +184,27 @@ func TestSurfacesAgree(t *testing.T) {
 	raw.Close()
 	idle()
 
-	// v1 by hand: the stream's last event, a malformed line, then STATS. The
-	// connection stays open while the other two surfaces are read, so nothing
-	// moves between the three readings.
-	text, err := net.Dial("tcp", addr.String())
+	// Frames again: the stream's last event, a malformed EVENTS frame, a
+	// query, then STATS. The connection stays open while the other two
+	// surfaces are read, so nothing moves between the three readings.
+	last, err := DialV2(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer text.Close()
-	text.SetDeadline(time.Now().Add(5 * time.Second))
-	tr1 := bufio.NewReader(text)
-	ask := func(line string) string {
-		t.Helper()
-		fmt.Fprintf(text, "%s\n", line)
-		reply, err := tr1.ReadString('\n')
-		if err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		return strings.TrimSpace(reply)
-	}
-	record, err := trace.AppendRecord([]byte("EVENT "), tr.Events[len(tr.Events)-1])
-	if err != nil {
+	defer last.Close()
+	if err := last.Report(tr.Events[len(tr.Events)-1]); err != nil {
 		t.Fatal(err)
 	}
-	if got := ask(string(record)); got != "OK" {
-		t.Fatalf("%s answered %q", record, got)
-	}
-	if got := ask("EVENT u zero:1"); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("malformed line answered %q", got)
+	if typ, _, err := last.exchange(frameEvents, []byte{0, 0}); err != nil || typ != frameErr {
+		t.Fatalf("malformed EVENTS frame answered with 0x%02x, %v", typ, err)
 	}
 	// STATS is not barriered, a query is: events= must not trail ingested=.
-	if got := ask("PRECEDES 0:1 1:1"); got != "TRUE" && got != "FALSE" {
-		t.Fatalf("PRECEDES answered %q", got)
+	if _, err := last.Precedes(tr.Events[0].ID, tr.Events[1].ID); err != nil {
+		t.Fatal(err)
 	}
-	body, ok := strings.CutPrefix(ask("STATS"), "STATS ")
-	if !ok {
-		t.Fatalf("STATS answered %q", body)
+	body, err := last.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// The golden shape.
@@ -383,7 +367,7 @@ func TestSurfacesAgree(t *testing.T) {
 	events := len(tr.Events)
 	for key, want := range map[string]int{
 		"ingested": 2*events - 1 - recovered, "events": events, "queries": len(qs) + 1, "qframes": 2,
-		"lines": 4, "proto_errors": 2, "conns": 3, "rejected": 1,
+		"lines": 0, "proto_errors": 2, "conns": 3, "rejected": 1,
 		"wal_events": events - recovered, "wal_snapshots": 1,
 		"wal_recovered": recovered, "wal_recovered_records": 1, "wal_torn": 1,
 		`tenant_events{tenant="blue"}`: events - 1, `tenant_events{tenant="default"}`: events,

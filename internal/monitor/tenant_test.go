@@ -72,7 +72,7 @@ func statsInt(t *testing.T, stats, key string) int {
 // answer its own truth. Tenant "blue" additionally carries a full corpus
 // computation, cross-checked against an uninterrupted single-tenant
 // reference, while "green" and the default tenant prove the collisions
-// never leak. Exercises both protocols: blue speaks v2, green speaks v1.
+// never leak. Blue and green stream over connections of their own.
 func TestTenantIsolationColliding(t *testing.T) {
 	spec, ok := workload.Find("dce/rpc-36")
 	if !ok {
@@ -82,7 +82,7 @@ func TestTenantIsolationColliding(t *testing.T) {
 	srv, addr := startTenantServer(t, tr.NumProcs, ServerConfig{})
 	defer srv.Close()
 
-	// blue (protocol v2): the full corpus computation.
+	// blue: the full corpus computation.
 	blue, err := DialV2(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +99,9 @@ func TestTenantIsolationColliding(t *testing.T) {
 		}
 	}
 
-	// green (protocol v1): two events whose IDs collide with blue's but
-	// whose message flows the other way: p1 sends to p0.
-	green, err := Dial(addr)
+	// green (a second connection): two events whose IDs collide with blue's
+	// but whose message flows the other way: p1 sends to p0.
+	green, err := DialV2(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestTenantQuotaLimits(t *testing.T) {
 func TestTenantSingleTenantServer(t *testing.T) {
 	srv, addr := startServer(t, 4, ServerConfig{})
 	defer srv.Close()
-	c, err := Dial(addr)
+	c, err := DialV2(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,34 +396,27 @@ func TestServerShutdownSignalsIdle(t *testing.T) {
 }
 
 // TestTenantStatsRoundTrip pins the STATS dialect: the tenant field parses
-// out of both protocols and the ingest counters survive the round trip.
+// out of a scoped session's STATS and the ingest counters survive the round
+// trip.
 func TestTenantStatsRoundTrip(t *testing.T) {
 	srv, addr := startTenantServer(t, 2, ServerConfig{})
 	defer srv.Close()
-	for _, proto := range []string{"v1", "v2"} {
-		var sess Session
-		var err error
-		if proto == "v1" {
-			sess, err = Dial(addr)
-		} else {
-			sess, err = DialV2(addr)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.SelectTenant("scoped"); err != nil {
-			t.Fatalf("%s SelectTenant: %v", proto, err)
-		}
-		stats, err := sess.Stats()
-		if err != nil {
-			t.Fatalf("%s Stats: %v", proto, err)
-		}
-		if got := statsField(t, stats, "tenant"); got != "scoped" {
-			t.Fatalf("%s STATS tenant=%q, want scoped", proto, got)
-		}
-		if got := statsInt(t, stats, "tenants"); got != 2 {
-			t.Fatalf("%s STATS tenants=%d, want 2", proto, got)
-		}
-		sess.Close()
+	sess, err := DialV2(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.SelectTenant("scoped"); err != nil {
+		t.Fatalf("SelectTenant: %v", err)
+	}
+	stats, err := sess.Stats()
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if got := statsField(t, stats, "tenant"); got != "scoped" {
+		t.Fatalf("STATS tenant=%q, want scoped", got)
+	}
+	if got := statsInt(t, stats, "tenants"); got != 2 {
+		t.Fatalf("STATS tenants=%d, want 2", got)
 	}
 }

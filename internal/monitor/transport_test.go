@@ -116,12 +116,18 @@ func TestServerAcceptRetries(t *testing.T) {
 	go srv.acceptLoop(ln)
 
 	client.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := client.Write([]byte("STATS\n")); err != nil {
+	if _, err := client.Write(protocolV2Magic[:]); err != nil {
 		t.Fatalf("after one EMFILE the port is not served: %v", err)
 	}
-	line, err := bufio.NewReader(client).ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "STATS ") {
-		t.Fatalf("STATS answered %q, %v", line, err)
+	r := bufio.NewReader(client)
+	if typ, _, err := readFrame(r); err != nil || typ != frameHello {
+		t.Fatalf("handshake: frame 0x%02x, err %v", typ, err)
+	}
+	if err := writeFrame(client, frameStats, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, body, err := readFrame(r); err != nil || typ != frameStatsR || !strings.HasPrefix(string(body), "events=") {
+		t.Fatalf("STATS answered 0x%02x %q, %v", typ, body, err)
 	}
 }
 
