@@ -166,7 +166,9 @@ type ClientV2 struct {
 }
 
 // DialV2 connects to a monitoring server with protocol v2 and performs the
-// handshake. It fails when the server does not answer with a HELLO frame.
+// handshake. It fails when the server does not answer with a HELLO frame; a
+// server at its connection limit answers with an ERR frame, which surfaces
+// as "monitor: server: server full".
 func DialV2(addr string) (*ClientV2, error) {
 	conn, err := tcp.Dial(addr)
 	if err != nil {
@@ -188,7 +190,7 @@ func DialV2(addr string) (*ClientV2, error) {
 	}
 	if typ != frameHello {
 		conn.Close()
-		return nil, fmt.Errorf("monitor: v2 handshake: unexpected frame 0x%02x", typ)
+		return nil, errFromFrame(frameHello, typ, payload)
 	}
 	version, numProcs, maxBatch, err := decodeHelloPayload(payload)
 	if err != nil {

@@ -86,7 +86,7 @@ type ServerConfig struct {
 	// metrics.DefaultFixedVector (300).
 	FixedVector int
 	// MaxConns caps simultaneously served connections; further dials are
-	// answered with "ERR server full" and closed. Default 1024.
+	// answered with an ERR frame ("server full") and closed. Default 1024.
 	MaxConns int
 	// MaxBatch caps the records in one EVENTS or QUERY frame. Oversized
 	// frames are rejected with an ERR frame. Default 8192.
@@ -384,10 +384,10 @@ func (s *Server) acceptLoop(ln tcp.Listener) {
 			return
 		}
 		if len(s.conns) >= s.cfg.MaxConns {
+			s.wg.Add(1)
 			s.mu.Unlock()
 			s.counters.ConnsRejected.Inc()
-			conn.Write([]byte("ERR server full\n"))
-			conn.Close()
+			go s.turnAway(conn)
 			continue
 		}
 		s.conns[conn] = struct{}{}
@@ -395,6 +395,25 @@ func (s *Server) acceptLoop(ln tcp.Listener) {
 		s.counters.ConnsAccepted.Inc()
 		s.wg.Add(1)
 		go s.serveConn(conn)
+	}
+}
+
+// turnAway refuses a connection over the MaxConns limit with one ERR frame,
+// which DialV2 reads in place of HELLO. Closing a socket with input unread
+// resets it, and the reset can overtake the frame, so it shuts the write side
+// first and reads out what the client sent — its magic, at least — until the
+// client hangs up or a second has passed.
+func (s *Server) turnAway(conn tcp.Conn) {
+	defer s.wg.Done()
+	defer conn.Close()
+	deadline := time.Now().Add(time.Second)
+	conn.SetWriteDeadline(deadline)
+	if writeFrame(conn, frameErr, []byte("server full")) != nil {
+		return
+	}
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+		conn.SetReadDeadline(deadline)
+		io.CopyN(io.Discard, conn, frameBufKeep)
 	}
 }
 

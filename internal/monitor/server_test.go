@@ -473,16 +473,12 @@ func TestServerMaxConns(t *testing.T) {
 	}
 	defer c2.Close()
 
-	// The third connection is refused with a text error on either protocol.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "ERR server full") {
-		t.Fatalf("over-limit conn got %q, %v", line, err)
+	// The third connection is refused with an ERR frame in place of HELLO.
+	if c, err := DialV2(addr); err == nil || err.Error() != "monitor: server: server full" {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("over-limit DialV2: %v, want monitor: server: server full", err)
 	}
 	if srv.counters.ConnsRejected.Value() != 1 {
 		t.Fatalf("rejected counter = %d", srv.counters.ConnsRejected.Value())
