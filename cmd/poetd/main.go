@@ -45,36 +45,20 @@
 // /tracez?trace=<id> — scrape with Accept: application/openmetrics-text to
 // see them; the classic text format has no exemplar syntax (DESIGN.md §14).
 //
-// Each connection speaks one of two protocols, auto-detected from its first
-// byte. Protocol v2 is the production path: length-prefixed binary frames
+// Every connection speaks protocol v2: length-prefixed binary frames
 // carrying batches of events and queries (see internal/monitor/protocol.go
-// for the framing spec); internal/monitor.DialV2 implements the client
-// side. Protocol v1 is line-oriented text for nc-style debugging; both run
-// the same request path in the daemon (DESIGN.md §7, which also lists the
-// event-record grammar and its range rules — an ID that does not fit
-// 0..2147483647 : 1..2147483647 is refused, never wrapped):
-//
-//	EVENT s 0:1 -> 1:1
-//	EVENT r 1:1 <- 0:1
-//	PRECEDES 0:1 1:1
-//	CONCURRENT 0:1 1:1
-//	STATS
-//	QUIT
-//
-// Try it interactively:
-//
-//	poetd -procs 2 &
-//	printf 'EVENT s 0:1 -> 1:1\nEVENT r 1:1 <- 0:1\nPRECEDES 0:1 1:1\nQUIT\n' | nc 127.0.0.1 7777
-//
-// Or drive it at speed from a corpus trace:
+// for the framing spec), one codec over one request path (DESIGN.md §7).
+// internal/monitor.DialV2 implements the client side, and poquery -addr
+// drives it from the command line:
 //
 //	poetd -procs 300 &
 //	poquery -addr 127.0.0.1:7777 -trace pvm/ring-300 -load -sample 50
+//	poquery -addr 127.0.0.1:7777 -e 0:1 -f 1:5
+//	poquery -addr 127.0.0.1:7777 -watch 1s -watch-count 1
 //
-// The daemon is multi-tenant: a connection that issues `TENANT <name>` (v1)
-// or a TENANT frame (v2) is scoped to that namespace, which owns its own
-// monitor pipeline, collector, WAL directory (`<walroot>/<tenant>/`) and
-// replay plane. Tenants are created on demand up to -max-tenants, each with
+// The daemon is multi-tenant: a connection that sends a TENANT frame is
+// scoped to that namespace, which owns its own monitor pipeline, collector,
+// WAL directory (`<walroot>/<tenant>/`) and replay plane. Tenants are created on demand up to -max-tenants, each with
 // -max-processes processes and an optional -tenant-max-events quota; on
 // restart every tenant directory under the WAL root is discovered and
 // recovered. Connections that never select a tenant speak to the "default"

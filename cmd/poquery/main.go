@@ -36,7 +36,7 @@
 //	poquery -addr 127.0.0.1:7777 -at 50000 -e 0:1 -f 1:5
 //
 // Multi-tenant daemons: -tenant scopes every mode to one namespace. Against
-// -addr the session is rescoped with the TENANT command before any traffic;
+// -addr the session is rescoped with a TENANT frame before any traffic;
 // against -wal the tenant's subdirectory of the WAL root is opened
 // (`<walroot>/<tenant>/`; a pre-tenant root keeps serving as "default"):
 //
@@ -149,7 +149,7 @@ func run(args []string, out io.Writer) error {
 		}
 		defer sess.Close()
 		if *watch > 0 {
-			return runWatch(out, sess, *watch, *watchN)
+			return runWatch(out, sess.Stats, *watch, *watchN)
 		}
 		m = remoteMode(sess, tr, *atArg != "", cutoff)
 	case *watch > 0:
@@ -435,9 +435,9 @@ func remoteMode(sess *monitor.ClientV2, tr *model.Trace, at bool, cutoff uint64)
 // trailing column breaks the event rate down by ingest shard (stamping
 // lane), so an unbalanced shard map is visible at a glance, and under it one
 // row per namespace when the daemon serves more than the default one.
-func runWatch(out io.Writer, sess monitor.Session, interval time.Duration, count int) error {
+func runWatch(out io.Writer, stats func() (string, error), interval time.Duration, count int) error {
 	read := func() (map[string]int64, error) {
-		body, err := sess.Stats()
+		body, err := stats()
 		if err != nil {
 			return nil, err
 		}

@@ -139,19 +139,15 @@ func TestModesAgree(t *testing.T) {
 	}
 }
 
-// statsStub is a session that answers STATS from a script, the last body
-// repeating.
-type statsStub struct {
-	monitor.Session
-	bodies []string
-}
-
-func (s *statsStub) Stats() (string, error) {
-	body := s.bodies[0]
-	if len(s.bodies) > 1 {
-		s.bodies = s.bodies[1:]
+// statsStub answers STATS from a script, the last body repeating.
+func statsStub(bodies ...string) func() (string, error) {
+	return func() (string, error) {
+		body := bodies[0]
+		if len(bodies) > 1 {
+			bodies = bodies[1:]
+		}
+		return body, nil
 	}
-	return body, nil
 }
 
 // TestWatch drives -watch end to end against a two-tenant, two-lane server
@@ -255,7 +251,7 @@ func TestWatch(t *testing.T) {
 	// A body with none of the daemon's counters is not watched.
 	for _, body := range []string{"hello world", "wal_records=5 storage=9"} {
 		out.Reset()
-		err := runWatch(&out, &statsStub{bodies: []string{body}}, time.Millisecond, 1)
+		err := runWatch(&out, statsStub(body), time.Millisecond, 1)
 		if err == nil || !strings.Contains(err.Error(), "carries no counters to watch") {
 			t.Errorf("STATS %q: err %v, output %q", body, err, &out)
 		}
@@ -265,10 +261,10 @@ func TestWatch(t *testing.T) {
 	// a label on an unknown key is nobody's tenant, and the row is the
 	// difference of two bodies over the interval.
 	out.Reset()
-	err = runWatch(&out, &statsStub{bodies: []string{
+	err = runWatch(&out, statsStub(
 		`ingested=900 tenant_events{tenant="blue"}=500 batches=30 other{tenant="blue"}=9`,
 		`ingested=1000 tenant_events{tenant="blue"}=550 batches=32 other{tenant="green"}=19 proto_errors=1`,
-	}}, 50*time.Millisecond, 1)
+	), 50*time.Millisecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,10 @@ var design = []gate{
 		{in: "internal/wal/*.go -internal/wal/fsys.go -internal/wal/mmap_*.go", site: `\.ReadDir\($`, must: []string{"scanChain"}, max: 1},
 		{in: "internal/ cmd/ +tests", site: `NoSidecar|idxReadWrite|compactErr|^func syncDir`},
 	}},
-	{name: "One_request_path", why: "Two codecs over one executor; one text event codec, in internal/trace (DESIGN.md §7).", rules: []rule{
+	{name: "One_codec_over_one_executor", why: "poetd speaks frames only, through one executor; text records are parsed in internal/trace alone (DESIGN.md §7).", rules: []rule{
 		{in: ".", site: `parseEventRecord|parseServerID|^func (eventLine|parseID|parseEventID)|^func \(Server\) handle`},
+		{in: "internal/ cmd/ +tests", site: `\b(serveV1|decodeLine|replyLine|LinesRead)\b|poetd_lines_read_total|^type Session\b`},
+		{in: "internal/monitor/ +tests", site: `^func Dial\(`},
 		{in: "internal/monitor/server.go", site: `\.IngestBarrier\($`, must: []string{"Server.answer"}},
 		{in: "internal/monitor/server.go", site: `\.HistoryAt\($`, must: []string{"Server.answer"}},
 		{in: "internal/monitor/*.go", site: `RecordOp\($`, must: []string{"Server.submitInstrumented", "Server.answer"}, max: 3},

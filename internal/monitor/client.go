@@ -3,160 +3,14 @@ package monitor
 import (
 	"bufio"
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/tcp"
-	"repro/internal/trace"
 )
 
-// Session is the protocol-independent client surface: both the v1 text
-// client and the v2 binary client implement it, so instrumentation shims
-// and tools are written once against either protocol.
-type Session interface {
-	// Report streams one event record to the server.
-	Report(e model.Event) error
-	// ReportBatch streams a batch of event records in one exchange.
-	ReportBatch(events []model.Event) error
-	// Precedes asks a happened-before query.
-	Precedes(e, f model.EventID) (bool, error)
-	// Concurrent asks a concurrency query.
-	Concurrent(e, f model.EventID) (bool, error)
-	// Stats fetches the server's statistics body.
-	Stats() (string, error)
-	// SelectTenant scopes the session to a tenant namespace: every
-	// subsequent report/query/stats exchange routes to that tenant's
-	// store. A session that never selects one speaks to the server's
-	// "default" tenant. On error the previous scope is unchanged.
-	SelectTenant(name string) error
-	// Close ends the session.
-	Close() error
-}
-
-// --- protocol v1 client ---------------------------------------------------
-
-// Client is a minimal client for the server's v1 text protocol, used by
-// instrumentation shims, tests and nc-style debugging.
-type Client struct {
-	conn tcp.Conn
-	r    *bufio.Reader
-}
-
-// Dial connects to a monitoring server with protocol v1.
-func Dial(addr string) (*Client, error) {
-	conn, err := tcp.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
-}
-
-// roundTrip sends one line and reads one response line.
-func (c *Client) roundTrip(line string) (string, error) {
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		return "", err
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil && (resp == "" || err != io.EOF) {
-		return "", err
-	}
-	return strings.TrimSpace(resp), nil
-}
-
-// Report streams one event to the server.
-func (c *Client) Report(e model.Event) error {
-	batch := [1]model.Event{e}
-	return c.ReportBatch(batch[:])
-}
-
-// ReportBatch pipelines a batch of EVENT lines: all lines are written in
-// one buffer, then all responses are read. This amortizes the per-line
-// round trip but still pays one line and one response per event — the
-// binary protocol's EVENTS frame is the fast path.
-func (c *Client) ReportBatch(events []model.Event) error {
-	var lines []byte
-	for _, e := range events {
-		var err error
-		if lines, err = trace.AppendRecord(append(lines, "EVENT "...), e); err != nil {
-			return err
-		}
-		lines = append(lines, '\n')
-	}
-	if _, err := c.conn.Write(lines); err != nil {
-		return err
-	}
-	var firstErr error
-	for range events {
-		resp, err := c.r.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		if resp = strings.TrimSpace(resp); resp != "OK" && firstErr == nil {
-			firstErr = fmt.Errorf("monitor: server: %s", resp)
-		}
-	}
-	return firstErr
-}
-
-// Precedes asks a happened-before query.
-func (c *Client) Precedes(e, f model.EventID) (bool, error) {
-	return c.query("PRECEDES", e, f)
-}
-
-// Concurrent asks a concurrency query.
-func (c *Client) Concurrent(e, f model.EventID) (bool, error) {
-	return c.query("CONCURRENT", e, f)
-}
-
-func (c *Client) query(op string, e, f model.EventID) (bool, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("%s %d:%d %d:%d", op, e.Process, e.Index, f.Process, f.Index))
-	if err != nil {
-		return false, err
-	}
-	switch resp {
-	case "TRUE":
-		return true, nil
-	case "FALSE":
-		return false, nil
-	}
-	return false, fmt.Errorf("monitor: server: %s", resp)
-}
-
-// Stats fetches the server-side statistics line.
-func (c *Client) Stats() (string, error) {
-	resp, err := c.roundTrip("STATS")
-	if err != nil {
-		return "", err
-	}
-	if !strings.HasPrefix(resp, "STATS ") {
-		return "", fmt.Errorf("monitor: server: %s", resp)
-	}
-	return strings.TrimPrefix(resp, "STATS "), nil
-}
-
-// SelectTenant scopes the session to a tenant namespace (v1 TENANT command).
-func (c *Client) SelectTenant(name string) error {
-	resp, err := c.roundTrip("TENANT " + name)
-	if err != nil {
-		return err
-	}
-	if resp != "OK" {
-		return fmt.Errorf("monitor: server: %s", resp)
-	}
-	return nil
-}
-
-// Close ends the session.
-func (c *Client) Close() error {
-	_, _ = c.roundTrip("QUIT")
-	return c.conn.Close()
-}
-
-// --- protocol v2 client ---------------------------------------------------
-
-// ClientV2 speaks the length-prefixed binary protocol: batched EVENTS
-// frames for ingestion, batched QUERY frames for precedence questions.
+// ClientV2 speaks the server's protocol, length-prefixed binary frames:
+// batched EVENTS frames for ingestion, batched QUERY frames for precedence
+// questions.
 type ClientV2 struct {
 	conn     tcp.Conn
 	r        *bufio.Reader

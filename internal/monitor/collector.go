@@ -108,7 +108,7 @@ type Collector struct {
 	syncWaiters map[model.EventID]int
 
 	// Scratch buffers reused across SubmitBatch calls (guarded by mu), so
-	// the hot single-event v1 path does not allocate per call.
+	// a batch does not allocate per call.
 	touched []int  // processes touched by the current batch
 	seen    []bool // per process: already in touched
 	work    []int  // drain work queue

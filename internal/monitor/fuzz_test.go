@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"net"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -129,22 +128,28 @@ func fuzzServer(t *testing.T) (*Server, net.Conn) {
 	return s, client
 }
 
-// FuzzServerProtocol drives both protocol front-ends of a live server
-// connection with fuzzed input: no panics, every rejected input is answered
-// with an ERR line/frame rather than a dropped connection, the connection
-// keeps serving afterwards (witnessed by a STATS exchange), and on the text
-// side the store never holds more events than lines were acknowledged.
+// FuzzServerProtocol drives a live server connection with one fuzzed frame:
+// no panics, every frame is answered in order — a rejected one with an ERR
+// frame rather than a dropped connection — and the connection keeps serving
+// afterwards (witnessed by a STATS exchange). The store holds nothing the
+// frame did not carry: a frame other than a well-formed EVENTS batch leaves
+// events=0 held=0, and an accepted batch leaves at most its records (a
+// collector refusal part-way keeps the prefix it applied, hence at most).
 func FuzzServerProtocol(f *testing.F) {
-	f.Add(false, byte(0), []byte("EVENT u 0:1"))
-	f.Add(false, byte(0), []byte("PRECEDES 0:1 1:1\nGIBBERISH"))
-	f.Add(false, byte(0), []byte("EVENT s 0:1 -> 1:1\nEVENT r 1:1 <- 0:1"))
-	f.Add(false, byte(0), []byte("EVENT u 4294967296:1\nEVENT s 4294967296:4294967298 banana 1:1"))
-	f.Add(true, frameEvents, encodeEventsPayload([]model.Event{{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary}}))
-	f.Add(true, frameQuery, encodeQueryPayload([]Query{{Op: OpPrecedes, A: model.EventID{Process: 0, Index: 1}, B: model.EventID{Process: 1, Index: 1}}}))
-	f.Add(true, frameEvents, []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(true, byte(0x7f), []byte("junk"))
-	f.Add(true, frameQuit, []byte{})
-	f.Fuzz(func(t *testing.T, useV2 bool, typ byte, data []byte) {
+	unary := model.Event{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary}
+	f.Add(frameEvents, encodeEventsPayload([]model.Event{
+		{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Send, Partner: model.EventID{Process: 1, Index: 1}},
+		{ID: model.EventID{Process: 1, Index: 1}, Kind: model.Receive, Partner: model.EventID{Process: 0, Index: 1}},
+	}))
+	f.Add(frameEvents, encodeEventsPayload([]model.Event{unary, unary})) // the second is a duplicate
+	f.Add(frameEvents, []byte{0, 0, 0, 1, 0, 0x80, 0, 0, 0, 0, 0, 0, 1}) // process 2^31
+	f.Add(frameTenant, []byte("blue"))                                   // a single-tenant server refuses it
+	f.Add(frameEvents, encodeEventsPayload([]model.Event{unary}))
+	f.Add(frameQuery, encodeQueryPayload([]Query{{Op: OpPrecedes, A: model.EventID{Process: 0, Index: 1}, B: model.EventID{Process: 1, Index: 1}}}))
+	f.Add(frameEvents, []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(byte(0x7f), []byte("junk"))
+	f.Add(frameQuit, []byte{})
+	f.Fuzz(func(t *testing.T, typ byte, data []byte) {
 		if len(data) > 4096 {
 			return // keep individual executions fast
 		}
@@ -155,99 +160,65 @@ func FuzzServerProtocol(f *testing.F) {
 		}()
 		client.SetDeadline(time.Now().Add(10 * time.Second))
 
-		if useV2 {
-			fuzzV2Conn(t, client, typ, data)
-		} else {
-			fuzzV1Conn(t, client, data)
+		// The STATS probe goes out once the fuzzed frame is answered, so it
+		// sees whatever that frame stored.
+		answered := make(chan struct{})
+		go func() {
+			client.Write(protocolV2Magic[:])
+			writeFrame(client, typ, data)
+			<-answered
+			writeFrame(client, frameStats, nil)
+			writeFrame(client, frameQuit, nil)
+		}()
+		r := bufio.NewReader(client)
+		rtyp, _, err := readFrame(r)
+		if err != nil || rtyp != frameHello {
+			close(answered)
+			t.Fatalf("handshake reply: frame 0x%02x, err %v", rtyp, err)
+		}
+		var replies []byte
+		var stats string
+		for {
+			rtyp, payload, err := readFrame(r)
+			if len(replies) == 0 {
+				close(answered)
+			}
+			if err != nil {
+				break
+			}
+			replies = append(replies, rtyp)
+			if rtyp == frameStatsR {
+				stats = string(payload)
+			}
+			if rtyp == frameBye {
+				break
+			}
+		}
+		if typ == frameQuit {
+			// The fuzzed frame itself ended the session.
+			if len(replies) == 0 || replies[len(replies)-1] != frameBye {
+				t.Fatalf("QUIT not answered with BYE: % x", replies)
+			}
+			return
+		}
+		// Expect: reply to the fuzzed frame, STATS reply, BYE.
+		if len(replies) != 3 || replies[1] != frameStatsR || replies[2] != frameBye {
+			t.Fatalf("reply sequence % x, want [reply STATSR BYE]", replies)
+		}
+		switch replies[0] {
+		case frameAck, frameResults, frameErr, frameStatsR:
+		default:
+			t.Fatalf("fuzzed frame 0x%02x answered with unexpected frame 0x%02x", typ, replies[0])
+		}
+		stored := statsInt(t, stats, "events") + statsInt(t, stats, "held")
+		carried := 0
+		if typ == frameEvents {
+			if batch, err := decodeEventsPayload(nil, data, s.cfg.MaxBatch); err == nil {
+				carried = len(batch)
+			}
+		}
+		if stored > carried {
+			t.Fatalf("frame 0x%02x carrying %d events left events+held=%d: %s", typ, carried, stored, stats)
 		}
 	})
-}
-
-// fuzzV1Conn feeds data as text lines followed by a STATS probe.
-func fuzzV1Conn(t *testing.T, client net.Conn, data []byte) {
-	// A leading NUL would select the v2 front-end; this case is covered by
-	// fuzzV2Conn, so redirect it into the text path.
-	if len(data) > 0 && data[0] == 0x00 {
-		data = append([]byte("X"), data...)
-	}
-	// NULs and a missing trailing newline would glue our probe onto fuzzed
-	// bytes; terminate cleanly.
-	go func() {
-		client.Write(append(data, []byte("\nSTATS\nQUIT\n")...))
-	}()
-	r := bufio.NewReader(client)
-	sawStats, sawBye := false, false
-	oks, stats := 0, ""
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			break
-		}
-		if line == "OK\n" {
-			oks++
-		}
-		if strings.HasPrefix(line, "STATS ") {
-			sawStats, stats = true, line
-		}
-		if strings.HasPrefix(line, "BYE") {
-			sawBye = true
-			break
-		}
-	}
-	// The store holds nothing the server did not acknowledge: every event
-	// behind events= drew an OK of its own (TENANT draws OKs too, hence <=).
-	if sawStats {
-		if events := statsInt(t, strings.TrimPrefix(stats, "STATS "), "events"); events > oks {
-			t.Fatalf("STATS events=%d after %d OK lines for input %q", events, oks, data)
-		}
-	}
-	// The connection survived to the probe unless the fuzzed input itself
-	// asked to quit (any case) or smuggled a huge unterminated line.
-	quitInData := strings.Contains(strings.ToUpper(string(data)), "QUIT")
-	if !sawStats && !quitInData {
-		t.Fatalf("connection did not survive to the STATS probe (bye=%v)", sawBye)
-	}
-}
-
-// fuzzV2Conn sends one fuzzed frame between the handshake and a STATS+QUIT
-// tail, and requires the server to answer every frame in order.
-func fuzzV2Conn(t *testing.T, client net.Conn, typ byte, data []byte) {
-	go func() {
-		client.Write(protocolV2Magic[:])
-		writeFrame(client, typ, data)
-		writeFrame(client, frameStats, nil)
-		writeFrame(client, frameQuit, nil)
-	}()
-	r := bufio.NewReader(client)
-	rtyp, _, err := readFrame(r)
-	if err != nil || rtyp != frameHello {
-		t.Fatalf("handshake reply: frame 0x%02x, err %v", rtyp, err)
-	}
-	var replies []byte
-	for {
-		rtyp, _, err := readFrame(r)
-		if err != nil {
-			break
-		}
-		replies = append(replies, rtyp)
-		if rtyp == frameBye {
-			break
-		}
-	}
-	if typ == frameQuit {
-		// The fuzzed frame itself ended the session.
-		if len(replies) == 0 || replies[len(replies)-1] != frameBye {
-			t.Fatalf("QUIT not answered with BYE: % x", replies)
-		}
-		return
-	}
-	// Expect: reply to the fuzzed frame, STATS reply, BYE.
-	if len(replies) != 3 || replies[1] != frameStatsR || replies[2] != frameBye {
-		t.Fatalf("reply sequence % x, want [reply STATSR BYE]", replies)
-	}
-	switch replies[0] {
-	case frameAck, frameResults, frameErr, frameStatsR:
-	default:
-		t.Fatalf("fuzzed frame 0x%02x answered with unexpected frame 0x%02x", typ, replies[0])
-	}
 }

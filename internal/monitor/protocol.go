@@ -11,18 +11,16 @@ import (
 )
 
 // This file holds the framing and payload encodings of protocol v2, the
-// length-prefixed binary protocol of the monitoring server; server.go maps
-// frames to requests and replies to frames. Protocol v1 (the line-oriented
-// text protocol) remains for nc-style debugging; the server auto-detects
-// which one a connection speaks from its first byte.
+// length-prefixed binary protocol of the monitoring server and its only wire
+// format; server.go maps frames to requests and replies to frames.
 //
-// Handshake: a v2 client opens with the 7-byte magic
+// Handshake: a client opens with the 7-byte magic
 //
 //	0x00 'P' 'O' 'E' 'T' '2' '\n'
 //
-// The leading NUL can never start a v1 command line, so the server decides
-// the protocol from one byte without stalling text clients; the trailing
-// newline makes the magic a complete line to anything line-oriented.
+// and the server drops a connection that opens with anything else. The
+// server answers with HELLO, or — at its connection limit — with one ERR
+// frame ("server full") before it closes.
 //
 // After the magic every message in both directions is a frame:
 //
@@ -49,7 +47,8 @@ import (
 //	               is past recorded history, and when it names events that
 //	               are recorded but not in the live store.
 //	STATS  c->s  empty
-//	STATSR s->c  the v1 STATS body as text ("tenant=... events=... crs=...")
+//	STATSR s->c  the STATS body as text: key=value fields
+//	               ("events=... crs=... ... tenant=... tenants=...")
 //	ERR    s->c  utf-8 message           (frame rejected; connection lives)
 //	QUIT   c->s  empty
 //	BYE    s->c  empty                   (connection closes)
@@ -73,8 +72,7 @@ import (
 // such a buffer, and encodes RESULTS and ACK payloads by appending to one
 // (DESIGN.md §7).
 
-// protocolV2Magic opens a v2 connection. The first byte is NUL so the text
-// protocol can never collide with it.
+// protocolV2Magic opens a connection.
 var protocolV2Magic = [7]byte{0x00, 'P', 'O', 'E', 'T', '2', '\n'}
 
 // protocolV2Version is the protocol revision announced in HELLO.

@@ -3,15 +3,17 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/hct"
 	"repro/internal/model"
-	"repro/internal/trace"
+	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
-// A step is one request of a protocol-neutral script, sent on one of the
+// A step is one request of a script, sent as one frame on one of the
 // script's connections. At most one of event, query and tenant is meaningful,
 // as the verb says.
 type step struct {
@@ -22,44 +24,10 @@ type step struct {
 	tenant string
 }
 
-// wire is one connection of one protocol, answering in the text protocol's
-// reply vocabulary: OK, TRUE, FALSE, BYE, "ERR <msg>" and the STATS body.
-// Query refusals are a bare ERR on both (the frame protocol's result code 2
-// carries no message).
-type wire interface {
-	do(st step) (string, error)
-}
-
-type textWire struct{ c *Client }
-
-func (w textWire) do(st step) (string, error) {
-	var line string
-	switch st.verb {
-	case verbEvents:
-		rec, err := trace.AppendRecord([]byte("EVENT "), st.event)
-		if err != nil {
-			return "", err
-		}
-		line = string(rec)
-	case verbQuery:
-		line = fmt.Sprintf("PRECEDES %d:%d %d:%d", st.query.A.Process, st.query.A.Index, st.query.B.Process, st.query.B.Index)
-		if st.query.Op == OpConcurrent {
-			line = "CONCURRENT" + strings.TrimPrefix(line, "PRECEDES")
-		}
-	case verbTenant:
-		line = "TENANT " + st.tenant
-	case verbStats:
-		line = "STATS"
-	case verbQuit:
-		line = "QUIT"
-	}
-	resp, err := w.c.roundTrip(line)
-	if st.verb == verbQuery && strings.HasPrefix(resp, "ERR") {
-		resp = "ERR"
-	}
-	return strings.TrimPrefix(resp, "STATS "), err
-}
-
+// frameWire is one connection of a script. It renders each reply frame as a
+// word: OK for ACK, TRUE, FALSE or a bare ERR for a one-query RESULTS (result
+// code 2 carries no message), "ERR <msg>" for an ERR frame, BYE, and the STATS
+// body as it is.
 type frameWire struct{ c *ClientV2 }
 
 func (w frameWire) do(st step) (string, error) {
@@ -107,43 +75,26 @@ func (w frameWire) do(st step) (string, error) {
 	return "", fmt.Errorf("unexpected frame 0x%02x", rtyp)
 }
 
-// comparableStats drops the fields of a STATS body that legitimately differ
-// between the protocols (their own unit counters) or between two runs (the
-// wall-clock rates).
-func comparableStats(body string) string {
-	var keep []string
-	for _, f := range strings.Fields(body) {
-		k, _, _ := strings.Cut(f, "=")
-		switch k {
-		case "lines", "frames", "events_per_sec", "queries_per_sec":
-		default:
-			keep = append(keep, f)
-		}
-	}
-	return strings.Join(keep, " ")
-}
-
-// runScript plays script against a fresh server over nconns connections of
-// one protocol and returns the reply to every step.
-func runScript(t *testing.T, numProcs, nconns int, script []step, dial func(addr string) wire) []string {
+// runScript plays script against a fresh server over nconns connections and
+// returns the reply to every step. Every connection must end with QUIT in the
+// script.
+func runScript(t *testing.T, numProcs, nconns int, script []step) []string {
 	t.Helper()
 	srv, addr := startTenantServer(t, numProcs, ServerConfig{})
-	conns := make([]wire, nconns)
+	conns := make([]frameWire, nconns)
 	for i := range conns {
-		conns[i] = dial(addr)
+		c, err := DialV2(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.conn.Close() })
+		conns[i] = frameWire{c}
 	}
-	// A dial returns when the kernel has the connection, which is before the
-	// accept loop counts it; STATS reports that count and the codecs must agree
-	// on it, so no step runs until every connection is in it.
-	waitFor(t, func() bool { return srv.counters.ConnsAccepted.Value() == int64(nconns) })
 	replies := make([]string, len(script))
 	for i, st := range script {
 		resp, err := conns[st.conn].do(st)
 		if err != nil {
 			t.Fatalf("step %d (%+v): %v", i, st, err)
-		}
-		if st.verb == verbStats {
-			resp = comparableStats(resp)
 		}
 		replies[i] = resp
 	}
@@ -153,40 +104,11 @@ func runScript(t *testing.T, numProcs, nconns int, script []step, dial func(addr
 	return replies
 }
 
-// requireAgreement plays the script over both codecs and holds them to each
-// other reply for reply. Every connection must end with QUIT in the script.
-func requireAgreement(t *testing.T, numProcs, nconns int, script []step) []string {
-	t.Helper()
-	text := runScript(t, numProcs, nconns, script, func(addr string) wire {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.conn.Close() })
-		return textWire{c}
-	})
-	frames := runScript(t, numProcs, nconns, script, func(addr string) wire {
-		c, err := DialV2(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.conn.Close() })
-		return frameWire{c}
-	})
-	for i := range script {
-		if text[i] != frames[i] {
-			t.Fatalf("step %d (%+v):\n text:   %s\n frames: %s", i, script[i], text[i], frames[i])
-		}
-	}
-	return text
-}
-
-// TestProtocolsAgree is the differential over the two codecs: the same verb
-// sequence as text lines against one fresh server and as frames against
-// another must draw the same replies — OK for ACK(1), TRUE/FALSE for result
-// codes, ERR (with the same message, where the frame carries one) for ERR —
-// and leave identical STATS bodies, because both are translations around one
-// executor.
+// TestProtocolsAgree holds the frame protocol to scripts: the replies a verb
+// sequence draws agree with a pinned table — OK for ACK(1) and ACK(0), TRUE
+// or FALSE for a result code, ERR (with the message, where the frame carries
+// one) for a refusal — and, over the corpus, with an in-order reference
+// monitor and with the collector's accounting of what arrived.
 func TestProtocolsAgree(t *testing.T) {
 	id := func(p, i int) model.EventID {
 		return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}
@@ -194,45 +116,56 @@ func TestProtocolsAgree(t *testing.T) {
 	t.Run("table", func(t *testing.T) {
 		send := model.Event{ID: id(0, 2), Kind: model.Send, Partner: id(1, 1)}
 		recv := model.Event{ID: id(1, 1), Kind: model.Receive, Partner: id(0, 2)}
-		script := []step{
-			{verb: verbStats},
-			{verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 1), B: id(1, 1)}}, // unknown events
-			{verb: verbEvents, event: recv},                                           // held: its send has not arrived
-			{verb: verbEvents, event: send},                                           // held: 0:1 has not arrived
-			{verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 2), B: id(1, 1)}}, // still unknown
-			{verb: verbStats},
-			{conn: 1, verb: verbEvents, event: model.Event{ID: id(0, 1), Kind: model.Unary}}, // releases all three
-			{conn: 1, verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 1), B: id(1, 1)}},
-			{conn: 1, verb: verbQuery, query: Query{Op: OpConcurrent, A: id(0, 2), B: id(1, 1)}},
-			{verb: verbEvents, event: send},                                             // duplicate
-			{verb: verbEvents, event: model.Event{ID: id(9, 1), Kind: model.Unary}},     // process out of range
-			{verb: verbQuery, query: Query{Op: OpConcurrent, A: id(9, 1), B: id(0, 1)}}, // out of range
-			{conn: 1, verb: verbTenant, tenant: "no/slashes"},
-			{conn: 1, verb: verbStats}, // still scoped to default
-			{conn: 1, verb: verbTenant, tenant: "blue"},
-			{conn: 1, verb: verbEvents, event: model.Event{ID: id(0, 1), Kind: model.Unary}},   // blue's own 0:1
-			{conn: 1, verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 1), B: id(1, 1)}}, // blue has no 1:1
-			{conn: 1, verb: verbStats},
-			{verb: verbTenant, tenant: DefaultTenant},
-			{verb: verbStats},
-			{verb: verbQuit},
-			{conn: 1, verb: verbQuit},
+		// want is each step's reply; "ERR " asks for an ERR with a message,
+		// and a STATS step names fields its body must carry.
+		script := []struct {
+			step
+			want string
+		}{
+			{step{verb: verbStats}, "events=0 held=0"},
+			{step{verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 1), B: id(1, 1)}}, "ERR"}, // unknown events
+			{step{verb: verbEvents, event: recv}, "OK"},                                            // held: its send has not arrived
+			{step{verb: verbEvents, event: send}, "OK"},                                            // held: 0:1 has not arrived
+			{step{verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 2), B: id(1, 1)}}, "ERR"}, // still unknown
+			{step{verb: verbStats}, "events=0 held=2"},
+			{step{conn: 1, verb: verbEvents, event: model.Event{ID: id(0, 1), Kind: model.Unary}}, "OK"}, // releases all three
+			{step{conn: 1, verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 1), B: id(1, 1)}}, "TRUE"},
+			{step{conn: 1, verb: verbQuery, query: Query{Op: OpConcurrent, A: id(0, 2), B: id(1, 1)}}, "FALSE"},
+			{step{verb: verbEvents, event: send}, "ERR "},                                            // duplicate
+			{step{verb: verbEvents, event: model.Event{ID: id(9, 1), Kind: model.Unary}}, "ERR "},    // process out of range
+			{step{verb: verbQuery, query: Query{Op: OpConcurrent, A: id(9, 1), B: id(0, 1)}}, "ERR"}, // out of range
+			{step{conn: 1, verb: verbTenant, tenant: "no/slashes"}, "ERR "},
+			{step{conn: 1, verb: verbStats}, "tenant=default tenants=1"}, // still scoped to default
+			{step{conn: 1, verb: verbTenant, tenant: "blue"}, "OK"},
+			{step{conn: 1, verb: verbEvents, event: model.Event{ID: id(0, 1), Kind: model.Unary}}, "OK"},    // blue's own 0:1
+			{step{conn: 1, verb: verbQuery, query: Query{Op: OpPrecedes, A: id(0, 1), B: id(1, 1)}}, "ERR"}, // blue has no 1:1
+			{step{conn: 1, verb: verbStats}, "events=1 held=0 tenant=blue tenants=2"},
+			{step{verb: verbTenant, tenant: DefaultTenant}, "OK"},
+			{step{verb: verbStats}, "events=3 held=0 tenant=default"},
+			{step{verb: verbQuit}, "BYE"},
+			{step{conn: 1, verb: verbQuit}, "BYE"},
 		}
-		replies := requireAgreement(t, 3, 2, script)
-		// The differential proves agreement; pin a few replies so it cannot
-		// pass by both sides being wrong in the same way.
-		for i, want := range map[int]string{1: "ERR", 2: "OK", 4: "ERR", 7: "TRUE", 8: "FALSE", 14: "OK", 16: "ERR", 20: "BYE"} {
-			if replies[i] != want {
-				t.Errorf("step %d (%+v) -> %q, want %q", i, script[i], replies[i], want)
+		steps := make([]step, len(script))
+		for i, s := range script {
+			steps[i] = s.step
+		}
+		for i, got := range runScript(t, 3, 2, steps) {
+			want := script[i].want
+			var ok bool
+			switch {
+			case script[i].verb == verbStats:
+				ok = true
+				for _, f := range strings.Fields(want) {
+					ok = ok && slices.Contains(strings.Fields(got), f)
+				}
+			case want == "ERR ":
+				ok = strings.HasPrefix(got, want) && len(got) > len(want)
+			default:
+				ok = got == want
 			}
-		}
-		for _, i := range []int{9, 10, 12} {
-			if !strings.HasPrefix(replies[i], "ERR ") {
-				t.Errorf("step %d (%+v) -> %q, want an ERR with a message", i, script[i], replies[i])
+			if !ok {
+				t.Errorf("step %d (%+v) -> %q, want %q", i, script[i].step, got, want)
 			}
-		}
-		if !strings.Contains(replies[5], " held=2 ") || !strings.Contains(replies[19], "events=3 ") || !strings.Contains(replies[17], "tenant=blue tenants=2") {
-			t.Errorf("STATS bodies:\n %s\n %s\n %s", replies[5], replies[17], replies[19])
 		}
 	})
 
@@ -280,7 +213,25 @@ func TestProtocolsAgree(t *testing.T) {
 			for c := 0; c < nconns; c++ {
 				script = append(script, step{conn: c, verb: verbStats}, step{conn: c, verb: verbQuit})
 			}
-			replies := requireAgreement(t, tr.NumProcs, nconns, script)
+			replies := runScript(t, tr.NumProcs, nconns, script)
+			// The server delivers a causally closed set, so an answered query
+			// is the whole computation's answer.
+			ref, err := New(tr.NumProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.DeliverAll(tr); err != nil {
+				t.Fatal(err)
+			}
+			for k, st := range script {
+				if st.verb != verbQuery || replies[k] == "ERR" {
+					continue
+				}
+				want, err := answerLocal(ref, st.query)
+				if err != nil || replies[k] != strings.ToUpper(fmt.Sprint(want)) {
+					t.Fatalf("step %d (%+v) -> %s; reference %v, %v", k, st, replies[k], want, err)
+				}
+			}
 			// Every distinct record of the prefix arrived: each is delivered or
 			// (a sync half whose peer lies past the prefix) held, none twice.
 			final := replies[len(replies)-2]

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"strings"
 	"sync"
 	"time"
 
@@ -14,48 +13,30 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/tcp"
-	"repro/internal/trace"
 )
 
 // Server exposes a Monitor over TCP, completing the Figure 1 architecture:
 // instrumented processes connect and stream their event records; query
 // clients (visualization engines, control entities) connect and ask
-// precedence questions. Two wire formats serve both roles on one port,
-// chosen per connection by auto-detection on the first byte, and both are
-// codecs over one request path (DESIGN.md §7): a line or a frame decodes to
-// a request, execute runs it against the connection's tenant scope, and the
-// reply is rendered back as a line or a frame.
+// precedence questions. One wire format serves both roles on one port:
+// protocol v2, length-prefixed binary frames carrying batches of events and
+// queries (protocol.go has the framing spec). It is one codec over one
+// request path (DESIGN.md §7): a frame decodes to a request, execute runs it
+// against the connection's tenant scope, and the reply is rendered back as a
+// frame.
 //
-// Protocol v1 — line-oriented text, for nc-style debugging. The event record
-// after EVENT, and every <proc>:<idx>, is the text trace format's, parsed by
-// internal/trace (grammar and range rules: DESIGN.md §7):
-//
-//	EVENT u <proc>:<idx>              -> OK | ERR <msg>
-//	EVENT s <proc>:<idx> -> <p>:<i>   -> OK | ERR <msg>
-//	EVENT r <proc>:<idx> <- <p>:<i>   -> OK | ERR <msg>
-//	EVENT y <proc>:<idx> <> <p>:<i>   -> OK | ERR <msg>
-//	PRECEDES <proc>:<idx> <proc>:<idx> -> TRUE | FALSE | ERR <msg>
-//	CONCURRENT <proc>:<idx> <proc>:<idx> -> TRUE | FALSE | ERR <msg>
-//	STATS                              -> STATS events=<n> crs=<n> ...
-//	TENANT <name>                      -> OK | ERR <msg>  (rescopes the connection)
-//	QUIT                               -> BYE (closes the connection)
-//
-// Protocol v2 — length-prefixed binary frames carrying batches of events
-// and queries (see protocol.go for the framing spec).
-//
-// On either protocol an event batch (one record, for a v1 EVENT) flows
-// through a bounded submit queue into the collector, which takes the
-// monitor's write lock once per deliverable run; query batches are
-// lock-free — each is answered against a single captured watermark of the
-// published store (Monitor.QueryBatch), so queries from any number of
-// connections run fully in parallel and never stall ingestion.
+// An event batch flows through a bounded submit queue into the collector,
+// which takes the monitor's write lock once per deliverable run; query
+// batches are lock-free — each is answered against a single captured
+// watermark of the published store (Monitor.QueryBatch), so queries from any
+// number of connections run fully in parallel and never stall ingestion.
 //
 // Events may arrive out of order across connections; the server feeds them
 // through a Collector. The server is safe for many concurrent connections
 // and enforces the configured connection, batch-size and deadline limits.
 //
 // The server is namespace-aware: every connection is scoped to one tenant
-// (the TENANT verb selects it; absent selection it is the "default" tenant)
+// (a TENANT frame selects it; absent selection it is the "default" tenant)
 // and all event, query and STATS traffic routes to that tenant's Collector,
 // Monitor and replay plane. See tenant.go for the registry and quota model.
 type Server struct {
@@ -174,13 +155,11 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // submitReq is one event batch queued for ingestion, with the tenant it
 // routes to and the channel its acknowledgement waits on (nil once the batch
-// is applied, else why it was not). batch is the pooled holder of events, nil
-// for a v1 line's one-event slice. tr is the batch's span trace (nil when
-// unsampled); qspan is its open queue span, closed when the worker picks the
-// batch up.
+// is applied, else why it was not). batch is the events' pooled holder. tr is
+// the batch's span trace (nil when unsampled); qspan is its open queue span,
+// closed when the worker picks the batch up.
 type submitReq struct {
 	tenant *Tenant
-	events []model.Event
 	batch  *[]model.Event
 	done   chan error
 	tr     *obs.Trace
@@ -231,8 +210,8 @@ func NewTenantServer(cfg ServerConfig) (*Server, error) {
 // seen. The instrument is the only storage a number has — the connection
 // goroutines bump it, and STATS, /metrics and /statusz read it.
 type serverCounters struct {
-	EventsIngested, BatchesIngested, QueriesAnswered, QueryFrames       *obs.Counter
-	FramesRead, LinesRead, ProtocolErrors, ConnsAccepted, ConnsRejected *obs.Counter
+	EventsIngested, BatchesIngested, QueriesAnswered, QueryFrames *obs.Counter
+	FramesRead, ProtocolErrors, ConnsAccepted, ConnsRejected      *obs.Counter
 }
 
 // newServerShell builds the tenant-independent part of a server. Its
@@ -250,10 +229,9 @@ func newServerShell(cfg ServerConfig) *Server {
 			EventsIngested:  reg.NewCounter("poetd_events_ingested_total", "Events accepted into the collector."),
 			BatchesIngested: reg.NewCounter("poetd_batches_ingested_total", "Event batches acknowledged."),
 			QueriesAnswered: reg.NewCounter("poetd_queries_answered_total", "Individual precedence queries answered."),
-			QueryFrames:     reg.NewCounter("poetd_query_frames_total", "QUERY frames / query lines served."),
-			FramesRead:      reg.NewCounter("poetd_frames_read_total", "Protocol v2 frames decoded."),
-			LinesRead:       reg.NewCounter("poetd_lines_read_total", "Protocol v1 text lines handled."),
-			ProtocolErrors:  reg.NewCounter("poetd_protocol_errors_total", "Malformed or rejected frames and lines."),
+			QueryFrames:     reg.NewCounter("poetd_query_frames_total", "QUERY and QUERY@ frames served."),
+			FramesRead:      reg.NewCounter("poetd_frames_read_total", "Protocol frames decoded."),
+			ProtocolErrors:  reg.NewCounter("poetd_protocol_errors_total", "Malformed or rejected frames."),
 			ConnsAccepted:   reg.NewCounter("poetd_conns_accepted_total", "Connections admitted."),
 			ConnsRejected:   reg.NewCounter("poetd_conns_rejected_total", "Connections refused at the MaxConns limit."),
 		},
@@ -283,9 +261,9 @@ func (s *Server) Default() *Tenant { return s.def }
 // STATS body.
 func (s *Server) Counters() string {
 	c := &s.counters
-	return fmt.Sprintf("ingested=%d batches=%d queries=%d qframes=%d frames=%d lines=%d proto_errors=%d conns=%d rejected=%d",
+	return fmt.Sprintf("ingested=%d batches=%d queries=%d qframes=%d frames=%d proto_errors=%d conns=%d rejected=%d",
 		c.EventsIngested.Value(), c.BatchesIngested.Value(), c.QueriesAnswered.Value(), c.QueryFrames.Value(),
-		c.FramesRead.Value(), c.LinesRead.Value(), c.ProtocolErrors.Value(), c.ConnsAccepted.Value(), c.ConnsRejected.Value())
+		c.FramesRead.Value(), c.ProtocolErrors.Value(), c.ConnsAccepted.Value(), c.ConnsRejected.Value())
 }
 
 // perSec is c's mean rate since the server started.
@@ -306,7 +284,7 @@ func (s *Server) ingestLoop() {
 	defer s.ingestWG.Done()
 	for req := range s.submitQ {
 		req.tr.End(req.qspan)
-		n, err := s.submitInstrumented(req.tenant, req.events, req.tr)
+		n, err := s.submitInstrumented(req.tenant, *req.batch, req.tr)
 		// The applied prefix counts even when the batch failed part-way: those
 		// events are in the collector and will be delivered.
 		s.counters.EventsIngested.Add(int64(n))
@@ -317,9 +295,7 @@ func (s *Server) ingestLoop() {
 		// This loop is a decoded batch's last user: the collector copied every
 		// event it accepted into its pending set or its run, and the pipeline
 		// copies a run it is handed.
-		if req.batch != nil {
-			eventBatches.put(req.batch)
-		}
+		eventBatches.put(req.batch)
 	}
 }
 
@@ -417,9 +393,8 @@ func (s *Server) turnAway(conn tcp.Conn) {
 	}
 }
 
-// serveConn detects the connection's protocol from its first byte and
-// dispatches: v2 connections open with a NUL-led magic, which no v1
-// command line can start with.
+// serveConn serves one connection: it must open with protocolV2Magic, or it
+// is dropped.
 func (s *Server) serveConn(conn tcp.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -437,19 +412,11 @@ func (s *Server) serveConn(conn tcp.Conn) {
 	}()
 	r := bufio.NewReaderSize(conn, 64*1024)
 	s.setReadDeadline(conn)
-	first, err := r.Peek(1)
-	if err != nil {
+	var magic [len(protocolV2Magic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil || magic != protocolV2Magic {
 		return
 	}
-	if first[0] == protocolV2Magic[0] {
-		magic := make([]byte, len(protocolV2Magic))
-		if _, err := io.ReadFull(r, magic); err != nil || string(magic) != string(protocolV2Magic[:]) {
-			return
-		}
-		s.serveV2(conn, r)
-		return
-	}
-	s.serveV1(conn, r)
+	s.serveV2(conn, r)
 }
 
 // setReadDeadline arms the idle timeout before a blocking read.
@@ -466,28 +433,27 @@ func (s *Server) setWriteDeadline(conn tcp.Conn) {
 	}
 }
 
-// --- the request path: one executor under both codecs --------------------
+// --- the request path: one executor under the frame codec -----------------
 
-// verb is what a request asks for, whichever wire format carried it.
+// verb is what a request asks for: the frame type, less the framing.
 type verb uint8
 
 const (
-	verbEvents  verb = iota // EVENT line, EVENTS frame
-	verbQuery               // PRECEDES / CONCURRENT line, QUERY frame
+	verbEvents  verb = iota // EVENTS frame
+	verbQuery               // QUERY frame
 	verbQueryAt             // QUERY@ frame
 	verbTenant
 	verbStats
 	verbQuit
-	verbUnknown // no such command or frame type; err says which
+	verbUnknown // no such frame type; err says which
 )
 
-// request is one decoded line or frame. err is the codec's refusal (bad
-// syntax, an oversized batch, an unknown command); execute still sees the
+// request is one decoded frame. err is the codec's refusal (a malformed
+// payload, an oversized batch, an unknown frame type); execute still sees the
 // request, so refusals are counted and timed where everything else is.
 type request struct {
 	verb        verb
-	events      []model.Event
-	batch       *[]model.Event // events' pooled holder (see submitReq)
+	batch       *[]model.Event // verbEvents: the decoded events, pooled (see submitReq)
 	queries     []Query
 	results     []QueryResult // where the answers go: the connection's buffer, nil for a fresh slice
 	cutoff      uint64        // verbQueryAt
@@ -525,7 +491,7 @@ func (s *Server) refuse(err error) reply {
 // with the ingest goroutine it hands event batches to, it is the only code
 // that touches a tenant's collector, live query plane or history provider
 // on behalf of the network, and it owns every instrument and counter of the
-// exchange; the codecs around it only translate.
+// exchange; the codec around it only translates.
 func (s *Server) execute(cur *Tenant, req *request) (reply, *Tenant) {
 	o := s.obs
 	var decodeDur time.Duration
@@ -541,13 +507,14 @@ func (s *Server) execute(cur *Tenant, req *request) (reply, *Tenant) {
 		// The trace (nil unless sampled, on which every call below is a
 		// no-op) roots at decode start, so its total covers
 		// decode → queue → submit (ack).
-		tr := o.StartTrace(obs.OpIngest, cur.name, len(req.events), req.decodeStart)
+		n := len(*req.batch)
+		tr := o.StartTrace(obs.OpIngest, cur.name, n, req.decodeStart)
 		tr.Span("decode", -1, -1, req.decodeStart, decodeDur)
 		qspan := tr.Begin("queue", -1, -1)
 		// The outcome channel goes back to ackWaits from whoever receives it.
 		done := ackWaits.Get().(chan error)
-		s.submitQ <- submitReq{tenant: cur, events: req.events, batch: req.batch, done: done, tr: tr, qspan: qspan} // blocks when full: backpressure
-		return reply{acked: len(req.events), pending: done}, cur
+		s.submitQ <- submitReq{tenant: cur, batch: req.batch, done: done, tr: tr, qspan: qspan} // blocks when full: backpressure
+		return reply{acked: n, pending: done}, cur
 	case verbQuery, verbQueryAt:
 		return s.answer(cur, req), cur
 	case verbTenant:
@@ -608,107 +575,6 @@ func (s *Server) answer(t *Tenant, req *request) reply {
 	return reply{results: res}
 }
 
-// --- protocol v1: the text codec ------------------------------------------
-
-func (s *Server) serveV1(conn tcp.Conn, r *bufio.Reader) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	w := bufio.NewWriter(conn)
-	cur := s.def // the connection's tenant scope; TENANT reselects it
-	for {
-		s.setReadDeadline(conn)
-		if !sc.Scan() {
-			return
-		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		s.counters.LinesRead.Inc()
-		req := s.decodeLine(fields)
-		var rep reply
-		rep, cur = s.execute(cur, &req)
-		if rep.pending != nil {
-			// One line, one reply: the text side waits for its batch inline
-			// where the binary side pipelines the wait through connWriter.
-			rep.err = <-rep.pending
-			ackWaits.Put(rep.pending)
-		}
-		fmt.Fprintln(w, replyLine(req.verb, rep))
-		s.setWriteDeadline(conn)
-		if err := w.Flush(); err != nil || rep.quit {
-			return
-		}
-	}
-}
-
-// decodeLine turns one non-empty v1 line into a request: an EVENT is a
-// one-record batch, PRECEDES and CONCURRENT a one-query batch.
-func (s *Server) decodeLine(fields []string) request {
-	req := request{decodeStart: s.now()}
-	switch cmd := strings.ToUpper(fields[0]); cmd {
-	case "EVENT":
-		req.verb = verbEvents
-		if len(fields) < 3 {
-			req.err = errors.New("event syntax")
-			break
-		}
-		var e model.Event
-		e, req.err = trace.ParseRecord(fields[1:])
-		req.events = []model.Event{e}
-	case "PRECEDES", "CONCURRENT":
-		req.verb = verbQuery
-		if len(fields) != 3 {
-			req.err = errors.New("query syntax")
-			break
-		}
-		q := Query{Op: OpPrecedes}
-		if cmd == "CONCURRENT" {
-			q.Op = OpConcurrent
-		}
-		if q.A, req.err = trace.ParseEventID(fields[1]); req.err == nil {
-			q.B, req.err = trace.ParseEventID(fields[2])
-		}
-		req.queries = []Query{q}
-	case "TENANT":
-		req.verb = verbTenant
-		if len(fields) != 2 {
-			req.err = errors.New("tenant syntax")
-			break
-		}
-		req.tenant = fields[1]
-	case "STATS":
-		req.verb = verbStats
-	case "QUIT":
-		req.verb = verbQuit
-	default:
-		req.verb, req.err = verbUnknown, errors.New("unknown command")
-	}
-	return req
-}
-
-// replyLine renders a reply as its v1 response line.
-func replyLine(v verb, rep reply) string {
-	if rep.err != nil {
-		return "ERR " + rep.err.Error()
-	}
-	switch v {
-	case verbQuery:
-		switch r := rep.results[0]; {
-		case r.Err != nil:
-			return "ERR " + r.Err.Error()
-		case r.True:
-			return "TRUE"
-		}
-		return "FALSE"
-	case verbStats:
-		return "STATS " + rep.stats
-	case verbQuit:
-		return "BYE"
-	}
-	return "OK"
-}
-
 // statsBody renders the shared STATS payload for one tenant scope: monitor
 // accounting, collector backlog, the throughput counters with their rates
 // since start, the ingest shard layout with per-shard event tallies, and —
@@ -739,7 +605,7 @@ func (s *Server) statsBody(t *Tenant) string {
 	return body
 }
 
-// --- protocol v2: the frame codec (payload encodings in protocol.go) ------
+// --- the frame codec (payload encodings in protocol.go) -------------------
 
 // outItem is one response in a connection's ordered output stream: either a
 // ready frame, or a pending ingest acknowledgement the writer resolves when
@@ -765,8 +631,7 @@ const batchKeep = frameBufKeep / eventRecFull
 var (
 	// eventBatches holds the buffers EVENTS frames decode into. A batch rides
 	// the submit queue; the ingest goroutine hands it back once it has sent
-	// the batch's outcome. A refused frame's batch and a v1 line's one-event
-	// slice are not recycled.
+	// the batch's outcome. A refused frame's batch is not recycled.
 	eventBatches = slicePool[model.Event]{keep: batchKeep}
 	// replyBufs holds the payloads of the frames a connection writes; the
 	// connection's writer hands each back once it has written it.
@@ -798,7 +663,7 @@ func (p *slicePool[T]) put(b *[]T) {
 	}
 }
 
-// frameConn is what one v2 connection owns between frames: the buffer a frame
+// frameConn is what one connection owns between frames: the buffer a frame
 // is read into, and the query batch decoded from it with its answers. The
 // connection is done with all three before it reads the next frame — the
 // payload is decoded, the answers encoded into a RESULTS payload of their own
@@ -888,7 +753,6 @@ func (s *Server) decodeFrame(fc *frameConn, typ byte, payload []byte) request {
 	case frameEvents:
 		req.verb, req.batch = verbEvents, eventBatches.get()
 		*req.batch, req.err = decodeEventsPayload(*req.batch, payload, s.cfg.MaxBatch)
-		req.events = *req.batch
 	case frameQuery:
 		req.verb, req.results = verbQuery, fc.results
 		req.queries, req.err = decodeQueryPayload(fc.queries, payload, s.cfg.MaxBatch)

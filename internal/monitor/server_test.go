@@ -32,81 +32,6 @@ func startServer(t *testing.T, numProcs int, cfg ServerConfig) (*Server, string)
 	return srv, addr.String()
 }
 
-func TestServerEndToEndV1(t *testing.T) {
-	spec, ok := workload.Find("dce/rpc-36")
-	if !ok {
-		t.Fatal("spec missing")
-	}
-	tr := spec.Generate()
-	srv, addr := startServer(t, tr.NumProcs, ServerConfig{})
-
-	// One client connection per simulated process, streaming concurrently.
-	streams := perProcessStreams(tr)
-	var wg sync.WaitGroup
-	errCh := make(chan error, tr.NumProcs)
-	for _, stream := range streams {
-		stream := stream
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer c.Close()
-			for _, e := range stream {
-				if err := c.Report(e); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	// Query client.
-	qc, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qc.Close()
-	stats, err := qc.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stats, "held=0") {
-		t.Fatalf("events stranded: %s", stats)
-	}
-	// The zero ServerConfig accounts storage at the default fixed vector.
-	if want := " storage=" + strconv.FormatInt(srv.Default().Monitor().Stats(300).StorageInts, 10) + " "; !strings.Contains(stats, want) {
-		t.Fatalf("zero-config STATS %q does not carry%q", stats, want)
-	}
-	e := tr.Events[0].ID
-	f := tr.Events[len(tr.Events)-1].ID
-	if _, err := qc.Precedes(e, f); err != nil {
-		t.Fatal(err)
-	}
-	conc, err := qc.Concurrent(e, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conc {
-		t.Fatal("event concurrent with itself")
-	}
-
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := srv.Close(); err != ErrClosed {
-		t.Fatalf("double Close: %v", err)
-	}
-}
-
 func TestServerEndToEndV2(t *testing.T) {
 	spec, ok := workload.Find("dce/rpc-36")
 	if !ok {
@@ -227,97 +152,6 @@ func answerLocal(m *Monitor, q Query) (bool, error) {
 type errStr string
 
 func (e errStr) Error() string { return string(e) }
-
-func TestServerProtocolErrorsV1(t *testing.T) {
-	srv, addr := startServer(t, 2, ServerConfig{})
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := &Client{conn: conn, r: bufio.NewReader(conn)}
-
-	cases := []struct {
-		send string
-		want string
-	}{
-		{"NONSENSE", "ERR unknown command"},
-		{"EVENT", "ERR event syntax"},
-		{"EVENT z 0:1", "ERR unknown event kind \"z\""},
-		{"EVENT u zero:1", "ERR bad event id \"zero:1\""},
-		// A number that does not fit the model's int32 is refused, not
-		// wrapped: 4294967296:1 must not be acknowledged (and journaled) as 0:1.
-		{"EVENT u 4294967296:1", "ERR bad event id \"4294967296:1\""},
-		{"EVENT u 0:4294967297", "ERR bad event id \"0:4294967297\""},
-		{"EVENT u 0:2147483648", "ERR bad event id \"0:2147483648\""},
-		{"PRECEDES 0:1 4294967297:1", "ERR bad event id \"4294967297:1\""},
-		// The arrow is part of the record, and must be the kind's own.
-		{"EVENT s 0:1 banana 1:1", "ERR expected \"->\""},
-		{"EVENT r 1:1 -> 0:1", "ERR expected \"<-\""},
-		{"EVENT u 0:1 -> 1:1", "ERR unary takes no partner"},
-		{"EVENT s 0:1", "ERR missing partner"},
-		{"EVENT s 0:1 -> bad", "ERR bad event id \"bad\""},
-		{"PRECEDES 0:1", "ERR query syntax"},
-		{"PRECEDES x 0:1", "ERR bad event id"},
-		{"PRECEDES 0:1 1:1", "ERR"}, // unknown events
-		{"EVENT u 0:1", "OK"},
-		{"EVENT u 9:1", "ERR"}, // process out of range
-		{"QUIT", "BYE"},
-	}
-	oks := 0
-	for _, tc := range cases {
-		resp, err := c.roundTrip(tc.send)
-		if err != nil {
-			t.Fatalf("%q: %v", tc.send, err)
-		}
-		if !strings.HasPrefix(resp, tc.want) {
-			t.Fatalf("%q -> %q, want prefix %q", tc.send, resp, tc.want)
-		}
-		if resp == "OK" {
-			oks++
-		}
-	}
-	// The store holds exactly what was acknowledged: no refused line left an
-	// event behind under some other name.
-	probe, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Close()
-	stats, err := probe.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := statsInt(t, stats, "events"); got != oks {
-		t.Fatalf("STATS events=%d after %d OK replies: %s", got, oks, stats)
-	}
-}
-
-// TestServerV1EventsRideTheSubmitQueue pins that a v1 EVENT is a one-record
-// batch through the same queue and counters as an EVENTS frame.
-func TestServerV1EventsRideTheSubmitQueue(t *testing.T) {
-	srv, addr := startServer(t, 2, ServerConfig{})
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, line := range []string{"EVENT u 0:1", "EVENT s 0:2 -> 1:1", "EVENT r 1:1 <- 0:2"} {
-		if resp, err := c.roundTrip(line); err != nil || resp != "OK" {
-			t.Fatalf("%q -> %q, %v", line, resp, err)
-		}
-	}
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stats, " ingested=3 batches=3 ") {
-		t.Fatalf("three v1 EVENTs, STATS %q, want ingested=3 batches=3", stats)
-	}
-}
 
 func TestServerV2RejectsBadFramesAndSurvives(t *testing.T) {
 	srv, addr := startServer(t, 2, ServerConfig{MaxBatch: 4})

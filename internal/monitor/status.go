@@ -261,8 +261,8 @@ type ServerStatus struct {
 	Memory        MemoryStatus            `json:"memory"`
 	Tenants       map[string]TenantStatus `json:"tenants"`
 	Counters      struct {
-		EventsIngested, BatchesIngested, QueriesAnswered, QueryFrames       int64
-		FramesRead, LinesRead, ProtocolErrors, ConnsAccepted, ConnsRejected int64
+		EventsIngested, BatchesIngested, QueriesAnswered, QueryFrames int64
+		FramesRead, ProtocolErrors, ConnsAccepted, ConnsRejected      int64
 	} `json:"counters"`
 	Rates struct {
 		EventsPerSec, BatchesPerSec, QueriesPerSec float64
@@ -316,7 +316,6 @@ func (s *Server) Status() ServerStatus {
 	st.Counters.QueriesAnswered = c.QueriesAnswered.Value()
 	st.Counters.QueryFrames = c.QueryFrames.Value()
 	st.Counters.FramesRead = c.FramesRead.Value()
-	st.Counters.LinesRead = c.LinesRead.Value()
 	st.Counters.ProtocolErrors = c.ProtocolErrors.Value()
 	st.Counters.ConnsAccepted = c.ConnsAccepted.Value()
 	st.Counters.ConnsRejected = c.ConnsRejected.Value()

@@ -19,7 +19,7 @@ import (
 	"repro/internal/workload"
 )
 
-// surfaceNumbers are the seventeen numbers the daemon reports on more than
+// surfaceNumbers are the sixteen numbers the daemon reports on more than
 // one surface: the STATS key, the /metrics family and — where /statusz
 // carries it — the key under "counters".
 var surfaceNumbers = []struct{ stats, family, status string }{
@@ -28,7 +28,6 @@ var surfaceNumbers = []struct{ stats, family, status string }{
 	{"queries", "poetd_queries_answered_total", "QueriesAnswered"},
 	{"qframes", "poetd_query_frames_total", "QueryFrames"},
 	{"frames", "poetd_frames_read_total", "FramesRead"},
-	{"lines", "poetd_lines_read_total", "LinesRead"},
 	{"proto_errors", "poetd_protocol_errors_total", "ProtocolErrors"},
 	{"conns", "poetd_conns_accepted_total", "ConnsAccepted"},
 	{"rejected", "poetd_conns_rejected_total", "ConnsRejected"},
@@ -47,7 +46,7 @@ var surfaceNumbers = []struct{ stats, family, status string }{
 // tenant recovered from a log with a torn tail — takes a v2 batch stream, a
 // query batch, a refused connection, a malformed frame, a one-event frame, a
 // malformed EVENTS frame and a one-query frame; then the STATS body, a classic /metrics scrape and the
-// /statusz document must report the same value for each of the seventeen
+// /statusz document must report the same value for each of the sixteen
 // numbers, the STATS body must be the known key sequence with integers as %d
 // and the two rates as %.0f, and /statusz must carry its counter and rate
 // keys in their order.
@@ -203,7 +202,7 @@ func TestSurfacesAgree(t *testing.T) {
 	}
 
 	// The golden shape.
-	wantKeys := strings.Fields("events crs clusters held storage ingested batches queries qframes frames lines proto_errors conns rejected events_per_sec queries_per_sec tenant tenants shards xwaits shard0 shard1")
+	wantKeys := strings.Fields("events crs clusters held storage ingested batches queries qframes frames proto_errors conns rejected events_per_sec queries_per_sec tenant tenants shards xwaits shard0 shard1")
 	for _, tenant := range []string{"blue", DefaultTenant} {
 		wantKeys = append(wantKeys, fmt.Sprintf("tenant_events{tenant=%q}", tenant), fmt.Sprintf("tenant_queries{tenant=%q}", tenant))
 	}
@@ -280,7 +279,7 @@ func TestSurfacesAgree(t *testing.T) {
 		}
 	}
 	inOrder("counters", status.Counters, "EventsIngested", "BatchesIngested", "QueriesAnswered", "QueryFrames",
-		"FramesRead", "LinesRead", "ProtocolErrors", "ConnsAccepted", "ConnsRejected")
+		"FramesRead", "ProtocolErrors", "ConnsAccepted", "ConnsRejected")
 	inOrder("rates_since_start", status.Rates, "EventsPerSec", "BatchesPerSec", "QueriesPerSec")
 
 	for _, n := range surfaceNumbers {
@@ -358,11 +357,11 @@ func TestSurfacesAgree(t *testing.T) {
 		t.Errorf("%d poetd_runtime_* families on /metrics, /statusz memory.runtime = %v: want the same nine", runtimeKeys, status.Memory.Runtime)
 	}
 
-	// And the numbers are the traffic's, not seventeen agreeing zeros.
+	// And the numbers are the traffic's, not sixteen agreeing zeros.
 	events := len(tr.Events)
 	for key, want := range map[string]int{
 		"ingested": 2*events - 1 - recovered, "events": events, "queries": len(qs) + 1, "qframes": 2,
-		"lines": 0, "proto_errors": 2, "conns": 3, "rejected": 1,
+		"proto_errors": 2, "conns": 3, "rejected": 1,
 		"wal_events": events - recovered, "wal_snapshots": 1,
 		"wal_recovered": recovered, "wal_recovered_records": 1, "wal_torn": 1,
 		`tenant_events{tenant="blue"}`: events - 1, `tenant_events{tenant="default"}`: events,

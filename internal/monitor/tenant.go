@@ -16,9 +16,9 @@ import (
 // stream colliding process IDs and event indexes without ever observing each
 // other's timestamps, statistics, or recovered history.
 //
-// A connection is scoped to exactly one tenant at a time: the v1 `TENANT
-// <name>` command or the v2 TENANT frame selects the namespace every
-// subsequent EVENTS/QUERY/QUERY@/STATS exchange routes to. A connection that
+// A connection is scoped to exactly one tenant at a time: a TENANT frame
+// selects the namespace every subsequent EVENTS/QUERY/QUERY@/STATS exchange
+// routes to. A connection that
 // never selects one speaks to the DefaultTenant namespace, which keeps every
 // pre-tenant client, test, and fuzz corpus byte-compatible.
 //

@@ -30,8 +30,8 @@ type Telemetry struct {
 
 	IngestBatch    *Histogram // SubmitBatch end to end (validate, drain, journal, deliver)
 	DeliverBatch   *Histogram // dispatch of one delivered run into the ingest pipeline
-	QueryBatch     *Histogram // Monitor.QueryBatch / one v1 query line
-	DecodeFrame    *Histogram // v2 payload decode / v1 EVENT line parse
+	QueryBatch     *Histogram // Monitor.QueryBatch of one QUERY frame
+	DecodeFrame    *Histogram // decode of one EVENTS, QUERY or QUERY@ payload
 	WALAppend      *Histogram // wal.Log.Append end to end
 	WALFsync       *Histogram // the fsync syscall inside a group commit
 	WALSnapshot    *Histogram // one snapshot compaction
@@ -71,7 +71,7 @@ func NewTelemetry(reg *Registry) *Telemetry {
 		IngestBatch:    reg.NewHistogram("poetd_ingest_batch_seconds", "Latency of one event batch through the collector (validate, drain, journal, deliver)."),
 		DeliverBatch:   reg.NewHistogram("poetd_deliver_batch_seconds", "Latency of dispatching one delivered run into the ingest pipeline."),
 		QueryBatch:     reg.NewHistogram("poetd_query_batch_seconds", "Latency of one precedence query batch."),
-		DecodeFrame:    reg.NewHistogram("poetd_decode_frame_seconds", "Latency of decoding one v2 frame payload or parsing one v1 EVENT line."),
+		DecodeFrame:    reg.NewHistogram("poetd_decode_frame_seconds", "Latency of decoding one frame payload."),
 		WALAppend:      reg.NewHistogram("poetd_wal_append_seconds", "Latency of one write-ahead log append (to the configured fsync policy)."),
 		WALFsync:       reg.NewHistogram("poetd_wal_fsync_seconds", "Latency of one WAL fsync syscall."),
 		WALSnapshot:    reg.NewHistogram("poetd_wal_snapshot_seconds", "Latency of one WAL snapshot compaction."),

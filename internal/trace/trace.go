@@ -5,7 +5,7 @@
 //   - a line-oriented text format for human inspection and interchange,
 //     mirroring the event records a monitoring entity receives (process,
 //     event number, type, partner identification); DESIGN.md §7 has its
-//     record grammar, shared with the monitoring server's text protocol.
+//     record grammar.
 //
 // Both formats round-trip exactly and are validated on read.
 package trace
@@ -167,8 +167,7 @@ func ReadBinary(r io.Reader) (*model.Trace, error) {
 	return t, nil
 }
 
-// The text format's records — also the event portion of the monitoring
-// server's v1 EVENT line — are parsed and rendered only by ParseEventID,
+// The text format's records are parsed and rendered only by ParseEventID,
 // ParseRecord and AppendRecord:
 //
 //	u <proc>:<idx>
