@@ -181,7 +181,7 @@ func FuzzServerProtocol(f *testing.F) {
 		for {
 			rtyp, payload, err := readFrame(r)
 			if len(replies) == 0 {
-				close(answered)
+				close(answered) // the fuzzed frame is answered, or never will be
 			}
 			if err != nil {
 				break

@@ -45,11 +45,11 @@ var surfaceNumbers = []struct{ stats, family, status string }{
 // shape. A WAL-backed two-tenant, two-lane server with telemetry — its default
 // tenant recovered from a log with a torn tail — takes a v2 batch stream, a
 // query batch, a refused connection, a malformed frame, a one-event frame, a
-// malformed EVENTS frame and a one-query frame; then the STATS body, a classic /metrics scrape and the
-// /statusz document must report the same value for each of the sixteen
-// numbers, the STATS body must be the known key sequence with integers as %d
-// and the two rates as %.0f, and /statusz must carry its counter and rate
-// keys in their order.
+// malformed EVENTS frame and a one-query frame; then the STATS body, a
+// classic /metrics scrape and the /statusz document must report the same
+// value for each of the sixteen numbers, the STATS body must be the known
+// key sequence with integers as %d and the two rates as %.0f, and /statusz
+// must carry its counter and rate keys in their order.
 func TestSurfacesAgree(t *testing.T) {
 	tr := workload.RandomSparse(12, 3, 600, 11)
 	const recovered = 100
