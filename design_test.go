@@ -112,11 +112,16 @@ var design = []gate{
 		{in: "cmd/poquery/main.go", site: `\bstrings\.Fields\($`, must: []string{"parseStats"}},
 		{in: "internal/wal/*.go", site: `^field Counters\b`},
 	}},
-	{name: "One_projection_form", why: "A projection is stored as a frame over a keyframe (DESIGN.md §10).", rules: []rule{{in: "internal/hct/*.go", site: `ProjectInto\(`}}},
+	{name: "One_projection_form", why: "A projection is stored as a nibble frame over its anchor, a byte frame over its keyframe or a keyframe; arena.project writes the form, chunkDir.proj reads it, and nothing is carved to be taken back (DESIGN.md §10).", rules: []rule{
+		{in: "internal/hct/*.go", site: `ProjectInto\(`},
+		{in: "internal/hct/*.go", site: `^projNibbleBit\b`, must: []string{"arena.project", "chunkDir.proj"}, max: 2},
+		{in: "internal/hct/*.go", site: `projNibbleBit [!=]= 0$`, must: []string{"chunkDir.proj"}},
+		{in: "internal/hct/ +tests", site: `\buncarve\b`},
+	}},
 	{name: "One_owner_of_the_own_component", why: "No frame holds its own component; the readers that put it back read frames (DESIGN.md §10).", shape: stampZeroesOwn, rules: []rule{
-		{in: "internal/hct/*.go -internal/hct/store.go", site: `\.(key|words)\[$`},
+		{in: "internal/hct/*.go -internal/hct/store.go", site: `\.(key|bytes|nibs)\[$`},
 		{in: "internal/hct/*.go", site: `\.project\($`, must: []string{"lane.stamp"}},
-		{in: "internal/hct/*.go -internal/hct/store.go", site: `\.projAt\($`, must: []string{"View.Precedes"}},
+		{in: "internal/hct/*.go -internal/hct/store.go", site: `\.member\($`, must: []string{"View.Precedes"}},
 		{in: "internal/hct/*.go -internal/hct/store.go", site: `\.next\($`, must: []string{"View.Precedes"}},
 		{in: "internal/hct/*.go -internal/hct/store.go", site: `\.decode\($`, must: []string{"View.Timestamp"}},
 		{in: "internal/hct/store.go", site: `^k&3 == 0$`, must: []string{"projection.next"}},
@@ -144,7 +149,7 @@ var design = []gate{
 		{in: "internal/hct/*.go +tests", site: `^type cell\b`, except: `^type cell uint32$`},
 		{in: "internal/hct/timestamp.go", site: `[Pp]artner`},
 		{in: "internal/hct/*.go", site: `^func \(cell\) \w*([Pp]artner|[Ee]poch|ek)\w*\(|(^|\W)ek(\W|$)`},
-		{in: "internal/hct/*.go", site: `^epochElem\b`, must: []string{"arena.project", "chunkDir.epoch"}},
+		{in: "internal/hct/*.go", site: `^epochElem\b`, must: []string{"arena.project", "chunkDir.proj"}},
 		{in: ". +tests -bench/", site: `^func \((View|plane)\) Event\($|^func \(Queries\) Lookup\($`},
 	}},
 	{name: "One_oracle", why: "Ground truth without vector clocks is model.Reachability (DESIGN.md §2).", shape: noPoset, rules: []rule{

@@ -291,32 +291,36 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 	if merged, added := ts.Merges()-mergesThen, len(*ts.epochs.Load())-len(epochs); merged < 17 || added < 17 {
 		t.Fatalf("%d merges and %d epochs after the capture, want 17 or more of each", merged, added)
 	}
-	var projKeys, projFrames, projShared, keyframes, deltas, nibbles int
+	var projKeys, projFrames, projNibbles, projShared, keyframes, deltas, nibbles int
 	for _, want := range early {
 		p := want.ID.Process
 		c := ts.At(w).cell(want.ID)
 		if off := c.vec(); !c.noted() {
-			ep := chunks.epoch(off)
+			vp := chunks.proj(off)
+			ep := vp.ep
 			if ep == 0 || int(ep) >= len(epochs) {
 				t.Fatalf("%v: the stale chunk list reads epoch %d, the stale table holds %d", want.ID, ep, len(epochs))
 			}
 			cl := epochs[ep]
 			n := len(cl.Members)
 			// A shared cell names what the projection before it names; a
-			// keyframe's own frame lies right behind its elements.
+			// keyframe's own frame lies right behind its elements; a nibble
+			// frame's header is its anchor's offset, marked.
 			if prev := ts.At(w).cell(model.EventID{Process: p, Index: want.ID.Index - 1}); prev != nil && !prev.noted() && prev.vec() == off {
 				projShared++
-			} else if key := uint32(chunks.at(off)); key+uint32(n) == off {
+			} else if h := uint32(chunks.at(off)); h&projNibbleBit != 0 {
+				projNibbles++
+			} else if h+uint32(n) == off {
 				projKeys++
 			} else {
 				projFrames++
 			}
 			own, _ := cl.PosOf(int32(p))
 			other := (own + 1) % n
-			got := chunks.proj(off, n).decode()
+			got := vp.decode(n)
 			got[own] = int32(want.ID.Index)
-			if cl != want.Cluster || !slices.Equal(got, want.Proj) || n > 1 && chunks.projAt(off, other) != want.Proj[other] {
-				t.Fatalf("%v through the stale directories: %v (component %d: %d) over %v, was %v", want.ID, got, other, chunks.projAt(off, other), cl, want)
+			if cl != want.Cluster || !slices.Equal(got, want.Proj) || n > 1 && vp.member(other) != want.Proj[other] {
+				t.Fatalf("%v through the stale directories: %v (component %d: %d) over %v, was %v", want.ID, got, other, vp.member(other), cl, want)
 			}
 			continue
 		}
@@ -333,12 +337,12 @@ func TestOffsetsResolveThroughStaleDirectories(t *testing.T) {
 			t.Fatalf("%v through the stale chunk list: %v, was %v", want.ID, full, want)
 		}
 	}
-	if projKeys == 0 || projFrames == 0 || projShared == 0 || keyframes == 0 || deltas == 0 || nibbles == 0 {
-		t.Fatalf("%d projection keyframes, %d projection frames and %d shared cells, %d cluster-receive keyframes, %d delta and %d nibble frames below the capture: need all six",
-			projKeys, projFrames, projShared, keyframes, deltas, nibbles)
+	if projKeys == 0 || projFrames == 0 || projNibbles == 0 || projShared == 0 || keyframes == 0 || deltas == 0 || nibbles == 0 {
+		t.Fatalf("%d projection keyframes, %d byte and %d nibble frames and %d shared cells, %d cluster-receive keyframes, %d delta and %d nibble frames below the capture: need all seven",
+			projKeys, projFrames, projNibbles, projShared, keyframes, deltas, nibbles)
 	}
-	t.Logf("%d + %d + %d projection keyframes, frames and shared cells, %d + %d + %d cluster-receive keyframes, delta and nibble frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
-		projKeys, projFrames, projShared, keyframes, deltas, nibbles, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
+	t.Logf("%d + %d + %d + %d projection keyframes, byte and nibble frames and shared cells, %d + %d + %d cluster-receive keyframes, delta and nibble frames re-read through a chunk list %d chunks and an epoch table %d epochs behind",
+		projKeys, projFrames, projNibbles, projShared, keyframes, deltas, nibbles, len(ts.vectors(0))-len(chunks), len(*ts.epochs.Load())-len(epochs))
 }
 
 // TestOwnComponentFromSlot pins the readers' one trap. A send or a unary event
@@ -430,7 +434,7 @@ func TestOwnComponentFromSlot(t *testing.T) {
 					}
 				}
 				if st := pipe.StoreStats(); len(shared) == 0 || st.ProjShared != int64(len(shared)) ||
-					st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(len(tr.Events)) {
+					st.ProjKeyframes+st.ProjFrames+st.ProjNibbleFrames+st.ProjShared+st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(len(tr.Events)) {
 					t.Fatalf("lanes=%d: %d cells name their predecessor's frame, tallies %+v for %d events", lanes, len(shared), st, len(tr.Events))
 				}
 				if lanes == 1 {

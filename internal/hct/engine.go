@@ -264,8 +264,9 @@ func (v View) Timestamp(id model.EventID) (Timestamp, bool) {
 	if c.noted() {
 		t.Full = vecs.full(ts.crs[id.Process].at(int32(c.vec())), ts.numProcs, nil)
 	} else {
-		t.Cluster = ts.epoch(vecs.epoch(c.vec()))
-		t.Proj = vecs.proj(c.vec(), len(t.Cluster.Members)).decode()
+		p := vecs.proj(c.vec())
+		t.Cluster = ts.epoch(p.ep)
+		t.Proj = p.decode(len(t.Cluster.Members))
 		own, _ := t.Cluster.PosOf(int32(id.Process))
 		t.Proj[own] = int32(id.Index) // the frame may be a predecessor's, and holds no own component
 	}
@@ -355,15 +356,19 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	// list is loaded once, after the bound its cell was found under.
 	ar := ts.arenas[f.Process] // the arena vecs resolves: f's, until the routed loop moves on
 	vecs := *ar.dir.Load()
-	var c *cluster.Info
+	var (
+		c  *cluster.Info
+		vf projection // f's, resolved once for its epoch and its members
+	)
 	fe, direct := int32(0), cf.noted() // fe: FM(f)[pe], where f's stored form holds it
 	if direct {
 		fe = vecs.component(ts.crs[f.Process].at(int32(cf.vec())), e.Process, ts.numProcs)
 	} else {
-		c = ts.epoch(vecs.epoch(cf.vec()))
+		vf = vecs.proj(cf.vec())
+		c = ts.epoch(vf.ep)
 		var pos int
 		if pos, direct = c.PosOf(int32(e.Process)); direct {
-			fe = vecs.projAt(cf.vec(), pos)
+			fe = vf.member(pos)
 		}
 	}
 	if direct {
@@ -376,10 +381,13 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 		vecs = ts.vectors(e.Process)
 		if ce.noted() {
 			ef = vecs.component(ts.crs[e.Process].at(int32(ce.vec())), f.Process, ts.numProcs)
-		} else if pos, ok := ts.epoch(vecs.epoch(ce.vec())).PosOf(int32(f.Process)); ok {
-			ef = vecs.projAt(ce.vec(), pos)
 		} else {
-			return true, nil
+			ve := vecs.proj(ce.vec())
+			pos, ok := ts.epoch(ve.ep).PosOf(int32(f.Process))
+			if !ok {
+				return true, nil
+			}
+			ef = ve.member(pos)
 		}
 		return ef < int32(f.Index), nil
 	}
@@ -393,7 +401,6 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	// the members of a cluster mostly share a lane another list is loaded
 	// only where the arena changes.
 	ts.qRouted.Add(1)
-	vf := vecs.proj(cf.vec(), len(c.Members))
 	for k, q := range c.Members {
 		bound := vf.next(k)
 		if q == int32(f.Process) {

@@ -283,7 +283,7 @@ func TestSyncPartnersReadEachOtherDirectly(t *testing.T) {
 			t.Fatalf("%v is not below the view's bound", x)
 		}
 		if !c.noted() {
-			if _, ok := v.ts.epoch(v.ts.vectors(x.Process).epoch(c.vec())).PosOf(int32(q)); !ok {
+			if _, ok := v.ts.epoch(v.ts.vectors(x.Process).proj(c.vec()).ep).PosOf(int32(q)); !ok {
 				return 0, false
 			}
 		}

@@ -819,15 +819,16 @@ func (p *Pipeline) storeRoom() int64 {
 // reached, and epochs the size of the epoch table, when unstamped admitted
 // events were not yet counted in either. A carve moves its lane's offset by
 // less than twice its size — the unused remainder of a chunk is shorter than
-// the carve that did not fit in it — and one event carves at most twice: a
-// projection frame, taken back (the remainder it skipped is not), and then a
-// keyframe, which for a projection over every process brings its epoch
-// element and its own frame along. A noted cluster receive tests its forms
-// before it carves and carves once (arena.frame). It appends at most one
-// epoch. Any of the unstamped events, and of those admitted from here on, may
-// land on the fullest lane.
+// the carve that did not fit in it — and one event carves at most once: a
+// projection (arena.project) and a noted cluster receive (arena.frame) each
+// test their forms in the lane's scratch before they carve. The largest carve
+// is a keyframe, which for a projection over every process brings its epoch
+// element and its own byte frame along; perEvent counts one byte frame more
+// besides, an over-count, which only makes the gate refuse sooner. An event
+// appends at most one epoch. Any of the unstamped events, and of those
+// admitted from here on, may land on the fullest lane.
 func roomFor(ends []uint32, epochs int, unstamped int64, numProcs int) int64 {
-	frame := int64(1 + packedWords(numProcs, byteLg)) // a projection's over every process
+	frame := int64(1 + packedWords(numProcs, byteLg)) // a byte frame over every process
 	perEvent := 2 * (frame + 1 + int64(numProcs) + frame)
 	room := int64(epochLimit - epochs)
 	for _, end := range ends {
@@ -907,7 +908,7 @@ type lane struct {
 	stop  bool
 
 	frontier  []vclock.Clock // per process; only this lane's entries are used
-	keys      []projKey      // per process, likewise: its current projection keyframe and last frame
+	keys      []projKey      // per process, likewise: its current projection keyframe, anchor and last frame
 	free      []vclock.Clock // retired clocks, reused for retained copies
 	ar        *arena
 	localSend map[model.EventID]vclock.Clock // same-lane in-flight sends

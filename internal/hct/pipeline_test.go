@@ -293,18 +293,20 @@ func TestPipelineBatchRejection(t *testing.T) {
 // multiplies by is then held to the arena itself: from every position around
 // the first chunk boundaries, no event moves the offset by more — a
 // projection over a singleton cluster or over a cluster of every process,
-// first as a fresh keyframe and then as a frame that does not fit, is taken
-// back and becomes a keyframe again; a noted cluster receive as a keyframe,
-// as a sparse delta or nibble frame, which from some positions is carved at
-// the first element of a fresh chunk, and on the worst path, where neither a
-// nibble frame over the anchor nor a delta frame over the keyframe fits and
-// it becomes a keyframe. Last, each worst path runs next to arenaLimit, in
-// the last chunk below it, from every position at which the rule grants the
-// event, and stays short of it.
+// first as a fresh keyframe and then as one whose offsets outgrow their
+// bytes; over every process as a nibble frame, and on the worst path, where
+// neither a nibble frame over the anchor nor a byte frame over the keyframe
+// fits and it becomes a keyframe; a noted cluster receive likewise, as a
+// keyframe, as a sparse delta or nibble frame, which from some positions is
+// carved at the first element of a fresh chunk, and on the worst path. Every
+// event carves once, nothing for the forms it tested first. Last, the worst
+// paths, and a projection that takes the nibble path, run next to
+// arenaLimit, in the last chunk below it, from every position at which the
+// rule grants the event, and stay short of it.
 func TestStoreRoom(t *testing.T) {
 	const numProcs = 300
 	const frame = 1 + (numProcs+3)/4
-	const perEvent = 2 * (frame + 1 + numProcs + frame) // what one event moves its lane's offset by, at most
+	const perEvent = 2 * (frame + 1 + numProcs + frame) // the rule's bound on what one event moves its lane's offset by
 	const backlog = maxLaneBacklog + 1024               // a full lane queue and the batch let in behind it
 	for _, tc := range []struct {
 		name      string
@@ -350,13 +352,16 @@ func TestStoreRoom(t *testing.T) {
 		members []int32  // nil: a noted cluster receive
 		steps   []int32  // what each event adds to component 0
 		forms   []crForm // a noted cluster receive's, event by event
+		proj    []int    // a projection's, event by event
 	}{
-		{"singleton cluster", all[:1], []int32{256, 256}, nil},
-		{"maxCS = numProcs", all, []int32{256, 256}, nil},
-		{"noted cluster receive", nil, []int32{256, 256}, []crForm{key, key}},
-		{"noted cluster receive, sparse delta frame", nil, []int32{256, 16}, []crForm{key, delta}},
-		{"noted cluster receive, sparse nibble frame", nil, []int32{256, 1}, []crForm{key, nibble}},
-		{"noted cluster receive, the worst path", nil, []int32{256, 16, 1, 256}, []crForm{key, delta, nibble, key}},
+		{"singleton cluster", all[:1], []int32{256, 256}, nil, []int{projKeyframe, projKeyframe}},
+		{"maxCS = numProcs", all, []int32{256, 256}, nil, []int{projKeyframe, projKeyframe}},
+		{"maxCS = numProcs, nibble frame", all, []int32{256, 1}, nil, []int{projKeyframe, projNibble}},
+		{"maxCS = numProcs, the worst path", all, []int32{256, 16, 1, 256}, nil, []int{projKeyframe, projByte, projNibble, projKeyframe}},
+		{"noted cluster receive", nil, []int32{256, 256}, []crForm{key, key}, nil},
+		{"noted cluster receive, sparse delta frame", nil, []int32{256, 16}, []crForm{key, delta}, nil},
+		{"noted cluster receive, sparse nibble frame", nil, []int32{256, 1}, []crForm{key, nibble}, nil},
+		{"noted cluster receive, the worst path", nil, []int32{256, 16, 1, 256}, []crForm{key, delta, nibble, key}, nil},
 	}
 	// lane is one process's stamping state; stamp adds st to component 0 and
 	// stores the event, returning how far the arena's offset moved.
@@ -370,7 +375,10 @@ func TestStoreRoom(t *testing.T) {
 		l.clk[0] += st
 		before := l.ar.end()
 		if members != nil {
-			l.ar.project(&l.pk, 1, l.clk, members)
+			off := l.ar.project(&l.pk, 1, l.clk, members)
+			if got := l.ar.chunks.proj(off).decode(len(members)); !slices.Equal(got, l.clk[:len(members)]) {
+				t.Fatalf("a projection over %d members decodes to %v", len(members), got)
+			}
 		} else {
 			appendNote(&l.notes, &l.ar, l.notes.n+1, l.clk)
 		}
@@ -386,8 +394,19 @@ func TestStoreRoom(t *testing.T) {
 			}
 			st := l.ar.stats
 			if tc.members != nil {
-				if st.ProjKeyframes != int64(len(tc.steps)) || st.ProjFrames != 0 {
-					t.Fatalf("%s from offset %d: tallies %+v, want %d keyframes", tc.name, fill, st, len(tc.steps))
+				var want StoreStats
+				for _, form := range tc.proj {
+					switch form {
+					case projKeyframe:
+						want.ProjKeyframes++
+					case projByte:
+						want.ProjFrames++
+					default:
+						want.ProjNibbleFrames++
+					}
+				}
+				if want.VectorBytes = st.VectorBytes; st != want {
+					t.Fatalf("%s from offset %d: tallies %+v, want %+v", tc.name, fill, st, want)
 				}
 				continue
 			}
@@ -443,7 +462,12 @@ func TestStoreRoom(t *testing.T) {
 		name    string
 		members []int32
 		steps   []int32
-	}{{"maxCS = numProcs", all, cases[1].steps}, {"noted cluster receive", nil, cases[5].steps}} {
+	}{
+		{"maxCS = numProcs", all, cases[1].steps},
+		{"maxCS = numProcs, nibble frame", all, cases[2].steps},
+		{"maxCS = numProcs, the worst path", all, cases[3].steps},
+		{"noted cluster receive", nil, cases[7].steps},
+	} {
 		for slack := uint32(0); slack < 2*perEvent; slack++ {
 			l := &lane{clk: make([]int32, numProcs)}
 			l.ar.chunks = make(chunkDir, k+1)
@@ -516,7 +540,7 @@ func TestStoreFullRefusal(t *testing.T) {
 	ev := func(p, i int) model.Event {
 		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
 	}
-	const perEvent = 2 * (2 + 1 + 4 + 2) // numProcs 4: a frame, taken back, then a keyframe with its epoch element and its frame
+	const perEvent = 2 * (2 + 1 + 4 + 2) // numProcs 4: roomFor's over-count, a keyframe with its epoch element and its frame and one frame more
 	for _, shards := range []int{1, 2} {
 		pipe, err := NewPipeline(4, Config{MaxClusterSize: 2, Decider: strategy.NewMergeOnFirst()},
 			PipelineOptions{Shards: shards})

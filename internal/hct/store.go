@@ -43,22 +43,39 @@ import (
 // as every component is within 255 of it and starts a new one otherwise, so
 // the form adapts to the traffic with nothing to tune.
 //
-// A projection over a cluster of n is a frame of 1 + ⌈n/4⌉ elements: the
-// offset of the process's current projection keyframe, then the packed bytes
-// (arena.project). The keyframe is one carve of n + 2 + ⌈n/4⌉ elements: the
-// epoch element — the index of the cluster epoch in the pipeline's
-// append-only epoch table (plane.epochs), whose entry is the immutable
-// *cluster.Info the projection is over — then the n raw elements of the
-// projection that started it, then at once that event's own frame, all zero
-// bytes. A process starts one when its epoch changes — the members may differ
-// — or an offset outgrows its byte, and a noted cluster receive in between
-// does not end it. So every frame over a keyframe is of the keyframe's epoch,
-// and a reader finds a projection's epoch one element before the keyframe its
-// frame's header names (epoch-in-keyframe: written only by arena.project, read
-// only by chunkDir.epoch). Every cell of a projection names a frame: there is
-// one form, so a singleton cluster pays 8 bytes per carved frame where its raw
-// element was 4. At a cluster of 13 a frame is 20 bytes where the raw
-// projection was 52.
+// A projection over a cluster of n is stored in one of three forms, the first
+// that fits (arena.project), and every cell of a projection names a frame:
+//
+//   - a nibble frame of 1 + ⌈n/8⌉ elements: a header, the offset of the
+//     process's anchor with projNibbleBit set above its 29 bits, then a
+//     nibble per member above the anchor, packed eight to an element. It
+//     fits while every member is within 15 of the anchor.
+//   - a byte frame of 1 + ⌈n/4⌉ elements: a header, the offset of the
+//     process's current projection keyframe, then a byte per member above
+//     the keyframe, packed four to an element. It fits while every member is
+//     within 255 of the keyframe, and it becomes the process's anchor.
+//   - a keyframe, one carve of n + 2 + ⌈n/4⌉ elements: the epoch element —
+//     the index of the cluster epoch in the pipeline's append-only epoch
+//     table (plane.epochs), whose entry is the immutable *cluster.Info the
+//     projection is over — then the n raw elements of the projection that
+//     started it, then at once that event's own frame, a byte frame of zero
+//     bytes, which is the process's anchor until it carves another byte frame.
+//
+// So the anchor is the process's latest byte frame over its current keyframe,
+// and member k of a projection is key[k], plus the anchor's byte k, plus the
+// nibble frame's nibble k: at most three reads after the cell, a fixed depth,
+// never a chain. A nibble frame may lie up to 255 + 15 above its keyframe. A
+// process starts a keyframe when its epoch changes — the members may differ —
+// or an offset outgrows its byte, and a noted cluster receive in between does
+// not end it. So every frame over a keyframe is of the keyframe's epoch, and a
+// reader finds a projection's epoch one element before the keyframe its frame
+// names (epoch-in-keyframe: written only by arena.project, read only by
+// chunkDir.proj, which resolves a frame, its anchor and its keyframe in one
+// walk). A singleton cluster pays 8 bytes per carved frame where its raw
+// element was 4. At a cluster of 13 a nibble frame is 12 bytes, a byte frame
+// 20, where the raw projection was 52. Consecutive projections of a process
+// on a ring move each member by a little, so most of them are nibble frames
+// over a recent byte frame even when the keyframe lies far behind.
 //
 // A frame is carved when the clock changed, not per event. A process's own
 // component is its event's index (paper §2.2), which the cell's slot already
@@ -192,7 +209,11 @@ import (
 // writer filled before it wrote the cell or appended the note, so whatever
 // publishes that — the cell's watermark for a projection; for a note its own
 // column's on the routed path, the cell's on the direct path — has published
-// the keyframe, the bytes above it and the chunks both lie in with it. A
+// the keyframe, the bytes above it and the chunks both lie in with it. The
+// same holds one hop further (anchor-before-frame): a nibble frame's anchor,
+// a projection's byte frame or a note's delta frame, is carved and filled
+// before any frame over it, and chunks are listed in offset order, so a chunk
+// list that resolves the frame also resolves its anchor. A
 // projection keyframe's epoch element is filled in the same carve, before the
 // first cell that names the keyframe, so the epoch index a reader finds there
 // is one the planner published before that cell's item reached the lane.
@@ -270,6 +291,11 @@ const (
 // (arena.frame) and the readers (chunkDir.component, chunkDir.full) place it
 // by this name.
 const anchorElem = 1
+
+// projNibbleBit marks a projection frame's header as a nibble frame's: the
+// offset below it is the anchor's, a byte frame, not the keyframe's. It is
+// written only by arena.project and read only by chunkDir.proj.
+const projNibbleBit = 1 << (vecBits + 1)
 
 // crNote records a noted (non-merged) cluster receive of one process: the
 // paper's "greatest cluster receive within this process at this point".
@@ -435,61 +461,79 @@ func nonzeroFields(w uint32, lg uint) int {
 	return bits.OnesCount32(((w & lo) + lo | w) &^ lo)
 }
 
-// projection is a stored projection resolved against one chunk list: the
-// keyframe's elements and the packed offsets above them, both aliasing the
-// arena. Component k is key[k] plus byte k of words, except the process's own,
-// which the frame does not hold (see "Layout"): its reader takes it from the
-// slot. word is next's state.
+// projection is a stored projection resolved against one chunk list: its
+// epoch index, the keyframe's raw elements, the anchor's packed bytes above
+// them and, for a nibble frame, the frame's packed nibbles above the anchor,
+// all aliasing the arena and running on to the end of their allocations.
+// Member k is key[k] plus byte k of bytes plus nibble k of nibs, except the
+// process's own, which no frame holds (see "Layout"): its reader takes it
+// from the slot. word and nword are next's state.
 type projection struct {
-	key, words []int32
-	word       uint32 // the packed offsets of the members from next's k to k|3, member k's lowest
+	ep               uint32
+	key, bytes, nibs []int32 // nibs is nil for a byte frame
+	word, nword      uint32  // the packed bytes of the members from next's k to k|3 and nibbles to k|7, member k's lowest
 }
 
 // epochElem is how many elements before a projection keyframe's raw
 // components its epoch element lies: the writer (arena.project) and the
-// reader (chunkDir.epoch) both place it by this name.
+// reader (chunkDir.proj) both place it by this name.
 const epochElem = 1
 
-// epoch returns the epoch index of the projection whose frame lies at off,
-// from the keyframe the frame's header names: the one reader of the epoch
-// element.
-func (d chunkDir) epoch(off uint32) uint32 {
-	return uint32(d.at(uint32(d.at(off)) - epochElem))
-}
-
-// proj resolves the frame at off, of a projection over a cluster of n.
-func (d chunkDir) proj(off uint32, n int) projection {
-	f := d.slice(off, 1+packedWords(n, byteLg))
-	return projection{key: d.slice(uint32(f[0]), n), words: f[1:]}
-}
-
-// next returns component k for a reader that asks for k = 0, 1, 2, … in turn,
-// which takes a packed word per four members.
-func (p *projection) next(k int) int32 {
-	if k&3 == 0 {
-		p.word = uint32(p.words[k>>2])
+// proj resolves the projection whose frame lies at off: the frame, through its
+// header the anchor for a nibble frame, and the keyframe the byte frame names,
+// with the epoch element before it. It is the one walk from a frame to its
+// keyframe, so a reader that needs the epoch and a member pays for it once,
+// and the one reader of projNibbleBit and of the epoch element.
+func (d chunkDir) proj(off uint32) projection {
+	var p projection
+	f := d.from(off)
+	if h := uint32(f[0]); h&projNibbleBit != 0 {
+		p.nibs = f[1:]
+		f = d.from(h & offMask) // anchor-before-frame: listed if the frame is
 	}
-	v := p.key[k] + int32(p.word&0xff)
-	p.word >>= 8
+	p.bytes = f[1:]
+	kf := d.from(uint32(f[0]) - epochElem) // one carve: the epoch element and the raw ones share a chunk
+	p.ep, p.key = uint32(kf[0]), kf[epochElem:]
+	return p
+}
+
+// member returns member k's component — not the process's own: the keyframe
+// element, the anchor's byte and, for a nibble frame, its nibble.
+func (p *projection) member(k int) int32 {
+	v := p.key[k] + field(p.bytes, k, byteLg)
+	if p.nibs != nil {
+		v += field(p.nibs, k, nibbleLg)
+	}
 	return v
 }
 
-// decode returns the stored components as a fresh slice.
-func (p projection) decode() []int32 {
-	v := make([]int32, len(p.key))
+// next returns member k's component for a reader that asks for k = 0, 1, 2, …
+// in turn, which takes a packed word of bytes per four members and one of
+// nibbles per eight.
+func (p *projection) next(k int) int32 {
+	if k&3 == 0 {
+		p.word = uint32(p.bytes[k>>2])
+	}
+	v := p.key[k] + int32(p.word&0xff)
+	p.word >>= 8
+	if p.nibs != nil {
+		if k&7 == 0 {
+			p.nword = uint32(p.nibs[k>>3])
+		}
+		v += int32(p.nword & 15)
+		p.nword >>= 4
+	}
+	return v
+}
+
+// decode returns the stored components of a projection over a cluster of n as
+// a fresh slice.
+func (p projection) decode(n int) []int32 {
+	v := make([]int32, n)
 	for k := range v {
 		v[k] = p.next(k)
 	}
 	return v
-}
-
-// projAt returns component k — not the process's own — of the projection
-// whose frame lies at off without resolving the rest: the header and the
-// packed word share a chunk, the key element is the second lookup.
-func (d chunkDir) projAt(off uint32, k int) int32 {
-	c, base := chunkOf(off)
-	f := d[c][off-base:]
-	return d.at(uint32(f[0])+uint32(k)) + field(f[1:], k, byteLg)
 }
 
 // offsetAt returns component q's offset in the frame f over numProcs
@@ -627,24 +671,25 @@ type arena struct {
 	chunks chunkDir // writer-private chunk list
 	cur    []int32  // current allocation; len = carved prefix
 	base   uint32   // offset of cur[0]
-	spare  []int32  // writer-private: an anchor's vector and a frame's packed offsets while arena.frame tests them
+	spare  []int32  // writer-private: a frame's packed offsets, and a note's anchor, while arena.frame or arena.project tests them
 	stats  StoreStats
 }
 
 // StoreStats are the store's physical tallies — what the paper's
 // fixed-vector accounting (StorageInts) deliberately does not model.
 type StoreStats struct {
-	VectorBytes   int64 `json:"vector_bytes"`     // carved from the lane arenas: keyframes and frames
-	CellBytes     int64 `json:"cell_bytes"`       // 4 per stamped event
-	NoteBytes     int64 `json:"note_bytes"`       // 12 per noted cluster receive
-	Epochs        int64 `json:"epochs"`           // cluster epochs in the epoch table
-	Keyframes     int64 `json:"cr_keyframes"`     // noted cluster receives stored as a keyframe
-	DeltaFrames   int64 `json:"cr_delta_frames"`  // noted cluster receives stored as bytes above an earlier keyframe, each its process's anchor
-	NibbleFrames  int64 `json:"cr_nibble_frames"` // noted cluster receives stored as nibbles above their process's anchor
-	SparseFrames  int64 `json:"cr_sparse_frames"` // of the delta and nibble frames, those stored sparse: a bitmap and the nonzero offsets
-	ProjKeyframes int64 `json:"proj_keyframes"`   // projections that started a keyframe (and carry a zero frame over it)
-	ProjFrames    int64 `json:"proj_frames"`      // projections stored as a frame over an earlier keyframe
-	ProjShared    int64 `json:"proj_shared"`      // sends and unary events whose cell names their predecessor's frame
+	VectorBytes      int64 `json:"vector_bytes"`       // carved from the lane arenas: keyframes and frames
+	CellBytes        int64 `json:"cell_bytes"`         // 4 per stamped event
+	NoteBytes        int64 `json:"note_bytes"`         // 12 per noted cluster receive
+	Epochs           int64 `json:"epochs"`             // cluster epochs in the epoch table
+	Keyframes        int64 `json:"cr_keyframes"`       // noted cluster receives stored as a keyframe
+	DeltaFrames      int64 `json:"cr_delta_frames"`    // noted cluster receives stored as bytes above an earlier keyframe, each its process's anchor
+	NibbleFrames     int64 `json:"cr_nibble_frames"`   // noted cluster receives stored as nibbles above their process's anchor
+	SparseFrames     int64 `json:"cr_sparse_frames"`   // of the delta and nibble frames, those stored sparse: a bitmap and the nonzero offsets
+	ProjKeyframes    int64 `json:"proj_keyframes"`     // projections that started a keyframe (and carry a zero frame over it)
+	ProjFrames       int64 `json:"proj_frames"`        // projections stored as bytes over an earlier keyframe, each its process's anchor
+	ProjNibbleFrames int64 `json:"proj_nibble_frames"` // projections stored as nibbles over their process's anchor
+	ProjShared       int64 `json:"proj_shared"`        // sends and unary events whose cell names their predecessor's frame
 }
 
 // add adds o's tallies to s, field by field.
@@ -659,6 +704,7 @@ func (s *StoreStats) add(o StoreStats) {
 	s.SparseFrames += o.SparseFrames
 	s.ProjKeyframes += o.ProjKeyframes
 	s.ProjFrames += o.ProjFrames
+	s.ProjNibbleFrames += o.ProjNibbleFrames
 	s.ProjShared += o.ProjShared
 }
 
@@ -702,13 +748,6 @@ func (a *arena) grow(n int) {
 	a.cur, a.base = buf[:0], uint32(base)
 	d := a.chunks
 	a.dir.Store(&d)
-}
-
-// uncarve takes back w, the most recent carve, zeroed again.
-func (a *arena) uncarve(w []int32) {
-	clear(w)
-	a.cur = a.cur[:len(a.cur)-len(w)]
-	a.stats.VectorBytes -= 4 * int64(len(w))
 }
 
 // frame stores clk, the clock of the noted cluster receive with event index
@@ -898,49 +937,83 @@ var fieldRuns = func() (t [2][256]uint16) {
 
 // projKey is a process's projection state: where its current keyframe's raw
 // components lie and the epoch it is over — the writer's copy of the keyframe's
-// epoch element — and last, the frame of its latest projection, which is what
-// the cell of an event that changed no component but the own names again while
-// live — no noted cluster receive came since. Writer-private, 16 bytes per
-// process; the zero value is no keyframe yet, epoch 0 being no projection's.
+// epoch element — its anchor, the offset of its latest byte frame over that
+// keyframe (the keyframe's own zero frame until it carves one), and last, the
+// frame of its latest projection, which is what the cell of an event that
+// changed no component but the own names again while live — no noted cluster
+// receive came since. Writer-private, 20 bytes per process; the zero value is
+// no keyframe yet, epoch 0 being no projection's.
 type projKey struct {
-	at, ep, last uint32
-	live         bool
+	at, ep, anchor, last uint32
+	live                 bool
 }
 
 // project stores the projection of clk over members, the cluster of epoch ep,
-// for the process whose current keyframe is cur, and returns the offset of its
-// frame, now the process's last. The frame is over that keyframe while the
-// epoch is the same and every component is within 255 of it; otherwise the
-// projection becomes the process's keyframe, carved in one piece behind its
-// epoch element and together with its own all-zero frame — the one writer of
-// an epoch element. Like arena.frame it packs first and tests once, and takes
-// the elements back when an offset did not fit. The caller passes the process's
-// own component as zero (lane.stamp): it is the event's index, which the cell's
-// slot already says, so it neither is stored nor can outgrow its byte.
+// for the process whose projection state is cur, and returns the offset of its
+// frame, now the process's last. While the epoch is the same it packs, in one
+// pass over the members into the arena's scratch, the bytes over the keyframe
+// and the nibbles over the anchor, ORing each kind together as it goes, and
+// then carves once, the first form that fits (see "Layout"):
+//
+//   - a nibble frame over the anchor, while every member is within 15 of it;
+//     its header is the anchor's offset with projNibbleBit set — the one
+//     writer of that bit;
+//   - a byte frame over the keyframe, while every member is within 255 of it;
+//     it becomes the anchor;
+//   - a keyframe, carved in one piece behind its epoch element and together
+//     with its own all-zero frame, which becomes the anchor — the one writer of
+//     an epoch element. A new epoch always starts one.
+//
+// Nothing is carved for a form that does not fit. A process's clocks only
+// grow, so no offset is negative; as a uint32 it would fail the test all the
+// same. The caller passes the process's own component as zero (lane.stamp):
+// it is the event's index, which the cell's slot already says, so it neither
+// is stored nor can outgrow a nibble.
 func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) uint32 {
-	n, w := len(members), packedWords(len(members), byteLg)
+	n := len(members)
+	w, nw := packedWords(n, byteLg), packedWords(n, nibbleLg)
 	if cur.ep == ep {
-		key := a.chunks.slice(cur.at, n)
-		at, f := a.carve(1 + w)
-		var over, word uint32
+		if cap(a.spare) < w+nw {
+			a.spare = make([]int32, w+nw)
+		}
+		bytes, nibs := a.spare[:w], a.spare[w:w+nw]
+		key, anchor := a.chunks.slice(cur.at, n), a.chunks.slice(cur.anchor+1, w)
+		var over, nover, word, nword uint32
 		for k, q := range members {
 			off := uint32(clk[q] - key[k])
-			over |= off
+			nib := off - uint32(field(anchor, k, byteLg))
+			over, nover = over|off, nover|nib
 			word |= off << (8 * (k & 3))
+			nword |= nib << (4 * (k & 7))
 			if k&3 == 3 {
-				f[1+k>>2], word = int32(word), 0
+				bytes[k>>2], word = int32(word), 0
+			}
+			if k&7 == 7 {
+				nibs[k>>3], nword = int32(nword), 0
 			}
 		}
 		if n&3 != 0 {
-			f[w] = int32(word)
+			bytes[w-1] = int32(word)
+		}
+		if n&7 != 0 {
+			nibs[nw-1] = int32(nword)
+		}
+		if nover <= 15 {
+			at, f := a.carve(1 + nw)
+			f[0] = int32(cur.anchor | projNibbleBit)
+			copy(f[1:], nibs)
+			cur.last, cur.live = at, true
+			a.stats.ProjNibbleFrames++
+			return at
 		}
 		if over <= 255 {
+			at, f := a.carve(1 + w)
 			f[0] = int32(cur.at)
-			cur.last, cur.live = at, true
+			copy(f[1:], bytes)
+			cur.anchor, cur.last, cur.live = at, at, true
 			a.stats.ProjFrames++
 			return at
 		}
-		a.uncarve(f)
 	}
 	at, kf := a.carve(epochElem + n + 1 + w)
 	kf[epochElem-1] = int32(ep)
@@ -950,9 +1023,10 @@ func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) u
 		key[k] = clk[q]
 	}
 	key[n] = int32(at)
-	*cur = projKey{at: at, ep: ep, last: at + uint32(n), live: true}
+	zero := at + uint32(n)
+	*cur = projKey{at: at, ep: ep, anchor: zero, last: zero, live: true}
 	a.stats.ProjKeyframes++
-	return cur.last
+	return zero
 }
 
 // appendNote stores clk as the next noted cluster receive of the process

@@ -347,47 +347,50 @@ func TestLaneQueueBounded(t *testing.T) {
 // The ring (spmd-stream): a 4-byte cell for every event; of the 96% that
 // carry a projection, over a cluster of up to 13, half are sends whose cell
 // names the frame of the receive before them, and the other half carve a
-// 20-byte frame (the keyframe offset and four elements of packed bytes), with a
-// 76-byte keyframe — its epoch element, 13 raw elements and its own frame —
-// once per ≈80 of them,
-// where a neighbour's component outgrows its byte or a merge changes the
-// members (≈10 B/event; 19.5 when every projection carved its frame, 50 when
-// every one kept its 13 ints); for the ≈4% that are noted cluster receives a
-// 12-byte note and, for 20460 of 24420, a nibble frame over the process's
-// anchor — a header and ⌈300/8⌉ elements of nibbles, or a bitmap and the
-// moved nibbles where that is smaller — with a 300-byte delta frame, the next
-// anchor, for 3696 and a 1200-byte keyframe for 264 of them (≈6 B/event, 12.2
-// with delta frames alone, 49 when every one kept its full vector); partial
-// pages and the last arena chunk — ≈21.5 B/event measured. The budget of 24
-// is below the 27.6 the store measured with delta frames alone and below what
-// the 4 more bytes per event of an 8-byte cell that kept the epoch add, so
-// dropping the nibble form or putting the epoch back in the cell fails it, as
-// does the partner (a 16-byte cell), a frame per projection, a pointer in the
-// cell or a returned full vector per cluster receive.
+// frame: 243209 of 283469 a 12-byte nibble frame over the process's anchor
+// (the anchor's offset and two elements of packed nibbles), 40260 a 20-byte
+// byte frame over the keyframe (its offset and four elements of packed
+// bytes), which becomes the anchor, with a 76-byte keyframe — its epoch
+// element, 13 raw elements and its own frame — once per ≈80 of them, where a
+// neighbour's component outgrows its byte or a merge changes the members
+// (≈6.6 B/event; 9.8 with byte frames alone, 19.5 when every projection
+// carved its frame, 50 when every one kept its 13 ints); for the ≈4% that are
+// noted cluster receives a 12-byte note and, for 20460 of 24420, a nibble
+// frame over the process's anchor — a header and ⌈300/8⌉ elements of
+// nibbles, or a bitmap and the moved nibbles where that is smaller — with a
+// 300-byte delta frame, the next anchor, for 3696 and a 1200-byte keyframe
+// for 264 of them (≈6 B/event, 12.2 with delta frames alone, 49 when every
+// one kept its full vector); partial pages and the last arena chunk — ≈18.5
+// B/event measured. The budget of 20 is below the 21.5 the store measured
+// with projections as byte frames alone, so dropping either nibble form fails
+// it, as do the epoch in the cell, the partner (a 16-byte cell), a frame per
+// projection, a pointer in the cell or a returned full vector per cluster
+// receive.
 //
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
 // noted cluster receives and their frames are most of the store — 4 B for
-// every event, ≈5.5 of projection frames (half of the other half share one),
+// every event, ≈5 of projection frames (half of the other half share one),
 // 5.7 of notes, and ≈96 of cluster-receive frames: 1649 keyframes, 80772
 // delta frames and 60867 nibble frames, most of them sparse, over the latest
-// delta frame, where 91% of frames over a keyframe move every component. ≈115.2 B/event measured against 155.4 with
-// delta frames alone, 160.1 with the epoch in the cell too, 169.6 with the
-// partner too, 171.3 with dense frames only too, 177 with a frame per
-// projection, 192 with raw projections, 225 with pointers too and 619 with
-// full vectors; budget 118, which delta frames alone and the 8-byte cell
-// fail. Its columns hold a third of the ring's events each, so pages and
+// delta frame, where 91% of frames over a keyframe move every component.
+// ≈114.3 B/event measured (115.2 with projections as byte frames alone)
+// against 155.4 with delta frames alone, 160.1 with the epoch in the cell
+// too, 169.6 with the partner too, 171.3 with dense frames only too, 177 with
+// a frame per projection, 192 with raw projections, 225 with pointers too and
+// 619 with full vectors; budget 118, which delta frames alone and the 8-byte
+// cell fail. Its columns hold a third of the ring's events each, so pages and
 // directories come to 0.025 allocations per event, not 0.013.
 //
 // RPCBusiness(240, 24, 24) (rpc-fanin, 288 processes): a cluster receive's
 // frame moves a median 2% of its components, so every frame is sparse — a
 // 36-byte bitmap and the few moved offsets where the dense frame was 288
 // bytes — and the 2921 keyframes are about as many as with dense frames only
-// (2924); 7960
-// of the 13360 are nibble frames, which save little over a sparse delta
-// frame of a few moved bytes: vectors ≈29.9 B/event against 40.1, ≈41.1
-// B/event measured as with delta frames alone, 45.9 with the epoch in the
-// cell, 55.4 with the partner too and 66.2 with dense frames too; budget 44,
-// which the 8-byte cell fails.
+// (2924); 7960 of the 13360 are nibble frames, which save little over a
+// sparse delta frame of a few moved bytes. Of the 164245 projection frames,
+// 142338 are nibble frames. ≈37.9 B/event measured, 41.1 with projections as
+// byte frames alone, 45.9 with the epoch in the cell too, 55.4 with the
+// partner too and 66.2 with dense frames too; budget 40, which byte frames
+// alone and the 8-byte cell fail.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -398,9 +401,9 @@ func TestStoreBytesPerEvent(t *testing.T) {
 		budget float64 // heap bytes per event
 		allocs float64 // per event: pages, chunks, directories
 	}{
-		{"ring", workload.Ring(300, 330, false), 24, 0.02},
+		{"ring", workload.Ring(300, 330, false), 20, 0.02},
 		{"random-uniform", workload.RandomUniform(280, 150000, 1), 118, 0.04},
-		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 44, 0.04},
+		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 40, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -423,8 +426,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 			allocsPer := float64(after.Mallocs-before.Mallocs) / n
 			st := ts.StoreStats()
-			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d projection keyframes and frames under %d cells that share one, %d + %d + %d cluster-receive keyframes, delta and nibble frames, %d of the frames sparse; %d epochs), %.4f allocs/event, size ratio %.3f",
-				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.NibbleFrames, st.SparseFrames, st.Epochs, allocsPer,
+			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d + %d projection keyframes, byte and nibble frames under %d cells that share one, %d + %d + %d cluster-receive keyframes, delta and nibble frames, %d of the frames sparse; %d epochs), %.4f allocs/event, size ratio %.3f",
+				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjNibbleFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.NibbleFrames, st.SparseFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
 			if st.CellBytes != 4*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
 				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
@@ -438,8 +441,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			if got, want := st.Keyframes+st.DeltaFrames+st.NibbleFrames, int64(ts.ClusterReceives()); got != want {
 				t.Errorf("%d keyframes + delta frames + nibble frames for %d noted cluster receives", got, want)
 			}
-			if got, want := st.ProjKeyframes+st.ProjFrames+st.ProjShared, int64(len(tr.Events)-ts.ClusterReceives()); got != want {
-				t.Errorf("%d projection keyframes + frames + shared cells for the %d events that are not noted cluster receives", got, want)
+			if got, want := st.ProjKeyframes+st.ProjFrames+st.ProjNibbleFrames+st.ProjShared, int64(len(tr.Events)-ts.ClusterReceives()); got != want {
+				t.Errorf("%d projection keyframes + byte frames + nibble frames + shared cells for the %d events that are not noted cluster receives", got, want)
 			}
 			runtime.KeepAlive(ts)
 			runtime.KeepAlive(tr)
@@ -451,7 +454,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 // form: the views of cluster receives stored as keyframes allocate nothing,
 // aliasing the store; a precedence
 // query allocates nothing whatever it reads — a projection frame on the direct
-// path, one resolved once and indexed per member on the routed path, a
+// path, one resolved once and indexed per member on the routed path, either
+// of them a nibble frame read through its anchor, a
 // cluster receive stored as a delta or a nibble frame, dense or sparse, read
 // directly or reached through the notes; the view of a projection or of a
 // framed cluster receive, any form, allocates exactly its decoded vector; and
@@ -507,6 +511,40 @@ func TestViewsAllocateNothing(t *testing.T) {
 	if len(routed) < len(forms) {
 		t.Fatalf("precedence pairs in the trace route through frames of forms %v only: need all four", routed)
 	}
+	// Nibble-framed projections as targets, one answered from its own members
+	// and one routed through the notes, from sources on other processes.
+	var nibbleProjs []model.EventID
+	var nibbleDirect, nibbleRouted [2]model.EventID
+	for _, f := range projs {
+		if uint32(ts.vectors(f.Process).at(ts.Live().cell(f).vec()))&projNibbleBit == 0 {
+			continue
+		}
+		nibbleProjs = append(nibbleProjs, f)
+		for _, ev := range tr.Events[:200] {
+			if ev.ID.Process == f.Process {
+				continue
+			}
+			direct, routed := ts.QueryPathCounts()
+			if _, err := ts.Precedes(ev.ID, f); err != nil {
+				t.Fatal(err)
+			}
+			if d, _ := ts.QueryPathCounts(); d > direct {
+				nibbleDirect = [2]model.EventID{ev.ID, f}
+			} else if _, r := ts.QueryPathCounts(); r > routed {
+				nibbleRouted = [2]model.EventID{ev.ID, f}
+			}
+		}
+	}
+	if nibbleDirect[1] == (model.EventID{}) || nibbleRouted[1] == (model.EventID{}) {
+		t.Fatalf("%d nibble-framed projections, queries into them direct %v and routed %v: need both", len(nibbleProjs), nibbleDirect, nibbleRouted)
+	}
+	pair := func(p [2]model.EventID) func() {
+		return func() {
+			if _, err := ts.Live().Precedes(p[0], p[1]); err != nil {
+				t.Error(err)
+			}
+		}
+	}
 
 	// Both precedence paths over projection frames: every projection as the
 	// target of a query from the trace's first event.
@@ -551,6 +589,9 @@ func TestViewsAllocateNothing(t *testing.T) {
 	cases := []allocCase{
 		{"projection views", float64(len(projs)), views(projs)},
 		{"keyframe views", 0, views(keyframes)},
+		{"views of nibble-framed projections", float64(len(nibbleProjs)), views(nibbleProjs)},
+		{"direct precedes, nibble-framed projection target", 0, pair(nibbleDirect)},
+		{"routed precedes, nibble-framed projection target", 0, pair(nibbleRouted)},
 		{"precedes, projection targets, direct and routed", 0, func() {
 			for _, f := range projs {
 				if _, err := ts.Precedes(e, f); err != nil {
@@ -804,49 +845,55 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 // sequence of one process of a cluster of N members — every other component of
 // the clock, so the member list is not the identity, and the process not the
 // first of them — with N in {1, 2, 3, 4, 5, 13, 254, 255, 300}. Every two bytes are
-// one op: a receive that first steps a run of the other members' components by
-// 0, 1, 255, 256 or 70000; a unary event under a new epoch over the same
-// members; a run of sends and unary events ("share"); or a noted cluster
+// one op, the low four bits of the second its code and the high four a run
+// length: a receive that first steps a run of the other members' components
+// by 0, 1, 255, 256, 70000, 15 or 16; a unary event under a new epoch over the
+// same members; a run of sends and unary events ("share"); or a noted cluster
 // receive.
 //
 // A cell must name its predecessor's frame, and carve nothing, exactly when
 // its event is a send or unary, the process's previous event was a projection
 // and the epoch is that projection's. Any other projection must start a
-// keyframe exactly when it is the process's first, its epoch changed — every
-// offset being small does not excuse it, the members could differ — or some
-// component other than the own exceeds the current keyframe by more than 255:
-// the own component is the event's index, is not stored, and never re-keys. A
-// keyframe's own frame lies right behind its elements, and a frame must name
-// the current keyframe. The epoch is the keyframe's, not the cell's: every
-// projection, shared cells and a unary event under a new epoch over the same
-// members among them, must read the epoch it was stamped under through its
-// frame's keyframe, at once and after all later events were carved. Every
-// event, re-read after all later ones were carved, must show the clock it was
-// stamped with — the own component included, which for a shared cell only the
-// slot can say.
+// keyframe exactly when it is the process's first or its epoch changed —
+// every offset being small does not excuse it, the members could differ — and
+// otherwise be the first form that fits (projOracle): a nibble frame over the
+// anchor when every component other than the own is within 15 of it, else a
+// byte frame over the keyframe, the new anchor, when every one is within 255
+// of that, else a keyframe, whose own frame, right behind its elements, is the
+// anchor. The own component is the event's index, is not stored, and never
+// re-keys. A frame must name the current keyframe or anchor, and the
+// process's projection state must say where both are. The epoch is the
+// keyframe's, not the cell's: every projection, shared cells and a unary event
+// under a new epoch over the same members among them, must read the epoch it
+// was stamped under through its frame's keyframe, at once and after all later
+// events were carved. Every event, re-read after all later ones were carved,
+// must show the clock it was stamped with — the own component included, which
+// for a shared cell only the slot can say — and the arena must hold exactly
+// the elements the oracle counts.
 func FuzzProjFrameRoundTrip(f *testing.F) {
 	sizes := [...]int{1, 2, 3, 4, 5, 13, 254, 255, 300}
-	steps := [...]int32{0, 1, 255, 256, 70000}
+	steps := [...]int32{0, 1, 255, 256, 70000, 15, 16}
 	const (
-		newEpoch = 5 + iota // op codes above the steps
+		newEpoch = 7 + iota // op codes above the steps
 		share
 		noted
 	)
-	// (start member, run length<<3 | op): one seed per op, then mixes.
+	// (start member, run length<<4 | op): one seed per op, then mixes.
 	for sel := range sizes {
 		for op := 0; op <= noted; op++ {
-			f.Add(uint8(sel), []byte{0, byte(op), 1, byte(op), 2, byte(31<<3 | op), 0, byte(op)})
+			f.Add(uint8(sel), []byte{0, byte(op), 1, byte(op), 2, byte(15<<4 | op), 0, byte(op)})
 		}
 		// An offset of exactly 255, then of 256; an epoch change among small steps.
-		f.Add(uint8(sel), []byte{0, 0, 0, 2, 0, 1, 0, 1, 0, newEpoch, 0, 1, 7, 31<<3 | 1, 0, 0, 4, 4, 4, 2, 4, 1})
+		f.Add(uint8(sel), []byte{0, 0, 0, 2, 0, 1, 0, 1, 0, newEpoch, 0, 1, 7, 15<<4 | 1, 0, 0, 4, 4, 4, 2, 4, 1})
 		// A share after a keyframe and after a frame; none after a noted cluster
 		// receive (a frame) nor across an epoch change (a keyframe), and shares
 		// again behind each.
-		f.Add(uint8(sel), []byte{0, 1, 0, share, 1, 1, 0, 2<<3 | share, 0, noted, 0, share, 0, share, 0, newEpoch, 0, share})
+		f.Add(uint8(sel), []byte{0, 1, 0, share, 1, 1, 0, 2<<4 | share, 0, noted, 0, share, 0, share, 0, newEpoch, 0, share})
 	}
-	// N = 4: a 7-element keyframe and 124 two-element frames leave the first
-	// chunk's last element unused, so the 125th frame is the first thing in a
-	// chunk allocated for it.
+	// N = 4: a 7-element keyframe and 124 two-element frames — a nibble frame
+	// and a byte frame are both two elements here — leave the first chunk's
+	// last element unused, so the 125th frame is the first thing in a chunk
+	// allocated for it.
 	boundary := make([]byte, 0, 512)
 	for i := 0; i < 256; i++ {
 		boundary = append(boundary, byte(i%4), 1)
@@ -868,16 +915,42 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 	// the first chunk, its packed bytes the first of the second. The second
 	// seed shares that frame.
 	f.Add(uint8(6), []byte{0, 1, 0, 1, 3, 2})
-	f.Add(uint8(6), []byte{0, 1, 0, 3<<3 | share, 3, 1, 0, share})
-	// N = 300: the first keyframe's allocation has room for one more frame; the
-	// next starts a fresh chunk, and the step of 256 makes it the frame that
-	// does not fit, so the un-carve empties that chunk again and the new
-	// keyframe is the first thing in it.
+	f.Add(uint8(6), []byte{0, 1, 0, 3<<4 | share, 3, 1, 0, share})
+	// N = 300: the first keyframe, 377 elements, and a 39-element nibble frame
+	// leave 96 of its 512-element allocation; the step of 256 makes the next
+	// projection a keyframe, carved whole at the first element of a fresh
+	// chunk: nothing was carved for the two frames that did not fit.
 	f.Add(uint8(8), []byte{0, 1, 0, 1, 0, 3})
 	// N = 13: 320 shared cells carry the own component 321 past the keyframe's,
 	// and the receive behind them is a frame all the same.
-	f.Add(uint8(5), []byte{0, 1, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share,
-		0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 0, 31<<3 | share, 1, 1, 0, share})
+	shares := []byte{0, 1}
+	for i := 0; i < 20; i++ {
+		shares = append(shares, 0, 15<<4|share)
+	}
+	f.Add(uint8(5), append(shares, 1, 1, 0, share))
+	// N = 13: a 19-element keyframe, 77 three-element nibble frames over its
+	// zero frame and a five-element byte frame end on element 255 of the first
+	// chunk; the nibble frame after it starts the second, its anchor left in
+	// the first.
+	anchored := []byte{0, 0}
+	for i := 0; i < 77; i++ {
+		anchored = append(anchored, 0, 0)
+	}
+	f.Add(uint8(5), append(anchored, 0, 6, 0, 0, 1, 5))
+	// N = 13: a byte frame 255 above the keyframe, the anchor; then a nibble
+	// frame 15 above it, 270 above the keyframe; then one more, 16 above the
+	// anchor and 271 above the keyframe: a keyframe.
+	f.Add(uint8(5), []byte{0, 0, 0, 2, 0, 5, 0, 1})
+	// N = 13: between an anchor and the next frame, an epoch change — the
+	// frame is over the new keyframe's zero frame — or a noted cluster receive,
+	// which ends neither the keyframe nor the anchor.
+	f.Add(uint8(5), []byte{0, 0, 0, 6, 0, newEpoch, 0, 1, 0, 6, 0, 1})
+	f.Add(uint8(5), []byte{0, 0, 0, 6, 0, noted, 0, 1, 0, noted, 0, 6})
+	// N = 13 and 5: shared cells after a nibble frame over the zero frame and
+	// after one over a byte frame.
+	for _, sel := range []uint8{4, 5} {
+		f.Add(sel, []byte{0, 0, 0, 1, 0, share, 0, 6, 0, 1, 0, 3<<4 | share})
+	}
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		n := sizes[int(sel)%len(sizes)]
 		if len(data) > 512 {
@@ -906,9 +979,10 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			ep     = uint32(1)
 			clk    = make(vclock.Clock, numProcs)
 			inputs []Timestamp // what each event was stamped with: Cluster and Proj, or Full
-			curKey []int32     // the oracle's copy of the current keyframe
-			live   bool        // the oracle's: the previous event was a projection
-			lastEp uint32      // and under this epoch
+			oracle projOracle
+			tally  StoreStats // the projection forms the oracle expects
+			live   bool       // the oracle's: the previous event was a projection
+			lastEp uint32     // and under this epoch
 		)
 		// stamp drives one event through the lane and holds what it stored to
 		// the rules above.
@@ -922,7 +996,7 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 				t.Fatalf("%v: cell %+v under epoch %d, the clock's own component left at %d", e.ID, c, ep, clk[own])
 			}
 			if ep == 0 {
-				if key.live || key.last != prev.last {
+				if key.live || key.last != prev.last || key.anchor != prev.anchor {
 					t.Fatalf("%v: a noted cluster receive left the process's projection state at %+v, was %+v", e.ID, *key, prev)
 				}
 				live = false
@@ -931,7 +1005,7 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			}
 			want := clk.ProjectInto(make([]int32, n), members)
 			inputs = append(inputs, Timestamp{ID: e.ID, Cluster: table[ep], Proj: want})
-			if got := ar.chunks.epoch(c.vec()); got != ep {
+			if got := ar.chunks.proj(c.vec()).ep; got != ep {
 				t.Fatalf("%v: stamped under epoch %d, its keyframe holds %d", e.ID, ep, got)
 			}
 			wantShare := live && lastEp == ep && (kind == model.Unary || kind == model.Send)
@@ -942,26 +1016,42 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			if wantShare {
 				return
 			}
-			wantKey := curKey == nil || prev.ep != ep
-			for k := range want {
-				wantKey = wantKey || k != ownPos && want[k]-curKey[k] > 255
-			}
+			curKey, curAnchor := oracle.key, oracle.anchor
+			form := oracle.store(want, ownPos, prev.ep != ep)
 			header := uint32(ar.chunks.at(c.vec()))
-			if isKey := header+uint32(n) == c.vec(); isKey != wantKey {
-				t.Fatalf("%v: keyframe = %v, want %v (epoch %d, projection %v over the keyframe %v of epoch %d)", e.ID, isKey, wantKey, ep, want, curKey, prev.ep)
+			got := projByte
+			if header&projNibbleBit != 0 {
+				got = projNibble
+			} else if header+uint32(n) == c.vec() {
+				got = projKeyframe
 			}
-			if wantKey {
-				curKey = want
-			} else if header != prev.at {
-				t.Fatalf("%v: frame over the keyframe at %d, current keyframe at %d", e.ID, header, prev.at)
+			if got != form {
+				t.Fatalf("%v: stored as form %d, want %d (epoch %d, projection %v over the keyframe %v and the anchor %v of epoch %d)", e.ID, got, form, ep, want, curKey, curAnchor, prev.ep)
 			}
-			if *key != (projKey{at: header, ep: ep, last: c.vec(), live: true}) {
-				t.Fatalf("%v: the process's projection state is %+v, the frame at %d names %d under epoch %d", e.ID, *key, c.vec(), header, ep)
+			next := projKey{at: prev.at, ep: ep, anchor: c.vec(), last: c.vec(), live: true}
+			switch form {
+			case projKeyframe:
+				next.at = header
+				tally.ProjKeyframes++
+			case projByte:
+				if header != prev.at {
+					t.Fatalf("%v: byte frame over the keyframe at %d, current keyframe at %d", e.ID, header, prev.at)
+				}
+				tally.ProjFrames++
+			case projNibble:
+				if header&offMask != prev.anchor {
+					t.Fatalf("%v: nibble frame over the anchor at %d, current anchor at %d", e.ID, header&offMask, prev.anchor)
+				}
+				next.anchor = prev.anchor
+				tally.ProjNibbleFrames++
+			}
+			if *key != next {
+				t.Fatalf("%v: the process's projection state is %+v, want %+v", e.ID, *key, next)
 			}
 		}
 		for i := 0; i+1 < len(data); i += 2 {
-			run := 1 + int(data[i+1]>>3)
-			switch op := int(data[i+1] & 7); op {
+			run := 1 + int(data[i+1]>>4)
+			switch op := int(data[i+1]&15) % (noted + 1); op {
 			case newEpoch:
 				ep++
 				stamp(model.Unary, ep)
@@ -989,19 +1079,22 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			if !ok || got.Cluster != want.Cluster || !slices.Equal(got.Proj, want.Proj) || !slices.Equal(got.Full, want.Full) {
 				t.Fatalf("%v reads back as %v (found = %v), stamped %v", want.ID, got, ok, want)
 			}
-			off := pipe.cols[own].get(want.ID.Index).vec()
-			if want.Cluster != nil && table[vecs.epoch(off)] != want.Cluster {
-				t.Fatalf("%v: its keyframe reads back epoch %d, stamped under %v", want.ID, vecs.epoch(off), want.Cluster)
+			if want.Cluster == nil {
+				continue
+			}
+			p := vecs.proj(pipe.cols[own].get(want.ID.Index).vec())
+			if table[p.ep] != want.Cluster {
+				t.Fatalf("%v: its keyframe reads back epoch %d, stamped under %v", want.ID, p.ep, want.Cluster)
 			}
 			for k := range want.Proj {
-				if c := vecs.projAt(off, k); k != ownPos && c != want.Proj[k] {
-					t.Fatalf("%v component %d: projAt() = %d, stamped %d", want.ID, k, c, want.Proj[k])
+				if c := p.member(k); k != ownPos && c != want.Proj[k] {
+					t.Fatalf("%v component %d: member() = %d, stamped %d", want.ID, k, c, want.Proj[k])
 				}
 			}
 		}
-		// A frame that did not fit gives its elements back, zeroed: the tallies
-		// count only what cells and notes name, the notes' in either form, and
-		// the next carve is clean.
+		// Nothing is carved for a form that does not fit: the tallies count
+		// only what cells and notes name, the notes' in either form, and the
+		// next carve is clean.
 		var (
 			notes             crOracle
 			crElems, crSparse int64
@@ -1016,10 +1109,12 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			}
 		}
 		st := ar.stats
-		w := int64(packedWords(n, byteLg))
-		if st.ProjKeyframes+st.ProjFrames+st.ProjShared+st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(len(inputs)) || st.SparseFrames != crSparse ||
-			st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+2+w)+st.ProjFrames*(1+w)+crElems) {
-			t.Fatalf("tallies %+v for %d events over %d members of %d processes, %d sparse notes", st, len(inputs), n, numProcs, crSparse)
+		w, nw := int64(packedWords(n, byteLg)), int64(packedWords(n, nibbleLg))
+		if st.ProjKeyframes != tally.ProjKeyframes || st.ProjFrames != tally.ProjFrames || st.ProjNibbleFrames != tally.ProjNibbleFrames ||
+			st.ProjKeyframes+st.ProjFrames+st.ProjNibbleFrames+st.ProjShared+st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(len(inputs)) || st.SparseFrames != crSparse ||
+			st.VectorBytes != 4*(st.ProjKeyframes*(int64(n)+2+w)+st.ProjFrames*(1+w)+st.ProjNibbleFrames*(1+nw)+crElems) {
+			t.Fatalf("tallies %+v for %d events over %d members of %d processes, %d sparse notes; the oracle counts %d + %d + %d projection keyframes, byte and nibble frames",
+				st, len(inputs), n, numProcs, crSparse, tally.ProjKeyframes, tally.ProjFrames, tally.ProjNibbleFrames)
 		}
 		_, fresh := ar.carve(n)
 		for k, v := range fresh {
@@ -1028,4 +1123,42 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// projOracle is the tests' model of arena.project for one process: copies of
+// its current projection keyframe and anchor, nil before its first projection.
+type projOracle struct{ key, anchor []int32 }
+
+// The forms of a projection that carves.
+const (
+	projKeyframe = iota
+	projByte
+	projNibble
+)
+
+// store returns the form arena.project must store the projection proj in,
+// own its process's position, and moves the keyframe and the anchor on. A new
+// epoch always starts a keyframe. Otherwise it is a nibble frame when every
+// member but the own is within 15 of the anchor — which may leave it as much
+// as 270 above the keyframe — else a byte frame, the new anchor, when every
+// one is within 255 of the keyframe, else a keyframe, which is the anchor too.
+func (o *projOracle) store(proj []int32, own int, newEpoch bool) int {
+	within := func(base []int32, limit int32) bool {
+		for k := range proj {
+			if k != own && proj[k]-base[k] > limit {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case o.key == nil || newEpoch:
+	case within(o.anchor, 15):
+		return projNibble
+	case within(o.key, 255):
+		o.anchor = slices.Clone(proj)
+		return projByte
+	}
+	o.key, o.anchor = slices.Clone(proj), slices.Clone(proj)
+	return projKeyframe
 }

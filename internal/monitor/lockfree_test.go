@@ -315,8 +315,9 @@ func TestShardedIngestQueryMetricsStress(t *testing.T) {
 		t.Fatalf("sharded ingest incomplete: %d of %d events", st.Events, len(tr.Events))
 	}
 	// After the barrier the tallies are exact and the lanes idle.
-	if ss := m.Pipeline().StoreStats(); ss.Keyframes+ss.DeltaFrames+ss.NibbleFrames != int64(st.ClusterReceives) {
-		t.Fatalf("store tallies %+v for %d noted cluster receives", ss, st.ClusterReceives)
+	if ss := m.Pipeline().StoreStats(); ss.Keyframes+ss.DeltaFrames+ss.NibbleFrames != int64(st.ClusterReceives) ||
+		ss.ProjKeyframes+ss.ProjFrames+ss.ProjNibbleFrames+ss.ProjShared != int64(st.Events-st.ClusterReceives) {
+		t.Fatalf("store tallies %+v for %d noted cluster receives of %d events", ss, st.ClusterReceives, st.Events)
 	}
 	if depths := m.Pipeline().LaneQueueDepthsInto(nil); len(depths) != 8 || slices.Max(depths) != 0 {
 		t.Fatalf("lane queue depths %v after the barrier, want eight zeros", depths)

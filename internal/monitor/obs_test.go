@@ -122,6 +122,7 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_store_epochs",
 		"poetd_store_proj_keyframes",
 		"poetd_store_proj_frames",
+		"poetd_store_proj_nibble_frames",
 		"poetd_store_proj_shared",
 		"poetd_cr_keyframes_total",
 		"poetd_cr_delta_frames_total",
@@ -180,10 +181,12 @@ func TestServerTelemetry(t *testing.T) {
 		!strings.Contains(out, fmt.Sprintf("poetd_cr_nibble_frames_total %d\n", st.Store.NibbleFrames)) {
 		t.Errorf("Status store = %+v: sparse frames are a subset of the delta and nibble frames, and /metrics reads them and the nibble frames as /statusz does", st.Store)
 	}
-	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.ProjShared + st.Store.Keyframes + st.Store.DeltaFrames + st.Store.NibbleFrames; got != int64(len(tr.Events)) || st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 || st.Store.ProjShared == 0 {
-		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames + cr_nibble_frames = %d, want the %d events, with projections of all three kinds", st.Store, got, len(tr.Events))
+	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.ProjNibbleFrames + st.Store.ProjShared + st.Store.Keyframes + st.Store.DeltaFrames + st.Store.NibbleFrames; got != int64(len(tr.Events)) ||
+		st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 || st.Store.ProjNibbleFrames == 0 || st.Store.ProjShared == 0 {
+		t.Errorf("Status store = %+v: proj_keyframes + proj_frames + proj_nibble_frames + proj_shared + cr_keyframes + cr_delta_frames + cr_nibble_frames = %d, want the %d events, with projections of all four kinds", st.Store, got, len(tr.Events))
 	}
-	for series, want := range map[string]int64{"poetd_store_proj_keyframes": st.Store.ProjKeyframes, "poetd_store_proj_frames": st.Store.ProjFrames, "poetd_store_proj_shared": st.Store.ProjShared} {
+	for series, want := range map[string]int64{"poetd_store_proj_keyframes": st.Store.ProjKeyframes, "poetd_store_proj_frames": st.Store.ProjFrames,
+		"poetd_store_proj_nibble_frames": st.Store.ProjNibbleFrames, "poetd_store_proj_shared": st.Store.ProjShared} {
 		if !strings.Contains(out, fmt.Sprintf("%s %d\n", series, want)) {
 			t.Errorf("/metrics %s does not read %d as /statusz does", series, want)
 		}
@@ -330,6 +333,7 @@ func TestScrapeSeriesCountsStable(t *testing.T) {
 		"poetd_replay_materialize_seconds_sum": 1,
 		"poetd_store_proj_keyframes":           1,
 		"poetd_store_proj_frames":              1,
+		"poetd_store_proj_nibble_frames":       1,
 		"poetd_store_proj_shared":              1,
 	} {
 		if first[name] != want {

@@ -109,8 +109,10 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(pipe.StoreStats().Epochs) })
 	reg.GaugeFunc("poetd_store_proj_keyframes", "Projections stored as a keyframe (raw elements and a zero frame over them).",
 		func() float64 { return float64(pipe.StoreStats().ProjKeyframes) })
-	reg.GaugeFunc("poetd_store_proj_frames", "Projections stored as byte offsets above an earlier keyframe of the same process and epoch.",
+	reg.GaugeFunc("poetd_store_proj_frames", "Projections stored as byte offsets above an earlier keyframe of the same process and epoch; each becomes its process's anchor.",
 		func() float64 { return float64(pipe.StoreStats().ProjFrames) })
+	reg.GaugeFunc("poetd_store_proj_nibble_frames", "Projections stored as nibble offsets above their process's anchor: its latest byte frame, or its keyframe's zero frame.",
+		func() float64 { return float64(pipe.StoreStats().ProjNibbleFrames) })
 	reg.GaugeFunc("poetd_store_proj_shared", "Sends and unary events whose cell names the frame of the projection before it: stored without a vector.",
 		func() float64 { return float64(pipe.StoreStats().ProjShared) })
 	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a keyframe (a full vector).",

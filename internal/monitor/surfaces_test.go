@@ -300,16 +300,17 @@ func TestSurfacesAgree(t *testing.T) {
 
 	// The store block is /statusz's and /metrics' alone (STATS carries the
 	// paper's accounting, not the physical one): key by key the same number,
-	// and the six ways an event's vector is stored — a projection keyframe, a
-	// frame, a cell that shares its predecessor's, a cluster-receive keyframe,
-	// a delta frame, a nibble frame — add up to the default tenant's events.
-	// The sparse frames are some of the delta and nibble frames, not a seventh
-	// way.
+	// and the seven ways an event's vector is stored — a projection keyframe,
+	// a byte frame, a nibble frame, a cell that shares its predecessor's, a
+	// cluster-receive keyframe, a delta frame, a nibble frame — add up to the
+	// default tenant's events. The sparse frames are some of the delta and
+	// nibble frames, not an eighth way.
 	stored := 0
 	for key, family := range map[string]string{
 		"vector_bytes": "poetd_store_vector_bytes", "cell_bytes": "poetd_store_cell_bytes",
 		"note_bytes": "poetd_store_note_bytes", "epochs": "poetd_store_epochs",
-		"proj_keyframes": "poetd_store_proj_keyframes", "proj_frames": "poetd_store_proj_frames", "proj_shared": "poetd_store_proj_shared",
+		"proj_keyframes": "poetd_store_proj_keyframes", "proj_frames": "poetd_store_proj_frames",
+		"proj_nibble_frames": "poetd_store_proj_nibble_frames", "proj_shared": "poetd_store_proj_shared",
 		"cr_keyframes": "poetd_cr_keyframes_total", "cr_delta_frames": "poetd_cr_delta_frames_total",
 		"cr_nibble_frames": "poetd_cr_nibble_frames_total", "cr_sparse_frames": "poetd_cr_sparse_frames_total",
 	} {
@@ -322,15 +323,15 @@ func TestSurfacesAgree(t *testing.T) {
 		}
 	}
 	if stored != len(tr.Events) {
-		t.Errorf("proj_keyframes + proj_frames + proj_shared + cr_keyframes + cr_delta_frames + cr_nibble_frames = %d, want the %d events", stored, len(tr.Events))
+		t.Errorf("proj_keyframes + proj_frames + proj_nibble_frames + proj_shared + cr_keyframes + cr_delta_frames + cr_nibble_frames = %d, want the %d events", stored, len(tr.Events))
 	}
 	sparse, _ := strconv.Atoi(string(status.Store["cr_sparse_frames"]))
 	deltas, _ := strconv.Atoi(string(status.Store["cr_delta_frames"]))
 	if nibbles, _ := strconv.Atoi(string(status.Store["cr_nibble_frames"])); sparse > deltas+nibbles {
 		t.Errorf("/statusz store: %d sparse frames of %d delta and %d nibble frames", sparse, deltas, nibbles)
 	}
-	if len(status.Store) != 12 { // the eleven above and lane_queue_depth
-		t.Errorf("/statusz store = %v: want the eleven tallies and lane_queue_depth", status.Store)
+	if len(status.Store) != 13 { // the twelve above and lane_queue_depth
+		t.Errorf("/statusz store = %v: want the twelve tallies and lane_queue_depth", status.Store)
 	}
 
 	// The runtime's samples are /statusz's memory block and /metrics'
