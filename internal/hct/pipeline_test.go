@@ -531,6 +531,57 @@ func TestStoreStatsAgreeAcrossLanes(t *testing.T) {
 	}
 }
 
+// TestOneLaneExactOnReturn pins the one-lane shape's accounting to the call
+// that fed it, with no Barrier: on the return of every DispatchOne and
+// DispatchAsync the lane's queue depth reads 0 and StoreStats holds a cell for
+// every finalized event and a note for every noted cluster receive — and at
+// the end the tallies of the whole trace fed in one ObserveAll.
+func TestOneLaneExactOnReturn(t *testing.T) {
+	tr := workload.RPCBusiness(60, 6, 6, 300, 0.05, 1)
+	cfg := func() Config { return Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()} }
+	pipe, err := NewPipeline(tr.NumProcs, cfg(), PipelineOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	exact := func(call string, lo int) {
+		t.Helper()
+		if d := pipe.LaneQueueDepthsInto(nil); !slices.Equal(d, []uint64{0}) {
+			t.Fatalf("after %s at event %d: lane queue depths %v, want [0]", call, lo, d)
+		}
+		st, r := pipe.StoreStats(), pipe.Result()
+		if st.CellBytes != cellBytes*int64(r.Events) || st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(r.ClusterReceives) {
+			t.Fatalf("after %s at event %d: %d cell bytes and %d notes for %d events and %d noted cluster receives",
+				call, lo, st.CellBytes, st.Keyframes+st.DeltaFrames+st.NibbleFrames, r.Events, r.ClusterReceives)
+		}
+	}
+	half := len(tr.Events) / 2
+	for lo := 0; lo < half; lo++ {
+		if err := pipe.DispatchOne(tr.Events[lo]); err != nil {
+			t.Fatal(err)
+		}
+		exact("DispatchOne", lo)
+	}
+	for lo, n := half, 1; lo < len(tr.Events); n = n*7%300 + 1 {
+		hi := min(lo+n, len(tr.Events))
+		if err := pipe.DispatchAsync(tr.Events[lo:hi], nil); err != nil {
+			t.Fatal(err)
+		}
+		exact("DispatchAsync", lo)
+		lo = hi
+	}
+	ref, err := NewTimestamper(tr.NumProcs, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pipe.StoreStats(), ref.StoreStats(); got != want {
+		t.Fatalf("event by event and in batches %+v, in one ObserveAll %+v", got, want)
+	}
+}
+
 // TestStoreFullRefusal drives the admission gate against a lane whose
 // published arena offset is — synthetically — at its limit: every entry point
 // refuses with ErrStoreFull, the refusal is batch-atomic (no frontier moves,
