@@ -25,8 +25,8 @@ import (
 //
 // A site is code as written, comments aside: an identifier or selector chain
 // ("p.core.part"); a call, index or composite literal up to its "(", "[" or
-// "{"; a string literal; a map type; an == or != comparison ("v.w == nil";
-// its left chain is no site of its own); "func Name(", "func (Recv) Name(",
+// "{"; a string literal; a map type; a comparison ("v.w == nil", "n > 1"; its
+// left chain is no site of its own); "func Name(", "func (Recv) Name(",
 // `import "os"`, or "type", "var" (const too) or "field" and the first line
 // of the spec ("field m(x int)"). A site belongs to its function, "Name" or
 // "Recv.Name" ("" if none).
@@ -101,10 +101,15 @@ var design = []gate{
 		{in: "internal/monitor/*.go", site: `RecordOp\($`, must: []string{"Server.submitInstrumented", "Server.answer"}, max: 3},
 		{in: "internal/monitor/server.go internal/monitor/client.go internal/trace/*.go", site: `\bstrconv\.Atoi\b`},
 	}},
-	{name: "One_shape_per_lane_count", why: "The lane count picks the pipeline's shape, in NewPipeline (DESIGN.md §15).", rules: []rule{
+	{name: "One_shape_per_lane_count", why: "One step body per stage; the lane count picks only who calls the steps (DESIGN.md §11).", rules: []rule{
 		{in: ".", site: `PlannerPipelined|poetd_planner_pipelined|DispatchTraced|DeliverBatchTraced|DeliverBatchAsyncTraced|^func \(Monitor\) Deliver\($`},
 		{in: "internal/hct/*.go", site: `^((field|var) )?async\b`},
-		{in: "internal/hct/*.go", site: `\.PlanQueue\b`, must: []string{"NewPipeline"}},
+		{in: "internal/hct/*.go", site: `\.PlanQueue\b`, must: []string{"newPipeline"}},
+		{in: "internal/hct/*.go", site: `\bnshards ([!=]=|[<>]=?) [12]$`, must: []string{"newPipeline", "Pipeline.start", "Pipeline.Barrier", "Pipeline.handOff", "Pipeline.flushLocked"}, may: []string{"NewPipeline", "Pipeline.Close"}, max: 5},
+		{in: "internal/hct/*.go", site: `\.process\($`, must: []string{"lane.step"}},
+		{in: "internal/hct/*.go", site: `\.step\($`, must: []string{"lane.drain"}},
+		{in: "internal/hct/*.go", site: `\.cond\.Wait\($`, except: `^ln\.cond\.Wait\($`, must: []string{"rendezvous.wait"}},
+		{in: "internal/hct/ +tests", site: `\bstamp(Dur|Start)\b`},
 	}},
 	{name: "One_instrument_per_number", why: "A number is stored once, in an obs instrument (DESIGN.md §9); tel.WALSnapshot is a histogram.", rules: []rule{
 		{in: "internal/ cmd/ -internal/obs/telemetry.go", site: `\b(ServerCounters|WALCounters|CounterSnapshot|WALSnapshot|ThroughputRates|ParseSnapshot|ParseTenantCounters)\b`, except: `\btel\.WALSnapshot\b`},
@@ -252,7 +257,7 @@ func (f *file) addSites() {
 		case *ast.ImportSpec:
 			add(n, "import "+n.Path.Value, n.Path)
 		case *ast.BinaryExpr:
-			if n.Op == token.EQL || n.Op == token.NEQ {
+			if n.Op == token.EQL || n.Op == token.NEQ || n.Op == token.LSS || n.Op == token.GTR || n.Op == token.LEQ || n.Op == token.GEQ {
 				add(n, f.text(n), chain(n.X)...)
 			}
 		case *ast.SelectorExpr:

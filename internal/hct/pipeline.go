@@ -46,17 +46,22 @@ package hct
 // Merge decisions are inherently sequential — each one can repartition the
 // processes the next consults — so there is one plan stage.
 //
-// # Two shapes, chosen by the lane count
+// # Steps, and who calls them
 //
-// Where the plan stage runs is a function of the lane count, fixed in
-// NewPipeline. With one lane everything happens on the dispatching goroutine:
-// each event is decided, clock-stepped and published as it is admitted, with
-// no buffer between, no goroutine started, and Barrier a no-op. With more than
-// one lane a dispatch admits straight into a pooled buffer, puts it on a
-// bounded plan queue and returns, and a dedicated planner goroutine
-// (planner.go) makes the decisions and flushes to the lanes. The submitter —
-// the server's decode/WAL path — never touches planMu there, so journaling
-// batch N+1 overlaps planning batch N, which overlaps stamping batch N-1.
+// Each stage is one step body; the lane count decides only who calls it. A
+// dispatch admits into a pooled batch and hands it off (handOff) to the plan
+// step (planRun), which stages each decided event for its lane; flushLocked
+// passes the staged items on to the lane steps (lane.drain: begin, step per
+// item, end). A step that needs a clock not yet published returns what it is
+// blocked on instead of sleeping; rendezvous.wait is where a lane sleeps. At
+// one lane the dispatching goroutine calls every step inline — flushLocked
+// drains every inlineChunk staged items and at the end of the run — so no
+// goroutine runs and Barrier is a no-op. Above one lane handOff queues the
+// batch for the planner goroutine (planner.go), flushLocked queues the items
+// for the lane goroutines, and both are wait → step loops over the same
+// steps: journaling batch N+1 overlaps planning batch N, which overlaps
+// stamping batch N-1. sched_test.go calls the steps from one goroutine in
+// seeded orders.
 //
 // # Lock order
 //
@@ -84,15 +89,14 @@ package hct
 // put is safe for visibility — the put-after-publish invariant only requires
 // the cell and note to precede the put, and delaying the put preserves that
 // — but it is only deadlock-free because a lane flushes its buffered puts
-// before EVERY operation that can block (a rendezvous take, the sync
-// exchange) and at the end of each chunk: a buffered put may be exactly the
-// clock another lane is blocked on, so no lane may sleep holding one.
-// Inbound: when a lane claims a chunk it prescans it and claims every
-// already-published clock its cross-lane receives will need, grouped per
-// stripe, under one lock acquisition each (prefetchTakes). Claiming early
-// cannot starve anyone — each send has exactly one receive, and the shard
-// map routes it to this lane — and misses simply fall back to the blocking
-// take.
+// before every blocked return of a step (lane.block) and at the end of each
+// chunk: a buffered put may be exactly the clock another lane is blocked on,
+// so no lane may wait holding one. Inbound: when a lane begins a chunk it
+// prescans it and claims every already-published clock its cross-lane
+// receives will need, grouped per stripe, under one lock acquisition each
+// (prefetchTakes). Claiming early cannot starve anyone — each send has
+// exactly one receive, and the shard map routes it to this lane — and misses
+// simply fall back to the step's own tryTake.
 //
 // Deadlock-freedom: suppose lane A blocks at item iA (receive of send S in
 // lane B) and B blocks at iB (receive of send S' in A), with S queued after
@@ -126,15 +130,8 @@ package hct
 // dispatched before the call has been stamped and published. The planner
 // counts issued items per shard; lanes count completed items per drained
 // chunk. A held first sync half is not "issued": the pair stays unstamped
-// until the partner arrives.
-//
-// The issued counts lag the accepted batches, so Barrier must count planned
-// items, not just issued ones: it pushes a marker through the plan queue (FIFO
-// with the batches, exempt from the depth bound), the planner answers it with
-// an issued-count snapshot taken after planning everything that preceded it,
-// and Barrier then waits for the lanes to cover that snapshot. When the queue
-// is empty and the planner idle, Barrier skips the round-trip and snapshots
-// directly — the common case on query paths, which barrier per query frame.
+// until the partner arrives. The issued counts lag the accepted batches, so
+// Barrier counts planned items through a marker on the plan queue (planner.go).
 
 import (
 	"errors"
@@ -244,11 +241,15 @@ type Pipeline struct {
 	decide func(model.Event) *cluster.Info
 
 	// Tracing state for the run being planned (guarded by planMu). curBT
-	// tags staged items; stampStart/stampDur accumulate one-lane stamping
-	// time, folded into one stamp span by unlockPlan.
-	curBT      BatchTracer
-	stampStart time.Time
-	stampDur   time.Duration
+	// tags staged items; planSpan is its plan span, the parent of the stamp
+	// spans a one-lane drain records inline.
+	curBT    BatchTracer
+	planSpan int
+
+	// drainAt is the staged count at which stageItem flushes mid-run:
+	// inlineChunk at one lane, which drains inline; 0 (never) above, whose
+	// lanes take a planned batch only whole.
+	drainAt int
 
 	lanes []*lane
 	rv    rendezvous
@@ -273,7 +274,7 @@ type Pipeline struct {
 	pq        planQueue
 	plannerWG sync.WaitGroup
 	busy      atomic.Int64 // cumulative planner busy nanoseconds
-	start     time.Time
+	since     time.Time    // construction, for PlannerOccupancy
 
 	batchPool sync.Pool // *[]model.Event: the admitted batches the plan queue carries
 	bwPool    sync.Pool // *barrierWait markers
@@ -281,13 +282,22 @@ type Pipeline struct {
 	pqo atomic.Pointer[SizeObserver]
 }
 
-// NewPipeline returns a sharded pipeline over numProcs processes. The lane
-// count picks its shape, here and nowhere else: with one shard (or one
-// process) every dispatch stamps on the calling goroutine and no goroutine is
-// started; with more, the lanes and the planner goroutine behind the plan
-// queue are. Close releases them.
+// NewPipeline returns a sharded pipeline over numProcs processes, started;
+// Close releases it.
 func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, error) {
-	clusterAligned := cfg.Partition != nil
+	p, err := newPipeline(numProcs, cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	p.start()
+	return p, nil
+}
+
+// inlineChunk is how many staged items a one-lane run drains at a time.
+const inlineChunk = 256
+
+// newPipeline builds a pipeline whose steps can be called; it starts nothing.
+func newPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, error) {
 	core, err := newClusterer(numProcs, cfg)
 	if err != nil {
 		return nil, err
@@ -296,15 +306,14 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 	if nshards <= 0 {
 		nshards = runtime.GOMAXPROCS(0)
 	}
-	if nshards > numProcs {
-		nshards = numProcs
-	}
+	nshards = min(nshards, numProcs)
 	p := &Pipeline{
 		plane:      newPlane(numProcs),
 		core:       core,
 		decide:     core.decide,
 		nshards:    nshards,
 		issued:     make([]uint64, nshards),
+		curBufs:    make([][]item, nshards),
 		epochList:  []*cluster.Info{nil},
 		epochIndex: make(map[*cluster.Info]uint32),
 		lastEpoch:  make([]stagedEpoch, numProcs),
@@ -312,13 +321,21 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		done:       make([]uint64, nshards),
 		laneStats:  make([]StoreStats, nshards),
 		laneEnds:   make([]uint32, nshards),
-		start:      time.Now(),
+		since:      time.Now(),
+	}
+	if nshards == 1 {
+		p.drainAt = inlineChunk
 	}
 	initial := p.epochList // a header of its own: the field is reassigned by every append
 	p.epochs.Store(&initial)
 	p.adm.init(numProcs, p.storeRoom)
 	p.doneCond = sync.NewCond(&p.doneMu)
-	p.smap = buildShardMap(numProcs, nshards, core.part, clusterAligned)
+	p.smap = buildShardMap(numProcs, nshards, core.part, cfg.Partition != nil)
+	p.rv.init()
+	if opt.PlanQueue <= 0 {
+		opt.PlanQueue = DefaultPlanQueue
+	}
+	p.pq.init(opt.PlanQueue)
 	p.lanes = make([]*lane, nshards)
 	for i := range p.lanes {
 		ln := &lane{
@@ -332,29 +349,26 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		}
 		ln.cond = sync.NewCond(&ln.mu)
 		p.lanes[i] = ln
+		p.curBufs[i] = make([]item, 0, inlineChunk)
 	}
 	for proc, s := range p.smap {
 		p.arenas[proc] = p.lanes[s].ar
 	}
-	if nshards > 1 {
-		p.rv.init() // a lone lane never meets another
-		p.curBufs = make([][]item, nshards)
-		for i := range p.curBufs {
-			p.curBufs[i] = make([]item, 0, 256)
-		}
-		for i := range p.lanes {
-			p.wg.Add(1)
-			go p.lanes[i].run()
-		}
-		depth := opt.PlanQueue
-		if depth <= 0 {
-			depth = DefaultPlanQueue
-		}
-		p.pq.init(depth)
-		p.plannerWG.Add(1)
-		go p.planner()
-	}
 	return p, nil
+}
+
+// start starts, above one lane, the goroutines that call the steps: one per
+// lane and the planner. At one lane the dispatching goroutine calls them.
+func (p *Pipeline) start() {
+	if p.nshards == 1 {
+		return
+	}
+	for _, ln := range p.lanes {
+		p.wg.Add(1)
+		go ln.run()
+	}
+	p.plannerWG.Add(1)
+	go p.planner()
 }
 
 // buildShardMap assigns each process a shard. With a configured initial
@@ -364,7 +378,7 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 // stencil-shaped neighbour traffic local.
 func buildShardMap(numProcs, nshards int, part *cluster.Partition, clusterAligned bool) []int32 {
 	smap := make([]int32, numProcs)
-	if !clusterAligned || nshards == 1 {
+	if !clusterAligned {
 		for p := 0; p < numProcs; p++ {
 			smap[p] = int32(p * nshards / numProcs)
 		}
@@ -411,24 +425,22 @@ func (p *Pipeline) Close() {
 	}
 	p.adm.closed = true
 	p.adm.mu.Unlock()
-	if p.nshards > 1 {
-		// The planner must fully drain before the lanes are told to stop:
-		// a lane exits once its queue is empty, so items flushed after that
-		// would never be stamped.
-		p.pq.mu.Lock()
-		p.pq.stop = true
-		p.pq.ready.Signal()
-		p.pq.avail.Broadcast()
-		p.pq.mu.Unlock()
-		p.plannerWG.Wait()
-		for _, ln := range p.lanes {
-			ln.mu.Lock()
-			ln.stop = true
-			ln.cond.Signal()
-			ln.mu.Unlock()
-		}
-		p.wg.Wait()
+	// The planner must fully drain before the lanes are told to stop: a lane
+	// exits once its queue is empty, so items flushed after that would never
+	// be stamped. At one lane both waits return at once.
+	p.pq.mu.Lock()
+	p.pq.stop = true
+	p.pq.ready.Signal()
+	p.pq.avail.Broadcast()
+	p.pq.mu.Unlock()
+	p.plannerWG.Wait()
+	for _, ln := range p.lanes {
+		ln.mu.Lock()
+		ln.stop = true
+		ln.cond.Signal()
+		ln.mu.Unlock()
 	}
+	p.wg.Wait()
 }
 
 // DispatchAsync is the batch entry point: it admits a run of events in
@@ -443,9 +455,9 @@ func (p *Pipeline) Close() {
 //
 // bt, nil for an unsampled run, is the span sink of a sampled one: it receives
 // plan_wait (time blocked on the planner mutex, or queued behind earlier
-// batches), plan (the cluster decisions; at one lane, fused with admission),
-// and — at one lane — the inline stamp span. Above one lane stamping records
-// per-lane spans asynchronously as the lanes drain.
+// batches), plan (the cluster decisions), and stamp spans — at one lane under
+// plan, recorded inline; above one lane per lane, asynchronously as the lanes
+// drain.
 func (p *Pipeline) DispatchAsync(events []model.Event, bt BatchTracer) error {
 	if len(events) == 0 {
 		return nil
@@ -458,7 +470,7 @@ func (p *Pipeline) DispatchAsync(events []model.Event, bt BatchTracer) error {
 // DispatchOne admits and plans a single event, returning the raw (unwrapped)
 // contract error.
 func (p *Pipeline) DispatchOne(e model.Event) error {
-	events := [1]model.Event{e} // stays on the stack: neither shape retains the slice
+	events := [1]model.Event{e} // stays on the stack: the batch is a copy
 	p.adm.mu.Lock()
 	defer p.adm.mu.Unlock()
 	return p.dispatchLocked(events[:], nil, false)
@@ -475,10 +487,6 @@ func (p *Pipeline) DispatchAdmitted(run []model.Event, bt BatchTracer) error {
 	if p.adm.closed {
 		return ErrPipelineClosed
 	}
-	if p.nshards == 1 {
-		p.planRun(run, bt, time.Time{})
-		return nil
-	}
 	bp := p.getBatch()
 	*bp = append(*bp, run...)
 	return p.handOff(bp, bt)
@@ -490,11 +498,9 @@ func (p *Pipeline) DispatchAdmitted(run []model.Event, bt BatchTracer) error {
 func (p *Pipeline) Admission() *Admission { return &p.adm }
 
 // dispatchLocked is the one body of DispatchAsync and DispatchOne, called with
-// the admission lock held: admit each event, stopping at the first rejection,
-// and hand what the admitted prefix finalizes to the plan stage before the
-// lock is released — at one lane, by deciding and stamping each event as it is
-// admitted, with no buffer between; above one lane, by admitting straight into
-// the pooled buffer the plan queue carries. wrap selects the batch form of a
+// the admission lock held: admit each event into the pooled batch, stopping at
+// the first rejection, and hand what the admitted prefix finalizes to the plan
+// stage before the lock is released. wrap selects the batch form of a
 // rejection, "at <id>: ...".
 func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap bool) (err error) {
 	a := &p.adm
@@ -504,14 +510,7 @@ func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap boo
 	if err := a.reserve(len(events)); err != nil {
 		return err
 	}
-	queued := p.nshards > 1
-	var bp *[]model.Event
-	if queued {
-		bp = p.getBatch()
-	} else {
-		planSpan := p.lockPlan(bt, time.Time{})
-		defer p.unlockPlan(bt, planSpan)
-	}
+	bp := p.getBatch()
 	for i := range events {
 		e := events[i]
 		if err = a.CheckRecord(e); err == nil {
@@ -523,32 +522,20 @@ func (p *Pipeline) dispatchLocked(events []model.Event, bt BatchTracer, wrap boo
 			}
 			break
 		}
-		first, n := a.advance(e)
-		switch {
-		case n == 0: // first sync half: held until its partner arrives
-		case queued:
-			if n == 2 {
-				*bp = append(*bp, first)
-			}
+		// n == 0: a first sync half, held until its partner arrives.
+		if first, n := a.advance(e); n == 2 {
+			*bp = append(*bp, first, e)
+		} else if n == 1 {
 			*bp = append(*bp, e)
-		default:
-			if n == 2 {
-				p.plan(first)
-			}
-			p.plan(e)
 		}
 	}
-	if queued {
-		if qerr := p.handOff(bp, bt); qerr != nil {
-			return qerr
-		}
+	if herr := p.handOff(bp, bt); herr != nil {
+		return herr
 	}
 	return err
 }
 
-// getBatch takes an empty batch buffer from the pool; handOff puts it, filled
-// with admitted events, on the plan queue (or straight back when the batch
-// finalized nothing).
+// getBatch takes an empty batch buffer from the pool, for handOff.
 func (p *Pipeline) getBatch() *[]model.Event {
 	bp, _ := p.batchPool.Get().(*[]model.Event)
 	if bp == nil {
@@ -558,60 +545,48 @@ func (p *Pipeline) getBatch() *[]model.Event {
 	return bp
 }
 
+// handOff is the one hand-off of an admitted batch to the plan stage, under
+// the admission lock: at one lane it plans (and so stamps) the batch inline;
+// above one it puts it on the plan queue, which then owns the buffer.
 func (p *Pipeline) handOff(bp *[]model.Event, bt BatchTracer) error {
-	if len(*bp) == 0 {
-		p.batchPool.Put(bp)
-		return nil
+	var err error
+	switch {
+	case len(*bp) == 0:
+	case p.nshards == 1:
+		p.planRun(*bp, bt, time.Time{})
+	default:
+		req := planReq{events: *bp, owned: bp, bt: bt}
+		if bt != nil {
+			req.enq = time.Now()
+		}
+		if err = p.enqueue(req); err == nil {
+			return nil // planOne recycles the buffer
+		}
 	}
-	req := planReq{events: *bp, owned: bp, bt: bt}
-	if bt != nil {
-		req.enq = time.Now()
-	}
-	if err := p.enqueue(req); err != nil {
-		p.batchPool.Put(bp)
-		return err
-	}
-	return nil
+	p.batchPool.Put(bp)
+	return err
 }
 
-// planRun plans an admitted run: the cluster decisions, staging, and the flush
-// to the lanes.
+// planRun is the plan step over an admitted run, under planMu: the cluster
+// decisions, staging, and the flush to the lanes. A traced run records
+// plan_wait since waitStart (zero: since this call, the time spent blocked on
+// the mutex) and then its plan span.
 func (p *Pipeline) planRun(run []model.Event, bt BatchTracer, waitStart time.Time) {
-	planSpan := p.lockPlan(bt, waitStart)
-	for i := range run {
-		p.plan(run[i])
-	}
-	p.unlockPlan(bt, planSpan)
-}
-
-// lockPlan takes planMu and, for a traced run, opens its plan stage: the
-// plan_wait span since waitStart (zero: since this call, the time spent
-// blocked on the mutex), then the plan span, whose index it returns.
-func (p *Pipeline) lockPlan(bt BatchTracer, waitStart time.Time) (planSpan int) {
 	if bt != nil && waitStart.IsZero() {
 		waitStart = time.Now()
 	}
 	p.planMu.Lock()
-	if bt == nil {
-		return -1
+	if bt != nil {
+		bt.Span("plan_wait", -1, -1, waitStart, time.Since(waitStart))
+		p.curBT, p.planSpan = bt, bt.Begin("plan", -1, -1)
 	}
-	bt.Span("plan_wait", -1, -1, waitStart, time.Since(waitStart))
-	p.curBT = bt
-	return bt.Begin("plan", -1, -1)
-}
-
-// unlockPlan flushes what was staged to the lanes, closes what lockPlan
-// opened — folding one-lane stamping into one stamp span under the plan span —
-// and releases planMu.
-func (p *Pipeline) unlockPlan(bt BatchTracer, planSpan int) {
+	for i := range run {
+		p.plan(run[i])
+	}
 	p.flushLocked()
 	if bt != nil {
-		if p.stampDur > 0 {
-			bt.Span("stamp", 0, planSpan, p.stampStart, p.stampDur)
-			p.stampDur = 0
-		}
 		p.curBT = nil
-		bt.End(planSpan)
+		bt.End(p.planSpan)
 	}
 	p.planMu.Unlock()
 }
@@ -623,9 +598,9 @@ func (p *Pipeline) plan(e model.Event) {
 	p.stageItem(e, p.decide(e))
 }
 
-// stageItem hands one planned item to its lane (inline with one shard),
-// naming its epoch by index: the one place an epoch enters the epoch table,
-// published here, before the item that names it can reach a lane.
+// stageItem stages one planned item for its lane, naming its epoch by index:
+// the one place an epoch enters the epoch table, published here, before the
+// item that names it can reach a lane.
 func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
 	it := item{ev: e, bt: p.curBT}
 	if cl != nil {
@@ -643,25 +618,12 @@ func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
 		}
 		it.ep = last.ep
 	}
-	if p.nshards == 1 {
-		if p.curBT != nil {
-			// Inline stamping: accumulate into one stamp span (emitted by
-			// the dispatching path) instead of one span per event.
-			t0 := time.Now()
-			p.lanes[0].process(&it)
-			if p.stampDur == 0 {
-				p.stampStart = t0
-			}
-			p.stampDur += time.Since(t0)
-		} else {
-			p.lanes[0].process(&it)
-		}
-		p.issued[0]++
-		return
-	}
 	s := p.smap[e.ID.Process]
 	p.curBufs[s] = append(p.curBufs[s], it)
 	p.issued[s]++
+	if len(p.curBufs[s]) == p.drainAt {
+		p.flushLocked()
+	}
 }
 
 // maxLaneBacklog bounds a lane's queue: the planner flushes a batch only once
@@ -672,9 +634,9 @@ func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
 // next batch.
 const maxLaneBacklog = 4096
 
-// flushLocked appends the staged items to their lanes, preserving planner
-// order per lane. Called with planMu held, so cross-batch lane order equals
-// planner order.
+// flushLocked passes the staged items on in planner order (planMu is held):
+// at one lane it drains them inline, under the run's plan span; above one it
+// appends them to the lanes' queues.
 //
 // It first waits for room (maxLaneBacklog) and then flushes the batch whole,
 // never part of it: lanes only ever hold complete batches, and every item of
@@ -683,9 +645,6 @@ const maxLaneBacklog = 4096
 // lanes drain what they hold without the batch being held back here and the
 // wait always ends — the deadlock argument of the file comment is untouched.
 func (p *Pipeline) flushLocked() {
-	if p.nshards == 1 {
-		return
-	}
 	p.doneMu.Lock()
 	for s, buf := range p.curBufs {
 		if len(buf) == 0 {
@@ -697,6 +656,11 @@ func (p *Pipeline) flushLocked() {
 		p.flushed[s] = p.issued[s] // issued already counts the staged items
 	}
 	p.doneMu.Unlock()
+	if p.nshards == 1 {
+		p.lanes[0].drain(p.curBufs[0], p.planSpan)
+		p.curBufs[0] = p.curBufs[0][:0]
+		return
+	}
 	for s, buf := range p.curBufs {
 		if len(buf) == 0 {
 			continue
@@ -755,8 +719,8 @@ func (p *Pipeline) CrossShardWaits() int64 {
 
 // LaneQueueDepthsInto appends, per ingest lane, the number of items flushed
 // to the lane and not yet stamped — at most maxLaneBacklog plus one batch. A
-// depth that stays put while events arrive is a stalled lane. Always zero on
-// the lone lane, which stamps as it plans.
+// depth that stays put while events arrive is a stalled lane. Zero on the lone
+// lane whenever no dispatch is inside its inline drain.
 func (p *Pipeline) LaneQueueDepthsInto(buf []uint64) []uint64 {
 	p.doneMu.Lock()
 	defer p.doneMu.Unlock()
@@ -767,22 +731,17 @@ func (p *Pipeline) LaneQueueDepthsInto(buf []uint64) []uint64 {
 }
 
 // StoreStats returns the column store's physical tallies, summed over the
-// lanes. Like Result it can trail dispatched work; it is exact after Barrier.
+// lanes' drained chunks. Above one lane it can trail dispatched work, like
+// Result; it is exact after Barrier, and at one lane when a dispatch returns.
 func (p *Pipeline) StoreStats() StoreStats {
 	var total StoreStats
 	var cells uint64
-	if p.nshards == 1 {
-		p.planMu.Lock() // the lone lane stamps under the planner mutex
-		total, cells = p.lanes[0].ar.stats, p.issued[0]
-		p.planMu.Unlock()
-	} else {
-		p.doneMu.Lock()
-		for s, st := range p.laneStats {
-			total.add(st)
-			cells += p.done[s]
-		}
-		p.doneMu.Unlock()
+	p.doneMu.Lock()
+	for s, st := range p.laneStats {
+		total.add(st)
+		cells += p.done[s]
 	}
+	p.doneMu.Unlock()
 	total.CellBytes = cellBytes * int64(cells)
 	total.NoteBytes = noteBytes * (total.Keyframes + total.DeltaFrames + total.NibbleFrames)
 	total.Epochs = int64(len(*p.epochs.Load()) - 1)
@@ -796,18 +755,12 @@ func (p *Pipeline) StoreStats() StoreStats {
 func (p *Pipeline) storeRoom() int64 {
 	ends := make([]uint32, p.nshards)
 	var stamped uint64
-	if p.nshards == 1 {
-		p.planMu.Lock()
-		ends[0], stamped = p.lanes[0].ar.end(), p.issued[0]
-		p.planMu.Unlock()
-	} else {
-		p.doneMu.Lock()
-		copy(ends, p.laneEnds)
-		for _, n := range p.done {
-			stamped += n
-		}
-		p.doneMu.Unlock()
+	p.doneMu.Lock()
+	copy(ends, p.laneEnds)
+	for _, n := range p.done {
+		stamped += n
 	}
+	p.doneMu.Unlock()
 	var admitted uint64
 	for _, next := range p.adm.next {
 		admitted += uint64(next - 1)
@@ -904,8 +857,17 @@ type lane struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []item
-	spare []item // recycled chunk buffer (double-buffer swap)
+	spare []item // the chunk last claimed, recycled as the next queue
 	stop  bool
+
+	// The chunk being drained, its next item, and the span its stamp spans
+	// hang under (-1, or the plan span at one lane). xround is the head item's
+	// cross-lane sync round, so a resumed step never puts twice: 1 once its
+	// base clock is put, 2 once it is stamped and marked.
+	chunk  []item
+	pos    int
+	parent int
+	xround uint8
 
 	frontier  []vclock.Clock // per process; only this lane's entries are used
 	keys      []projKey      // per process, likewise: its current projection keyframe, anchor and last frame
@@ -917,8 +879,8 @@ type lane struct {
 	// Batched rendezvous state (see the file comment). pendPuts buffers
 	// outbound cross-lane send clocks per stripe; pendN counts them so the
 	// empty check is one comparison. Buffered puts are flushed under one
-	// stripe-lock acquisition each — before every blocking operation and at
-	// the end of each chunk. want is the per-stripe scratch for the chunk
+	// stripe-lock acquisition each — before every blocked return of a step
+	// and at the end of each chunk. want is the per-stripe scratch for the chunk
 	// prescan; prefetched holds the clocks it claimed, consumed by this
 	// chunk's receives.
 	pendPuts   [rvStripes][]rvPut
@@ -926,66 +888,105 @@ type lane struct {
 	want       [rvStripes][]model.EventID
 	prefetched map[model.EventID]vclock.Clock
 
-	// curBT/curSpan name the traced run whose items are being processed,
-	// so rendezvous waits attach as children of the lane's stamp span.
-	// Lane-goroutine-private (single-shard: written under planMu).
+	// curBT/curSpan name the traced run whose items are being processed and
+	// its open stamp span, under which rendezvous waits attach. Private to
+	// whoever calls the lane's steps (at one lane: under planMu).
 	curBT   BatchTracer
 	curSpan int
 
 	waits atomic.Int64 // blocking cross-shard waits
 }
 
-// run drains the queue until stopped, in chunks: all currently queued items
-// are claimed in one lock acquisition, processed, then reported done.
+// run is the lane goroutine above one lane: wait, claim, drain.
 func (ln *lane) run() {
 	defer ln.pl.wg.Done()
-	for {
-		ln.mu.Lock()
-		for len(ln.queue) == 0 && !ln.stop {
-			ln.cond.Wait()
+	for ln.await() {
+		ln.drain(ln.claim(), -1)
+	}
+}
+
+// await blocks until the lane has queued work (true) or is stopped with none
+// (false).
+func (ln *lane) await() bool {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	for len(ln.queue) == 0 && !ln.stop {
+		ln.cond.Wait()
+	}
+	return len(ln.queue) > 0
+}
+
+// claim takes everything queued as one chunk, under one lock acquisition. The
+// chunk is the caller's until the next claim, which recycles its buffer.
+func (ln *lane) claim() []item {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	ln.queue, ln.spare = ln.spare[:0], ln.queue
+	return ln.spare
+}
+
+// drain stamps a chunk through the lane's steps, waiting out each block: the
+// lane goroutine's body above one lane, flushLocked's inline at one lane.
+func (ln *lane) drain(chunk []item, parent int) {
+	ln.begin(chunk, parent)
+	for ln.pos < len(chunk) {
+		if k, blocked := ln.step(); blocked {
+			ln.noteWait(ln.pl.rv.wait(k))
 		}
-		if len(ln.queue) == 0 {
-			ln.mu.Unlock()
-			return
-		}
-		chunk := ln.queue
-		ln.queue = ln.spare[:0]
-		ln.mu.Unlock()
-		ln.prefetchTakes(chunk)
-		// Contiguous items from the same traced run share one stamp span;
-		// a chunk can interleave items from many dispatches, traced or not.
-		for i := 0; i < len(chunk); {
-			bt := chunk[i].bt
-			if bt == nil {
-				ln.process(&chunk[i])
-				i++
-				continue
-			}
-			sp := bt.Begin("stamp", int(ln.id), -1)
-			ln.curBT, ln.curSpan = bt, sp
-			for i < len(chunk) && chunk[i].bt == bt {
-				ln.process(&chunk[i])
-				i++
-			}
-			ln.curBT, ln.curSpan = nil, -1
-			bt.End(sp)
-		}
-		// Flush buffered puts before the done update and before blocking on
-		// an empty queue: another lane may need them to finish its chunk.
-		ln.flushPuts()
-		ln.spare = chunk[:0]
-		ln.pl.doneMu.Lock()
-		ln.pl.done[ln.id] += uint64(len(chunk))
-		ln.pl.laneStats[ln.id], ln.pl.laneEnds[ln.id] = ln.ar.stats, ln.ar.end()
-		ln.pl.doneCond.Broadcast()
-		ln.pl.doneMu.Unlock()
+	}
+	ln.end()
+}
+
+// begin makes chunk the lane's current one and prefetches its clocks.
+func (ln *lane) begin(chunk []item, parent int) {
+	ln.chunk, ln.pos, ln.parent = chunk, 0, parent
+	ln.prefetchTakes(chunk)
+}
+
+// step processes the current chunk's next item, or returns what it is blocked
+// on; called again once that is published, it resumes the item. Contiguous
+// items of one traced run share one stamp span.
+func (ln *lane) step() (rvKey, bool) {
+	it := &ln.chunk[ln.pos]
+	if it.bt != ln.curBT {
+		ln.span(it.bt)
+	}
+	if k, blocked := ln.process(it); blocked {
+		return k, true
+	}
+	ln.pos++
+	return rvKey{}, false
+}
+
+// end closes the current chunk: its stamp span, the buffered puts (another
+// lane may need them), then the lane's progress and tallies under doneMu.
+func (ln *lane) end() {
+	ln.span(nil)
+	ln.flushPuts()
+	pl := ln.pl
+	pl.doneMu.Lock()
+	pl.done[ln.id] += uint64(len(ln.chunk))
+	pl.laneStats[ln.id], pl.laneEnds[ln.id] = ln.ar.stats, ln.ar.end()
+	pl.doneCond.Broadcast()
+	pl.doneMu.Unlock()
+	ln.chunk, ln.pos = nil, 0
+}
+
+// span closes the open stamp span and, for a traced run's bt, opens its next.
+func (ln *lane) span(bt BatchTracer) {
+	if ln.curBT != nil {
+		ln.curBT.End(ln.curSpan)
+	}
+	ln.curBT, ln.curSpan = bt, -1
+	if bt != nil {
+		ln.curSpan = bt.Begin("stamp", int(ln.id), ln.parent)
 	}
 }
 
 // prefetchTakes prescans a claimed chunk and claims, per stripe under one
 // lock acquisition, every already-published clock its cross-lane receives
-// will need. Misses stay in the rendezvous and fall back to the blocking
-// take. Claiming early cannot starve another lane: each send has exactly one
+// will need. Misses stay in the rendezvous for the step's own tryTake.
+// Claiming early cannot starve another lane: each send has exactly one
 // receive, and the shard map routes it here; and every claimed clock is
 // consumed before the chunk ends, because the receive that needs it is in
 // this chunk and lanes never abandon items.
@@ -1010,8 +1011,8 @@ func (ln *lane) prefetchTakes(chunk []item) {
 		st := &ln.pl.rv.stripes[s]
 		st.mu.Lock()
 		for _, id := range ids {
-			if clk, ok := st.clocks[id]; ok {
-				delete(st.clocks, id)
+			if clk, ok := st.held[rvKey{id: id}]; ok {
+				delete(st.held, rvKey{id: id})
 				ln.prefetched[id] = clk
 			}
 		}
@@ -1022,8 +1023,8 @@ func (ln *lane) prefetchTakes(chunk []item) {
 
 // flushPuts publishes the buffered cross-lane send clocks: one stripe-lock
 // acquisition and one wakeup per non-empty stripe, however many clocks it
-// carries. MUST be called before any operation that can block — a buffered
-// put may be exactly the clock another lane is blocked on.
+// carries. MUST be called before a lane waits — a buffered put may be exactly
+// the clock another lane is blocked on.
 func (ln *lane) flushPuts() {
 	if ln.pendN == 0 {
 		return
@@ -1036,7 +1037,7 @@ func (ln *lane) flushPuts() {
 		st := &ln.pl.rv.stripes[s]
 		st.mu.Lock()
 		for _, pu := range ps {
-			st.clocks[pu.id] = pu.clk
+			st.held[rvKey{id: pu.id}] = pu.clk
 		}
 		st.cond.Broadcast()
 		st.mu.Unlock()
@@ -1050,21 +1051,34 @@ func (ln *lane) flushPuts() {
 	ln.pendN = 0
 }
 
+// block is every blocked return of a step: the lane is about to wait.
+func (ln *lane) block(k rvKey) (rvKey, bool) {
+	ln.flushPuts()
+	return k, true
+}
+
 // process stamps one planned item: the Fidge/Mattern clock step (the same
 // computation as package fm's ObserveBorrowed, restricted to this lane's
-// processes) followed by stamp.
-func (ln *lane) process(it *item) {
+// processes) followed by stamp — or returns what it is blocked on, having
+// changed nothing a retry would repeat.
+func (ln *lane) process(it *item) (rvKey, bool) {
 	e := it.ev
-	if e.Kind == model.Sync {
-		ln.processSync(it)
-		return
-	}
-	clk := ln.bump(e)
-	if e.Kind == model.Receive {
-		sclk := ln.takeSend(e.Partner)
+	switch e.Kind {
+	case model.Sync:
+		return ln.processSync(it)
+	case model.Receive:
+		// The send's clock first: a receive that waits has not moved its frontier.
+		sclk, ok := ln.takeSend(e.Partner)
+		if !ok {
+			return ln.block(rvKey{id: e.Partner})
+		}
+		clk := ln.bump(e)
 		clk.MaxInto(sclk)
 		ln.free = append(ln.free, sclk)
+		ln.stamp(e, clk, it.ep)
+		return rvKey{}, false
 	}
+	clk := ln.bump(e)
 	ln.stamp(e, clk, it.ep)
 	if e.Kind == model.Send {
 		// Forward only after publishing the cell and note: a clock visible
@@ -1072,18 +1086,19 @@ func (ln *lane) process(it *item) {
 		// comment).
 		ln.forwardSend(e, clk)
 	}
+	return rvKey{}, false
 }
 
 // processSync stamps one half of a synchronous pair. Same-lane pairs
 // complete locally (the planner dispatches the halves adjacently);
 // cross-lane pairs run the two-round exchange described in the file
-// comment.
-func (ln *lane) processSync(it *item) {
+// comment, resumable at either round's take.
+func (ln *lane) processSync(it *item) (rvKey, bool) {
 	e := it.ev
 	if ln.pl.smap[e.Partner.Process] == ln.id {
 		if ln.held.base == nil {
 			ln.held = heldSync{it: *it, base: ln.ownClock(e)}
-			return
+			return rvKey{}, false
 		}
 		first := ln.held
 		ln.held = heldSync{}
@@ -1099,30 +1114,37 @@ func (ln *lane) processSync(it *item) {
 		f1.CopyFrom(clk)
 		ln.stamp(first.it.ev, f1, first.it.ep)
 		ln.stamp(e, clk, it.ep)
-		return
+		return rvKey{}, false
 	}
-
-	// The exchange below blocks; buffered puts must be visible first.
-	ln.flushPuts()
 
 	// Round 1: exchange base clocks (put before take: no deadlock) and
 	// stamp the joint clock. max is commutative, so both sides compute the
 	// identical vector.
-	base := ln.ownClock(e)
-	ln.pl.rv.put(e.ID, base)
-	pclk, waited := ln.pl.rv.take(e.Partner)
-	ln.noteWait(waited)
-	joint := ln.bump(e) // frontier now equals base
-	joint.MaxInto(pclk)
-	ln.free = append(ln.free, pclk)
-	ln.stamp(e, joint, it.ep)
+	if ln.xround == 0 {
+		ln.pl.rv.put(rvKey{id: e.ID}, ln.ownClock(e))
+		ln.xround = 1
+	}
+	if ln.xround == 1 {
+		pclk, ok := ln.pl.rv.tryTake(rvKey{id: e.Partner})
+		if !ok {
+			return ln.block(rvKey{id: e.Partner})
+		}
+		joint := ln.bump(e) // frontier now equals our base
+		joint.MaxInto(pclk)
+		ln.free = append(ln.free, pclk)
+		ln.stamp(e, joint, it.ep)
+		ln.pl.rv.put(rvKey{id: e.ID, mark: true}, nil)
+		ln.xround = 2
+	}
 
 	// Round 2: our joint clock counts the partner's own event, so later
 	// items of this lane must not forward it until the partner's cell and
 	// note are published.
-	ln.pl.rv.putDone(e.ID)
-	waited = ln.pl.rv.takeDone(e.Partner)
-	ln.noteWait(waited)
+	if _, ok := ln.pl.rv.tryTake(rvKey{id: e.Partner, mark: true}); !ok {
+		return ln.block(rvKey{id: e.Partner, mark: true})
+	}
+	ln.xround = 0
+	return rvKey{}, false
 }
 
 func (ln *lane) noteWait(d time.Duration) {
@@ -1188,21 +1210,18 @@ func (ln *lane) forwardSend(e model.Event, clk vclock.Clock) {
 }
 
 // takeSend fetches the matching send's clock — lane-local map, then the
-// chunk's prefetched claims, then the blocking rendezvous take. The caller
-// owns the result and should recycle it after use.
-func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
+// chunk's prefetched claims, then the rendezvous — if it is published. The
+// caller owns the result and should recycle it after use.
+func (ln *lane) takeSend(sendID model.EventID) (vclock.Clock, bool) {
 	if clk, ok := ln.localSend[sendID]; ok {
 		delete(ln.localSend, sendID)
-		return clk
+		return clk, true
 	}
 	if clk, ok := ln.prefetched[sendID]; ok {
 		delete(ln.prefetched, sendID)
-		return clk
+		return clk, true
 	}
-	ln.flushPuts() // about to block: buffered puts must be visible first
-	clk, waited := ln.pl.rv.take(sendID)
-	ln.noteWait(waited)
-	return clk
+	return ln.pl.rv.tryTake(rvKey{id: sendID})
 }
 
 // stamp converts a finalized clock into the event's stored cell and
@@ -1247,26 +1266,32 @@ type rvPut struct {
 	clk vclock.Clock
 }
 
-// rendezvous is the cross-shard meeting point: a striped map from event ID
-// to a finalized clock (sends and sync base clocks) plus a published-mark
-// set (sync round 2). Striping keeps unrelated waits off each other's lock.
+// rvKey names what the rendezvous holds, and what a blocked lane step waits
+// for: the clock published under id, or — a cross-lane sync's second round —
+// id's published mark.
+type rvKey struct {
+	id   model.EventID
+	mark bool
+}
+
+// rendezvous is the cross-shard meeting point: a striped map from rvKey to a
+// finalized clock (sends and sync base clocks) or, for a mark, nil. Striping
+// keeps unrelated waits off each other's lock.
 type rendezvous struct {
 	stripes [rvStripes]rvStripe
 }
 
 type rvStripe struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	clocks map[model.EventID]vclock.Clock
-	marks  map[model.EventID]struct{}
+	mu   sync.Mutex
+	cond sync.Cond
+	held map[rvKey]vclock.Clock
 }
 
 func (rv *rendezvous) init() {
 	for i := range rv.stripes {
 		s := &rv.stripes[i]
 		s.cond.L = &s.mu
-		s.clocks = make(map[model.EventID]vclock.Clock)
-		s.marks = make(map[model.EventID]struct{})
+		s.held = make(map[rvKey]vclock.Clock)
 	}
 }
 
@@ -1279,59 +1304,39 @@ func (rv *rendezvous) stripeFor(id model.EventID) *rvStripe {
 	return &rv.stripes[stripeIdx(id)]
 }
 
-// put publishes a clock under id. Ownership transfers to the taker.
-func (rv *rendezvous) put(id model.EventID, clk vclock.Clock) {
-	s := rv.stripeFor(id)
+// put publishes what k names: a clock, whose ownership moves to the taker, or
+// a mark (clk nil).
+func (rv *rendezvous) put(k rvKey, clk vclock.Clock) {
+	s := rv.stripeFor(k.id)
 	s.mu.Lock()
-	s.clocks[id] = clk
+	s.held[k] = clk
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// take blocks until a clock is published under id, consumes it, and
-// reports how long the caller was blocked (zero if it never waited).
-func (rv *rendezvous) take(id model.EventID) (vclock.Clock, time.Duration) {
-	s := rv.stripeFor(id)
-	var waited time.Duration
+// tryTake consumes what k names, if it is published.
+func (rv *rendezvous) tryTake(k rvKey) (vclock.Clock, bool) {
+	s := rv.stripeFor(k.id)
 	s.mu.Lock()
-	clk, ok := s.clocks[id]
-	if !ok {
-		start := time.Now()
-		for !ok {
-			s.cond.Wait()
-			clk, ok = s.clocks[id]
-		}
-		waited = time.Since(start)
-	}
-	delete(s.clocks, id)
+	clk, ok := s.held[k]
+	delete(s.held, k)
 	s.mu.Unlock()
-	return clk, waited
+	return clk, ok
 }
 
-// putDone marks id's cell and note as published.
-func (rv *rendezvous) putDone(id model.EventID) {
-	s := rv.stripeFor(id)
+// wait blocks until what k names is published, and reports how long it
+// blocked (zero if it never did): the one place a lane sleeps on a stripe.
+// It consumes nothing; the resumed step takes it.
+func (rv *rendezvous) wait(k rvKey) time.Duration {
+	s := rv.stripeFor(k.id)
 	s.mu.Lock()
-	s.marks[id] = struct{}{}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// takeDone blocks until id is marked published and consumes the mark.
-func (rv *rendezvous) takeDone(id model.EventID) time.Duration {
-	s := rv.stripeFor(id)
-	var waited time.Duration
-	s.mu.Lock()
-	_, ok := s.marks[id]
-	if !ok {
-		start := time.Now()
-		for !ok {
-			s.cond.Wait()
-			_, ok = s.marks[id]
-		}
-		waited = time.Since(start)
+	defer s.mu.Unlock()
+	if _, ok := s.held[k]; ok {
+		return 0
 	}
-	delete(s.marks, id)
-	s.mu.Unlock()
-	return waited
+	start := time.Now()
+	for _, ok := s.held[k]; !ok; _, ok = s.held[k] {
+		s.cond.Wait()
+	}
+	return time.Since(start)
 }

@@ -582,6 +582,24 @@ func TestOneLaneExactOnReturn(t *testing.T) {
 	}
 }
 
+// TestOneLaneStagingBounded pins the inline drain's chunking: ObserveAll of a
+// trace many times inlineChunk long stamps it through a staging buffer that
+// keeps the capacity it was built with.
+func TestOneLaneStagingBounded(t *testing.T) {
+	tr := workload.Ring(44, 75, false)
+	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cap(ts.curBufs[0])
+	if err := ts.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(ts.curBufs[0]); got != want || len(tr.Events) < 10*inlineChunk {
+		t.Fatalf("ObserveAll of %d events: one-lane staging capacity %d, built with %d", len(tr.Events), got, want)
+	}
+}
+
 // TestStoreFullRefusal drives the admission gate against a lane whose
 // published arena offset is — synthetically — at its limit: every entry point
 // refuses with ErrStoreFull, the refusal is batch-atomic (no frontier moves,
@@ -600,12 +618,6 @@ func TestStoreFullRefusal(t *testing.T) {
 		}
 		// publish sets the offset the last lane's arena is seen at by the gate.
 		publish := func(end uint32) {
-			if shards == 1 {
-				pipe.planMu.Lock()
-				pipe.lanes[0].ar.base = end // nothing carved yet: end() is base
-				pipe.planMu.Unlock()
-				return
-			}
 			pipe.doneMu.Lock()
 			pipe.laneEnds[shards-1] = end
 			pipe.doneMu.Unlock()
@@ -722,51 +734,11 @@ func TestReplayPastTheStoreLimit(t *testing.T) {
 // event's cluster), byte-identical to the one-lane engine's, and the
 // precedence matrix is the oracle's.
 func FuzzPipelineDifferential(f *testing.F) {
-	f.Add(uint8(0), []byte{0x00, 0, 0x09, 0, 0x12, 1, 0x0b, 0, 0x04, 1})
-	f.Add(uint8(9), []byte{0x01, 0, 0x09, 0, 0x11, 0, 0x02, 2, 0x02, 0, 0x03, 1, 0x02, 0, 0x1b, 2})
-	f.Add(uint8(23), []byte{0x03, 1, 0x03, 2, 0x0b, 0, 0x04, 3, 0x01, 0, 0x13, 0, 0x02, 1})
-	f.Add(uint8(40), []byte{0x01, 0, 0x01, 0, 0x01, 0, 0x0a, 1, 0x0a, 2, 0x0a, 0, 0x04, 5, 0x0c, 3})
-	// Mostly synchronous pairs (op 3), chained so that a half's successor holds
-	// exactly its index: partners must read each other directly and nothing
-	// else may pass for a partner, as full vectors (maxCS 1 and 2), under
-	// merge-on-first (maxCS 4) and under a static partition (maxCS 3).
-	f.Add(uint8(1), []byte{0x03, 0, 0x0b, 0, 0x13, 0, 0x03, 1, 0x0b, 1, 0x13, 1, 0x03, 0, 0x0b, 0})
-	f.Add(uint8(10), []byte{0x03, 0, 0x03, 1, 0x03, 2, 0x03, 3, 0x0b, 0, 0x1b, 1, 0x23, 2, 0x13, 3, 0x04, 1, 0x03, 0})
-	f.Add(uint8(24), []byte{0x03, 0, 0x0b, 0, 0x03, 1, 0x13, 0, 0x1b, 0, 0x23, 0, 0x03, 2, 0x0c, 1, 0x03, 3, 0x13, 1})
-	f.Add(uint8(20), []byte{0x03, 0, 0x0b, 1, 0x13, 2, 0x1b, 3, 0x23, 4, 0x2b, 5, 0x33, 6, 0x3b, 0, 0x03, 3, 0x1b, 5, 0x2b, 1, 0x3b, 2})
+	for _, sd := range fuzzPipelineSeeds {
+		f.Add(sd.shape, sd.ops)
+	}
 	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
-		if len(ops) > 600 {
-			ops = ops[:600]
-		}
-		procs := 2 + int(shape)%7
-		b := model.NewBuilder("fuzz", procs)
-		var inflight []model.EventID
-		other := func(p model.ProcessID, a byte) model.ProcessID {
-			return model.ProcessID((int(p) + 1 + int(a)%(procs-1)) % procs)
-		}
-		for i := 0; i+1 < len(ops); i += 2 {
-			p, a := model.ProcessID(int(ops[i]>>3)%procs), ops[i+1]
-			switch ops[i] & 7 {
-			case 0:
-				b.Unary(p)
-			case 1:
-				inflight = append(inflight, b.Send(p))
-			case 2:
-				if len(inflight) > 0 {
-					k := int(a) % len(inflight)
-					b.Receive(other(inflight[k].Process, a>>3), inflight[k])
-					inflight = slices.Delete(inflight, k, k+1)
-				}
-			case 3:
-				b.Sync(p, other(p, a))
-			default:
-				b.Message(p, other(p, a))
-			}
-		}
-		for _, s := range inflight {
-			b.Receive(other(s.Process, 0), s)
-		}
-		tr := b.Trace()
+		tr, procs := fuzzTrace(shape, ops)
 		if len(tr.Events) == 0 {
 			return
 		}
@@ -840,4 +812,61 @@ func FuzzPipelineDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzPipelineSeeds are FuzzPipelineDifferential's seeds, which the seeded
+// scheduler (sched_test.go) replays too.
+var fuzzPipelineSeeds = []struct {
+	shape uint8
+	ops   []byte
+}{
+	{0, []byte{0x00, 0, 0x09, 0, 0x12, 1, 0x0b, 0, 0x04, 1}},
+	{9, []byte{0x01, 0, 0x09, 0, 0x11, 0, 0x02, 2, 0x02, 0, 0x03, 1, 0x02, 0, 0x1b, 2}},
+	{23, []byte{0x03, 1, 0x03, 2, 0x0b, 0, 0x04, 3, 0x01, 0, 0x13, 0, 0x02, 1}},
+	{40, []byte{0x01, 0, 0x01, 0, 0x01, 0, 0x0a, 1, 0x0a, 2, 0x0a, 0, 0x04, 5, 0x0c, 3}},
+	// Mostly synchronous pairs (op 3), chained so that a half's successor holds
+	// exactly its index: partners must read each other directly and nothing
+	// else may pass for a partner, as full vectors (maxCS 1 and 2), under
+	// merge-on-first (maxCS 4) and under a static partition (maxCS 3).
+	{1, []byte{0x03, 0, 0x0b, 0, 0x13, 0, 0x03, 1, 0x0b, 1, 0x13, 1, 0x03, 0, 0x0b, 0}},
+	{10, []byte{0x03, 0, 0x03, 1, 0x03, 2, 0x03, 3, 0x0b, 0, 0x1b, 1, 0x23, 2, 0x13, 3, 0x04, 1, 0x03, 0}},
+	{24, []byte{0x03, 0, 0x0b, 0, 0x03, 1, 0x13, 0, 0x1b, 0, 0x23, 0, 0x03, 2, 0x0c, 1, 0x03, 3, 0x13, 1}},
+	{20, []byte{0x03, 0, 0x0b, 1, 0x13, 2, 0x1b, 3, 0x23, 4, 0x2b, 5, 0x33, 6, 0x3b, 0, 0x03, 3, 0x1b, 5, 0x2b, 1, 0x3b, 2}},
+}
+
+// fuzzTrace builds FuzzPipelineDifferential's computation from its input:
+// messages with arbitrary latency, sync pairs, 2 to 8 processes.
+func fuzzTrace(shape uint8, ops []byte) (*model.Trace, int) {
+	if len(ops) > 600 {
+		ops = ops[:600]
+	}
+	procs := 2 + int(shape)%7
+	b := model.NewBuilder("fuzz", procs)
+	var inflight []model.EventID
+	other := func(p model.ProcessID, a byte) model.ProcessID {
+		return model.ProcessID((int(p) + 1 + int(a)%(procs-1)) % procs)
+	}
+	for i := 0; i+1 < len(ops); i += 2 {
+		p, a := model.ProcessID(int(ops[i]>>3)%procs), ops[i+1]
+		switch ops[i] & 7 {
+		case 0:
+			b.Unary(p)
+		case 1:
+			inflight = append(inflight, b.Send(p))
+		case 2:
+			if len(inflight) > 0 {
+				k := int(a) % len(inflight)
+				b.Receive(other(inflight[k].Process, a>>3), inflight[k])
+				inflight = slices.Delete(inflight, k, k+1)
+			}
+		case 3:
+			b.Sync(p, other(p, a))
+		default:
+			b.Message(p, other(p, a))
+		}
+	}
+	for _, s := range inflight {
+		b.Receive(other(s.Process, 0), s)
+	}
+	return b.Trace(), procs
 }

@@ -1,19 +1,15 @@
 package hct
 
-// This file is the planner goroutine: above one lane it takes the plan work
-// (the cluster decisions) off the dispatching goroutine; at one lane none of it
-// runs. See the "Two shapes" and "Barrier" sections of pipeline.go's file
-// comment for the protocol; PipelineOptions.PlanQueue is the queue's depth in
-// batches (zero or negative: DefaultPlanQueue) and selects nothing else.
+// This file is the plan queue, the planner goroutine that calls the plan step
+// above one lane (pipeline.go's "Steps, and who calls them"), and Barrier.
+// PipelineOptions.PlanQueue is the queue's depth in batches (zero or negative:
+// DefaultPlanQueue) and selects nothing else.
 //
-// The queue is a mutex+cond bounded slice, drained by the planner goroutine
-// in chunks (double-buffered like the lanes' queues), not a channel: the
-// planner claims everything queued under one lock acquisition, barrier
-// markers must bypass the depth bound without a second channel, and Close
-// must drain deterministically without send-on-closed hazards. The depth
-// bound counts a batch from enqueue until the planner finishes planning it,
-// so "queued" includes the batch in flight and PlanQueueDepth is an honest
-// backlog gauge.
+// The queue is a mutex+cond bounded slice, not a channel: barrier markers must
+// bypass the depth bound without a second channel, and Close must drain
+// deterministically without send-on-closed hazards. The depth bound counts a
+// batch from enqueue until the planner finishes planning it, so "queued"
+// includes the batch in flight and PlanQueueDepth is an honest backlog gauge.
 //
 // What the queue carries is already admitted (admit.go), so planning has no
 // verdict to send back: the planner asks the core for each event's epoch and
@@ -75,8 +71,7 @@ type planQueue struct {
 	ready sync.Cond // planner waits here for work
 	avail sync.Cond // enqueuers wait here for space
 
-	reqs    []planReq
-	spare   []planReq // recycled chunk buffer (planner-private between claims)
+	reqs    []planReq // oldest first
 	limit   int
 	batches int  // batches enqueued or in planning (markers exempt)
 	stop    bool // Close: reject new work, drain the rest
@@ -87,7 +82,6 @@ func (q *planQueue) init(limit int) {
 	q.avail.L = &q.mu
 	q.limit = limit
 	q.reqs = make([]planReq, 0, limit+2)
-	q.spare = make([]planReq, 0, limit+2)
 }
 
 // enqueue pushes one request, waiting for space (barrier markers are exempt
@@ -118,50 +112,47 @@ func (p *Pipeline) enqueue(req planReq) error {
 	return nil
 }
 
-// finishBatch retires one batch from the depth bound and wakes one waiting
-// enqueuer.
-func (p *Pipeline) finishBatch() {
-	q := &p.pq
+// await blocks until a request is queued (true) or the queue is stopped with
+// none (false).
+func (q *planQueue) await() bool {
 	q.mu.Lock()
-	q.batches--
-	q.avail.Signal()
-	q.mu.Unlock()
+	defer q.mu.Unlock()
+	for len(q.reqs) == 0 && !q.stop {
+		q.ready.Wait()
+	}
+	return len(q.reqs) > 0
 }
 
-// planner is the dedicated plan-stage goroutine: it claims everything queued
-// under one lock acquisition, plans each batch under planMu (flushing the
-// staged items to the lanes), and answers barrier markers with an
-// issued-count snapshot. It exits only when stopped AND drained, so every
+// claim takes the oldest queued request, if there is one.
+func (q *planQueue) claim() (planReq, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.reqs) == 0 {
+		return planReq{}, false
+	}
+	req := q.reqs[0]
+	n := copy(q.reqs, q.reqs[1:])
+	q.reqs[n] = planReq{} // drop buffer/tracer references
+	q.reqs = q.reqs[:n]
+	return req, true
+}
+
+// planner is the plan-stage goroutine above one lane: wait, claim, plan. It
+// exits only when stopped AND drained, so every
 // accepted request is planned and every waiting barrier answered.
 func (p *Pipeline) planner() {
 	defer p.plannerWG.Done()
-	q := &p.pq
-	for {
-		q.mu.Lock()
-		for len(q.reqs) == 0 && !q.stop {
-			q.ready.Wait()
-		}
-		if len(q.reqs) == 0 {
-			q.mu.Unlock()
-			return
-		}
-		claimed := q.reqs
-		q.reqs = q.spare[:0]
-		q.mu.Unlock()
+	for p.pq.await() {
+		req, _ := p.pq.claim()
 		start := time.Now()
-		for i := range claimed {
-			p.planOne(&claimed[i])
-			if claimed[i].barrier == nil {
-				p.finishBatch()
-			}
-			claimed[i] = planReq{} // drop buffer/tracer references
-		}
+		p.planOne(&req)
 		p.busy.Add(int64(time.Since(start)))
-		q.spare = claimed[:0]
 	}
 }
 
-// planOne executes one queued request on the planner goroutine.
+// planOne is the plan step over one claimed request: a batch is planned under
+// planMu (flushing the staged items to the lanes) and retired from the depth
+// bound; a barrier marker is answered with an issued-count snapshot.
 func (p *Pipeline) planOne(req *planReq) {
 	if bw := req.barrier; bw != nil {
 		bw.snapshot(p)
@@ -170,6 +161,10 @@ func (p *Pipeline) planOne(req *planReq) {
 	}
 	p.planRun(req.events, req.bt, req.enq)
 	p.batchPool.Put(req.owned)
+	p.pq.mu.Lock()
+	p.pq.batches--
+	p.pq.avail.Signal() // one enqueuer may go on
+	p.pq.mu.Unlock()
 }
 
 // Barrier blocks until every item dispatched before the call — every batch
@@ -222,7 +217,7 @@ func (p *Pipeline) PlannerBusy() time.Duration { return time.Duration(p.busy.Loa
 // planner goroutine spent planning — the saturation gauge for the plan
 // stage. Zero at one lane.
 func (p *Pipeline) PlannerOccupancy() float64 {
-	wall := time.Since(p.start)
+	wall := time.Since(p.since)
 	if wall <= 0 {
 		return 0
 	}

@@ -74,8 +74,8 @@ func TestPlanModesDifferential(t *testing.T) {
 		if one.PlannerBusy() != 0 || one.PlanQueueDepth() != 0 {
 			t.Fatalf("one lane with PlanQueue 4: a planner worked (busy %v, depth %d)", one.PlannerBusy(), one.PlanQueueDepth())
 		}
-		if bp := one.batchPool.Get(); bp != nil {
-			t.Fatal("one lane put a buffer between admission and the plan stage")
+		if n := len(one.curBufs[0]); n != 0 || cap(one.curBufs[0]) != inlineChunk {
+			t.Fatalf("one lane left %d items staged after the dispatches returned, in a buffer of %d", n, cap(one.curBufs[0]))
 		}
 
 		before = runtime.NumGoroutine()
