@@ -168,7 +168,7 @@ func ReadBinary(r io.Reader) (*model.Trace, error) {
 }
 
 // The text format's records are parsed and rendered only by ParseEventID,
-// ParseRecord and AppendRecord:
+// parseRecord and appendRecord:
 //
 //	u <proc>:<idx>
 //	s <proc>:<idx> -> <proc>:<idx>
@@ -200,9 +200,9 @@ func ParseEventID(s string) (model.EventID, error) {
 	return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, nil
 }
 
-// ParseRecord parses one event record from its blank-separated fields,
+// parseRecord parses one event record from its blank-separated fields,
 // checking kind, arity and arrow.
-func ParseRecord(fields []string) (model.Event, error) {
+func parseRecord(fields []string) (model.Event, error) {
 	if len(fields) < 2 {
 		return model.Event{}, errors.New("missing event id")
 	}
@@ -236,8 +236,8 @@ func ParseRecord(fields []string) (model.Event, error) {
 	return e, nil
 }
 
-// AppendRecord appends e's record to buf.
-func AppendRecord(buf []byte, e model.Event) ([]byte, error) {
+// appendRecord appends e's record to buf.
+func appendRecord(buf []byte, e model.Event) ([]byte, error) {
 	if e.Kind > model.Sync {
 		return buf, fmt.Errorf("trace: unknown kind %v", e.Kind)
 	}
@@ -265,7 +265,7 @@ func WriteText(w io.Writer, t *model.Trace) error {
 	var line []byte
 	for _, e := range t.Events {
 		var err error
-		if line, err = AppendRecord(line[:0], e); err != nil {
+		if line, err = appendRecord(line[:0], e); err != nil {
 			return err
 		}
 		if _, err := bw.Write(append(line, '\n')); err != nil {
@@ -302,7 +302,7 @@ func ReadText(r io.Reader) (*model.Trace, error) {
 			t.NumProcs = int(n)
 			continue
 		}
-		e, err := ParseRecord(strings.Fields(line))
+		e, err := parseRecord(strings.Fields(line))
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
 		}

@@ -219,8 +219,8 @@ func TestParseEventID(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip pins ParseRecord as AppendRecord's inverse on each
-// record shape, and the error texts the text protocol's clients see.
+// TestRecordRoundTrip pins parseRecord as appendRecord's inverse on each
+// record shape, and the error texts a text trace's reader reports.
 func TestRecordRoundTrip(t *testing.T) {
 	a, b := model.EventID{Process: 3, Index: 17}, model.EventID{Process: 0, Index: 2147483647}
 	for want, e := range map[string]model.Event{
@@ -229,12 +229,12 @@ func TestRecordRoundTrip(t *testing.T) {
 		"r 3:17 <- 0:2147483647": {ID: a, Kind: model.Receive, Partner: b},
 		"y 3:17 <> 0:2147483647": {ID: a, Kind: model.Sync, Partner: b},
 	} {
-		line, err := AppendRecord(nil, e)
+		line, err := appendRecord(nil, e)
 		if err != nil || string(line) != want {
-			t.Errorf("AppendRecord(%v) = %q, %v; want %q", e, line, err, want)
+			t.Errorf("appendRecord(%v) = %q, %v; want %q", e, line, err, want)
 		}
-		if got, err := ParseRecord(strings.Fields(want)); err != nil || got != e {
-			t.Errorf("ParseRecord(%q) = %v, %v; want %v", want, got, err, e)
+		if got, err := parseRecord(strings.Fields(want)); err != nil || got != e {
+			t.Errorf("parseRecord(%q) = %v, %v; want %v", want, got, err, e)
 		}
 	}
 	for in, want := range map[string]string{
@@ -250,8 +250,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		"u":              "missing event id",
 		"":               "missing event id",
 	} {
-		if got, err := ParseRecord(strings.Fields(in)); err == nil || err.Error() != want {
-			t.Errorf("ParseRecord(%q) = %v, %v; want error %q", in, got, err, want)
+		if got, err := parseRecord(strings.Fields(in)); err == nil || err.Error() != want {
+			t.Errorf("parseRecord(%q) = %v, %v; want error %q", in, got, err, want)
 		}
 	}
 }
