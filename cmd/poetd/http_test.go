@@ -202,7 +202,17 @@ func TestReadinessFollowsTheJournal(t *testing.T) {
 	}
 	defer m.Close()
 	tel := obs.NewTelemetry(obs.NewRegistry())
-	srv := monitor.NewServer(m, monitor.ServerConfig{Journal: &flakyJournal{failAt: 3}, Obs: tel})
+	srv, err := monitor.NewTenantServer(monitor.ServerConfig{Obs: tel, Tenants: &monitor.TenantsConfig{
+		New: func(name string) (monitor.TenantResources, error) {
+			if name != monitor.DefaultTenant {
+				return monitor.TenantResources{}, fmt.Errorf("this server serves only %q", monitor.DefaultTenant)
+			}
+			return monitor.TenantResources{Monitor: m, Journal: &flakyJournal{failAt: 3}}, nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -29,7 +29,7 @@ func BenchmarkServerIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				srv := NewServer(m, ServerConfig{FixedVector: tr.NumProcs})
+				srv := serveDefault(b, TenantResources{Monitor: m}, ServerConfig{FixedVector: tr.NumProcs})
 				addr, err := srv.Listen("127.0.0.1:0")
 				if err != nil {
 					b.Fatal(err)

@@ -62,7 +62,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 					}
 					cfg.Obs = tel
 				}
-				srv := NewServer(m, cfg)
+				srv := serveDefault(b, TenantResources{Monitor: m}, cfg)
 				addr, err := srv.Listen("127.0.0.1:0")
 				if err != nil {
 					b.Fatal(err)

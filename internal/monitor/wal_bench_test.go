@@ -30,7 +30,7 @@ func BenchmarkWALIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := ServerConfig{FixedVector: tr.NumProcs}
+				res := TenantResources{Monitor: m}
 				var wlog *wal.Log
 				if policy != "none" {
 					p, err := wal.ParseSyncPolicy(policy)
@@ -41,9 +41,9 @@ func BenchmarkWALIngest(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg.Journal = wlog
+					res.Journal = wlog
 				}
-				srv := NewServer(m, cfg)
+				srv := serveDefault(b, res, ServerConfig{FixedVector: tr.NumProcs})
 				addr, err := srv.Listen("127.0.0.1:0")
 				if err != nil {
 					b.Fatal(err)
