@@ -277,7 +277,7 @@ func TestSubmitBatchDoesNotRetainEvents(t *testing.T) {
 	}
 	cfg := hct.Config{MaxClusterSize: 3, Decider: strategy.NewMergeOnFirst()}
 	feed := func(shards int, reuse bool) *Monitor {
-		m, err := NewSharded(tr.NumProcs, cfg, shards)
+		m, err := NewWithOptions(tr.NumProcs, cfg, hct.PipelineOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 					// Building and tearing down the monitor (lanes, planner
 					// goroutine) is not delivery; keep both off the clock.
 					b.StopTimer()
-					m, err := NewSharded(tr.NumProcs, cfg(), shards)
+					m, err := NewWithOptions(tr.NumProcs, cfg(), hct.PipelineOptions{Shards: shards})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -77,7 +77,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					m, err := NewSharded(tr.NumProcs, cfg(), shards)
+					m, err := NewWithOptions(tr.NumProcs, cfg(), hct.PipelineOptions{Shards: shards})
 					if err != nil {
 						b.Fatal(err)
 					}

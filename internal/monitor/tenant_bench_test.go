@@ -26,7 +26,7 @@ func BenchmarkIngestMultiTenant(b *testing.B) {
 	}
 	tr := spec.Generate()
 	factory := func(name string) (TenantResources, error) {
-		m, err := NewSharded(tr.NumProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()}, 2)
+		m, err := NewWithOptions(tr.NumProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()}, hct.PipelineOptions{Shards: 2})
 		if err != nil {
 			return TenantResources{}, err
 		}

@@ -121,7 +121,7 @@ func pickCutoffs(boundaries []uint64, total uint64, r *rand.Rand) []uint64 {
 // with the log written by someone else in the same delivery order.
 func liveStore(t *testing.T, dir string, tr *model.Trace, cfg hct.Config, shards int, opts replay.Options) *replay.Store {
 	t.Helper()
-	live, err := monitor.NewSharded(tr.NumProcs, cfg, shards)
+	live, err := monitor.NewWithOptions(tr.NumProcs, cfg, hct.PipelineOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestReplayDifferentialCorpus(t *testing.T) {
 // monitor and asserts the replay view is indistinguishable from it.
 func compareViewToLive(t *testing.T, tr *model.Trace, factory func() hct.Config, shards int, c uint64, v *replay.View, r *rand.Rand) {
 	t.Helper()
-	live, err := monitor.NewSharded(tr.NumProcs, factory(), shards)
+	live, err := monitor.NewWithOptions(tr.NumProcs, factory(), hct.PipelineOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
