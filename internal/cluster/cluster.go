@@ -327,15 +327,10 @@ func (p *Partition) Validate() error {
 	return nil
 }
 
-// LiveSizes returns the sizes of the live clusters, in no particular order.
-// The telemetry plane renders these as the live cluster-size distribution.
-func (p *Partition) LiveSizes() []int {
-	return p.LiveSizesInto(make([]int, 0, len(p.live)))
-}
-
-// LiveSizesInto appends the live cluster sizes to buf and returns it,
-// letting periodic scrape paths reuse one buffer instead of allocating a
-// fresh slice per call.
+// LiveSizesInto appends the sizes of the live clusters, in no particular
+// order, to buf and returns it, letting periodic scrape paths reuse one
+// buffer. The telemetry plane renders these as the live cluster-size
+// distribution.
 func (p *Partition) LiveSizesInto(buf []int) []int {
 	for _, inf := range p.live {
 		buf = append(buf, inf.Size())

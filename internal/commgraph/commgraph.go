@@ -140,8 +140,8 @@ func (g *Graph) ForEachEdge(f func(p, q int32, count int64)) {
 	}
 }
 
-// Neighbors returns the distinct partners of process p in ascending order.
-func (g *Graph) Neighbors(p int32) []int32 {
+// neighbors returns the distinct partners of process p in ascending order.
+func (g *Graph) neighbors(p int32) []int32 {
 	var out []int32
 	for k := range g.counts {
 		a, b := int32(k>>32), int32(uint32(k))
@@ -202,7 +202,7 @@ func (g *Graph) LocalityFraction(k int) float64 {
 	var top int64
 	for p := int32(0); int(p) < g.n; p++ {
 		var cs []int64
-		for _, q := range g.Neighbors(p) {
+		for _, q := range g.neighbors(p) {
 			cs = append(cs, g.Count(p, q))
 		}
 		sort.Slice(cs, func(i, j int) bool { return cs[i] > cs[j] })

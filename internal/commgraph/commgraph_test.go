@@ -94,17 +94,17 @@ func TestNeighbors(t *testing.T) {
 	g.Add(2, 0, 1)
 	g.Add(2, 4, 1)
 	g.Add(1, 2, 1)
-	nb := g.Neighbors(2)
+	nb := g.neighbors(2)
 	want := []int32{0, 1, 4}
 	if len(nb) != 3 {
-		t.Fatalf("Neighbors = %v", nb)
+		t.Fatalf("neighbors = %v", nb)
 	}
 	for i := range want {
 		if nb[i] != want[i] {
-			t.Fatalf("Neighbors = %v, want %v", nb, want)
+			t.Fatalf("neighbors = %v, want %v", nb, want)
 		}
 	}
-	if len(g.Neighbors(3)) != 0 {
+	if len(g.neighbors(3)) != 0 {
 		t.Fatalf("isolated process has neighbors")
 	}
 }

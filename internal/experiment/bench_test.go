@@ -28,7 +28,7 @@ func BenchmarkSweepKernel(b *testing.B) {
 		b.Run("replay-"+strat, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, s := range sizes {
-					if _, err := ReplayPoint(tc, strat, s, metrics.DefaultFixedVector); err != nil {
+					if _, err := replayPoint(tc, strat, s, metrics.DefaultFixedVector); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -68,7 +68,7 @@ func BenchmarkCorpusSweep(b *testing.B) {
 				for c := 0; c < cc.Len(); c++ {
 					tc := cc.At(c)
 					for _, s := range sizes {
-						if _, err := ReplayPoint(tc, strat, s, metrics.DefaultFixedVector); err != nil {
+						if _, err := replayPoint(tc, strat, s, metrics.DefaultFixedVector); err != nil {
 							b.Fatal(err)
 						}
 					}

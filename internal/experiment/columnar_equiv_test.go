@@ -36,9 +36,9 @@ func TestSweepKernelMatchesColumnarMonitor(t *testing.T) {
 			t.Parallel()
 			for _, strat := range strategies {
 				for _, maxCS := range sizes {
-					want, err := RunPoint(tc, strat, maxCS, metrics.DefaultFixedVector)
+					want, err := runPoint(tc, strat, maxCS, metrics.DefaultFixedVector, nil)
 					if err != nil {
-						t.Fatalf("RunPoint(%s, %d): %v", strat, maxCS, err)
+						t.Fatalf("runPoint(%s, %d): %v", strat, maxCS, err)
 					}
 
 					cfg := hct.Config{MaxClusterSize: maxCS}

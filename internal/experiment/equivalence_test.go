@@ -29,13 +29,13 @@ func TestKernelMatchesReplayFullCorpus(t *testing.T) {
 		tc := cc.At(i)
 		for _, strat := range strategies {
 			for _, maxCS := range sizes {
-				got, err := RunPoint(tc, strat, maxCS, metrics.DefaultFixedVector)
+				got, err := runPoint(tc, strat, maxCS, metrics.DefaultFixedVector, nil)
 				if err != nil {
-					t.Fatalf("RunPoint(%s, %s, %d): %v", tc.Trace.Name, strat, maxCS, err)
+					t.Fatalf("runPoint(%s, %s, %d): %v", tc.Trace.Name, strat, maxCS, err)
 				}
-				want, err := ReplayPoint(tc, strat, maxCS, metrics.DefaultFixedVector)
+				want, err := replayPoint(tc, strat, maxCS, metrics.DefaultFixedVector)
 				if err != nil {
-					t.Fatalf("ReplayPoint(%s, %s, %d): %v", tc.Trace.Name, strat, maxCS, err)
+					t.Fatalf("replayPoint(%s, %s, %d): %v", tc.Trace.Name, strat, maxCS, err)
 				}
 				if got != want {
 					t.Fatalf("%s %s maxCS=%d: kernel %+v != replay %+v", tc.Trace.Name, strat, maxCS, got, want)
@@ -61,13 +61,13 @@ func TestKernelMatchesReplayAblation(t *testing.T) {
 		}
 		for _, strat := range []string{StratKMedoid, StratKMeans} {
 			for _, maxCS := range coarse {
-				got, err := RunPoint(tc, strat, maxCS, metrics.DefaultFixedVector)
+				got, err := runPoint(tc, strat, maxCS, metrics.DefaultFixedVector, nil)
 				if err != nil {
-					t.Fatalf("RunPoint(%s, %s, %d): %v", name, strat, maxCS, err)
+					t.Fatalf("runPoint(%s, %s, %d): %v", name, strat, maxCS, err)
 				}
-				want, err := ReplayPoint(tc, strat, maxCS, metrics.DefaultFixedVector)
+				want, err := replayPoint(tc, strat, maxCS, metrics.DefaultFixedVector)
 				if err != nil {
-					t.Fatalf("ReplayPoint(%s, %s, %d): %v", name, strat, maxCS, err)
+					t.Fatalf("replayPoint(%s, %s, %d): %v", name, strat, maxCS, err)
 				}
 				if got != want {
 					t.Fatalf("%s %s maxCS=%d: kernel %+v != replay %+v", name, strat, maxCS, got, want)

@@ -8,7 +8,7 @@
 // three ways to get one, from most to least general:
 //
 //   - event replay (hct.Accountant.ObserveAll): the reference path, valid
-//     for any configuration — ReplayPoint keeps it available;
+//     for any configuration — replayPoint keeps it available;
 //   - compact stream replay (hct.Accountant.ObserveStream): valid for any
 //     configuration, since deciders observe only the ordered sequence of
 //     receive pairs — used for the dynamic merge strategies;
@@ -20,7 +20,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/cluster"
@@ -45,14 +44,6 @@ const (
 	StratKMedoid    = "kmedoid"
 	StratKMeans     = "kmeans"
 )
-
-// AllStrategies lists every sweepable strategy name.
-func AllStrategies() []string {
-	return []string{
-		StratFM, StratMerge1st, StratMergeNth5, StratMergeNth10,
-		StratStatic, StratContiguous, StratKMedoid, StratKMeans,
-	}
-}
 
 // DefaultSizes returns the paper's sweep range: maxCS from 2 to 50.
 func DefaultSizes() []int {
@@ -94,10 +85,10 @@ func (tc *TraceContext) Graph() *commgraph.Graph {
 	return tc.graph
 }
 
-// Stream returns the (cached) compact receive stream of the trace: one
+// receives returns the (cached) compact receive stream of the trace: one
 // 8-byte pair per receive-kind event, in delivery order. Callers must not
 // mutate it.
-func (tc *TraceContext) Stream() []model.ReceivePair {
+func (tc *TraceContext) receives() []model.ReceivePair {
 	tc.streamOnce.Do(func() { tc.stream = model.ReceiveStreamOf(tc.Trace) })
 	return tc.stream
 }
@@ -258,21 +249,16 @@ func runPoint(tc *TraceContext, strat string, maxCS, fixedVector int, sc *scratc
 	if err != nil {
 		return Point{}, err
 	}
-	a.ObserveStream(tc.Stream(), tc.Trace.NumEvents())
+	a.ObserveStream(tc.receives(), tc.Trace.NumEvents())
 	return finishPoint(a.Result(), maxCS, fixedVector, maxCS), nil
 }
 
-// RunPoint measures one (strategy, maxCS) configuration on a trace.
-func RunPoint(tc *TraceContext, strat string, maxCS, fixedVector int) (Point, error) {
-	return runPoint(tc, strat, maxCS, fixedVector, nil)
-}
-
-// ReplayPoint measures one (strategy, maxCS) configuration by replaying the
+// replayPoint measures one (strategy, maxCS) configuration by replaying the
 // full event trace through the hct.Accountant — the reference accounting
 // path predating the sweep kernel. It is retained for the equivalence
-// property tests and the before/after benchmarks; RunPoint must produce an
+// property tests and the before/after benchmarks; runPoint must produce an
 // identical Point for every configuration.
-func ReplayPoint(tc *TraceContext, strat string, maxCS, fixedVector int) (Point, error) {
+func replayPoint(tc *TraceContext, strat string, maxCS, fixedVector int) (Point, error) {
 	if strat == StratFM {
 		return fmPoint(tc, maxCS, fixedVector), nil
 	}
@@ -326,6 +312,3 @@ func Sweep(tc *TraceContext, strat string, sizes []int, fixedVector int) (*metri
 	}
 	return c, nil
 }
-
-// RoundRatio trims a ratio for reporting.
-func RoundRatio(r float64) float64 { return math.Round(r*10000) / 10000 }

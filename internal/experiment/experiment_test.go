@@ -21,8 +21,11 @@ func smallTrace() *model.Trace {
 
 func TestRunPointAllStrategies(t *testing.T) {
 	tc := NewTraceContext(smallTrace())
-	for _, strat := range AllStrategies() {
-		pt, err := RunPoint(tc, strat, 3, metrics.DefaultFixedVector)
+	for _, strat := range []string{
+		StratFM, StratMerge1st, StratMergeNth5, StratMergeNth10,
+		StratStatic, StratContiguous, StratKMedoid, StratKMeans,
+	} {
+		pt, err := runPoint(tc, strat, 3, metrics.DefaultFixedVector, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -36,7 +39,7 @@ func TestRunPointAllStrategies(t *testing.T) {
 			t.Fatalf("%s: MaxCS = %d", strat, pt.MaxCS)
 		}
 	}
-	if _, err := RunPoint(tc, "no-such-strategy", 3, 300); err == nil {
+	if _, err := runPoint(tc, "no-such-strategy", 3, 300, nil); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
@@ -52,7 +55,7 @@ func TestRunPointUnboundedAblationChargesLargestCluster(t *testing.T) {
 		}
 	}
 	tc := NewTraceContext(b.Trace())
-	pt, err := RunPoint(tc, StratKMedoid, 4, 300)
+	pt, err := runPoint(tc, StratKMedoid, 4, 300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,18 +231,6 @@ func TestDefaultSizes(t *testing.T) {
 	sizes := DefaultSizes()
 	if len(sizes) != 49 || sizes[0] != 2 || sizes[len(sizes)-1] != 50 {
 		t.Fatalf("DefaultSizes = %v", sizes)
-	}
-}
-
-func TestRoundRatio(t *testing.T) {
-	if got := RoundRatio(0.123456); got != 0.1235 {
-		t.Fatalf("RoundRatio = %v", got)
-	}
-}
-
-func TestAllStrategiesListed(t *testing.T) {
-	if len(AllStrategies()) < 8 {
-		t.Fatalf("strategies = %v", AllStrategies())
 	}
 }
 

@@ -77,9 +77,6 @@ func NewTimestamper(n int) *Timestamper {
 // NumProcs returns the number of processes.
 func (ts *Timestamper) NumProcs() int { return ts.n }
 
-// Observed returns the number of events finalized so far.
-func (ts *Timestamper) Observed() int { return ts.observed }
-
 // PendingSends returns the number of send clocks held awaiting receives.
 func (ts *Timestamper) PendingSends() int { return len(ts.pending) }
 

@@ -242,8 +242,8 @@ func TestPendingSendsBookkeeping(t *testing.T) {
 	if ts.PendingSends() != 0 {
 		t.Fatalf("PendingSends = %d after receive, want 0", ts.PendingSends())
 	}
-	if ts.Observed() != 2 {
-		t.Fatalf("Observed = %d, want 2", ts.Observed())
+	if ts.observed != 2 {
+		t.Fatalf("observed = %d, want 2", ts.observed)
 	}
 	// Re-receiving the same send must fail: the clock was consumed.
 	dup := model.Event{ID: model.EventID{Process: 1, Index: 2}, Kind: model.Receive, Partner: send.ID}

@@ -175,7 +175,7 @@ func (a *Admission) advance(e model.Event) (first model.Event, n int) {
 
 // Admit is the gate for a caller that held the record to CheckRecord when it
 // arrived and assembles a run event by event — the collector: the stream
-// check, then advance. (DispatchAsync and DispatchOne run all three
+// check, then advance. (DispatchAsync and dispatchOne run all three
 // steps themselves, in dispatchLocked.) The caller holds the lock from its first
 // Admit until Pipeline.DispatchAdmitted has taken the run, and must admit the
 // halves of a synchronous pair back to back, so that the run is its own

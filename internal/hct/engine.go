@@ -125,7 +125,7 @@ func (ts *plane) QueryPathCounts() (direct, routed int64) {
 // event itself, nothing for the first half of a synchronous pair, both halves
 // for the second — is readable through Timestamp on return. On error no state
 // changes.
-func (ts *Timestamper) Ingest(e model.Event) error { return ts.DispatchOne(e) }
+func (ts *Timestamper) Ingest(e model.Event) error { return ts.dispatchOne(e) }
 
 // ObserveAll stamps an entire trace and reports an error if the stream ended
 // incomplete: an unpaired synchronous event or sends that were never

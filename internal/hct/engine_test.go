@@ -68,7 +68,7 @@ func TestStaticClustersProjectionAndCR(t *testing.T) {
 	if !ok {
 		t.Fatal("missing CR timestamp")
 	}
-	if !cr.IsClusterReceive() {
+	if cr.Full == nil {
 		t.Fatalf("cross receive not a cluster receive: %v", cr)
 	}
 	// Its full vector: it knows p0's single event via p1, both p1 events,
@@ -82,7 +82,7 @@ func TestStaticClustersProjectionAndCR(t *testing.T) {
 
 	// An intra-cluster event keeps a projection of width 2.
 	pr, ok := ts.Timestamp(model.EventID{Process: 1, Index: 1})
-	if !ok || pr.IsClusterReceive() {
+	if !ok || pr.Full != nil {
 		t.Fatalf("intra receive mis-stamped: %v", pr)
 	}
 	if len(pr.Proj) != 2 || pr.Cluster.Size() != 2 {
@@ -92,18 +92,18 @@ func TestStaticClustersProjectionAndCR(t *testing.T) {
 	if pr.Proj[0] != 1 || pr.Proj[1] != 1 {
 		t.Fatalf("projection values = %v", pr.Proj)
 	}
-	// Component lookups.
-	if v, ok := pr.Component(0); !ok || v != 1 {
-		t.Fatalf("Component(0) = %d,%v", v, ok)
+	// component lookups.
+	if v, ok := pr.component(0); !ok || v != 1 {
+		t.Fatalf("component(0) = %d,%v", v, ok)
 	}
-	if _, ok := pr.Component(3); ok {
-		t.Fatalf("Component outside cluster succeeded")
+	if _, ok := pr.component(3); ok {
+		t.Fatalf("component outside cluster succeeded")
 	}
-	if v, ok := cr.Component(1); !ok || v != 2 {
-		t.Fatalf("CR Component(1) = %d,%v", v, ok)
+	if v, ok := cr.component(1); !ok || v != 2 {
+		t.Fatalf("CR component(1) = %d,%v", v, ok)
 	}
-	if _, ok := cr.Component(model.ProcessID(99)); ok {
-		t.Fatalf("CR Component out of range succeeded")
+	if _, ok := cr.component(model.ProcessID(99)); ok {
+		t.Fatalf("CR component out of range succeeded")
 	}
 	if cr.String() == "" || pr.String() == "" {
 		t.Fatal("empty String")
@@ -129,7 +129,7 @@ func TestMergeOnFirstMergesInsteadOfNoting(t *testing.T) {
 	// Merged cluster receive is stamped with a projection over the merged
 	// cluster (the event "is no longer a cluster receive").
 	mr, _ := ts.Timestamp(model.EventID{Process: 1, Index: 1})
-	if mr.IsClusterReceive() {
+	if mr.Full != nil {
 		t.Fatalf("merged receive kept full vector")
 	}
 	if mr.Cluster.Size() != 2 {
@@ -288,7 +288,7 @@ func TestSyncPartnersReadEachOtherDirectly(t *testing.T) {
 			}
 		}
 		ts, _ := v.Timestamp(x)
-		comp, ok := ts.Component(q)
+		comp, ok := ts.component(q)
 		if !ok {
 			t.Fatalf("%v: the view holds no component %d where the cell does", x, q)
 		}
@@ -391,7 +391,7 @@ func TestObserveAllPropagatesFMErrors(t *testing.T) {
 }
 
 // TestFacadeSyncPairAndStreamEnd pins the two places the façade adds
-// behaviour over DispatchOne/Dispatch: after Ingest what the event finalized
+// behaviour over dispatchOne/Dispatch: after Ingest what the event finalized
 // is readable (nothing for a held first sync half, then both halves), and
 // ObserveAll rejects a stream that ends incomplete.
 func TestFacadeSyncPairAndStreamEnd(t *testing.T) {

@@ -25,16 +25,6 @@ type Hierarchy struct {
 // Levels returns the number of explicit levels.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
-// Domain returns the level-l cluster members containing process p, sorted.
-func (h *Hierarchy) Domain(level int, p int32) []int32 {
-	return h.levels[level].ClusterOf(p).Members
-}
-
-// SameCluster reports whether p and q share a cluster at the given level.
-func (h *Hierarchy) SameCluster(level int, p, q int32) bool {
-	return h.levels[level].ClusterOf(p) == h.levels[level].ClusterOf(q)
-}
-
 // BuildHierarchy constructs a static hierarchy over the trace's
 // communication graph: level 0 applies the Figure 3 greedy clustering with
 // sizes[0] as the maximum cluster size; each subsequent level applies it to

@@ -43,8 +43,8 @@ func TestBuildHierarchyNesting(t *testing.T) {
 		t.Fatalf("Levels = %d", h.Levels())
 	}
 	for p := int32(0); p < 24; p++ {
-		d0 := h.Domain(0, p)
-		d1 := h.Domain(1, p)
+		d0 := h.levels[0].ClusterOf(p).Members
+		d1 := h.levels[1].ClusterOf(p).Members
 		if len(d0) > 4 || len(d1) > 12 {
 			t.Fatalf("domain sizes: %d, %d", len(d0), len(d1))
 		}
@@ -58,14 +58,11 @@ func TestBuildHierarchyNesting(t *testing.T) {
 				t.Fatalf("level-0 domain of %d not nested in level-1", p)
 			}
 		}
-		if !h.SameCluster(0, p, p) || !h.SameCluster(1, p, p) {
-			t.Fatal("SameCluster reflexivity broken")
-		}
 	}
 	// On a connected heavy ring, level-1 groups should actually merge
 	// several level-0 groups.
-	if len(h.Domain(1, 0)) <= len(h.Domain(0, 0)) {
-		t.Fatalf("level 1 did not coarsen: %d vs %d", len(h.Domain(1, 0)), len(h.Domain(0, 0)))
+	if n0, n1 := h.levels[0].ClusterOf(0).Size(), h.levels[1].ClusterOf(0).Size(); n1 <= n0 {
+		t.Fatalf("level 1 did not coarsen: %d vs %d", n1, n0)
 	}
 }
 
@@ -113,7 +110,7 @@ func TestHierTimestamperLevelsAndStorage(t *testing.T) {
 	if !ok {
 		t.Fatal("missing timestamp")
 	}
-	if _, ok := ts.Component(0); !ok {
+	if _, ok := ts.component(0); !ok {
 		t.Fatal("own component missing")
 	}
 }

@@ -37,7 +37,7 @@ package hct
 //
 // # One body, synchronous errors
 //
-// DispatchAsync and DispatchOne share one body (dispatchLocked): lock
+// DispatchAsync and dispatchOne share one body (dispatchLocked): lock
 // admission, admit the batch — stopping at the first rejection; the prefix
 // stays admitted, the rejected event changes nothing — hand the finalized
 // events to the plan stage, unlock, return the error. The error is returned by
@@ -467,9 +467,9 @@ func (p *Pipeline) DispatchAsync(events []model.Event, bt BatchTracer) error {
 	return p.dispatchLocked(events, bt, true)
 }
 
-// DispatchOne admits and plans a single event, returning the raw (unwrapped)
+// dispatchOne admits and plans a single event, returning the raw (unwrapped)
 // contract error.
-func (p *Pipeline) DispatchOne(e model.Event) error {
+func (p *Pipeline) dispatchOne(e model.Event) error {
 	events := [1]model.Event{e} // stays on the stack: the batch is a copy
 	p.adm.mu.Lock()
 	defer p.adm.mu.Unlock()
@@ -497,7 +497,7 @@ func (p *Pipeline) DispatchAdmitted(run []model.Event, bt BatchTracer) error {
 // one in flight (replay's coverage wait).
 func (p *Pipeline) Admission() *Admission { return &p.adm }
 
-// dispatchLocked is the one body of DispatchAsync and DispatchOne, called with
+// dispatchLocked is the one body of DispatchAsync and dispatchOne, called with
 // the admission lock held: admit each event into the pooled batch, stopping at
 // the first rejection, and hand what the admitted prefix finalizes to the plan
 // stage before the lock is released. wrap selects the batch form of a

@@ -146,7 +146,7 @@ func TestPipelineErrorContract(t *testing.T) {
 		name     string
 		dispatch func(*Pipeline, model.Event) error
 	}{
-		{"DispatchOne", func(p *Pipeline, e model.Event) error { return p.DispatchOne(e) }},
+		{"dispatchOne", func(p *Pipeline, e model.Event) error { return p.dispatchOne(e) }},
 		{"DispatchAsync", func(p *Pipeline, e model.Event) error { return p.DispatchAsync([]model.Event{e}, nil) }},
 	}
 	for _, shards := range []int{1, 2, 4} {
@@ -532,7 +532,7 @@ func TestStoreStatsAgreeAcrossLanes(t *testing.T) {
 }
 
 // TestOneLaneExactOnReturn pins the one-lane shape's accounting to the call
-// that fed it, with no Barrier: on the return of every DispatchOne and
+// that fed it, with no Barrier: on the return of every dispatchOne and
 // DispatchAsync the lane's queue depth reads 0 and StoreStats holds a cell for
 // every finalized event and a note for every noted cluster receive — and at
 // the end the tallies of the whole trace fed in one ObserveAll.
@@ -557,10 +557,10 @@ func TestOneLaneExactOnReturn(t *testing.T) {
 	}
 	half := len(tr.Events) / 2
 	for lo := 0; lo < half; lo++ {
-		if err := pipe.DispatchOne(tr.Events[lo]); err != nil {
+		if err := pipe.dispatchOne(tr.Events[lo]); err != nil {
 			t.Fatal(err)
 		}
-		exact("DispatchOne", lo)
+		exact("dispatchOne", lo)
 	}
 	for lo, n := half, 1; lo < len(tr.Events); n = n*7%300 + 1 {
 		hi := min(lo+n, len(tr.Events))
@@ -634,10 +634,10 @@ func TestStoreFullRefusal(t *testing.T) {
 			t.Fatalf("shards=%d: DispatchAsync against a full lane: %v, want ErrStoreFull", shards, err)
 		}
 		untouched("DispatchAsync")
-		if err := pipe.DispatchOne(ev(0, 1)); !errors.Is(err, ErrStoreFull) {
-			t.Fatalf("shards=%d: DispatchOne against a full lane: %v, want ErrStoreFull", shards, err)
+		if err := pipe.dispatchOne(ev(0, 1)); !errors.Is(err, ErrStoreFull) {
+			t.Fatalf("shards=%d: dispatchOne against a full lane: %v, want ErrStoreFull", shards, err)
 		}
-		untouched("DispatchOne")
+		untouched("dispatchOne")
 		adm := pipe.Admission()
 		adm.Lock()
 		err = adm.Admit(ev(0, 1))
@@ -654,7 +654,7 @@ func TestStoreFullRefusal(t *testing.T) {
 				t.Fatalf("shards=%d: batch of two with room for one: %v, want ErrStoreFull", shards, err)
 			}
 			untouched("batch of two with room for one")
-			if err := pipe.DispatchOne(ev(0, 1)); err != nil {
+			if err := pipe.dispatchOne(ev(0, 1)); err != nil {
 				t.Fatalf("shards=%d: one event with room for one: %v", shards, err)
 			}
 			pipe.Barrier()

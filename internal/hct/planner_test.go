@@ -296,8 +296,8 @@ func TestAsyncPipelineCloseDrains(t *testing.T) {
 	if err := pipe.DispatchAsync(evs, nil); err != ErrPipelineClosed {
 		t.Fatalf("DispatchAsync after Close = %v, want ErrPipelineClosed", err)
 	}
-	if err := pipe.DispatchOne(evs[0]); err != ErrPipelineClosed {
-		t.Fatalf("DispatchOne after Close = %v, want ErrPipelineClosed", err)
+	if err := pipe.dispatchOne(evs[0]); err != ErrPipelineClosed {
+		t.Fatalf("dispatchOne after Close = %v, want ErrPipelineClosed", err)
 	}
 	pipe.Barrier() // must not hang
 	for p := 0; p < 8; p++ {

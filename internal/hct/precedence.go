@@ -69,7 +69,7 @@ func searchBefore(src stampSource, e, f model.EventID, visited map[model.EventID
 	if !ok {
 		return false, fmt.Errorf("%w: %v", ErrUnknownEvent, f)
 	}
-	if v, ok := tf.Component(e.Process); ok {
+	if v, ok := tf.component(e.Process); ok {
 		return v >= int32(e.Index), nil
 	}
 
@@ -86,7 +86,7 @@ func searchBefore(src stampSource, e, f model.EventID, visited map[model.EventID
 	}
 
 	if tf.Full != nil {
-		// Shouldn't happen (Component covers full vectors), but keep the
+		// Shouldn't happen (component covers full vectors), but keep the
 		// invariant explicit.
 		return tf.Full[e.Process] >= int32(e.Index), nil
 	}

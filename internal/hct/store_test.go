@@ -109,7 +109,7 @@ func TestPagedStoreReadersAcrossPageBoundaries(t *testing.T) {
 						t.Errorf("Timestamp(%v) misses at the live watermark", newest)
 						return
 					}
-					if own, _ := ts.Component(newest.Process); own != int32(newest.Index) ||
+					if own, _ := ts.component(newest.Process); own != int32(newest.Index) ||
 						(ts.Full == nil && len(ts.Proj) != len(ts.Cluster.Members)) {
 						t.Errorf("Timestamp(%v) = %v: own component %d, %d elements over %v", newest, ts, own, len(ts.Proj), ts.Cluster)
 						return

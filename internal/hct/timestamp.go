@@ -44,14 +44,10 @@ type Timestamp struct {
 	Full vclock.Clock
 }
 
-// IsClusterReceive reports whether the event retained a full Fidge/Mattern
-// timestamp (a non-merged cluster receive).
-func (t Timestamp) IsClusterReceive() bool { return t.Full != nil }
-
-// Component returns FM(e)[p] if it is derivable from this timestamp alone:
+// component returns FM(e)[p] if it is derivable from this timestamp alone:
 // always for cluster receives, and for projection timestamps only when p is
 // in the timestamp's cluster.
-func (t Timestamp) Component(p model.ProcessID) (int32, bool) {
+func (t Timestamp) component(p model.ProcessID) (int32, bool) {
 	if t.Full != nil {
 		if int(p) < 0 || int(p) >= len(t.Full) {
 			return 0, false

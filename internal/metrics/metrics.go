@@ -180,9 +180,9 @@ func BestWindow(curves []*Curve, factor float64, maxViolations int) (Window, boo
 	return best, found
 }
 
-// CoverageAt returns the fraction of curves whose ratio at maxCS is within
+// coverageAt returns the fraction of curves whose ratio at maxCS is within
 // factor×best. Curves lacking that sweep point count as not covered.
-func CoverageAt(curves []*Curve, maxCS int, factor float64) float64 {
+func coverageAt(curves []*Curve, maxCS int, factor float64) float64 {
 	if len(curves) == 0 {
 		return 0
 	}
@@ -209,7 +209,7 @@ func MaxCoverage(curves []*Curve, factor float64) (maxCS int, coverage float64) 
 		return 0, 0
 	}
 	for _, s := range curves[0].MaxCS {
-		if c := CoverageAt(curves, s, factor); c > coverage {
+		if c := coverageAt(curves, s, factor); c > coverage {
 			maxCS, coverage = s, c
 		}
 	}

@@ -121,20 +121,20 @@ func TestBestWindow(t *testing.T) {
 func TestCoverage(t *testing.T) {
 	a := curve("a", 0.5, 0.3, 0.35, 0.40)
 	b := curve("b", 0.25, 0.22, 0.30, 0.20)
-	if c := CoverageAt([]*Curve{a, b}, 3, 1.2); c != 1.0 {
-		t.Fatalf("CoverageAt(3) = %f", c)
+	if c := coverageAt([]*Curve{a, b}, 3, 1.2); c != 1.0 {
+		t.Fatalf("coverageAt(3) = %f", c)
 	}
-	if c := CoverageAt([]*Curve{a, b}, 2, 1.2); c != 0.0 {
-		t.Fatalf("CoverageAt(2) = %f", c)
+	if c := coverageAt([]*Curve{a, b}, 2, 1.2); c != 0.0 {
+		t.Fatalf("coverageAt(2) = %f", c)
 	}
-	if c := CoverageAt([]*Curve{a, b}, 4, 1.2); c != 0.5 {
-		t.Fatalf("CoverageAt(4) = %f", c)
+	if c := coverageAt([]*Curve{a, b}, 4, 1.2); c != 0.5 {
+		t.Fatalf("coverageAt(4) = %f", c)
 	}
 	maxCS, cov := MaxCoverage([]*Curve{a, b}, 1.2)
 	if maxCS != 3 || cov != 1.0 {
 		t.Fatalf("MaxCoverage = %d,%f", maxCS, cov)
 	}
-	if c := CoverageAt(nil, 3, 1.2); c != 0 {
+	if c := coverageAt(nil, 3, 1.2); c != 0 {
 		t.Fatalf("nil coverage = %f", c)
 	}
 	if _, cov := MaxCoverage(nil, 1.2); cov != 0 {
@@ -142,7 +142,7 @@ func TestCoverage(t *testing.T) {
 	}
 	// Missing sweep point counts as uncovered.
 	short := &Curve{Computation: "s", MaxCS: []int{2}, Ratio: []float64{0.1}}
-	if c := CoverageAt([]*Curve{a, short}, 3, 1.2); c != 0.5 {
+	if c := coverageAt([]*Curve{a, short}, 3, 1.2); c != 0.5 {
 		t.Fatalf("short-curve coverage = %f", c)
 	}
 }

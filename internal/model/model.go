@@ -67,9 +67,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// IsTransmit reports whether events of this kind act as message transmits.
-func (k Kind) IsTransmit() bool { return k == Send || k == Sync }
-
 // IsReceive reports whether events of this kind act as message receives.
 // Receive and Sync events are the candidate cluster receives of the
 // cluster-timestamp algorithm.
@@ -128,8 +125,8 @@ func (t *Trace) PerProcessCounts() []int {
 	return counts
 }
 
-// EventMap builds an index from EventID to position in delivery order.
-func (t *Trace) EventMap() map[EventID]int {
+// eventMap builds an index from EventID to position in delivery order.
+func (t *Trace) eventMap() map[EventID]int {
 	m := make(map[EventID]int, len(t.Events))
 	for i, e := range t.Events {
 		m[e.ID] = i

@@ -21,19 +21,16 @@ func TestEventIDString(t *testing.T) {
 
 func TestKindPredicates(t *testing.T) {
 	cases := []struct {
-		k              Kind
-		transmit, recv bool
-		str            string
+		k    Kind
+		recv bool
+		str  string
 	}{
-		{Unary, false, false, "unary"},
-		{Send, true, false, "send"},
-		{Receive, false, true, "receive"},
-		{Sync, true, true, "sync"},
+		{Unary, false, "unary"},
+		{Send, false, "send"},
+		{Receive, true, "receive"},
+		{Sync, true, "sync"},
 	}
 	for _, tc := range cases {
-		if tc.k.IsTransmit() != tc.transmit {
-			t.Errorf("%v.IsTransmit() = %v", tc.k, tc.k.IsTransmit())
-		}
 		if tc.k.IsReceive() != tc.recv {
 			t.Errorf("%v.IsReceive() = %v", tc.k, tc.k.IsReceive())
 		}
@@ -105,17 +102,17 @@ func TestPerProcessCounts(t *testing.T) {
 
 func TestEventMap(t *testing.T) {
 	tr := buildValid(t)
-	m := tr.EventMap()
+	m := tr.eventMap()
 	if len(m) != tr.NumEvents() {
-		t.Fatalf("EventMap size %d != %d", len(m), tr.NumEvents())
+		t.Fatalf("eventMap size %d != %d", len(m), tr.NumEvents())
 	}
 	for i, e := range tr.Events {
 		if j, ok := m[e.ID]; !ok || j != i {
-			t.Fatalf("EventMap[%v] = %d, %v, want %d", e.ID, j, ok, i)
+			t.Fatalf("eventMap[%v] = %d, %v, want %d", e.ID, j, ok, i)
 		}
 	}
 	if _, ok := m[EventID{9, 9}]; ok {
-		t.Fatalf("EventMap holds an absent event")
+		t.Fatalf("eventMap holds an absent event")
 	}
 }
 

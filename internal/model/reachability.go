@@ -33,7 +33,7 @@ func NewReachability(t *Trace) (*Reachability, error) {
 	}
 	n := len(t.Events)
 	r := &Reachability{
-		pos:  t.EventMap(),
+		pos:  t.eventMap(),
 		rep:  make([]int, n),
 		succ: make([][]int, n),
 		seen: make([]int, n),

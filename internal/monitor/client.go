@@ -33,7 +33,7 @@ func DialV2(addr string) (*ClientV2, error) {
 		r:    bufio.NewReaderSize(conn, 64*1024),
 		w:    bufio.NewWriterSize(conn, 64*1024),
 	}
-	if _, err := conn.Write(protocolV2Magic[:]); err != nil {
+	if _, err := conn.Write(protocolMagic[:]); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -61,9 +61,6 @@ func DialV2(addr string) (*ClientV2, error) {
 
 // NumProcs returns the process count announced by the server.
 func (c *ClientV2) NumProcs() int { return c.numProcs }
-
-// MaxBatch returns the server's per-frame record limit.
-func (c *ClientV2) MaxBatch() int { return c.maxBatch }
 
 // exchange writes one frame and reads the next response frame.
 func (c *ClientV2) exchange(typ byte, payload []byte) (byte, []byte, error) {

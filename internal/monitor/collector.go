@@ -150,15 +150,15 @@ func (c *Collector) Submit(e model.Event) error {
 // number of records accepted into the collector (the applied prefix), which
 // callers must account even when err is non-nil.
 func (c *Collector) SubmitBatch(events []model.Event) (accepted int, err error) {
-	return c.SubmitBatchTraced(events, nil)
+	return c.submitBatchTraced(events, nil)
 }
 
-// SubmitBatchTraced is SubmitBatch carrying the batch's span trace (nil for
+// submitBatchTraced is SubmitBatch carrying the batch's span trace (nil for
 // unsampled batches, which is the hot path and costs only nil checks). The
 // collector records the validate span (insert, enablement drain, admission);
 // flush scopes the WAL append and threads the trace into the delivery
 // pipeline.
-func (c *Collector) SubmitBatchTraced(events []model.Event, tr *obs.Trace) (accepted int, err error) {
+func (c *Collector) submitBatchTraced(events []model.Event, tr *obs.Trace) (accepted int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {

@@ -72,8 +72,8 @@ import (
 // such a buffer, and encodes RESULTS and ACK payloads by appending to one
 // (DESIGN.md §7).
 
-// protocolV2Magic opens a connection.
-var protocolV2Magic = [7]byte{0x00, 'P', 'O', 'E', 'T', '2', '\n'}
+// protocolMagic opens a connection.
+var protocolMagic = [7]byte{0x00, 'P', 'O', 'E', 'T', '2', '\n'}
 
 // protocolV2Version is the protocol revision announced in HELLO.
 const protocolV2Version = 2

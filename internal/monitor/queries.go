@@ -37,7 +37,7 @@ type Queries struct {
 	hct.View
 
 	// wmPool recycles the buffers live captures are cut into, so a batch
-	// answered into a buffer of its caller's — QueryBatchInto, which the
+	// answered into a buffer of its caller's — queryBatchInto, which the
 	// server calls with its connection's for every QUERY and QUERY@ frame —
 	// allocates nothing in the steady state (TestQueriesAllocate,
 	// TestRequestPathAllocatesNothing). A buffer is made NumProcs long and a
@@ -64,17 +64,17 @@ func (q *Queries) cut() (hct.View, *hct.Watermark) {
 }
 
 // QueryBatch answers a batch of precedence queries into a slice of its own;
-// see QueryBatchInto.
-func (q *Queries) QueryBatch(qs []Query) []QueryResult { return q.QueryBatchInto(qs, nil) }
+// see queryBatchInto.
+func (q *Queries) QueryBatch(qs []Query) []QueryResult { return q.queryBatchInto(qs, nil) }
 
-// QueryBatchInto answers a batch of precedence queries into out's backing
+// queryBatchInto answers a batch of precedence queries into out's backing
 // array when it has room for len(qs) answers (a fresh slice otherwise) and
 // returns the answers. The whole batch is evaluated against a single view
 // captured up front, so every answer reflects one store state even while
 // ingestion runs. No lock is taken at any point: large batches shard across
 // goroutines that scale with cores, and concurrent deliveries proceed
 // untouched.
-func (q *Queries) QueryBatchInto(qs []Query, out []QueryResult) []QueryResult {
+func (q *Queries) queryBatchInto(qs []Query, out []QueryResult) []QueryResult {
 	if cap(out) < len(qs) {
 		out = make([]QueryResult, len(qs))
 	}
@@ -90,7 +90,7 @@ func (q *Queries) QueryBatchInto(qs []Query, out []QueryResult) []QueryResult {
 }
 
 // queryShards answers qs into res (same length) against the captured view v,
-// in slices spread over goroutines. It is QueryBatchInto's arm for large
+// in slices spread over goroutines. It is queryBatchInto's arm for large
 // batches, kept apart because the goroutines capture res: in the caller, which
 // reslices its buffer, that would put the slice header on the heap for every
 // batch.

@@ -194,11 +194,11 @@ func TestQueriesAllocate(t *testing.T) {
 	}
 	out := make([]QueryResult, 0, len(qs))
 	for _, view := range []*Queries{cut, m.Queries} {
-		if got := testing.AllocsPerRun(100, func() { out = view.QueryBatchInto(qs, out) }); got != 0 {
-			t.Errorf("QueryBatchInto with room for the answers (cut %v): %.0f allocations, want 0", view.Watermark() != nil, got)
+		if got := testing.AllocsPerRun(100, func() { out = view.queryBatchInto(qs, out) }); got != 0 {
+			t.Errorf("queryBatchInto with room for the answers (cut %v): %.0f allocations, want 0", view.Watermark() != nil, got)
 		}
 		if want := view.QueryBatch(qs); !slices.Equal(out, want) {
-			t.Errorf("QueryBatchInto answered %v, QueryBatch %v", out, want)
+			t.Errorf("queryBatchInto answered %v, QueryBatch %v", out, want)
 		}
 	}
 }

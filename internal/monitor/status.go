@@ -135,14 +135,14 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	fixed := s.cfg.FixedVector
 	reg.GaugeFunc("poetd_ts_size_ratio",
 		"Mean timestamp size relative to a fixed Fidge/Mattern vector (Section 4; 1.0 = no clustering benefit).",
-		func() float64 { return m.Accounting().AverageRatio(fixed) })
+		func() float64 { return m.pipe.Result().AverageRatio(fixed) })
 	reg.GaugeFunc("poetd_clusters_live", "Live clusters in the process partition.",
-		func() float64 { return float64(m.Accounting().LiveClusters) })
+		func() float64 { return float64(m.pipe.Result().LiveClusters) })
 	reg.GaugeFunc("poetd_cluster_size_max", "Size of the largest live cluster.",
-		func() float64 { return float64(m.Accounting().MaxLiveCluster) })
+		func() float64 { return float64(m.pipe.Result().MaxLiveCluster) })
 	reg.GaugeFunc("poetd_cluster_size_mean", "Mean live cluster size.",
 		func() float64 {
-			a := m.Accounting()
+			a := m.pipe.Result()
 			if a.LiveClusters == 0 {
 				return 0
 			}
@@ -156,7 +156,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	sizeLabels := make(map[int]string)
 	reg.GaugeVecFunc("poetd_cluster_size_count", "Live clusters by size.", "size",
 		func() map[string]float64 {
-			m.ClusterSizesInto(sizeCounts)
+			m.clusterSizesInto(sizeCounts)
 			clear(sizeVals)
 			for size, n := range sizeCounts {
 				lbl, ok := sizeLabels[size]
@@ -169,13 +169,13 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			return sizeVals
 		})
 	counter("poetd_cluster_merges_total", "Cluster merges performed by the strategy.",
-		func() int64 { return int64(m.Accounting().Merges) })
+		func() int64 { return int64(m.pipe.Result().Merges) })
 	counter("poetd_cluster_receives_total", "Noted (full-vector) cluster receives.",
-		func() int64 { return int64(m.Accounting().ClusterReceives) })
+		func() int64 { return int64(m.pipe.Result().ClusterReceives) })
 	counter("poetd_merged_cluster_receives_total", "Cluster receives that triggered a merge.",
-		func() int64 { return int64(m.Accounting().MergedReceives) })
+		func() int64 { return int64(m.pipe.Result().MergedReceives) })
 	counter("poetd_monitor_events_total", "Events timestamped by the monitor.",
-		func() int64 { return int64(m.Accounting().Events) })
+		func() int64 { return int64(m.pipe.Result().Events) })
 	counter("poetd_precedes_cluster_hits_total",
 		"Precedence evaluations answered from the target's own cluster epoch (greatest-cluster-first fast path).",
 		func() int64 { direct, _ := m.QueryPathCounts(); return direct })
@@ -286,7 +286,7 @@ func paperStatus(m *Monitor, a hct.Result, fixed int) PaperStatus {
 		MaxClusterSize:          a.MaxClusterSize,
 		ClustersLive:            a.LiveClusters,
 		ClusterSizeMax:          a.MaxLiveCluster,
-		ClusterSizeCounts:       m.ClusterSizes(),
+		ClusterSizeCounts:       m.clusterSizes(),
 		ClusterMerges:           a.Merges,
 		ClusterReceives:         a.ClusterReceives,
 		MergedClusterReceives:   a.MergedReceives,
@@ -302,7 +302,7 @@ func paperStatus(m *Monitor, a hct.Result, fixed int) PaperStatus {
 // server is instrumented. Each tenant's accounting is read once, as one
 // snapshot, for its block and the default's for the top level.
 func (s *Server) Status() ServerStatus {
-	def := s.def.monitor.Accounting()
+	def := s.def.monitor.pipe.Result()
 	st := ServerStatus{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Events:        def.Events,
@@ -325,7 +325,7 @@ func (s *Server) Status() ServerStatus {
 	st.Rates.BatchesPerSec = s.perSec(c.BatchesIngested)
 	st.Rates.QueriesPerSec = s.perSec(c.QueriesAnswered)
 	for _, t := range s.Tenants() {
-		a := t.monitor.Accounting()
+		a := t.monitor.pipe.Result()
 		ts := TenantStatus{
 			Events:  t.accepted.Load(),
 			Queries: t.queries.Load(),

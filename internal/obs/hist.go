@@ -28,7 +28,7 @@ const histBuckets = 44
 // Histogram is a lock-free histogram over power-of-two bucket bounds.
 // Observe is a few atomic adds and is safe from any number of goroutines;
 // there is no lock to contend on and no allocation. The zero histogram is
-// usable but unregistered; NewRegistry().NewHistogram attaches one to an
+// usable but unregistered; NewRegistry().newHistogram attaches one to an
 // exposition surface.
 //
 // A Histogram counts either durations (Observe, rendered with bucket bounds
@@ -177,20 +177,20 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// UpperBound returns bucket i's upper bound in raw units, or +Inf for the
+// upperBound returns bucket i's upper bound in raw units, or +Inf for the
 // overflow bucket.
-func (s HistSnapshot) UpperBound(i int) float64 {
+func (s HistSnapshot) upperBound(i int) float64 {
 	if i >= histBuckets {
 		return math.Inf(1)
 	}
 	return math.Ldexp(1, i) // 2^i
 }
 
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1) in raw
+// quantile returns an upper bound for the q-quantile (0 < q <= 1) in raw
 // units: the upper bound of the bucket containing the q-th observation. For
 // observations in the +Inf bucket the recorded maximum is returned. A zero
 // histogram yields 0.
-func (s HistSnapshot) Quantile(q float64) int64 {
+func (s HistSnapshot) quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -224,9 +224,9 @@ func (h *Histogram) Summary() Summary {
 	return Summary{
 		Count: s.Count,
 		Sum:   s.Sum,
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
+		P50:   s.quantile(0.50),
+		P90:   s.quantile(0.90),
+		P99:   s.quantile(0.99),
 		Max:   s.Max,
 	}
 }

@@ -75,7 +75,7 @@ func TestHistogramInvariants(t *testing.T) {
 				t.Fatalf("round %d: cumulative distribution decreased at bucket %d", round, i)
 			}
 			prev = cum
-			if i > 0 && s.UpperBound(i) <= s.UpperBound(i-1) {
+			if i > 0 && s.upperBound(i) <= s.upperBound(i-1) {
 				t.Fatalf("round %d: bucket bounds not increasing at %d", round, i)
 			}
 		}
@@ -84,12 +84,12 @@ func TestHistogramInvariants(t *testing.T) {
 		}
 
 		// Quantiles are upper bounds and are monotone in q.
-		q50, q90, q99 := s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99)
+		q50, q90, q99 := s.quantile(0.50), s.quantile(0.90), s.quantile(0.99)
 		if q50 > q90 || q90 > q99 {
 			t.Fatalf("round %d: quantiles not monotone: p50=%d p90=%d p99=%d", round, q50, q90, q99)
 		}
-		if q := s.Quantile(1.0); q < wantMax && q != s.Max {
-			t.Fatalf("round %d: Quantile(1.0) = %d below max %d", round, q, wantMax)
+		if q := s.quantile(1.0); q < wantMax && q != s.Max {
+			t.Fatalf("round %d: quantile(1.0) = %d below max %d", round, q, wantMax)
 		}
 	}
 }
@@ -103,10 +103,10 @@ func TestHistogramQuantileSmall(t *testing.T) {
 	}
 	h.ObserveValue(10_000)
 	s := h.Snapshot()
-	if got := s.Quantile(0.5); got != 128 {
+	if got := s.quantile(0.5); got != 128 {
 		t.Errorf("p50 = %d, want bucket bound 128", got)
 	}
-	if got := s.Quantile(0.99); got != 16384 {
+	if got := s.quantile(0.99); got != 16384 {
 		t.Errorf("p99 = %d, want bucket bound 16384", got)
 	}
 }
@@ -128,10 +128,10 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	if s.Buckets[histBuckets] != 1 {
 		t.Fatalf("giant observation not in +Inf bucket: %v", s.Buckets)
 	}
-	if !math.IsInf(s.UpperBound(histBuckets), 1) {
+	if !math.IsInf(s.upperBound(histBuckets), 1) {
 		t.Fatal("overflow bucket bound is not +Inf")
 	}
-	if got := s.Quantile(0.5); got != math.MaxInt64 {
+	if got := s.quantile(0.5); got != math.MaxInt64 {
 		t.Fatalf("quantile in +Inf bucket = %d, want recorded max", got)
 	}
 }

@@ -170,9 +170,9 @@ func TestAdminStatusz(t *testing.T) {
 }
 
 func TestAdminTracez(t *testing.T) {
-	ring := NewTraceRing(64)
+	ring := newTraceRing(64)
 	for i := 1; i <= 30; i++ {
-		ring.Record(Op{Kind: "ingest", Size: i, Duration: time.Duration(i) * time.Millisecond})
+		ring.record(Op{Kind: "ingest", Size: i, Duration: time.Duration(i) * time.Millisecond})
 	}
 	a := Admin{Ops: ring}
 	code, body := adminGet(t, a, "/tracez?n=5")
@@ -516,7 +516,7 @@ func TestAdminCloseEndsTrace(t *testing.T) {
 }
 
 func TestAdminTracezSpanStore(t *testing.T) {
-	store := NewTraceStore(8)
+	store := newTraceStore(8)
 	t0 := time.Now().Add(-time.Second)
 	blue := NewTrace(OpIngest, "blue", 10, t0)
 	blue.Span("validate", -1, -1, t0, time.Millisecond)
@@ -525,7 +525,7 @@ func TestAdminTracezSpanStore(t *testing.T) {
 	green := NewTrace(OpIngest, "green", 5, t0)
 	green.Finish(nil)
 	store.Add(green)
-	a := Admin{Ops: NewTraceRing(8), Traces: store}
+	a := Admin{Ops: newTraceRing(8), Traces: store}
 
 	code, body := adminGet(t, a, "/tracez?tenant=blue")
 	if code != 200 {

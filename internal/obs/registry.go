@@ -232,17 +232,17 @@ func (r *Registry) vecFunc(typ, name, help, label string, fn func() map[string]f
 	}})
 }
 
-// NewHistogram registers and returns a latency histogram; bucket bounds are
+// newHistogram registers and returns a latency histogram; bucket bounds are
 // rendered in seconds (2^i nanoseconds), per the Prometheus convention that
 // duration metrics are in seconds. By convention name should end in
 // "_seconds".
-func (r *Registry) NewHistogram(name, help string) *Histogram {
+func (r *Registry) newHistogram(name, help string) *Histogram {
 	return r.registerHistogram(name, help, 1e-9)
 }
 
-// NewSizeHistogram registers and returns a magnitude histogram (batch sizes,
+// newSizeHistogram registers and returns a magnitude histogram (batch sizes,
 // byte counts); bucket bounds are rendered as raw powers of two.
-func (r *Registry) NewSizeHistogram(name, help string) *Histogram {
+func (r *Registry) newSizeHistogram(name, help string) *Histogram {
 	return r.registerHistogram(name, help, 1)
 }
 
@@ -255,7 +255,7 @@ func (r *Registry) registerHistogram(name, help string, scale float64) *Histogra
 			cum += s.Buckets[i]
 			le := "+Inf"
 			if i < histBuckets {
-				le = fmtVal(s.UpperBound(i) * scale)
+				le = fmtVal(s.upperBound(i) * scale)
 			}
 			if id := s.ExemplarID[i]; om && id != 0 {
 				// Exemplar: the slowest recently traced observation in this

@@ -27,11 +27,11 @@ func buildTestRegistry(t *testing.T) *Registry {
 	reg.CounterVecFunc("test_lane_events_total", "Events by lane.", "lane", func() map[string]float64 {
 		return map[string]float64{"0": 30, "1": 12}
 	})
-	h := reg.NewHistogram("test_latency_seconds", "Op latency.")
+	h := reg.newHistogram("test_latency_seconds", "Op latency.")
 	for _, d := range []time.Duration{time.Microsecond, 50 * time.Microsecond, time.Millisecond, 20 * time.Millisecond} {
 		h.Observe(d)
 	}
-	sh := reg.NewSizeHistogram("test_batch_events", "Events per batch.")
+	sh := reg.newSizeHistogram("test_batch_events", "Events per batch.")
 	sh.ObserveValue(64)
 	sh.ObserveValue(1024)
 	return reg
@@ -121,7 +121,7 @@ func TestWritePrometheusParses(t *testing.T) {
 // _count, and le bounds parse and increase.
 func TestHistogramExposition(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("lat_seconds", "Latency.")
+	h := reg.newHistogram("lat_seconds", "Latency.")
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Duration(i) * 10 * time.Microsecond)
 	}
@@ -277,7 +277,7 @@ func TestRegistryHandler(t *testing.T) {
 // is the only dialect that may carry exemplars.
 func TestRegistryHandlerNegotiatesOpenMetrics(t *testing.T) {
 	reg := buildTestRegistry(t)
-	reg.NewHistogram("test_exemplared_seconds", "Traced latency.").
+	reg.newHistogram("test_exemplared_seconds", "Traced latency.").
 		ObserveExemplar(time.Millisecond, 7)
 
 	resp, om := adminDo(t, Admin{Registry: reg}, "/metrics",

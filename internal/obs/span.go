@@ -278,9 +278,9 @@ func (s *Sampler) Sample(now time.Time) bool {
 	}
 }
 
-// Boost densifies head sampling for a short window, called when a slow op
+// boost densifies head sampling for a short window, called when a slow op
 // is observed so the traces around an incident are captured. Safe on nil.
-func (s *Sampler) Boost(now time.Time) {
+func (s *Sampler) boost(now time.Time) {
 	if s == nil || s.interval <= 0 {
 		return
 	}
@@ -334,9 +334,9 @@ type spanRing struct {
 // DefaultTraceStoreCap is the per-tenant trace ring capacity.
 const DefaultTraceStoreCap = 64
 
-// NewTraceStore returns a store retaining the last capacity traces per
+// newTraceStore returns a store retaining the last capacity traces per
 // tenant (minimum 1).
-func NewTraceStore(capacity int) *TraceStore {
+func newTraceStore(capacity int) *TraceStore {
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -152,7 +152,7 @@ func TestSamplerBoost(t *testing.T) {
 	}
 	// Boost shrinks the interval charged at the next admission; the already
 	// scheduled next-admission time stands.
-	s.Boost(t0)
+	s.boost(t0)
 	t1 := t0.Add(time.Millisecond)
 	if !s.Sample(t1) {
 		t.Fatal("not admitted at the steady schedule")
@@ -179,7 +179,7 @@ func TestSamplerDisabledAndNil(t *testing.T) {
 		if s.Sample(now) {
 			t.Fatalf("sampler %+v admitted with head sampling off", s)
 		}
-		s.Boost(now) // must not panic
+		s.boost(now) // must not panic
 	}
 }
 
@@ -205,7 +205,7 @@ func TestSpanScope(t *testing.T) {
 }
 
 func TestTraceStoreRingAndFind(t *testing.T) {
-	ts := NewTraceStore(4)
+	ts := newTraceStore(4)
 	var ids []TraceID
 	for i := 0; i < 6; i++ {
 		tr := NewTrace(OpIngest, "a", i, time.Now())
@@ -240,7 +240,7 @@ func TestTraceStoreRingAndFind(t *testing.T) {
 }
 
 func TestTraceStorePerTenantIsolation(t *testing.T) {
-	ts := NewTraceStore(4)
+	ts := newTraceStore(4)
 	quiet := NewTrace(OpIngest, "quiet", 1, time.Now())
 	ts.Add(quiet)
 	for i := 0; i < 100; i++ {
@@ -273,7 +273,7 @@ func TestTraceStoreNilSafe(t *testing.T) {
 	if ts.Total("") != 0 || ts.Tenants() != nil || ts.Snapshot("", 5) != nil || ts.Find(1) != nil {
 		t.Fatal("nil store leaked state")
 	}
-	NewTraceStore(8).Add(nil) // nil trace: ignored
+	newTraceStore(8).Add(nil) // nil trace: ignored
 }
 
 func TestHistogramExemplar(t *testing.T) {
@@ -327,7 +327,7 @@ func TestHistogramExemplarAges(t *testing.T) {
 
 func TestRegistryRendersExemplars(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("test_exemplar_seconds", "help")
+	h := reg.newHistogram("test_exemplar_seconds", "help")
 	h.ObserveExemplar(100*time.Microsecond, 42)
 	h.Observe(time.Microsecond)
 	var sb strings.Builder
@@ -444,7 +444,7 @@ func TestUntracedPathAllocationFree(t *testing.T) {
 		tr.Span("xwait", 0, idx, now, time.Microsecond)
 		tr.End(idx)
 		h.ObserveExemplar(time.Microsecond, tr.ID())
-		tel.Sampler.Boost(now)
+		tel.Sampler.boost(now)
 	}); n != 0 {
 		t.Fatalf("untraced path allocates %v per op, want 0", n)
 	}

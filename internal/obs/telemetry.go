@@ -68,28 +68,28 @@ type Telemetry struct {
 func NewTelemetry(reg *Registry) *Telemetry {
 	return &Telemetry{
 		Registry:       reg,
-		IngestBatch:    reg.NewHistogram("poetd_ingest_batch_seconds", "Latency of one event batch through the collector (validate, drain, journal, deliver)."),
-		DeliverBatch:   reg.NewHistogram("poetd_deliver_batch_seconds", "Latency of dispatching one delivered run into the ingest pipeline."),
-		QueryBatch:     reg.NewHistogram("poetd_query_batch_seconds", "Latency of one precedence query batch."),
-		DecodeFrame:    reg.NewHistogram("poetd_decode_frame_seconds", "Latency of decoding one frame payload."),
-		WALAppend:      reg.NewHistogram("poetd_wal_append_seconds", "Latency of one write-ahead log append (to the configured fsync policy)."),
-		WALFsync:       reg.NewHistogram("poetd_wal_fsync_seconds", "Latency of one WAL fsync syscall."),
-		WALSnapshot:    reg.NewHistogram("poetd_wal_snapshot_seconds", "Latency of one WAL snapshot compaction."),
-		RunEvents:      reg.NewSizeHistogram("poetd_run_events", "Events per run delivered to the monitor."),
-		CrossShardWait: reg.NewHistogram("poetd_cross_shard_wait_seconds", "Time an ingest shard spent blocked at a cross-shard rendezvous (receive waiting for its send's clock)."),
-		PlanQueueDepth: reg.NewSizeHistogram("poetd_plan_queue_depth", "Plan-queue depth in batches, observed as each asynchronous batch is accepted."),
+		IngestBatch:    reg.newHistogram("poetd_ingest_batch_seconds", "Latency of one event batch through the collector (validate, drain, journal, deliver)."),
+		DeliverBatch:   reg.newHistogram("poetd_deliver_batch_seconds", "Latency of dispatching one delivered run into the ingest pipeline."),
+		QueryBatch:     reg.newHistogram("poetd_query_batch_seconds", "Latency of one precedence query batch."),
+		DecodeFrame:    reg.newHistogram("poetd_decode_frame_seconds", "Latency of decoding one frame payload."),
+		WALAppend:      reg.newHistogram("poetd_wal_append_seconds", "Latency of one write-ahead log append (to the configured fsync policy)."),
+		WALFsync:       reg.newHistogram("poetd_wal_fsync_seconds", "Latency of one WAL fsync syscall."),
+		WALSnapshot:    reg.newHistogram("poetd_wal_snapshot_seconds", "Latency of one WAL snapshot compaction."),
+		RunEvents:      reg.newSizeHistogram("poetd_run_events", "Events per run delivered to the monitor."),
+		CrossShardWait: reg.newHistogram("poetd_cross_shard_wait_seconds", "Time an ingest shard spent blocked at a cross-shard rendezvous (receive waiting for its send's clock)."),
+		PlanQueueDepth: reg.newSizeHistogram("poetd_plan_queue_depth", "Plan-queue depth in batches, observed as each asynchronous batch is accepted."),
 
-		ReplayOpen:        reg.NewHistogram("poetd_replay_open_seconds", "Latency of opening or refreshing the WAL chain behind the replay plane."),
-		ReplayMaterialize: reg.NewHistogram("poetd_replay_materialize_seconds", "Latency of materializing a history view at a cutoff (chain scan + counting, or restamping offline)."),
-		ReplayQuery:       reg.NewHistogram("poetd_replay_query_seconds", "Latency of one QUERY@ batch answered from sealed history."),
+		ReplayOpen:        reg.newHistogram("poetd_replay_open_seconds", "Latency of opening or refreshing the WAL chain behind the replay plane."),
+		ReplayMaterialize: reg.newHistogram("poetd_replay_materialize_seconds", "Latency of materializing a history view at a cutoff (chain scan + counting, or restamping offline)."),
+		ReplayQuery:       reg.newHistogram("poetd_replay_query_seconds", "Latency of one QUERY@ batch answered from sealed history."),
 
 		HistoryViews:         reg.NewCounter("poetd_history_views_total", "History views materialized at a cutoff (view-cache misses)."),
 		HistoryCountedEvents: reg.NewCounter("poetd_history_counted_events_total", "Recorded events decoded by the count walk that finds a cutoff's watermark."),
 		HistoryCoverWaits:    reg.NewCounter("poetd_history_cover_waits_total", "History views that waited for the stamping lanes to publish events the log already held."),
 
-		Ops: NewTraceRing(DefaultTraceCap),
+		Ops: newTraceRing(DefaultTraceCap),
 
-		Traces:  NewTraceStore(DefaultTraceStoreCap),
+		Traces:  newTraceStore(DefaultTraceStoreCap),
 		Sampler: NewSampler(DefaultTraceRate),
 	}
 }
@@ -131,9 +131,9 @@ func (t *Telemetry) RecordOp(kind, tenant string, size int, start time.Time, d t
 		tr.Finish(err)
 		t.Traces.Add(tr)
 	}
-	t.Ops.Record(Op{Kind: kind, Tenant: tenant, Size: size, Start: start, Duration: d, Err: msg, Trace: tr.ID()})
+	t.Ops.record(Op{Kind: kind, Tenant: tenant, Size: size, Start: start, Duration: d, Err: msg, Trace: tr.ID()})
 	if slow {
-		t.Sampler.Boost(start.Add(d))
+		t.Sampler.boost(start.Add(d))
 		if t.Logger != nil {
 			t.Logger.Warn("slow op", "kind", kind, "tenant", tenant, "size", size,
 				"duration", d, "trace_id", uint64(tr.ID()), "err", msg)

@@ -23,28 +23,28 @@ type Op struct {
 
 // TraceRing is a bounded ring buffer of recent operations, the daemon's
 // answer to "what were the slowest 50 batches?". Recording overwrites the
-// oldest entry; readers copy out under the same small mutex. One Record per
+// oldest entry; readers copy out under the same small mutex. One record per
 // batch (not per event) keeps the lock invisible next to the batch work it
 // measures.
 type TraceRing struct {
 	mu    sync.Mutex
 	buf   []Op
-	next  int    // slot for the next Record
+	next  int    // slot for the next record
 	total uint64 // ops ever recorded
 }
 
-// NewTraceRing returns a ring holding the last capacity operations
+// newTraceRing returns a ring holding the last capacity operations
 // (minimum 1).
-func NewTraceRing(capacity int) *TraceRing {
+func newTraceRing(capacity int) *TraceRing {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &TraceRing{buf: make([]Op, 0, capacity)}
 }
 
-// Record appends one operation, evicting the oldest when full. Safe on a
+// record appends one operation, evicting the oldest when full. Safe on a
 // nil receiver.
-func (r *TraceRing) Record(op Op) {
+func (r *TraceRing) record(op Op) {
 	if r == nil {
 		return
 	}

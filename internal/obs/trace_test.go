@@ -11,9 +11,9 @@ func op(i int) Op {
 }
 
 func TestTraceRingWrap(t *testing.T) {
-	r := NewTraceRing(4)
+	r := newTraceRing(4)
 	for i := 1; i <= 10; i++ {
-		r.Record(op(i))
+		r.record(op(i))
 	}
 	if got := r.Total(); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
@@ -30,9 +30,9 @@ func TestTraceRingWrap(t *testing.T) {
 }
 
 func TestTraceRingPartial(t *testing.T) {
-	r := NewTraceRing(8)
-	r.Record(op(1))
-	r.Record(op(2))
+	r := newTraceRing(8)
+	r.record(op(1))
+	r.record(op(2))
 	snap := r.Snapshot()
 	if len(snap) != 2 || snap[0].Size != 1 || snap[1].Size != 2 {
 		t.Fatalf("partial snapshot = %v", snap)
@@ -40,9 +40,9 @@ func TestTraceRingPartial(t *testing.T) {
 }
 
 func TestTraceRingSlowest(t *testing.T) {
-	r := NewTraceRing(16)
+	r := newTraceRing(16)
 	for _, ms := range []int{5, 30, 1, 12, 30, 2} {
-		r.Record(op(ms))
+		r.record(op(ms))
 	}
 	slow := r.Slowest(3)
 	if len(slow) != 3 {
@@ -57,9 +57,9 @@ func TestTraceRingSlowest(t *testing.T) {
 }
 
 func TestTraceRingMinCapacity(t *testing.T) {
-	r := NewTraceRing(0)
-	r.Record(op(1))
-	r.Record(op(2))
+	r := newTraceRing(0)
+	r.record(op(1))
+	r.record(op(2))
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].Size != 2 {
 		t.Fatalf("capacity-0 ring snapshot = %v, want just the newest op", snap)
@@ -68,20 +68,20 @@ func TestTraceRingMinCapacity(t *testing.T) {
 
 func TestTraceRingNilSafe(t *testing.T) {
 	var r *TraceRing
-	r.Record(op(1))
+	r.record(op(1))
 	if r.Total() != 0 || r.Snapshot() != nil || len(r.Slowest(5)) != 0 {
 		t.Fatal("nil ring is not inert")
 	}
 }
 
 func TestTraceRingConcurrent(t *testing.T) {
-	r := NewTraceRing(32)
+	r := newTraceRing(32)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 1000; i++ {
-				r.Record(Op{Kind: fmt.Sprintf("g%d", g), Size: i})
+				r.record(Op{Kind: fmt.Sprintf("g%d", g), Size: i})
 			}
 		}(g)
 	}

@@ -79,9 +79,9 @@ func (c *CachedFM) StorageInts() int64 {
 // replayed — the query cost.
 func (c *CachedFM) LastReplayed() int { return c.replayed }
 
-// Reconstruct recomputes FM(e) by replaying from the nearest checkpoint at
+// reconstruct recomputes FM(e) by replaying from the nearest checkpoint at
 // or before e's delivery position.
-func (c *CachedFM) Reconstruct(e model.EventID) (vclock.Clock, error) {
+func (c *CachedFM) reconstruct(e model.EventID) (vclock.Clock, error) {
 	pos, ok := c.pos[e]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownEvent, e)
@@ -128,12 +128,12 @@ func (c *CachedFM) Reconstruct(e model.EventID) (vclock.Clock, error) {
 // Precedes answers happened-before by reconstructing both vectors — the
 // O(N)-per-test regime of the pre-cluster-timestamp tools.
 func (c *CachedFM) Precedes(e, f model.EventID) (bool, error) {
-	ce, err := c.Reconstruct(e)
+	ce, err := c.reconstruct(e)
 	if err != nil {
 		return false, err
 	}
 	replayed := c.replayed
-	cf, err := c.Reconstruct(f)
+	cf, err := c.reconstruct(f)
 	if err != nil {
 		return false, err
 	}

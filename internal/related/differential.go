@@ -22,8 +22,8 @@ type DiffStamp struct {
 	Changed []DiffEntry
 }
 
-// SizeInts returns the storage charge: two integers per changed component.
-func (d *DiffStamp) SizeInts() int { return 2 * len(d.Changed) }
+// sizeInts returns the storage charge: two integers per changed component.
+func (d *DiffStamp) sizeInts() int { return 2 * len(d.Changed) }
 
 // Differential stores differentially-encoded timestamps for a computation —
 // the Singhal/Kshemkalyani-inspired technique Section 2.4 reports evaluating
@@ -38,10 +38,10 @@ type Differential struct {
 	events  int
 }
 
-// NewDifferential returns an empty store for numProcs processes.
-func NewDifferential(numProcs int) *Differential {
+// newDifferential returns an empty store for numProcs processes.
+func newDifferential(numProcs int) *Differential {
 	if numProcs <= 0 {
-		panic(fmt.Sprintf("related: NewDifferential with numProcs=%d", numProcs))
+		panic(fmt.Sprintf("related: newDifferential with numProcs=%d", numProcs))
 	}
 	return &Differential{numProcs: numProcs, perProc: make([][]*DiffStamp, numProcs)}
 }
@@ -49,7 +49,7 @@ func NewDifferential(numProcs int) *Differential {
 // FromTrace runs the central Fidge/Mattern computation over the trace and
 // stores every timestamp differentially.
 func FromTrace(tr *model.Trace) (*Differential, error) {
-	d := NewDifferential(tr.NumProcs)
+	d := newDifferential(tr.NumProcs)
 	stamped, err := fm.StampAll(tr)
 	if err != nil {
 		return nil, err
@@ -84,16 +84,16 @@ func (d *Differential) StorageInts() int64 {
 	var total int64
 	for _, stamps := range d.perProc {
 		for _, ds := range stamps {
-			total += int64(ds.SizeInts())
+			total += int64(ds.sizeInts())
 		}
 	}
 	return total
 }
 
-// Reconstruct rebuilds the full Fidge/Mattern vector of an event by
+// reconstruct rebuilds the full Fidge/Mattern vector of an event by
 // accumulating its process's diffs up to its index — the O(chain) cost the
 // encoding trades for space.
-func (d *Differential) Reconstruct(id model.EventID) (vclock.Clock, error) {
+func (d *Differential) reconstruct(id model.EventID) (vclock.Clock, error) {
 	p := int(id.Process)
 	if p < 0 || p >= d.numProcs {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownEvent, id)
@@ -113,11 +113,11 @@ func (d *Differential) Reconstruct(id model.EventID) (vclock.Clock, error) {
 
 // Precedes answers happened-before by reconstructing both vectors.
 func (d *Differential) Precedes(e, f model.EventID) (bool, error) {
-	ce, err := d.Reconstruct(e)
+	ce, err := d.reconstruct(e)
 	if err != nil {
 		return false, err
 	}
-	cf, err := d.Reconstruct(f)
+	cf, err := d.reconstruct(f)
 	if err != nil {
 		return false, err
 	}

@@ -34,9 +34,9 @@ type DirectDep struct {
 	Deps []model.EventID
 }
 
-// SizeInts returns the storage charge in integer units: one (process,
+// sizeInts returns the storage charge in integer units: one (process,
 // index) pair per dependency.
-func (d *DirectDep) SizeInts() int { return 2 * len(d.Deps) }
+func (d *DirectDep) sizeInts() int { return 2 * len(d.Deps) }
 
 // DirectDependency tracks direct-dependency vectors for a computation and
 // answers precedence queries by backward search.
@@ -89,7 +89,7 @@ func (dd *DirectDependency) Events() int { return dd.events }
 func (dd *DirectDependency) StorageInts() int64 {
 	var total int64
 	for _, d := range dd.deps {
-		total += int64(d.SizeInts())
+		total += int64(d.sizeInts())
 	}
 	return total
 }

@@ -115,7 +115,7 @@ func TestNewPanics(t *testing.T) {
 		f()
 	}
 	expectPanic("direct", func() { NewDirectDependency(0) })
-	expectPanic("differential", func() { NewDifferential(0) })
+	expectPanic("differential", func() { newDifferential(0) })
 }
 
 func TestDifferentialReconstructMatchesFM(t *testing.T) {
@@ -130,12 +130,12 @@ func TestDifferentialReconstructMatchesFM(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range stamped {
-		got, err := d.Reconstruct(st.Event.ID)
+		got, err := d.reconstruct(st.Event.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(st.Clock) {
-			t.Fatalf("Reconstruct(%v) = %v, want %v", st.Event.ID, got, st.Clock)
+			t.Fatalf("reconstruct(%v) = %v, want %v", st.Event.ID, got, st.Clock)
 		}
 	}
 	if d.Events() != tr.NumEvents() {
@@ -190,11 +190,11 @@ func TestDifferentialCompressionFactorRealistic(t *testing.T) {
 }
 
 func TestDifferentialErrors(t *testing.T) {
-	d := NewDifferential(2)
-	if _, err := d.Reconstruct(model.EventID{Process: 5, Index: 1}); !errors.Is(err, ErrUnknownEvent) {
+	d := newDifferential(2)
+	if _, err := d.reconstruct(model.EventID{Process: 5, Index: 1}); !errors.Is(err, ErrUnknownEvent) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := d.Reconstruct(model.EventID{Process: 0, Index: 1}); !errors.Is(err, ErrUnknownEvent) {
+	if _, err := d.reconstruct(model.EventID{Process: 0, Index: 1}); !errors.Is(err, ErrUnknownEvent) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := d.Precedes(model.EventID{Process: 0, Index: 1}, model.EventID{Process: 1, Index: 1}); err == nil {
@@ -206,7 +206,7 @@ func TestDifferentialErrors(t *testing.T) {
 	if _, err := FromTrace(bad); err == nil {
 		t.Fatal("invalid trace accepted")
 	}
-	if cf := NewDifferential(2).CompressionFactor(); cf != 0 {
+	if cf := newDifferential(2).CompressionFactor(); cf != 0 {
 		t.Fatalf("empty compression factor = %f", cf)
 	}
 }
@@ -224,12 +224,12 @@ func TestCachedFMReconstructMatchesFM(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, st := range stamped {
-			got, err := c.Reconstruct(st.Event.ID)
+			got, err := c.reconstruct(st.Event.ID)
 			if err != nil {
 				t.Fatalf("every=%d: %v", every, err)
 			}
 			if !got.Equal(st.Clock) {
-				t.Fatalf("every=%d: Reconstruct(%v) = %v, want %v", every, st.Event.ID, got, st.Clock)
+				t.Fatalf("every=%d: reconstruct(%v) = %v, want %v", every, st.Event.ID, got, st.Clock)
 			}
 		}
 		if c.Events() != tr.NumEvents() {
@@ -286,11 +286,11 @@ func TestCachedFMTradeoff(t *testing.T) {
 		t.Fatalf("storage: tight %d <= loose %d", tight.StorageInts(), loose.StorageInts())
 	}
 	last := tr.Events[len(tr.Events)-1].ID
-	if _, err := tight.Reconstruct(last); err != nil {
+	if _, err := tight.reconstruct(last); err != nil {
 		t.Fatal(err)
 	}
 	tightCost := tight.LastReplayed()
-	if _, err := loose.Reconstruct(last); err != nil {
+	if _, err := loose.reconstruct(last); err != nil {
 		t.Fatal(err)
 	}
 	looseCost := loose.LastReplayed()
@@ -310,7 +310,7 @@ func TestCachedFMErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Reconstruct(model.EventID{Process: 0, Index: 9}); !errors.Is(err, ErrUnknownEvent) {
+	if _, err := c.reconstruct(model.EventID{Process: 0, Index: 9}); !errors.Is(err, ErrUnknownEvent) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := c.Precedes(model.EventID{Process: 0, Index: 9}, model.EventID{Process: 0, Index: 1}); err == nil {

@@ -101,11 +101,11 @@ func (v *View) Stats(fixedVector int) monitor.Stats {
 // also yields the accounting (View.Stats) at the cutoff. OpenLive counts:
 // the views clamp the store of the daemon that wrote the log (live.go).
 //
-// View lifecycle vs Refresh and cache eviction — the audited invariants:
+// View lifecycle vs refresh and cache eviction — the audited invariants:
 //
 //   - A View never reads the chain after materialization. Its hct.View
 //     holds only a heap-resident store and the watermark slice of the
-//     cutoff, so Refresh swapping (and closing) the mmap'd chain underneath —
+//     cutoff, so a refresh swapping (and closing) the mmap'd chain underneath —
 //     including after a compaction deleted the very segments the view was
 //     built from — cannot invalidate it.
 //   - Views stay correct while their store grows concurrently — by later
@@ -117,7 +117,7 @@ func (v *View) Stats(fixedVector int) monitor.Stats {
 //   - Eviction from the FIFO cache only drops the Store's reference; a
 //     caller-pinned *View keeps its engine alive through ordinary GC
 //     reachability and keeps answering at its frozen cutoff.
-//   - All chain and cache mutation (Refresh, ViewAt bookkeeping) happens
+//   - All chain and cache mutation (refreshes, ViewAt bookkeeping) happens
 //     under mu; the only cross-goroutine surface a View exposes is the
 //     watermark-clamped read path above.
 //
@@ -190,13 +190,6 @@ func (s *Store) Events() uint64 {
 	return s.chain.Events()
 }
 
-// Torn reports whether the chain's final segment ended in a torn tail.
-func (s *Store) Torn() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.chain.Torn()
-}
-
 // RunBoundaries returns the ascending global event counts at which recorded
 // runs ended — the natural cutoffs of the recorded computation.
 func (s *Store) RunBoundaries() []uint64 {
@@ -224,14 +217,8 @@ func (s *Store) positionLocked() uint64 {
 	return s.delivered
 }
 
-// Refresh re-opens the chain, picking up segments sealed (and compactions
-// performed) since the last open. Existing views remain valid.
-func (s *Store) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refreshLocked()
-}
-
+// refreshLocked re-opens the chain, picking up segments sealed (and
+// compactions performed) since the last open. Existing views remain valid.
 func (s *Store) refreshLocked() error {
 	start := time.Now()
 	chain, err := wal.OpenChain(s.dir, wal.ChainOptions{NumProcs: s.chain.NumProcs()})

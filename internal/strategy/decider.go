@@ -148,12 +148,6 @@ func (m *MergeOnNth) noted(a, b cluster.ID) {
 	m.partners[b] = append(m.partners[b], a)
 }
 
-// PairCount returns the cluster receives recorded between live clusters a
-// and b.
-func (m *MergeOnNth) PairCount(a, b cluster.ID) int64 {
-	return m.counts[pairKey(a, b)]
-}
-
 // OnClusterReceive implements Decider.
 func (m *MergeOnNth) OnClusterReceive(a, b cluster.ID, sizeA, sizeB int, sizeOK bool) bool {
 	k := pairKey(a, b)

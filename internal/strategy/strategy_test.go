@@ -52,15 +52,15 @@ func TestMergeOnNthThreshold(t *testing.T) {
 	if !d.OnClusterReceive(0, 1, 1, 1, true) {
 		t.Fatalf("did not merge at count 5 (normalized 2.5 > 2)")
 	}
-	if d.PairCount(0, 1) != 5 || d.PairCount(1, 0) != 5 {
-		t.Fatalf("PairCount = %d/%d", d.PairCount(0, 1), d.PairCount(1, 0))
+	if d.counts[pairKey(0, 1)] != 5 || d.counts[pairKey(1, 0)] != 5 {
+		t.Fatalf("counts = %d/%d", d.counts[pairKey(0, 1)], d.counts[pairKey(1, 0)])
 	}
 	// Size bound suppresses merging but still counts.
 	d2 := NewMergeOnNth(0)
 	if d2.OnClusterReceive(3, 4, 10, 10, false) {
 		t.Fatalf("merged despite size bound")
 	}
-	if d2.PairCount(3, 4) != 1 {
+	if d2.counts[pairKey(3, 4)] != 1 {
 		t.Fatalf("count not recorded under size bound")
 	}
 }
@@ -72,16 +72,16 @@ func TestMergeOnNthFoldsCountsOnMerge(t *testing.T) {
 	d.OnClusterReceive(1, 2, 1, 1, true)
 	d.OnClusterReceive(0, 1, 1, 1, true) // intra-pair: must vanish on merge
 	d.OnMerge(0, 1, 5)
-	if got := d.PairCount(5, 2); got != 3 {
+	if got := d.counts[pairKey(5, 2)]; got != 3 {
 		t.Fatalf("folded count = %d, want 3", got)
 	}
-	if got := d.PairCount(2, 5); got != 3 {
+	if got := d.counts[pairKey(2, 5)]; got != 3 {
 		t.Fatalf("reverse folded count = %d, want 3", got)
 	}
-	if got := d.PairCount(5, 0); got != 0 {
+	if got := d.counts[pairKey(5, 0)]; got != 0 {
 		t.Fatalf("stale count after fold: %d", got)
 	}
-	if got := d.PairCount(0, 2); got != 0 {
+	if got := d.counts[pairKey(0, 2)]; got != 0 {
 		t.Fatalf("retired cluster still counted: %d", got)
 	}
 	// Name encodes the threshold.

@@ -85,10 +85,10 @@ func (o Ordering) String() string {
 	return fmt.Sprintf("Ordering(%d)", int8(o))
 }
 
-// Compare reports the pointwise ordering between c and other.
-func (c Clock) Compare(other Clock) Ordering {
+// compare reports the pointwise ordering between c and other.
+func (c Clock) compare(other Clock) Ordering {
 	if len(c) != len(other) {
-		panic(fmt.Sprintf("vclock: Compare length mismatch %d != %d", len(c), len(other)))
+		panic(fmt.Sprintf("vclock: compare length mismatch %d != %d", len(c), len(other)))
 	}
 	le, ge := true, true
 	for i, v := range c {
@@ -111,10 +111,10 @@ func (c Clock) Compare(other Clock) Ordering {
 	}
 }
 
-// LessEq reports whether c is pointwise <= other.
-func (c Clock) LessEq(other Clock) bool {
+// lessEq reports whether c is pointwise <= other.
+func (c Clock) lessEq(other Clock) bool {
 	if len(c) != len(other) {
-		panic(fmt.Sprintf("vclock: LessEq length mismatch %d != %d", len(c), len(other)))
+		panic(fmt.Sprintf("vclock: lessEq length mismatch %d != %d", len(c), len(other)))
 	}
 	for i, v := range c {
 		if v > other[i] {

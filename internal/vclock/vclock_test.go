@@ -81,21 +81,21 @@ func TestCompare(t *testing.T) {
 		{Clock{0, 0}, Clock{1, 0}, Before},
 	}
 	for _, tc := range cases {
-		if got := tc.a.Compare(tc.b); got != tc.want {
-			t.Errorf("%v.Compare(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		if got := tc.a.compare(tc.b); got != tc.want {
+			t.Errorf("%v.compare(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
 
 func TestLessEq(t *testing.T) {
-	if !(Clock{1, 2}).LessEq(Clock{1, 2}) {
-		t.Errorf("equal clocks must be LessEq")
+	if !(Clock{1, 2}).lessEq(Clock{1, 2}) {
+		t.Errorf("equal clocks must be lessEq")
 	}
-	if !(Clock{0, 2}).LessEq(Clock{1, 2}) {
-		t.Errorf("dominated clock must be LessEq")
+	if !(Clock{0, 2}).lessEq(Clock{1, 2}) {
+		t.Errorf("dominated clock must be lessEq")
 	}
-	if (Clock{2, 0}).LessEq(Clock{1, 2}) {
-		t.Errorf("incomparable clock must not be LessEq")
+	if (Clock{2, 0}).lessEq(Clock{1, 2}) {
+		t.Errorf("incomparable clock must not be lessEq")
 	}
 }
 
@@ -146,7 +146,7 @@ func TestQuickMaxIsUpperBound(t *testing.T) {
 		n := 1 + r.Intn(16)
 		a, b := randClock(r, n), randClock(r, n)
 		m := Max(a, b)
-		return a.LessEq(m) && b.LessEq(m)
+		return a.lessEq(m) && b.lessEq(m)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestQuickCompareAntisymmetric(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(16)
 		a, b := randClock(r, n), randClock(r, n)
-		ab, ba := a.Compare(b), b.Compare(a)
+		ab, ba := a.compare(b), b.compare(a)
 		switch ab {
 		case Equal:
 			return ba == Equal
@@ -198,8 +198,8 @@ func TestQuickCompareConsistentWithLessEq(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(16)
 		a, b := randClock(r, n), randClock(r, n)
-		ord := a.Compare(b)
-		le := a.LessEq(b)
+		ord := a.compare(b)
+		le := a.lessEq(b)
 		wantLE := ord == Before || ord == Equal
 		return le == wantLE
 	}

@@ -86,7 +86,7 @@ type Chain struct {
 	parts    []*chainPart // snapshot first (if any), then segments by base
 	events   uint64
 	snapped  uint64 // events covered by the snapshot part
-	torn     bool
+	torn     bool   // the final segment ends in a torn or corrupt record
 
 	// leftovers are the files the scan classified as crash debris and kept
 	// out of the chain; Open removes them once the chain is accepted.
@@ -391,15 +391,6 @@ func (c *Chain) NumProcs() int { return c.numProcs }
 
 // Events returns the number of events the chain can replay.
 func (c *Chain) Events() uint64 { return c.events }
-
-// SnapshotEvents returns the number of events covered by the snapshot part
-// (0 when the chain has none).
-func (c *Chain) SnapshotEvents() uint64 { return c.snapped }
-
-// Torn reports whether the final segment ended in a torn or corrupt record
-// (an in-flight append, or the crash Open would truncate). The valid prefix
-// is unaffected.
-func (c *Chain) Torn() bool { return c.torn }
 
 // Close releases the mappings. Views that copied data out remain valid.
 func (c *Chain) Close() error {

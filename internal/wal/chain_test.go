@@ -105,8 +105,8 @@ func TestChainTornTailBoundaries(t *testing.T) {
 			if c.Events() != want {
 				t.Fatalf("Events() = %d, want %d", c.Events(), want)
 			}
-			if c.Torn() != tc.wantTorn {
-				t.Fatalf("Torn() = %v, want %v", c.Torn(), tc.wantTorn)
+			if c.torn != tc.wantTorn {
+				t.Fatalf("torn = %v, want %v", c.torn, tc.wantTorn)
 			}
 			if got := chainEvents(t, c); !eventsEqual(got, all[:want]) {
 				t.Fatalf("replayed %d events, not the %d-event prefix", len(got), want)
@@ -175,8 +175,8 @@ func TestChainTornSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.SnapshotEvents() == 0 || c.Events() != uint64(len(all)) {
-		t.Fatalf("baseline: snapped=%d events=%d, want snapshot + %d", c.SnapshotEvents(), c.Events(), len(all))
+	if c.snapped == 0 || c.Events() != uint64(len(all)) {
+		t.Fatalf("baseline: snapped=%d events=%d, want snapshot + %d", c.snapped, c.Events(), len(all))
 	}
 	c.Close()
 
@@ -209,8 +209,8 @@ func TestChainTornSeal(t *testing.T) {
 				t.Fatalf("OpenChain with damaged seal: %v", err)
 			}
 			defer c.Close()
-			if c.SnapshotEvents() != 0 {
-				t.Fatalf("damaged snapshot adopted (snapped=%d)", c.SnapshotEvents())
+			if c.snapped != 0 {
+				t.Fatalf("damaged snapshot adopted (snapped=%d)", c.snapped)
 			}
 			if c.Events() != uint64(len(all)) {
 				t.Fatalf("Events() = %d, want %d from segments", c.Events(), len(all))

@@ -223,8 +223,8 @@ func FuzzWALChainOpen(f *testing.F) {
 			t.Fatalf("OpenChain after Open's repairs: %v", err)
 		}
 		defer repaired.Close()
-		if repaired.Torn() || !reflect.DeepEqual(repaired.RunBoundaries(), bounds) || !eventsEqual(chainEvents(t, repaired), got) {
-			t.Fatalf("repaired chain: torn=%v, %d events, want the %d the scan accepted", repaired.Torn(), repaired.Events(), c.Events())
+		if repaired.torn || !reflect.DeepEqual(repaired.RunBoundaries(), bounds) || !eventsEqual(chainEvents(t, repaired), got) {
+			t.Fatalf("repaired chain: torn=%v, %d events, want the %d the scan accepted", repaired.torn, repaired.Events(), c.Events())
 		}
 	})
 }

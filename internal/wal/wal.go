@@ -323,14 +323,6 @@ func (l *Log) Appended() uint64 {
 	return l.appended
 }
 
-// SnapshotCount returns the number of events covered by the newest sealed
-// snapshot.
-func (l *Log) SnapshotCount() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapCount
-}
-
 // Counters is the log's durability accounting — how much it appended, how
 // often it reached the disk, how many snapshots it cut, what recovery found
 // at open — held in obs instruments. The instrument is the only storage:

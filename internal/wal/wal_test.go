@@ -278,7 +278,7 @@ func TestCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSnap := uint64(len(flatten(runs[:half])))
-	if got := l.SnapshotCount(); got != wantSnap {
+	if got := l.snapCount; got != wantSnap {
 		t.Fatalf("snapshot covers %d events, want %d", got, wantSnap)
 	}
 	if n := l.Counters().Snapshots.Value(); n != 1 {
@@ -319,7 +319,7 @@ func TestCompaction(t *testing.T) {
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.SnapshotCount(); got != uint64(len(flatten(runs))) {
+	if got := l.snapCount; got != uint64(len(flatten(runs))) {
 		t.Fatalf("second snapshot covers %d, want %d", got, len(flatten(runs)))
 	}
 }

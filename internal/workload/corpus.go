@@ -54,10 +54,10 @@ func Corpus() []Spec {
 	add(EnvPVM, "stencil2d-252", 252, func() *model.Trace { return Stencil2D(18, 14, 6) })
 	add(EnvPVM, "stencil2d-300", 300, func() *model.Trace { return Stencil2D(25, 12, 5) })
 
-	add(EnvPVM, "hiersg-49", 49, func() *model.Trace { return HierScatterGather(49, 11, 110) })
-	add(EnvPVM, "hiersg-121", 121, func() *model.Trace { return HierScatterGather(121, 11, 45) })
-	add(EnvPVM, "hiersg-241", 241, func() *model.Trace { return HierScatterGather(241, 11, 22) })
-	add(EnvPVM, "hiersg-300", 300, func() *model.Trace { return HierScatterGather(300, 12, 18) })
+	add(EnvPVM, "hiersg-49", 49, func() *model.Trace { return hierScatterGather(49, 11, 110) })
+	add(EnvPVM, "hiersg-121", 121, func() *model.Trace { return hierScatterGather(121, 11, 45) })
+	add(EnvPVM, "hiersg-241", 241, func() *model.Trace { return hierScatterGather(241, 11, 22) })
+	add(EnvPVM, "hiersg-300", 300, func() *model.Trace { return hierScatterGather(300, 12, 18) })
 
 	add(EnvPVM, "treereduce-43", 43, func() *model.Trace { return TreeReduce(43, 105) })
 	add(EnvPVM, "treereduce-63", 63, func() *model.Trace { return TreeReduce(63, 75) })
@@ -68,12 +68,12 @@ func Corpus() []Spec {
 	add(EnvPVM, "pipeline-56", 56, func() *model.Trace { return Pipeline(56, 130) })
 	add(EnvPVM, "pipeline-64", 64, func() *model.Trace { return Pipeline(64, 85) })
 
-	add(EnvPVM, "wavefront-36", 36, func() *model.Trace { return Wavefront(3, 12, 100) })
-	add(EnvPVM, "wavefront-96", 96, func() *model.Trace { return Wavefront(8, 12, 35) })
+	add(EnvPVM, "wavefront-36", 36, func() *model.Trace { return wavefront(3, 12, 100) })
+	add(EnvPVM, "wavefront-96", 96, func() *model.Trace { return wavefront(8, 12, 35) })
 
-	add(EnvPVM, "cowichan-72", 72, func() *model.Trace { return CowichanPhases(72, 30, 101) })
-	add(EnvPVM, "cowichan-48", 48, func() *model.Trace { return CowichanPhases(48, 45, 102) })
-	add(EnvPVM, "cowichan-100", 100, func() *model.Trace { return CowichanPhases(100, 22, 103) })
+	add(EnvPVM, "cowichan-72", 72, func() *model.Trace { return cowichanPhases(72, 30, 101) })
+	add(EnvPVM, "cowichan-48", 48, func() *model.Trace { return cowichanPhases(48, 45, 102) })
+	add(EnvPVM, "cowichan-100", 100, func() *model.Trace { return cowichanPhases(100, 22, 103) })
 
 	add(EnvPVM, "bcastring-72", 72, func() *model.Trace { return BroadcastThenRing(72, 60) })
 	add(EnvPVM, "bcastring-204", 204, func() *model.Trace { return BroadcastThenRing(204, 22) })
@@ -92,18 +92,18 @@ func Corpus() []Spec {
 
 	// Session groups: 11 clients pinned to each worker (+ the shared
 	// dispatcher) — natural cluster size 12.
-	add(EnvJava, "session-61", 61, func() *model.Trace { return SessionServer(5, 55, 3500, 211) })
-	add(EnvJava, "session-97", 97, func() *model.Trace { return SessionServer(8, 88, 3500, 212) })
-	add(EnvJava, "session-193", 193, func() *model.Trace { return SessionServer(16, 176, 3500, 213) })
-	add(EnvJava, "session-289", 289, func() *model.Trace { return SessionServer(24, 264, 3500, 214) })
-	add(EnvJava, "warmsession-97", 97, func() *model.Trace { return WarmupSessionServer(8, 88, 600, 3000, 215) })
+	add(EnvJava, "session-61", 61, func() *model.Trace { return sessionServer(5, 55, 3500, 211) })
+	add(EnvJava, "session-97", 97, func() *model.Trace { return sessionServer(8, 88, 3500, 212) })
+	add(EnvJava, "session-193", 193, func() *model.Trace { return sessionServer(16, 176, 3500, 213) })
+	add(EnvJava, "session-289", 289, func() *model.Trace { return sessionServer(24, 264, 3500, 214) })
+	add(EnvJava, "warmsession-97", 97, func() *model.Trace { return warmupSessionServer(8, 88, 600, 3000, 215) })
 
-	add(EnvJava, "rotsession-130", 130, func() *model.Trace { return RotatingSessionServer(12, 118, 1200, 3, 216) })
-	add(EnvJava, "rotsession-186", 186, func() *model.Trace { return RotatingSessionServer(16, 170, 1200, 3, 217) })
+	add(EnvJava, "rotsession-130", 130, func() *model.Trace { return rotatingSessionServer(12, 118, 1200, 3, 216) })
+	add(EnvJava, "rotsession-186", 186, func() *model.Trace { return rotatingSessionServer(16, 170, 1200, 3, 217) })
 
-	add(EnvJava, "threadpool-168", 168, func() *model.Trace { return ThreadPool(24, 143, 3500, 221) })
-	add(EnvJava, "threadpool-225", 225, func() *model.Trace { return ThreadPool(32, 192, 3500, 222) })
-	add(EnvJava, "threadpool-300", 300, func() *model.Trace { return ThreadPool(44, 255, 3500, 223) })
+	add(EnvJava, "threadpool-168", 168, func() *model.Trace { return threadPool(24, 143, 3500, 221) })
+	add(EnvJava, "threadpool-225", 225, func() *model.Trace { return threadPool(32, 192, 3500, 222) })
+	add(EnvJava, "threadpool-300", 300, func() *model.Trace { return threadPool(44, 255, 3500, 223) })
 
 	add(EnvJava, "micro-160", 160, func() *model.Trace { return RandomSparse(160, 2, 12000, 231) })
 	add(EnvJava, "micro-250", 250, func() *model.Trace { return RandomSparse(250, 2, 13000, 232) })
@@ -116,9 +116,9 @@ func Corpus() []Spec {
 	add(EnvDCE, "rpc-288", 288, func() *model.Trace { return RPCBusiness(240, 24, 24, 2200, 0.05, 304) })
 	add(EnvDCE, "rpc-sharp-72", 72, func() *model.Trace { return RPCBusiness(60, 6, 6, 2200, 0.0, 305) })
 
-	add(EnvDCE, "repldir-61", 61, func() *model.Trace { return ReplicatedDirectory(5, 56, 2400, 0.05, 311) })
-	add(EnvDCE, "repldir-96", 96, func() *model.Trace { return ReplicatedDirectory(8, 88, 2200, 0.05, 312) })
-	add(EnvDCE, "repldir-180", 180, func() *model.Trace { return ReplicatedDirectory(15, 165, 2000, 0.05, 313) })
+	add(EnvDCE, "repldir-61", 61, func() *model.Trace { return replicatedDirectory(5, 56, 2400, 0.05, 311) })
+	add(EnvDCE, "repldir-96", 96, func() *model.Trace { return replicatedDirectory(8, 88, 2200, 0.05, 312) })
+	add(EnvDCE, "repldir-180", 180, func() *model.Trace { return replicatedDirectory(15, 165, 2000, 0.05, 313) })
 
 	return specs
 }
@@ -131,14 +131,4 @@ func Find(name string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
-}
-
-// Names returns the corpus computation names in order.
-func Names() []string {
-	specs := Corpus()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
 }

@@ -44,12 +44,12 @@ func RPCBusiness(clients, appServers, dataServers, calls int, spill float64, see
 	return b.Trace()
 }
 
-// ReplicatedDirectory builds a DCE-style replicated directory service: a set
+// replicatedDirectory builds a DCE-style replicated directory service: a set
 // of replicas kept consistent by synchronous update propagation among
 // themselves (ring order), with clients reading from their nearest replica
 // via synchronous RPC. writeFrac is the fraction of operations that are
 // writes requiring propagation; directory services are read-dominated.
-func ReplicatedDirectory(replicas, clients, ops int, writeFrac float64, seed int64) *model.Trace {
+func replicatedDirectory(replicas, clients, ops int, writeFrac float64, seed int64) *model.Trace {
 	r := rng(seed)
 	n := replicas + clients
 	b := model.NewBuilder("", n)

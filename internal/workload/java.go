@@ -48,11 +48,11 @@ func WebTier(clients, frontends, backends, dbs, requests int, seed int64) *model
 	return b.Trace()
 }
 
-// SessionServer builds a web server with per-session worker threads: each
+// sessionServer builds a web server with per-session worker threads: each
 // client opens a connection once through the dispatcher, which pins the
 // session to a worker; all subsequent requests flow directly between the
 // client and its worker. Layout: dispatcher, workers, clients.
-func SessionServer(workers, clients, requests int, seed int64) *model.Trace {
+func sessionServer(workers, clients, requests int, seed int64) *model.Trace {
 	r := rng(seed)
 	n := 1 + workers + clients
 	b := model.NewBuilder("", n)
@@ -80,12 +80,12 @@ func SessionServer(workers, clients, requests int, seed int64) *model.Trace {
 	return b.Trace()
 }
 
-// WarmupSessionServer is SessionServer with a warm-up phase: the first
+// warmupSessionServer is sessionServer with a warm-up phase: the first
 // warmup requests are dispatched round-robin across all workers (cold
 // caches, no sessions yet) before session pinning takes over. The transient
 // phase misleads eager dynamic clustering; the steady state is as local as
-// SessionServer.
-func WarmupSessionServer(workers, clients, warmup, requests int, seed int64) *model.Trace {
+// sessionServer.
+func warmupSessionServer(workers, clients, warmup, requests int, seed int64) *model.Trace {
 	r := rng(seed)
 	n := 1 + workers + clients
 	b := model.NewBuilder("", n)
@@ -111,14 +111,14 @@ func WarmupSessionServer(workers, clients, warmup, requests int, seed int64) *mo
 	return b.Trace()
 }
 
-// RotatingSessionServer is a session server whose pinning changes between
+// rotatingSessionServer is a session server whose pinning changes between
 // phases: after every requestsPerPhase requests the worker assignment
 // rotates by one (deployments do this on worker recycling or rebalancing).
 // The union communication graph still has strong pairwise structure — each
 // client talks to a handful of workers — so a static clustering spanning the
 // phases does well, while eager dynamic clustering locks in the first
 // phase's pairing and pays for every later phase.
-func RotatingSessionServer(workers, clients, requestsPerPhase, phases int, seed int64) *model.Trace {
+func rotatingSessionServer(workers, clients, requestsPerPhase, phases int, seed int64) *model.Trace {
 	r := rng(seed)
 	n := workers + clients
 	b := model.NewBuilder("", n)
@@ -138,11 +138,11 @@ func RotatingSessionServer(workers, clients, requestsPerPhase, phases int, seed 
 	return b.Trace()
 }
 
-// ThreadPool builds a shared thread pool with no affinity: each request goes
+// threadPool builds a shared thread pool with no affinity: each request goes
 // from a random client through a queue process to a random pool worker and
 // back. Locality is deliberately poor — every client eventually talks to
 // every worker — providing a low-locality web-style control.
-func ThreadPool(workers, clients, requests int, seed int64) *model.Trace {
+func threadPool(workers, clients, requests int, seed int64) *model.Trace {
 	r := rng(seed)
 	n := 1 + workers + clients
 	b := model.NewBuilder("", n)

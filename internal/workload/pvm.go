@@ -82,36 +82,13 @@ func Stencil2D(rows, cols, iters int) *model.Trace {
 	return b.Trace()
 }
 
-// ScatterGather builds a master-worker SPMD program: each round the master
-// (process 0) scatters work to every worker, the workers compute, and the
-// master gathers results. Every worker communicates only with the master —
-// the hub pattern that defeats size-bounded clustering, since the master can
-// belong to only one cluster.
-func ScatterGather(n, rounds int) *model.Trace {
-	b := model.NewBuilder("", n)
-	const master = model.ProcessID(0)
-	for round := 0; round < rounds; round++ {
-		for w := 1; w < n; w++ {
-			b.Message(master, model.ProcessID(w))
-		}
-		for w := 1; w < n; w++ {
-			b.Unary(model.ProcessID(w))
-		}
-		for w := 1; w < n; w++ {
-			b.Message(model.ProcessID(w), master)
-		}
-		b.Unary(master)
-	}
-	return b.Trace()
-}
-
-// HierScatterGather builds a hierarchical scatter-gather: the master
+// hierScatterGather builds a hierarchical scatter-gather: the master
 // scatters work to group leaders, leaders fan out within their group and
 // gather results back before reporting to the master. This is the
 // group-structured form of scatter-gather common in large SPMD runs (a flat
 // 1-to-N fan is a pure hub and cannot be captured by size-bounded clusters).
 // Process 0 is the master; groups of groupSize processes follow.
-func HierScatterGather(n, groupSize, rounds int) *model.Trace {
+func hierScatterGather(n, groupSize, rounds int) *model.Trace {
 	if groupSize < 2 {
 		groupSize = 2
 	}
@@ -199,10 +176,10 @@ func Pipeline(n, items int) *model.Trace {
 	return b.Trace()
 }
 
-// Wavefront builds a rows×cols wavefront computation (e.g. dynamic
+// wavefront builds a rows×cols wavefront computation (e.g. dynamic
 // programming): each cell receives from its left and upper neighbours and
 // sends to its right and lower neighbours, per sweep.
-func Wavefront(rows, cols, sweeps int) *model.Trace {
+func wavefront(rows, cols, sweeps int) *model.Trace {
 	n := rows * cols
 	b := model.NewBuilder("", n)
 	id := func(r, c int) model.ProcessID { return model.ProcessID(r*cols + c) }
@@ -290,11 +267,11 @@ func BroadcastThenRing(n, rounds int) *model.Trace {
 	return b.Trace()
 }
 
-// CowichanPhases imitates a chained Cowichan-style benchmark (randmat →
+// cowichanPhases imitates a chained Cowichan-style benchmark (randmat →
 // thresh → winnow …): a sequence of phases, each a scatter from the master,
 // neighbour exchange among workers, and a gather back, with compute events
 // throughout.
-func CowichanPhases(n, phases int, seed int64) *model.Trace {
+func cowichanPhases(n, phases int, seed int64) *model.Trace {
 	r := rng(seed)
 	b := model.NewBuilder("", n)
 	const master = model.ProcessID(0)

@@ -11,10 +11,10 @@
 //
 //   - PVM programs were SPMD-style parallel computations (including the
 //     Cowichan benchmarks) with close-neighbour and scatter-gather
-//     patterns: Ring, Stencil2D, ScatterGather, TreeReduce, Pipeline,
-//     Wavefront, Butterfly, CowichanPhases.
+//     patterns: Ring, Stencil2D, hierScatterGather, TreeReduce, Pipeline,
+//     wavefront, Butterfly, cowichanPhases.
 //   - Java programs were web-like applications (web-server executions):
-//     WebTier, SessionServer, ThreadPool.
+//     WebTier, sessionServer, threadPool.
 //   - DCE programs were sample business applications built on synchronous
 //     RPC: RPCBusiness.
 //

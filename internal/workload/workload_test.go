@@ -74,15 +74,12 @@ func TestCorpusDeterministic(t *testing.T) {
 }
 
 func TestFindAndNames(t *testing.T) {
-	names := Names()
-	if len(names) != len(Corpus()) {
-		t.Fatalf("Names length mismatch")
-	}
 	if _, ok := Find("no/such-computation"); ok {
 		t.Fatalf("Find invented a spec")
 	}
-	if _, ok := Find(names[0]); !ok {
-		t.Fatalf("Find missed %q", names[0])
+	name := Corpus()[0].Name
+	if _, ok := Find(name); !ok {
+		t.Fatalf("Find missed %q", name)
 	}
 }
 
@@ -127,19 +124,6 @@ func TestStencilStructure(t *testing.T) {
 	}
 }
 
-func TestScatterGatherHub(t *testing.T) {
-	tr := ScatterGather(10, 3)
-	g := commgraph.FromTrace(tr)
-	if g.Degree(0) != 9 {
-		t.Fatalf("master degree = %d, want 9", g.Degree(0))
-	}
-	for p := int32(1); p < 10; p++ {
-		if g.Degree(p) != 1 {
-			t.Fatalf("worker %d degree = %d, want 1", p, g.Degree(p))
-		}
-	}
-}
-
 func TestTreeReduceStructure(t *testing.T) {
 	tr := TreeReduce(7, 2)
 	g := commgraph.FromTrace(tr)
@@ -172,7 +156,7 @@ func TestPipelineStructure(t *testing.T) {
 }
 
 func TestWavefrontIsValidLinearExtension(t *testing.T) {
-	tr := Wavefront(4, 5, 3)
+	tr := wavefront(4, 5, 3)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +180,7 @@ func TestButterflyLongRangeEdges(t *testing.T) {
 func TestSyncHeavyGeneratorsContainSyncs(t *testing.T) {
 	for _, tr := range []*model.Trace{
 		RPCBusiness(8, 4, 2, 50, 0.1, 1),
-		ReplicatedDirectory(4, 8, 50, 0.25, 2),
+		replicatedDirectory(4, 8, 50, 0.25, 2),
 	} {
 		st := tr.Stats()
 		if st.SyncPairs == 0 {
@@ -225,7 +209,7 @@ func TestWebTierAffinity(t *testing.T) {
 }
 
 func TestThreadPoolNoAffinity(t *testing.T) {
-	tr := ThreadPool(4, 8, 600, 9)
+	tr := threadPool(4, 8, 600, 9)
 	g := commgraph.FromTrace(tr)
 	// With 600 requests over 4 workers, every client should have touched
 	// several workers: degree of a client > 1 (queue + >=1 workers... the
