@@ -404,7 +404,7 @@ func TestPoetdRecoveryNamesFailingRecord(t *testing.T) {
 		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
 	}
 	for _, run := range [][]model.Event{{unary(0, 1), unary(1, 1)}, {unary(2, 1), unary(1, 1), unary(3, 1)}} {
-		if err := wlog.Append(run); err != nil {
+		if err := wlog.AppendRun(run); err != nil {
 			t.Fatal(err)
 		}
 	}

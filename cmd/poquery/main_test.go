@@ -42,7 +42,7 @@ func TestModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(tr.Events); err != nil {
+	if err := l.AppendRun(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -3,6 +3,7 @@ package clusterts_test
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"go/ast"
 	"go/format"
 	"go/parser"
@@ -75,7 +76,7 @@ type rule struct {
 
 var design = []gate{
 	{name: "Format", shape: gofmtClean},
-	{name: "One_core", why: "One stamping engine; the plan stage asks for a cluster decision once (DESIGN.md §16).", rules: []rule{
+	{name: "One_core", why: "One stamping engine; the plan stage asks for a cluster decision once (DESIGN.md §11).", rules: []rule{
 		{in: "internal/", site: `\.OnClusterReceive\($`, must: []string{"clusterer.receive"}, max: 1},
 		{in: "internal/hct/", site: `^(import )?"repro/internal/fm"$`},
 		{in: "internal/hct/", site: `^map\[model\.EventID\]\*`},
@@ -169,6 +170,9 @@ var design = []gate{
 		{in: "internal/monitor/", site: `^Server\{$`, must: []string{"NewTenantServer"}},
 	}},
 	{name: "One_reason_to_export", why: "An exported function or method in internal/ has a caller outside its package, or a row in exportAllowed.", shape: oneReasonToExport},
+	{name: "One_register_of_invariants", why: "An ordering argument is one row of the invariant register, and code cites it by name (DESIGN.md §15).", shape: oneRegister},
+	{name: "Section_references_resolve", why: "A DESIGN.md section that code or a document names exists.", shape: sectionRefsResolve},
+	{name: "CI_runs_what_exists", why: "Every test pattern in ci.yml names a test that exists, so a rename cannot empty its step.", shape: ciPatternsMatch},
 	{name: "No_unsafe_in_the_engine", why: "Cells and notes name vectors by offset (DESIGN.md §10).", rules: []rule{{in: "internal/hct/ +tests", site: `^(import )?"unsafe"$`}}},
 }
 
@@ -473,7 +477,6 @@ var exportAllowed = map[string]string{
 	"vclock.Clock.Project":     "the projection hct's store tests hold stored frames to",
 	"vclock.Clock.ProjectInto": "the projection hct's store tests hold stored frames to",
 	// Test seams other packages' tests call.
-	"commgraph.Graph.Degree":           "workload's tests check each generator's communication shape",
 	"commgraph.Graph.LocalityFraction": "workload's tests check each generator's communication shape",
 	"experiment.CorpusSweep":           "the root package's Section 4 benchmarks sweep the corpus through it",
 	"fm.Snapshot.Observed":             "related's tests check the cut a snapshot was taken at",
@@ -489,7 +492,6 @@ var exportAllowed = map[string]string{
 	"obs.Registry.WritePrometheus":     "monitor's tests render the registry /metrics serves",
 	"obs.TraceRing.Slowest":            "monitor's tests read the op ring",
 	"replay.Store.RunBoundaries":       "TestReplayDifferentialCorpus, in package replay_test, checks the recorded run boundaries",
-	"wal.Log.Append":                   "tests in cmd/, hct, monitor and replay write a log directly",
 	"wal.Log.Compact":                  "monitor's and replay's tests compact a log on demand",
 	"workload.RandomSparse":            "tests across cmd/ and internal/ draw small sparse computations from it",
 }
@@ -545,4 +547,295 @@ func oneReasonToExport(t *testing.T, s *source) {
 			t.Errorf("exportAllowed row %s names no exported function or method in internal/", key)
 		}
 	}
+}
+
+// invariant is one row of DESIGN.md's invariant register.
+type invariant struct {
+	line             int
+	owner, checkedBy string
+}
+
+var (
+	registerRow = regexp.MustCompile("^\\| `([a-z][A-Za-z]*(?:-[A-Za-z]+)+)` \\| .+ \\| (.+) \\| (.+) \\|$") // name, statement, owner, checked by
+	citation    = regexp.MustCompile(`\[([a-z][A-Za-z]*(?:-[A-Za-z]+)+)\]`)
+	backquoted  = regexp.MustCompile("`([^`]+)`")
+)
+
+// register parses the table of the section of DESIGN.md headed "The
+// invariant register".
+func register(t *testing.T) map[string]invariant {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, in := map[string]invariant{}, false
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = strings.HasSuffix(line, ". The invariant register")
+		}
+		if m := registerRow.FindStringSubmatch(line); in && m != nil {
+			if _, dup := rows[m[1]]; dup {
+				t.Errorf("DESIGN.md:%d: a second row %s", i+1, m[1])
+			}
+			rows[m[1]] = invariant{i + 1, m[2], m[3]}
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("DESIGN.md has no invariant register")
+	}
+	return rows
+}
+
+// oneRegister: every invariant name a Go comment cites as [name] has a row
+// in the register, every row is cited, every test a row's "checked by"
+// names is declared in a test file (a row without one says *prose only*),
+// and every owner a row names is declared in the file the row names with it.
+func oneRegister(t *testing.T, s *source) {
+	rows := register(t)
+	cited, files := map[string]bool{}, map[string]*file{}
+	for _, f := range s.files {
+		files[f.path] = f
+		for _, cg := range f.ast.Comments {
+			for _, m := range citation.FindAllStringSubmatch(cg.Text(), -1) {
+				cited[m[1]] = true
+				if _, ok := rows[m[1]]; !ok {
+					t.Errorf("%s: cites [%s], which has no row in the invariant register", f.fset.Position(cg.Pos()), m[1])
+				}
+			}
+		}
+	}
+	for name, r := range rows {
+		where := fmt.Sprintf("DESIGN.md:%d: %s", r.line, name)
+		if !cited[name] {
+			t.Errorf("%s: no Go comment cites [%s]", where, name)
+		}
+		tests := backquoted.FindAllStringSubmatch(r.checkedBy, -1)
+		for _, m := range tests {
+			test, _, _ := strings.Cut(m[1], "/")
+			if !slices.ContainsFunc(s.files, func(f *file) bool { return f.test && f.declares(test) }) {
+				t.Errorf("%s: checked by %s, which no test file declares", where, test)
+			}
+		}
+		if len(tests) == 0 && strings.TrimSpace(r.checkedBy) != "*prose only*" {
+			t.Errorf("%s: \"checked by\" names no test and does not say *prose only*", where)
+		}
+		for _, group := range strings.Split(r.owner, ";") {
+			names := backquoted.FindAllStringSubmatch(group, -1)
+			if len(names) < 2 || files[names[0][1]] == nil {
+				t.Errorf("%s: owner %q is not a file and what in it owns the argument", where, strings.TrimSpace(group))
+				continue
+			}
+			for _, n := range names[1:] {
+				if !files[names[0][1]].declares(n[1]) {
+					t.Errorf("%s: owner %s is not declared in %s", where, n[1], names[0][1])
+				}
+			}
+		}
+	}
+}
+
+// declares reports whether f declares name: a function, a method
+// ("Recv.Name") or a type.
+func (f *file) declares(name string) bool {
+	return slices.ContainsFunc(f.sites, func(st site) bool {
+		return st.fn == name && strings.HasPrefix(st.text, "func ") || strings.HasPrefix(st.text, "type "+name+" ")
+	})
+}
+
+// sectionRefsResolve: every "DESIGN.md §N" or "DESIGN §N" (and the sections
+// listed after it, "§9, §10") in a Go file, README.md, EXPERIMENTS.md or the
+// verify notes names a "## N." heading of DESIGN.md.
+func sectionRefsResolve(t *testing.T, s *source) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\. `).FindAllSubmatch(design, -1) {
+		headings[string(m[1])] = true
+	}
+	ref := regexp.MustCompile("DESIGN(?:\\.md)?`?\\s*(§\\d+(?:\\s*(?:,|/|and|or)\\s*§\\d+)*)")
+	number := regexp.MustCompile(`§(\d+)`)
+	check := func(name string, src []byte) {
+		for _, loc := range ref.FindAllSubmatchIndex(src, -1) {
+			line := 1 + bytes.Count(src[:loc[0]], []byte("\n"))
+			for _, n := range number.FindAllSubmatch(src[loc[2]:loc[3]], -1) {
+				if !headings[string(n[1])] {
+					t.Errorf("%s:%d: DESIGN.md has no section §%s", name, line, n[1])
+				}
+			}
+		}
+	}
+	for _, f := range s.files {
+		check(f.path, f.src)
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(doc, src)
+	}
+}
+
+// ciPatternsMatch: in .github/workflows/ci.yml, every alternative of a -run,
+// -bench or -fuzz pattern of a go test command matches a Test/Fuzz,
+// Benchmark or Fuzz function (in that order) of the packages the command
+// names; ^$ is exempt. An alternative whose group holds alternatives, like
+// "Benchmark(A|B)$", is checked once per alternative of the group.
+func ciPatternsMatch(t *testing.T, s *source) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]*regexp.Regexp{"-run": regexp.MustCompile(`^(Test|Fuzz|Example)`), "-bench": regexp.MustCompile(`^Benchmark`), "-fuzz": regexp.MustCompile(`^Fuzz`)}
+	commands := 0
+	for i, line := range strings.Split(string(ci), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		for _, cmd := range goTestCommands(line) {
+			commands++
+			var pkgs []string
+			for _, arg := range cmd {
+				if arg == "." || strings.HasPrefix(arg, "./") {
+					pkgs = append(pkgs, arg)
+				}
+			}
+			names := testFuncs(s, pkgs)
+			for j, arg := range cmd {
+				flag, pattern, ok := strings.Cut(arg, "=")
+				if !ok && j+1 < len(cmd) {
+					pattern = cmd[j+1]
+				}
+				kind := kinds[flag]
+				if kind == nil || pattern == "^$" {
+					continue
+				}
+				top, _, _ := strings.Cut(pattern, "/") // the subtest part is the test's own business
+				for _, alt := range alternatives(top) {
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("ci.yml:%d: %s %q: %v", i+1, flag, alt, err)
+					} else if !slices.ContainsFunc(names, func(fn string) bool { return kind.MatchString(fn) && re.MatchString(fn) }) {
+						t.Errorf("ci.yml:%d: %s alternative %q matches no function of %v", i+1, flag, alt, pkgs)
+					}
+				}
+			}
+		}
+	}
+	if commands == 0 {
+		t.Error("ci.yml has no go test command")
+	}
+}
+
+// goTestCommands returns the arguments after "go test" of each go test
+// command on a shell line, split as the shell splits them (quotes removed),
+// each ending at a command separator or a closing parenthesis.
+func goTestCommands(line string) (cmds [][]string) {
+	var words []string
+	word, quote, inWord := []byte{}, byte(0), false
+	flush := func() {
+		if inWord {
+			words = append(words, string(word))
+		}
+		word, inWord = word[:0], false
+	}
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case quote != 0 && c == quote:
+			quote = 0
+		case quote != 0:
+			word = append(word, c)
+		case c == '\'' || c == '"':
+			quote, inWord = c, true
+		case c == ' ' || c == '\t':
+			flush()
+		case c == ')' || c == ';' || c == '|' || c == '&':
+			flush()
+			words = append(words, string(c))
+		default:
+			word, inWord = append(word, c), true
+		}
+	}
+	flush()
+	for i := 0; i+1 < len(words); i++ {
+		if words[i] != "go" || words[i+1] != "test" {
+			continue
+		}
+		j := i + 2
+		for j < len(words) && !strings.Contains(")|;&", words[j]) {
+			j++
+		}
+		cmds = append(cmds, words[i+2:j])
+		i = j
+	}
+	return cmds
+}
+
+// testFuncs returns the top-level functions declared in the test files of
+// the packages pkgs name ("./dir", "./dir/..." or ".").
+func testFuncs(s *source, pkgs []string) (names []string) {
+	for _, f := range s.files {
+		dir := path.Dir(f.path)
+		if !f.test || !slices.ContainsFunc(pkgs, func(p string) bool {
+			tree, all := strings.CutSuffix(strings.TrimPrefix(p, "./"), "...")
+			tree = path.Clean(tree)
+			return dir == tree || all && (tree == "." || strings.HasPrefix(dir, tree+"/"))
+		}) {
+			continue
+		}
+		for _, st := range f.sites {
+			if st.text == "func "+st.fn+"(" {
+				names = append(names, st.fn)
+			}
+		}
+	}
+	return names
+}
+
+// alternatives splits a regular expression at its top-level "|" and expands
+// the first parenthesized group of each alternative that holds a "|" of its
+// own: "A|B(C|D)$" is "A", "BC$" and "BD$".
+func alternatives(re string) []string {
+	split := func(s string) (parts []string) {
+		depth, from := 0, 0
+		for i, c := range s {
+			switch {
+			case c == '(':
+				depth++
+			case c == ')':
+				depth--
+			case c == '|' && depth == 0:
+				parts, from = append(parts, s[from:i]), i+1
+			}
+		}
+		return append(parts, s[from:])
+	}
+	var out []string
+	for _, alt := range split(re) {
+		open, depth, expanded := -1, 0, false
+		for i, c := range alt {
+			if c == '(' {
+				if depth == 0 {
+					open = i
+				}
+				depth++
+			} else if c == ')' {
+				if depth--; depth == 0 {
+					if inner := split(alt[open+1 : i]); len(inner) > 1 {
+						for _, choice := range inner {
+							out = append(out, alternatives(alt[:open]+choice+alt[i+1:])...)
+						}
+						expanded = true
+						break
+					}
+				}
+			}
+		}
+		if !expanded {
+			out = append(out, alt)
+		}
+	}
+	return out
 }

@@ -28,7 +28,6 @@ type Graph struct {
 	n      int
 	counts map[uint64]int64
 	total  int64
-	degree []int // number of distinct partners per process
 
 	mu    sync.Mutex
 	edges []Edge // sorted Edges cache; invalidated by Add
@@ -46,7 +45,7 @@ func New(n int) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("commgraph: New with n=%d", n))
 	}
-	return &Graph{n: n, counts: make(map[uint64]int64), degree: make([]int, n)}
+	return &Graph{n: n, counts: make(map[uint64]int64)}
 }
 
 // FromTrace builds the communication graph of a trace.
@@ -78,12 +77,7 @@ func (g *Graph) Add(p, q int32, occurrences int64) {
 		g.edges = nil // invalidate the sorted cache
 		g.mu.Unlock()
 	}
-	k := pairKey(p, q)
-	if _, existed := g.counts[k]; !existed {
-		g.degree[p]++
-		g.degree[q]++
-	}
-	g.counts[k] += occurrences
+	g.counts[pairKey(p, q)] += occurrences
 	g.total += occurrences
 }
 
@@ -100,9 +94,6 @@ func (g *Graph) Total() int64 { return g.total }
 
 // NumEdges returns the number of distinct communicating pairs.
 func (g *Graph) NumEdges() int { return len(g.counts) }
-
-// Degree returns the number of distinct communication partners of p.
-func (g *Graph) Degree(p int32) int { return g.degree[p] }
 
 // Edges returns all edges sorted by (P, Q) for deterministic iteration. The
 // slice is cached — callers must not modify it — and invalidated by Add, so

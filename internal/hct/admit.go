@@ -22,11 +22,11 @@ import (
 // first half of a synchronous pair. It exists once per Pipeline
 // (Pipeline.Admission) and nothing else in the engine keeps any of the three.
 //
-// Its lock is the outermost of the pipeline's (pipeline.go's file comment has
-// the order): a dispatcher holds it from the first event it admits until the
-// plan stage has taken the result, so admission order is plan order, and a
-// collector holds it across admit → journal → enqueue, so it is journal order
-// too. Next, SendTarget and Admit are for such a caller and require the lock.
+// Its lock is the outermost of the pipeline's [lock-order]: a dispatcher
+// holds it from the first event it admits until the plan stage has taken the
+// result, so admission order is plan order, and a collector holds it across
+// admit → journal → enqueue [admit-before-journal]. Next, SendTarget and Admit
+// are for such a caller and require the lock.
 type Admission struct {
 	mu       sync.Mutex
 	next     []model.EventIndex              // per process, next expected index
@@ -44,9 +44,9 @@ type Admission struct {
 
 // ErrStoreFull marks a refusal by the store's own limits: a lane's arena is
 // addressed by the 29-bit element offsets of a cell and the epoch table holds
-// at most 2³⁰ entries (store.go), and the gate refuses what could carry either past its width
-// while everything already admitted can still be stamped. Nothing of a
-// refused batch is applied.
+// at most 2³⁰ entries (store.go), and the gate refuses what could carry either
+// past its width while everything already admitted can still be stamped
+// [storeRoom-overcounts]. Nothing of a refused batch is applied.
 var ErrStoreFull = errors.New("hct: store full")
 
 func (a *Admission) init(numProcs int, storeRoom func() int64) {
@@ -123,7 +123,7 @@ func (a *Admission) CheckRecord(e model.Event) error {
 // send's stored target is this receive, and then the Fidge/Mattern layer's
 // (sync interleaving, sync partner), sentinel for sentinel and in that order.
 // It mutates nothing, so a rejected event leaves the state exactly as it
-// found it.
+// found it [check-before-mutate].
 func (a *Admission) checkStream(e model.Event) error {
 	if want := a.next[e.ID.Process]; e.ID.Index < want {
 		return fmt.Errorf("%w: %v", model.ErrDeliverDuplicate, e.ID)
@@ -179,7 +179,7 @@ func (a *Admission) advance(e model.Event) (first model.Event, n int) {
 // steps themselves, in dispatchLocked.) The caller holds the lock from its first
 // Admit until Pipeline.DispatchAdmitted has taken the run, and must admit the
 // halves of a synchronous pair back to back, so that the run is its own
-// finalized form. On error no state changes.
+// finalized form. On error no state changes [check-before-mutate].
 func (a *Admission) Admit(e model.Event) error {
 	if a.closed {
 		return ErrPipelineClosed

@@ -72,7 +72,8 @@ func (c *clusterer) decide(e model.Event) *cluster.Info {
 
 // receive is decide for a receive-kind event in compact form: receiver
 // process p, sending partner process q. Live clusters are unique per
-// Partition, so the intra-cluster test is a pointer comparison.
+// Partition, so the intra-cluster test is a pointer comparison. The cluster it
+// returns holds q [sync-partners-direct].
 func (c *clusterer) receive(p, q int32) *cluster.Info {
 	c.events++
 	own, other := c.part.ClusterOf(p), c.part.ClusterOf(q)
@@ -110,7 +111,7 @@ type Result struct {
 
 // result returns the counters as one snapshot. Its callers serialize it with
 // decide: the pipeline under planMu (Pipeline.Result), the Accountant by not
-// being shared.
+// being shared [result-one-snapshot].
 func (c *clusterer) result() Result {
 	return Result{
 		Events:          c.events,

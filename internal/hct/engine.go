@@ -89,12 +89,13 @@ func newPlane(numProcs int) plane {
 }
 
 // vectors returns the chunk list that resolves process p's offsets. Called
-// after the watermark load (or capture) the offsets were found under.
+// after the watermark load (or capture) the offsets were found under
+// [dir-before-wm].
 func (ts *plane) vectors(p model.ProcessID) chunkDir { return *ts.arenas[p].dir.Load() }
 
 // epoch returns cluster epoch i, read off the keyframe of a cell found under a
-// loaded (or captured) watermark (chunkDir.epoch), or handed to a lane by the
-// planner; i is not 0.
+// loaded (or captured) watermark, or handed to a lane by the planner
+// [epoch-before-item]; i is not 0.
 func (ts *plane) epoch(i uint32) *cluster.Info { return (*ts.epochs.Load())[i] }
 
 // NewTimestamper returns a timestamper over numProcs processes.
@@ -150,12 +151,9 @@ func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
 // are made of: the one-lane inline Pipeline in Timestamper shape, with a
 // decide policy of their own installed on its plan stage. The engine sits in
 // an unexported field so that only the methods below are promoted, not the
-// pipeline's Precedes and Concurrent: the fast noted-cluster-receive test is
-// proved for clusters that only ever grow (a process's epochs then form a
-// chain, so a causal path into f's epoch crosses a noted receive). Migration
-// and nested static domains break that, and for a full-vector prefix it is
-// only argued (DESIGN.md §16), so all three answer with the epoch-agnostic
-// recursive test over the same store instead.
+// pipeline's Precedes and Concurrent: the fast noted-cluster-receive test
+// holds only while clusters only grow [clusters-only-grow], so all three
+// answer with the epoch-agnostic recursive test over the same store instead.
 type variant struct{ ts *Timestamper }
 
 // init builds the engine and installs policy as its decision hook.
@@ -200,12 +198,12 @@ func (v *variant) Precedes(e, f model.EventID) (bool, error) {
 // so each answer describes a store state at or after the one before it. A
 // one-shot read wants the live view — two watermark loads, where a cut costs
 // one per process (BenchmarkOneShotPrecedes); a batch that must be consistent
-// captures once and asks the cut view.
+// captures once and asks the cut view [batch-consistent].
 //
 // A view holds nothing else of the store. The page, chunk and epoch
 // directories are loaded by the read that needs them, after the bound it found
-// its cell under, which is the order the publication protocol asks for
-// (store.go); captured early they would only be staler, never wrong.
+// its cell under [dir-before-wm]; captured early they would only be staler,
+// never wrong [pages-never-move].
 type View struct {
 	ts *plane
 	w  Watermark // nil: no cut
@@ -324,7 +322,7 @@ func (ts *plane) latestCRAtOrBelow(p int32, bound int32) *crNote {
 // The two halves of a synchronous pair carry identical vectors but are
 // mutually concurrent, and the store keeps no partner to tell them by. It
 // needs none: a half is stamped in a cluster that holds its partner or keeps
-// its full vector (sync-partners-direct, DESIGN.md §10), so partners meet on
+// its full vector [sync-partners-direct], so partners meet on
 // the direct path, each holding exactly the other's index. Only there, only
 // when FM(f)[pe] is exactly e's index and both are synchronous, is FM(e)[pf]
 // read too, directly: at least f's index, the two are partners. Two events
@@ -393,10 +391,9 @@ func (v View) Precedes(e, f model.EventID) (bool, error) {
 	}
 
 	// pe outside f's cluster epoch: route through noted cluster receives.
-	// Every note this can touch has index <= FM(f)[q] for a member q, and
-	// is therefore published whenever f's cell is visible (see store.go), so
-	// the view's bound does not bound this search — and for the same reason any
-	// chunk list loaded after f's bound resolves them. f's frame is
+	// Every note this can touch is published whenever f's cell is visible
+	// [notes-precede-f], so the view's bound does not bound this search, and
+	// any chunk list loaded after f's bound resolves them. f's frame is
 	// resolved once, f's own list serves every member on f's lane, and since
 	// the members of a cluster mostly share a lane another list is loaded
 	// only where the arena changes.

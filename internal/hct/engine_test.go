@@ -248,7 +248,7 @@ func TestPrecedesSyncPartnersConcurrent(t *testing.T) {
 
 // TestSyncPartnersReadEachOtherDirectly pins the rule View.Precedes tells the
 // two halves of a synchronous pair apart by, the store keeping no partner
-// (sync-partners-direct, DESIGN.md §10). Over every pair of an RPC tier, at
+// [sync-partners-direct]. Over every pair of an RPC tier, at
 // one lane and two, live and at a cut: each half's stored form holds its
 // partner's component directly — it is a noted cluster receive, or the partner
 // is in its epoch — and that component is exactly the partner's index;

@@ -19,9 +19,9 @@ import (
 // MigrateAfter cluster receives toward one cluster — evidence its placement
 // is wrong — and that cluster has room, the process migrates there.
 //
-// Migration breaks the monotone-growth property the fast noted-cluster-
-// receive precedence test relies on, so precedence uses the epoch-agnostic
-// recursive test, which remains exact under arbitrary cluster evolution.
+// Migration breaks [clusters-only-grow], so precedence uses the
+// epoch-agnostic recursive test, which remains exact under arbitrary cluster
+// evolution.
 type MigratingTimestamper struct {
 	variant
 	cfg MigrateConfig

@@ -39,12 +39,11 @@ package hct
 //
 // DispatchAsync and dispatchOne share one body (dispatchLocked): lock
 // admission, admit the batch — stopping at the first rejection; the prefix
-// stays admitted, the rejected event changes nothing — hand the finalized
-// events to the plan stage, unlock, return the error. The error is returned by
-// the call that submitted the offending event at every lane count, and
-// planning itself cannot fail: what reaches the planner has been admitted.
-// Merge decisions are inherently sequential — each one can repartition the
-// processes the next consults — so there is one plan stage.
+// stays admitted, the rejected event changes nothing [check-before-mutate] —
+// hand the finalized events to the plan stage, unlock, return the error. The
+// error is returned by the call that submitted the offending event at every
+// lane count, and planning itself cannot fail: what reaches the planner has
+// been admitted. There is one plan stage [decide-in-order].
 //
 // # Steps, and who calls them
 //
@@ -66,63 +65,39 @@ package hct
 // # Lock order
 //
 // collector mu (internal/monitor) → admission → plan queue / planMu → doneMu
-// → lane. A dispatcher holds the admission lock while it waits for room on
-// the plan queue; the planner goroutine and the lanes never take it, so that
-// wait always ends. planMu and the plan queue's lock are never held together.
+// → lane. planMu and the plan queue's lock are never held together
+// [lock-order].
 //
 // # Cross-shard rendezvous
 //
 // A receive needs the matching send's finalized clock. Same-lane sends park
 // it in a lane-local map; cross-lane sends publish it to a striped
 // rendezvous table keyed by send ID, where the receiver's lane blocks until
-// it appears. Delivery order guarantees the send was dispatched before the
-// receive, so the wait always terminates; and because a lane publishes an
-// event's column cell and cluster-receive note BEFORE forwarding its clock
-// (put-after-publish), a clock obtained from the rendezvous proves, by
-// induction over lanes, that every event it counts has published cell and
-// note — exactly the visibility invariant the routed precedence path needs
-// (store.go).
+// it appears. A lane forwards a clock only after it published the event's
+// cell and note [put-after-publish], and a wait is always on a send at or
+// ahead of the other lane's cursor, so it ends [waits-point-forward].
 //
 // Rendezvous traffic is batched per chunk. Outbound: a lane buffers its
 // cross-lane send clocks per stripe and flushes each stripe's batch under
-// one lock acquisition (one wakeup) instead of one per event. Deferring a
-// put is safe for visibility — the put-after-publish invariant only requires
-// the cell and note to precede the put, and delaying the put preserves that
-// — but it is only deadlock-free because a lane flushes its buffered puts
-// before every blocked return of a step (lane.block) and at the end of each
-// chunk: a buffered put may be exactly the clock another lane is blocked on,
-// so no lane may wait holding one. Inbound: when a lane begins a chunk it
-// prescans it and claims every already-published clock its cross-lane
-// receives will need, grouped per stripe, under one lock acquisition each
-// (prefetchTakes). Claiming early cannot starve anyone — each send has
-// exactly one receive, and the shard map routes it to this lane — and misses
-// simply fall back to the step's own tryTake.
+// one lock acquisition (one wakeup) instead of one per event, before every
+// blocked return of a step (lane.block) and at the end of each chunk
+// [flush-before-block]. Inbound: when a lane begins a chunk it prescans it
+// and claims every already-published clock its cross-lane receives will
+// need, grouped per stripe, under one lock acquisition each (prefetchTakes);
+// misses fall back to the step's own tryTake.
 //
-// Deadlock-freedom: suppose lane A blocks at item iA (receive of send S in
-// lane B) and B blocks at iB (receive of send S' in A), with S queued after
-// iB and S' after iA. Dispatch order gives S < iA and S' < iB (sends precede
-// their receives), so S' < iB < S < iA < S' — a contradiction. Lanes process
-// their queues in dispatch order, so the blocked-on send is always ahead of
-// (or at) the other lane's cursor, never behind another blocked item.
-//
-// Lane queues are bounded (maxLaneBacklog, flushLocked): the planner holds a
-// planned batch back until every lane it feeds has room, and then hands it
-// over whole. The argument above only needs the blocked-on send to be in its
-// lane's queue, and it is: a held-back batch contains nothing that an already
-// flushed item waits for, because sends are dispatched before their receives
-// and the halves of a synchronous pair are staged into the same batch.
+// Lane queues are bounded (maxLaneBacklog): the planner holds a planned batch
+// back until every lane it feeds has room, and then hands it over whole
+// [flush-whole-batches].
 //
 // Synchronous pairs are a joint event: both halves carry the identical join
 // of the two sides' base clocks. A same-lane pair completes locally (the
 // planner dispatches both halves adjacently). A cross-lane pair runs a
 // two-round exchange: (1) each side publishes its own base clock keyed by
-// its own ID, then takes the partner's — both puts precede both takes, so
-// the exchange cannot deadlock — and stamps its half with the join; (2) each
-// side marks its half published and waits for the partner's mark before
-// processing further items. Round 2 exists because the joint clock counts
-// the PARTNER's own event: without it, a later event of this lane could
-// forward a clock counting an event whose cell and note are not yet
-// published, breaking the put-after-publish invariant.
+// its own ID, then takes the partner's [waits-point-forward], and stamps its
+// half with the join; (2) each side marks its half published and waits for
+// the partner's mark before processing further items, because the joint
+// clock counts the partner's event [put-after-publish].
 //
 // # Barrier
 //
@@ -216,7 +191,7 @@ type Pipeline struct {
 	smap    []int32 // process -> shard
 
 	// adm is the delivery contract's one state machine (admit.go); its lock
-	// is taken before every other lock of the pipeline.
+	// is the outermost of the pipeline's [lock-order].
 	adm Admission
 
 	// planMu guards the planner state below, core included.
@@ -591,16 +566,16 @@ func (p *Pipeline) planRun(run []model.Event, bt BatchTracer, waitStart time.Tim
 	p.planMu.Unlock()
 }
 
-// plan makes one admitted event's cluster decision — inherently sequential:
-// each merge can repartition the processes the next decision consults — and
-// stages it for its lane. It cannot fail. Called with planMu held.
+// plan makes one admitted event's cluster decision, in delivery order
+// [decide-in-order], and stages it for its lane. It cannot fail. Called with
+// planMu held.
 func (p *Pipeline) plan(e model.Event) {
 	p.stageItem(e, p.decide(e))
 }
 
 // stageItem stages one planned item for its lane, naming its epoch by index:
-// the one place an epoch enters the epoch table, published here, before the
-// item that names it can reach a lane.
+// the one place an epoch enters the epoch table, published here
+// [epoch-before-item].
 func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
 	it := item{ev: e, bt: p.curBT}
 	if cl != nil {
@@ -636,14 +611,8 @@ const maxLaneBacklog = 4096
 
 // flushLocked passes the staged items on in planner order (planMu is held):
 // at one lane it drains them inline, under the run's plan span; above one it
-// appends them to the lanes' queues.
-//
-// It first waits for room (maxLaneBacklog) and then flushes the batch whole,
-// never part of it: lanes only ever hold complete batches, and every item of
-// a flushed batch depends only on items flushed with or before it (a send is
-// dispatched before its receive; sync halves are staged adjacently), so the
-// lanes drain what they hold without the batch being held back here and the
-// wait always ends — the deadlock argument of the file comment is untouched.
+// appends them to the lanes' queues. It first waits for room (maxLaneBacklog)
+// and then flushes the batch whole, never part of it [flush-whole-batches].
 func (p *Pipeline) flushLocked() {
 	p.doneMu.Lock()
 	for s, buf := range p.curBufs {
@@ -751,7 +720,7 @@ func (p *Pipeline) StoreStats() StoreStats {
 // storeRoom is the admission gate's slow path (Admission.reserve), called
 // with the admission lock held: how many more events may be admitted before
 // the gate has to ask again, from the offset every lane's arena has published
-// and the size of the epoch table.
+// and the size of the epoch table [storeRoom-overcounts].
 func (p *Pipeline) storeRoom() int64 {
 	ends := make([]uint32, p.nshards)
 	var stamped uint64
@@ -779,7 +748,7 @@ func (p *Pipeline) storeRoom() int64 {
 // element and its own byte frame along; perEvent counts one byte frame more
 // besides, an over-count, which only makes the gate refuse sooner. An event
 // appends at most one epoch. Any of the unstamped events, and of those
-// admitted from here on, may land on the fullest lane.
+// admitted from here on, may land on the fullest lane [storeRoom-overcounts].
 func roomFor(ends []uint32, epochs int, unstamped int64, numProcs int) int64 {
 	frame := int64(1 + packedWords(numProcs, byteLg)) // a byte frame over every process
 	perEvent := 2 * (frame + 1 + int64(numProcs) + frame)
@@ -791,9 +760,8 @@ func roomFor(ends []uint32, epochs int, unstamped int64, numProcs int) int64 {
 }
 
 // Result returns the clusterer's accounting as one snapshot, read under one
-// hold of the planner mutex: above one lane the planner goroutine can plan a
-// whole batch between two separate acquisitions, so this is the only read of
-// the counters. It reflects planned work, which may be ahead of what is
+// hold of the planner mutex, the only read of the counters
+// [result-one-snapshot]. It reflects planned work, which may be ahead of what is
 // published; call Barrier first for an exact snapshot.
 func (p *Pipeline) Result() Result {
 	p.planMu.Lock()
@@ -879,10 +847,9 @@ type lane struct {
 	// Batched rendezvous state (see the file comment). pendPuts buffers
 	// outbound cross-lane send clocks per stripe; pendN counts them so the
 	// empty check is one comparison. Buffered puts are flushed under one
-	// stripe-lock acquisition each — before every blocked return of a step
-	// and at the end of each chunk. want is the per-stripe scratch for the chunk
-	// prescan; prefetched holds the clocks it claimed, consumed by this
-	// chunk's receives.
+	// stripe-lock acquisition each [flush-before-block]. want is the
+	// per-stripe scratch for the chunk prescan; prefetched holds the clocks it
+	// claimed, consumed by this chunk's receives.
 	pendPuts   [rvStripes][]rvPut
 	pendN      int
 	want       [rvStripes][]model.EventID
@@ -958,8 +925,8 @@ func (ln *lane) step() (rvKey, bool) {
 	return rvKey{}, false
 }
 
-// end closes the current chunk: its stamp span, the buffered puts (another
-// lane may need them), then the lane's progress and tallies under doneMu.
+// end closes the current chunk: its stamp span, the buffered puts
+// [flush-before-block], then the lane's progress and tallies under doneMu.
 func (ln *lane) end() {
 	ln.span(nil)
 	ln.flushPuts()
@@ -987,9 +954,7 @@ func (ln *lane) span(bt BatchTracer) {
 // lock acquisition, every already-published clock its cross-lane receives
 // will need. Misses stay in the rendezvous for the step's own tryTake.
 // Claiming early cannot starve another lane: each send has exactly one
-// receive, and the shard map routes it here; and every claimed clock is
-// consumed before the chunk ends, because the receive that needs it is in
-// this chunk and lanes never abandon items.
+// receive, the shard map routes it here, and it is in this chunk.
 func (ln *lane) prefetchTakes(chunk []item) {
 	n := 0
 	for i := range chunk {
@@ -1023,8 +988,7 @@ func (ln *lane) prefetchTakes(chunk []item) {
 
 // flushPuts publishes the buffered cross-lane send clocks: one stripe-lock
 // acquisition and one wakeup per non-empty stripe, however many clocks it
-// carries. MUST be called before a lane waits — a buffered put may be exactly
-// the clock another lane is blocked on.
+// carries. A lane calls it before it waits [flush-before-block].
 func (ln *lane) flushPuts() {
 	if ln.pendN == 0 {
 		return
@@ -1051,7 +1015,8 @@ func (ln *lane) flushPuts() {
 	ln.pendN = 0
 }
 
-// block is every blocked return of a step: the lane is about to wait.
+// block is every blocked return of a step: the lane is about to wait
+// [flush-before-block].
 func (ln *lane) block(k rvKey) (rvKey, bool) {
 	ln.flushPuts()
 	return k, true
@@ -1081,9 +1046,7 @@ func (ln *lane) process(it *item) (rvKey, bool) {
 	clk := ln.bump(e)
 	ln.stamp(e, clk, it.ep)
 	if e.Kind == model.Send {
-		// Forward only after publishing the cell and note: a clock visible
-		// to another lane must count only published events (see the file
-		// comment).
+		// Forward only after publishing the cell and note [put-after-publish].
 		ln.forwardSend(e, clk)
 	}
 	return rvKey{}, false
@@ -1117,9 +1080,9 @@ func (ln *lane) processSync(it *item) (rvKey, bool) {
 		return rvKey{}, false
 	}
 
-	// Round 1: exchange base clocks (put before take: no deadlock) and
-	// stamp the joint clock. max is commutative, so both sides compute the
-	// identical vector.
+	// Round 1: exchange base clocks, put before take [waits-point-forward],
+	// and stamp the joint clock. max is commutative, so both sides compute
+	// the identical vector.
 	if ln.xround == 0 {
 		ln.pl.rv.put(rvKey{id: e.ID}, ln.ownClock(e))
 		ln.xround = 1
@@ -1137,9 +1100,8 @@ func (ln *lane) processSync(it *item) (rvKey, bool) {
 		ln.xround = 2
 	}
 
-	// Round 2: our joint clock counts the partner's own event, so later
-	// items of this lane must not forward it until the partner's cell and
-	// note are published.
+	// Round 2: our joint clock counts the partner's own event
+	// [put-after-publish].
 	if _, ok := ln.pl.rv.tryTake(rvKey{id: e.Partner, mark: true}); !ok {
 		return ln.block(rvKey{id: e.Partner, mark: true})
 	}
@@ -1225,23 +1187,23 @@ func (ln *lane) takeSend(sendID model.EventID) (vclock.Clock, bool) {
 }
 
 // stamp converts a finalized clock into the event's stored cell and
-// publishes it — the only writer of column cells and cluster-receive notes:
-// note before cell, cell write before watermark store. The vector — a frame
+// publishes it — the only writer of column cells and cluster-receive notes,
+// in the order [dir-before-wm] names. The vector — a frame
 // over the process's current keyframe of its kind, projection or cluster
 // receive, or a new keyframe (store.go) — is carved from the lane arena: no
 // allocation per event. A send or a unary event changes no component but its
 // own, which is its index, so under the epoch of the projection just before it
 // in its process it carves nothing and its cell names that projection's frame.
 // The cell keeps no epoch: a projection's is its keyframe's, which is why a
-// frame is shared only under the same one. It cannot fail: the admission gate
-// let the event in only with room for it (storeRoom), and the planner
-// published epoch ep before the item reached this lane.
+// frame is shared only under the same one [epoch-in-keyframe]. It cannot
+// fail: the admission gate let the event in only with room for it
+// [storeRoom-overcounts], and the planner published epoch ep before the item
+// reached this lane [epoch-before-item].
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, ep uint32) {
 	p := e.ID.Process
 	k := &ln.keys[p]
 	var vec uint32
 	if ep == 0 {
-		// The note is published before the cell: see store.go.
 		vec = uint32(appendNote(&ln.pl.crs[p], ln.ar, int32(e.ID.Index), clk))
 		k.live = false
 	} else if k.live && k.ep == ep && (e.Kind == model.Unary || e.Kind == model.Send) {
@@ -1325,8 +1287,9 @@ func (rv *rendezvous) tryTake(k rvKey) (vclock.Clock, bool) {
 }
 
 // wait blocks until what k names is published, and reports how long it
-// blocked (zero if it never did): the one place a lane sleeps on a stripe.
-// It consumes nothing; the resumed step takes it.
+// blocked (zero if it never did): the one place a lane sleeps on a stripe,
+// and it returns [waits-point-forward]. It consumes nothing; the resumed step
+// takes it.
 func (rv *rendezvous) wait(k rvKey) time.Duration {
 	s := rv.stripeFor(k.id)
 	s.mu.Lock()

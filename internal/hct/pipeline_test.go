@@ -692,7 +692,7 @@ func TestReplayPastTheStoreLimit(t *testing.T) {
 	// Processes 0 and 1 are the first lane's, so the second never publishes
 	// an offset over the synthetic one.
 	for _, run := range [][]model.Event{{ev(0, 1), ev(1, 1)}, {ev(0, 2), ev(1, 2), ev(0, 3)}} {
-		if err := wlog.Append(run); err != nil {
+		if err := wlog.AppendRun(run); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ package hct
 //
 // What the queue carries is already admitted (admit.go), so planning has no
 // verdict to send back: the planner asks the core for each event's epoch and
-// stages it, and a batch, once enqueued, is planned.
+// stages it [decide-in-order], and a batch, once enqueued, is planned.
 
 import (
 	"sync"
@@ -86,6 +86,8 @@ func (q *planQueue) init(limit int) {
 
 // enqueue pushes one request, waiting for space (barrier markers are exempt
 // from the depth bound — a barrier must not deadlock against a full queue).
+// A dispatcher waits here holding the admission lock, which the planner never
+// takes [lock-order].
 func (p *Pipeline) enqueue(req planReq) error {
 	q := &p.pq
 	q.mu.Lock()
@@ -172,12 +174,11 @@ func (p *Pipeline) planOne(req *planReq) {
 // At one lane it is a no-op: a dispatch is synchronous there. Safe for
 // concurrent callers.
 //
-// Fast path: with the queue empty and the planner idle, everything accepted is
-// already planned, so the issued counts are final (the common case on query
-// paths, which barrier per frame). Otherwise a marker rides the queue FIFO
-// behind the outstanding batches and the planner's snapshot counts exactly the
-// items planned before this call's horizon. Either way the lanes are then
-// waited on to cover it.
+// With the queue empty and the planner idle the issued counts are final (the
+// common case on query paths, which barrier per frame); otherwise a marker
+// rides the queue FIFO behind the outstanding batches and the planner answers
+// it with the counts [barrier-counts-planned]. Either way the lanes are then
+// waited on to cover them.
 func (p *Pipeline) Barrier() {
 	if p.nshards == 1 {
 		return

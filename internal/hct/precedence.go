@@ -50,7 +50,7 @@ func recursivePrecedes(src stampSource, e, f model.EventID) (bool, error) {
 	// processes that each know the other are partners — anything else is a
 	// causal cycle — so the question is asked the other way round, by the same
 	// search. Every policy stamps a half over a domain that holds its partner,
-	// or with its full vector (sync-partners-direct, DESIGN.md §10), so that
+	// or with its full vector [sync-partners-direct], so that
 	// search reads the partner's index off e's stamp directly.
 	after, err := searchBefore(src, f, e, make(map[model.EventID]bool))
 	return !after, err

@@ -23,10 +23,10 @@ import (
 // not the store's: the event ID is (column, slot+1); a communication event's
 // partner is part of the event's record, which the daemon's write-ahead log
 // keeps, and no read of the store needs it — View.Precedes tells the two
-// halves of a synchronous pair apart by their clocks (sync-partners-direct,
-// DESIGN.md §10); the vector of a projection is a frame at an element offset
-// into the arena of the lane that owns the process, and its cluster epoch is
-// stored once per keyframe, not per event (epoch-in-keyframe, below). A noted
+// halves of a synchronous pair apart by their clocks [sync-partners-direct];
+// the vector of a projection is a frame at an element offset into the arena
+// of the lane that owns the process, and its cluster epoch is stored once per
+// keyframe, not per event [epoch-in-keyframe]. A noted
 // cluster receive has no epoch: its cell's offset is the slot of its note in
 // the process's note column. hct.Timestamp is the read-time form of a cell,
 // built by value on request (View.Timestamp); the precedence path reads
@@ -67,11 +67,9 @@ import (
 // never a chain. A nibble frame may lie up to 255 + 15 above its keyframe. A
 // process starts a keyframe when its epoch changes — the members may differ —
 // or an offset outgrows its byte, and a noted cluster receive in between does
-// not end it. So every frame over a keyframe is of the keyframe's epoch, and a
-// reader finds a projection's epoch one element before the keyframe its frame
-// names (epoch-in-keyframe: written only by arena.project, read only by
-// chunkDir.proj, which resolves a frame, its anchor and its keyframe in one
-// walk). A singleton cluster pays 8 bytes per carved frame where its raw
+// not end it. So a reader finds a projection's epoch one element before the
+// keyframe its frame names [epoch-in-keyframe]; chunkDir.proj resolves a
+// frame, its anchor and its keyframe in one walk. A singleton cluster pays 8 bytes per carved frame where its raw
 // element was 4. At a cluster of 13 a nibble frame is 12 bytes, a byte frame
 // 20, where the raw projection was 52. Consecutive projections of a process
 // on a ring move each member by a little, so most of them are nibble frames
@@ -158,75 +156,36 @@ import (
 // a note's slot, and every note carves at least one element of its lane's
 // arena, so no process has as many notes. An epoch index is a keyframe's
 // element, and a pipeline names at most epochLimit epochs. Neither can wrap:
-// the admission gate (Admission.reserve, Pipeline.storeRoom) refuses a batch
-// with ErrStoreFull while every lane is still far enough from its limit to
-// stamp everything already admitted.
+// the admission gate refuses a batch with ErrStoreFull while every lane is
+// still far enough from its limit to stamp everything already admitted
+// [storeRoom-overcounts].
 //
 // # Publication protocol (one writer per column, many readers)
 //
 // Each column is written only by the lane that owns its process (lane.stamp
-// in pipeline.go); queries may run concurrently with the writer. Each column
-// publishes with two atomics:
+// in pipeline.go); queries run concurrently with the writer and take no lock.
+// A column publishes with two atomics: dir, the page directory (an immutable
+// slice header over the page pointers, stored anew only when a page is
+// added), and wm, the watermark (the count of published slots). Per finalized
+// event the writer's order is vector carve and fill → cluster-receive note →
+// cell → directory, if a page was added → wm store, the release edge. A
+// reader loads wm (or takes a captured one), then dir, then page and slot:
+// three loads, no CAS, no retry [dir-before-wm]. Slots at or above the
+// watermark are not the reader's; slots below it were written whole before it
+// advanced, and stay where they are [pages-never-move].
 //
-//   - dir is the page directory, an immutable slice header over the page
-//     pointers. The writer stores a new header only when it adds a page.
-//     Pages never move, so a directory that is stale — loaded before later
-//     pages were added — still reaches every page it lists, and those pages
-//     hold correct data for every published slot.
-//   - wm is the watermark: the count of published slots. The writer's order
-//     per finalized event is vector carve and fill → CR-note publication →
-//     cell write → (directory store if a page was added) → wm store. The wm
-//     store is the release edge: a reader that loads wm ≥ i observes slot
-//     i-1's contents, a directory that lists its page, and every
-//     cluster-receive note published before it. Readers load wm (or take a
-//     captured one) BEFORE loading dir, so the directory they get is never
-//     older than the one stored before that watermark.
+// Two more directories, published the same way, make a cell's offsets
+// resolvable: arena.dir, a lane arena's chunk list, stored by arena.grow
+// before the carve it serves is filled [dir-before-wm]; and plane.epochs, the
+// epoch table, appended by the planner in Pipeline.stageItem before the item
+// that names the entry can reach a lane [epoch-before-item]. A frame resolves
+// through any chunk list that resolves the cell or note naming it, its anchor
+// and keyframe included [anchor-before-frame].
 //
-// Readers never see a torn cell: slots at or above the loaded watermark
-// are simply not theirs to read, and slots below it were fully written
-// before the watermark advanced.
-//
-// Two more directories make a cell's offsets resolvable, each published the
-// same way — an atomic pointer to an immutable slice header over entries that
-// are never rewritten, stored before the watermark that first needs it:
-//
-//   - arena.dir is a lane arena's chunk list. The lane stores a new header
-//     when a carve allocates (arena.grow), which is before it fills the
-//     vector, before the cell that names the offset and so before that cell's
-//     watermark store. A reader that found the cell below a watermark loads
-//     the list afterwards and gets one that lists the chunk; a stale list
-//     still resolves every offset carved before it was replaced.
-//   - plane.epochs is the epoch table. The planner appends an epoch the first
-//     time it stages an item under it (Pipeline.stageItem) and stores the new
-//     header before the item can reach a lane: planner publishes epoch → lane
-//     queue hand-off (the lane's mutex) → lane stamps the cell → watermark
-//     store → reader's watermark load → reader's table load. The lane itself
-//     reads the table on the same edge to learn the members to project over.
-//
-// Cluster-receive notes are a column of the same kind, and a cluster
-// receive's cell names its note's slot, which like every slot of a page never
-// moves. A frame of either kind only ever references a keyframe the same
-// writer filled before it wrote the cell or appended the note, so whatever
-// publishes that — the cell's watermark for a projection; for a note its own
-// column's on the routed path, the cell's on the direct path — has published
-// the keyframe, the bytes above it and the chunks both lie in with it. The
-// same holds one hop further (anchor-before-frame): a nibble frame's anchor,
-// a projection's byte frame or a note's delta frame, is carved and filled
-// before any frame over it, and chunks are listed in offset order, so a chunk
-// list that resolves the frame also resolves its anchor. A
-// projection keyframe's epoch element is filled in the same carve, before the
-// first cell that names the keyframe, so the epoch index a reader finds there
-// is one the planner published before that cell's item reached the lane.
-//
-// Soundness of the routed precedence path needs one extra observation: the
-// notes consulted for a query about event f are those of some process q with
-// index ≤ FM(f)[q]. Those q-events are causal predecessors of f, so any valid
-// delivery order finalized them before f, and their lanes published them
-// before f's lane could learn of them (put-after-publish, pipeline.go) —
-// loading f's watermark therefore acquires every note the query can touch,
-// and with it the chunk list of q's lane that resolves the note's offsets.
-// Notes published after f's cell have indexes above the bound and are skipped
-// by the binary search, so late reads are harmless.
+// The routed precedence path reads notes of other processes, published by
+// other lanes. The ones a query about f consults have index ≤ FM(f)[q], so
+// loading f's watermark acquires them, and those published later lie above
+// the bound and are skipped by the binary search [notes-precede-f].
 
 // Page geometry: one constant. 256 cells are 1 KiB, so a 300-process store
 // idles at most 0.3 MB of partial pages of cells.
@@ -362,7 +321,7 @@ func (c *column[T]) last() *T {
 	return &c.pages[i>>pageShift][i&pageMask]
 }
 
-// publish releases every appended slot to readers.
+// publish releases every appended slot to readers [dir-before-wm].
 func (c *column[T]) publish() { c.wm.Store(c.n) }
 
 // at returns 0-based slot i, which must lie below a watermark the caller
@@ -415,7 +374,7 @@ func chunkCap(k int) int {
 // starts at chunk k's first element and runs to the end of the allocation the
 // chunk is part of. Its methods are the readers of the stored vectors; every
 // offset handed to them must come from a cell or note found below a watermark
-// loaded before the list was.
+// loaded before the list was [dir-before-wm].
 type chunkDir [][]int32
 
 // at returns the element at offset off.
@@ -729,9 +688,9 @@ func (a *arena) carve(n int) (uint32, []int32) {
 
 // grow leaves what remains of the current allocation unused and allocates the
 // next chunk — or as many consecutive chunks as n elements take — listing and
-// publishing them. The admission gate keeps every lane short of arenaLimit;
-// an allocation past it is a bug there, and the offsets it would wrap are not
-// handed out.
+// publishing them. The admission gate keeps every lane short of arenaLimit
+// [storeRoom-overcounts]; an allocation past it is a bug there, and the
+// offsets it would wrap are not handed out.
 func (a *arena) grow(n int) {
 	base := uint64(a.base) + uint64(cap(a.cur)) // every chunk so far is part of some allocation
 	size := 0

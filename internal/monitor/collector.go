@@ -50,11 +50,9 @@ type RunJournal interface {
 // deliverable is read from the pipeline's admission state (hct.Admission: the
 // per-process frontier, the in-flight sends and their targets), each event is
 // admitted there as it joins the run, and the admission lock is held for the
-// length of a SubmitBatch: admit → journal → enqueue happen under one lock,
-// so admission order is journal order is plan order, and the log holds
-// nothing the store will not plan. A collector over a recovered or hand-fed
-// monitor resumes where that state stands, because it is reading the one
-// state, not a copy of it.
+// length of a SubmitBatch [admit-before-journal]. A collector over a
+// recovered or hand-fed monitor resumes where that state stands, because it
+// is reading the one state, not a copy of it.
 //
 // Submit and SubmitBatch may be called from many goroutines. Deliverable
 // events are handed to the monitor as one run per call — the planner's
@@ -81,11 +79,9 @@ type Collector struct {
 	// pipelined selects asynchronous delivery: SubmitBatch returns once the
 	// run is with the plan stage, without waiting for the stamps to
 	// publish, overlapping the next run's assembly (and journal append)
-	// with the current run's vector math. The journal ordering contract is
-	// unchanged — AppendRun still completes before the run is dispatched,
-	// so the durable log remains a run-atomic prefix of what the pipeline
-	// has accepted. Callers that need read-your-writes (the server's query
-	// surfaces) issue Monitor.IngestBarrier first.
+	// with the current run's vector math [admit-before-journal]. Callers
+	// that need read-your-writes (the server's query surfaces) issue
+	// Monitor.IngestBarrier first.
 	pipelined bool
 
 	// Optional telemetry (set by the server when instrumented): latency of
@@ -362,10 +358,8 @@ func (c *Collector) deliver(e model.Event) error {
 
 // flush hands the assembled, already admitted run to the plan stage, appending
 // it to the write-ahead journal first when one is attached; the caller holds
-// the admission lock across both. A journal failure closes the collector: the
-// admission frontier is already ahead of the durable log, so no later
-// submission could be recovered consistently — fail-stop is the only honest
-// behaviour.
+// the admission lock across both [admit-before-journal]. A journal failure
+// closes the collector [journal-fail-stop].
 func (c *Collector) flush(tr *obs.Trace) error {
 	if len(c.run) == 0 {
 		return nil

@@ -29,7 +29,7 @@ import (
 // plus IngestBarrier are the form that does not wait per run (recovery feeds
 // the log through it; the server's collector calls Pipeline.DispatchAdmitted
 // directly). Stats and Pipeline().Result() read the planner's counters as
-// one snapshot (hct.Result).
+// one snapshot, hct.Result [result-one-snapshot].
 //
 // Precedence queries (Precedes, Concurrent, Timestamp, QueryBatch, and the
 // compound queries in queries.go) take no lock at all: each stamping lane

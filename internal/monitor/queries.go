@@ -23,8 +23,7 @@ import (
 // The queries are shard-safe without locks. A one-shot read (Precedes,
 // Concurrent, Timestamp) asks the surface's view as it is. A compound
 // one (QueryBatch, GreatestPredecessors, GreatestConcurrent) captures the view
-// once and evaluates every probe against that cut, so the answer reflects a
-// single consistent store state even while the ingest shards keep publishing.
+// once and evaluates every probe against that cut [batch-consistent].
 // A replay view already has its cut, and capturing it is the identity.
 
 // Queries answers precedence queries against one view of a store. Monitor
@@ -70,10 +69,9 @@ func (q *Queries) QueryBatch(qs []Query) []QueryResult { return q.queryBatchInto
 // queryBatchInto answers a batch of precedence queries into out's backing
 // array when it has room for len(qs) answers (a fresh slice otherwise) and
 // returns the answers. The whole batch is evaluated against a single view
-// captured up front, so every answer reflects one store state even while
-// ingestion runs. No lock is taken at any point: large batches shard across
-// goroutines that scale with cores, and concurrent deliveries proceed
-// untouched.
+// captured up front [batch-consistent]. No lock is taken at any point: large
+// batches shard across goroutines that scale with cores, and concurrent
+// deliveries proceed untouched.
 func (q *Queries) queryBatchInto(qs []Query, out []QueryResult) []QueryResult {
 	if cap(out) < len(qs) {
 		out = make([]QueryResult, len(qs))

@@ -488,7 +488,8 @@ func (s *Server) answer(t *Tenant, req *request) reply {
 	var start time.Time
 	if req.verb == verbQuery {
 		// An acknowledged event must be queryable: wait out any stamps still
-		// in flight in the ingest shards before answering.
+		// in flight in the ingest shards before answering
+		// [barrier-counts-planned].
 		t.monitor.IngestBarrier()
 		start = s.now()
 	} else if t.history == nil {
@@ -496,9 +497,8 @@ func (s *Server) answer(t *Tenant, req *request) reply {
 	} else {
 		// No ingest barrier here: the cutoff names durable history, not
 		// "everything acknowledged". The provider may itself wait for the
-		// lanes to publish events the log already holds (replay's
-		// coverLocked), which never waits for new input; nothing on this
-		// path stalls ingest.
+		// lanes to publish events the log already holds
+		// [cover-wait-bounded]; nothing on this path stalls ingest.
 		kind, start = obs.OpReplay, s.now()
 		view, err = t.history.HistoryAt(req.cutoff)
 	}

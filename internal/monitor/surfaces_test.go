@@ -60,7 +60,7 @@ func TestSurfacesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pre.Append(tr.Events[:recovered]); err != nil {
+	if err := pre.AppendRun(tr.Events[:recovered]); err != nil {
 		t.Fatal(err)
 	}
 	if err := pre.Close(); err != nil {

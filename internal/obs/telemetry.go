@@ -109,10 +109,8 @@ func (t *Telemetry) StartTrace(kind, tenant string, size int, start time.Time) *
 // batch's span trace (nil when unsampled): it is finished, retained in the
 // per-tenant store, and its ID linked from the op ring. An op at least
 // SlowOp slow is logged at Warn, boosts the sampler, and — when head
-// sampling missed it — is tail-captured as a root-only trace so every slow
-// batch is inspectable at /tracez. Tail-sampled slow ops additionally emit
-// one structured wide-event line with the full stage breakdown. Safe on a
-// nil receiver.
+// sampling missed it — is recorded as a root-only trace and one structured
+// wide-event line [tail-captured]. Safe on a nil receiver.
 func (t *Telemetry) RecordOp(kind, tenant string, size int, start time.Time, d time.Duration, err error, tr *Trace) {
 	if t == nil {
 		return

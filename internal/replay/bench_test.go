@@ -41,7 +41,7 @@ func benchWALDir(b *testing.B) (string, *model.Trace) {
 			return
 		}
 		half := len(w.trace.Events) / 2
-		if err := l.Append(w.trace.Events[:half]); err != nil {
+		if err := l.AppendRun(w.trace.Events[:half]); err != nil {
 			w.err = err
 			return
 		}
@@ -49,7 +49,7 @@ func benchWALDir(b *testing.B) (string, *model.Trace) {
 			w.err = err
 			return
 		}
-		if err := l.Append(w.trace.Events[half:]); err != nil {
+		if err := l.AppendRun(w.trace.Events[half:]); err != nil {
 			w.err = err
 			return
 		}

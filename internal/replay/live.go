@@ -11,32 +11,21 @@ import (
 // This file is the counting engine: history served from the store of the
 // daemon that wrote the log.
 //
-// Why the live store can answer for the past. A cell is written once and
-// never moves (hct/store.go); an event is stamped against the cluster epoch
-// the planner pinned at its delivery, whatever merges came later; and a
-// precedence test about f reads f's cell and, on the routed path, only notes
-// with index ≤ FM(f)[q] — causal predecessors of f, which any delivery order
-// finalized before f. So for e and f both among the first c delivered events
-// the live store's answer is the answer the daemon gave after delivering c
-// events, and "as of c" needs only the per-process published counts at that
-// moment: a watermark. The log is the delivery order, so that watermark is a
-// tally of the first c recorded events per process, with one exception — the
-// first half of a synchronous pair is published together with the second
-// (the planner's syncHold), so a cutoff that falls between the halves leaves
-// that process one short. Halves are adjacent in delivery order (the
-// admission gate, hct/admit.go), so one field of state carries it.
+// For e and f both among the first c delivered events the live store's answer
+// is the answer the daemon gave after delivering c events [cut-by-count], so
+// "as of c" needs only the per-process published counts at that moment: a
+// watermark. The log is the delivery order, so that watermark is a tally of
+// the first c recorded events per process, one short where a cutoff splits a
+// synchronous pair [sync-half-rule].
 //
-// Coverage. The collector journals a run before dispatching it, so the log can
-// name events the lanes have not published yet. A view is handed out only
-// once the live published watermark covers the cutoff's; see coverLocked.
+// The collector journals a run before dispatching it, so the log can name
+// events the lanes have not published yet. A view is handed out only once the
+// live published watermark covers the cutoff's [cover-wait-bounded].
 
 // ErrNotCovered is returned (wrapped) for a cutoff whose events are recorded
-// but will never be in the live store. A run is admitted before it is
-// journaled and enqueued under the same hold of the admission lock, so a
-// healthy daemon's log names nothing its store will not publish, and
-// coverLocked waits for it; what remains is a log ahead of a store that has
-// stopped taking runs — a collector fail-stopped after a journal error, or a
-// pipeline closed under it. Retrying does not help.
+// but will never be in the live store: a log ahead of a store that has
+// stopped taking runs, a collector fail-stopped after a journal error or a
+// pipeline closed under it [cover-wait-bounded]. Retrying does not help.
 var ErrNotCovered = errors.New("replay: cutoff not covered by the live store")
 
 // OpenLive opens the WAL chain in dir as the history plane of the daemon
@@ -78,9 +67,9 @@ func (t *tally) reset(v *View) {
 }
 
 // count tallies one recorded run. It holds the run to what makes a tally a
-// watermark — per-process indexes dense in log order, sync halves adjacent —
-// and stops, positioned at the offending event, when the log is not one the
-// planner would have delivered.
+// watermark — per-process indexes dense in log order, sync halves adjacent
+// [sync-half-rule] — and stops, positioned at the offending event, when the
+// log is not one the planner would have delivered.
 func (t *tally) count(run []model.Event) error {
 	for i := range run {
 		e := &run[i]
@@ -140,13 +129,11 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 }
 
 // coverLocked returns once the live store has published every cell below
-// want. If it has not, the lanes are behind the journal. A journaled run is
-// either already with the plan stage or in the hands of a SubmitBatch that
-// still holds the admission lock (admit → journal → enqueue happen under it),
-// so taking and releasing that lock waits out at most that one call, and one
-// Barrier then waits for everything dispatched — never for new input, and
-// ingest does not wait for it. What is still missing after that will never be
-// dispatched.
+// want. If it has not, the lanes are behind the journal: taking and releasing
+// the admission lock waits out the one SubmitBatch that may hold a journaled
+// run [admit-before-journal], and one Barrier then covers everything
+// dispatched. What is still missing after that will never be dispatched
+// [cover-wait-bounded].
 func (s *Store) coverLocked(want hct.Watermark) error {
 	var have hct.Watermark
 	short := func() int {

@@ -26,7 +26,7 @@ func writeWAL(t *testing.T, dir string, numProcs int, runs ...[]model.Event) {
 		t.Fatal(err)
 	}
 	for _, run := range runs {
-		if err := l.Append(run); err != nil {
+		if err := l.AppendRun(run); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,7 +395,7 @@ func TestLiveViewWaitsForCollectorInEnqueue(t *testing.T) {
 	// The first run, journaled and dispatched by hand so that it can carry
 	// the gate: the planner stalls inside it and the plan queue is full.
 	gate := &planGate{entered: make(chan struct{}), release: make(chan struct{})}
-	if err := wlog.Append(tr.Events[:half]); err != nil {
+	if err := wlog.AppendRun(tr.Events[:half]); err != nil {
 		t.Fatal(err)
 	}
 	if err := live.Pipeline().DispatchAsync(tr.Events[:half], gate); err != nil {
@@ -463,7 +463,7 @@ func TestHistoryBytesPerEvent(t *testing.T) {
 	defer live.Close()
 	for lo := 0; lo < len(tr.Events); lo += 1024 {
 		run := tr.Events[lo:min(lo+1024, len(tr.Events))]
-		if err := l.Append(run); err != nil {
+		if err := l.AppendRun(run); err != nil {
 			t.Fatal(err)
 		}
 		if err := live.DeliverBatch(run); err != nil {

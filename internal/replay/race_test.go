@@ -67,7 +67,7 @@ func TestReplayWhileIngest(t *testing.T) {
 			if hi > len(tr.Events) {
 				hi = len(tr.Events)
 			}
-			if err := l.Append(tr.Events[lo:hi]); err != nil {
+			if err := l.AppendRun(tr.Events[lo:hi]); err != nil {
 				t.Errorf("Append: %v", err)
 				return
 			}
@@ -221,7 +221,7 @@ func TestReplayWhileIngestLive(t *testing.T) {
 		for lo := 0; lo < len(tr.Events); {
 			hi := min(lo+1+r.Intn(61), len(tr.Events)) // odd sizes: pages are added mid-run
 			run := tr.Events[lo:hi]
-			if err := l.Append(run); err != nil {
+			if err := l.AppendRun(run); err != nil {
 				t.Errorf("Append: %v", err)
 				return
 			}
@@ -388,7 +388,7 @@ func TestReplayViewLifecycleRace(t *testing.T) {
 	// Seed enough history for the first pinned view before readers start,
 	// and flush so the chain reader can see it (SyncNever buffers writes).
 	const seed = 300
-	if err := l.Append(tr.Events[:seed]); err != nil {
+	if err := l.AppendRun(tr.Events[:seed]); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -427,7 +427,7 @@ func TestReplayViewLifecycleRace(t *testing.T) {
 			if hi > len(tr.Events) {
 				hi = len(tr.Events)
 			}
-			if err := l.Append(tr.Events[lo:hi]); err != nil {
+			if err := l.AppendRun(tr.Events[lo:hi]); err != nil {
 				t.Errorf("Append: %v", err)
 				return
 			}

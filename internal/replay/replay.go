@@ -15,11 +15,9 @@
 // Views share one progressively-extended timestamper: asking for cutoff c2
 // after c1 ≤ c2 only replays the (c1, c2] delta, and each view freezes the
 // store at its cutoff by capturing the per-process watermarks right after
-// materialization. The columnar store publishes timestamps monotonically
-// through those watermarks (see internal/hct/store.go), so later extensions
-// never disturb an earlier view's reads — the same argument that lets live
-// queries run lock-free against the ingest shards. Rewinding below an
-// already-materialized cutoff rebuilds from the start of the chain.
+// materialization. Published cells never move or change [pages-never-move],
+// so later extensions never disturb an earlier view's reads. Rewinding below
+// an already-materialized cutoff rebuilds from the start of the chain.
 package replay
 
 import (
@@ -110,9 +108,8 @@ func (v *View) Stats(fixedVector int) monitor.Stats {
 //     built from — cannot invalidate it.
 //   - Views stay correct while their store grows concurrently — by later
 //     materializations extending the shared restamping engine, or by the
-//     daemon's lanes: the columnar store publishes cells monotonically above
-//     already-captured watermarks (internal/hct/store.go), the same argument
-//     that makes the live query plane lock-free. Rewind views of the
+//     daemon's lanes: cells are published above already-captured
+//     watermarks and never change [pages-never-move]. Rewind views of the
 //     restamping engine get a throwaway engine nobody extends.
 //   - Eviction from the FIFO cache only drops the Store's reference; a
 //     caller-pinned *View keeps its engine alive through ordinary GC

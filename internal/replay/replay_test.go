@@ -71,7 +71,7 @@ func buildWAL(t *testing.T, dir string, tr *model.Trace, seed int64, compactAt i
 		if hi > len(tr.Events) {
 			hi = len(tr.Events)
 		}
-		if err := l.Append(tr.Events[lo:hi]); err != nil {
+		if err := l.AppendRun(tr.Events[lo:hi]); err != nil {
 			t.Fatalf("Append events[%d:%d]: %v", lo, hi, err)
 		}
 		boundaries = append(boundaries, uint64(hi))

@@ -5,7 +5,7 @@
 // package deliberately exposes plain slices rather than an opaque type so
 // that hot loops in the timestampers can operate on them without bounds or
 // interface overhead; the functions here encapsulate the standard lattice
-// operations (element-wise max, comparison, projection) and their invariants.
+// operations (element-wise max, equality, projection) and their invariants.
 package vclock
 
 import (
@@ -53,75 +53,6 @@ func Max(a, b Clock) Clock {
 	c := a.Clone()
 	c.MaxInto(b)
 	return c
-}
-
-// Ordering is the result of comparing two clocks under the pointwise partial
-// order.
-type Ordering int8
-
-const (
-	// Concurrent means neither clock dominates the other.
-	Concurrent Ordering = iota
-	// Before means the receiver is pointwise <= the argument and not equal.
-	Before
-	// After means the receiver is pointwise >= the argument and not equal.
-	After
-	// Equal means the clocks are identical.
-	Equal
-)
-
-// String implements fmt.Stringer.
-func (o Ordering) String() string {
-	switch o {
-	case Concurrent:
-		return "concurrent"
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	case Equal:
-		return "equal"
-	}
-	return fmt.Sprintf("Ordering(%d)", int8(o))
-}
-
-// compare reports the pointwise ordering between c and other.
-func (c Clock) compare(other Clock) Ordering {
-	if len(c) != len(other) {
-		panic(fmt.Sprintf("vclock: compare length mismatch %d != %d", len(c), len(other)))
-	}
-	le, ge := true, true
-	for i, v := range c {
-		if v < other[i] {
-			ge = false
-		} else if v > other[i] {
-			le = false
-		}
-		if !le && !ge {
-			return Concurrent
-		}
-	}
-	switch {
-	case le && ge:
-		return Equal
-	case le:
-		return Before
-	default:
-		return After
-	}
-}
-
-// lessEq reports whether c is pointwise <= other.
-func (c Clock) lessEq(other Clock) bool {
-	if len(c) != len(other) {
-		panic(fmt.Sprintf("vclock: lessEq length mismatch %d != %d", len(c), len(other)))
-	}
-	for i, v := range c {
-		if v > other[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether c and other hold identical values.

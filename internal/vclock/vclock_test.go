@@ -68,37 +68,6 @@ func TestMaxFresh(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	cases := []struct {
-		a, b Clock
-		want Ordering
-	}{
-		{Clock{1, 2}, Clock{1, 2}, Equal},
-		{Clock{1, 2}, Clock{2, 2}, Before},
-		{Clock{2, 2}, Clock{1, 2}, After},
-		{Clock{1, 2}, Clock{2, 1}, Concurrent},
-		{Clock{0, 0}, Clock{0, 0}, Equal},
-		{Clock{0, 0}, Clock{1, 0}, Before},
-	}
-	for _, tc := range cases {
-		if got := tc.a.compare(tc.b); got != tc.want {
-			t.Errorf("%v.compare(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestLessEq(t *testing.T) {
-	if !(Clock{1, 2}).lessEq(Clock{1, 2}) {
-		t.Errorf("equal clocks must be lessEq")
-	}
-	if !(Clock{0, 2}).lessEq(Clock{1, 2}) {
-		t.Errorf("dominated clock must be lessEq")
-	}
-	if (Clock{2, 0}).lessEq(Clock{1, 2}) {
-		t.Errorf("incomparable clock must not be lessEq")
-	}
-}
-
 func TestProject(t *testing.T) {
 	c := Clock{10, 20, 30, 40}
 	got := c.Project([]int32{3, 1})
@@ -120,14 +89,6 @@ func TestString(t *testing.T) {
 	if s := (Clock{1, 0, 3}).String(); s != "(1,0,3)" {
 		t.Fatalf("String = %q", s)
 	}
-	if s := Ordering(42).String(); s != "Ordering(42)" {
-		t.Fatalf("Ordering.String fallback = %q", s)
-	}
-	for o, want := range map[Ordering]string{Concurrent: "concurrent", Before: "before", After: "after", Equal: "equal"} {
-		if o.String() != want {
-			t.Errorf("Ordering(%d).String() = %q want %q", o, o.String(), want)
-		}
-	}
 }
 
 // randClock generates a clock of length n with small entries so comparisons
@@ -146,7 +107,12 @@ func TestQuickMaxIsUpperBound(t *testing.T) {
 		n := 1 + r.Intn(16)
 		a, b := randClock(r, n), randClock(r, n)
 		m := Max(a, b)
-		return a.lessEq(m) && b.lessEq(m)
+		for i := range m {
+			if !(m[i] >= a[i] && m[i] >= b[i]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -165,43 +131,6 @@ func TestQuickMaxIsLeastUpperBound(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCompareAntisymmetric(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(16)
-		a, b := randClock(r, n), randClock(r, n)
-		ab, ba := a.compare(b), b.compare(a)
-		switch ab {
-		case Equal:
-			return ba == Equal
-		case Before:
-			return ba == After
-		case After:
-			return ba == Before
-		default:
-			return ba == Concurrent
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCompareConsistentWithLessEq(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(16)
-		a, b := randClock(r, n), randClock(r, n)
-		ord := a.compare(b)
-		le := a.lessEq(b)
-		wantLE := ord == Before || ord == Equal
-		return le == wantLE
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

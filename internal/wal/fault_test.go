@@ -107,13 +107,13 @@ func (f faultFile) Sync() error {
 	return f.file.Sync()
 }
 
-// assertFailStopped requires every later Append, Sync and Compact of l to
+// assertFailStopped requires every later AppendRun, Sync and Compact of l to
 // return an error, and then Close.
 func assertFailStopped(t *testing.T, l *Log, outcome string) {
 	t.Helper()
 	runs, _ := testRuns(t, 1, 30)
 	if err := l.AppendRun(runs[0]); err == nil {
-		t.Errorf("%s: Append after the failure returned nil", outcome)
+		t.Errorf("%s: AppendRun after the failure returned nil", outcome)
 	}
 	if err := l.Sync(); err == nil {
 		t.Errorf("%s: Sync after the failure returned nil", outcome)
@@ -129,7 +129,7 @@ func assertFailStopped(t *testing.T, l *Log, outcome string) {
 // TestFailedFsyncIsSticky fails one fsync and then lets every later one
 // succeed, the way Linux reports a writeback error once: the log must keep
 // failing rather than vouch for pages the kernel may have dropped. Under
-// SyncAlways the failing Append reports it; under SyncBatch the group-commit
+// SyncAlways the failing AppendRun reports it; under SyncBatch the group-commit
 // timer meets it, with nobody to tell but the next caller.
 func TestFailedFsyncIsSticky(t *testing.T) {
 	runs, numProcs := testRuns(t, 31, 90)
@@ -149,7 +149,7 @@ func TestFailedFsyncIsSticky(t *testing.T) {
 			ffs.arm("sync", "wal-", syscall.EIO, true)
 			err = l.AppendRun(runs[1])
 			if policy == SyncAlways && !errors.Is(err, syscall.EIO) {
-				t.Fatalf("Append whose fsync failed = %v, want EIO", err)
+				t.Fatalf("AppendRun whose fsync failed = %v, want EIO", err)
 			}
 			for deadline := time.Now().Add(5 * time.Second); ffs.injected() == 0; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
@@ -157,7 +157,7 @@ func TestFailedFsyncIsSticky(t *testing.T) {
 				}
 			}
 			if err := l.AppendRun(runs[2]); !errors.Is(err, syscall.EIO) {
-				t.Fatalf("Append after the failed fsync = %v, want the latched EIO", err)
+				t.Fatalf("AppendRun after the failed fsync = %v, want the latched EIO", err)
 			}
 			if err := l.Sync(); !errors.Is(err, syscall.EIO) {
 				t.Fatalf("Sync after the failed fsync = %v, want the latched EIO", err)
@@ -169,7 +169,7 @@ func TestFailedFsyncIsSticky(t *testing.T) {
 
 // TestFailedRotationReopens fails the directory fsync that publishes the
 // fresh segment of a compaction's rotation. The log must stop at the cutoff:
-// an Append that went on into the old segment would run it past the base of
+// an AppendRun that went on into the old segment would run it past the base of
 // the segment the rotation left behind, and Open would refuse the overlap.
 // Open accepts the directory and recovers exactly what was acknowledged.
 func TestFailedRotationReopens(t *testing.T) {
@@ -195,7 +195,7 @@ func TestFailedRotationReopens(t *testing.T) {
 	for _, run := range runs[half:] {
 		if err := l.AppendRun(run); err == nil {
 			acked = append(acked, run...)
-			t.Errorf("Append after the failed rotation returned nil")
+			t.Errorf("AppendRun after the failed rotation returned nil")
 		}
 	}
 	if err := l.Close(); err == nil {
@@ -235,9 +235,9 @@ func TestWALFaults(t *testing.T) {
 		once          bool
 		atOpen        bool // armed for the reopen, not for the appends
 	}{
-		{name: "enospc-on-segment-write", outcome: "Append fails, the log fail-stops, reopen recovers what was acknowledged",
+		{name: "enospc-on-segment-write", outcome: "AppendRun fails, the log fail-stops, reopen recovers what was acknowledged",
 			op: "write", match: "wal-", err: syscall.ENOSPC},
-		{name: "eio-on-fsync", outcome: "Append fails, the log fail-stops, reopen recovers what was acknowledged",
+		{name: "eio-on-fsync", outcome: "AppendRun fails, the log fail-stops, reopen recovers what was acknowledged",
 			op: "sync", match: "wal-", err: syscall.EIO, once: true},
 		{name: "eio-mapping-sealed-part", outcome: "Open refuses with the directory untouched, and recovers once the fault clears",
 			op: "map", match: "snap-", err: syscall.EIO, atOpen: true},
@@ -284,7 +284,7 @@ func TestWALFaults(t *testing.T) {
 				for _, run := range runs[b:] {
 					if err := l.AppendRun(run); err != nil {
 						if !errors.Is(err, tc.err) {
-							t.Fatalf("%s: Append = %v, want %v", tc.outcome, err, tc.err)
+							t.Fatalf("%s: AppendRun = %v, want %v", tc.outcome, err, tc.err)
 						}
 						failed = true
 						break

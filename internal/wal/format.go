@@ -61,7 +61,7 @@ const (
 	sealMarker      = 0xFFFFFFFF
 
 	// maxRecordPayload caps one record's payload. Anything larger is treated
-	// as corruption; Append splits oversized runs below this.
+	// as corruption; AppendRun splits oversized runs below this.
 	maxRecordPayload = 1 << 26
 
 	eventRecMin  = 1 + 4 + 4

@@ -13,13 +13,10 @@
 // byte-level layout and chain.go — the one reader of those bytes — for the
 // directory's rules: what is a crash leftover, what is a refusal.
 //
-// Sharded ingest does not change the journal-ordering contract: the
-// collector appends each run here before dispatching it to the stamping
-// lanes, and the pipeline planner accepts runs in that same order, so the
-// durable log is always a run-atomic prefix of what the pipeline has
-// accepted — even while the lanes are still stamping asynchronously.
-// Replay drives Monitor.DeliverBatch, which barriers per run, so recovery
-// is deterministic at any shard count.
+// The collector appends each run here before dispatching it to the stamping
+// lanes [admit-before-journal], in records that never split a synchronous
+// pair [run-atomic], so the durable log is a run-atomic prefix of what the
+// pipeline has accepted, at any lane count.
 package wal
 
 import (
@@ -105,9 +102,9 @@ type Options struct {
 	AppendTimer   *obs.Histogram
 	FsyncTimer    *obs.Histogram
 	SnapshotTimer *obs.Histogram
-	// Spans, when non-nil, is consulted by Append for the current batch's
+	// Spans, when non-nil, is consulted by AppendRun for the current batch's
 	// span trace (the collector installs it around each journaled run).
-	// Append and its inline group-commit fsync record wal_append/wal_fsync
+	// AppendRun and its inline group-commit fsync record wal_append/wal_fsync
 	// spans there; background fsyncs (tick loop, compaction) never attach
 	// to a trace. The append latency histogram also remembers the trace ID
 	// as a bucket exemplar.
@@ -139,13 +136,12 @@ type segment struct {
 }
 
 // Log is an append-only write-ahead log of delivered runs. All methods are
-// safe for concurrent use; Append is designed to sit on the collector's
+// safe for concurrent use; AppendRun is designed to sit on the collector's
 // flush path.
 //
 // A log fails stop: the first failed write, fsync, directory fsync, rotation
-// or snapshot is latched and returned by every later Append, Sync, Compact
-// and Close. After a failed fsync the kernel may have dropped the pages, and
-// a later fsync that succeeds would vouch for data that is gone.
+// or snapshot is latched and returned by every later AppendRun, Sync, Compact
+// and Close [journal-fail-stop].
 type Log struct {
 	dir      string
 	fsys     fileSystem
@@ -165,7 +161,7 @@ type Log struct {
 	frozen     []segment     // sealed segments awaiting compaction
 	dirtyBytes int           // bytes written since the last fsync
 	lastSync   time.Time
-	curTrace   *obs.Trace // span trace of the Append in progress (under mu)
+	curTrace   *obs.Trace // span trace of the AppendRun in progress (under mu)
 	curSpan    int        // its wal_append span, parent for wal_fsync
 	compacting bool
 	encBuf     []byte
@@ -196,13 +192,13 @@ func parseHexName(name, prefix, suffix string) (uint64, bool) {
 }
 
 // Open opens (or creates) the write-ahead log in dir and performs recovery
-// in two steps. Classify: the chain scan (chain.go) reads the directory
+// in two steps [classify-then-repair]. Classify: the chain scan (chain.go) reads the directory
 // without writing to it, CRC-checks every record of every part it keeps, and
 // either refuses — Open then returns the error with dir exactly as it was
 // found — or accepts the whole chain and names the crash leftovers it
 // skipped. Repair: only then are the leftovers removed, a torn tail
 // truncated, and the log positioned for appending. Call Replay before the
-// first Append to stream the recovered sequence into a fresh monitor.
+// first AppendRun to stream the recovered sequence into a fresh monitor.
 func Open(dir string, opts Options) (*Log, error) { return openLog(osFS{}, dir, opts) }
 
 // openLog is Open over the file system fsys.
@@ -392,14 +388,10 @@ func (l *Log) Stats() string {
 		s.Snapshots, s.EventsRecovered, s.RecordsRecovered, s.TornRecords)
 }
 
-// AppendRun appends one delivered run; it is Append under the name the
-// monitor's RunJournal interface expects.
-func (l *Log) AppendRun(events []model.Event) error { return l.Append(events) }
-
 // Replay streams the recovered delivered-event sequence — sealed snapshot
 // first, then the segment tail — in its original run batching, from the
 // mapped parts Open validated. The batch slice is reused between calls.
-// Replay runs once, before the first Append; feeding the batches to
+// Replay runs once, before the first AppendRun; feeding the batches to
 // Monitor.DeliverBatch reconstructs the monitor exactly as the uninterrupted
 // run built it. The mappings are released when it returns.
 func (l *Log) Replay(fn func(batch []model.Event) error) error {
@@ -412,7 +404,7 @@ func (l *Log) Replay(fn func(batch []model.Event) error) error {
 	l.chain = nil
 	l.mu.Unlock()
 	if c == nil {
-		return fmt.Errorf("wal: Replay after Append or an earlier Replay")
+		return fmt.Errorf("wal: Replay after AppendRun or an earlier Replay")
 	}
 	defer c.Close()
 	return c.ReplayRange(0, c.Events(), fn)
@@ -426,12 +418,13 @@ func (l *Log) releaseChain() {
 	}
 }
 
-// Append logs one delivered run. It returns once the run is durable to the
-// configured policy: under SyncAlways the record has been fsynced; under
-// SyncBatch it is buffered and will be group-committed within SyncBytes /
-// SyncInterval; under SyncNever it is left to the page cache. Once the log
-// has failed, Append writes nothing and returns the failure.
-func (l *Log) Append(events []model.Event) error {
+// AppendRun logs one delivered run [run-atomic] (it implements
+// monitor.RunJournal). It returns once the run is durable to the configured
+// policy: under SyncAlways the record has been fsynced; under SyncBatch it is
+// buffered and will be group-committed within SyncBytes / SyncInterval; under
+// SyncNever it is left to the page cache. Once the log has failed, AppendRun
+// writes nothing and returns the failure.
+func (l *Log) AppendRun(events []model.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -495,7 +488,7 @@ func (l *Log) Append(events []model.Event) error {
 		l.compactWG.Add(1)
 		go func() {
 			defer l.compactWG.Done()
-			l.compact() // a failure is latched; the next Append returns it
+			l.compact() // a failure is latched; the next AppendRun returns it
 		}()
 	}
 	return nil
@@ -557,7 +550,7 @@ func (l *Log) tickLoop() {
 		case <-t.C:
 			l.mu.Lock()
 			if !l.closed && l.dirtyBytes > 0 && time.Since(l.lastSync) >= l.opts.SyncInterval {
-				l.syncLocked() // a failure is latched; the next Append returns it
+				l.syncLocked() // a failure is latched; the next AppendRun returns it
 			}
 			l.mu.Unlock()
 		case <-l.stopTick:

@@ -663,13 +663,13 @@ func TestLifecycleErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := l.Replay(func([]model.Event) error { return nil }); err == nil {
-		t.Fatal("Replay after Append succeeded")
+		t.Fatal("Replay after AppendRun succeeded")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendRun(runs[0]); err != ErrClosed {
-		t.Fatalf("Append after Close: %v, want ErrClosed", err)
+		t.Fatalf("AppendRun after Close: %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != ErrClosed {
 		t.Fatalf("second Close: %v, want ErrClosed", err)
