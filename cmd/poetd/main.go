@@ -66,6 +66,11 @@
 // holds pre-tenant segments (wal-*.log directly in the root) keeps serving
 // them as the default tenant's log — no migration needed.
 //
+// The daemon binds -addr first and starts accepting once every tenant it
+// found is recovered: a client that dials during start-up waits for its
+// HELLO, and if a recovery fails the daemon exits non-zero and that client's
+// connection is reset.
+//
 // On SIGINT/SIGTERM the daemon drains gracefully: it stops accepting, waits
 // up to -grace for connected clients to finish their sessions, then closes
 // and reports the final ingestion statistics.
@@ -174,6 +179,15 @@ func main() {
 		}
 		policy = p
 	}
+
+	// Bind before building: a client that dials while the default tenant is
+	// built and its log recovered waits in the listen backlog for its HELLO
+	// instead of being refused and retrying. Serve starts accepting below.
+	ln, err := tcp.Listen(*addr)
+	if err != nil {
+		fatal("listen failed", err)
+	}
+	logger.Info("listening", "addr", ln.Addr())
 
 	reg := obs.NewRegistry()
 	tel := obs.NewTelemetry(reg)
@@ -324,12 +338,11 @@ func main() {
 	}
 
 	m := srv.Default().Monitor()
-	bound, err := srv.Listen(*addr)
-	if err != nil {
-		fatal("listen failed", err)
+	if err := srv.Serve(ln); err != nil {
+		fatal("serve failed", err)
 	}
 	logger.Info("monitoring",
-		"procs", *procs, "addr", bound, "strategy", *strat,
+		"procs", *procs, "addr", ln.Addr(), "strategy", *strat,
 		"maxcs", *maxCS, "maxbatch", *maxBatch, "ingest_shards", m.IngestShards(),
 		"tenants", srv.NumTenants(), "max_tenants", *maxTenants)
 	if *walDir != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -506,5 +507,112 @@ func TestPoetdFrozenSingleWriterSpelling(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "\npoetd_ingest_shards 1\n") {
 		t.Fatal("/metrics does not report poetd_ingest_shards 1")
+	}
+}
+
+// writeRingWAL journals a ring over procs processes to dir, in 1024-event
+// runs the way the collector delivers them, and returns how many events it
+// holds: a log whose recovery keeps a starting daemon busy for a while.
+func writeRingWAL(t *testing.T, dir string, procs, rounds int) int {
+	t.Helper()
+	tr := workload.Ring(procs, rounds, false)
+	wlog, err := wal.Open(dir, wal.Options{NumProcs: procs, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(tr.Events); lo += 1024 {
+		if err := wlog.AppendRun(tr.Events[lo:min(lo+1024, len(tr.Events))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return len(tr.Events)
+}
+
+// TestPoetdAcceptsDialsDuringRecovery: poetd binds -addr before it builds
+// and recovers the default tenant, so a client that dials as soon as the
+// port is bound is not refused. It waits for its HELLO, and its first STATS
+// already counts every recovered event.
+func TestPoetdAcceptsDialsDuringRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real daemon; skipped with -short")
+	}
+	bin := buildPoetd(t)
+	walDir := t.TempDir()
+	const procs = 64
+	n := writeRingWAL(t, filepath.Join(walDir, "default"), procs, 500)
+
+	p := startPoetd(t, bin, "-procs", fmt.Sprint(procs), "-addr", "127.0.0.1:0", "-wal", walDir)
+	defer func() {
+		p.cmd.Process.Kill()
+		p.cmd.Wait()
+	}()
+	addr := boundAddr(t, p.waitLine(t, "msg=listening"))
+	start := time.Now()
+	sess, err := monitor.DialV2(addr) // one dial: a refusal fails the test
+	if err != nil {
+		t.Fatalf("a dial made once the port was bound: %v", err)
+	}
+	defer sess.Close()
+	waited := time.Since(start)
+	stats, err := sess.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stats, fmt.Sprintf("events=%d ", n)) {
+		t.Fatalf("first STATS %q: want events=%d, every recovered event", stats, n)
+	}
+	recovered := p.waitLine(t, "wal recovered")
+	p.waitLine(t, "monitoring")
+	t.Logf("HELLO after %v; %s", waited.Round(time.Millisecond), recovered)
+}
+
+// TestPoetdExitsWhenRecoveryFailsAfterBind: a daemon that has bound its port
+// and then meets a WAL it cannot open exits non-zero, and a client that
+// connected meanwhile gets an error instead of waiting for a HELLO that
+// never comes. The default tenant's log recovers and keeps the daemon busy
+// while the client connects; the next tenant's was written for another
+// process count, which Open refuses.
+func TestPoetdExitsWhenRecoveryFailsAfterBind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real daemon; skipped with -short")
+	}
+	bin := buildPoetd(t)
+	walDir := t.TempDir()
+	const procs = 64
+	writeRingWAL(t, filepath.Join(walDir, "default"), procs, 500)
+	writeRingWAL(t, filepath.Join(walDir, "other"), procs/2, 1)
+
+	p := startPoetd(t, bin, "-procs", fmt.Sprint(procs), "-addr", "127.0.0.1:0", "-wal", walDir)
+	defer func() {
+		p.cmd.Process.Kill()
+		p.cmd.Wait()
+	}()
+	addr := boundAddr(t, p.waitLine(t, "msg=listening"))
+	dialed := make(chan error, 1)
+	go func() {
+		sess, err := monitor.DialV2(addr)
+		if err == nil {
+			sess.Close()
+		}
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		if err == nil {
+			t.Fatal("the client got a HELLO from a daemon whose recovery failed")
+		}
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			t.Fatalf("the dial was refused (%v): the daemon exited before the client connected", err)
+		}
+		t.Logf("the connected client got %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("the client connected to a daemon whose recovery failed is still waiting")
+	}
+	p.waitLine(t, "tenant recovery failed")
+	if err := p.cmd.Wait(); err == nil {
+		t.Fatal("poetd exited 0 after its recovery failed")
 	}
 }

@@ -93,6 +93,9 @@ var design = []gate{
 		{in: "internal/wal/*.go -internal/wal/fsys.go -internal/wal/mmap_*.go", site: `\.ReadDir\($`, must: []string{"scanChain"}, max: 1},
 		{in: "internal/ cmd/ +tests", site: `NoSidecar|idxReadWrite|compactErr|^func syncDir`},
 	}},
+	{name: "One_group_commit", why: "A fresh segment becomes durable at the log's next group commit; only the commit and the snapshot path fsync (DESIGN.md §8, §15 segment-durable-at-commit).", rules: []rule{
+		{in: "internal/wal/*.go", site: `\.(Sync|SyncDir)\($`, must: []string{"Log.syncLocked", "commitFile", "Log.compact", "osFS.SyncDir"}},
+	}},
 	{name: "One_codec_over_one_executor", why: "poetd speaks frames only, through one executor; text records are parsed in internal/trace alone (DESIGN.md §7).", rules: []rule{
 		{in: ".", site: `parseEventRecord|parseServerID|^func (eventLine|parseID|parseEventID)|^func \(Server\) handle`},
 		{in: "internal/ cmd/ +tests", site: `\b(serveV1|serveV2|protocolV2Magic|decodeLine|replyLine|LinesRead)\b|poetd_lines_read_total|^type Session\b`},

@@ -273,26 +273,38 @@ func (s *Server) submitInstrumented(t *Tenant, events []model.Event, tr *obs.Tra
 	return n, err
 }
 
-// Listen starts accepting connections on addr (e.g. "127.0.0.1:0"; the
-// forms are tcp.ParseAddr's) and returns the bound address. Serving happens
-// on background goroutines until Close.
+// Listen binds addr (e.g. "127.0.0.1:0"; the forms are tcp.ParseAddr's),
+// serves it, and returns the bound address.
 func (s *Server) Listen(addr string) (netip.AddrPort, error) {
 	ln, err := tcp.Listen(addr)
 	if err != nil {
 		return netip.AddrPort{}, err
 	}
+	if err := s.Serve(ln); err != nil {
+		return netip.AddrPort{}, err
+	}
+	return ln.Addr(), nil
+}
+
+// Serve starts accepting connections on ln, which the server owns from then
+// on: Shutdown and Close close it, and a closed server closes it at once and
+// returns ErrClosed. Serving happens on background goroutines until Close. A
+// client that connected to ln before Serve was called waits in the listen
+// backlog and gets its HELLO once accepted, so a daemon can bind before it
+// builds and recovers what it serves.
+func (s *Server) Serve(ln tcp.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return netip.AddrPort{}, ErrClosed
+		return ErrClosed
 	}
 	s.listener = ln
 	s.mu.Unlock()
 
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr(), nil
+	return nil
 }
 
 func (s *Server) acceptLoop(ln tcp.Listener) {

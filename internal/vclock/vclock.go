@@ -37,14 +37,26 @@ func (c Clock) CopyFrom(src Clock) {
 
 // MaxInto sets c to the element-wise maximum of c and other.
 // The two clocks must have equal length.
+//
+// It is the join of both timestampers' receive step, so it is written to
+// compile without a branch per component: max lowers to a conditional move,
+// four components per step, and reslicing c to other's length leaves one
+// bounds check per step.
 func (c Clock) MaxInto(other Clock) {
 	if len(c) != len(other) {
 		panic(fmt.Sprintf("vclock: MaxInto length mismatch %d != %d", len(c), len(other)))
 	}
-	for i, v := range other {
-		if v > c[i] {
-			c[i] = v
-		}
+	c = c[:len(other)]
+	i := 0
+	for ; i+4 <= len(other); i += 4 {
+		o, d := other[i:i+4:i+4], c[i:i+4:i+4]
+		d[0] = max(d[0], o[0])
+		d[1] = max(d[1], o[1])
+		d[2] = max(d[2], o[2])
+		d[3] = max(d[3], o[3])
+	}
+	for ; i < len(other); i++ {
+		c[i] = max(c[i], other[i])
 	}
 }
 

@@ -151,3 +151,55 @@ func TestQuickMaxIdempotentCommutative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// branchyMaxInto is MaxInto as first written, one compare and branch per
+// component: the reference the unrolled join is held to.
+func branchyMaxInto(c, other Clock) {
+	for i, v := range other {
+		if v > c[i] {
+			c[i] = v
+		}
+	}
+}
+
+// TestMaxIntoMatchesBranchyJoin holds the unrolled join to the branchy loop
+// on random clocks of every length from 0 to 67, so each remainder modulo
+// four meets the tail, with components wide enough to reach the int32
+// extremes, and requires the length-mismatch panic at every length.
+func TestMaxIntoMatchesBranchyJoin(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	vals := []int32{0, 1, -1, 2, 1 << 30, -1 << 31, 1<<31 - 1}
+	pick := func() int32 {
+		if r.Intn(3) == 0 {
+			return vals[r.Intn(len(vals))]
+		}
+		return int32(r.Intn(8))
+	}
+	for n := 0; n < 68; n++ {
+		for trial := 0; trial < 50; trial++ {
+			a, b := New(n), New(n)
+			for i := range a {
+				a[i], b[i] = pick(), pick()
+			}
+			got, want := a.Clone(), a.Clone()
+			got.MaxInto(b)
+			branchyMaxInto(want, b)
+			if !got.Equal(want) {
+				t.Fatalf("n=%d: MaxInto(%v, %v) = %v, branchy join %v", n, a, b, got, want)
+			}
+		}
+		for _, m := range []int{n + 1, n - 1} {
+			if m < 0 {
+				continue
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("MaxInto of lengths %d and %d did not panic", n, m)
+					}
+				}()
+				New(n).MaxInto(New(m))
+			}()
+		}
+	}
+}

@@ -160,6 +160,7 @@ type Log struct {
 	snapPath   string        // "" when no snapshot exists
 	frozen     []segment     // sealed segments awaiting compaction
 	dirtyBytes int           // bytes written since the last fsync
+	freshSeg   bool          // the active segment is not yet durable [segment-durable-at-commit]
 	lastSync   time.Time
 	curTrace   *obs.Trace // span trace of the AppendRun in progress (under mu)
 	curSpan    int        // its wal_append span, parent for wal_fsync
@@ -273,9 +274,11 @@ func (l *Log) repair() error {
 	return nil
 }
 
-// newSegment creates and activates a fresh segment starting at base; on
-// failure the active segment is unchanged. Callers hold mu (or have
-// exclusive access during Open).
+// newSegment creates and activates a fresh segment starting at base and
+// writes its header; on failure the active segment is unchanged. It flushes
+// nothing to the disk: the segment and its directory entry become durable at
+// the log's next group commit [segment-durable-at-commit]. Callers hold mu
+// (or have exclusive access during Open).
 func (l *Log) newSegment(base uint64) error {
 	f, err := l.fsys.Create(filepath.Join(l.dir, segName(base)))
 	if err != nil {
@@ -286,17 +289,12 @@ func (l *Log) newSegment(base uint64) error {
 	if err == nil {
 		err = w.Flush()
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err == nil {
-		err = l.fsys.SyncDir(l.dir)
-	}
 	if err != nil {
 		f.Close()
 		return err
 	}
 	l.f, l.w, l.base, l.segEvents = f, w, base, 0
+	l.freshSeg = true
 	return nil
 }
 
@@ -513,6 +511,10 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
+// syncLocked is the group commit: it flushes the buffered records and fsyncs
+// the active segment, and, the first time for a fresh segment, then the
+// directory that lists it [segment-durable-at-commit]. Nothing counts as
+// durable before it returns nil. Callers hold mu.
 func (l *Log) syncLocked() error {
 	if l.err != nil {
 		return l.err
@@ -520,7 +522,7 @@ func (l *Log) syncLocked() error {
 	if err := l.w.Flush(); err != nil {
 		return l.fail(err)
 	}
-	if l.dirtyBytes == 0 {
+	if l.dirtyBytes == 0 && !l.freshSeg {
 		return nil
 	}
 	var start time.Time
@@ -529,6 +531,12 @@ func (l *Log) syncLocked() error {
 	}
 	if err := l.f.Sync(); err != nil {
 		return l.fail(err)
+	}
+	if l.freshSeg {
+		if err := l.fsys.SyncDir(l.dir); err != nil {
+			return l.fail(err)
+		}
+		l.freshSeg = false
 	}
 	l.opts.FsyncTimer.ObserveSince(start)
 	if l.curTrace != nil {
