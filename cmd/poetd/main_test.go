@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -572,9 +573,10 @@ func TestPoetdAcceptsDialsDuringRecovery(t *testing.T) {
 // TestPoetdExitsWhenRecoveryFailsAfterBind: a daemon that has bound its port
 // and then meets a WAL it cannot open exits non-zero, and a client that
 // connected meanwhile gets an error instead of waiting for a HELLO that
-// never comes. The default tenant's log recovers and keeps the daemon busy
-// while the client connects; the next tenant's was written for another
-// process count, which Open refuses.
+// never comes. The other tenant's only segment is a named pipe, so the
+// order is certain: the daemon's open of it blocks until the test, whose
+// client is already connected, opens the pipe's write end, and the scan
+// then refuses it as not a regular file.
 func TestPoetdExitsWhenRecoveryFailsAfterBind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real daemon; skipped with -short")
@@ -582,8 +584,14 @@ func TestPoetdExitsWhenRecoveryFailsAfterBind(t *testing.T) {
 	bin := buildPoetd(t)
 	walDir := t.TempDir()
 	const procs = 64
-	writeRingWAL(t, filepath.Join(walDir, "default"), procs, 500)
-	writeRingWAL(t, filepath.Join(walDir, "other"), procs/2, 1)
+	writeRingWAL(t, filepath.Join(walDir, "default"), procs, 50)
+	if err := os.Mkdir(filepath.Join(walDir, "other"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	pipe := filepath.Join(walDir, "other", "wal-0000000000000000.log")
+	if err := syscall.Mkfifo(pipe, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	p := startPoetd(t, bin, "-procs", fmt.Sprint(procs), "-addr", "127.0.0.1:0", "-wal", walDir)
 	defer func() {
@@ -591,26 +599,37 @@ func TestPoetdExitsWhenRecoveryFailsAfterBind(t *testing.T) {
 		p.cmd.Wait()
 	}()
 	addr := boundAddr(t, p.waitLine(t, "msg=listening"))
-	dialed := make(chan error, 1)
-	go func() {
-		sess, err := monitor.DialV2(addr)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("a dial made once the port was bound: %v", err)
+	}
+	defer conn.Close()
+
+	// Opening a pipe's write end without blocking fails with ENXIO until a
+	// reader holds it open: success means the daemon's open has returned.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		w, err := os.OpenFile(pipe, os.O_WRONLY|syscall.O_NONBLOCK, 0)
 		if err == nil {
-			sess.Close()
+			w.Close()
+			break
 		}
-		dialed <- err
-	}()
-	select {
-	case err := <-dialed:
-		if err == nil {
-			t.Fatal("the client got a HELLO from a daemon whose recovery failed")
+		if !errors.Is(err, syscall.ENXIO) || time.Now().After(deadline) {
+			t.Fatalf("the daemon never opened the other tenant's segment: %v", err)
 		}
-		if errors.Is(err, syscall.ECONNREFUSED) {
-			t.Fatalf("the dial was refused (%v): the daemon exited before the client connected", err)
-		}
-		t.Logf("the connected client got %v", err)
-	case <-time.After(30 * time.Second):
+		time.Sleep(time.Millisecond)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	n, err := conn.Read(make([]byte, 64))
+	if n > 0 {
+		t.Fatalf("the client read %d bytes from a daemon whose recovery failed", n)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatal("the client connected to a daemon whose recovery failed is still waiting")
 	}
+	t.Logf("the connected client got %v", err)
 	p.waitLine(t, "tenant recovery failed")
 	if err := p.cmd.Wait(); err == nil {
 		t.Fatal("poetd exited 0 after its recovery failed")

@@ -199,8 +199,13 @@ func scanChain(fsys fileSystem, dir string, numProcs int, sidecars bool) (c *Cha
 		last := i == len(segBases)-1
 		part, perr := openChainPart(c, path, false, b, sidecars && !last)
 		if last && isDamage(perr) {
+			// A header that never fully reached the disk is a crash before
+			// the segment's first commit [segment-durable-at-commit]: no
+			// record followed it, so nothing was torn.
 			c.leftovers = append(c.leftovers, path)
-			c.torn = true
+			if !errors.Is(perr, errShortHeader) {
+				c.torn = true
+			}
 			continue
 		}
 		if perr != nil {
@@ -261,6 +266,9 @@ type damageError struct{ err error }
 func (e *damageError) Error() string { return e.err.Error() }
 func (e *damageError) Unwrap() error { return e.err }
 
+// errShortHeader is the damage of a file shorter than its header.
+var errShortHeader = errors.New("short header")
+
 func isDamage(err error) bool {
 	var d *damageError
 	return errors.As(err, &d)
@@ -271,7 +279,7 @@ func isDamage(err error) bool {
 // hard error — that file was never ours.
 func parseHeaderBytes(data []byte, magic string) (n uint64, procs int, err error) {
 	if len(data) < fileHeaderLen {
-		return 0, 0, &damageError{fmt.Errorf("short header (%d bytes)", len(data))}
+		return 0, 0, &damageError{fmt.Errorf("%w (%d bytes)", errShortHeader, len(data))}
 	}
 	if crc32.Checksum(data[:20], crcTable) != binary.BigEndian.Uint32(data[20:]) {
 		return 0, 0, &damageError{errors.New("header checksum mismatch")}

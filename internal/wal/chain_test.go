@@ -53,9 +53,10 @@ func chainEvents(t *testing.T, c *Chain) []model.Event {
 
 // TestChainTornTailBoundaries pins the tricky truncation points of the final
 // segment: a tear exactly on a record boundary is a clean end (not torn), a
-// file cut back to exactly its header is a valid empty segment, and a tear
-// inside the header itself is crash damage that contributes nothing — in
-// every case OpenChain yields the surviving prefix without error.
+// file cut back to exactly its header is a valid empty segment, and a file
+// cut inside its header is a segment that crashed before its first commit, a
+// leftover that contributes nothing and tears no record — in every case
+// OpenChain yields the surviving prefix without error.
 func TestChainTornTailBoundaries(t *testing.T) {
 	master := t.TempDir()
 	all, numProcs, recEnds := buildChain(t, master, 11, 240)
@@ -87,8 +88,8 @@ func TestChainTornTailBoundaries(t *testing.T) {
 		{"exactly-file-header", fileHeaderLen, false},
 		{"mid-record", recEnds[len(recEnds)/2] + 3, true},
 		{"mid-record-header", recEnds[len(recEnds)/2] + recordHeaderLen - 2, true},
-		{"inside-file-header", fileHeaderLen - 5, true},
-		{"empty-file", 0, true},
+		{"inside-file-header", fileHeaderLen - 5, false},
+		{"empty-file", 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -203,8 +203,10 @@ func TestFailedFsyncIsSticky(t *testing.T) {
 // rotation each create a segment and issue no fsync of it; the first group
 // commit after either fsyncs the segment and then the directory, and later
 // commits the segment alone. Reopening appends to the last segment, so it
-// creates none. Under SyncAlways the first acknowledged append is that
-// commit; under SyncNever it is Sync.
+// creates none, but the scan read that segment through the page cache: the
+// first commit after any Open fsyncs the directory too, also when the
+// segment's creator died before committing it. Under SyncAlways the first
+// acknowledged append is that commit; under SyncNever it is Sync.
 func TestFreshSegmentDurableAtFirstCommit(t *testing.T) {
 	runs, numProcs := testRuns(t, 34, 120)
 	for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
@@ -233,11 +235,17 @@ func TestFreshSegmentDurableAtFirstCommit(t *testing.T) {
 				}
 				expect(what, want...)
 			}
-			l, err := openLog(ffs, dir, Options{NumProcs: numProcs, Sync: policy})
+			dead, err := openLog(ffs, dir, Options{NumProcs: numProcs, Sync: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer dead.f.Close()
 			expect("opening an empty directory")
+			// dead's process dies here: its segment was never committed.
+			if l, err = openLog(ffs, dir, Options{NumProcs: numProcs, Sync: policy}); err != nil {
+				t.Fatal(err)
+			}
+			expect("reopening a directory whose only segment was never committed")
 			commit("the first commit", "sync "+segName(0), syncDir)
 			commit("the second commit", "sync "+segName(0))
 
@@ -259,7 +267,8 @@ func TestFreshSegmentDurableAtFirstCommit(t *testing.T) {
 			}
 			defer l.Close()
 			expect("reopening")
-			commit("the first commit after reopening", "sync "+segName(cutoff))
+			commit("the first commit after reopening", "sync "+segName(cutoff), syncDir)
+			commit("the second commit after reopening", "sync "+segName(cutoff))
 		})
 	}
 }
@@ -424,6 +433,9 @@ func TestWALFaults(t *testing.T) {
 					l, err := openLog(ffs, crashed, opts)
 					if err != nil {
 						t.Fatalf("%s: Open of the crash image: %v", tc.outcome, err)
+					}
+					if l.TornTail() {
+						t.Fatalf("%s: Open reported a torn tail, but no record was torn", tc.outcome)
 					}
 					if got, _ := replayAll(t, l); !eventsEqual(got, all[:want]) {
 						t.Fatalf("%s: recovered %d events, want exactly the %d durable", tc.outcome, len(got), want)

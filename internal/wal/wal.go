@@ -271,6 +271,11 @@ func (l *Log) repair() error {
 	l.f, l.w = f, bufio.NewWriterSize(f, 256*1024)
 	l.base, l.segEvents = last.base, last.events
 	l.frozen = segs[:len(segs)-1]
+	// The scan read the segment through the page cache: a process that
+	// died before its first commit may have left its directory entry, or a
+	// truncated tail, unflushed, so it is fresh to this log too
+	// [segment-durable-at-commit].
+	l.freshSeg = true
 	return nil
 }
 
