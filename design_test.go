@@ -88,9 +88,10 @@ var design = []gate{
 	}},
 	{name: "One_store_in_the_daemon", why: "poetd answers QUERY@ from the store its lanes fill (DESIGN.md §12).", rules: []rule{{in: "cmd/poetd/*.go", site: `\b(hct\.NewTimestamper|replay\.Open)\(`}}},
 	{name: "One_log_reader", why: "internal/wal/chain.go is the only parser of a WAL directory (DESIGN.md §8).", rules: []rule{{in: "internal/wal/", site: `recordScanner|scanSegment|validateSnapshot|replaySnapshot|replaySegment|readFileHeader`}}},
-	{name: "One_owner_of_the_WAL_file_IO", why: "Every disk call of internal/wal goes through the fileSystem seam (DESIGN.md §8).", rules: []rule{
-		{in: "internal/wal/*.go -internal/wal/fsys.go -internal/wal/mmap_*.go", site: `^import "os"$|^os\.`},
-		{in: "internal/wal/*.go -internal/wal/fsys.go -internal/wal/mmap_*.go", site: `\.ReadDir\($`, must: []string{"scanChain"}, max: 1},
+	{name: "One_owner_of_the_WAL_file_IO", why: "Every disk call of internal/wal goes through the fileSystem seam, and the log is read, never mapped (DESIGN.md §8).", rules: []rule{
+		{in: "internal/wal/*.go -internal/wal/fsys.go", site: `^import "os"$|^os\.`},
+		{in: "internal/wal/*.go -internal/wal/fsys.go", site: `\.ReadDir\($`, must: []string{"scanChain"}, max: 1},
+		{in: ".", site: `^syscall\.(Mmap|Munmap|Madvise)\b`},
 		{in: "internal/ cmd/ +tests", site: `NoSidecar|idxReadWrite|compactErr|^func syncDir`},
 	}},
 	{name: "One_group_commit", why: "A fresh segment becomes durable at the log's next group commit; only the commit and the snapshot path fsync (DESIGN.md §8, §15 segment-durable-at-commit).", rules: []rule{
@@ -471,7 +472,7 @@ var exportAllowed = map[string]string{
 	"hct.rekeyOnMerge.OnMerge": "implements strategy.Decider; the cluster-receive core calls it",
 	"wal.damageError.Unwrap":   "errors.Is and errors.As call it",
 	"wal.osFS.Append":          "implements the fileSystem seam the WAL fault tests substitute",
-	"wal.osFS.Map":             "implements the fileSystem seam the WAL fault tests substitute",
+	"wal.osFS.OpenRead":        "implements the fileSystem seam the WAL fault tests substitute",
 	"wal.osFS.Remove":          "implements the fileSystem seam the WAL fault tests substitute",
 	"wal.osFS.Rename":          "implements the fileSystem seam the WAL fault tests substitute",
 	"wal.osFS.SyncDir":         "implements the fileSystem seam the WAL fault tests substitute",

@@ -329,6 +329,7 @@ func TestScrapeSeriesCountsStable(t *testing.T) {
 		"poetd_cluster_size_count":             1,
 		"poetd_history_views_total":            1,
 		"poetd_history_counted_events_total":   1,
+		"poetd_history_read_bytes_total":       1,
 		"poetd_history_cover_waits_total":      1,
 		"poetd_replay_materialize_seconds_sum": 1,
 		"poetd_store_proj_keyframes":           1,

@@ -45,6 +45,7 @@ type Telemetry struct {
 
 	HistoryViews         *Counter // views materialized by the history plane (cache misses)
 	HistoryCountedEvents *Counter // recorded events the count walk decoded to find cutoff watermarks
+	HistoryReadBytes     *Counter // bytes the history plane read from the log, in chain scans and walks
 	HistoryCoverWaits    *Counter // views that waited for the lanes to publish what the log already held
 
 	Ops *TraceRing
@@ -85,6 +86,7 @@ func NewTelemetry(reg *Registry) *Telemetry {
 
 		HistoryViews:         reg.NewCounter("poetd_history_views_total", "History views materialized at a cutoff (view-cache misses)."),
 		HistoryCountedEvents: reg.NewCounter("poetd_history_counted_events_total", "Recorded events decoded by the count walk that finds a cutoff's watermark."),
+		HistoryReadBytes:     reg.NewCounter("poetd_history_read_bytes_total", "Bytes the history plane read from the log, in chain scans and count walks."),
 		HistoryCoverWaits:    reg.NewCounter("poetd_history_cover_waits_total", "History views that waited for the stamping lanes to publish events the log already held."),
 
 		Ops: newTraceRing(DefaultTraceCap),

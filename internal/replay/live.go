@@ -49,6 +49,8 @@ type tally struct {
 	pos  uint64        // events counted: the prefix length
 	n    hct.Watermark // of them, per process
 	held int32         // process whose last counted event is a first sync half (its partner is event pos), or -1
+
+	live hct.Watermark // the live store's published counts as coverLocked last captured them
 }
 
 // reset rewinds the tally to the cutoff of v, or to the start of the log when
@@ -114,7 +116,7 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 		s.tally.reset(from)
 	}
 	at := s.tally.pos
-	err := s.chain.ReplayRange(at, cutoff, s.tally.count)
+	err := s.walkLocked(at, cutoff, s.tally.count)
 	s.opts.Obs.HistoryCountedEvents.Add(int64(s.tally.pos - at))
 	if err != nil {
 		return nil, err
@@ -135,11 +137,10 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 // dispatched. What is still missing after that will never be dispatched
 // [cover-wait-bounded].
 func (s *Store) coverLocked(want hct.Watermark) error {
-	var have hct.Watermark
 	short := func() int {
-		have = s.live.CaptureWatermark(have)
+		s.tally.live = s.live.CaptureWatermark(s.tally.live)
 		for p := range want {
-			if have[p] < want[p] {
+			if s.tally.live[p] < want[p] {
 				return p
 			}
 		}

@@ -2,7 +2,11 @@ package replay_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"sync"
 	"testing"
@@ -439,13 +443,18 @@ func TestLiveViewWaitsForCollectorInEnqueue(t *testing.T) {
 	}
 }
 
+// logMapping matches a line of /proc/self/maps that maps a WAL file.
+var logMapping = regexp.MustCompile(`(?m)/(wal-[0-9a-f]{16}\.log|snap-[0-9a-f]{16}\.snap)( \(deleted\))?$`)
+
 // TestHistoryBytesPerEvent is the history plane's standing budget, beside
 // hct's TestStoreBytesPerEvent and on the same ring (spmd-stream's, 607k
-// events): over a daemon's store, serving 64 ascending and 8 rewound cutoffs grows the live heap by at
-// most 2 B/event — what it keeps is the cached views' watermark vectors and
-// one tally — and carves nothing into the store. The restamping store it
-// replaced in the daemon held a second copy of the store up to the cutoff:
-// ≈104 B/event on this trace.
+// events): over a daemon's store, serving 64 ascending and 8 rewound cutoffs
+// grows the live heap by at most 2 B/event — what it keeps is the cached
+// views' watermark vectors and one tally — and carves nothing into the store.
+// The restamping store it replaced in the daemon held a second copy of the
+// store up to the cutoff: ≈104 B/event on this trace. Each cutoff allocates
+// its view and nothing per recorded run, and no log file is left mapped
+// [reads-below-valid].
 func TestHistoryBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 600k events")
@@ -505,13 +514,120 @@ func TestHistoryBytesPerEvent(t *testing.T) {
 	runtime.ReadMemStats(&after)
 
 	perEvent := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
-	t.Logf("%d events, 72 views: %+.3f heap B/event", n, perEvent)
+	perCutoff := (after.TotalAlloc - before.TotalAlloc) / 72
+	t.Logf("%d events, 72 views: %+.3f heap B/event, %d B allocated per cutoff", n, perEvent, perCutoff)
 	if perEvent > 2 {
 		t.Errorf("history holds %.2f heap B/event, budget 2", perEvent)
+	}
+	// A view's own watermark is 4 B per process; the walk decodes into the
+	// chain's buffer, so no run it reads allocates.
+	if budget := uint64(16 * tr.NumProcs); perCutoff > budget {
+		t.Errorf("serving a cutoff allocates %d B, budget %d", perCutoff, budget)
+	}
+	if runtime.GOOS == "linux" {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := logMapping.Find(maps); m != nil {
+			t.Errorf("the history plane keeps the log mapped: %s", m)
+		}
 	}
 	if got := live.Pipeline().StoreStats(); got != storeBefore {
 		t.Errorf("serving history carved into the store: %+v -> %+v", storeBefore, got)
 	}
 	runtime.KeepAlive(hist)
 	runtime.KeepAlive(tr)
+}
+
+// TestHistoryReadBytes pins poetd_history_read_bytes_total for a fixed log and
+// a fixed sequence of cutoffs. A chain scan reads its files whole, as long as
+// they were at the scan; a count walk reads exactly the records that hold the
+// events it counts, once each, and a cached view reads nothing
+// [reads-below-valid].
+func TestHistoryReadBytes(t *testing.T) {
+	tr := workload.RandomSparse(6, 3, 500, 21)
+	const per = 100
+	var runs [][]model.Event
+	for lo := 0; lo < len(tr.Events); lo += per {
+		runs = append(runs, tr.Events[lo:min(lo+per, len(tr.Events))])
+	}
+	recBytes := func(from, to uint64) (n int64) { // the records holding events [from, to)
+		for k := from / per; k*per < to; k++ {
+			n += 12 // length, CRC and count
+			for _, e := range runs[k] {
+				n += 9 // kind, process, index
+				if e.Kind != model.Unary {
+					n += 8 // the partner
+				}
+			}
+		}
+		return n
+	}
+	dir := t.TempDir()
+	first := 10
+	writeWAL(t, dir, tr.NumProcs, runs[:first]...)
+	segSize := func() int64 {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("want one segment, found %q (%v)", paths, err)
+		}
+		st, err := os.Stat(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+
+	tel := obs.NewTelemetry(obs.NewRegistry())
+	hist := liveStore(t, dir, tr, mergeOnFirst(4)(), 2, replay.Options{Obs: tel})
+	want := segSize()
+	check := func(what string) {
+		t.Helper()
+		if got := tel.HistoryReadBytes.Value(); got != want {
+			t.Fatalf("%s: read %d bytes of the log, want %d", what, got, want)
+		}
+		if got := hist.HistoryStatus().ReadBytes; got != want {
+			t.Fatalf("%s: /statusz reports %d bytes read, want %d", what, got, want)
+		}
+	}
+	check("opening the chain")
+	n := uint64(len(tr.Events))
+	for _, step := range []struct {
+		cutoff, walkFrom uint64 // the walk covers [walkFrom, cutoff); walkFrom == cutoff: cached
+		appendRest       bool
+	}{
+		{cutoff: 250, walkFrom: 0},
+		{cutoff: 250, walkFrom: 250},
+		{cutoff: 700, walkFrom: 250},
+		{cutoff: 100, walkFrom: 0},   // a rewind below every cached view starts over
+		{cutoff: 500, walkFrom: 250}, // and the next resumes from the view at 250
+		{cutoff: n, walkFrom: 700, appendRest: true},
+	} {
+		what := fmt.Sprintf("a view at %d", step.cutoff)
+		if step.appendRest {
+			l, err := wal.Open(dir, wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range runs[first:] {
+				if err := l.AppendRun(run); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want += segSize() // the refresh rescans the grown segment
+			what += " past the last refresh"
+		}
+		if _, err := hist.ViewAt(step.cutoff); err != nil {
+			t.Fatal(err)
+		}
+		if step.walkFrom < step.cutoff {
+			want += recBytes(step.walkFrom, step.cutoff)
+		}
+		check(what)
+	}
 }

@@ -361,8 +361,8 @@ func TestReplayWhileIngestLive(t *testing.T) {
 // lifecycle audit (see the Store doc comment): a caller-pinned view must
 // keep answering its frozen cutoff — correctly and race-free — while the
 // store's single-slot FIFO cache evicts it, a live writer seals and
-// compacts segments underneath, and a refresh swaps (closing) the mmap'd
-// chain the view was originally materialized from.
+// compacts segments underneath, and a refresh swaps (closing) the chain,
+// and the open files, the view was originally materialized from.
 func TestReplayViewLifecycleRace(t *testing.T) {
 	tr := workload.RandomSparse(6, 3, 1500, 33)
 	stamped, err := fm.StampAll(tr)

@@ -54,8 +54,8 @@ type Options struct {
 	NewConfig func() hct.Config
 
 	// Obs, when non-nil, records replay latencies (chain open, view
-	// materialization) and the history counters into the daemon's instrument
-	// set.
+	// materialization) and the history counters, the bytes read from the log
+	// among them, into the daemon's instrument set.
 	Obs *obs.Telemetry
 
 	// MaxCachedViews bounds the view cache (FIFO). 0 selects the default
@@ -103,7 +103,7 @@ func (v *View) Stats(fixedVector int) monitor.Stats {
 //
 //   - A View never reads the chain after materialization. Its hct.View
 //     holds only a heap-resident store and the watermark slice of the
-//     cutoff, so a refresh swapping (and closing) the mmap'd chain underneath —
+//     cutoff, so a refresh swapping (and closing) the chain underneath —
 //     including after a compaction deleted the very segments the view was
 //     built from — cannot invalidate it.
 //   - Views stay correct while their store grows concurrently — by later
@@ -165,6 +165,7 @@ func open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	opts.Obs.ReplayOpen.Observe(time.Since(start))
+	opts.Obs.HistoryReadBytes.Add(int64(chain.BytesRead()))
 	if chain.NumProcs() <= 0 {
 		chain.Close()
 		return nil, errors.New("replay: chain holds no events and no process count was configured")
@@ -199,7 +200,7 @@ func (s *Store) RunBoundaries() []uint64 {
 func (s *Store) HistoryStatus() monitor.HistoryStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := monitor.HistoryStatus{EnginePosition: s.positionLocked(), CachedViews: len(s.views)}
+	st := monitor.HistoryStatus{EnginePosition: s.positionLocked(), CachedViews: len(s.views), ReadBytes: s.opts.Obs.HistoryReadBytes.Value()}
 	if len(s.views) > 0 {
 		st.LastCutoff = s.views[len(s.views)-1].cutoff
 	}
@@ -223,6 +224,7 @@ func (s *Store) refreshLocked() error {
 		return err
 	}
 	s.opts.Obs.ReplayOpen.Observe(time.Since(start))
+	s.opts.Obs.HistoryReadBytes.Add(int64(chain.BytesRead()))
 	if at := s.positionLocked(); chain.Events() < at {
 		// The directory shrank below what we already read — it is not the
 		// same computation anymore (e.g. the daemon was restarted on a fresh
@@ -303,7 +305,7 @@ func (s *Store) restampLocked(cutoff uint64) (*View, error) {
 		}
 		ts, from = fresh, 0
 	}
-	err := s.chain.ReplayRange(from, cutoff, func(run []model.Event) error {
+	err := s.walkLocked(from, cutoff, func(run []model.Event) error {
 		return ts.DispatchAsync(run, nil)
 	})
 	if shared {
@@ -324,6 +326,15 @@ func (s *Store) restampLocked(cutoff uint64) (*View, error) {
 	return v, nil
 }
 
+// walkLocked streams the recorded events [from, to) to fn and counts the
+// bytes it read from the log.
+func (s *Store) walkLocked(from, to uint64, fn func([]model.Event) error) error {
+	before := s.chain.BytesRead()
+	err := s.chain.ReplayRange(from, to, fn)
+	s.opts.Obs.HistoryReadBytes.Add(int64(s.chain.BytesRead() - before))
+	return err
+}
+
 // HistoryAt implements the daemon's history hook (monitor.HistoryProvider):
 // it returns the query surface frozen at cutoff.
 func (s *Store) HistoryAt(cutoff uint64) (*monitor.Queries, error) {
@@ -334,8 +345,8 @@ func (s *Store) HistoryAt(cutoff uint64) (*monitor.Queries, error) {
 	return v.Queries, nil
 }
 
-// Close releases the chain's mappings. Existing views keep answering —
-// their timestamps live in a heap-resident store, not the mapped files —
+// Close closes the chain's files. Existing views keep answering — their
+// timestamps live in a heap-resident store, not in the log —
 // but further ViewAt calls that need more history will fail.
 func (s *Store) Close() error {
 	s.mu.Lock()

@@ -2,6 +2,8 @@ package replay_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -225,4 +227,131 @@ func TestServerQueryAtWithoutHistory(t *testing.T) {
 	if err := c.ReportBatch([]model.Event{{ID: model.EventID{Process: 0, Index: 1}, Kind: model.Unary}}); err != nil {
 		t.Fatalf("connection dead after QUERY@ rejection: %v", err)
 	}
+}
+
+// TestServerQueryAtFailedRead breaks the log under an open chain: the
+// segment shrinks to its header after a QUERY@ has counted a third of it, so
+// the next walk's reads come back short. That QUERY@ gets an ERR frame, the
+// live QUERY keeps answering on the same connection, and once the bytes are
+// back the first QUERY@ is exact [reads-below-valid]. A mapped log would
+// have raised SIGBUS here.
+func TestServerQueryAtFailedRead(t *testing.T) {
+	tr := workload.RandomSparse(6, 3, 600, 9)
+	factory := mergeOnFirst(4)
+	dir := t.TempDir()
+	wlog, err := wal.Open(dir, wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	m, err := monitor.NewWithOptions(tr.NumProcs, factory(), hct.PipelineOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	hist, err := replay.OpenLive(dir, m.Pipeline(), replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hist.Close()
+	srv := serveDefault(t, monitor.TenantResources{Monitor: m, Journal: wlog, History: hist})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := monitor.DialV2(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.ReportBatch(tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	if err := wlog.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference answers come from a restamping store's views, built
+	// before anything breaks.
+	ref, err := replay.Open(dir, replay.Options{NumProcs: tr.NumProcs, NewConfig: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	n := uint64(len(tr.Events))
+	early, late := n/3, 2*n/3
+	queries := func(v *replay.View) (qs []monitor.Query, want []bool) {
+		wm := v.Watermark()
+		for p1 := range wm {
+			for p2 := range wm {
+				if wm[p1] > 0 && wm[p2] > 0 {
+					q := monitor.Query{Op: monitor.OpPrecedes,
+						A: model.EventID{Process: model.ProcessID(p1), Index: 1},
+						B: model.EventID{Process: model.ProcessID(p2), Index: model.EventIndex(wm[p2])}}
+					ok, err := v.Precedes(q.A, q.B)
+					if err != nil {
+						t.Fatal(err)
+					}
+					qs, want = append(qs, q), append(want, ok)
+				}
+			}
+		}
+		return qs, want
+	}
+	exact := func(what string, res []monitor.QueryResult, want []bool) {
+		t.Helper()
+		for i := range want {
+			if res[i].Err != nil || res[i].True != want[i] {
+				t.Fatalf("%s: answer %d = (%v, %v), want %v", what, i, res[i].True, res[i].Err, want[i])
+			}
+		}
+	}
+	views := map[uint64]*replay.View{}
+	for _, cut := range []uint64{early, late, n} {
+		if views[cut], err = ref.ViewAt(cut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lateQs, lateWant := queries(views[late])
+	liveQs, liveWant := queries(views[n])
+
+	earlyQs, earlyWant := queries(views[early])
+	res, err := c.QueryBatchAt(early, earlyQs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact(fmt.Sprintf("QUERY@%d", early), res, earlyWant)
+
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one segment, found %q (%v)", paths, err)
+	}
+	seg := paths[0]
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, 24); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.QueryBatchAt(late, lateQs); err == nil {
+		t.Fatalf("QUERY@%d answered over a log whose reads fail", late)
+	} else if !strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("QUERY@%d over a log whose reads fail: %v, want the short read", late, err)
+	}
+	res, err = c.QueryBatch(liveQs)
+	if err != nil {
+		t.Fatalf("live QUERY after the failed QUERY@: %v", err)
+	}
+	exact("live QUERY while the log fails", res, liveWant)
+
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err = c.QueryBatchAt(late, lateQs)
+	if err != nil {
+		t.Fatalf("QUERY@%d once the log is back: %v", late, err)
+	}
+	exact(fmt.Sprintf("QUERY@%d once the log is back", late), res, lateWant)
 }

@@ -3,16 +3,20 @@ package wal
 // The one reader of a WAL directory. Everything that looks at the log's
 // bytes — recovery (Open), Log.Replay, compaction's snapshot writer, and the
 // replay plane's read-only OpenChain — goes through this file: scanChain
-// lists the directory and applies its rules once, openChainPart maps and
+// lists the directory and applies its rules once, openChainPart opens and
 // validates one file, scanChainBody CRC-checks its records, ReplayRange
-// decodes them.
+// decodes them. Every byte is read through the chain's one read buffer,
+// with positioned reads of a part's open file, and nothing at or past the
+// valid prefix the scan found is read after it [reads-below-valid]: a part
+// is never mapped, so a failed read is an error a call returns.
 //
 // scanChain never writes to a log or snapshot file, so it can read the
 // directory of a live daemon (or a cold copy) while appends, rotations and
 // compactions keep running:
 //
-//   - sealed files are memory-mapped and immutable; a mapping survives the
-//     unlink a concurrent compaction issues, so views outlive rotations;
+//   - sealed files are immutable and read through the open file, which
+//     survives the unlink a concurrent compaction issues, so views outlive
+//     rotations;
 //   - the active segment's valid prefix is captured at open — a record the
 //     writer has half-flushed fails its CRC and simply bounds the prefix
 //     (the chain never surfaces a torn record, and never reads past it);
@@ -46,6 +50,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -64,22 +70,88 @@ type recEntry struct {
 	event uint64
 }
 
-// chainPart is one validated, memory-mapped file of a chain.
+// chainPart is one validated file of a chain, open for reading.
 type chainPart struct {
 	path     string
 	snapshot bool
-	base     uint64 // global offset of the part's first event (snapshot: 0)
-	events   uint64 // events in the valid prefix
-	validLen int64  // bytes of the valid prefix, header included
-	data     []byte // the valid prefix; nothing past validLen is ever read
-	unmap    func() error
+	base     uint64   // global offset of the part's first event (snapshot: 0)
+	events   uint64   // events in the valid prefix
+	validLen int64    // bytes of the valid prefix, header included; nothing past it is read [reads-below-valid]
+	f        readFile // open until the chain closes
 	recs     []recEntry
 	torn     bool // scan stopped at a torn or corrupt tail record
 }
 
+// readKeep is the most a chain's read buffer reads ahead, and the largest
+// buffer it keeps between calls: a record longer than that is read whole into
+// a buffer of its own, dropped when the call ends, as a connection drops an
+// outsized frame buffer.
+const readKeep = 256 << 10
+
+// batchKeep is the most events a kept batch holds: as many as a record of
+// readKeep bytes can.
+const batchKeep = readKeep / eventRecMin
+
+// readBuffer is what a chain reads and decodes through: a window of one open
+// file's bytes, filled by one positioned read from the first byte a read
+// needs, and the events decoded from the last record.
+type readBuffer struct {
+	win   []byte   // the bytes of file at [off, off+len(win))
+	file  readFile // nil while win holds nothing
+	off   int64
+	batch []model.Event
+	read  *atomic.Uint64 // the chain's count of bytes read from files
+}
+
+// at returns the n bytes of f at off, from the window or by filling it with
+// up to readKeep bytes below limit. They stay valid until the next call.
+func (b *readBuffer) at(f readFile, off, n, limit int64) ([]byte, error) {
+	if n > limit-off {
+		return nil, fmt.Errorf("%d bytes at offset %d run past %d", n, off, limit)
+	}
+	if f != b.file || off < b.off || off+n > b.off+int64(len(b.win)) {
+		size := max(n, min(readKeep, limit-off))
+		if int64(cap(b.win)) < size {
+			b.win = make([]byte, size)
+		}
+		b.file = nil
+		if err := b.readFull(f, b.win[:size], off); err != nil {
+			return nil, err
+		}
+		b.file, b.off, b.win = f, off, b.win[:size]
+	}
+	return b.win[off-b.off:][:n], nil
+}
+
+// readFull fills p with the bytes of f at off.
+func (b *readBuffer) readFull(f readFile, p []byte, off int64) error {
+	m, err := f.ReadAt(p, off)
+	b.read.Add(uint64(m))
+	if m == len(p) && (err == nil || err == io.EOF) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("reading %d bytes at offset %d: %w", len(p), off, err)
+}
+
+// release ends a call: the window is forgotten, so the next call reads what
+// it decodes, and what an outsized record grew is dropped.
+func (b *readBuffer) release() {
+	b.file = nil
+	if cap(b.win) > readKeep {
+		b.win = nil
+	}
+	if cap(b.batch) > batchKeep {
+		b.batch = nil
+	}
+}
+
 // Chain is a read-only view of a WAL directory's event history: the newest
-// sealed snapshot (if any) plus the segment tail, validated and mapped.
-// A Chain is immutable after OpenChain; reopen to observe later appends.
+// sealed snapshot (if any) plus the segment tail, validated and open for
+// reading. A Chain is immutable after OpenChain; reopen to observe later
+// appends.
 type Chain struct {
 	fsys     fileSystem
 	numProcs int
@@ -87,6 +159,10 @@ type Chain struct {
 	events   uint64
 	snapped  uint64 // events covered by the snapshot part
 	torn     bool   // the final segment ends in a torn or corrupt record
+
+	mu   sync.Mutex
+	buf  *readBuffer // under mu; nil while a ReplayRange holds it
+	read atomic.Uint64
 
 	// leftovers are the files the scan classified as crash debris and kept
 	// out of the chain; Open removes them once the chain is accepted.
@@ -112,7 +188,7 @@ func OpenChain(dir string, opts ChainOptions) (*Chain, error) {
 	return nil, fmt.Errorf("wal: chain kept changing during open: %w", lastErr)
 }
 
-// scanChain lists dir once and applies the directory's rules, mapping and
+// scanChain lists dir once and applies the directory's rules, opening and
 // validating every part it keeps. numProcs is enforced when positive and
 // adopted from the headers when zero; sidecars lets parts that cannot grow
 // use and cache an index sidecar (the final segment is always scanned). It
@@ -136,7 +212,7 @@ func OpenChain(dir string, opts ChainOptions) (*Chain, error) {
 // an append in flight): its valid prefix is kept and the chain reports Torn.
 //
 // Everything else that is wrong is a refusal, and the error is returned with
-// the directory untouched: a file that cannot be opened, mapped or is not a
+// the directory untouched: a file that cannot be opened or read, or is not a
 // regular file; an intact header with the wrong magic, the wrong process
 // count, or a count or base that disagrees with the file name (that file was
 // never this log's, or these options are not this log's); a damaged header
@@ -149,9 +225,10 @@ func scanChain(fsys fileSystem, dir string, numProcs int, sidecars bool) (c *Cha
 	if err != nil {
 		return nil, err
 	}
-	c = &Chain{fsys: fsys, numProcs: numProcs}
-	chain := c // the named return is nil on error paths; unmap via this ref
+	c = newChain(fsys, numProcs)
+	chain := c // the named return is nil on error paths; close via this ref
 	defer func() {
+		chain.buf.release()
 		if err != nil {
 			chain.Close()
 		}
@@ -248,6 +325,34 @@ func scanChain(fsys fileSystem, dir string, numProcs int, sidecars bool) (c *Cha
 	return c, nil
 }
 
+// newChain returns an empty chain that reads through fsys.
+func newChain(fsys fileSystem, numProcs int) *Chain {
+	c := &Chain{fsys: fsys, numProcs: numProcs}
+	c.buf = &readBuffer{read: &c.read}
+	return c
+}
+
+// take hands the chain's read buffer to one caller, or a fresh one while
+// another caller holds it.
+func (c *Chain) take() *readBuffer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.buf
+	c.buf = nil
+	if b == nil {
+		b = &readBuffer{read: &c.read}
+	}
+	return b
+}
+
+// give takes a buffer back from a caller that is done with it.
+func (c *Chain) give(b *readBuffer) {
+	b.release()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.buf = b
+}
+
 // keep appends a validated part to the chain.
 func (c *Chain) keep(p *chainPart) {
 	c.parts = append(c.parts, p)
@@ -290,22 +395,31 @@ func parseHeaderBytes(data []byte, magic string) (n uint64, procs int, err error
 	return binary.BigEndian.Uint64(data[8:]), int(binary.BigEndian.Uint32(data[16:])), nil
 }
 
-// openChainPart maps one file and validates it: header identity against the
+// openChainPart opens one file and validates it: header identity against the
 // name and c.numProcs (enforced when set, adopted when zero), then the body,
 // via its sidecar when sidecars allows one and it matches, else by a full
 // CRC scan (whose index sidecars then caches). A segment's bad tail is
-// reported as part.torn, not as an error; a snapshot must be sealed.
+// reported as part.torn, not as an error; a snapshot must be sealed. A failed
+// read is an error, never damage. It reads through c's buffer, while c is
+// built and not yet shared. The part reads its file below the valid prefix
+// found here until the chain closes it [reads-below-valid].
 func openChainPart(c *Chain, path string, snapshot bool, wantN uint64, sidecars bool) (*chainPart, error) {
-	data, unmap, err := c.fsys.Map(path)
+	f, err := c.fsys.OpenRead(path)
 	if err != nil {
 		return nil, err
 	}
-	part := &chainPart{path: path, snapshot: snapshot, data: data, unmap: unmap}
+	part := &chainPart{path: path, snapshot: snapshot, f: f}
 	magic := segMagic
 	if snapshot {
 		magic = snapMagic
 	}
-	n, procs, err := parseHeaderBytes(data, magic)
+	var hdr [fileHeaderLen]byte
+	head := hdr[:min(fileHeaderLen, f.Size())]
+	var n uint64
+	var procs int
+	if err = c.buf.readFull(f, head, 0); err == nil {
+		n, procs, err = parseHeaderBytes(head, magic)
+	}
 	switch {
 	case err != nil:
 		err = fmt.Errorf("wal: %s: %w", path, err)
@@ -322,75 +436,90 @@ func openChainPart(c *Chain, path string, snapshot bool, wantN uint64, sidecars 
 		part.base = n
 	}
 
-	if !sidecars || !loadSidecar(c.fsys, part, snapshot) {
-		recs, events, validLen, sealCount, isSealed, torn := scanChainBody(data, snapshot)
-		if snapshot && (!isSealed || sealCount != n || events != n) {
+	if !sidecars || !loadSidecar(c.fsys, part, head) {
+		sealCount, sealed, err := scanChainBody(c.buf, part)
+		if err != nil {
+			part.close()
+			return nil, fmt.Errorf("wal: %s: %w", path, err)
+		}
+		if snapshot && (!sealed || sealCount != n || part.events != n) {
 			part.close()
 			return nil, &damageError{fmt.Errorf("wal: %s: unsealed or corrupt snapshot (sealed=%v seal=%d header=%d events=%d)",
-				path, isSealed, sealCount, n, events)}
+				path, sealed, sealCount, n, part.events)}
 		}
-		part.recs, part.events, part.validLen, part.torn = recs, events, validLen, torn
-		if sidecars && !torn {
-			writeSidecar(c.fsys, part, snapshot) // best effort: a cache miss next time
+		if sidecars && !part.torn {
+			writeSidecar(c.fsys, part, head) // best effort: a cache miss next time
 		}
-		part.data = data[:validLen]
 	}
 	c.numProcs = procs
 	return part, nil
 }
 
-// scanChainBody walks the records of a mapped part, validating framing and
-// CRCs, and builds the record index. It never fails: invalid data bounds
-// the valid prefix (torn=true for segments; snapshots additionally require
-// the seal, checked by the caller via sealed/sealCount).
-func scanChainBody(data []byte, snapshot bool) (recs []recEntry, events uint64, validLen int64, sealCount uint64, sealed, torn bool) {
+// scanChainBody walks the records of part's file, as long as it was when
+// opened, through b, validating framing and CRCs, and sets the part's record
+// index and valid prefix. Invalid data bounds the valid prefix (torn for
+// segments; a snapshot must also end in a seal, which the caller checks via
+// sealed and sealCount); only a failed read is an error.
+func scanChainBody(b *readBuffer, part *chainPart) (sealCount uint64, sealed bool, err error) {
+	size := part.f.Size()
 	off := int64(fileHeaderLen)
-	if int64(len(data)) < off {
-		return nil, 0, int64(len(data)), 0, false, true
-	}
+	defer func() { part.validLen = off }()
 	for {
-		rem := int64(len(data)) - off
+		rem := size - off
 		if rem == 0 {
-			return recs, events, off, 0, false, false
+			return 0, false, nil
 		}
+		part.torn = true // until the record at off proves whole
 		if rem < recordHeaderLen {
-			return recs, events, off, 0, false, true
+			return 0, false, nil
 		}
-		n := binary.BigEndian.Uint32(data[off:])
+		hdr, err := b.at(part.f, off, recordHeaderLen, size)
+		if err != nil {
+			return 0, false, err
+		}
+		n := binary.BigEndian.Uint32(hdr)
 		if n == sealMarker {
-			if !snapshot || rem < sealLen {
-				return recs, events, off, 0, false, true
+			if !part.snapshot || rem < sealLen {
+				return 0, false, nil
 			}
-			count := binary.BigEndian.Uint64(data[off+4:])
-			crc := binary.BigEndian.Uint32(data[off+12:])
-			if crc32.Checksum(data[off+4:off+12], crcTable) != crc {
-				return recs, events, off, 0, false, true
+			seal, err := b.at(part.f, off, sealLen, size)
+			if err != nil {
+				return 0, false, err
 			}
-			return recs, events, off + sealLen, count, true, false
+			if crc32.Checksum(seal[4:12], crcTable) != binary.BigEndian.Uint32(seal[12:]) {
+				return 0, false, nil
+			}
+			part.torn = false
+			off += sealLen
+			return binary.BigEndian.Uint64(seal[4:]), true, nil
 		}
 		if n < 4 || n > maxRecordPayload || rem < recordHeaderLen+int64(n) {
-			return recs, events, off, 0, false, true
+			return 0, false, nil
 		}
-		payload := data[off+recordHeaderLen : off+recordHeaderLen+int64(n)]
-		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(data[off+4:]) {
-			return recs, events, off, 0, false, true
+		rec, err := b.at(part.f, off, recordHeaderLen+int64(n), size)
+		if err != nil {
+			return 0, false, err
+		}
+		payload := rec[recordHeaderLen:]
+		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(rec[4:]) {
+			return 0, false, nil
 		}
 		count := binary.BigEndian.Uint32(payload)
 		if uint64(count)*eventRecMin > uint64(n-4) {
-			return recs, events, off, 0, false, true
+			return 0, false, nil
 		}
-		recs = append(recs, recEntry{off: off, event: events})
-		events += uint64(count)
+		part.torn = false
+		part.recs = append(part.recs, recEntry{off: off, event: part.events})
+		part.events += uint64(count)
 		off += recordHeaderLen + int64(n)
 	}
 }
 
 func (p *chainPart) close() {
-	if p.unmap != nil {
-		p.unmap()
-		p.unmap = nil
+	if p.f != nil {
+		p.f.Close()
+		p.f = nil
 	}
-	p.data = nil
 }
 
 // NumProcs returns the chain's process count (from ChainOptions or adopted
@@ -400,12 +529,20 @@ func (c *Chain) NumProcs() int { return c.numProcs }
 // Events returns the number of events the chain can replay.
 func (c *Chain) Events() uint64 { return c.events }
 
-// Close releases the mappings. Views that copied data out remain valid.
+// BytesRead returns how many bytes the chain has read from its files, in its
+// scan and its replays.
+func (c *Chain) BytesRead() uint64 { return c.read.Load() }
+
+// Close closes the chain's files and drops its read buffer. Events a caller
+// copied out remain valid.
 func (c *Chain) Close() error {
 	for _, p := range c.parts {
 		p.close()
 	}
 	c.parts = nil
+	c.mu.Lock()
+	c.buf = nil
+	c.mu.Unlock()
 	return nil
 }
 
@@ -434,14 +571,18 @@ func (c *Chain) RunBoundaries() []uint64 {
 
 // ReplayRange streams events with global positions in [from, to) to fn in
 // their original run batching (the first and last runs are clipped as
-// needed). The batch slice is reused between calls. ReplayRange is
-// read-only and safe for concurrent use by independent callers.
+// needed). It reads the records that hold those events and no others. The
+// batch slice is reused between calls. ReplayRange is read-only and safe for
+// concurrent use by independent callers: one reads through the chain's read
+// buffer, and a caller that finds it taken, through a buffer of its own. A
+// failed read is returned.
 func (c *Chain) ReplayRange(from, to uint64, fn func(batch []model.Event) error) error {
 	if to > c.events {
 		return fmt.Errorf("wal: replay to %d, chain has %d events", to, c.events)
 	}
+	b := c.take()
+	defer c.give(b)
 	pos := from
-	var batch []model.Event
 	for _, p := range c.parts {
 		partEnd := p.base + p.events
 		if partEnd <= pos || len(p.recs) == 0 {
@@ -450,10 +591,18 @@ func (c *Chain) ReplayRange(from, to uint64, fn func(batch []model.Event) error)
 		if p.base >= to {
 			break
 		}
-		// Seek to the record containing pos.
+		// Seek to the record containing pos, and read no further than the
+		// end of the last record before to [reads-below-valid].
 		k := sort.Search(len(p.recs), func(i int) bool { return p.base+p.recs[i].event > pos })
 		if k > 0 {
 			k--
+		}
+		end := p.validLen
+		if p.snapshot {
+			end -= sealLen
+		}
+		if j := sort.Search(len(p.recs), func(i int) bool { return p.base+p.recs[i].event >= to }); j < len(p.recs) {
+			end = p.recs[j].off
 		}
 		for ; k < len(p.recs); k++ {
 			rec := p.recs[k]
@@ -461,13 +610,19 @@ func (c *Chain) ReplayRange(from, to uint64, fn func(batch []model.Event) error)
 			if recStart >= to {
 				break
 			}
-			n := binary.BigEndian.Uint32(p.data[rec.off:])
-			payload := p.data[rec.off+recordHeaderLen : rec.off+recordHeaderLen+int64(n)]
-			var err error
-			batch, err = decodeRun(batch[:0], payload)
+			hdr, err := b.at(p.f, rec.off, recordHeaderLen, end)
 			if err != nil {
 				return fmt.Errorf("wal: %s: %w", p.path, err)
 			}
+			raw, err := b.at(p.f, rec.off, recordHeaderLen+int64(binary.BigEndian.Uint32(hdr)), end)
+			if err != nil {
+				return fmt.Errorf("wal: %s: %w", p.path, err)
+			}
+			b.batch, err = decodeRun(b.batch[:0], raw[recordHeaderLen:])
+			if err != nil {
+				return fmt.Errorf("wal: %s: %w", p.path, err)
+			}
+			batch := b.batch
 			recEnd := recStart + uint64(len(batch))
 			lo, hi := uint64(0), uint64(len(batch))
 			if recStart < pos {
@@ -515,9 +670,9 @@ func removeWithSidecar(fsys fileSystem, path string) {
 }
 
 // loadSidecar adopts a cached record index if it matches the (sealed)
-// source part exactly: same header identity, same byte length. Any
+// source part exactly: the same header hdr, the same byte length. Any
 // mismatch means "cache miss" — the caller rescans.
-func loadSidecar(fsys fileSystem, part *chainPart, snapshot bool) bool {
+func loadSidecar(fsys fileSystem, part *chainPart, hdr []byte) bool {
 	raw, err := fsys.ReadFile(sidecarPath(part.path))
 	if err != nil || len(raw) < 8+1+1+4+8+4+8+8+4+4 {
 		return false
@@ -530,7 +685,7 @@ func loadSidecar(fsys fileSystem, part *chainPart, snapshot bool) bool {
 		return false
 	}
 	kind := byte(0)
-	if snapshot {
+	if part.snapshot {
 		kind = 1
 	}
 	if body[9] != kind {
@@ -548,11 +703,10 @@ func loadSidecar(fsys fileSystem, part *chainPart, snapshot bool) bool {
 		return false
 	}
 	// Bind to the source: header identity and exact sealed length.
-	if len(part.data) < fileHeaderLen ||
-		binary.BigEndian.Uint32(part.data[20:]) != srcHdrCRC ||
-		binary.BigEndian.Uint64(part.data[8:]) != n ||
-		binary.BigEndian.Uint32(part.data[16:]) != procs ||
-		int64(len(part.data)) != validLen {
+	if binary.BigEndian.Uint32(hdr[20:]) != srcHdrCRC ||
+		binary.BigEndian.Uint64(hdr[8:]) != n ||
+		binary.BigEndian.Uint32(hdr[16:]) != procs ||
+		part.f.Size() != validLen {
 		return false
 	}
 	recs := make([]recEntry, records)
@@ -569,22 +723,23 @@ func loadSidecar(fsys fileSystem, part *chainPart, snapshot bool) bool {
 }
 
 // writeSidecar persists a part's record index next to it, atomically
-// (tmp + rename, no fsync). Failures are ignored: the sidecar is a cache.
-func writeSidecar(fsys fileSystem, part *chainPart, snapshot bool) {
-	if int64(len(part.data)) != part.validLen {
+// (tmp + rename, no fsync), bound to its header hdr. Failures are ignored:
+// the sidecar is a cache.
+func writeSidecar(fsys fileSystem, part *chainPart, hdr []byte) {
+	if part.f.Size() != part.validLen {
 		// Only seal-exact parts are cacheable (the load path requires it).
 		return
 	}
 	kind := byte(0)
-	if snapshot {
+	if part.snapshot {
 		kind = 1
 	}
 	buf := make([]byte, 0, 8+1+1+36+len(part.recs)*16+4)
 	buf = append(buf, sidecarMagic...)
 	buf = append(buf, sidecarVersion, kind)
-	buf = appendU32(buf, binary.BigEndian.Uint32(part.data[20:]))
-	buf = appendU64(buf, binary.BigEndian.Uint64(part.data[8:]))
-	buf = appendU32(buf, binary.BigEndian.Uint32(part.data[16:]))
+	buf = appendU32(buf, binary.BigEndian.Uint32(hdr[20:]))
+	buf = appendU64(buf, binary.BigEndian.Uint64(hdr[8:]))
+	buf = appendU32(buf, binary.BigEndian.Uint32(hdr[16:]))
 	buf = appendU64(buf, uint64(part.validLen))
 	buf = appendU64(buf, part.events)
 	buf = appendU32(buf, uint32(len(part.recs)))

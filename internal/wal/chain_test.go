@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
@@ -335,4 +337,93 @@ func TestChainSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	open().Close()
+}
+
+// TestChainReadBufferBounded reads a chain whose middle record is several
+// times longer than the read buffer keeps: the buffer grows to read it whole,
+// every range comes back exact, and each call leaves the buffer within
+// readKeep bytes and batchKeep events.
+func TestChainReadBufferBounded(t *testing.T) {
+	runs, numProcs := testRuns(t, 36, 150000)
+	all := flatten(runs)
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NumProcs: numProcs, Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := all[300 : len(all)-300]
+	for _, run := range [][]model.Event{all[:300], big, all[len(all)-300:]} {
+		if err := l.AppendRun(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(encodeRecord(nil, big)); n < 2*readKeep || len(big) < 2*batchKeep {
+		t.Fatalf("the long record holds %d bytes and %d events, want over %d and %d", n, len(big), 2*readKeep, 2*batchKeep)
+	}
+	c, err := OpenChain(dir, ChainOptions{NumProcs: numProcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	kept := func(after string) {
+		t.Helper()
+		if cap(c.buf.win) > readKeep || cap(c.buf.batch) > batchKeep {
+			t.Fatalf("after %s the buffer keeps %d bytes and %d events", after, cap(c.buf.win), cap(c.buf.batch))
+		}
+	}
+	kept("the scan")
+	n := uint64(len(all))
+	for _, r := range [][2]uint64{{0, n}, {0, 300}, {100, 400}, {n - 400, n - 100}, {n - 200, n}} {
+		var got []model.Event
+		if err := c.ReplayRange(r[0], r[1], func(batch []model.Event) error {
+			got = append(got, batch...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !eventsEqual(got, all[r[0]:r[1]]) {
+			t.Fatalf("ReplayRange(%d, %d) returned %d events, not the recorded ones", r[0], r[1], len(got))
+		}
+		kept(fmt.Sprintf("ReplayRange(%d, %d)", r[0], r[1]))
+	}
+}
+
+// TestChainConcurrentReplay runs ReplayRange on one chain from several
+// goroutines at once: one reads through the chain's buffer, the others
+// through buffers of their own, and each gets exactly its range.
+func TestChainConcurrentReplay(t *testing.T) {
+	dir := t.TempDir()
+	all, numProcs, _ := buildChain(t, dir, 37, 3000)
+	c, err := OpenChain(dir, ChainOptions{NumProcs: numProcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := uint64(len(all))
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := uint64(0); round < 20; round++ {
+				from := (g*97 + round*31) % (n / 2)
+				var got []model.Event
+				if err := c.ReplayRange(from, n, func(batch []model.Event) error {
+					got = append(got, batch...)
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				if !eventsEqual(got, all[from:]) {
+					t.Errorf("ReplayRange(%d, %d) returned %d events, not the recorded ones", from, n, len(got))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

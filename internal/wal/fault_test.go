@@ -16,7 +16,7 @@ import (
 )
 
 // faultFS is the OS file system with one fault armed at a time: calls of
-// operation op ("write", "sync", "syncdir" or "map") on a path containing
+// operation op ("write", "sync", "syncdir", "open" or "read") on a path containing
 // match fail with err — every such call, or only the first when once is set
 // — until clear. It also lists the fsyncs the log asks of it.
 type faultFS struct {
@@ -71,11 +71,32 @@ func (f *faultFS) fault(op, path string) error {
 	return err
 }
 
-func (f *faultFS) Map(path string) ([]byte, func() error, error) {
-	if err := f.fault("map", path); err != nil {
-		return nil, nil, err
+func (f *faultFS) OpenRead(path string) (readFile, error) {
+	if err := f.fault("open", path); err != nil {
+		return nil, err
 	}
-	return f.osFS.Map(path)
+	rf, err := f.osFS.OpenRead(path)
+	if err != nil {
+		return nil, err
+	}
+	return &faultReadFile{rf, f, path}, nil
+}
+
+// faultReadFile routes a file's reads of records, the bytes past its header,
+// past its faultFS.
+type faultReadFile struct {
+	readFile
+	fs   *faultFS
+	path string
+}
+
+func (f *faultReadFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= fileHeaderLen {
+		if err := f.fs.fault("read", f.path); err != nil {
+			return 0, err
+		}
+	}
+	return f.readFile.ReadAt(p, off)
 }
 
 func (f *faultFS) SyncDir(dir string) error {
@@ -358,10 +379,8 @@ func TestFailedRotationReopens(t *testing.T) {
 // crash rows take the directory's image right after a rotation, before the
 // first group commit made the fresh segment durable
 // [segment-durable-at-commit], with that segment as a crash can leave it:
-// Open recovers exactly the durable events and appends on from them.
-//
-// Out of scope: EIO on a page of a part that is already mapped arrives as
-// SIGBUS, not as an error (DESIGN.md §8).
+// Open recovers exactly the durable events and appends on from them. A failed
+// read is an error, never damage the scan could repair [reads-below-valid].
 func TestWALFaults(t *testing.T) {
 	runs, numProcs := testRuns(t, 33, 360)
 	all := flatten(runs)
@@ -378,8 +397,10 @@ func TestWALFaults(t *testing.T) {
 			op: "write", match: "wal-", err: syscall.ENOSPC},
 		{name: "eio-on-fsync", outcome: "AppendRun fails, the log fail-stops, reopen recovers what was acknowledged",
 			op: "sync", match: "wal-", err: syscall.EIO, once: true},
-		{name: "eio-mapping-sealed-part", outcome: "Open refuses with the directory untouched, and recovers once the fault clears",
-			op: "map", match: "snap-", err: syscall.EIO, atOpen: true},
+		{name: "eio-opening-sealed-part", outcome: "Open refuses with the directory untouched, and recovers once the fault clears",
+			op: "open", match: "snap-", err: syscall.EIO, atOpen: true},
+		{name: "eio-on-segment-read", outcome: "Open refuses with the directory untouched, and recovers once the fault clears",
+			op: "read", match: "wal-", err: syscall.EIO, atOpen: true},
 		{name: "crash-before-first-commit-segment-missing", outcome: "Open recovers exactly the durable events",
 			image: "missing"},
 		{name: "crash-before-first-commit-segment-empty", outcome: "Open drops the husk and recovers exactly the durable events",
@@ -497,5 +518,44 @@ func TestWALFaults(t *testing.T) {
 				t.Fatalf("%s: recovered %d events, want a prefix of the delivered sequence holding the %d acknowledged", tc.outcome, len(got), acked)
 			}
 		})
+	}
+}
+
+// TestReplayRangeReadFault fails every read of an open chain's segment:
+// ReplayRange returns the error, and once the fault clears the next call
+// streams every recorded event [reads-below-valid].
+func TestReplayRangeReadFault(t *testing.T) {
+	runs, numProcs := testRuns(t, 35, 300)
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NumProcs: numProcs, Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		if err := l.AppendRun(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ffs := &faultFS{}
+	c, err := scanChain(ffs, dir, numProcs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ffs.arm("read", "wal-", syscall.EIO, false)
+	delivered := 0
+	err = c.ReplayRange(0, c.Events(), func(batch []model.Event) error {
+		delivered += len(batch)
+		return nil
+	})
+	if !errors.Is(err, syscall.EIO) || delivered != 0 {
+		t.Fatalf("ReplayRange over failing reads = %v after %d events, want EIO before any", err, delivered)
+	}
+	ffs.clear()
+	if got := chainEvents(t, c); !eventsEqual(got, flatten(runs)) {
+		t.Fatalf("ReplayRange after the fault cleared returned %d events, not the %d recorded", len(got), len(flatten(runs)))
 	}
 }

@@ -1,8 +1,8 @@
 package wal
 
 // The log's one seam to the file system. Every disk call the package makes
-// goes through a fileSystem, and osFS is the only code that calls package os
-// (mmap_*.go map what Map opened). Open and OpenChain pass osFS; a test hands
+// goes through a fileSystem, and osFS is the only code that calls package os.
+// Open and OpenChain pass osFS; a test hands
 // openLog one that fails a chosen call, so each I/O failure the log can meet
 // has a tested outcome (DESIGN.md §8).
 
@@ -18,9 +18,8 @@ import (
 type fileSystem interface {
 	MkdirAll(dir string) error
 	ReadDir(dir string) ([]fs.DirEntry, error)
-	// Map returns the bytes of a regular file, mapped read-only where the
-	// platform can, and the function that releases them.
-	Map(path string) (data []byte, unmap func() error, err error)
+	// OpenRead opens a regular file for positioned reads.
+	OpenRead(path string) (readFile, error)
 	ReadFile(path string) ([]byte, error)
 	// Create makes a new file for writing; it fails if path exists.
 	Create(path string) (file, error)
@@ -41,6 +40,14 @@ type file interface {
 	Close() error
 }
 
+// readFile is an open file the chain reads [reads-below-valid].
+type readFile interface {
+	io.ReaderAt
+	Close() error
+	// Size is the file's length when it was opened.
+	Size() int64
+}
+
 // osFS is the operating system's file system.
 type osFS struct{}
 
@@ -59,25 +66,29 @@ func (osFS) Append(path string) (file, error) {
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-func (osFS) Map(path string) ([]byte, func() error, error) {
+func (osFS) OpenRead(path string) (readFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	defer f.Close() // the mapping keeps the pages
 	st, err := f.Stat()
 	if err == nil && !st.Mode().IsRegular() {
 		err = fmt.Errorf("wal: %s: not a regular file", path)
 	}
 	if err != nil {
-		return nil, nil, err
+		f.Close()
+		return nil, err
 	}
-	data, unmap, err := mapFile(f, st.Size())
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: mapping %s: %w", path, err)
-	}
-	return data, unmap, nil
+	return &osReadFile{File: f, size: st.Size()}, nil
 }
+
+// osReadFile is an os.File opened for reading, with its size at open.
+type osReadFile struct {
+	*os.File
+	size int64
+}
+
+func (f *osReadFile) Size() int64 { return f.size }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

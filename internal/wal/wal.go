@@ -167,8 +167,8 @@ type Log struct {
 	compacting bool
 	encBuf     []byte
 
-	// chain is the scan Open accepted, kept mapped for Replay; nil once
-	// replayed, appended to or closed.
+	// chain is the scan Open accepted, its files kept open for Replay; nil
+	// once replayed, appended to or closed.
 	chain *Chain
 
 	stopTick  chan struct{}
@@ -393,10 +393,10 @@ func (l *Log) Stats() string {
 
 // Replay streams the recovered delivered-event sequence — sealed snapshot
 // first, then the segment tail — in its original run batching, from the
-// mapped parts Open validated. The batch slice is reused between calls.
-// Replay runs once, before the first AppendRun; feeding the batches to
-// Monitor.DeliverBatch reconstructs the monitor exactly as the uninterrupted
-// run built it. The mappings are released when it returns.
+// parts Open validated, through the chain's read buffer. The batch slice is
+// reused between calls. Replay runs once, before the first AppendRun; feeding
+// the batches to Monitor.DeliverBatch reconstructs the monitor exactly as the
+// uninterrupted run built it. The parts' files are closed when it returns.
 func (l *Log) Replay(fn func(batch []model.Event) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -413,7 +413,7 @@ func (l *Log) Replay(fn func(batch []model.Event) error) error {
 	return c.ReplayRange(0, c.Events(), fn)
 }
 
-// releaseChain drops the recovery scan's mappings. Callers hold mu.
+// releaseChain closes the recovery scan's files. Callers hold mu.
 func (l *Log) releaseChain() {
 	if l.chain != nil {
 		l.chain.Close()
@@ -666,7 +666,7 @@ func (l *Log) compact() error {
 func (l *Log) writeSnapshot(cutoff uint64, oldSnapPath string, oldSnapCount uint64, segs []segment) (string, error) {
 	// The inputs are read as chain parts, the way recovery reads them: every
 	// record CRC-checked, no sidecar trusted.
-	src := &Chain{fsys: l.fsys, numProcs: l.opts.NumProcs}
+	src := newChain(l.fsys, l.opts.NumProcs)
 	defer src.Close()
 	if oldSnapPath != "" {
 		p, err := openChainPart(src, oldSnapPath, true, oldSnapCount, false)

@@ -535,7 +535,7 @@ func TestOpenRefusalLeavesDirectoryUntouched(t *testing.T) {
 			}
 		}},
 		{name: "snapshot-unreadable", opts: opts, want: len(all), damage: func(t *testing.T, dir string) {
-			// A directory opens and stats but cannot be read or mapped.
+			// A directory opens and stats but is not a regular file.
 			if err := os.Remove(filepath.Join(dir, snap)); err != nil {
 				t.Fatal(err)
 			}
