@@ -103,8 +103,9 @@ type readBuffer struct {
 	read  *atomic.Uint64 // the chain's count of bytes read from files
 }
 
-// at returns the n bytes of f at off, from the window or by filling it with
-// up to readKeep bytes below limit. They stay valid until the next call.
+// at returns the n bytes of f at off, from the window or by refilling it from
+// off with max(n, readKeep) bytes, cut at limit. They stay valid until the
+// next call.
 func (b *readBuffer) at(f readFile, off, n, limit int64) ([]byte, error) {
 	if n > limit-off {
 		return nil, fmt.Errorf("%d bytes at offset %d run past %d", n, off, limit)
@@ -161,8 +162,8 @@ type Chain struct {
 	torn     bool   // the final segment ends in a torn or corrupt record
 
 	mu   sync.Mutex
-	buf  *readBuffer // under mu; nil while a ReplayRange holds it
-	read atomic.Uint64
+	buf  *readBuffer   // under mu; nil while a ReplayRange holds it
+	read atomic.Uint64 // bytes read from the parts' files
 
 	// leftovers are the files the scan classified as crash debris and kept
 	// out of the chain; Open removes them once the chain is accepted.

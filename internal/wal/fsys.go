@@ -2,9 +2,9 @@ package wal
 
 // The log's one seam to the file system. Every disk call the package makes
 // goes through a fileSystem, and osFS is the only code that calls package os.
-// Open and OpenChain pass osFS; a test hands
-// openLog one that fails a chosen call, so each I/O failure the log can meet
-// has a tested outcome (DESIGN.md §8).
+// Open and OpenChain pass osFS; a test hands openLog one that fails a chosen
+// call, so each I/O failure the log can meet has a tested outcome
+// (DESIGN.md §8).
 
 import (
 	"fmt"
