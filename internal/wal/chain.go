@@ -5,10 +5,11 @@ package wal
 // replay plane's read-only OpenChain — goes through this file: scanChain
 // lists the directory and applies its rules once, openChainPart opens and
 // validates one file, scanChainBody CRC-checks its records, ReplayRange
-// decodes them. Every byte is read through the chain's one read buffer,
-// with positioned reads of a part's open file, and nothing at or past the
-// valid prefix the scan found is read after it [reads-below-valid]: a part
-// is never mapped, so a failed read is an error a call returns.
+// decodes them. Every byte is read with positioned reads of a part's open
+// file, through the read buffer the chain keeps (a concurrent ReplayRange
+// brings its own), and nothing at or past the valid prefix the scan found is
+// read after it [reads-below-valid]: a part is never mapped, so a failed read
+// is an error a call returns.
 //
 // scanChain never writes to a log or snapshot file, so it can read the
 // directory of a live daemon (or a cold copy) while appends, rotations and
