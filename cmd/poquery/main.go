@@ -279,13 +279,33 @@ func answer(out io.Writer, m mode, refs []reference, eArg, fArg string, sample i
 	return ask(e, f)
 }
 
-// drawFromTrace draws -sample events uniformly from a trace.
-func drawFromTrace(tr *model.Trace) func(*rand.Rand) (model.EventID, bool) {
+// drawFromTrace draws -sample events uniformly from the events of a trace a
+// daemon that recorded it in order holds at cutoff n: its first n events, less
+// a synchronous half whose partner lies past the cutoff, which the view at the
+// cutoff does not hold either. An n past the trace's end (CutoffLatest) draws
+// from all of it.
+func drawFromTrace(tr *model.Trace, n uint64) func(*rand.Rand) (model.EventID, bool) {
 	if tr == nil {
 		return nil
 	}
+	held := tr.Events
+	if n < uint64(len(held)) {
+		count := make([]model.EventIndex, tr.NumProcs) // per process, the events of the prefix
+		for _, e := range held[:n] {
+			count[e.ID.Process] = e.ID.Index
+		}
+		held = nil
+		for _, e := range tr.Events[:n] {
+			if e.Kind != model.Sync || count[e.Partner.Process] >= e.Partner.Index {
+				held = append(held, e)
+			}
+		}
+	}
 	return func(r *rand.Rand) (model.EventID, bool) {
-		return tr.Events[r.Intn(len(tr.Events))].ID, true
+		if len(held) == 0 {
+			return model.EventID{}, false
+		}
+		return held[r.Intn(len(held))].ID, true
 	}
 }
 
@@ -299,7 +319,7 @@ func openLocal(tr *model.Trace, newCfg func() hct.Config) (mode, error) {
 	if err := m.DeliverAll(tr); err != nil {
 		return mode{}, err
 	}
-	return mode{label: "cluster-ts", precedes: m.Precedes, draw: drawFromTrace(tr), cuts: m.Queries}, nil
+	return mode{label: "cluster-ts", precedes: m.Precedes, draw: drawFromTrace(tr, replay.CutoffLatest), cuts: m.Queries}, nil
 }
 
 // configFactory builds the cluster-timestamp configuration factory for the
@@ -414,9 +434,10 @@ func dialRemote(out io.Writer, addr, tenant string, tr *model.Trace, load bool) 
 }
 
 // remoteMode serves the -addr mode: the daemon answers — from its live
-// store, or with -at from its replay plane (QUERY@ frames) as of the cutoff.
+// store, or with -at from its replay plane (QUERY@ frames) as of the cutoff,
+// -sample then drawing from what the cutoff holds.
 func remoteMode(sess *monitor.ClientV2, tr *model.Trace, at bool, cutoff uint64) mode {
-	m := mode{label: "remote", precedes: sess.Precedes, draw: drawFromTrace(tr)}
+	m := mode{label: "remote", precedes: sess.Precedes, draw: drawFromTrace(tr, cutoff)}
 	if at {
 		m.precedes = func(e, f model.EventID) (bool, error) {
 			res, err := sess.QueryBatchAt(cutoff, []monitor.Query{{Op: monitor.OpPrecedes, A: e, B: f}})

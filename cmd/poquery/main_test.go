@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/hct"
 	"repro/internal/monitor"
+	"repro/internal/replay"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -147,6 +148,71 @@ func TestModesAgree(t *testing.T) {
 	}
 	if _, err := poquery("-addr", addr.String(), "-e", "3:4", "-cut"); err == nil {
 		t.Error("-addr -cut was accepted")
+	}
+}
+
+// TestSampleAtCutoff asks a daemon holding pvm/ring-300 for -sample queries
+// at a cutoff short of the trace's end: every drawn event must be one the
+// cutoff holds, so each query is answered, none refused as unknown.
+func TestSampleAtCutoff(t *testing.T) {
+	spec, ok := workload.Find("pvm/ring-300")
+	if !ok {
+		t.Fatal("no corpus computation pvm/ring-300")
+	}
+	tr := spec.Generate()
+	const cutoff = 20000
+	if len(tr.Events) <= cutoff {
+		t.Fatalf("pvm/ring-300 has %d events: the cutoff %d no longer falls inside it", len(tr.Events), cutoff)
+	}
+	walDir := t.TempDir()
+	l, err := wal.Open(walDir, wal.Options{NumProcs: tr.NumProcs, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(tr.Events); lo += 1024 {
+		if err := l.AppendRun(tr.Events[lo:min(lo+1024, len(tr.Events))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := monitor.New(tr.NumProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.DeliverAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := replay.OpenLive(walDir, m.Pipeline(), replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hist.Close()
+	srv, err := monitor.NewTenantServer(monitor.ServerConfig{Tenants: &monitor.TenantsConfig{
+		New: func(name string) (monitor.TenantResources, error) {
+			if name != monitor.DefaultTenant {
+				return monitor.TenantResources{}, fmt.Errorf("this server serves only %q", monitor.DefaultTenant)
+			}
+			return monitor.TenantResources{Monitor: m, History: hist}, nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var out bytes.Buffer
+	if err := run([]string{"-addr", addr.String(), "-trace", "pvm/ring-300", "-at", strconv.Itoa(cutoff), "-sample", "5"}, &out); err != nil {
+		t.Fatalf("-at %d -sample 5: %v\n%s", cutoff, err, out.String())
+	}
+	if !strings.Contains(out.String(), "5 sampled queries answered (remote), each in agreement with 2 reference implementations") {
+		t.Errorf("-at %d -sample 5 printed:\n%s", cutoff, out.String())
 	}
 }
 

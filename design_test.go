@@ -147,10 +147,12 @@ var design = []gate{
 		{in: ". +tests -internal/hct/core.go", site: `\.(crEvents|mergedCRs)\b`},
 		{in: "internal/hct/*.go", site: `\bp\.core\.`, except: `\bp\.core\.part\.LiveSizesInto\b`, with: `\bplanMu\.Lock\($`, must: []string{"Pipeline.Result"}},
 	}},
-	{name: "One_owner_of_the_note_form", why: "arena.frame writes a note's form bits and a nibble frame's anchor header; chunkDir.component and chunkDir.full read them (DESIGN.md §10).", rules: []rule{
+	{name: "One_owner_of_the_note_form", why: "arena.frame writes a note's form bits, a nibble frame's anchor header and a 16-bit key's raw-keyframe header; chunkDir.component and chunkDir.full read them (DESIGN.md §10).", rules: []rule{
 		{in: "internal/hct/*.go", site: `^sparseBit\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
 		{in: "internal/hct/*.go", site: `^nibbleBit\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
 		{in: "internal/hct/*.go", site: `^anchorElem\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
+		{in: "internal/hct/*.go", site: `^wideBit\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
+		{in: "internal/hct/*.go", site: `^rawElem\b`, must: []string{"arena.frame", "chunkDir.component", "chunkDir.full"}},
 		{in: "internal/hct/*.go", site: `\bcrNote\{$`, must: []string{"arena.frame"}},
 		{in: "internal/hct/*.go", site: `\.delta\b`, except: `\.delta [!=]= noDelta$`, may: []string{"chunkDir.component", "chunkDir.full"}},
 	}},

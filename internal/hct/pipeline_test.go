@@ -296,9 +296,10 @@ func TestPipelineBatchRejection(t *testing.T) {
 // first as a fresh keyframe and then as one whose offsets outgrow their
 // bytes; over every process as a nibble frame, and on the worst path, where
 // neither a nibble frame over the anchor nor a byte frame over the keyframe
-// fits and it becomes a keyframe; a noted cluster receive likewise, as a
-// keyframe, as a sparse delta or nibble frame, which from some positions is
-// carved at the first element of a fresh chunk, and on the worst path. Every
+// fits and it becomes a keyframe; a noted cluster receive likewise, as a raw
+// keyframe, as a sparse 16-bit key, delta or nibble frame, which from some
+// positions is carved at the first element of a fresh chunk, and on the worst
+// path, where no 16-bit key over the raw keyframe fits either. Every
 // event carves once, nothing for the forms it tested first. Last, the worst
 // paths, and a projection that takes the nibble path, run next to
 // arenaLimit, in the last chunk below it, from every position at which the
@@ -346,7 +347,8 @@ func TestStoreRoom(t *testing.T) {
 	for q := range all {
 		all[q] = int32(q)
 	}
-	key, delta, nibble := crForm{key: true}, crForm{sparse: true}, crForm{nibble: true, sparse: true}
+	key, wide := crForm{key: true}, crForm{key: true, wide: true, sparse: true}
+	delta, nibble := crForm{sparse: true}, crForm{nibble: true, sparse: true}
 	cases := []struct {
 		name    string
 		members []int32  // nil: a noted cluster receive
@@ -358,10 +360,11 @@ func TestStoreRoom(t *testing.T) {
 		{"maxCS = numProcs", all, []int32{256, 256}, nil, []int{projKeyframe, projKeyframe}},
 		{"maxCS = numProcs, nibble frame", all, []int32{256, 1}, nil, []int{projKeyframe, projNibble}},
 		{"maxCS = numProcs, the worst path", all, []int32{256, 16, 1, 256}, nil, []int{projKeyframe, projByte, projNibble, projKeyframe}},
-		{"noted cluster receive", nil, []int32{256, 256}, []crForm{key, key}, nil},
+		{"noted cluster receive", nil, []int32{256, 70000}, []crForm{key, key}, nil},
+		{"noted cluster receive, sparse 16-bit key", nil, []int32{256, 256}, []crForm{key, wide}, nil},
 		{"noted cluster receive, sparse delta frame", nil, []int32{256, 16}, []crForm{key, delta}, nil},
 		{"noted cluster receive, sparse nibble frame", nil, []int32{256, 1}, []crForm{key, nibble}, nil},
-		{"noted cluster receive, the worst path", nil, []int32{256, 16, 1, 256}, []crForm{key, delta, nibble, key}, nil},
+		{"noted cluster receive, the worst path", nil, []int32{256, 16, 1, 256, 70000}, []crForm{key, delta, nibble, wide, key}, nil},
 	}
 	// lane is one process's stamping state; stamp adds st to component 0 and
 	// stores the event, returning how far the arena's offset moved.
@@ -424,7 +427,10 @@ func TestStoreRoom(t *testing.T) {
 				default:
 					want.DeltaFrames++
 				}
-				if form.sparse {
+				if form.wide {
+					want.WideKeys++
+				}
+				if form.sparseFrame() {
 					want.SparseFrames++
 				}
 			}
@@ -435,8 +441,12 @@ func TestStoreRoom(t *testing.T) {
 			if full := l.ar.chunks.full(note, numProcs, nil); !slices.Equal(full, l.clk) || l.ar.chunks.component(note, 0, numProcs) != l.clk[0] {
 				t.Fatalf("%s from offset %d: the last note decodes to %v", tc.name, fill, full)
 			}
-			if off := note.delta & offMask; !formOf(note).key {
-				if formOf(note).nibble {
+			if form := formOf(note); !form.key || form.wide {
+				off := note.delta & offMask
+				switch {
+				case form.wide:
+					off = note.key&offMask - rawElem // the header
+				case form.nibble:
 					off -= anchorElem // the header
 				}
 				if _, base := chunkOf(off); base == off {
@@ -444,7 +454,7 @@ func TestStoreRoom(t *testing.T) {
 				}
 			}
 		}
-		if tc.forms != nil && !tc.forms[len(tc.forms)-1].key && atBoundary == 0 {
+		if last := tc.forms; last != nil && (!last[len(last)-1].key || last[len(last)-1].wide) && atBoundary == 0 {
 			t.Errorf("%s: no frame was carved at the first element of a chunk", tc.name)
 		}
 		if worst > perEvent {
@@ -466,7 +476,7 @@ func TestStoreRoom(t *testing.T) {
 		{"maxCS = numProcs", all, cases[1].steps},
 		{"maxCS = numProcs, nibble frame", all, cases[2].steps},
 		{"maxCS = numProcs, the worst path", all, cases[3].steps},
-		{"noted cluster receive", nil, cases[7].steps},
+		{"noted cluster receive", nil, cases[8].steps},
 	} {
 		for slack := uint32(0); slack < 2*perEvent; slack++ {
 			l := &lane{clk: make([]int32, numProcs)}

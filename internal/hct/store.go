@@ -90,38 +90,50 @@ import (
 // receive or an epoch change always carve.
 //
 // A noted cluster receive keeps its whole Fidge/Mattern vector the same way,
-// over all numProcs components: its note (12 bytes: event index, keyframe
-// offset, frame reference) names a keyframe of numProcs int32s — an earlier
-// cluster receive's vector of the same process — and a frame of offsets
-// (arena.frame). A note whose reference is noDelta is a keyframe itself. A
-// reference is the frame's element offset with its form in the two bits above
-// the offset's 29: sparseBit and nibbleBit. There are two frames, at a fixed
-// depth:
+// over all numProcs components: its note (12 bytes: event index, key
+// reference, frame reference) names a key — an earlier cluster receive's
+// vector of the same process — and a frame of offsets (arena.frame). A key is
+// a raw keyframe of numProcs int32s, or a 16-bit key: a 16-bit offset per
+// component over the process's raw keyframe, whose one header element,
+// rawElem before what the reference names, is that raw keyframe's offset. A
+// key reference is the key's element offset, with wideBit set above its 29
+// bits for a 16-bit key and sparseBit beside it for its form; a 16-bit key
+// is always over a raw keyframe, never over another. A note whose frame
+// reference is noDelta is its key itself. A frame reference is the frame's
+// element offset with its form in the two bits above the offset's 29:
+// sparseBit and nibbleBit. There are two frames, at a fixed depth:
 //
-//   - a delta frame is a byte per component above the keyframe. The latest
-//     one of a process is its anchor; until the process has one, the
-//     keyframe itself is.
+//   - a delta frame is a byte per component above the key. The latest one of
+//     a process is its anchor; until the process has one, the key itself is.
 //   - a nibble frame is a nibble per component above the anchor. Its first
 //     element, anchorElem before what the reference names, is the anchor's
-//     reference (noDelta for the keyframe), as a projection frame's first
+//     reference (noDelta for the key), as a projection frame's first
 //     element names its keyframe.
 //
 // The writer takes the first that fits: a nibble frame while every component
 // is within 15 of the anchor, then a delta frame — the new anchor — while
-// every one is within 255 of the keyframe, then a new keyframe, which is the
-// anchor too. Component q is key[q], plus the delta frame's byte q, plus the
-// nibble frame's nibble q: three reads after the note at most, never a chain.
-// Consecutive cluster receives of one process nearly always leave some
-// component more than 15 above the keyframe, but far fewer above a recent
-// frame, which is why the nibbles are over the anchor and not over the key.
+// every one is within 255 of the key, then a 16-bit key over the raw
+// keyframe — the new key and anchor, replacing the old key over the same raw
+// keyframe — while every one is within 65535 of that and the key is strictly
+// smaller than a raw keyframe, then a new raw keyframe, which is the key and
+// the anchor too. Component q is raw[q], plus the 16-bit key's field q, plus
+// the delta frame's byte q, plus the nibble frame's nibble q: five reads
+// after the note at most, never a chain. Consecutive cluster receives of one
+// process nearly always leave some component more than 15 above the key, but
+// far fewer above a recent frame, which is why the nibbles are over the
+// anchor and not over the key; and an RPC client's server outgrows a byte
+// above the key every few receives but seldom 16 bits above the raw keyframe
+// (on rpc-fanin's computation 2921 keys, 260 of them raw), which is why a
+// key is renewed at 16 bits.
 //
-// Either frame is dense, an offset per component packed 1<<lg to an element
-// (lowest first), or sparse: a bitmap of (numProcs+31)/32 elements, bit q of
-// element q/32 set when component q's offset is not zero, followed by only
-// those offsets, packed the same way in component order. An offset is then
-// zero when its bit is clear and otherwise the one whose rank is the count of
-// set bits below q: a popcount over at most ⌈q/32⌉ bitmap elements. The
-// writer takes the sparse form exactly when it is strictly smaller. Few
+// Either frame, and a 16-bit key, is dense, an offset per component packed
+// 1<<lg to an element (lowest first), or sparse: a bitmap of
+// (numProcs+31)/32 elements, bit q of element q/32 set when component q's
+// offset is not zero, followed by only those offsets, packed the same way in
+// component order. An offset is then zero when its bit is clear and otherwise
+// the one whose rank is the count of set bits below q: a popcount over at
+// most ⌈q/32⌉ bitmap elements. The writer takes the sparse form exactly when
+// it is strictly smaller. Few
 // components move between one process's cluster receives when its partners
 // are few — an RPC client's server, a server's clients — and nearly all do
 // above a keyframe under uniform traffic.
@@ -251,6 +263,17 @@ const (
 // by this name.
 const anchorElem = 1
 
+// A note's key is a key reference: a raw keyframe's element offset, or, with
+// wideBit set above the offset's 29 bits, a 16-bit key's — sparseBit beside it
+// saying which form that one takes. A 16-bit key lies rawElem elements behind
+// its header, the offset of the raw keyframe it is over. The writer
+// (arena.frame) and the readers (chunkDir.component, chunkDir.full) place both
+// by these names.
+const (
+	wideBit = 1 << (vecBits + 1) // a 16-bit key over the raw keyframe its header names
+	rawElem = 1
+)
+
 // projNibbleBit marks a projection frame's header as a nibble frame's: the
 // offset below it is the anchor's, a byte frame, not the keyframe's. It is
 // written only by arena.project and read only by chunkDir.proj.
@@ -259,14 +282,15 @@ const projNibbleBit = 1 << (vecBits + 1)
 // crNote records a noted (non-merged) cluster receive of one process: the
 // paper's "greatest cluster receive within this process at this point".
 // Notes are appended in event-index order, so the column is sorted. The
-// Fidge/Mattern vector is the keyframe at key plus, per component, the
-// offset the frame delta names holds for it and, for a nibble frame, the
-// offset the delta frame its header names holds; a keyframe's vector is key
-// itself. key and delta's offset are element offsets into the arena of the
-// lane that owns the process.
+// Fidge/Mattern vector is the key's vector — a raw keyframe, or a 16-bit key
+// over one — plus, per component, the offset the frame delta names holds for
+// it and, for a nibble frame, the offset the delta frame its header names
+// holds; a key's vector is the note's own when delta is noDelta. key's and
+// delta's offsets are element offsets into the arena of the lane that owns
+// the process.
 type crNote struct {
 	index int32  // event index
-	key   uint32 // numProcs elements, shared by the frames that follow
+	key   uint32 // a key reference (wideBit), shared by the frames that follow
 	delta uint32 // a frame reference (see "Layout"), or noDelta
 }
 
@@ -288,7 +312,7 @@ type column[T any] struct {
 type tsColumn = column[cell]
 
 // crColumn is a process's note column and the writer's copy of its anchor:
-// the reference of its latest delta frame, noDelta while that is its keyframe
+// the reference of its latest delta frame, noDelta while that is its key
 // (arena.frame). anchor is writer-private.
 type crColumn struct {
 	column[crNote]
@@ -391,9 +415,10 @@ func (d chunkDir) slice(off uint32, n int) []int32 {
 }
 
 // A packed frame holds its offsets 1<<lg to an element, each 32>>lg bits
-// wide, lowest first: bytes (a projection's frame, a delta frame) byteLg,
-// nibbles nibbleLg.
+// wide, lowest first: 16-bit fields (a cluster receive's 16-bit key) wideLg,
+// bytes (a projection's frame, a delta frame) byteLg, nibbles nibbleLg.
 const (
+	wideLg   = 1
 	byteLg   = 2
 	nibbleLg = 3
 )
@@ -548,9 +573,12 @@ func addOffsets(v, base, f []int32, lg uint, sparse bool) {
 			d, b := (*[8]int32)(v[8*i:]), (*[8]int32)(base[8*i:])
 			d[0], d[1], d[2], d[3] = b[0]+int32(u&15), b[1]+int32(u>>4&15), b[2]+int32(u>>8&15), b[3]+int32(u>>12&15)
 			d[4], d[5], d[6], d[7] = b[4]+int32(u>>16&15), b[5]+int32(u>>20&15), b[6]+int32(u>>24&15), b[7]+int32(u>>28)
-		} else {
+		} else if lg == byteLg {
 			d, b := (*[4]int32)(v[4*i:]), (*[4]int32)(base[4*i:])
 			d[0], d[1], d[2], d[3] = b[0]+int32(u&0xff), b[1]+int32(u>>8&0xff), b[2]+int32(u>>16&0xff), b[3]+int32(u>>24)
+		} else {
+			d, b := (*[2]int32)(v[2*i:]), (*[2]int32)(base[2*i:])
+			d[0], d[1] = b[0]+int32(u&0xffff), b[1]+int32(u>>16)
 		}
 	}
 	for q := full << lg; q < n; q++ {
@@ -566,11 +594,18 @@ func (d chunkDir) from(off uint32) []int32 {
 }
 
 // component returns element q of note n's vector; the caller bounds q to
-// [0, numProcs). It reads the keyframe element, the nibble frame's header and
-// nibble if n is one, and the delta frame's offset: at most three reads after
-// the note, never a chain.
+// [0, numProcs). It reads the raw keyframe's element — under a 16-bit key
+// after the key's header, and with the key's field added: two more dependent
+// reads — the nibble frame's header and nibble if n is one, and the delta
+// frame's offset: at most five reads after the note, never a chain.
 func (d chunkDir) component(n *crNote, q model.ProcessID, numProcs int) int32 {
-	v := d.at(n.key + uint32(q))
+	var v int32
+	if key := n.key; key&wideBit != 0 {
+		f := d.from(key&offMask - rawElem) // one carve: the header and the fields share a chunk [anchor-before-frame]
+		v = d.at(uint32(f[rawElem-1])+uint32(q)) + offsetAt(f[rawElem:], int(q), wideLg, key&sparseBit != 0, numProcs)
+	} else {
+		v = d.at(key + uint32(q))
+	}
 	ref := n.delta
 	if ref == noDelta {
 		return v
@@ -585,20 +620,29 @@ func (d chunkDir) component(n *crNote, q model.ProcessID, numProcs int) int32 {
 	return v + offsetAt(d.from(ref&offMask), int(q), byteLg, ref&sparseBit != 0, numProcs)
 }
 
-// full returns note n's Fidge/Mattern vector: the keyframe itself, aliasing
-// the arena, or for a frame of any form the vector decoded into buf when it
-// has the room and into a fresh slice otherwise.
+// full returns note n's Fidge/Mattern vector: a raw keyframe itself, aliasing
+// the arena, or for a 16-bit key or a frame of any form the vector decoded
+// into buf when it has the room and into a fresh slice otherwise.
 func (d chunkDir) full(n *crNote, numProcs int, buf []int32) []int32 {
-	key := d.slice(n.key, numProcs)
-	ref := n.delta
-	if ref == noDelta {
-		return key
+	kref, ref := n.key, n.delta
+	if kref&wideBit == 0 && ref == noDelta {
+		return d.slice(kref, numProcs)
 	}
 	v := buf[:0]
 	if cap(v) < numProcs {
 		v = make([]int32, numProcs)
 	}
 	v = v[:numProcs]
+	key := v
+	if kref&wideBit != 0 {
+		f := d.from(kref&offMask - rawElem) // [anchor-before-frame]
+		addOffsets(v, d.slice(uint32(f[rawElem-1]), numProcs), f[rawElem:], wideLg, kref&sparseBit != 0)
+		if ref == noDelta {
+			return v
+		}
+	} else {
+		key = d.slice(kref, numProcs)
+	}
 	if ref&nibbleBit != 0 {
 		f := d.from(ref&offMask - anchorElem)
 		addOffsets(v, key, f[anchorElem:], nibbleLg, ref&sparseBit != 0)
@@ -641,8 +685,9 @@ type StoreStats struct {
 	CellBytes        int64 `json:"cell_bytes"`         // 4 per stamped event
 	NoteBytes        int64 `json:"note_bytes"`         // 12 per noted cluster receive
 	Epochs           int64 `json:"epochs"`             // cluster epochs in the epoch table
-	Keyframes        int64 `json:"cr_keyframes"`       // noted cluster receives stored as a keyframe
-	DeltaFrames      int64 `json:"cr_delta_frames"`    // noted cluster receives stored as bytes above an earlier keyframe, each its process's anchor
+	Keyframes        int64 `json:"cr_keyframes"`       // noted cluster receives stored as a key: a raw keyframe, or a 16-bit key over one
+	WideKeys         int64 `json:"cr_wide_keys"`       // of the keyframes, the 16-bit keys: 16-bit offsets above their process's raw keyframe
+	DeltaFrames      int64 `json:"cr_delta_frames"`    // noted cluster receives stored as bytes above their process's key, each its anchor
 	NibbleFrames     int64 `json:"cr_nibble_frames"`   // noted cluster receives stored as nibbles above their process's anchor
 	SparseFrames     int64 `json:"cr_sparse_frames"`   // of the delta and nibble frames, those stored sparse: a bitmap and the nonzero offsets
 	ProjKeyframes    int64 `json:"proj_keyframes"`     // projections that started a keyframe (and carry a zero frame over it)
@@ -658,6 +703,7 @@ func (s *StoreStats) add(o StoreStats) {
 	s.NoteBytes += o.NoteBytes
 	s.Epochs += o.Epochs
 	s.Keyframes += o.Keyframes
+	s.WideKeys += o.WideKeys
 	s.DeltaFrames += o.DeltaFrames
 	s.NibbleFrames += o.NibbleFrames
 	s.SparseFrames += o.SparseFrames
@@ -711,54 +757,87 @@ func (a *arena) grow(n int) {
 
 // frame stores clk, the clock of the noted cluster receive with event index
 // index, and returns its note. prev is the process's previous note, nil
-// before its first cluster receive; its key is the process's current
-// keyframe, and *anchor is the writer's copy of the reference of its anchor:
-// its latest delta frame, or noDelta while that is the keyframe itself. The
-// note is the first of these that fits:
+// before its first cluster receive; its key is the process's current key, a
+// raw keyframe or a 16-bit key over one, and *anchor is the writer's copy of
+// the reference of its anchor: its latest delta frame, or noDelta while that
+// is the key itself. The note is the first of these that fits:
 //
 //   - a nibble frame over the anchor, while every component of clk is within
 //     15 of the anchor's vector; its header is *anchor;
-//   - a delta frame of bytes over the keyframe, while every component is
-//     within 255 of it; it becomes the anchor;
-//   - a new keyframe, which becomes the anchor too.
+//   - a delta frame of bytes over the key, while every component is within
+//     255 of it; it becomes the anchor;
+//   - a 16-bit key over the raw keyframe, while every component is within
+//     65535 of it and the key, its header included, is strictly smaller than
+//     a raw keyframe; it becomes the key and the anchor. Its header is the raw
+//     keyframe's offset: a 16-bit key is never over another;
+//   - a new raw keyframe, which becomes the key and the anchor too.
 //
-// The anchor is decoded into the lane's scratch by chunkDir.full, and each
-// form's offsets are packed there in one pass that also ORs them together,
-// element by element, stopping at the first that does not fit. A process's
-// clocks only grow, so an offset is never negative; as a uint32 it would fail
-// the test all the same. A frame is carved only once it fits, in the smaller
-// of its two forms (arena.carveFrame), so a noted cluster receive carves once.
+// The key is decoded into the lane's scratch by chunkDir.full — a raw
+// keyframe is aliased — and the anchor, a delta frame over it, there too;
+// each form's offsets are packed there in one pass that also ORs them
+// together, element by element, stopping at the first that does not fit. A process's clocks only grow, so an offset
+// is never negative; as a uint32 it would fail the test all the same. A frame
+// is carved only once it fits, in the smaller of its two forms
+// (arena.carveFrame), so a noted cluster receive carves once.
 func (a *arena) frame(index int32, prev *crNote, anchor *uint32, clk []int32) crNote {
+	n := len(clk)
 	if prev != nil {
-		n, nw := len(clk), packedWords(len(clk), nibbleLg)
-		if size := n + packedWords(n, byteLg); cap(a.spare) < size {
+		nw, bw, ww := packedWords(n, nibbleLg), packedWords(n, byteLg), packedWords(n, wideLg)
+		if size := 2*n + ww; cap(a.spare) < size {
 			a.spare = make([]int32, size)
 		}
-		anc := a.chunks.full(&crNote{key: prev.key, delta: *anchor}, n, a.spare[:n])
-		words := a.spare[n : n+packedWords(n, byteLg)]
+		// The key, decoded once: aliasing a raw keyframe, or a 16-bit key's
+		// vector; then the anchor over it.
+		key := a.chunks.full(&crNote{key: prev.key, delta: noDelta}, n, a.spare[n:2*n])
+		anc := key
+		if ref := *anchor; ref != noDelta {
+			anc = a.spare[:n]
+			addOffsets(anc, key, a.chunks.from(ref&offMask), byteLg, ref&sparseBit != 0)
+		}
+		words := a.spare[2*n : 2*n+ww]
 		if pack(words[:nw], clk, anc, nibbleLg) {
-			off, sparse, head := a.carveFrame(words[:nw], n, anchorElem, nibbleLg, true)
+			off, sparse, head := a.carveFrame(words[:nw], n, anchorElem, nibbleLg, frameForm(words[:nw], n, nibbleLg, true))
 			head[anchorElem-1] = int32(*anchor)
 			a.stats.NibbleFrames++
 			ref := off | nibbleBit
 			if sparse {
 				ref |= sparseBit
+				a.stats.SparseFrames++
 			}
 			return crNote{index: index, key: prev.key, delta: ref}
 		}
-		if pack(words, clk, a.chunks.slice(prev.key, n), byteLg) {
-			// What moved since the keyframe only grows with the clock, so
-			// after a dense delta frame over it every one is dense: nothing
-			// to count.
-			off, sparse, _ := a.carveFrame(words, n, 0, byteLg, *anchor == noDelta || *anchor&sparseBit != 0)
+		if pack(words[:bw], clk, key, byteLg) {
+			// What moved since the key only grows with the clock, so after a
+			// dense delta frame over it every one is dense: nothing to count.
+			count := *anchor == noDelta || *anchor&sparseBit != 0
+			off, sparse, _ := a.carveFrame(words[:bw], n, 0, byteLg, frameForm(words[:bw], n, byteLg, count))
 			a.stats.DeltaFrames++
 			if *anchor = off; sparse {
 				*anchor |= sparseBit
+				a.stats.SparseFrames++
 			}
 			return crNote{index: index, key: prev.key, delta: *anchor}
 		}
+		raw := prev.key
+		if raw&wideBit != 0 {
+			raw = uint32(a.chunks.at(raw&offMask - rawElem))
+		}
+		if pack(words, clk, a.chunks.slice(raw, n), wideLg) {
+			if size := frameForm(words, n, wideLg, true); rawElem+size.elems < n {
+				off, sparse, head := a.carveFrame(words, n, rawElem, wideLg, size)
+				head[rawElem-1] = int32(raw) // carved earlier by this writer [anchor-before-frame]
+				a.stats.Keyframes++
+				a.stats.WideKeys++
+				*anchor = noDelta
+				key := off | wideBit
+				if sparse {
+					key |= sparseBit
+				}
+				return crNote{index: index, key: key, delta: noDelta}
+			}
+		}
 	}
-	at, k := a.carve(len(clk))
+	at, k := a.carve(n)
 	copy(k, clk)
 	a.stats.Keyframes++
 	*anchor = noDelta
@@ -783,11 +862,16 @@ func pack(words, clk, base []int32, lg uint) bool {
 			o4, o5, o6, o7 := uint32(c[4]-b[4]), uint32(c[5]-b[5]), uint32(c[6]-b[6]), uint32(c[7]-b[7])
 			over |= o0 | o1 | o2 | o3 | o4 | o5 | o6 | o7
 			words[i] = int32(o0 | o1<<4 | o2<<8 | o3<<12 | o4<<16 | o5<<20 | o6<<24 | o7<<28)
-		} else {
+		} else if lg == byteLg {
 			c, b := (*[4]int32)(clk[4*i:]), (*[4]int32)(base[4*i:])
 			o0, o1, o2, o3 := uint32(c[0]-b[0]), uint32(c[1]-b[1]), uint32(c[2]-b[2]), uint32(c[3]-b[3])
 			over |= o0 | o1 | o2 | o3
 			words[i] = int32(o0 | o1<<8 | o2<<16 | o3<<24)
+		} else {
+			c, b := (*[2]int32)(clk[2*i:]), (*[2]int32)(base[2*i:])
+			o0, o1 := uint32(c[0]-b[0]), uint32(c[1]-b[1])
+			over |= o0 | o1
+			words[i] = int32(o0 | o1<<16)
 		}
 		if over >= 1<<width {
 			return false
@@ -806,30 +890,42 @@ func pack(words, clk, base []int32, lg uint) bool {
 	return over < 1<<width
 }
 
-// carveFrame carves a frame of the packed offsets words over n components,
-// behind head header elements, and returns its offset past the header, its
-// form and the header to fill. It is sparse when count is set and that is
+// frameSize is the form a frame of packed offsets takes: its elements, past
+// any header, and whether it is sparse.
+type frameSize struct {
+	elems  int
+	sparse bool
+}
+
+// frameForm returns the form of a frame of the packed offsets words over n
+// components, 1<<lg to an element. It is sparse when count is set and that is
 // strictly smaller: a bitmap word per 32 components and only the nonzero
 // offsets, in component order.
-func (a *arena) carveFrame(words []int32, n, head int, lg uint, count bool) (uint32, bool, []int32) {
-	size, bw, sparse := len(words), bitmapWords(n), false
+func frameForm(words []int32, n int, lg uint, count bool) frameSize {
+	fs := frameSize{elems: len(words)}
 	if count {
 		nz := 0
 		for _, w := range words {
 			nz += nonzeroFields(uint32(w), lg)
 		}
-		if s := bw + packedWords(nz, lg); s < size {
-			size, sparse = s, true
+		if s := bitmapWords(n) + packedWords(nz, lg); s < fs.elems {
+			fs = frameSize{s, true}
 		}
 	}
-	at, f := a.carve(head + size)
-	if sparse {
-		sparsify(f[head:], bw, words, lg)
-		a.stats.SparseFrames++
+	return fs
+}
+
+// carveFrame carves a frame of the packed offsets words over n components in
+// the form fs, behind head header elements, and returns its offset past the
+// header, its form and the header to fill.
+func (a *arena) carveFrame(words []int32, n, head int, lg uint, fs frameSize) (uint32, bool, []int32) {
+	at, f := a.carve(head + fs.elems)
+	if fs.sparse {
+		sparsify(f[head:], bitmapWords(n), words, lg)
 	} else {
 		copy(f[head:], words)
 	}
-	return at + uint32(head), sparse, f[:head]
+	return at + uint32(head), fs.sparse, f[:head]
 }
 
 // sparsify fills f, carved zeroed, with the sparse form of the packed frame
@@ -839,10 +935,23 @@ func (a *arena) carveFrame(words []int32, n, head int, lg uint, count bool) (uin
 // its nonzero offsets are added to a 64-bit accumulator at the position p
 // past the nonzero ones before it, counted in nibbles, so a zero adds
 // nothing; the accumulator hands the stream out an element at a time. A shift
-// count masked to its width is one instruction.
+// count masked to its width is one instruction. A 16-bit field spans two
+// bytes, which fieldRuns does not tabulate; a 16-bit key is carved seldom, and
+// its fields are placed one by one.
 func sparsify(f []int32, bw int, words []int32, lg uint) {
-	runs, step := &fieldRuns[lg-byteLg], uint(1)<<(lg-byteLg) // step: fields per byte
 	out := f[bw:]
+	if lg == wideLg {
+		r := 0
+		for q := range 2 * len(words) {
+			if o := uint32(field(words, q, wideLg)); o != 0 {
+				f[q>>5] |= int32(uint32(1) << (q & 31))
+				out[r>>1] |= int32(o << (16 * (r & 1)))
+				r++
+			}
+		}
+		return
+	}
+	runs, step := &fieldRuns[lg-byteLg], uint(1)<<(lg-byteLg) // step: fields per byte
 	var acc uint64
 	p, pos := uint(0), 0
 	for i, w := range words {
@@ -989,9 +1098,9 @@ func (a *arena) project(cur *projKey, ep uint32, clk []int32, members []int32) u
 }
 
 // appendNote stores clk as the next noted cluster receive of the process
-// notes belongs to — a delta frame over the process's current keyframe, the
-// key of its previous note, or a new keyframe — publishes the note and
-// returns its slot, which never moves. Writer only.
+// notes belongs to — a frame over the process's current key, the key of its
+// previous note, or a new key (arena.frame) — publishes the note and returns
+// its slot, which never moves. Writer only.
 func appendNote(notes *crColumn, a *arena, index int32, clk []int32) int32 {
 	slot := notes.n
 	notes.append(a.frame(index, notes.last(), &notes.anchor, clk))

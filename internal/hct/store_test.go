@@ -339,7 +339,7 @@ func TestLaneQueueBounded(t *testing.T) {
 }
 
 // TestStoreBytesPerEvent asserts the store's steady-state cost (ROADMAP
-// 1(e)) on three of the benchmark's computations at maxCS 13: the live heap a
+// 1(e)) on four of the benchmark's computations at maxCS 13: the live heap a
 // one-lane engine gains per ingested event stays under a stated budget, and
 // stamping allocates per page and per arena chunk, never per event. Trace and
 // engine are built before the measured region.
@@ -358,10 +358,13 @@ func TestLaneQueueBounded(t *testing.T) {
 // noted cluster receives a 12-byte note and, for 20460 of 24420, a nibble
 // frame over the process's anchor — a header and ⌈300/8⌉ elements of
 // nibbles, or a bitmap and the moved nibbles where that is smaller — with a
-// 300-byte delta frame, the next anchor, for 3696 and a 1200-byte keyframe
-// for 264 of them (≈6 B/event, 12.2 with delta frames alone, 49 when every
-// one kept its full vector); partial pages and the last arena chunk — ≈18.5
-// B/event measured. The budget of 20 is below the 21.5 the store measured
+// 300-byte delta frame, the next anchor, for 3696, a 16-bit key of at most
+// 604 bytes over the process's raw keyframe for 240 and a 1200-byte raw
+// keyframe for 24 of
+// them (≈5.5 B/event, 6 with raw keyframes alone, 12.2 with delta frames
+// alone, 49 when every one kept its full vector); partial pages and the last
+// arena chunk — ≈18.1 B/event measured. The budget of 20 is below the 21.5
+// the store measured
 // with projections as byte frames alone, so dropping either nibble form fails
 // it, as do the epoch in the cell, the partner (a 16-byte cell), a frame per
 // projection, a pointer in the cell or a returned full vector per cluster
@@ -370,10 +373,11 @@ func TestLaneQueueBounded(t *testing.T) {
 // RandomUniform(280) (scattered-stream): no locality, so 47.8% of events are
 // noted cluster receives and their frames are most of the store — 4 B for
 // every event, ≈5 of projection frames (half of the other half share one),
-// 5.7 of notes, and ≈96 of cluster-receive frames: 1649 keyframes, 80772
-// delta frames and 60867 nibble frames, most of them sparse, over the latest
-// delta frame, where 91% of frames over a keyframe move every component.
-// ≈114.3 B/event measured (115.2 with projections as byte frames alone)
+// 5.7 of notes, and ≈93.5 of cluster-receive frames: 280 raw keyframes, 1369
+// 16-bit keys, 80772 delta frames and 60867 nibble frames, most of them
+// sparse, over the latest delta frame, where 91% of frames over a key move
+// every component. ≈111.8 B/event measured (114.4 with raw keyframes alone,
+// 115.2 with projections as byte frames alone)
 // against 155.4 with delta frames alone, 160.1 with the epoch in the cell
 // too, 169.6 with the partner too, 171.3 with dense frames only too, 177 with
 // a frame per projection, 192 with raw projections, 225 with pointers too and
@@ -384,13 +388,22 @@ func TestLaneQueueBounded(t *testing.T) {
 // RPCBusiness(240, 24, 24) (rpc-fanin, 288 processes): a cluster receive's
 // frame moves a median 2% of its components, so every frame is sparse — a
 // 36-byte bitmap and the few moved offsets where the dense frame was 288
-// bytes — and the 2921 keyframes are about as many as with dense frames only
-// (2924); 7960 of the 13360 are nibble frames, which save little over a
-// sparse delta frame of a few moved bytes. Of the 164245 projection frames,
-// 142338 are nibble frames. ≈37.9 B/event measured, 41.1 with projections as
-// byte frames alone, 45.9 with the epoch in the cell too, 55.4 with the
-// partner too and 66.2 with dense frames too; budget 40, which byte frames
-// alone and the 8-byte cell fail.
+// bytes — and 7960 of the 13360 are nibble frames, which save little over a
+// sparse delta frame of a few moved bytes. A client's server outgrows a byte
+// above the key every few receives, which with raw keyframes alone made 2921
+// of them 1152-byte keyframes (≈13.9 B/event); over a raw keyframe nearly all
+// of those fit 16 bits, so 2661 are 16-bit keys of at most 580 bytes, and
+// 260 raw keyframes are left, about one per process. Of the 164245
+// projection frames, 142338 are nibble frames. ≈31.5 B/event measured, 38.0
+// with raw keyframes alone, 41.1 with projections as byte frames alone too,
+// 45.9 with the epoch in the cell too, 55.4 with the partner too and 66.2
+// with dense frames too; budget 33, which raw keyframes alone fail.
+//
+// WebTier(240, 26, 26, 8) (web-readheavy, 292 processes): of its 25890 noted
+// cluster receives 18149 are delta frames and 5522 nibble frames, 14403 of
+// them sparse; 2105 are 16-bit keys and 114 raw keyframes, where raw
+// keyframes alone were 2219. ≈38.4 B/event measured, 43.4 with raw keyframes
+// alone; budget 40, which raw keyframes alone fail.
 func TestStoreBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 900k events")
@@ -403,7 +416,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 	}{
 		{"ring", workload.Ring(300, 330, false), 20, 0.02},
 		{"random-uniform", workload.RandomUniform(280, 150000, 1), 118, 0.04},
-		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 40, 0.04},
+		{"rpc", workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1), 33, 0.04},
+		{"web", workload.WebTier(240, 26, 26, 8, 20000, 1), 40, 0.04},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
@@ -426,8 +440,9 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 			allocsPer := float64(after.Mallocs-before.Mallocs) / n
 			st := ts.StoreStats()
-			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d + %d projection keyframes, byte and nibble frames under %d cells that share one, %d + %d + %d cluster-receive keyframes, delta and nibble frames, %d of the frames sparse; %d epochs), %.4f allocs/event, size ratio %.3f",
-				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjNibbleFrames, st.ProjShared, st.Keyframes, st.DeltaFrames, st.NibbleFrames, st.SparseFrames, st.Epochs, allocsPer,
+			raw := st.Keyframes - st.WideKeys
+			t.Logf("%d events: %.1f heap B/event (%.1f in cells, %.1f in notes, %.1f carved for vectors: %d + %d + %d projection keyframes, byte and nibble frames under %d cells that share one, %d + %d + %d + %d cluster-receive raw keyframes, 16-bit keys, delta and nibble frames, %d of the frames sparse; %d epochs), %.4f allocs/event, size ratio %.3f",
+				len(tr.Events), bytesPer, float64(st.CellBytes)/n, float64(st.NoteBytes)/n, float64(st.VectorBytes)/n, st.ProjKeyframes, st.ProjFrames, st.ProjNibbleFrames, st.ProjShared, raw, st.WideKeys, st.DeltaFrames, st.NibbleFrames, st.SparseFrames, st.Epochs, allocsPer,
 				float64(ts.StorageInts(300))/(n*300))
 			if st.CellBytes != 4*int64(len(tr.Events)) || st.NoteBytes != 12*int64(ts.ClusterReceives()) {
 				t.Errorf("%d cell bytes and %d note bytes for %d events and %d noted cluster receives", st.CellBytes, st.NoteBytes, len(tr.Events), ts.ClusterReceives())
@@ -438,8 +453,8 @@ func TestStoreBytesPerEvent(t *testing.T) {
 			if allocsPer > tc.allocs {
 				t.Errorf("ingest allocates %.4f times per event, budget %.2f: something allocates per event again", allocsPer, tc.allocs)
 			}
-			if got, want := st.Keyframes+st.DeltaFrames+st.NibbleFrames, int64(ts.ClusterReceives()); got != want {
-				t.Errorf("%d keyframes + delta frames + nibble frames for %d noted cluster receives", got, want)
+			if got, want := raw+st.WideKeys+st.DeltaFrames+st.NibbleFrames, int64(ts.ClusterReceives()); raw < 0 || got != want {
+				t.Errorf("%d raw keyframes + 16-bit keys + delta frames + nibble frames for %d noted cluster receives", got, want)
 			}
 			if got, want := st.ProjKeyframes+st.ProjFrames+st.ProjNibbleFrames+st.ProjShared, int64(len(tr.Events)-ts.ClusterReceives()); got != want {
 				t.Errorf("%d projection keyframes + byte frames + nibble frames + shared cells for the %d events that are not noted cluster receives", got, want)
@@ -624,34 +639,122 @@ func TestViewsAllocateNothing(t *testing.T) {
 	_ = sink
 }
 
+// TestViewsUnderWideKeysAllocateNothing holds the notes TestViewsAllocateNothing's
+// trace never stores — no component there outgrows a byte above its key — to
+// the same rules: on rpc-fanin's computation, where nearly every note is a
+// 16-bit key or a frame under one, a precedence query into either, read
+// directly, and one routed through notes under 16-bit keys allocate nothing,
+// and the view of either allocates exactly its decoded vector.
+func TestViewsUnderWideKeysAllocateNothing(t *testing.T) {
+	tr := workload.RPCBusiness(240, 24, 24, 3000, 0.05, 1)
+	ts, err := NewTimestamper(tr.NumProcs, Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.ObserveAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	e := tr.Events[0].ID
+	var keys, frames, routed []model.EventID
+	for _, ev := range tr.Events {
+		c := ts.Live().cell(ev.ID)
+		if c.noted() {
+			switch n := ts.crs[ev.ID.Process].at(int32(c.vec())); {
+			case formOf(n).wide:
+				keys = append(keys, ev.ID)
+			case n.key&wideBit != 0:
+				frames = append(frames, ev.ID)
+			}
+			continue
+		}
+		_, before := ts.QueryPathCounts()
+		if _, err := ts.Precedes(e, ev.ID); err != nil {
+			t.Fatal(err)
+		}
+		tf, _ := ts.Timestamp(ev.ID)
+		if _, after := ts.QueryPathCounts(); after == before || len(routed) >= 64 {
+			continue
+		}
+		for k, q := range tf.Cluster.Members {
+			if g := ts.latestCRAtOrBelow(q, tf.Proj[k]); g != nil && g.key&wideBit != 0 {
+				routed = append(routed, ev.ID)
+				break
+			}
+		}
+	}
+	if len(keys) == 0 || len(frames) == 0 || len(routed) == 0 {
+		t.Fatalf("%d 16-bit keys, %d frames under one and %d routed targets reading one: need all three", len(keys), len(frames), len(routed))
+	}
+	var sink int
+	views := func(ids []model.EventID) func() {
+		return func() {
+			for _, id := range ids {
+				v, _ := ts.Timestamp(id)
+				sink += len(v.Full)
+			}
+		}
+	}
+	precedes := func(targets []model.EventID) func() {
+		return func() {
+			for _, f := range targets {
+				if _, err := ts.Live().Precedes(e, f); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"views of 16-bit keys", float64(len(keys)), views(keys)},
+		{"views of frames under a 16-bit key", float64(len(frames)), views(frames)},
+		{"direct precedes, 16-bit key targets", 0, precedes(keys)},
+		{"direct precedes, targets framed under a 16-bit key", 0, precedes(frames)},
+		{"routed precedes through notes under a 16-bit key", 0, precedes(routed)},
+	} {
+		if got := testing.AllocsPerRun(20, tc.run); got != tc.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, got, tc.want)
+		}
+	}
+	_ = sink
+}
+
 // crOracle is the tests' model of arena.frame for one process: copies of its
-// current cluster-receive keyframe and anchor, nil before its first cluster
-// receive.
-type crOracle struct{ key, anchor []int32 }
+// current raw keyframe, key and anchor, nil before its first cluster receive.
+type crOracle struct{ raw, key, anchor []int32 }
 
-// crForm is how a note is stored: a keyframe, or a nibble or a delta frame,
-// sparse or dense.
-type crForm struct{ key, nibble, sparse bool }
+// crForm is how a note is stored: a key — a raw keyframe or a 16-bit key,
+// sparse or dense — or a nibble or a delta frame, sparse or dense.
+type crForm struct{ key, wide, nibble, sparse bool }
 
-// formOf reads note n's form off its delta, as chunkDir's readers do.
+// sparseFrame reports whether the form is a sparse delta or nibble frame, the
+// ones StoreStats.SparseFrames counts.
+func (f crForm) sparseFrame() bool { return f.sparse && !f.key }
+
+// formOf reads note n's form off its delta and, for a key, off its key
+// reference, as chunkDir's readers do.
 func formOf(n *crNote) crForm {
 	if n.delta == noDelta {
-		return crForm{key: true}
+		wide := n.key&wideBit != 0
+		return crForm{key: true, wide: wide, sparse: wide && n.key&sparseBit != 0}
 	}
 	return crForm{nibble: n.delta&nibbleBit != 0, sparse: n.delta&sparseBit != 0}
 }
 
-// isSparse reports whether note n is a sparse frame of either width.
-func isSparse(n *crNote) bool { return formOf(n).sparse }
-
 // store returns how arena.frame must store clk, and the arena elements that
-// takes, and moves the keyframe and the anchor on. It is a nibble frame when
-// every component is within 15 of the anchor — a header, then a nibble per
-// component, or a bitmap word per 32 components and the nonzero nibbles when
-// that is strictly fewer elements — and otherwise a delta frame, the new
-// anchor, when every component is within 255 of the keyframe — a byte per
-// component, or the bitmap and the nonzero bytes when strictly fewer — and
-// otherwise a keyframe, which is the anchor too.
+// takes, and moves the raw keyframe, the key and the anchor on. It is a
+// nibble frame when every component is within 15 of the anchor — a header,
+// then a nibble per component, or a bitmap word per 32 components and the
+// nonzero nibbles when that is strictly fewer elements — and otherwise a
+// delta frame, the new anchor, when every component is within 255 of the key
+// — a byte per component, or the bitmap and the nonzero bytes when strictly
+// fewer — and otherwise a 16-bit key, the new key and anchor, when every
+// component is within 65535 of the raw keyframe and its header and 16-bit
+// fields, dense or sparse by the same rule, are strictly fewer elements than
+// a raw keyframe; and otherwise a raw keyframe, which is the key and the
+// anchor too.
 func (o *crOracle) store(clk []int32) (crForm, int64) {
 	n := len(clk)
 	moved := func(base []int32, limit int32) (int, bool) {
@@ -681,6 +784,14 @@ func (o *crOracle) store(clk []int32) (crForm, int64) {
 		o.anchor = append(o.anchor[:0], clk...)
 		return crForm{sparse: sparse}, e
 	}
+	if nz, ok := moved(o.raw, 65535); ok {
+		if sparse, e := frame(nz, 2); 1+e < int64(n) {
+			o.key = append(o.key[:0], clk...)
+			o.anchor = append(o.anchor[:0], clk...)
+			return crForm{key: true, wide: true, sparse: sparse}, 1 + e
+		}
+	}
+	o.raw = append(o.raw[:0], clk...)
 	o.key = append(o.key[:0], clk...)
 	o.anchor = append(o.anchor[:0], clk...)
 	return crForm{key: true}, int64(n)
@@ -689,20 +800,24 @@ func (o *crOracle) store(clk []int32) (crForm, int64) {
 // FuzzCRNoteRoundTrip is the property test of the cluster-receive stored
 // form. Each input drives one process's monotone clock sequence through
 // appendNote: every two bytes step a run of components by 0, 1, 15, 16, 255,
-// 256 or 70000, over N in {1, 3, 4, 5, 7, 300, 64} (a dense delta frame packs
-// four offsets to an element and a dense nibble frame eight, so N around a
-// multiple of four or eight matters; a sparse one has a bitmap word per 32
-// components, and only at 64 can a run reach the last one). Every note,
-// re-read after all later ones were carved — through the chunk list
-// published then — must decode to exactly its input through both readers; a
-// note must be a nibble frame exactly when every component is within 15 of
-// the process's anchor, else a delta frame exactly when every one is within
-// 255 of its keyframe, else a keyframe; a frame must share the keyframe and
-// be sparse exactly when that form is strictly smaller (crOracle), and the
-// arena must hold exactly the elements the oracle counts for each.
+// 256, 65535 or 70000, over N in {1, 3, 4, 5, 7, 300, 64} (a dense delta frame
+// packs four offsets to an element, a dense nibble frame eight and a dense
+// 16-bit key two, so N around a multiple of four or eight matters, and below
+// four a 16-bit key is never smaller than a raw keyframe; a sparse one has a
+// bitmap word per 32 components, and only at 64 can a run reach the last
+// one). Every note, re-read after all later ones were carved — through the
+// chunk list published then — must decode to exactly its input through both
+// readers; a note must be a nibble frame exactly when every component is
+// within 15 of the process's anchor, else a delta frame exactly when every
+// one is within 255 of its key, else a 16-bit key exactly when every one is
+// within 65535 of its raw keyframe and that is strictly smaller, else a raw
+// keyframe; a frame must share the key, a 16-bit key's header must name the
+// raw keyframe — never another 16-bit key — and either must be sparse exactly
+// when that form is strictly smaller (crOracle), and the arena must hold
+// exactly the elements the oracle counts for each.
 func FuzzCRNoteRoundTrip(f *testing.F) {
 	sizes := [...]int{1, 3, 4, 5, 7, 300, 64}
-	steps := [...]int32{0, 1, 255, 256, 70000, 15, 16}
+	steps := [...]int32{0, 1, 255, 256, 70000, 15, 16, 65535}
 	// (start component, run length<<3 | step): one seed per step kind, then mixes.
 	for sel := range sizes {
 		for st := range steps {
@@ -712,14 +827,19 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 	}
 	// N = 4, steps of 16 on one component at a time: no nibble frame fits, so
 	// the notes are one-element delta frames and, where a component outgrows
-	// its byte, four-element keyframes; the 245th note is a keyframe, the first
-	// thing in the second chunk. (A bitmap word is as large as the dense frame
-	// here, so no frame is sparse.)
+	// its byte, three-element 16-bit keys over the first note, a four-element
+	// raw keyframe; the 245th note is a 16-bit key that ends on the last
+	// element of the first chunk. With a two-element nibble frame behind the
+	// raw keyframe, the 246th note is that 16-bit key, carved at the first
+	// element of the second chunk over the raw keyframe in the first, and a
+	// delta frame over it follows. (A bitmap word is as large as the dense
+	// frame here, so no frame is sparse.)
 	boundary := make([]byte, 0, 512)
 	for i := 0; i < 245; i++ {
 		boundary = append(boundary, byte(i%4), 6)
 	}
 	f.Add(uint8(2), boundary)
+	f.Add(uint8(2), append(append([]byte{0, 6, 1, 1}, boundary[2:]...), 1, 6))
 	// N = 4, steps of 0: a keyframe and then two-element nibble frames over it,
 	// the keyframe itself their anchor; the 127th one's header is the first
 	// element of the second chunk. Then 123 of them, a delta frame at 250 (a
@@ -734,7 +854,8 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 	// and 50 elements — end at 470 of the keyframe's 512-element allocation.
 	// The next frame does not fit what is left: with 192 moved it is stored
 	// sparse, its 58 elements carved at the first element of a fresh chunk;
-	// with a step of 256 it becomes a keyframe, the first thing in that chunk.
+	// with a step of 256 it becomes a sparse 16-bit key, a header and 90
+	// elements, the header the first thing in that chunk.
 	fill := []byte{0, 31<<3 | 6, 0, 31<<3 | 6, 32, 31<<3 | 6, 64, 31<<3 | 6, 96, 31<<3 | 6, 128, 31<<3 | 6}
 	f.Add(uint8(5), append(slices.Clone(fill), 160, 31<<3|6))
 	f.Add(uint8(5), append(slices.Clone(fill), 0, 3))
@@ -761,6 +882,30 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 	for _, run := range []byte{24, 25} {
 		f.Add(uint8(5), append(slices.Clone(nibbles), 192, (run-1)<<3|1, 0, 5, 0, 5))
 	}
+	// N = 300, the 16-bit key's reach: a raw keyframe, then 65535 on
+	// component 0, a sparse 16-bit key; then, from a fresh raw keyframe, 1 (a
+	// nibble frame) and 65535, 65536 above it: a raw keyframe.
+	f.Add(uint8(5), []byte{0, 0, 0, 7})
+	f.Add(uint8(5), []byte{0, 0, 0, 1, 0, 7})
+	// N = 300 and 4: a 16-bit key, then a delta frame (16) and a nibble frame
+	// (1) over it, then 256 more, 273 above the key and 529 above the raw
+	// keyframe: a second 16-bit key over the same raw keyframe, with a nibble
+	// frame over it; then 65535, past the 16 bits: a raw keyframe.
+	for _, sel := range []uint8{5, 2} {
+		f.Add(sel, []byte{0, 0, 0, 3, 0, 6, 0, 1, 0, 3, 0, 1, 0, 7})
+	}
+	// N = 300, the 16-bit key's break-even: runs of 32 move components 0-255
+	// by 256 — each note a sparse 16-bit key over the raw keyframe, the next
+	// one replacing it — then 255 on by 23 or 24 components. 278 moved is
+	// 10 + 139 elements against 150, sparse; 279 is dense. A dense 16-bit
+	// key, 1 + 150 elements, is still smaller than the raw keyframe's 300.
+	wide := []byte{0, 0}
+	for c := 0; c < 256; c += 32 {
+		wide = append(wide, byte(c), 31<<3|3)
+	}
+	for _, run := range []byte{23, 24} {
+		f.Add(uint8(5), append(slices.Clone(wide), 255, (run-1)<<3|3))
+	}
 	// N = 300 and 64: components 31 and 32, either side of a bitmap word; the
 	// last component of 64, in its last bit; a frame with one component moved.
 	f.Add(uint8(5), []byte{0, 0, 31, 1<<3 | 1, 31, 1<<3 | 1})
@@ -781,29 +926,39 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 			inputs  [][]int32
 			oracle  crOracle
 			elems   int64 // what the oracle says the notes' vectors take
-			sparses int64
+			sparses int64 // and how many are sparse delta or nibble frames
+			wides   int64 // and 16-bit keys
 			prevKey = noDelta
+			prevRaw = noDelta
 		)
 		for i := 0; i+1 < len(data); i += 2 {
 			step := steps[int(data[i+1]&7)%len(steps)]
 			for k, run := 0, 1+int(data[i+1]>>3); k < run; k++ {
 				clk[(int(data[i])+k)%n] += step
 			}
-			curKey, curAnchor := oracle.key, oracle.anchor
+			curRaw, curKey, curAnchor := oracle.raw, oracle.key, oracle.anchor
 			want, e := oracle.store(clk)
 			note := notes.at(appendNote(&notes, &ar, int32(len(inputs)+1), clk))
 			if note.index != int32(len(inputs)+1) {
 				t.Fatalf("note %d reads back as index %d", len(inputs)+1, note.index)
 			}
 			if got := formOf(note); got != want {
-				t.Fatalf("note %d: stored as %+v, want %+v (clock %v over keyframe %v and anchor %v)", note.index, got, want, clk, curKey, curAnchor)
+				t.Fatalf("note %d: stored as %+v, want %+v (clock %v over raw keyframe %v, key %v and anchor %v)", note.index, got, want, clk, curRaw, curKey, curAnchor)
 			}
-			if !want.key && note.key != prevKey {
-				t.Fatalf("note %d: a frame over the keyframe at %d, current keyframe at %d", note.index, note.key, prevKey)
+			switch {
+			case !want.key && note.key != prevKey:
+				t.Fatalf("note %d: a frame over the key %#x, current key %#x", note.index, note.key, prevKey)
+			case want.wide:
+				if raw := uint32(ar.chunks.at(note.key&offMask - rawElem)); raw != prevRaw {
+					t.Fatalf("note %d: a 16-bit key over the raw keyframe at %d, current raw keyframe at %d", note.index, raw, prevRaw)
+				}
+				wides++
+			case want.key:
+				prevRaw = note.key
 			}
 			prevKey = note.key
 			elems += e
-			if want.sparse {
+			if want.sparseFrame() {
 				sparses++
 			}
 			inputs = append(inputs, append([]int32(nil), clk...))
@@ -827,8 +982,8 @@ func FuzzCRNoteRoundTrip(f *testing.F) {
 		// Nothing is carved for a form that does not fit: the tallies count
 		// what notes hold, every form, and the next carve is clean.
 		st := ar.stats
-		if st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(len(inputs)) || st.SparseFrames != sparses || st.VectorBytes != 4*elems {
-			t.Fatalf("tallies %+v for %d notes of %d components, %d of them sparse, %d elements", st, len(inputs), n, sparses, elems)
+		if st.Keyframes+st.DeltaFrames+st.NibbleFrames != int64(len(inputs)) || st.WideKeys != wides || st.SparseFrames != sparses || st.VectorBytes != 4*elems {
+			t.Fatalf("tallies %+v for %d notes of %d components, %d 16-bit keys, %d sparse frames, %d elements", st, len(inputs), n, wides, sparses, elems)
 		}
 		_, fresh := ar.carve(n)
 		for q, v := range fresh {
@@ -1103,7 +1258,7 @@ func FuzzProjFrameRoundTrip(f *testing.F) {
 			if in.Full != nil {
 				form, e := notes.store(in.Full)
 				crElems += e
-				if form.sparse {
+				if form.sparseFrame() {
 					crSparse++
 				}
 			}

@@ -14,8 +14,10 @@ import (
 // two watermarks; of a view captured for that one query, which loads one per
 // process first; and of a view captured before the clock started, which is
 // what each query of a batch pays. The daemon's configuration, over the widest
-// computation of the corpus, a narrower one and scattered-stream's
-// (RandomUniform(280), half of whose events are noted cluster receives).
+// computation of the corpus, a narrower one, scattered-stream's
+// (RandomUniform(280), half of whose events are noted cluster receives) and
+// rpc-fanin's (RPCBusiness(240, 24, 24), whose notes lie under 16-bit keys
+// nearly all, so the routed modes read a key's header and 16-bit field).
 //
 // The warm modes ask the live view a working set the size of one QUERY batch
 // of the benchmark (256 pairs) over and over, so the lines of the store they
@@ -36,6 +38,7 @@ func BenchmarkOneShotPrecedes(b *testing.B) {
 		{"pvm/ring-300", nil},
 		{"pvm/treereduce-127", nil},
 		{"random-uniform-280", func() *model.Trace { return workload.RandomUniform(280, 30000, 1) }},
+		{"rpc-fanin", func() *model.Trace { return workload.RPCBusiness(240, 24, 24, 22000, 0.05, 1) }},
 	} {
 		gen := c.tr
 		if gen == nil {

@@ -125,6 +125,7 @@ func TestServerTelemetry(t *testing.T) {
 		"poetd_store_proj_nibble_frames",
 		"poetd_store_proj_shared",
 		"poetd_cr_keyframes_total",
+		"poetd_cr_wide_keys_total",
 		"poetd_cr_delta_frames_total",
 		"poetd_cr_nibble_frames_total",
 		"poetd_cr_sparse_frames_total",
@@ -180,6 +181,9 @@ func TestServerTelemetry(t *testing.T) {
 	if st.Store.SparseFrames > st.Store.DeltaFrames+st.Store.NibbleFrames || !strings.Contains(out, fmt.Sprintf("poetd_cr_sparse_frames_total %d\n", st.Store.SparseFrames)) ||
 		!strings.Contains(out, fmt.Sprintf("poetd_cr_nibble_frames_total %d\n", st.Store.NibbleFrames)) {
 		t.Errorf("Status store = %+v: sparse frames are a subset of the delta and nibble frames, and /metrics reads them and the nibble frames as /statusz does", st.Store)
+	}
+	if st.Store.WideKeys > st.Store.Keyframes || !strings.Contains(out, fmt.Sprintf("poetd_cr_wide_keys_total %d\n", st.Store.WideKeys)) {
+		t.Errorf("Status store = %+v: 16-bit keys are a subset of the keyframes, and /metrics reads them as /statusz does", st.Store)
 	}
 	if got := st.Store.ProjKeyframes + st.Store.ProjFrames + st.Store.ProjNibbleFrames + st.Store.ProjShared + st.Store.Keyframes + st.Store.DeltaFrames + st.Store.NibbleFrames; got != int64(len(tr.Events)) ||
 		st.Store.ProjKeyframes == 0 || st.Store.ProjFrames == 0 || st.Store.ProjNibbleFrames == 0 || st.Store.ProjShared == 0 {

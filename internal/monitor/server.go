@@ -107,7 +107,7 @@ type HistoryStatus struct {
 	LastCutoff     uint64 `json:"last_cutoff"`     // cutoff of the newest view materialized
 	EnginePosition uint64 `json:"engine_position"` // recorded events the provider's engine has read up to
 	CachedViews    int    `json:"cached_views"`
-	ReadBytes      int64  `json:"read_bytes"` // bytes read from the log: poetd_history_read_bytes_total, which every tenant's provider adds to
+	ReadBytes      int64  `json:"read_bytes"` // bytes this provider read from the log; poetd_history_read_bytes_total sums every tenant's
 }
 
 // CutoffLatest is the QUERY@ cutoff sentinel selecting the newest recorded

@@ -115,9 +115,11 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(pipe.StoreStats().ProjNibbleFrames) })
 	reg.GaugeFunc("poetd_store_proj_shared", "Sends and unary events whose cell names the frame of the projection before it: stored without a vector.",
 		func() float64 { return float64(pipe.StoreStats().ProjShared) })
-	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a keyframe (a full vector).",
+	counter("poetd_cr_keyframes_total", "Noted cluster receives stored as a key: a raw keyframe (a full vector), or a 16-bit key over one.",
 		func() int64 { return pipe.StoreStats().Keyframes })
-	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above an earlier keyframe; each becomes its process's anchor.",
+	counter("poetd_cr_wide_keys_total", "Of the cluster-receive keyframes, the 16-bit keys: 16-bit offsets above their process's raw keyframe.",
+		func() int64 { return pipe.StoreStats().WideKeys })
+	counter("poetd_cr_delta_frames_total", "Noted cluster receives stored as byte offsets above their process's key; each becomes its process's anchor.",
 		func() int64 { return pipe.StoreStats().DeltaFrames })
 	counter("poetd_cr_nibble_frames_total", "Noted cluster receives stored as nibble offsets above their process's anchor: its latest delta frame or its keyframe.",
 		func() int64 { return pipe.StoreStats().NibbleFrames })

@@ -304,7 +304,8 @@ func TestSurfacesAgree(t *testing.T) {
 	// a byte frame, a nibble frame, a cell that shares its predecessor's, a
 	// cluster-receive keyframe, a delta frame, a nibble frame — add up to the
 	// default tenant's events. The sparse frames are some of the delta and
-	// nibble frames, not an eighth way.
+	// nibble frames, and the 16-bit keys some of the keyframes, not an eighth
+	// way.
 	stored := 0
 	for key, family := range map[string]string{
 		"vector_bytes": "poetd_store_vector_bytes", "cell_bytes": "poetd_store_cell_bytes",
@@ -313,11 +314,12 @@ func TestSurfacesAgree(t *testing.T) {
 		"proj_nibble_frames": "poetd_store_proj_nibble_frames", "proj_shared": "poetd_store_proj_shared",
 		"cr_keyframes": "poetd_cr_keyframes_total", "cr_delta_frames": "poetd_cr_delta_frames_total",
 		"cr_nibble_frames": "poetd_cr_nibble_frames_total", "cr_sparse_frames": "poetd_cr_sparse_frames_total",
+		"cr_wide_keys": "poetd_cr_wide_keys_total",
 	} {
 		if got, want := scraped[family], string(status.Store[key]); got != want || want == "" {
 			t.Errorf("/statusz store.%s = %q, /metrics %s %q", key, want, family, got)
 		}
-		if key != "cr_sparse_frames" && (strings.HasPrefix(key, "proj_") || strings.HasPrefix(key, "cr_")) {
+		if key != "cr_sparse_frames" && key != "cr_wide_keys" && (strings.HasPrefix(key, "proj_") || strings.HasPrefix(key, "cr_")) {
 			n, _ := strconv.Atoi(scraped[family])
 			stored += n
 		}
@@ -330,8 +332,8 @@ func TestSurfacesAgree(t *testing.T) {
 	if nibbles, _ := strconv.Atoi(string(status.Store["cr_nibble_frames"])); sparse > deltas+nibbles {
 		t.Errorf("/statusz store: %d sparse frames of %d delta and %d nibble frames", sparse, deltas, nibbles)
 	}
-	if len(status.Store) != 13 { // the twelve above and lane_queue_depth
-		t.Errorf("/statusz store = %v: want the twelve tallies and lane_queue_depth", status.Store)
+	if len(status.Store) != 14 { // the thirteen above and lane_queue_depth
+		t.Errorf("/statusz store = %v: want the thirteen tallies and lane_queue_depth", status.Store)
 	}
 
 	// The runtime's samples are /statusz's memory block and /metrics'

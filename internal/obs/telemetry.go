@@ -86,7 +86,7 @@ func NewTelemetry(reg *Registry) *Telemetry {
 
 		HistoryViews:         reg.NewCounter("poetd_history_views_total", "History views materialized at a cutoff (view-cache misses)."),
 		HistoryCountedEvents: reg.NewCounter("poetd_history_counted_events_total", "Recorded events decoded by the count walk that finds a cutoff's watermark."),
-		HistoryReadBytes:     reg.NewCounter("poetd_history_read_bytes_total", "Bytes the history plane read from the log, in chain scans and count walks."),
+		HistoryReadBytes:     reg.NewCounter("poetd_history_read_bytes_total", "Bytes the history plane read from the log, in chain scans and count walks, summed over every tenant (a tenant's own share is read_bytes in its /statusz history block)."),
 		HistoryCoverWaits:    reg.NewCounter("poetd_history_cover_waits_total", "History views that waited for the stamping lanes to publish events the log already held."),
 
 		Ops: newTraceRing(DefaultTraceCap),

@@ -631,3 +631,33 @@ func TestHistoryReadBytes(t *testing.T) {
 		check(what)
 	}
 }
+
+// TestHistoryReadBytesPerTenant holds a tenant's /statusz read_bytes to what
+// its own history plane read: two durable tenants share the daemon's
+// telemetry, a QUERY@ cutoff is served on one, and the other's read_bytes
+// stays at what its chain scan read when it opened, while
+// poetd_history_read_bytes_total is the sum of the two.
+func TestHistoryReadBytesPerTenant(t *testing.T) {
+	tr := workload.RandomSparse(6, 3, 500, 21)
+	tel := obs.NewTelemetry(obs.NewRegistry())
+	var hist [2]*replay.Store
+	var opened [2]int64
+	for i := range hist {
+		dir := t.TempDir()
+		writeWAL(t, dir, tr.NumProcs, tr.Events[:250], tr.Events[250:])
+		hist[i] = liveStore(t, dir, tr, mergeOnFirst(4)(), 1, replay.Options{Obs: tel})
+		if opened[i] = hist[i].HistoryStatus().ReadBytes; opened[i] <= 0 {
+			t.Fatalf("tenant %d: %d bytes read by the chain scan at open", i, opened[i])
+		}
+	}
+	if _, err := hist[0].HistoryAt(400); err != nil {
+		t.Fatal(err)
+	}
+	queried, other := hist[0].HistoryStatus().ReadBytes, hist[1].HistoryStatus().ReadBytes
+	if queried <= opened[0] || other != opened[1] {
+		t.Errorf("after a QUERY@ cutoff on tenant 0: read_bytes %d (%d at open) and, on tenant 1, %d (%d at open)", queried, opened[0], other, opened[1])
+	}
+	if total := tel.HistoryReadBytes.Value(); total != queried+other {
+		t.Errorf("poetd_history_read_bytes_total = %d, the tenants read %d + %d", total, queried, other)
+	}
+}

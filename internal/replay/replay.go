@@ -132,6 +132,7 @@ type Store struct {
 	delivered uint64           // events fed into ts so far
 	tally     tally            // counting engine (live.go)
 	views     []*View          // FIFO cache, newest last
+	readBytes int64            // this store's share of poetd_history_read_bytes_total
 }
 
 // Open opens the WAL chain in dir for replay. The directory may belong to a
@@ -165,12 +166,20 @@ func open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	opts.Obs.ReplayOpen.Observe(time.Since(start))
-	opts.Obs.HistoryReadBytes.Add(int64(chain.BytesRead()))
 	if chain.NumProcs() <= 0 {
 		chain.Close()
 		return nil, errors.New("replay: chain holds no events and no process count was configured")
 	}
-	return &Store{dir: dir, opts: opts, chain: chain}, nil
+	s := &Store{dir: dir, opts: opts, chain: chain}
+	s.countRead(chain.BytesRead())
+	return s, nil
+}
+
+// countRead adds n bytes read from the log to the store's tally and to the
+// daemon-wide counter. Called with s.mu held, or before s is shared.
+func (s *Store) countRead(n uint64) {
+	s.readBytes += int64(n)
+	s.opts.Obs.HistoryReadBytes.Add(int64(n))
 }
 
 // NumProcs returns the process count of the recorded computation.
@@ -200,7 +209,7 @@ func (s *Store) RunBoundaries() []uint64 {
 func (s *Store) HistoryStatus() monitor.HistoryStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := monitor.HistoryStatus{EnginePosition: s.positionLocked(), CachedViews: len(s.views), ReadBytes: s.opts.Obs.HistoryReadBytes.Value()}
+	st := monitor.HistoryStatus{EnginePosition: s.positionLocked(), CachedViews: len(s.views), ReadBytes: s.readBytes}
 	if len(s.views) > 0 {
 		st.LastCutoff = s.views[len(s.views)-1].cutoff
 	}
@@ -224,7 +233,7 @@ func (s *Store) refreshLocked() error {
 		return err
 	}
 	s.opts.Obs.ReplayOpen.Observe(time.Since(start))
-	s.opts.Obs.HistoryReadBytes.Add(int64(chain.BytesRead()))
+	s.countRead(chain.BytesRead())
 	if at := s.positionLocked(); chain.Events() < at {
 		// The directory shrank below what we already read — it is not the
 		// same computation anymore (e.g. the daemon was restarted on a fresh
@@ -331,7 +340,7 @@ func (s *Store) restampLocked(cutoff uint64) (*View, error) {
 func (s *Store) walkLocked(from, to uint64, fn func([]model.Event) error) error {
 	before := s.chain.BytesRead()
 	err := s.chain.ReplayRange(from, to, fn)
-	s.opts.Obs.HistoryReadBytes.Add(int64(s.chain.BytesRead() - before))
+	s.countRead(s.chain.BytesRead() - before)
 	return err
 }
 
