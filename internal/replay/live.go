@@ -40,7 +40,7 @@ func OpenLive(dir string, live *hct.Pipeline, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.live = live
-	s.tally = tally{n: make(hct.Watermark, live.NumProcs()), held: -1}
+	s.tally, _ = newTally(live.NumProcs(), nil)
 	return s, nil
 }
 
@@ -51,21 +51,43 @@ type tally struct {
 	held int32         // process whose last counted event is a first sync half (its partner is event pos), or -1
 
 	live hct.Watermark // the live store's published counts as coverLocked last captured them
+
+	// The accounting of the counted prefix [stats-by-count], kept when
+	// newConfig is set; acct is nil otherwise.
+	newConfig func() hct.Config
+	acct      *hct.Accountant
+	first     model.Event // the held first sync half, observed with its partner
+	pending   int         // sends counted minus receives counted
+}
+
+// newTally returns a tally at the start of the log over numProcs processes,
+// keeping the accounting when newConfig is not nil.
+func newTally(numProcs int, newConfig func() hct.Config) (tally, error) {
+	t := tally{n: make(hct.Watermark, numProcs), newConfig: newConfig}
+	return t, t.reset(nil)
 }
 
 // reset rewinds the tally to the cutoff of v, or to the start of the log when
-// v is nil: a view's (cutoff, watermark, held) is a checkpoint of the walk.
-func (t *tally) reset(v *View) {
+// v is nil: a view's (cutoff, watermark, held) is a checkpoint of the walk. It
+// carries no partition, so a tally that keeps the accounting restarts from
+// the start of the log [stats-by-count].
+func (t *tally) reset(v *View) error {
 	if v == nil {
 		clear(t.n)
-		t.pos, t.held = 0, -1
-		return
+		t.pos, t.held, t.pending = 0, -1, 0
+		if t.newConfig != nil {
+			var err error
+			t.acct, err = hct.NewAccountant(len(t.n), t.newConfig())
+			return err
+		}
+		return nil
 	}
 	copy(t.n, v.Watermark())
 	t.pos, t.held = v.cutoff, v.held
 	if t.held >= 0 {
 		t.n[t.held]++
 	}
+	return nil
 }
 
 // count tallies one recorded run. It holds the run to what makes a tally a
@@ -80,6 +102,9 @@ func (t *tally) count(run []model.Event) error {
 			return fmt.Errorf("recorded event %d (%v) is out of delivery order", t.pos, e.ID)
 		}
 		t.n[p]++
+		if t.acct != nil {
+			t.account(e)
+		}
 		if e.Kind == model.Sync {
 			if t.held < 0 {
 				t.held = int32(p)
@@ -90,6 +115,23 @@ func (t *tally) count(run []model.Event) error {
 		t.pos++
 	}
 	return nil
+}
+
+// account observes e, the next counted event, as the plan stage would: a
+// first sync half only together with its partner [stats-by-count].
+func (t *tally) account(e *model.Event) {
+	switch {
+	case e.Kind == model.Sync && t.held < 0:
+		t.first = *e
+		return
+	case e.Kind == model.Sync:
+		t.acct.Observe(t.first)
+	case e.Kind == model.Send:
+		t.pending++
+	case e.Kind == model.Receive:
+		t.pending--
+	}
+	t.acct.Observe(*e)
 }
 
 // watermark returns the published counts a daemon held after delivering the
@@ -113,7 +155,9 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 		}
 	}
 	if s.tally.pos > cutoff || (from != nil && from.cutoff > s.tally.pos) {
-		s.tally.reset(from)
+		if err := s.tally.reset(from); err != nil {
+			return nil, err
+		}
 	}
 	at := s.tally.pos
 	err := s.walkLocked(at, cutoff, s.tally.count)

@@ -226,6 +226,44 @@ func TestReplayDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// TestStatsByCount pins [stats-by-count]: over every corpus computation
+// (every fifth under -short) and each strategy variant, a tally that keeps
+// the accounting and a one-lane timestamper are fed the trace one event at a
+// time, and after every event the tally's Result and pending-send count
+// equal the timestamper's Result and PendingSends.
+func TestStatsByCount(t *testing.T) {
+	for i, spec := range workload.Corpus() {
+		if testing.Short() && i%5 != 0 {
+			continue
+		}
+		t.Run(spec.Name, func(t *testing.T) {
+			tr := spec.Generate()
+			factory := configFactory(t, tr, i, 13)
+			tl, err := replay.NewTally(tr.NumProcs, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := hct.NewTimestamper(tr.NumProcs, factory())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ts.Close()
+			for c, e := range tr.Events {
+				if err := ts.Ingest(e); err != nil {
+					t.Fatalf("event %d: Ingest: %v", c, err)
+				}
+				if err := tl.Count([]model.Event{e}); err != nil {
+					t.Fatalf("event %d: Count: %v", c, err)
+				}
+				got, pending := tl.Stats()
+				if want := ts.Result(); got != want || pending != ts.PendingSends() {
+					t.Fatalf("after %d events: tally %+v, %d pending; timestamper %+v, %d pending", c+1, got, pending, want, ts.PendingSends())
+				}
+			}
+		})
+	}
+}
+
 // compareViewToLive delivers the first c trace events to a live sharded
 // monitor and asserts the replay view is indistinguishable from it.
 func compareViewToLive(t *testing.T, tr *model.Trace, factory func() hct.Config, shards int, c uint64, v *replay.View, r *rand.Rand) {
