@@ -17,7 +17,7 @@
 // A durable daemon also serves time travel: QUERY@ frames (poquery -at) are
 // answered as of any recorded event count from the daemon's one store,
 // clamped to the per-process watermark it held at that count — found by
-// counting the log, not by restamping it (DESIGN.md §12).
+// counting the log, never by stamping it again (DESIGN.md §12).
 //
 // Delivery is sharded: -ingest-shards stamping lanes (default GOMAXPROCS)
 // split the timestamp vector math across cores behind a sequential planner,

@@ -23,8 +23,9 @@
 // Time travel: -at answers queries as of a point in recorded history — the
 // first N delivered events — instead of the present. Against a WAL
 // directory it needs no daemon at all: the replay plane opens the snapshot
-// and sealed segments read-only and restamps the prefix, so a crashed (or
-// live) daemon's history is queryable in place:
+// and sealed segments read-only, stamps the log forward into a store of its
+// own and clamps it at the prefix, so a crashed (or live) daemon's history
+// is queryable in place:
 //
 //	poquery -wal /var/lib/poetd/wal -at 50000 -e 0:1 -f 1:5
 //	poquery -wal /var/lib/poetd/wal -at latest -e 0:1 -cut

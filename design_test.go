@@ -87,6 +87,10 @@ var design = []gate{
 		{in: "internal/ -internal/fm/", site: `^(var|field) pendSend\b`, must: []string{"internal/hct/admit.go"}},
 	}},
 	{name: "One_store_in_the_daemon", why: "poetd answers QUERY@ from the store its lanes fill (DESIGN.md §12).", rules: []rule{{in: "cmd/poetd/*.go", site: `\b(hct\.NewTimestamper|replay\.Open)\(`}}},
+	{name: "One_history_engine", why: "replay.Open keeps one engine, built once and only extended; every view is counted (DESIGN.md §12).", rules: []rule{
+		{in: "internal/replay/*.go", site: `\bhct\.(NewTimestamper|NewPipeline)\(`, must: []string{"Open"}},
+		{in: "internal/replay/*.go", site: `\.(DispatchAsync|DispatchAdmitted|Ingest)(\(|$)`, must: []string{"Store.extendLocked"}},
+	}},
 	{name: "One_log_reader", why: "internal/wal/chain.go is the only parser of a WAL directory (DESIGN.md §8).", rules: []rule{{in: "internal/wal/", site: `recordScanner|scanSegment|validateSnapshot|replaySnapshot|replaySegment|readFileHeader`}}},
 	{name: "One_owner_of_the_WAL_file_IO", why: "Every disk call of internal/wal goes through the fileSystem seam, and the log is read, never mapped (DESIGN.md §8).", rules: []rule{
 		{in: "internal/wal/*.go -internal/wal/fsys.go", site: `^import "os"$|^os\.`},

@@ -12,7 +12,7 @@ import (
 // This file implements the read-only precedence-query surface. It is shared
 // between the live monitor (which evaluates queries against the ingest
 // pipeline's published watermarks) and the replay plane (which evaluates the
-// identical queries against a store frozen at a cutoff: one restamped from
+// identical queries against a store frozen at a cutoff: one stamped from
 // the write-ahead log, or the live pipeline's own). Section 1.1 of the paper uses "computing the
 // greatest concurrent elements of an event" as its running example: under
 // stored Fidge/Mattern vectors that one operation read ~12000 virtual-memory

@@ -72,10 +72,11 @@ type TenantResources struct {
 	Journal RunJournal
 	// History, when non-nil, serves the tenant's QUERY@ frames: precedence
 	// queries answered against recorded history as of an event-count
-	// cutoff. internal/replay.Store is the production implementation: in
-	// the daemon it clamps the tenant's own store to the cutoff
-	// (replay.OpenLive), offline it restamps the log (replay.Open). A
-	// tenant without one rejects QUERY@ with an ERR frame.
+	// cutoff. internal/replay.Store is the production implementation: it
+	// clamps a store to the watermark a count of the log gives, in the
+	// daemon the tenant's own (replay.OpenLive), offline one it stamps
+	// from the log (replay.Open). A tenant without one rejects QUERY@ with
+	// an ERR frame.
 	History HistoryProvider
 	// WALEvents, when non-nil, reports the events appended to the tenant's
 	// journal so far; it backs the tenant-labelled WAL series on /metrics.

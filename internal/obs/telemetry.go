@@ -81,7 +81,7 @@ func NewTelemetry(reg *Registry) *Telemetry {
 		PlanQueueDepth: reg.newSizeHistogram("poetd_plan_queue_depth", "Plan-queue depth in batches, observed as each asynchronous batch is accepted."),
 
 		ReplayOpen:        reg.newHistogram("poetd_replay_open_seconds", "Latency of opening or refreshing the WAL chain behind the replay plane."),
-		ReplayMaterialize: reg.newHistogram("poetd_replay_materialize_seconds", "Latency of materializing a history view at a cutoff (chain scan + counting, or restamping offline)."),
+		ReplayMaterialize: reg.newHistogram("poetd_replay_materialize_seconds", "Latency of materializing a history view at a cutoff (the count walk; offline it first extends the store's own engine)."),
 		ReplayQuery:       reg.newHistogram("poetd_replay_query_seconds", "Latency of one QUERY@ batch answered from sealed history."),
 
 		HistoryViews:         reg.NewCounter("poetd_history_views_total", "History views materialized at a cutoff (view-cache misses)."),

@@ -47,9 +47,10 @@ func mergeOnFirst(maxCS int) func() hct.Config {
 
 // TestLiveViewSplitsSyncPair pins the sync-half rule: at a cutoff that falls
 // between the two halves of a synchronous pair the first half is recorded but
-// was never published — the planner holds it for its partner — so both engines
+// was never published — the planner holds it for its partner — so both stores
 // report it unknown; one event later both halves are present and mutually
-// concurrent. The live store holds both halves throughout.
+// concurrent. The live store holds both halves throughout, and the offline
+// store's engine the first half.
 func TestLiveViewSplitsSyncPair(t *testing.T) {
 	b := model.NewBuilder("", 3)
 	b.Unary(0)
@@ -70,14 +71,14 @@ func TestLiveViewSplitsSyncPair(t *testing.T) {
 	dir := t.TempDir()
 	writeWAL(t, dir, tr.NumProcs, tr.Events)
 	factory := mergeOnFirst(2)
-	restamp, err := replay.Open(dir, replay.Options{NewConfig: factory})
+	offline, err := replay.Open(dir, replay.Options{NewConfig: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restamp.Close()
+	defer offline.Close()
 	counting := liveStore(t, dir, tr, factory(), 2, replay.Options{})
 
-	for _, st := range []*replay.Store{restamp, counting} {
+	for _, st := range []*replay.Store{offline, counting} {
 		v, err := st.ViewAt(split)
 		if err != nil {
 			t.Fatal(err)
@@ -114,17 +115,19 @@ func TestLiveViewSplitsSyncPair(t *testing.T) {
 // restart — from the start of the log with a one-slot cache, from a cached
 // view's checkpoint with the default one — on a synchronous-RPC trace with a
 // third of the cutoffs placed between the halves of a pair, so the checkpoints
-// it resumes from carry a held half. Every view must equal the restamped one.
+// it resumes from carry a held half. Every view must equal the offline
+// store's, whose one engine was stamped from the log.
 func TestLiveViewRewind(t *testing.T) {
 	tr := workload.RPCBusiness(12, 3, 3, 150, 0.05, 4)
 	factory := mergeOnFirst(4)
 	dir := t.TempDir()
 	buildWAL(t, dir, tr, 5, len(tr.Events)/2)
-	restamp, err := replay.Open(dir, replay.Options{NewConfig: factory, MaxCachedViews: 64})
+	offline, err := replay.Open(dir, replay.Options{NewConfig: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restamp.Close()
+	defer offline.Close()
+	offline.SetMaxCachedViews(64)
 
 	r := rand.New(rand.NewSource(6))
 	var cutoffs []uint64
@@ -140,9 +143,10 @@ func TestLiveViewRewind(t *testing.T) {
 	counted := map[int]int64{}
 	for _, cached := range []int{1, 8} {
 		tel := obs.NewTelemetry(obs.NewRegistry())
-		counting := liveStore(t, dir, tr, factory(), 4, replay.Options{MaxCachedViews: cached, Obs: tel})
+		counting := liveStore(t, dir, tr, factory(), 4, replay.Options{Obs: tel})
+		counting.SetMaxCachedViews(cached)
 		for _, c := range cutoffs {
-			want, err := restamp.ViewAt(c)
+			want, err := offline.ViewAt(c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,10 +455,10 @@ var logMapping = regexp.MustCompile(`(?m)/(wal-[0-9a-f]{16}\.log|snap-[0-9a-f]{1
 // events): over a daemon's store, serving 64 ascending and 8 rewound cutoffs
 // grows the live heap by at most 2 B/event — what it keeps is the cached
 // views' watermark vectors and one tally — and carves nothing into the store.
-// The restamping store it replaced in the daemon held a second copy of the
-// store up to the cutoff: ≈104 B/event on this trace. Each cutoff allocates
-// its view and nothing per recorded run, and no log file is left mapped
-// [reads-below-valid].
+// A store of its own, which the daemon once kept for history, held a second
+// copy of the store up to the cutoff: ≈104 B/event on this trace. Each cutoff
+// allocates its view and nothing per recorded run, and no log file is left
+// mapped [reads-below-valid].
 func TestHistoryBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 600k events")

@@ -204,11 +204,12 @@ func TestReplayWhileIngestLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	hist, err := replay.OpenLive(dir, live.Pipeline(), replay.Options{MaxCachedViews: 2})
+	hist, err := replay.OpenLive(dir, live.Pipeline(), replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hist.Close()
+	hist.SetMaxCachedViews(2)
 
 	var dispatched atomic.Int64 // events journaled, flushed and handed to the planner
 	var rounds atomic.Int64     // views materialized by the readers while the writer ran
@@ -395,13 +396,14 @@ func TestReplayViewLifecycleRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// MaxCachedViews: 1 — every new cutoff evicts the previous view, so the
+	// One cache slot: every new cutoff evicts the previous view, so the
 	// pinned views below survive on caller references alone.
-	st, err := replay.Open(dir, replay.Options{NumProcs: tr.NumProcs, NewConfig: factory, MaxCachedViews: 1})
+	st, err := replay.Open(dir, replay.Options{NumProcs: tr.NumProcs, NewConfig: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	st.SetMaxCachedViews(1)
 
 	pinCut := st.Events()
 	if pinCut == 0 {
@@ -495,8 +497,8 @@ func TestReplayViewLifecycleRace(t *testing.T) {
 					return
 				}
 			}
-			// A rewind below the shared engine builds a throwaway engine and,
-			// with one cache slot, is evicted immediately.
+			// A rewind below the tally counts from the start of the log over
+			// the one engine and, with one cache slot, is evicted immediately.
 			if back, err := st.ViewAt(pinCut / 2); err != nil {
 				t.Errorf("ViewAt(rewind): %v", err)
 				return

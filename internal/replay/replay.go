@@ -4,20 +4,20 @@
 // touching (or needing) the live ingest path.
 //
 // The input is a write-ahead log chain — the newest sealed snapshot plus the
-// segments after it — opened read-only via wal.OpenChain. Because the
-// monitor's stamping is deterministic in delivery order, re-ingesting the
-// first c recorded events through a fresh timestamper reproduces, byte for
-// byte, the store a live monitor held after delivering those same c events.
-// A replay view is therefore exact: every Precedes/Concurrent answer, every
-// timestamp, every causal cut is what the live monitor would have answered
-// at that moment.
+// segments after it — opened read-only via wal.OpenChain. The log is the
+// delivery order, and a store stamped in that order answers for any prefix
+// of it as it did when the prefix was all it held [cut-by-count]. So a view
+// at cutoff c is a store clamped at the watermark a count of the first c
+// recorded events gives, and it is exact: every Precedes/Concurrent answer,
+// every timestamp, every causal cut is what the live monitor would have
+// answered at that moment.
 //
-// Views share one progressively-extended timestamper: asking for cutoff c2
-// after c1 ≤ c2 only replays the (c1, c2] delta, and each view freezes the
-// store at its cutoff by capturing the per-process watermarks right after
-// materialization. Published cells never move or change [pages-never-move],
-// so later extensions never disturb an earlier view's reads. Rewinding below
-// an already-materialized cutoff rebuilds from the start of the chain.
+// There is one way to build a view, the count walk (Store.countLocked); the
+// constructors differ only in the store it clamps. OpenLive clamps the store
+// of the daemon that writes the log (live.go). Open stamps the log into a
+// one-lane engine of its own, which it only ever extends, up to the largest
+// cutoff asked for so far; published cells never move or change
+// [pages-never-move], so an extension never disturbs an earlier view's reads.
 package replay
 
 import (
@@ -44,48 +44,46 @@ type Options struct {
 	// headers. OpenLive takes the live store's.
 	NumProcs int
 
-	// NewConfig builds the cluster-timestamp configuration used to restamp
-	// history. Deciders are stateful, so a fresh Config is requested per
-	// engine. To reproduce a live monitor's timestamps exactly, supply the
-	// same factory the daemon used; nil defaults to singleton clusters with
-	// MaxClusterSize 1, which answers every precedence query correctly (the
-	// clustering strategy affects timestamp size, never the order it
-	// encodes). OpenLive ignores it: nothing is restamped.
+	// NewConfig builds the cluster-timestamp configuration Open stamps and
+	// accounts the log with, fresh for the engine and for each count from
+	// the start of the log (deciders are stateful). Supply the daemon's
+	// factory to reproduce its timestamps exactly; nil means singleton
+	// clusters with MaxClusterSize 1, which answers every precedence query
+	// correctly (the strategy affects timestamp size, never the order it
+	// encodes). OpenLive ignores it: it stamps nothing.
 	NewConfig func() hct.Config
 
 	// Obs, when non-nil, records replay latencies (chain open, view
 	// materialization) and the history counters, the bytes read from the log
 	// among them, into the daemon's instrument set.
 	Obs *obs.Telemetry
-
-	// MaxCachedViews bounds the view cache (FIFO). 0 selects the default
-	// of 8; evicted views stay valid, they just rematerialize on re-access.
-	MaxCachedViews int
 }
 
-const defaultMaxCachedViews = 8
+// maxCachedViews bounds a store's view cache (FIFO); evicted views stay
+// valid, they just rematerialize on re-access.
+const maxCachedViews = 8
 
 // View is the store as of one cutoff: the live monitor's query surface —
 // Precedes, Concurrent, Timestamp, Lookup, QueryBatch, GreatestPredecessors,
 // GreatestConcurrent, Watermark — promoted from a store view cut at the
-// cutoff's watermark (shared, not to be modified), and, for a restamped view,
-// the accounting the restamping engine held there. Safe for concurrent use
-// alongside further ViewAt calls on the owning store.
+// cutoff's watermark (shared, not to be modified), and, for a view of an
+// Open store, the accounting the count walk kept [stats-by-count]. Safe for
+// concurrent use alongside further ViewAt calls on the owning store.
 type View struct {
 	*monitor.Queries
 
 	cutoff  uint64
-	result  hct.Result // restamped views only; zero under OpenLive
+	result  hct.Result // Open stores only; zero under OpenLive
 	pending int        // admitted sends awaiting their receive, with result
-	held    int32      // OpenLive only: see tally.held
+	held    int32      // see tally.held
 }
 
 // Cutoff returns the event-count cutoff this view is frozen at.
 func (v *View) Cutoff() uint64 { return v.cutoff }
 
 // Stats reports what the live monitor's Stats would have been at the cutoff.
-// A view of an OpenLive store reports zeros: the clusterer's counters as of a
-// cutoff are known only to an engine that restamped up to it.
+// A view of an OpenLive store reports zeros: its walk resumes from cached
+// checkpoints, which carry no partition, so it keeps no accounting.
 func (v *View) Stats(fixedVector int) monitor.Stats {
 	return monitor.StatsOf(v.result, v.pending, fixedVector)
 }
@@ -93,11 +91,6 @@ func (v *View) Stats(fixedVector int) monitor.Stats {
 // Store materializes replay views over one WAL directory. All methods are
 // safe for concurrent use; materialization is serialized internally while
 // queries against existing views proceed lock-free.
-//
-// A store has one of two engines, fixed at construction. Open restamps: the
-// recorded events are fed through a timestamper of the store's own, which
-// also yields the accounting (View.Stats) at the cutoff. OpenLive counts:
-// the views clamp the store of the daemon that wrote the log (live.go).
 //
 // View lifecycle vs refresh and cache eviction — the audited invariants:
 //
@@ -107,10 +100,9 @@ func (v *View) Stats(fixedVector int) monitor.Stats {
 //     including after a compaction deleted the very segments the view was
 //     built from — cannot invalidate it.
 //   - Views stay correct while their store grows concurrently — by later
-//     materializations extending the shared restamping engine, or by the
-//     daemon's lanes: cells are published above already-captured
-//     watermarks and never change [pages-never-move]. Rewind views of the
-//     restamping engine get a throwaway engine nobody extends.
+//     materializations extending the store's own engine, or by the daemon's
+//     lanes: cells are published above already-counted watermarks and never
+//     change [pages-never-move].
 //   - Eviction from the FIFO cache only drops the Store's reference; a
 //     caller-pinned *View keeps its engine alive through ordinary GC
 //     reachability and keeps answering at its frozen cutoff.
@@ -122,17 +114,17 @@ func (v *View) Stats(fixedVector int) monitor.Stats {
 // pinned views queried concurrently with a compacting writer, refreshes,
 // and a single-slot cache forcing eviction on every materialization.
 type Store struct {
-	dir  string
-	opts Options
-	live *hct.Pipeline // OpenLive: the store the views clamp; nil = restamp
+	dir   string
+	opts  Options
+	store *hct.Pipeline    // what the views clamp: ts's, or the daemon's (OpenLive)
+	ts    *hct.Timestamper // Open's engine, fed only by extendLocked; nil under OpenLive
 
 	mu        sync.Mutex
 	chain     *wal.Chain
-	ts        *hct.Timestamper // restamping engine, extended forward in cutoff order
-	delivered uint64           // events fed into ts so far
-	tally     tally            // counting engine (live.go)
-	views     []*View          // FIFO cache, newest last
-	readBytes int64            // this store's share of poetd_history_read_bytes_total
+	tally     tally   // the count walk's running state
+	views     []*View // FIFO cache, newest last
+	maxViews  int     // maxCachedViews; tests change it
+	readBytes int64   // this store's share of poetd_history_read_bytes_total
 }
 
 // Open opens the WAL chain in dir for replay. The directory may belong to a
@@ -145,18 +137,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.ts, err = hct.NewTimestamper(s.chain.NumProcs(), opts.NewConfig()); err != nil {
+	s.tally = tally{n: make(hct.Watermark, s.chain.NumProcs()), newConfig: opts.NewConfig}
+	if s.ts, err = hct.NewTimestamper(s.chain.NumProcs(), opts.NewConfig()); err == nil {
+		err = s.tally.reset(nil)
+	}
+	if err != nil {
 		s.chain.Close()
 		return nil, err
 	}
+	s.store = s.ts.Pipeline
 	return s, nil
 }
 
 // open is the engine-independent part of Open and OpenLive.
 func open(dir string, opts Options) (*Store, error) {
-	if opts.MaxCachedViews <= 0 {
-		opts.MaxCachedViews = defaultMaxCachedViews
-	}
 	if opts.Obs == nil {
 		opts.Obs = &obs.Telemetry{} // every instrument nil, and nil-safe
 	}
@@ -170,7 +164,7 @@ func open(dir string, opts Options) (*Store, error) {
 		chain.Close()
 		return nil, errors.New("replay: chain holds no events and no process count was configured")
 	}
-	s := &Store{dir: dir, opts: opts, chain: chain}
+	s := &Store{dir: dir, opts: opts, chain: chain, maxViews: maxCachedViews}
 	s.countRead(chain.BytesRead())
 	return s, nil
 }
@@ -180,13 +174,6 @@ func open(dir string, opts Options) (*Store, error) {
 func (s *Store) countRead(n uint64) {
 	s.readBytes += int64(n)
 	s.opts.Obs.HistoryReadBytes.Add(int64(n))
-}
-
-// NumProcs returns the process count of the recorded computation.
-func (s *Store) NumProcs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.chain.NumProcs()
 }
 
 // Events returns the number of events currently recorded by the chain (as of
@@ -216,12 +203,34 @@ func (s *Store) HistoryStatus() monitor.HistoryStatus {
 	return st
 }
 
-// positionLocked is how far into the log the store's engine has read.
-func (s *Store) positionLocked() uint64 {
-	if s.live != nil {
+// positionLocked is how far into the log the store has read: the tally's
+// position over a daemon's store, else the events Open's engine admitted, a
+// held sync half included; a refused event leaves its frontier untouched
+// [check-before-mutate].
+func (s *Store) positionLocked() (n uint64) {
+	if s.ts == nil {
 		return s.tally.pos
 	}
-	return s.delivered
+	for _, next := range s.ts.FrontierNext() {
+		n += uint64(next - 1)
+	}
+	return n
+}
+
+// extendLocked stamps into Open's engine, its only feed, the part of run (the
+// walk's next run, at the tally's position) past the engine's extent *ext,
+// and advances *ext. It runs before the run is counted, so the tally never
+// passes the engine and a log the engine refuses fails with its typed error.
+func (s *Store) extendLocked(run []model.Event, ext *uint64) error {
+	end := s.tally.pos + uint64(len(run))
+	if end <= *ext {
+		return nil
+	}
+	if err := s.ts.DispatchAsync(run[*ext-s.tally.pos:], nil); err != nil {
+		return err
+	}
+	*ext = end
+	return nil
 }
 
 // refreshLocked re-opens the chain, picking up segments sealed (and
@@ -253,16 +262,13 @@ func (s *Store) refreshLocked() error {
 func (s *Store) ViewAt(cutoff uint64) (*View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cutoff == CutoffLatest {
+	if cutoff > s.chain.Events() { // CutoffLatest included
 		if err := s.refreshLocked(); err != nil {
 			return nil, err
 		}
-		cutoff = s.chain.Events()
-	} else if cutoff > s.chain.Events() {
-		if err := s.refreshLocked(); err != nil {
-			return nil, err
-		}
-		if cutoff > s.chain.Events() {
+		if cutoff == CutoffLatest {
+			cutoff = s.chain.Events()
+		} else if cutoff > s.chain.Events() {
 			return nil, fmt.Errorf("replay: cutoff %d beyond recorded history (%d events)", cutoff, s.chain.Events())
 		}
 	}
@@ -272,67 +278,146 @@ func (s *Store) ViewAt(cutoff uint64) (*View, error) {
 		}
 	}
 	start := time.Now()
-	materialize := s.restampLocked
-	if s.live != nil {
-		materialize = s.countLocked
-	}
-	v, err := materialize(cutoff)
+	v, err := s.countLocked(cutoff)
 	if err != nil {
 		return nil, fmt.Errorf("replay: materialize cutoff %d: %w", cutoff, err)
 	}
 	s.opts.Obs.ReplayMaterialize.Observe(time.Since(start))
 	s.opts.Obs.HistoryViews.Inc()
 	s.views = append(s.views, v)
-	if len(s.views) > s.opts.MaxCachedViews {
-		s.views = append(s.views[:0], s.views[1:]...)
-		s.views = s.views[:s.opts.MaxCachedViews]
+	if len(s.views) > s.maxViews {
+		s.views = append(s.views[:0], s.views[len(s.views)-s.maxViews:]...)
 	}
 	return v, nil
 }
 
-// newView freezes store at wm as the view of cutoff. A store only ever gains
-// cells above published watermarks, so reads cut at wm are stable forever.
-func newView(cutoff uint64, store *hct.Pipeline, wm hct.Watermark) *View {
-	return &View{
-		Queries: monitor.NewQueries(store.At(wm)),
-		cutoff:  cutoff,
-		held:    -1,
+// countLocked builds the view at cutoff by counting, resuming from the
+// greatest checkpoint at or below it: the running tally when the cutoff is
+// ahead of it, else, under OpenLive, a cached view, else the start of the log
+// [stats-by-count]. Over an Open store each run is first stamped past the
+// engine's extent. The view cuts the store at the counted watermark; a store
+// only gains cells above published watermarks, so its reads are stable.
+func (s *Store) countLocked(cutoff uint64) (*View, error) {
+	var from *View
+	for _, v := range s.views {
+		if s.ts == nil && v.cutoff <= cutoff && (from == nil || v.cutoff > from.cutoff) {
+			from = v
+		}
 	}
-}
-
-// restampLocked builds the view at cutoff by restamping. Ascending cutoffs
-// extend the shared engine by the delta; a rewind below the shared engine's
-// position restamps from the start of the chain into a throwaway engine.
-func (s *Store) restampLocked(cutoff uint64) (*View, error) {
-	ts := s.ts
-	from := s.delivered
-	shared := cutoff >= s.delivered
-	if !shared {
-		fresh, err := hct.NewTimestamper(s.chain.NumProcs(), s.opts.NewConfig())
-		if err != nil {
+	if s.tally.pos > cutoff || (from != nil && from.cutoff > s.tally.pos) {
+		if err := s.tally.reset(from); err != nil {
 			return nil, err
 		}
-		ts, from = fresh, 0
 	}
-	err := s.walkLocked(from, cutoff, func(run []model.Event) error {
-		return ts.DispatchAsync(run, nil)
-	})
-	if shared {
-		// Even on error the successfully-ingested prefix is valid history;
-		// keep the shared engine consistent with what it absorbed. A
-		// rejected event leaves the frontier untouched, so the frontier
-		// counts exactly the accepted events (a held sync half included).
-		s.delivered = 0
-		for _, next := range ts.FrontierNext() {
-			s.delivered += uint64(next - 1)
+	at, step := s.tally.pos, s.tally.count
+	if s.ts != nil {
+		ext := s.positionLocked()
+		step = func(run []model.Event) error {
+			if err := s.extendLocked(run, &ext); err != nil {
+				return err
+			}
+			return s.tally.count(run)
 		}
 	}
+	err := s.walkLocked(at, cutoff, step)
+	s.opts.Obs.HistoryCountedEvents.Add(int64(s.tally.pos - at))
 	if err != nil {
 		return nil, err
 	}
-	v := newView(cutoff, ts.Pipeline, ts.CaptureWatermark(nil))
-	v.result, v.pending = ts.Result(), ts.PendingSends()
+	wm := s.tally.watermark()
+	if err := s.coverLocked(wm); err != nil {
+		return nil, err
+	}
+	v := &View{Queries: monitor.NewQueries(s.store.At(wm)), cutoff: cutoff, held: s.tally.held}
+	if s.tally.acct != nil {
+		v.result, v.pending = s.tally.acct.Result(), s.tally.pending
+	}
 	return v, nil
+}
+
+// tally is the count walk's running state over a prefix of the log.
+type tally struct {
+	pos  uint64        // events counted: the prefix length
+	n    hct.Watermark // of them, per process
+	held int32         // process whose last counted event is a first sync half (its partner is event pos), or -1
+
+	live hct.Watermark // the store's published counts as coverLocked last captured them
+
+	// With newConfig (Open), the accounting of the counted prefix
+	// [stats-by-count]; acct is nil under OpenLive.
+	newConfig func() hct.Config
+	acct      *hct.Accountant
+	first     model.Event // the held first sync half, observed with its partner
+	pending   int         // sends counted minus receives counted
+}
+
+// reset rewinds the tally to the cutoff of v, or to the start of the log when
+// v is nil: a view's (cutoff, watermark, held) is a checkpoint of the walk. It
+// carries no partition, so only a tally without accounting takes one
+// [stats-by-count].
+func (t *tally) reset(v *View) (err error) {
+	if v == nil {
+		clear(t.n)
+		t.pos, t.held, t.pending = 0, -1, 0
+		if t.newConfig != nil {
+			t.acct, err = hct.NewAccountant(len(t.n), t.newConfig())
+		}
+		return err
+	}
+	copy(t.n, v.Watermark())
+	t.pos, t.held = v.cutoff, v.held
+	if t.held >= 0 {
+		t.n[t.held]++
+	}
+	return nil
+}
+
+// count tallies one recorded run. It holds the run to what makes a tally a
+// watermark — per-process indexes dense in log order, sync halves adjacent
+// [sync-half-rule] — and stops, positioned at the offending event, when the
+// log is not one the planner would have delivered.
+func (t *tally) count(run []model.Event) error {
+	for i := range run {
+		e := &run[i]
+		p := int(e.ID.Process)
+		if p < 0 || p >= len(t.n) || int32(e.ID.Index) != t.n[p]+1 || (t.held >= 0 && e.Kind != model.Sync) {
+			return fmt.Errorf("recorded event %d (%v) is out of delivery order", t.pos, e.ID)
+		}
+		t.n[p]++
+		t.pos++
+		switch {
+		case e.Kind == model.Sync && t.held < 0:
+			t.held, t.first = int32(p), *e // observed with its partner [stats-by-count]
+			continue
+		case e.Kind == model.Sync:
+			t.held = -1
+			t.observe(t.first)
+		case e.Kind == model.Send:
+			t.pending++
+		case e.Kind == model.Receive:
+			t.pending--
+		}
+		t.observe(*e)
+	}
+	return nil
+}
+
+// observe hands e to the accounting, if the tally keeps it, in the order the
+// plan stage decides events [stats-by-count].
+func (t *tally) observe(e model.Event) {
+	if t.acct != nil {
+		t.acct.Observe(e)
+	}
+}
+
+// watermark returns the published counts a daemon held after delivering the
+// tallied prefix.
+func (t *tally) watermark() hct.Watermark {
+	w := append(hct.Watermark(nil), t.n...)
+	if t.held >= 0 {
+		w[t.held]--
+	}
+	return w
 }
 
 // walkLocked streams the recorded events [from, to) to fn and counts the

@@ -143,9 +143,9 @@ func liveStore(t *testing.T, dir string, tr *model.Trace, cfg hct.Config, shards
 // replayed view must agree with a live monitor that delivered exactly the
 // first c events — identical timestamps (cluster epochs, projections,
 // retained full vectors), identical precedence answers, identical
-// accounting — at ingest shard counts 1 and 4. The counting engine, over a
-// monitor that was fed the whole trace, must in turn be indistinguishable
-// from the restamped view at every one of those cutoffs.
+// accounting — at ingest shard counts 1 and 4. A view over a monitor that
+// was fed the whole trace (OpenLive) must in turn be indistinguishable from
+// the offline store's view at every one of those cutoffs.
 func TestReplayDifferentialCorpus(t *testing.T) {
 	specs := workload.Corpus()
 	for i, spec := range specs {
@@ -167,13 +167,14 @@ func TestReplayDifferentialCorpus(t *testing.T) {
 			}
 			boundaries := buildWAL(t, dir, tr, int64(i)*7+1, compactAt)
 
-			// MaxCachedViews 2 forces the rewind path when an early cutoff
-			// is re-requested after the sweep.
-			st, err := replay.Open(dir, replay.Options{NewConfig: factory, MaxCachedViews: 2})
+			// Two cache slots force the rewind path when an early cutoff is
+			// re-requested after the sweep.
+			st, err := replay.Open(dir, replay.Options{NewConfig: factory})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer st.Close()
+			st.SetMaxCachedViews(2)
 
 			if got, want := st.Events(), uint64(len(tr.Events)); got != want {
 				t.Fatalf("chain records %d events, trace has %d", got, want)
@@ -191,7 +192,8 @@ func TestReplayDifferentialCorpus(t *testing.T) {
 			cutoffs := pickCutoffs(boundaries, uint64(len(tr.Events)), r)
 			var hist *replay.Store
 			for _, shards := range []int{1, 4} {
-				hist = liveStore(t, dir, tr, factory(), shards, replay.Options{MaxCachedViews: 2})
+				hist = liveStore(t, dir, tr, factory(), shards, replay.Options{})
+				hist.SetMaxCachedViews(2)
 				for _, c := range cutoffs {
 					v, err := st.ViewAt(c)
 					if err != nil {
@@ -207,8 +209,8 @@ func TestReplayDifferentialCorpus(t *testing.T) {
 			}
 
 			// Rewind: a mid-sweep cutoff is long evicted from the 2-entry
-			// caches, so this re-access rematerializes from the chain start
-			// (restamping) or from the start of the log (counting).
+			// caches, so this re-access counts again, from the start of the
+			// log (offline) or from the greatest cached checkpoint (live).
 			if len(cutoffs) > 2 {
 				c := cutoffs[len(cutoffs)/2]
 				v, err := st.ViewAt(c)
@@ -349,22 +351,22 @@ func compareViewToLive(t *testing.T, tr *model.Trace, factory func() hct.Config,
 	}
 }
 
-// compareEngines asserts that got, a view of the counting engine over a
-// store holding the whole trace, is indistinguishable from want, the restamped
-// view at the same cutoff: the same watermark, and over events on both sides
-// of the cutoff the same timestamps, events, precedence and concurrency
-// answers (rejections included) and causal cuts. Accounting is not compared:
-// only a restamping engine knows it at a cutoff.
+// compareEngines asserts that got, a view over a daemon's store holding the
+// whole trace, is indistinguishable from want, the offline store's view at
+// the same cutoff: the same watermark, and over events on both sides of the
+// cutoff the same timestamps, events, precedence and concurrency answers
+// (rejections included) and causal cuts. Accounting is not compared: a view
+// over a daemon's store keeps none.
 func compareEngines(t *testing.T, tr *model.Trace, shards int, got, want *replay.View, r *rand.Rand) {
 	t.Helper()
 	c := want.Cutoff()
 	if got.Cutoff() != c {
-		t.Fatalf("shards=%d: counting view is at cutoff %d, restamped at %d", shards, got.Cutoff(), c)
+		t.Fatalf("shards=%d: live view is at cutoff %d, offline at %d", shards, got.Cutoff(), c)
 	}
 	gw, ww := got.Watermark(), want.Watermark()
 	for p := range ww {
 		if gw[p] != ww[p] {
-			t.Fatalf("shards=%d cutoff=%d: watermark[%d] = %d counted, %d restamped", shards, c, p, gw[p], ww[p])
+			t.Fatalf("shards=%d cutoff=%d: watermark[%d] = %d live, %d offline", shards, c, p, gw[p], ww[p])
 		}
 	}
 
@@ -392,7 +394,7 @@ func compareEngines(t *testing.T, tr *model.Trace, shards int, got, want *replay
 		gt, gok := got.Timestamp(id)
 		wt, wok := want.Timestamp(id)
 		if gok != wok || (gok && !sameTimestamp(gt, wt)) {
-			t.Fatalf("shards=%d cutoff=%d: Timestamp(%v) = (%v,%v) counted, (%v,%v) restamped", shards, c, id, gt, gok, wt, wok)
+			t.Fatalf("shards=%d cutoff=%d: Timestamp(%v) = (%v,%v) live, (%v,%v) offline", shards, c, id, gt, gok, wt, wok)
 		}
 	}
 
@@ -400,12 +402,12 @@ func compareEngines(t *testing.T, tr *model.Trace, shards int, got, want *replay
 		gp, gerr := got.Precedes(a, b)
 		wp, werr := want.Precedes(a, b)
 		if gp != wp || (gerr != nil) != (werr != nil) {
-			t.Fatalf("shards=%d cutoff=%d: Precedes(%v,%v) = (%v,%v) counted, (%v,%v) restamped", shards, c, a, b, gp, gerr, wp, werr)
+			t.Fatalf("shards=%d cutoff=%d: Precedes(%v,%v) = (%v,%v) live, (%v,%v) offline", shards, c, a, b, gp, gerr, wp, werr)
 		}
 		gc, gerr := got.Concurrent(a, b)
 		wc, werr := want.Concurrent(a, b)
 		if gc != wc || (gerr != nil) != (werr != nil) {
-			t.Fatalf("shards=%d cutoff=%d: Concurrent(%v,%v) = (%v,%v) counted, (%v,%v) restamped", shards, c, a, b, gc, gerr, wc, werr)
+			t.Fatalf("shards=%d cutoff=%d: Concurrent(%v,%v) = (%v,%v) live, (%v,%v) offline", shards, c, a, b, gc, gerr, wc, werr)
 		}
 	}
 	if len(all) <= 120 {
@@ -423,11 +425,11 @@ func compareEngines(t *testing.T, tr *model.Trace, shards int, got, want *replay
 
 	sameCut := func(name string, id model.EventID, g, w []monitor.CutEntry, gerr, werr error) {
 		if (gerr != nil) != (werr != nil) || len(g) != len(w) {
-			t.Fatalf("shards=%d cutoff=%d: %s(%v): (%d entries, %v) counted, (%d entries, %v) restamped", shards, c, name, id, len(g), gerr, len(w), werr)
+			t.Fatalf("shards=%d cutoff=%d: %s(%v): (%d entries, %v) live, (%d entries, %v) offline", shards, c, name, id, len(g), gerr, len(w), werr)
 		}
 		for q := range g {
 			if g[q] != w[q] {
-				t.Fatalf("shards=%d cutoff=%d: %s(%v)[%d] = %+v counted, %+v restamped", shards, c, name, id, q, g[q], w[q])
+				t.Fatalf("shards=%d cutoff=%d: %s(%v)[%d] = %+v live, %+v offline", shards, c, name, id, q, g[q], w[q])
 			}
 		}
 	}

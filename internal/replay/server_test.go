@@ -40,10 +40,11 @@ func serveDefault(t *testing.T, res monitor.TenantResources) *monitor.Server {
 // cutoff must match a local view at that cutoff, CutoffLatest must answer
 // over sealed history, and queries beyond the cutoff must come back as
 // per-query rejections, all while the server keeps ingesting. It runs once
-// with the restamping store as the server's history provider and once the
-// way poetd wires it: the counting engine over a 4-lane monitor's own store.
+// with an offline store, which stamps the log into an engine of its own, as
+// the server's history provider and once the way poetd wires it: views over
+// a 4-lane monitor's own store.
 func TestServerQueryAt(t *testing.T) {
-	t.Run("restamp", func(t *testing.T) { testServerQueryAt(t, false) })
+	t.Run("offline", func(t *testing.T) { testServerQueryAt(t, false) })
 	t.Run("live", func(t *testing.T) { testServerQueryAt(t, true) })
 }
 
@@ -58,7 +59,7 @@ func testServerQueryAt(t *testing.T, live bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// hist restamps: it is the reference, and in the first cell also the
+	// hist is offline: it is the reference, and in the first cell also the
 	// server's provider.
 	hist, err := replay.Open(dir, replay.Options{NumProcs: tr.NumProcs, NewConfig: factory})
 	if err != nil {
@@ -272,7 +273,7 @@ func TestServerQueryAtFailedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The reference answers come from a restamping store's views, built
+	// The reference answers come from an offline store's views, built
 	// before anything breaks.
 	ref, err := replay.Open(dir, replay.Options{NumProcs: tr.NumProcs, NewConfig: factory})
 	if err != nil {
