@@ -128,12 +128,21 @@ func (ts *plane) QueryPathCounts() (direct, routed int64) {
 // changes.
 func (ts *Timestamper) Ingest(e model.Event) error { return ts.dispatchOne(e) }
 
-// ObserveAll stamps an entire trace and reports an error if the stream ended
-// incomplete: an unpaired synchronous event or sends that were never
-// received.
+// observeChunk bounds the batches ObserveAll dispatches. The admission gate
+// reserves a batch's worst case at once [storeRoom-overcounts], so a refused
+// chunk means the store is full, not that the trace is long.
+const observeChunk = 1024
+
+// ObserveAll stamps an entire trace, observeChunk events at a time, and
+// reports an error if the stream ended incomplete: an unpaired synchronous
+// event or sends that were never received. A refusal — a delivery-contract
+// error, or ErrStoreFull once the store is full — returns DispatchAsync's
+// error, and the prefix stamped before it stays.
 func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
-	if err := ts.DispatchAsync(tr.Events, nil); err != nil {
-		return fmt.Errorf("hct: %w", err)
+	for evs := tr.Events; len(evs) > 0; evs = evs[min(len(evs), observeChunk):] {
+		if err := ts.DispatchAsync(evs[:min(len(evs), observeChunk)], nil); err != nil {
+			return err
+		}
 	}
 	a := &ts.adm
 	a.mu.Lock()

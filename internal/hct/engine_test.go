@@ -390,6 +390,44 @@ func TestObserveAllPropagatesFMErrors(t *testing.T) {
 	}
 }
 
+// TestObserveAllStampsInChunks: ObserveAll takes a trace longer than the
+// admission gate would reserve in one batch — spmd-stream's ring, 606,540
+// events at 300 processes, ≈592k at most in one — and stamps exactly what
+// 1024-event DispatchAsync batches stamp. Against a full store its refusal
+// is ErrStoreFull, prefixed "hct:" once.
+func TestObserveAllStampsInChunks(t *testing.T) {
+	tr := workload.Ring(300, 330, false)
+	cfg := func() Config { return Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()} }
+	got, want := mustTimestamper(t, tr.NumProcs, cfg()), mustTimestamper(t, tr.NumProcs, cfg())
+	if err := got.ObserveAll(tr); err != nil {
+		t.Fatalf("ObserveAll(%d events): %v", len(tr.Events), err)
+	}
+	for lo := 0; lo < len(tr.Events); lo += 1024 {
+		if err := want.DispatchAsync(tr.Events[lo:min(lo+1024, len(tr.Events))], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range tr.Events {
+		g, gok := got.Timestamp(e.ID)
+		w, wok := want.Timestamp(e.ID)
+		if !gok || !wok || !sameTimestamp(g, w) {
+			t.Fatalf("Timestamp(%v) = (%v, %v) after ObserveAll, (%v, %v) after batches", e.ID, g, gok, w, wok)
+		}
+	}
+	if g, w := got.Result(), want.Result(); g != w {
+		t.Fatalf("Result %+v after ObserveAll, %+v after batches", g, w)
+	}
+
+	full := mustTimestamper(t, 4, Config{MaxClusterSize: 2})
+	full.doneMu.Lock()
+	full.laneEnds[0] = arenaLimit // the gate sees a full arena
+	full.doneMu.Unlock()
+	err := full.ObserveAll(workload.Ring(4, 2, false))
+	if !errors.Is(err, ErrStoreFull) || strings.HasPrefix(err.Error(), "hct: hct:") {
+		t.Fatalf("ObserveAll against a full store: %v, want ErrStoreFull prefixed once", err)
+	}
+}
+
 // TestFacadeSyncPairAndStreamEnd pins the two places the façade adds
 // behaviour over dispatchOne/Dispatch: after Ingest what the event finalized
 // is readable (nothing for a held first sync half, then both halves), and
