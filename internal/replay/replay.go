@@ -319,7 +319,9 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 			return s.tally.count(run)
 		}
 	}
-	err := s.walkLocked(at, cutoff, step)
+	before := s.chain.BytesRead()
+	err := s.chain.ReplayRange(at, cutoff, step)
+	s.countRead(s.chain.BytesRead() - before)
 	s.opts.Obs.HistoryCountedEvents.Add(int64(s.tally.pos - at))
 	if err != nil {
 		return nil, err
@@ -344,7 +346,7 @@ type tally struct {
 	live hct.Watermark // the store's published counts as coverLocked last captured them
 
 	// With newConfig (Open), the accounting of the counted prefix
-	// [stats-by-count]; acct is nil under OpenLive.
+	// [stats-by-count]; acct is nil under OpenLive, and count skips it.
 	newConfig func() hct.Config
 	acct      *hct.Accountant
 	first     model.Event // the held first sync half, observed with its partner
@@ -384,30 +386,36 @@ func (t *tally) count(run []model.Event) error {
 			return fmt.Errorf("recorded event %d (%v) is out of delivery order", t.pos, e.ID)
 		}
 		t.n[p]++
-		t.pos++
-		switch {
-		case e.Kind == model.Sync && t.held < 0:
-			t.held, t.first = int32(p), *e // observed with its partner [stats-by-count]
-			continue
-		case e.Kind == model.Sync:
-			t.held = -1
-			t.observe(t.first)
-		case e.Kind == model.Send:
-			t.pending++
-		case e.Kind == model.Receive:
-			t.pending--
+		if t.acct != nil {
+			t.account(e)
 		}
-		t.observe(*e)
+		if e.Kind == model.Sync {
+			if t.held < 0 {
+				t.held = int32(p)
+			} else {
+				t.held = -1
+			}
+		}
+		t.pos++
 	}
 	return nil
 }
 
-// observe hands e to the accounting, if the tally keeps it, in the order the
-// plan stage decides events [stats-by-count].
-func (t *tally) observe(e model.Event) {
-	if t.acct != nil {
-		t.acct.Observe(e)
+// account observes e, the next counted event, as the plan stage would: a
+// first sync half only together with its partner [stats-by-count].
+func (t *tally) account(e *model.Event) {
+	switch {
+	case e.Kind == model.Sync && t.held < 0:
+		t.first = *e
+		return
+	case e.Kind == model.Sync:
+		t.acct.Observe(t.first)
+	case e.Kind == model.Send:
+		t.pending++
+	case e.Kind == model.Receive:
+		t.pending--
 	}
+	t.acct.Observe(*e)
 }
 
 // watermark returns the published counts a daemon held after delivering the
@@ -418,15 +426,6 @@ func (t *tally) watermark() hct.Watermark {
 		w[t.held]--
 	}
 	return w
-}
-
-// walkLocked streams the recorded events [from, to) to fn and counts the
-// bytes it read from the log.
-func (s *Store) walkLocked(from, to uint64, fn func([]model.Event) error) error {
-	before := s.chain.BytesRead()
-	err := s.chain.ReplayRange(from, to, fn)
-	s.countRead(s.chain.BytesRead() - before)
-	return err
 }
 
 // HistoryAt implements the daemon's history hook (monitor.HistoryProvider):
