@@ -139,8 +139,8 @@ const observeChunk = 1024
 // error, or ErrStoreFull once the store is full — returns DispatchAsync's
 // error, and the prefix stamped before it stays.
 func (ts *Timestamper) ObserveAll(tr *model.Trace) error {
-	for evs := tr.Events; len(evs) > 0; evs = evs[min(len(evs), observeChunk):] {
-		if err := ts.DispatchAsync(evs[:min(len(evs), observeChunk)], nil); err != nil {
+	for lo := 0; lo < len(tr.Events); lo += observeChunk {
+		if err := ts.DispatchAsync(tr.Events[lo:min(lo+observeChunk, len(tr.Events))], nil); err != nil {
 			return err
 		}
 	}

@@ -175,7 +175,7 @@ func TestReplayWhileIngest(t *testing.T) {
 }
 
 // TestReplayWhileIngestLive is the same deployment with the daemon's own
-// history plane: the counting engine over the store the lanes are filling.
+// history plane: views over the store the lanes are filling (OpenLive).
 // A 4-lane pipelined monitor ingests a ring whose every column crosses page
 // boundaries and whose processes roll over to new keyframes while readers
 // hold views frozen at early cutoffs — behind the live watermark on purpose —

@@ -262,13 +262,16 @@ func (s *Store) refreshLocked() error {
 func (s *Store) ViewAt(cutoff uint64) (*View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cutoff > s.chain.Events() { // CutoffLatest included
+	if cutoff == CutoffLatest {
 		if err := s.refreshLocked(); err != nil {
 			return nil, err
 		}
-		if cutoff == CutoffLatest {
-			cutoff = s.chain.Events()
-		} else if cutoff > s.chain.Events() {
+		cutoff = s.chain.Events()
+	} else if cutoff > s.chain.Events() {
+		if err := s.refreshLocked(); err != nil {
+			return nil, err
+		}
+		if cutoff > s.chain.Events() {
 			return nil, fmt.Errorf("replay: cutoff %d beyond recorded history (%d events)", cutoff, s.chain.Events())
 		}
 	}
@@ -286,7 +289,8 @@ func (s *Store) ViewAt(cutoff uint64) (*View, error) {
 	s.opts.Obs.HistoryViews.Inc()
 	s.views = append(s.views, v)
 	if len(s.views) > s.maxViews {
-		s.views = append(s.views[:0], s.views[len(s.views)-s.maxViews:]...)
+		s.views = append(s.views[:0], s.views[1:]...)
+		s.views = s.views[:s.maxViews]
 	}
 	return v, nil
 }
@@ -355,8 +359,8 @@ type tally struct {
 
 // reset rewinds the tally to the cutoff of v, or to the start of the log when
 // v is nil: a view's (cutoff, watermark, held) is a checkpoint of the walk. It
-// carries no partition, so only a tally without accounting takes one
-// [stats-by-count].
+// carries no partition, so only a tally that keeps no accounting resumes from
+// one [stats-by-count].
 func (t *tally) reset(v *View) (err error) {
 	if v == nil {
 		clear(t.n)

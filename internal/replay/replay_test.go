@@ -117,8 +117,8 @@ func pickCutoffs(boundaries []uint64, total uint64, r *rand.Rand) []uint64 {
 }
 
 // liveStore delivers the whole trace to a sharded monitor and opens the
-// counting engine over dir and that monitor's store — the daemon's shape,
-// with the log written by someone else in the same delivery order.
+// history plane over dir and that monitor's store (OpenLive) — the daemon's
+// shape, with the log written by someone else in the same delivery order.
 func liveStore(t *testing.T, dir string, tr *model.Trace, cfg hct.Config, shards int, opts replay.Options) *replay.Store {
 	t.Helper()
 	live, err := monitor.NewWithOptions(tr.NumProcs, cfg, hct.PipelineOptions{Shards: shards})
