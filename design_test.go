@@ -110,7 +110,7 @@ var design = []gate{
 		{in: "internal/monitor/*.go", site: `RecordOp\($`, must: []string{"Server.submitInstrumented", "Server.answer"}, max: 3},
 		{in: "internal/monitor/server.go internal/monitor/client.go internal/trace/*.go", site: `\bstrconv\.Atoi\b`},
 	}},
-	{name: "One_shape_per_lane_count", why: "One step body per stage; the lane count picks only who calls the steps (DESIGN.md §11).", rules: []rule{
+	{name: "One_shape_per_lane_count", why: "One step body per stage; the lane count picks only who calls the steps, and the plan step times its own decisions (DESIGN.md §11).", rules: []rule{
 		{in: ".", site: `PlannerPipelined|poetd_planner_pipelined|DispatchTraced|DeliverBatchTraced|DeliverBatchAsyncTraced|^func \(Monitor\) Deliver\($`},
 		{in: "internal/hct/*.go", site: `^((field|var) )?async\b`},
 		{in: "internal/hct/*.go", site: `\.PlanQueue\b`, must: []string{"newPipeline"}},
@@ -119,6 +119,7 @@ var design = []gate{
 		{in: "internal/hct/*.go", site: `\.step\($`, must: []string{"lane.drain"}},
 		{in: "internal/hct/*.go", site: `\.cond\.Wait\($`, except: `^ln\.cond\.Wait\($`, must: []string{"rendezvous.wait"}},
 		{in: "internal/hct/ +tests", site: `\bstamp(Dur|Start)\b`},
+		{in: "internal/hct/*.go", site: `\.busy\.Add\($`, must: []string{"Pipeline.planRun", "Pipeline.stageItem"}},
 	}},
 	{name: "One_instrument_per_number", why: "A number is stored once, in an obs instrument (DESIGN.md §9); tel.WALSnapshot is a histogram.", rules: []rule{
 		{in: "internal/ cmd/ -internal/obs/telemetry.go", site: `\b(ServerCounters|WALCounters|CounterSnapshot|WALSnapshot|ThroughputRates|ParseSnapshot|ParseTenantCounters)\b`, except: `\btel\.WALSnapshot\b`},

@@ -195,10 +195,11 @@ type Pipeline struct {
 	adm Admission
 
 	// planMu guards the planner state below, core included.
-	planMu  sync.Mutex
-	core    *clusterer // the cluster-receive rule, its partition and accounting
-	issued  []uint64   // items dispatched per shard
-	curBufs [][]item   // per-shard staging buffers, capacity retained across batches
+	planMu   sync.Mutex
+	core     *clusterer // the cluster-receive rule, its partition and accounting
+	issued   []uint64   // items dispatched per shard
+	curBufs  [][]item   // per-shard staging buffers, capacity retained across batches
+	planMark time.Time  // start of the planning PlannerBusy has not counted yet
 
 	// The epoch table's writer side (guarded by planMu; plane.epochs is what
 	// is published): the epochs in index order, entry 0 nil; their indexes by
@@ -244,12 +245,15 @@ type Pipeline struct {
 
 	wo atomic.Pointer[WaitObserver]
 
+	// PlannerBusy's count at every lane count, added to under planMu by the
+	// plan step and read without it.
+	busy  atomic.Int64 // cumulative planning nanoseconds
+	since time.Time    // construction, for PlannerOccupancy
+
 	// Planner-goroutine state (planner.go), idle at one lane. pq is the
 	// bounded plan queue.
 	pq        planQueue
 	plannerWG sync.WaitGroup
-	busy      atomic.Int64 // cumulative planner busy nanoseconds
-	since     time.Time    // construction, for PlannerOccupancy
 
 	batchPool sync.Pool // *[]model.Event: the admitted batches the plan queue carries
 	bwPool    sync.Pool // *barrierWait markers
@@ -543,9 +547,10 @@ func (p *Pipeline) handOff(bp *[]model.Event, bt BatchTracer) error {
 }
 
 // planRun is the plan step over an admitted run, under planMu: the cluster
-// decisions, staging, and the flush to the lanes. A traced run records
-// plan_wait since waitStart (zero: since this call, the time spent blocked on
-// the mutex) and then its plan span.
+// decisions, staging, and the flush to the lanes. PlannerBusy counts the time
+// between flushes: the decisions, not the wait for lane room or the inline
+// drain. A traced run records plan_wait since waitStart (zero: since this
+// call, the time spent blocked on the mutex) and then its plan span.
 func (p *Pipeline) planRun(run []model.Event, bt BatchTracer, waitStart time.Time) {
 	if bt != nil && waitStart.IsZero() {
 		waitStart = time.Now()
@@ -555,9 +560,11 @@ func (p *Pipeline) planRun(run []model.Event, bt BatchTracer, waitStart time.Tim
 		bt.Span("plan_wait", -1, -1, waitStart, time.Since(waitStart))
 		p.curBT, p.planSpan = bt, bt.Begin("plan", -1, -1)
 	}
+	p.planMark = time.Now()
 	for i := range run {
 		p.plan(run[i])
 	}
+	p.busy.Add(int64(time.Since(p.planMark)))
 	p.flushLocked()
 	if bt != nil {
 		p.curBT = nil
@@ -597,7 +604,9 @@ func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
 	p.curBufs[s] = append(p.curBufs[s], it)
 	p.issued[s]++
 	if len(p.curBufs[s]) == p.drainAt {
+		p.busy.Add(int64(time.Since(p.planMark)))
 		p.flushLocked()
+		p.planMark = time.Now()
 	}
 }
 

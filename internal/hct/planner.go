@@ -146,9 +146,7 @@ func (p *Pipeline) planner() {
 	defer p.plannerWG.Done()
 	for p.pq.await() {
 		req, _ := p.pq.claim()
-		start := time.Now()
 		p.planOne(&req)
-		p.busy.Add(int64(time.Since(start)))
 	}
 }
 
@@ -210,13 +208,14 @@ func (p *Pipeline) Barrier() {
 	p.bwPool.Put(bw)
 }
 
-// PlannerBusy returns the cumulative time the planner goroutine has spent
-// planning (zero at one lane, which has none).
+// PlannerBusy returns the cumulative time spent planning: planRun's cluster
+// decisions and staging, at every lane count, without its flushes to the
+// lanes (the wait for lane room, and at one lane the inline drain).
 func (p *Pipeline) PlannerBusy() time.Duration { return time.Duration(p.busy.Load()) }
 
-// PlannerOccupancy returns the fraction of wall time since construction the
-// planner goroutine spent planning — the saturation gauge for the plan
-// stage. Zero at one lane.
+// PlannerOccupancy returns the fraction of wall time since construction spent
+// planning, as PlannerBusy counts it — the saturation gauge for the plan
+// stage.
 func (p *Pipeline) PlannerOccupancy() float64 {
 	wall := time.Since(p.since)
 	if wall <= 0 {

@@ -71,8 +71,11 @@ func TestPlanModesDifferential(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > before {
 			t.Fatalf("one lane with PlanQueue 4 started %d goroutines", n-before)
 		}
-		if one.PlannerBusy() != 0 || one.PlanQueueDepth() != 0 {
-			t.Fatalf("one lane with PlanQueue 4: a planner worked (busy %v, depth %d)", one.PlannerBusy(), one.PlanQueueDepth())
+		if one.PlanQueueDepth() != 0 {
+			t.Fatalf("one lane with PlanQueue 4: %d batches queued", one.PlanQueueDepth())
+		}
+		if one.PlannerBusy() <= 0 {
+			t.Fatal("one lane: the inline plan step counted no planning time")
 		}
 		if n := len(one.curBufs[0]); n != 0 || cap(one.curBufs[0]) != inlineChunk {
 			t.Fatalf("one lane left %d items staged after the dispatches returned, in a buffer of %d", n, cap(one.curBufs[0]))
@@ -89,7 +92,7 @@ func TestPlanModesDifferential(t *testing.T) {
 		two.Close()
 		two = feedAgainst(t, tr, ref, pipelineConfig(t, tr, 0, 13), PipelineOptions{Shards: 2, PlanQueue: -1}, 97)
 		if two.PlannerBusy() <= 0 {
-			t.Fatal("two lanes with PlanQueue -1: no planner goroutine planned")
+			t.Fatal("two lanes with PlanQueue -1: no planning time counted")
 		}
 	})
 	for i, spec := range specs {
@@ -303,6 +306,47 @@ func TestAsyncPipelineCloseDrains(t *testing.T) {
 	for p := 0; p < 8; p++ {
 		if _, ok := pipe.Timestamp(model.EventID{Process: model.ProcessID(p), Index: 1}); !ok {
 			t.Fatalf("pre-Close event p%d missing", p)
+		}
+	}
+}
+
+// slowStampTracer sleeps in every stamp span it opens: stamping that takes
+// d, inside the flush at one lane.
+type slowStampTracer struct{ d time.Duration }
+
+func (s slowStampTracer) Begin(name string, _, _ int) int {
+	if name == "stamp" {
+		time.Sleep(s.d)
+	}
+	return 0
+}
+func (slowStampTracer) End(int)                                             {}
+func (slowStampTracer) Span(string, int, int, time.Time, time.Duration) int { return 0 }
+
+// TestPlannerBusyCountsPlanningOnly: PlannerBusy is the plan step's own time
+// at every lane count — the cluster decisions, not the flush to the lanes. At
+// one lane the flush stamps inline, here for at least the tracer's sleep,
+// which must not be counted; eight events plan in far less.
+func TestPlannerBusyCountsPlanningOnly(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	for _, lanes := range []int{1, 2} {
+		pipe, err := NewPipeline(8, Config{MaxClusterSize: 3, Decider: strategy.NewMergeOnFirst()}, PipelineOptions{Shards: lanes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := make([]model.Event, 8)
+		for p := range evs {
+			evs[p] = model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: 1}, Kind: model.Unary}
+		}
+		start := time.Now()
+		if err := pipe.DispatchAsync(evs, slowStampTracer{stall}); err != nil {
+			t.Fatal(err)
+		}
+		pipe.Barrier()
+		wall := time.Since(start)
+		pipe.Close()
+		if busy := pipe.PlannerBusy(); busy <= 0 || busy >= stall {
+			t.Fatalf("lanes=%d: PlannerBusy = %v for eight events stamped in %v; it counts planning only", lanes, busy, wall)
 		}
 	}
 }

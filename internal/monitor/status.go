@@ -67,9 +67,9 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	counter("poetd_cross_shard_waits_total",
 		"Cross-shard rendezvous waits that actually blocked a stamping lane.",
 		pipe.CrossShardWaits)
-	reg.GaugeFunc("poetd_planner_occupancy", "Fraction of wall time the planner goroutine spent planning (0 at one ingest shard).",
+	reg.GaugeFunc("poetd_planner_occupancy", "Fraction of wall time spent planning (the cluster decisions, at every ingest shard count; not the hand-off to the lanes).",
 		pipe.PlannerOccupancy)
-	reg.CounterFunc("poetd_planner_busy_seconds_total", "Cumulative seconds the planner goroutine spent planning.",
+	reg.CounterFunc("poetd_planner_busy_seconds_total", "Cumulative seconds spent planning (the cluster decisions, at every ingest shard count; not the hand-off to the lanes).",
 		func() float64 { return pipe.PlannerBusy().Seconds() })
 	reg.GaugeFunc("poetd_plan_queue_batches", "Batches accepted onto the plan queue but not yet planned.",
 		func() float64 { return float64(pipe.PlanQueueDepth()) })
