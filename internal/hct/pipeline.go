@@ -199,7 +199,7 @@ type Pipeline struct {
 	core     *clusterer // the cluster-receive rule, its partition and accounting
 	issued   []uint64   // items dispatched per shard
 	curBufs  [][]item   // per-shard staging buffers, capacity retained across batches
-	planMark time.Time  // start of the planning PlannerBusy has not counted yet
+	planMark time.Time  // start of the planning PlannerBusy has not counted yet; only a timed run reaches drainAt
 
 	// The epoch table's writer side (guarded by planMu; plane.epochs is what
 	// is published): the epochs in index order, entry 0 nil; their indexes by
@@ -549,8 +549,10 @@ func (p *Pipeline) handOff(bp *[]model.Event, bt BatchTracer) error {
 // planRun is the plan step over an admitted run, under planMu: the cluster
 // decisions, staging, and the flush to the lanes. PlannerBusy counts the time
 // between flushes: the decisions, not the wait for lane room or the inline
-// drain. A traced run records plan_wait since waitStart (zero: since this
-// call, the time spent blocked on the mutex) and then its plan span.
+// drain. A run of one event (Timestamper.Ingest) is not timed: two clock reads
+// cost more than its one decision. A traced run records plan_wait since
+// waitStart (zero: since this call, the time spent blocked on the mutex) and
+// then its plan span.
 func (p *Pipeline) planRun(run []model.Event, bt BatchTracer, waitStart time.Time) {
 	if bt != nil && waitStart.IsZero() {
 		waitStart = time.Now()
@@ -560,11 +562,16 @@ func (p *Pipeline) planRun(run []model.Event, bt BatchTracer, waitStart time.Tim
 		bt.Span("plan_wait", -1, -1, waitStart, time.Since(waitStart))
 		p.curBT, p.planSpan = bt, bt.Begin("plan", -1, -1)
 	}
-	p.planMark = time.Now()
+	timed := len(run) > 1
+	if timed {
+		p.planMark = time.Now()
+	}
 	for i := range run {
 		p.plan(run[i])
 	}
-	p.busy.Add(int64(time.Since(p.planMark)))
+	if timed {
+		p.busy.Add(int64(time.Since(p.planMark)))
+	}
 	p.flushLocked()
 	if bt != nil {
 		p.curBT = nil

@@ -210,7 +210,8 @@ func (p *Pipeline) Barrier() {
 
 // PlannerBusy returns the cumulative time spent planning: planRun's cluster
 // decisions and staging, at every lane count, without its flushes to the
-// lanes (the wait for lane room, and at one lane the inline drain).
+// lanes (the wait for lane room, and at one lane the inline drain). Runs of
+// one event (Timestamper.Ingest) are not timed.
 func (p *Pipeline) PlannerBusy() time.Duration { return time.Duration(p.busy.Load()) }
 
 // PlannerOccupancy returns the fraction of wall time since construction spent

@@ -325,28 +325,38 @@ func (slowStampTracer) Span(string, int, int, time.Time, time.Duration) int { re
 
 // TestPlannerBusyCountsPlanningOnly: PlannerBusy is the plan step's own time
 // at every lane count — the cluster decisions, not the flush to the lanes. At
-// one lane the flush stamps inline, here for at least the tracer's sleep,
-// which must not be counted; eight events plan in far less.
+// one lane the flush stamps inline, here for at least the tracer's sleep. At
+// two lanes the first batch fills each lane's backlog (maxLaneBacklog) and
+// its lane sleeps in the stamp span, so the second batch's flush waits for
+// lane room about as long. Neither may be counted; the planning takes far
+// less.
 func TestPlannerBusyCountsPlanningOnly(t *testing.T) {
-	const stall = 50 * time.Millisecond
-	for _, lanes := range []int{1, 2} {
-		pipe, err := NewPipeline(8, Config{MaxClusterSize: 3, Decider: strategy.NewMergeOnFirst()}, PipelineOptions{Shards: lanes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs := make([]model.Event, 8)
-		for p := range evs {
-			evs[p] = model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: 1}, Kind: model.Unary}
-		}
-		start := time.Now()
-		if err := pipe.DispatchAsync(evs, slowStampTracer{stall}); err != nil {
-			t.Fatal(err)
-		}
-		pipe.Barrier()
-		wall := time.Since(start)
-		pipe.Close()
-		if busy := pipe.PlannerBusy(); busy <= 0 || busy >= stall {
-			t.Fatalf("lanes=%d: PlannerBusy = %v for eight events stamped in %v; it counts planning only", lanes, busy, wall)
-		}
+	const stall = 200 * time.Millisecond
+	for _, c := range []struct{ lanes, first int }{{1, 8}, {2, 2 * maxLaneBacklog}} {
+		t.Run(fmt.Sprintf("lanes=%d", c.lanes), func(t *testing.T) {
+			pipe, err := NewPipeline(8, Config{MaxClusterSize: 3, Decider: strategy.NewMergeOnFirst()}, PipelineOptions{Shards: c.lanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			evs := make([]model.Event, 0, c.first+8)
+			for i := 1; len(evs) < c.first+8; i++ {
+				for p := 0; p < 8; p++ {
+					evs = append(evs, model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary})
+				}
+			}
+			start := time.Now()
+			if err := pipe.DispatchAsync(evs[:c.first], slowStampTracer{stall}); err != nil {
+				t.Fatal(err)
+			}
+			if err := pipe.DispatchAsync(evs[c.first:], nil); err != nil {
+				t.Fatal(err)
+			}
+			pipe.Barrier()
+			wall := time.Since(start)
+			if busy := pipe.PlannerBusy(); busy <= 0 || busy >= stall/2 {
+				t.Fatalf("PlannerBusy = %v for %d events stamped in %v, %v of it stalled; it counts planning only", busy, len(evs), wall, stall)
+			}
+		})
 	}
 }

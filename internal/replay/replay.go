@@ -67,7 +67,7 @@ const maxCachedViews = 8
 // Precedes, Concurrent, Timestamp, Lookup, QueryBatch, GreatestPredecessors,
 // GreatestConcurrent, Watermark — promoted from a store view cut at the
 // cutoff's watermark (shared, not to be modified), and, for a view of an
-// Open store, the accounting of the counted prefix [stats-by-count]. Safe for
+// Open store, the accounting the count walk kept [stats-by-count]. Safe for
 // concurrent use alongside further ViewAt calls on the owning store.
 type View struct {
 	*monitor.Queries
@@ -137,8 +137,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.tally = tally{n: make(hct.Watermark, s.chain.NumProcs()), held: -1, newConfig: opts.NewConfig}
-	if s.ts, err = hct.NewTimestamper(s.chain.NumProcs(), opts.NewConfig()); err != nil {
+	s.tally = tally{n: make(hct.Watermark, s.chain.NumProcs()), newConfig: opts.NewConfig}
+	if s.ts, err = hct.NewTimestamper(s.chain.NumProcs(), opts.NewConfig()); err == nil {
+		err = s.tally.reset(nil)
+	}
+	if err != nil {
 		s.chain.Close()
 		return nil, err
 	}
@@ -305,11 +308,7 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 			from = v
 		}
 	}
-	// An offline tally without an Accountant must stay level with Open's
-	// engine, whose accounting it reports; one the engine has passed (a run
-	// it refused part of) recounts from the start [stats-by-count].
-	behind := s.ts != nil && s.tally.acct == nil && s.positionLocked() != s.tally.pos
-	if s.tally.pos > cutoff || (from != nil && from.cutoff > s.tally.pos) || behind {
+	if s.tally.pos > cutoff || (from != nil && from.cutoff > s.tally.pos) {
 		if err := s.tally.reset(from); err != nil {
 			return nil, err
 		}
@@ -336,11 +335,8 @@ func (s *Store) countLocked(cutoff uint64) (*View, error) {
 		return nil, err
 	}
 	v := &View{Queries: monitor.NewQueries(s.store.At(wm)), cutoff: cutoff, held: s.tally.held}
-	switch {
-	case s.tally.acct != nil:
+	if s.tally.acct != nil {
 		v.result, v.pending = s.tally.acct.Result(), s.tally.pending
-	case s.ts != nil: // level with the engine, which has planned the counted prefix [stats-by-count]
-		v.result, v.pending = s.ts.Result(), s.ts.PendingSends()
 	}
 	return v, nil
 }
@@ -354,9 +350,7 @@ type tally struct {
 	live hct.Watermark // the store's published counts as coverLocked last captured them
 
 	// With newConfig (Open), the accounting of the counted prefix
-	// [stats-by-count], kept from the first rewind on: until then the tally
-	// is level with Open's engine, whose own accounting the view reports.
-	// acct is nil under OpenLive and before that rewind, and count skips it.
+	// [stats-by-count]; acct is nil under OpenLive, and count skips it.
 	newConfig func() hct.Config
 	acct      *hct.Accountant
 	first     model.Event // the held first sync half, observed with its partner

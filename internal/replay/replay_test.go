@@ -569,37 +569,3 @@ func TestReplayRejectedRunKeepsPrefix(t *testing.T) {
 		t.Fatal("event after the rejected one was materialized")
 	}
 }
-
-// TestReplayStatsPastARefusedRun: Open's engine admits the prefix of a run it
-// refuses, so it can stand past a tally that never rewound. A view between
-// the two must report the accounting of its own prefix, not the engine's
-// [stats-by-count].
-func TestReplayStatsPastARefusedRun(t *testing.T) {
-	unary := func(p, i int) model.Event {
-		return model.Event{ID: model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}, Kind: model.Unary}
-	}
-	dir := t.TempDir()
-	writeWAL(t, dir, 2,
-		[]model.Event{unary(0, 1), unary(1, 1)},
-		[]model.Event{unary(0, 2), unary(1, 2), unary(0, 2)}) // duplicate at global position 4
-	st, err := replay.Open(dir, replay.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.ViewAt(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.ViewAt(5); !errors.Is(err, model.ErrDeliverDuplicate) {
-		t.Fatalf("ViewAt(5) = %v, want the duplicate rejection", err)
-	}
-	for _, cutoff := range []uint64{3, 4} {
-		v, err := st.ViewAt(cutoff)
-		if err != nil {
-			t.Fatalf("ViewAt(%d): %v", cutoff, err)
-		}
-		if got := v.Stats(300).Events; got != int(cutoff) {
-			t.Fatalf("view at %d holds the accounting of %d events", cutoff, got)
-		}
-	}
-}
